@@ -128,8 +128,6 @@ func main() {
 		timeout     = flag.Duration("query-timeout", 30*time.Second, "default per-query evaluation deadline (0 = none)")
 		maxSteps    = flag.Int("max-steps", 0, "IQL evaluation step bound per query (0 = unlimited)")
 		evalPar     = flag.Int("eval-parallelism", 0, "worker count for data-parallel sharded comprehension evaluation (0 = GOMAXPROCS, 1 = serial)")
-		pfWorkers   = flag.Int("prefetch-workers", 0, "concurrent extent-prefetch pool width per query (0 = default 8)")
-		pfMaxTasks  = flag.Int("prefetch-max-tasks", 0, "max distinct source extents one query's prefetch may schedule (0 = default 64)")
 		scanBuffer  = flag.Int("scan-buffer", 0, "streaming extent pipeline row window: extents above it stream through a bounded buffer instead of materialising (0 = default 4096, negative disables streaming)")
 		fetchPage   = flag.Int("fetch-page-rows", 0, "LIMIT/OFFSET page size for SQL source fetches (0 = default 4096, negative disables paging)")
 		dataDir     = flag.String("data-dir", "", "directory for durable session snapshots (empty = in-memory only)")
@@ -167,20 +165,18 @@ func main() {
 	slog.SetDefault(logger)
 
 	srv := server.New(server.Config{
-		PlanCacheSize:    *planCache,
-		ResultCacheSize:  *resultCache,
-		CacheBytes:       *cacheBytes,
-		QueryTimeout:     *timeout,
-		MaxSteps:         *maxSteps,
-		EvalParallelism:  *evalPar,
-		PrefetchWorkers:  *pfWorkers,
-		PrefetchMaxTasks: *pfMaxTasks,
-		ScanBuffer:       *scanBuffer,
-		FetchPageRows:    *fetchPage,
-		SlowQuery:        *slowQuery,
-		TraceRingSize:    *traceRing,
-		MaxInflight:      *maxInflight,
-		MaxQueue:         *maxQueue,
+		PlanCacheSize:   *planCache,
+		ResultCacheSize: *resultCache,
+		CacheBytes:      *cacheBytes,
+		QueryTimeout:    *timeout,
+		MaxSteps:        *maxSteps,
+		EvalParallelism: *evalPar,
+		ScanBuffer:      *scanBuffer,
+		FetchPageRows:   *fetchPage,
+		SlowQuery:       *slowQuery,
+		TraceRingSize:   *traceRing,
+		MaxInflight:     *maxInflight,
+		MaxQueue:        *maxQueue,
 		Breaker: query.BreakerConfig{
 			Enabled:       *breakerOn,
 			SourceTimeout: *srcTimeout,

@@ -9,16 +9,14 @@
 //
 //   - Self-serve (default): boots the server in-process on a random
 //     port with the configured -max-inflight/-max-queue, so the whole
-//     run is hermetic — this is what `make load-smoke` and
-//     `make bench-load` use.
+//     run is hermetic — this is what `make load-smoke` uses.
 //   - Remote: -addr points at a running automedd; the server's own
 //     limits apply.
 //
 // After the run it scrapes GET /metrics, fails on malformed Prometheus
 // exposition or missing queue families, and writes a JSON report —
 // client-observed p50/p95/p99, reject rate, throughput, and the
-// server's queue counters — to -out (default stdout). `make bench-load`
-// commits that report as BENCH_PR7.json.
+// server's queue counters — to -out (default stdout).
 //
 // With -smoke the run doubles as a CI gate: it exits non-zero unless
 // queries succeeded, the exposition parsed, and (when the configured

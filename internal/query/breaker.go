@@ -294,6 +294,107 @@ func (b *breaker) health() SourceHealth {
 	return h
 }
 
+// SetBreaker installs (or disables) the per-source circuit-breaker and
+// stale-fallback configuration. Existing breakers are dropped so the
+// new thresholds apply uniformly.
+func (p *Processor) SetBreaker(cfg BreakerConfig) {
+	if cfg.Enabled {
+		cfg = cfg.withDefaults()
+	}
+	p.mu.Lock()
+	p.brCfg = cfg
+	p.breakers = make(map[string]*breaker)
+	p.mu.Unlock()
+}
+
+// breakerFor returns the source's breaker, creating it on first use;
+// nil when the breaker layer is disabled.
+func (p *Processor) breakerFor(name string) *breaker {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.brCfg.Enabled {
+		return nil
+	}
+	b := p.breakers[name]
+	if b == nil {
+		b = newBreaker(p.brCfg)
+		p.breakers[name] = b
+	}
+	return b
+}
+
+// SourceHealth reports every registered source's breaker state, in
+// registration order. Sources never fetched report closed breakers.
+func (p *Processor) SourceHealth() []SourceHealth {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.brCfg.Enabled {
+		return nil
+	}
+	out := make([]SourceHealth, 0, len(p.sources))
+	for _, s := range p.sources {
+		h := SourceHealth{State: stateName(breakerClosed)}
+		if b := p.breakers[s.name]; b != nil {
+			h = b.health()
+		}
+		h.Source, h.Kind = s.name, s.kind
+		out = append(out, h)
+	}
+	return out
+}
+
+// ProbeOpen reads one extent, in readProbe mode, from every source that
+// has a breaker. read admits the probe only through an open (or stuck
+// half-open) breaker whose probe interval has elapsed, so recovered
+// sources close their breakers without waiting for query traffic and
+// healthy ones are not touched. It returns how many recovered.
+func (p *Processor) ProbeOpen(ctx context.Context) int {
+	var due []source
+	p.mu.Lock()
+	for _, s := range p.sources {
+		if p.breakers[s.name] != nil {
+			due = append(due, s)
+		}
+	}
+	p.mu.Unlock()
+	recovered := 0
+	for _, src := range due {
+		sc, ok := probeScheme(src.schema)
+		if !ok {
+			continue
+		}
+		if _, err := p.read(ctx, src, sc, readProbe); err != nil {
+			if ctx.Err() != nil {
+				return recovered // the probe run itself was cancelled
+			}
+			continue
+		}
+		// The source is back: evict everything computed while it was
+		// down (memoised virtual extents carrying degraded warnings), so
+		// the next queries recompute over fresh data.
+		keys := make([]string, 0, src.schema.Len())
+		for _, o := range src.schema.Objects() {
+			keys = append(keys, o.Scheme.Key())
+		}
+		p.InvalidateSchemes(keys...)
+		recovered++
+	}
+	return recovered
+}
+
+// probeScheme picks a deterministic probe object from a source schema:
+// its first object in scheme-key order.
+func probeScheme(sch *hdm.Schema) (hdm.Scheme, bool) {
+	var best hdm.Scheme
+	found := false
+	for _, o := range sch.Objects() {
+		if !found || o.Scheme.Key() < best.Key() {
+			best, found = o.Scheme, true
+		}
+	}
+	return best, found
+}
+
 // SourceHealth is one source's breaker state, as reported by
 // Processor.SourceHealth (and surfaced in /healthz and /metrics).
 type SourceHealth struct {

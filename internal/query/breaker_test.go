@@ -374,3 +374,110 @@ func TestBreakerDisabledPropagatesErrors(t *testing.T) {
 		t.Fatalf("SourceHealth with breakers disabled = %+v, want nil", h)
 	}
 }
+
+// twoFlakySources builds a breaker-guarded processor over two flaky
+// sources whose objects are <<ta>> and <<tb>>, so a query over both
+// schedules two prefetch tasks and prefetch — not evaluation — makes
+// the provider calls.
+func twoFlakySources(t *testing.T) (*Processor, *flakySource, *flakySource) {
+	t.Helper()
+	p := New()
+	p.SetBreaker(testBreakerConfig())
+	srcs := make([]*flakySource, 2)
+	for i, name := range []string{"A", "B"} {
+		sch := hdm.NewSchema(name)
+		sch.MustAdd(hdm.NewObject(hdm.MustScheme("<<t"+strings.ToLower(name)+">>"), hdm.Nodal, "", ""))
+		srcs[i] = &flakySource{name: name, schema: sch, val: iql.Bag(iql.Int(1), iql.Int(2), iql.Int(3))}
+		if err := p.AddSource(srcs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p, srcs[0], srcs[1]
+}
+
+// evalBoth evaluates count(<<ta>>) + count(<<tb>>) with cold caches.
+func evalBoth(t *testing.T, p *Processor) (iql.Value, []string, error) {
+	t.Helper()
+	p.InvalidateCache()
+	v, warns, _, err := p.EvalContext(context.Background(), iql.MustParse("count(<<ta>>) + count(<<tb>>)"))
+	return v, warns, err
+}
+
+// TestPrefetchedReadsGoThroughTheBreaker: a source reached by prefetch
+// gets exactly the treatment of one reached by evaluation — its extent
+// is retained as last-known-good, its failures count against its
+// breaker, an open breaker shields it from prefetch too, and a failing
+// source is asked once per query, not once by prefetch and again by
+// evaluation.
+func TestPrefetchedReadsGoThroughTheBreaker(t *testing.T) {
+	p, a, b := twoFlakySources(t)
+	if v, warns, err := evalBoth(t, p); err != nil || v.I != 6 || len(warns) != 0 {
+		t.Fatalf("healthy query: v=%s warns=%v err=%v", v, warns, err)
+	}
+	if a.callCount() != 1 || b.callCount() != 1 {
+		t.Fatalf("healthy query made a=%d b=%d provider calls, want 1 each", a.callCount(), b.callCount())
+	}
+
+	// (a) Sources down, caches cold: the extents prefetch fetched are
+	// the fallback, one degraded warning per source.
+	a.setFailing(true)
+	b.setFailing(true)
+	v, warns, err := evalBoth(t, p)
+	if err != nil {
+		t.Fatalf("query after both sources went down failed: %v", err)
+	}
+	if v.I != 6 {
+		t.Fatalf("degraded answer = %s, want the healthy value 6", v)
+	}
+	if len(warns) != 2 || !IsDegraded(warns[0]) || !IsDegraded(warns[1]) {
+		t.Fatalf("warnings = %v, want one degraded warning per source", warns)
+	}
+	// (d) Breaker still closed: one provider call per source per query.
+	if a.callCount() != 2 || b.callCount() != 2 {
+		t.Fatalf("failing query made a=%d b=%d provider calls in total, want 2 each (one per query)", a.callCount(), b.callCount())
+	}
+
+	// (c) The failures prefetch met opened the breakers: with one call
+	// per query, the third failing query is the third consecutive failure.
+	evalBoth(t, p)
+	evalBoth(t, p)
+	for _, h := range p.SourceHealth() {
+		if h.State != "open" {
+			t.Fatalf("source %s: state %s after %d consecutive failures, want open", h.Source, h.State, h.ConsecutiveFailures)
+		}
+	}
+
+	// (b) Open breakers: further queries reach neither source, from
+	// prefetch or from evaluation.
+	ca, cb := a.callCount(), b.callCount()
+	v, warns, err = evalBoth(t, p)
+	if err != nil || v.I != 6 || len(warns) != 2 {
+		t.Fatalf("breaker-open query: v=%s warns=%v err=%v", v, warns, err)
+	}
+	if a.callCount() != ca || b.callCount() != cb {
+		t.Errorf("open breakers let a=%d b=%d provider calls through", a.callCount()-ca, b.callCount()-cb)
+	}
+}
+
+// TestBreakerOpensForSourceOnlyPrefetchReaches: a failing source that
+// only prefetch ever calls — the untaken arm of an if — still
+// accumulates failures and opens its breaker.
+func TestBreakerOpensForSourceOnlyPrefetchReaches(t *testing.T) {
+	p, a, b := twoFlakySources(t)
+	b.setFailing(true)
+	q := iql.MustParse("if count(<<ta>>) > 0 then 1 else count(<<tb>>)")
+	deadline := time.Now().Add(2 * time.Second)
+	for p.SourceHealth()[1].State != "open" {
+		if time.Now().After(deadline) {
+			t.Fatalf("B never opened: %+v (%d calls)", p.SourceHealth()[1], b.callCount())
+		}
+		p.InvalidateCache()
+		if v, _, _, err := p.EvalContext(context.Background(), q); err != nil || v.I != 1 {
+			t.Fatalf("query: v=%s err=%v", v, err)
+		}
+		time.Sleep(time.Millisecond) // the speculative warm is detached
+	}
+	if a.callCount() == 0 {
+		t.Error("the taken arm's source was never read")
+	}
+}

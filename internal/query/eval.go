@@ -1,0 +1,410 @@
+package query
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sort"
+	"strings"
+	"time"
+
+	"github.com/dataspace/automed/internal/cache"
+	"github.com/dataspace/automed/internal/hdm"
+	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/obs"
+)
+
+// session threads the recursion stack and scope stack through one query
+// evaluation so that ident cycles are cut exactly once, mid-cycle
+// results are not memoised, and each derivation's references resolve in
+// its own source scope.
+type session struct {
+	p       *Processor
+	onStack map[string]bool
+	scopes  []string
+	cut     bool
+	// ctx cancels long evaluations (per-request timeouts); it is handed
+	// to every evaluator the session spawns and to every read.
+	ctx context.Context
+	// budget is the evaluation step budget shared by every evaluator
+	// this session spawns, so MaxSteps bounds the whole query rather
+	// than each derivation separately.
+	budget *iql.StepBudget
+	// warnLog is the ordered warning stream of this evaluation; each
+	// virtual extent caches the slice it contributed so that memo-
+	// cache hits replay the warnings of the computation they reuse.
+	warnLog []string
+	// depLog is the ordered stream of scheme keys this evaluation
+	// touched (source and virtual); each virtual extent caches the
+	// slice it contributed as its dependency set, and memo-cache hits
+	// replay the reused computation's dependencies, so the log is
+	// always the transitive touch-set of the evaluation so far.
+	depLog []string
+	// warmErr holds, by source-extent cache key, the errors this query's
+	// prefetch met. Evaluation does not ask such a source a second time:
+	// a failing source gets one provider call per query.
+	warmErr map[string]error
+	// stats collects sharding telemetry across every evaluator this
+	// session spawns (it is concurrency-safe).
+	stats *iql.EvalStats
+}
+
+// evaluator builds an IQL evaluator wired to this session: shared step
+// budget, request context, the processor-wide join-index cache, and
+// the sharded-evaluation settings. Sharded workers serialise their
+// session access internally (see iql/parallel.go), so handing the
+// session itself as the extent source stays correct under parallelism.
+func (s *session) evaluator() *iql.Evaluator {
+	return &iql.Evaluator{
+		Ext:      s,
+		Budget:   s.budget,
+		Ctx:      s.ctx,
+		Indexes:  s.p.joinIdx,
+		Parallel: s.p.evalParallel(),
+		Stats:    s.stats,
+	}
+}
+
+// newSession builds an evaluation session with a fresh per-query step
+// budget.
+func (p *Processor) newSession(ctx context.Context, scopes ...string) *session {
+	return &session{
+		p:       p,
+		onStack: make(map[string]bool),
+		scopes:  scopes,
+		ctx:     ctx,
+		budget:  &iql.StepBudget{Max: p.MaxSteps},
+		stats:   &iql.EvalStats{},
+	}
+}
+
+func (s *session) scope() string {
+	if len(s.scopes) == 0 {
+		return ""
+	}
+	return s.scopes[len(s.scopes)-1]
+}
+
+// deps returns the distinct scheme keys this session touched, sorted.
+func (s *session) deps() []string {
+	out := cache.Dedup(s.depLog)
+	sort.Strings(out)
+	return out
+}
+
+// warn records a warning in the session (per-evaluation reporting,
+// race-free under concurrent queries; the ordered log also feeds the
+// extent memo cache) and in the processor's accumulated set (the
+// legacy Warnings API).
+func (s *session) warn(msg string) {
+	s.warnLog = append(s.warnLog, msg)
+	s.p.mu.Lock()
+	s.p.warnings[msg] = true
+	s.p.mu.Unlock()
+}
+
+// Extent implements iql.Extents for evaluation within a session:
+// source objects are read from their provider, virtual objects unfold
+// their derivations.
+func (s *session) Extent(parts []string) (iql.Value, error) {
+	r := s.p.resolve(s.scope(), parts)
+	switch r.kind {
+	case refScoped, refGlobal:
+		s.depLog = r.appendDeps(s.depLog)
+		return s.source(r.src, r.sc)
+	case refVirtual:
+		return s.virtual(r, parts)
+	case refAmbiguous:
+		return iql.Value{}, fmt.Errorf("query: <<%s>> is ambiguous across sources %s",
+			strings.Join(parts, ", "), strings.Join(r.names, ", "))
+	}
+	return iql.Value{}, fmt.Errorf("query: unknown schema object <<%s>>", strings.Join(parts, ", "))
+}
+
+// source reads one source object's whole extent for this evaluation,
+// raising the degraded warning when the answer is a stale copy.
+func (s *session) source(src source, sc hdm.Scheme) (iql.Value, error) {
+	x, err := extent{}, s.warmErr[src.name+"\x00"+sc.Key()]
+	if err != nil {
+		x, err = s.p.stale(s.ctx, src, sc, s.p.breakerFor(src.name), err)
+	} else {
+		x, err = s.p.read(s.ctx, src, sc, readWhole)
+	}
+	if x.degraded != "" {
+		s.warn(x.degraded)
+	}
+	return x.val, err
+}
+
+// virtual answers a virtual object from the memo, or by unfolding its
+// derivations under an extent span so the fetch (and nested extent)
+// spans of the computation appear as its children.
+func (s *session) virtual(r resolution, parts []string) (iql.Value, error) {
+	name := strings.Join(parts, ", ")
+	if ce, ok := s.p.memo.Get(r.key); ok {
+		// Replay the reused computation's warnings and dependency
+		// set so the enclosing evaluation inherits both.
+		for _, w := range ce.warns {
+			s.warn(w)
+		}
+		s.depLog = append(s.depLog, ce.deps...)
+		mark(s.ctx, obs.StageExtent, name, "", obs.CacheHit, bagLen(ce.val), nil)
+		return ce.val, nil
+	}
+	sp, ctx := obs.StartSpan(s.ctx, obs.StageExtent, name)
+	sp.SetCache(obs.CacheMiss)
+	saved := s.ctx
+	s.ctx = ctx
+	v, err := s.unfold(r, name)
+	s.ctx = saved
+	sp.SetRows(bagLen(v))
+	sp.End(err)
+	return v, err
+}
+
+// unfold computes a virtual object's extent as the bag union of its
+// derivations, each evaluated in its own scope, and memoises it with
+// the warnings and dependency keys the computation contributed.
+func (s *session) unfold(r resolution, name string) (iql.Value, error) {
+	if s.onStack[r.key] {
+		s.cut = true
+		return iql.Bag(), nil
+	}
+	s.onStack[r.key] = true
+	savedCut := s.cut
+	s.cut = false
+	warnMark := len(s.warnLog)
+	depMark := len(s.depLog)
+	// The object's own key heads its dependency set: invalidating it
+	// (e.g. a new derivation registered for it) must evict this memo
+	// entry and everything computed on top of it.
+	s.depLog = r.appendDeps(s.depLog)
+	var acc []iql.Value
+	var evalErr error
+	for _, d := range r.derivs {
+		s.scopes = append(s.scopes, d.Scope)
+		ev := s.evaluator()
+		v, err := ev.Eval(d.Query, nil)
+		s.scopes = s.scopes[:len(s.scopes)-1]
+		if err != nil {
+			evalErr = fmt.Errorf("query: unfolding <<%s>> via %s: %w", name, d.Via, err)
+			break
+		}
+		els, err := v.Elements()
+		if err != nil {
+			evalErr = fmt.Errorf("query: derivation of <<%s>> via %s is not a collection: %w", name, d.Via, err)
+			break
+		}
+		acc = append(acc, els...)
+		if d.Lower {
+			if iql.IsVoidAnyRange(d.Query) {
+				s.warn(fmt.Sprintf("extent of <<%s>> is unknown via %s (Range Void Any)", name, d.Via))
+			} else {
+				s.warn(fmt.Sprintf("extent of <<%s>> may be incomplete: lower bound used (via %s)", name, d.Via))
+			}
+		}
+	}
+	delete(s.onStack, r.key)
+	if evalErr != nil {
+		return iql.Value{}, evalErr
+	}
+	out := iql.BagOf(acc)
+	if !s.cut {
+		ce := cachedExtent{val: out, deps: cache.Dedup(s.depLog[depMark:])}
+		if n := len(s.warnLog) - warnMark; n > 0 {
+			ce.warns = append([]string(nil), s.warnLog[warnMark:]...)
+		}
+		s.p.memo.Put(r.key, ce, ce.cost(), ce.deps)
+	}
+	s.cut = s.cut || savedCut
+	return out, nil
+}
+
+// eval is the one body behind Eval, EvalScoped and EvalContext: warm
+// the source extents the expression enumerates concurrently, then walk
+// it serially in a fresh session, which comes back so EvalContext can
+// report what the evaluation raised and touched.
+func (p *Processor) eval(ctx context.Context, e iql.Expr, scope string) (iql.Value, *session, error) {
+	warmErr := p.prefetch(ctx, e, scope)
+	sp, ctx := obs.StartSpan(ctx, obs.StageEval, "")
+	s := p.newSession(ctx, scope)
+	s.warmErr = warmErr
+	v, err := s.evaluator().Eval(e, nil)
+	p.noteEval(s.stats, sp)
+	sp.End(err)
+	return v, s, err
+}
+
+// Eval evaluates a parsed IQL expression against the processor.
+func (p *Processor) Eval(e iql.Expr) (iql.Value, error) {
+	return p.EvalScoped(e, "")
+}
+
+// EvalScoped evaluates an expression whose unqualified references
+// resolve against the named source schema first.
+func (p *Processor) EvalScoped(e iql.Expr, scope string) (iql.Value, error) {
+	v, _, err := p.eval(context.Background(), e, scope)
+	return v, err
+}
+
+// EvalContext evaluates a parsed IQL expression under a context (for
+// per-request timeouts and cancellation) and returns, alongside the
+// value, the incompleteness warnings raised by this evaluation alone
+// and the distinct scheme keys it touched (its dependency set, for
+// selective result-cache invalidation), both sorted. Unlike the
+// ClearWarnings/Eval/Warnings sequence, it is safe under concurrent
+// queries: each evaluation collects its own warnings.
+func (p *Processor) EvalContext(ctx context.Context, e iql.Expr) (iql.Value, []string, []string, error) {
+	v, s, err := p.eval(ctx, e, "")
+	if err != nil {
+		return iql.Value{}, nil, nil, err
+	}
+	warns := cache.Dedup(s.warnLog)
+	sort.Strings(warns)
+	return v, warns, s.deps(), nil
+}
+
+// Query parses and evaluates IQL source text.
+func (p *Processor) Query(src string) (iql.Value, error) {
+	e, err := iql.Parse(src)
+	if err != nil {
+		return iql.Value{}, err
+	}
+	return p.Eval(e)
+}
+
+// Extent returns the extent of the referenced object: virtual objects
+// by unfolding their derivations (their source extents are prefetched
+// concurrently first), source objects from their wrapper.
+func (p *Processor) Extent(parts []string) (iql.Value, error) {
+	s := p.newSession(context.Background())
+	s.warmErr = p.prefetch(s.ctx, iql.Ref(parts...), "")
+	return s.Extent(parts)
+}
+
+// ScopedExtent resolves parts as if referenced from within the given
+// source scope (used by tools displaying per-source extents).
+func (p *Processor) ScopedExtent(scope string, parts []string) (iql.Value, error) {
+	return p.newSession(context.Background(), scope).Extent(parts)
+}
+
+// Materialize computes the extent of every object in a schema,
+// returning a map from scheme key to extent. Used to snapshot an
+// integrated resource (e.g. to answer source queries in the reverse
+// direction) and by the benchmark harness.
+func (p *Processor) Materialize(s *hdm.Schema) (map[string]iql.Value, error) {
+	out := make(map[string]iql.Value, s.Len())
+	for _, o := range s.Objects() {
+		v, err := p.Extent(o.Scheme.Parts())
+		if err != nil {
+			return nil, fmt.Errorf("query: materialising %s: %w", o.Scheme, err)
+		}
+		out[o.Scheme.Key()] = v
+	}
+	return out, nil
+}
+
+// evalParallel resolves the effective sharded-evaluation width.
+func (p *Processor) evalParallel() int {
+	if p.Parallel > 0 {
+		return p.Parallel
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// ParallelStats snapshots the processor's sharded-evaluation counters.
+type ParallelStats struct {
+	// ParallelEvals and SerialEvals split completed top-level
+	// evaluations by whether any generator scan sharded.
+	ParallelEvals uint64
+	SerialEvals   uint64
+	// Shards is the total number of shards executed.
+	Shards uint64
+	// Width is the effective worker-pool width for new evaluations.
+	Width int
+}
+
+// ParallelStats reports sharded-evaluation activity since startup.
+func (p *Processor) ParallelStats() ParallelStats {
+	return ParallelStats{
+		ParallelEvals: p.statParallelEvals.Load(),
+		SerialEvals:   p.statSerialEvals.Load(),
+		Shards:        p.statShards.Load(),
+		Width:         p.evalParallel(),
+	}
+}
+
+// noteEval folds one finished evaluation's sharding telemetry into the
+// processor counters and, when a span is recording, its detail field.
+func (p *Processor) noteEval(st *iql.EvalStats, sp *obs.Span) {
+	sh := st.Sharded()
+	if len(sh) == 0 {
+		p.statSerialEvals.Add(1)
+		return
+	}
+	p.statParallelEvals.Add(1)
+	shards, workers := 0, 0
+	var slowest time.Duration
+	for _, s := range sh {
+		shards += s.Shards
+		if s.Workers > workers {
+			workers = s.Workers
+		}
+		if s.ShardMax > slowest {
+			slowest = s.ShardMax
+		}
+	}
+	p.statShards.Add(uint64(shards))
+	if sp != nil {
+		sp.SetDetail(fmt.Sprintf("sharded scans=%d shards=%d workers=%d shard_max=%s",
+			len(sh), shards, workers, slowest.Round(time.Microsecond)))
+	}
+}
+
+// Unfold returns the fully unfolded form of a query: every virtual
+// scheme reference is syntactically replaced by the bag union of its
+// derivations until only source-resident references remain. This is the
+// classical GAV query-unfolding view of what Eval computes; it is
+// exposed for inspection and testing. Scoping information is lost in
+// the textual form, so Unfold is only exact when object names are
+// globally unambiguous. Ident-induced cycles make the rewriting
+// non-terminating in general, so unfolding stops after maxDepth rounds
+// and reports an error if virtual references remain.
+func (p *Processor) Unfold(e iql.Expr, maxDepth int) (iql.Expr, error) {
+	cur := e
+	for depth := 0; depth < maxDepth; depth++ {
+		replaced := false
+		cur = iql.SubstituteSchemes(cur, func(parts []string) (iql.Expr, bool) {
+			r := p.resolve("", parts)
+			if r.kind != refVirtual {
+				return nil, false
+			}
+			replaced = true
+			var out iql.Expr
+			for _, d := range r.derivs {
+				q := d.Query
+				if lo, _, isRange := iql.IsRange(q); isRange {
+					q = lo
+				}
+				if out == nil {
+					out = q
+				} else {
+					out = &iql.Binary{Op: "++", L: out, R: q}
+				}
+			}
+			if out == nil {
+				out = &iql.BagExpr{}
+			}
+			return out, true
+		})
+		if !replaced {
+			return cur, nil
+		}
+	}
+	for _, parts := range iql.UniqueSchemeRefs(cur) {
+		if p.resolve("", parts).kind == refVirtual {
+			return nil, fmt.Errorf("query: unfolding did not terminate within %d rounds (cyclic idents?)", maxDepth)
+		}
+	}
+	return cur, nil
+}

@@ -50,3 +50,28 @@ func TestExplainCycleSafe(t *testing.T) {
 		t.Errorf("cycle not cut:\n%s", out)
 	}
 }
+
+// TestExplainFlagsAmbiguity: a reference evaluation refuses as
+// ambiguous is reported as such — at the top and inside a derivation —
+// instead of being pinned on the first registered source.
+func TestExplainFlagsAmbiguity(t *testing.T) {
+	p := New()
+	for _, name := range []string{"A", "B"} {
+		p.AddSource(staticSource(t, name, map[string]iql.Value{"<<t>>": iql.Bag(iql.Int(1))}))
+	}
+	if _, err := p.Query("count(<<t>>)"); err == nil || !strings.Contains(err.Error(), "ambiguous across sources A, B") {
+		t.Fatalf("evaluation error = %v, want ambiguity", err)
+	}
+	if out := p.Explain(hdm.MustScheme("<<t>>")); !strings.Contains(out, "<<t>>: AMBIGUOUS across A, B") {
+		t.Errorf("top-level explain:\n%s", out)
+	}
+	p.Define(hdm.MustScheme("<<u>>"), iql.MustParse("[x | x <- <<t>>]"), "x", "")
+	if out := p.Explain(hdm.MustScheme("<<u>>")); !strings.Contains(out, "<<t>>: AMBIGUOUS across A, B") {
+		t.Errorf("nested explain:\n%s", out)
+	}
+	// Scoped, the same reference is that source's own object: a leaf.
+	p.Define(hdm.MustScheme("<<w>>"), iql.MustParse("[x | x <- <<t>>]"), "x", "B")
+	if out := p.Explain(hdm.MustScheme("<<w>>")); strings.Contains(out, "AMBIGUOUS") {
+		t.Errorf("scoped reference flagged ambiguous:\n%s", out)
+	}
+}

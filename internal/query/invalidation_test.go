@@ -257,7 +257,7 @@ func TestSharedStepBudget(t *testing.T) {
 	// halves and the total: per-derivation budgeting would pass, a
 	// shared budget must fail.
 	b := &iql.StepBudget{}
-	s := p.newSession(nil)
+	s := p.newSession(context.Background())
 	s.budget = b
 	ev := &iql.Evaluator{Ext: s, Budget: b}
 	if _, err := ev.Eval(iql.MustParse("count(<<u>>)"), nil); err != nil {

@@ -2,8 +2,6 @@ package query
 
 import (
 	"context"
-	"strings"
-	"sync"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
@@ -11,196 +9,152 @@ import (
 )
 
 // Concurrent extent prefetch. A multi-generator comprehension over the
-// integrated schema unfolds onto several data source extents; fetching
+// integrated schema unfolds onto several data source extents; reading
 // them one by one during evaluation serialises the wrappers' latencies.
 // Before evaluating a query, the processor statically collects the
 // scheme references the comprehension will enumerate — generator
-// sources, aggregate/member arguments, union operands — expands those
-// that name virtual objects one definition level at a time (skipping
-// anything already memoised), and warms the source-extent cache for the
-// distinct source objects concurrently. The fetches go through the
-// cache's singleflight GetOrCompute, so a prefetch in flight coalesces
-// with the evaluation that needs it (and with concurrent queries)
-// instead of duplicating wrapper work.
+// sources, aggregate/member arguments, union operands — resolves each
+// as evaluation will, expands those that name virtual objects one
+// definition level at a time (skipping anything already memoised), and
+// reads the distinct source objects concurrently in readWarm mode.
+// Those are ordinary guarded reads: they coalesce with the evaluation
+// that needs the extent (and with concurrent queries), respect and feed
+// the source's breaker, and retain what they fetch as last-known-good.
 //
-// Prefetch is advisory: errors are swallowed (the serial evaluation
-// path re-fetches and surfaces them with full context), the walk is
-// bounded, and cancellation of the request context stops scheduling.
+// Prefetch is advisory: the walk is bounded, cancellation of the
+// request context stops scheduling, and the error of a failed read is
+// handed to the evaluation, which surfaces it with full context (or
+// degrades to stale data) without asking the source a second time.
 
 const (
-	// DefaultPrefetchWorkers bounds concurrent wrapper fetches per
-	// query when Processor.PrefetchWorkers is unset.
-	DefaultPrefetchWorkers = 8
-	// DefaultPrefetchMaxTasks bounds how many distinct source extents
-	// one query's prefetch may schedule when Processor.PrefetchMaxTasks
-	// is unset.
-	DefaultPrefetchMaxTasks = 64
+	// prefetchWorkers bounds concurrent provider calls per query.
+	prefetchWorkers = 8
+	// prefetchMaxTasks bounds how many distinct source extents one
+	// query's prefetch may schedule.
+	prefetchMaxTasks = 64
 	// prefetchMaxDepth bounds the virtual-definition expansion depth.
 	prefetchMaxDepth = 4
-	// specDivisor caps speculative warming (if-branch arms, which may
-	// never be evaluated) to this fraction of the task budget, so cold
+	// prefetchMaxSpec caps speculative warming (if-branch arms, which
+	// may never be evaluated) to a quarter of the task budget, so cold
 	// branches cannot crowd out extents the query will certainly scan.
-	specDivisor = 4
+	prefetchMaxSpec = prefetchMaxTasks / 4
 )
 
-// prefetchWorkerCount resolves the effective prefetch pool width.
-func (p *Processor) prefetchWorkerCount() int {
-	if p.PrefetchWorkers > 0 {
-		return p.PrefetchWorkers
-	}
-	return DefaultPrefetchWorkers
-}
-
-// prefetchTaskCap resolves the effective per-query task budget.
-func (p *Processor) prefetchTaskCap() int {
-	if p.PrefetchMaxTasks > 0 {
-		return p.PrefetchMaxTasks
-	}
-	return DefaultPrefetchMaxTasks
-}
-
-// prefetchTask names one source object to warm.
+// prefetchTask names one source object to warm; ck is its source-extent
+// cache key.
 type prefetchTask struct {
 	src source
 	sc  hdm.Scheme
+	ck  string
 }
 
-// prefetch warms the source-extent cache for the distinct, not yet
-// cached source extents the expression will enumerate, fetching them
-// concurrently. It blocks until the scheduled fetches finish (so the
-// following serial evaluation hits the cache) and is a no-op when
-// fewer than two extents need fetching. Speculative tasks — extents
-// referenced only inside if-branch arms, which evaluation may never
-// reach — are scheduled on the same pool but never awaited: a cold
-// branch warms in the background without stalling the query.
-func (p *Processor) prefetch(ctx context.Context, e iql.Expr, scope string) {
-	if ctx != nil && ctx.Err() != nil {
-		return
+// prefetch reads the distinct, not yet cached source extents the
+// expression will enumerate, concurrently. It blocks until those reads
+// finish (so the serial evaluation that follows hits the cache) and
+// returns the errors of the ones that failed, by source-extent cache
+// key. Speculative tasks — extents referenced only inside if-branch
+// arms, which evaluation may never reach — share the pool but are never
+// awaited: a cold branch warms without stalling the query.
+func (p *Processor) prefetch(ctx context.Context, e iql.Expr, scope string) map[string]error {
+	if ctx.Err() != nil {
+		return nil
 	}
-	pf := prefetcher{p: p, taskCap: p.prefetchTaskCap()}
+	pf := prefetcher{p: p}
 	pf.visitExpr(e, scope, 0)
-	tasks, spec := pf.tasks, pf.spec
-	if len(tasks)+len(spec) < 2 {
-		return // a single fetch gains nothing from concurrency
+	if len(pf.tasks)+len(pf.spec) < 2 {
+		return nil // a single read gains nothing from concurrency
 	}
 	// The prefetch span parents the workers' fetch spans, so traces show
 	// the parallel warm-up as one stage with overlapping children.
 	sp, sctx := obs.StartSpan(ctx, obs.StagePrefetch, "")
 	defer sp.End(nil)
-	workers := p.prefetchWorkerCount()
-	if len(tasks)+len(spec) < workers {
-		workers = len(tasks) + len(spec)
-	}
-	sem := make(chan struct{}, workers)
-	fetch := func(fctx context.Context, t prefetchTask) {
-		key := t.sc.Key()
-		ck := t.src.name + "\x00" + key
-		// Errors are not cached and not reported here: the serial
-		// evaluation re-fetches and wraps them with query context.
-		// The request context rides into context-aware (remote)
-		// wrappers so a cancelled request abandons in-flight fetches.
-		_, _, _ = p.srcExt.GetOrCompute(ck, []string{key}, func() (iql.Value, int64, error) {
-			v, err := t.src.fetch(fctx, t.sc)
-			if err != nil {
-				return iql.Value{}, 0, err
-			}
-			return v, v.Footprint(), nil
-		})
-	}
-	// Speculative branch-arm warms are detached: nothing waits for
-	// them, and they contend for pool slots with the certain tasks so
-	// the pool width stays the bound. They carry the caller's context
-	// (not the prefetch span's) because they may outlive the stage.
-	pctx := ctx
-	for _, t := range spec {
-		go func(t prefetchTask) {
-			if pctx == nil {
-				sem <- struct{}{}
-			} else {
-				select {
-				case sem <- struct{}{}:
-				case <-pctx.Done():
-					return
-				}
-			}
-			defer func() { <-sem }()
-			fetch(pctx, t)
-		}(t)
-	}
-	ctx = sctx
-	var wg sync.WaitGroup
-scheduling:
-	for _, t := range tasks {
-		if ctx == nil {
-			sem <- struct{}{}
-		} else {
-			// Cancellable slot acquisition: a timed-out request must not
-			// park behind slow in-flight fetches.
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				break scheduling
-			}
+	sem := make(chan struct{}, min(prefetchWorkers, len(pf.tasks)+len(pf.spec)))
+	// acquire takes a pool slot, giving up when the request is
+	// cancelled: a timed-out request must not park behind slow reads.
+	acquire := func(ctx context.Context) bool {
+		select {
+		case sem <- struct{}{}:
+			return true
+		case <-ctx.Done():
+			return false
 		}
-		wg.Add(1)
+	}
+	// Speculative warms contend for pool slots with the certain tasks,
+	// so the pool width stays the bound, and carry the caller's context
+	// (not the prefetch span's) because they may outlive the stage.
+	for _, t := range pf.spec {
 		go func(t prefetchTask) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			fetch(ctx, t)
+			if acquire(ctx) {
+				defer func() { <-sem }()
+				_, _ = p.read(ctx, t.src, t.sc, readWarm) // advisory: evaluation asks again if the arm is taken
+			}
 		}(t)
 	}
-	if ctx == nil {
-		wg.Wait()
-		return
+	// Certain tasks report back over a channel sized to the number of
+	// sends, so a worker abandoned below never blocks on it.
+	type outcome struct {
+		ck  string
+		err error
 	}
-	// Wait for the scheduled fetches (so the serial evaluation hits the
-	// cache), but give up as soon as the request is cancelled: detached
-	// workers only touch the cache, whose singleflight makes their
-	// completion safe to abandon.
-	done := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
+	results := make(chan outcome, len(pf.tasks))
+	started := 0
+	for _, t := range pf.tasks {
+		if !acquire(sctx) {
+			break
+		}
+		started++
+		go func(t prefetchTask) {
+			defer func() { <-sem }()
+			_, err := p.read(sctx, t.src, t.sc, readWarm)
+			results <- outcome{t.ck, err}
+		}(t)
 	}
+	// Wait for the scheduled reads, but give up as soon as the request
+	// is cancelled: abandoned workers only touch the cache, whose
+	// singleflight makes their completion safe to ignore.
+	var failed map[string]error
+	for ; started > 0; started-- {
+		select {
+		case o := <-results:
+			if o.err != nil && o.err != errNoRead {
+				if failed == nil {
+					failed = make(map[string]error)
+				}
+				failed[o.ck] = o.err
+			}
+		case <-sctx.Done():
+			return nil
+		}
+	}
+	return failed
 }
 
 // prefetcher collects the distinct, not yet cached source extents an
-// expression will enumerate. References are resolved the same way
-// evaluation resolves them (scope first, then virtual definitions, then
-// unambiguous global resolution); virtual references that are not
-// memoised are expanded into their derivations' references, scoped per
-// derivation, with cycles cut by a visited set. Bookkeeping maps are
-// allocated lazily so a fully warm walk costs no allocations beyond
-// the walk itself.
+// expression will enumerate. Virtual references that are not memoised
+// are expanded into their derivations' references, scoped per
+// derivation, with cycles cut by a visited set. The maps are allocated
+// lazily so a fully warm walk allocates nothing beyond the walk itself.
 type prefetcher struct {
 	p           *Processor
-	taskCap     int
 	tasks       []prefetchTask
 	seenTask    map[string]bool
 	seenVirtual map[string]bool
 	// inBranch marks the walk as inside an if-branch arm; references
-	// found there land in spec (speculative, never awaited, capped at
-	// taskCap/specDivisor) instead of tasks.
+	// found there land in spec (capped at prefetchMaxSpec), not tasks.
 	inBranch bool
 	spec     []prefetchTask
 	// streamPos marks the next reference visited as a comprehension's
 	// first generator source — the position the evaluator streams when
-	// the source supports it (see stream.go). Warming such an extent
-	// would pin it whole in the cache and defeat streaming's bounded
-	// memory, so addSource skips it. The flag is consumed (cleared) by
-	// whichever visit sees it first.
+	// the provider pages. Warming such an extent would pin it whole in
+	// the cache and defeat streaming's bounded memory, so addSource
+	// skips it. The flag is consumed by whichever visit sees it first.
 	streamPos bool
 }
 
 func (pf *prefetcher) addSource(src source, sc hdm.Scheme, streamPos bool) {
-	if streamPos && src.streams && src.scan != nil && pf.p.effectiveScanBuffer() > 0 {
-		// Evaluation will stream this scan (or materialise it itself if
-		// it turns out small); warming it here would force the whole
-		// extent resident.
+	if streamPos && pf.p.pages(src) {
+		// Evaluation will stream this scan, or collect it itself if it
+		// turns out small.
 		return
 	}
 	ck := src.name + "\x00" + sc.Key()
@@ -212,71 +166,52 @@ func (pf *prefetcher) addSource(src source, sc hdm.Scheme, streamPos bool) {
 	}
 	pf.seenTask[ck] = true
 	if pf.inBranch {
-		pf.spec = append(pf.spec, prefetchTask{src: src, sc: sc})
-		return
+		pf.spec = append(pf.spec, prefetchTask{src, sc, ck})
+	} else {
+		pf.tasks = append(pf.tasks, prefetchTask{src, sc, ck})
 	}
-	pf.tasks = append(pf.tasks, prefetchTask{src: src, sc: sc})
 }
 
 func (pf *prefetcher) visitRef(parts []string, scope string, depth int) {
-	// Consume the stream-position mark: it applies to source
-	// resolutions of this reference only, not to the derivation bodies
-	// a virtual reference expands into (each body's own comprehension
-	// re-marks its first generator below).
+	// Consume the stream-position mark: it applies to this reference
+	// only, not to the derivation bodies a virtual reference expands
+	// into (each body's comprehension re-marks its own first generator).
 	streamPos := pf.streamPos
 	pf.streamPos = false
 	if depth > prefetchMaxDepth {
 		return
 	}
 	if pf.inBranch {
-		if len(pf.spec) >= pf.taskCap/specDivisor {
+		if len(pf.spec) >= prefetchMaxSpec {
 			return
 		}
-	} else if len(pf.tasks) >= pf.taskCap {
+	} else if len(pf.tasks) >= prefetchMaxTasks {
 		return
 	}
-	p := pf.p
-	// 1. The current scope's source schema wins for unqualified
-	// references (mirrors extentIn).
-	if scope != "" {
-		if src, sc, ok := p.resolveIn(scope, parts); ok {
-			pf.addSource(src, sc, streamPos)
-			return
-		}
-	}
-	// 2. Virtual objects: expand their derivations unless the extent is
-	// already memoised.
-	key := strings.Join(parts, "|")
-	p.mu.Lock()
-	derivs, virtual := p.defs[key]
-	p.mu.Unlock()
-	if virtual {
-		if pf.seenVirtual[key] || p.memo.Peek(key) {
+	r := pf.p.resolve(scope, parts)
+	switch r.kind {
+	case refScoped, refGlobal:
+		pf.addSource(r.src, r.sc, streamPos)
+	case refVirtual:
+		// Expand the derivations unless the extent is already memoised.
+		if pf.seenVirtual[r.key] || pf.p.memo.Peek(r.key) {
 			return
 		}
 		if pf.seenVirtual == nil {
 			pf.seenVirtual = make(map[string]bool, 8)
 		}
-		pf.seenVirtual[key] = true
-		// A sole full-extent bare-rename derivation keeps the stream
-		// position: extentStream chases exactly this shape to the
-		// underlying source, so warming that source here would put its
-		// extent in the cache and defeat the stream.
-		if streamPos && len(derivs) == 1 && !derivs[0].Lower {
-			if _, bare := derivs[0].Query.(*iql.SchemeRef); bare {
-				pf.streamPos = true
-			}
+		pf.seenVirtual[r.key] = true
+		// A bare rename keeps the mark: the stream position chases
+		// exactly this shape to the underlying source.
+		if _, bare := bareRename(r.derivs); bare {
+			pf.streamPos = streamPos
 		}
-		for _, d := range derivs {
+		for _, d := range r.derivs {
 			pf.visitExpr(d.Query, d.Scope, depth+1)
 		}
-		return
 	}
-	// 3. Unambiguous global source resolution (ambiguous references
-	// will fail evaluation; there is nothing useful to warm for them).
-	if hits := p.resolveGlobal(parts); len(hits) == 1 {
-		pf.addSource(hits[0].src, hits[0].sc, streamPos)
-	}
+	// Unknown and ambiguous references will fail evaluation; there is
+	// nothing useful to warm for them.
 }
 
 // visitEnumerated dispatches an expression in enumerated position: a

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -260,40 +261,40 @@ func TestPrefetchSpeculativeIfBranches(t *testing.T) {
 	waitForCalls(t, then, 1)
 }
 
-// TestPrefetchSpeculativeCap: the speculative task list is capped at a
-// quarter of the per-query task budget at scheduling time, so cold
-// branch arms cannot crowd out certain fetches. With PrefetchMaxTasks=4
-// only one speculative slot exists: exactly one arm is warmed.
+// TestPrefetchSpeculativeCap: the speculative task list is capped at
+// prefetchMaxSpec (a quarter of the per-query task budget) at
+// scheduling time, so cold branch arms cannot crowd out certain
+// fetches. A chain of nested ifs with one source per arm beyond the cap
+// warms exactly prefetchMaxSpec arms; the rest are never fetched.
 func TestPrefetchSpeculativeCap(t *testing.T) {
-	p, cond, then, els := specJoin(t)
-	p.PrefetchMaxTasks = 4
-	p.prefetch(context.Background(), iql.MustParse(ifQuery), "")
+	const arms = prefetchMaxSpec + 3
+	p := New()
+	cond := newCountingSource(t, "C", map[string]iql.Value{"<<r>>": iql.Bag(iql.Int(1))}, 0)
+	if err := p.AddSource(cond); err != nil {
+		t.Fatal(err)
+	}
+	srcs := make([]*countingSource, arms)
+	q := "[]"
+	for i := arms - 1; i >= 0; i-- {
+		obj := fmt.Sprintf("a%d", i)
+		srcs[i] = newCountingSource(t, fmt.Sprintf("S%d", i), map[string]iql.Value{"<<" + obj + ">>": iql.Bag(iql.Int(int64(i)))}, 0)
+		if err := p.AddSource(srcs[i]); err != nil {
+			t.Fatal(err)
+		}
+		q = fmt.Sprintf("if count(<<r>>) > %d then [x | x <- <<%s>>] else %s", i, obj, q)
+	}
+	p.prefetch(context.Background(), iql.MustParse(q), "")
 	waitForCalls(t, cond, 1)
-	waitForCalls(t, then, 1) // first arm fills the single speculative slot
+	for _, s := range srcs[:prefetchMaxSpec] {
+		waitForCalls(t, s, 1) // the walk meets the arms outermost first
+	}
 	time.Sleep(20 * time.Millisecond)
-	els.mu.Lock()
-	extra := els.calls
-	els.mu.Unlock()
-	if extra != 0 {
-		t.Errorf("else arm fetched %d times; speculative cap not applied", extra)
-	}
-}
-
-// TestPrefetchPoolWidthConfigurable: PrefetchWorkers bounds concurrent
-// fetches. With one worker and two slow certain tasks, the fetches
-// cannot overlap, so the prefetch pass takes at least both delays
-// back to back (the default pool overlaps them — see
-// TestPrefetchFetchesConcurrently).
-func TestPrefetchPoolWidthConfigurable(t *testing.T) {
-	const delay = 40 * time.Millisecond
-	p, a, b := multiSourceJoin(t, delay)
-	p.PrefetchWorkers = 1
-	start := time.Now()
-	p.prefetch(context.Background(), iql.MustParse(joinQuery), "")
-	if elapsed := time.Since(start); elapsed < 2*delay {
-		t.Errorf("single-worker prefetch took %v, want >= %v (serialised)", elapsed, 2*delay)
-	}
-	if a.calls != 1 || b.calls != 1 {
-		t.Errorf("fetch counts a=%d b=%d, want 1 each", a.calls, b.calls)
+	for _, s := range srcs[prefetchMaxSpec:] {
+		s.mu.Lock()
+		extra := s.calls
+		s.mu.Unlock()
+		if extra != 0 {
+			t.Errorf("arm %s beyond the speculative cap fetched %d times", s.name, extra)
+		}
 	}
 }

@@ -18,29 +18,38 @@
 // transformations are written (e.g. <<protein>> inside Pedro's pathway
 // means Pedro's protein table even though PepSeeker also has one).
 //
+// There is one way from a reference to a source, in two steps. resolve
+// (resolve.go) decides what a reference names — an object of the
+// scope's own source, a virtual object, an object of exactly one
+// registered source, an ambiguity, or nothing — and which dependency
+// keys that implies. read (access.go) is the only code that calls an
+// extent provider: around the call it owns the source-extent cache and
+// its singleflight, the circuit breaker and stale fallback, the
+// per-source deadline, the fetch span and metrics, and the
+// last-known-good copy. Evaluation (eval.go), the stream position
+// (stream.go), the prefetch plan (prefetch.go), the recovery probe
+// (breaker.go) and Explain are thin callers of the two.
+//
 // Both extent caches — the virtual-extent memo and the source-extent
 // cache — are dependency-tagged cache.Stores: every memoised extent
 // records the transitive set of scheme keys its computation touched, so
 // that registering new derivations (an integration iteration) evicts
 // exactly the affected entries via InvalidateSchemes instead of purging
 // all cached work.
+//
+// This file is the registry: sources, derivations, caches, warnings.
 package query
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/dataspace/automed/internal/cache"
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
-	"github.com/dataspace/automed/internal/obs"
 	"github.com/dataspace/automed/internal/transform"
 )
 
@@ -72,51 +81,9 @@ type source struct {
 	// for offline use), nil when it offers none.
 	fb   FallbackSourcer
 	kind string
-	// scan is the provider's pull-based row-scanner path, nil when it
-	// offers none; streams reports whether its scans actually page from
-	// the backend (a materialised-scan adapter sets scan but not
-	// streams, and the pipeline never streams it).
-	scan    ScanSourcer
-	streams bool
-}
-
-// fetch retrieves one extent, routing through the provider's
-// context-aware path when it has one so remote backends observe
-// request cancellation; providers without one are called plainly.
-// Context-carried instrumentation (a trace span and the per-source
-// metrics registry) records the fetch; uninstrumented contexts cost a
-// few nil checks.
-func (src source) fetch(ctx context.Context, sc hdm.Scheme) (iql.Value, error) {
-	if ctx == nil {
-		return src.ext.Extent(sc.Parts())
-	}
-	sp, fctx := obs.StartSpan(ctx, obs.StageFetch, src.name)
-	sp.SetDetail(sc.Key())
-	sp.SetCache(obs.CacheMiss)
-	fctx, fs := obs.BeginFetch(fctx)
-	start := time.Now()
-	var v iql.Value
-	var err error
-	if src.extCtx != nil {
-		v, err = src.extCtx.ExtentContext(fctx, sc.Parts())
-	} else {
-		v, err = src.ext.Extent(sc.Parts())
-	}
-	elapsed := time.Since(start)
-	var rows int64
-	if err == nil && v.Kind == iql.KindBag {
-		rows = int64(len(v.Items))
-	}
-	bytes := fs.Bytes()
-	if bytes == 0 && err == nil {
-		bytes = v.Footprint()
-	}
-	sp.SetRows(rows)
-	sp.SetBytes(bytes)
-	sp.SetRetries(fs.Retries())
-	sp.End(err)
-	obs.SourcesFrom(ctx).Observe(src.name, src.kind, elapsed, rows, bytes, fs.Retries(), err)
-	return v, err
+	// scan is the provider's row scanner, set only when its scans page
+	// from the backend; the others gain nothing from it and are read whole.
+	scan ScanSourcer
 }
 
 // cachedExtent memoises a virtual object's extent together with the
@@ -167,11 +134,6 @@ type Processor struct {
 	// is byte-identical to serial, so this is purely a performance
 	// knob.
 	Parallel int
-	// PrefetchWorkers and PrefetchMaxTasks override the concurrent
-	// extent prefetcher's pool width and per-query task budget; 0
-	// keeps the defaults (see prefetch.go).
-	PrefetchWorkers  int
-	PrefetchMaxTasks int
 	// ScanBuffer sets the streaming pipeline's row window (see
 	// stream.go): extents at or below it materialise and cache as
 	// before, larger ones stream through a bounded prefetch buffer of
@@ -198,63 +160,6 @@ type Processor struct {
 	statShards        atomic.Uint64
 }
 
-// evalParallel resolves the effective sharded-evaluation width.
-func (p *Processor) evalParallel() int {
-	if p.Parallel > 0 {
-		return p.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// ParallelStats snapshots the processor's sharded-evaluation counters.
-type ParallelStats struct {
-	// ParallelEvals and SerialEvals split completed top-level
-	// evaluations by whether any generator scan sharded.
-	ParallelEvals uint64
-	SerialEvals   uint64
-	// Shards is the total number of shards executed.
-	Shards uint64
-	// Width is the effective worker-pool width for new evaluations.
-	Width int
-}
-
-// ParallelStats reports sharded-evaluation activity since startup.
-func (p *Processor) ParallelStats() ParallelStats {
-	return ParallelStats{
-		ParallelEvals: p.statParallelEvals.Load(),
-		SerialEvals:   p.statSerialEvals.Load(),
-		Shards:        p.statShards.Load(),
-		Width:         p.evalParallel(),
-	}
-}
-
-// noteEval folds one finished evaluation's sharding telemetry into the
-// processor counters and, when a span is recording, its detail field.
-func (p *Processor) noteEval(st *iql.EvalStats, sp *obs.Span) {
-	sh := st.Sharded()
-	if len(sh) == 0 {
-		p.statSerialEvals.Add(1)
-		return
-	}
-	p.statParallelEvals.Add(1)
-	shards, workers := 0, 0
-	var slowest time.Duration
-	for _, s := range sh {
-		shards += s.Shards
-		if s.Workers > workers {
-			workers = s.Workers
-		}
-		if s.ShardMax > slowest {
-			slowest = s.ShardMax
-		}
-	}
-	p.statShards.Add(uint64(shards))
-	if sp != nil {
-		sp.SetDetail(fmt.Sprintf("sharded scans=%d shards=%d workers=%d shard_max=%s",
-			len(sh), shards, workers, slowest.Round(time.Microsecond)))
-	}
-}
-
 // New returns an empty processor. Its extent caches are unbounded until
 // SetCacheBytes installs a byte budget.
 func New() *Processor {
@@ -267,151 +172,6 @@ func New() *Processor {
 		breakers: make(map[string]*breaker),
 		lastGood: make(map[string]lastGoodEntry),
 	}
-}
-
-// SetBreaker installs (or disables) the per-source circuit-breaker and
-// stale-fallback configuration. Existing breakers are dropped so the
-// new thresholds apply uniformly.
-func (p *Processor) SetBreaker(cfg BreakerConfig) {
-	if cfg.Enabled {
-		cfg = cfg.withDefaults()
-	}
-	p.mu.Lock()
-	p.brCfg = cfg
-	p.breakers = make(map[string]*breaker)
-	p.mu.Unlock()
-}
-
-// breakerFor returns the source's breaker, creating it on first use;
-// nil when the breaker layer is disabled.
-func (p *Processor) breakerFor(name string) *breaker {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.brCfg.Enabled {
-		return nil
-	}
-	b := p.breakers[name]
-	if b == nil {
-		b = newBreaker(p.brCfg)
-		p.breakers[name] = b
-	}
-	return b
-}
-
-// lastGoodEntry is one retained last-known-good source extent.
-type lastGoodEntry struct {
-	val iql.Value
-	at  time.Time
-}
-
-// noteGood retains a successful fetch for stale-extent fallback.
-func (p *Processor) noteGood(ck string, v iql.Value) {
-	p.lgMu.Lock()
-	p.lastGood[ck] = lastGoodEntry{val: v, at: time.Now()}
-	p.lgMu.Unlock()
-}
-
-// SourceHealth reports every registered source's breaker state, in
-// registration order. Sources never fetched report closed breakers.
-func (p *Processor) SourceHealth() []SourceHealth {
-	p.mu.Lock()
-	if !p.brCfg.Enabled {
-		p.mu.Unlock()
-		return nil
-	}
-	type sb struct {
-		name, kind string
-		b          *breaker
-	}
-	list := make([]sb, 0, len(p.sources))
-	for _, s := range p.sources {
-		list = append(list, sb{name: s.name, kind: s.kind, b: p.breakers[s.name]})
-	}
-	p.mu.Unlock()
-	out := make([]SourceHealth, 0, len(list))
-	for _, e := range list {
-		h := SourceHealth{State: stateName(breakerClosed)}
-		if e.b != nil {
-			h = e.b.health()
-		}
-		h.Source, h.Kind = e.name, e.kind
-		out = append(out, h)
-	}
-	return out
-}
-
-// ProbeOpen fetches one extent through every open (or stuck half-open)
-// breaker whose probe interval has elapsed, letting recovered sources
-// close their breakers without waiting for query traffic. It returns
-// how many sources probed successfully. Healthy sources are not
-// touched.
-func (p *Processor) ProbeOpen(ctx context.Context) int {
-	p.mu.Lock()
-	type sb struct {
-		src source
-		b   *breaker
-	}
-	var due []sb
-	if p.brCfg.Enabled {
-		for _, s := range p.sources {
-			if b := p.breakers[s.name]; b != nil {
-				due = append(due, sb{src: s, b: b})
-			}
-		}
-	}
-	timeout := p.brCfg.SourceTimeout
-	p.mu.Unlock()
-	recovered := 0
-	for _, e := range due {
-		if !e.b.probeAllow() {
-			continue
-		}
-		sc, ok := probeScheme(e.src.schema)
-		if !ok {
-			e.b.cancelProbe()
-			continue
-		}
-		fctx, cancel := ctx, func() {}
-		if timeout > 0 {
-			fctx, cancel = context.WithTimeout(ctx, timeout)
-		}
-		v, err := e.src.fetch(fctx, sc)
-		cancel()
-		if err != nil && ctx.Err() != nil {
-			// The probe run itself was cancelled; that says nothing
-			// about the source.
-			e.b.cancelProbe()
-			return recovered
-		}
-		e.b.record(err == nil, err)
-		if err == nil {
-			p.noteGood(e.src.name+"\x00"+sc.Key(), v)
-			// The source is back: evict everything computed while it was
-			// down (memoised virtual extents carrying degraded warnings
-			// depend on the source's scheme keys), so the next queries
-			// recompute over fresh data.
-			keys := make([]string, 0, e.src.schema.Len())
-			for _, o := range e.src.schema.Objects() {
-				keys = append(keys, o.Scheme.Key())
-			}
-			p.InvalidateSchemes(keys...)
-			recovered++
-		}
-	}
-	return recovered
-}
-
-// probeScheme picks a deterministic probe object from a source schema:
-// its first object in scheme-key order.
-func probeScheme(sch *hdm.Schema) (hdm.Scheme, bool) {
-	var best hdm.Scheme
-	found := false
-	for _, o := range sch.Objects() {
-		if !found || o.Scheme.Key() < best.Key() {
-			best, found = o.Scheme, true
-		}
-	}
-	return best, found
 }
 
 // SetCacheBytes bounds each extent cache layer (the virtual-extent
@@ -476,19 +236,14 @@ func (p *Processor) AddExtents(name string, schema *hdm.Schema, ext iql.Extents)
 		}
 	}
 	src := source{name: name, schema: schema, ext: ext, kind: "local"}
-	if cs, ok := ext.(ContextSourcer); ok {
-		src.extCtx = cs
-	}
-	if fb, ok := ext.(FallbackSourcer); ok {
-		src.fb = fb
-	}
+	src.extCtx, _ = ext.(ContextSourcer)
+	src.fb, _ = ext.(FallbackSourcer)
 	if k, ok := ext.(interface{ Kind() string }); ok {
 		src.kind = k.Kind()
 	}
 	if sc, ok := ext.(ScanSourcer); ok {
-		src.scan = sc
-		if st, ok := ext.(interface{ StreamingScans() bool }); ok {
-			src.streams = st.StreamingScans()
+		if st, ok := ext.(interface{ StreamingScans() bool }); ok && st.StreamingScans() {
+			src.scan = sc
 		}
 	}
 	p.sources = append(p.sources, src)
@@ -519,32 +274,27 @@ func (p *Processor) RegisterPathway(pw *transform.Pathway, scope string) error {
 	if pw == nil {
 		return fmt.Errorf("query: nil pathway")
 	}
-	p.mu.Lock()
 	via := pw.Source + "->" + pw.Target
 	var defined []string
+	def := func(o hdm.Scheme, q iql.Expr, lower bool) {
+		p.defs[o.Key()] = append(p.defs[o.Key()], Derivation{Query: q, Lower: lower, Via: via, Scope: scope})
+		defined = append(defined, o.Key())
+	}
+	p.mu.Lock()
 	for _, t := range pw.Steps {
 		switch t.Kind {
 		case transform.Add:
-			p.defs[t.Object.Key()] = append(p.defs[t.Object.Key()],
-				Derivation{Query: t.Query, Via: via, Scope: scope})
-			defined = append(defined, t.Object.Key())
+			def(t.Object, t.Query, false)
 		case transform.Extend:
-			p.defs[t.Object.Key()] = append(p.defs[t.Object.Key()],
-				Derivation{Query: t.Query, Lower: true, Via: via, Scope: scope})
-			defined = append(defined, t.Object.Key())
+			def(t.Object, t.Query, true)
 		case transform.Rename:
-			p.defs[t.To.Key()] = append(p.defs[t.To.Key()],
-				Derivation{Query: iql.Ref(t.Object.Parts()...), Via: via, Scope: scope})
-			defined = append(defined, t.To.Key())
+			def(t.To, iql.Ref(t.Object.Parts()...), false)
 		case transform.ID:
 			if t.Object.Key() == t.To.Key() {
 				continue // self-id: no definitional content in one namespace
 			}
-			p.defs[t.Object.Key()] = append(p.defs[t.Object.Key()],
-				Derivation{Query: iql.Ref(t.To.Parts()...), Via: via, Scope: scope})
-			p.defs[t.To.Key()] = append(p.defs[t.To.Key()],
-				Derivation{Query: iql.Ref(t.Object.Parts()...), Via: via, Scope: scope})
-			defined = append(defined, t.Object.Key(), t.To.Key())
+			def(t.Object, iql.Ref(t.To.Parts()...), false)
+			def(t.To, iql.Ref(t.Object.Parts()...), false)
 		case transform.Delete, transform.Contract:
 			// No forward definition.
 		}
@@ -557,10 +307,7 @@ func (p *Processor) RegisterPathway(pw *transform.Pathway, scope string) error {
 // Define installs a single ad-hoc derivation for a virtual object,
 // selectively invalidating cached extents that depend on it.
 func (p *Processor) Define(sc hdm.Scheme, q iql.Expr, via, scope string) {
-	p.mu.Lock()
-	p.defs[sc.Key()] = append(p.defs[sc.Key()], Derivation{Query: q, Via: via, Scope: scope})
-	p.mu.Unlock()
-	p.InvalidateSchemes(sc.Key())
+	p.DefineDerivation(sc, Derivation{Query: q, Via: via, Scope: scope})
 }
 
 // ObjectDef is one derivation in a DefineAll batch.
@@ -701,547 +448,4 @@ func (p *Processor) ClearWarnings() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.warnings = make(map[string]bool)
-}
-
-// warnIn records a warning in the session (per-evaluation reporting,
-// race-free under concurrent queries; the ordered log also feeds the
-// extent memo cache) and in the processor's accumulated set (the
-// legacy Warnings API).
-func (p *Processor) warnIn(s *session, msg string) {
-	if s.warnings != nil {
-		s.warnings[msg] = true
-	}
-	s.warnLog = append(s.warnLog, msg)
-	p.mu.Lock()
-	p.warnings[msg] = true
-	p.mu.Unlock()
-}
-
-// session threads the recursion stack and scope stack through one query
-// evaluation so that ident cycles are cut exactly once, mid-cycle
-// results are not memoised, and each derivation's references resolve in
-// its own source scope.
-type session struct {
-	p       *Processor
-	onStack map[string]bool
-	scopes  []string
-	cut     bool
-	// ctx, when non-nil, cancels long evaluations (per-request
-	// timeouts); it is handed to every evaluator the session spawns.
-	ctx context.Context
-	// budget is the evaluation step budget shared by every evaluator
-	// this session spawns, so MaxSteps bounds the whole query rather
-	// than each derivation separately.
-	budget *iql.StepBudget
-	// warnings, when non-nil, collects the incompleteness warnings
-	// raised during this one evaluation.
-	warnings map[string]bool
-	// warnLog is the ordered warning stream of this evaluation; each
-	// virtual extent caches the slice it contributed so that memo-
-	// cache hits replay the warnings of the computation they reuse.
-	warnLog []string
-	// depLog is the ordered stream of scheme keys this evaluation
-	// touched (source and virtual); each virtual extent caches the
-	// slice it contributed as its dependency set, and memo-cache hits
-	// replay the reused computation's dependencies, so the log is
-	// always the transitive touch-set of the evaluation so far.
-	depLog []string
-	// stats collects sharding telemetry across every evaluator this
-	// session spawns (it is concurrency-safe).
-	stats *iql.EvalStats
-}
-
-// evaluator builds an IQL evaluator wired to this session: shared step
-// budget, request context, the processor-wide join-index cache, and
-// the sharded-evaluation settings. Sharded workers serialise their
-// session access internally (see iql/parallel.go), so handing the
-// session itself as the extent source stays correct under parallelism.
-func (s *session) evaluator() *iql.Evaluator {
-	return &iql.Evaluator{
-		Ext:      s,
-		Budget:   s.budget,
-		Ctx:      s.ctx,
-		Indexes:  s.p.joinIdx,
-		Parallel: s.p.evalParallel(),
-		Stats:    s.stats,
-	}
-}
-
-// newSession builds an evaluation session with a fresh per-query step
-// budget.
-func (p *Processor) newSession(ctx context.Context, scopes ...string) *session {
-	return &session{
-		p:       p,
-		onStack: make(map[string]bool),
-		scopes:  scopes,
-		ctx:     ctx,
-		budget:  &iql.StepBudget{Max: p.MaxSteps},
-		stats:   &iql.EvalStats{},
-	}
-}
-
-func (s *session) scope() string {
-	if len(s.scopes) == 0 {
-		return ""
-	}
-	return s.scopes[len(s.scopes)-1]
-}
-
-// dep records a touched scheme key.
-func (s *session) dep(key string) {
-	s.depLog = append(s.depLog, key)
-}
-
-// deps returns the distinct scheme keys this session touched, sorted.
-func (s *session) deps() []string {
-	out := cache.Dedup(s.depLog)
-	sort.Strings(out)
-	return out
-}
-
-// Extent implements iql.Extents for evaluation within a session.
-func (s *session) Extent(parts []string) (iql.Value, error) {
-	return s.p.extentIn(s, parts)
-}
-
-// Extent returns the extent of the referenced object: virtual objects
-// by unfolding their derivations (their source extents are prefetched
-// concurrently first), source objects from their wrapper.
-func (p *Processor) Extent(parts []string) (iql.Value, error) {
-	p.prefetch(nil, iql.Ref(parts...), "")
-	return p.extentIn(p.newSession(nil), parts)
-}
-
-// ScopedExtent resolves parts as if referenced from within the given
-// source scope (used by tools displaying per-source extents).
-func (p *Processor) ScopedExtent(scope string, parts []string) (iql.Value, error) {
-	return p.extentIn(p.newSession(nil, scope), parts)
-}
-
-func (p *Processor) extentIn(s *session, parts []string) (iql.Value, error) {
-	// 1. Current scope's source schema wins for unqualified references,
-	// matching the paper's per-pathway query context.
-	if sc := s.scope(); sc != "" {
-		if src, obj, ok := p.resolveIn(sc, parts); ok {
-			return p.sourceExtent(s, src, obj)
-		}
-	}
-
-	// 2. Virtual objects (exact scheme key).
-	key := strings.Join(parts, "|")
-	p.mu.Lock()
-	derivs, virtual := p.defs[key]
-	p.mu.Unlock()
-	if virtual {
-		name := strings.Join(parts, ", ")
-		if ce, ok := p.memo.Get(key); ok {
-			// Replay the reused computation's warnings and dependency
-			// set so the enclosing evaluation inherits both.
-			for _, w := range ce.warns {
-				p.warnIn(s, w)
-			}
-			s.depLog = append(s.depLog, ce.deps...)
-			if sp, _ := obs.StartSpan(s.ctx, obs.StageExtent, name); sp != nil {
-				sp.SetCache(obs.CacheHit)
-				if ce.val.Kind == iql.KindBag {
-					sp.SetRows(int64(len(ce.val.Items)))
-				}
-				sp.End(nil)
-			}
-			return ce.val, nil
-		}
-		// A memo miss spans the unfolding, so the fetch (and nested
-		// extent) spans of the computation appear as its children.
-		sp, ctx := obs.StartSpan(s.ctx, obs.StageExtent, name)
-		if sp == nil {
-			return p.virtualExtent(s, key, parts, derivs)
-		}
-		sp.SetCache(obs.CacheMiss)
-		saved := s.ctx
-		s.ctx = ctx
-		v, err := p.virtualExtent(s, key, parts, derivs)
-		s.ctx = saved
-		if err == nil && v.Kind == iql.KindBag {
-			sp.SetRows(int64(len(v.Items)))
-		}
-		sp.End(err)
-		return v, err
-	}
-
-	// 3. Unambiguous global source resolution.
-	hits := p.resolveGlobal(parts)
-	switch len(hits) {
-	case 0:
-		return iql.Value{}, fmt.Errorf("query: unknown schema object <<%s>>", strings.Join(parts, ", "))
-	case 1:
-		// The reference key itself is a dependency: a later derivation
-		// registered under it changes this resolution from source to
-		// virtual, so dependents must be invalidated then.
-		s.dep(key)
-		return p.sourceExtent(s, hits[0].src, hits[0].sc)
-	default:
-		names := make([]string, len(hits))
-		for i, h := range hits {
-			names[i] = h.src.name
-		}
-		return iql.Value{}, fmt.Errorf("query: <<%s>> is ambiguous across sources %s",
-			strings.Join(parts, ", "), strings.Join(names, ", "))
-	}
-}
-
-// refHit is one source schema in which a reference resolves.
-type refHit struct {
-	src source
-	sc  hdm.Scheme
-}
-
-// resolveGlobal resolves parts against every registered source schema,
-// returning each hit. It is the shared global-resolution step of
-// evaluation (extentIn) and prefetch: exactly one hit means the source
-// is authoritative, several mean the reference is ambiguous.
-func (p *Processor) resolveGlobal(parts []string) []refHit {
-	// Copy the source list under the lock, resolve unlocked: Resolve
-	// walks each schema, and holding p.mu across that would serialise
-	// every concurrent query's reference resolution.
-	p.mu.Lock()
-	srcs := append([]source(nil), p.sources...)
-	p.mu.Unlock()
-	var hits []refHit
-	for _, src := range srcs {
-		obj, err := src.schema.Resolve(parts)
-		if err != nil {
-			continue
-		}
-		hits = append(hits, refHit{src: src, sc: obj.Scheme})
-	}
-	return hits
-}
-
-// resolveIn resolves parts against one named source schema.
-func (p *Processor) resolveIn(name string, parts []string) (source, hdm.Scheme, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, src := range p.sources {
-		if src.name != name {
-			continue
-		}
-		obj, err := src.schema.Resolve(parts)
-		if err != nil {
-			return source{}, hdm.Scheme{}, false
-		}
-		return src, obj.Scheme, true
-	}
-	return source{}, hdm.Scheme{}, false
-}
-
-// sourceExtent fetches (or reuses) one source object's extent.
-// Concurrent misses of the same object coalesce into a single wrapper
-// fetch via the cache's singleflight GetOrCompute, and the session
-// context rides into context-aware wrappers. Coalescing shares errors,
-// so a fetch cancelled by its initiating request's deadline would fail
-// every waiter; a waiter whose own context is still live retries once
-// under it instead of inheriting a cancellation that was never its.
-//
-// When breakers are enabled, the fetch is additionally guarded by the
-// source's circuit breaker (an open breaker short-circuits to the
-// stale-fallback path without touching the source), bounded by the
-// per-source deadline budget, and its outcome — only real wrapper
-// calls, never cache hits — feeds the breaker. A failed fetch whose
-// requesting context is still live degrades to the last-known-good
-// extent instead of erroring.
-func (p *Processor) sourceExtent(s *session, src source, sc hdm.Scheme) (iql.Value, error) {
-	key := sc.Key()
-	s.dep(key)
-	ck := src.name + "\x00" + key
-	br := p.breakerFor(src.name)
-	if br != nil {
-		if proceed, _ := br.allow(); !proceed {
-			// Breaker open: the source gets no traffic at all.
-			if sp, _ := obs.StartSpan(s.ctx, obs.StageBreaker, src.name); sp != nil {
-				sp.SetDetail(key)
-				sp.End(nil)
-			}
-			return p.staleExtent(s, src, sc, ck, "breaker open: "+br.lastError())
-		}
-	}
-	fetched := false
-	compute := func() (iql.Value, int64, error) {
-		fetched = true
-		fctx := s.ctx
-		cancel := func() {}
-		if br != nil && p.brCfg.SourceTimeout > 0 && fctx != nil {
-			fctx, cancel = context.WithTimeout(fctx, p.brCfg.SourceTimeout)
-		}
-		v, err := src.fetch(fctx, sc)
-		cancel()
-		if br != nil {
-			if err != nil && s.ctx != nil && s.ctx.Err() != nil {
-				// The request itself was cancelled; that says nothing
-				// about the source's health.
-				br.cancelProbe()
-			} else {
-				br.record(err == nil, err)
-			}
-		}
-		if err != nil {
-			return iql.Value{}, 0, err
-		}
-		p.noteGood(ck, v)
-		return v, v.Footprint(), nil
-	}
-	v, shared, err := p.srcExt.GetOrCompute(ck, []string{key}, compute)
-	if err != nil && shared && isCancellation(err) && (s.ctx == nil || s.ctx.Err() == nil) {
-		v, _, err = p.srcExt.GetOrCompute(ck, []string{key}, compute)
-	}
-	// Cache hits (including waits coalesced onto another request's
-	// in-flight fetch) record a zero-cost hit span so traces show where
-	// an extent came from; misses were recorded inside fetch itself.
-	if !fetched && s.ctx != nil {
-		if sp, _ := obs.StartSpan(s.ctx, obs.StageFetch, src.name); sp != nil {
-			sp.SetDetail(sc.Key())
-			sp.SetCache(obs.CacheHit)
-			if err == nil && v.Kind == iql.KindBag {
-				sp.SetRows(int64(len(v.Items)))
-			}
-			sp.End(err)
-		}
-	}
-	if err != nil && br != nil && (s.ctx == nil || s.ctx.Err() == nil) {
-		return p.staleExtent(s, src, sc, ck, "fetch failed: "+compactErr(err))
-	}
-	return v, err
-}
-
-// staleExtent serves the last-known-good extent of a source object (or
-// the wrapper's own snapshot fallback) when the source is unreachable,
-// stamping the evaluation with a degraded warning. With no fallback
-// available — or fallback disabled — the source's unavailability
-// surfaces as an error.
-func (p *Processor) staleExtent(s *session, src source, sc hdm.Scheme, ck, cause string) (iql.Value, error) {
-	if !p.brCfg.DisableFallback {
-		p.lgMu.Lock()
-		lg, ok := p.lastGood[ck]
-		p.lgMu.Unlock()
-		age := time.Duration(-1)
-		if ok {
-			age = time.Since(lg.at)
-		} else if src.fb != nil {
-			// No retained copy (e.g. the daemon restarted while the
-			// source was down): fall back to the wrapper's snapshot
-			// extent, whose age is unknown.
-			if v, found := src.fb.FallbackExtent(sc.Parts()); found {
-				lg, ok = lastGoodEntry{val: v}, true
-			}
-		}
-		if ok {
-			if br := p.breakerFor(src.name); br != nil {
-				br.noteFallback()
-			}
-			warn := degradedWarning(src.name, sc, age, cause)
-			p.warnIn(s, warn)
-			if sp, _ := obs.StartSpan(s.ctx, obs.StageFallback, src.name); sp != nil {
-				sp.SetDetail(sc.Key())
-				sp.SetCache(obs.CacheHit)
-				if lg.val.Kind == iql.KindBag {
-					sp.SetRows(int64(len(lg.val.Items)))
-				}
-				sp.End(nil)
-			}
-			return lg.val, nil
-		}
-	}
-	return iql.Value{}, fmt.Errorf("query: source %s unavailable for <<%s>> (%s; no fallback extent)",
-		src.name, strings.Join(sc.Parts(), ", "), cause)
-}
-
-// isCancellation reports whether err stems from context cancellation,
-// however the transport wrapped it.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func (p *Processor) virtualExtent(s *session, key string, parts []string, derivs []Derivation) (iql.Value, error) {
-	if s.onStack[key] {
-		s.cut = true
-		return iql.Bag(), nil
-	}
-	s.onStack[key] = true
-	savedCut := s.cut
-	s.cut = false
-	warnMark := len(s.warnLog)
-	depMark := len(s.depLog)
-	// The object's own key heads its dependency set: invalidating it
-	// (e.g. a new derivation registered for it) must evict this memo
-	// entry and everything computed on top of it.
-	s.dep(key)
-	var acc []iql.Value
-	var evalErr error
-	for _, d := range derivs {
-		s.scopes = append(s.scopes, d.Scope)
-		ev := s.evaluator()
-		v, err := ev.Eval(d.Query, nil)
-		s.scopes = s.scopes[:len(s.scopes)-1]
-		if err != nil {
-			evalErr = fmt.Errorf("query: unfolding <<%s>> via %s: %w",
-				strings.Join(parts, ", "), d.Via, err)
-			break
-		}
-		els, err := v.Elements()
-		if err != nil {
-			evalErr = fmt.Errorf("query: derivation of <<%s>> via %s is not a collection: %w",
-				strings.Join(parts, ", "), d.Via, err)
-			break
-		}
-		acc = append(acc, els...)
-		if d.Lower {
-			if iql.IsVoidAnyRange(d.Query) {
-				p.warnIn(s, fmt.Sprintf("extent of <<%s>> is unknown via %s (Range Void Any)",
-					strings.Join(parts, ", "), d.Via))
-			} else {
-				p.warnIn(s, fmt.Sprintf("extent of <<%s>> may be incomplete: lower bound used (via %s)",
-					strings.Join(parts, ", "), d.Via))
-			}
-		}
-	}
-	delete(s.onStack, key)
-	if evalErr != nil {
-		return iql.Value{}, evalErr
-	}
-	out := iql.BagOf(acc)
-	if !s.cut {
-		ce := cachedExtent{val: out, deps: cache.Dedup(s.depLog[depMark:])}
-		if n := len(s.warnLog) - warnMark; n > 0 {
-			ce.warns = append([]string(nil), s.warnLog[warnMark:]...)
-		}
-		p.memo.Put(key, ce, ce.cost(), ce.deps)
-	}
-	s.cut = s.cut || savedCut
-	return out, nil
-}
-
-// Eval evaluates a parsed IQL expression against the processor,
-// prefetching the source extents the expression enumerates
-// concurrently before the serial evaluation walks them.
-func (p *Processor) Eval(e iql.Expr) (iql.Value, error) {
-	p.prefetch(nil, e, "")
-	s := p.newSession(nil)
-	v, err := s.evaluator().Eval(e, nil)
-	p.noteEval(s.stats, nil)
-	return v, err
-}
-
-// EvalContext evaluates a parsed IQL expression under a context (for
-// per-request timeouts and cancellation) and returns, alongside the
-// value, the incompleteness warnings raised by this evaluation alone
-// and the distinct scheme keys it touched (its dependency set, for
-// selective result-cache invalidation), both sorted. Unlike the
-// ClearWarnings/Eval/Warnings sequence, it is safe under concurrent
-// queries: each evaluation collects its own warnings.
-func (p *Processor) EvalContext(ctx context.Context, e iql.Expr) (iql.Value, []string, []string, error) {
-	p.prefetch(ctx, e, "")
-	sp, ctx := obs.StartSpan(ctx, obs.StageEval, "")
-	s := p.newSession(ctx)
-	s.warnings = make(map[string]bool)
-	v, err := s.evaluator().Eval(e, nil)
-	p.noteEval(s.stats, sp)
-	sp.End(err)
-	if err != nil {
-		return iql.Value{}, nil, nil, err
-	}
-	warns := make([]string, 0, len(s.warnings))
-	for w := range s.warnings {
-		warns = append(warns, w)
-	}
-	sort.Strings(warns)
-	return v, warns, s.deps(), nil
-}
-
-// EvalScoped evaluates an expression whose unqualified references
-// resolve against the named source schema first.
-func (p *Processor) EvalScoped(e iql.Expr, scope string) (iql.Value, error) {
-	p.prefetch(nil, e, scope)
-	s := p.newSession(nil, scope)
-	v, err := s.evaluator().Eval(e, nil)
-	p.noteEval(s.stats, nil)
-	return v, err
-}
-
-// Query parses and evaluates IQL source text.
-func (p *Processor) Query(src string) (iql.Value, error) {
-	e, err := iql.Parse(src)
-	if err != nil {
-		return iql.Value{}, err
-	}
-	return p.Eval(e)
-}
-
-// Materialize computes the extent of every object in a schema,
-// returning a map from scheme key to extent. Used to snapshot an
-// integrated resource (e.g. to answer source queries in the reverse
-// direction) and by the benchmark harness.
-func (p *Processor) Materialize(s *hdm.Schema) (map[string]iql.Value, error) {
-	out := make(map[string]iql.Value, s.Len())
-	for _, o := range s.Objects() {
-		v, err := p.Extent(o.Scheme.Parts())
-		if err != nil {
-			return nil, fmt.Errorf("query: materialising %s: %w", o.Scheme, err)
-		}
-		out[o.Scheme.Key()] = v
-	}
-	return out, nil
-}
-
-// Unfold returns the fully unfolded form of a query: every virtual
-// scheme reference is syntactically replaced by the bag union of its
-// derivations until only source-resident references remain. This is the
-// classical GAV query-unfolding view of what Eval computes; it is
-// exposed for inspection and testing. Scoping information is lost in
-// the textual form, so Unfold is only exact when object names are
-// globally unambiguous. Ident-induced cycles make the rewriting
-// non-terminating in general, so unfolding stops after maxDepth rounds
-// and reports an error if virtual references remain.
-func (p *Processor) Unfold(e iql.Expr, maxDepth int) (iql.Expr, error) {
-	cur := e
-	for depth := 0; depth < maxDepth; depth++ {
-		replaced := false
-		cur = iql.SubstituteSchemes(cur, func(parts []string) (iql.Expr, bool) {
-			key := strings.Join(parts, "|")
-			p.mu.Lock()
-			derivs, ok := p.defs[key]
-			p.mu.Unlock()
-			if !ok {
-				return nil, false
-			}
-			replaced = true
-			var out iql.Expr
-			for _, d := range derivs {
-				q := d.Query
-				if lo, _, isRange := iql.IsRange(q); isRange {
-					q = lo
-				}
-				if out == nil {
-					out = q
-				} else {
-					out = &iql.Binary{Op: "++", L: out, R: q}
-				}
-			}
-			if out == nil {
-				out = &iql.BagExpr{}
-			}
-			return out, true
-		})
-		if !replaced {
-			return cur, nil
-		}
-	}
-	for _, parts := range iql.UniqueSchemeRefs(cur) {
-		key := strings.Join(parts, "|")
-		p.mu.Lock()
-		_, stillVirtual := p.defs[key]
-		p.mu.Unlock()
-		if stillVirtual {
-			return nil, fmt.Errorf("query: unfolding did not terminate within %d rounds (cyclic idents?)", maxDepth)
-		}
-	}
-	return cur, nil
 }

@@ -1,0 +1,128 @@
+package query
+
+import (
+	"strings"
+
+	"github.com/dataspace/automed/internal/hdm"
+	"github.com/dataspace/automed/internal/iql"
+)
+
+// refKind says what a scheme reference turned out to name.
+type refKind int
+
+const (
+	refUnknown   refKind = iota // no source schema or definition knows the reference
+	refScoped                   // an object of the enclosing derivation's own source
+	refVirtual                  // a virtual object, answered by unfolding its derivations
+	refGlobal                   // a source object found in exactly one registered source
+	refAmbiguous                // found in several sources; evaluation refuses to pick
+)
+
+// resolution is the one answer to "what does this reference mean from
+// inside this scope": every consumer asks resolve and switches on kind,
+// so none can disagree about which source object a name reaches.
+type resolution struct {
+	kind   refKind
+	key    string       // the reference's own scheme key (unset for refScoped)
+	src    source       // refScoped, refGlobal
+	sc     hdm.Scheme   // refScoped, refGlobal: the source object's full scheme
+	derivs []Derivation // refVirtual
+	names  []string     // refGlobal, refAmbiguous: the sources the reference resolves in
+}
+
+// appendDeps appends the dependency keys the resolution implies: the
+// source object's key, preceded for a global hit by the reference's own
+// key (a derivation later registered under it turns the reference
+// virtual), or a virtual object's own key.
+func (r resolution) appendDeps(log []string) []string {
+	switch r.kind {
+	case refScoped:
+		return append(log, r.sc.Key())
+	case refVirtual:
+		return append(log, r.key)
+	case refGlobal:
+		return append(log, r.key, r.sc.Key())
+	}
+	return log
+}
+
+// resolve resolves a reference in the paper's order: the current
+// scope's source schema first (the per-pathway query context), then
+// virtual objects by exact scheme key, then every registered source,
+// where one hit is authoritative and several are ambiguous.
+func (p *Processor) resolve(scope string, parts []string) resolution {
+	// Sources are append-only, so the slice header taken under the lock
+	// can be walked without it: Resolve walks each schema, and holding
+	// p.mu across that would serialise every query's resolution.
+	p.mu.Lock()
+	srcs := p.sources[:len(p.sources):len(p.sources)]
+	p.mu.Unlock()
+	if scope != "" {
+		for i := range srcs {
+			if srcs[i].name != scope {
+				continue
+			}
+			if obj, err := srcs[i].schema.Resolve(parts); err == nil {
+				return resolution{kind: refScoped, src: srcs[i], sc: obj.Scheme}
+			}
+			break
+		}
+	}
+	r := resolution{key: strings.Join(parts, "|")}
+	p.mu.Lock()
+	derivs, virtual := p.defs[r.key]
+	p.mu.Unlock()
+	if virtual {
+		r.kind, r.derivs = refVirtual, derivs
+		return r
+	}
+	for i := range srcs {
+		obj, err := srcs[i].schema.Resolve(parts)
+		if err != nil {
+			continue
+		}
+		if r.names = append(r.names, srcs[i].name); len(r.names) > 1 {
+			r.kind = refAmbiguous
+			continue
+		}
+		r.kind, r.src, r.sc = refGlobal, srcs[i], obj.Scheme
+	}
+	return r
+}
+
+// maxRenameHops bounds the rename chase in chase; longer (or cyclic)
+// chains take the materialised path, whose recursion cut owns cycles.
+const maxRenameHops = 8
+
+// bareRename reports the reference a virtual object aliases: its sole
+// derivation is a full-extent bare scheme reference — the shape
+// federation's include and rename transforms produce.
+func bareRename(derivs []Derivation) (*iql.SchemeRef, bool) {
+	if len(derivs) != 1 || derivs[0].Lower {
+		return nil, false
+	}
+	ref, ok := derivs[0].Query.(*iql.SchemeRef)
+	return ref, ok
+}
+
+// chase resolves a reference down to the one source object a stream
+// position would scan, following bare renames that are not memoised so
+// federated names stream like the objects they alias. Anything else
+// reports ok=false and is left to the materialised path, which owns
+// unfolding, memo replay and error reporting. log comes back extended
+// with the dependency keys that path would record for the same chain.
+func (p *Processor) chase(scope string, parts []string, log []string) (r resolution, deps []string, ok bool) {
+	for hop := 0; hop <= maxRenameHops; hop++ {
+		r = p.resolve(scope, parts)
+		log = r.appendDeps(log)
+		if r.kind == refScoped || r.kind == refGlobal {
+			return r, log, true
+		}
+		ref, bare := bareRename(r.derivs)
+		if !bare || p.memo.Peek(r.key) {
+			break
+		}
+		parts, scope = ref.Parts, r.derivs[0].Scope
+	}
+	return r, log, false
+}

@@ -2,31 +2,24 @@ package query
 
 import (
 	"context"
-	"strings"
-	"time"
 
-	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
-	"github.com/dataspace/automed/internal/obs"
 	"github.com/dataspace/automed/internal/wrapper"
 )
 
-// This file is the query-layer half of the streaming extent pipeline:
-// when the evaluator asks for a generator source that resolves to a
-// single streaming-capable wrapper, the processor serves it as a
-// pull-based iql.RowStream backed by the wrapper's paged Scanner
-// instead of materialising the whole extent. Peak memory for a scan
-// over an N-row source extent is then bounded by the scan buffer, not
-// by N.
+// The streaming side of evaluation. When a generator source resolves —
+// directly or through bare renames — to one object of a paging
+// provider, the session asks read for it in readStream mode and hands
+// the evaluator the RowStream it gets back, so peak memory for a scan
+// over an N-row extent is bounded by the scan buffer, not by N.
 //
-// Everything that relies on whole-extent values keeps its existing
-// semantics byte-identically by falling back to the materialised path
-// (ExtentStream returns ok=false): cached extents, open breakers,
-// computed virtual objects (bare renames — federation's include and
-// rename transforms — chase through to their source), ambiguous
-// references, non-streaming wrappers, snapshots (which go through
-// Processor.Extent), and extents at or below the spill threshold — those are read through the scanner once,
-// materialised, and cached exactly as a wrapper fetch would have been.
+// Everything that relies on whole-extent values keeps its semantics
+// byte-identically by materialising instead (ExtentStream returns
+// ok=false and the evaluator calls Extent): cached extents, open
+// breakers, computed virtual objects, ambiguous references, providers
+// that do not page, snapshots (which go through Processor.Extent), and
+// extents at or below the spill threshold, which read collects and
+// caches exactly as a whole-extent fetch would have.
 
 // ScanSourcer is the pull-based scan extension an extent provider may
 // implement; it is wrapper.ScanSourcer re-exported so registering code
@@ -51,230 +44,22 @@ func (p *Processor) effectiveScanBuffer() int {
 	return DefaultScanBufferRows
 }
 
-// ExtentStream implements iql.StreamExtents for evaluation sessions.
-// ok=false (with nil error) tells the evaluator to materialise through
-// Extent instead, which owns error reporting for unknown and ambiguous
-// references.
+// ExtentStream implements iql.StreamExtents. ok=false (with nil error)
+// tells the evaluator to materialise through Extent instead, which owns
+// error reporting and the stale route for unreachable sources.
 func (s *session) ExtentStream(parts []string) (iql.RowStream, bool, error) {
-	return s.p.extentStream(s, parts)
-}
-
-func (p *Processor) extentStream(s *session, parts []string) (iql.RowStream, bool, error) {
-	buf := p.effectiveScanBuffer()
-	if buf <= 0 {
-		return nil, false, nil
-	}
-	src, sc, deps, ok := p.resolveStreamable(s.scope(), parts)
+	r, deps, ok := s.p.chase(s.scope(), parts, s.depLog)
 	if !ok {
 		return nil, false, nil
 	}
-	rs, ok := p.sourceStream(s, src, sc, buf)
-	if !ok {
+	x, err := s.p.read(s.ctx, r.src, r.sc, readStream)
+	if err != nil || x.rows == nil {
 		return nil, false, nil
 	}
-	// Committed to streaming: record the same dependency keys the
-	// materialised resolution would have.
-	for _, d := range deps {
-		s.dep(d)
-	}
-	return rs, true, nil
-}
-
-// maxRenameHops bounds the rename chase in resolveStreamable; chains
-// longer than this (or cyclic ones) take the materialised path, whose
-// recursion cut owns cycle handling.
-const maxRenameHops = 8
-
-// resolveStreamable resolves parts to a single streaming-capable
-// source in exactly the order extentIn does (scope, virtual, global),
-// additionally chasing virtual objects whose sole derivation is a bare
-// scheme reference — the shape federation's include and rename
-// transforms produce — so federated object names stream just like the
-// source objects they alias. Everything else reports ok=false and
-// takes the materialised path, which owns derivation unfolding, memo
-// replay, and error reporting for unknown and ambiguous references.
-// deps are the dependency keys the materialised resolution of the same
-// chain would record (minus the ones sourceExtent adds itself, which
-// sourceStream's caller mirrors).
-func (p *Processor) resolveStreamable(scope string, parts []string) (source, hdm.Scheme, []string, bool) {
-	var deps []string
-	for hop := 0; hop <= maxRenameHops; hop++ {
-		// 1. The current scope's source schema wins for unqualified
-		// references.
-		if scope != "" {
-			if src, obj, ok := p.resolveIn(scope, parts); ok {
-				if src.scan == nil || !src.streams {
-					return source{}, hdm.Scheme{}, nil, false
-				}
-				return src, obj, append(deps, obj.Key()), true
-			}
-		}
-		// 2. Virtual objects: chase a sole full-extent bare-rename
-		// derivation; any other shape (computed body, Lower bound,
-		// several derivations, memoised extent) materialises.
-		key := strings.Join(parts, "|")
-		p.mu.Lock()
-		derivs, virtual := p.defs[key]
-		var d Derivation
-		if virtual && len(derivs) == 1 {
-			d = derivs[0]
-		}
-		p.mu.Unlock()
-		if virtual {
-			if len(derivs) != 1 || d.Lower || p.memo.Peek(key) {
-				return source{}, hdm.Scheme{}, nil, false
-			}
-			ref, ok := d.Query.(*iql.SchemeRef)
-			if !ok {
-				return source{}, hdm.Scheme{}, nil, false
-			}
-			// The virtual key heads its dependency set exactly as in
-			// virtualExtent: a new derivation registered for it must
-			// invalidate whatever this stream feeds.
-			deps = append(deps, key)
-			parts = ref.Parts
-			scope = d.Scope
-			continue
-		}
-		// 3. Unambiguous global source resolution.
-		hits := p.resolveGlobal(parts)
-		if len(hits) != 1 {
-			return source{}, hdm.Scheme{}, nil, false
-		}
-		src, obj := hits[0].src, hits[0].sc
-		if src.scan == nil || !src.streams {
-			return source{}, hdm.Scheme{}, nil, false
-		}
-		return src, obj, append(deps, key, obj.Key()), true
-	}
-	return source{}, hdm.Scheme{}, nil, false
-}
-
-// sourceStream opens a scanner on one source object and decides,
-// through a spill probe of buf+1 rows, whether the extent is worth
-// streaming. Small extents are materialised from the probe, cached and
-// recorded exactly like a wrapper fetch, then served from the cache by
-// the materialised path (ok=false). Failures before the stream is
-// committed also return ok=false without recording a breaker outcome:
-// the materialised path refetches and its outcome is authoritative.
-func (p *Processor) sourceStream(s *session, src source, sc hdm.Scheme, buf int) (iql.RowStream, bool) {
-	key := sc.Key()
-	ck := src.name + "\x00" + key
-	if p.srcExt.Peek(ck) {
-		return nil, false // cached: the materialised path serves it without touching the source
-	}
-	br := p.breakerFor(src.name)
-	if br != nil {
-		if proceed, _ := br.allow(); !proceed {
-			return nil, false // breaker open: materialised path takes the stale route
-		}
-	}
-
-	// Span and metrics bookkeeping mirror source.fetch: one StageFetch
-	// span parents the scanner's per-page spans, and completion feeds
-	// rows/bytes/retries into the same per-source registry.
-	start := time.Now()
-	sp, sctx := obs.StartSpan(s.ctx, obs.StageFetch, src.name)
-	sp.SetDetail(key)
-	sp.SetCache(obs.CacheMiss)
-	sources := obs.SourcesFrom(s.ctx)
-	var fs *obs.FetchStat
-	base := sctx
-	if base != nil {
-		base, fs = obs.BeginFetch(base)
-	} else {
-		base = context.Background()
-	}
-	cctx, cancel := context.WithCancel(base)
-
-	// finish records the scan's one outcome: breaker verdict, span end,
-	// per-source metrics. aborted=true means the consumer walked away
-	// (early Close, request cancellation) — that says nothing about the
-	// source, so no outcome is recorded against the breaker.
-	finished := false
-	finish := func(ferr error, rows int64, aborted bool) {
-		if finished {
-			return
-		}
-		finished = true
-		if br != nil {
-			if aborted {
-				br.cancelProbe()
-			} else {
-				br.record(ferr == nil, ferr)
-			}
-		}
-		sp.SetRows(rows)
-		sp.SetBytes(fs.Bytes())
-		sp.SetRetries(fs.Retries())
-		sp.End(ferr)
-		sources.Observe(src.name, src.kind, time.Since(start), rows, fs.Bytes(), fs.Retries(), ferr)
-	}
-
-	scn, err := src.scan.ExtentScanner(cctx, sc.Parts())
-	if err != nil {
-		cancel()
-		if br != nil {
-			br.cancelProbe()
-		}
-		sp.End(err)
-		return nil, false
-	}
-
-	// Spill probe: read up to buf+1 rows. Exhausting the scanner within
-	// buf rows means the extent is small enough to materialise.
-	var probe []iql.Value
-	for len(probe) <= buf {
-		if !scn.Next(cctx) {
-			if serr := scn.Err(); serr != nil {
-				scn.Close()
-				cancel()
-				if br != nil {
-					br.cancelProbe()
-				}
-				sp.End(serr)
-				return nil, false
-			}
-			// Small extent: materialise, cache, and serve through the
-			// materialised path so semantics (and cache behaviour) are
-			// byte-identical to a plain wrapper fetch.
-			scn.Close()
-			cancel()
-			v := iql.BagOf(probe)
-			p.noteGood(ck, v)
-			p.srcExt.Put(ck, v, v.Footprint(), []string{key})
-			finished = true
-			if br != nil {
-				br.record(true, nil)
-			}
-			bytes := fs.Bytes()
-			if bytes == 0 {
-				// Mirror source.fetch's fallback when the wrapper
-				// reported no wire bytes.
-				bytes = v.Footprint()
-			}
-			rows := int64(len(probe))
-			sp.SetRows(rows)
-			sp.SetBytes(bytes)
-			sp.SetRetries(fs.Retries())
-			sp.End(nil)
-			sources.Observe(src.name, src.kind, time.Since(start), rows, bytes, fs.Retries(), nil)
-			return nil, false
-		}
-		probe = append(probe, scn.Row())
-	}
-
-	st := &sourceStream{
-		prefix: probe,
-		ch:     make(chan iql.Value, buf),
-		done:   make(chan struct{}),
-		cancel: cancel,
-		scn:    scn,
-		reqCtx: s.ctx,
-		finish: finish,
-	}
-	go st.pump(cctx)
-	return st, true
+	// Committed to streaming: keep the dependency keys the materialised
+	// resolution of the same chain would have recorded.
+	s.depLog = deps
+	return x.rows, true, nil
 }
 
 // sourceStream is the iql.RowStream the evaluator consumes: the spill
@@ -295,8 +80,7 @@ type sourceStream struct {
 
 	cancel context.CancelFunc
 	scn    wrapper.Scanner
-	reqCtx context.Context
-	finish func(ferr error, rows int64, aborted bool)
+	g      guard // opened by read around the scan; settled on termination or Close
 
 	rows   int64
 	err    error
@@ -336,7 +120,12 @@ func (st *sourceStream) Next() bool {
 	}
 	v, ok := <-st.ch
 	if !ok {
-		st.terminate(st.ferr)
+		// The pump has exited: release the scanner, settle the outcome.
+		st.err = st.ferr
+		st.cancel()
+		st.scn.Close()
+		st.g.settle(nil, st.rows, st.ferr, false)
+		st.prefix = nil
 		return false
 	}
 	st.cur = v
@@ -348,23 +137,12 @@ func (st *sourceStream) Row() iql.Value { return st.cur }
 
 func (st *sourceStream) Err() error { return st.err }
 
-// terminate settles the stream after the pump exits: releases the
-// scanner and records the scan's outcome exactly once.
-func (st *sourceStream) terminate(ferr error) {
-	st.err = ferr
-	st.cancel()
-	st.scn.Close()
-	aborted := ferr != nil && st.reqCtx != nil && st.reqCtx.Err() != nil
-	st.finish(ferr, st.rows, aborted)
-	st.prefix = nil
-}
-
 // Close releases the stream at any point; it is idempotent and safe
-// after exhaustion. Closing before exhaustion cancels the pump, waits
-// for it to exit, and releases the scanner; no breaker outcome is
-// recorded then, because an abandoned scan says nothing about the
-// source. (cancel, the scanner's Close, and finish are all idempotent,
-// so a stream already settled by terminate is a no-op here.)
+// after exhaustion. Closing early cancels the pump, waits for it to
+// exit, releases the scanner and settles the guard as walked away from:
+// an abandoned scan says nothing about the source. (cancel, the
+// scanner's Close and settle are idempotent, so after exhaustion this
+// is a no-op.)
 func (st *sourceStream) Close() error {
 	if st.closed {
 		return nil
@@ -373,7 +151,7 @@ func (st *sourceStream) Close() error {
 	st.cancel()
 	<-st.done
 	st.scn.Close()
-	st.finish(nil, st.rows, true)
+	st.g.settle(nil, st.rows, nil, true)
 	st.prefix = nil
 	return nil
 }

@@ -198,10 +198,6 @@ type EvalSnapshot struct {
 	Shards uint64 `json:"shards_total"`
 	// Parallelism is the effective sharded-evaluation pool width.
 	Parallelism int `json:"parallelism"`
-	// PrefetchWorkers / PrefetchMaxTasks are the effective prefetch
-	// pool settings.
-	PrefetchWorkers  int `json:"prefetch_workers"`
-	PrefetchMaxTasks int `json:"prefetch_max_tasks"`
 }
 
 // QueueSnapshot is the JSON shape of the admission controller's state

@@ -28,8 +28,6 @@ func (m *Metrics) Prometheus(plan, result, extent, src CacheStats, queue QueueSt
 	w.Counter("automed_eval_serial_total", "Evaluations that ran fully serial.", float64(snap.Eval.SerialEvals))
 	w.Counter("automed_eval_shards_total", "Shards executed by data-parallel evaluation.", float64(snap.Eval.Shards))
 	w.Gauge("automed_eval_parallelism", "Effective sharded-evaluation worker-pool width.", float64(snap.Eval.Parallelism))
-	w.Gauge("automed_prefetch_workers", "Effective concurrent extent-prefetch pool width.", float64(snap.Eval.PrefetchWorkers))
-	w.Gauge("automed_prefetch_max_tasks", "Per-query extent-prefetch task budget.", float64(snap.Eval.PrefetchMaxTasks))
 
 	drain := 0.0
 	if snap.Queue.Draining {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/dataspace/automed/internal/obs"
-	"github.com/dataspace/automed/internal/query"
 )
 
 // scrape fetches a path without the JSON Accept header the testClient
@@ -80,8 +79,6 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"# TYPE automed_eval_parallel_total counter",
 		"automed_eval_shards_total",
 		"automed_eval_parallelism",
-		"automed_prefetch_workers",
-		"automed_prefetch_max_tasks",
 		`automed_cache_hits_total{layer="plan"} 2`,
 		`automed_cache_entries{layer="result"}`,
 		`automed_cache_misses_total{layer="source_extent"}`,
@@ -180,36 +177,27 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 }
 
 // TestMetricsEvalBlock: the JSON snapshot's eval block reports the
-// effective evaluation-pool settings — the configured flags when set,
-// the documented defaults (GOMAXPROCS parallelism, default prefetch
-// pool) otherwise.
+// effective evaluation-pool width — the configured flag when set,
+// GOMAXPROCS otherwise. The prefetch pool is two constants of the query
+// package, so neither the block nor the exposition reports it.
 func TestMetricsEvalBlock(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EvalParallelism = 3
-	cfg.PrefetchWorkers = 5
-	cfg.PrefetchMaxTasks = 9
 	_, c := newTestClient(t, cfg)
 	eval := c.must("GET", "/metrics", nil, http.StatusOK)["eval"].(map[string]any)
 	if got := eval["parallelism"].(float64); got != 3 {
 		t.Errorf("eval.parallelism = %v, want 3", got)
 	}
-	if got := eval["prefetch_workers"].(float64); got != 5 {
-		t.Errorf("eval.prefetch_workers = %v, want 5", got)
-	}
-	if got := eval["prefetch_max_tasks"].(float64); got != 9 {
-		t.Errorf("eval.prefetch_max_tasks = %v, want 9", got)
+	for _, gone := range []string{"prefetch_workers", "prefetch_max_tasks"} {
+		if _, ok := eval[gone]; ok {
+			t.Errorf("eval.%s is still reported; the prefetch pool is not configurable", gone)
+		}
 	}
 
 	_, c = newTestClient(t, DefaultConfig())
 	eval = c.must("GET", "/metrics", nil, http.StatusOK)["eval"].(map[string]any)
 	if got := eval["parallelism"].(float64); got != float64(runtime.GOMAXPROCS(0)) {
 		t.Errorf("default eval.parallelism = %v, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := eval["prefetch_workers"].(float64); got != query.DefaultPrefetchWorkers {
-		t.Errorf("default eval.prefetch_workers = %v, want %d", got, query.DefaultPrefetchWorkers)
-	}
-	if got := eval["prefetch_max_tasks"].(float64); got != query.DefaultPrefetchMaxTasks {
-		t.Errorf("default eval.prefetch_max_tasks = %v, want %d", got, query.DefaultPrefetchMaxTasks)
 	}
 }
 

@@ -41,10 +41,6 @@ type Config struct {
 	// comprehension evaluation: 0 picks GOMAXPROCS, 1 forces serial
 	// evaluation, larger values set the pool width explicitly.
 	EvalParallelism int
-	// PrefetchWorkers and PrefetchMaxTasks tune the concurrent extent
-	// prefetcher per session (0 = defaults: 8 workers, 64 tasks).
-	PrefetchWorkers  int
-	PrefetchMaxTasks int
 	// ScanBuffer is the streaming extent pipeline's row window per
 	// session: source extents above it stream through a bounded buffer
 	// of this many rows instead of materialising. 0 picks the package
@@ -102,8 +98,6 @@ func (cfg Config) sessionSettings() SessionSettings {
 		CacheBytes:          cfg.CacheBytes,
 		MaxSteps:            cfg.MaxSteps,
 		EvalParallelism:     cfg.EvalParallelism,
-		PrefetchWorkers:     cfg.PrefetchWorkers,
-		PrefetchMaxTasks:    cfg.PrefetchMaxTasks,
 		ScanBuffer:          cfg.ScanBuffer,
 		Breaker:             cfg.Breaker,
 		MinFederatedSources: cfg.MinFederatedSources,
@@ -491,19 +485,9 @@ func (s *Server) resultStats() CacheStats {
 // evalStats sums sharded-evaluation counters across all sessions and
 // attaches the effective pool settings.
 func (s *Server) evalStats() EvalSnapshot {
-	eval := EvalSnapshot{
-		Parallelism:      s.cfg.EvalParallelism,
-		PrefetchWorkers:  s.cfg.PrefetchWorkers,
-		PrefetchMaxTasks: s.cfg.PrefetchMaxTasks,
-	}
+	eval := EvalSnapshot{Parallelism: s.cfg.EvalParallelism}
 	if eval.Parallelism <= 0 {
 		eval.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if eval.PrefetchWorkers <= 0 {
-		eval.PrefetchWorkers = query.DefaultPrefetchWorkers
-	}
-	if eval.PrefetchMaxTasks <= 0 {
-		eval.PrefetchMaxTasks = query.DefaultPrefetchMaxTasks
 	}
 	for _, sess := range s.reg.All() {
 		st := sess.ParallelStats()

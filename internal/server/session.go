@@ -70,10 +70,6 @@ type SessionSettings struct {
 	// EvalParallelism is the sharded-evaluation worker count: 0 picks
 	// GOMAXPROCS, 1 forces serial evaluation.
 	EvalParallelism int
-	// PrefetchWorkers and PrefetchMaxTasks tune the concurrent extent
-	// prefetcher (0 = package defaults).
-	PrefetchWorkers  int
-	PrefetchMaxTasks int
 	// ScanBuffer is the streaming extent pipeline's row window (0 =
 	// package default, negative disables streaming).
 	ScanBuffer int
@@ -92,8 +88,6 @@ func (cfg SessionSettings) applyTo(p *query.Processor) {
 	p.MaxSteps = cfg.MaxSteps
 	p.SetCacheBytes(cfg.CacheBytes)
 	p.Parallel = cfg.EvalParallelism
-	p.PrefetchWorkers = cfg.PrefetchWorkers
-	p.PrefetchMaxTasks = cfg.PrefetchMaxTasks
 	p.ScanBuffer = cfg.ScanBuffer
 	p.SetBreaker(cfg.Breaker)
 }

@@ -1,6 +1,7 @@
 package automed
 
 import (
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -127,10 +128,14 @@ func TestParallelMatchesSerialTable1(t *testing.T) {
 // least two cores, sharded evaluation of the join-heavy Table 1
 // queries must beat the serial path outright. On a single core the
 // gate skips — sharding degrades to the serial loop there by design,
-// so there is no speedup to demand.
+// so there is no speedup to demand. It is a wall-clock assertion, so it
+// runs only when AUTOMED_TIMING_GATES=1 (make bench-parallel sets it):
+// plain go test ./... asserts no timing and stays deterministic. The
+// benchmark tracks the same speed-up as iql.eval_sharded_us against
+// iql.eval_us.
 func TestParallelSpeedupSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing gate over the full case study")
+	if os.Getenv("AUTOMED_TIMING_GATES") != "1" {
+		t.Skip("timing gate: set AUTOMED_TIMING_GATES=1 (make bench-parallel)")
 	}
 	if runtime.NumCPU() < 2 {
 		t.Skipf("%d CPU: sharded evaluation has no parallelism to exploit", runtime.NumCPU())
