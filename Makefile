@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench-smoke bench-check bench-parallel metrics-smoke load-smoke chaos-smoke stream-smoke run fuzz-seeds golden test-wrappers
+.PHONY: ci fmt vet build test race flake bench-smoke bench-check bench-parallel metrics-smoke load-smoke chaos-smoke stream-smoke run fuzz-seeds golden test-wrappers
 
 # ci is the full local gate: formatting, static checks (go vet), build,
-# tests under the race detector, the wrapper conformance suite, the
-# persistence-format guards (fuzz seed corpus + golden snapshots), a
+# tests under the race detector, a repeat run of the sharded-evaluation
+# tests, the wrapper conformance suite, the persistence-format guards (fuzz seed corpus + golden snapshots), a
 # one-iteration -benchmem pass over every benchmark so the bench
 # harness can't silently rot, the nested benchmark module's own vet and
 # tests, the sharded-evaluation speedup gate, the metrics exposition
 # smoke check, a short admission-control load smoke, the
 # fault-tolerance chaos drill, and the streaming bounded-memory gate.
-ci: fmt vet build race test-wrappers fuzz-seeds golden bench-smoke bench-check bench-parallel metrics-smoke load-smoke chaos-smoke stream-smoke
+ci: fmt vet build race flake test-wrappers fuzz-seeds golden bench-smoke bench-check bench-parallel metrics-smoke load-smoke chaos-smoke stream-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -28,6 +28,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# flake repeats the sharded-evaluation tests (step and Extent-call
+# accounting, serial equivalence, cancellation) thirty times: they
+# depend on which workers happen to pick up shards, so one green run
+# proves little. No timing assertion runs here — bench-parallel keeps
+# its env guard.
+flake:
+	$(GO) test -count=30 -run 'TestParallel' ./internal/iql .
 
 # bench-smoke is the ci benchmark gate: one iteration of everything,
 # with allocation accounting compiled in.

@@ -5,7 +5,7 @@
 //
 // Endpoints (all JSON unless noted):
 //
-//	POST /sources    register a data source (inline rows or a CSV dir)
+//	POST /sources    register a data source (inline rows, CSV dir, SQL, REST, fault)
 //	POST /federate   build the federated schema (version 0)
 //	POST /intersect  one integration iteration from a mappings table
 //	POST /refine     ad-hoc single-schema refinement
@@ -21,44 +21,31 @@
 //	GET  /metrics    Prometheus text exposition (JSON via Accept/format)
 //	GET  /debug/traces  recent query traces (requested + slow queries)
 //
-// With -data-dir the daemon is durable: every session snapshot lives
-// in that directory as one JSON file, every mutating endpoint
-// autosaves, and on startup every stored session is restored, so a
-// restarted daemon serves every previously published schema version
-// identically.
+// Settings. Every tunable flag is registered from server.DefaultConfig()
+// and parses straight into the server.Config the server is built from,
+// so `automedd -h` prints the configuration the daemon ships and the
+// benchmark measures. The caches (-plan-cache, -result-cache,
+// -cache-bytes), the per-query bounds (-query-timeout, -max-steps),
+// admission control (-max-inflight requests run, -max-queue park in a
+// per-session fair queue, the rest get 429 + Retry-After), fault
+// tolerance (-breaker, -source-timeout, -breaker-open-for,
+// -require-fresh, -min-federated-sources, -probe-interval) and
+// -slow-query tracing are such settings. Sharded-evaluation width
+// (GOMAXPROCS), streamed or materialised scans, and the SQL page size
+// are not: the evaluator and the wrappers choose them from what they
+// observe.
 //
-// Optionally preload sources with repeatable flags — CSV directories
-// (-source name=dir), SQL backends (-sql-source
-// name=driver:dialect:dsn; the driver must be compiled into the
-// binary), and JSON/REST endpoints (-rest-source name=url); they are
-// registered into the default session and federated at startup so the
-// daemon is immediately queryable. Preloading is skipped when a
-// restored "default" session already exists. Remote sources can also
-// be registered at runtime through the sql/rest variants of POST
-// /sources.
-//
-// Observability: logs are structured (-log-format text|json), every
-// request carries an X-Request-ID, queries slower than -slow-query are
-// traced into GET /debug/traces, and -debug-addr serves net/http/pprof
-// on a separate listener.
-//
-// Under load the daemon admits at most -max-inflight requests at a
-// time, parks the overflow in a bounded per-session fair queue
-// (-max-queue) served deficit round-robin, and sheds the rest with
-// 429 + Retry-After. On SIGTERM/SIGINT it drains gracefully within
-// -drain-timeout: /healthz flips to 503 draining, in-flight requests
-// finish, and every session is snapshotted before exit.
-//
-// Fault tolerance: every source fetch runs behind a per-source circuit
-// breaker with a -source-timeout deadline budget; while a source is
-// down, queries are answered from its last-known-good extent with a
-// structured "degraded:" warning (disable the breakers with
-// -breaker=false, or reject stale answers daemon-wide with
-// -require-fresh). -min-federated-sources lets startup federation
-// proceed with the reachable subset of sources. For chaos drills,
-// -fault-source preloads a demo source wrapped in a deterministic
-// fault injector (spec: comma-separated error-rate=0.3, latency=50ms,
-// hang, flap-up=4, flap-down=2, amplify=8, seed=7).
+// The remaining flags place the daemon. -addr and -debug-addr (pprof on
+// its own listener) say where it listens; -log-format how it logs; with
+// -data-dir every mutating endpoint autosaves its session as one JSON
+// file and a restarted daemon restores them all; on SIGTERM/SIGINT it
+// drains within -drain-timeout (/healthz 503, in-flight work finishes,
+// sessions are snapshotted). -source name=dir, -sql-source
+// name=driver:dialect:dsn (driver compiled in), -rest-source name=url
+// and -fault-source name=spec (a demo source behind a deterministic
+// fault injector: error-rate=0.3, latency=50ms, hang, flap-up=4,
+// flap-down=2, amplify=8, seed=7) preload the default session and
+// federate it at startup, unless a restored "default" already exists.
 package main
 
 import (
@@ -77,8 +64,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/dataspace/automed/internal/query"
-	"github.com/dataspace/automed/internal/rel"
 	"github.com/dataspace/automed/internal/server"
 	"github.com/dataspace/automed/internal/wrapper"
 )
@@ -119,96 +104,85 @@ func newLogger(format string) (*slog.Logger, error) {
 	return nil, fmt.Errorf("automedd: -log-format must be text or json, got %q", format)
 }
 
-func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		planCache   = flag.Int("plan-cache", 512, "max cached parsed IQL plans (0 disables)")
-		resultCache = flag.Int("result-cache", 4096, "max cached query results per session (0 disables)")
-		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "byte budget per cache layer per session: results, extent memo, source extents (0 = unbounded)")
-		timeout     = flag.Duration("query-timeout", 30*time.Second, "default per-query evaluation deadline (0 = none)")
-		maxSteps    = flag.Int("max-steps", 0, "IQL evaluation step bound per query (0 = unlimited)")
-		evalPar     = flag.Int("eval-parallelism", 0, "worker count for data-parallel sharded comprehension evaluation (0 = GOMAXPROCS, 1 = serial)")
-		scanBuffer  = flag.Int("scan-buffer", 0, "streaming extent pipeline row window: extents above it stream through a bounded buffer instead of materialising (0 = default 4096, negative disables streaming)")
-		fetchPage   = flag.Int("fetch-page-rows", 0, "LIMIT/OFFSET page size for SQL source fetches (0 = default 4096, negative disables paging)")
-		dataDir     = flag.String("data-dir", "", "directory for durable session snapshots (empty = in-memory only)")
-		logFormat   = flag.String("log-format", "text", "structured log format: text or json")
-		slowQuery   = flag.Duration("slow-query", 0, "trace queries at or above this duration into /debug/traces (0 = only explicitly requested traces)")
-		traceRing   = flag.Int("trace-ring", 256, "retained recent query traces served by /debug/traces")
-		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
-		maxInflight = flag.Int("max-inflight", 256, "max concurrently executing queries/integration steps (0 = unlimited)")
-		maxQueue    = flag.Int("max-queue", 1024, "max requests parked in the admission queue before 429s (0 = reject at the in-flight limit)")
-		drainTime   = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on SIGTERM before exit")
-		breakerOn   = flag.Bool("breaker", true, "per-source circuit breakers with stale-extent fallback")
-		srcTimeout  = flag.Duration("source-timeout", 10*time.Second, "per-source fetch deadline budget within each query (0 = none)")
-		breakerOpen = flag.Duration("breaker-open-for", 2*time.Second, "base interval an open breaker waits before probing the source again")
-		reqFresh    = flag.Bool("require-fresh", false, "reject degraded (stale-fallback) answers with 503 instead of serving them with a warning")
-		minFedSrcs  = flag.Int("min-federated-sources", 0, "federate over the reachable subset of sources when at least this many answer a probe (0 = require all)")
-		probeEvery  = flag.Duration("probe-interval", 5*time.Second, "min interval between health-check-triggered background probes of open breakers and skipped sources")
-		preload     sourceFlags
-		preloadSQL  sourceFlags
-		preloadREST sourceFlags
-		faultSrcs   sourceFlags
-	)
-	flag.Var(&preload, "source", "preload a CSV source as name=dir into the default session (repeatable)")
-	flag.Var(&preloadSQL, "sql-source",
+// options are the flags that place the daemon rather than tune the
+// server: listeners, state directory, logging, drain grace, preloads.
+type options struct {
+	addr, dataDir, logFormat, debugAddr string
+	drainTimeout                        time.Duration
+	csv, sql, rest, fault               sourceFlags
+}
+
+// registerFlags declares every daemon flag on fs. The tunables are
+// registered from cfg — which main seeds with server.DefaultConfig() —
+// so a flag's default is the field's value and is written nowhere else,
+// and parsing writes straight into the config the server is built from.
+func registerFlags(fs *flag.FlagSet, cfg *server.Config) *options {
+	opt := new(options)
+	fs.IntVar(&cfg.PlanCacheSize, "plan-cache", cfg.PlanCacheSize, "max cached parsed IQL plans (0 disables)")
+	fs.IntVar(&cfg.ResultCacheSize, "result-cache", cfg.ResultCacheSize, "max cached query results per session (0 disables)")
+	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "byte budget per cache layer per session: results, extent memo, source extents (0 = unbounded)")
+	fs.DurationVar(&cfg.QueryTimeout, "query-timeout", cfg.QueryTimeout, "default per-query evaluation deadline (0 = none)")
+	fs.IntVar(&cfg.MaxSteps, "max-steps", cfg.MaxSteps, "IQL evaluation step bound per query (0 = unlimited)")
+	fs.DurationVar(&cfg.SlowQuery, "slow-query", cfg.SlowQuery, "trace queries at or above this duration into /debug/traces (0 = only explicitly requested traces)")
+	fs.IntVar(&cfg.MaxInflight, "max-inflight", cfg.MaxInflight, "max concurrently executing queries/integration steps (0 = unlimited)")
+	fs.IntVar(&cfg.MaxQueue, "max-queue", cfg.MaxQueue, "max requests parked in the admission queue before 429s (0 = reject at the in-flight limit)")
+	fs.BoolVar(&cfg.Breaker.Enabled, "breaker", cfg.Breaker.Enabled, "per-source circuit breakers with stale-extent fallback")
+	fs.DurationVar(&cfg.Breaker.SourceTimeout, "source-timeout", cfg.Breaker.SourceTimeout, "per-source fetch deadline budget within each query (0 = none)")
+	fs.DurationVar(&cfg.Breaker.OpenFor, "breaker-open-for", cfg.Breaker.OpenFor, "base interval an open breaker waits before probing the source again")
+	fs.BoolVar(&cfg.RequireFresh, "require-fresh", cfg.RequireFresh, "reject degraded (stale-fallback) answers with 503 instead of serving them with a warning")
+	fs.IntVar(&cfg.MinFederatedSources, "min-federated-sources", cfg.MinFederatedSources, "federate over the reachable subset of sources when at least this many answer a probe (0 = require all)")
+	fs.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "min interval between health-check-triggered background probes of open breakers and skipped sources")
+
+	fs.StringVar(&opt.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&opt.dataDir, "data-dir", "", "directory for durable session snapshots (empty = in-memory only)")
+	fs.StringVar(&opt.logFormat, "log-format", "text", "structured log format: text or json")
+	fs.StringVar(&opt.debugAddr, "debug-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
+	fs.DurationVar(&opt.drainTimeout, "drain-timeout", 15*time.Second, "grace period for in-flight requests on SIGTERM before exit")
+	fs.Var(&opt.csv, "source", "preload a CSV source as name=dir into the default session (repeatable)")
+	fs.Var(&opt.sql, "sql-source",
 		"preload a SQL source as name=driver:dialect:dsn (dialect sqlite, information_schema or postgres, empty = sqlite; the driver must be compiled into this binary; repeatable)")
-	flag.Var(&preloadREST, "rest-source", "preload a JSON/REST source as name=url (collections discovered from the endpoint root; repeatable)")
-	flag.Var(&faultSrcs, "fault-source",
+	fs.Var(&opt.rest, "rest-source", "preload a JSON/REST source as name=url (collections discovered from the endpoint root; repeatable)")
+	fs.Var(&opt.fault, "fault-source",
 		"preload a fault-injected demo source as name=spec for chaos drills (spec: comma-separated error-rate=0.3, latency=50ms, hang, flap-up=4, flap-down=2, amplify=8, seed=7; repeatable)")
+	return opt
+}
+
+func main() {
+	cfg := server.DefaultConfig()
+	opt := registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
-	logger, err := newLogger(*logFormat)
+	logger, err := newLogger(opt.logFormat)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	slog.SetDefault(logger)
+	cfg.Logger = logger
 
-	srv := server.New(server.Config{
-		PlanCacheSize:   *planCache,
-		ResultCacheSize: *resultCache,
-		CacheBytes:      *cacheBytes,
-		QueryTimeout:    *timeout,
-		MaxSteps:        *maxSteps,
-		EvalParallelism: *evalPar,
-		ScanBuffer:      *scanBuffer,
-		FetchPageRows:   *fetchPage,
-		SlowQuery:       *slowQuery,
-		TraceRingSize:   *traceRing,
-		MaxInflight:     *maxInflight,
-		MaxQueue:        *maxQueue,
-		Breaker: query.BreakerConfig{
-			Enabled:       *breakerOn,
-			SourceTimeout: *srcTimeout,
-			OpenFor:       *breakerOpen,
-		},
-		RequireFresh:        *reqFresh,
-		MinFederatedSources: *minFedSrcs,
-		ProbeInterval:       *probeEvery,
-		Logger:              logger,
-	})
-	if *dataDir != "" {
-		if err := srv.OpenStore(*dataDir); err != nil {
+	srv := server.New(cfg)
+	if opt.dataDir != "" {
+		if err := srv.OpenStore(opt.dataDir); err != nil {
 			fatal(logger, err)
 		}
 		n, err := srv.RestoreSessions()
 		if err != nil {
-			fatal(logger, fmt.Errorf("restoring sessions from %s: %w", *dataDir, err))
+			fatal(logger, fmt.Errorf("restoring sessions from %s: %w", opt.dataDir, err))
 		}
-		logger.Info("sessions restored", "count", n, "dir", *dataDir)
+		logger.Info("sessions restored", "count", n, "dir", opt.dataDir)
 	}
-	if err := preloadSources(srv, logger, *fetchPage, preload, preloadSQL, preloadREST, faultSrcs); err != nil {
+	if err := preloadSources(srv, logger, opt.csv, opt.sql, opt.rest, opt.fault); err != nil {
 		fatal(logger, err)
 	}
 
-	if *debugAddr != "" {
-		go serveDebug(logger, *debugAddr)
+	if opt.debugAddr != "" {
+		go serveDebug(logger, opt.debugAddr)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", opt.addr)
 	if err != nil {
 		fatal(logger, err)
 	}
@@ -217,7 +191,7 @@ func main() {
 	// drains: /healthz goes unready, queued requests get 503s, in-flight
 	// work finishes under -drain-timeout, and sessions flush to the
 	// store before exit.
-	if err := srv.ServeGraceful(ctx, ln, *drainTime); err != nil {
+	if err := srv.ServeGraceful(ctx, ln, opt.drainTimeout); err != nil {
 		fatal(logger, err)
 	}
 }
@@ -287,26 +261,19 @@ func parseFaultSpec(v string) (name string, cfg wrapper.FaultConfig, err error) 
 // demoFaultSource builds the inline demo table a -fault-source wraps:
 // enough rows to make degraded answers visibly non-empty.
 func demoFaultSource(name string) (wrapper.Wrapper, error) {
-	db := rel.NewDB(name)
-	t, err := db.CreateTable("items", []rel.Column{
-		{Name: "id", Type: rel.Int},
-		{Name: "label", Type: rel.String},
-	}, "id")
-	if err != nil {
-		return nil, err
+	rows := make([][]any, 8)
+	for i := range rows {
+		rows[i] = []any{int64(i + 1), fmt.Sprintf("item-%d", i+1)}
 	}
-	for i := 1; i <= 8; i++ {
-		if err := t.Insert(int64(i), fmt.Sprintf("item-%d", i)); err != nil {
-			return nil, err
-		}
-	}
-	return wrapper.NewRelational(name, db)
+	return wrapper.Restore(&wrapper.Snapshot{Kind: "relational", Name: name, Tables: []wrapper.TableSnapshot{{
+		Name: "items", Columns: []string{"id:int", "label:string"}, PrimaryKey: "id", Rows: rows,
+	}}})
 }
 
 // preloadSources wraps each preloaded CSV, SQL, REST and fault-demo
 // source into the default session and federates so the daemon starts
 // queryable.
-func preloadSources(srv *server.Server, logger *slog.Logger, fetchPageRows int, csvSpecs, sqlSpecs, restSpecs, faultSpecs sourceFlags) error {
+func preloadSources(srv *server.Server, logger *slog.Logger, csvSpecs, sqlSpecs, restSpecs, faultSpecs sourceFlags) error {
 	total := len(csvSpecs) + len(sqlSpecs) + len(restSpecs) + len(faultSpecs)
 	if total == 0 {
 		return nil
@@ -319,60 +286,54 @@ func preloadSources(srv *server.Server, logger *slog.Logger, fetchPageRows int, 
 		logger.Info("default session restored from data dir; skipping source preload")
 		return nil
 	}
-	for _, spec := range csvSpecs {
-		name, dir, _ := strings.Cut(spec, "=")
-		w, err := wrapper.NewCSVDir(name, dir)
+	// add registers one wrapped preload, or says why it could not be
+	// built. (The spec is not logged: a SQL one carries its DSN.)
+	add := func(kind, spec string, w wrapper.Wrapper, err error) error {
 		if err != nil {
 			return fmt.Errorf("preloading %s: %w", spec, err)
 		}
 		if err := sess.AddSource(w); err != nil {
 			return err
 		}
-		logger.Info("source preloaded", "source", name, "dir", dir)
+		logger.Info("source preloaded", "kind", kind, "source", w.SchemaName())
+		return nil
+	}
+	for _, spec := range csvSpecs {
+		name, dir, _ := strings.Cut(spec, "=")
+		w, err := wrapper.NewCSVDir(name, dir)
+		if err := add("csv", spec, w, err); err != nil {
+			return err
+		}
 	}
 	for _, spec := range sqlSpecs {
 		name, cfg, err := parseSQLSpec(spec)
 		if err != nil {
 			return err
 		}
-		cfg.FetchPageRows = fetchPageRows
 		w, err := wrapper.NewSQL(name, cfg)
-		if err != nil {
-			return fmt.Errorf("preloading %s: %w", spec, err)
-		}
-		if err := sess.AddSource(w); err != nil {
+		if err := add("sql", spec, w, err); err != nil {
 			return err
 		}
-		logger.Info("SQL source preloaded", "source", name, "driver", cfg.Driver)
 	}
 	for _, spec := range restSpecs {
 		name, endpoint, _ := strings.Cut(spec, "=")
 		w, err := wrapper.NewREST(name, wrapper.RESTConfig{Endpoint: endpoint})
-		if err != nil {
-			return fmt.Errorf("preloading %s: %w", spec, err)
-		}
-		if err := sess.AddSource(w); err != nil {
+		if err := add("rest", spec, w, err); err != nil {
 			return err
 		}
-		logger.Info("REST source preloaded", "source", name, "endpoint", endpoint)
 	}
 	for _, spec := range faultSpecs {
 		name, cfg, err := parseFaultSpec(spec)
 		if err != nil {
 			return err
 		}
-		inner, err := demoFaultSource(name)
-		if err != nil {
-			return fmt.Errorf("preloading %s: %w", spec, err)
+		w, err := demoFaultSource(name)
+		if err == nil {
+			w, err = wrapper.NewFault(w, cfg)
 		}
-		w, err := wrapper.NewFault(inner, cfg)
-		if err != nil {
-			return fmt.Errorf("preloading %s: %w", spec, err)
-		}
-		if err := sess.AddSource(w); err != nil {
+		if err := add("fault", spec, w, err); err != nil {
 			return err
 		}
-		logger.Info("fault source preloaded", "source", name, "config", cfg)
 	}
 	fctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -13,12 +13,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"github.com/dataspace/automed/internal/core"
+	"github.com/dataspace/automed/internal/iql"
 	"github.com/dataspace/automed/internal/ispider"
 	"github.com/dataspace/automed/internal/render"
 )
@@ -208,18 +210,26 @@ func reverse(cfg ispider.Config, drop bool) error {
 	if err != nil {
 		return err
 	}
+	warned := map[string]bool{}
 	for _, q := range []string{
 		"count(<<protein>>)",
 		"[x | {k, x} <- <<protein, accession_num>>; x = '" + ispider.SharedAccession + "']",
 	} {
-		v, err := rp.Query(q)
+		e, err := iql.Parse(q)
+		if err != nil {
+			return err
+		}
+		v, ws, _, err := rp.EvalContext(context.Background(), e)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("  Pedro-schema query %s -> %s\n", q, v)
+		for _, w := range ws {
+			warned[w] = true
+		}
 	}
-	if ws := rp.Warnings(); len(ws) > 0 {
-		fmt.Printf("  (%d incompleteness warnings for contracted objects)\n", len(ws))
+	if len(warned) > 0 {
+		fmt.Printf("  (%d incompleteness warnings for contracted objects)\n", len(warned))
 	}
 	return nil
 }

@@ -26,39 +26,41 @@ import (
 type SourceQuery struct {
 	// Source names the extensional (data source) schema; empty for
 	// derived concepts.
-	Source string
+	Source string `json:"source,omitempty"`
 	// Query is IQL source text, written exactly as in the paper: with
 	// unqualified scheme references that resolve against Source's
 	// schema first.
-	Query string
+	Query string `json:"query"`
 }
 
 // ReverseQuery is a user-specified reverse (delete-direction) mapping
 // for a source object that the tool cannot invert automatically.
 type ReverseQuery struct {
 	// Source names the extensional schema owning Object.
-	Source string
+	Source string `json:"source"`
 	// Object is the source object's scheme text, e.g. "<<protein>>".
-	Object string
+	Object string `json:"object"`
 	// Query is IQL text over the intersection schema recovering
 	// Object's extent.
-	Query string
+	Query string `json:"query"`
 }
 
 // Mapping is one row group of the Intersection Schema Tool's mappings
 // table: a target object of the intersection schema plus its forward
 // queries (one per contributing source) and optional explicit reverse
-// queries (paper Fig. 5).
+// queries (paper Fig. 5). Its JSON form (and SourceQuery's and
+// ReverseQuery's) is the mappings table of the daemon's POST /intersect
+// and /refine bodies and of `automed integrate` specs.
 type Mapping struct {
 	// Target is the intersection-schema object's scheme text, e.g.
 	// "<<UProtein, accession_num>>".
-	Target string
+	Target string `json:"target"`
 	// Forward lists the per-source derivations.
-	Forward []SourceQuery
+	Forward []SourceQuery `json:"forward"`
 	// Reverse lists user-specified reverse queries; the tool derives
 	// reverse queries automatically for simple forward mappings and
 	// defaults to Range Void Any (contract) otherwise.
-	Reverse []ReverseQuery
+	Reverse []ReverseQuery `json:"reverse,omitempty"`
 }
 
 // Entity is a convenience constructor for an entity (nodal) mapping.

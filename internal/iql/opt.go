@@ -44,6 +44,11 @@ type compCtx struct {
 	// cannot syntactically contain itself, so re-entry is impossible
 	// today, but a fresh ctx is used if that ever changes.
 	active bool
+
+	// shared, set on the worker contexts of one sharded scan, holds the
+	// comprehension's constant sources evaluated once for all of the
+	// scan's workers (see parallel.go); nil everywhere else.
+	shared []sharedSource
 }
 
 // qualState is one qualifier's analysis results and evaluation state.
@@ -209,7 +214,18 @@ func (ctx *compCtx) source(i int, g *Generator, env *Env) ([]Value, error) {
 	if qs.constSrc && qs.srcSet {
 		return qs.srcVal.Elements()
 	}
-	v, err := ctx.ev.eval(g.Src, env)
+	var v Value
+	var err error
+	if qs.constSrc && ctx.shared != nil {
+		// A constant source is the same for every worker of a sharded
+		// scan: the first to need it evaluates it (and is charged its
+		// steps), as the serial loop would once.
+		sh := &ctx.shared[i]
+		sh.once.Do(func() { sh.val, sh.err = ctx.ev.eval(g.Src, env) })
+		v, err = sh.val, sh.err
+	} else {
+		v, err = ctx.ev.eval(g.Src, env)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -32,9 +32,14 @@ import (
 //     assignment, so workers only Lookup.
 //   - Extents (the query processor's session) are NOT concurrency-
 //     safe, so workers route every scheme-reference resolution through
-//     one lockedExtents adapter. Extent calls are rare (constant
-//     sources are fetched once per worker and memoised upstream), so
-//     the lock is quiet.
+//     one lockedExtents adapter. Extent calls are rare, so the lock is
+//     quiet.
+//   - The sharded comprehension's constant tail sources are evaluated
+//     once per scan and shared read-only across its workers
+//     (sharedSource): the first worker to need one evaluates it and is
+//     charged its steps, so step counts and Extent calls equal the
+//     serial loop's whatever the number of workers that ran. Nested
+//     comprehensions keep their per-invocation memo.
 //   - Join indexes are shared read-only through the evaluator's
 //     JoinIndexCache, which is concurrency-safe; ValueIndex.Probe
 //     never mutates the index. Workers that miss race to build
@@ -124,6 +129,15 @@ func (l *lockedExtents) Extent(parts []string) (Value, error) {
 	return l.ext.Extent(parts)
 }
 
+// sharedSource is one constant generator source of a sharded
+// comprehension, evaluated by the first worker that reaches it and read
+// by the rest.
+type sharedSource struct {
+	once sync.Once
+	val  Value
+	err  error
+}
+
 // shardable reports whether the current generator scan qualifies for
 // the sharded path: parallelism enabled, no enclosing generator loop
 // on this evaluator (a nested comprehension re-entered per element
@@ -201,6 +215,7 @@ func (ctx *compCtx) runSharded(g *Generator, els []Value, next int, env *Env, ou
 	}
 	locked := &lockedExtents{ext: ext}
 
+	sources := make([]sharedSource, len(ctx.comp.Quals))
 	results := make([][]Value, shards)
 	errs := make([]error, shards)
 	shardDur := make([]time.Duration, shards)
@@ -226,22 +241,20 @@ func (ctx *compCtx) runSharded(g *Generator, els []Value, next int, env *Env, ou
 			// memoised constant sources and built join indexes carry
 			// across shards, exactly as one serial invocation would.
 			wctx := wev.compCtxFor(ctx.comp)
+			wctx.shared = sources
 			defer wctx.release()
+			if flushLocal {
+				defer func() { localSteps.Add(int64(wev.steps)) }()
+			}
 			child := env.Child()
 			for {
 				select {
 				case <-stop:
-					if flushLocal {
-						localSteps.Add(int64(wev.steps))
-					}
 					return
 				default:
 				}
 				s := int(nextShard.Add(1)) - 1
 				if s >= shards {
-					if flushLocal {
-						localSteps.Add(int64(wev.steps))
-					}
 					return
 				}
 				lo, hi := shardBounds(len(els), shards, s)
@@ -263,9 +276,6 @@ func (ctx *compCtx) runSharded(g *Generator, els []Value, next int, env *Env, ou
 				if err != nil {
 					errs[s] = err
 					halt()
-					if flushLocal {
-						localSteps.Add(int64(wev.steps))
-					}
 					return
 				}
 				results[s] = shardOut

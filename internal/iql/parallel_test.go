@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -74,17 +75,47 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// countingExtents counts Extent calls; sharded workers reach it only
+// through lockedExtents, the counter is atomic all the same.
+type countingExtents struct {
+	ext   Extents
+	calls atomic.Int64
+}
+
+func (c *countingExtents) Extent(parts []string) (Value, error) {
+	c.calls.Add(1)
+	return c.ext.Extent(parts)
+}
+
 // TestParallelStepAccounting asserts the sharded path charges exactly
 // the serial step count, through both counters: Evaluator.Used after a
-// plain run, and a shared StepBudget.
+// plain run, and a shared StepBudget — and, at a pool wider than the
+// machine, that it asks the extent provider exactly as often as the
+// serial loop (a constant tail source is evaluated once per scan, not
+// once per worker that ran).
 func TestParallelStepAccounting(t *testing.T) {
 	ext := parallelExtents(300)
 	for _, src := range parallelQueries {
-		serial := NewEvaluator(ext)
+		serialExt := &countingExtents{ext: ext}
+		serial := NewEvaluator(serialExt)
 		if _, err := serial.EvalString(src); err != nil {
 			t.Fatalf("serial %q: %v", src, err)
 		}
 		wantSteps := serial.Steps()
+
+		wideExt := &countingExtents{ext: ext}
+		wide := NewEvaluator(wideExt)
+		wide.Parallel = 8
+		wide.MinShardRows = 16
+		if _, err := wide.EvalString(src); err != nil {
+			t.Fatalf("parallel(8) %q: %v", src, err)
+		}
+		if got := wide.Steps(); got != wantSteps {
+			t.Errorf("%q: parallel(8) used %d steps, serial %d", src, got, wantSteps)
+		}
+		if got, want := wideExt.calls.Load(), serialExt.calls.Load(); got != want {
+			t.Errorf("%q: parallel(8) made %d Extent calls, serial %d", src, got, want)
+		}
 
 		par := NewEvaluator(ext)
 		par.Parallel = 4

@@ -92,15 +92,10 @@ func (s *session) deps() []string {
 	return out
 }
 
-// warn records a warning in the session (per-evaluation reporting,
-// race-free under concurrent queries; the ordered log also feeds the
-// extent memo cache) and in the processor's accumulated set (the
-// legacy Warnings API).
+// warn records a warning in the session: warnings are reported per
+// evaluation, and the ordered log also feeds the extent memo cache.
 func (s *session) warn(msg string) {
 	s.warnLog = append(s.warnLog, msg)
-	s.p.mu.Lock()
-	s.p.warnings[msg] = true
-	s.p.mu.Unlock()
 }
 
 // Extent implements iql.Extents for evaluation within a session:
@@ -251,9 +246,9 @@ func (p *Processor) EvalScoped(e iql.Expr, scope string) (iql.Value, error) {
 // per-request timeouts and cancellation) and returns, alongside the
 // value, the incompleteness warnings raised by this evaluation alone
 // and the distinct scheme keys it touched (its dependency set, for
-// selective result-cache invalidation), both sorted. Unlike the
-// ClearWarnings/Eval/Warnings sequence, it is safe under concurrent
-// queries: each evaluation collects its own warnings.
+// selective result-cache invalidation), both sorted. Each evaluation
+// collects its own warnings, so concurrent queries do not see each
+// other's.
 func (p *Processor) EvalContext(ctx context.Context, e iql.Expr) (iql.Value, []string, []string, error) {
 	v, s, err := p.eval(ctx, e, "")
 	if err != nil {

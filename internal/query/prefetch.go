@@ -21,10 +21,16 @@ import (
 // that needs the extent (and with concurrent queries), respect and feed
 // the source's breaker, and retain what they fetch as last-known-good.
 //
-// Prefetch is advisory: the walk is bounded, cancellation of the
-// request context stops scheduling, and the error of a failed read is
-// handed to the evaluation, which surfaces it with full context (or
-// degrades to stale data) without asking the source a second time.
+// Only references the evaluation is set to enumerate are warmed. The
+// arms of an if are not: one of them never runs, so its extents are
+// read on demand like any other non-enumerated reference, and a source
+// behind an untaken arm gets no provider call and no breaker verdict.
+//
+// Prefetch is advisory: the walk is bounded, every scheduled read is
+// awaited unless the request is cancelled (which also stops
+// scheduling), and the error of a failed read is handed to the
+// evaluation, which surfaces it with full context (or degrades to stale
+// data) without asking the source a second time.
 
 const (
 	// prefetchWorkers bounds concurrent provider calls per query.
@@ -34,10 +40,6 @@ const (
 	prefetchMaxTasks = 64
 	// prefetchMaxDepth bounds the virtual-definition expansion depth.
 	prefetchMaxDepth = 4
-	// prefetchMaxSpec caps speculative warming (if-branch arms, which
-	// may never be evaluated) to a quarter of the task budget, so cold
-	// branches cannot crowd out extents the query will certainly scan.
-	prefetchMaxSpec = prefetchMaxTasks / 4
 )
 
 // prefetchTask names one source object to warm; ck is its source-extent
@@ -52,45 +54,22 @@ type prefetchTask struct {
 // expression will enumerate, concurrently. It blocks until those reads
 // finish (so the serial evaluation that follows hits the cache) and
 // returns the errors of the ones that failed, by source-extent cache
-// key. Speculative tasks — extents referenced only inside if-branch
-// arms, which evaluation may never reach — share the pool but are never
-// awaited: a cold branch warms without stalling the query.
+// key.
 func (p *Processor) prefetch(ctx context.Context, e iql.Expr, scope string) map[string]error {
 	if ctx.Err() != nil {
 		return nil
 	}
 	pf := prefetcher{p: p}
 	pf.visitExpr(e, scope, 0)
-	if len(pf.tasks)+len(pf.spec) < 2 {
+	if len(pf.tasks) < 2 {
 		return nil // a single read gains nothing from concurrency
 	}
 	// The prefetch span parents the workers' fetch spans, so traces show
 	// the parallel warm-up as one stage with overlapping children.
 	sp, sctx := obs.StartSpan(ctx, obs.StagePrefetch, "")
 	defer sp.End(nil)
-	sem := make(chan struct{}, min(prefetchWorkers, len(pf.tasks)+len(pf.spec)))
-	// acquire takes a pool slot, giving up when the request is
-	// cancelled: a timed-out request must not park behind slow reads.
-	acquire := func(ctx context.Context) bool {
-		select {
-		case sem <- struct{}{}:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
-	// Speculative warms contend for pool slots with the certain tasks,
-	// so the pool width stays the bound, and carry the caller's context
-	// (not the prefetch span's) because they may outlive the stage.
-	for _, t := range pf.spec {
-		go func(t prefetchTask) {
-			if acquire(ctx) {
-				defer func() { <-sem }()
-				_, _ = p.read(ctx, t.src, t.sc, readWarm) // advisory: evaluation asks again if the arm is taken
-			}
-		}(t)
-	}
-	// Certain tasks report back over a channel sized to the number of
+	sem := make(chan struct{}, min(prefetchWorkers, len(pf.tasks)))
+	// The reads report back over a channel sized to the number of
 	// sends, so a worker abandoned below never blocks on it.
 	type outcome struct {
 		ck  string
@@ -98,9 +77,14 @@ func (p *Processor) prefetch(ctx context.Context, e iql.Expr, scope string) map[
 	}
 	results := make(chan outcome, len(pf.tasks))
 	started := 0
+schedule:
 	for _, t := range pf.tasks {
-		if !acquire(sctx) {
-			break
+		// Take a pool slot, giving up when the request is cancelled: a
+		// timed-out request must not park behind slow reads.
+		select {
+		case sem <- struct{}{}:
+		case <-sctx.Done():
+			break schedule
 		}
 		started++
 		go func(t prefetchTask) {
@@ -139,10 +123,6 @@ type prefetcher struct {
 	tasks       []prefetchTask
 	seenTask    map[string]bool
 	seenVirtual map[string]bool
-	// inBranch marks the walk as inside an if-branch arm; references
-	// found there land in spec (capped at prefetchMaxSpec), not tasks.
-	inBranch bool
-	spec     []prefetchTask
 	// streamPos marks the next reference visited as a comprehension's
 	// first generator source — the position the evaluator streams when
 	// the provider pages. Warming such an extent would pin it whole in
@@ -165,11 +145,7 @@ func (pf *prefetcher) addSource(src source, sc hdm.Scheme, streamPos bool) {
 		pf.seenTask = make(map[string]bool, 8)
 	}
 	pf.seenTask[ck] = true
-	if pf.inBranch {
-		pf.spec = append(pf.spec, prefetchTask{src, sc, ck})
-	} else {
-		pf.tasks = append(pf.tasks, prefetchTask{src, sc, ck})
-	}
+	pf.tasks = append(pf.tasks, prefetchTask{src, sc, ck})
 }
 
 func (pf *prefetcher) visitRef(parts []string, scope string, depth int) {
@@ -178,14 +154,7 @@ func (pf *prefetcher) visitRef(parts []string, scope string, depth int) {
 	// into (each body's comprehension re-marks its own first generator).
 	streamPos := pf.streamPos
 	pf.streamPos = false
-	if depth > prefetchMaxDepth {
-		return
-	}
-	if pf.inBranch {
-		if len(pf.spec) >= prefetchMaxSpec {
-			return
-		}
-	} else if len(pf.tasks) >= prefetchMaxTasks {
+	if depth > prefetchMaxDepth || len(pf.tasks) >= prefetchMaxTasks {
 		return
 	}
 	r := pf.p.resolve(scope, parts)
@@ -228,8 +197,8 @@ func (pf *prefetcher) visitEnumerated(e iql.Expr, scope string, depth int) {
 // visitExpr walks the scheme references the expression will enumerate
 // when evaluated: generator sources of comprehensions (at any nesting
 // depth), references passed to builtins, and the operands of bag
-// union. References in other positions (e.g. a branch of an if) may
-// never be evaluated, so they are not prefetched.
+// union. References in other positions (an arm of an if) may never be
+// evaluated, so they are not prefetched.
 func (pf *prefetcher) visitExpr(e iql.Expr, scope string, depth int) {
 	switch n := e.(type) {
 	case nil:
@@ -296,13 +265,5 @@ func (pf *prefetcher) visitExpr(e iql.Expr, scope string, depth int) {
 		pf.visitExpr(n.Body, scope, depth)
 	case *iql.IfExpr:
 		pf.visitExpr(n.Cond, scope, depth)
-		// Branch arms may never be evaluated: warm them speculatively
-		// (capped, never awaited) so a cold branch costs nothing when
-		// untaken yet is already in flight when taken.
-		saved := pf.inBranch
-		pf.inBranch = true
-		pf.visitEnumerated(n.Then, scope, depth)
-		pf.visitEnumerated(n.Else, scope, depth)
-		pf.inBranch = saved
 	}
 }

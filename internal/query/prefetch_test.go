@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,11 +200,11 @@ func TestPrefetchErrorsSurfaceSerially(t *testing.T) {
 	}
 }
 
-// specJoin builds a processor over a condition source plus one source
-// per if-branch arm, so tests can observe which extents the prefetch
-// pass warms speculatively.
-func specJoin(t *testing.T) (*Processor, *countingSource, *countingSource, *countingSource) {
-	t.Helper()
+// TestIfArmsAreReadOnDemand: prefetch warms what the condition
+// enumerates and leaves the arms to evaluation, so the taken arm's
+// source is read once and the untaken arm's source is never called.
+func TestIfArmsAreReadOnDemand(t *testing.T) {
+	const q = "if count(<<r>>) > 0 then [x | x <- <<s>>] else [x | x <- <<u>>]"
 	cond := newCountingSource(t, "C", map[string]iql.Value{"<<r>>": iql.Bag(iql.Int(1))}, 0)
 	then := newCountingSource(t, "T", map[string]iql.Value{"<<s>>": iql.Bag(iql.Int(2))}, 0)
 	els := newCountingSource(t, "E", map[string]iql.Value{"<<u>>": iql.Bag(iql.Int(3))}, 0)
@@ -215,86 +214,17 @@ func specJoin(t *testing.T) (*Processor, *countingSource, *countingSource, *coun
 			t.Fatal(err)
 		}
 	}
-	return p, cond, then, els
-}
-
-const ifQuery = "if count(<<r>>) > 0 then [x | x <- <<s>>] else [x | x <- <<u>>]"
-
-// waitForCalls polls until the source has fetched exactly want extents
-// (speculative warms are detached, so tests must wait, not assume).
-func waitForCalls(t *testing.T, c *countingSource, want int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		got := c.calls
-		c.mu.Unlock()
-		if got >= want {
-			if got > want {
-				t.Fatalf("source %s fetched %d times, want %d", c.name, got, want)
-			}
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("source %s never reached %d fetches", c.name, want)
-}
-
-// TestPrefetchSpeculativeIfBranches: extents referenced only inside
-// if-branch arms are warmed in the background — both arms, even though
-// evaluation will take only one — without being awaited, and the warm
-// cache means the taken branch never re-fetches.
-func TestPrefetchSpeculativeIfBranches(t *testing.T) {
-	p, cond, then, els := specJoin(t)
-	p.prefetch(context.Background(), iql.MustParse(ifQuery), "")
-	waitForCalls(t, cond, 1) // certain: the condition's own extent
-	waitForCalls(t, then, 1) // speculative: then arm
-	waitForCalls(t, els, 1)  // speculative: else arm
-	v, err := p.Query(ifQuery)
+	v, err := p.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Len() != 1 {
 		t.Fatalf("bad result %s", v)
 	}
-	// Everything was warmed once; the query itself hit the cache.
-	waitForCalls(t, then, 1)
-}
-
-// TestPrefetchSpeculativeCap: the speculative task list is capped at
-// prefetchMaxSpec (a quarter of the per-query task budget) at
-// scheduling time, so cold branch arms cannot crowd out certain
-// fetches. A chain of nested ifs with one source per arm beyond the cap
-// warms exactly prefetchMaxSpec arms; the rest are never fetched.
-func TestPrefetchSpeculativeCap(t *testing.T) {
-	const arms = prefetchMaxSpec + 3
-	p := New()
-	cond := newCountingSource(t, "C", map[string]iql.Value{"<<r>>": iql.Bag(iql.Int(1))}, 0)
-	if err := p.AddSource(cond); err != nil {
-		t.Fatal(err)
+	if cond.calls != 1 || then.calls != 1 {
+		t.Errorf("condition read %d times, taken arm %d, want 1 each", cond.calls, then.calls)
 	}
-	srcs := make([]*countingSource, arms)
-	q := "[]"
-	for i := arms - 1; i >= 0; i-- {
-		obj := fmt.Sprintf("a%d", i)
-		srcs[i] = newCountingSource(t, fmt.Sprintf("S%d", i), map[string]iql.Value{"<<" + obj + ">>": iql.Bag(iql.Int(int64(i)))}, 0)
-		if err := p.AddSource(srcs[i]); err != nil {
-			t.Fatal(err)
-		}
-		q = fmt.Sprintf("if count(<<r>>) > %d then [x | x <- <<%s>>] else %s", i, obj, q)
-	}
-	p.prefetch(context.Background(), iql.MustParse(q), "")
-	waitForCalls(t, cond, 1)
-	for _, s := range srcs[:prefetchMaxSpec] {
-		waitForCalls(t, s, 1) // the walk meets the arms outermost first
-	}
-	time.Sleep(20 * time.Millisecond)
-	for _, s := range srcs[prefetchMaxSpec:] {
-		s.mu.Lock()
-		extra := s.calls
-		s.mu.Unlock()
-		if extra != 0 {
-			t.Errorf("arm %s beyond the speculative cap fetched %d times", s.name, extra)
-		}
+	if els.calls != 0 {
+		t.Errorf("untaken arm's source got %d wrapper calls, want 0", els.calls)
 	}
 }

@@ -37,7 +37,7 @@
 // exactly the affected entries via InvalidateSchemes instead of purging
 // all cached work.
 //
-// This file is the registry: sources, derivations, caches, warnings.
+// This file is the registry: sources, derivations, caches.
 package query
 
 import (
@@ -122,8 +122,7 @@ type Processor struct {
 	// processor spawns, keyed by extent identity (see iql.JoinIndexCache):
 	// a large memoised extent joined by many queries is indexed once per
 	// extent version.
-	joinIdx  *iql.JoinIndexCache
-	warnings map[string]bool
+	joinIdx *iql.JoinIndexCache
 	// MaxSteps bounds IQL evaluation per query; 0 means unlimited. The
 	// budget is shared across every derivation a query unfolds, not per
 	// derivation.
@@ -168,7 +167,6 @@ func New() *Processor {
 		memo:     cache.New[cachedExtent](cache.Options{}),
 		srcExt:   cache.New[iql.Value](cache.Options{}),
 		joinIdx:  iql.NewJoinIndexCache(0),
-		warnings: make(map[string]bool),
 		breakers: make(map[string]*breaker),
 		lastGood: make(map[string]lastGoodEntry),
 	}
@@ -429,23 +427,4 @@ func (p *Processor) InvalidateSchemes(keys ...string) int {
 	// (still warm) surviving extents.
 	p.joinIdx.Purge()
 	return dropped
-}
-
-// Warnings returns accumulated incompleteness warnings, sorted.
-func (p *Processor) Warnings() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.warnings))
-	for w := range p.warnings {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ClearWarnings discards accumulated warnings.
-func (p *Processor) ClearWarnings() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.warnings = make(map[string]bool)
 }

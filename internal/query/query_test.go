@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -114,19 +115,19 @@ func TestRegisterPathwayKinds(t *testing.T) {
 		t.Errorf("v = %s", v)
 	}
 	// extend: lower bound with warning.
-	v, err := p.Extent([]string{"w"})
+	v, warns, _, err := p.EvalContext(context.Background(), iql.MustParse("<<w>>"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.Equal(iql.Bag(iql.Int(9))) {
 		t.Errorf("w = %s", v)
 	}
-	if len(p.Warnings()) == 0 {
+	if len(warns) == 0 {
 		t.Error("no incompleteness warning for extend")
 	}
-	p.ClearWarnings()
-	if len(p.Warnings()) != 0 {
-		t.Error("ClearWarnings failed")
+	// Warnings belong to the evaluation that raised them.
+	if _, warns, _, err := p.EvalContext(context.Background(), iql.MustParse("<<u>>")); err != nil || len(warns) != 0 {
+		t.Errorf("<<u>>: warnings = %v, err = %v; want none", warns, err)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func (s *Server) BeginDrain() { s.adm.beginDrain() }
 
 // Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.adm.isDraining() }
+func (s *Server) Draining() bool { return s.adm.stats().Draining }
 
 // Drain performs the server side of a graceful shutdown: BeginDrain,
 // wait for every admitted request to finish (bounded by ctx), then
@@ -47,8 +47,8 @@ func (s *Server) FlushSnapshots() error {
 		return nil
 	}
 	var firstErr error
-	for _, name := range s.reg.Names() {
-		if _, err := s.SnapshotSession(name); err != nil && firstErr == nil {
+	for _, sess := range s.reg.All() {
+		if _, err := s.SnapshotSession(sess.Name()); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -1,0 +1,129 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
+
+	"github.com/dataspace/automed/internal/obs"
+)
+
+type apiError struct {
+	Error     string `json:"error"`
+	RequestID string `json:"request_id,omitempty"`
+}
+
+// ridKey carries the request ID through handler contexts.
+type ridKeyType struct{}
+
+var ridKey ridKeyType
+
+func withRequestID(ctx context.Context, rid string) context.Context {
+	return context.WithValue(ctx, ridKey, rid)
+}
+
+// requestID returns the request's generated (or propagated) ID.
+func requestID(r *http.Request) string {
+	rid, _ := r.Context().Value(ridKey).(string)
+	return rid
+}
+
+// respBufPool recycles response-encoding buffers across requests.
+var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	// Encode before committing the status so an unencodable value
+	// (e.g. a NaN float loaded from source data) becomes a 500, not a
+	// 200 with a truncated body.
+	buf := respBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer respBufPool.Put(buf)
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		if _, isErr := v.(apiError); !isErr {
+			writeJSON(w, http.StatusInternalServerError,
+				apiError{Error: fmt.Sprintf("server: encoding response: %v", err)})
+			return
+		}
+		http.Error(w, `{"error":"server: encoding response failed"}`, http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.Bytes())
+}
+
+func writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
+	writeJSON(w, status, apiError{Error: err.Error(), RequestID: requestID(r)})
+}
+
+// admit gates one unit of work (a query or an integration step) through
+// the admission controller, parking it in the per-session fair queue at
+// capacity. On rejection it writes the whole response — 429 at the
+// queue bound, 503 while draining or when the caller's deadline expired
+// in the queue, both with a Retry-After estimate — and returns ok
+// false. On admission the returned release must be called when the work
+// finishes. The wait (if any) is recorded as a queue span on the
+// context's trace and in the automed_queue_wait_seconds histogram.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request, session string) (release func(), ok bool) {
+	if session == "" {
+		session = "default"
+	}
+	sp, _ := obs.StartSpan(ctx, obs.StageQueue, session)
+	release, waited, err := s.adm.acquire(ctx, session)
+	if err == nil {
+		s.metrics.QueueAdmitted(waited)
+		sp.End(nil)
+		return release, true
+	}
+	sp.End(err)
+	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
+	switch {
+	case errors.Is(err, errOverCapacity):
+		s.metrics.QueueRejected()
+		writeErr(w, r, http.StatusTooManyRequests, err)
+	case errors.Is(err, errDraining):
+		s.metrics.QueueDrainRejected()
+		writeErr(w, r, http.StatusServiceUnavailable, err)
+	default:
+		// The caller's context expired while parked in the queue.
+		writeErr(w, r, http.StatusServiceUnavailable,
+			fmt.Errorf("server: request expired in the admission queue: %w", err))
+	}
+	return nil, false
+}
+
+// errStatus maps workflow errors onto HTTP statuses.
+func errStatus(err error) int {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable
+	}
+	msg := err.Error()
+	switch {
+	case strings.Contains(msg, "no session"):
+		return http.StatusNotFound
+	case strings.Contains(msg, "already"):
+		return http.StatusConflict
+	default:
+		return http.StatusBadRequest
+	}
+}
+
+func decode(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("server: invalid request body: %w", err)
+	}
+	return nil
+}

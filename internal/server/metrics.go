@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/dataspace/automed/internal/cache"
 	"github.com/dataspace/automed/internal/obs"
 	"github.com/dataspace/automed/internal/query"
 )
@@ -209,6 +210,12 @@ type QueueSnapshot struct {
 	DrainRejected uint64          `json:"drain_rejected_total"`
 	Wait          LatencySnapshot `json:"wait"`
 }
+
+// CacheStats is the server-facing name for the unified cache
+// subsystem's stats snapshot; all server cache layers (parsed plans,
+// per-session results, and — through the query processor — extent
+// memos and source extents) are backed by cache.Store.
+type CacheStats = cache.Stats
 
 // CacheSnapshot extends CacheStats with the derived hit rate.
 type CacheSnapshot struct {

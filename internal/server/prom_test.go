@@ -177,27 +177,20 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 }
 
 // TestMetricsEvalBlock: the JSON snapshot's eval block reports the
-// effective evaluation-pool width — the configured flag when set,
-// GOMAXPROCS otherwise. The prefetch pool is two constants of the query
-// package, so neither the block nor the exposition reports it.
+// effective evaluation-pool width, which is GOMAXPROCS — there is no
+// setting beside it — even before any session is federated. The
+// prefetch pool is two constants of the query package, so neither the
+// block nor the exposition reports it.
 func TestMetricsEvalBlock(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EvalParallelism = 3
-	_, c := newTestClient(t, cfg)
+	_, c := newTestClient(t, DefaultConfig())
 	eval := c.must("GET", "/metrics", nil, http.StatusOK)["eval"].(map[string]any)
-	if got := eval["parallelism"].(float64); got != 3 {
-		t.Errorf("eval.parallelism = %v, want 3", got)
+	if got := eval["parallelism"].(float64); got != float64(runtime.GOMAXPROCS(0)) {
+		t.Errorf("eval.parallelism = %v, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
 	for _, gone := range []string{"prefetch_workers", "prefetch_max_tasks"} {
 		if _, ok := eval[gone]; ok {
 			t.Errorf("eval.%s is still reported; the prefetch pool is not configurable", gone)
 		}
-	}
-
-	_, c = newTestClient(t, DefaultConfig())
-	eval = c.must("GET", "/metrics", nil, http.StatusOK)["eval"].(map[string]any)
-	if got := eval["parallelism"].(float64); got != float64(runtime.GOMAXPROCS(0)) {
-		t.Errorf("default eval.parallelism = %v, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -243,13 +243,6 @@ func (a *admission) beginDrain() {
 	a.queued = 0
 }
 
-// isDraining reports whether beginDrain has been called.
-func (a *admission) isDraining() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.draining
-}
-
 // waitIdle blocks until every admitted request has released (in-flight
 // reaches zero) or the context expires, reporting how many were still
 // running on timeout.

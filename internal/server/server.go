@@ -1,14 +1,49 @@
+// Package server is the dataspace daemon's serving layer: the paper's
+// pay-as-you-go workflow (wrap, federate, intersect, refine, query) as
+// HTTP/JSON endpoints over a registry of named integration sessions,
+// which clients keep querying at any published global schema version
+// while integration proceeds.
+//
+// Settings live in one struct, Config. DefaultConfig is what the daemon
+// ships; the registry and every session hold a copy, and
+// Config.configure is the only place a query processor is configured.
+//
+// A workflow step (POST /sources, /federate, /intersect, /refine,
+// /suggest) crosses one path, Server.step: decode the body, pass
+// admission control, find the session, run the operation and, if it
+// mutated the session, count the iteration and autosave, then respond.
+// POST /query has its own path (handleQuery: deadline, trace, degraded
+// answers, explain) behind the same admission control.
+//
+//   - Admission (queue.go, drain.go): MaxInflight requests run, MaxQueue
+//     more park in a per-session fair queue, the rest get 429 +
+//     Retry-After; a draining server answers 503, finishes what it
+//     admitted and flushes every session.
+//   - Caches (query.go): a shared plan cache, and per session a result
+//     cache keyed by (schema version, normalised query) whose entries
+//     carry the dependency closure of their evaluation. An iteration
+//     evicts only the answers whose schemes it touched; a probe that
+//     backfills a skipped source, and POST /sessions/{name}/invalidate,
+//     purge it.
+//   - Persistence (store.go): with a store open every mutating step
+//     autosaves its session as one atomically replaced JSON file;
+//     restored sessions start with cold caches.
+//   - Fault tolerance: sources sit behind internal/query's circuit
+//     breakers with stale-extent fallback; degraded answers are flagged
+//     or, on request, refused; /healthz reports breaker states and
+//     drives the rate-limited recovery probe.
+//   - Observability (metrics.go, prom.go, health.go): request IDs,
+//     access and panic logs, counters and histograms as JSON or
+//     Prometheus text, per-request span trees, a ring of slow traces.
 package server
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -19,7 +54,9 @@ import (
 	"github.com/dataspace/automed/internal/query"
 )
 
-// Config tunes the dataspace server.
+// Config is the server's settings: the one struct a tuning value lives
+// in between the daemon's flag and the component it tunes. The registry
+// and every session hold a copy; there is no per-session projection.
 type Config struct {
 	// PlanCacheSize bounds the shared cache of parsed IQL plans;
 	// <= 0 disables plan caching.
@@ -37,19 +74,6 @@ type Config struct {
 	// MaxSteps bounds IQL evaluation steps per query (a defence
 	// against runaway comprehensions); 0 means unlimited.
 	MaxSteps int
-	// EvalParallelism is the worker count for data-parallel sharded
-	// comprehension evaluation: 0 picks GOMAXPROCS, 1 forces serial
-	// evaluation, larger values set the pool width explicitly.
-	EvalParallelism int
-	// ScanBuffer is the streaming extent pipeline's row window per
-	// session: source extents above it stream through a bounded buffer
-	// of this many rows instead of materialising. 0 picks the package
-	// default (4096 rows); negative disables streaming.
-	ScanBuffer int
-	// FetchPageRows is the LIMIT/OFFSET page size SQL sources created
-	// through /sources fetch with; 0 picks the wrapper default (4096
-	// rows), negative disables paging for those sources.
-	FetchPageRows int
 	// SlowQuery, when > 0, traces every query and retains those at or
 	// above the threshold in the /debug/traces ring even when the
 	// client did not ask for a trace.
@@ -65,9 +89,6 @@ type Config struct {
 	// SessionWeight, when set, gives some sessions more than one grant
 	// per fair-queue round-robin turn; nil weights every session 1.
 	SessionWeight func(session string) int
-	// TraceRingSize bounds the /debug/traces ring of recent query
-	// traces; <= 0 means the default (256).
-	TraceRingSize int
 	// Breaker configures per-source circuit breakers and stale-extent
 	// fallback on every session's query processor; the zero value
 	// disables the fault-tolerance layer.
@@ -91,37 +112,38 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// sessionSettings projects the per-session knobs out of the config.
-func (cfg Config) sessionSettings() SessionSettings {
-	return SessionSettings{
-		ResultCapacity:      cfg.ResultCacheSize,
-		CacheBytes:          cfg.CacheBytes,
-		MaxSteps:            cfg.MaxSteps,
-		EvalParallelism:     cfg.EvalParallelism,
-		ScanBuffer:          cfg.ScanBuffer,
-		Breaker:             cfg.Breaker,
-		MinFederatedSources: cfg.MinFederatedSources,
-	}
+// configure applies the settings to a session's query processor; it is
+// the only place one is configured (federation and both restore paths
+// call it). Sharded-evaluation width, streaming window and SQL page
+// size are not settings: query and wrapper choose them themselves.
+func (cfg Config) configure(p *query.Processor) {
+	p.MaxSteps = cfg.MaxSteps
+	p.SetCacheBytes(cfg.CacheBytes)
+	p.SetBreaker(cfg.Breaker)
 }
 
 // defaultProbeInterval rate-limits health-check-triggered recovery
 // probes when the config does not.
 const defaultProbeInterval = 5 * time.Second
 
-// defaultTraceRingSize bounds /debug/traces when the config does not.
-const defaultTraceRingSize = 256
+// traceRingSize bounds the /debug/traces ring of recent query traces.
+const traceRingSize = 256
 
-// DefaultConfig returns production-shaped defaults.
+// DefaultConfig returns the configuration the daemon ships: automedd
+// registers its flags from these values, so a default is written here
+// and nowhere else.
 func DefaultConfig() Config {
 	return Config{
 		PlanCacheSize:   512,
 		ResultCacheSize: 4096,
 		CacheBytes:      256 << 20,
 		QueryTimeout:    30 * time.Second,
-		TraceRingSize:   defaultTraceRingSize,
+		MaxInflight:     256,
+		MaxQueue:        1024,
 		Breaker: query.BreakerConfig{
 			Enabled:       true,
 			SourceTimeout: 10 * time.Second,
+			OpenFor:       2 * time.Second,
 		},
 		ProbeInterval: defaultProbeInterval,
 	}
@@ -159,24 +181,20 @@ type Server struct {
 
 // New builds a server.
 func New(cfg Config) *Server {
-	ring := cfg.TraceRingSize
-	if ring <= 0 {
-		ring = defaultTraceRingSize
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{
 		cfg: cfg,
-		reg: NewRegistry(cfg.sessionSettings()),
+		reg: NewRegistry(cfg),
 		plans: cache.New[plan](cache.Options{
 			MaxEntries: cfg.PlanCacheSize,
 			MaxBytes:   cfg.CacheBytes,
 			Disabled:   cfg.PlanCacheSize <= 0,
 		}),
 		metrics: NewMetrics(),
-		traces:  obs.NewRing(ring),
+		traces:  obs.NewRing(traceRingSize),
 		adm:     newAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.SessionWeight),
 		log:     logger,
 		mux:     http.NewServeMux(),
@@ -239,12 +257,7 @@ func (s *Server) Handler() http.Handler {
 					"stack", string(debug.Stack()),
 				)
 				if !sw.wrote {
-					sw.Header().Set("Content-Type", "application/json")
-					sw.WriteHeader(http.StatusInternalServerError)
-					json.NewEncoder(sw).Encode(apiError{
-						Error:     "internal server error",
-						RequestID: rid,
-					})
+					writeJSON(sw, http.StatusInternalServerError, apiError{Error: "internal server error", RequestID: rid})
 				}
 			}
 			s.log.Info("request",
@@ -317,136 +330,6 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// OpenStore enables durable sessions: snapshots are written to dir
-// (created if needed), every mutating endpoint autosaves its session,
-// and the explicit snapshot/restore endpoints become available.
-func (s *Server) OpenStore(dir string) error {
-	st, err := NewStore(dir)
-	if err != nil {
-		return err
-	}
-	s.persistMu.Lock()
-	s.store = st
-	s.persistMu.Unlock()
-	return nil
-}
-
-// Store returns the open session store, or nil when persistence is
-// disabled.
-func (s *Server) Store() *Store {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	return s.store
-}
-
-// RestoreSessions loads every session snapshot in the store into the
-// registry (replacing same-named sessions) and returns how many were
-// restored. Call it once at startup, after OpenStore.
-func (s *Server) RestoreSessions() (int, error) {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.store == nil {
-		return 0, errStoreClosed
-	}
-	states, err := s.store.LoadAll()
-	if err != nil {
-		return 0, err
-	}
-	for _, state := range states {
-		sess, err := sessionFromState(state, s.cfg.sessionSettings())
-		if err != nil {
-			return 0, err
-		}
-		s.reg.Put(sess)
-		s.metrics.SessionRestore()
-	}
-	return len(states), nil
-}
-
-// SnapshotSession forces a durable snapshot of one named session,
-// counting the outcome in metrics and returning the session it
-// exported. It is the programmatic form of POST
-// /sessions/{name}/snapshot.
-func (s *Server) SnapshotSession(name string) (*Session, error) {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.store == nil {
-		return nil, errStoreClosed
-	}
-	sess, err := s.reg.Get(name, false)
-	if err != nil {
-		return nil, err
-	}
-	state, err := sess.Export()
-	if err == nil {
-		err = s.store.Save(state)
-	}
-	if err != nil {
-		s.metrics.SnapshotError()
-		return nil, err
-	}
-	s.metrics.SnapshotWritten()
-	return sess, nil
-}
-
-// restoreSession loads one session from the store and installs it in
-// the registry, all under the persist lock so no concurrent autosave
-// interleaves between the read and the swap.
-func (s *Server) restoreSession(name string) (*Session, error) {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.store == nil {
-		return nil, errStoreClosed
-	}
-	state, err := s.store.Load(name)
-	if err != nil {
-		return nil, err
-	}
-	if state.Name != name {
-		return nil, fmt.Errorf("%w: %s is for session %q, not %q", errBadSnapshot, fileName(name), state.Name, name)
-	}
-	sess, err := sessionFromState(state, s.cfg.sessionSettings())
-	if err != nil {
-		return nil, err
-	}
-	s.reg.Put(sess)
-	s.metrics.SessionRestore()
-	return sess, nil
-}
-
-// errStoreClosed distinguishes "persistence disabled" from genuine
-// store failures across the snapshot/restore paths.
-var errStoreClosed = fmt.Errorf("server: persistence is not enabled (start with -data-dir)")
-
-// persist autosaves one session if a store is open. The in-memory
-// mutation has already succeeded by the time persist runs, so failures
-// are not surfaced to the client; they are logged and counted in
-// metrics (snapshot_errors), and the previous on-disk snapshot stays
-// intact thanks to the atomic rename.
-func (s *Server) persist(sess *Session) {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.store == nil {
-		return
-	}
-	// Skip orphaned sessions: if a restore replaced this session after
-	// its mutation, the name now belongs to the restored state and this
-	// session's snapshot must not overwrite it.
-	if cur, err := s.reg.Get(sess.Name(), false); err != nil || cur != sess {
-		return
-	}
-	state, err := sess.Export()
-	if err == nil {
-		err = s.store.Save(state)
-	}
-	if err != nil {
-		s.metrics.SnapshotError()
-		s.log.Error("autosave failed", "session", sess.Name(), "error", err)
-		return
-	}
-	s.metrics.SnapshotWritten()
-}
-
 // Metrics exposes the server's metrics (for embedding and tests).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
@@ -456,69 +339,3 @@ func (s *Server) Sessions() *Registry { return s.reg }
 // PurgePlans empties the shared plan cache (used by benchmarks to
 // measure cold-plan query cost).
 func (s *Server) PurgePlans() { s.plans.Purge() }
-
-// sourceHealth collects every session's per-source breaker state for
-// the metrics endpoint, in stable (session, source) order.
-func (s *Server) sourceHealth() []SessionSourceHealth {
-	var out []SessionSourceHealth
-	for _, name := range s.reg.Names() {
-		sess, err := s.reg.Get(name, false)
-		if err != nil {
-			continue
-		}
-		for _, h := range sess.SourceHealth() {
-			out = append(out, SessionSourceHealth{Session: name, SourceHealth: h})
-		}
-	}
-	return out
-}
-
-// resultStats sums result-cache stats across all sessions.
-func (s *Server) resultStats() CacheStats {
-	var sum CacheStats
-	for _, sess := range s.reg.All() {
-		addStats(&sum, sess.ResultCacheStats())
-	}
-	return sum
-}
-
-// evalStats sums sharded-evaluation counters across all sessions and
-// attaches the effective pool settings.
-func (s *Server) evalStats() EvalSnapshot {
-	eval := EvalSnapshot{Parallelism: s.cfg.EvalParallelism}
-	if eval.Parallelism <= 0 {
-		eval.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	for _, sess := range s.reg.All() {
-		st := sess.ParallelStats()
-		eval.ParallelEvals += st.ParallelEvals
-		eval.SerialEvals += st.SerialEvals
-		eval.Shards += st.Shards
-	}
-	return eval
-}
-
-// extentStats sums the query processors' extent-memo and source-extent
-// cache stats across all sessions.
-func (s *Server) extentStats() (memo, src CacheStats) {
-	var m, sc CacheStats
-	for _, sess := range s.reg.All() {
-		mm, ss := sess.ExtentCacheStats()
-		addStats(&m, mm)
-		addStats(&sc, ss)
-	}
-	return m, sc
-}
-
-func addStats(dst *CacheStats, st CacheStats) {
-	dst.Len += st.Len
-	dst.Capacity += st.Capacity
-	dst.Bytes += st.Bytes
-	dst.MaxBytes += st.MaxBytes
-	dst.Hits += st.Hits
-	dst.Misses += st.Misses
-	dst.Evictions += st.Evictions
-	dst.Invalidations += st.Invalidations
-	dst.Oversize += st.Oversize
-	dst.Purges += st.Purges
-}

@@ -1,18 +1,3 @@
-// Package server exposes the pay-as-you-go intersection-schema
-// workflow as a long-running dataspace service: data sources are
-// registered over HTTP, federated for immediate querying, and
-// incrementally integrated while concurrent clients keep querying any
-// published global schema version.
-//
-// The serving layer adds what a library cannot: a session registry of
-// live integrations, a bounded cache of parsed IQL plans, a per-session
-// result cache keyed by (schema version, normalised query) whose
-// entries are tagged with the dependency closure of their evaluation —
-// an integration iteration evicts only the answers whose schemes it
-// touched, keeping warm answers for untouched schemes live across
-// schema versions — per-request timeouts via context cancellation, and
-// metrics (query counts, latencies, per-cache-layer hit rates, bytes
-// and evictions).
 package server
 
 import (
@@ -23,18 +8,9 @@ import (
 
 	"github.com/dataspace/automed/internal/cache"
 	"github.com/dataspace/automed/internal/core"
-	"github.com/dataspace/automed/internal/iql"
-	"github.com/dataspace/automed/internal/obs"
 	"github.com/dataspace/automed/internal/query"
 	"github.com/dataspace/automed/internal/wrapper"
 )
-
-// plan is a parsed, normalised IQL query; sharing one across
-// evaluations is safe because evaluation never mutates the AST.
-type plan struct {
-	expr iql.Expr
-	norm string // canonical rendering, the result-cache key component
-}
 
 // Session is one live integration: registered sources, then — once
 // federated — an Integrator plus a result cache over its published
@@ -42,8 +18,8 @@ type plan struct {
 // its queries via mu; queries additionally hold the integrator's read
 // lock for their whole evaluation.
 type Session struct {
-	name     string
-	settings SessionSettings
+	name string
+	cfg  Config
 
 	mu       sync.RWMutex
 	wrappers []wrapper.Wrapper
@@ -57,49 +33,14 @@ type Session struct {
 	results *cache.Store[Answer]
 }
 
-// SessionSettings carries the per-session tuning knobs every new (or
-// restored) session's query processor is configured with.
-type SessionSettings struct {
-	// ResultCapacity bounds the result cache's entry count (<= 0
-	// disables the cache).
-	ResultCapacity int
-	// CacheBytes is the byte budget per cache layer (0 = unbounded).
-	CacheBytes int64
-	// MaxSteps bounds IQL evaluation steps per query (0 = unlimited).
-	MaxSteps int
-	// EvalParallelism is the sharded-evaluation worker count: 0 picks
-	// GOMAXPROCS, 1 forces serial evaluation.
-	EvalParallelism int
-	// ScanBuffer is the streaming extent pipeline's row window (0 =
-	// package default, negative disables streaming).
-	ScanBuffer int
-	// Breaker configures the per-source circuit breakers and stale
-	// fallback; the zero value disables the layer.
-	Breaker query.BreakerConfig
-	// MinFederatedSources, when > 0, makes Federate probe each source
-	// and proceed with the reachable subset as long as at least this
-	// many answer; skipped sources backfill later via Probe. 0 keeps
-	// the strict all-sources federation.
-	MinFederatedSources int
-}
-
-// applyTo configures a session's query processor from the settings.
-func (cfg SessionSettings) applyTo(p *query.Processor) {
-	p.MaxSteps = cfg.MaxSteps
-	p.SetCacheBytes(cfg.CacheBytes)
-	p.Parallel = cfg.EvalParallelism
-	p.ScanBuffer = cfg.ScanBuffer
-	p.SetBreaker(cfg.Breaker)
-}
-
-func newSession(name string, cfg SessionSettings) *Session {
+func newSession(name string, cfg Config) *Session {
 	return &Session{
-		name:     name,
-		settings: cfg,
+		name: name,
+		cfg:  cfg,
 		results: cache.New[Answer](cache.Options{
-			MaxEntries: cfg.ResultCapacity,
+			MaxEntries: cfg.ResultCacheSize,
 			MaxBytes:   cfg.CacheBytes,
-			Disabled:   cfg.ResultCapacity <= 0,
+			Disabled:   cfg.ResultCacheSize <= 0,
 		}),
 	}
 }
@@ -109,11 +50,7 @@ func (s *Session) Name() string { return s.name }
 
 // Federated reports whether the session has built its federated schema
 // (and is therefore queryable).
-func (s *Session) Federated() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ig != nil
-}
+func (s *Session) Federated() bool { return s.version() >= 0 }
 
 // Wrapper returns the registered source with the given schema name.
 func (s *Session) Wrapper(name string) (wrapper.Wrapper, bool) {
@@ -158,7 +95,7 @@ func (s *Session) AddSource(w wrapper.Wrapper) error {
 // Federate builds the integrator over the registered sources and
 // publishes the federated schema (version 0). autoDrop elects
 // redundant-object dropping for the global schemas rebuilt after each
-// subsequent iteration. When the session's MinFederatedSources setting
+// subsequent iteration. When the server's MinFederatedSources setting
 // is > 0, sources are probed first and federation proceeds over the
 // reachable subset (at least that many), recording the skipped sources
 // for probe-driven backfill. The session is mutated only if federation
@@ -177,8 +114,8 @@ func (s *Session) Federate(ctx context.Context, name string, autoDrop bool) (*co
 		return nil, err
 	}
 	ig.SetAutoDrop(autoDrop)
-	s.settings.applyTo(ig.Processor())
-	if min := s.settings.MinFederatedSources; min > 0 {
+	s.cfg.configure(ig.Processor())
+	if min := s.cfg.MinFederatedSources; min > 0 {
 		if _, _, err := ig.FederateReachable(ctx, name, min); err != nil {
 			return nil, err
 		}
@@ -245,6 +182,16 @@ func (s *Session) InvalidateExtents() {
 	s.results.Purge()
 }
 
+// version returns the session's current global schema version, or -1
+// before federation.
+func (s *Session) version() int {
+	ig, err := s.integrator()
+	if err != nil {
+		return -1
+	}
+	return ig.GlobalVersion()
+}
+
 // integrator returns the session's integrator, or an error before
 // Federate.
 func (s *Session) integrator() (*core.Integrator, error) {
@@ -293,176 +240,6 @@ func (s *Session) Refine(name string, m core.Mapping, enables ...string) error {
 	return nil
 }
 
-// QueryOutcome reports how a query was answered, for response metadata
-// and cache-behaviour tests.
-type QueryOutcome struct {
-	PlanCached   bool
-	ResultCached bool
-}
-
-// Answer pairs a query result with its response renderings. Both are
-// computed once, when the answer is first evaluated, and cached with
-// it, so a result-cache hit skips the canonical re-rendering (bag
-// sorting included) as well as the re-evaluation.
-type Answer struct {
-	core.Result
-	// JSONValue is the JSON-encodable shape of Result.Value.
-	JSONValue any
-	// Rendered is Result.Value in IQL source syntax.
-	Rendered string
-}
-
-// render fills the answer's response renderings from its result.
-func (a *Answer) render() {
-	a.JSONValue = valueJSON(a.Value)
-	a.Rendered = a.Value.String()
-}
-
-// Query answers an IQL query against the requested schema version
-// (core.CurrentVersion for the latest), consulting the plan cache and
-// — unless noCache — the result cache.
-func (s *Session) Query(ctx context.Context, plans *cache.Store[plan], src string, version int, noCache bool) (Answer, QueryOutcome, error) {
-	ig, err := s.integrator()
-	if err != nil {
-		return Answer{}, QueryOutcome{}, err
-	}
-
-	var out QueryOutcome
-	psp, _ := obs.StartSpan(ctx, obs.StageParse, "")
-	pl, ok := plans.Get(src)
-	if ok {
-		out.PlanCached = true
-		psp.SetCache(obs.CacheHit)
-		psp.End(nil)
-	} else {
-		e, err := iql.Parse(src)
-		psp.SetCache(obs.CacheMiss)
-		psp.End(err)
-		if err != nil {
-			return Answer{}, out, err
-		}
-		pl = plan{expr: e, norm: e.String()}
-		plans.Put(src, pl, planCost(src, pl), nil)
-	}
-
-	ver := version
-	if ver == core.CurrentVersion {
-		ver = ig.GlobalVersion()
-	}
-	key := fmt.Sprintf("%d\x00%s", ver, pl.norm)
-	if !noCache {
-		if ans, ok := s.results.Get(key); ok {
-			out.ResultCached = true
-			if sp, _ := obs.StartSpan(ctx, obs.StageResultCache, ""); sp != nil {
-				sp.SetCache(obs.CacheHit)
-				sp.End(nil)
-			}
-			return ans, out, nil
-		}
-		if sp, _ := obs.StartSpan(ctx, obs.StageResultCache, ""); sp != nil {
-			sp.SetCache(obs.CacheMiss)
-			sp.End(nil)
-		}
-	}
-
-	// Snapshot the invalidation generation before evaluating: if an
-	// iteration's InvalidateDeps lands between our evaluation (under
-	// the integrator's read lock) and the insert below, PutAt discards
-	// the result — it was computed from pre-iteration derivations and
-	// caching it would dodge the invalidation that covered it.
-	gen := s.results.Generation()
-	res, err := ig.QueryExprAt(ctx, version, pl.expr)
-	if err != nil {
-		return Answer{}, out, err
-	}
-	ans := Answer{Result: res}
-	rsp, _ := obs.StartSpan(ctx, obs.StageRender, "")
-	ans.render()
-	rsp.End(nil)
-	if !noCache && res.Version == ver {
-		// res.Version can differ from ver only if an iteration raced
-		// between GlobalVersion and evaluation; skip caching then
-		// rather than file the result under the wrong version.
-		s.results.PutAt(gen, key, ans, resultCost(ans), res.Deps)
-	}
-	return ans, out, nil
-}
-
-// resultCost estimates a cached answer's in-memory size for the result
-// cache's byte budget (the JSON shape is of the same order as the
-// rendering, counted twice to stay conservative).
-func resultCost(a Answer) int64 {
-	n := a.Value.Footprint() + int64(len(a.Schema)) + 64
-	n += 2 * int64(len(a.Rendered))
-	for _, w := range a.Warnings {
-		n += int64(len(w)) + 16
-	}
-	for _, d := range a.Deps {
-		n += int64(len(d)) + 16
-	}
-	return n
-}
-
-// planCost estimates a cached plan's size: the source text it is keyed
-// by plus its normalised rendering (the AST is of the same order).
-func planCost(src string, pl plan) int64 {
-	return int64(len(src) + 2*len(pl.norm) + 64)
-}
-
-// Export captures the session's durable state: the integrator snapshot
-// once federated, otherwise the registered sources. Non-serialisable
-// sources (wrappers without a Snapshot hook) make the session
-// non-exportable and are reported by name.
-func (s *Session) Export() (*sessionState, error) {
-	s.mu.RLock()
-	ig := s.ig
-	ws := append([]wrapper.Wrapper(nil), s.wrappers...)
-	s.mu.RUnlock()
-
-	state := &sessionState{Format: storeFormat, Name: s.name}
-	if ig != nil {
-		snap, err := ig.Export()
-		if err != nil {
-			return nil, fmt.Errorf("server: exporting session %q: %w", s.name, err)
-		}
-		state.Integrator = snap
-		return state, nil
-	}
-	snaps, err := wrapper.SnapshotAll(ws)
-	if err != nil {
-		return nil, fmt.Errorf("server: exporting session %q: %w", s.name, err)
-	}
-	state.Sources = snaps
-	return state, nil
-}
-
-// sessionFromState rebuilds a session from its durable state. The
-// restored session starts cold: every cache layer (results, extent
-// memo, source extents) is empty and warms on demand, so restore never
-// replays stale derived state — the snapshot holds definitions, not
-// materialisations.
-func sessionFromState(state *sessionState, cfg SessionSettings) (*Session, error) {
-	sess := newSession(state.Name, cfg)
-	if state.Integrator != nil {
-		ig, err := core.Import(state.Integrator)
-		if err != nil {
-			return nil, fmt.Errorf("server: restoring session %q: %w", state.Name, err)
-		}
-		cfg.applyTo(ig.Processor())
-		sess.ig = ig
-		sess.wrappers = ig.Sources()
-		return sess, nil
-	}
-	for _, ws := range state.Sources {
-		w, err := wrapper.Restore(ws)
-		if err != nil {
-			return nil, fmt.Errorf("server: restoring session %q: %w", state.Name, err)
-		}
-		sess.wrappers = append(sess.wrappers, w)
-	}
-	return sess, nil
-}
-
 // ResultCacheStats snapshots the session's result cache.
 func (s *Session) ResultCacheStats() CacheStats { return s.results.Stats() }
 
@@ -487,23 +264,17 @@ func (s *Session) ParallelStats() query.ParallelStats {
 	return ig.Processor().ParallelStats()
 }
 
-// PurgeResults empties the session's result cache.
-func (s *Session) PurgeResults() { s.results.Purge() }
-
 // Registry is the named-session table.
 type Registry struct {
 	mu       sync.RWMutex
 	sessions map[string]*Session
-	settings SessionSettings
+	cfg      Config
 }
 
 // NewRegistry returns an empty registry; every session it creates is
-// configured from the given settings.
-func NewRegistry(cfg SessionSettings) *Registry {
-	return &Registry{
-		sessions: make(map[string]*Session),
-		settings: cfg,
-	}
+// configured from cfg.
+func NewRegistry(cfg Config) *Registry {
+	return &Registry{sessions: make(map[string]*Session), cfg: cfg}
 }
 
 // Get returns the named session, creating it when create is set.
@@ -525,7 +296,7 @@ func (r *Registry) Get(name string, create bool) (*Session, error) {
 	if s, ok := r.sessions[name]; ok {
 		return s, nil
 	}
-	s = newSession(name, r.settings)
+	s = newSession(name, r.cfg)
 	r.sessions[name] = s
 	return s, nil
 }
@@ -538,19 +309,7 @@ func (r *Registry) Put(sess *Session) {
 	r.sessions[sess.name] = sess
 }
 
-// Names lists the registered session names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.sessions))
-	for n := range r.sessions {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// All returns every registered session.
+// All returns every registered session, sorted by name.
 func (r *Registry) All() []*Session {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -558,6 +317,7 @@ func (r *Registry) All() []*Session {
 	for _, s := range r.sessions {
 		out = append(out, s)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 

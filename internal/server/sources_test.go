@@ -1,0 +1,122 @@
+package server
+
+import (
+	"encoding/json"
+	"net/http"
+	"strings"
+	"testing"
+
+	"github.com/dataspace/automed/internal/wrapper"
+)
+
+// restoreJSON restores a relational snapshot from its JSON text, with
+// numbers decoded the way the session store reads them (useNumber:
+// int64 cells stay exact) or the way a request body is (float64).
+func restoreJSON(t *testing.T, text string, useNumber bool) (wrapper.Wrapper, error) {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(text))
+	if useNumber {
+		dec.UseNumber()
+	}
+	var snap wrapper.Snapshot
+	if err := dec.Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return wrapper.Restore(&snap)
+}
+
+// extents renders every object of a source with its extent.
+func extents(t *testing.T, w wrapper.Wrapper) string {
+	t.Helper()
+	var b strings.Builder
+	for _, o := range w.Schema().Objects() {
+		v, err := w.Extent(o.Scheme.Parts())
+		if err != nil {
+			t.Fatalf("%s: %v", o.Scheme, err)
+		}
+		b.WriteString(o.Scheme.String() + " = " + v.String() + "\n")
+	}
+	return b.String()
+}
+
+// TestInlineTablesMatchRestoredSnapshot: a source registered through
+// POST /sources "tables" is the source a relational snapshot of the same
+// data restores to — same objects, same extents, same snapshot — with
+// the request shape's conveniences resolved: a "!pk" suffix names the
+// key, no suffix means the first column, no type means string, and a
+// foreign key may point at a table declared later.
+func TestInlineTablesMatchRestoredSnapshot(t *testing.T) {
+	s, c := newTestClient(t, DefaultConfig())
+	c.must("POST", "/sources", json.RawMessage(`{"name": "Lib", "tables": [
+		{"name": "loans", "columns": ["copy:int", "member:int!pk", "days:float", "open:bool"],
+		 "rows": [[7, 1, 2.5, true], [8, 2, 14, false]],
+		 "foreign_keys": [{"column": "copy", "ref_table": "copies"}]},
+		{"name": "copies", "columns": ["id:int", "shelf"],
+		 "rows": [[7, "A"], [8, null]]}
+	]}`), http.StatusCreated)
+	sess, err := s.Sessions().Get("", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, _ := sess.Wrapper("Lib")
+
+	restored, err := restoreJSON(t, `{"kind": "relational", "name": "Lib", "tables": [
+		{"name": "loans", "columns": ["copy:int", "member:int", "days:float", "open:bool"], "primary_key": "member",
+		 "rows": [[7, 1, 2.5, true], [8, 2, 14, false]],
+		 "foreign_keys": [{"column": "copy", "ref_table": "copies"}]},
+		{"name": "copies", "columns": ["id:int", "shelf:string"], "primary_key": "id",
+		 "rows": [[7, "A"], [8, null]]}
+	]}`, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := extents(t, inline), extents(t, restored); got != want {
+		t.Errorf("inline source differs from the restored snapshot:\n inline:\n%s restored:\n%s", got, want)
+	}
+	a, errA := inline.(wrapper.Snapshotter).Snapshot()
+	b, errB := restored.(wrapper.Snapshotter).Snapshot()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	ja, _ := json.Marshal(a)
+	jb, _ := json.Marshal(b)
+	if string(ja) != string(jb) {
+		t.Errorf("snapshots differ:\n inline   %s\n restored %s", ja, jb)
+	}
+}
+
+// TestInlineTablesReportSnapshotCellErrors: a cell of the wrong type is
+// refused with the same error whether it arrives inline or in a
+// snapshot whose numbers were decoded alike, because one decoder reads
+// both.
+func TestInlineTablesReportSnapshotCellErrors(t *testing.T) {
+	_, c := newTestClient(t, DefaultConfig())
+	for _, tc := range []struct{ column, cell string }{
+		{"n:int", "1.5"},
+		{"n:int", `"one"`},
+		{"x:float", "true"},
+		{"b:bool", "1"},
+		{"s", "1"},
+		{"n:integer", "1"},
+	} {
+		typed := tc.column
+		if !strings.Contains(typed, ":") {
+			typed += ":string"
+		}
+		_, want := restoreJSON(t, `{"kind": "relational", "name": "Bad", "tables": [
+			{"name": "t", "columns": ["id:int", "`+typed+`"], "primary_key": "id", "rows": [[1, `+tc.cell+`]]}]}`, false)
+		if want == nil {
+			t.Fatalf("snapshot with %s cell %s restored", tc.column, tc.cell)
+		}
+		status, body := c.do("POST", "/sources", json.RawMessage(`{"name": "Bad", "tables": [
+			{"name": "t", "columns": ["id:int", "`+tc.column+`"], "rows": [[1, `+tc.cell+`]]}]}`))
+		if status != http.StatusBadRequest || body["error"] != want.Error() {
+			t.Errorf("inline %s cell %s = %d %q, want 400 %q", tc.column, tc.cell, status, body["error"], want)
+		}
+	}
+	// A source that cannot be built is refused before its session is
+	// looked up, so the refusals above created no (empty) session.
+	if got := c.must("GET", "/sessions", nil, http.StatusOK)["sessions"].([]any); len(got) != 0 {
+		t.Errorf("refused registrations left sessions behind: %v", got)
+	}
+}

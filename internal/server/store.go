@@ -62,9 +62,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's directory.
-func (st *Store) Dir() string { return st.dir }
-
 // fileName encodes a session name into a safe, collision-free file
 // name: percent-encoding is injective and leaves no path separators,
 // and the "s-" prefix keeps every snapshot distinguishable from the
@@ -152,4 +149,190 @@ func (st *Store) LoadAll() ([]*sessionState, error) {
 		out = append(out, state)
 	}
 	return out, nil
+}
+
+// Export captures the session's durable state: the integrator snapshot
+// once federated, otherwise the registered sources. Non-serialisable
+// sources (wrappers without a Snapshot hook) make the session
+// non-exportable and are reported by name.
+func (s *Session) Export() (*sessionState, error) {
+	s.mu.RLock()
+	ig := s.ig
+	ws := append([]wrapper.Wrapper(nil), s.wrappers...)
+	s.mu.RUnlock()
+
+	state := &sessionState{Format: storeFormat, Name: s.name}
+	if ig != nil {
+		snap, err := ig.Export()
+		if err != nil {
+			return nil, fmt.Errorf("server: exporting session %q: %w", s.name, err)
+		}
+		state.Integrator = snap
+		return state, nil
+	}
+	snaps, err := wrapper.SnapshotAll(ws)
+	if err != nil {
+		return nil, fmt.Errorf("server: exporting session %q: %w", s.name, err)
+	}
+	state.Sources = snaps
+	return state, nil
+}
+
+// sessionFromState rebuilds a session from its durable state. The
+// restored session starts cold: every cache layer (results, extent
+// memo, source extents) is empty and warms on demand, so restore never
+// replays stale derived state — the snapshot holds definitions, not
+// materialisations.
+func sessionFromState(state *sessionState, cfg Config) (*Session, error) {
+	sess := newSession(state.Name, cfg)
+	if state.Integrator != nil {
+		ig, err := core.Import(state.Integrator)
+		if err != nil {
+			return nil, fmt.Errorf("server: restoring session %q: %w", state.Name, err)
+		}
+		cfg.configure(ig.Processor())
+		sess.ig = ig
+		sess.wrappers = ig.Sources()
+		return sess, nil
+	}
+	for _, ws := range state.Sources {
+		w, err := wrapper.Restore(ws)
+		if err != nil {
+			return nil, fmt.Errorf("server: restoring session %q: %w", state.Name, err)
+		}
+		sess.wrappers = append(sess.wrappers, w)
+	}
+	return sess, nil
+}
+
+// OpenStore enables durable sessions: snapshots are written to dir
+// (created if needed), every mutating endpoint autosaves its session,
+// and the explicit snapshot/restore endpoints become available.
+func (s *Server) OpenStore(dir string) error {
+	st, err := NewStore(dir)
+	if err != nil {
+		return err
+	}
+	s.persistMu.Lock()
+	s.store = st
+	s.persistMu.Unlock()
+	return nil
+}
+
+// Store returns the open session store, or nil when persistence is
+// disabled.
+func (s *Server) Store() *Store {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	return s.store
+}
+
+// RestoreSessions loads every session snapshot in the store into the
+// registry (replacing same-named sessions) and returns how many were
+// restored. Call it once at startup, after OpenStore.
+func (s *Server) RestoreSessions() (int, error) {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	if s.store == nil {
+		return 0, errStoreClosed
+	}
+	states, err := s.store.LoadAll()
+	if err != nil {
+		return 0, err
+	}
+	for _, state := range states {
+		if _, err := s.install(state); err != nil {
+			return 0, err
+		}
+	}
+	return len(states), nil
+}
+
+// install rebuilds a session from its durable state and puts it in the
+// registry, replacing a same-named one. The caller holds persistMu.
+func (s *Server) install(state *sessionState) (*Session, error) {
+	sess, err := sessionFromState(state, s.cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.reg.Put(sess)
+	s.metrics.SessionRestore()
+	return sess, nil
+}
+
+// save exports one session and writes it to the store, counting the
+// outcome. The caller holds persistMu and has checked the store is open.
+func (s *Server) save(sess *Session) error {
+	state, err := sess.Export()
+	if err == nil {
+		err = s.store.Save(state)
+	}
+	if err != nil {
+		s.metrics.SnapshotError()
+		return err
+	}
+	s.metrics.SnapshotWritten()
+	return nil
+}
+
+// SnapshotSession forces a durable snapshot of one named session,
+// counting the outcome in metrics and returning the session it
+// exported. It is the programmatic form of POST
+// /sessions/{name}/snapshot.
+func (s *Server) SnapshotSession(name string) (*Session, error) {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	if s.store == nil {
+		return nil, errStoreClosed
+	}
+	sess, err := s.reg.Get(name, false)
+	if err != nil {
+		return nil, err
+	}
+	return sess, s.save(sess)
+}
+
+// restoreSession loads one session from the store and installs it in
+// the registry, all under the persist lock so no concurrent autosave
+// interleaves between the read and the swap.
+func (s *Server) restoreSession(name string) (*Session, error) {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	if s.store == nil {
+		return nil, errStoreClosed
+	}
+	state, err := s.store.Load(name)
+	if err != nil {
+		return nil, err
+	}
+	if state.Name != name {
+		return nil, fmt.Errorf("%w: %s is for session %q, not %q", errBadSnapshot, fileName(name), state.Name, name)
+	}
+	return s.install(state)
+}
+
+// errStoreClosed distinguishes "persistence disabled" from genuine
+// store failures across the snapshot/restore paths.
+var errStoreClosed = fmt.Errorf("server: persistence is not enabled (start with -data-dir)")
+
+// persist autosaves one session if a store is open. The in-memory
+// mutation has already succeeded by the time persist runs, so failures
+// are not surfaced to the client; they are logged and counted in
+// metrics (snapshot_errors), and the previous on-disk snapshot stays
+// intact thanks to the atomic rename.
+func (s *Server) persist(sess *Session) {
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	if s.store == nil {
+		return
+	}
+	// Skip orphaned sessions: if a restore replaced this session after
+	// its mutation, the name now belongs to the restored state and this
+	// session's snapshot must not overwrite it.
+	if cur, err := s.reg.Get(sess.Name(), false); err != nil || cur != sess {
+		return
+	}
+	if err := s.save(sess); err != nil {
+		s.log.Error("autosave failed", "session", sess.Name(), "error", err)
+	}
 }

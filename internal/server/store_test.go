@@ -321,42 +321,3 @@ func TestOrphanedSessionDoesNotAutosave(t *testing.T) {
 		t.Fatalf("snapshot errors: %d", m.SnapshotErrs)
 	}
 }
-
-// TestAutosaveAfterEveryMutation verifies each mutating endpoint
-// leaves a loadable snapshot reflecting the mutation.
-func TestAutosaveAfterEveryMutation(t *testing.T) {
-	dir := t.TempDir()
-	s, c := newDurableClient(t, dir)
-
-	registerBookstore(c, "", 2)
-	state, err := s.Store().Load("default")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state.Integrator != nil || len(state.Sources) != 2 {
-		t.Fatalf("post-sources snapshot: integrator=%v sources=%d", state.Integrator != nil, len(state.Sources))
-	}
-
-	c.must("POST", "/federate", map[string]any{}, http.StatusCreated)
-	if state, err = s.Store().Load("default"); err != nil || state.Integrator == nil || state.Integrator.GlobalVersion != 0 {
-		t.Fatalf("post-federate snapshot: %+v (%v)", state, err)
-	}
-
-	c.must("POST", "/intersect", map[string]any{"name": "I1", "mappings": ubookMappings}, http.StatusCreated)
-	if state, err = s.Store().Load("default"); err != nil || state.Integrator.GlobalVersion != 1 {
-		t.Fatalf("post-intersect snapshot: %+v (%v)", state, err)
-	}
-
-	c.must("POST", "/refine", map[string]any{
-		"name": "prices",
-		"mapping": map[string]any{
-			"target": "<<UBook, price>>",
-			"forward": []map[string]any{
-				{"source": "Shop", "query": "[{'SHOP', k, x} | {k, x} <- <<items, price>>]"},
-			},
-		},
-	}, http.StatusCreated)
-	if state, err = s.Store().Load("default"); err != nil || state.Integrator.GlobalVersion != 2 {
-		t.Fatalf("post-refine snapshot: %+v (%v)", state, err)
-	}
-}

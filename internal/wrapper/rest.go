@@ -20,19 +20,20 @@ import (
 	"github.com/dataspace/automed/internal/obs"
 )
 
-// RESTCollection declares one collection served by a JSON/REST source.
+// RESTCollection declares one collection served by a JSON/REST source;
+// its JSON form is a "collections" entry of the daemon's POST /sources.
 type RESTCollection struct {
 	// Name is the collection (and nodal object) name.
-	Name string
+	Name string `json:"name"`
 	// Key names the field holding each record's identifier; defaults
 	// to "id".
-	Key string
+	Key string `json:"key,omitempty"`
 	// Path is the endpoint-relative path serving the collection as a
 	// JSON array of flat objects; defaults to "/<name>".
-	Path string
+	Path string `json:"path,omitempty"`
 	// Fields lists the record fields to expose as <<c, f>> link
 	// objects. Empty means infer them from one fetch at construction.
-	Fields []string
+	Fields []string `json:"fields,omitempty"`
 }
 
 // RESTConfig configures a JSON/REST data source.
