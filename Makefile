@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race flake bench-smoke bench-check bench-parallel metrics-smoke load-smoke chaos-smoke stream-smoke run fuzz-seeds golden test-wrappers
+.PHONY: ci fmt vet build test race flake bench-smoke bench-check bench-parallel profile metrics-smoke load-smoke chaos-smoke stream-smoke run fuzz-seeds golden test-wrappers
 
 # ci is the full local gate: formatting, static checks (go vet), build,
 # tests under the race detector, a repeat run of the sharded-evaluation
@@ -49,6 +49,20 @@ bench-smoke:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
+# profile is where a performance issue starts: BenchmarkServerTable1
+# (Table 1 Q1-Q7 through the daemon's handler, result cache bypassed —
+# the in-process twin of the benchmark's table1_warm workload) for 3 s a
+# query under the CPU and the allocation profiler, then the cumulative
+# top of each. Test binary and profiles go to the git-ignored
+# .bench_build/.
+profile:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'BenchmarkServerTable1' -benchtime 3s \
+		-o .bench_build/automed.test \
+		-cpuprofile .bench_build/cpu.prof -memprofile .bench_build/mem.prof .
+	$(GO) tool pprof -top -cum -nodecount 30 .bench_build/automed.test .bench_build/cpu.prof
+	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 30 .bench_build/automed.test .bench_build/mem.prof
+
 # bench-parallel is the ci sharded-evaluation gate: on a machine with
 # at least two cores, the sharded Table 1 suite must beat the serial
 # path (the test skips itself on one core, where sharding degrades to
@@ -89,10 +103,10 @@ stream-smoke:
 	$(GO) run ./cmd/streamsmoke
 
 # fuzz-seeds runs every committed fuzz seed (malformed repo snapshots,
-# malformed REST payloads) as plain tests — the CI-safe equivalent of a
-# -fuzztime run.
+# malformed REST payloads, the answer encoder's edge scalars) as plain
+# tests — the CI-safe equivalent of a -fuzztime run.
 fuzz-seeds:
-	$(GO) test -run '^Fuzz' ./internal/repo ./internal/wrapper
+	$(GO) test -run '^Fuzz' ./internal/repo ./internal/wrapper ./internal/server
 
 # golden checks the committed snapshots (full session, and the sql/rest
 # wrapper kinds) still match a fresh export byte for byte and still

@@ -498,6 +498,89 @@ func BenchmarkServerQuery(b *testing.B) {
 	})
 }
 
+// table1Server builds a dataspace server whose default session holds the
+// case-study sources at cfg, federated and integrated by replaying the
+// intersection plan through the session API.
+func table1Server(tb testing.TB, cfg ispider.Config) *server.Server {
+	tb.Helper()
+	pedro, gpmdb, pepseeker, err := ispider.Wrappers(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := server.New(server.DefaultConfig())
+	sess, err := srv.Sessions().Get("default", true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, w := range []Wrapper{pedro, gpmdb, pepseeker} {
+		if err := sess.AddSource(w); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
+		tb.Fatal(err)
+	}
+	for _, st := range ispider.IntersectionPlan() {
+		if st.Kind == "intersect" {
+			_, err = sess.Intersect(st.Name, st.Mappings, st.Enables...)
+		} else {
+			err = sess.Refine(st.Name, st.Refinement, st.Enables...)
+		}
+		if err != nil {
+			tb.Fatalf("step %s: %v", st.Name, err)
+		}
+	}
+	return srv
+}
+
+// discardResponse keeps a response's status and drops its body, so a
+// ServeHTTP call into it holds the daemon's work and no transport's.
+type discardResponse struct {
+	header http.Header
+	status int
+}
+
+func (w *discardResponse) Header() http.Header         { return w.header }
+func (w *discardResponse) WriteHeader(status int)      { w.status = status }
+func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkServerTable1 is the in-`go test` twin of the benchmark's
+// table1_warm workload (bench/README.md): each Table 1 query posted to
+// the daemon's handler in process, result cache bypassed, extents and
+// plan cache warm — evaluation, canonical ordering, encoding and the
+// response write, without a socket. `make profile` profiles it, so a
+// performance issue starts from where the time and the bytes go.
+func BenchmarkServerTable1(b *testing.B) {
+	h := table1Server(b, ispider.BenchConfig()).Handler()
+	for _, q := range ispider.Table1Queries() {
+		body, err := json.Marshal(map[string]any{"query": q.IQL, "no_cache": true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		post := func() {
+			// http.NewRequest, not httptest's: that one parses the request
+			// back out of a 4 KiB bufio.Reader, a tenth of a small
+			// query's allocation.
+			r, err := http.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := &discardResponse{header: make(http.Header)}
+			h.ServeHTTP(w, r)
+			if w.status != http.StatusOK {
+				b.Fatalf("%s: status %d", q.ID, w.status)
+			}
+		}
+		post() // warm the extent memos, join indexes and plan cache
+		b.Run(q.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				post()
+			}
+		})
+	}
+}
+
 // benchServerPost posts JSON to a path and decodes the JSON response.
 func benchServerPost(b *testing.B, ts *httptest.Server, path string, body map[string]any) map[string]any {
 	b.Helper()

@@ -28,9 +28,13 @@ var NoExtents Extents = ExtentsFunc(func(parts []string) (Value, error) {
 
 // Env is a lexically scoped variable environment. Scopes bind very few
 // variables (a generator pattern's worth), so bindings live in parallel
-// inline slices: Bind never allocates a map, Lookup is a short linear
-// scan, and a scope can be reset and reused across the iterations of a
-// generator without reallocating.
+// inline slices: Bind never allocates a map and Lookup is a short
+// linear scan. NewEnv, Child and Bind serve 'let', the top-level
+// environment and callers outside the package. A generator's scope is
+// not built through them: its names are fixed by the pattern when the
+// comprehension is analysed, it is allocated once per plan, and
+// elements are stored into vals by position (see compCtx.enter and
+// slotPat in opt.go).
 type Env struct {
 	names  []string
 	vals   []Value
@@ -67,15 +71,6 @@ func (e *Env) Lookup(name string) (Value, bool) {
 		}
 	}
 	return Value{}, false
-}
-
-// resetBindings drops the scope's bindings but keeps their storage, so
-// the evaluator can reuse one child scope across all iterations of a
-// generator instead of allocating a scope (and its bindings) per
-// element.
-func (e *Env) resetBindings() {
-	e.names = e.names[:0]
-	e.vals = e.vals[:0]
 }
 
 // StepBudget is an evaluation step counter shared by several
@@ -342,33 +337,6 @@ func (ev *Evaluator) evalComp(c *Comp, env *Env) (Value, error) {
 		return Value{}, err
 	}
 	return BagOf(out), nil
-}
-
-// bindPattern attempts to bind a pattern to a value, reporting whether
-// it matched. Arity mismatches on tuple patterns are a non-match rather
-// than an error, so heterogeneous bags can be filtered by shape.
-func bindPattern(p Pattern, v Value, env *Env) (bool, error) {
-	switch pat := p.(type) {
-	case *VarPat:
-		if pat.Name != "_" {
-			env.Bind(pat.Name, v)
-		}
-		return true, nil
-	case *LitPat:
-		return pat.Val.Equal(v), nil
-	case *TuplePat:
-		if v.Kind != KindTuple || len(v.Items) != len(pat.Elems) {
-			return false, nil
-		}
-		for i, sub := range pat.Elems {
-			ok, err := bindPattern(sub, v.Items[i], env)
-			if err != nil || !ok {
-				return ok, err
-			}
-		}
-		return true, nil
-	}
-	return false, fmt.Errorf("iql: unknown pattern %T", p)
 }
 
 func (ev *Evaluator) evalBinary(n *Binary, env *Env) (Value, error) {

@@ -25,8 +25,8 @@ import (
 // are joinable) depends only on the AST, so it is computed once per
 // *Comp node and cached on the Evaluator; nested comprehensions
 // re-entered once per enclosing binding reuse their compCtx — including
-// its qualifier-state slice and probe scratch buffer — instead of
-// re-analysing and re-allocating every time.
+// its qualifier-state slice, its generators' scopes and its probe
+// scratch buffer — instead of re-analysing and re-allocating every time.
 type compCtx struct {
 	ev   *Evaluator
 	comp *Comp
@@ -58,11 +58,93 @@ type qualState struct {
 	joins    []joinCond // indexed equi-join conditions (empty = scan)
 	consumed int        // following filters subsumed by the index
 	joinSpec string     // join-key component positions (index cache key)
+	vars     []string   // the variables the pattern binds, in slot order
+	pat      slotPat    // the pattern with its variables resolved to slots
 
 	// Per-invocation state, cleared by reset().
 	srcSet bool
 	srcVal Value // memoised source value (valid when srcSet)
 	index  *ValueIndex
+
+	// scope is the generator's child scope. It belongs to the plan, not
+	// to an entry of the generator: allocated the first time the
+	// generator is entered, re-parented on every entry (see enter), kept
+	// by reset() and emptied by release().
+	scope *Env
+}
+
+// slotPat is a generator pattern compiled against the layout of the
+// generator's scope: a variable is the position of its binding, so
+// binding an element stores by position and neither compares names nor
+// allocates.
+type slotPat struct {
+	kind  slotPatKind
+	slot  int       // slotVar: index into the scope's bindings
+	lit   *LitPat   // slotLit: the literal to match
+	elems []slotPat // slotTuple: one per component
+}
+
+type slotPatKind uint8
+
+const (
+	slotWild slotPatKind = iota // "_": matches anything, binds nothing
+	slotVar
+	slotLit
+	slotTuple
+)
+
+// compilePattern resolves p's variables to slots, appending each new
+// name to vars. A name repeated within the pattern shares one slot, so
+// the later occurrence wins, as successive Binds would have it.
+func compilePattern(p Pattern, vars *[]string) slotPat {
+	switch pat := p.(type) {
+	case *VarPat:
+		if pat.Name == "_" {
+			return slotPat{kind: slotWild}
+		}
+		for slot, name := range *vars {
+			if name == pat.Name {
+				return slotPat{kind: slotVar, slot: slot}
+			}
+		}
+		*vars = append(*vars, pat.Name)
+		return slotPat{kind: slotVar, slot: len(*vars) - 1}
+	case *LitPat:
+		return slotPat{kind: slotLit, lit: pat}
+	case *TuplePat:
+		elems := make([]slotPat, len(pat.Elems))
+		for i, sub := range pat.Elems {
+			elems[i] = compilePattern(sub, vars)
+		}
+		return slotPat{kind: slotTuple, elems: elems}
+	}
+	panic(fmt.Sprintf("iql: unknown pattern %T", p))
+}
+
+// bind matches v against the pattern, storing variable components into
+// vals, and reports whether it matched. Arity mismatches on tuple
+// patterns are a non-match rather than an error, so heterogeneous bags
+// can be filtered by shape. A non-match may leave earlier components
+// stored; the caller skips the element, so they are never read.
+func (p *slotPat) bind(v Value, vals []Value) bool {
+	switch p.kind {
+	case slotWild:
+		return true
+	case slotVar:
+		vals[p.slot] = v
+		return true
+	case slotLit:
+		return p.lit.Val.Equal(v)
+	}
+	if v.Kind != KindTuple || len(v.Items) != len(p.elems) {
+		return false
+	}
+	for i := range p.elems {
+		if !p.elems[i].bind(v.Items[i], vals) {
+			return false
+		}
+	}
+	return true
 }
 
 // joinCond pairs the tuple component of the generator-bound variable
@@ -105,7 +187,8 @@ func newCompCtx(ev *Evaluator, c *Comp) *compCtx {
 }
 
 // reset clears per-invocation state (memoised sources and join
-// indexes), keeping the static analysis and the allocated slices.
+// indexes), keeping the static analysis, the allocated slices and the
+// generators' scopes.
 func (ctx *compCtx) reset() {
 	for i := range ctx.quals {
 		ctx.quals[i].srcSet = false
@@ -114,8 +197,33 @@ func (ctx *compCtx) reset() {
 	}
 }
 
-// release returns the ctx to its plan cache slot.
-func (ctx *compCtx) release() { ctx.active = false }
+// release returns the ctx to its plan cache slot, emptying the
+// generators' scopes so that a cached plan pins neither extent rows nor
+// the environment it last ran under.
+func (ctx *compCtx) release() {
+	for i := range ctx.quals {
+		if sc := ctx.quals[i].scope; sc != nil {
+			clear(sc.vals)
+			sc.parent = nil
+		}
+	}
+	ctx.active = false
+}
+
+// enter returns generator i's scope nested in env. One scope serves
+// every entry of the generator and every element of each entry: an
+// entry ends before the next begins, the active guard keeps a ctx from
+// being live twice, and nothing retains a scope once run returns (IQL
+// has no closures) — so a join's inner generator, entered once per
+// outer binding, allocates nothing per entry.
+func (ctx *compCtx) enter(i int, env *Env) *Env {
+	qs := &ctx.quals[i]
+	if qs.scope == nil {
+		qs.scope = &Env{names: qs.vars, vals: make([]Value, len(qs.vars))}
+	}
+	qs.scope.parent = env
+	return qs.scope
+}
 
 // analyze marks constant sources and joinable generator/filter runs.
 func (ctx *compCtx) analyze() {
@@ -126,6 +234,7 @@ func (ctx *compCtx) analyze() {
 			continue
 		}
 		qs := &ctx.quals[i]
+		qs.pat = compilePattern(g.Pat, &qs.vars)
 		qs.constSrc = len(FreeVars(g.Src)) == 0
 		if qs.constSrc {
 			for j := i + 1; j < len(ctx.comp.Quals); j++ {
@@ -385,7 +494,7 @@ func (ctx *compCtx) run(i int, env *Env, out *[]Value) error {
 		if rs, ok, err := ctx.stream(i, q); err != nil {
 			return err
 		} else if ok {
-			return ctx.runStream(q, rs, i+1, env, out)
+			return ctx.runStream(i, q, rs, env, out)
 		}
 		els, err := ctx.source(i, q, env)
 		if err != nil {
@@ -415,7 +524,7 @@ func (ctx *compCtx) run(i int, env *Env, out *[]Value) error {
 			// pool in contiguous shards, merged back in shard order
 			// (see parallel.go). Results are byte-identical to the
 			// serial loop below.
-			return ctx.runSharded(q, els, next, env, out)
+			return ctx.runSharded(i, els, next, env, out)
 		}
 		if cap(*out) == 0 && len(els) > 0 {
 			// First growth: trust the generator's cardinality as a size
@@ -426,19 +535,16 @@ func (ctx *compCtx) run(i int, env *Env, out *[]Value) error {
 			}
 			*out = make([]Value, 0, hint)
 		}
-		// One child scope serves every iteration: bindings are reset per
-		// element, and nothing retains the scope once run returns (IQL
-		// has no closures), so per-element scope allocation is avoided.
-		child := env.Child()
+		child := ctx.enter(i, env)
 		ev.genDepth++
 		if joined {
-			if err := ctx.runElement(q, joinedFirst, next, child, out); err != nil {
+			if err := ctx.runElement(i, joinedFirst, next, child, out); err != nil {
 				ev.genDepth--
 				return err
 			}
 		}
 		for _, el := range els {
-			if err := ctx.runElement(q, el, next, child, out); err != nil {
+			if err := ctx.runElement(i, el, next, child, out); err != nil {
 				ev.genDepth--
 				return err
 			}
@@ -489,18 +595,18 @@ func (ctx *compCtx) stream(i int, g *Generator) (RowStream, bool, error) {
 // are byte-identical; only the residency differs. Sharding never
 // applies (the row count is unknown up front), and the stream is
 // always closed, including on early error returns.
-func (ctx *compCtx) runStream(q *Generator, rs RowStream, next int, env *Env, out *[]Value) (err error) {
+func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, env *Env, out *[]Value) (err error) {
 	defer func() {
 		if cerr := rs.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
 	ev := ctx.ev
-	child := env.Child()
+	child := ctx.enter(i, env)
 	ev.genDepth++
 	defer func() { ev.genDepth-- }()
 	for rs.Next() {
-		if err := ctx.runElement(q, rs.Row(), next, child, out); err != nil {
+		if err := ctx.runElement(i, rs.Row(), i+1, child, out); err != nil {
 			return err
 		}
 	}
@@ -510,18 +616,13 @@ func (ctx *compCtx) runStream(q *Generator, rs RowStream, next int, env *Env, ou
 	return nil
 }
 
-// runElement binds one generator element into the reused child scope
-// and continues evaluation from qualifier next.
-func (ctx *compCtx) runElement(q *Generator, el Value, next int, child *Env, out *[]Value) error {
+// runElement binds one element of generator i into the generator's
+// scope and continues evaluation from qualifier next.
+func (ctx *compCtx) runElement(i int, el Value, next int, child *Env, out *[]Value) error {
 	if err := ctx.ev.step(); err != nil {
 		return err
 	}
-	child.resetBindings()
-	ok, err := bindPattern(q.Pat, el, child)
-	if err != nil {
-		return err
-	}
-	if !ok {
+	if !ctx.quals[i].pat.bind(el, child.vals) {
 		return nil // non-matching elements are skipped
 	}
 	return ctx.run(next, child, out)

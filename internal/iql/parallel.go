@@ -25,7 +25,7 @@ import (
 //
 //   - Each worker runs its own Evaluator, so the per-*Comp plan cache
 //     (Evaluator.plans), the compCtx qualifier state, the probe
-//     scratch, and the reused child Env scope are all worker-private.
+//     scratch, and the generators' Env scopes are all worker-private.
 //     No locking on the per-element hot path.
 //   - The enclosing Env chain is shared read-only: the evaluator that
 //     owns it is parked in runSharded until the merge, and IQL has no
@@ -181,7 +181,7 @@ func shardBounds(n, shards, s int) (lo, hi int) {
 // of els across a worker pool, appending head values to out in element
 // order. It is called in place of the serial generator loop (see
 // compCtx.run) and produces identical output.
-func (ctx *compCtx) runSharded(g *Generator, els []Value, next int, env *Env, out *[]Value) error {
+func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *[]Value) error {
 	ev := ctx.ev
 	minRows := ev.MinShardRows
 	if minRows <= 0 {
@@ -238,15 +238,16 @@ func (ctx *compCtx) runSharded(g *Generator, els []Value, next int, env *Env, ou
 				Stats:   ev.Stats,
 			}
 			// One compCtx serves all of this worker's shards: its
-			// memoised constant sources and built join indexes carry
-			// across shards, exactly as one serial invocation would.
+			// memoised constant sources, built join indexes and
+			// generator scopes carry across shards, exactly as one
+			// serial invocation would.
 			wctx := wev.compCtxFor(ctx.comp)
 			wctx.shared = sources
 			defer wctx.release()
 			if flushLocal {
 				defer func() { localSteps.Add(int64(wev.steps)) }()
 			}
-			child := env.Child()
+			child := wctx.enter(i, env)
 			for {
 				select {
 				case <-stop:
@@ -267,7 +268,7 @@ func (ctx *compCtx) runSharded(g *Generator, els []Value, next int, env *Env, ou
 				wev.genDepth++
 				var err error
 				for _, el := range els[lo:hi] {
-					if err = wctx.runElement(g, el, next, child, &shardOut); err != nil {
+					if err = wctx.runElement(i, el, next, child, &shardOut); err != nil {
 						break
 					}
 				}

@@ -1,6 +1,7 @@
 package iql
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -311,4 +312,32 @@ func referenceEval(c *Comp, ext Extents) (Value, error) {
 		return Value{}, err
 	}
 	return BagOf(out), nil
+}
+
+// bindPattern is the reference evaluator's binder: it binds a pattern to
+// a value by name, one Bind per variable, reporting whether it matched.
+// The evaluator proper binds by slot (slotPat in opt.go); the
+// equivalence properties above hold the two together.
+func bindPattern(p Pattern, v Value, env *Env) (bool, error) {
+	switch pat := p.(type) {
+	case *VarPat:
+		if pat.Name != "_" {
+			env.Bind(pat.Name, v)
+		}
+		return true, nil
+	case *LitPat:
+		return pat.Val.Equal(v), nil
+	case *TuplePat:
+		if v.Kind != KindTuple || len(v.Items) != len(pat.Elems) {
+			return false, nil
+		}
+		for i, sub := range pat.Elems {
+			ok, err := bindPattern(sub, v.Items[i], env)
+			if err != nil || !ok {
+				return ok, err
+			}
+		}
+		return true, nil
+	}
+	return false, fmt.Errorf("iql: unknown pattern %T", p)
 }

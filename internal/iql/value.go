@@ -12,9 +12,11 @@
 package iql
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -164,68 +166,94 @@ func (v Value) Len() int {
 // Key returns a canonical encoding of the value such that two values are
 // Equal iff their keys are identical. Bags are canonicalised by sorting
 // element keys, so bags compare as multisets.
-func (v Value) Key() string {
-	var b strings.Builder
-	v.writeKey(&b)
-	return b.String()
-}
+func (v Value) Key() string { return string(v.appendKey(nil)) }
 
-func (v Value) writeKey(b *strings.Builder) {
+// appendKey appends the value's canonical key to dst.
+func (v Value) appendKey(dst []byte) []byte {
 	switch v.Kind {
 	case KindNull:
-		b.WriteString("N")
+		return append(dst, 'N')
 	case KindBool:
 		if v.B {
-			b.WriteString("b1")
-		} else {
-			b.WriteString("b0")
+			return append(dst, "b1"...)
 		}
+		return append(dst, "b0"...)
 	case KindInt:
-		b.WriteString("i")
-		b.WriteString(strconv.FormatInt(v.I, 10))
+		return strconv.AppendInt(append(dst, 'i'), v.I, 10)
 	case KindFloat:
 		// Integral floats compare equal to ints of the same value so
 		// that numeric joins behave as users expect.
 		if v.F == math.Trunc(v.F) && !math.IsInf(v.F, 0) && math.Abs(v.F) < 1e15 {
-			b.WriteString("i")
-			b.WriteString(strconv.FormatInt(int64(v.F), 10))
-			return
+			return strconv.AppendInt(append(dst, 'i'), int64(v.F), 10)
 		}
-		b.WriteString("f")
-		b.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
+		return strconv.AppendFloat(append(dst, 'f'), v.F, 'g', -1, 64)
 	case KindString:
-		b.WriteString("s")
-		b.WriteString(strconv.Itoa(len(v.S)))
-		b.WriteString(":")
-		b.WriteString(v.S)
+		dst = strconv.AppendInt(append(dst, 's'), int64(len(v.S)), 10)
+		return append(append(dst, ':'), v.S...)
 	case KindTuple:
-		b.WriteString("t(")
+		dst = append(dst, "t("...)
 		for i, it := range v.Items {
 			if i > 0 {
-				b.WriteString(",")
+				dst = append(dst, ',')
 			}
-			it.writeKey(b)
+			dst = it.appendKey(dst)
 		}
-		b.WriteString(")")
+		return append(dst, ')')
 	case KindBag:
-		keys := make([]string, len(v.Items))
-		for i, it := range v.Items {
-			keys[i] = it.Key()
-		}
-		sort.Strings(keys)
-		b.WriteString("B[")
-		for i, k := range keys {
+		keys := sortKeys(v.Items)
+		dst = append(dst, "B["...)
+		for i, el := range keys.order {
 			if i > 0 {
-				b.WriteString(",")
+				dst = append(dst, ',')
 			}
-			b.WriteString(k)
+			dst = append(dst, keys.key(el)...)
 		}
-		b.WriteString("]")
+		return append(dst, ']')
 	case KindVoid:
-		b.WriteString("V")
+		return append(dst, 'V')
 	case KindAny:
-		b.WriteString("A")
+		return append(dst, 'A')
 	}
+	return dst
+}
+
+// sortedKeys holds the canonical keys of a run of elements, written
+// back to back into one byte arena, and the elements' canonical order
+// as a permutation of their indexes: the order of the elements' Key()
+// strings under <, elements whose keys tie (5 and 5.0) staying in
+// element order. The arena, the offsets and the permutation are the
+// only allocations, whatever the number of elements.
+type sortedKeys struct {
+	arena []byte
+	off   []int // key i is arena[off[i]:off[i+1]]
+	order []int
+}
+
+func (k *sortedKeys) key(i int) []byte { return k.arena[k.off[i]:k.off[i+1]] }
+
+// keyArenaSample is how many elements' keys are written before the
+// arena is sized for the rest: extents are homogeneous, so the first
+// few keys predict the total well enough that the arena is allocated
+// about once, at about its final size.
+const keyArenaSample = 16
+
+func sortKeys(els []Value) sortedKeys {
+	k := sortedKeys{off: make([]int, len(els)+1), order: make([]int, len(els))}
+	for i, e := range els {
+		if i == keyArenaSample {
+			k.arena = slices.Grow(k.arena, len(k.arena)/keyArenaSample*(len(els)-i)*9/8)
+		}
+		k.arena = e.appendKey(k.arena)
+		k.off[i+1] = len(k.arena)
+		k.order[i] = i
+	}
+	slices.SortFunc(k.order, func(a, b int) int {
+		if c := bytes.Compare(k.key(a), k.key(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return k
 }
 
 // Equal reports whether two values are equal; bags compare as multisets,
@@ -351,87 +379,86 @@ func Distinct(v Value) (Value, error) {
 }
 
 // SortBag returns a bag with elements in canonical key order, for
-// deterministic display. Each element's key is computed exactly once
-// (decorate-sort-undecorate); the comparator never rebuilds keys, so a
-// sort costs O(n) key constructions instead of O(n log n). The sort is
-// stable, so elements whose keys tie (e.g. 5 and 5.0) keep their bag
-// order.
+// deterministic display. Each element's key is written exactly once,
+// into a shared arena, and an index permutation is sorted by comparing
+// key bytes (see sortKeys), so a sort costs O(n) key constructions and
+// a constant number of allocations. Elements whose keys tie (e.g. 5
+// and 5.0) keep their bag order.
 func SortBag(v Value) (Value, error) {
-	els, err := v.Elements()
+	order, err := BagOrder(v)
 	if err != nil {
 		return Value{}, err
 	}
-	type decorated struct {
-		key string
-		val Value
-	}
-	dec := make([]decorated, len(els))
-	for i, e := range els {
-		dec[i] = decorated{key: e.Key(), val: e}
-	}
-	sort.SliceStable(dec, func(i, j int) bool { return dec[i].key < dec[j].key })
-	out := make([]Value, len(els))
-	for i, d := range dec {
-		out[i] = d.val
+	out := make([]Value, len(order))
+	for i, el := range order {
+		out[i] = v.Items[el]
 	}
 	return BagOf(out), nil
 }
 
-// stringEscaper escapes backslashes and quotes in string literals so
-// that rendering is injective and re-parseable.
-var stringEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`)
+// BagOrder returns SortBag's order as a permutation of the bag's element
+// indexes, for a caller that walks the elements in canonical order
+// without needing them copied into a new bag.
+func BagOrder(v Value) ([]int, error) {
+	els, err := v.Elements()
+	if err != nil {
+		return nil, err
+	}
+	return sortKeys(els).order, nil
+}
 
 // String renders the value in IQL source syntax (strings single-quoted,
 // tuples braced, bags bracketed).
-func (v Value) String() string {
-	var b strings.Builder
-	v.write(&b)
-	return b.String()
-}
+func (v Value) String() string { return string(v.AppendString(nil)) }
 
-func (v Value) write(b *strings.Builder) {
+// AppendString appends the value's String rendering to dst. String
+// literals have backslashes and quotes escaped, so that rendering is
+// injective and re-parseable.
+func (v Value) AppendString(dst []byte) []byte {
 	switch v.Kind {
 	case KindNull:
-		b.WriteString("null")
+		return append(dst, "null"...)
 	case KindBool:
 		if v.B {
-			b.WriteString("True")
-		} else {
-			b.WriteString("False")
+			return append(dst, "True"...)
 		}
+		return append(dst, "False"...)
 	case KindInt:
-		b.WriteString(strconv.FormatInt(v.I, 10))
+		return strconv.AppendInt(dst, v.I, 10)
 	case KindFloat:
-		s := strconv.FormatFloat(v.F, 'g', -1, 64)
-		b.WriteString(s)
-		if !strings.ContainsAny(s, ".eE") {
-			b.WriteString(".0")
+		start := len(dst)
+		dst = strconv.AppendFloat(dst, v.F, 'g', -1, 64)
+		if !bytes.ContainsAny(dst[start:], ".eE") {
+			dst = append(dst, ".0"...)
 		}
+		return dst
 	case KindString:
-		b.WriteByte('\'')
-		b.WriteString(stringEscaper.Replace(v.S))
-		b.WriteByte('\'')
+		dst = append(dst, '\'')
+		s := v.S
+		for i := strings.IndexAny(s, `\'`); i >= 0; i = strings.IndexAny(s, `\'`) {
+			dst = append(append(dst, s[:i]...), '\\', s[i])
+			s = s[i+1:]
+		}
+		return append(append(dst, s...), '\'')
 	case KindTuple:
-		b.WriteByte('{')
-		for i, it := range v.Items {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			it.write(b)
-		}
-		b.WriteByte('}')
+		return appendItems(dst, '{', v.Items, '}')
 	case KindBag:
-		b.WriteByte('[')
-		for i, it := range v.Items {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			it.write(b)
-		}
-		b.WriteByte(']')
+		return appendItems(dst, '[', v.Items, ']')
 	case KindVoid:
-		b.WriteString("Void")
+		return append(dst, "Void"...)
 	case KindAny:
-		b.WriteString("Any")
+		return append(dst, "Any"...)
 	}
+	return dst
+}
+
+func appendItems(dst []byte, open byte, items []Value, close byte) []byte {
+	dst = append(dst, open)
+	for i, it := range items {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = it.AppendString(dst)
+	}
+	return append(dst, close)
 }

@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/dataspace/automed/internal/obs"
 )
@@ -37,16 +40,27 @@ func requestID(r *http.Request) string {
 // respBufPool recycles response-encoding buffers across requests.
 var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// encodeJSON appends v and a newline to buf, HTML escaping off.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(v)
+}
+
+// writeBody commits the status and writes an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	// Encode before committing the status so an unencodable value
-	// (e.g. a NaN float loaded from source data) becomes a 500, not a
-	// 200 with a truncated body.
+	// becomes a 500, not a 200 with a truncated body.
 	buf := respBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer respBufPool.Put(buf)
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
+	if err := encodeJSON(buf, v); err != nil {
 		if _, isErr := v.(apiError); !isErr {
 			writeJSON(w, http.StatusInternalServerError,
 				apiError{Error: fmt.Sprintf("server: encoding response: %v", err)})
@@ -55,9 +69,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, `{"error":"server: encoding response failed"}`, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	writeBody(w, status, buf.Bytes())
 }
 
 func writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
@@ -102,7 +114,10 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 
 // errStatus maps workflow errors onto HTTP statuses.
 func errStatus(err error) int {
+	var unencodable *encodingError
 	switch {
+	case errors.As(err, &unencodable):
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -126,4 +141,97 @@ func decode(r *http.Request, v any) error {
 		return fmt.Errorf("server: invalid request body: %w", err)
 	}
 	return nil
+}
+
+// The functions below write JSON strings and numbers byte for byte as
+// encoding/json does with SetEscapeHTML(false), without reflection and
+// without an intermediate value.
+
+// jsonSafePrefix returns the length of the longest prefix of src that a
+// JSON string carries as it is: no quote, backslash or control byte,
+// no invalid UTF-8, no U+2028 or U+2029.
+func jsonSafePrefix[B []byte | string](src B) int {
+	for i := 0; i < len(src); {
+		b := src[i]
+		if b < utf8.RuneSelf {
+			if b < 0x20 || b == '"' || b == '\\' {
+				return i
+			}
+			i++
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(string(src[i:min(i+utf8.UTFMax, len(src))]))
+		if (c == utf8.RuneError && size == 1) || c == '\u2028' || c == '\u2029' {
+			return i
+		}
+		i += size
+	}
+	return len(src)
+}
+
+// appendJSONEscaped appends src as the inside of a JSON string.
+func appendJSONEscaped[B []byte | string](dst []byte, src B) []byte {
+	const hex = "0123456789abcdef"
+	for len(src) > 0 {
+		n := jsonSafePrefix(src)
+		dst = append(dst, src[:n]...)
+		if src = src[n:]; len(src) == 0 {
+			break
+		}
+		size := 1
+		switch b := src[0]; {
+		case b == '"' || b == '\\':
+			dst = append(dst, '\\', b)
+		case b == '\b':
+			dst = append(dst, '\\', 'b')
+		case b == '\f':
+			dst = append(dst, '\\', 'f')
+		case b == '\n':
+			dst = append(dst, '\\', 'n')
+		case b == '\r':
+			dst = append(dst, '\\', 'r')
+		case b == '\t':
+			dst = append(dst, '\\', 't')
+		case b < 0x20:
+			dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+		default:
+			// jsonSafePrefix stops at a multi-byte sequence only for
+			// invalid UTF-8 (one byte) or U+2028/U+2029 (three).
+			var c rune
+			c, size = utf8.DecodeRuneInString(string(src[:min(utf8.UTFMax, len(src))]))
+			if c == utf8.RuneError {
+				dst = append(dst, `\ufffd`...)
+			} else {
+				dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+			}
+		}
+		src = src[size:]
+	}
+	return dst
+}
+
+// appendJSONString appends s as a JSON string.
+func appendJSONString(dst []byte, s string) []byte {
+	return append(appendJSONEscaped(append(dst, '"'), s), '"')
+}
+
+// appendJSONFloat appends f as a JSON number (ES6 number-to-string, as
+// encoding/json); NaN and the infinities are its UnsupportedValueError.
+func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// clean up e-09 to e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
 }

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/dataspace/automed/internal/cache"
@@ -34,10 +37,11 @@ type queryReq struct {
 	RequireFresh bool `json:"require_fresh,omitempty"`
 }
 
+// queryResp holds the members of a query response that follow
+// "session", "value" and "rendered". Those three open the object and
+// are written by writeAnswer: the session name, then the answer's
+// fragment as Session.Query encoded it.
 type queryResp struct {
-	Session      string   `json:"session"`
-	Value        any      `json:"value"`
-	Rendered     string   `json:"rendered"`
 	Warnings     []string `json:"warnings,omitempty"`
 	Version      int      `json:"version"`
 	Schema       string   `json:"schema"`
@@ -145,9 +149,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := queryResp{
-		Session:      sess.Name(),
-		Value:        res.JSONValue,
-		Rendered:     res.Rendered,
 		Warnings:     res.Warnings,
 		Version:      res.Version,
 		Schema:       res.Schema,
@@ -162,7 +163,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Explain {
 		resp.Explain = s.explain(sess, req.Query, res.Version)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, r, sess.Name(), res, resp)
+}
+
+// writeAnswer writes a query response: the session name, the answer's
+// pre-encoded fragment copied as it is, and the remaining members
+// through the envelope's own encoder.
+func writeAnswer(w http.ResponseWriter, r *http.Request, session string, ans Answer, rest queryResp) {
+	buf := respBufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer respBufPool.Put(buf)
+	buf.WriteString(`{"session":`)
+	buf.Write(appendJSONString(buf.AvailableBuffer(), session))
+	buf.WriteByte(',')
+	buf.Write(ans.fragment)
+	// The encoder opens rest's object with a brace; in place, that byte
+	// is the comma after the fragment.
+	comma := buf.Len()
+	if err := encodeJSON(buf, rest); err != nil {
+		writeErr(w, r, http.StatusInternalServerError, &encodingError{err})
+		return
+	}
+	buf.Bytes()[comma] = ','
+	writeBody(w, http.StatusOK, buf.Bytes())
 }
 
 // explain renders the derivation tree (provenance) of every schema
@@ -205,22 +228,62 @@ type QueryOutcome struct {
 	ResultCached bool
 }
 
-// Answer pairs a query result with its response renderings. Both are
-// computed once, when the answer is first evaluated, and cached with
-// it, so a result-cache hit skips the canonical re-rendering (bag
-// sorting included) as well as the re-evaluation.
+// Answer pairs a query result with its encoded response fragment. The
+// fragment is produced once, when the answer is first evaluated, and
+// cached with it, so a result-cache hit skips the canonical ordering
+// of bags and the encoding as well as the re-evaluation: answering it
+// is a copy of the fragment into the response.
 type Answer struct {
 	core.Result
-	// JSONValue is the JSON-encodable shape of Result.Value.
-	JSONValue any
-	// Rendered is Result.Value in IQL source syntax.
-	Rendered string
+	// fragment is the answer's part of the response object, as bytes:
+	//
+	//	"value":<Result.Value as JSON>,"rendered":<Result.Value in IQL source syntax, as a JSON string>
+	fragment []byte
 }
 
-// render fills the answer's response renderings from its result.
-func (a *Answer) render() {
-	a.JSONValue = valueJSON(a.Value)
-	a.Rendered = a.Value.String()
+// encodingError reports an answer that JSON cannot carry (a NaN or
+// infinite float loaded from source data). It is the server's fault
+// rather than the request's, so errStatus maps it to 500.
+type encodingError struct{ err error }
+
+func (e *encodingError) Error() string { return "server: encoding response: " + e.err.Error() }
+func (e *encodingError) Unwrap() error { return e.err }
+
+// fragmentScratch recycles the buffers answers are encoded in. A
+// fragment grows append by append to a length nobody knows beforehand;
+// grown in a recycled buffer and copied out at its exact length, it
+// costs its own size once rather than every size it passed through.
+var fragmentScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// render encodes the answer's response fragment from its result.
+func (a *Answer) render() error {
+	scratch := fragmentScratch.Get().(*[]byte)
+	defer fragmentScratch.Put(scratch)
+	b, err := appendValueJSON(append((*scratch)[:0], `"value":`...), a.Value)
+	if err == nil {
+		b = appendRendered(append(b, `,"rendered":`...), a.Value)
+		a.fragment = append(make([]byte, 0, len(b)), b...)
+	}
+	*scratch = b
+	if err != nil {
+		return &encodingError{err}
+	}
+	return nil
+}
+
+// appendRendered appends v in IQL source syntax as a JSON string. The
+// rendering is written in place and is its own JSON string up to its
+// first byte that needs escaping, which most renderings do not have;
+// only the rest is copied out and escaped.
+func appendRendered(dst []byte, v iql.Value) []byte {
+	dst = append(dst, '"')
+	raw := len(dst)
+	dst = v.AppendString(dst)
+	if safe := raw + jsonSafePrefix(dst[raw:]); safe < len(dst) {
+		rest := append([]byte(nil), dst[safe:]...)
+		dst = appendJSONEscaped(dst[:safe], rest)
+	}
+	return append(dst, '"')
 }
 
 // Query answers an IQL query against the requested schema version
@@ -254,7 +317,7 @@ func (s *Session) Query(ctx context.Context, plans *cache.Store[plan], src strin
 	if ver == core.CurrentVersion {
 		ver = ig.GlobalVersion()
 	}
-	key := fmt.Sprintf("%d\x00%s", ver, pl.norm)
+	key := strconv.Itoa(ver) + "\x00" + pl.norm
 	if !noCache {
 		if ans, ok := s.results.Get(key); ok {
 			out.ResultCached = true
@@ -282,8 +345,12 @@ func (s *Session) Query(ctx context.Context, plans *cache.Store[plan], src strin
 	}
 	ans := Answer{Result: res}
 	rsp, _ := obs.StartSpan(ctx, obs.StageRender, "")
-	ans.render()
-	rsp.End(nil)
+	err = ans.render()
+	rsp.End(err)
+	if err != nil {
+		// Not cached: every hit would fail the same way.
+		return Answer{}, out, err
+	}
 	if !noCache && res.Version == ver {
 		// res.Version can differ from ver only if an iteration raced
 		// between GlobalVersion and evaluation; skip caching then
@@ -293,12 +360,12 @@ func (s *Session) Query(ctx context.Context, plans *cache.Store[plan], src strin
 	return ans, out, nil
 }
 
-// resultCost estimates a cached answer's in-memory size for the result
-// cache's byte budget (the JSON shape is of the same order as the
-// rendering, counted twice to stay conservative).
+// resultCost is a cached answer's in-memory size for the result cache's
+// byte budget: the value's estimated footprint, the encoded fragment's
+// exact length, and the strings beside them.
 func resultCost(a Answer) int64 {
 	n := a.Value.Footprint() + int64(len(a.Schema)) + 64
-	n += 2 * int64(len(a.Rendered))
+	n += int64(len(a.fragment))
 	for _, w := range a.Warnings {
 		n += int64(len(w)) + 16
 	}
@@ -314,43 +381,57 @@ func planCost(src string, pl plan) int64 {
 	return int64(len(src) + 2*len(pl.norm) + 64)
 }
 
-// valueJSON converts an IQL value into a JSON-encodable shape: scalars
-// map to JSON scalars, tuples to {"tuple": [...]}, bags to
-// {"bag": [...]} with elements in canonical order (bags are multisets,
-// so a deterministic order is free to choose and keeps responses
-// stable), Void/Any to {"const": ...}.
-func valueJSON(v iql.Value) any {
+// appendValueJSON appends an IQL value as JSON: scalars map to JSON
+// scalars, tuples to {"tuple": [...]}, bags to {"bag": [...]} with
+// elements in canonical order (bags are multisets, so a deterministic
+// order is free to choose and keeps responses stable), Void/Any to
+// {"const": ...}. The bytes are those encoding/json writes, HTML
+// escaping off, for the same shape built from maps and slices; a NaN or
+// infinite float is encoding/json's UnsupportedValueError.
+func appendValueJSON(dst []byte, v iql.Value) ([]byte, error) {
 	switch v.Kind {
 	case iql.KindNull:
-		return nil
+		return append(dst, "null"...), nil
 	case iql.KindBool:
-		return v.B
+		return strconv.AppendBool(dst, v.B), nil
 	case iql.KindInt:
-		return v.I
+		return strconv.AppendInt(dst, v.I, 10), nil
 	case iql.KindFloat:
-		return v.F
+		return appendJSONFloat(dst, v.F)
 	case iql.KindString:
-		return v.S
+		return appendJSONString(dst, v.S), nil
 	case iql.KindTuple:
-		items := make([]any, len(v.Items))
-		for i, it := range v.Items {
-			items[i] = valueJSON(it)
-		}
-		return map[string]any{"tuple": items}
+		return appendItemsJSON(append(dst, `{"tuple":[`...), v.Items, nil)
 	case iql.KindBag:
-		sorted, err := iql.SortBag(v)
+		order, err := iql.BagOrder(v)
 		if err != nil {
-			sorted = v
+			return dst, err
 		}
-		items := make([]any, len(sorted.Items))
-		for i, it := range sorted.Items {
-			items[i] = valueJSON(it)
-		}
-		return map[string]any{"bag": items}
+		return appendItemsJSON(append(dst, `{"bag":[`...), v.Items, order)
 	case iql.KindVoid:
-		return map[string]any{"const": "Void"}
+		return append(dst, `{"const":"Void"}`...), nil
 	case iql.KindAny:
-		return map[string]any{"const": "Any"}
+		return append(dst, `{"const":"Any"}`...), nil
 	}
-	return v.String()
+	return appendJSONString(dst, v.String()), nil
+}
+
+// appendItemsJSON appends the items, comma-separated, in the given
+// order (nil for the order they are in), and closes the array and the
+// one-member object around it.
+func appendItemsJSON(dst []byte, items []iql.Value, order []int) ([]byte, error) {
+	for i := range items {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		el := i
+		if order != nil {
+			el = order[i]
+		}
+		var err error
+		if dst, err = appendValueJSON(dst, items[el]); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, "]}"...), nil
 }
