@@ -51,17 +51,20 @@ bench-check:
 
 # profile is where a performance issue starts: BenchmarkServerTable1
 # (Table 1 Q1-Q7 through the daemon's handler, result cache bypassed —
-# the in-process twin of the benchmark's table1_warm workload) for 3 s a
-# query under the CPU and the allocation profiler, then the cumulative
-# top of each. Test binary and profiles go to the git-ignored
-# .bench_build/.
+# the in-process twin of the benchmark's table1_warm workload) and
+# BenchmarkServerScan (the twin of scan_large: a paged SQL scan, a paged
+# REST scan, a cold join), each for 3 s a sub-benchmark under the CPU
+# and the allocation profiler, then the cumulative top of each. Test
+# binary and profiles go to the git-ignored .bench_build/.
 profile:
 	mkdir -p .bench_build
-	$(GO) test -run '^$$' -bench 'BenchmarkServerTable1' -benchtime 3s \
-		-o .bench_build/automed.test \
-		-cpuprofile .bench_build/cpu.prof -memprofile .bench_build/mem.prof .
-	$(GO) tool pprof -top -cum -nodecount 30 .bench_build/automed.test .bench_build/cpu.prof
-	$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 30 .bench_build/automed.test .bench_build/mem.prof
+	for b in ServerTable1 ServerScan; do \
+		$(GO) test -run '^$$' -bench "Benchmark$$b" -benchtime 3s \
+			-o .bench_build/automed.test \
+			-cpuprofile .bench_build/cpu.$$b.prof -memprofile .bench_build/mem.$$b.prof . && \
+		$(GO) tool pprof -top -cum -nodecount 30 .bench_build/automed.test .bench_build/cpu.$$b.prof && \
+		$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 30 .bench_build/automed.test .bench_build/mem.$$b.prof || exit 1; \
+	done
 
 # bench-parallel is the ci sharded-evaluation gate: on a machine with
 # at least two cores, the sharded Table 1 suite must beat the serial

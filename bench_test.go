@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -18,8 +19,11 @@ import (
 	"github.com/dataspace/automed/internal/iql"
 	"github.com/dataspace/automed/internal/ispider"
 	"github.com/dataspace/automed/internal/match"
+	"github.com/dataspace/automed/internal/rel"
 	"github.com/dataspace/automed/internal/server"
+	"github.com/dataspace/automed/internal/sqlmem"
 	"github.com/dataspace/automed/internal/transform"
+	"github.com/dataspace/automed/internal/wrapper"
 )
 
 // Benchmark harness for the paper's evaluation artefacts (see
@@ -553,29 +557,150 @@ func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 func BenchmarkServerTable1(b *testing.B) {
 	h := table1Server(b, ispider.BenchConfig()).Handler()
 	for _, q := range ispider.Table1Queries() {
-		body, err := json.Marshal(map[string]any{"query": q.IQL, "no_cache": true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		post := func() {
-			// http.NewRequest, not httptest's: that one parses the request
-			// back out of a 4 KiB bufio.Reader, a tenth of a small
-			// query's allocation.
-			r, err := http.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			w := &discardResponse{header: make(http.Header)}
-			h.ServeHTTP(w, r)
-			if w.status != http.StatusOK {
-				b.Fatalf("%s: status %d", q.ID, w.status)
-			}
-		}
-		post() // warm the extent memos, join indexes and plan cache
+		body := queryBody(b, "default", q.IQL)
+		servePost(b, h, "/query", body) // warm the extent memos, join indexes and plan cache
 		b.Run(q.ID, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				post()
+				servePost(b, h, "/query", body)
+			}
+		})
+	}
+}
+
+// queryBody is a POST /query body for one text, result cache bypassed.
+func queryBody(tb testing.TB, session, text string) []byte {
+	body, err := json.Marshal(map[string]any{"session": session, "query": text, "no_cache": true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// servePost serves one POST in process and fails on any status but 200.
+func servePost(tb testing.TB, h http.Handler, path string, body []byte) {
+	// http.NewRequest, not httptest's: that one parses the request back
+	// out of a 4 KiB bufio.Reader, a tenth of a small query's
+	// allocation.
+	r, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := &discardResponse{header: make(http.Header)}
+	h.ServeHTTP(w, r)
+	if w.status != http.StatusOK {
+		tb.Fatalf("POST %s %s: status %d", path, body, w.status)
+	}
+}
+
+// BenchmarkServerScan is the in-`go test` twin of the benchmark's
+// scan_large workload (bench/README.md), one sub-benchmark per class at
+// the workload's sizes: scan_sql streams a 24 000-row sqlmem table in
+// pages of 4 096, scan_rest a 6 000-record collection in Link-chained
+// pages of 500, and cold_join drops the session's extents and then
+// joins 8 000 SQL rows to 1 000 in-memory ones. Each is count(...) of a
+// comprehension posted to the daemon's handler in process, result cache
+// bypassed. `make profile` profiles it beside BenchmarkServerTable1.
+func BenchmarkServerScan(b *testing.B) {
+	const items, events, page, orders, dims = 24_000, 6_000, 500, 8_000, 1_000
+	sqlSource := func(name string, db *rel.DB) Wrapper {
+		dsn := "bench-scan-" + name
+		sqlmem.Register(dsn, db)
+		b.Cleanup(func() { sqlmem.Unregister(dsn) })
+		w, err := OpenSQL(name, SQLConfig{Driver: sqlmem.DriverName, DSN: dsn})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return w
+	}
+	big := rel.NewDB("Big")
+	bigItems := big.MustCreateTable("items", []rel.Column{
+		{Name: "id", Type: rel.Int}, {Name: "val", Type: rel.Int}, {Name: "label", Type: rel.String}}, "id")
+	for i := 0; i < items; i++ {
+		bigItems.MustInsert(int64(i), int64(i*7919%1000), "L"+strconv.Itoa(i%5000))
+	}
+	shop := rel.NewDB("Shop")
+	shopOrders := shop.MustCreateTable("orders", []rel.Column{
+		{Name: "id", Type: rel.Int}, {Name: "dim", Type: rel.Int}, {Name: "amount", Type: rel.Float}}, "id")
+	for i := 0; i < orders; i++ {
+		shopOrders.MustInsert(int64(i), int64(i*7907%dims), float64(i%97)+0.5)
+	}
+	dimDB := rel.NewDB("Dims")
+	dimTable := dimDB.MustCreateTable("dims", []rel.Column{
+		{Name: "id", Type: rel.Int}, {Name: "region", Type: rel.String}}, "id")
+	for d := 0; d < dims; d++ {
+		dimTable.MustInsert(int64(d), "R"+strconv.Itoa(d*d%7))
+	}
+	dimW, err := wrapper.NewRelational("Dims", dimDB)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	// Pre-encoded pages: the endpoint's own cost is a slice index and a
+	// write, so what is measured is the wrapper's fetch and decode.
+	var pages [][]byte
+	for lo := 0; lo < events; lo += page {
+		var buf bytes.Buffer
+		buf.WriteByte('[')
+		for i := lo; i < lo+page; i++ {
+			if i > lo {
+				buf.WriteByte(',')
+			}
+			fmt.Fprintf(&buf, `{"id":%d,"val":%d,"tag":"T%d"}`, i, i*7919%1000, i%100)
+		}
+		buf.WriteByte(']')
+		pages = append(pages, buf.Bytes())
+	}
+	feed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		p, _ := strconv.Atoi(r.URL.Query().Get("page"))
+		if r.URL.Path != "/events" || p < 0 || p >= len(pages) {
+			http.NotFound(w, r)
+			return
+		}
+		if p+1 < len(pages) {
+			w.Header().Set("Link", fmt.Sprintf(`</events?page=%d>; rel="next"`, p+1))
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(pages[p])
+	}))
+	b.Cleanup(feed.Close)
+	feedW, err := OpenREST("Feed", RESTConfig{Endpoint: feed.URL,
+		Collections: []wrapper.RESTCollection{{Name: "events", Fields: []string{"val", "tag"}}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	srv := server.New(server.DefaultConfig())
+	sess, err := srv.Sessions().Get("scan", true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, w := range []Wrapper{sqlSource("Big", big), feedW, sqlSource("Shop", shop), dimW} {
+		if err := sess.AddSource(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	for _, class := range []struct {
+		name, text string
+		cold       bool
+	}{
+		{"scan_sql", "count([k | {k, v} <- <<big_items, val>>; v < 500])", false},
+		{"scan_rest", "count([k | {k, v} <- <<feed_events, val>>; v < 500])", false},
+		{"cold_join", "count([{o, d} | {o, dk} <- <<shop_orders, dim>>; {d, r} <- <<dims_dims, region>>; d = dk; r = 'R2'])", true},
+	} {
+		body := queryBody(b, "scan", class.text)
+		servePost(b, h, "/query", body)
+		b.Run(class.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if class.cold {
+					servePost(b, h, "/sessions/scan/invalidate", nil)
+				}
+				servePost(b, h, "/query", body)
 			}
 		})
 	}

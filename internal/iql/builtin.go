@@ -16,6 +16,11 @@ func Builtins() []string {
 }
 
 func (ev *Evaluator) evalCall(n *Call, env *Env) (Value, error) {
+	if n.Fn == "count" && len(n.Args) == 1 {
+		if c, ok := n.Args[0].(*Comp); ok {
+			return ev.countComp(c, env)
+		}
+	}
 	args := make([]Value, len(n.Args))
 	for i, a := range n.Args {
 		v, err := ev.eval(a, env)

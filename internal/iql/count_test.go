@@ -1,0 +1,192 @@
+package iql_test
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/iql/iqltest"
+)
+
+// count(comprehension) runs the comprehension into a counting sink
+// instead of building its bag. These tests hold it to the evaluation it
+// replaces: the comprehension evaluated on its own, whose bag has the
+// count as its length and which takes exactly one step less (the one
+// charged for the call).
+
+// countExtents serves <<s>> of mixed values off the iqltest generator,
+// about half of them pairs; <<t>>, a shuffled tenth of them; <<pairs>>
+// of {i, i mod 10}; and <<nums>>, integers but for a string in third
+// place.
+func countExtents(rows int) iql.Extents {
+	r := rand.New(rand.NewSource(15))
+	s := make([]iql.Value, rows)
+	for i := range s {
+		if r.Intn(2) == 0 {
+			s[i] = iql.Tuple(iqltest.Value(r, 1), iql.Int(int64(r.Intn(10))))
+		} else {
+			s[i] = iqltest.Value(r, 2)
+		}
+	}
+	t := make([]iql.Value, rows/10)
+	for i := range t {
+		t[i] = s[r.Intn(rows)]
+	}
+	nums, pairs := make([]iql.Value, rows), make([]iql.Value, rows)
+	for i := range nums {
+		nums[i] = iql.Int(int64(i))
+		pairs[i] = iql.Tuple(nums[i], iql.Int(int64(i%10)))
+	}
+	nums[2] = iql.Str("three")
+	return iql.ExtentsFunc(func(parts []string) (iql.Value, error) {
+		switch strings.Join(parts, ",") {
+		case "s":
+			return iql.BagOf(s), nil
+		case "t":
+			return iql.BagOf(t), nil
+		case "pairs":
+			return iql.BagOf(pairs), nil
+		case "nums":
+			return iql.BagOf(nums), nil
+		}
+		return iql.Value{}, fmt.Errorf("no extent %v", parts)
+	})
+}
+
+// pagedExtents serves every extent as a stream of seven-row pages.
+type pagedExtents struct{ iql.Extents }
+
+func (p pagedExtents) ExtentStream(parts []string) (iql.RowStream, bool, error) {
+	v, err := p.Extent(parts)
+	if err != nil {
+		return nil, false, err
+	}
+	return &pagedStream{rest: v.Items}, true, nil
+}
+
+type pagedStream struct{ page, rest []iql.Value }
+
+func (s *pagedStream) Next() bool {
+	n := min(7, len(s.rest))
+	s.page, s.rest = s.rest[:n], s.rest[n:]
+	return n > 0
+}
+func (s *pagedStream) Page() []iql.Value { return s.page }
+func (s *pagedStream) Err() error        { return nil }
+func (s *pagedStream) Close() error      { s.rest = nil; return nil }
+
+// countComps are comprehensions whose count is worth taking: a plain
+// scan, a pattern that skips what it does not match, filters (one that
+// fails), a head that does work, a join, a nested comprehension under
+// count, and a head that fails on the third row.
+var countComps = []string{
+	"[x | x <- <<s>>]",
+	"[k | {k, v} <- <<s>>]",
+	"[k | {k, v} <- <<pairs>>; v < 5]",
+	"[k | {k, v} <- <<pairs>>; v < 0]",
+	"[{v, k, v + 1} | {k, v} <- <<pairs>>; v > 2]",
+	"[k | {k, v} <- <<s>>; v < 5]", // fails where v is no number
+	"[{x, y} | x <- <<s>>; y <- <<t>>; x = y]",
+	"[count([y | y <- <<t>>; y = x]) | x <- <<s>>]",
+	"[x + 1 | x <- <<nums>>]",
+}
+
+// countModes are the ways a generator is walked.
+var countModes = []struct {
+	name string
+	ev   func(ext iql.Extents) *iql.Evaluator
+}{
+	{"serial", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(ext) }},
+	{"sharded", func(ext iql.Extents) *iql.Evaluator {
+		ev := iql.NewEvaluator(ext)
+		ev.Parallel, ev.MinShardRows = 4, 8
+		return ev
+	}},
+	{"streamed", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(pagedExtents{ext}) }},
+}
+
+func TestCountOfComprehensionMatchesMaterialised(t *testing.T) {
+	ext := countExtents(400)
+	for _, mode := range countModes {
+		for _, comp := range countComps {
+			bagEv := mode.ev(ext)
+			bag, bagErr := bagEv.EvalString(comp)
+			countEv := mode.ev(ext)
+			n, err := countEv.EvalString("count(" + comp + ")")
+			if fmt.Sprint(err) != fmt.Sprint(bagErr) {
+				t.Errorf("%s %s: count fails with %v, the comprehension with %v", mode.name, comp, err, bagErr)
+				continue
+			}
+			// Sharded workers stop on an error wherever they are; the
+			// other two stop at the same step.
+			if got, want := countEv.Steps(), bagEv.Steps()+1; got != want && (err == nil || mode.name != "sharded") {
+				t.Errorf("%s %s: count took %d steps, the comprehension and the call %d", mode.name, comp, got, want)
+			}
+			if err == nil && (n.Kind != iql.KindInt || n.I != int64(bag.Len())) {
+				t.Errorf("%s %s: count = %s, the comprehension has %d elements", mode.name, comp, n, bag.Len())
+			}
+		}
+	}
+}
+
+// TestCountStepBudgetRunsOutAtTheSameStep: under every step limit from
+// none too few to just enough, count(comprehension) and the
+// comprehension (which gets one step less, the call's) agree on whether
+// the limit holds, with the same error when it does not.
+func TestCountStepBudgetRunsOutAtTheSameStep(t *testing.T) {
+	ext := countExtents(100)
+	comp := "[k | {k, v} <- <<pairs>>; v < 5]"
+	free := iql.NewEvaluator(ext)
+	if _, err := free.EvalString("count(" + comp + ")"); err != nil {
+		t.Fatal(err)
+	}
+	total := free.Steps()
+	for _, mode := range countModes {
+		for _, limit := range []int{2, 3, total / 2, total - 1, total} {
+			bagEv := mode.ev(ext)
+			bagEv.MaxSteps = limit - 1
+			_, bagErr := bagEv.EvalString(comp)
+			countEv := mode.ev(ext)
+			countEv.MaxSteps = limit
+			_, err := countEv.EvalString("count(" + comp + ")")
+			if (err == nil) != (limit >= total) {
+				t.Errorf("%s: limit %d of %d steps: count error = %v", mode.name, limit, total, err)
+			}
+			if (err == nil) != (bagErr == nil) {
+				t.Errorf("%s: limit %d: count error = %v, the comprehension's under %d = %v", mode.name, limit, err, limit-1, bagErr)
+			}
+			if err != nil && err.Error() != fmt.Sprintf("iql: evaluation exceeded %d steps", limit) {
+				t.Errorf("%s: limit %d: error = %v", mode.name, limit, err)
+			}
+			if err != nil && mode.name != "sharded" && countEv.Steps() != limit+1 {
+				t.Errorf("%s: limit %d: gave up at step %d", mode.name, limit, countEv.Steps())
+			}
+		}
+	}
+}
+
+// TestCountDoesNotBuildItsBag pins what the fold is for: counting a
+// filtered scan allocates the same whether no row passes the filter or
+// every row does.
+func TestCountDoesNotBuildItsBag(t *testing.T) {
+	rows := make([]iql.Value, 10000)
+	for i := range rows {
+		rows[i] = iql.Tuple(iql.Int(int64(i)), iql.Int(int64(i%100)))
+	}
+	ev := iql.NewEvaluator(iql.ExtentsFunc(func([]string) (iql.Value, error) { return iql.BagOf(rows), nil }))
+	allocs := func(src string, want int64) float64 {
+		e := iql.MustParse(src)
+		return testing.AllocsPerRun(5, func() {
+			if v, err := ev.Eval(e, nil); err != nil || v.I != want {
+				t.Fatalf("%s = %v, %v; want %d", src, v, err, want)
+			}
+		})
+	}
+	none := allocs("count([k | {k, v} <- <<s>>; v < 0])", 0)
+	all := allocs("count([k | {k, v} <- <<s>>; v < 100])", 10000)
+	if none != all {
+		t.Errorf("counting 10000 rows allocates %.0f times when every row passes the filter, %.0f when none does", all, none)
+	}
+}

@@ -330,13 +330,31 @@ func (ev *Evaluator) eval(e Expr, env *Env) (Value, error) {
 // cached per Comp node, so a nested comprehension re-entered once per
 // enclosing binding pays its analysis and allocations once.
 func (ev *Evaluator) evalComp(c *Comp, env *Env) (Value, error) {
-	ctx := ev.compCtxFor(c)
-	defer ctx.release()
-	var out []Value
-	if err := ctx.run(0, env, &out); err != nil {
+	var out sink
+	if err := ev.runComp(c, env, &out); err != nil {
 		return Value{}, err
 	}
-	return BagOf(out), nil
+	return BagOf(out.vals), nil
+}
+
+// countComp is count(c) without c's bag: the comprehension runs into a
+// counting sink. Steps equal the materialising evaluation's, the one
+// eval charges for the comprehension node included.
+func (ev *Evaluator) countComp(c *Comp, env *Env) (Value, error) {
+	if err := ev.step(); err != nil {
+		return Value{}, err
+	}
+	out := sink{count: true}
+	if err := ev.runComp(c, env, &out); err != nil {
+		return Value{}, err
+	}
+	return Int(out.n), nil
+}
+
+func (ev *Evaluator) runComp(c *Comp, env *Env, out *sink) error {
+	ctx := ev.compCtxFor(c)
+	defer ctx.release()
+	return ctx.run(0, env, out)
 }
 
 func (ev *Evaluator) evalBinary(n *Binary, env *Env) (Value, error) {

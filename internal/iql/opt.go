@@ -460,20 +460,39 @@ func (ctx *compCtx) probeKey(i int, env *Env) (Value, error) {
 	return Value{Kind: KindTuple, Items: scratch}, nil
 }
 
+// sink receives a comprehension's head values, one per complete
+// binding: collected into vals, or — under count(comprehension) — only
+// counted, so a bag that would be built to take its length is never
+// built. The head is evaluated either way: its steps, errors and
+// warnings are the query's.
+type sink struct {
+	vals  []Value
+	n     int64
+	count bool
+}
+
+func (s *sink) add(v Value) {
+	if s.count {
+		s.n++
+		return
+	}
+	s.vals = append(s.vals, v)
+}
+
 // outPrealloc caps how far a generator source's length is trusted as a
-// size hint for the output slice.
+// size hint for a collecting sink's slice.
 const outPrealloc = 1024
 
-// run evaluates qualifiers from position i under env, appending head
-// values for complete bindings.
-func (ctx *compCtx) run(i int, env *Env, out *[]Value) error {
+// run evaluates qualifiers from position i under env, handing the sink
+// the head value of every complete binding.
+func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 	ev := ctx.ev
 	if i == len(ctx.comp.Quals) {
 		v, err := ev.eval(ctx.comp.Head, env)
 		if err != nil {
 			return err
 		}
-		*out = append(*out, v)
+		out.add(v)
 		return nil
 	}
 	switch q := ctx.comp.Quals[i].(type) {
@@ -526,14 +545,10 @@ func (ctx *compCtx) run(i int, env *Env, out *[]Value) error {
 			// serial loop below.
 			return ctx.runSharded(i, els, next, env, out)
 		}
-		if cap(*out) == 0 && len(els) > 0 {
+		if !out.count && cap(out.vals) == 0 && len(els) > 0 {
 			// First growth: trust the generator's cardinality as a size
 			// hint so comprehension outputs don't grow append-by-append.
-			hint := len(els)
-			if hint > outPrealloc {
-				hint = outPrealloc
-			}
-			*out = make([]Value, 0, hint)
+			out.vals = make([]Value, 0, min(len(els), outPrealloc))
 		}
 		child := ctx.enter(i, env)
 		ev.genDepth++
@@ -590,12 +605,12 @@ func (ctx *compCtx) stream(i int, g *Generator) (RowStream, bool, error) {
 	return rs, true, nil
 }
 
-// runStream drives one streamed generator: rows are pulled, bound and
-// evaluated exactly as the materialised loop in run does, so results
-// are byte-identical; only the residency differs. Sharding never
-// applies (the row count is unknown up front), and the stream is
+// runStream drives one streamed generator: pages are pulled, and each
+// is walked exactly as the materialised loop in run walks its elements,
+// so results are byte-identical; only the residency differs. Sharding
+// never applies (the row count is unknown up front), and the stream is
 // always closed, including on early error returns.
-func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, env *Env, out *[]Value) (err error) {
+func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, env *Env, out *sink) (err error) {
 	defer func() {
 		if cerr := rs.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -606,8 +621,10 @@ func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, env *Env, out *
 	ev.genDepth++
 	defer func() { ev.genDepth-- }()
 	for rs.Next() {
-		if err := ctx.runElement(i, rs.Row(), i+1, child, out); err != nil {
-			return err
+		for _, el := range rs.Page() {
+			if err := ctx.runElement(i, el, i+1, child, out); err != nil {
+				return err
+			}
 		}
 	}
 	if serr := rs.Err(); serr != nil {
@@ -618,7 +635,7 @@ func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, env *Env, out *
 
 // runElement binds one element of generator i into the generator's
 // scope and continues evaluation from qualifier next.
-func (ctx *compCtx) runElement(i int, el Value, next int, child *Env, out *[]Value) error {
+func (ctx *compCtx) runElement(i int, el Value, next int, child *Env, out *sink) error {
 	if err := ctx.ev.step(); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package iql
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -178,10 +179,11 @@ func shardBounds(n, shards, s int) (lo, hi int) {
 }
 
 // runSharded evaluates the qualifier tail from next for every element
-// of els across a worker pool, appending head values to out in element
-// order. It is called in place of the serial generator loop (see
-// compCtx.run) and produces identical output.
-func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *[]Value) error {
+// of els across a worker pool, handing out the head values in element
+// order (a counting sink gets the sum of its shards' counts). It is
+// called in place of the serial generator loop (see compCtx.run) and
+// produces identical output.
+func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *sink) error {
 	ev := ctx.ev
 	minRows := ev.MinShardRows
 	if minRows <= 0 {
@@ -216,7 +218,7 @@ func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *[]Va
 	locked := &lockedExtents{ext: ext}
 
 	sources := make([]sharedSource, len(ctx.comp.Quals))
-	results := make([][]Value, shards)
+	results := make([]sink, shards)
 	errs := make([]error, shards)
 	shardDur := make([]time.Duration, shards)
 	var nextShard atomic.Int64
@@ -260,11 +262,10 @@ func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *[]Va
 				}
 				lo, hi := shardBounds(len(els), shards, s)
 				shardStart := time.Now()
-				outSize := hi - lo
-				if outSize > outPrealloc {
-					outSize = outPrealloc
+				shardOut := sink{count: out.count}
+				if !out.count {
+					shardOut.vals = make([]Value, 0, min(hi-lo, outPrealloc))
 				}
-				shardOut := make([]Value, 0, outSize)
 				wev.genDepth++
 				var err error
 				for _, el := range els[lo:hi] {
@@ -307,15 +308,12 @@ func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *[]Va
 
 	total := 0
 	for _, r := range results {
-		total += len(r)
+		total += len(r.vals)
+		out.n += r.n
 	}
-	if cap(*out)-len(*out) < total {
-		merged := make([]Value, len(*out), len(*out)+total)
-		copy(merged, *out)
-		*out = merged
-	}
+	out.vals = slices.Grow(out.vals, total)
 	for _, r := range results {
-		*out = append(*out, r...)
+		out.vals = append(out.vals, r.vals...)
 	}
 
 	if ev.Stats != nil {

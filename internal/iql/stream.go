@@ -1,15 +1,17 @@
 package iql
 
-// RowStream is a pull-based extent: Next advances to the next row and
-// reports false at the end or on failure, Row returns the current row
-// after a true Next, Err distinguishes exhaustion from failure, and
-// Close releases whatever the producer holds (it is safe to call at
-// any point, including mid-stream). The evaluator consumes a stream
-// through a comprehension generator, so only the producer's buffering
-// window is resident instead of the whole extent.
+// RowStream is a pull-based extent, handed over a page at a time: Next
+// advances to the next page of rows and reports false at the end or on
+// failure, Page returns that page after a true Next (never empty, and
+// the producer does not touch it again), Err distinguishes exhaustion
+// from failure, and Close releases whatever the producer holds (it is
+// safe to call at any point, including mid-stream). The evaluator
+// consumes a stream through a comprehension generator, walking each
+// page as it walks a materialised extent, so only the producer's
+// buffering window is resident instead of the whole extent.
 type RowStream interface {
 	Next() bool
-	Row() Value
+	Page() []Value
 	Err() error
 	Close() error
 }

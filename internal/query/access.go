@@ -211,28 +211,31 @@ func (p *Processor) fetch(ctx context.Context, src source, sc hdm.Scheme, ck str
 	return v, g.settle(&v, 0, err, false), err
 }
 
-// scan is the paging arm: a spill probe reads one row more than the
-// scan buffer. An extent that ends within the probe is collected,
-// cached and settled exactly like a whole-extent fetch; a larger one is
-// handed over as a pumped sourceStream, which settles the same guard
-// when it terminates or is closed. A scan that fails before the
-// hand-over is dropped without a verdict: the readWhole that follows
-// asks again and its outcome counts. The per-source deadline would cut
-// a long scan, so pages run under the wrapper's own timeout instead.
+// scan is the paging arm: a spill probe collects pages until their rows
+// exceed the scan buffer or the scanner ends. An extent that ends
+// within the probe is cached and settled exactly like a whole-extent
+// fetch; a larger one is handed over as a pumped sourceStream, which
+// settles the same guard when it terminates or is closed. A scan that
+// fails before the hand-over is dropped without a verdict: the
+// readWhole that follows asks again and its outcome counts. The
+// per-source deadline would cut a long scan, so pages run under the
+// wrapper's own timeout instead.
 func (p *Processor) scan(ctx context.Context, src source, sc hdm.Scheme, ck string, br *breaker) (extent, error) {
 	buf := p.effectiveScanBuffer()
 	g, sctx := p.open(ctx, src, sc.Key(), ck, br)
 	sctx, cancel := context.WithCancel(sctx)
 	scn, err := src.scan.ExtentScanner(sctx, sc.Parts())
-	var probe []iql.Value
+	var probe [][]iql.Value
+	rows := 0
 	if err == nil {
-		for len(probe) <= buf && scn.Next(sctx) {
-			probe = append(probe, scn.Row())
+		for rows <= buf && scn.Next(sctx) {
+			probe = append(probe, scn.Page())
+			rows += len(scn.Page())
 		}
-		if len(probe) > buf {
+		if rows > buf {
 			st := &sourceStream{
 				prefix: probe,
-				ch:     make(chan iql.Value, buf),
+				ch:     make(chan []iql.Value, 1),
 				done:   make(chan struct{}),
 				cancel: cancel,
 				scn:    scn,
@@ -249,7 +252,18 @@ func (p *Processor) scan(ctx context.Context, src source, sc hdm.Scheme, ck stri
 		g.settle(nil, 0, err, true)
 		return extent{}, errNoRead
 	}
-	v := iql.BagOf(probe)
+	// What is cached holds no spare capacity: the cache charges the
+	// rows, not the array behind them.
+	var all []iql.Value
+	if len(probe) == 1 && cap(probe[0]) == rows {
+		all = probe[0]
+	} else if rows > 0 {
+		all = make([]iql.Value, 0, rows)
+		for _, page := range probe {
+			all = append(all, page...)
+		}
+	}
+	v := iql.BagOf(all)
 	p.srcExt.Put(ck, v, g.settle(&v, 0, nil, false), []string{sc.Key()})
 	return extent{val: v}, nil
 }

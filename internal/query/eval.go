@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -174,7 +175,7 @@ func (s *session) unfold(r resolution, name string) (iql.Value, error) {
 	// (e.g. a new derivation registered for it) must evict this memo
 	// entry and everything computed on top of it.
 	s.depLog = r.appendDeps(s.depLog)
-	var acc []iql.Value
+	parts := make([][]iql.Value, 0, len(r.derivs))
 	var evalErr error
 	for _, d := range r.derivs {
 		s.scopes = append(s.scopes, d.Scope)
@@ -190,7 +191,7 @@ func (s *session) unfold(r resolution, name string) (iql.Value, error) {
 			evalErr = fmt.Errorf("query: derivation of <<%s>> via %s is not a collection: %w", name, d.Via, err)
 			break
 		}
-		acc = append(acc, els...)
+		parts = append(parts, els)
 		if d.Lower {
 			if iql.IsVoidAnyRange(d.Query) {
 				s.warn(fmt.Sprintf("extent of <<%s>> is unknown via %s (Range Void Any)", name, d.Via))
@@ -202,6 +203,15 @@ func (s *session) unfold(r resolution, name string) (iql.Value, error) {
 	delete(s.onStack, r.key)
 	if evalErr != nil {
 		return iql.Value{}, evalErr
+	}
+	// A single derivation's elements are the extent as they stand — bags
+	// are never modified in place, so a federated object shares its
+	// source object's array instead of copying it on every cold read.
+	var acc []iql.Value
+	if len(parts) == 1 {
+		acc = parts[0]
+	} else {
+		acc = slices.Concat(parts...)
 	}
 	out := iql.BagOf(acc)
 	if !s.cut {

@@ -332,3 +332,36 @@ func TestConcurrentQueries(t *testing.T) {
 type mismatchError struct{}
 
 func (*mismatchError) Error() string { return "wrong count" }
+
+// TestUnfoldSharesASingleDerivation: a virtual object with one
+// derivation — every federated object — is its derivation's elements as
+// they stand, not a copy of them; with several it is their union, sized
+// once.
+func TestUnfoldSharesASingleDerivation(t *testing.T) {
+	rows := iql.Bag(iql.Int(1), iql.Int(2), iql.Int(3))
+	p := New()
+	if err := p.AddSource(staticSource(t, "S", map[string]iql.Value{"<<t>>": rows, "<<u>>": iql.Bag(iql.Int(4))})); err != nil {
+		t.Fatal(err)
+	}
+	p.Define(hdm.MustScheme("<<one>>"), iql.MustParse("<<t>>"), "rename", "S")
+	p.Define(hdm.MustScheme("<<both>>"), iql.MustParse("<<t>>"), "rename", "S")
+	p.Define(hdm.MustScheme("<<both>>"), iql.MustParse("<<u>>"), "rename", "S")
+
+	one, err := p.Extent([]string{"one"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !one.Equal(rows) || &one.Items[0] != &rows.Items[0] {
+		t.Errorf("<<one>> = %s, shares its derivation's array: %v", one, &one.Items[0] == &rows.Items[0])
+	}
+	both, err := p.Extent([]string{"both"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := iql.Bag(iql.Int(1), iql.Int(2), iql.Int(3), iql.Int(4)); both.String() != want.String() {
+		t.Errorf("<<both>> = %s, want %s", both, want)
+	}
+	if !one.Equal(rows) || rows.Len() != 3 {
+		t.Errorf("the union wrote through a shared array: <<one>> = %s, <<t>> = %s", one, rows)
+	}
+}

@@ -10,8 +10,10 @@ import (
 // The streaming side of evaluation. When a generator source resolves —
 // directly or through bare renames — to one object of a paging
 // provider, the session asks read for it in readStream mode and hands
-// the evaluator the RowStream it gets back, so peak memory for a scan
-// over an N-row extent is bounded by the scan buffer, not by N.
+// the evaluator the RowStream it gets back. What moves from the backend
+// to the evaluator is the backend's page, never a row at a time, and a
+// scan over an N-row extent holds at most the scan buffer plus three
+// backend pages, whatever N is (see sourceStream).
 //
 // Everything that relies on whole-extent values keeps its semantics
 // byte-identically by materialising instead (ExtentStream returns
@@ -27,9 +29,9 @@ import (
 type ScanSourcer = wrapper.ScanSourcer
 
 // DefaultScanBufferRows is the streaming pipeline's row window when
-// Processor.ScanBuffer is unset: both the spill threshold below which
-// extents are materialised and cached as before, and the capacity of
-// the prefetching buffer between the scanner and the evaluator.
+// Processor.ScanBuffer is unset: the spill threshold at or below which
+// an extent is materialised and cached as before, and so the most rows
+// a scan holds before the evaluator starts walking them.
 const DefaultScanBufferRows = 4096
 
 // effectiveScanBuffer resolves the configured scan buffer: 0 means
@@ -63,14 +65,19 @@ func (s *session) ExtentStream(parts []string) (iql.RowStream, bool, error) {
 }
 
 // sourceStream is the iql.RowStream the evaluator consumes: the spill
-// probe's rows first, then rows pumped from the scanner through a
-// bounded channel by a prefetch goroutine. At most prefix+channel
-// capacity rows are resident at once.
+// probe's pages first, then pages handed over from the scanner by a
+// prefetch goroutine. Each page is dropped once the evaluator has moved
+// past it. The most is resident when the evaluator starts: the probe —
+// rows up to the scan buffer and the page that crossed it — one page
+// waiting in the channel and one in the pump's hands (being fetched, or
+// fetched and waiting to be sent). Past the probe it is those two and
+// the page the evaluator is walking.
 type sourceStream struct {
-	prefix []iql.Value
-	i      int
-	ch     chan iql.Value
-	cur    iql.Value
+	prefix [][]iql.Value
+	// ch holds one page so the backend's next round trip overlaps the
+	// evaluator's walk of this one; more would only add residency.
+	ch  chan []iql.Value
+	cur []iql.Value
 
 	// ferr is the pump's terminal error; it is written before ch is
 	// closed, and the consumer reads it only after observing the close,
@@ -82,19 +89,19 @@ type sourceStream struct {
 	scn    wrapper.Scanner
 	g      guard // opened by read around the scan; settled on termination or Close
 
-	rows   int64
+	rows   int64 // rows of the pages handed to the evaluator so far
 	err    error
 	closed bool
 }
 
-// pump feeds the scanner's rows into the bounded channel until the
-// scanner ends or the stream is cancelled.
+// pump hands the scanner's pages over until the scanner ends or the
+// stream is cancelled.
 func (st *sourceStream) pump(ctx context.Context) {
 	var ferr error
 loop:
 	for st.scn.Next(ctx) {
 		select {
-		case st.ch <- st.scn.Row():
+		case st.ch <- st.scn.Page():
 		case <-ctx.Done():
 			ferr = ctx.Err()
 			break loop
@@ -112,28 +119,24 @@ func (st *sourceStream) Next() bool {
 	if st.closed || st.err != nil {
 		return false
 	}
-	if st.i < len(st.prefix) {
-		st.cur = st.prefix[st.i]
-		st.i++
-		st.rows++
-		return true
-	}
-	v, ok := <-st.ch
-	if !ok {
+	if len(st.prefix) > 0 {
+		st.cur, st.prefix[0] = st.prefix[0], nil
+		st.prefix = st.prefix[1:]
+	} else if page, ok := <-st.ch; ok {
+		st.cur = page
+	} else {
 		// The pump has exited: release the scanner, settle the outcome.
-		st.err = st.ferr
+		st.cur, st.err = nil, st.ferr
 		st.cancel()
 		st.scn.Close()
 		st.g.settle(nil, st.rows, st.ferr, false)
-		st.prefix = nil
 		return false
 	}
-	st.cur = v
-	st.rows++
+	st.rows += int64(len(st.cur))
 	return true
 }
 
-func (st *sourceStream) Row() iql.Value { return st.cur }
+func (st *sourceStream) Page() []iql.Value { return st.cur }
 
 func (st *sourceStream) Err() error { return st.err }
 
@@ -152,6 +155,6 @@ func (st *sourceStream) Close() error {
 	<-st.done
 	st.scn.Close()
 	st.g.settle(nil, st.rows, nil, true)
-	st.prefix = nil
+	st.prefix, st.cur = nil, nil
 	return nil
 }

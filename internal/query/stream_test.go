@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/obs"
 	"github.com/dataspace/automed/internal/rel"
 	"github.com/dataspace/automed/internal/sqlmem"
 	"github.com/dataspace/automed/internal/wrapper"
@@ -218,5 +221,174 @@ func TestStreamRenameChase(t *testing.T) {
 	}
 	if !p.memo.Peek("computed|v") {
 		t.Error("computed virtual was not memoised; its unfolding should materialise as before")
+	}
+}
+
+// pagedSource is a paging extent provider with a scripted scanner: it
+// serves pages of pageRows rows ({i, i%10} pairs) until rows are out
+// and then, when failAfter is set, fails instead of ending.
+type pagedSource struct {
+	schema    *hdm.Schema
+	rows      int
+	pageRows  int
+	failAfter error
+}
+
+func newPagedSource(rows, pageRows int, failAfter error) *pagedSource {
+	sch := hdm.NewSchema("P")
+	sch.MustAdd(hdm.NewObject(hdm.MustScheme("<<items, v>>"), hdm.Link, "", ""))
+	return &pagedSource{schema: sch, rows: rows, pageRows: pageRows, failAfter: failAfter}
+}
+
+func (s *pagedSource) SchemaName() string   { return "P" }
+func (s *pagedSource) Schema() *hdm.Schema  { return s.schema }
+func (s *pagedSource) StreamingScans() bool { return true }
+
+func (s *pagedSource) Extent(parts []string) (iql.Value, error) {
+	if s.failAfter != nil {
+		return iql.Value{}, s.failAfter
+	}
+	scn := &pagedScanner{s: s}
+	var all []iql.Value
+	for scn.Next(context.Background()) {
+		all = append(all, scn.Page()...)
+	}
+	return iql.BagOf(all), nil
+}
+
+func (s *pagedSource) ExtentScanner(ctx context.Context, parts []string) (wrapper.Scanner, error) {
+	return &pagedScanner{s: s}, nil
+}
+
+type pagedScanner struct {
+	s    *pagedSource
+	at   int
+	page []iql.Value
+	err  error
+	done bool
+}
+
+func (c *pagedScanner) Next(ctx context.Context) bool {
+	c.page = nil
+	if c.done || c.err != nil {
+		return false
+	}
+	if c.err = ctx.Err(); c.err != nil {
+		return false
+	}
+	if c.at >= c.s.rows {
+		c.err, c.done = c.s.failAfter, true
+		return false
+	}
+	for n := min(c.s.pageRows, c.s.rows-c.at); n > 0; n-- {
+		c.page = append(c.page, iql.Tuple(iql.Int(int64(c.at)), iql.Int(int64(c.at%10))))
+		c.at++
+	}
+	return true
+}
+
+func (c *pagedScanner) Page() []iql.Value { return c.page }
+func (c *pagedScanner) Err() error        { return c.err }
+func (c *pagedScanner) Close() error      { c.done = true; return nil }
+
+// fetchSpan returns the trace's fetch span of source P.
+func fetchSpan(t *testing.T, tr *obs.Trace) obs.SpanJSON {
+	t.Helper()
+	for _, sp := range tr.Snapshot().Spans {
+		if sp.Stage == obs.StageFetch && sp.Name == "P" {
+			return sp
+		}
+	}
+	t.Fatal("no fetch span for source P in the trace")
+	return obs.SpanJSON{}
+}
+
+// TestStreamClosedAfterFirstPage: an evaluation that gives up on the
+// first row closes a stream of which the evaluator took one page. The
+// pump — by then holding a page nobody will take — must be gone when
+// Close returns, and the abandoned scan is no verdict on the source.
+func TestStreamClosedAfterFirstPage(t *testing.T) {
+	p := New()
+	p.ScanBuffer = 64
+	p.SetBreaker(BreakerConfig{Enabled: true})
+	if err := p.AddSource(newPagedSource(1000, 100, nil)); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	tr := obs.NewTrace("t", "", "")
+	ctx := obs.WithTrace(context.Background(), tr)
+	_, _, _, err := p.EvalContext(ctx, iql.MustParse(`[x / 0 | {x, v} <- <<items, v>>]`))
+	if err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("error = %v, want the head's division by zero", err)
+	}
+	// The pump's exit is ordered before Close's return, the goroutine's
+	// own end only just after it: give the scheduler a few turns.
+	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the stream was closed, %d before the query", n, before)
+	}
+	if sp := fetchSpan(t, tr); sp.Rows != 100 || sp.Err != "" {
+		t.Errorf("fetch span has rows=%d error=%q, want the one page of 100 rows the evaluator took and no error", sp.Rows, sp.Err)
+	}
+	if h := p.SourceHealth()[0]; h.WindowSize != 0 || h.ConsecutiveFailures != 0 {
+		t.Errorf("an abandoned scan reached the breaker: %+v", h)
+	}
+}
+
+// TestStreamSecondPageFails: a scan that fails after the hand-over
+// surfaces its error through the generator, with the rows delivered
+// until then on the fetch span, and counts against the source.
+func TestStreamSecondPageFails(t *testing.T) {
+	p := New()
+	p.ScanBuffer = 64
+	p.SetBreaker(BreakerConfig{Enabled: true, DisableFallback: true})
+	if err := p.AddSource(newPagedSource(200, 100, errors.New("backend went away"))); err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("t", "", "")
+	ctx := obs.WithTrace(context.Background(), tr)
+	_, _, _, err := p.EvalContext(ctx, iql.MustParse(`count([x | {x, v} <- <<items, v>>])`))
+	if err == nil || !strings.Contains(err.Error(), "backend went away") {
+		t.Fatalf("error = %v, want the scanner's", err)
+	}
+	if sp := fetchSpan(t, tr); sp.Rows != 200 || !strings.Contains(sp.Err, "backend went away") {
+		t.Errorf("fetch span has rows=%d error=%q, want the 200 rows delivered and the scanner's error", sp.Rows, sp.Err)
+	}
+	if h := p.SourceHealth()[0]; h.ConsecutiveFailures != 1 {
+		t.Errorf("the failed scan did not reach the breaker: %+v", h)
+	}
+}
+
+// TestStreamSmallExtentCachedAtItsLength: what the spill probe caches
+// holds no spare capacity — a ten-row table read with a 4 096-row page
+// must not pin the page's array behind an entry the cache charged as
+// ten rows — whether it arrived as one short page or as several.
+func TestStreamSmallExtentCachedAtItsLength(t *testing.T) {
+	for _, pageRows := range []int{0, 4} { // the default page, and three pages of 4, 4 and 2
+		dsn := fmt.Sprintf("stream-exact-%d", pageRows)
+		w := newStreamSQLSource(t, dsn, 10, pageRows)
+		p := New()
+		if err := p.AddSource(w); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := p.Query(`count([x | {x, v} <- <<items, v>>])`); err != nil || v.I != 10 {
+			t.Fatalf("count = %s, %v", v, err)
+		}
+		const ck = "S\x00items|v"
+		cached, ok := p.srcExt.Get(ck)
+		if !ok {
+			t.Fatal("small extent was not materialised into the source-extent cache")
+		}
+		if len(cached.Items) != 10 || cap(cached.Items) != 10 {
+			t.Errorf("page size %d: cached extent has len %d cap %d, want 10 and 10", pageRows, len(cached.Items), cap(cached.Items))
+		}
+		p.lgMu.Lock()
+		kept := p.lastGood[ck].val
+		p.lgMu.Unlock()
+		if cap(kept.Items) != 10 {
+			t.Errorf("page size %d: last-known-good extent has cap %d, want 10", pageRows, cap(kept.Items))
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	neturl "net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -155,11 +156,11 @@ func (w *REST) declared(ctx context.Context, specs []RESTCollection) ([]restColl
 			c.key = "id"
 		}
 		if len(c.fields) == 0 {
-			rows, err := w.fetchRows(ctx, c)
-			if err != nil {
+			d := restDecoder{names: make(map[string]bool)}
+			if _, err := w.fetchRows(ctx, c, &d); err != nil {
 				return nil, fmt.Errorf("wrapper: rest: source %q: inferring fields of %q: %w", w.name, c.name, err)
 			}
-			c.fields = inferFields(rows)
+			c.fields = d.fields()
 		}
 		if !contains(c.fields, c.key) {
 			c.fields = append(c.fields, c.key)
@@ -189,11 +190,11 @@ func (w *REST) discover(ctx context.Context) ([]restColl, error) {
 	sort.Strings(names)
 	out := make([]restColl, 0, len(names))
 	for _, n := range names {
-		rows, err := decodeRESTRows(bytes.NewReader(root[n]), w.cfg.MaxBytes)
-		if err != nil {
+		d := restDecoder{names: make(map[string]bool)}
+		if _, err := d.page(root[n], w.cfg.MaxBytes, nil); err != nil {
 			return nil, fmt.Errorf("wrapper: rest: source %q: collection %q: %w", w.name, n, err)
 		}
-		fields := inferFields(rows)
+		fields := d.fields()
 		key := "id"
 		if !contains(fields, key) {
 			if len(fields) == 0 {
@@ -216,21 +217,6 @@ func normalizePath(path, name string) string {
 		path = "/" + path
 	}
 	return path
-}
-
-func inferFields(rows []map[string]iql.Value) []string {
-	seen := make(map[string]bool)
-	for _, r := range rows {
-		for f := range r {
-			seen[f] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for f := range seen {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (w *REST) buildSchema(colls []restColl) error {
@@ -282,53 +268,18 @@ func (w *REST) ExtentContext(ctx context.Context, parts []string) (iql.Value, er
 	if !ok {
 		return iql.Value{}, fmt.Errorf("wrapper: rest: source %q: no collection %q", w.name, sc.Part(0))
 	}
-	rows, err := w.fetchRows(ctx, c)
+	items, err := w.fetchRows(ctx, c, c.decoder(sc))
 	if err != nil {
+		var ke *restKeyError
+		if errors.As(err, &ke) {
+			return iql.Value{}, ke
+		}
 		if fb, ok := w.fallback[sc.Key()]; ok && ctx.Err() == nil {
 			return fb, nil
 		}
 		return iql.Value{}, fmt.Errorf("wrapper: rest: source %q: fetching %s: %w", w.name, sc, err)
 	}
-	return extentFromRows(sc, c, rows)
-}
-
-// extentFromRows projects fetched records onto one object's extent.
-func extentFromRows(sc hdm.Scheme, c restColl, rows []map[string]iql.Value) (iql.Value, error) {
-	if sc.Arity() > 2 {
-		return iql.Value{}, fmt.Errorf("wrapper: rest: unsupported scheme %s", sc)
-	}
-	items := make([]iql.Value, 0, len(rows))
-	for i, r := range rows {
-		item, ok, err := rowItem(sc, c, r, i)
-		if err != nil {
-			return iql.Value{}, err
-		}
-		if ok {
-			items = append(items, item)
-		}
-	}
 	return iql.BagOf(items), nil
-}
-
-// rowItem projects one fetched record onto an extent item; i is the
-// record's position within the collection, used in error messages. A
-// false return (arity 2 only) means the record has no value for the
-// field: absent/null fields are absent from the extent, like
-// relational NULLs. The materialised and scanner paths share this
-// projection, so scanner rows are byte-identical to extent rows.
-func rowItem(sc hdm.Scheme, c restColl, r map[string]iql.Value, i int) (iql.Value, bool, error) {
-	k, ok := r[c.key]
-	if !ok || k.IsNull() {
-		return iql.Value{}, false, fmt.Errorf("wrapper: rest: collection %q record %d has no key field %q", c.name, i, c.key)
-	}
-	if sc.Arity() == 1 {
-		return k, true, nil
-	}
-	v, ok := r[sc.Part(1)]
-	if !ok || v.IsNull() {
-		return iql.Value{}, false, nil
-	}
-	return iql.Tuple(k, v), true, nil
 }
 
 // restMaxPages bounds how many pages one extent fetch follows; a
@@ -340,14 +291,14 @@ func (w *REST) collURL(c restColl) string {
 	return strings.TrimSuffix(w.cfg.Endpoint, "/") + c.path
 }
 
-// fetchRows GETs a collection and decodes it, following rel="next"
-// Link headers page by page until the chain ends, so the materialised
-// extent is the concatenation of exactly the pages a scanner would
-// stream. Unpaginated endpoints (no Link header) cost one GET, as
-// before.
-func (w *REST) fetchRows(ctx context.Context, c restColl) ([]map[string]iql.Value, error) {
+// fetchRows GETs a collection and decodes it through d, following
+// rel="next" Link headers page by page until the chain ends, so the
+// materialised extent is the concatenation of exactly the pages a
+// scanner would stream. Unpaginated endpoints (no Link header) cost one
+// GET.
+func (w *REST) fetchRows(ctx context.Context, c restColl, d *restDecoder) ([]iql.Value, error) {
 	url := w.collURL(c)
-	rows, next, err := w.fetchPage(ctx, url, c.path)
+	items, next, err := w.fetchPage(ctx, url, c.path, d, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -359,14 +310,12 @@ func (w *REST) fetchRows(ctx context.Context, c restColl) ([]map[string]iql.Valu
 			return nil, fmt.Errorf("GET %s: next link points at itself", url)
 		}
 		url = next
-		var more []map[string]iql.Value
-		more, next, err = w.fetchPage(ctx, url, url)
+		items, next, err = w.fetchPage(ctx, url, url, d, items)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, more...)
 	}
-	return rows, nil
+	return items, nil
 }
 
 // StreamingScans reports that ExtentScanner pages records from the
@@ -387,7 +336,7 @@ func (w *REST) ExtentScanner(ctx context.Context, parts []string) (Scanner, erro
 	if !ok {
 		return nil, fmt.Errorf("wrapper: rest: source %q: no collection %q", w.name, sc.Part(0))
 	}
-	return &restScanner{w: w, sc: sc, c: c, next: w.collURL(c), detail: c.path}, nil
+	return &restScanner{w: w, sc: sc, c: c, d: c.decoder(sc), next: w.collURL(c), detail: c.path}, nil
 }
 
 // restScanner pages one collection's extent through its pagination
@@ -397,45 +346,35 @@ type restScanner struct {
 	w      *REST
 	sc     hdm.Scheme
 	c      restColl
-	next   string // next page URL; "" once the chain ends
+	d      *restDecoder
+	next   string // next page URL; "" once the chain ends or the scanner is closed
 	detail string // trace-span label for the next fetch
 	prev   string // last fetched URL, for the self-link guard
 	pages  int
+	hint   int // rows of the last page
 
-	buf    []iql.Value
-	i      int
-	rec    int // absolute record index across pages, for error parity
-	cur    iql.Value
-	err    error
-	closed bool
+	page []iql.Value
+	err  error
 }
 
 func (s *restScanner) Next(ctx context.Context) bool {
-	if s.closed || s.err != nil {
-		return false
+	// NULL-field skipping can empty a page, so keep following the
+	// chain until rows arrive or it ends.
+	for s.page = nil; len(s.page) == 0; {
+		if s.next == "" || s.err != nil {
+			return false
+		}
+		if s.err = ctx.Err(); s.err != nil {
+			return false
+		}
+		s.err = s.fetchNext(ctx)
 	}
-	for s.i >= len(s.buf) {
-		if s.next == "" {
-			return false
-		}
-		if err := ctx.Err(); err != nil {
-			s.err = err
-			return false
-		}
-		// NULL-field skipping can empty a page, so keep following the
-		// chain until rows arrive or it ends.
-		if err := s.fetchNext(ctx); err != nil {
-			s.err = err
-			return false
-		}
-	}
-	s.cur = s.buf[s.i]
-	s.i++
 	return true
 }
 
 // fetchNext fetches the next page of the chain and projects its
-// records, replacing the buffer.
+// records. Pages of one chain are mostly of one size, so each is
+// allocated at the length of the one before.
 func (s *restScanner) fetchNext(ctx context.Context) error {
 	if s.pages >= restMaxPages {
 		return fmt.Errorf("wrapper: rest: source %q: fetching %s: GET %s: pagination exceeds %d pages",
@@ -446,44 +385,38 @@ func (s *restScanner) fetchNext(ctx context.Context) error {
 			s.w.name, s.sc, s.prev)
 	}
 	url := s.next
-	rows, next, err := s.w.fetchPage(ctx, url, s.detail)
+	items, next, err := s.w.fetchPage(ctx, url, s.detail, s.d, make([]iql.Value, 0, s.hint))
 	if err != nil {
+		var ke *restKeyError
+		if errors.As(err, &ke) {
+			return ke
+		}
 		return fmt.Errorf("wrapper: rest: source %q: fetching %s: %w", s.w.name, s.sc, err)
 	}
 	s.prev, s.next, s.detail = url, next, next
 	s.pages++
-	items := make([]iql.Value, 0, len(rows))
-	for _, r := range rows {
-		item, ok, err := rowItem(s.sc, s.c, r, s.rec)
-		if err != nil {
-			return err
-		}
-		s.rec++
-		if ok {
-			items = append(items, item)
-		}
-	}
-	s.buf, s.i = items, 0
+	s.page, s.hint = items, len(items)
 	return nil
 }
 
-func (s *restScanner) Row() iql.Value { return s.cur }
-func (s *restScanner) Err() error     { return s.err }
+func (s *restScanner) Page() []iql.Value { return s.page }
+func (s *restScanner) Err() error        { return s.err }
 
 func (s *restScanner) Close() error {
-	s.closed = true
-	s.buf = nil
+	s.next, s.page = "", nil
 	return nil
 }
 
-// fetchPage GETs one page and decodes it, retrying exactly once on
-// transport errors, 5xx responses and 429s — after a backoff, so a
-// fleet of concurrent fetches against a struggling endpoint does not
-// immediately re-send every failed request. Other 4xx responses fail
-// immediately: retrying a rejected request cannot help. next is the
-// URL of the following page per the response's Link header, empty on
-// the last page.
-func (w *REST) fetchPage(ctx context.Context, url, detail string) (rows []map[string]iql.Value, next string, err error) {
+// fetchPage GETs one page and appends its records, decoded through d,
+// to items. The GET is retried exactly once on transport errors, 5xx
+// responses and 429s — after a backoff, so a fleet of concurrent
+// fetches against a struggling endpoint does not immediately re-send
+// every failed request. Other 4xx responses fail immediately: retrying
+// a rejected request cannot help. Neither is a malformed payload
+// transient, so it is not downloaded again. next is the URL of the
+// following page per the response's Link header, empty on the last
+// page.
+func (w *REST) fetchPage(ctx context.Context, url, detail string, d *restDecoder, items []iql.Value) (_ []iql.Value, next string, err error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -504,11 +437,8 @@ func (w *REST) fetchPage(ctx context.Context, url, detail string) (rows []map[st
 			}
 			continue
 		}
-		rows, err := decodeRESTRows(bytes.NewReader(data), w.cfg.MaxBytes)
-		if err != nil {
-			return nil, "", err // a malformed payload is not transient; don't re-download it
-		}
-		return rows, next, nil
+		items, err = d.page(data, w.cfg.MaxBytes, items)
+		return items, next, err
 	}
 	return nil, "", fmt.Errorf("after retry: %w", lastErr)
 }
@@ -638,7 +568,15 @@ func (w *REST) getBody(ctx context.Context, url string) ([]byte, string, error) 
 		}
 	}
 	// Read fully inside the request deadline; the +1 detects overflow.
-	data, err := io.ReadAll(io.LimitReader(resp.Body, w.cfg.MaxBytes+1))
+	// A body of declared length is read into a buffer of that size
+	// rather than through ReadAll's doubling one.
+	body := io.LimitReader(resp.Body, w.cfg.MaxBytes+1)
+	var data []byte
+	if n := resp.ContentLength; n >= 0 && n <= w.cfg.MaxBytes {
+		data, err = readSized(body, n+1)
+	} else {
+		data, err = io.ReadAll(body)
+	}
 	if err != nil {
 		return nil, "", err
 	}
@@ -648,6 +586,26 @@ func (w *REST) getBody(ctx context.Context, url string) ([]byte, string, error) 
 	// resp.Request is the final request after redirects, so relative
 	// next links resolve against where the page actually came from.
 	return data, parseNextLink(resp.Header.Get("Link"), resp.Request.URL), nil
+}
+
+// readSized is io.ReadAll into a buffer that starts at size bytes: a
+// body no longer than that costs one allocation, and one that outruns
+// what it declared still grows as ReadAll would.
+func readSized(r io.Reader, size int64) ([]byte, error) {
+	b := make([]byte, 0, size)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // parseNextLink extracts the rel="next" target from a Link header (RFC
@@ -731,7 +689,9 @@ func decodeStrict(r io.Reader, maxBytes int64, v any) error {
 	if br.overflowed() {
 		return fmt.Errorf("response exceeds the %d-byte budget", maxBytes)
 	}
-	if dec.More() {
+	// Only the end of input may follow (More would let a stray closing
+	// bracket pass).
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("trailing data after JSON document")
 	}
 	if br.overflowed() {
@@ -763,55 +723,306 @@ func (b *budgetReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// decodeRESTRows decodes a JSON array of flat objects into records of
-// scalar IQL values. It is the extent decoder of the REST wrapper and
-// is deliberately strict: non-array documents, non-object elements,
-// nested field values, numbers that fit neither int64 nor float64, and
-// trailing garbage are all errors — never panics — so malformed remote
-// payloads fail the fetch cleanly.
-func decodeRESTRows(r io.Reader, maxBytes int64) ([]map[string]iql.Value, error) {
-	var raw []map[string]any
-	if err := decodeStrict(r, maxBytes, &raw); err != nil {
-		return nil, err
-	}
-	rows := make([]map[string]iql.Value, 0, len(raw))
-	for i, obj := range raw {
-		if obj == nil {
-			return nil, fmt.Errorf("record %d is null, not an object", i)
-		}
-		row := make(map[string]iql.Value, len(obj))
-		for f, v := range obj {
-			val, err := scalarValue(v)
-			if err != nil {
-				return nil, fmt.Errorf("record %d field %q: %w", i, f, err)
-			}
-			row[f] = val
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+// restDecoder decodes the pages of one collection: a JSON array of flat
+// records each, walked once from the bytes getBody read to the rows of
+// one object's extent. It is deliberately strict — a document that is
+// not an array, an element that is not an object, a nested field value,
+// a number that fits neither int64 nor float64, trailing data and a
+// page over the byte budget are all errors, never panics, so a
+// malformed remote payload fails the fetch cleanly — and it checks
+// every member of every record, yet builds a value only for the key
+// and the projected field. encoding/json keeps deciding what JSON is
+// (json.Valid runs first, so the walk never meets malformed input);
+// the walk decides what a flat record is.
+type restDecoder struct {
+	coll string // collection name, for the missing-key error
+	key  string // key field
+	pair bool   // project {key, field} tuples rather than keys
+	// field is the projected field of a link object. A record without a
+	// value for it is absent from the extent, like a relational NULL.
+	field string
+	// names, when non-nil, collects every member name met and nothing is
+	// projected: field inference.
+	names map[string]bool
+
+	rec    int // absolute index of the next record, across pages
+	tuples pairs
 }
 
-// scalarValue maps one decoded JSON field value onto an IQL scalar.
-// Integral numbers keep full int64 precision (the decoder uses
-// json.Number); everything else numeric must fit a float64.
-func scalarValue(v any) (iql.Value, error) {
-	switch x := v.(type) {
-	case nil:
-		return iql.Null(), nil
-	case bool:
-		return iql.Bool(x), nil
-	case string:
-		return iql.Str(x), nil
-	case json.Number:
-		if i, err := x.Int64(); err == nil {
+// decoder returns the decoder projecting c's records onto the extent of
+// the object sc names: the keys of <<c>>, the {key, value} pairs of
+// <<c, f>>.
+func (c restColl) decoder(sc hdm.Scheme) *restDecoder {
+	d := &restDecoder{coll: c.name, key: c.key}
+	if sc.Arity() == 2 {
+		d.pair, d.field = true, sc.Part(1)
+	}
+	return d
+}
+
+// fields lists the member names met, sorted.
+func (d *restDecoder) fields() []string {
+	out := make([]string, 0, len(d.names))
+	for f := range d.names {
+		out = append(out, f)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// restKeyError reports a record without its key field. The fetch worked
+// and the collection is at fault, so callers return it as it is: no
+// "fetching" prefix, no stale fallback.
+type restKeyError struct {
+	coll string
+	rec  int
+	key  string
+}
+
+func (e *restKeyError) Error() string {
+	return fmt.Sprintf("wrapper: rest: collection %q record %d has no key field %q", e.coll, e.rec, e.key)
+}
+
+// page appends the projection of every record of one page to items.
+// The budget counts the page's raw bytes, byte for byte what getBody
+// enforces. A null document is a page of no records.
+func (d *restDecoder) page(data []byte, maxBytes int64, items []iql.Value) ([]iql.Value, error) {
+	if int64(len(data)) > maxBytes {
+		return nil, fmt.Errorf("response exceeds the %d-byte budget", maxBytes)
+	}
+	if !json.Valid(data) {
+		// Unmarshal validates before it decodes: this is the standard
+		// library's own syntax error.
+		return nil, json.Unmarshal(data, new(json.RawMessage))
+	}
+	i := skipSpace(data, 0)
+	if data[i] == 'n' {
+		return items, nil
+	}
+	if data[i] != '[' {
+		return nil, fmt.Errorf("document is %s, not an array of records", jsonKind(data[i]))
+	}
+	i = skipSpace(data, i+1)
+	if data[i] == ']' {
+		return items, nil
+	}
+	for n := 0; ; n++ {
+		if data[i] != '{' {
+			return nil, fmt.Errorf("record %d is %s, not an object", n, jsonKind(data[i]))
+		}
+		item, ok, end, err := d.record(data, i, n)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			items = append(items, item)
+		}
+		d.rec++
+		if i = skipSpace(data, end); data[i] == ']' {
+			return items, nil
+		}
+		i = skipSpace(data, i+1) // past the comma
+	}
+}
+
+// record walks the object opening at data[i], record n of its page,
+// and returns its projection and the index after its closing brace.
+// ok=false means the record has no value for the projected field. The
+// last of duplicate members wins, for the projection and for the
+// checks alike, as it does in encoding/json.
+func (d *restDecoder) record(data []byte, i, n int) (item iql.Value, ok bool, end int, err error) {
+	var k, v iql.Value
+	// bad holds the members whose value a flat record cannot have,
+	// until the record ends without a later duplicate replacing them.
+	var bad []restBadMember
+	for i = skipSpace(data, i+1); data[i] != '}'; {
+		nameEnd, plain := stringEnd(data, i)
+		name := data[i+1 : nameEnd-1]
+		if !plain {
+			name = []byte(unquote(data[i:nameEnd]))
+		}
+		isKey, isField := string(name) == d.key, d.pair && string(name) == d.field
+		if d.names != nil && !d.names[string(name)] {
+			d.names[string(name)] = true
+		}
+		i = skipSpace(data, nameEnd)  // at the colon
+		start := skipSpace(data, i+1) // at the value
+		var val iql.Value
+		var verr error
+		switch c := data[start]; c {
+		case '"':
+			var plainVal bool
+			i, plainVal = stringEnd(data, start)
+			if isKey || isField {
+				if plainVal {
+					val = iql.Str(string(data[start+1 : i-1]))
+				} else {
+					val = iql.Str(unquote(data[start:i]))
+				}
+			}
+		case '{', '[':
+			i = nestedEnd(data, start)
+			verr = fmt.Errorf("unsupported JSON %s (records must be flat)", jsonKind(c))
+		case 't':
+			i, val = start+len("true"), iql.Bool(true)
+		case 'f':
+			i, val = start+len("false"), iql.Bool(false)
+		case 'n':
+			i = start + len("null")
+		default:
+			i = numberEnd(data, start)
+			val, verr = numberValue(data[start:i], isKey || isField)
+		}
+		if verr != nil || len(bad) > 0 {
+			bad = noteMember(bad, string(name), verr)
+		}
+		if isKey {
+			k = val
+		}
+		if isField {
+			v = val
+		}
+		if i = skipSpace(data, i); data[i] == ',' {
+			i = skipSpace(data, i+1)
+		}
+	}
+	end = i + 1
+	if len(bad) > 0 {
+		return iql.Value{}, false, end, fmt.Errorf("record %d field %q: %w", n, bad[0].name, bad[0].err)
+	}
+	switch {
+	case d.names != nil:
+		return iql.Value{}, false, end, nil
+	case k.IsNull():
+		return iql.Value{}, false, end, &restKeyError{coll: d.coll, rec: d.rec, key: d.key}
+	case !d.pair:
+		return k, true, end, nil
+	case v.IsNull():
+		return iql.Value{}, false, end, nil
+	}
+	return d.tuples.tuple(k, v), true, end, nil
+}
+
+// restBadMember is a member a flat record cannot have, by its decoded
+// name.
+type restBadMember struct {
+	name string
+	err  error
+}
+
+// noteMember records the member just walked in a record that has bad
+// members: a bad one (err non-nil) joins the list, and either kind
+// replaces an earlier member of the same name.
+func noteMember(bad []restBadMember, name string, err error) []restBadMember {
+	bad = slices.DeleteFunc(bad, func(b restBadMember) bool { return b.name == name })
+	if err != nil {
+		bad = append(bad, restBadMember{name: name, err: err})
+	}
+	return bad
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace. In a valid document one always follows wherever
+// the walk asks.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\n' || data[i] == '\t' || data[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// stringEnd returns the index after the string literal opening at
+// data[i]. plain reports that the literal has no escape and no byte
+// beyond ASCII: its value is the bytes between the quotes.
+func stringEnd(data []byte, i int) (end int, plain bool) {
+	plain = true
+	for i++; data[i] != '"'; i++ {
+		if data[i] == '\\' {
+			plain = false
+			i++
+		} else if data[i] >= 0x80 {
+			plain = false
+		}
+	}
+	return i + 1, plain
+}
+
+// unquote decodes a string literal with escapes or bytes beyond ASCII
+// as encoding/json does, so invalid UTF-8 and lone surrogates become
+// U+FFFD exactly as they would there.
+func unquote(lit []byte) string {
+	var s string
+	_ = json.Unmarshal(lit, &s) // lit is a string literal of a valid document
+	return s
+}
+
+// nestedEnd returns the index after the array or object opening at
+// data[i].
+func nestedEnd(data []byte, i int) int {
+	for depth := 0; ; i++ {
+		switch data[i] {
+		case '"':
+			i, _ = stringEnd(data, i)
+			i--
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+}
+
+// numberEnd returns the index after the number literal starting at
+// data[i].
+func numberEnd(data []byte, i int) int {
+	for i < len(data) {
+		switch c := data[i]; {
+		case c >= '0' && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
+			i++
+		default:
+			return i
+		}
+	}
+	return i
+}
+
+// numberValue maps a number literal onto an IQL scalar: an integral
+// literal keeps full int64 precision, everything else must fit a
+// float64 (ParseInt, then ParseFloat, as json.Number's Int64 and
+// Float64 would). When the value is not wanted only the check is made,
+// and a literal that cannot overflow a float64 — no exponent, fewer
+// digits than the largest float64 has — is not even parsed.
+func numberValue(lit []byte, wanted bool) (iql.Value, error) {
+	if !wanted && len(lit) < 300 && bytes.IndexAny(lit, "eE") < 0 {
+		return iql.Value{}, nil
+	}
+	if bytes.IndexAny(lit, ".eE") < 0 {
+		if i, err := strconv.ParseInt(string(lit), 10, 64); err == nil {
 			return iql.Int(i), nil
 		}
-		f, err := x.Float64()
-		if err != nil {
-			return iql.Value{}, fmt.Errorf("number %q fits neither int64 nor float64", x.String())
-		}
-		return iql.Float(f), nil
 	}
-	return iql.Value{}, fmt.Errorf("unsupported JSON value of type %T (records must be flat)", v)
+	f, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		return iql.Value{}, fmt.Errorf("number %q fits neither int64 nor float64", lit)
+	}
+	return iql.Float(f), nil
+}
+
+// jsonKind names the kind of JSON value starting with byte c.
+func jsonKind(c byte) string {
+	switch c {
+	case '{':
+		return "an object"
+	case '[':
+		return "an array"
+	case '"':
+		return "a string"
+	case 't', 'f':
+		return "a boolean"
+	case 'n':
+		return "null"
+	}
+	return "a number"
 }

@@ -7,23 +7,27 @@ import (
 	"github.com/dataspace/automed/internal/iql"
 )
 
-// Scanner streams one object's extent row by row. It is the pull-based
+// Scanner streams one object's extent page by page. It is the pull-based
 // alternative to Wrapper.Extent: callers drive the iteration, so only a
 // bounded window of the extent is resident at a time, which is what
 // lets one daemon host million-row remote tables with flat memory.
 //
-// The protocol follows database/sql.Rows: Next advances to the next row
-// (fetching more data from the backend as needed) and reports false at
-// the end of the extent or on error; Row returns the current row after
-// a true Next; Err distinguishes exhaustion from failure after Next
-// returns false; Close releases backend resources and is safe to call
-// at any point, including mid-stream. Next observes ctx, so a cancelled
-// request abandons the remaining pages instead of draining them.
+// The unit of the protocol is the backend's page, not the row: Next
+// advances to the next non-empty page (one round trip to the backend,
+// more when a page decodes to no rows) and reports false at the end of
+// the extent or on error; Page returns that page's rows after a true
+// Next. The slice is the caller's to keep: the scanner never writes to
+// it again, so handing a page on costs nothing per row. Err
+// distinguishes exhaustion from failure after Next returns false; Close
+// releases backend resources and is safe to call at any point,
+// including mid-stream, after which Next is false. Next observes ctx,
+// so a cancelled request abandons the remaining pages instead of
+// draining them.
 //
 // A Scanner is single-use and not safe for concurrent use.
 type Scanner interface {
 	Next(ctx context.Context) bool
-	Row() iql.Value
+	Page() []iql.Value
 	Err() error
 	Close() error
 }
@@ -32,20 +36,18 @@ type Scanner interface {
 // returns a Scanner over the extent of the object referenced by parts.
 // Every wrapper in this package implements it; wrappers over remote
 // backends (SQL, REST) stream pages from the wire, while local wrappers
-// adapt their materialised extents. The scanner yields exactly the rows
-// Extent would return, in the same order — the conformance suite
-// enforces this byte-for-byte.
+// serve their materialised extents as one page. The pages concatenate
+// to exactly the rows Extent would return, in the same order — the
+// conformance suite enforces this byte-for-byte.
 type ScanSourcer interface {
 	ExtentScanner(ctx context.Context, parts []string) (Scanner, error)
 }
 
-// sliceScanner adapts a materialised extent to the Scanner interface.
+// sliceScanner serves a materialised extent as its single page.
 type sliceScanner struct {
 	items  []iql.Value
-	i      int
-	cur    iql.Value
+	served bool
 	err    error
-	closed bool
 }
 
 // NewSliceScanner returns a Scanner over an already-materialised row
@@ -57,24 +59,44 @@ func NewSliceScanner(items []iql.Value) Scanner {
 }
 
 func (s *sliceScanner) Next(ctx context.Context) bool {
-	if s.closed || s.err != nil || s.i >= len(s.items) {
+	if s.served || s.err != nil || len(s.items) == 0 {
 		return false
 	}
-	if err := ctx.Err(); err != nil {
-		s.err = err
+	if s.err = ctx.Err(); s.err != nil {
 		return false
 	}
-	s.cur = s.items[s.i]
-	s.i++
+	s.served = true
 	return true
 }
 
-func (s *sliceScanner) Row() iql.Value { return s.cur }
-func (s *sliceScanner) Err() error     { return s.err }
+func (s *sliceScanner) Page() []iql.Value { return s.items }
+func (s *sliceScanner) Err() error        { return s.err }
 func (s *sliceScanner) Close() error {
-	s.closed = true
-	s.items = nil
+	s.served, s.items = true, nil
 	return nil
+}
+
+// pairChunkRows bounds how many {key, value} tuples share one backing
+// array: large enough that a page costs a handful of allocations, small
+// enough that one retained row pins kilobytes, not a page.
+const pairChunkRows = 128
+
+// pairs builds the {key, value} tuples of a link object's extent, their
+// cells carved out of shared backing arrays instead of one two-element
+// slice per row. Chunks start small and double up to pairChunkRows, so
+// a ten-row extent does not pin a full chunk either.
+type pairs struct {
+	cells []iql.Value
+}
+
+func (p *pairs) tuple(k, v iql.Value) iql.Value {
+	n := len(p.cells)
+	if n+2 > cap(p.cells) {
+		p.cells = make([]iql.Value, 0, min(max(2*cap(p.cells), 16), 2*pairChunkRows))
+		n = 0
+	}
+	p.cells = append(p.cells, k, v)
+	return iql.Tuple(p.cells[n : n+2 : n+2]...)
 }
 
 // materialisedScanner serves a wrapper's extent through the Scanner

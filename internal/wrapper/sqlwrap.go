@@ -277,63 +277,48 @@ type sqlScanner struct {
 	pageRows int
 
 	offset int         // raw rows consumed so far (NULL-skipped rows included)
-	buf    []iql.Value // current page, NULL rows already dropped
-	i      int
-	cur    iql.Value
+	page   []iql.Value // current page, NULL rows already dropped
 	err    error
-	done   bool // backend returned a short page: no more rows
-	closed bool
+	done   bool // closed, or the backend returned a short page: no more rows
 }
 
 func (s *sqlScanner) Next(ctx context.Context) bool {
-	if s.closed || s.err != nil {
-		return false
+	// NULL skipping can empty a page, so keep fetching until rows
+	// arrive or the backend reports a short (final) page.
+	for s.page = nil; len(s.page) == 0; {
+		if s.done || s.err != nil {
+			return false
+		}
+		if s.err = ctx.Err(); s.err != nil {
+			return false
+		}
+		s.err = s.fetchPage(ctx)
 	}
-	for s.i >= len(s.buf) {
-		if s.done {
-			return false
-		}
-		if err := ctx.Err(); err != nil {
-			s.err = err
-			return false
-		}
-		// NULL skipping can empty a page, so keep fetching until rows
-		// arrive or the backend reports a short (final) page.
-		if err := s.fetchPage(ctx); err != nil {
-			s.err = err
-			return false
-		}
-	}
-	s.cur = s.buf[s.i]
-	s.i++
 	return true
 }
 
-// fetchPage runs one LIMIT/OFFSET round trip, replacing the buffer.
+// fetchPage runs one LIMIT/OFFSET round trip.
 func (s *sqlScanner) fetchPage(ctx context.Context) error {
 	stmt := fmt.Sprintf("%s LIMIT %d OFFSET %d", s.stmt, s.pageRows, s.offset)
 	ctx, cancel := context.WithTimeout(ctx, s.w.cfg.Timeout)
 	defer cancel()
 	sp, ctx := obs.StartSpan(ctx, "sql", stmt)
-	items, scanned, err := s.w.selectItems(ctx, stmt, s.sc)
+	items, scanned, err := s.w.selectItems(ctx, stmt, s.sc, s.pageRows)
 	sp.End(err)
 	if err != nil {
 		return err
 	}
 	s.offset += scanned
-	s.buf, s.i = items, 0
-	if scanned < s.pageRows {
-		s.done = true
-	}
+	s.page = items
+	s.done = scanned < s.pageRows
 	return nil
 }
 
-func (s *sqlScanner) Row() iql.Value { return s.cur }
-func (s *sqlScanner) Err() error     { return s.err }
+func (s *sqlScanner) Page() []iql.Value { return s.page }
+func (s *sqlScanner) Err() error        { return s.err }
 
 func (s *sqlScanner) Close() error {
-	s.closed = true
-	s.buf = nil
+	s.done, s.page = true, nil
 	return nil
 }
 
@@ -372,61 +357,62 @@ func (w *SQL) fetch(ctx context.Context, sc hdm.Scheme) (iql.Value, error) {
 
 // query runs one extent SELECT and scans its rows.
 func (w *SQL) query(ctx context.Context, stmt string, sc hdm.Scheme) (iql.Value, error) {
-	items, _, err := w.selectItems(ctx, stmt, sc)
+	items, _, err := w.selectItems(ctx, stmt, sc, 0)
 	if err != nil {
 		return iql.Value{}, err
 	}
 	return iql.BagOf(items), nil
 }
 
-// selectItems runs one SELECT and maps its rows onto extent items
-// through sqlRow; scanned is the raw row count before NULL skipping,
-// which paged fetches use to detect the final page.
-func (w *SQL) selectItems(ctx context.Context, stmt string, sc hdm.Scheme) (items []iql.Value, scanned int, err error) {
+// selectItems runs one SELECT and maps its rows onto extent items.
+// Rows with NULL keys are absent from both arities (a table's extent is
+// the bag of its key values, and NULL is not a key), and NULL values
+// are absent from column extents — both matching the relational
+// wrapper, which never yields them. The materialised and scanner paths
+// share this mapping, so scanner rows are byte-identical to extent
+// rows. scanned is the raw row count before NULL skipping, which paged
+// fetches use to detect the final page.
+//
+// limit is the statement's LIMIT, 0 when it has none: a page is
+// allocated once at that size (a short one keeps the spare capacity;
+// whoever caches it cuts it to its length, see Processor.scan). An
+// unbounded SELECT does not know its row count and grows by append.
+func (w *SQL) selectItems(ctx context.Context, stmt string, sc hdm.Scheme, limit int) (items []iql.Value, scanned int, err error) {
 	rows, err := w.db.QueryContext(ctx, stmt)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wrapper: sql: source %q: fetching %s: %w", w.name, sc, err)
 	}
 	defer rows.Close()
+	// The destinations escape through Scan's interface arguments:
+	// declared per row they would cost two allocations a row.
+	var key, val any
 	pair := sc.Arity() == 2
+	dest := []any{&key}
+	if pair {
+		dest = append(dest, &val)
+	}
+	var tuples pairs
+	if limit > 0 {
+		items = make([]iql.Value, 0, limit)
+	}
 	for rows.Next() {
 		scanned++
-		var key, val any
-		if pair {
-			err = rows.Scan(&key, &val)
-		} else {
-			err = rows.Scan(&key)
-		}
-		if err != nil {
+		if err = rows.Scan(dest...); err != nil {
 			return nil, scanned, fmt.Errorf("wrapper: sql: source %q: scanning %s: %w", w.name, sc, err)
 		}
-		if item, ok := sqlRow(pair, key, val); ok {
-			items = append(items, item)
+		switch {
+		case key == nil || (pair && val == nil):
+			// NULL: absent from the extent.
+		case pair:
+			items = append(items, tuples.tuple(sqlCell(key), sqlCell(val)))
+		default:
+			items = append(items, sqlCell(key))
 		}
 	}
 	if err := rows.Err(); err != nil {
 		return nil, scanned, fmt.Errorf("wrapper: sql: source %q: streaming %s: %w", w.name, sc, err)
 	}
 	return items, scanned, nil
-}
-
-// sqlRow maps one scanned row onto an extent item. Rows with NULL keys
-// are absent from both arities (a table's extent is the bag of its
-// key values, and NULL is not a key), and NULL values are absent from
-// column extents — both matching the relational wrapper, which never
-// yields them. The materialised and scanner paths share this mapping,
-// so scanner rows are byte-identical to extent rows.
-func sqlRow(pair bool, key, val any) (iql.Value, bool) {
-	if key == nil {
-		return iql.Value{}, false
-	}
-	if !pair {
-		return sqlCell(key), true
-	}
-	if val == nil {
-		return iql.Value{}, false
-	}
-	return iql.Tuple(sqlCell(key), sqlCell(val)), true
 }
 
 // sqlCell maps a scanned database cell to an IQL value without losing

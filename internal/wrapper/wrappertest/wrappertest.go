@@ -21,9 +21,11 @@
 //     JSON → restore round trip with an identical schema, byte-
 //     identical extents, and a byte-identical re-snapshot;
 //   - scanning wrappers (wrapper.ScanSourcer) serve every extent
-//     through a scanner byte-identically to Extent, in the same order
-//     on every scan (page boundaries must not perturb it), and release
-//     their resources on mid-stream cancellation.
+//     through a scanner whose pages concatenate byte-identically to
+//     Extent, in the same order on every scan (page boundaries must not
+//     perturb it); no page is empty, a page handed out is never written
+//     to again, and they release their resources on mid-stream
+//     cancellation.
 package wrappertest
 
 import (
@@ -60,6 +62,7 @@ func Run(t *testing.T, factory Factory) {
 	t.Run("SnapshotRestore", func(t *testing.T) { testSnapshotRestore(t, factory(t)) })
 	t.Run("ScannerMatchesExtent", func(t *testing.T) { testScannerMatchesExtent(t, factory(t)) })
 	t.Run("ScannerDeterminism", func(t *testing.T) { testScannerDeterminism(t, factory(t)) })
+	t.Run("ScannerPages", func(t *testing.T) { testScannerPages(t, factory(t)) })
 	t.Run("ScannerCancellation", func(t *testing.T) { testScannerCancellation(t, factory(t)) })
 }
 
@@ -196,7 +199,8 @@ func testContextCancellation(t *testing.T, w wrapper.Wrapper) {
 	}
 }
 
-// drainScanner collects every row of a fresh scanner for one object.
+// drainScanner concatenates the pages of a fresh scanner for one
+// object.
 func drainScanner(t *testing.T, ss wrapper.ScanSourcer, sc hdm.Scheme) []iql.Value {
 	t.Helper()
 	ctx := context.Background()
@@ -206,7 +210,10 @@ func drainScanner(t *testing.T, ss wrapper.ScanSourcer, sc hdm.Scheme) []iql.Val
 	}
 	var rows []iql.Value
 	for scn.Next(ctx) {
-		rows = append(rows, scn.Row())
+		if len(scn.Page()) == 0 {
+			t.Errorf("scanner over %s served an empty page after %d rows", sc, len(rows))
+		}
+		rows = append(rows, scn.Page()...)
 	}
 	if err := scn.Err(); err != nil {
 		t.Fatalf("scanner over %s failed: %v", sc, err)
@@ -276,6 +283,49 @@ func testScannerDeterminism(t *testing.T, w wrapper.Wrapper) {
 				t.Errorf("scans of %s diverge at row %d: %s then %s", o.Scheme, i, first[i], second[i])
 				break
 			}
+		}
+	}
+}
+
+// testScannerPages checks a page belongs to whoever took it: the first
+// page of every object reads the same after the scan has run to its end
+// and been closed as it did when it was handed out. A closed scanner
+// serves nothing more.
+func testScannerPages(t *testing.T, w wrapper.Wrapper) {
+	ss, ok := w.(wrapper.ScanSourcer)
+	if !ok {
+		t.Skipf("%T does not implement ExtentScanner", w)
+	}
+	ctx := context.Background()
+	for _, o := range w.Schema().Objects() {
+		scn, err := ss.ExtentScanner(ctx, o.Scheme.Parts())
+		if err != nil {
+			t.Fatalf("ExtentScanner(%s): %v", o.Scheme, err)
+		}
+		if !scn.Next(ctx) {
+			if err := scn.Err(); err != nil {
+				t.Fatalf("scanner over %s failed: %v", o.Scheme, err)
+			}
+			_ = scn.Close()
+			continue // an empty extent has no pages
+		}
+		first := scn.Page()
+		before := iql.BagOf(first).String()
+		pages := 1
+		for scn.Next(ctx) {
+			pages++
+		}
+		if err := scn.Err(); err != nil {
+			t.Fatalf("scanner over %s failed: %v", o.Scheme, err)
+		}
+		if err := scn.Close(); err != nil {
+			t.Errorf("Close after scanning %s: %v", o.Scheme, err)
+		}
+		if after := iql.BagOf(first).String(); after != before {
+			t.Errorf("first page of %s changed while the other %d were served:\n%s\nthen\n%s", o.Scheme, pages-1, before, after)
+		}
+		if scn.Next(ctx) {
+			t.Errorf("Next over %s succeeded after Close", o.Scheme)
 		}
 	}
 }
