@@ -53,12 +53,15 @@ bench-check:
 # (Table 1 Q1-Q7 through the daemon's handler, result cache bypassed —
 # the in-process twin of the benchmark's table1_warm workload) and
 # BenchmarkServerScan (the twin of scan_large: a paged SQL scan, a paged
-# REST scan, a cold join), each for 3 s a sub-benchmark under the CPU
-# and the allocation profiler, then the cumulative top of each. Test
-# binary and profiles go to the git-ignored .bench_build/.
+# REST scan, a cold join) and BenchmarkServerPayg (the twin of
+# payg_mixed: restore, five steps with autosave, the queries between —
+# where Server.persist and restoreSession show), each for 3 s a
+# sub-benchmark under the CPU and the allocation profiler, then the
+# cumulative top of each. Test binary and profiles go to the
+# git-ignored .bench_build/.
 profile:
 	mkdir -p .bench_build
-	for b in ServerTable1 ServerScan; do \
+	for b in ServerTable1 ServerScan ServerPayg; do \
 		$(GO) test -run '^$$' -bench "Benchmark$$b" -benchtime 3s \
 			-o .bench_build/automed.test \
 			-cpuprofile .bench_build/cpu.$$b.prof -memprofile .bench_build/mem.$$b.prof . && \
@@ -106,8 +109,8 @@ stream-smoke:
 	$(GO) run ./cmd/streamsmoke
 
 # fuzz-seeds runs every committed fuzz seed (malformed repo snapshots,
-# malformed REST payloads, the answer encoder's edge scalars) as plain
-# tests — the CI-safe equivalent of a -fuzztime run.
+# malformed REST payloads, the answer encoder's edge scalars, session
+# files whole, truncated and with trailing bytes) as plain tests — the CI-safe equivalent of a -fuzztime run.
 fuzz-seeds:
 	$(GO) test -run '^Fuzz' ./internal/repo ./internal/wrapper ./internal/server
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -502,17 +503,17 @@ func BenchmarkServerQuery(b *testing.B) {
 	})
 }
 
-// table1Server builds a dataspace server whose default session holds the
-// case-study sources at cfg, federated and integrated by replaying the
-// intersection plan through the session API.
-func table1Server(tb testing.TB, cfg ispider.Config) *server.Server {
+// caseServer builds a dataspace server whose named session holds the
+// case-study sources at cfg, federated and then integrated by replaying
+// plan through the session API.
+func caseServer(tb testing.TB, cfg ispider.Config, session string, plan []ispider.PlanStep) *server.Server {
 	tb.Helper()
 	pedro, gpmdb, pepseeker, err := ispider.Wrappers(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	srv := server.New(server.DefaultConfig())
-	sess, err := srv.Sessions().Get("default", true)
+	sess, err := srv.Sessions().Get(session, true)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -524,7 +525,7 @@ func table1Server(tb testing.TB, cfg ispider.Config) *server.Server {
 	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
 		tb.Fatal(err)
 	}
-	for _, st := range ispider.IntersectionPlan() {
+	for _, st := range plan {
 		if st.Kind == "intersect" {
 			_, err = sess.Intersect(st.Name, st.Mappings, st.Enables...)
 		} else {
@@ -555,7 +556,7 @@ func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 // response write, without a socket. `make profile` profiles it, so a
 // performance issue starts from where the time and the bytes go.
 func BenchmarkServerTable1(b *testing.B) {
-	h := table1Server(b, ispider.BenchConfig()).Handler()
+	h := caseServer(b, ispider.BenchConfig(), "default", ispider.IntersectionPlan()).Handler()
 	for _, q := range ispider.Table1Queries() {
 		body := queryBody(b, "default", q.IQL)
 		servePost(b, h, "/query", body) // warm the extent memos, join indexes and plan cache
@@ -577,7 +578,7 @@ func queryBody(tb testing.TB, session, text string) []byte {
 	return body
 }
 
-// servePost serves one POST in process and fails on any status but 200.
+// servePost serves one POST in process and fails on any status but 2xx.
 func servePost(tb testing.TB, h http.Handler, path string, body []byte) {
 	// http.NewRequest, not httptest's: that one parses the request back
 	// out of a 4 KiB bufio.Reader, a tenth of a small query's
@@ -588,7 +589,7 @@ func servePost(tb testing.TB, h http.Handler, path string, body []byte) {
 	}
 	w := &discardResponse{header: make(http.Header)}
 	h.ServeHTTP(w, r)
-	if w.status != http.StatusOK {
+	if w.status < 200 || w.status > 299 {
 		tb.Fatalf("POST %s %s: status %d", path, body, w.status)
 	}
 }
@@ -704,6 +705,74 @@ func BenchmarkServerScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServerPayg is the in-`go test` twin of the benchmark's
+// payg_mixed workload (bench/README.md), one cycle per iteration at the
+// workload's size: restore the federated-only snapshot, then each of
+// the five plan steps with its autosave into b.TempDir(), and after
+// each step the Table 1 queries it made answerable, twice (evaluated,
+// then a result-cache hit) — all posted to the daemon's handler in
+// process. `make profile` profiles it, so a write-path issue starts
+// from Server.persist and restoreSession in a profile.
+func BenchmarkServerPayg(b *testing.B) {
+	const name = "payg"
+	srv := caseServer(b, ispider.BenchConfig(), name, nil)
+	if err := srv.OpenStore(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := srv.SnapshotSession(name); err != nil {
+		b.Fatal(err)
+	}
+	path := srv.Store().Path(name)
+	baseline, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	type post struct {
+		path string
+		body []byte
+	}
+	cycle := []post{{path: "/sessions/" + name + "/restore"}}
+	for _, st := range ispider.IntersectionPlan() {
+		step := map[string]any{"session": name, "name": st.Name, "enables": st.Enables}
+		if st.Kind == "intersect" {
+			step["mappings"] = st.Mappings
+		} else {
+			step["mapping"] = st.Refinement
+		}
+		body, err := json.Marshal(step)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycle = append(cycle, post{"/" + st.Kind, body})
+		for range 2 {
+			for _, q := range ispider.Table1Queries() {
+				if ispider.AnswerableAfter(q, st.Name) {
+					body, err := json.Marshal(map[string]any{"session": name, "query": q.IQL})
+					if err != nil {
+						b.Fatal(err)
+					}
+					cycle = append(cycle, post{"/query", body})
+				}
+			}
+		}
+	}
+	h := srv.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := os.WriteFile(path, baseline, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, p := range cycle {
+			servePost(b, h, p.path, p.body)
+		}
+	}
+	b.ReportMetric(float64(len(cycle)), "ops/cycle")
 }
 
 // benchServerPost posts JSON to a path and decodes the JSON response.

@@ -1,6 +1,7 @@
 // Command metricssmoke is the CI gate for the metrics surface: it
-// boots the daemon's server in-process on a random port, drives a
-// small federation and a query over HTTP, scrapes GET /metrics in both
+// boots the daemon's server in-process on a random port with a session
+// store in a temporary directory, drives a small federation, a query
+// and a restore over HTTP, scrapes GET /metrics in both
 // content negotiations, and fails on malformed Prometheus exposition
 // or a JSON snapshot missing the expected fields. Exit status is the
 // verdict; output is only diagnostic.
@@ -31,6 +32,14 @@ func main() {
 
 func run() error {
 	srv := server.New(server.DefaultConfig())
+	dir, err := os.MkdirTemp("", "metricssmoke-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+	if err := srv.OpenStore(dir); err != nil {
+		return err
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -65,6 +74,12 @@ func run() error {
 		}
 	}
 
+	// One restore on top of the autosaves above, so the write-path
+	// families (bytes written, save and restore time) have samples too.
+	if err := post(base+"/sessions/default/restore", nil, http.StatusOK); err != nil {
+		return err
+	}
+
 	// Prometheus exposition must parse and carry the core families.
 	text, ct, err := get(base+"/metrics", "")
 	if err != nil {
@@ -81,6 +96,10 @@ func run() error {
 		"automed_query_duration_seconds_bucket",
 		`automed_source_fetches_total{source="Library",kind="relational"}`,
 		`automed_cache_hits_total{layer="plan"}`,
+		"automed_session_snapshots_total 2",
+		"automed_snapshot_bytes_total ",
+		"automed_snapshot_duration_seconds_count 2",
+		"automed_restore_duration_seconds_count 1",
 	} {
 		if !bytes.Contains(text, []byte(want)) {
 			return fmt.Errorf("exposition lacks %q:\n%s", want, text)
@@ -103,7 +122,8 @@ func run() error {
 		if err := json.Unmarshal(body, &m); err != nil {
 			return fmt.Errorf("GET %s: decoding JSON metrics: %w", u.url, err)
 		}
-		for _, field := range []string{"queries_total", "query_latency", "plan_cache", "sources"} {
+		for _, field := range []string{"queries_total", "query_latency", "plan_cache", "sources",
+			"snapshot_bytes_total", "snapshot_latency", "restore_latency"} {
 			if _, ok := m[field]; !ok {
 				return fmt.Errorf("GET %s: JSON metrics lack %q", u.url, field)
 			}
@@ -111,14 +131,20 @@ func run() error {
 		if n, ok := m["queries_total"].(float64); !ok || n != 3 {
 			return fmt.Errorf("GET %s: queries_total = %v, want 3", u.url, m["queries_total"])
 		}
+		if n, ok := m["snapshot_bytes_total"].(float64); !ok || n <= 0 {
+			return fmt.Errorf("GET %s: snapshot_bytes_total = %v after two autosaves", u.url, m["snapshot_bytes_total"])
+		}
 	}
 	return nil
 }
 
 func post(url string, body any, want int) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
+	var buf []byte
+	if body != nil {
+		var err error
+		if buf, err = json.Marshal(body); err != nil {
+			return err
+		}
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
 	if err != nil {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 
 	"github.com/dataspace/automed/internal/hdm"
@@ -27,12 +29,19 @@ import (
 // their source form, reusing the repo JSON format) so snapshots are
 // human-readable, diffable, and stable across releases; SnapshotFormat
 // guards incompatible changes.
+//
+// The two large members are held encoded: Sources as each source's
+// snapshot document (wrapper.Encode — memoised by the in-memory kinds,
+// so an unchanged source costs an Export nothing) and Repo as the
+// repository's unindented document. json.Marshal of a Snapshot gives
+// the logical JSON; WriteJSON gives the same tokens without passing the
+// large members through encoding/json again.
 type Snapshot struct {
 	Format        int                  `json:"format"`
 	AutoDrop      bool                 `json:"auto_drop,omitempty"`
 	FedName       string               `json:"federated_schema,omitempty"`
 	GlobalVersion int                  `json:"global_version"`
-	Sources       []*wrapper.Snapshot  `json:"sources"`
+	Sources       []json.RawMessage    `json:"sources"`
 	Repo          json.RawMessage      `json:"repo"`
 	Definitions   []DerivationSnapshot `json:"definitions,omitempty"`
 	Intersections []IntersectionSnap   `json:"intersections,omitempty"`
@@ -92,17 +101,13 @@ func (ig *Integrator) Export() (*Snapshot, error) {
 		FedName:       ig.fedName,
 		GlobalVersion: ig.globalVersion,
 	}
-	sources, err := wrapper.SnapshotAll(ig.sources)
-	if err != nil {
+	var err error
+	if snap.Sources, err = wrapper.EncodeAll(ig.sources); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	snap.Sources = sources
-
-	var buf bytes.Buffer
-	if err := ig.repo.Save(&buf); err != nil {
+	if snap.Repo, err = ig.repo.MarshalJSON(); err != nil {
 		return nil, fmt.Errorf("core: snapshotting repository: %w", err)
 	}
-	snap.Repo = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
 
 	for _, od := range ig.proc.AllDerivations() {
 		obj := hdm.NewScheme(strings.Split(od.Key, "|")...).String()
@@ -150,6 +155,40 @@ func (ig *Integrator) Export() (*Snapshot, error) {
 	return snap, nil
 }
 
+// WriteJSON writes the snapshot as one JSON object: the small members
+// through encoding/json, and between them the source documents and the
+// repository verbatim, each on a line of its own.
+func (s *Snapshot) WriteJSON(w io.Writer) error {
+	small := *s
+	small.Sources, small.Repo = nil, nil
+	b, err := json.Marshal(&small)
+	if err != nil {
+		return err
+	}
+	// The first place these tokens can occur is where the two members
+	// are: a quote inside an earlier string would be escaped.
+	const hole = `"sources":null,"repo":null`
+	at := bytes.Index(b, []byte(hole))
+	if at < 0 || s.Sources == nil || s.Repo == nil {
+		return fmt.Errorf("core: snapshot without sources or repository")
+	}
+	bw := bufio.NewWriter(w)
+	bw.Write(b[:at])
+	bw.WriteString(`"sources":[`)
+	for i, doc := range s.Sources {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		bw.WriteByte('\n')
+		bw.Write(doc)
+	}
+	bw.WriteString("\n],\"repo\":\n")
+	bw.Write(s.Repo)
+	bw.WriteByte('\n')
+	bw.Write(b[at+len(hole):])
+	return bw.Flush()
+}
+
 // Import rebuilds an integrator from a snapshot. The restored
 // integrator serves every published schema version exactly as the
 // exporting one did, and accepts further Intersect/Refine iterations.
@@ -174,8 +213,8 @@ func Import(snap *Snapshot) (*Integrator, error) {
 		prefix:   make(map[string]string),
 		autoDrop: snap.AutoDrop,
 	}
-	for _, ws := range snap.Sources {
-		w, err := wrapper.Restore(ws)
+	for _, doc := range snap.Sources {
+		w, err := wrapper.Decode(doc)
 		if err != nil {
 			return nil, fmt.Errorf("core: restoring source: %w", err)
 		}

@@ -377,6 +377,20 @@ func (db *DB) Tables() []*Table {
 	return out
 }
 
+// Mutations counts the changes made to the database so far: tables
+// created, rows inserted, foreign keys declared. Nothing is ever
+// updated or removed, so two equal readings mean nothing changed in
+// between — what a cache of anything derived from the whole database
+// (package wrapper's snapshot document) validates itself by. An update
+// or delete operation, should one arrive, has to count here.
+func (db *DB) Mutations() uint64 {
+	n := uint64(len(db.order))
+	for _, t := range db.tables {
+		n += uint64(len(t.rows) + len(t.fks))
+	}
+	return n
+}
+
 // TableNames returns table names in creation order.
 func (db *DB) TableNames() []string { return append([]string(nil), db.order...) }
 

@@ -15,7 +15,11 @@ import (
 
 // JSON persistence for the repository. Schemes serialise to their
 // textual form and queries to IQL source, so saved repositories are
-// human-readable and diffable.
+// human-readable and diffable. There is one document and two layouts of
+// it: MarshalJSON writes it without whitespace, which is what a session
+// snapshot embeds (verbatim — it is encoded once per save); Save and
+// SaveFile indent it, for the standalone file people read. Load reads
+// either.
 
 type objectDTO struct {
 	Scheme    string `json:"scheme"`
@@ -54,8 +58,21 @@ type repoDTO struct {
 
 const persistVersion = 1
 
-// Save writes the repository as JSON.
+// Save writes the repository as indented JSON.
 func (r *Repository) Save(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(r.dto())
+}
+
+// MarshalJSON encodes the repository as one unindented JSON document.
+func (r *Repository) MarshalJSON() ([]byte, error) {
+	return json.Marshal(r.dto())
+}
+
+// dto captures the repository in its serialised shape: schemas by name,
+// pathways in the order they were added.
+func (r *Repository) dto() repoDTO {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	dto := repoDTO{Version: persistVersion}
@@ -95,9 +112,7 @@ func (r *Repository) Save(w io.Writer) error {
 		}
 		dto.Pathways = append(dto.Pathways, pd)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(dto)
+	return dto
 }
 
 func (r *Repository) schemaNamesLocked() []string {

@@ -6,13 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
-	"unicode/utf8"
 
 	"github.com/dataspace/automed/internal/obs"
 )
@@ -141,97 +138,4 @@ func decode(r *http.Request, v any) error {
 		return fmt.Errorf("server: invalid request body: %w", err)
 	}
 	return nil
-}
-
-// The functions below write JSON strings and numbers byte for byte as
-// encoding/json does with SetEscapeHTML(false), without reflection and
-// without an intermediate value.
-
-// jsonSafePrefix returns the length of the longest prefix of src that a
-// JSON string carries as it is: no quote, backslash or control byte,
-// no invalid UTF-8, no U+2028 or U+2029.
-func jsonSafePrefix[B []byte | string](src B) int {
-	for i := 0; i < len(src); {
-		b := src[i]
-		if b < utf8.RuneSelf {
-			if b < 0x20 || b == '"' || b == '\\' {
-				return i
-			}
-			i++
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(string(src[i:min(i+utf8.UTFMax, len(src))]))
-		if (c == utf8.RuneError && size == 1) || c == '\u2028' || c == '\u2029' {
-			return i
-		}
-		i += size
-	}
-	return len(src)
-}
-
-// appendJSONEscaped appends src as the inside of a JSON string.
-func appendJSONEscaped[B []byte | string](dst []byte, src B) []byte {
-	const hex = "0123456789abcdef"
-	for len(src) > 0 {
-		n := jsonSafePrefix(src)
-		dst = append(dst, src[:n]...)
-		if src = src[n:]; len(src) == 0 {
-			break
-		}
-		size := 1
-		switch b := src[0]; {
-		case b == '"' || b == '\\':
-			dst = append(dst, '\\', b)
-		case b == '\b':
-			dst = append(dst, '\\', 'b')
-		case b == '\f':
-			dst = append(dst, '\\', 'f')
-		case b == '\n':
-			dst = append(dst, '\\', 'n')
-		case b == '\r':
-			dst = append(dst, '\\', 'r')
-		case b == '\t':
-			dst = append(dst, '\\', 't')
-		case b < 0x20:
-			dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-		default:
-			// jsonSafePrefix stops at a multi-byte sequence only for
-			// invalid UTF-8 (one byte) or U+2028/U+2029 (three).
-			var c rune
-			c, size = utf8.DecodeRuneInString(string(src[:min(utf8.UTFMax, len(src))]))
-			if c == utf8.RuneError {
-				dst = append(dst, `\ufffd`...)
-			} else {
-				dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
-			}
-		}
-		src = src[size:]
-	}
-	return dst
-}
-
-// appendJSONString appends s as a JSON string.
-func appendJSONString(dst []byte, s string) []byte {
-	return append(appendJSONEscaped(append(dst, '"'), s), '"')
-}
-
-// appendJSONFloat appends f as a JSON number (ES6 number-to-string, as
-// encoding/json); NaN and the infinities are its UnsupportedValueError.
-func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// clean up e-09 to e-9
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, nil
 }

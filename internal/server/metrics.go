@@ -24,6 +24,7 @@ type Metrics struct {
 	iterations    atomic.Uint64 // integration steps served (federate/intersect/refine)
 
 	snapshots       atomic.Uint64 // session snapshots written (autosave + explicit)
+	snapshotBytes   atomic.Uint64 // bytes of session files written
 	snapshotErrors  atomic.Uint64 // failed snapshot writes
 	sessionRestores atomic.Uint64 // sessions restored from the store
 
@@ -34,9 +35,11 @@ type Metrics struct {
 	panics          atomic.Uint64 // handler panics recovered by the middleware
 	degradedQueries atomic.Uint64 // answers evaluated over stale fallback extents
 
-	lat       *obs.Histogram
-	queueWait *obs.Histogram // time spent parked in the admission queue
-	sources   *obs.Sources
+	lat         *obs.Histogram
+	queueWait   *obs.Histogram // time spent parked in the admission queue
+	snapshotLat *obs.Histogram // export + encode + write + fsync + rename of one session
+	restoreLat  *obs.Histogram // read + decode + rebuild of one session
+	sources     *obs.Sources
 }
 
 // latencyBoundsMs are the upper bounds (milliseconds) of the query
@@ -48,10 +51,12 @@ var latencyBoundsMs = []float64{0.1, 0.5, 1, 5, 25, 100, 500, 2500, 10000}
 // NewMetrics returns zeroed metrics anchored at now.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		start:     time.Now(),
-		lat:       obs.NewHistogram(latencyBoundsMs),
-		queueWait: obs.NewHistogram(latencyBoundsMs),
-		sources:   obs.NewSources(),
+		start:       time.Now(),
+		lat:         obs.NewHistogram(latencyBoundsMs),
+		queueWait:   obs.NewHistogram(latencyBoundsMs),
+		snapshotLat: obs.NewHistogram(latencyBoundsMs),
+		restoreLat:  obs.NewHistogram(latencyBoundsMs),
+		sources:     obs.NewSources(),
 	}
 }
 
@@ -66,14 +71,23 @@ func (m *Metrics) Request() { m.requestsTotal.Add(1) }
 // Iteration counts one served integration step.
 func (m *Metrics) Iteration() { m.iterations.Add(1) }
 
-// SnapshotWritten counts one session snapshot written to the store.
-func (m *Metrics) SnapshotWritten() { m.snapshots.Add(1) }
+// SnapshotWritten counts one session snapshot written to the store:
+// the size of its file and how long export through rename took.
+func (m *Metrics) SnapshotWritten(bytes int64, d time.Duration) {
+	m.snapshots.Add(1)
+	m.snapshotBytes.Add(uint64(bytes))
+	m.snapshotLat.Observe(d)
+}
 
 // SnapshotError counts one failed snapshot write.
 func (m *Metrics) SnapshotError() { m.snapshotErrors.Add(1) }
 
-// SessionRestore counts one session restored from the store.
-func (m *Metrics) SessionRestore() { m.sessionRestores.Add(1) }
+// SessionRestore counts one session restored from the store and how
+// long reading, decoding and rebuilding it took.
+func (m *Metrics) SessionRestore(d time.Duration) {
+	m.sessionRestores.Add(1)
+	m.restoreLat.Observe(d)
+}
 
 // QueueAdmitted counts one request through admission control; waited
 // is its time in the fair queue (zero when admitted immediately).
@@ -158,8 +172,11 @@ type MetricsSnapshot struct {
 	QueryTimeouts uint64          `json:"query_timeouts"`
 	Iterations    uint64          `json:"integration_iterations"`
 	Snapshots     uint64          `json:"snapshots_total"`
+	SnapshotBytes uint64          `json:"snapshot_bytes_total"`
 	SnapshotErrs  uint64          `json:"snapshot_errors"`
 	Restores      uint64          `json:"sessions_restored"`
+	SnapshotLat   LatencySnapshot `json:"snapshot_latency"`
+	RestoreLat    LatencySnapshot `json:"restore_latency"`
 	Latency       LatencySnapshot `json:"query_latency"`
 	PlanCache     CacheSnapshot   `json:"plan_cache"`
 	ResultCache   CacheSnapshot   `json:"result_cache"`
@@ -255,8 +272,11 @@ func (m *Metrics) Snapshot(plan, result, extent, src CacheStats, queue QueueStat
 		QueryTimeouts:      m.queryTimeouts.Load(),
 		Iterations:         m.iterations.Load(),
 		Snapshots:          m.snapshots.Load(),
+		SnapshotBytes:      m.snapshotBytes.Load(),
 		SnapshotErrs:       m.snapshotErrors.Load(),
 		Restores:           m.sessionRestores.Load(),
+		SnapshotLat:        latencySnapshot(m.snapshotLat.Snapshot()),
+		RestoreLat:         latencySnapshot(m.restoreLat.Snapshot()),
 		Latency:            latencySnapshot(m.lat.Snapshot()),
 		PlanCache:          snapshotCache(plan),
 		ResultCache:        snapshotCache(result),

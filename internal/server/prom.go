@@ -20,6 +20,9 @@ func (m *Metrics) Prometheus(plan, result, extent, src CacheStats, queue QueueSt
 	w.Counter("automed_session_snapshots_total", "Session snapshots written to the store.", float64(snap.Snapshots))
 	w.Counter("automed_session_snapshot_errors_total", "Failed session snapshot writes.", float64(snap.SnapshotErrs))
 	w.Counter("automed_sessions_restored_total", "Sessions restored from the store.", float64(snap.Restores))
+	w.Counter("automed_snapshot_bytes_total", "Bytes of session snapshot files written.", float64(snap.SnapshotBytes))
+	w.Histogram("automed_snapshot_duration_seconds", "Time to export, encode and durably write one session snapshot.", m.snapshotLat.Snapshot())
+	w.Histogram("automed_restore_duration_seconds", "Time to read, decode and rebuild one session from its snapshot.", m.restoreLat.Snapshot())
 	w.Gauge("automed_sessions", "Live sessions.", float64(snap.Sessions))
 
 	w.Histogram("automed_query_duration_seconds", "End-to-end query latency.", m.lat.Snapshot())

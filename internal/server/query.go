@@ -14,6 +14,7 @@ import (
 	"github.com/dataspace/automed/internal/cache"
 	"github.com/dataspace/automed/internal/core"
 	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/jsontext"
 	"github.com/dataspace/automed/internal/obs"
 	"github.com/dataspace/automed/internal/query"
 )
@@ -174,7 +175,7 @@ func writeAnswer(w http.ResponseWriter, r *http.Request, session string, ans Ans
 	buf.Reset()
 	defer respBufPool.Put(buf)
 	buf.WriteString(`{"session":`)
-	buf.Write(appendJSONString(buf.AvailableBuffer(), session))
+	buf.Write(jsontext.AppendString(buf.AvailableBuffer(), session))
 	buf.WriteByte(',')
 	buf.Write(ans.fragment)
 	// The encoder opens rest's object with a brace; in place, that byte
@@ -279,9 +280,9 @@ func appendRendered(dst []byte, v iql.Value) []byte {
 	dst = append(dst, '"')
 	raw := len(dst)
 	dst = v.AppendString(dst)
-	if safe := raw + jsonSafePrefix(dst[raw:]); safe < len(dst) {
+	if safe := raw + jsontext.SafePrefix(dst[raw:]); safe < len(dst) {
 		rest := append([]byte(nil), dst[safe:]...)
-		dst = appendJSONEscaped(dst[:safe], rest)
+		dst = jsontext.AppendEscaped(dst[:safe], rest)
 	}
 	return append(dst, '"')
 }
@@ -397,9 +398,9 @@ func appendValueJSON(dst []byte, v iql.Value) ([]byte, error) {
 	case iql.KindInt:
 		return strconv.AppendInt(dst, v.I, 10), nil
 	case iql.KindFloat:
-		return appendJSONFloat(dst, v.F)
+		return jsontext.AppendFloat(dst, v.F)
 	case iql.KindString:
-		return appendJSONString(dst, v.S), nil
+		return jsontext.AppendString(dst, v.S), nil
 	case iql.KindTuple:
 		return appendItemsJSON(append(dst, `{"tuple":[`...), v.Items, nil)
 	case iql.KindBag:
@@ -413,7 +414,7 @@ func appendValueJSON(dst []byte, v iql.Value) ([]byte, error) {
 	case iql.KindAny:
 		return append(dst, `{"const":"Any"}`...), nil
 	}
-	return appendJSONString(dst, v.String()), nil
+	return jsontext.AppendString(dst, v.String()), nil
 }
 
 // appendItemsJSON appends the items, comma-separated, in the given

@@ -19,6 +19,7 @@ import (
 	"github.com/dataspace/automed/internal/iql"
 	"github.com/dataspace/automed/internal/iql/iqltest"
 	"github.com/dataspace/automed/internal/ispider"
+	"github.com/dataspace/automed/internal/jsontext"
 	"github.com/dataspace/automed/internal/obs"
 	"github.com/dataspace/automed/internal/wrapper"
 )
@@ -137,8 +138,8 @@ func TestAnswerEncodingMatchesReference(t *testing.T) {
 		// Every string as the session name, the one envelope member
 		// writeAnswer encodes itself.
 		want, _ := refEncode(s)
-		if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONString(%q) = %s, want %s", s, got, want)
+		if got := jsontext.AppendString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("jsontext.AppendString(%q) = %s, want %s", s, got, want)
 		}
 	}
 	for _, i := range iqltest.Ints {

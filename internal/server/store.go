@@ -1,7 +1,7 @@
 package server
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"github.com/dataspace/automed/internal/core"
 	"github.com/dataspace/automed/internal/fsatomic"
@@ -24,9 +25,10 @@ import (
 type sessionState struct {
 	Format int    `json:"format"`
 	Name   string `json:"name"`
-	// Sources holds registered-but-not-yet-federated sources; once the
-	// session federates they move inside Integrator.
-	Sources []*wrapper.Snapshot `json:"sources,omitempty"`
+	// Sources holds the snapshot documents (wrapper.Encode) of
+	// registered-but-not-yet-federated sources; once the session
+	// federates they move inside Integrator.
+	Sources []json.RawMessage `json:"sources,omitempty"`
 	// Integrator is the full core snapshot; nil before Federate.
 	Integrator *core.Snapshot `json:"integrator,omitempty"`
 }
@@ -41,23 +43,44 @@ var errBadSnapshot = errors.New("server: unusable session snapshot")
 
 // Store persists sessions as one JSON file per session in a directory.
 //
+// Layout: a file is one format-1 JSON document. Save streams it in one
+// pass — the small members through encoding/json, each source's
+// snapshot document and the repository verbatim (a source document is
+// one table row per line) — so whitespace is wherever that leaves it
+// and is not part of the format; Load reads any layout, including the
+// indented files earlier releases wrote.
+//
 // Durability contract: each save writes a temporary file in the same
 // directory, fsyncs it, and renames it over the destination. A crash
 // mid-write therefore never truncates or corrupts an existing snapshot
-// — the worst case is serving the previous one. The directory entry
-// itself is not fsync'd, so an operating-system crash (as opposed to a
-// process crash) may lose the very latest rename.
+// — the worst case is serving the previous one, and a temporary file
+// left behind, which the next NewStore on the directory removes. The
+// directory entry itself is not fsync'd, so an operating-system crash
+// (as opposed to a process crash) may lose the very latest rename.
 type Store struct {
 	dir string
 }
 
-// NewStore opens (creating if needed) a session store directory.
+// NewStore opens (creating if needed) a session store directory and
+// removes the temporary files a crash between create and rename left in
+// it: exactly the dot-prefixed names fsatomic gives the temporaries of
+// snapshot files, never a snapshot. One process owns a store directory
+// at a time.
 func NewStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("server: store directory is required")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: opening store: %w", err)
+	}
+	stale, err := filepath.Glob(filepath.Join(dir, ".s-*.json.tmp-*"))
+	if err != nil {
+		return nil, fmt.Errorf("server: opening store: %w", err)
+	}
+	for _, tmp := range stale {
+		if err := os.Remove(tmp); err != nil {
+			return nil, fmt.Errorf("server: opening store: %w", err)
+		}
 	}
 	return &Store{dir: dir}, nil
 }
@@ -75,24 +98,70 @@ func (st *Store) Path(session string) string {
 	return filepath.Join(st.dir, fileName(session))
 }
 
-// Save atomically writes one session's state.
-func (st *Store) Save(state *sessionState) error {
+// Save atomically writes one session's state and returns the size of
+// the file.
+func (st *Store) Save(state *sessionState) (int64, error) {
 	if state == nil || state.Name == "" {
-		return fmt.Errorf("server: invalid session state")
+		return 0, fmt.Errorf("server: invalid session state")
 	}
-	data, err := json.MarshalIndent(state, "", "  ")
-	if err != nil {
-		return fmt.Errorf("server: encoding session %q: %w", state.Name, err)
-	}
-	data = append(data, '\n')
-	err = fsatomic.WriteFile(st.Path(state.Name), func(w io.Writer) error {
-		_, werr := w.Write(data)
-		return werr
+	var size int64
+	err := fsatomic.WriteFile(st.Path(state.Name), func(w io.Writer) error {
+		cw := &countingWriter{w: w}
+		bw := bufio.NewWriter(cw) // the large members are written past it
+		if err := state.writeJSON(bw); err != nil {
+			return err
+		}
+		err := bw.Flush()
+		size = cw.n
+		return err
 	})
 	if err != nil {
-		return fmt.Errorf("server: saving session %q: %w", state.Name, err)
+		return 0, fmt.Errorf("server: saving session %q: %w", state.Name, err)
 	}
-	return nil
+	return size, nil
+}
+
+// writeJSON writes the state as one JSON object, the tokens
+// json.Marshal(state) writes: format and name through encoding/json,
+// then the one large member that is present (the last member either
+// way) with its documents verbatim.
+func (state *sessionState) writeJSON(bw *bufio.Writer) error {
+	head, err := json.Marshal(sessionState{Format: state.Format, Name: state.Name})
+	if err != nil {
+		return err
+	}
+	bw.Write(head[:len(head)-1])
+	if len(state.Sources) > 0 {
+		bw.WriteString(`,"sources":[`)
+		for i, doc := range state.Sources {
+			if i > 0 {
+				bw.WriteByte(',')
+			}
+			bw.WriteByte('\n')
+			bw.Write(doc)
+		}
+		bw.WriteString("\n]")
+	}
+	if state.Integrator != nil {
+		bw.WriteString(`,"integrator":`)
+		if err := state.Integrator.WriteJSON(bw); err != nil {
+			return err
+		}
+	}
+	_, err = bw.WriteString("}\n")
+	return err
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // Load reads one session's state by name.
@@ -105,50 +174,43 @@ func (st *Store) loadFile(path string) (*sessionState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: loading session snapshot: %w", err)
 	}
-	// UseNumber keeps relational int64 row cells exact instead of
-	// routing them through float64.
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
+	return decodeState(data, filepath.Base(path))
+}
+
+// decodeState decodes a session file: exactly one JSON document, then
+// nothing but white space. The source documents and the repository are
+// only skipped over here; wrapper.Decode and repo.Load decode them.
+func decodeState(data []byte, file string) (*sessionState, error) {
 	var state sessionState
-	if err := dec.Decode(&state); err != nil {
-		return nil, fmt.Errorf("%w: decoding %s: %v", errBadSnapshot, filepath.Base(path), err)
+	if err := json.Unmarshal(data, &state); err != nil {
+		return nil, fmt.Errorf("%w: decoding %s: %v", errBadSnapshot, file, err)
 	}
 	if state.Format != storeFormat {
 		return nil, fmt.Errorf("%w: %s has format %d (want %d)",
-			errBadSnapshot, filepath.Base(path), state.Format, storeFormat)
+			errBadSnapshot, file, state.Format, storeFormat)
 	}
 	if state.Name == "" {
-		return nil, fmt.Errorf("%w: %s has no session name", errBadSnapshot, filepath.Base(path))
+		return nil, fmt.Errorf("%w: %s has no session name", errBadSnapshot, file)
 	}
 	return &state, nil
 }
 
-// LoadAll reads every session snapshot in the store, sorted by file
-// name. In-progress temp files are skipped; any unreadable snapshot is
-// an error, so a daemon never silently starts without part of its
-// state.
-func (st *Store) LoadAll() ([]*sessionState, error) {
+// files lists the store's snapshot files, sorted by name. Temporary
+// files (dot-prefixed) are not snapshots.
+func (st *Store) files() ([]string, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
 		return nil, fmt.Errorf("server: reading store: %w", err)
 	}
-	var names []string
+	var paths []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasPrefix(e.Name(), "s-") || !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
-		names = append(names, e.Name())
+		paths = append(paths, filepath.Join(st.dir, e.Name()))
 	}
-	sort.Strings(names)
-	out := make([]*sessionState, 0, len(names))
-	for _, n := range names {
-		state, err := st.loadFile(filepath.Join(st.dir, n))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, state)
-	}
-	return out, nil
+	sort.Strings(paths)
+	return paths, nil
 }
 
 // Export captures the session's durable state: the integrator snapshot
@@ -170,11 +232,11 @@ func (s *Session) Export() (*sessionState, error) {
 		state.Integrator = snap
 		return state, nil
 	}
-	snaps, err := wrapper.SnapshotAll(ws)
+	docs, err := wrapper.EncodeAll(ws)
 	if err != nil {
 		return nil, fmt.Errorf("server: exporting session %q: %w", s.name, err)
 	}
-	state.Sources = snaps
+	state.Sources = docs
 	return state, nil
 }
 
@@ -195,8 +257,8 @@ func sessionFromState(state *sessionState, cfg Config) (*Session, error) {
 		sess.wrappers = ig.Sources()
 		return sess, nil
 	}
-	for _, ws := range state.Sources {
-		w, err := wrapper.Restore(ws)
+	for _, doc := range state.Sources {
+		w, err := wrapper.Decode(doc)
 		if err != nil {
 			return nil, fmt.Errorf("server: restoring session %q: %w", state.Name, err)
 		}
@@ -236,42 +298,61 @@ func (s *Server) RestoreSessions() (int, error) {
 	if s.store == nil {
 		return 0, errStoreClosed
 	}
-	states, err := s.store.LoadAll()
+	paths, err := s.store.files()
 	if err != nil {
 		return 0, err
 	}
-	for _, state := range states {
-		if _, err := s.install(state); err != nil {
+	// Any unusable snapshot is an error before anything is installed, so
+	// a daemon never silently starts without part of its state.
+	restored := make([]*Session, 0, len(paths))
+	for _, path := range paths {
+		sess, err := s.loadSession(path, "")
+		if err != nil {
 			return 0, err
 		}
+		restored = append(restored, sess)
 	}
-	return len(states), nil
+	for _, sess := range restored {
+		s.reg.Put(sess)
+	}
+	return len(restored), nil
 }
 
-// install rebuilds a session from its durable state and puts it in the
-// registry, replacing a same-named one. The caller holds persistMu.
-func (s *Server) install(state *sessionState) (*Session, error) {
+// loadSession loads one snapshot file and rebuilds its session, for the
+// caller to put in the registry; the time that took is what the restore
+// histogram records. A non-empty name is the session the file must be
+// for.
+func (s *Server) loadSession(path, name string) (*Session, error) {
+	start := time.Now()
+	state, err := s.store.loadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if name != "" && state.Name != name {
+		return nil, fmt.Errorf("%w: %s is for session %q, not %q", errBadSnapshot, filepath.Base(path), state.Name, name)
+	}
 	sess, err := sessionFromState(state, s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	s.reg.Put(sess)
-	s.metrics.SessionRestore()
+	s.metrics.SessionRestore(time.Since(start))
 	return sess, nil
 }
 
 // save exports one session and writes it to the store, counting the
 // outcome. The caller holds persistMu and has checked the store is open.
 func (s *Server) save(sess *Session) error {
+	start := time.Now()
 	state, err := sess.Export()
+	var size int64
 	if err == nil {
-		err = s.store.Save(state)
+		size, err = s.store.Save(state)
 	}
 	if err != nil {
 		s.metrics.SnapshotError()
 		return err
 	}
-	s.metrics.SnapshotWritten()
+	s.metrics.SnapshotWritten(size, time.Since(start))
 	return nil
 }
 
@@ -301,14 +382,12 @@ func (s *Server) restoreSession(name string) (*Session, error) {
 	if s.store == nil {
 		return nil, errStoreClosed
 	}
-	state, err := s.store.Load(name)
+	sess, err := s.loadSession(s.store.Path(name), name)
 	if err != nil {
 		return nil, err
 	}
-	if state.Name != name {
-		return nil, fmt.Errorf("%w: %s is for session %q, not %q", errBadSnapshot, fileName(name), state.Name, name)
-	}
-	return s.install(state)
+	s.reg.Put(sess)
+	return sess, nil
 }
 
 // errStoreClosed distinguishes "persistence disabled" from genuine

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -217,6 +218,7 @@ func TestSnapshotRestoreErrors(t *testing.T) {
 
 	dir := t.TempDir()
 	s2, c2 := newDurableClient(t, dir)
+	registerBookstore(c2, "", 2)
 	status, _ = c2.do("POST", "/sessions/ghost/snapshot", nil)
 	if status != http.StatusNotFound {
 		t.Fatalf("snapshot of unknown session = %d, want 404", status)
@@ -237,6 +239,31 @@ func TestSnapshotRestoreErrors(t *testing.T) {
 	}
 	if _, err := s2.RestoreSessions(); err == nil {
 		t.Fatal("RestoreSessions loaded a corrupt snapshot without error")
+	}
+
+	// So does a good document followed by anything but white space: a
+	// file is one JSON value, not whatever its first value happens to be.
+	good, err := os.ReadFile(s2.Store().Path("default"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tail := range map[string]string{"trailing-garbage": " garbage", "trailing-value": `{"format":1,"name":"x"}`, "trailing-space": " \n\t"} {
+		doc := bytes.Replace(good, []byte(`"name":"default"`), []byte(`"name":"`+name+`"`), 1)
+		if err := os.WriteFile(s2.Store().Path(name), append(bytes.TrimSpace(doc), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := http.StatusBadRequest
+		if name == "trailing-space" {
+			want = http.StatusOK
+		}
+		if status, body := c2.do("POST", "/sessions/"+name+"/restore", nil); status != want {
+			t.Fatalf("restore of a snapshot with %s = %d (%v), want %d", name, status, body, want)
+		}
+	}
+	for _, name := range []string{"trailing-garbage", "trailing-value"} {
+		if err := os.Remove(s2.Store().Path(name)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// A snapshot whose embedded name disagrees with its file is
@@ -317,7 +344,7 @@ func TestOrphanedSessionDoesNotAutosave(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.persist(cur)
-	if m := s.Metrics().Snapshot(CacheStats{}, CacheStats{}, CacheStats{}, CacheStats{}, QueueStats{}, 0, EvalSnapshot{}, nil); m.SnapshotErrs != 0 {
+	if m := s.metricsSnapshot(); m.SnapshotErrs != 0 {
 		t.Fatalf("snapshot errors: %d", m.SnapshotErrs)
 	}
 }

@@ -1,0 +1,560 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/dataspace/automed/internal/core"
+	"github.com/dataspace/automed/internal/hdm"
+	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/iql/iqltest"
+	"github.com/dataspace/automed/internal/ispider"
+	"github.com/dataspace/automed/internal/rel"
+	"github.com/dataspace/automed/internal/wrapper"
+)
+
+// Tests of the write path: what Store.Save streams against the writer
+// it replaced, what a save costs when no source changed, and what the
+// loader refuses.
+
+// referenceFile is the writer Store.Save replaced, kept as the
+// reference: json.Marshal of the whole session state, every source
+// written by encoding/json's reflection over its Snapshot (the defined
+// type drops the document encoder) instead of taken from a memo.
+func referenceFile(t *testing.T, sess *Session) []byte {
+	t.Helper()
+	state, err := sess.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.mu.RLock()
+	ws := append([]wrapper.Wrapper(nil), sess.wrappers...)
+	sess.mu.RUnlock()
+	type plain wrapper.Snapshot
+	docs := make([]json.RawMessage, len(ws))
+	for i, w := range ws {
+		snap, err := w.(wrapper.Snapshotter).Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if docs[i], err = json.Marshal((*plain)(snap)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if state.Integrator != nil {
+		ig := *state.Integrator
+		ig.Sources = docs
+		state.Integrator = &ig
+	} else {
+		state.Sources = docs
+	}
+	ref, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// checkFileMatchesReference saves the session and holds the file
+// against the reference, whitespace aside.
+func checkFileMatchesReference(t *testing.T, s *Server, name, stage string) {
+	t.Helper()
+	sess, err := s.SnapshotSession(name)
+	if err != nil {
+		t.Fatalf("%s: %v", stage, err)
+	}
+	file, err := os.ReadFile(s.Store().Path(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, file); err != nil {
+		t.Fatalf("%s: the file is not JSON: %v", stage, err)
+	}
+	if want := referenceFile(t, sess); !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s: file differs from json.Marshal(state):\n got %.400s\nwant %.400s", stage, got.Bytes(), want)
+	}
+}
+
+// edgeSources are sources holding every scalar the encoders could
+// disagree about — NULLs, int64 extremes, floats either side of JSON's
+// exponent cutoffs, strings with <>&, U+2028 and invalid UTF-8, an
+// empty table — in each in-memory kind: relational, static, XML.
+func edgeSources(t *testing.T) []wrapper.Wrapper {
+	t.Helper()
+	db := rel.NewDB("Edge")
+	cells := db.MustCreateTable("cells", []rel.Column{
+		{Name: "id", Type: rel.Int}, {Name: "s", Type: rel.String},
+		{Name: "i", Type: rel.Int}, {Name: "f", Type: rel.Float}, {Name: "b", Type: rel.Bool}}, "id")
+	floats := append([]float64{30, 1e21, math.Copysign(0, -1)}, iqltest.Floats...)
+	n := max(len(iqltest.Strings), len(iqltest.Ints), len(floats))
+	for k := 0; k < n; k++ {
+		cells.MustInsert(int64(k), iqltest.Strings[k%len(iqltest.Strings)],
+			iqltest.Ints[k%len(iqltest.Ints)], floats[k%len(floats)], k%2 == 0)
+	}
+	cells.MustInsert(int64(n), nil, nil, nil, nil)
+	db.MustCreateTable("empty", []rel.Column{{Name: "k", Type: rel.String}}, "")
+	edge, err := wrapper.NewRelational("Edge", db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := wrapper.NewStatic("Curated")
+	if err := st.Add(hdm.MustScheme("<<picks>>"), hdm.Nodal, "sql", "table",
+		iql.Bag(iql.Str("<&>"), iql.Tuple(iql.Int(math.MinInt64), iql.Float(1e21), iql.Null()))); err != nil {
+		t.Fatal(err)
+	}
+	xmlW, err := wrapper.NewXML("Doc", strings.NewReader(`<lib><book id="b&amp;1"><title>T &lt; U</title></book><book/></lib>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []wrapper.Wrapper{edge, st, xmlW}
+}
+
+func caseSources(t testing.TB) []wrapper.Wrapper {
+	t.Helper()
+	pedro, gpmdb, pepseeker, err := ispider.Wrappers(ispider.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []wrapper.Wrapper{pedro, gpmdb, pepseeker}
+}
+
+func newSessionOver(t testing.TB, s *Server, name string, ws []wrapper.Wrapper) *Session {
+	t.Helper()
+	sess, err := s.Sessions().Get(name, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range ws {
+		if err := sess.AddSource(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sess
+}
+
+func applyStep(t testing.TB, sess *Session, st ispider.PlanStep) {
+	t.Helper()
+	var err error
+	if st.Kind == "intersect" {
+		_, err = sess.Intersect(st.Name, st.Mappings, st.Enables...)
+	} else {
+		err = sess.Refine(st.Name, st.Refinement, st.Enables...)
+	}
+	if err != nil {
+		t.Fatalf("step %s: %v", st.Name, err)
+	}
+}
+
+// table1Answers asks every Table 1 query at every published version it
+// is answerable at.
+func table1Answers(t *testing.T, c *testClient, session string, steps []ispider.PlanStep) []string {
+	t.Helper()
+	var out []string
+	done := "F"
+	for v := 0; v <= len(steps); v++ {
+		if v > 0 {
+			done = steps[v-1].Name
+		}
+		for _, q := range ispider.Table1Queries() {
+			if ispider.AnswerableAfter(q, done) {
+				out = append(out, fmt.Sprintf("v%d %s %s", v, q.ID, canonicalAnswer(t,
+					c.must("POST", "/query", map[string]any{"session": session, "query": q.IQL, "version": v}, http.StatusOK))))
+			}
+		}
+	}
+	return out
+}
+
+// TestStoreFileMatchesReference is the differential test of the write
+// path: before federation, after it, and after every step of the case
+// study's plan, the file Save streams is — whitespace aside — byte for
+// byte what json.Marshal of the state was; and Load ∘ Save is the
+// identity on answers, Table 1 at every version.
+func TestStoreFileMatchesReference(t *testing.T) {
+	s, c := newDurableClient(t, t.TempDir())
+
+	newSessionOver(t, s, "empty", nil)
+	checkFileMatchesReference(t, s, "empty", "no sources")
+
+	edge := newSessionOver(t, s, "edge", edgeSources(t))
+	checkFileMatchesReference(t, s, "edge", "edge sources, before federation")
+	if _, err := edge.Federate(context.Background(), "F", false); err != nil {
+		t.Fatal(err)
+	}
+	checkFileMatchesReference(t, s, "edge", "edge sources, federated")
+
+	sess := newSessionOver(t, s, "case", caseSources(t))
+	checkFileMatchesReference(t, s, "case", "case study, before federation")
+	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
+		t.Fatal(err)
+	}
+	plan := ispider.IntersectionPlan()
+	for k := 0; k <= len(plan); k++ {
+		stage := "case study, federated"
+		if k > 0 {
+			applyStep(t, sess, plan[k-1])
+			stage = "case study, after " + plan[k-1].Name
+		}
+		checkFileMatchesReference(t, s, "case", stage)
+
+		want := table1Answers(t, c, "case", plan[:k])
+		s2, c2 := newTestClient(t, DefaultConfig())
+		if err := s2.OpenStore(filepath.Dir(s.Store().Path("case"))); err != nil {
+			t.Fatal(err)
+		}
+		c2.must("POST", "/sessions/case/restore", nil, http.StatusOK)
+		if got := table1Answers(t, c2, "case", plan[:k]); !slices.Equal(got, want) {
+			t.Errorf("%s: restored session answers differently:\n got %v\nwant %v", stage, got, want)
+		}
+		// What the restored session saves is the file it was restored
+		// from: its sources are the documents it read.
+		before, _ := os.ReadFile(s2.Store().Path("case"))
+		if _, err := s2.SnapshotSession("case"); err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := os.ReadFile(s2.Store().Path("case")); !bytes.Equal(before, after) {
+			t.Errorf("%s: Save ∘ Load changed the file", stage)
+		}
+	}
+}
+
+// TestRestoreStepRestore: restore → step → restore. The step's autosave
+// writes the restored sources from the documents they were read from,
+// and the second restore answers as the stepped session did.
+func TestRestoreStepRestore(t *testing.T) {
+	dir := t.TempDir()
+	s, c := newDurableClient(t, dir)
+	registerBookstore(c, "", 3)
+	c.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
+
+	c.must("POST", "/sessions/default/restore", nil, http.StatusOK)
+	c.must("POST", "/intersect", map[string]any{"name": "I1", "mappings": ubookMappings}, http.StatusCreated)
+	want := canonicalAnswer(t, c.must("POST", "/query", map[string]any{"query": "[x | {k, x} <- <<UBook, isbn>>]"}, http.StatusOK))
+	checkFileMatchesReference(t, s, "default", "restored, then stepped")
+
+	res := c.must("POST", "/sessions/default/restore", nil, http.StatusOK)
+	if res["version"].(float64) != 1 {
+		t.Fatalf("second restore is at version %v, want 1", res["version"])
+	}
+	if got := canonicalAnswer(t, c.must("POST", "/query", map[string]any{"query": "[x | {k, x} <- <<UBook, isbn>>]"}, http.StatusOK)); got != want {
+		t.Errorf("after restore → step → restore:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestMutatedSourceShowsInNextSave: rows inserted through a source's
+// database after a save are in the next one — the memo is validated,
+// not trusted.
+func TestMutatedSourceShowsInNextSave(t *testing.T) {
+	s, _ := newDurableClient(t, t.TempDir())
+	ws := caseSources(t)
+	sess := newSessionOver(t, s, "m", ws)
+	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
+		t.Fatal(err)
+	}
+	checkFileMatchesReference(t, s, "m", "before the insert")
+	before, _ := os.ReadFile(s.Store().Path("m"))
+
+	db := ws[0].(*wrapper.Relational).DB()
+	tb := db.Tables()[0]
+	row := append([]any(nil), tb.Row(0)...)
+	pk, _ := tb.ColIndex(tb.PrimaryKey())
+	switch row[pk].(type) {
+	case int64:
+		row[pk] = int64(math.MaxInt64)
+	case string:
+		row[pk] = "inserted-after-the-first-save"
+	}
+	tb.MustInsert(row...)
+	checkFileMatchesReference(t, s, "m", "after the insert")
+	if after, _ := os.ReadFile(s.Store().Path("m")); bytes.Equal(before, after) {
+		t.Error("a row inserted after a save is missing from the next")
+	}
+}
+
+// TestSharedWrappersSaveConcurrently: two sessions over one wrapper set
+// autosave at once (the benchmark's payg_mixed clients do); under -race
+// this is the memo's locking test.
+func TestSharedWrappersSaveConcurrently(t *testing.T) {
+	s, _ := newDurableClient(t, t.TempDir())
+	ws := caseSources(t)
+	sessions := []*Session{newSessionOver(t, s, "a", ws), newSessionOver(t, s, "b", ws)}
+	for _, sess := range sessions {
+		if _, err := sess.Federate(context.Background(), "F", false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, sess := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, st := range ispider.IntersectionPlan() {
+				applyStep(t, sess, st)
+				s.persist(sess)
+				// Beside the server-wide persist lock too: the memo has
+				// to hold on its own.
+				if _, err := sess.Export(); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if m := s.metricsSnapshot(); m.SnapshotErrs != 0 || m.Snapshots != 10 {
+		t.Fatalf("%d snapshots, %d errors; want 10 and 0", m.Snapshots, m.SnapshotErrs)
+	}
+	for _, name := range []string{"a", "b"} {
+		checkFileMatchesReference(t, s, name, "after concurrent autosaves of "+name)
+	}
+}
+
+func (s *Server) metricsSnapshot() MetricsSnapshot {
+	return s.metrics.Snapshot(CacheStats{}, CacheStats{}, CacheStats{}, CacheStats{}, QueueStats{}, 0, EvalSnapshot{}, nil)
+}
+
+// TestUnchangedSourcesSaveAllocation: a save of a session whose sources
+// have not changed allocates less than a quarter of the file's size —
+// the rows, nearly all of this file, are written from the source's memo
+// and never copied, so what a save allocates follows the schema, not
+// the data. A count of bytes, not a time, so it is deterministic.
+func TestUnchangedSourcesSaveAllocation(t *testing.T) {
+	s, _ := newDurableClient(t, t.TempDir())
+	db := rel.NewDB("Wide")
+	tb := db.MustCreateTable("readings", []rel.Column{
+		{Name: "id", Type: rel.Int}, {Name: "site", Type: rel.String}, {Name: "level", Type: rel.Float}}, "id")
+	for i := 0; i < 20_000; i++ {
+		tb.MustInsert(int64(i), fmt.Sprintf("site-%04d", i%977), float64(i%4099)/8)
+	}
+	w, err := wrapper.NewRelational("Wide", db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := newSessionOver(t, s, "alloc", []wrapper.Wrapper{w})
+	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
+		t.Fatal(err)
+	}
+	save := func() {
+		if _, err := s.SnapshotSession("alloc"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save() // encodes the source
+	var m0, m1 runtime.MemStats
+	const runs = 5
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		save()
+	}
+	runtime.ReadMemStats(&m1)
+	info, err := os.Stat(s.Store().Path("alloc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSave := int64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	t.Logf("file %d B, allocated per save %d B", info.Size(), perSave)
+	if perSave > info.Size()/4 {
+		t.Errorf("saving a %d-byte session with unchanged sources allocates %d bytes, want under a quarter", info.Size(), perSave)
+	}
+}
+
+// TestNonFiniteCellFailsAutosaveLoudly: a NaN cell (CSV parses them)
+// cannot be saved. The error says where the cell is, the previous file
+// stays as it was, and snapshot_errors counts the failure.
+func TestNonFiniteCellFailsAutosaveLoudly(t *testing.T) {
+	s, _ := newDurableClient(t, t.TempDir())
+	db := rel.NewDB("Readings")
+	tb := db.MustCreateTable("samples", []rel.Column{{Name: "id", Type: rel.Int}, {Name: "level", Type: rel.Float}}, "id")
+	tb.MustInsert(int64(1), 0.5)
+	w, err := wrapper.NewRelational("Readings", db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSessionOver(t, s, "nan", []wrapper.Wrapper{w})
+	if _, err := s.SnapshotSession("nan"); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(s.Store().Path("nan"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tb.MustInsert(int64(2), math.NaN())
+	_, err = s.SnapshotSession("nan")
+	if err == nil {
+		t.Fatal("a session holding a NaN cell was saved")
+	}
+	for _, want := range []string{`source "Readings"`, `table "samples"`, "row 1", `column "level"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("save error lacks %s: %v", want, err)
+		}
+	}
+	if after, _ := os.ReadFile(s.Store().Path("nan")); !bytes.Equal(before, after) {
+		t.Error("a failed save changed the file")
+	}
+	if m := s.metricsSnapshot(); m.SnapshotErrs != 1 {
+		t.Errorf("snapshot_errors = %d, want 1", m.SnapshotErrs)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(filepath.Dir(s.Store().Path("nan")), ".*")); len(tmps) != 0 {
+		t.Errorf("a failed save left %v behind", tmps)
+	}
+}
+
+// TestNewStoreSweepsStaleTempFiles: what a crash between create and
+// rename leaves behind goes when the store is next opened; snapshots,
+// and anything else that merely looks similar, stay.
+func TestNewStoreSweepsStaleTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, c := newDurableClient(t, dir)
+	registerBookstore(c, "", 2)
+	snapshot := s.Store().Path("default")
+	keep := []string{snapshot,
+		filepath.Join(dir, "s-x.json.tmp-1"), // not dot-prefixed: a session file name, if an odd one
+		filepath.Join(dir, ".s-notes.txt"),
+		filepath.Join(dir, ".other.json.tmp-1")}
+	stale := []string{
+		filepath.Join(dir, "."+filepath.Base(snapshot)+".tmp-123456"),
+		filepath.Join(dir, ".s-gone.json.tmp-9")}
+	for _, p := range append(keep[1:], stale...) {
+		if err := os.WriteFile(p, []byte(`{"format":1,`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := NewStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range keep {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("NewStore removed %s", filepath.Base(p))
+		}
+	}
+	for _, p := range stale {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("NewStore left the stale temporary %s", filepath.Base(p))
+		}
+	}
+	s2, _ := newDurableClient(t, dir)
+	if n := s2.Sessions().Len(); n != 1 {
+		t.Fatalf("restored %d sessions beside the swept temporaries, want 1", n)
+	}
+}
+
+// renderState is Save without the file.
+func renderState(state *sessionState) ([]byte, error) {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := state.writeJSON(bw); err != nil {
+		return nil, err
+	}
+	err := bw.Flush()
+	return buf.Bytes(), err
+}
+
+// FuzzStoreLoad feeds the loader arbitrary bytes. It must never panic;
+// and an input it accepts — decoded, rebuilt into a session — re-saves
+// to a fixpoint: the file written from it loads, and saves as itself.
+// The seeds (the golden session, truncations of it, trailing bytes) run
+// as plain tests under `make fuzz-seeds`.
+func FuzzStoreLoad(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden_session.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	file := append(append([]byte(`{"format":1,"name":"fuzz","integrator":`), golden...), '}', '\n')
+	f.Add(file)
+	for _, n := range []int{0, 1, 20, len(file) / 3, len(file) / 2, len(file) - 3} {
+		f.Add(file[:n])
+	}
+	f.Add(append(append([]byte(nil), file...), "garbage"...))
+	f.Add(append(append([]byte(nil), file...), `{"format":1,"name":"second"}`...))
+	f.Add([]byte(`{"format":1,"name":"pre","sources":[{"kind":"relational","name":"L","tables":[{"name":"t","columns":["id:int","v:float"],"primary_key":"id","rows":[[1,1.0],[2,null]]}]}]}`))
+	f.Add([]byte(`{"format":1,"name":"bare"}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		load := func(data []byte) (*Session, error) {
+			state, err := decodeState(data, "fuzz")
+			if err != nil {
+				return nil, err
+			}
+			return sessionFromState(state, DefaultConfig())
+		}
+		sess, err := load(data)
+		if err != nil {
+			return
+		}
+		for _, w := range sess.wrappers {
+			switch w.(type) {
+			case *wrapper.Relational, *wrapper.Static:
+			default:
+				return // a live kind: saving it would go to its backend
+			}
+		}
+		save := func(sess *Session) []byte {
+			state, err := sess.Export()
+			if err != nil {
+				t.Fatalf("an accepted session does not export: %v", err)
+			}
+			out, err := renderState(state)
+			if err != nil {
+				t.Fatalf("an accepted session does not save: %v", err)
+			}
+			return out
+		}
+		first := save(sess)
+		again, err := load(first)
+		if err != nil {
+			t.Fatalf("the file saved from an accepted input does not load: %v\n%s", err, first)
+		}
+		if second := save(again); !bytes.Equal(first, second) {
+			t.Fatalf("re-saving is not a fixpoint:\nfirst  %s\nsecond %s", first, second)
+		}
+	})
+}
+
+// TestGoldenSessionLoadsThroughStore: the committed golden session — a
+// file as the previous layout wrote it, indented throughout — restores
+// through the store, and its first save is in the current layout:
+// smaller, one row per line.
+func TestGoldenSessionLoadsThroughStore(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden_session.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, append(append([]byte(`{"format":1,"name":"golden","integrator":`), golden...), '}'), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, c := newDurableClient(t, dir)
+	if err := os.WriteFile(s.Store().Path("golden"), indented.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c.must("POST", "/sessions/golden/restore", nil, http.StatusOK)
+	q := c.must("POST", "/query", map[string]any{"session": "golden", "query": "count(<<UBook>>)"}, http.StatusOK)
+	if q["value"].(float64) != 5 {
+		t.Fatalf("golden session count(<<UBook>>) = %v, want 5", q["value"])
+	}
+	checkFileMatchesReference(t, s, "golden", "golden session")
+	saved, _ := os.ReadFile(s.Store().Path("golden"))
+	if len(saved) >= indented.Len()*2/3 || !bytes.Contains(saved, []byte("\n[1,\"978-1\",")) {
+		t.Errorf("the golden session's first save is %d bytes (was %d) or not one row per line:\n%.600s", len(saved), indented.Len(), saved)
+	}
+	var state struct {
+		Integrator *core.Snapshot `json:"integrator"`
+	}
+	if err := json.Unmarshal(saved, &state); err != nil || state.Integrator == nil || len(state.Integrator.Sources) != 3 {
+		t.Fatalf("saved golden session: %v, %+v", err, state.Integrator)
+	}
+}

@@ -1,0 +1,234 @@
+package wrapper
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"strconv"
+	"strings"
+	"sync"
+
+	"github.com/dataspace/automed/internal/jsontext"
+)
+
+// A source's snapshot document is its Snapshot encoded as JSON: what a
+// session file holds per source, produced by Encode and read back by
+// Decode. Session snapshots carry documents, not Snapshot values, so a
+// source that has not changed since it was last encoded (or since it
+// was restored) costs a save nothing but the write.
+
+// Encode returns w's snapshot document. The in-memory kinds
+// (relational, static, XML) memoise it on the wrapper, validated by a
+// count of the wrapper's mutations, so it is shared between calls and
+// must not be modified; live kinds (SQL, REST, Fault) materialise and
+// encode on every call. A source that is not a Snapshotter is an error
+// naming it.
+func Encode(w Wrapper) (json.RawMessage, error) {
+	sn, ok := w.(Snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("wrapper: source %q (%T) does not support snapshotting", w.SchemaName(), w)
+	}
+	var doc json.RawMessage
+	var err error
+	if m, ok := w.(memoised); ok {
+		memo, stamp := m.docMemo()
+		doc, err = memo.get(stamp, sn)
+	} else {
+		doc, err = encode(sn)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("wrapper: snapshotting source %q: %w", w.SchemaName(), err)
+	}
+	return doc, nil
+}
+
+// EncodeAll encodes a slice of wrappers, failing on the first source
+// that cannot be.
+func EncodeAll(ws []Wrapper) ([]json.RawMessage, error) {
+	out := make([]json.RawMessage, 0, len(ws))
+	for _, w := range ws {
+		doc, err := Encode(w)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, doc)
+	}
+	return out, nil
+}
+
+// Decode rebuilds a wrapper from its snapshot document (exactly one
+// JSON value; integers keep their full int64 precision). An in-memory
+// wrapper keeps the document as its memo, so saving a restored session
+// encodes no source until one changes. Decode takes ownership of doc.
+func Decode(doc json.RawMessage) (Wrapper, error) {
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	var snap Snapshot
+	if err := dec.Decode(&snap); err != nil {
+		return nil, fmt.Errorf("wrapper: decoding snapshot document: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("wrapper: snapshot document of source %q has trailing data", snap.Name)
+	}
+	w, err := Restore(&snap)
+	if err != nil {
+		return nil, err
+	}
+	// An indented document (a session file from before the
+	// one-row-per-line layout) is not kept: the next save re-encodes
+	// it, so old files shrink on their first autosave.
+	if m, ok := w.(memoised); ok && !bytes.HasPrefix(doc, []byte("{\n ")) {
+		memo, stamp := m.docMemo()
+		memo.set(stamp, doc)
+	}
+	return w, nil
+}
+
+func encode(sn Snapshotter) (json.RawMessage, error) {
+	snap, err := sn.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return snap.MarshalJSON()
+}
+
+// memoised is implemented by the wrapper kinds whose state changes only
+// through this process: docMemo returns the wrapper's memo and its
+// current mutation stamp.
+type memoised interface {
+	docMemo() (*docMemo, uint64)
+}
+
+// docMemo holds a wrapper's encoded document and the mutation stamp it
+// was encoded (or restored) at. A different stamp means the wrapper has
+// changed and the document is stale.
+type docMemo struct {
+	mu    sync.Mutex
+	doc   json.RawMessage
+	stamp uint64
+}
+
+func (m *docMemo) get(stamp uint64, sn Snapshotter) (json.RawMessage, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.doc == nil || m.stamp != stamp {
+		doc, err := encode(sn)
+		if err != nil {
+			return nil, err
+		}
+		m.doc, m.stamp = doc, stamp
+	}
+	return m.doc, nil
+}
+
+func (m *docMemo) set(stamp uint64, doc json.RawMessage) {
+	m.mu.Lock()
+	m.doc, m.stamp = doc, stamp
+	m.mu.Unlock()
+}
+
+func (w *Relational) docMemo() (*docMemo, uint64) { return &w.memo, w.db.Mutations() }
+
+// A Static changes only by Add, which never replaces an extent.
+func (w *Static) docMemo() (*docMemo, uint64) { return &w.memo, uint64(len(w.extents)) }
+
+// An XML wrapper never changes after NewXML.
+func (w *XML) docMemo() (*docMemo, uint64) { return &w.memo, 0 }
+
+// MarshalJSON writes the document: the members encoding/json would
+// write, in its order and with its tokens, but relational rows are
+// written directly — one row per line, no reflection, no copy — and a
+// cell JSON cannot carry is an error naming where it is.
+func (s *Snapshot) MarshalJSON() ([]byte, error) {
+	dst := append(make([]byte, 0, 1024), `{"kind":`...)
+	dst = jsontext.AppendStringHTML(dst, s.Kind)
+	dst = append(dst, `,"name":`...)
+	dst = jsontext.AppendStringHTML(dst, s.Name)
+	if len(s.Tables) > 0 {
+		dst = append(dst, `,"tables":[`...)
+		for i := range s.Tables {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, '\n')
+			var err error
+			if dst, err = s.Tables[i].appendJSON(dst, s.Name); err != nil {
+				return nil, err
+			}
+		}
+		dst = append(dst, "\n]"...)
+	}
+	rest, err := json.Marshal(struct {
+		Objects []ObjectSnapshot `json:"objects,omitempty"`
+		SQL     *SQLSnapshot     `json:"sql,omitempty"`
+		REST    *RESTSnapshot    `json:"rest,omitempty"`
+		Fault   *FaultSnapshot   `json:"fault,omitempty"`
+	}{s.Objects, s.SQL, s.REST, s.Fault})
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) > len("{}") {
+		dst = append(append(dst, ','), rest[1:len(rest)-1]...)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendJSON appends the table: its description through encoding/json
+// (rows is the last member, so the rows go where its null was), then
+// one line per row.
+func (ts *TableSnapshot) appendJSON(dst []byte, source string) ([]byte, error) {
+	head := *ts
+	head.Rows = nil
+	b, err := json.Marshal(&head)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, bytes.TrimSuffix(b, []byte("null}"))...)
+	switch {
+	case ts.Rows == nil:
+		return append(dst, "null}"...), nil
+	case len(ts.Rows) == 0:
+		return append(dst, "[]}"...), nil
+	}
+	dst = append(dst, '[')
+	for rn, row := range ts.Rows {
+		if rn > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '\n', '[')
+		for cn, cell := range row {
+			if cn > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendCell(dst, cell); err != nil {
+				col := strconv.Itoa(cn)
+				if cn < len(ts.Columns) {
+					col, _, _ = strings.Cut(ts.Columns[cn], ":")
+				}
+				return dst, fmt.Errorf("wrapper: source %q table %q row %d column %q: %w", source, ts.Name, rn, col, err)
+			}
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, "\n]}"...), nil
+}
+
+// appendCell appends one row cell: the types rel holds and the ones a
+// decoded snapshot holds directly, anything else through encoding/json.
+func appendCell(dst []byte, cell any) ([]byte, error) {
+	switch x := cell.(type) {
+	case nil:
+		return append(dst, "null"...), nil
+	case string:
+		return jsontext.AppendStringHTML(dst, x), nil
+	case int64:
+		return strconv.AppendInt(dst, x, 10), nil
+	case float64:
+		return jsontext.AppendFloat(dst, x)
+	case bool:
+		return strconv.AppendBool(dst, x), nil
+	}
+	b, err := json.Marshal(cell)
+	return append(dst, b...), err
+}

@@ -3,6 +3,7 @@ package wrapper
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -278,7 +279,9 @@ func TestRESTPageAllocations(t *testing.T) {
 	}
 	narrow, wide := page(2), page(12)
 	t.Logf("one page of 500 records: %.0f allocations", narrow)
-	if narrow != wide || narrow > 500/pairChunkRows+8 {
+	// A field that cost anything would show as thousands; one either
+	// way is the race detector's own bookkeeping (make race).
+	if math.Abs(narrow-wide) > 1 || narrow > 500/pairChunkRows+8 {
 		t.Errorf("a page costs %.0f allocations with 2 unprojected fields and %.0f with 12, want the same few", narrow, wide)
 	}
 }

@@ -20,6 +20,9 @@ import (
 // Restore turns back into an equivalent in-memory wrapper. Wrappers
 // over external systems need not implement it; sessions containing such
 // sources cannot be persisted and report a clear error instead.
+//
+// A Snapshot is the logical form; what session files hold is its
+// encoding, the snapshot document — see Encode and Decode.
 type Snapshotter interface {
 	Snapshot() (*Snapshot, error)
 }
@@ -128,7 +131,8 @@ type RESTCollectionSnapshot struct {
 }
 
 // Snapshot implements Snapshotter for relational sources: tables in
-// creation order, rows in insertion order.
+// creation order, rows in insertion order. The rows are the tables' own
+// (rel.Table.Rows), not copies: a snapshot is read, never written.
 func (w *Relational) Snapshot() (*Snapshot, error) {
 	snap := &Snapshot{Kind: "relational", Name: w.name}
 	for _, t := range w.db.Tables() {
@@ -139,9 +143,8 @@ func (w *Relational) Snapshot() (*Snapshot, error) {
 		for _, fk := range t.ForeignKeys() {
 			ts.ForeignKeys = append(ts.ForeignKeys, FKSnapshot{Column: fk.Column, RefTable: fk.RefTable})
 		}
-		ts.Rows = make([][]any, t.Len())
-		for i, row := range t.Rows() {
-			ts.Rows[i] = append([]any(nil), row...)
+		if ts.Rows = t.Rows(); ts.Rows == nil {
+			ts.Rows = [][]any{} // an empty table is "rows": [], as it has always been
 		}
 		snap.Tables = append(snap.Tables, ts)
 	}
@@ -249,24 +252,6 @@ func (w *REST) Snapshot() (*Snapshot, error) {
 		})
 	}
 	return &Snapshot{Kind: "rest", Name: w.name, REST: restSnap}, nil
-}
-
-// SnapshotAll snapshots a slice of wrappers, failing with the name of
-// the first source that does not implement Snapshotter.
-func SnapshotAll(ws []Wrapper) ([]*Snapshot, error) {
-	out := make([]*Snapshot, 0, len(ws))
-	for _, w := range ws {
-		sn, ok := w.(Snapshotter)
-		if !ok {
-			return nil, fmt.Errorf("wrapper: source %q (%T) does not support snapshotting", w.SchemaName(), w)
-		}
-		snap, err := sn.Snapshot()
-		if err != nil {
-			return nil, fmt.Errorf("wrapper: snapshotting source %q: %w", w.SchemaName(), err)
-		}
-		out = append(out, snap)
-	}
-	return out, nil
 }
 
 // restorers maps each snapshot kind to its restore function; the keys

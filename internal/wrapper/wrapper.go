@@ -32,6 +32,7 @@ type Relational struct {
 	name   string
 	db     *rel.DB
 	schema *hdm.Schema
+	memo   docMemo
 }
 
 // NewRelational builds a wrapper and its data source schema: one
@@ -140,6 +141,7 @@ type Static struct {
 	name    string
 	schema  *hdm.Schema
 	extents map[string]iql.Value
+	memo    docMemo
 }
 
 // NewStatic builds a static wrapper. Extents are keyed by scheme key.

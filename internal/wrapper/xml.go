@@ -22,6 +22,7 @@ type XML struct {
 	name    string
 	schema  *hdm.Schema
 	extents map[string][]iql.Value
+	memo    docMemo
 }
 
 type xmlNode struct {
