@@ -26,6 +26,10 @@ build:
 test:
 	$(GO) test ./...
 
+# race is also the guard of iql.Value's unsafe accessors: -race turns
+# on the compiler's checkptr instrumentation, which faults on an
+# unsafe.String or unsafe.Slice whose pointer and length do not lie
+# within one allocation — what a Value built or read wrongly would be.
 race:
 	$(GO) test -race ./...
 
@@ -109,10 +113,12 @@ stream-smoke:
 	$(GO) run ./cmd/streamsmoke
 
 # fuzz-seeds runs every committed fuzz seed (malformed repo snapshots,
-# malformed REST payloads, the answer encoder's edge scalars, session
-# files whole, truncated and with trailing bytes) as plain tests — the CI-safe equivalent of a -fuzztime run.
+# malformed REST payloads, the answer encoder's edge scalars, the floats
+# where a layout of the shortest digits changes shape, session files
+# whole, truncated and with trailing bytes) as plain tests — the CI-safe
+# equivalent of a -fuzztime run.
 fuzz-seeds:
-	$(GO) test -run '^Fuzz' ./internal/repo ./internal/wrapper ./internal/server
+	$(GO) test -run '^Fuzz' ./internal/repo ./internal/wrapper ./internal/server ./internal/iql
 
 # golden checks the committed snapshots (full session, and the sql/rest
 # wrapper kinds) still match a fresh export byte for byte and still

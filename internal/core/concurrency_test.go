@@ -72,7 +72,7 @@ func TestConcurrentQueryDuringIntegration(t *testing.T) {
 					errs <- fmt.Errorf("reader %d: %v", r, err)
 					return
 				}
-				if res.Value.I != 50 {
+				if res.Value.I() != 50 {
 					errs <- fmt.Errorf("reader %d: count = %v", r, res.Value)
 					return
 				}
@@ -122,7 +122,7 @@ func TestConcurrentQueryDuringIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Value.I != 100 {
+	if res.Value.I() != 100 {
 		t.Fatalf("count(<<UBook>>) = %v, want 100", res.Value)
 	}
 	// <<UBook>> did not exist in version 0.

@@ -78,7 +78,7 @@ func TestGlobalExtentIsUnionOfSourceDerivations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		manual = append(manual, v.Items...)
+		manual = append(manual, v.Items()...)
 	}
 	if !got.Equal(iql.BagOf(manual)) {
 		t.Errorf("union semantics violated: %s vs %s", got, iql.BagOf(manual))

@@ -120,11 +120,11 @@ func (ev *Evaluator) evalCall(n *Call, env *Env) (Value, error) {
 		}
 		switch n.Fn {
 		case "contains":
-			return Bool(strings.Contains(args[0].S, args[1].S)), nil
+			return Bool(strings.Contains(args[0].S(), args[1].S())), nil
 		case "startswith":
-			return Bool(strings.HasPrefix(args[0].S, args[1].S)), nil
+			return Bool(strings.HasPrefix(args[0].S(), args[1].S())), nil
 		default:
-			return Bool(strings.HasSuffix(args[0].S, args[1].S)), nil
+			return Bool(strings.HasSuffix(args[0].S(), args[1].S())), nil
 		}
 
 	case "upper", "lower":
@@ -135,9 +135,9 @@ func (ev *Evaluator) evalCall(n *Call, env *Env) (Value, error) {
 			return Value{}, fmt.Errorf("iql: %s expects a string", n.Fn)
 		}
 		if n.Fn == "upper" {
-			return Str(strings.ToUpper(args[0].S)), nil
+			return Str(strings.ToUpper(args[0].S())), nil
 		}
-		return Str(strings.ToLower(args[0].S)), nil
+		return Str(strings.ToLower(args[0].S())), nil
 
 	case "abs":
 		if err := want(1); err != nil {
@@ -145,13 +145,13 @@ func (ev *Evaluator) evalCall(n *Call, env *Env) (Value, error) {
 		}
 		switch args[0].Kind {
 		case KindInt:
-			if args[0].I < 0 {
-				return Int(-args[0].I), nil
+			if args[0].I() < 0 {
+				return Int(-args[0].I()), nil
 			}
 			return args[0], nil
 		case KindFloat:
-			if args[0].F < 0 {
-				return Float(-args[0].F), nil
+			if args[0].F() < 0 {
+				return Float(-args[0].F()), nil
 			}
 			return args[0], nil
 		}
@@ -172,7 +172,7 @@ func (ev *Evaluator) evalCall(n *Call, env *Env) (Value, error) {
 		}
 		switch args[0].Kind {
 		case KindInt:
-			return Float(float64(args[0].I)), nil
+			return Float(float64(args[0].I())), nil
 		case KindFloat:
 			return args[0], nil
 		}
@@ -213,7 +213,7 @@ func aggregate(fn string, coll Value) (Value, error) {
 		if allInt {
 			var s int64
 			for _, e := range els {
-				s += e.I
+				s += e.I()
 			}
 			return Int(s), nil
 		}
@@ -250,7 +250,7 @@ func aggregateStrings(fn string, els []Value) (Value, error) {
 		if e.Kind != KindString {
 			return Value{}, fmt.Errorf("iql: %s over mixed string/non-string elements", fn)
 		}
-		c := strings.Compare(e.S, best.S)
+		c := strings.Compare(e.S(), best.S())
 		if (fn == "max" && c > 0) || (fn == "min" && c < 0) {
 			best = e
 		}

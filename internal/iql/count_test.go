@@ -63,7 +63,7 @@ func (p pagedExtents) ExtentStream(parts []string) (iql.RowStream, bool, error) 
 	if err != nil {
 		return nil, false, err
 	}
-	return &pagedStream{rest: v.Items}, true, nil
+	return &pagedStream{rest: v.Items()}, true, nil
 }
 
 type pagedStream struct{ page, rest []iql.Value }
@@ -124,7 +124,7 @@ func TestCountOfComprehensionMatchesMaterialised(t *testing.T) {
 			if got, want := countEv.Steps(), bagEv.Steps()+1; got != want && (err == nil || mode.name != "sharded") {
 				t.Errorf("%s %s: count took %d steps, the comprehension and the call %d", mode.name, comp, got, want)
 			}
-			if err == nil && (n.Kind != iql.KindInt || n.I != int64(bag.Len())) {
+			if err == nil && (n.Kind != iql.KindInt || n.I() != int64(bag.Len())) {
 				t.Errorf("%s %s: count = %s, the comprehension has %d elements", mode.name, comp, n, bag.Len())
 			}
 		}
@@ -179,7 +179,7 @@ func TestCountDoesNotBuildItsBag(t *testing.T) {
 	allocs := func(src string, want int64) float64 {
 		e := iql.MustParse(src)
 		return testing.AllocsPerRun(5, func() {
-			if v, err := ev.Eval(e, nil); err != nil || v.I != want {
+			if v, err := ev.Eval(e, nil); err != nil || v.I() != want {
 				t.Fatalf("%s = %v, %v; want %d", src, v, err, want)
 			}
 		})

@@ -26,13 +26,13 @@ func TestStringEscapes(t *testing.T) {
 	}
 	for src, want := range cases {
 		v := mustEval(t, src, NoExtents)
-		if v.Kind != KindString || v.S != want {
-			t.Errorf("%s = %q, want %q", src, v.S, want)
+		if v.Kind != KindString || v.S() != want {
+			t.Errorf("%s = %q, want %q", src, v.S(), want)
 		}
 		// And re-render round trips.
 		back := mustEval(t, v.String(), NoExtents)
-		if back.S != want {
-			t.Errorf("re-render of %q = %q", want, back.S)
+		if back.S() != want {
+			t.Errorf("re-render of %q = %q", want, back.S())
 		}
 	}
 }

@@ -1,0 +1,446 @@
+package iql
+
+import (
+	"bytes"
+	"cmp"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+
+	"github.com/dataspace/automed/internal/jsontext"
+)
+
+// One recursion encodes a Value, into up to three outputs at once:
+//
+//   - its canonical key: two values are Equal iff their keys are
+//     identical (NaN aside), bags canonicalised by sorting their
+//     elements' keys so they compare as multisets;
+//   - JSON as a query response carries it: scalars as JSON scalars,
+//     tuples as {"tuple": [...]}, bags as {"bag": [...]} with the
+//     elements in canonical order (bags are multisets, so a
+//     deterministic order is free to choose and keeps responses stable),
+//     Void/Any as {"const": ...} — the bytes encoding/json writes, HTML
+//     escaping off, for the same shape built from maps and slices, and
+//     its UnsupportedValueError for a NaN or infinite float;
+//   - IQL source text: strings single-quoted with backslashes and quotes
+//     escaped, tuples braced, bags bracketed in the order they are in,
+//     so that the rendering is injective and parses back.
+//
+// Whatever is asked for, a node is visited once and the one expensive
+// scalar, a float, has its digits searched for once; Key, String,
+// BagOrder and an answer's response fragment are this walk with
+// different outputs switched on.
+//
+// The text is handed down the recursion and back as a value, the way an
+// append-style function passes its destination, while key and JSON sit
+// in the encoder. A slice stored through the encoder's pointer goes
+// through the collector's write barrier, which while a collection is
+// marking costs a quarter of a walk; the text is the one output every
+// caller but a sort wants, and String must cost what it cost as a
+// recursion of its own.
+type encoder struct {
+	key, json []byte
+	want      outputs
+}
+
+type outputs uint8
+
+const (
+	wantKey outputs = 1 << iota
+	wantJSON
+	wantText
+)
+
+// Key returns a canonical encoding of the value such that two values are
+// Equal iff their keys are identical. Bags are canonicalised by sorting
+// element keys, so bags compare as multisets.
+func (v Value) Key() string {
+	e := encoder{want: wantKey}
+	_, _ = e.value(nil, v) // only JSON fails
+	return string(e.key)
+}
+
+// String renders the value in IQL source syntax (strings single-quoted,
+// tuples braced, bags bracketed).
+func (v Value) String() string { return string(v.AppendString(nil)) }
+
+// AppendString appends the value's String rendering to dst.
+func (v Value) AppendString(dst []byte) []byte {
+	e := encoder{want: wantText}
+	dst, _ = e.value(dst, v) // only JSON fails
+	return dst
+}
+
+// AppendJSONAndText appends v as JSON to js and in IQL source syntax to
+// text, walking v once. A NaN or infinite float anywhere in v is
+// encoding/json's UnsupportedValueError.
+func AppendJSONAndText(js, text []byte, v Value) ([]byte, []byte, error) {
+	e := encoder{want: wantJSON | wantText, json: js}
+	text, err := e.value(text, v)
+	return e.json, text, err
+}
+
+// BagOrder returns SortBag's order as a permutation of the bag's element
+// indexes, for a caller that walks the elements in canonical order
+// without needing them copied into a new bag.
+func BagOrder(v Value) ([]int, error) {
+	els, err := v.Elements()
+	if err != nil {
+		return nil, err
+	}
+	e := encoder{want: wantKey}
+	_, s, _ := e.elements(nil, els) // only JSON fails
+	order := slices.Clone(s.order)
+	sortedPool.Put(s)
+	return order, nil
+}
+
+// SortBag returns a bag with elements in canonical key order, for
+// deterministic display. Each element's key is written exactly once,
+// into a shared arena, and an index permutation is sorted by comparing
+// key bytes (see elements), so a sort costs O(n) key constructions and
+// a constant number of allocations. Elements whose keys tie (e.g. 5
+// and 5.0) keep their bag order.
+func SortBag(v Value) (Value, error) {
+	order, err := BagOrder(v)
+	if err != nil {
+		return Value{}, err
+	}
+	els := v.Items()
+	out := make([]Value, len(order))
+	for i, el := range order {
+		out[i] = els[el]
+	}
+	return BagOf(out), nil
+}
+
+// lit appends one fixed spelling to each output that is wanted.
+func (e *encoder) lit(dst []byte, key, json, text string) []byte {
+	if e.want&wantKey != 0 {
+		e.key = append(e.key, key...)
+	}
+	if e.want&wantJSON != 0 {
+		e.json = append(e.json, json...)
+	}
+	if e.want&wantText != 0 {
+		dst = append(dst, text...)
+	}
+	return dst
+}
+
+// value appends v to the wanted outputs: its text to dst, which it
+// returns, its key and JSON to the encoder's.
+func (e *encoder) value(dst []byte, v Value) ([]byte, error) {
+	switch v.Kind {
+	case KindNull:
+		return e.lit(dst, "N", "null", "null"), nil
+	case KindBool:
+		if v.word != 0 {
+			return e.lit(dst, "b1", "true", "True"), nil
+		}
+		return e.lit(dst, "b0", "false", "False"), nil
+	case KindInt:
+		i := int64(v.word)
+		if e.want&wantKey != 0 {
+			e.key = strconv.AppendInt(append(e.key, 'i'), i, 10)
+		}
+		if e.want&wantJSON != 0 {
+			e.json = strconv.AppendInt(e.json, i, 10)
+		}
+		if e.want&wantText != 0 {
+			dst = strconv.AppendInt(dst, i, 10)
+		}
+		return dst, nil
+	case KindFloat:
+		return e.float(dst, math.Float64frombits(v.word))
+	case KindString:
+		return e.string(dst, v.str()), nil
+	case KindTuple:
+		dst = e.lit(dst, "t(", `{"tuple":[`, "{")
+		for i, it := range v.items() {
+			if i > 0 {
+				dst = e.lit(dst, ",", ",", ", ")
+			}
+			var err error
+			if dst, err = e.value(dst, it); err != nil {
+				return dst, err
+			}
+		}
+		return e.lit(dst, ")", "]}", "}"), nil
+	case KindBag:
+		return e.bag(dst, v.items())
+	case KindVoid:
+		return e.lit(dst, "V", `{"const":"Void"}`, "Void"), nil
+	case KindAny:
+		return e.lit(dst, "A", `{"const":"Any"}`, "Any"), nil
+	}
+	return e.lit(dst, "", `""`, ""), nil
+}
+
+func (e *encoder) string(dst []byte, s string) []byte {
+	if e.want&wantKey != 0 {
+		e.key = strconv.AppendInt(append(e.key, 's'), int64(len(s)), 10)
+		e.key = append(append(e.key, ':'), s...)
+	}
+	if e.want&wantJSON != 0 {
+		e.json = jsontext.AppendString(e.json, s)
+	}
+	if e.want&wantText != 0 {
+		dst = append(dst, '\'')
+		for i := strings.IndexAny(s, `\'`); i >= 0; i = strings.IndexAny(s, `\'`) {
+			dst = append(append(dst, s[:i]...), '\\', s[i])
+			s = s[i+1:]
+		}
+		dst = append(append(dst, s...), '\'')
+	}
+	return dst
+}
+
+// float appends f to each wanted output from one search for its
+// shortest digits. The key is 'f' and strconv's %g — or, so that
+// numeric joins behave as users expect, the key of the int an integral
+// float is Equal to. The text is %g, with ".0" when that would read as
+// an int. JSON is encoding/json's number.
+func (e *encoder) float(dst []byte, f float64) ([]byte, error) {
+	wantKey := e.want&wantKey != 0
+	if wantKey && f == math.Trunc(f) && math.Abs(f) < 1e15 {
+		e.key = strconv.AppendInt(append(e.key, 'i'), int64(f), 10)
+		wantKey = false
+	}
+	if e.want&wantJSON == 0 {
+		// Key and text are both %g: strconv's search, strconv's layout.
+		if e.want&wantText != 0 {
+			n := len(dst)
+			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+			if wantKey {
+				e.key = append(append(e.key, 'f'), dst[n:]...)
+			}
+			if bytes.IndexByte(dst[n:], '.') < 0 && bytes.IndexByte(dst[n:], 'e') < 0 {
+				dst = append(dst, ".0"...) // or it would read as an int
+			}
+		} else if wantKey {
+			e.key = strconv.AppendFloat(append(e.key, 'f'), f, 'g', -1, 64)
+		}
+		return dst, nil
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		_, err := jsontext.AppendFloat(nil, f)
+		return dst, err
+	}
+	// With JSON there are two layouts: search once, lay out twice.
+	var d decimal
+	d.set(f)
+	if wantKey {
+		e.key = d.appendG(append(e.key, 'f'))
+	}
+	// encoding/json: ES6 number-to-string, %e outside [1e-6, 1e21) with a
+	// one-digit negative exponent unpadded.
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		e.json = append(e.json, d.e[:d.en]...)
+		if n := len(e.json); e.json[n-3] == '-' && e.json[n-2] == '0' {
+			e.json = append(e.json[:n-2], e.json[n-1])
+		}
+	} else {
+		e.json = d.appendFixed(e.json)
+	}
+	if e.want&wantText != 0 {
+		dst = d.appendG(dst)
+		if d.fixedG() && d.nd <= d.exp+1 {
+			dst = append(dst, ".0"...)
+		}
+	}
+	return dst, nil
+}
+
+// decimal is a finite float's shortest decimal digits that parse back
+// to it — the search that dominates formatting a float — found once
+// and laid out as each output wants them.
+type decimal struct {
+	e   [24]byte // strconv's 'e' form, [-]d[.ddd]e±dd[d]: -1.7976931348623157e+308 at the longest
+	en  int
+	neg bool
+	d   [17]byte // the digits; zero is the digit 0
+	nd  int
+	exp int // decimal exponent of d[0]
+}
+
+func (d *decimal) set(f float64) {
+	b := strconv.AppendFloat(d.e[:0], f, 'e', -1, 64)
+	d.en = len(b)
+	// From the end: two exponent digits, or three.
+	n := len(b)
+	d.exp = int(b[n-2]-'0')*10 + int(b[n-1]-'0')
+	e := n - 4
+	if b[e] != 'e' {
+		d.exp += int(b[n-3]-'0') * 100
+		e--
+	}
+	if b[e+1] == '-' {
+		d.exp = -d.exp
+	}
+	// From the start: the sign, the first digit and, after the point,
+	// the rest.
+	i := 0
+	if d.neg = b[0] == '-'; d.neg {
+		i = 1
+	}
+	d.d[0], d.nd = b[i], 1
+	if i+2 < e {
+		d.nd += copy(d.d[1:], b[i+2:e])
+	}
+}
+
+// fixedG reports whether %g at the shortest precision is the %f form
+// (strconv: %e when the exponent is < -4 or >= 6).
+func (d *decimal) fixedG() bool { return d.exp >= -4 && d.exp < 6 }
+
+// appendG appends the digits as strconv's 'g' format at precision -1
+// does.
+func (d *decimal) appendG(dst []byte) []byte {
+	if d.fixedG() {
+		return d.appendFixed(dst)
+	}
+	return append(dst, d.e[:d.en]...)
+}
+
+// appendFixed appends the digits as strconv's 'f' format at precision
+// -1 does: no exponent, as many decimals as there are digits for.
+func (d *decimal) appendFixed(dst []byte) []byte {
+	if d.neg {
+		dst = append(dst, '-')
+	}
+	point := d.exp + 1 // digits before the decimal point
+	if point <= 0 {
+		dst = append(dst, '0')
+	} else {
+		dst = append(dst, d.d[:min(d.nd, point)]...)
+		for i := d.nd; i < point; i++ {
+			dst = append(dst, '0')
+		}
+	}
+	if d.nd > point {
+		dst = append(dst, '.')
+		for i := point; i < 0; i++ {
+			dst = append(dst, '0')
+		}
+		dst = append(dst, d.d[max(point, 0):d.nd]...)
+	}
+	return dst
+}
+
+// bag encodes a bag: the text in bag order as the elements are met, key
+// and JSON gathered from the elements' arenas in canonical order.
+func (e *encoder) bag(dst []byte, items []Value) ([]byte, error) {
+	if e.want&wantText != 0 {
+		dst = append(dst, '[')
+	}
+	if e.want&(wantKey|wantJSON) == 0 {
+		for i, it := range items {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst, _ = e.value(dst, it) // only JSON fails
+		}
+	} else {
+		var s *sortedElems
+		var err error
+		if dst, s, err = e.elements(dst, items); err != nil {
+			return dst, err
+		}
+		if e.want&wantKey != 0 {
+			e.key = append(s.gather(append(e.key, "B["...), keyArena), ']')
+		}
+		if e.want&wantJSON != 0 {
+			e.json = append(s.gather(append(e.json, `{"bag":[`...), jsonArena), "]}"...)
+		}
+		sortedPool.Put(s)
+	}
+	if e.want&wantText != 0 {
+		dst = append(dst, ']')
+	}
+	return dst, nil
+}
+
+// sortedElems holds the canonical keys of a run of elements, and their
+// JSON when that is wanted, each written back to back into one byte
+// arena, and the elements' canonical order as a permutation of their
+// indexes: the order of the elements' Key() strings under <, elements
+// whose keys tie (5 and 5.0) staying in element order. Arenas, offsets
+// and permutation are recycled from one bag to the next, nested bags
+// taking a set of their own, so encoding a warm answer allocates none
+// of them.
+type sortedElems struct {
+	arena [2][]byte // keyArena, jsonArena
+	off   [][2]int  // element i's piece of arena[a] is arena[a][off[i][a]:off[i+1][a]]
+	order []int
+}
+
+const (
+	keyArena = iota
+	jsonArena
+)
+
+var sortedPool = sync.Pool{New: func() any { return new(sortedElems) }}
+
+// arenaSample is how many elements are encoded before the arenas are
+// sized for the rest: extents are homogeneous, so the first few
+// elements predict the total well enough that a cold arena is allocated
+// about once, at about its final size.
+const arenaSample = 16
+
+// elements encodes every element — key and JSON into arenas of their
+// own, text onto dst, comma-separated in bag order — and sorts them.
+// The caller returns the result to sortedPool when it has read it.
+func (e *encoder) elements(dst []byte, els []Value) ([]byte, *sortedElems, error) {
+	n := len(els)
+	s := sortedPool.Get().(*sortedElems)
+	s.off = slices.Grow(s.off[:0], n+1)[:n+1]
+	s.off[0] = [2]int{}
+	s.order = slices.Grow(s.order[:0], n)[:n]
+	outer := *e
+	e.key, e.json, e.want = s.arena[keyArena][:0], s.arena[jsonArena][:0], e.want|wantKey
+	var err error
+	for i, el := range els {
+		if i == arenaSample {
+			e.key = slices.Grow(e.key, len(e.key)/arenaSample*(n-i)*9/8)
+			e.json = slices.Grow(e.json, len(e.json)/arenaSample*(n-i)*9/8)
+		}
+		if i > 0 && e.want&wantText != 0 {
+			dst = append(dst, ", "...)
+		}
+		if dst, err = e.value(dst, el); err != nil {
+			break
+		}
+		s.order[i], s.off[i+1] = i, [2]int{len(e.key), len(e.json)}
+	}
+	s.arena = [2][]byte{e.key, e.json}
+	*e = outer
+	if err != nil {
+		sortedPool.Put(s)
+		return dst, nil, err
+	}
+	keys := s.arena[keyArena]
+	slices.SortFunc(s.order, func(a, b int) int {
+		if c := bytes.Compare(keys[s.off[a][keyArena]:s.off[a+1][keyArena]], keys[s.off[b][keyArena]:s.off[b+1][keyArena]]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return dst, s, nil
+}
+
+// gather appends the elements' pieces of an arena in canonical order,
+// comma-separated.
+func (s *sortedElems) gather(dst []byte, arena int) []byte {
+	from := s.arena[arena]
+	dst = slices.Grow(dst, len(from)+len(s.order))
+	for i, el := range s.order {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, from[s.off[el][arena]:s.off[el+1][arena]]...)
+	}
+	return dst
+}

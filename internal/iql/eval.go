@@ -81,6 +81,12 @@ func (e *Env) Lookup(name string) (Value, bool) {
 // counter is atomic, so one budget may be shared across the workers of
 // a parallel evaluation; one logical query still draws from a single
 // pool.
+//
+// With a limit, every step of every evaluator is taken from the budget
+// as it happens, so the limit trips at exactly Max+1. Without one there
+// is nothing to enforce: an evaluator counts its own steps and adds
+// them when its Eval returns, so Used is exact once the outermost Eval
+// has returned and a step costs no atomic operation.
 type StepBudget struct {
 	// Max bounds the total steps; 0 means unlimited.
 	Max  int
@@ -91,22 +97,10 @@ type StepBudget struct {
 func (b *StepBudget) Used() int { return int(b.used.Load()) }
 
 func (b *StepBudget) take() error {
-	u := b.used.Add(1)
-	if b.Max > 0 && u > int64(b.Max) {
+	if b.used.Add(1) > int64(b.Max) {
 		return fmt.Errorf("iql: evaluation exceeded %d steps", b.Max)
 	}
 	return nil
-}
-
-// addSteps charges n already-performed steps to the budget in one
-// atomic update; the sharded evaluation path uses it to flush a
-// worker's locally-counted steps when the budget is unlimited (exact
-// per-step accounting would serialise workers on the shared counter
-// for no enforcement benefit).
-func (b *StepBudget) addSteps(n int) {
-	if n > 0 {
-		b.used.Add(int64(n))
-	}
 }
 
 // Evaluator evaluates IQL expressions against an extent source. The
@@ -145,6 +139,10 @@ type Evaluator struct {
 	Stats *EvalStats
 
 	steps int
+	// enforced is the budget every step is taken from: Budget when it
+	// has a limit, a private one when only MaxSteps is set, nil when
+	// there is no limit and steps are only counted.
+	enforced *StepBudget
 	// genDepth counts the generator loops currently running on this
 	// evaluator. Sharding is only attempted at depth zero: a
 	// comprehension re-entered once per element of an enclosing
@@ -169,12 +167,24 @@ func (ev *Evaluator) Eval(e Expr, env *Env) (Value, error) {
 		env = NewEnv()
 	}
 	ev.steps = 0
+	switch {
+	case ev.Budget != nil && ev.Budget.Max > 0:
+		ev.enforced = ev.Budget
+	case ev.Budget == nil && ev.MaxSteps > 0:
+		ev.enforced = &StepBudget{Max: ev.MaxSteps}
+	default:
+		ev.enforced = nil
+	}
 	if ev.Ctx != nil {
 		if err := ev.Ctx.Err(); err != nil {
 			return Value{}, fmt.Errorf("iql: evaluation cancelled: %w", err)
 		}
 	}
-	return ev.eval(e, env)
+	v, err := ev.eval(e, env)
+	if ev.Budget != nil && ev.enforced == nil {
+		ev.Budget.used.Add(int64(ev.steps))
+	}
+	return v, err
 }
 
 // EvalString parses and evaluates IQL source text.
@@ -186,23 +196,33 @@ func (ev *Evaluator) EvalString(src string) (Value, error) {
 	return ev.Eval(e, nil)
 }
 
-// Steps returns the evaluation steps charged by the most recent Eval,
-// including steps run by sharded workers. When Budget is set, the
-// budget's Used count is authoritative instead.
+// Steps returns the evaluation steps this evaluator charged in the most
+// recent Eval, including steps run by its sharded workers. Steps of
+// other evaluators on the same Budget (the extents it resolved, unfolded
+// by the query processor) are in the budget's Used count only.
 func (ev *Evaluator) Steps() int { return ev.steps }
 
 // ctxCheckInterval is how many evaluation steps pass between context
 // polls; a power of two so the check compiles to a mask.
 const ctxCheckInterval = 1024
 
+// step charges one evaluation step. It is small enough to be inlined:
+// without a limit, all but one step in ctxCheckInterval end here.
 func (ev *Evaluator) step() error {
 	ev.steps++
-	if ev.Budget != nil {
-		if err := ev.Budget.take(); err != nil {
+	if ev.enforced == nil && ev.steps&(ctxCheckInterval-1) != 0 {
+		return nil
+	}
+	return ev.checkStep()
+}
+
+// checkStep takes the step from the enforced budget, if there is one,
+// and polls the context every ctxCheckInterval steps.
+func (ev *Evaluator) checkStep() error {
+	if ev.enforced != nil {
+		if err := ev.enforced.take(); err != nil {
 			return err
 		}
-	} else if ev.MaxSteps > 0 && ev.steps > ev.MaxSteps {
-		return fmt.Errorf("iql: evaluation exceeded %d steps", ev.MaxSteps)
 	}
 	if ev.Ctx != nil && ev.steps&(ctxCheckInterval-1) == 0 {
 		if err := ev.Ctx.Err(); err != nil {
@@ -271,16 +291,16 @@ func (ev *Evaluator) eval(e Expr, env *Env) (Value, error) {
 		case "-":
 			switch x.Kind {
 			case KindInt:
-				return Int(-x.I), nil
+				return Int(-x.I()), nil
 			case KindFloat:
-				return Float(-x.F), nil
+				return Float(-x.F()), nil
 			}
 			return Value{}, fmt.Errorf("iql: unary '-' needs a number, got %s", x.Kind)
 		case "not":
 			if x.Kind != KindBool {
 				return Value{}, fmt.Errorf("iql: 'not' needs a boolean, got %s", x.Kind)
 			}
-			return Bool(!x.B), nil
+			return Bool(!x.B()), nil
 		}
 		return Value{}, fmt.Errorf("iql: unknown unary operator %q", n.Op)
 
@@ -307,7 +327,7 @@ func (ev *Evaluator) eval(e Expr, env *Env) (Value, error) {
 		if c.Kind != KindBool {
 			return Value{}, fmt.Errorf("iql: 'if' condition must be boolean, got %s", c.Kind)
 		}
-		if c.B {
+		if c.B() {
 			return ev.eval(n.Then, env)
 		}
 		return ev.eval(n.Else, env)
@@ -367,10 +387,10 @@ func (ev *Evaluator) evalBinary(n *Binary, env *Env) (Value, error) {
 		if l.Kind != KindBool {
 			return Value{}, fmt.Errorf("iql: %q needs booleans, got %s", n.Op, l.Kind)
 		}
-		if n.Op == "and" && !l.B {
+		if n.Op == "and" && !l.B() {
 			return Bool(false), nil
 		}
-		if n.Op == "or" && l.B {
+		if n.Op == "or" && l.B() {
 			return Bool(true), nil
 		}
 		r, err := ev.eval(n.R, env)
@@ -422,7 +442,7 @@ func (ev *Evaluator) evalBinary(n *Binary, env *Env) (Value, error) {
 
 func arith(op string, l, r Value) (Value, error) {
 	if op == "+" && l.Kind == KindString && r.Kind == KindString {
-		return Str(l.S + r.S), nil
+		return Str(l.S() + r.S()), nil
 	}
 	numeric := func(v Value) bool { return v.Kind == KindInt || v.Kind == KindFloat }
 	if !numeric(l) || !numeric(r) {
@@ -431,11 +451,11 @@ func arith(op string, l, r Value) (Value, error) {
 	if l.Kind == KindInt && r.Kind == KindInt && op != "/" {
 		switch op {
 		case "+":
-			return Int(l.I + r.I), nil
+			return Int(l.I() + r.I()), nil
 		case "-":
-			return Int(l.I - r.I), nil
+			return Int(l.I() - r.I()), nil
 		case "*":
-			return Int(l.I * r.I), nil
+			return Int(l.I() * r.I()), nil
 		}
 	}
 	a, b := l.AsFloat(), r.AsFloat()
@@ -450,8 +470,8 @@ func arith(op string, l, r Value) (Value, error) {
 		if b == 0 {
 			return Value{}, fmt.Errorf("iql: division by zero")
 		}
-		if l.Kind == KindInt && r.Kind == KindInt && l.I%r.I == 0 {
-			return Int(l.I / r.I), nil
+		if l.Kind == KindInt && r.Kind == KindInt && l.I()%r.I() == 0 {
+			return Int(l.I() / r.I()), nil
 		}
 		return Float(a / b), nil
 	}

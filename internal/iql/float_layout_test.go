@@ -1,0 +1,118 @@
+package iql_test
+
+import (
+	"encoding/json"
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
+	"testing"
+
+	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/iql/iqltest"
+)
+
+// A float's shortest digits are searched for once and laid out three
+// ways. These tests hold each layout to the library call it stands in
+// for: strconv's %g for the key and the text, encoding/json for JSON.
+
+// checkFloatLayouts encodes f alone (each output by itself) and as a
+// bag's element (all three outputs in one visit) and compares every
+// result with its reference. A float JSON cannot carry must fail there
+// with encoding/json's error and still have its key and text.
+func checkFloatLayouts(t *testing.T, f float64) {
+	t.Helper()
+	g := strconv.FormatFloat(f, 'g', -1, 64)
+	wantKey := "f" + g
+	if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e15 {
+		wantKey = "i" + strconv.FormatInt(int64(f), 10)
+	}
+	wantText := g
+	if !strings.ContainsAny(g, ".eE") {
+		wantText += ".0"
+	}
+	wantJSON, wantErr := json.Marshal(f)
+
+	v := iql.Float(f)
+	if got := v.Key(); got != wantKey {
+		t.Errorf("%x: Key() = %q, want %q", math.Float64bits(f), got, wantKey)
+	}
+	if got := v.String(); got != wantText {
+		t.Errorf("%x: String() = %q, want %q", math.Float64bits(f), got, wantText)
+	}
+	bag := iql.Bag(v)
+	if got, want := bag.Key(), "B["+wantKey+"]"; got != want {
+		t.Errorf("%x: Key() in a bag = %q, want %q", math.Float64bits(f), got, want)
+	}
+	for _, in := range []struct {
+		v                  iql.Value
+		open, close, brack string
+	}{{v, "", "", ""}, {bag, `{"bag":[`, `]}`, "[]"}} {
+		js, text, err := iql.AppendJSONAndText(nil, nil, in.v)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Errorf("%x: encoding %s: error %v, want %v", math.Float64bits(f), in.v, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%x: encoding %s: %v", math.Float64bits(f), in.v, err)
+			continue
+		}
+		if want := in.open + string(wantJSON) + in.close; string(js) != want {
+			t.Errorf("%x: JSON of %s = %s, want %s", math.Float64bits(f), in.v, js, want)
+		}
+		want := wantText
+		if in.brack != "" {
+			want = "[" + wantText + "]"
+		}
+		if string(text) != want {
+			t.Errorf("%x: text of %s = %s, want %s", math.Float64bits(f), in.v, text, want)
+		}
+	}
+}
+
+// layoutEdges are the floats where a layout changes shape: every power
+// of ten from 1e-9 to 1e22 (both formats' exponent cutoffs lie within)
+// with its neighbours, the zeros, the ends of the range and of the
+// denormals, and the integers either side of 2^53 and of the 1e15 below
+// which an integral float takes an int's key.
+func layoutEdges() []float64 {
+	edges := append([]float64{
+		0, math.Copysign(0, -1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), math.Float64frombits(0x0010000000000000), // largest denormal, smallest normal
+		1<<53 - 1, 1 << 53, 1<<53 + 2, -(1<<53 - 1),
+		1e15 - 1, 1e15 - 0.5, 999999999999999.9, 123456.7, 1234567.8, 0.00012345, 0.000012345,
+	}, iqltest.Floats...)
+	edges = append(edges, iqltest.NonFinite...)
+	for e := -9; e <= 22; e++ {
+		p, _ := strconv.ParseFloat("1e"+strconv.Itoa(e), 64)
+		for _, f := range []float64{p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)), p * 1.5, p * 9.75} {
+			edges = append(edges, f, -f)
+		}
+	}
+	return edges
+}
+
+func TestFloatLayoutsMatchStrconvAndJSON(t *testing.T) {
+	for _, f := range layoutEdges() {
+		checkFloatLayouts(t, f)
+	}
+	r := rand.New(rand.NewSource(17))
+	for n := 0; n < 1_000_000 && !t.Failed(); n++ {
+		checkFloatLayouts(t, math.Float64frombits(r.Uint64()))
+	}
+}
+
+// FuzzFloatLayouts runs the same comparison on fuzzed bit patterns; its
+// seeds are the edges, so `go test -run '^Fuzz'` (make fuzz-seeds)
+// covers them as plain tests.
+func FuzzFloatLayouts(f *testing.F) {
+	for _, x := range layoutEdges() {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		checkFloatLayouts(t, math.Float64frombits(bits))
+	})
+}

@@ -61,11 +61,7 @@ func (v Value) hash(h uint64) uint64 {
 	case KindNull:
 		return hashWord(h, hashTagNull)
 	case KindBool:
-		x := uint64(0)
-		if v.B {
-			x = 1
-		}
-		return hashWord(hashWord(h, hashTagBool), x)
+		return hashWord(hashWord(h, hashTagBool), v.word)
 	case KindInt, KindFloat:
 		// All numbers hash through their float64 image because Equal
 		// compares int and float cross-kind via AsFloat. Ints beyond
@@ -78,26 +74,29 @@ func (v Value) hash(h uint64) uint64 {
 		return hashWord(hashWord(h, hashTagNum), math.Float64bits(f))
 	case KindString:
 		h = hashWord(h, hashTagString)
-		for i := 0; i < len(v.S); i++ {
-			h = (h ^ uint64(v.S[i])) * hashPrime
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * hashPrime
 		}
-		return hashWord(h, uint64(len(v.S)))
+		return hashWord(h, uint64(len(s)))
 	case KindTuple:
 		h = hashWord(h, hashTagTuple)
-		for _, it := range v.Items {
+		items := v.items()
+		for _, it := range items {
 			h = it.hash(h)
 		}
-		return hashWord(h, uint64(len(v.Items)))
+		return hashWord(h, uint64(len(items)))
 	case KindBag:
 		// Order-insensitive: each element is hashed from the fixed seed
 		// and the (already mixed) element hashes are summed, so any
 		// permutation of the same multiset folds to the same word.
 		var sum uint64
-		for _, it := range v.Items {
+		items := v.items()
+		for _, it := range items {
 			sum += it.hash(hashSeed)
 		}
 		h = hashWord(h, hashTagBag)
-		h = hashWord(h, uint64(len(v.Items)))
+		h = hashWord(h, uint64(len(items)))
 		return hashWord(h, sum)
 	case KindVoid:
 		return hashWord(h, hashTagVoid)

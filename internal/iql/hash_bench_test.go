@@ -76,7 +76,7 @@ func BenchmarkJoinIndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		idx := NewValueIndex(len(rows))
 		for _, r := range rows {
-			idx.Add(r.Items[1], r)
+			idx.Add(r.Items()[1], r)
 		}
 		if idx.Len() != 17 {
 			b.Fatalf("index has %d keys", idx.Len())

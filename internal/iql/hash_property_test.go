@@ -17,19 +17,18 @@ import (
 // permuteBags returns a deep copy of v with every bag's element order
 // shuffled: a multiset-equal but structurally reordered value.
 func permuteBags(r *rand.Rand, v Value) Value {
-	if len(v.Items) == 0 {
+	if len(v.Items()) == 0 {
 		return v
 	}
-	items := make([]Value, len(v.Items))
-	for i, it := range v.Items {
+	items := make([]Value, len(v.Items()))
+	for i, it := range v.Items() {
 		items[i] = permuteBags(r, it)
 	}
 	if v.Kind == KindBag {
 		r.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+		return BagOf(items)
 	}
-	cp := v
-	cp.Items = items
-	return cp
+	return Tuple(items...)
 }
 
 func TestHashEqualityConsistencyProperty(t *testing.T) {
@@ -148,12 +147,12 @@ func TestDistinctMatchesKeyReferenceProperty(t *testing.T) {
 			return false
 		}
 		want := keyDistinct(salted)
-		if len(got.Items) != len(want) {
+		if len(got.Items()) != len(want) {
 			t.Logf("distinct: got %s want %s", got, BagOf(want))
 			return false
 		}
 		for i := range want {
-			if got.Items[i].String() != want[i].String() {
+			if got.Items()[i].String() != want[i].String() {
 				t.Logf("distinct order: got %s want %s", got, BagOf(want))
 				return false
 			}
@@ -211,11 +210,11 @@ func TestSortBagMatchesKeyReferenceProperty(t *testing.T) {
 			dec[i] = kv{k: e.Key(), v: e}
 		}
 		sort.SliceStable(dec, func(i, j int) bool { return dec[i].k < dec[j].k })
-		if len(got.Items) != len(dec) {
+		if len(got.Items()) != len(dec) {
 			return false
 		}
 		for i := range dec {
-			if got.Items[i].String() != dec[i].v.String() {
+			if got.Items()[i].String() != dec[i].v.String() {
 				t.Logf("sort: got %s", got)
 				return false
 			}

@@ -17,7 +17,7 @@ func TestJoinIndexCacheByteBudget(t *testing.T) {
 	mkIdx := func(rows []Value) *ValueIndex {
 		ix := NewValueIndex(len(rows))
 		for _, r := range rows {
-			ix.Add(r.Items[1], r)
+			ix.Add(r.Items()[1], r)
 		}
 		return ix
 	}

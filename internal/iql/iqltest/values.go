@@ -1,12 +1,15 @@
 // Package iqltest generates IQL values for tests that hold one
 // implementation against another (an encoder against its reference, a
 // sort against the order it replaced): random nested values whose
-// scalars are drawn from the edges where such pairs come apart.
+// scalars are drawn from the edges where such pairs come apart. It also
+// holds the byte-counting twin of testing.AllocsPerRun, for the tests
+// that pin what a row or an answer costs.
 package iqltest
 
 import (
 	"math"
 	"math/rand"
+	"runtime"
 
 	"github.com/dataspace/automed/internal/iql"
 )
@@ -113,4 +116,19 @@ func Compose(s string, i int64, x float64, shape uint8) iql.Value {
 			iql.Tuple(iql.Bag(iql.Str(s), iql.Int(i)), iql.Bag(iql.Int(i), iql.Str(s))))
 	}
 	return iql.Tuple(iql.Bag(), iql.Bag(row, row), iql.Int(i))
+}
+
+// AllocBytesPerRun is testing.AllocsPerRun counting bytes: the average
+// number of heap bytes a call of f allocates, after one call to warm
+// up, with the scheduler held to one thread as AllocsPerRun holds it.
+func AllocBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

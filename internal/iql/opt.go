@@ -136,11 +136,12 @@ func (p *slotPat) bind(v Value, vals []Value) bool {
 	case slotLit:
 		return p.lit.Val.Equal(v)
 	}
-	if v.Kind != KindTuple || len(v.Items) != len(p.elems) {
+	if v.Kind != KindTuple || v.n != len(p.elems) {
 		return false
 	}
+	items := v.items()
 	for i := range p.elems {
-		if !p.elems[i].bind(v.Items[i], vals) {
+		if !p.elems[i].bind(items[i], vals) {
 			return false
 		}
 	}
@@ -354,10 +355,10 @@ func joinComponent(jc joinCond, el Value) (Value, bool) {
 	if jc.comp == wholeElement {
 		return el, true
 	}
-	if el.Kind != KindTuple || jc.comp >= len(el.Items) {
+	if el.Kind != KindTuple || jc.comp >= el.n {
 		return Value{}, false
 	}
-	return el.Items[jc.comp], true
+	return el.items()[jc.comp], true
 }
 
 // joinIndexCacheMin is the source size below which indexes are rebuilt
@@ -430,7 +431,7 @@ func (ctx *compCtx) buildIndexRaw(i int, els []Value) *ValueIndex {
 				backing = backing[:start]
 				continue
 			}
-			key = Value{Kind: KindTuple, Items: backing[start:len(backing):len(backing)]}
+			key = Tuple(backing[start:]...)
 		}
 		idx.Add(key, el)
 	}
@@ -457,7 +458,7 @@ func (ctx *compCtx) probeKey(i int, env *Env) (Value, error) {
 	if len(jcs) == 1 {
 		return scratch[0], nil
 	}
-	return Value{Kind: KindTuple, Items: scratch}, nil
+	return Tuple(scratch...), nil
 }
 
 // sink receives a comprehension's head values, one per complete
@@ -504,7 +505,7 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 		if c.Kind != KindBool {
 			return fmt.Errorf("iql: filter must be boolean, got %s (%s)", c.Kind, q.Cond)
 		}
-		if !c.B {
+		if !c.B() {
 			return nil
 		}
 		return ctx.run(i+1, env, out)

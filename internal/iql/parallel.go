@@ -46,11 +46,11 @@ import (
 //     never mutates the index. Workers that miss race to build
 //     benignly (last insert wins, both indexes are correct).
 //   - The StepBudget is atomic. When a step limit is enforced, every
-//     worker takes from the shared budget exactly as the serial path
-//     would, so one logical query keeps one budget. When the budget
-//     is unlimited, workers count locally and flush once at exit, so
-//     Used() is exact after Eval returns without a contended atomic
-//     per element.
+//     worker takes from the budget the scan's evaluator takes from,
+//     exactly as the serial path would, so one logical query keeps one
+//     budget. Either way a worker counts its steps and the scan adds
+//     them to its evaluator's own when the workers are done, so Steps()
+//     and, once Eval returns, Used() are the serial path's.
 //
 // Error semantics: evaluation fails with the error of the lowest-
 // numbered errored shard. On success this is unobservable; when
@@ -192,25 +192,6 @@ func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *sink
 	workers, shards := shardPlan(len(els), ev.Parallel, minRows)
 	start := time.Now()
 
-	// Budget wiring: enforce exactly when a limit is set, count
-	// locally and flush when unlimited (see the package comment).
-	var shared *StepBudget
-	flushLocal := false
-	switch {
-	case ev.Budget != nil && ev.Budget.Max > 0:
-		shared = ev.Budget
-	case ev.Budget != nil:
-		flushLocal = true
-	case ev.MaxSteps > 0:
-		// The serial path would bound ev.steps by MaxSteps; hand the
-		// workers a budget pre-charged with the steps already spent so
-		// the bound covers the whole evaluation, not each worker.
-		shared = &StepBudget{Max: ev.MaxSteps}
-		shared.addSteps(ev.steps)
-	default:
-		flushLocal = true
-	}
-
 	ext := ev.Ext
 	if ext == nil {
 		ext = NoExtents
@@ -222,7 +203,7 @@ func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *sink
 	errs := make([]error, shards)
 	shardDur := make([]time.Duration, shards)
 	var nextShard atomic.Int64
-	var localSteps atomic.Int64
+	var workerSteps atomic.Int64
 	stop := make(chan struct{})
 	var stopOnce sync.Once
 	halt := func() { stopOnce.Do(func() { close(stop) }) }
@@ -236,8 +217,10 @@ func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *sink
 				Ext:     locked,
 				Ctx:     ev.Ctx,
 				Indexes: ev.Indexes,
-				Budget:  shared,
 				Stats:   ev.Stats,
+				// Workers are entered below Eval, which is where an
+				// evaluator works out what it enforces.
+				enforced: ev.enforced,
 			}
 			// One compCtx serves all of this worker's shards: its
 			// memoised constant sources, built join indexes and
@@ -246,9 +229,7 @@ func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *sink
 			wctx := wev.compCtxFor(ctx.comp)
 			wctx.shared = sources
 			defer wctx.release()
-			if flushLocal {
-				defer func() { localSteps.Add(int64(wev.steps)) }()
-			}
+			defer func() { workerSteps.Add(int64(wev.steps)) }()
 			child := wctx.enter(i, env)
 			for {
 				select {
@@ -286,19 +267,7 @@ func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *sink
 	}
 	wg.Wait()
 
-	// Steps: flush the workers' local counts (unlimited budgets), or
-	// fold the shared budget's tally back into the serial counter so a
-	// following serial stretch continues the same count.
-	if flushLocal {
-		n := int(localSteps.Load())
-		if ev.Budget != nil {
-			ev.Budget.addSteps(n)
-		} else {
-			ev.steps += n
-		}
-	} else if ev.Budget == nil {
-		ev.steps = shared.Used()
-	}
+	ev.steps += int(workerSteps.Load())
 
 	for s := 0; s < shards; s++ {
 		if errs[s] != nil {

@@ -323,3 +323,96 @@ func TestShardPlan(t *testing.T) {
 		}
 	}
 }
+
+// nestedExtents resolves <<view>> the way the query processor unfolds a
+// virtual object: with an evaluator of its own, on the budget of the
+// query that asked. It keeps the steps those evaluators report.
+type nestedExtents struct {
+	base     Extents
+	budget   *StepBudget
+	parallel int
+	steps    atomic.Int64
+}
+
+func (n *nestedExtents) Extent(parts []string) (Value, error) {
+	if parts[0] != "view" {
+		return n.base.Extent(parts)
+	}
+	ev := &Evaluator{Ext: n, Budget: n.budget, Parallel: n.parallel, MinShardRows: 16}
+	v, err := ev.EvalString("[{k, x} | {k, x} <- <<protein, acc>>; k > 3]")
+	n.steps.Add(int64(ev.Steps()))
+	return v, err
+}
+
+// countingCtx counts how often evaluation polls for cancellation.
+type countingCtx struct {
+	context.Context
+	polls atomic.Int64
+}
+
+func (c *countingCtx) Err() error {
+	c.polls.Add(1)
+	return c.Context.Err()
+}
+
+// TestParallelStepsAndUsedAgree: however a query's steps are counted —
+// taken one by one from a budget with a limit, or counted by each
+// evaluator and added when its Eval returns — Steps() is the serial
+// count and Used() the sum over every evaluator on the budget, serial
+// or sharded, nested evaluators included; and the context is polled
+// once on entry and once every ctxCheckInterval steps of an evaluator.
+func TestParallelStepsAndUsedAgree(t *testing.T) {
+	base := parallelExtents(300)
+	queries := append([]string{
+		"[{k, x} | {k, x} <- <<view>>; x = 'P3']",
+		"[{h, x} | {h, p} <- <<hit, protein>>; {k, x} <- <<view>>; p = k]",
+	}, parallelQueries...)
+	for _, src := range queries {
+		ref := &nestedExtents{base: base}
+		serial := &Evaluator{Ext: ref}
+		if _, err := serial.EvalString(src); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		wantSteps, wantUsed := serial.Steps(), serial.Steps()+int(ref.steps.Load())
+
+		for _, parallel := range []int{1, 4} {
+			for _, limit := range []int{0, wantUsed, wantUsed + 1000} {
+				name := fmt.Sprintf("%q parallel=%d limit=%d", src, parallel, limit)
+				budget := &StepBudget{Max: limit}
+				ctx := &countingCtx{Context: context.Background()}
+				ext := &nestedExtents{base: base, budget: budget, parallel: parallel}
+				ev := &Evaluator{Ext: ext, Budget: budget, Ctx: ctx, Parallel: parallel, MinShardRows: 16}
+				if _, err := ev.EvalString(src); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := ev.Steps(); got != wantSteps {
+					t.Errorf("%s: Steps() = %d, serial %d", name, got, wantSteps)
+				}
+				if got := budget.Used(); got != wantUsed {
+					t.Errorf("%s: Used() = %d, want %d", name, got, wantUsed)
+				}
+				if got := int(ext.steps.Load()); got != wantUsed-wantSteps {
+					t.Errorf("%s: nested evaluators report %d steps, want %d", name, got, wantUsed-wantSteps)
+				}
+				if parallel == 1 {
+					// Sharded workers poll on their own counts.
+					if got, want := int(ctx.polls.Load()), 1+wantSteps/ctxCheckInterval; got != want {
+						t.Errorf("%s: context polled %d times over %d steps, want %d", name, got, wantSteps, want)
+					}
+				}
+			}
+		}
+
+		// MaxSteps alone, no budget: the same count, the same limit.
+		for _, parallel := range []int{1, 4} {
+			ev := &Evaluator{Ext: &nestedExtents{base: base}, MaxSteps: wantSteps, Parallel: parallel, MinShardRows: 16}
+			if _, err := ev.EvalString(src); err != nil || ev.Steps() != wantSteps {
+				t.Errorf("%q parallel=%d MaxSteps=%d: Steps() = %d, err %v", src, parallel, wantSteps, ev.Steps(), err)
+			}
+			ev.MaxSteps = wantSteps - 1
+			if _, err := ev.EvalString(src); err == nil || err.Error() != fmt.Sprintf("iql: evaluation exceeded %d steps", wantSteps-1) {
+				t.Errorf("%q parallel=%d MaxSteps=%d: err %v, want the limit's", src, parallel, wantSteps-1, err)
+			}
+		}
+	}
+}

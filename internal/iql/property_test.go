@@ -181,7 +181,7 @@ func containsNull(v Value) bool {
 	if v.IsNull() {
 		return true
 	}
-	for _, it := range v.Items {
+	for _, it := range v.Items() {
 		if containsNull(it) {
 			return true
 		}
@@ -278,7 +278,7 @@ func referenceEval(c *Comp, ext Extents) (Value, error) {
 			if err != nil {
 				return err
 			}
-			if v.Kind == KindBool && v.B {
+			if v.Kind == KindBool && v.B() {
 				return rec(i+1, env)
 			}
 			return nil
@@ -328,11 +328,11 @@ func bindPattern(p Pattern, v Value, env *Env) (bool, error) {
 	case *LitPat:
 		return pat.Val.Equal(v), nil
 	case *TuplePat:
-		if v.Kind != KindTuple || len(v.Items) != len(pat.Elems) {
+		if v.Kind != KindTuple || len(v.Items()) != len(pat.Elems) {
 			return false, nil
 		}
 		for i, sub := range pat.Elems {
-			ok, err := bindPattern(sub, v.Items[i], env)
+			ok, err := bindPattern(sub, v.Items()[i], env)
 			if err != nil || !ok {
 				return ok, err
 			}

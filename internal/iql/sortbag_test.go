@@ -45,7 +45,7 @@ func TestSortBagMatchesStableKeySort(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, el := range want {
-			if got := sorted.Items[i]; got.String() != els[el].String() {
+			if got := sorted.Items()[i]; got.String() != els[el].String() {
 				t.Fatalf("SortBag(%s)[%d] = %s, stable key sort has %s", bag, i, got, els[el])
 			}
 		}

@@ -9,16 +9,42 @@
 // The distinguished constants Void and Any denote the empty collection
 // and the unbounded collection, and Range ql qu pairs a lower and upper
 // bound for extend/contract transformations.
+//
+// # Values
+//
+// A Value is the unit every extent, join index, cache entry and answer
+// is made of, so its size is what a row costs: 32 bytes — one pointer,
+// one length, one 8-byte word and the kind — where six fields side by
+// side (kind, bool, int, float, string, items), at most two of them
+// live, were 72. A scalar is bits in the word; a string's bytes, or a
+// tuple's or bag's items, are the pointer and the length. Build values
+// with the constructors (Int, Str, Tuple, BagOf, …) and read them with
+// the accessors (I, S, Items, …), which return the zero value when the
+// kind is another.
+//
+// Values are immutable. Constructors keep the string or the slice they
+// are given, without copying, and accessors hand the same memory back:
+// neither side may write to it afterwards. Items returns a slice with
+// no spare capacity, because tuples are carved next to each other out
+// of shared arrays and an append must copy rather than land on a
+// neighbour. Value is not comparable with ==; Equal, Hash, ValueSet and
+// ValueIndex are how values are compared and keyed.
+//
+// A string header and a slice header cannot share two words in safe Go,
+// so value.go — and no other file — uses package unsafe to take them
+// apart (unsafe.StringData, unsafe.SliceData) and put them back
+// (unsafe.String, unsafe.Slice), always from a pointer and a length that
+// came out of one live string or slice. The race detector's build
+// (make race) compiles in checkptr, which faults if a rebuilt string or
+// slice ever spans allocations; the accessor round trips, the wrong-kind
+// reads and the clipped capacity are tests in value_repr_test.go.
 package iql
 
 import (
-	"bytes"
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
-	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind discriminates Value representations.
@@ -62,49 +88,71 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is an IQL runtime value. The zero Value is the null value.
-// Values are treated as immutable; Items must not be mutated after
-// construction.
+// Value is an IQL runtime value: 32 bytes on a 64-bit machine, whatever
+// it holds. The zero Value is the null value. Values are immutable.
+//
+// Kind says which of the other three words are live. A bool, an int64
+// or a float64 lives as bits in word. A string's bytes, or a tuple's or
+// bag's items, are ptr and n — the data pointer and the length of the
+// string or slice the constructor was given, taken apart and put back
+// together with package unsafe in this file and nowhere else. Read
+// them through B, I, F, S and Items, which return the zero value on
+// any other kind (word is shared, so there is no field to read
+// unchecked).
+//
+// The zero-size array of funcs makes Value non-comparable: v == w and
+// map[Value] would otherwise compile and compare strings and items by
+// pointer. Use Equal, Hash, ValueSet and ValueIndex.
 type Value struct {
-	Kind  Kind
-	B     bool
-	I     int64
-	F     float64
-	S     string
-	Items []Value // tuple components or bag elements
+	_    [0]func()
+	ptr  unsafe.Pointer // string bytes, or the first item
+	n    int            // len of the string, or of the items
+	word uint64         // bool, int64 or float64 bits
+	Kind Kind
 }
 
 // Null returns the null value.
 func Null() Value { return Value{} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{Kind: KindBool, B: b} }
+func Bool(b bool) Value {
+	v := Value{Kind: KindBool}
+	if b {
+		v.word = 1
+	}
+	return v
+}
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{Kind: KindInt, I: i} }
+func Int(i int64) Value { return Value{Kind: KindInt, word: uint64(i)} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{Kind: KindFloat, F: f} }
+func Float(f float64) Value { return Value{Kind: KindFloat, word: math.Float64bits(f)} }
 
 // String_ returns a string value. (Named with a trailing underscore to
 // avoid colliding with the conventional String method.)
-func String_(s string) Value { return Value{Kind: KindString, S: s} }
+func String_(s string) Value {
+	if s == "" {
+		return Value{Kind: KindString}
+	}
+	return Value{Kind: KindString, ptr: unsafe.Pointer(unsafe.StringData(s)), n: len(s)}
+}
 
 // Str is shorthand for String_.
 func Str(s string) Value { return String_(s) }
 
 // Tuple returns a tuple value of the given components.
-func Tuple(items ...Value) Value {
-	return Value{Kind: KindTuple, Items: items}
-}
+func Tuple(items ...Value) Value { return collection(KindTuple, items) }
 
 // Bag returns a bag (multiset) of the given elements.
-func Bag(items ...Value) Value {
-	return Value{Kind: KindBag, Items: items}
-}
+func Bag(items ...Value) Value { return collection(KindBag, items) }
 
 // BagOf wraps an existing slice as a bag without copying.
-func BagOf(items []Value) Value { return Value{Kind: KindBag, Items: items} }
+func BagOf(items []Value) Value { return collection(KindBag, items) }
+
+func collection(k Kind, items []Value) Value {
+	return Value{Kind: k, ptr: unsafe.Pointer(unsafe.SliceData(items)), n: len(items)}
+}
 
 // Void returns the Void constant (the empty collection).
 func Void() Value { return Value{Kind: KindVoid} }
@@ -112,21 +160,67 @@ func Void() Value { return Value{Kind: KindVoid} }
 // Any returns the Any constant (the unbounded collection).
 func Any() Value { return Value{Kind: KindAny} }
 
+// B returns a boolean value's bool; false for any other kind.
+func (v Value) B() bool { return v.Kind == KindBool && v.word != 0 }
+
+// I returns an integer value's int64; 0 for any other kind.
+func (v Value) I() int64 {
+	if v.Kind != KindInt {
+		return 0
+	}
+	return int64(v.word)
+}
+
+// F returns a float value's float64; 0 for any other kind (an integer
+// included: see AsFloat).
+func (v Value) F() float64 {
+	if v.Kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.word)
+}
+
+// S returns a string value's string; "" for any other kind.
+func (v Value) S() string {
+	if v.Kind != KindString {
+		return ""
+	}
+	return v.str()
+}
+
+// Items returns a tuple's components or a bag's elements; nil for any
+// other kind. The slice must not be written to. Its capacity is its
+// length, so an append copies: tuples are carved side by side out of
+// shared arrays (wrapper pages, join keys), and the room after one is
+// its neighbour.
+func (v Value) Items() []Value {
+	if v.Kind != KindTuple && v.Kind != KindBag {
+		return nil
+	}
+	return v.items()
+}
+
+// str and items are S and Items for code in this package that has
+// already looked at the kind — a switch on it, mostly — and runs once
+// per value of every extent: the accessor's own look at the kind is the
+// one thing a field read did not cost.
+func (v Value) str() string    { return unsafe.String((*byte)(v.ptr), v.n) }
+func (v Value) items() []Value { return unsafe.Slice((*Value)(v.ptr), v.n) }
+
 // IsNull reports whether v is the null value.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
 
-// valueOverhead approximates the in-memory size of one Value struct
-// header (kind + scalar fields + string and slice headers on 64-bit).
-const valueOverhead = 64
+// valueOverhead is the in-memory size of one Value.
+const valueOverhead = int64(unsafe.Sizeof(Value{}))
 
-// Footprint estimates the value's in-memory size in bytes: the struct
-// header plus string payloads, recursively over tuple components and
+// Footprint estimates the value's in-memory size in bytes: the Value
+// itself plus string payloads, recursively over tuple components and
 // bag elements. It is the cost measure used by the size-aware caches to
 // enforce their byte budgets; an estimate is sufficient because budgets
 // bound aggregate memory, not exact allocations.
 func (v Value) Footprint() int64 {
-	n := int64(valueOverhead + len(v.S))
-	for _, it := range v.Items {
+	n := valueOverhead + int64(len(v.S()))
+	for _, it := range v.Items() {
 		n += it.Footprint()
 	}
 	return n
@@ -140,7 +234,7 @@ func (v Value) IsCollection() bool { return v.Kind == KindBag || v.Kind == KindV
 func (v Value) Elements() ([]Value, error) {
 	switch v.Kind {
 	case KindBag:
-		return v.Items, nil
+		return v.items(), nil
 	case KindVoid:
 		return nil, nil
 	case KindAny:
@@ -155,105 +249,12 @@ func (v Value) Elements() ([]Value, error) {
 func (v Value) Len() int {
 	switch v.Kind {
 	case KindBag, KindTuple:
-		return len(v.Items)
+		return v.n
 	case KindVoid:
 		return 0
 	default:
 		return -1
 	}
-}
-
-// Key returns a canonical encoding of the value such that two values are
-// Equal iff their keys are identical. Bags are canonicalised by sorting
-// element keys, so bags compare as multisets.
-func (v Value) Key() string { return string(v.appendKey(nil)) }
-
-// appendKey appends the value's canonical key to dst.
-func (v Value) appendKey(dst []byte) []byte {
-	switch v.Kind {
-	case KindNull:
-		return append(dst, 'N')
-	case KindBool:
-		if v.B {
-			return append(dst, "b1"...)
-		}
-		return append(dst, "b0"...)
-	case KindInt:
-		return strconv.AppendInt(append(dst, 'i'), v.I, 10)
-	case KindFloat:
-		// Integral floats compare equal to ints of the same value so
-		// that numeric joins behave as users expect.
-		if v.F == math.Trunc(v.F) && !math.IsInf(v.F, 0) && math.Abs(v.F) < 1e15 {
-			return strconv.AppendInt(append(dst, 'i'), int64(v.F), 10)
-		}
-		return strconv.AppendFloat(append(dst, 'f'), v.F, 'g', -1, 64)
-	case KindString:
-		dst = strconv.AppendInt(append(dst, 's'), int64(len(v.S)), 10)
-		return append(append(dst, ':'), v.S...)
-	case KindTuple:
-		dst = append(dst, "t("...)
-		for i, it := range v.Items {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = it.appendKey(dst)
-		}
-		return append(dst, ')')
-	case KindBag:
-		keys := sortKeys(v.Items)
-		dst = append(dst, "B["...)
-		for i, el := range keys.order {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, keys.key(el)...)
-		}
-		return append(dst, ']')
-	case KindVoid:
-		return append(dst, 'V')
-	case KindAny:
-		return append(dst, 'A')
-	}
-	return dst
-}
-
-// sortedKeys holds the canonical keys of a run of elements, written
-// back to back into one byte arena, and the elements' canonical order
-// as a permutation of their indexes: the order of the elements' Key()
-// strings under <, elements whose keys tie (5 and 5.0) staying in
-// element order. The arena, the offsets and the permutation are the
-// only allocations, whatever the number of elements.
-type sortedKeys struct {
-	arena []byte
-	off   []int // key i is arena[off[i]:off[i+1]]
-	order []int
-}
-
-func (k *sortedKeys) key(i int) []byte { return k.arena[k.off[i]:k.off[i+1]] }
-
-// keyArenaSample is how many elements' keys are written before the
-// arena is sized for the rest: extents are homogeneous, so the first
-// few keys predict the total well enough that the arena is allocated
-// about once, at about its final size.
-const keyArenaSample = 16
-
-func sortKeys(els []Value) sortedKeys {
-	k := sortedKeys{off: make([]int, len(els)+1), order: make([]int, len(els))}
-	for i, e := range els {
-		if i == keyArenaSample {
-			k.arena = slices.Grow(k.arena, len(k.arena)/keyArenaSample*(len(els)-i)*9/8)
-		}
-		k.arena = e.appendKey(k.arena)
-		k.off[i+1] = len(k.arena)
-		k.order[i] = i
-	}
-	slices.SortFunc(k.order, func(a, b int) int {
-		if c := bytes.Compare(k.key(a), k.key(b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return k
 }
 
 // Equal reports whether two values are equal; bags compare as multisets,
@@ -270,19 +271,20 @@ func sortKeys(els []Value) sortedKeys {
 func (v Value) Equal(w Value) bool {
 	switch {
 	case v.Kind == KindInt && w.Kind == KindInt:
-		return v.I == w.I
+		return v.word == w.word
 	case v.Kind == KindString && w.Kind == KindString:
-		return v.S == w.S
+		return v.str() == w.str()
 	case v.Kind == KindBool && w.Kind == KindBool:
-		return v.B == w.B
+		return v.word == w.word
 	case (v.Kind == KindInt || v.Kind == KindFloat) && (w.Kind == KindInt || w.Kind == KindFloat):
 		return v.AsFloat() == w.AsFloat()
 	case v.Kind == KindTuple && w.Kind == KindTuple:
-		if len(v.Items) != len(w.Items) {
+		vs, ws := v.items(), w.items()
+		if len(vs) != len(ws) {
 			return false
 		}
-		for i := range v.Items {
-			if !v.Items[i].Equal(w.Items[i]) {
+		for i := range vs {
+			if !vs[i].Equal(ws[i]) {
 				return false
 			}
 		}
@@ -295,7 +297,7 @@ func (v Value) Equal(w Value) bool {
 	}
 	switch v.Kind {
 	case KindBag:
-		return bagEqual(v.Items, w.Items)
+		return bagEqual(v.items(), w.items())
 	case KindNull, KindVoid, KindAny:
 		return true
 	}
@@ -317,17 +319,10 @@ func (v Value) Compare(w Value) (int, error) {
 		}
 	}
 	if v.Kind == KindString && w.Kind == KindString {
-		return strings.Compare(v.S, w.S), nil
+		return strings.Compare(v.str(), w.str()), nil
 	}
 	if v.Kind == KindBool && w.Kind == KindBool {
-		x, y := 0, 0
-		if v.B {
-			x = 1
-		}
-		if w.B {
-			y = 1
-		}
-		return x - y, nil
+		return int(v.word) - int(w.word), nil
 	}
 	return 0, fmt.Errorf("iql: cannot compare %s with %s", v.Kind, w.Kind)
 }
@@ -336,9 +331,9 @@ func (v Value) Compare(w Value) (int, error) {
 func (v Value) AsFloat() float64 {
 	switch v.Kind {
 	case KindInt:
-		return float64(v.I)
+		return float64(int64(v.word))
 	case KindFloat:
-		return v.F
+		return math.Float64frombits(v.word)
 	}
 	return 0
 }
@@ -376,89 +371,4 @@ func Distinct(v Value) (Value, error) {
 		}
 	}
 	return BagOf(out), nil
-}
-
-// SortBag returns a bag with elements in canonical key order, for
-// deterministic display. Each element's key is written exactly once,
-// into a shared arena, and an index permutation is sorted by comparing
-// key bytes (see sortKeys), so a sort costs O(n) key constructions and
-// a constant number of allocations. Elements whose keys tie (e.g. 5
-// and 5.0) keep their bag order.
-func SortBag(v Value) (Value, error) {
-	order, err := BagOrder(v)
-	if err != nil {
-		return Value{}, err
-	}
-	out := make([]Value, len(order))
-	for i, el := range order {
-		out[i] = v.Items[el]
-	}
-	return BagOf(out), nil
-}
-
-// BagOrder returns SortBag's order as a permutation of the bag's element
-// indexes, for a caller that walks the elements in canonical order
-// without needing them copied into a new bag.
-func BagOrder(v Value) ([]int, error) {
-	els, err := v.Elements()
-	if err != nil {
-		return nil, err
-	}
-	return sortKeys(els).order, nil
-}
-
-// String renders the value in IQL source syntax (strings single-quoted,
-// tuples braced, bags bracketed).
-func (v Value) String() string { return string(v.AppendString(nil)) }
-
-// AppendString appends the value's String rendering to dst. String
-// literals have backslashes and quotes escaped, so that rendering is
-// injective and re-parseable.
-func (v Value) AppendString(dst []byte) []byte {
-	switch v.Kind {
-	case KindNull:
-		return append(dst, "null"...)
-	case KindBool:
-		if v.B {
-			return append(dst, "True"...)
-		}
-		return append(dst, "False"...)
-	case KindInt:
-		return strconv.AppendInt(dst, v.I, 10)
-	case KindFloat:
-		start := len(dst)
-		dst = strconv.AppendFloat(dst, v.F, 'g', -1, 64)
-		if !bytes.ContainsAny(dst[start:], ".eE") {
-			dst = append(dst, ".0"...)
-		}
-		return dst
-	case KindString:
-		dst = append(dst, '\'')
-		s := v.S
-		for i := strings.IndexAny(s, `\'`); i >= 0; i = strings.IndexAny(s, `\'`) {
-			dst = append(append(dst, s[:i]...), '\\', s[i])
-			s = s[i+1:]
-		}
-		return append(append(dst, s...), '\'')
-	case KindTuple:
-		return appendItems(dst, '{', v.Items, '}')
-	case KindBag:
-		return appendItems(dst, '[', v.Items, ']')
-	case KindVoid:
-		return append(dst, "Void"...)
-	case KindAny:
-		return append(dst, "Any"...)
-	}
-	return dst
-}
-
-func appendItems(dst []byte, open byte, items []Value, close byte) []byte {
-	dst = append(dst, open)
-	for i, it := range items {
-		if i > 0 {
-			dst = append(dst, ", "...)
-		}
-		dst = it.AppendString(dst)
-	}
-	return append(dst, close)
 }

@@ -25,30 +25,30 @@ func refWriteKey(v Value, b *strings.Builder) {
 	case KindNull:
 		b.WriteString("N")
 	case KindBool:
-		if v.B {
+		if v.B() {
 			b.WriteString("b1")
 		} else {
 			b.WriteString("b0")
 		}
 	case KindInt:
 		b.WriteString("i")
-		b.WriteString(strconv.FormatInt(v.I, 10))
+		b.WriteString(strconv.FormatInt(v.I(), 10))
 	case KindFloat:
-		if v.F == math.Trunc(v.F) && !math.IsInf(v.F, 0) && math.Abs(v.F) < 1e15 {
+		if v.F() == math.Trunc(v.F()) && !math.IsInf(v.F(), 0) && math.Abs(v.F()) < 1e15 {
 			b.WriteString("i")
-			b.WriteString(strconv.FormatInt(int64(v.F), 10))
+			b.WriteString(strconv.FormatInt(int64(v.F()), 10))
 			return
 		}
 		b.WriteString("f")
-		b.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
+		b.WriteString(strconv.FormatFloat(v.F(), 'g', -1, 64))
 	case KindString:
 		b.WriteString("s")
-		b.WriteString(strconv.Itoa(len(v.S)))
+		b.WriteString(strconv.Itoa(len(v.S())))
 		b.WriteString(":")
-		b.WriteString(v.S)
+		b.WriteString(v.S())
 	case KindTuple:
 		b.WriteString("t(")
-		for i, it := range v.Items {
+		for i, it := range v.Items() {
 			if i > 0 {
 				b.WriteString(",")
 			}
@@ -56,8 +56,8 @@ func refWriteKey(v Value, b *strings.Builder) {
 		}
 		b.WriteString(")")
 	case KindBag:
-		keys := make([]string, len(v.Items))
-		for i, it := range v.Items {
+		keys := make([]string, len(v.Items()))
+		for i, it := range v.Items() {
 			keys[i] = refKey(it)
 		}
 		sort.Strings(keys)
@@ -89,22 +89,22 @@ func refWrite(v Value, b *strings.Builder) {
 	case KindNull:
 		b.WriteString("null")
 	case KindBool:
-		if v.B {
+		if v.B() {
 			b.WriteString("True")
 		} else {
 			b.WriteString("False")
 		}
 	case KindInt:
-		b.WriteString(strconv.FormatInt(v.I, 10))
+		b.WriteString(strconv.FormatInt(v.I(), 10))
 	case KindFloat:
-		s := strconv.FormatFloat(v.F, 'g', -1, 64)
+		s := strconv.FormatFloat(v.F(), 'g', -1, 64)
 		b.WriteString(s)
 		if !strings.ContainsAny(s, ".eE") {
 			b.WriteString(".0")
 		}
 	case KindString:
 		b.WriteByte('\'')
-		b.WriteString(refStringEscaper.Replace(v.S))
+		b.WriteString(refStringEscaper.Replace(v.S()))
 		b.WriteByte('\'')
 	case KindTuple, KindBag:
 		open, close := byte('{'), byte('}')
@@ -112,7 +112,7 @@ func refWrite(v Value, b *strings.Builder) {
 			open, close = '[', ']'
 		}
 		b.WriteByte(open)
-		for i, it := range v.Items {
+		for i, it := range v.Items() {
 			if i > 0 {
 				b.WriteString(", ")
 			}

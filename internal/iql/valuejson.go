@@ -20,16 +20,17 @@ func EncodeValue(v Value) ValueDTO {
 	d := ValueDTO{Kind: v.Kind.String()}
 	switch v.Kind {
 	case KindBool:
-		d.Bool = v.B
+		d.Bool = v.B()
 	case KindInt:
-		d.Int = v.I
+		d.Int = v.I()
 	case KindFloat:
-		d.Float = v.F
+		d.Float = v.F()
 	case KindString:
-		d.Str = v.S
+		d.Str = v.S()
 	case KindTuple, KindBag:
-		d.Items = make([]ValueDTO, len(v.Items))
-		for i, it := range v.Items {
+		items := v.Items()
+		d.Items = make([]ValueDTO, len(items))
+		for i, it := range items {
 			d.Items[i] = EncodeValue(it)
 		}
 	}

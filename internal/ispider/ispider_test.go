@@ -156,7 +156,7 @@ func TestTable1AllQueriesAnswerableWithResults(t *testing.T) {
 				t.Errorf("Q4 returned %s, want a 2-tuple", res.Value)
 				continue
 			}
-			if res.Value.Items[0].Len() == 0 || res.Value.Items[1].Len() == 0 {
+			if res.Value.Items()[0].Len() == 0 || res.Value.Items()[1].Len() == 0 {
 				t.Errorf("Q4 sub-results empty: %s", res.Value)
 			}
 			continue
@@ -178,9 +178,9 @@ func TestQ1FindsAllThreeSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, item := range res.Value.Items {
-		if item.Kind == iql.KindTuple && len(item.Items) == 2 {
-			seen[item.Items[0].S] = true
+	for _, item := range res.Value.Items() {
+		if item.Kind == iql.KindTuple && len(item.Items()) == 2 {
+			seen[item.Items()[0].S()] = true
 		}
 	}
 	for _, src := range []string{"PEDRO", "gpmDB", "pepSeeker"} {
@@ -291,7 +291,7 @@ func TestClassicalAnswersSameQueriesAfterMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.I <= 0 {
+	if v.I() <= 0 {
 		t.Errorf("classical ion count = %s", v)
 	}
 	// GS3-stage concept, PepSeeker only.
@@ -299,7 +299,7 @@ func TestClassicalAnswersSameQueriesAfterMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.I <= 0 {
+	if v.I() <= 0 {
 		t.Errorf("classical masses count = %s", v)
 	}
 }

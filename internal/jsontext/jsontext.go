@@ -1,8 +1,9 @@
 // Package jsontext writes JSON strings and numbers byte for byte as
 // encoding/json does, without reflection and without an intermediate
-// value: the answer encoder (package server) and the snapshot row
-// encoder (package wrapper) share it, so "the bytes encoding/json would
-// have written" is decided in one place.
+// value: the answer encoder (package iql's walk over a value) and the
+// snapshot row encoder (package wrapper) share it, so "the bytes
+// encoding/json would have written" is decided in one place. It imports
+// nothing of this module, so every package may use it.
 package jsontext
 
 import (

@@ -1,4 +1,4 @@
-package jsontext
+package jsontext_test
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/dataspace/automed/internal/iql/iqltest"
+	"github.com/dataspace/automed/internal/jsontext"
 )
 
 // TestAppendStringHTMLMatchesMarshal: the HTML-escaping variant writes
@@ -18,7 +19,7 @@ func TestAppendStringHTMLMatchesMarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := AppendStringHTML(nil, s); !bytes.Equal(got, want) {
+		if got := jsontext.AppendStringHTML(nil, s); !bytes.Equal(got, want) {
 			t.Errorf("AppendStringHTML(%q) = %s, want %s", s, got, want)
 		}
 	}

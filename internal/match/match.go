@@ -337,8 +337,8 @@ func sampleValues(v iql.Value, n int) ([]iql.Value, error) {
 	}
 	out := make([]iql.Value, 0, len(els))
 	for _, e := range els {
-		if e.Kind == iql.KindTuple && len(e.Items) > 0 {
-			out = append(out, e.Items[len(e.Items)-1])
+		if items := e.Items(); e.Kind == iql.KindTuple && len(items) > 0 {
+			out = append(out, items[len(items)-1])
 		} else {
 			out = append(out, e)
 		}

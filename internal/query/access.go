@@ -189,7 +189,7 @@ func bagLen(v iql.Value) int64 {
 	if v.Kind != iql.KindBag {
 		return 0
 	}
-	return int64(len(v.Items))
+	return int64(len(v.Items()))
 }
 
 // fetch is the whole-extent arm of the guarded call. Context-aware

@@ -193,7 +193,7 @@ func TestStaleFallbackServesLastKnownGood(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query with fallback available failed: %v", err)
 	}
-	if v.Kind != iql.KindInt || v.I != 3 {
+	if v.Kind != iql.KindInt || v.I() != 3 {
 		t.Fatalf("stale answer = %s, want 3", v)
 	}
 	if len(warns) != 1 || !IsDegraded(warns[0]) {
@@ -213,7 +213,7 @@ func TestStaleFallbackServesLastKnownGood(t *testing.T) {
 	}
 	fetched := src.callCount()
 	v, warns, err = evalCount(t, p)
-	if err != nil || v.I != 3 || len(warns) != 1 || !IsDegraded(warns[0]) {
+	if err != nil || v.I() != 3 || len(warns) != 1 || !IsDegraded(warns[0]) {
 		t.Fatalf("breaker-open query: v=%s warns=%v err=%v", v, warns, err)
 	}
 	if !strings.Contains(warns[0], "breaker open") {
@@ -252,7 +252,7 @@ func TestWrapperFallbackWhenNeverFetched(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query with wrapper fallback failed: %v", err)
 	}
-	if v.I != 1 {
+	if v.I() != 1 {
 		t.Fatalf("fallback answer = %s, want count 1", v)
 	}
 	if len(warns) != 1 || !IsDegraded(warns[0]) || !strings.Contains(warns[0], "age unknown") {
@@ -292,7 +292,7 @@ func TestSourceTimeoutBoundsHangingFetch(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("hanging source held the query for %v; SourceTimeout did not cut it", elapsed)
 	}
-	if v.I != 3 || len(warns) != 1 || !IsDegraded(warns[0]) {
+	if v.I() != 3 || len(warns) != 1 || !IsDegraded(warns[0]) {
 		t.Fatalf("hang fallback: v=%s warns=%v", v, warns)
 	}
 }
@@ -355,7 +355,7 @@ func TestProbeOpenRecoversSource(t *testing.T) {
 		t.Fatalf("state after successful probe = %s, want closed", h[0].State)
 	}
 	v, warns, err := evalCount(t, p)
-	if err != nil || v.I != 3 || len(warns) != 0 {
+	if err != nil || v.I() != 3 || len(warns) != 0 {
 		t.Fatalf("post-recovery query: v=%s warns=%v err=%v", v, warns, err)
 	}
 }
@@ -411,7 +411,7 @@ func evalBoth(t *testing.T, p *Processor) (iql.Value, []string, error) {
 // evaluation.
 func TestPrefetchedReadsGoThroughTheBreaker(t *testing.T) {
 	p, a, b := twoFlakySources(t)
-	if v, warns, err := evalBoth(t, p); err != nil || v.I != 6 || len(warns) != 0 {
+	if v, warns, err := evalBoth(t, p); err != nil || v.I() != 6 || len(warns) != 0 {
 		t.Fatalf("healthy query: v=%s warns=%v err=%v", v, warns, err)
 	}
 	if a.callCount() != 1 || b.callCount() != 1 {
@@ -426,7 +426,7 @@ func TestPrefetchedReadsGoThroughTheBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query after both sources went down failed: %v", err)
 	}
-	if v.I != 6 {
+	if v.I() != 6 {
 		t.Fatalf("degraded answer = %s, want the healthy value 6", v)
 	}
 	if len(warns) != 2 || !IsDegraded(warns[0]) || !IsDegraded(warns[1]) {
@@ -451,7 +451,7 @@ func TestPrefetchedReadsGoThroughTheBreaker(t *testing.T) {
 	// prefetch or from evaluation.
 	ca, cb := a.callCount(), b.callCount()
 	v, warns, err = evalBoth(t, p)
-	if err != nil || v.I != 6 || len(warns) != 2 {
+	if err != nil || v.I() != 6 || len(warns) != 2 {
 		t.Fatalf("breaker-open query: v=%s warns=%v err=%v", v, warns, err)
 	}
 	if a.callCount() != ca || b.callCount() != cb {
@@ -472,7 +472,7 @@ func TestBreakerOpensForSourceOnlyPrefetchReaches(t *testing.T) {
 			t.Fatalf("B never opened: %+v (%d calls)", p.SourceHealth()[1], b.callCount())
 		}
 		p.InvalidateCache()
-		if v, _, _, err := p.EvalContext(context.Background(), q); err != nil || v.I != 0 {
+		if v, _, _, err := p.EvalContext(context.Background(), q); err != nil || v.I() != 0 {
 			t.Fatalf("query: v=%s err=%v", v, err)
 		}
 	}

@@ -139,7 +139,7 @@ func TestPrefetchExpandsVirtualDefinitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Kind != iql.KindInt || v.I != 4 {
+	if v.Kind != iql.KindInt || v.I() != 4 {
 		t.Fatalf("bad result %s", v)
 	}
 	if a.calls != 1 || b.calls != 1 {

@@ -351,8 +351,8 @@ func TestUnfoldSharesASingleDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !one.Equal(rows) || &one.Items[0] != &rows.Items[0] {
-		t.Errorf("<<one>> = %s, shares its derivation's array: %v", one, &one.Items[0] == &rows.Items[0])
+	if !one.Equal(rows) || &one.Items()[0] != &rows.Items()[0] {
+		t.Errorf("<<one>> = %s, shares its derivation's array: %v", one, &one.Items()[0] == &rows.Items()[0])
 	}
 	both, err := p.Extent([]string{"both"})
 	if err != nil {

@@ -137,7 +137,7 @@ func TestCoalescedFetchSurvivesInitiatorCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy request inherited the initiator's cancellation: %v", err)
 	}
-	if v.Kind != iql.KindInt || v.I != 2 {
+	if v.Kind != iql.KindInt || v.I() != 2 {
 		t.Fatalf("count = %s, want 2", v)
 	}
 	if err := <-done; err == nil {

@@ -99,7 +99,7 @@ func TestStreamSpillThresholdMaterialisesSmallExtents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Kind != iql.KindInt || v.I != 32 {
+	if v.Kind != iql.KindInt || v.I() != 32 {
 		t.Fatalf("count = %s, want 32", v)
 	}
 	if !p.srcExt.Peek("S\x00items|v") {
@@ -143,7 +143,7 @@ func TestStreamDisabledNeverScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Kind != iql.KindInt || v.I != 2000 {
+	if v.Kind != iql.KindInt || v.I() != 2000 {
 		t.Fatalf("count = %s, want 2000", v)
 	}
 	if !p.srcExt.Peek("S\x00items|v") {
@@ -232,6 +232,10 @@ type pagedSource struct {
 	rows      int
 	pageRows  int
 	failAfter error
+	// slack is the spare capacity of every page; served keeps the pages
+	// handed out, for tests that ask what became of them.
+	slack  int
+	served [][]iql.Value
 }
 
 func newPagedSource(rows, pageRows int, failAfter error) *pagedSource {
@@ -280,10 +284,13 @@ func (c *pagedScanner) Next(ctx context.Context) bool {
 		c.err, c.done = c.s.failAfter, true
 		return false
 	}
-	for n := min(c.s.pageRows, c.s.rows-c.at); n > 0; n-- {
+	n := min(c.s.pageRows, c.s.rows-c.at)
+	c.page = make([]iql.Value, 0, n+c.s.slack)
+	for ; n > 0; n-- {
 		c.page = append(c.page, iql.Tuple(iql.Int(int64(c.at)), iql.Int(int64(c.at%10))))
 		c.at++
 	}
+	c.s.served = append(c.s.served, c.page)
 	return true
 }
 
@@ -362,33 +369,49 @@ func TestStreamSecondPageFails(t *testing.T) {
 }
 
 // TestStreamSmallExtentCachedAtItsLength: what the spill probe caches
-// holds no spare capacity — a ten-row table read with a 4 096-row page
-// must not pin the page's array behind an entry the cache charged as
-// ten rows — whether it arrived as one short page or as several.
+// holds no spare capacity — a ten-row table read into a page with room
+// for thousands must not pin the page's array behind an entry the cache
+// charged as ten rows — whether it arrived as one short page or as
+// several. A Value does not say how much room lies behind its items, so
+// the test looks at where they are: a page with room to spare is copied
+// into an array of its own, a page that is exactly full is kept as it
+// is, and several pages are joined into one array of their length.
 func TestStreamSmallExtentCachedAtItsLength(t *testing.T) {
-	for _, pageRows := range []int{0, 4} { // the default page, and three pages of 4, 4 and 2
-		dsn := fmt.Sprintf("stream-exact-%d", pageRows)
-		w := newStreamSQLSource(t, dsn, 10, pageRows)
+	for _, tc := range []struct {
+		name            string
+		pageRows, slack int
+		wantPageKept    bool
+	}{
+		{"one short page", 4096, 4086, false},
+		{"one full page", 10, 0, true},
+		{"pages of 4, 4 and 2", 4, 0, false},
+	} {
+		src := newPagedSource(10, tc.pageRows, nil)
+		src.slack = tc.slack
 		p := New()
-		if err := p.AddSource(w); err != nil {
+		if err := p.AddSource(src); err != nil {
 			t.Fatal(err)
 		}
-		if v, err := p.Query(`count([x | {x, v} <- <<items, v>>])`); err != nil || v.I != 10 {
-			t.Fatalf("count = %s, %v", v, err)
+		if v, err := p.Query(`count([x | {x, v} <- <<items, v>>])`); err != nil || v.I() != 10 {
+			t.Fatalf("%s: count = %s, %v", tc.name, v, err)
 		}
-		const ck = "S\x00items|v"
+		const ck = "P\x00items|v"
 		cached, ok := p.srcExt.Get(ck)
 		if !ok {
-			t.Fatal("small extent was not materialised into the source-extent cache")
+			t.Fatalf("%s: small extent was not materialised into the source-extent cache", tc.name)
 		}
-		if len(cached.Items) != 10 || cap(cached.Items) != 10 {
-			t.Errorf("page size %d: cached extent has len %d cap %d, want 10 and 10", pageRows, len(cached.Items), cap(cached.Items))
+		if cached.Len() != 10 {
+			t.Fatalf("%s: cached extent has %d rows, want 10", tc.name, cached.Len())
+		}
+		if kept := &cached.Items()[0] == &src.served[0][0]; kept != tc.wantPageKept {
+			t.Errorf("%s: the cached extent is the scanner's first page (%d rows in room for %d): %v, want %v",
+				tc.name, len(src.served[0]), cap(src.served[0]), kept, tc.wantPageKept)
 		}
 		p.lgMu.Lock()
 		kept := p.lastGood[ck].val
 		p.lgMu.Unlock()
-		if cap(kept.Items) != 10 {
-			t.Errorf("page size %d: last-known-good extent has cap %d, want 10", pageRows, cap(kept.Items))
+		if kept.Len() != 10 || &kept.Items()[0] != &cached.Items()[0] {
+			t.Errorf("%s: the last-known-good extent is not the cached one", tc.name)
 		}
 	}
 }

@@ -131,9 +131,14 @@ func errStatus(err error) int {
 	}
 }
 
+// decode reads a request body into v. Numbers bound for an untyped
+// field — the cells of inline /sources rows, the only such field — stay
+// json.Number, so an int column takes every int64 exactly rather than
+// what survives a float64.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
+	dec.UseNumber()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("server: invalid request body: %w", err)
 	}

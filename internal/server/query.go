@@ -254,37 +254,28 @@ func (e *encodingError) Unwrap() error { return e.err }
 // fragment grows append by append to a length nobody knows beforehand;
 // grown in a recycled buffer and copied out at its exact length, it
 // costs its own size once rather than every size it passed through.
-var fragmentScratch = sync.Pool{New: func() any { return new([]byte) }}
+var fragmentScratch = sync.Pool{New: func() any { return new(fragmentBufs) }}
 
-// render encodes the answer's response fragment from its result.
+// fragmentBufs are the two outputs of the one walk over an answer: the
+// fragment, which is the value's JSON until the walk ends, and the
+// value in IQL source syntax, which the fragment ends with.
+type fragmentBufs struct{ frag, text []byte }
+
+// render encodes the answer's response fragment from its result: one
+// walk writes the JSON and the rendering, the rendering is escaped onto
+// the JSON as a JSON string, and the whole is kept at its exact length.
 func (a *Answer) render() error {
-	scratch := fragmentScratch.Get().(*[]byte)
-	defer fragmentScratch.Put(scratch)
-	b, err := appendValueJSON(append((*scratch)[:0], `"value":`...), a.Value)
-	if err == nil {
-		b = appendRendered(append(b, `,"rendered":`...), a.Value)
-		a.fragment = append(make([]byte, 0, len(b)), b...)
-	}
-	*scratch = b
+	s := fragmentScratch.Get().(*fragmentBufs)
+	defer fragmentScratch.Put(s)
+	var err error
+	s.frag, s.text, err = iql.AppendJSONAndText(append(s.frag[:0], `"value":`...), s.text[:0], a.Value)
 	if err != nil {
 		return &encodingError{err}
 	}
+	s.frag = jsontext.AppendEscaped(append(s.frag, `,"rendered":"`...), s.text)
+	s.frag = append(s.frag, '"')
+	a.fragment = append(make([]byte, 0, len(s.frag)), s.frag...)
 	return nil
-}
-
-// appendRendered appends v in IQL source syntax as a JSON string. The
-// rendering is written in place and is its own JSON string up to its
-// first byte that needs escaping, which most renderings do not have;
-// only the rest is copied out and escaped.
-func appendRendered(dst []byte, v iql.Value) []byte {
-	dst = append(dst, '"')
-	raw := len(dst)
-	dst = v.AppendString(dst)
-	if safe := raw + jsontext.SafePrefix(dst[raw:]); safe < len(dst) {
-		rest := append([]byte(nil), dst[safe:]...)
-		dst = jsontext.AppendEscaped(dst[:safe], rest)
-	}
-	return append(dst, '"')
 }
 
 // Query answers an IQL query against the requested schema version
@@ -380,59 +371,4 @@ func resultCost(a Answer) int64 {
 // by plus its normalised rendering (the AST is of the same order).
 func planCost(src string, pl plan) int64 {
 	return int64(len(src) + 2*len(pl.norm) + 64)
-}
-
-// appendValueJSON appends an IQL value as JSON: scalars map to JSON
-// scalars, tuples to {"tuple": [...]}, bags to {"bag": [...]} with
-// elements in canonical order (bags are multisets, so a deterministic
-// order is free to choose and keeps responses stable), Void/Any to
-// {"const": ...}. The bytes are those encoding/json writes, HTML
-// escaping off, for the same shape built from maps and slices; a NaN or
-// infinite float is encoding/json's UnsupportedValueError.
-func appendValueJSON(dst []byte, v iql.Value) ([]byte, error) {
-	switch v.Kind {
-	case iql.KindNull:
-		return append(dst, "null"...), nil
-	case iql.KindBool:
-		return strconv.AppendBool(dst, v.B), nil
-	case iql.KindInt:
-		return strconv.AppendInt(dst, v.I, 10), nil
-	case iql.KindFloat:
-		return jsontext.AppendFloat(dst, v.F)
-	case iql.KindString:
-		return jsontext.AppendString(dst, v.S), nil
-	case iql.KindTuple:
-		return appendItemsJSON(append(dst, `{"tuple":[`...), v.Items, nil)
-	case iql.KindBag:
-		order, err := iql.BagOrder(v)
-		if err != nil {
-			return dst, err
-		}
-		return appendItemsJSON(append(dst, `{"bag":[`...), v.Items, order)
-	case iql.KindVoid:
-		return append(dst, `{"const":"Void"}`...), nil
-	case iql.KindAny:
-		return append(dst, `{"const":"Any"}`...), nil
-	}
-	return jsontext.AppendString(dst, v.String()), nil
-}
-
-// appendItemsJSON appends the items, comma-separated, in the given
-// order (nil for the order they are in), and closes the array and the
-// one-member object around it.
-func appendItemsJSON(dst []byte, items []iql.Value, order []int) ([]byte, error) {
-	for i := range items {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		el := i
-		if order != nil {
-			el = order[i]
-		}
-		var err error
-		if dst, err = appendValueJSON(dst, items[el]); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, "]}"...), nil
 }

@@ -50,16 +50,16 @@ func refValueJSON(v iql.Value) any {
 	case iql.KindNull:
 		return nil
 	case iql.KindBool:
-		return v.B
+		return v.B()
 	case iql.KindInt:
-		return v.I
+		return v.I()
 	case iql.KindFloat:
-		return v.F
+		return v.F()
 	case iql.KindString:
-		return v.S
+		return v.S()
 	case iql.KindTuple:
-		items := make([]any, len(v.Items))
-		for i, it := range v.Items {
+		items := make([]any, len(v.Items()))
+		for i, it := range v.Items() {
 			items[i] = refValueJSON(it)
 		}
 		return map[string]any{"tuple": items}
@@ -68,8 +68,8 @@ func refValueJSON(v iql.Value) any {
 		if err != nil {
 			sorted = v
 		}
-		items := make([]any, len(sorted.Items))
-		for i, it := range sorted.Items {
+		items := make([]any, len(sorted.Items()))
+		for i, it := range sorted.Items() {
 			items[i] = refValueJSON(it)
 		}
 		return map[string]any{"bag": items}
@@ -407,5 +407,60 @@ func TestCachedHitAllocatesAConstant(t *testing.T) {
 	const limit = 12
 	if small, large := allocsAt(10), allocsAt(2000); small > limit || large > limit {
 		t.Errorf("a cached hit allocates %.0f times for 10 rows and %.0f for 2000; want at most %d for either", small, large, limit)
+	}
+}
+
+// TestAnswerBytesPerRow pins what a row of a Q7-shaped answer — a
+// four-way join on the key, two floats in every row — allocates from
+// Session.Query to the encoded fragment, result cache bypassed: the head
+// tuple, the row's places in its shard's bag and in the answer, and its
+// share of the fragment. The element arenas of the encoder are
+// recycled; a row cost twice this when a Value was 72 bytes and the
+// answer was walked three times.
+func TestAnswerBytesPerRow(t *testing.T) {
+	srv := New(DefaultConfig())
+	sess, err := srv.Sessions().Get("default", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := wrapper.NewStatic("Ions")
+	sizes := []int{1000, 3000}
+	for _, n := range sizes {
+		cols := map[string][]iql.Value{}
+		for i := 0; i < n; i++ {
+			k := iql.Int(int64(i))
+			cols["hit"] = append(cols["hit"], iql.Tuple(k, iql.Int(int64(i/7))))
+			cols["type"] = append(cols["type"], iql.Tuple(k, iql.Str("by"[i%2:i%2+1])))
+			cols["mz"] = append(cols["mz"], iql.Tuple(k, iql.Float(100+float64(i)*0.37)))
+			cols["intensity"] = append(cols["intensity"], iql.Tuple(k, iql.Float(float64(i%997)/8)))
+		}
+		for col, els := range cols {
+			if err := src.Add(hdm.MustScheme(fmt.Sprintf("<<ion%d, %s>>", n, col)), hdm.Link, "", "", iql.BagOf(els)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sess.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
+		t.Fatal(err)
+	}
+	plans := cache.New[plan](cache.Options{MaxEntries: 16})
+	bytesAt := func(n int) float64 {
+		q := fmt.Sprintf("[{h, t, mz, i} | {k, h} <- <<ions_ion%[1]d, hit>>; {k2, t} <- <<ions_ion%[1]d, type>>; k2 = k; "+
+			"{k3, mz} <- <<ions_ion%[1]d, mz>>; k3 = k; {k4, i} <- <<ions_ion%[1]d, intensity>>; k4 = k]", n)
+		return iqltest.AllocBytesPerRun(10, func() {
+			ans, _, err := sess.Query(context.Background(), plans, q, core.CurrentVersion, true)
+			if err != nil || ans.Value.Len() != n {
+				t.Fatalf("%s: %d rows, err %v", q, ans.Value.Len(), err)
+			}
+		})
+	}
+	small, large := bytesAt(sizes[0]), bytesAt(sizes[1])
+	perRow := (large - small) / float64(sizes[1]-sizes[0])
+	t.Logf("a %d-row answer allocates %.0f bytes, a %d-row one %.0f: %.1f a row", sizes[0], small, sizes[1], large, perRow)
+	if perRow > 400 && !iqltest.Race {
+		t.Errorf("a row of a Q7-shaped answer allocates %.1f bytes, want at most 400", perRow)
 	}
 }

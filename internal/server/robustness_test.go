@@ -262,6 +262,12 @@ func TestDegradedFederationAndBackfill(t *testing.T) {
 		t.Fatalf("healthz status = %v, want degraded while a source is skipped", h["status"])
 	}
 
+	// The first health check launches a background probe whatever the
+	// probe interval (the gate starts at zero). Let it finish against the
+	// still-failing source: run after the heal below, it would backfill
+	// first and leave the explicit probe nothing to recover.
+	s.probeWG.Wait()
+
 	// Heal the source and probe: backfill merges it into the federation.
 	sess, err := s.reg.Get("default", false)
 	if err != nil {

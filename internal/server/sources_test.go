@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,8 +11,9 @@ import (
 )
 
 // restoreJSON restores a relational snapshot from its JSON text, with
-// numbers decoded the way the session store reads them (useNumber:
-// int64 cells stay exact) or the way a request body is (float64).
+// numbers decoded the way the session store and the request decoder
+// read them (useNumber: int64 cells stay exact) or as plain
+// encoding/json does (float64).
 func restoreJSON(t *testing.T, text string, useNumber bool) (wrapper.Wrapper, error) {
 	t.Helper()
 	dec := json.NewDecoder(strings.NewReader(text))
@@ -93,6 +95,12 @@ func TestInlineTablesReportSnapshotCellErrors(t *testing.T) {
 	_, c := newTestClient(t, DefaultConfig())
 	for _, tc := range []struct{ column, cell string }{
 		{"n:int", "1.5"},
+		{"n:int", "9223372036854775808"},
+		{"n:int", "-9223372036854775809"},
+		{"n:int", "1e19"},
+		{"n:int", "1e-1"},
+		{"n:int", "0.1e0"},
+		{"n:int", "1e99999999999"},
 		{"n:int", `"one"`},
 		{"x:float", "true"},
 		{"b:bool", "1"},
@@ -104,7 +112,7 @@ func TestInlineTablesReportSnapshotCellErrors(t *testing.T) {
 			typed += ":string"
 		}
 		_, want := restoreJSON(t, `{"kind": "relational", "name": "Bad", "tables": [
-			{"name": "t", "columns": ["id:int", "`+typed+`"], "primary_key": "id", "rows": [[1, `+tc.cell+`]]}]}`, false)
+			{"name": "t", "columns": ["id:int", "`+typed+`"], "primary_key": "id", "rows": [[1, `+tc.cell+`]]}]}`, true)
 		if want == nil {
 			t.Fatalf("snapshot with %s cell %s restored", tc.column, tc.cell)
 		}
@@ -118,5 +126,40 @@ func TestInlineTablesReportSnapshotCellErrors(t *testing.T) {
 	// looked up, so the refusals above created no (empty) session.
 	if got := c.must("GET", "/sessions", nil, http.StatusOK)["sessions"].([]any); len(got) != 0 {
 		t.Errorf("refused registrations left sessions behind: %v", got)
+	}
+}
+
+// TestInlineIntCellsAreExact: an int column takes every int64 exactly,
+// and every spelling of an integer, from the request through a query,
+// the autosaved session file and a restore — no cell passes through a
+// float64 on the way.
+func TestInlineIntCellsAreExact(t *testing.T) {
+	dir := t.TempDir()
+	_, c := newDurableClient(t, dir)
+	c.must("POST", "/sources", json.RawMessage(`{"name": "Big", "tables": [{"name": "t", "columns": ["id:int", "n:int"], "rows": [
+		[1, 9223372036854775807], [2, -9223372036854775808], [3, 9007199254740993],
+		[4, 1.0], [5, 1e3], [6, 1200e-2], [7, -0.0], [8, 9223372036854775807.0], [9, 922337203685477580.7E1]]}]}`), http.StatusCreated)
+	c.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
+
+	want := `"value":{"bag":[`
+	for i, n := range []string{"9223372036854775807", "-9223372036854775808", "9007199254740993",
+		"1", "1000", "12", "0", "9223372036854775807", "9223372036854775807"} {
+		if i > 0 {
+			want += ","
+		}
+		want += `{"tuple":[` + strconv.Itoa(i+1) + "," + n + "]}"
+	}
+	want += "]}"
+	for _, tc := range []struct {
+		when string
+		c    *testClient
+	}{{"as registered", c}, {"restored from the session file", nil}} {
+		if tc.c == nil {
+			_, tc.c = newDurableClient(t, dir)
+		}
+		status, body := tc.c.post(map[string]any{"query": "<<big_t, n>>"})
+		if status != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("%s: status %d, body %s\nwant %s", tc.when, status, body, want)
+		}
 	}
 }

@@ -2,9 +2,11 @@ package wrapper_test
 
 import (
 	"context"
+	"database/sql"
 	"fmt"
 	"testing"
 
+	"github.com/dataspace/automed/internal/iql/iqltest"
 	"github.com/dataspace/automed/internal/rel"
 	"github.com/dataspace/automed/internal/sqlmem"
 	"github.com/dataspace/automed/internal/wrapper"
@@ -13,11 +15,12 @@ import (
 // Allocation pins for the scan path: counts, not times, so they are
 // deterministic and run with the other tests.
 
-// scanAllocs is the allocation count of one full scan of an object.
-func scanAllocs(t *testing.T, ss wrapper.ScanSourcer, parts []string, wantRows int) float64 {
+// scanAllocs is the allocation count, and the allocated bytes, of one
+// full scan of an object.
+func scanAllocs(t *testing.T, ss wrapper.ScanSourcer, parts []string, wantRows int) (allocs, bytes float64) {
 	t.Helper()
 	ctx := context.Background()
-	return testing.AllocsPerRun(5, func() {
+	scan := func() {
 		scn, err := ss.ExtentScanner(ctx, parts)
 		if err != nil {
 			t.Fatal(err)
@@ -30,16 +33,19 @@ func scanAllocs(t *testing.T, ss wrapper.ScanSourcer, parts []string, wantRows i
 			t.Fatalf("scan of %v: %d rows, %v; want %d", parts, rows, err, wantRows)
 		}
 		scn.Close()
-	})
+	}
+	return testing.AllocsPerRun(5, scan), iqltest.AllocBytesPerRun(5, scan)
 }
 
 // TestSQLPageAllocations: a page of two-column rows costs its rows and
 // nothing else of the wrapper's making. What remains per row is owed to
 // the driver (sqlmem's slice per row); the wrapper's own share — the
 // page, the tuples' shared backing, the scan destinations — is a few
-// dozen per page.
+// dozen per page. In bytes, on top of what the same statement costs
+// scanned through database/sql alone, a {key, value} row is its two
+// cells and its place in the page: three Values, 96 bytes.
 func TestSQLPageAllocations(t *testing.T) {
-	page := func(n int) float64 {
+	page := func(n int) (allocs, bytes, driverBytes float64) {
 		dsn := fmt.Sprintf("alloc-page-%d", n)
 		db := rel.NewDB("S")
 		tb := db.MustCreateTable("items", []rel.Column{{Name: "id", Type: rel.Int}, {Name: "v", Type: rel.Int}}, "id")
@@ -48,15 +54,42 @@ func TestSQLPageAllocations(t *testing.T) {
 		}
 		sqlmem.Register(dsn, db)
 		t.Cleanup(func() { sqlmem.Unregister(dsn) })
-		w, err := wrapper.NewSQL("S", wrapper.SQLConfig{Driver: sqlmem.DriverName, DSN: dsn, FetchPageRows: 8192})
+		// One row short of a full page, so the scan knows it is over
+		// without asking for a second.
+		w, err := wrapper.NewSQL("S", wrapper.SQLConfig{Driver: sqlmem.DriverName, DSN: dsn, FetchPageRows: n + 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return scanAllocs(t, w, []string{"items", "v"}, n)
+		conn, err := sql.Open(sqlmem.DriverName, dsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		var k, v any
+		dest := []any{&k, &v}
+		driverBytes = iqltest.AllocBytesPerRun(5, func() {
+			rows, err := conn.Query(fmt.Sprintf(`SELECT "id", "v" FROM "items" LIMIT %d OFFSET 0`, n+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rows.Close()
+			for rows.Next() {
+				if err := rows.Scan(dest...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		allocs, bytes = scanAllocs(t, w, []string{"items", "v"}, n)
+		return allocs, bytes, driverBytes
 	}
-	small, large := page(2000), page(4000)
-	t.Logf("one page of 2000 rows: %.0f allocations; of 4000: %.0f", small, large)
+	small, smallBytes, smallDriver := page(2000)
+	large, largeBytes, largeDriver := page(4000)
+	t.Logf("one page of 2000 rows: %.0f allocations, %.0f bytes (database/sql alone %.0f); of 4000: %.0f, %.0f (%.0f)",
+		small, smallBytes, smallDriver, large, largeBytes, largeDriver)
 	if perRow := (large - small) / 2000; perRow > 1.5 {
 		t.Errorf("a row of a SQL page costs %.2f allocations, want the driver's one and a share of a chunk", perRow)
+	}
+	if perRow := ((largeBytes - largeDriver) - (smallBytes - smallDriver)) / 2000; perRow > 100 {
+		t.Errorf("a row of a SQL page costs %.1f bytes beyond the driver's, want at most 100", perRow)
 	}
 }

@@ -155,9 +155,9 @@ func (w *Fault) ExtentContext(ctx context.Context, parts []string) (iql.Value, e
 		return iql.Value{}, err
 	}
 	if cfg.Amplify > 1 && v.Kind == iql.KindBag {
-		items := make([]iql.Value, 0, len(v.Items)*cfg.Amplify)
+		items := make([]iql.Value, 0, len(v.Items())*cfg.Amplify)
 		for i := 0; i < cfg.Amplify; i++ {
-			items = append(items, v.Items...)
+			items = append(items, v.Items()...)
 		}
 		v = iql.BagOf(items)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/iql/iqltest"
 )
 
 // checkAgainstReference decodes one page with the walker and with the
@@ -253,12 +254,13 @@ func FuzzRESTProject(f *testing.F) {
 // checked where they lie and cost no allocation, so a page of records
 // with twelve of them decodes in exactly as many allocations as one
 // with two — the page, the tuples' shared backing, and nothing per
-// field.
+// field. In bytes a record is its {key, value} row: two cells and a
+// place in the page, three Values.
 func TestRESTPageAllocations(t *testing.T) {
-	page := func(extra int) float64 {
+	page := func(records, extra int) (allocs, size float64) {
 		var b bytes.Buffer
 		b.WriteByte('[')
-		for i := 0; i < 500; i++ {
+		for i := 0; i < records; i++ {
 			if i > 0 {
 				b.WriteByte(',')
 			}
@@ -269,19 +271,27 @@ func TestRESTPageAllocations(t *testing.T) {
 			b.WriteByte('}')
 		}
 		b.WriteByte(']')
-		return testing.AllocsPerRun(5, func() {
+		decode := func() {
 			d := restDecoder{coll: "events", key: "id", pair: true, field: "val"}
-			items, err := d.page(b.Bytes(), 1<<20, make([]iql.Value, 0, 500))
-			if err != nil || len(items) != 500 {
+			items, err := d.page(b.Bytes(), 1<<20, make([]iql.Value, 0, records))
+			if err != nil || len(items) != records {
 				t.Fatalf("%d rows, %v", len(items), err)
 			}
-		})
+		}
+		return testing.AllocsPerRun(5, decode), iqltest.AllocBytesPerRun(5, decode)
 	}
-	narrow, wide := page(2), page(12)
+	narrow, narrowBytes := page(500, 2)
+	wide, _ := page(500, 12)
 	t.Logf("one page of 500 records: %.0f allocations", narrow)
 	// A field that cost anything would show as thousands; one either
 	// way is the race detector's own bookkeeping (make race).
 	if math.Abs(narrow-wide) > 1 || narrow > 500/pairChunkRows+8 {
 		t.Errorf("a page costs %.0f allocations with 2 unprojected fields and %.0f with 12, want the same few", narrow, wide)
+	}
+	_, longBytes := page(1500, 2)
+	perRow := (longBytes - narrowBytes) / 1000
+	t.Logf("a record of a page: %.1f bytes", perRow)
+	if perRow > 100 {
+		t.Errorf("a record of a REST page costs %.1f bytes, want at most 100", perRow)
 	}
 }

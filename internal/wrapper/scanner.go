@@ -78,8 +78,11 @@ func (s *sliceScanner) Close() error {
 
 // pairChunkRows bounds how many {key, value} tuples share one backing
 // array: large enough that a page costs a handful of allocations, small
-// enough that one retained row pins kilobytes, not a page.
-const pairChunkRows = 128
+// enough that one retained row pins kilobytes, not a page — and one row
+// short of 8 KiB of cells, because the allocator puts a header before an
+// array of pointers and 8 KiB plus a header is served from the 9.25 KiB
+// size class.
+const pairChunkRows = 127
 
 // pairs builds the {key, value} tuples of a link object's extent, their
 // cells carved out of shared backing arrays instead of one two-element

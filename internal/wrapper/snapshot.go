@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -348,8 +349,9 @@ func restoreRelational(snap *Snapshot) (Wrapper, error) {
 }
 
 // decodeCell maps a JSON-decoded row cell back to the relational cell
-// type. Snapshots decoded with json.Decoder.UseNumber keep int64 cells
-// exact; plain decoding delivers float64, accepted when integral.
+// type. Snapshots and requests decoded with json.Decoder.UseNumber keep
+// int64 cells exact, however the integer is spelt (1, 1.0, 1e3); plain
+// decoding delivers float64, accepted when integral.
 func decodeCell(cell any, ty rel.Type) (any, error) {
 	if cell == nil {
 		return nil, nil
@@ -358,7 +360,11 @@ func decodeCell(cell any, ty rel.Type) (any, error) {
 	case rel.Int:
 		switch x := cell.(type) {
 		case json.Number:
-			return x.Int64()
+			i, ok := exactInt64(x.String())
+			if !ok {
+				return nil, fmt.Errorf("expected an integer in the int64 range, got %s", x)
+			}
+			return i, nil
 		case float64:
 			if x != math.Trunc(x) {
 				return nil, fmt.Errorf("expected integer, got %v", x)
@@ -391,6 +397,45 @@ func decodeCell(cell any, ty rel.Type) (any, error) {
 		}
 		return s, nil
 	}
+}
+
+// exactInt64 returns the int64 a JSON number denotes, however it is
+// spelt (1, 1.0, 1e3, 1200e-2), and whether it denotes one. It works on
+// the digits, in time linear in the text: no float64 to round 2^53+1
+// through, no power of ten to compute for 1e-999999.
+func exactInt64(num string) (int64, bool) {
+	if i, err := strconv.ParseInt(num, 10, 64); err == nil {
+		return i, true
+	}
+	mant, expText, hasExp := strings.Cut(strings.ToLower(num), "e")
+	var exp int64
+	if hasExp {
+		var err error
+		if exp, err = strconv.ParseInt(expText, 10, 32); err != nil {
+			return 0, false
+		}
+	}
+	mant, neg := strings.CutPrefix(mant, "-")
+	whole, frac, _ := strings.Cut(mant, ".")
+	exp -= int64(len(frac))
+	// The number is digits × 10^exp, with the zeros at either end of
+	// digits taken off.
+	digits := strings.TrimLeft(whole+frac, "0")
+	n := len(digits)
+	digits = strings.TrimRight(digits, "0")
+	exp += int64(n - len(digits))
+	if digits == "" {
+		return 0, true
+	}
+	if exp < 0 || int64(len(digits))+exp > 19 {
+		return 0, false
+	}
+	digits += strings.Repeat("0", int(exp))
+	if neg {
+		digits = "-" + digits
+	}
+	i, err := strconv.ParseInt(digits, 10, 64)
+	return i, err == nil
 }
 
 // decodeFallback rebuilds a fallback extent map, validating every

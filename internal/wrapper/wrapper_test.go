@@ -178,8 +178,8 @@ func TestXMLWrapper(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, e := range v.Items {
-		if e.Items[1].S == "Dataspaces" {
+	for _, e := range v.Items() {
+		if e.Items()[1].S() == "Dataspaces" {
 			found = true
 		}
 	}

@@ -93,8 +93,8 @@ func testSchemaAgreement(t *testing.T, w wrapper.Wrapper) {
 			continue
 		}
 		if o.Kind == hdm.Link {
-			for _, it := range v.Items {
-				if it.Kind != iql.KindTuple || len(it.Items) != 2 {
+			for _, it := range v.Items() {
+				if it.Kind != iql.KindTuple || len(it.Items()) != 2 {
 					t.Errorf("Extent(%s) element %s is not a {key, value} pair", o.Scheme, it)
 					break
 				}
