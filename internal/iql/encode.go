@@ -156,10 +156,10 @@ func (e *encoder) value(dst []byte, v Value) ([]byte, error) {
 	case KindFloat:
 		return e.float(dst, math.Float64frombits(v.word))
 	case KindString:
-		return e.string(dst, v.str()), nil
+		return e.string(dst, v.S()), nil
 	case KindTuple:
 		dst = e.lit(dst, "t(", `{"tuple":[`, "{")
-		for i, it := range v.items() {
+		for i, it := range v.Items() {
 			if i > 0 {
 				dst = e.lit(dst, ",", ",", ", ")
 			}
@@ -170,7 +170,7 @@ func (e *encoder) value(dst []byte, v Value) ([]byte, error) {
 		}
 		return e.lit(dst, ")", "]}", "}"), nil
 	case KindBag:
-		return e.bag(dst, v.items())
+		return e.bag(dst, v.Items())
 	case KindVoid:
 		return e.lit(dst, "V", `{"const":"Void"}`, "Void"), nil
 	case KindAny:

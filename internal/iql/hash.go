@@ -74,14 +74,14 @@ func (v Value) hash(h uint64) uint64 {
 		return hashWord(hashWord(h, hashTagNum), math.Float64bits(f))
 	case KindString:
 		h = hashWord(h, hashTagString)
-		s := v.str()
+		s := v.S()
 		for i := 0; i < len(s); i++ {
 			h = (h ^ uint64(s[i])) * hashPrime
 		}
 		return hashWord(h, uint64(len(s)))
 	case KindTuple:
 		h = hashWord(h, hashTagTuple)
-		items := v.items()
+		items := v.Items()
 		for _, it := range items {
 			h = it.hash(h)
 		}
@@ -91,7 +91,7 @@ func (v Value) hash(h uint64) uint64 {
 		// and the (already mixed) element hashes are summed, so any
 		// permutation of the same multiset folds to the same word.
 		var sum uint64
-		items := v.items()
+		items := v.Items()
 		for _, it := range items {
 			sum += it.hash(hashSeed)
 		}

@@ -139,7 +139,7 @@ func (p *slotPat) bind(v Value, vals []Value) bool {
 	if v.Kind != KindTuple || v.n != len(p.elems) {
 		return false
 	}
-	items := v.items()
+	items := v.Items()
 	for i := range p.elems {
 		if !p.elems[i].bind(items[i], vals) {
 			return false
@@ -358,7 +358,7 @@ func joinComponent(jc joinCond, el Value) (Value, bool) {
 	if el.Kind != KindTuple || jc.comp >= el.n {
 		return Value{}, false
 	}
-	return el.items()[jc.comp], true
+	return el.Items()[jc.comp], true
 }
 
 // joinIndexCacheMin is the source size below which indexes are rebuilt

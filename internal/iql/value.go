@@ -17,7 +17,8 @@
 // one length, one 8-byte word and the kind — where six fields side by
 // side (kind, bool, int, float, string, items), at most two of them
 // live, were 72. A scalar is bits in the word; a string's bytes, or a
-// tuple's or bag's items, are the pointer and the length. Build values
+// tuple's or bag's items, are the pointer and the length (the word then
+// keeps the items' capacity, for Cap to report). Build values
 // with the constructors (Int, Str, Tuple, BagOf, …) and read them with
 // the accessors (I, S, Items, …), which return the zero value when the
 // kind is another.
@@ -95,10 +96,10 @@ func (k Kind) String() string {
 // or a float64 lives as bits in word. A string's bytes, or a tuple's or
 // bag's items, are ptr and n — the data pointer and the length of the
 // string or slice the constructor was given, taken apart and put back
-// together with package unsafe in this file and nowhere else. Read
-// them through B, I, F, S and Items, which return the zero value on
-// any other kind (word is shared, so there is no field to read
-// unchecked).
+// together with package unsafe in this file and nowhere else — and for
+// items word keeps the slice's capacity. Read them through B, I, F, S,
+// Items and Cap, which return the zero value on any other kind (word is
+// shared, so there is no field to read unchecked).
 //
 // The zero-size array of funcs makes Value non-comparable: v == w and
 // map[Value] would otherwise compile and compare strings and items by
@@ -107,7 +108,7 @@ type Value struct {
 	_    [0]func()
 	ptr  unsafe.Pointer // string bytes, or the first item
 	n    int            // len of the string, or of the items
-	word uint64         // bool, int64 or float64 bits
+	word uint64         // bool, int64 or float64 bits, or cap of the items
 	Kind Kind
 }
 
@@ -151,7 +152,7 @@ func Bag(items ...Value) Value { return collection(KindBag, items) }
 func BagOf(items []Value) Value { return collection(KindBag, items) }
 
 func collection(k Kind, items []Value) Value {
-	return Value{Kind: k, ptr: unsafe.Pointer(unsafe.SliceData(items)), n: len(items)}
+	return Value{Kind: k, ptr: unsafe.Pointer(unsafe.SliceData(items)), n: len(items), word: uint64(cap(items))}
 }
 
 // Void returns the Void constant (the empty collection).
@@ -185,7 +186,7 @@ func (v Value) S() string {
 	if v.Kind != KindString {
 		return ""
 	}
-	return v.str()
+	return unsafe.String((*byte)(v.ptr), v.n)
 }
 
 // Items returns a tuple's components or a bag's elements; nil for any
@@ -197,15 +198,19 @@ func (v Value) Items() []Value {
 	if v.Kind != KindTuple && v.Kind != KindBag {
 		return nil
 	}
-	return v.items()
+	return unsafe.Slice((*Value)(v.ptr), v.n)
 }
 
-// str and items are S and Items for code in this package that has
-// already looked at the kind — a switch on it, mostly — and runs once
-// per value of every extent: the accessor's own look at the kind is the
-// one thing a field read did not cost.
-func (v Value) str() string    { return unsafe.String((*byte)(v.ptr), v.n) }
-func (v Value) items() []Value { return unsafe.Slice((*Value)(v.ptr), v.n) }
+// Cap returns the capacity of the slice a tuple or a bag was built from
+// — how much array the value keeps alive, which Items, clipped to its
+// length, does not say; 0 for any other kind. A cache that charges an
+// extent by its length reads it to see that it is not holding a page.
+func (v Value) Cap() int {
+	if v.Kind != KindTuple && v.Kind != KindBag {
+		return 0
+	}
+	return int(v.word)
+}
 
 // IsNull reports whether v is the null value.
 func (v Value) IsNull() bool { return v.Kind == KindNull }
@@ -234,7 +239,7 @@ func (v Value) IsCollection() bool { return v.Kind == KindBag || v.Kind == KindV
 func (v Value) Elements() ([]Value, error) {
 	switch v.Kind {
 	case KindBag:
-		return v.items(), nil
+		return v.Items(), nil
 	case KindVoid:
 		return nil, nil
 	case KindAny:
@@ -273,13 +278,13 @@ func (v Value) Equal(w Value) bool {
 	case v.Kind == KindInt && w.Kind == KindInt:
 		return v.word == w.word
 	case v.Kind == KindString && w.Kind == KindString:
-		return v.str() == w.str()
+		return v.S() == w.S()
 	case v.Kind == KindBool && w.Kind == KindBool:
 		return v.word == w.word
 	case (v.Kind == KindInt || v.Kind == KindFloat) && (w.Kind == KindInt || w.Kind == KindFloat):
 		return v.AsFloat() == w.AsFloat()
 	case v.Kind == KindTuple && w.Kind == KindTuple:
-		vs, ws := v.items(), w.items()
+		vs, ws := v.Items(), w.Items()
 		if len(vs) != len(ws) {
 			return false
 		}
@@ -297,7 +302,7 @@ func (v Value) Equal(w Value) bool {
 	}
 	switch v.Kind {
 	case KindBag:
-		return bagEqual(v.items(), w.items())
+		return bagEqual(v.Items(), w.Items())
 	case KindNull, KindVoid, KindAny:
 		return true
 	}
@@ -319,7 +324,7 @@ func (v Value) Compare(w Value) (int, error) {
 		}
 	}
 	if v.Kind == KindString && w.Kind == KindString {
-		return strings.Compare(v.str(), w.str()), nil
+		return strings.Compare(v.S(), w.S()), nil
 	}
 	if v.Kind == KindBool && w.Kind == KindBool {
 		return int(v.word) - int(w.word), nil

@@ -35,12 +35,25 @@ func readsAs(t *testing.T, v iql.Value, b bool, i int64, f float64, s string, it
 	if v.B() != b || v.I() != i || math.Float64bits(v.F()) != math.Float64bits(f) || v.S() != s {
 		t.Errorf("%s %s reads B=%v I=%d F=%v S=%q, want %v %d %v %q", v.Kind, v, v.B(), v.I(), v.F(), v.S(), b, i, f, s)
 	}
+	if items == nil && v.Cap() != 0 {
+		t.Errorf("%s %s: Cap() = %d, want 0", v.Kind, v, v.Cap())
+	}
 	got := v.Items()
 	if (got == nil) != (items == nil) || len(got) != len(items) || cap(got) != len(got) {
 		t.Errorf("%s %s: Items() has len %d cap %d nil=%v, want len %d nil=%v and no spare capacity",
 			v.Kind, v, len(got), cap(got), got == nil, len(items), items == nil)
 	} else if len(got) > 0 && &got[0] != &items[0] {
 		t.Errorf("%s %s: Items() is a copy of the slice the constructor was given", v.Kind, v)
+	}
+}
+
+// holds is readsAs for a tuple or bag just built from items, whose
+// capacity — what Items() no longer says — is then Cap().
+func holds(t *testing.T, v iql.Value, items []iql.Value) {
+	t.Helper()
+	readsAs(t, v, false, 0, 0, "", items)
+	if v.Cap() != cap(items) {
+		t.Errorf("%s %s: Cap() = %d, want %d", v.Kind, v, v.Cap(), cap(items))
 	}
 }
 
@@ -64,11 +77,11 @@ func TestConstructorAccessorRoundTrips(t *testing.T) {
 	// A bag of no elements has nil items unless it was given an empty
 	// slice; either way it is the same bag.
 	empty := []iql.Value{}
-	readsAs(t, iql.Bag(), false, 0, 0, "", nil)
-	readsAs(t, iql.BagOf(nil), false, 0, 0, "", nil)
-	readsAs(t, iql.Tuple(), false, 0, 0, "", nil)
-	readsAs(t, iql.BagOf(empty), false, 0, 0, "", empty)
-	readsAs(t, iql.Tuple(empty...), false, 0, 0, "", empty)
+	holds(t, iql.Bag(), nil)
+	holds(t, iql.BagOf(nil), nil)
+	holds(t, iql.Tuple(), nil)
+	holds(t, iql.BagOf(empty), empty)
+	holds(t, iql.Tuple(empty...), empty)
 	if a, b := iql.Bag(), iql.BagOf(empty); !a.Equal(b) || a.Key() != b.Key() || a.Hash() != b.Hash() || a.String() != "[]" || b.String() != "[]" {
 		t.Errorf("the nil bag %s and the empty bag %s differ", a, b)
 	}
@@ -83,9 +96,9 @@ func TestConstructorAccessorRoundTrips(t *testing.T) {
 		for i := range items {
 			items[i] = iqltest.Value(r, 2)
 		}
-		readsAs(t, iql.Tuple(items...), false, 0, 0, "", items)
-		readsAs(t, iql.Bag(items...), false, 0, 0, "", items)
-		readsAs(t, iql.BagOf(items), false, 0, 0, "", items)
+		holds(t, iql.Tuple(items...), items)
+		holds(t, iql.Bag(items...), items)
+		holds(t, iql.BagOf(items), items)
 		// Every nested value reads as its kind says and as nothing else.
 		var walk func(v iql.Value)
 		walk = func(v iql.Value) {

@@ -369,14 +369,41 @@ func TestStreamSecondPageFails(t *testing.T) {
 }
 
 // TestStreamSmallExtentCachedAtItsLength: what the spill probe caches
-// holds no spare capacity — a ten-row table read into a page with room
-// for thousands must not pin the page's array behind an entry the cache
-// charged as ten rows — whether it arrived as one short page or as
-// several. A Value does not say how much room lies behind its items, so
-// the test looks at where they are: a page with room to spare is copied
-// into an array of its own, a page that is exactly full is kept as it
-// is, and several pages are joined into one array of their length.
+// holds no spare capacity — a ten-row table read with a 4 096-row page
+// must not pin the page's array behind an entry the cache charged as
+// ten rows — whether it arrived as one short page or as several.
 func TestStreamSmallExtentCachedAtItsLength(t *testing.T) {
+	check := func(name string, p *Processor, ck string) iql.Value {
+		t.Helper()
+		if v, err := p.Query(`count([x | {x, v} <- <<items, v>>])`); err != nil || v.I() != 10 {
+			t.Fatalf("%s: count = %s, %v", name, v, err)
+		}
+		cached, ok := p.srcExt.Get(ck)
+		if !ok {
+			t.Fatalf("%s: small extent was not materialised into the source-extent cache", name)
+		}
+		if cached.Len() != 10 || cached.Cap() != 10 {
+			t.Errorf("%s: cached extent has len %d cap %d, want 10 and 10", name, cached.Len(), cached.Cap())
+		}
+		p.lgMu.Lock()
+		kept := p.lastGood[ck].val
+		p.lgMu.Unlock()
+		if kept.Cap() != 10 {
+			t.Errorf("%s: last-known-good extent has cap %d, want 10", name, kept.Cap())
+		}
+		return cached
+	}
+	for _, pageRows := range []int{0, 4} { // the default page, and three pages of 4, 4 and 2
+		w := newStreamSQLSource(t, fmt.Sprintf("stream-exact-%d", pageRows), 10, pageRows)
+		p := New()
+		if err := p.AddSource(w); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("sql, page size %d", pageRows), p, "S\x00items|v")
+	}
+	// Over scripted pages, where the array ends up as well: a page with
+	// room to spare is copied into an array of its own, a page that is
+	// exactly full is kept as it is, several pages are joined.
 	for _, tc := range []struct {
 		name            string
 		pageRows, slack int
@@ -392,26 +419,10 @@ func TestStreamSmallExtentCachedAtItsLength(t *testing.T) {
 		if err := p.AddSource(src); err != nil {
 			t.Fatal(err)
 		}
-		if v, err := p.Query(`count([x | {x, v} <- <<items, v>>])`); err != nil || v.I() != 10 {
-			t.Fatalf("%s: count = %s, %v", tc.name, v, err)
-		}
-		const ck = "P\x00items|v"
-		cached, ok := p.srcExt.Get(ck)
-		if !ok {
-			t.Fatalf("%s: small extent was not materialised into the source-extent cache", tc.name)
-		}
-		if cached.Len() != 10 {
-			t.Fatalf("%s: cached extent has %d rows, want 10", tc.name, cached.Len())
-		}
+		cached := check(tc.name, p, "P\x00items|v")
 		if kept := &cached.Items()[0] == &src.served[0][0]; kept != tc.wantPageKept {
 			t.Errorf("%s: the cached extent is the scanner's first page (%d rows in room for %d): %v, want %v",
 				tc.name, len(src.served[0]), cap(src.served[0]), kept, tc.wantPageKept)
-		}
-		p.lgMu.Lock()
-		kept := p.lastGood[ck].val
-		p.lgMu.Unlock()
-		if kept.Len() != 10 || &kept.Items()[0] != &cached.Items()[0] {
-			t.Errorf("%s: the last-known-good extent is not the cached one", tc.name)
 		}
 	}
 }

@@ -450,17 +450,25 @@ func TestAnswerBytesPerRow(t *testing.T) {
 	bytesAt := func(n int) float64 {
 		q := fmt.Sprintf("[{h, t, mz, i} | {k, h} <- <<ions_ion%[1]d, hit>>; {k2, t} <- <<ions_ion%[1]d, type>>; k2 = k; "+
 			"{k3, mz} <- <<ions_ion%[1]d, mz>>; k3 = k; {k4, i} <- <<ions_ion%[1]d, intensity>>; k4 = k]", n)
-		return iqltest.AllocBytesPerRun(10, func() {
-			ans, _, err := sess.Query(context.Background(), plans, q, core.CurrentVersion, true)
-			if err != nil || ans.Value.Len() != n {
-				t.Fatalf("%s: %d rows, err %v", q, ans.Value.Len(), err)
-			}
-		})
+		// The least of ten runs, not their mean: the arenas come from a
+		// sync.Pool, the race detector makes a pool drop a quarter of
+		// what it is given, and a run that finds it empty pays for
+		// arenas, not for rows.
+		least := math.Inf(1)
+		for i := 0; i < 10; i++ {
+			least = min(least, iqltest.AllocBytesPerRun(1, func() {
+				ans, _, err := sess.Query(context.Background(), plans, q, core.CurrentVersion, true)
+				if err != nil || ans.Value.Len() != n {
+					t.Fatalf("%s: %d rows, err %v", q, ans.Value.Len(), err)
+				}
+			}))
+		}
+		return least
 	}
 	small, large := bytesAt(sizes[0]), bytesAt(sizes[1])
 	perRow := (large - small) / float64(sizes[1]-sizes[0])
 	t.Logf("a %d-row answer allocates %.0f bytes, a %d-row one %.0f: %.1f a row", sizes[0], small, sizes[1], large, perRow)
-	if perRow > 400 && !iqltest.Race {
+	if perRow > 400 {
 		t.Errorf("a row of a Q7-shaped answer allocates %.1f bytes, want at most 400", perRow)
 	}
 }
