@@ -37,9 +37,13 @@ race:
 # accounting, serial equivalence, cancellation) thirty times: they
 # depend on which workers happen to pick up shards, so one green run
 # proves little. No timing assertion runs here — bench-parallel keeps
-# its env guard.
+# its env guard. So do the per-session persistence tests (a save parked
+# in one session while another session, a restore, RestoreSessions,
+# Drain or OpenStore runs beside it), under the race detector: which
+# goroutine reaches a lock first is the scheduler's choice.
 flake:
 	$(GO) test -count=30 -run 'TestParallel' ./internal/iql .
+	$(GO) test -race -count=30 -run 'TestPersist' ./internal/server
 
 # bench-smoke is the ci benchmark gate: one iteration of everything,
 # with allocation accounting compiled in.
@@ -59,19 +63,24 @@ bench-check:
 # BenchmarkServerScan (the twin of scan_large: a paged SQL scan, a paged
 # REST scan, a cold join) and BenchmarkServerPayg (the twin of
 # payg_mixed: restore, five steps with autosave, the queries between —
-# where Server.persist and restoreSession show), each for 3 s a
-# sub-benchmark under the CPU and the allocation profiler, then the
-# cumulative top of each. Test binary and profiles go to the
-# git-ignored .bench_build/.
+# where Server.persist and restoreSession show — as one session and as
+# two side by side), each for 3 s a sub-benchmark under the CPU, the
+# allocation and the mutex profiler, then the cumulative top of the
+# first two and, for BenchmarkServerPayg, the top of where goroutines
+# waited for a lock: what one session's persistence costs another shows
+# there before it shows anywhere else. Test binary and profiles go to
+# the git-ignored .bench_build/.
 profile:
 	mkdir -p .bench_build
 	for b in ServerTable1 ServerScan ServerPayg; do \
 		$(GO) test -run '^$$' -bench "Benchmark$$b" -benchtime 3s \
 			-o .bench_build/automed.test \
-			-cpuprofile .bench_build/cpu.$$b.prof -memprofile .bench_build/mem.$$b.prof . && \
+			-cpuprofile .bench_build/cpu.$$b.prof -memprofile .bench_build/mem.$$b.prof \
+			-mutexprofile .bench_build/mutex.$$b.prof . && \
 		$(GO) tool pprof -top -cum -nodecount 30 .bench_build/automed.test .bench_build/cpu.$$b.prof && \
 		$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 30 .bench_build/automed.test .bench_build/mem.$$b.prof || exit 1; \
 	done
+	$(GO) tool pprof -top -cum -nodecount 20 .bench_build/automed.test .bench_build/mutex.ServerPayg.prof
 
 # bench-parallel is the ci sharded-evaluation gate: on a machine with
 # at least two cores, the sharded Table 1 suite must beat the serial

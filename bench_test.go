@@ -508,11 +508,19 @@ func BenchmarkServerQuery(b *testing.B) {
 // plan through the session API.
 func caseServer(tb testing.TB, cfg ispider.Config, session string, plan []ispider.PlanStep) *server.Server {
 	tb.Helper()
+	srv := server.New(server.DefaultConfig())
+	caseSession(tb, srv, cfg, session, plan)
+	return srv
+}
+
+// caseSession adds one federated case-study session to srv and replays
+// plan on it.
+func caseSession(tb testing.TB, srv *server.Server, cfg ispider.Config, session string, plan []ispider.PlanStep) {
+	tb.Helper()
 	pedro, gpmdb, pepseeker, err := ispider.Wrappers(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := server.New(server.DefaultConfig())
 	sess, err := srv.Sessions().Get(session, true)
 	if err != nil {
 		tb.Fatal(err)
@@ -535,7 +543,6 @@ func caseServer(tb testing.TB, cfg ispider.Config, session string, plan []ispide
 			tb.Fatalf("step %s: %v", st.Name, err)
 		}
 	}
-	return srv
 }
 
 // discardResponse keeps a response's status and drops its body, so a
@@ -580,18 +587,24 @@ func queryBody(tb testing.TB, session, text string) []byte {
 
 // servePost serves one POST in process and fails on any status but 2xx.
 func servePost(tb testing.TB, h http.Handler, path string, body []byte) {
+	if status := postStatus(h, path, body); status < 200 || status > 299 {
+		tb.Fatalf("POST %s %s: status %d", path, body, status)
+	}
+}
+
+// postStatus is servePost for goroutines that may not call Fatal: it
+// returns the response status, 0 when the request could not be built.
+func postStatus(h http.Handler, path string, body []byte) int {
 	// http.NewRequest, not httptest's: that one parses the request back
 	// out of a 4 KiB bufio.Reader, a tenth of a small query's
 	// allocation.
 	r, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	if err != nil {
-		tb.Fatal(err)
+		return 0
 	}
 	w := &discardResponse{header: make(http.Header)}
 	h.ServeHTTP(w, r)
-	if w.status < 200 || w.status > 299 {
-		tb.Fatalf("POST %s %s: status %d", path, body, w.status)
-	}
+	return w.status
 }
 
 // BenchmarkServerScan is the in-`go test` twin of the benchmark's
@@ -708,53 +721,74 @@ func BenchmarkServerScan(b *testing.B) {
 }
 
 // BenchmarkServerPayg is the in-`go test` twin of the benchmark's
-// payg_mixed workload (bench/README.md), one cycle per iteration at the
-// workload's size: restore the federated-only snapshot, then each of
-// the five plan steps with its autosave into b.TempDir(), and after
-// each step the Table 1 queries it made answerable, twice (evaluated,
-// then a result-cache hit) — all posted to the daemon's handler in
-// process. `make profile` profiles it, so a write-path issue starts
-// from Server.persist and restoreSession in a profile.
+// payg_mixed workload (bench/README.md), one cycle per session per
+// iteration at the workload's size: restore the federated-only
+// snapshot, then each of the five plan steps with its autosave into
+// b.TempDir(), and after each step the Table 1 queries it made
+// answerable, twice (evaluated, then a result-cache hit) — all posted to
+// the daemon's handler in process. "one" is a single session; "two" is
+// the benchmark's two clients: two goroutines, a session each, walking
+// the same cycle side by side, so what one session's persistence makes
+// the other wait for shows as the distance between the two ns/op (and
+// in the mutex profile `make profile` takes). In "two" each goroutine
+// puts its baseline file back inside the timed region, one write of the
+// file without fsync per cycle. `make profile` profiles both, so a
+// write-path issue starts from Server.persist and restoreSession in a
+// profile.
 func BenchmarkServerPayg(b *testing.B) {
-	const name = "payg"
-	srv := caseServer(b, ispider.BenchConfig(), name, nil)
-	if err := srv.OpenStore(b.TempDir()); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := srv.SnapshotSession(name); err != nil {
-		b.Fatal(err)
-	}
-	path := srv.Store().Path(name)
-	baseline, err := os.ReadFile(path)
-	if err != nil {
-		b.Fatal(err)
-	}
+	b.Run("one", func(b *testing.B) { benchServerPayg(b, 1) })
+	b.Run("two", func(b *testing.B) { benchServerPayg(b, 2) })
+}
 
+func benchServerPayg(b *testing.B, clients int) {
 	type post struct {
 		path string
 		body []byte
 	}
-	cycle := []post{{path: "/sessions/" + name + "/restore"}}
-	for _, st := range ispider.IntersectionPlan() {
-		step := map[string]any{"session": name, "name": st.Name, "enables": st.Enables}
-		if st.Kind == "intersect" {
-			step["mappings"] = st.Mappings
-		} else {
-			step["mapping"] = st.Refinement
-		}
-		body, err := json.Marshal(step)
-		if err != nil {
+	type client struct {
+		path     string // the session's file
+		baseline []byte
+		cycle    []post
+	}
+	srv := server.New(server.DefaultConfig())
+	if err := srv.OpenStore(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	cs := make([]client, clients)
+	for c := range cs {
+		name := "payg-" + strconv.Itoa(c)
+		caseSession(b, srv, ispider.BenchConfig(), name, nil)
+		if _, err := srv.SnapshotSession(name); err != nil {
 			b.Fatal(err)
 		}
-		cycle = append(cycle, post{"/" + st.Kind, body})
-		for range 2 {
-			for _, q := range ispider.Table1Queries() {
-				if ispider.AnswerableAfter(q, st.Name) {
-					body, err := json.Marshal(map[string]any{"session": name, "query": q.IQL})
-					if err != nil {
-						b.Fatal(err)
+		cl := &cs[c]
+		cl.path = srv.Store().Path(name)
+		var err error
+		if cl.baseline, err = os.ReadFile(cl.path); err != nil {
+			b.Fatal(err)
+		}
+		cl.cycle = []post{{path: "/sessions/" + name + "/restore"}}
+		for _, st := range ispider.IntersectionPlan() {
+			step := map[string]any{"session": name, "name": st.Name, "enables": st.Enables}
+			if st.Kind == "intersect" {
+				step["mappings"] = st.Mappings
+			} else {
+				step["mapping"] = st.Refinement
+			}
+			body, err := json.Marshal(step)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cl.cycle = append(cl.cycle, post{"/" + st.Kind, body})
+			for range 2 {
+				for _, q := range ispider.Table1Queries() {
+					if ispider.AnswerableAfter(q, st.Name) {
+						body, err := json.Marshal(map[string]any{"session": name, "query": q.IQL})
+						if err != nil {
+							b.Fatal(err)
+						}
+						cl.cycle = append(cl.cycle, post{"/query", body})
 					}
-					cycle = append(cycle, post{"/query", body})
 				}
 			}
 		}
@@ -762,17 +796,41 @@ func BenchmarkServerPayg(b *testing.B) {
 	h := srv.Handler()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := os.WriteFile(path, baseline, 0o644); err != nil {
-			b.Fatal(err)
+	if clients == 1 {
+		cl := cs[0]
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := os.WriteFile(cl.path, cl.baseline, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for _, p := range cl.cycle {
+				servePost(b, h, p.path, p.body)
+			}
 		}
-		b.StartTimer()
-		for _, p := range cycle {
-			servePost(b, h, p.path, p.body)
+	} else {
+		var wg sync.WaitGroup
+		for _, cl := range cs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < b.N; i++ {
+					if err := os.WriteFile(cl.path, cl.baseline, 0o644); err != nil {
+						b.Error(err)
+						return
+					}
+					for _, p := range cl.cycle {
+						if status := postStatus(h, p.path, p.body); status < 200 || status > 299 {
+							b.Errorf("POST %s %s: status %d", p.path, p.body, status)
+							return
+						}
+					}
+				}
+			}()
 		}
+		wg.Wait()
 	}
-	b.ReportMetric(float64(len(cycle)), "ops/cycle")
+	b.ReportMetric(float64(len(cs[0].cycle)), "ops/cycle")
 }
 
 // benchServerPost posts JSON to a path and decodes the JSON response.

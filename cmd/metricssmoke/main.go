@@ -96,6 +96,7 @@ func run() error {
 		"automed_query_duration_seconds_bucket",
 		`automed_source_fetches_total{source="Library",kind="relational"}`,
 		`automed_cache_hits_total{layer="plan"}`,
+		`automed_cache_misses_total{layer="join_index"}`,
 		"automed_session_snapshots_total 2",
 		"automed_snapshot_bytes_total ",
 		"automed_snapshot_duration_seconds_count 2",
@@ -122,7 +123,7 @@ func run() error {
 		if err := json.Unmarshal(body, &m); err != nil {
 			return fmt.Errorf("GET %s: decoding JSON metrics: %w", u.url, err)
 		}
-		for _, field := range []string{"queries_total", "query_latency", "plan_cache", "sources",
+		for _, field := range []string{"queries_total", "query_latency", "plan_cache", "join_index_cache", "sources",
 			"snapshot_bytes_total", "snapshot_latency", "restore_latency"} {
 			if _, ok := m[field]; !ok {
 				return fmt.Errorf("GET %s: JSON metrics lack %q", u.url, field)

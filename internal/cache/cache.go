@@ -14,6 +14,11 @@
 // (e.g. two queries unfolding onto the same source extent fetch it
 // once).
 //
+// A store built by NewWithDrop reports every value it lets go of —
+// invalidated, evicted, replaced by a refresh or purged — so its owner
+// can release what it derived from the value (the query processor drops
+// the join indexes built over a dropped extent).
+//
 // The store backs all cache layers of the system: the query processor's
 // virtual-extent memo and source-extent cache, and the server's parsed
 // IQL plan cache and per-session result cache.
@@ -106,6 +111,11 @@ type Store[V any] struct {
 	invalidations uint64
 	oversize      uint64
 	purges        uint64
+
+	// onDrop, when set, is told every value that leaves the store;
+	// dropped collects them under mu for unlock to report.
+	onDrop  func(V)
+	dropped []V
 }
 
 // New returns an empty store.
@@ -118,6 +128,37 @@ func New[V any](opts Options) *Store[V] {
 		items:      make(map[string]*list.Element),
 		byDep:      make(map[string]map[string]struct{}),
 		flight:     make(map[string]*flight[V]),
+	}
+}
+
+// NewWithDrop is New for a store whose owner holds state derived from
+// the cached values: onDrop is called once for every value that leaves
+// the store for any reason — InvalidateDeps, LRU or byte eviction, a Put
+// that replaces it (or rejects its oversize replacement), Purge — after
+// the operation that dropped it has released the store's lock, so onDrop
+// may take locks of its own but must not expect the drop and its report
+// to be one atomic step.
+func NewWithDrop[V any](opts Options, onDrop func(V)) *Store[V] {
+	c := New[V](opts)
+	c.onDrop = onDrop
+	return c
+}
+
+// noteDropLocked records a value that has left the store, for unlock to
+// report.
+func (c *Store[V]) noteDropLocked(v V) {
+	if c.onDrop != nil {
+		c.dropped = append(c.dropped, v)
+	}
+}
+
+// unlock releases mu and then reports what was dropped under it.
+func (c *Store[V]) unlock() {
+	dropped := c.dropped
+	c.dropped = nil
+	c.mu.Unlock()
+	for _, v := range dropped {
+		c.onDrop(v)
 	}
 }
 
@@ -141,7 +182,7 @@ func (c *Store[V]) Get(key string) (V, bool) {
 // cached.
 func (c *Store[V]) Put(key string, val V, cost int64, deps []string) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.putLocked(key, val, cost, deps)
 }
 
@@ -165,6 +206,7 @@ func (c *Store[V]) putLocked(key string, val V, cost int64, deps []string) {
 		en := el.Value.(*entry[V])
 		c.unindexLocked(en)
 		c.bytes -= en.cost
+		c.noteDropLocked(en.val)
 		en.val, en.cost, en.deps = val, cost, deps
 		c.bytes += cost
 		c.indexLocked(en)
@@ -243,7 +285,7 @@ func (c *Store[V]) GetOrCompute(key string, deps []string, compute func() (V, in
 	if err == nil {
 		c.putLocked(key, val, cost, deps)
 	}
-	c.mu.Unlock()
+	c.unlock()
 	close(f.done)
 	return val, false, err
 }
@@ -272,7 +314,7 @@ func (c *Store[V]) Generation() uint64 {
 // it may have been computed from state the invalidation retired.
 func (c *Store[V]) PutAt(gen uint64, key string, val V, cost int64, deps []string) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if c.gen != gen {
 		return
 	}
@@ -283,7 +325,7 @@ func (c *Store[V]) PutAt(gen uint64, key string, val V, cost int64, deps []strin
 // keys and returns how many entries were dropped.
 func (c *Store[V]) InvalidateDeps(keys ...string) int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.gen++
 	dropped := 0
 	for _, k := range keys {
@@ -301,8 +343,11 @@ func (c *Store[V]) InvalidateDeps(keys ...string) int {
 // Purge discards every entry (counters are kept).
 func (c *Store[V]) Purge() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.gen++
+	for el := c.ll.Front(); el != nil && c.onDrop != nil; el = el.Next() {
+		c.noteDropLocked(el.Value.(*entry[V]).val)
+	}
 	c.ll.Init()
 	c.items = make(map[string]*list.Element)
 	c.byDep = make(map[string]map[string]struct{})
@@ -314,7 +359,7 @@ func (c *Store[V]) Purge() {
 // budget is already exceeded. budget <= 0 removes the bound.
 func (c *Store[V]) SetMaxBytes(budget int64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	c.maxBytes = budget
 	for c.maxBytes > 0 && c.bytes > c.maxBytes {
 		oldest := c.ll.Back()
@@ -364,6 +409,7 @@ func (c *Store[V]) removeLocked(el *list.Element) {
 	delete(c.items, en.key)
 	c.bytes -= en.cost
 	c.unindexLocked(en)
+	c.noteDropLocked(en.val)
 }
 
 func (c *Store[V]) indexLocked(en *entry[V]) {

@@ -336,3 +336,62 @@ func TestConcurrentMixedUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestDropsAreReported: a store built with NewWithDrop reports every
+// value that leaves it, whichever way it leaves, exactly once, with the
+// store's lock released (the hook reads the store), and reports nothing
+// that is still cached.
+func TestDropsAreReported(t *testing.T) {
+	var c *Store[string]
+	var got []string
+	c = NewWithDrop(Options{MaxEntries: 3, MaxBytes: 100}, func(v string) {
+		_ = c.Len() // deadlocks if the hook ran under the store's lock
+		got = append(got, v)
+	})
+	expect := func(step string, want ...string) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: dropped %v, want %v", step, got, want)
+		}
+		got = nil
+	}
+
+	c.Put("a", "A", 10, []string{"s1"})
+	c.Put("b", "B", 10, []string{"s2"})
+	c.Put("c", "C", 10, nil)
+	expect("three inserts")
+	c.Put("d", "D", 10, nil)
+	expect("entry cap", "A")
+	c.Put("b", "B2", 10, []string{"s2"})
+	expect("refresh", "B")
+	c.Put("e", "E", 85, nil)
+	expect("byte budget", "C", "D")
+	c.Put("e", "E2", 1000, nil)
+	expect("oversize refresh", "E")
+	c.Put("never", "N", 1000, nil)
+	expect("oversize insert")
+
+	c.Put("f", "F", 10, []string{"s1"})
+	c.Put("g", "G", 10, []string{"s3"})
+	if n := c.InvalidateDeps("s1", "nope"); n != 1 {
+		t.Fatalf("InvalidateDeps dropped %d entries, want 1", n)
+	}
+	expect("invalidation", "F")
+	c.SetMaxBytes(5)
+	expect("shrunk budget", "B2", "G")
+
+	c.SetMaxBytes(0)
+	if _, _, err := c.GetOrCompute("h", nil, func() (string, int64, error) { return "H", 1, nil }); err != nil {
+		t.Fatal(err)
+	}
+	c.PutAt(c.Generation(), "i", "I", 1, nil)
+	c.PutAt(c.Generation()-1, "stale", "S", 1, nil)
+	expect("computed and generation-guarded inserts")
+	c.Purge()
+	if len(got) != 2 {
+		t.Errorf("purge dropped %v, want H and I", got)
+	}
+	if c.Len() != 0 {
+		t.Errorf("len = %d after purge", c.Len())
+	}
+}

@@ -1,6 +1,9 @@
 package iql
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // Structural hashing for IQL values. Hash is the constant-factor
 // engine behind the value runtime: Distinct, bag equality, and the
@@ -255,6 +258,25 @@ func (ix *ValueIndex) Get(key Value) []Value {
 
 // Len returns the number of distinct keys in the index.
 func (ix *ValueIndex) Len() int { return len(ix.entries) }
+
+// indexSlotBytes is what one row of the size hint costs in slots. Go
+// 1.24's map keeps a uint64 → int32 pair in 16 bytes beside one control
+// byte, in tables of a power-of-two number of slots at most 7/8 full: a
+// map made for n keys holds between 8/7 n and 16/7 n slots of 17 bytes,
+// 1.9 n in the middle. TestValueIndexFootprint is what flags it when the
+// map's layout moves.
+const indexSlotBytes = 32
+
+// Footprint estimates the heap the index itself holds — the entry array
+// and the slots, both allocated for the size hint, and the spill slices
+// of keys with several rows — not the keys and rows it points into.
+func (ix *ValueIndex) Footprint() int64 {
+	n := int64(cap(ix.entries)) * (int64(unsafe.Sizeof(indexEntry{})) + indexSlotBytes)
+	for i := range ix.entries {
+		n += int64(cap(ix.entries[i].rest)) * valueOverhead
+	}
+	return n
+}
 
 // bagEqual reports multiset equality of two bags' element slices: every
 // element of a must occur in b with the same multiplicity. It buckets

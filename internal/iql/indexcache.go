@@ -1,6 +1,10 @@
 package iql
 
-import "sync"
+import (
+	"sync"
+
+	"github.com/dataspace/automed/internal/cache"
+)
 
 // JoinIndexCache caches built hash-join indexes across evaluations.
 //
@@ -15,8 +19,16 @@ import "sync"
 //
 // The keyed element pointer is retained by the cache, so an address can
 // never be recycled for a different extent while its entry is live:
-// identity collisions are impossible. Entries whose extents were
-// invalidated simply go stale and are pushed out by the entry cap.
+// identity collisions are impossible.
+//
+// An index lives as long as the extent it was built over: whoever
+// caches extents tells the cache when it lets one go (DropExtent), and
+// the indexes keyed on that element array go with it, so a retired
+// extent version is not pinned by its indexes and an index over a
+// surviving extent is the same *ValueIndex before and after an
+// unrelated invalidation. An index over an array nobody caches — an
+// intermediate bag, an extent a racing evaluation memoised second — is
+// never hit again and is pushed out by the entry cap or the byte budget.
 //
 // The cache is safe for concurrent use; concurrent builders of the same
 // index race benignly (last insert wins, both indexes are correct).
@@ -33,6 +45,8 @@ type JoinIndexCache struct {
 	maxBytes int64
 	bytes    int64
 	entries  map[joinIndexKey]joinIndexEntry
+
+	hits, misses, evicted, dropped, oversize, purges uint64
 }
 
 // joinIndexEntry pairs a cached index with its approximate byte cost.
@@ -64,7 +78,7 @@ func NewJoinIndexCache(max int) *JoinIndexCache {
 }
 
 // SetMaxBytes bounds the summed cost of cached indexes (an index's
-// cost approximates the footprint of the rows it retains), evicting
+// cost is its own footprint plus that of the rows it retains), evicting
 // entries while over budget; budget <= 0 removes the bound.
 func (c *JoinIndexCache) SetMaxBytes(budget int64) {
 	c.mu.Lock()
@@ -78,6 +92,11 @@ func (c *JoinIndexCache) get(key joinIndexKey) (*ValueIndex, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	en, ok := c.entries[key]
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
 	return en.idx, ok
 }
 
@@ -89,6 +108,7 @@ func (c *JoinIndexCache) put(key joinIndexKey, idx *ValueIndex, cost int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.maxBytes > 0 && cost > c.maxBytes {
+		c.oversize++
 		return
 	}
 	if c.entries == nil {
@@ -112,6 +132,27 @@ func (c *JoinIndexCache) evictLocked() {
 		}
 		delete(c.entries, k)
 		c.bytes -= en.cost
+		c.evicted++
+	}
+}
+
+// DropExtent discards the indexes built over extent's element array,
+// whatever their spec: the call an extent cache makes for every extent
+// it lets go of. Anything but a collection, and a collection too small
+// to have had its indexes cached, is ignored.
+func (c *JoinIndexCache) DropExtent(extent Value) {
+	if extent.Kind != KindBag || extent.n < joinIndexCacheMin {
+		return
+	}
+	data := &extent.Items()[0]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k, en := range c.entries {
+		if k.data == data {
+			delete(c.entries, k)
+			c.bytes -= en.cost
+			c.dropped++
+		}
 	}
 }
 
@@ -121,6 +162,7 @@ func (c *JoinIndexCache) Purge() {
 	defer c.mu.Unlock()
 	c.entries = nil
 	c.bytes = 0
+	c.purges++
 }
 
 // Len returns the number of cached indexes.
@@ -135,4 +177,27 @@ func (c *JoinIndexCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
+}
+
+// Stats snapshots the cache in the shape of the other cache layers: a
+// hit is an evaluation that found its index built and a miss one that
+// built it, an invalidation an index that went with its extent
+// (DropExtent), an eviction one dropped for the entry cap or the byte
+// budget, an oversize one never cached because it alone exceeded the
+// budget.
+func (c *JoinIndexCache) Stats() cache.Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return cache.Stats{
+		Len:           len(c.entries),
+		Capacity:      c.max,
+		Bytes:         c.bytes,
+		MaxBytes:      c.maxBytes,
+		Hits:          c.hits,
+		Misses:        c.misses,
+		Evictions:     c.evicted,
+		Invalidations: c.dropped,
+		Oversize:      c.oversize,
+		Purges:        c.purges,
+	}
 }

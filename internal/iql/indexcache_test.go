@@ -1,6 +1,10 @@
 package iql
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/dataspace/automed/internal/cache"
+)
 
 func cacheKeyFor(rows []Value, spec string) joinIndexKey {
 	return joinIndexKey{data: &rows[0], n: len(rows), spec: spec}
@@ -73,5 +77,54 @@ func TestJoinIndexCacheEntryCap(t *testing.T) {
 	}
 	if c.Len() > 2 {
 		t.Fatalf("cap exceeded: %d", c.Len())
+	}
+}
+
+// TestJoinIndexCacheDropExtent: the indexes built over one element
+// array leave together, whatever their spec; everything else stays; the
+// counters say which way each index went.
+func TestJoinIndexCacheDropExtent(t *testing.T) {
+	rows := func(n int) []Value {
+		out := make([]Value, n)
+		for i := range out {
+			out[i] = Int(int64(i))
+		}
+		return out
+	}
+	a, b, small := rows(joinIndexCacheMin), rows(joinIndexCacheMin), rows(joinIndexCacheMin-1)
+	c := NewJoinIndexCache(0)
+	for _, k := range []joinIndexKey{cacheKeyFor(a, "0"), cacheKeyFor(a, "1"), cacheKeyFor(b, "0")} {
+		if _, ok := c.get(k); ok {
+			t.Fatal("hit in an empty cache")
+		}
+		c.put(k, NewValueIndex(0), 10)
+	}
+	kept, _ := c.get(cacheKeyFor(b, "0"))
+
+	c.DropExtent(Int(7))
+	c.DropExtent(Bag())
+	c.DropExtent(BagOf(small))
+	c.DropExtent(BagOf(rows(joinIndexCacheMin))) // equal elements, another array
+	if c.Len() != 3 {
+		t.Fatalf("unrelated drops left %d indexes, want 3", c.Len())
+	}
+	c.DropExtent(BagOf(a))
+	if _, ok := c.get(cacheKeyFor(a, "0")); ok {
+		t.Error("index over a dropped extent survived")
+	}
+	if again, ok := c.get(cacheKeyFor(b, "0")); !ok || again != kept {
+		t.Error("index over a surviving extent was dropped or rebuilt")
+	}
+	st := c.Stats()
+	want := cache.Stats{Len: 1, Capacity: defaultJoinIndexCap, Bytes: 10, Hits: 2, Misses: 4, Invalidations: 2}
+	if st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+	c.SetMaxBytes(5)
+	c.put(cacheKeyFor(a, "0"), NewValueIndex(0), 6)
+	c.Purge()
+	st = c.Stats()
+	if st.Evictions != 1 || st.Oversize != 1 || st.Purges != 1 || st.Len != 0 || st.Bytes != 0 || st.MaxBytes != 5 {
+		t.Errorf("stats = %+v, want one eviction, one oversize, one purge, empty", st)
 	}
 }

@@ -384,8 +384,12 @@ func (ctx *compCtx) buildIndex(i int, els []Value) *ValueIndex {
 		}
 		idx := ctx.buildIndexRaw(i, els)
 		// The index (and its identity key) keeps the extent rows alive,
-		// so charge the cache their footprint plus index overhead.
-		cost := int64(len(els)) * 48
+		// so charge the cache their footprint beside the index's own and,
+		// for a composite key, the array the key tuples are carved from.
+		cost := idx.Footprint()
+		if n := len(qs.joins); n > 1 {
+			cost += int64(n*len(els)) * valueOverhead
+		}
 		for _, el := range els {
 			cost += el.Footprint()
 		}

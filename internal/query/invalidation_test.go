@@ -282,3 +282,103 @@ func TestSharedStepBudget(t *testing.T) {
 		t.Fatalf("query at exactly the budget failed: %v", err)
 	}
 }
+
+// TestJoinIndexesFollowTheirExtents: a join index stays cached for as
+// long as the extent it was built over does — across an invalidation
+// that drops other extents it is hit, not rebuilt — and leaves with that
+// extent, whichever store held it; InvalidateCache still empties
+// everything.
+func TestJoinIndexesFollowTheirExtents(t *testing.T) {
+	const n = 64
+	pairs := func(off int) iql.Value {
+		rows := make([]iql.Value, n)
+		for i := range rows {
+			rows[i] = iql.Tuple(iql.Int(int64(i)), iql.Int(int64(i+off)))
+		}
+		return iql.BagOf(rows)
+	}
+	ext := &countingExtents{
+		data:  map[string]iql.Value{"<<a, x>>": pairs(100), "<<b, y>>": pairs(200)},
+		calls: make(map[string]int),
+	}
+	sch := hdm.NewSchema("S")
+	sch.MustAdd(hdm.NewObject(hdm.MustScheme("<<a, x>>"), hdm.Link, "", ""))
+	sch.MustAdd(hdm.NewObject(hdm.MustScheme("<<b, y>>"), hdm.Link, "", ""))
+	p := New()
+	if err := p.AddExtents("S", sch, ext); err != nil {
+		t.Fatal(err)
+	}
+	// ua and ub are computed, so each memo entry is an array of its own.
+	p.Define(hdm.MustScheme("<<ua>>"), iql.MustParse("[{k, x} | {k, x} <- <<a, x>>; x > 0]"), "test", "S")
+	p.Define(hdm.MustScheme("<<ub>>"), iql.MustParse("[{k, y} | {k, y} <- <<b, y>>; y > 0]"), "test", "S")
+	overUB := iql.MustParse("count([x | {k, x} <- <<ua>>; {k2, y} <- <<ub>>; k2 = k])")
+	overUA := iql.MustParse("count([y | {k2, y} <- <<ub>>; {k, x} <- <<ua>>; k = k2])")
+	eval := func(e iql.Expr) {
+		t.Helper()
+		v, err := p.Eval(e)
+		if err != nil || v.Kind != iql.KindInt || v.I() != n {
+			t.Fatalf("%s = %v, %v; want %d", e, v, err, n)
+		}
+	}
+	// step evaluates both joins and returns how many indexes that found
+	// built, how many it built, and how many left with their extent.
+	last := p.JoinIndexStats()
+	step := func() (hits, builds, dropped uint64) {
+		t.Helper()
+		eval(overUB)
+		eval(overUA)
+		st := p.JoinIndexStats()
+		hits, builds, dropped = st.Hits-last.Hits, st.Misses-last.Misses, st.Invalidations-last.Invalidations
+		last = st
+		return
+	}
+	if hits, builds, _ := step(); hits != 0 || builds != 2 {
+		t.Fatalf("cold: %d hits, %d builds, want 0 and 2", hits, builds)
+	}
+	if hits, builds, _ := step(); hits != 2 || builds != 0 {
+		t.Fatalf("warm: %d hits, %d builds, want 2 and 0", hits, builds)
+	}
+	if st := p.JoinIndexStats(); st.Len != 2 || st.Bytes <= 0 {
+		t.Fatalf("stats = %+v, want 2 indexes with a cost", st)
+	}
+
+	// A step that touches nothing cached drops no index.
+	if n := p.InvalidateSchemes("elsewhere"); n != 0 {
+		t.Fatalf("invalidating an unknown scheme dropped %d extents", n)
+	}
+	if hits, builds, dropped := step(); hits != 2 || builds != 0 || dropped != 0 {
+		t.Fatalf("after an unrelated step: %d hits, %d builds, %d dropped, want 2, 0, 0", hits, builds, dropped)
+	}
+
+	// Invalidating <<a, x>> retires its source extent and ua's memo
+	// entry: the index over ua's array goes, the one over ub's stays.
+	if n := p.InvalidateSchemes("a|x"); n != 2 {
+		t.Fatalf("InvalidateSchemes(a|x) dropped %d extents, want 2", n)
+	}
+	if st := p.JoinIndexStats(); st.Len != 1 {
+		t.Fatalf("%d indexes after ua was retired, want 1 (over ub)", st.Len)
+	}
+	if hits, builds, dropped := step(); hits != 1 || builds != 1 || dropped != 1 {
+		t.Fatalf("after retiring ua: %d hits, %d builds, %d dropped, want 1, 1, 1", hits, builds, dropped)
+	}
+
+	// A derivation added to ub refreshes nothing in place — its memo
+	// entry is invalidated — and again only its own index goes.
+	p.Define(hdm.MustScheme("<<ub>>"), iql.MustParse("[{k, y} | {k, y} <- <<b, y>>; y < 0]"), "test", "S")
+	if hits, builds, dropped := step(); hits != 1 || builds != 1 || dropped != 1 {
+		t.Fatalf("after redefining ub: %d hits, %d builds, %d dropped, want 1, 1, 1", hits, builds, dropped)
+	}
+
+	// A byte budget the extents do not fit evicts them, and their
+	// indexes with them, whatever the index cache's own budget decides.
+	p.SetCacheBytes(64)
+	if st := p.JoinIndexStats(); st.Len != 0 || st.Bytes != 0 {
+		t.Fatalf("indexes outlived their evicted extents: %+v", st)
+	}
+	p.SetCacheBytes(0)
+	step()
+	p.InvalidateCache()
+	if st := p.JoinIndexStats(); st.Len != 0 || st.Bytes != 0 || st.Purges == 0 {
+		t.Fatalf("InvalidateCache left indexes behind: %+v", st)
+	}
+}

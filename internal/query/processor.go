@@ -35,7 +35,9 @@
 // records the transitive set of scheme keys its computation touched, so
 // that registering new derivations (an integration iteration) evicts
 // exactly the affected entries via InvalidateSchemes instead of purging
-// all cached work.
+// all cached work. The join-index cache follows them: whatever way an
+// extent leaves either store, the indexes built over it leave with it,
+// and no index leaves for any other reason but the cache's own bounds.
 //
 // This file is the registry: sources, derivations, caches.
 package query
@@ -121,7 +123,11 @@ type Processor struct {
 	// joinIdx caches built hash-join indexes across every evaluator the
 	// processor spawns, keyed by extent identity (see iql.JoinIndexCache):
 	// a large memoised extent joined by many queries is indexed once per
-	// extent version.
+	// extent version. memo and srcExt report every extent they drop to
+	// it, so an index is dropped when, and only when, its extent is. (An
+	// array both stores hold — a federated object's memo entry is its
+	// source's own array — loses its indexes when either lets it go: a
+	// rebuild on the next join, never a stale index.)
 	joinIdx *iql.JoinIndexCache
 	// MaxSteps bounds IQL evaluation per query; 0 means unlimited. The
 	// budget is shared across every derivation a query unfolds, not per
@@ -162,11 +168,12 @@ type Processor struct {
 // New returns an empty processor. Its extent caches are unbounded until
 // SetCacheBytes installs a byte budget.
 func New() *Processor {
+	idx := iql.NewJoinIndexCache(0)
 	return &Processor{
 		defs:     make(map[string][]Derivation),
-		memo:     cache.New[cachedExtent](cache.Options{}),
-		srcExt:   cache.New[iql.Value](cache.Options{}),
-		joinIdx:  iql.NewJoinIndexCache(0),
+		memo:     cache.NewWithDrop(cache.Options{}, func(ce cachedExtent) { idx.DropExtent(ce.val) }),
+		srcExt:   cache.NewWithDrop(cache.Options{}, idx.DropExtent),
+		joinIdx:  idx,
 		breakers: make(map[string]*breaker),
 		lastGood: make(map[string]lastGoodEntry),
 	}
@@ -187,6 +194,11 @@ func (p *Processor) SetCacheBytes(budget int64) {
 func (p *Processor) CacheStats() (memo, src cache.Stats) {
 	return p.memo.Stats(), p.srcExt.Stats()
 }
+
+// JoinIndexStats snapshots the join-index cache in the shape of the
+// other layers: a miss is an index built, an invalidation an index
+// dropped with its extent.
+func (p *Processor) JoinIndexStats() cache.Stats { return p.joinIdx.Stats() }
 
 // Sourcer is the subset of wrapper behaviour the processor needs; it is
 // satisfied by wrapper implementations. Extent must tolerate concurrent
@@ -318,9 +330,8 @@ type ObjectDef struct {
 
 // DefineAll installs a batch of ad-hoc derivations under a single lock
 // acquisition and one selective invalidation pass. Registering n
-// objects through Define costs n invalidation sweeps (each of which
-// also purges the join-index cache); a federation-sized batch through
-// DefineAll costs one.
+// objects through Define costs n invalidation sweeps; a federation-sized
+// batch through DefineAll costs one.
 func (p *Processor) DefineAll(defs []ObjectDef) {
 	if len(defs) == 0 {
 		return
@@ -404,8 +415,9 @@ func (p *Processor) DefinedObjects() []string {
 func (p *Processor) InvalidateCache() {
 	p.memo.Purge()
 	p.srcExt.Purge()
-	// Stale join indexes are harmless (they are keyed by retained extent
-	// identity), but a full purge is the moment to drop their memory.
+	// The purges above dropped the indexes of every cached extent; what
+	// is left was built over arrays nobody caches, and a full purge is
+	// the moment to drop that memory too.
 	p.joinIdx.Purge()
 }
 
@@ -414,17 +426,14 @@ func (p *Processor) InvalidateCache() {
 // of source and virtual scheme keys its computation touched — and
 // returns how many entries were dropped. Unrelated cached extents
 // survive, which is what keeps warm answers live across integration
-// iterations.
+// iterations — and with each surviving extent the join indexes built
+// over it, while the indexes of a dropped extent go with it (the two
+// stores report their drops to the index cache), so an iteration leaves
+// no index of a retired extent version pinned and rebuilds none over an
+// extent it did not touch.
 func (p *Processor) InvalidateSchemes(keys ...string) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	dropped := p.memo.InvalidateDeps(keys...) + p.srcExt.InvalidateDeps(keys...)
-	// Join indexes retain the extent arrays they were built over, so an
-	// iteration must not leave indexes of retired extent versions
-	// pinned. The cache has no per-scheme dependency tracking; purging
-	// it wholesale is cheap because indexes rebuild on demand from the
-	// (still warm) surviving extents.
-	p.joinIdx.Purge()
-	return dropped
+	return p.memo.InvalidateDeps(keys...) + p.srcExt.InvalidateDeps(keys...)
 }

@@ -63,13 +63,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // snapshot remains available via ?format=json or an Accept header
 // naming application/json.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	result, memo, src, eval := s.sessionStats()
+	result, memo, src, index, eval := s.sessionStats()
 	plan, queue, n, health := s.plans.Stats(), s.QueueStats(), s.reg.Len(), s.sourceHealth()
 	if wantsJSONMetrics(r) {
-		writeJSON(w, http.StatusOK, s.metrics.Snapshot(plan, result, memo, src, queue, n, eval, health))
+		writeJSON(w, http.StatusOK, s.metrics.Snapshot(plan, result, memo, src, index, queue, n, eval, health))
 		return
 	}
-	body := s.metrics.Prometheus(plan, result, memo, src, queue, n, eval, health)
+	body := s.metrics.Prometheus(plan, result, memo, src, index, queue, n, eval, health)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
@@ -102,12 +102,13 @@ func (s *Server) sourceHealth() []SessionSourceHealth {
 }
 
 // sessionStats sums, in one pass over the sessions, the result caches,
-// the query processors' extent-memo and source-extent caches, and the
-// sharded-evaluation counters, and attaches the evaluation pool width.
+// the query processors' extent-memo, source-extent and join-index
+// caches, and the sharded-evaluation counters, and attaches the
+// evaluation pool width.
 // The width is not a setting — every processor derives it from
 // GOMAXPROCS — so an unconfigured one reports the width in effect even
 // before any session is federated.
-func (s *Server) sessionStats() (result, memo, src CacheStats, eval EvalSnapshot) {
+func (s *Server) sessionStats() (result, memo, src, index CacheStats, eval EvalSnapshot) {
 	var unconfigured query.Processor
 	eval.Parallelism = unconfigured.ParallelStats().Width
 	for _, sess := range s.reg.All() {
@@ -115,12 +116,13 @@ func (s *Server) sessionStats() (result, memo, src CacheStats, eval EvalSnapshot
 		m, sc := sess.ExtentCacheStats()
 		addStats(&memo, m)
 		addStats(&src, sc)
+		addStats(&index, sess.JoinIndexCacheStats())
 		st := sess.ParallelStats()
 		eval.ParallelEvals += st.ParallelEvals
 		eval.SerialEvals += st.SerialEvals
 		eval.Shards += st.Shards
 	}
-	return result, memo, src, eval
+	return result, memo, src, index, eval
 }
 
 func addStats(dst *CacheStats, st CacheStats) {

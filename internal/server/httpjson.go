@@ -82,9 +82,7 @@ func writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
 // finishes. The wait (if any) is recorded as a queue span on the
 // context's trace and in the automed_queue_wait_seconds histogram.
 func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Request, session string) (release func(), ok bool) {
-	if session == "" {
-		session = "default"
-	}
+	session = canonicalName(session)
 	sp, _ := obs.StartSpan(ctx, obs.StageQueue, session)
 	release, waited, err := s.adm.acquire(ctx, session)
 	if err == nil {

@@ -182,8 +182,13 @@ type MetricsSnapshot struct {
 	ResultCache   CacheSnapshot   `json:"result_cache"`
 	ExtentCache   CacheSnapshot   `json:"extent_cache"`
 	SourceCache   CacheSnapshot   `json:"source_extent_cache"`
+	// JoinIndexCache is the fifth layer: hash-join indexes kept per
+	// extent. A miss is an index built, an invalidation one dropped
+	// with its extent; its bytes re-count the rows an index retains, so
+	// it stays out of the aggregates below.
+	JoinIndexCache CacheSnapshot `json:"join_index_cache"`
 	// CacheBytes / CacheEvictions / CacheInvalidations aggregate the
-	// four cache layers above.
+	// first four cache layers above.
 	CacheBytes         int64           `json:"cache_bytes_total"`
 	CacheEvictions     uint64          `json:"cache_evictions_total"`
 	CacheInvalidations uint64          `json:"cache_invalidations_total"`
@@ -229,9 +234,10 @@ type QueueSnapshot struct {
 }
 
 // CacheStats is the server-facing name for the unified cache
-// subsystem's stats snapshot; all server cache layers (parsed plans,
+// subsystem's stats snapshot; the server's cache layers (parsed plans,
 // per-session results, and — through the query processor — extent
-// memos and source extents) are backed by cache.Store.
+// memos and source extents) are backed by cache.Store, and the join-index
+// cache reports itself in the same shape.
 type CacheStats = cache.Stats
 
 // CacheSnapshot extends CacheStats with the derived hit rate.
@@ -247,8 +253,9 @@ func snapshotCache(s CacheStats) CacheSnapshot {
 // Snapshot gathers the current counter values; cache stats are summed
 // across the given per-session caches (plan = shared parsed plans,
 // result = per-session answers, extent = virtual-extent memos, src =
-// source extents); queue is the admission controller's current state.
-func (m *Metrics) Snapshot(plan, result, extent, src CacheStats, queue QueueStats, sessions int, eval EvalSnapshot, health []SessionSourceHealth) MetricsSnapshot {
+// source extents, index = join indexes); queue is the admission
+// controller's current state.
+func (m *Metrics) Snapshot(plan, result, extent, src, index CacheStats, queue QueueStats, sessions int, eval EvalSnapshot, health []SessionSourceHealth) MetricsSnapshot {
 	srcSnaps := m.sources.Snapshot()
 	sources := make([]SourceMetrics, 0, len(srcSnaps))
 	for _, s := range srcSnaps {
@@ -282,6 +289,7 @@ func (m *Metrics) Snapshot(plan, result, extent, src CacheStats, queue QueueStat
 		ResultCache:        snapshotCache(result),
 		ExtentCache:        snapshotCache(extent),
 		SourceCache:        snapshotCache(src),
+		JoinIndexCache:     snapshotCache(index),
 		CacheBytes:         plan.Bytes + result.Bytes + extent.Bytes + src.Bytes,
 		CacheEvictions:     plan.Evictions + result.Evictions + extent.Evictions + src.Evictions,
 		CacheInvalidations: plan.Invalidations + result.Invalidations + extent.Invalidations + src.Invalidations,

@@ -7,8 +7,8 @@ import (
 // Prometheus renders the metrics in text exposition format 0.0.4 — the
 // counterpart of Snapshot for scrape-based collection. Histogram
 // buckets follow the cumulative `le` convention with bounds in seconds.
-func (m *Metrics) Prometheus(plan, result, extent, src CacheStats, queue QueueStats, sessions int, eval EvalSnapshot, health []SessionSourceHealth) []byte {
-	snap := m.Snapshot(plan, result, extent, src, queue, sessions, eval, health)
+func (m *Metrics) Prometheus(plan, result, extent, src, index CacheStats, queue QueueStats, sessions int, eval EvalSnapshot, health []SessionSourceHealth) []byte {
+	snap := m.Snapshot(plan, result, extent, src, index, queue, sessions, eval, health)
 	w := obs.NewPromWriter()
 
 	w.Gauge("automed_uptime_seconds", "Seconds since the server started.", snap.UptimeSeconds)
@@ -56,6 +56,7 @@ func (m *Metrics) Prometheus(plan, result, extent, src CacheStats, queue QueueSt
 		{"result", result},
 		{"extent", extent},
 		{"source_extent", src},
+		{"join_index", index},
 	}
 	for _, l := range layers {
 		lbl := []string{"layer", l.layer}

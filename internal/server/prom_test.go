@@ -1,16 +1,20 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/dataspace/automed/internal/ispider"
 	"github.com/dataspace/automed/internal/obs"
+	"github.com/dataspace/automed/internal/wrapper"
 )
 
 // scrape fetches a path without the JSON Accept header the testClient
@@ -211,4 +215,85 @@ func BenchmarkMetricsQueryParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestJoinIndexLayerAcrossSteps: the join-index cache is reported as a
+// cache layer of its own, and what it reports is the pay-as-you-go
+// property: restore → step → Q7 → step → Q7, and the second Q7 —
+// evaluated again, at the schema version the second step published —
+// finds every index it joins through built (hits, no misses), because
+// the step retired none of the extents they were built over.
+func TestJoinIndexLayerAcrossSteps(t *testing.T) {
+	s, c := newDurableClient(t, t.TempDir())
+	pedro, gpmdb, pepseeker, err := ispider.Wrappers(ispider.BenchConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := newSessionOver(t, s, "case", []wrapper.Wrapper{pedro, gpmdb, pepseeker})
+	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SnapshotSession("case"); err != nil {
+		t.Fatal(err)
+	}
+	var q7 string
+	for _, q := range ispider.Table1Queries() {
+		if q.ID == "Q7" {
+			q7 = q.IQL
+		}
+	}
+	layer := func() (hits, misses, entries float64) {
+		t.Helper()
+		l := c.must("GET", "/metrics", nil, http.StatusOK)["join_index_cache"].(map[string]any)
+		return l["hits"].(float64), l["misses"].(float64), l["len"].(float64)
+	}
+	step := func(st ispider.PlanStep) {
+		t.Helper()
+		body := map[string]any{"session": "case", "name": st.Name, "enables": st.Enables}
+		if st.Kind == "intersect" {
+			body["mappings"] = st.Mappings
+		} else {
+			body["mapping"] = st.Refinement
+		}
+		c.must("POST", "/"+st.Kind, body, http.StatusCreated)
+	}
+	ask := func() {
+		t.Helper()
+		if resp := c.must("POST", "/query", map[string]any{"session": "case", "query": q7}, http.StatusOK); resp["result_cached"] == true {
+			t.Fatal("Q7 was answered from the result cache; the walk needs it evaluated")
+		}
+	}
+	plan := ispider.IntersectionPlan()
+
+	c.must("POST", "/sessions/case/restore", nil, http.StatusOK)
+	if hits, misses, entries := layer(); hits != 0 || misses != 0 || entries != 0 {
+		t.Fatalf("a restored session starts with %v hits, %v misses, %v indexes", hits, misses, entries)
+	}
+	step(plan[0])
+	ask()
+	_, built, entries := layer()
+	if built == 0 || entries == 0 {
+		t.Fatalf("Q7 built %v indexes and left %v cached; it joins", built, entries)
+	}
+	step(plan[1])
+	hitsBefore, _, _ := layer()
+	ask()
+	hits, misses, after := layer()
+	if misses != built || hits == hitsBefore || after != entries {
+		t.Errorf("second Q7: misses %v → %v, hits %v → %v, indexes %v → %v; want no index built, every one hit",
+			built, misses, hitsBefore, hits, entries, after)
+	}
+
+	body, _ := scrape(t, c, "/metrics", "")
+	for _, want := range []string{
+		`automed_cache_entries{layer="join_index"} ` + strconv.Itoa(int(entries)),
+		`automed_cache_hits_total{layer="join_index"} ` + strconv.Itoa(int(hits)),
+		`automed_cache_misses_total{layer="join_index"} ` + strconv.Itoa(int(misses)),
+		`automed_cache_invalidations_total{layer="join_index"} 0`,
+		`automed_cache_bytes{layer="join_index"}`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
 }

@@ -27,7 +27,8 @@
 //     purge it.
 //   - Persistence (store.go): with a store open every mutating step
 //     autosaves its session as one atomically replaced JSON file;
-//     restored sessions start with cold caches.
+//     restored sessions start with cold caches. Saves and restores are
+//     serialised per session, never across sessions.
 //   - Fault tolerance: sources sit behind internal/query's circuit
 //     breakers with stale-extent fallback; degraded answers are flagged
 //     or, on request, refused; /healthz reports breaker states and
@@ -42,6 +43,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"hash/maphash"
 	"log/slog"
 	"net/http"
 	"runtime/debug"
@@ -161,17 +163,24 @@ type Server struct {
 	adm     *admission
 	log     *slog.Logger
 	mux     *http.ServeMux
-	// persistMu serialises all access to the store — opening it,
-	// export+save, and load+replace — so that a snapshot of older
-	// state can never be renamed over a newer one, and a freshly
-	// restored session cannot be clobbered by the autosave of the
-	// in-memory session it replaced. Saves happen only on mutating
-	// endpoints, so one server-wide mutex is not a throughput concern.
-	persistMu sync.Mutex
+	// persistMu serialises persistence per session: one session's
+	// export+save is one critical section and its load+replace another,
+	// so that a snapshot of older state can never be renamed over a
+	// newer one, and a freshly restored session cannot be clobbered by
+	// the autosave of the in-memory session it replaced — while two
+	// different sessions never wait for each other (a restore is tens of
+	// milliseconds and an autosave ends in an fsync; a pay-as-you-go
+	// client does one or the other every few requests). The lock is
+	// found by session name, not kept on the Session: a restore replaces
+	// that object, and the save it must exclude belongs to the old one.
+	// A fixed table of stripes keyed by a hash of the name keeps it
+	// bounded however many sessions come and go (lockSession, store.go).
+	persistMu   [persistStripes]sync.Mutex
+	persistSeed maphash.Seed
 	// store, when non-nil, makes sessions durable: every mutating
 	// endpoint autosaves, and the snapshot/restore endpoints are live.
-	// Guarded by persistMu.
-	store *Store
+	// OpenStore publishes it; every operation reads it once.
+	store atomic.Pointer[Store]
 	// probeWG tracks in-flight background recovery probes so Drain can
 	// wait for them; probeGate (unix nanos of the last probe) rate-limits
 	// their launch to one per ProbeInterval.
@@ -198,6 +207,8 @@ func New(cfg Config) *Server {
 		adm:     newAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.SessionWeight),
 		log:     logger,
 		mux:     http.NewServeMux(),
+
+		persistSeed: maphash.MakeSeed(),
 	}
 	s.routes()
 	return s

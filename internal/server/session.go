@@ -254,6 +254,16 @@ func (s *Session) ExtentCacheStats() (memo, src CacheStats) {
 	return ig.Processor().CacheStats()
 }
 
+// JoinIndexCacheStats snapshots the session processor's join-index
+// cache; zero before federation.
+func (s *Session) JoinIndexCacheStats() CacheStats {
+	ig, err := s.integrator()
+	if err != nil {
+		return CacheStats{}
+	}
+	return ig.Processor().JoinIndexStats()
+}
+
 // ParallelStats snapshots the session processor's sharded-evaluation
 // counters; zero before federation.
 func (s *Session) ParallelStats() query.ParallelStats {
@@ -277,11 +287,18 @@ func NewRegistry(cfg Config) *Registry {
 	return &Registry{sessions: make(map[string]*Session), cfg: cfg}
 }
 
+// canonicalName is the name a session is registered, stored and locked
+// under: the empty name stands for "default".
+func canonicalName(name string) string {
+	if name == "" {
+		return "default"
+	}
+	return name
+}
+
 // Get returns the named session, creating it when create is set.
 func (r *Registry) Get(name string, create bool) (*Session, error) {
-	if name == "" {
-		name = "default"
-	}
+	name = canonicalName(name)
 	r.mu.RLock()
 	s, ok := r.sessions[name]
 	r.mu.RUnlock()

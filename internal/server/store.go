@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/dataspace/automed/internal/core"
@@ -269,36 +271,61 @@ func sessionFromState(state *sessionState, cfg Config) (*Session, error) {
 
 // OpenStore enables durable sessions: snapshots are written to dir
 // (created if needed), every mutating endpoint autosaves its session,
-// and the explicit snapshot/restore endpoints become available.
+// and the explicit snapshot/restore endpoints become available. A save
+// or restore already running finishes against the store it started
+// with.
 func (s *Server) OpenStore(dir string) error {
 	st, err := NewStore(dir)
 	if err != nil {
 		return err
 	}
-	s.persistMu.Lock()
-	s.store = st
-	s.persistMu.Unlock()
+	s.store.Store(st)
 	return nil
 }
 
 // Store returns the open session store, or nil when persistence is
 // disabled.
-func (s *Server) Store() *Store {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	return s.store
+func (s *Server) Store() *Store { return s.store.Load() }
+
+// persistStripes is the size of the lock table persistence is
+// serialised by. It bounds the table, not the sessions: two names that
+// share a stripe wait for each other as every session did for every
+// other under one mutex, and nothing else changes.
+const persistStripes = 64
+
+// stripe returns the lock a session name (as the registry spells it) is
+// persisted under.
+func (s *Server) stripe(name string) *sync.Mutex {
+	return &s.persistMu[maphash.String(s.persistSeed, name)%persistStripes]
+}
+
+// lockSession takes the persistence lock of one session name and
+// returns the name as the registry spells it and the unlock. Whatever
+// reads or writes that session's file, or swaps the session the name
+// stands for, does so between the two.
+func (s *Server) lockSession(name string) (string, func()) {
+	name = canonicalName(name)
+	mu := s.stripe(name)
+	mu.Lock()
+	return name, mu.Unlock
 }
 
 // RestoreSessions loads every session snapshot in the store into the
 // registry (replacing same-named sessions) and returns how many were
-// restored. Call it once at startup, after OpenStore.
+// restored. Call it once at startup, after OpenStore. It holds every
+// session's persistence lock from the first read to the last install,
+// so it is all or nothing against concurrent saves and restores too.
 func (s *Server) RestoreSessions() (int, error) {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.store == nil {
+	for i := range s.persistMu {
+		// In index order, and nothing else ever holds two stripes.
+		s.persistMu[i].Lock()
+		defer s.persistMu[i].Unlock()
+	}
+	st := s.Store()
+	if st == nil {
 		return 0, errStoreClosed
 	}
-	paths, err := s.store.files()
+	paths, err := st.files()
 	if err != nil {
 		return 0, err
 	}
@@ -306,7 +333,7 @@ func (s *Server) RestoreSessions() (int, error) {
 	// a daemon never silently starts without part of its state.
 	restored := make([]*Session, 0, len(paths))
 	for _, path := range paths {
-		sess, err := s.loadSession(path, "")
+		sess, err := s.loadSession(st, path, "")
 		if err != nil {
 			return 0, err
 		}
@@ -322,9 +349,9 @@ func (s *Server) RestoreSessions() (int, error) {
 // caller to put in the registry; the time that took is what the restore
 // histogram records. A non-empty name is the session the file must be
 // for.
-func (s *Server) loadSession(path, name string) (*Session, error) {
+func (s *Server) loadSession(st *Store, path, name string) (*Session, error) {
 	start := time.Now()
-	state, err := s.store.loadFile(path)
+	state, err := st.loadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -339,14 +366,14 @@ func (s *Server) loadSession(path, name string) (*Session, error) {
 	return sess, nil
 }
 
-// save exports one session and writes it to the store, counting the
-// outcome. The caller holds persistMu and has checked the store is open.
-func (s *Server) save(sess *Session) error {
+// save exports one session and writes it to st, counting the outcome.
+// The caller holds the session's persistence lock.
+func (s *Server) save(st *Store, sess *Session) error {
 	start := time.Now()
 	state, err := sess.Export()
 	var size int64
 	if err == nil {
-		size, err = s.store.Save(state)
+		size, err = st.Save(state)
 	}
 	if err != nil {
 		s.metrics.SnapshotError()
@@ -361,28 +388,30 @@ func (s *Server) save(sess *Session) error {
 // exported. It is the programmatic form of POST
 // /sessions/{name}/snapshot.
 func (s *Server) SnapshotSession(name string) (*Session, error) {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.store == nil {
+	name, unlock := s.lockSession(name)
+	defer unlock()
+	st := s.Store()
+	if st == nil {
 		return nil, errStoreClosed
 	}
 	sess, err := s.reg.Get(name, false)
 	if err != nil {
 		return nil, err
 	}
-	return sess, s.save(sess)
+	return sess, s.save(st, sess)
 }
 
 // restoreSession loads one session from the store and installs it in
-// the registry, all under the persist lock so no concurrent autosave
-// interleaves between the read and the swap.
+// the registry, all under the session's persistence lock so no autosave
+// of the session it replaces interleaves between the read and the swap.
 func (s *Server) restoreSession(name string) (*Session, error) {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.store == nil {
+	name, unlock := s.lockSession(name)
+	defer unlock()
+	st := s.Store()
+	if st == nil {
 		return nil, errStoreClosed
 	}
-	sess, err := s.loadSession(s.store.Path(name), name)
+	sess, err := s.loadSession(st, st.Path(name), name)
 	if err != nil {
 		return nil, err
 	}
@@ -400,9 +429,10 @@ var errStoreClosed = fmt.Errorf("server: persistence is not enabled (start with 
 // metrics (snapshot_errors), and the previous on-disk snapshot stays
 // intact thanks to the atomic rename.
 func (s *Server) persist(sess *Session) {
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.store == nil {
+	_, unlock := s.lockSession(sess.Name())
+	defer unlock()
+	st := s.Store()
+	if st == nil {
 		return
 	}
 	// Skip orphaned sessions: if a restore replaced this session after
@@ -411,7 +441,7 @@ func (s *Server) persist(sess *Session) {
 	if cur, err := s.reg.Get(sess.Name(), false); err != nil || cur != sess {
 		return
 	}
-	if err := s.save(sess); err != nil {
+	if err := s.save(st, sess); err != nil {
 		s.log.Error("autosave failed", "session", sess.Name(), "error", err)
 	}
 }

@@ -322,7 +322,7 @@ func TestSharedWrappersSaveConcurrently(t *testing.T) {
 }
 
 func (s *Server) metricsSnapshot() MetricsSnapshot {
-	return s.metrics.Snapshot(CacheStats{}, CacheStats{}, CacheStats{}, CacheStats{}, QueueStats{}, 0, EvalSnapshot{}, nil)
+	return s.metrics.Snapshot(CacheStats{}, CacheStats{}, CacheStats{}, CacheStats{}, CacheStats{}, QueueStats{}, 0, EvalSnapshot{}, nil)
 }
 
 // TestUnchangedSourcesSaveAllocation: a save of a session whose sources

@@ -1,6 +1,7 @@
 package wrapper_test
 
 import (
+	"bytes"
 	"context"
 	"database/sql"
 	"fmt"
@@ -91,5 +92,55 @@ func TestSQLPageAllocations(t *testing.T) {
 	}
 	if perRow := ((largeBytes - largeDriver) - (smallBytes - smallDriver)) / 2000; perRow > 100 {
 		t.Errorf("a row of a SQL page costs %.1f bytes beyond the driver's, want at most 100", perRow)
+	}
+}
+
+// TestDecodeRowAllocations: what a row restored from a snapshot
+// document costs is the table's own keeping of it (rel.Table.Insert: the
+// row, its boxed cells, its key) and nothing per row of the decoder's.
+// Through a [][]any of the table — a []any per row, a json.Number and an
+// interface per cell, which is how Decode read rows before it walked
+// them — the same row read 18 allocations and 765 bytes; this is what
+// notices if that comes back.
+func TestDecodeRowAllocations(t *testing.T) {
+	measure := func(n int) (allocs, size float64) {
+		db := rel.NewDB("S")
+		tb := db.MustCreateTable("t", []rel.Column{{Name: "id", Type: rel.Int}, {Name: "name", Type: rel.String},
+			{Name: "score", Type: rel.Float}, {Name: "ref", Type: rel.Int}}, "id")
+		for i := 0; i < n; i++ {
+			tb.MustInsert(int64(i+1000), fmt.Sprintf("protein %06d", i), float64(i)+0.25, int64(i+5000))
+		}
+		w, err := wrapper.NewRelational("S", db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := wrapper.Encode(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func() {
+			// Decode keeps the document it is given; the copy is one
+			// allocation whatever n is.
+			if _, err := wrapper.Decode(bytes.Clone(doc)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(5, decode), iqltest.AllocBytesPerRun(5, decode)
+	}
+	smallAllocs, smallBytes := measure(2000)
+	largeAllocs, largeBytes := measure(4000)
+	allocs, perRowBytes := (largeAllocs-smallAllocs)/2000, (largeBytes-smallBytes)/2000
+	t.Logf("a restored row of four cells: %.2f allocations, %.1f bytes", allocs, perRowBytes)
+	// The row, three boxed numbers, the string's bytes and its box, the
+	// key's digits and the key: eight allocations, and a share of the
+	// table's growing slice and map.
+	if allocs > 8.5 {
+		t.Errorf("a restored row costs %.2f allocations, want at most 8.5", allocs)
+	}
+	// 417 bytes, 460 under the race detector. The document's own bytes are
+	// in there twice, the copy above and the rows as Decode holds them
+	// while it walks: 75 a row.
+	if perRowBytes > 530 {
+		t.Errorf("a restored row costs %.1f bytes, want at most 530", perRowBytes)
 	}
 }

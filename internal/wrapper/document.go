@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,20 +57,18 @@ func EncodeAll(ws []Wrapper) ([]json.RawMessage, error) {
 }
 
 // Decode rebuilds a wrapper from its snapshot document (exactly one
-// JSON value; integers keep their full int64 precision). An in-memory
-// wrapper keeps the document as its memo, so saving a restored session
-// encodes no source until one changes. Decode takes ownership of doc.
+// JSON value; integers keep their full int64 precision). encoding/json
+// decides whether doc is JSON and decodes everything in it but the rows
+// of relational tables, which stay text until Restore walks them by
+// column type (rows.go). An in-memory wrapper keeps the document as its
+// memo, so saving a restored session encodes no source until one
+// changes. Decode takes ownership of doc.
 func Decode(doc json.RawMessage) (Wrapper, error) {
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	dec.UseNumber()
-	var snap Snapshot
-	if err := dec.Decode(&snap); err != nil {
+	var d document
+	if err := json.Unmarshal(doc, &d); err != nil {
 		return nil, fmt.Errorf("wrapper: decoding snapshot document: %w", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("wrapper: snapshot document of source %q has trailing data", snap.Name)
-	}
-	w, err := Restore(&snap)
+	w, err := Restore(d.snapshot())
 	if err != nil {
 		return nil, err
 	}
@@ -83,6 +80,45 @@ func Decode(doc json.RawMessage) (Wrapper, error) {
 		memo.set(stamp, doc)
 	}
 	return w, nil
+}
+
+// document is a Snapshot as Decode has encoding/json read it: the
+// members Snapshot has under the names it gives them, except that a
+// table's rows are kept as they are written — the shallower Tables and
+// Fault take those two members from the embedded Snapshot's.
+type document struct {
+	Snapshot
+	Tables []tableDocument `json:"tables"`
+	Fault  *faultDocument  `json:"fault"`
+}
+
+type tableDocument struct {
+	TableSnapshot
+	Rows json.RawMessage `json:"rows"`
+}
+
+type faultDocument struct {
+	FaultSnapshot
+	Inner *document `json:"inner"`
+}
+
+// snapshot returns the Snapshot d stands for, its tables' rows as text.
+func (d *document) snapshot() *Snapshot {
+	if d == nil {
+		return nil
+	}
+	snap := &d.Snapshot
+	for _, t := range d.Tables {
+		ts := t.TableSnapshot
+		if ts.text = t.Rows; ts.text == nil {
+			ts.text = []byte("null") // no "rows" member at all
+		}
+		snap.Tables = append(snap.Tables, ts)
+	}
+	if d.Fault != nil {
+		snap.Fault = &FaultSnapshot{Config: d.Fault.Config, Inner: d.Fault.Inner.snapshot()}
+	}
+	return snap
 }
 
 func encode(sn Snapshotter) (json.RawMessage, error) {

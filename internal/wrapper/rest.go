@@ -921,73 +921,6 @@ func noteMember(bad []restBadMember, name string, err error) []restBadMember {
 	return bad
 }
 
-// skipSpace returns the index of the first byte at or after i that is
-// not JSON whitespace. In a valid document one always follows wherever
-// the walk asks.
-func skipSpace(data []byte, i int) int {
-	for i < len(data) && (data[i] == ' ' || data[i] == '\n' || data[i] == '\t' || data[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// stringEnd returns the index after the string literal opening at
-// data[i]. plain reports that the literal has no escape and no byte
-// beyond ASCII: its value is the bytes between the quotes.
-func stringEnd(data []byte, i int) (end int, plain bool) {
-	plain = true
-	for i++; data[i] != '"'; i++ {
-		if data[i] == '\\' {
-			plain = false
-			i++
-		} else if data[i] >= 0x80 {
-			plain = false
-		}
-	}
-	return i + 1, plain
-}
-
-// unquote decodes a string literal with escapes or bytes beyond ASCII
-// as encoding/json does, so invalid UTF-8 and lone surrogates become
-// U+FFFD exactly as they would there.
-func unquote(lit []byte) string {
-	var s string
-	_ = json.Unmarshal(lit, &s) // lit is a string literal of a valid document
-	return s
-}
-
-// nestedEnd returns the index after the array or object opening at
-// data[i].
-func nestedEnd(data []byte, i int) int {
-	for depth := 0; ; i++ {
-		switch data[i] {
-		case '"':
-			i, _ = stringEnd(data, i)
-			i--
-		case '{', '[':
-			depth++
-		case '}', ']':
-			if depth--; depth == 0 {
-				return i + 1
-			}
-		}
-	}
-}
-
-// numberEnd returns the index after the number literal starting at
-// data[i].
-func numberEnd(data []byte, i int) int {
-	for i < len(data) {
-		switch c := data[i]; {
-		case c >= '0' && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			i++
-		default:
-			return i
-		}
-	}
-	return i
-}
-
 // numberValue maps a number literal onto an IQL scalar: an integral
 // literal keeps full int64 precision, everything else must fit a
 // float64 (ParseInt, then ParseFloat, as json.Number's Int64 and
@@ -1008,21 +941,4 @@ func numberValue(lit []byte, wanted bool) (iql.Value, error) {
 		return iql.Value{}, fmt.Errorf("number %q fits neither int64 nor float64", lit)
 	}
 	return iql.Float(f), nil
-}
-
-// jsonKind names the kind of JSON value starting with byte c.
-func jsonKind(c byte) string {
-	switch c {
-	case '{':
-		return "an object"
-	case '[':
-		return "an array"
-	case '"':
-		return "a string"
-	case 't', 'f':
-		return "a boolean"
-	case 'n':
-		return "null"
-	}
-	return "a number"
 }

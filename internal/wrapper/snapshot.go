@@ -66,6 +66,9 @@ type TableSnapshot struct {
 	PrimaryKey  string       `json:"primary_key"`
 	ForeignKeys []FKSnapshot `json:"foreign_keys,omitempty"`
 	Rows        [][]any      `json:"rows"`
+	// text, which only Decode sets, holds the rows as the JSON text of
+	// the document's "rows" member in place of Rows (see rows.go).
+	text []byte
 }
 
 // FKSnapshot serialises a foreign-key declaration.
@@ -318,23 +321,14 @@ func restoreRelational(snap *Snapshot) (Wrapper, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wrapper: source %q: %w", snap.Name, err)
 		}
-		for rn, row := range ts.Rows {
-			if len(row) != len(cols) {
-				return nil, fmt.Errorf("wrapper: source %q table %q row %d: %d cells for %d columns",
-					snap.Name, ts.Name, rn, len(row), len(cols))
-			}
-			vals := make([]any, len(row))
-			for i, cell := range row {
-				v, err := decodeCell(cell, cols[i].Type)
-				if err != nil {
-					return nil, fmt.Errorf("wrapper: source %q table %q row %d column %q: %w",
-						snap.Name, ts.Name, rn, cols[i].Name, err)
-				}
-				vals[i] = v
-			}
-			if err := t.Insert(vals...); err != nil {
-				return nil, fmt.Errorf("wrapper: source %q table %q row %d: %w", snap.Name, ts.Name, rn, err)
-			}
+		in := rowInserter{source: snap.Name, table: t, cols: cols}
+		if ts.text != nil {
+			err = in.insertText(ts.text)
+		} else {
+			err = in.insertRows(ts.Rows)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	// Foreign keys after all tables exist, since they may point forward.
@@ -351,7 +345,8 @@ func restoreRelational(snap *Snapshot) (Wrapper, error) {
 // decodeCell maps a JSON-decoded row cell back to the relational cell
 // type. Snapshots and requests decoded with json.Decoder.UseNumber keep
 // int64 cells exact, however the integer is spelt (1, 1.0, 1e3); plain
-// decoding delivers float64, accepted when integral.
+// decoding delivers float64, accepted when integral. textCell (rows.go)
+// is the same mapping from JSON text.
 func decodeCell(cell any, ty rel.Type) (any, error) {
 	if cell == nil {
 		return nil, nil
@@ -362,7 +357,7 @@ func decodeCell(cell any, ty rel.Type) (any, error) {
 		case json.Number:
 			i, ok := exactInt64(x.String())
 			if !ok {
-				return nil, fmt.Errorf("expected an integer in the int64 range, got %s", x)
+				return nil, intRangeErr(x.String())
 			}
 			return i, nil
 		case float64:
@@ -373,7 +368,6 @@ func decodeCell(cell any, ty rel.Type) (any, error) {
 		case int64:
 			return x, nil
 		}
-		return nil, fmt.Errorf("expected number, got %T", cell)
 	case rel.Float:
 		switch x := cell.(type) {
 		case json.Number:
@@ -383,20 +377,16 @@ func decodeCell(cell any, ty rel.Type) (any, error) {
 		case int64:
 			return float64(x), nil
 		}
-		return nil, fmt.Errorf("expected number, got %T", cell)
 	case rel.Bool:
-		b, ok := cell.(bool)
-		if !ok {
-			return nil, fmt.Errorf("expected boolean, got %T", cell)
+		if b, ok := cell.(bool); ok {
+			return b, nil
 		}
-		return b, nil
 	default:
-		s, ok := cell.(string)
-		if !ok {
-			return nil, fmt.Errorf("expected string, got %T", cell)
+		if s, ok := cell.(string); ok {
+			return s, nil
 		}
-		return s, nil
 	}
+	return nil, cellTypeErr(ty, fmt.Sprintf("%T", cell))
 }
 
 // exactInt64 returns the int64 a JSON number denotes, however it is
