@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race flake bench-smoke bench-check bench-parallel profile metrics-smoke load-smoke chaos-smoke stream-smoke run fuzz-seeds golden test-wrappers
+.PHONY: ci fmt vet build test race flake bench-smoke bench-check profile run fuzz-seeds golden test-wrappers
 
-# ci is the full local gate: formatting, static checks (go vet), build,
-# tests under the race detector, a repeat run of the sharded-evaluation
-# tests, the wrapper conformance suite, the persistence-format guards (fuzz seed corpus + golden snapshots), a
+# ci is the full local gate, every step of it deterministic: formatting,
+# static checks (go vet), build, every test under the race detector, a
+# repeat run of the tests whose interleaving the scheduler chooses, a
 # one-iteration -benchmem pass over every benchmark so the bench
-# harness can't silently rot, the nested benchmark module's own vet and
-# tests, the sharded-evaluation speedup gate, the metrics exposition
-# smoke check, a short admission-control load smoke, the
-# fault-tolerance chaos drill, and the streaming bounded-memory gate.
-ci: fmt vet build race flake test-wrappers fuzz-seeds golden bench-smoke bench-check bench-parallel metrics-smoke load-smoke chaos-smoke stream-smoke
+# harness can't silently rot, and the nested benchmark module's own vet
+# and tests. `go test` is the only place a property of the system is
+# checked — no program outside it is a gate — and nothing here asserts a
+# wall-clock time: what a change costs or gains is measured by
+# `bash bench/run.sh` (bench/README.md).
+ci: fmt vet build race flake bench-smoke bench-check
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -36,8 +37,7 @@ race:
 # flake repeats the sharded-evaluation tests (step and Extent-call
 # accounting, serial equivalence, cancellation) thirty times: they
 # depend on which workers happen to pick up shards, so one green run
-# proves little. No timing assertion runs here — bench-parallel keeps
-# its env guard. So do the per-session persistence tests (a save parked
+# proves little. So do the per-session persistence tests (a save parked
 # in one session while another session, a restore, RestoreSessions,
 # Drain or OpenStore runs beside it), under the race detector: which
 # goroutine reaches a lock first is the scheduler's choice.
@@ -82,63 +82,26 @@ profile:
 	done
 	$(GO) tool pprof -top -cum -nodecount 20 .bench_build/automed.test .bench_build/mutex.ServerPayg.prof
 
-# bench-parallel is the ci sharded-evaluation gate: on a machine with
-# at least two cores, the sharded Table 1 suite must beat the serial
-# path (the test skips itself on one core, where sharding degrades to
-# the serial loop by design). It is the only wall-clock assertion in
-# the test suite and runs only with AUTOMED_TIMING_GATES=1, so plain
-# `go test ./...` stays deterministic.
-bench-parallel:
-	AUTOMED_TIMING_GATES=1 $(GO) test -run 'TestParallelSpeedupSmoke' -count=1 -v .
-
-# metrics-smoke boots the server in-process on a random port, drives a
-# federation and queries over HTTP, and fails on malformed Prometheus
-# exposition or a JSON metrics snapshot missing expected fields.
-metrics-smoke:
-	$(GO) run ./cmd/metricssmoke
-
-# load-smoke is the ci admission-control gate: a short self-served load
-# run (closed-loop workers over a small in-flight limit, zipf session
-# popularity, mid-flight intersect/refine) that fails on request
-# errors, malformed exposition, or a dead admission controller.
-load-smoke:
-	$(GO) run ./cmd/loadgen -smoke -sessions 4 -workers 8 -duration 2s \
-		-max-inflight 4 -max-queue 8 -mutate-every 10
-
-# chaos-smoke is the ci fault-tolerance gate: an in-process two-source
-# federation where one source goes hard-down after its extent cache is
-# warm. It fails unless queries keep answering from the stale extent
-# with a degraded warning naming the source, strict (require-fresh)
-# requests are refused with 503, /healthz reports the open circuit
-# breaker, and the breaker metric families appear in the exposition.
-chaos-smoke:
-	$(GO) run ./cmd/chaossmoke
-
-# stream-smoke is the ci bounded-memory gate for the streaming extent
-# pipeline: a 1.2M-row sqlmem-backed SQL source queried twice through
-# the in-process daemon must leave the post-GC live heap essentially
-# flat (a materialised extent would cost hundreds of megabytes).
-stream-smoke:
-	$(GO) run ./cmd/streamsmoke
-
 # fuzz-seeds runs every committed fuzz seed (malformed repo snapshots,
 # malformed REST payloads, the answer encoder's edge scalars, the floats
 # where a layout of the shortest digits changes shape, session files
 # whole, truncated and with trailing bytes) as plain tests — the CI-safe
-# equivalent of a -fuzztime run.
+# equivalent of a -fuzztime run. A subset of `race`, which ci runs: this
+# target is for running the one guard by hand.
 fuzz-seeds:
 	$(GO) test -run '^Fuzz' ./internal/repo ./internal/wrapper ./internal/server ./internal/iql
 
 # golden checks the committed snapshots (full session, and the sql/rest
 # wrapper kinds) still match a fresh export byte for byte and still
-# load (format stability).
+# load (format stability). A subset of `race`, for running by hand.
 golden:
 	$(GO) test -run 'TestGoldenSnapshot' ./internal/core
 
 # test-wrappers runs the wrapper conformance suite — every backend
 # (CSV, Static, XML, SQL via the in-process sqlmem driver, REST via
 # httptest) against the full Wrapper contract — under the race
-# detector. No network or external dependencies.
+# detector. No network or external dependencies. A subset of `race`,
+# for running by hand.
 test-wrappers:
 	$(GO) test -race ./internal/wrapper/... ./internal/sqlmem
 

@@ -217,11 +217,6 @@ func (ig *Integrator) QueryAt(ctx context.Context, version int, src string) (Res
 	return ig.QueryExprAt(ctx, version, e)
 }
 
-// QueryExpr is Query over a parsed expression.
-func (ig *Integrator) QueryExpr(e iql.Expr) (Result, error) {
-	return ig.QueryExprAt(context.Background(), CurrentVersion, e)
-}
-
 // QueryExprAt is QueryAt over a parsed expression. The read lock is
 // held for the whole evaluation, so concurrent integration steps can
 // never expose a half-built global schema to the query.

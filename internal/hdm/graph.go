@@ -118,15 +118,6 @@ func (g *Graph) RemoveEdge(name string) error {
 	return nil
 }
 
-// RemoveConstraint deletes a constraint.
-func (g *Graph) RemoveConstraint(name string) error {
-	if _, ok := g.constraints[name]; !ok {
-		return fmt.Errorf("hdm: no constraint %q", name)
-	}
-	delete(g.constraints, name)
-	return nil
-}
-
 // HasNode reports whether a node exists.
 func (g *Graph) HasNode(name string) bool { _, ok := g.nodes[name]; return ok }
 

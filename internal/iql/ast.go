@@ -256,10 +256,5 @@ func IsVoidAnyRange(e Expr) bool {
 	return ok1 && ok2 && ll.Val.Kind == KindVoid && hl.Val.Kind == KindAny
 }
 
-// VoidAnyRange constructs the trivial query "Range Void Any".
-func VoidAnyRange() Expr {
-	return &RangeExpr{Lo: &Lit{Val: Void()}, Hi: &Lit{Val: Any()}}
-}
-
 // Ref builds a SchemeRef expression from parts.
 func Ref(parts ...string) Expr { return &SchemeRef{Parts: parts} }

@@ -105,29 +105,6 @@ func SubstituteSchemes(e Expr, fn func(parts []string) (Expr, bool)) Expr {
 	})
 }
 
-// RenameSchemeRef rewrites every scheme reference equal to from into to.
-// Part comparison is exact.
-func RenameSchemeRef(e Expr, from, to []string) Expr {
-	return SubstituteSchemes(e, func(parts []string) (Expr, bool) {
-		if !partsEqual(parts, from) {
-			return nil, false
-		}
-		return &SchemeRef{Parts: append([]string(nil), to...)}, true
-	})
-}
-
-func partsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // SchemeRefs collects every scheme reference in the expression, in
 // left-to-right order (with duplicates).
 func SchemeRefs(e Expr) [][]string {

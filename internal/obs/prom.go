@@ -123,8 +123,8 @@ type promSample struct {
 // exposition: every line parses, every sampled family has # HELP and
 // # TYPE headers before its first sample, histogram series have
 // monotone le buckets ending in +Inf with non-decreasing cumulative
-// counts, and each histogram's _count equals its +Inf bucket. It is
-// used by the exposition tests and the metrics-smoke CI gate.
+// counts, and each histogram's _count equals its +Inf bucket. The
+// tests of every scrape (this package's and internal/server's) call it.
 func ValidateExposition(data []byte) error {
 	if len(data) == 0 {
 		return fmt.Errorf("exposition is empty")

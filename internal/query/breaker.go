@@ -37,16 +37,6 @@ type BreakerConfig struct {
 	// Enabled turns the fault-tolerance layer on. Off, fetches behave
 	// exactly as without breakers: failures propagate to the query.
 	Enabled bool
-	// Window is the rolling count of recent fetch outcomes consulted by
-	// the failure-rate threshold (default 16).
-	Window int
-	// FailureRate opens the breaker when the window holds at least
-	// MinSamples outcomes and the failing fraction reaches this value
-	// (default 0.5).
-	FailureRate float64
-	// MinSamples is the minimum number of windowed outcomes before the
-	// failure rate applies (default 4).
-	MinSamples int
 	// Consecutive opens the breaker immediately after this many
 	// consecutive fetch errors (default 3).
 	Consecutive int
@@ -62,29 +52,27 @@ type BreakerConfig struct {
 	// DisableFallback turns off stale-extent fallback: breaker-open and
 	// failed fetches then error instead of serving last-known-good data.
 	DisableFallback bool
-	// Seed seeds the deterministic probe-jitter stream (0 = 1).
-	Seed uint64
 }
+
+// The failure-rate threshold and the probe jitter are not settings:
+// besides a run of Consecutive errors, a breaker opens when its rolling
+// window of the last breakerWindow fetch outcomes holds at least
+// breakerMinSamples and the failing fraction reaches
+// breakerFailureRate; breakerSeed seeds the deterministic jitter stream.
+const (
+	breakerWindow      = 16
+	breakerFailureRate = 0.5
+	breakerMinSamples  = 4
+	breakerSeed        = 1
+)
 
 // withDefaults resolves zero thresholds to the documented defaults.
 func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 16
-	}
-	if c.FailureRate <= 0 {
-		c.FailureRate = 0.5
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 4
-	}
 	if c.Consecutive <= 0 {
 		c.Consecutive = 3
 	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = 2 * time.Second
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -134,8 +122,8 @@ func newBreaker(cfg BreakerConfig) *breaker {
 	return &breaker{
 		cfg:    cfg,
 		now:    time.Now,
-		rng:    rand.New(rand.NewPCG(cfg.Seed, 0xb4ea4e4)),
-		window: make([]bool, cfg.Window),
+		rng:    rand.New(rand.NewPCG(breakerSeed, 0xb4ea4e4)),
+		window: make([]bool, breakerWindow),
 	}
 }
 
@@ -206,7 +194,7 @@ func (b *breaker) record(ok bool, err error) {
 		b.open()
 	case breakerClosed:
 		if b.consec >= b.cfg.Consecutive ||
-			(b.wlen >= b.cfg.MinSamples && float64(b.fails) >= b.cfg.FailureRate*float64(b.wlen)) {
+			(b.wlen >= breakerMinSamples && float64(b.fails) >= breakerFailureRate*float64(b.wlen)) {
 			b.open()
 		}
 	}

@@ -162,7 +162,7 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerOpensOnFailureRate(t *testing.T) {
-	cfg := BreakerConfig{Enabled: true, Window: 8, MinSamples: 4, FailureRate: 0.5, Consecutive: 100, OpenFor: time.Hour}.withDefaults()
+	cfg := BreakerConfig{Enabled: true, Consecutive: 100, OpenFor: time.Hour}.withDefaults()
 	b := newBreaker(cfg)
 	// Alternate success/failure: consecutive never accumulates, but the
 	// windowed rate reaches 0.5 once MinSamples outcomes are in.

@@ -122,15 +122,6 @@ func (t *Table) Name() string { return t.name }
 // Columns returns a copy of the column descriptors.
 func (t *Table) Columns() []Column { return append([]Column(nil), t.cols...) }
 
-// ColumnNames returns the column names in declaration order.
-func (t *Table) ColumnNames() []string {
-	out := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // HasColumn reports whether the table has the named column.
 func (t *Table) HasColumn(name string) bool { _, ok := t.colIdx[name]; return ok }
 

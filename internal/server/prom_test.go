@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -48,9 +50,11 @@ func scrape(t *testing.T, c *testClient, path, accept string) ([]byte, string) {
 // that the default GET /metrics response is valid Prometheus text
 // exposition (HELP/TYPE headers, monotone cumulative le buckets ending
 // in +Inf, consistent _sum/_count) carrying the expected families with
-// the expected counts.
+// the expected counts — the write path's among them: the server has a
+// store, so the three steps (two sources, the federation) autosave, and
+// one restore follows the queries.
 func TestMetricsPrometheusExposition(t *testing.T) {
-	_, c := newTestClient(t, DefaultConfig())
+	_, c := newDurableClient(t, t.TempDir())
 	registerBookstore(c, "", 3)
 	c.must("POST", "/federate", map[string]any{}, http.StatusCreated)
 	for i := 0; i < 3; i++ {
@@ -60,6 +64,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	if status, _ := c.do("POST", "/query", map[string]any{"query": "count(<<nosuch>>)"}); status != http.StatusBadRequest {
 		t.Fatalf("bad query = %d, want 400", status)
 	}
+	c.must("POST", "/sessions/default/restore", nil, http.StatusOK)
 
 	body, ct := scrape(t, c, "/metrics", "")
 	if !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
@@ -89,10 +94,16 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		`automed_source_fetches_total{source="Library",kind="relational"} 1`,
 		`automed_source_rows_total{source="Library",kind="relational"} 3`,
 		`automed_source_fetch_duration_seconds_count{source="Library",kind="relational"} 1`,
+		"automed_session_snapshots_total 3\n",
+		"automed_snapshot_duration_seconds_count 3\n",
+		"automed_restore_duration_seconds_count 1\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition lacks %q", want)
 		}
+	}
+	if !regexp.MustCompile(`(?m)^automed_snapshot_bytes_total [1-9]`).MatchString(text) {
+		t.Error("exposition lacks a positive automed_snapshot_bytes_total after three autosaves")
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", text)
@@ -100,15 +111,34 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 }
 
 // TestMetricsContentNegotiation: the JSON snapshot stays reachable via
-// ?format=json and via an Accept header, and the format parameter wins
-// over Accept.
+// ?format=json and via an Accept header — with the write path's members
+// in both, after autosaved steps and a restore — and the format
+// parameter wins over Accept.
 func TestMetricsContentNegotiation(t *testing.T) {
-	_, c := newTestClient(t, DefaultConfig())
-	if _, ct := scrape(t, c, "/metrics?format=json", ""); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("?format=json content type = %q", ct)
-	}
-	if _, ct := scrape(t, c, "/metrics", "application/json"); !strings.HasPrefix(ct, "application/json") {
-		t.Errorf("Accept: application/json content type = %q", ct)
+	_, c := newDurableClient(t, t.TempDir())
+	registerBookstore(c, "", 3)
+	c.must("POST", "/federate", map[string]any{}, http.StatusCreated)
+	c.must("POST", "/sessions/default/restore", nil, http.StatusOK)
+	for _, neg := range []struct{ path, accept string }{
+		{"/metrics?format=json", ""},
+		{"/metrics", "application/json"},
+	} {
+		body, ct := scrape(t, c, neg.path, neg.accept)
+		if !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("GET %s (Accept %q) content type = %q", neg.path, neg.accept, ct)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("GET %s: %v", neg.path, err)
+		}
+		if n, _ := m["snapshot_bytes_total"].(float64); n <= 0 {
+			t.Errorf("GET %s: snapshot_bytes_total = %v after three autosaves", neg.path, m["snapshot_bytes_total"])
+		}
+		for _, member := range []string{"query_latency", "plan_cache", "snapshot_latency", "restore_latency"} {
+			if _, ok := m[member]; !ok {
+				t.Errorf("GET %s: JSON metrics lack %q", neg.path, member)
+			}
+		}
 	}
 	if body, ct := scrape(t, c, "/metrics?format=prometheus", "application/json"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("format param should win over Accept: content type = %q", ct)
@@ -118,9 +148,10 @@ func TestMetricsContentNegotiation(t *testing.T) {
 }
 
 // TestMetricsScrapeUnderLoad hammers GET /metrics (both negotiations)
-// concurrently with queries and integration steps. Every scrape must
-// be internally consistent exposition; the real assertion is the race
-// detector over the lock-free recording paths.
+// concurrently with queries, cached and uncached, over two schemes; no
+// integration step runs beside them (TestConcurrentClients lands one).
+// Every scrape must be internally consistent exposition; the real
+// assertion is the race detector over the lock-free recording paths.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
 	_, c := newTestClient(t, DefaultConfig())
 	registerBookstore(c, "", 10)

@@ -26,48 +26,38 @@ type waiter struct {
 	err     error
 }
 
-// sessQueue is one session's FIFO of parked requests plus its remaining
-// round-robin credit (grants it may receive before the scheduler moves
-// to the next session).
-type sessQueue struct {
-	waiters []*waiter
-	credit  int
-}
-
 // admission is the traffic front door: a bounded count of in-flight
-// admitted requests with a per-session weighted-FIFO overflow queue.
+// admitted requests with a per-session FIFO overflow queue.
 //
-// Scheduling is deficit round-robin across sessions: each session in
-// the ring gets `weight` consecutive grants (FIFO within the session)
-// before the cursor advances, so a hot session enqueueing thousands of
-// requests cannot starve a session that enqueued one. With
+// Scheduling is round-robin across sessions: each session in the ring
+// gets one grant a turn (FIFO within the session) before the cursor
+// advances, so a hot session enqueueing thousands of requests cannot
+// starve a session that enqueued one. With
 // maxInflight <= 0 admission is unlimited (requests never queue) but
 // in-flight work is still counted, so graceful drain can wait for idle
 // regardless of configuration.
 type admission struct {
 	maxInflight int
 	maxQueue    int
-	weight      func(session string) int // nil = 1 for every session
 
 	mu       sync.Mutex
 	inflight int
 	queued   int
 	draining bool
-	sessions map[string]*sessQueue
-	ring     []string      // sessions with waiters, round-robin order
-	next     int           // ring cursor
-	idle     chan struct{} // non-nil while a drainer waits for inflight==0
+	sessions map[string][]*waiter // each session's FIFO of parked requests
+	ring     []string             // sessions with waiters, round-robin order
+	next     int                  // ring cursor
+	idle     chan struct{}        // non-nil while a drainer waits for inflight==0
 }
 
-func newAdmission(maxInflight, maxQueue int, weight func(string) int) *admission {
+func newAdmission(maxInflight, maxQueue int) *admission {
 	if maxQueue < 0 {
 		maxQueue = 0
 	}
 	return &admission{
 		maxInflight: maxInflight,
 		maxQueue:    maxQueue,
-		weight:      weight,
-		sessions:    make(map[string]*sessQueue),
+		sessions:    make(map[string][]*waiter),
 	}
 }
 
@@ -94,13 +84,10 @@ func (a *admission) acquire(ctx context.Context, session string) (release func()
 		return nil, 0, errOverCapacity
 	}
 	w := &waiter{ch: make(chan struct{})}
-	sq := a.sessions[session]
-	if sq == nil {
-		sq = &sessQueue{}
-		a.sessions[session] = sq
+	if _, parked := a.sessions[session]; !parked {
 		a.ring = append(a.ring, session)
 	}
-	sq.waiters = append(sq.waiters, w)
+	a.sessions[session] = append(a.sessions[session], w)
 	a.queued++
 	a.mu.Unlock()
 
@@ -135,8 +122,8 @@ func (a *admission) releaseOnce() func() {
 }
 
 // release finishes one admitted unit of work: the freed slot is handed
-// to the next queued waiter (deficit round-robin across sessions, FIFO
-// within one) or, when the queue is empty, returned to the pool.
+// to the next queued waiter (round-robin across sessions, FIFO within
+// one) or, when the queue is empty, returned to the pool.
 func (a *admission) release() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -145,23 +132,19 @@ func (a *admission) release() {
 			a.next = 0
 		}
 		name := a.ring[a.next]
-		sq := a.sessions[name]
-		if sq == nil || len(sq.waiters) == 0 {
+		q := a.sessions[name]
+		if len(q) == 0 {
 			// Session drained its queue (or its waiters all cancelled);
 			// drop it from the ring without consuming the turn.
 			a.dropSession(name)
 			continue
 		}
-		if sq.credit <= 0 {
-			sq.credit = a.sessionWeight(name)
-		}
-		w := sq.waiters[0]
-		sq.waiters = sq.waiters[1:]
+		w := q[0]
 		a.queued--
-		sq.credit--
-		if len(sq.waiters) == 0 {
+		if len(q) == 1 {
 			a.dropSession(name)
-		} else if sq.credit <= 0 {
+		} else {
+			a.sessions[name] = q[1:]
 			a.next++
 		}
 		// The slot transfers: inflight is unchanged.
@@ -174,16 +157,6 @@ func (a *admission) release() {
 		close(a.idle)
 		a.idle = nil
 	}
-}
-
-func (a *admission) sessionWeight(name string) int {
-	if a.weight == nil {
-		return 1
-	}
-	if w := a.weight(name); w > 0 {
-		return w
-	}
-	return 1
 }
 
 // dropSession removes a session from the scheduler ring (caller holds
@@ -205,19 +178,21 @@ func (a *admission) dropSession(name string) {
 // holds the lock). The waiter may already be gone if a drain cleared
 // the queues; that is fine.
 func (a *admission) dropWaiter(session string, w *waiter) {
-	sq := a.sessions[session]
-	if sq == nil {
+	q, parked := a.sessions[session]
+	if !parked {
 		return
 	}
-	for i, have := range sq.waiters {
+	for i, have := range q {
 		if have == w {
-			sq.waiters = append(sq.waiters[:i], sq.waiters[i+1:]...)
+			q = append(q[:i], q[i+1:]...)
 			a.queued--
 			break
 		}
 	}
-	if len(sq.waiters) == 0 {
+	if len(q) == 0 {
 		a.dropSession(session)
+	} else {
+		a.sessions[session] = q
 	}
 }
 
@@ -231,16 +206,29 @@ func (a *admission) beginDrain() {
 		return
 	}
 	a.draining = true
-	for _, sq := range a.sessions {
-		for _, w := range sq.waiters {
+	for _, q := range a.sessions {
+		for _, w := range q {
 			w.err = errDraining
 			close(w.ch)
 		}
 	}
-	a.sessions = make(map[string]*sessQueue)
+	a.sessions = make(map[string][]*waiter)
 	a.ring = nil
 	a.next = 0
 	a.queued = 0
+}
+
+// unlessDraining runs f under the admission lock and reports true, or
+// reports false without running it once beginDrain has been called: what
+// f did happens before beginDrain returns.
+func (a *admission) unlessDraining(f func()) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.draining {
+		return false
+	}
+	f()
+	return true
 }
 
 // waitIdle blocks until every admitted request has released (in-flight

@@ -29,7 +29,7 @@ func acquireNow(t *testing.T, a *admission, session string) func() {
 }
 
 func TestAdmissionLimitAndQueueBound(t *testing.T) {
-	a := newAdmission(1, 1, nil)
+	a := newAdmission(1, 1)
 	release := acquireNow(t, a, "s1")
 
 	// The second request parks; the third finds the queue full.
@@ -62,11 +62,11 @@ func TestAdmissionLimitAndQueueBound(t *testing.T) {
 	}
 }
 
-// TestAdmissionFairQueue pins the deficit-round-robin guarantee: a hot
+// TestAdmissionFairQueue pins the round-robin guarantee: a hot
 // session with a deep backlog cannot starve a session that queued one
 // request.
 func TestAdmissionFairQueue(t *testing.T) {
-	a := newAdmission(1, 64, nil)
+	a := newAdmission(1, 64)
 	release := acquireNow(t, a, "seed")
 
 	var mu sync.Mutex
@@ -93,7 +93,7 @@ func TestAdmissionFairQueue(t *testing.T) {
 	if pos < 0 {
 		t.Fatal("small session's request never ran")
 	}
-	// Round-robin with weight 1 alternates sessions, so the small
+	// Round-robin alternates sessions, so the small
 	// session is served by the second grant — long before the hog
 	// backlog empties.
 	if pos > 2 {
@@ -143,7 +143,7 @@ func waitForDepth(t *testing.T, a *admission, want int) {
 // wait chain) for the life of the process.
 func TestAdmissionNoGoroutineLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	a := newAdmission(1, 32, nil)
+	a := newAdmission(1, 32)
 	release := acquireNow(t, a, "held")
 
 	// Batch 1 exits by cancellation.
@@ -209,7 +209,7 @@ func TestAdmissionNoGoroutineLeak(t *testing.T) {
 }
 
 func TestAdmissionCancelWhileQueued(t *testing.T) {
-	a := newAdmission(1, 8, nil)
+	a := newAdmission(1, 8)
 	release := acquireNow(t, a, "s1")
 	defer release()
 
@@ -230,7 +230,7 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 }
 
 func TestAdmissionDrainWakesWaiters(t *testing.T) {
-	a := newAdmission(1, 8, nil)
+	a := newAdmission(1, 8)
 	release := acquireNow(t, a, "s1")
 
 	errc := make(chan error, 1)

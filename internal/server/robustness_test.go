@@ -2,13 +2,13 @@ package server
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/dataspace/automed/internal/obs"
 	"github.com/dataspace/automed/internal/query"
 	"github.com/dataspace/automed/internal/wrapper"
 )
@@ -183,20 +183,21 @@ func TestStaleFallbackAndStrictMode(t *testing.T) {
 		t.Fatalf("healthz does not report Flaky as open: %v", sh)
 	}
 
-	// Prometheus exposition carries the breaker and degraded families.
-	presp, err := c.srv.Client().Get(c.srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// A degraded server's exposition stays well-formed and carries the
+	// breaker and degraded families, sample by sample: one opening, and
+	// three degraded answers (the stale one and the two refused).
+	body, _ := scrape(t, c, "/metrics", "")
+	if err := obs.ValidateExposition(body); err != nil {
+		t.Fatalf("invalid exposition while degraded: %v\n%s", err, body)
 	}
-	body, _ := io.ReadAll(presp.Body)
-	presp.Body.Close()
-	text := string(body)
-	if !strings.Contains(text, `automed_source_breaker_open{session="default",source="Flaky"} 1`) {
-		t.Errorf("exposition missing open-breaker gauge:\n%s", text)
-	}
-	for _, fam := range []string{"automed_degraded_queries_total", "automed_source_fallbacks_total"} {
-		if !strings.Contains(text, fam) {
-			t.Errorf("exposition missing %s", fam)
+	for _, want := range []string{
+		`automed_source_breaker_open{session="default",source="Flaky"} 1`,
+		`automed_source_breaker_opens_total{session="default",source="Flaky"} 1`,
+		`automed_source_fallbacks_total{session="default",source="Flaky"}`,
+		"automed_degraded_queries_total 3\n",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, body)
 		}
 	}
 }

@@ -88,9 +88,6 @@ type Config struct {
 	// MaxQueue bounds the fair queue; requests arriving beyond it are
 	// rejected with 429 + Retry-After. Ignored when MaxInflight <= 0.
 	MaxQueue int
-	// SessionWeight, when set, gives some sessions more than one grant
-	// per fair-queue round-robin turn; nil weights every session 1.
-	SessionWeight func(session string) int
 	// Breaker configures per-source circuit breakers and stale-extent
 	// fallback on every session's query processor; the zero value
 	// disables the fault-tolerance layer.
@@ -204,7 +201,7 @@ func New(cfg Config) *Server {
 		}),
 		metrics: NewMetrics(),
 		traces:  obs.NewRing(traceRingSize),
-		adm:     newAdmission(cfg.MaxInflight, cfg.MaxQueue, cfg.SessionWeight),
+		adm:     newAdmission(cfg.MaxInflight, cfg.MaxQueue),
 		log:     logger,
 		mux:     http.NewServeMux(),
 
@@ -318,8 +315,13 @@ func (s *Server) maybeProbe() {
 	if now-last < int64(interval) || !s.probeGate.CompareAndSwap(last, now) {
 		return
 	}
+	// A health check that read Draining false may get here after Drain
+	// began: count the probe only while Drain cannot yet be waiting (a
+	// WaitGroup's Add from zero must not race its Wait).
+	if !s.adm.unlessDraining(func() { s.probeWG.Add(1) }) {
+		return
+	}
 	sessions := s.reg.All()
-	s.probeWG.Add(1)
 	go func() {
 		defer s.probeWG.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), interval)

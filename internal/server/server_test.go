@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/dataspace/automed/internal/obs"
 )
 
 // testClient wraps an httptest server with JSON helpers.
@@ -269,9 +271,21 @@ func TestCacheInvalidationOnIteration(t *testing.T) {
 // TestConcurrentClients hammers the server from many goroutines while
 // an integration iteration lands mid-flight; run under -race this
 // exercises the whole locking stack (registry, session, integrator,
-// processor, caches).
+// processor, caches). It runs twice: as the daemon ships, and under an
+// admission limit the nine concurrent requests overrun (4 slots) but
+// whose queue (8 places) holds them all, so every answer is still a
+// 200 — and every request is accounted for by the queue's counters.
+// Which request finds the slots taken is the scheduler's choice, so
+// nothing asserts that one waited.
 func TestConcurrentClients(t *testing.T) {
-	_, c := newTestClient(t, DefaultConfig())
+	limited := DefaultConfig()
+	limited.MaxInflight, limited.MaxQueue = 4, 8
+	t.Run("default", func(t *testing.T) { testConcurrentClients(t, DefaultConfig()) })
+	t.Run("limited", func(t *testing.T) { testConcurrentClients(t, limited) })
+}
+
+func testConcurrentClients(t *testing.T, cfg Config) {
+	_, c := newTestClient(t, cfg)
 	registerBookstore(c, "", 20)
 	c.must("POST", "/federate", map[string]any{}, http.StatusCreated)
 	c.must("POST", "/intersect", map[string]any{"name": "I1", "mappings": ubookMappings}, http.StatusCreated)
@@ -326,6 +340,27 @@ func TestConcurrentClients(t *testing.T) {
 	rc := m["result_cache"].(map[string]any)
 	if rc["hits"].(float64) == 0 {
 		t.Fatal("no result-cache hits under concurrent repeat queries")
+	}
+
+	// Two sources, the federation, the intersection, the refinement and
+	// the queries each passed admission control exactly once.
+	const posts = 5 + clients*perClient
+	queue := m["queue"].(map[string]any)
+	if admitted, rejected := queue["admitted_total"].(float64), queue["rejected_total"].(float64); admitted+rejected != posts {
+		t.Errorf("queue admitted %v + rejected %v of %d requests", admitted, rejected, posts)
+	}
+	body, _ := scrape(t, c, "/metrics", "")
+	if err := obs.ValidateExposition(body); err != nil {
+		t.Fatalf("invalid exposition after load: %v\n%s", err, body)
+	}
+	for _, fam := range []string{
+		"automed_queue_inflight", "automed_queue_depth",
+		"automed_queue_admitted_total", "automed_queue_rejected_total",
+		"automed_queue_wait_seconds_bucket",
+	} {
+		if !bytes.Contains(body, []byte(fam)) {
+			t.Errorf("exposition lacks %s", fam)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ type restSpec struct {
 // faultSpec registers a fault-injection wrapper around an inline
 // relational source: the tables behave like an ordinary Tables source
 // until the fault configuration makes them misbehave. It exists for
-// chaos drills and the chaos-smoke gate — a way to point the daemon's
+// chaos drills, the tests' among them — a way to point the daemon's
 // fault-tolerance machinery at a source that fails on demand.
 type faultSpec struct {
 	Tables []tableSpec         `json:"tables"`

@@ -44,9 +44,8 @@ type FaultConfig struct {
 // hang-until-cancelled, counter-based availability flapping, and
 // amplified (budget-overflow) bodies. It exists to exercise the
 // daemon's fault-tolerance paths — circuit breakers, stale fallback,
-// degraded federation — in tests, the chaos-smoke gate, and live
-// chaos drills via POST /sources. The configuration can be flipped at
-// runtime with Set.
+// degraded federation — in tests and in live chaos drills via POST
+// /sources. The configuration can be flipped at runtime with Set.
 type Fault struct {
 	inner Wrapper
 

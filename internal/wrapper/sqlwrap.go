@@ -164,11 +164,6 @@ func (w *SQL) Config() SQLConfig { return w.cfg }
 // Kind labels the wrapper flavour in metrics and traces.
 func (w *SQL) Kind() string { return "sql" }
 
-// Offline reports whether the wrapper lost its live connection and is
-// serving only the snapshot's materialised extents (possible only for
-// restored wrappers whose driver is absent from the binary).
-func (w *SQL) Offline() bool { return w.db == nil }
-
 // Ping probes the backend connection, reporting reachability without
 // fetching data. It is the federation-time liveness probe
 // (query.Pinger). An offline wrapper reports unreachable.

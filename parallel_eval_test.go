@@ -1,7 +1,6 @@
 package automed
 
 import (
-	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -121,65 +120,5 @@ func TestParallelMatchesSerialTable1(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d at start, %d after", baseGoroutines, runtime.NumGoroutine())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestParallelSpeedupSmoke is the make bench-parallel gate: with at
-// least two cores, sharded evaluation of the join-heavy Table 1
-// queries must beat the serial path outright. On a single core the
-// gate skips — sharding degrades to the serial loop there by design,
-// so there is no speedup to demand. It is a wall-clock assertion, so it
-// runs only when AUTOMED_TIMING_GATES=1 (make bench-parallel sets it):
-// plain go test ./... asserts no timing and stays deterministic. The
-// benchmark tracks the same speed-up as iql.eval_sharded_us against
-// iql.eval_us.
-func TestParallelSpeedupSmoke(t *testing.T) {
-	if os.Getenv("AUTOMED_TIMING_GATES") != "1" {
-		t.Skip("timing gate: set AUTOMED_TIMING_GATES=1 (make bench-parallel)")
-	}
-	if runtime.NumCPU() < 2 {
-		t.Skipf("%d CPU: sharded evaluation has no parallelism to exploit", runtime.NumCPU())
-	}
-	ig := buildCaseStudy(t, 1)
-	proc := ig.Processor()
-	var heavy []ispider.CaseQuery
-	for _, q := range ispider.Table1Queries() {
-		switch q.ID {
-		case "Q4", "Q5", "Q6", "Q7":
-			heavy = append(heavy, q)
-		}
-	}
-
-	// One warm-up pass populates the extent memos, so both timed paths
-	// measure pure comprehension evaluation over identical caches.
-	for _, q := range heavy {
-		mustQuery(t, ig, q)
-	}
-	suite := func() time.Duration {
-		start := time.Now()
-		for _, q := range heavy {
-			mustQuery(t, ig, q)
-		}
-		return time.Since(start)
-	}
-	bestOf := func(n int) time.Duration {
-		best := suite()
-		for i := 1; i < n; i++ {
-			if d := suite(); d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	proc.Parallel = 1
-	serial := bestOf(5)
-	proc.Parallel = runtime.GOMAXPROCS(0)
-	sharded := bestOf(5)
-	t.Logf("Q4-Q7 suite: serial %v, sharded %v (%.2fx, %d workers)",
-		serial, sharded, float64(serial)/float64(sharded), proc.Parallel)
-	if sharded >= serial {
-		t.Errorf("sharded evaluation (%v) is not faster than serial (%v) on %d cores",
-			sharded, serial, runtime.NumCPU())
 	}
 }
