@@ -60,8 +60,8 @@ bench-check:
 # profile is where a performance issue starts: BenchmarkServerTable1
 # (Table 1 Q1-Q7 through the daemon's handler, result cache bypassed —
 # the in-process twin of the benchmark's table1_warm workload) and
-# BenchmarkServerScan (the twin of scan_large: a paged SQL scan, a paged
-# REST scan, a cold join) and BenchmarkServerPayg (the twin of
+# BenchmarkServerScan (the twin of scan_large: a count taken at the SQL
+# source, a paged REST scan, a cold join) and BenchmarkServerPayg (the twin of
 # payg_mixed: restore, five steps with autosave, the queries between —
 # where Server.persist and restoreSession show — as one session and as
 # two side by side), each for 3 s a sub-benchmark under the CPU, the
@@ -85,11 +85,12 @@ profile:
 # fuzz-seeds runs every committed fuzz seed (malformed repo snapshots,
 # malformed REST payloads, the answer encoder's edge scalars, the floats
 # where a layout of the shortest digits changes shape, session files
-# whole, truncated and with trailing bytes) as plain tests — the CI-safe
+# whole, truncated and with trailing bytes, the statements the in-process
+# SQL driver must take or refuse) as plain tests — the CI-safe
 # equivalent of a -fuzztime run. A subset of `race`, which ci runs: this
 # target is for running the one guard by hand.
 fuzz-seeds:
-	$(GO) test -run '^Fuzz' ./internal/repo ./internal/wrapper ./internal/server ./internal/iql
+	$(GO) test -run '^Fuzz' ./internal/repo ./internal/wrapper ./internal/server ./internal/iql ./internal/sqlmem
 
 # golden checks the committed snapshots (full session, and the sql/rest
 # wrapper kinds) still match a fresh export byte for byte and still

@@ -609,10 +609,12 @@ func postStatus(h http.Handler, path string, body []byte) int {
 
 // BenchmarkServerScan is the in-`go test` twin of the benchmark's
 // scan_large workload (bench/README.md), one sub-benchmark per class at
-// the workload's sizes: scan_sql streams a 24 000-row sqlmem table in
-// pages of 4 096, scan_rest a 6 000-record collection in Link-chained
-// pages of 500, and cold_join drops the session's extents and then
-// joins 8 000 SQL rows to 1 000 in-memory ones. Each is count(...) of a
+// the workload's sizes: scan_sql counts the rows of a 24 000-row sqlmem
+// table under a filter the source takes — one SELECT COUNT(*) there,
+// where it streamed the table in pages of 4 096 — scan_rest streams a
+// 6 000-record collection in Link-chained pages of 500, and cold_join
+// drops the session's extents and then joins 8 000 SQL rows to 1 000
+// in-memory ones. Each is count(...) of a
 // comprehension posted to the daemon's handler in process, result cache
 // bypassed. `make profile` profiles it beside BenchmarkServerTable1.
 func BenchmarkServerScan(b *testing.B) {

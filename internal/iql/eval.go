@@ -357,15 +357,22 @@ func (ev *Evaluator) evalComp(c *Comp, env *Env) (Value, error) {
 	return BagOf(out.vals), nil
 }
 
-// countComp is count(c) without c's bag: the comprehension runs into a
-// counting sink. Steps equal the materialising evaluation's, the one
-// eval charges for the comprehension node included.
+// countComp is count(c) without c's bag: the number comes from the
+// source when the extents can count c there (countAtSource), and
+// otherwise the comprehension runs into a counting sink. Steps of the
+// latter equal the materialising evaluation's, the one eval charges for
+// the comprehension node included.
 func (ev *Evaluator) countComp(c *Comp, env *Env) (Value, error) {
 	if err := ev.step(); err != nil {
 		return Value{}, err
 	}
+	ctx := ev.compCtxFor(c)
+	defer ctx.release()
+	if n, ok, err := ctx.countAtSource(); err != nil || ok {
+		return Int(n), err
+	}
 	out := sink{count: true}
-	if err := ev.runComp(c, env, &out); err != nil {
+	if err := ctx.run(0, env, &out); err != nil {
 		return Value{}, err
 	}
 	return Int(out.n), nil

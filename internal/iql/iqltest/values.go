@@ -25,10 +25,13 @@ var Strings = []string{
 	"héllo wörld", "日本語", "😀", "s3:abc", "t(i1)", ",", ")",
 }
 
-// Ints are the integer scalars worth encoding: the ends of the range,
-// the values either side of zero, and values whose decimal keys do not
-// sort numerically.
-var Ints = []int64{0, 1, -1, 5, 9, 10, 11, 100, -5, -10, 1 << 53, math.MaxInt64, math.MinInt64}
+// Ints are the integer scalars worth encoding: the ends of the range
+// and their neighbours, the values either side of zero, values whose
+// decimal keys do not sort numerically, and the values either side of
+// ±2⁵³, which float64 cannot tell from their neighbours.
+var Ints = []int64{0, 1, -1, 5, 9, 10, 11, 100, -5, -10,
+	1<<53 - 1, 1 << 53, 1<<53 + 1, -(1 << 53) - 1, -(1 << 53), -(1 << 53) + 1,
+	math.MaxInt64 - 1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
 
 // Floats are the finite float scalars worth encoding: negative zero,
 // integral floats that tie with Ints under the canonical key, and the

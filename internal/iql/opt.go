@@ -2,6 +2,7 @@ package iql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -44,6 +45,14 @@ type compCtx struct {
 	// cannot syntactically contain itself, so re-entry is impossible
 	// today, but a fresh ctx is used if that ever changes.
 	active bool
+
+	// sel is what the comprehension keeps of its generator's extent when
+	// that can be said as a Selection (see selectionOf), nil otherwise:
+	// what count asks its extents for before it scans anything. Like the
+	// rest of the analysis it is worked out once per Comp node, but only
+	// when a count first asks (selKnown): no other evaluation reads it.
+	sel      *Selection
+	selKnown bool
 
 	// shared, set on the worker contexts of one sharded scan, holds the
 	// comprehension's constant sources evaluated once for all of the
@@ -315,6 +324,162 @@ func joinableFilter(g *Generator, next Qual, boundBefore map[string]bool) (joinC
 		return c, true
 	}
 	return joinCond{}, false
+}
+
+// selectionOf states c as a Selection of its generator's extent, or
+// returns nil: count(c) is then the number of elements the Selection
+// keeps, and nothing else about c can be observed — no error, no
+// warning. That holds when qualifier 0 is c's only generator, drawing a
+// bare variable or a flat tuple of distinct variables and "_" from a
+// scheme reference; every other qualifier is a filter comparing one of
+// those variables with an integer literal, either way round, by one of
+// = < <= > >=; and the head is built of those variables, literals and
+// tuples of them, so evaluating it cannot fail.
+func selectionOf(c *Comp) *Selection {
+	if len(c.Quals) == 0 {
+		return nil
+	}
+	g, ok := c.Quals[0].(*Generator)
+	if !ok {
+		return nil
+	}
+	if _, ok := g.Src.(*SchemeRef); !ok {
+		return nil
+	}
+	var sel Selection
+	var names []string // the variable each component binds; "_" binds none
+	switch pat := g.Pat.(type) {
+	case *VarPat:
+		names = []string{pat.Name}
+	case *TuplePat:
+		if len(pat.Elems) == 0 {
+			return nil
+		}
+		sel.Arity = len(pat.Elems)
+		for _, pe := range pat.Elems {
+			vp, ok := pe.(*VarPat)
+			if !ok || (vp.Name != "_" && slices.Contains(names, vp.Name)) {
+				return nil
+			}
+			names = append(names, vp.Name)
+		}
+	default:
+		return nil
+	}
+	component := func(e Expr) (int, bool) {
+		v, ok := e.(*Var)
+		if !ok || v.Name == "_" {
+			return 0, false
+		}
+		i := slices.Index(names, v.Name)
+		return i, i >= 0
+	}
+	for _, q := range c.Quals[1:] {
+		f, ok := q.(*Filter)
+		if !ok {
+			return nil
+		}
+		b, ok := f.Cond.(*Binary)
+		if !ok {
+			return nil
+		}
+		op, flipped := b.Op, b.Op
+		switch b.Op {
+		case "=":
+		case "<":
+			flipped = ">"
+		case "<=":
+			flipped = ">="
+		case ">":
+			flipped = "<"
+		case ">=":
+			flipped = "<="
+		default:
+			return nil
+		}
+		comp, isVar := component(b.L)
+		lit, isLit := intLiteral(b.R)
+		if !isVar || !isLit {
+			op = flipped
+			comp, isVar = component(b.R)
+			lit, isLit = intLiteral(b.L)
+		}
+		if !isVar || !isLit {
+			return nil
+		}
+		sel.Conds = append(sel.Conds, Cond{Comp: comp, Op: op, Lit: lit})
+	}
+	var total func(e Expr) bool
+	total = func(e Expr) bool {
+		switch n := e.(type) {
+		case *Lit:
+			return true
+		case *Var:
+			_, ok := component(n)
+			return ok
+		case *TupleExpr:
+			for _, x := range n.Elems {
+				if !total(x) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	if !total(c.Head) {
+		return nil
+	}
+	return &sel
+}
+
+// intLiteral reads e as an integer literal: a literal int, or '-'
+// applied to one, which is how the parser reads a negative number.
+func intLiteral(e Expr) (int64, bool) {
+	neg := false
+	if u, ok := e.(*Unary); ok && u.Op == "-" {
+		neg, e = true, u.X
+	}
+	l, ok := e.(*Lit)
+	if !ok || l.Val.Kind != KindInt {
+		return 0, false
+	}
+	if neg {
+		return -l.Val.I(), true
+	}
+	return l.Val.I(), true
+}
+
+// countAtSource asks the extents for the number count(c) evaluates to,
+// when c is a Selection and runs at the top level (a nested
+// comprehension re-entered per enclosing binding would ask the backend
+// once per binding). It comes before everything run would do with the
+// generator: a filter "v = 7" also makes a constant-key join, which
+// would materialise the extent to index it. ok=false leaves the
+// evaluation where it was.
+func (ctx *compCtx) countAtSource() (n int64, ok bool, err error) {
+	ev := ctx.ev
+	ce, ok := ev.Ext.(CountExtents)
+	if !ok || ev.genDepth != 0 {
+		return 0, false, nil
+	}
+	if !ctx.selKnown {
+		ctx.sel, ctx.selKnown = selectionOf(ctx.comp), true
+	}
+	if ctx.sel == nil {
+		return 0, false, nil
+	}
+	ref := ctx.comp.Quals[0].(*Generator).Src.(*SchemeRef)
+	n, ok, err = ce.ExtentCount(ref.Parts, *ctx.sel)
+	if err != nil || !ok {
+		return 0, false, err
+	}
+	// One step for the scheme reference, as on the other paths; the
+	// elements were walked at the source and are not charged here.
+	if err := ev.step(); err != nil {
+		return 0, false, err
+	}
+	return n, true, nil
 }
 
 // source returns the generator's elements, memoised for constant
@@ -601,8 +766,10 @@ func (ctx *compCtx) stream(i int, g *Generator) (RowStream, bool, error) {
 		return nil, false, err
 	}
 	// The materialised path charges one step evaluating the scheme
-	// reference; charge the same here so step budgets are path-
-	// independent.
+	// reference; charge the same here so step budgets do not depend on
+	// whether rows were streamed or materialised. (A count answered at
+	// the source is the exception: a budget bounds the work done here,
+	// and countAtSource charges the reference but none of the rows.)
 	if err := ev.step(); err != nil {
 		rs.Close()
 		return nil, false, err

@@ -27,3 +27,43 @@ type StreamExtents interface {
 	Extents
 	ExtentStream(parts []string) (rs RowStream, ok bool, err error)
 }
+
+// Selection is what a comprehension keeps of its one generator's
+// extent, in a form a source can evaluate in its own query language:
+// the shape the pattern asks of an element and a conjunction of integer
+// comparisons on the element's components. count of such a
+// comprehension is the number of elements the Selection keeps, whatever
+// its head builds from them.
+type Selection struct {
+	// Arity is the pattern's tuple arity: only tuples of exactly that
+	// many components are kept. 0 is a bare variable (or "_"), which
+	// takes every element whole.
+	Arity int
+	// Conds all hold of a kept element.
+	Conds []Cond
+}
+
+// Cond is one comparison "component Op Lit", ordered as Value.Compare
+// orders: a component that is not a number keeps nothing a source may
+// count — comparing it fails the query here — so a provider answers
+// only where it knows the component to be an integer.
+type Cond struct {
+	// Comp is the compared component's position in the tuple; under a
+	// bare-variable pattern (Arity 0) it is 0 and names the element.
+	Comp int
+	// Op is one of "=", "<", "<=", ">", ">=".
+	Op  string
+	Lit int64
+}
+
+// CountExtents is the counting extension of Extents: ExtentCount
+// reports how many elements of the referenced object's extent sel
+// keeps, when the provider can have them counted where the extent lives
+// and the number is exactly the one counting here would give. ok=false
+// (with nil error) means nothing was learnt, and the caller evaluates
+// as if it had not asked — through ExtentStream or Extents.Extent,
+// which own error reporting.
+type CountExtents interface {
+	Extents
+	ExtentCount(parts []string, sel Selection) (n int64, ok bool, err error)
+}

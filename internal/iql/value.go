@@ -42,6 +42,7 @@
 package iql
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -310,8 +311,15 @@ func (v Value) Equal(w Value) bool {
 }
 
 // Compare orders two scalar values. It returns an error for incomparable
-// kinds. Numeric kinds compare numerically across int/float.
+// kinds. Two ints compare as ints, exactly over the whole int64 range —
+// what a SQL source does with an integer column, which is what lets a
+// comparison be answered there (Selection). An int beside a float
+// compares numerically through float64, so an int beyond ±2⁵³ ties with
+// its neighbours there, as it does under Equal.
 func (v Value) Compare(w Value) (int, error) {
+	if v.Kind == KindInt && w.Kind == KindInt {
+		return cmp.Compare(int64(v.word), int64(w.word)), nil
+	}
 	if (v.Kind == KindInt || v.Kind == KindFloat) && (w.Kind == KindInt || w.Kind == KindFloat) {
 		a, b := v.AsFloat(), w.AsFloat()
 		switch {

@@ -138,3 +138,68 @@ func TestItemsAreClipped(t *testing.T) {
 		t.Errorf("append gave %d items and left the tuple as %s", len(grown), first)
 	}
 }
+
+// TestCompareIntsExactly: two ints compare as ints over the whole int64
+// range — exactly one of <, = and > holds of any pair, also either side
+// of ±2⁵³ where float64 ties neighbours, and the order is the one sort
+// (and a SQL source's integer column) gives them. An int beside a float
+// still compares numerically through float64.
+func TestCompareIntsExactly(t *testing.T) {
+	holds := func(a int64, op string, b int64) bool {
+		t.Helper()
+		cmp := &iql.Binary{Op: op, L: &iql.Lit{Val: iql.Int(a)}, R: &iql.Lit{Val: iql.Int(b)}}
+		v, err := iql.NewEvaluator(nil).Eval(cmp, nil)
+		if err != nil || v.Kind != iql.KindBool {
+			t.Fatalf("%d %s %d = %s, %v", a, op, b, v, err)
+		}
+		return v.B()
+	}
+	for _, a := range iqltest.Ints {
+		for _, b := range iqltest.Ints {
+			lt, eq, gt := holds(a, "<", b), holds(a, "=", b), holds(a, ">", b)
+			if lt != (a < b) || eq != (a == b) || gt != (a > b) {
+				t.Errorf("%d against %d: < %v, = %v, > %v", a, b, lt, eq, gt)
+			}
+			if le, ge := holds(a, "<=", b), holds(a, ">=", b); le != (a <= b) || ge != (a >= b) {
+				t.Errorf("%d against %d: <= %v, >= %v", a, b, le, ge)
+			}
+		}
+	}
+	if !holds(9007199254740993, ">", 9007199254740992) {
+		t.Error("9007199254740993 > 9007199254740992 is False")
+	}
+
+	// sort goes by canonical key, which is numeric order among
+	// non-negative ints of one width — the neighbours of 2⁵³ and of the
+	// top of the range, the pairs float64 ties — and max and min go by
+	// Compare over any ints.
+	for _, run := range [][]int64{{1<<53 + 1, 1<<53 - 1, 1 << 53}, {math.MaxInt64, math.MaxInt64 - 1}} {
+		items := make([]iql.Value, len(run))
+		for i, n := range run {
+			items[i] = iql.Int(n)
+		}
+		sorted, err := iql.SortBag(iql.BagOf(items))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, els := 1, sorted.Items(); i < len(els); i++ {
+			if !holds(els[i-1].I(), "<", els[i].I()) {
+				t.Errorf("sort puts %s before %s, and < disagrees", els[i-1], els[i])
+			}
+		}
+	}
+	all := make([]iql.Expr, len(iqltest.Ints))
+	for i, n := range iqltest.Ints {
+		all[i] = &iql.Lit{Val: iql.Int(n)}
+	}
+	for fn, want := range map[string]int64{"max": math.MaxInt64, "min": math.MinInt64} {
+		v, err := iql.NewEvaluator(nil).Eval(&iql.Call{Fn: fn, Args: []iql.Expr{&iql.BagExpr{Elems: all}}}, nil)
+		if err != nil || !v.Equal(iql.Int(want)) {
+			t.Errorf("%s of the ints = %s, %v, want %d", fn, v, err, want)
+		}
+	}
+
+	if c, err := iql.Int(1<<53 + 1).Compare(iql.Float(1 << 53)); err != nil || c != 0 {
+		t.Errorf("2^53+1 against the float 2^53 = %d, %v: a mixed comparison goes through float64, where they tie", c, err)
+	}
+}

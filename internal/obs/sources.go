@@ -21,6 +21,7 @@ type sourceStats struct {
 	retries atomic.Uint64
 	rows    atomic.Int64
 	bytes   atomic.Int64
+	counted atomic.Uint64
 	lat     *Histogram
 }
 
@@ -73,7 +74,18 @@ func (s *Sources) Observe(source, kind string, d time.Duration, rows, bytes, ret
 	st.lat.Observe(d)
 }
 
+// ObserveCounted records that the fetch just observed was answered as a
+// count taken at the source: one of Fetches, with one row, whose answer
+// never crossed as rows.
+func (s *Sources) ObserveCounted(source, kind string) {
+	if s == nil {
+		return
+	}
+	s.stats(source, kind).counted.Add(1)
+}
+
 // SourceSnapshot is a point-in-time copy of one source's fetch metrics.
+// Counted is how many of Fetches were counts taken at the source.
 type SourceSnapshot struct {
 	Source  string
 	Kind    string
@@ -82,6 +94,7 @@ type SourceSnapshot struct {
 	Retries uint64
 	Rows    int64
 	Bytes   int64
+	Counted uint64
 	Latency HistSnapshot
 }
 
@@ -118,6 +131,7 @@ func (s *Sources) Snapshot() []SourceSnapshot {
 			Retries: st.retries.Load(),
 			Rows:    st.rows.Load(),
 			Bytes:   st.bytes.Load(),
+			Counted: st.counted.Load(),
 			Latency: st.lat.Snapshot(),
 		})
 	}

@@ -28,6 +28,12 @@ const (
 	// answer with rows; the rest is declined (errNoRead) and left to the
 	// readWhole that follows.
 	readStream
+	// readCount: count of a comprehension at a stream position. A paging
+	// provider that can have the selection counted at its backend answers
+	// with the number; the rest is declined (errNoRead), a call that fails
+	// returns its error, and either way the readStream or readWhole that
+	// follows counts here.
+	readCount
 	// readWarm: prefetch filling the cache. Never stale.
 	readWarm
 	// readProbe: the recovery probe. Admitted only by a breaker that
@@ -39,11 +45,13 @@ const (
 var errNoRead = errors.New("query: no read")
 
 // extent is what a read returns: the whole value, or rows when a paging
-// provider's extent outgrew the scan buffer. degraded is the warning to
-// raise when val is a stale copy.
+// provider's extent outgrew the scan buffer, or — to readCount — only n,
+// how many rows the selection keeps. degraded is the warning to raise
+// when val is a stale copy.
 type extent struct {
 	val      iql.Value
 	rows     iql.RowStream
+	n        int64
 	degraded string
 }
 
@@ -52,17 +60,32 @@ func (p *Processor) pages(src source) bool {
 	return src.scan != nil && p.effectiveScanBuffer() > 0
 }
 
-// read reads one source object. Concurrent misses coalesce into one
-// provider call via the cache's singleflight; that shares errors, so a
-// waiter whose own context is still live retries once rather than
+// read reads one source object; sel is what a readCount asks to have
+// counted, and nil in every other mode. Concurrent misses coalesce into
+// one provider call via the cache's singleflight; that shares errors,
+// so a waiter whose own context is still live retries once rather than
 // inherit a cancellation that was never its. An open breaker answers
 // without touching the source, and only provider calls, never cache
 // hits, feed the breaker.
-func (p *Processor) read(ctx context.Context, src source, sc hdm.Scheme, mode readMode) (extent, error) {
+func (p *Processor) read(ctx context.Context, src source, sc hdm.Scheme, mode readMode, sel *iql.Selection) (extent, error) {
 	key := sc.Key()
 	ck := src.name + "\x00" + key
-	if mode == readStream && (!p.pages(src) || p.srcExt.Peek(ck)) {
+	// A cached extent is scanned, and counted, for free.
+	if (mode == readStream || mode == readCount) && (!p.pages(src) || p.srcExt.Peek(ck)) {
 		return extent{}, errNoRead
+	}
+	var counter func(context.Context) (int64, error)
+	if mode == readCount {
+		// Whether the provider answers for this selection is settled
+		// before the breaker is asked: a declined count must not use up
+		// a half-open breaker's one probe.
+		if src.count == nil {
+			return extent{}, errNoRead
+		}
+		var ok bool
+		if counter, ok = src.count.ExtentCounter(sc.Parts(), *sel); !ok {
+			return extent{}, errNoRead
+		}
 	}
 	br := p.breakerFor(src.name)
 	if br != nil {
@@ -83,6 +106,9 @@ func (p *Processor) read(ctx context.Context, src source, sc hdm.Scheme, mode re
 	}
 	if mode == readStream {
 		return p.scan(ctx, src, sc, ck, br)
+	}
+	if mode == readCount {
+		return p.count(ctx, src, sc, ck, br, counter)
 	}
 	if mode == readProbe {
 		v, _, err := p.fetch(ctx, src, sc, ck, br)
@@ -192,14 +218,20 @@ func bagLen(v iql.Value) int64 {
 	return int64(len(v.Items()))
 }
 
+// sourceDeadline puts one bounded provider call under the per-source
+// deadline, when there is one.
+func sourceDeadline(ctx context.Context, br *breaker) (context.Context, context.CancelFunc) {
+	if br != nil && br.cfg.SourceTimeout > 0 {
+		return context.WithTimeout(ctx, br.cfg.SourceTimeout)
+	}
+	return ctx, func() {}
+}
+
 // fetch is the whole-extent arm of the guarded call. Context-aware
 // providers observe cancellation and the per-source deadline.
 func (p *Processor) fetch(ctx context.Context, src source, sc hdm.Scheme, ck string, br *breaker) (iql.Value, int64, error) {
 	g, fctx := p.open(ctx, src, sc.Key(), ck, br)
-	cancel := func() {}
-	if br != nil && br.cfg.SourceTimeout > 0 {
-		fctx, cancel = context.WithTimeout(fctx, br.cfg.SourceTimeout)
-	}
+	fctx, cancel := sourceDeadline(fctx, br)
 	var v iql.Value
 	var err error
 	if src.extCtx != nil {
@@ -209,6 +241,27 @@ func (p *Processor) fetch(ctx context.Context, src source, sc hdm.Scheme, ck str
 	}
 	cancel()
 	return v, g.settle(&v, 0, err, false), err
+}
+
+// count is the counting arm: one call under the per-source deadline
+// whose answer is a number. A number is not an extent — nothing is
+// cached and nothing retained as last-known-good — so every such count
+// asks the source, and what it observes is one row. A count that fails
+// is dropped without a verdict, as a failed spill probe is: the
+// readWhole that follows asks again, its outcome counts, and it owns
+// the stale route.
+func (p *Processor) count(ctx context.Context, src source, sc hdm.Scheme, ck string, br *breaker, counter func(context.Context) (int64, error)) (extent, error) {
+	g, cctx := p.open(ctx, src, sc.Key()+" count", ck, br)
+	cctx, cancel := sourceDeadline(cctx, br)
+	n, err := counter(cctx)
+	cancel()
+	if err != nil {
+		g.settle(nil, 0, err, true)
+		return extent{}, err
+	}
+	g.settle(nil, 1, nil, false)
+	obs.SourcesFrom(ctx).ObserveCounted(src.name, src.kind)
+	return extent{n: n}, nil
 }
 
 // scan is the paging arm: a spill probe collects pages until their rows

@@ -351,7 +351,7 @@ func (p *Processor) ProbeOpen(ctx context.Context) int {
 		if !ok {
 			continue
 		}
-		if _, err := p.read(ctx, src, sc, readProbe); err != nil {
+		if _, err := p.read(ctx, src, sc, readProbe, nil); err != nil {
 			if ctx.Err() != nil {
 				return recovered // the probe run itself was cancelled
 			}

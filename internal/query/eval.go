@@ -45,6 +45,10 @@ type session struct {
 	// prefetch met. Evaluation does not ask such a source a second time:
 	// a failing source gets one provider call per query.
 	warmErr map[string]error
+	// countFailed holds, by source-extent cache key, the source objects
+	// whose count at the source failed in this query: their stream
+	// position goes straight to the whole-extent read (see ExtentCount).
+	countFailed map[string]bool
 	// stats collects sharding telemetry across every evaluator this
 	// session spawns (it is concurrency-safe).
 	stats *iql.EvalStats
@@ -124,7 +128,7 @@ func (s *session) source(src source, sc hdm.Scheme) (iql.Value, error) {
 	if err != nil {
 		x, err = s.p.stale(s.ctx, src, sc, s.p.breakerFor(src.name), err)
 	} else {
-		x, err = s.p.read(s.ctx, src, sc, readWhole)
+		x, err = s.p.read(s.ctx, src, sc, readWhole, nil)
 	}
 	if x.degraded != "" {
 		s.warn(x.degraded)

@@ -89,7 +89,7 @@ schedule:
 		started++
 		go func(t prefetchTask) {
 			defer func() { <-sem }()
-			_, err := p.read(sctx, t.src, t.sc, readWarm)
+			_, err := p.read(sctx, t.src, t.sc, readWarm, nil)
 			results <- outcome{t.ck, err}
 		}(t)
 	}

@@ -53,6 +53,7 @@ import (
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
 	"github.com/dataspace/automed/internal/transform"
+	"github.com/dataspace/automed/internal/wrapper"
 )
 
 // Derivation is one definition of a virtual object's extent.
@@ -86,6 +87,10 @@ type source struct {
 	// scan is the provider's row scanner, set only when its scans page
 	// from the backend; the others gain nothing from it and are read whole.
 	scan ScanSourcer
+	// count is a paging provider's way of having a selection of an extent
+	// counted at its backend, nil when it offers none. A provider that
+	// does not page is read whole and cached, and counts from the cache.
+	count wrapper.CountSourcer
 }
 
 // cachedExtent memoises a virtual object's extent together with the
@@ -254,6 +259,7 @@ func (p *Processor) AddExtents(name string, schema *hdm.Schema, ext iql.Extents)
 	if sc, ok := ext.(ScanSourcer); ok {
 		if st, ok := ext.(interface{ StreamingScans() bool }); ok && st.StreamingScans() {
 			src.scan = sc
+			src.count, _ = ext.(wrapper.CountSourcer)
 		}
 	}
 	p.sources = append(p.sources, src)

@@ -15,6 +15,11 @@ import (
 // scan over an N-row extent holds at most the scan buffer plus three
 // backend pages, whatever N is (see sourceStream).
 //
+// A count of a comprehension over such an object need not move rows at
+// all: when the comprehension is an iql.Selection and the provider can
+// have it counted at its backend (ExtentCount, readCount), one number
+// crosses in place of the extent, and nothing is cached.
+//
 // Everything that relies on whole-extent values keeps its semantics
 // byte-identically by materialising instead (ExtentStream returns
 // ok=false and the evaluator calls Extent): cached extents, open
@@ -51,10 +56,10 @@ func (p *Processor) effectiveScanBuffer() int {
 // error reporting and the stale route for unreachable sources.
 func (s *session) ExtentStream(parts []string) (iql.RowStream, bool, error) {
 	r, deps, ok := s.p.chase(s.scope(), parts, s.depLog)
-	if !ok {
+	if !ok || s.countFailed[r.src.name+"\x00"+r.sc.Key()] {
 		return nil, false, nil
 	}
-	x, err := s.p.read(s.ctx, r.src, r.sc, readStream)
+	x, err := s.p.read(s.ctx, r.src, r.sc, readStream, nil)
 	if err != nil || x.rows == nil {
 		return nil, false, nil
 	}
@@ -62,6 +67,34 @@ func (s *session) ExtentStream(parts []string) (iql.RowStream, bool, error) {
 	// resolution of the same chain would have recorded.
 	s.depLog = deps
 	return x.rows, true, nil
+}
+
+// ExtentCount implements iql.CountExtents: the reference is chased
+// exactly as ExtentStream chases it, and the one source object it names
+// is read in readCount mode. ok=false (with nil error) whenever that
+// gives no number — the evaluator then counts here, over ExtentStream's
+// rows or Extent's. A count the source was asked for and failed to give
+// is remembered, so that the stream position skips its own attempt and
+// the whole-extent read, which owns the stale route and the breaker
+// verdict, is the second and last call the failing reference costs.
+func (s *session) ExtentCount(parts []string, sel iql.Selection) (int64, bool, error) {
+	r, deps, ok := s.p.chase(s.scope(), parts, s.depLog)
+	if !ok {
+		return 0, false, nil
+	}
+	x, err := s.p.read(s.ctx, r.src, r.sc, readCount, &sel)
+	if err != nil {
+		if err != errNoRead {
+			if s.countFailed == nil {
+				s.countFailed = make(map[string]bool)
+			}
+			s.countFailed[r.src.name+"\x00"+r.sc.Key()] = true
+		}
+		return 0, false, nil
+	}
+	// The dependency keys are the ones a stream of the same chain keeps.
+	s.depLog = deps
+	return x.n, true, nil
 }
 
 // sourceStream is the iql.RowStream the evaluator consumes: the spill

@@ -153,13 +153,15 @@ func latencySnapshot(h obs.HistSnapshot) LatencySnapshot {
 
 // SourceMetrics is the JSON shape of one data source's fetch metrics.
 type SourceMetrics struct {
-	Source  string          `json:"source"`
-	Kind    string          `json:"kind"`
-	Fetches uint64          `json:"fetches"`
-	Errors  uint64          `json:"errors"`
-	Retries uint64          `json:"retries"`
-	Rows    int64           `json:"rows"`
-	Bytes   int64           `json:"bytes"`
+	Source  string `json:"source"`
+	Kind    string `json:"kind"`
+	Fetches uint64 `json:"fetches"`
+	Errors  uint64 `json:"errors"`
+	Retries uint64 `json:"retries"`
+	Rows    int64  `json:"rows"`
+	Bytes   int64  `json:"bytes"`
+	// Counted is how many of Fetches were counts taken at the source.
+	Counted uint64          `json:"counted"`
 	Latency LatencySnapshot `json:"fetch_latency"`
 }
 
@@ -267,6 +269,7 @@ func (m *Metrics) Snapshot(plan, result, extent, src, index CacheStats, queue Qu
 			Retries: s.Retries,
 			Rows:    s.Rows,
 			Bytes:   s.Bytes,
+			Counted: s.Counted,
 			Latency: latencySnapshot(s.Latency),
 		})
 	}

@@ -75,6 +75,7 @@ func (m *Metrics) Prometheus(plan, result, extent, src, index CacheStats, queue 
 		w.Counter("automed_source_fetch_retries_total", "Wrapper fetch retries per data source.", float64(s.Retries), lbl...)
 		w.Counter("automed_source_rows_total", "Extent rows fetched per data source.", float64(s.Rows), lbl...)
 		w.Counter("automed_source_bytes_total", "Bytes fetched per data source.", float64(s.Bytes), lbl...)
+		w.Counter("automed_source_counted_reads_total", "Wrapper fetches answered as a count taken at the data source.", float64(s.Counted), lbl...)
 		w.Histogram("automed_source_fetch_duration_seconds", "Wrapper fetch latency per data source.", s.Latency, lbl...)
 	}
 

@@ -16,6 +16,7 @@ import (
 
 	"github.com/dataspace/automed/internal/ispider"
 	"github.com/dataspace/automed/internal/obs"
+	"github.com/dataspace/automed/internal/sqlmem"
 	"github.com/dataspace/automed/internal/wrapper"
 )
 
@@ -56,9 +57,21 @@ func scrape(t *testing.T, c *testClient, path, accept string) ([]byte, string) {
 func TestMetricsPrometheusExposition(t *testing.T) {
 	_, c := newDurableClient(t, t.TempDir())
 	registerBookstore(c, "", 3)
+	// A SQL source beside the in-memory ones: what is counted at a source
+	// shows per source.
+	const dsn = "server-prom-catalogue"
+	remoteSQLDB(dsn)
+	t.Cleanup(func() { sqlmem.Unregister(dsn) })
+	c.must("POST", "/sources", map[string]any{
+		"name": "Catalogue",
+		"sql":  map[string]any{"driver": sqlmem.DriverName, "dsn": dsn},
+	}, http.StatusCreated)
 	c.must("POST", "/federate", map[string]any{}, http.StatusCreated)
 	for i := 0; i < 3; i++ {
 		c.must("POST", "/query", map[string]any{"query": "count(<<library_books>>)"}, http.StatusOK)
+	}
+	if q := c.must("POST", "/query", map[string]any{"query": "count([k | k <- <<catalogue_books>>; k > 1])"}, http.StatusOK); q["value"].(float64) != 2 {
+		t.Fatalf("count over the SQL source = %v, want 2", q["value"])
 	}
 	// One failing query: errors must show up as their own counter.
 	if status, _ := c.do("POST", "/query", map[string]any{"query": "count(<<nosuch>>)"}); status != http.StatusBadRequest {
@@ -77,11 +90,11 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE automed_queries_total counter",
 		"# TYPE automed_query_duration_seconds histogram",
-		"automed_queries_total 4",
+		"automed_queries_total 5",
 		"automed_query_errors_total 1",
 		"automed_query_timeouts_total 0",
-		`automed_query_duration_seconds_bucket{le="+Inf"} 4`,
-		"automed_query_duration_seconds_count 4",
+		`automed_query_duration_seconds_bucket{le="+Inf"} 5`,
+		"automed_query_duration_seconds_count 5",
 		"automed_http_requests_total",
 		"automed_integration_iterations_total 1",
 		"automed_sessions 1",
@@ -94,8 +107,15 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		`automed_source_fetches_total{source="Library",kind="relational"} 1`,
 		`automed_source_rows_total{source="Library",kind="relational"} 3`,
 		`automed_source_fetch_duration_seconds_count{source="Library",kind="relational"} 1`,
-		"automed_session_snapshots_total 3\n",
-		"automed_snapshot_duration_seconds_count 3\n",
+		// The count over the SQL source was one fetch of one row, taken
+		// there; nothing of the in-memory source's was.
+		"# TYPE automed_source_counted_reads_total counter",
+		`automed_source_counted_reads_total{source="Catalogue",kind="sql"} 1`,
+		`automed_source_fetches_total{source="Catalogue",kind="sql"} 1`,
+		`automed_source_rows_total{source="Catalogue",kind="sql"} 1`,
+		`automed_source_counted_reads_total{source="Library",kind="relational"} 0`,
+		"automed_session_snapshots_total 4\n",
+		"automed_snapshot_duration_seconds_count 4\n",
 		"automed_restore_duration_seconds_count 1\n",
 	} {
 		if !strings.Contains(text, want) {
@@ -103,7 +123,17 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		}
 	}
 	if !regexp.MustCompile(`(?m)^automed_snapshot_bytes_total [1-9]`).MatchString(text) {
-		t.Error("exposition lacks a positive automed_snapshot_bytes_total after three autosaves")
+		t.Error("exposition lacks a positive automed_snapshot_bytes_total after four autosaves")
+	}
+	// The JSON snapshot says the same of the counted read.
+	var snap MetricsSnapshot
+	if body, _ := scrape(t, c, "/metrics?format=json", ""); json.Unmarshal(body, &snap) != nil {
+		t.Fatalf("undecodable JSON metrics: %s", body)
+	}
+	for _, src := range snap.Sources {
+		if want := map[string]uint64{"Catalogue": 1}[src.Source]; src.Counted != want {
+			t.Errorf("JSON metrics: source %s counted = %d, want %d", src.Source, src.Counted, want)
+		}
 	}
 	if t.Failed() {
 		t.Logf("exposition:\n%s", text)

@@ -202,10 +202,18 @@ func TestSourcesVariantValidation(t *testing.T) {
 // streaming extent pipeline: what bounds the size of a source is what a
 // scan keeps resident, not what the source holds. A filtering aggregate
 // over a SQL table that would materialise to well over ten times the
-// ceiling (300,000 {id, val} rows, some 29 MB of cells) runs twice
-// through POST /query, and the live heap afterwards has grown by less
-// than the ceiling — a streamed scan keeps its window and a few pages;
-// a materialised extent would also stay cached between the two queries.
+// ceiling (300,000 {id, val} rows, some 29 MB of cells) is evaluated
+// twice through POST /query, and the live heap afterwards has grown by
+// less than the ceiling — a streamed scan keeps its window and a few
+// pages; a materialised extent would also stay cached between the two
+// queries. The filter is one the source cannot take (arithmetic on the
+// variable), so every row crosses the seam, and the trace says so: the
+// statements are the scanner's LIMIT/OFFSET pages.
+//
+// Beside it, the same count with filters the source can take crosses no
+// row at all: one SELECT COUNT(*) … WHERE, no page — also for "v = 7",
+// which as a constant-key join used to materialise the table to index
+// it.
 func TestStreamedScanHeapStaysFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scans a 300,000-row table twice")
@@ -236,19 +244,34 @@ func TestStreamedScanHeapStaysFlat(t *testing.T) {
 	}, http.StatusCreated)
 	c.must("POST", "/federate", map[string]any{}, http.StatusCreated)
 
+	// statements evaluates one count, result cache bypassed, and returns
+	// the SQL the source was sent for it.
+	statements := func(query string, want int) (stmts []string) {
+		t.Helper()
+		resp, _ := tracedQuery(c, map[string]any{"query": query, "no_cache": true})
+		if resp["value"].(float64) != float64(want) {
+			t.Fatalf("%s = %v, want %d", query, resp["value"], want)
+		}
+		for _, sp := range spansWhere(traceSpans(t, resp), "sql", "") {
+			stmts = append(stmts, sp["name"].(string))
+		}
+		return stmts
+	}
+
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 
-	// A non-equality filter keeps the planner off the constant-key index
-	// (which would materialise); the exact count proves the scan visited
-	// every row.
+	// The exact count proves the scan visited every row.
 	for i := 0; i < 2; i++ {
-		q := c.must("POST", "/query", map[string]any{
-			"query": "count([k | {k, v} <- <<big_items, val>>; v < 1])",
-		}, http.StatusOK)
-		if q["value"].(float64) != rows/100 {
-			t.Fatalf("query %d: count = %v, want %d", i, q["value"], rows/100)
+		stmts := statements("count([k | {k, v} <- <<big_items, val>>; v - 1 < 0])", rows/100)
+		if len(stmts) < rows/4096 {
+			t.Errorf("query %d: %d SQL statements for %d rows, want a page each 4096", i, len(stmts), rows)
+		}
+		for _, stmt := range stmts {
+			if !strings.Contains(stmt, " LIMIT ") || !strings.Contains(stmt, " OFFSET ") || strings.Contains(stmt, "COUNT(") {
+				t.Fatalf("query %d: the source was sent %q, want only LIMIT/OFFSET pages", i, stmt)
+			}
 		}
 	}
 
@@ -257,5 +280,19 @@ func TestStreamedScanHeapStaysFlat(t *testing.T) {
 	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > heapCeiling {
 		t.Errorf("live heap grew %.1f MB over two scans of %d rows (ceiling %d MB): the extent was materialised",
 			float64(growth)/(1<<20), rows, heapCeiling>>20)
+	}
+
+	for _, q := range []struct {
+		filter string
+		want   int
+	}{
+		{"v < 1", rows / 100},
+		{"v = 7", rows / 100},
+		{"v >= 10; 90 > v; k < 1000", 800},
+	} {
+		stmts := statements("count([k | {k, v} <- <<big_items, val>>; "+q.filter+"])", q.want)
+		if len(stmts) != 1 || !strings.HasPrefix(stmts[0], "SELECT COUNT(*) FROM ") {
+			t.Errorf("count filtered by %s: the source was sent %q, want one SELECT COUNT(*) and no page", q.filter, stmts)
+		}
 	}
 }

@@ -8,8 +8,11 @@
 // The driver is deliberately not a SQL engine. It understands exactly
 // the statement shapes the wrapper's dialects emit — the sqlite_master
 // / PRAGMA table_info introspection queries, their information_schema
-// equivalents, and simple column projections — and rejects everything
-// else. Registered databases are read-only through this driver.
+// equivalents, simple column projections with an optional LIMIT/OFFSET
+// window, and the one aggregate `SELECT COUNT(*) FROM t WHERE …` over a
+// conjunction of `col IS NOT NULL` and `col <op> <integer>` terms — and
+// rejects everything else. Registered databases are read-only through
+// this driver.
 //
 // A per-DSN artificial latency (SetDelay) makes connections slow on
 // demand, which is how tests exercise prefetch overlap and context
@@ -17,6 +20,7 @@
 package sqlmem
 
 import (
+	"cmp"
 	"context"
 	"database/sql"
 	"database/sql/driver"
@@ -181,10 +185,10 @@ func normalize(q string) string {
 const (
 	qSQLiteTables = `SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name`
 	qInfoTables   = `SELECT table_name FROM information_schema.tables WHERE table_type = 'BASE TABLE' AND table_schema = DATABASE() ORDER BY table_name`
-	qInfoColumns  = `SELECT column_name FROM information_schema.columns WHERE table_schema = DATABASE() AND table_name = ? ORDER BY ordinal_position`
+	qInfoColumns  = `SELECT column_name, data_type FROM information_schema.columns WHERE table_schema = DATABASE() AND table_name = ? ORDER BY ordinal_position`
 	qInfoPK       = `SELECT kcu.column_name FROM information_schema.table_constraints tc JOIN information_schema.key_column_usage kcu ON kcu.constraint_name = tc.constraint_name AND kcu.table_schema = tc.table_schema AND kcu.table_name = tc.table_name WHERE tc.constraint_type = 'PRIMARY KEY' AND tc.table_schema = DATABASE() AND tc.table_name = ? ORDER BY kcu.ordinal_position`
 	qPGTables     = `SELECT table_name FROM information_schema.tables WHERE table_type = 'BASE TABLE' AND table_schema = current_schema() ORDER BY table_name`
-	qPGColumns    = `SELECT column_name FROM information_schema.columns WHERE table_schema = current_schema() AND table_name = $1 ORDER BY ordinal_position`
+	qPGColumns    = `SELECT column_name, data_type FROM information_schema.columns WHERE table_schema = current_schema() AND table_name = $1 ORDER BY ordinal_position`
 	qPGPK         = `SELECT kcu.column_name FROM information_schema.table_constraints tc JOIN information_schema.key_column_usage kcu ON kcu.constraint_name = tc.constraint_name AND kcu.table_schema = tc.table_schema AND kcu.table_name = tc.table_name WHERE tc.constraint_type = 'PRIMARY KEY' AND tc.table_schema = current_schema() AND tc.table_name = $1 ORDER BY kcu.ordinal_position`
 )
 
@@ -206,9 +210,9 @@ func dispatch(db *rel.DB, rawQ string, args []driver.Value, noPK map[string]bool
 		}
 		var rows [][]driver.Value
 		for _, c := range t.Columns() {
-			rows = append(rows, []driver.Value{c.Name})
+			rows = append(rows, []driver.Value{c.Name, infoTypeName(c.Type)})
 		}
-		return &memRows{cols: []string{"column_name"}, data: rows}, nil
+		return &memRows{cols: []string{"column_name", "data_type"}, data: rows}, nil
 	case qInfoPK, qPGPK:
 		t, err := argTable(db, args)
 		if err != nil {
@@ -240,6 +244,9 @@ func dispatch(db *rel.DB, rawQ string, args []driver.Value, noPK map[string]bool
 			cols: []string{"cid", "name", "type", "notnull", "dflt_value", "pk"},
 			data: rows,
 		}, nil
+	}
+	if rest, ok := strings.CutPrefix(q, "SELECT COUNT(*) FROM "); ok {
+		return countRows(db, q, rest)
 	}
 	return selectRows(db, q)
 }
@@ -326,6 +333,130 @@ func selectRows(db *rel.DB, q string) (driver.Rows, error) {
 	return &memRows{cols: cols, data: data}, nil
 }
 
+// countRows serves `SELECT COUNT(*) FROM <table> WHERE <term> [AND
+// <term>]…`, rest being what follows FROM: a term is `<col> IS NOT NULL`
+// or `<col> <op> <integer>` with op one of = < <= > >=, and a comparison
+// is only taken on an integer column (a NULL cell satisfies none, as in
+// SQL).
+func countRows(db *rel.DB, q, rest string) (driver.Rows, error) {
+	unsupported := fmt.Errorf("sqlmem: unsupported statement %q", q)
+	toks, ok := sqlTokens(rest)
+	if !ok || len(toks) < 2 || toks[1] != "WHERE" {
+		return nil, unsupported
+	}
+	t, found := db.Table(unquoteIdent(toks[0]))
+	if !found {
+		return nil, fmt.Errorf("sqlmem: no such table: %s", toks[0])
+	}
+	type term struct {
+		col int
+		op  string // "" for IS NOT NULL
+		lit int64
+	}
+	var terms []term
+	for toks = toks[2:]; ; toks = toks[1:] {
+		if len(toks) < 3 {
+			return nil, unsupported
+		}
+		col := unquoteIdent(toks[0])
+		j, found := t.ColIndex(col)
+		if !found {
+			return nil, fmt.Errorf("sqlmem: table %q has no column %q", t.Name(), col)
+		}
+		tm := term{col: j}
+		if len(toks) >= 4 && toks[1] == "IS" && toks[2] == "NOT" && toks[3] == "NULL" {
+			toks = toks[4:]
+		} else {
+			switch tm.op = toks[1]; tm.op {
+			case "=", "<", "<=", ">", ">=":
+			default:
+				return nil, unsupported
+			}
+			var err error
+			if tm.lit, err = strconv.ParseInt(toks[2], 10, 64); err != nil {
+				return nil, unsupported
+			}
+			if typ, _ := t.ColumnType(col); typ != rel.Int {
+				return nil, fmt.Errorf("sqlmem: column %q of table %q is not an integer column", col, t.Name())
+			}
+			toks = toks[3:]
+		}
+		terms = append(terms, tm)
+		if len(toks) == 0 {
+			break
+		}
+		if toks[0] != "AND" {
+			return nil, unsupported
+		}
+	}
+	var n int64
+rows:
+	for _, row := range t.Rows() {
+		for _, tm := range terms {
+			cell := row[tm.col]
+			if cell == nil {
+				continue rows
+			}
+			if tm.op == "" {
+				continue
+			}
+			c := cmp.Compare(cell.(int64), tm.lit)
+			var holds bool
+			switch tm.op {
+			case "=":
+				holds = c == 0
+			case "<":
+				holds = c < 0
+			case "<=":
+				holds = c <= 0
+			case ">":
+				holds = c > 0
+			case ">=":
+				holds = c >= 0
+			}
+			if !holds {
+				continue rows
+			}
+		}
+		n++
+	}
+	return &memRows{cols: []string{"COUNT(*)"}, data: [][]driver.Value{{n}}}, nil
+}
+
+// sqlTokens splits a normalized statement tail at its single spaces,
+// keeping a double-quoted identifier (a doubled quote inside stands for
+// one) whole and quoted, so that "AND" is a column and AND a keyword.
+func sqlTokens(s string) ([]string, bool) {
+	var toks []string
+	for {
+		end := strings.IndexByte(s, ' ')
+		if strings.HasPrefix(s, `"`) {
+			end = 1
+			for ; end < len(s); end++ {
+				if s[end] != '"' {
+					continue
+				}
+				if end+1 == len(s) || s[end+1] != '"' {
+					break
+				}
+				end++
+			}
+			if end == len(s) {
+				return nil, false // no closing quote
+			}
+			end++
+		}
+		if end < 0 || end == len(s) {
+			return append(toks, s), s != ""
+		}
+		if end == 0 || s[end] != ' ' {
+			return nil, false
+		}
+		toks = append(toks, s[:end])
+		s = s[end+1:]
+	}
+}
+
 func unquoteIdent(s string) string {
 	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
 		return strings.ReplaceAll(s[1:len(s)-1], `""`, `"`)
@@ -343,6 +474,19 @@ func sqliteTypeName(t rel.Type) string {
 		return "BOOLEAN"
 	}
 	return "TEXT"
+}
+
+// infoTypeName is the information_schema data_type of a rel column.
+func infoTypeName(t rel.Type) string {
+	switch t {
+	case rel.Int:
+		return "bigint"
+	case rel.Float:
+		return "double precision"
+	case rel.Bool:
+		return "boolean"
+	}
+	return "text"
 }
 
 // memRows streams a materialised result set.

@@ -40,23 +40,26 @@ func TestDriverIntrospectionAndScan(t *testing.T) {
 	}
 
 	// information_schema variant with a placeholder argument.
-	rows, err := db.Query(`SELECT column_name FROM information_schema.columns WHERE table_schema = DATABASE() AND table_name = ? ORDER BY ordinal_position`, "t")
+	rows, err := db.Query(`SELECT column_name, data_type FROM information_schema.columns WHERE table_schema = DATABASE() AND table_name = ? ORDER BY ordinal_position`, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cols []string
+	var cols, types []string
 	for rows.Next() {
-		var c string
-		if err := rows.Scan(&c); err != nil {
+		var c, typ string
+		if err := rows.Scan(&c, &typ); err != nil {
 			t.Fatal(err)
 		}
-		cols = append(cols, c)
+		cols, types = append(cols, c), append(types, typ)
 	}
 	if err := rows.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(cols) != 3 || cols[0] != "id" || cols[2] != "score" {
 		t.Errorf("columns = %v", cols)
+	}
+	if len(types) != 3 || types[0] != "bigint" || types[1] != "text" || types[2] != "double precision" {
+		t.Errorf("data types = %v", types)
 	}
 
 	// Projection with NULL and typed cells.
@@ -71,6 +74,56 @@ func TestDriverIntrospectionAndScan(t *testing.T) {
 	}
 	if id != 1 || nm != "a" || score != 1.5 {
 		t.Errorf("row = %v %v %v", id, nm, score)
+	}
+}
+
+// TestDriverCount: the one aggregate the driver serves, over fuzzDB's
+// integer column (3, NULL, -7, 3, the two ends of the range, 0 under the
+// keys -3 … 3), and the shapes around it that it refuses.
+func TestDriverCount(t *testing.T) {
+	Register("drv-count", fuzzDB())
+	db, err := sql.Open(DriverName, "drv-count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, tc := range []struct {
+		stmt string
+		want int64 // -1: refused
+	}{
+		{`SELECT COUNT(*) FROM "t" WHERE "id" IS NOT NULL`, 7},
+		{`SELECT COUNT(*) FROM "t" WHERE "id" IS NOT NULL AND "n" IS NOT NULL`, 6},
+		{`SELECT COUNT(*) FROM "t" WHERE "id" IS NOT NULL AND "n" IS NOT NULL AND "n" = 3`, 2},
+		{`SELECT COUNT(*) FROM "t" WHERE "n" < 3`, 3}, // a NULL is below nothing
+		{`SELECT COUNT(*) FROM "t" WHERE "n" >= -9223372036854775808 AND "n" <= 9223372036854775807`, 6},
+		{`SELECT COUNT(*) FROM "t" WHERE "n" > 0 AND "id" <= 0`, 2},
+		{`SELECT  COUNT(*)  FROM t WHERE n > 9223372036854775806`, 1},
+		{`SELECT COUNT(*) FROM "we""ird AND" WHERE "AND" IS NOT NULL AND "AND" = 1`, 1},
+
+		{`SELECT COUNT(*) FROM "t"`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE "n" <> 3`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE "n" < 3 OR "n" > 5`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE "n" < 3 AND`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE "n" < 3.5`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE "n" < 9223372036854775808`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE "n" < "id"`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE "name" < 3`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE "name" IS NULL`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE "nosuch" IS NOT NULL`, -1},
+		{`SELECT COUNT(*) FROM "nosuch" WHERE "n" < 3`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE "n < 3`, -1},
+		{`SELECT COUNT(*) FROM "t" WHERE "n" < 3; DROP TABLE t`, -1},
+		{`SELECT COUNT("n") FROM "t" WHERE "n" < 3`, -1},
+	} {
+		var n int64
+		err := db.QueryRow(tc.stmt).Scan(&n)
+		switch {
+		case tc.want < 0 && err == nil:
+			t.Errorf("%s: accepted, counting %d", tc.stmt, n)
+		case tc.want >= 0 && (err != nil || n != tc.want):
+			t.Errorf("%s = %d, %v, want %d", tc.stmt, n, err, tc.want)
+		}
 	}
 }
 

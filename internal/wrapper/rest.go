@@ -428,7 +428,7 @@ func (w *REST) fetchPage(ctx context.Context, url, detail string, d *restDecoder
 			}
 			obs.AddFetchRetry(ctx)
 		}
-		data, next, err := w.getPage(ctx, url, detail)
+		data, next, err := w.getPage(ctx, url, detail, d.pageBytes)
 		if err != nil {
 			lastErr = err
 			var re *restStatusError
@@ -437,6 +437,7 @@ func (w *REST) fetchPage(ctx context.Context, url, detail string, d *restDecoder
 			}
 			continue
 		}
+		d.pageBytes = int64(len(data))
 		items, err = d.page(data, w.cfg.MaxBytes, items)
 		return items, next, err
 	}
@@ -512,7 +513,7 @@ func parseRetryAfter(h string) time.Duration {
 // returns the response body reader (already within the byte budget).
 // The caller owns decoding; pagination headers are ignored.
 func (w *REST) get(ctx context.Context, path string) (io.Reader, error) {
-	data, _, err := w.getPage(ctx, strings.TrimSuffix(w.cfg.Endpoint, "/")+path, path)
+	data, _, err := w.getPage(ctx, strings.TrimSuffix(w.cfg.Endpoint, "/")+path, path, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -521,12 +522,14 @@ func (w *REST) get(ctx context.Context, path string) (io.Reader, error) {
 
 // getPage performs one bounded GET of an absolute URL, returning the
 // body and the next-page URL from the response's Link header (empty
-// when there is none). detail labels the fetch's trace span.
-func (w *REST) getPage(ctx context.Context, url, detail string) ([]byte, string, error) {
+// when there is none). detail labels the fetch's trace span; sizeHint is
+// what a body of undeclared length is expected to measure, 0 for no
+// idea (see getBody).
+func (w *REST) getPage(ctx context.Context, url, detail string, sizeHint int64) ([]byte, string, error) {
 	sp, ctx := obs.StartSpan(ctx, "http", detail)
 	ctx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
 	defer cancel()
-	data, next, err := w.getBody(ctx, url)
+	data, next, err := w.getBody(ctx, url, sizeHint)
 	obs.AddFetchBytes(ctx, int64(len(data)))
 	sp.SetBytes(int64(len(data)))
 	sp.End(err)
@@ -543,7 +546,7 @@ func (w *REST) getPage(ctx context.Context, url, detail string) ([]byte, string,
 // connection, which is the right trade).
 const restDrainBudget = 256 << 10
 
-func (w *REST) getBody(ctx context.Context, url string) ([]byte, string, error) {
+func (w *REST) getBody(ctx context.Context, url string, sizeHint int64) ([]byte, string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, "", err
@@ -569,11 +572,16 @@ func (w *REST) getBody(ctx context.Context, url string) ([]byte, string, error) 
 	}
 	// Read fully inside the request deadline; the +1 detects overflow.
 	// A body of declared length is read into a buffer of that size
-	// rather than through ReadAll's doubling one.
+	// rather than through ReadAll's doubling one. A chunked body declares
+	// none, but the pages of one chain are mostly of one size: it is read
+	// into a buffer an eighth larger than the page before it (sizeHint),
+	// and grows as ReadAll would if that was not enough.
 	body := io.LimitReader(resp.Body, w.cfg.MaxBytes+1)
 	var data []byte
 	if n := resp.ContentLength; n >= 0 && n <= w.cfg.MaxBytes {
 		data, err = readSized(body, n+1)
+	} else if sizeHint > 0 {
+		data, err = readSized(body, min(sizeHint+sizeHint/8, w.cfg.MaxBytes)+1)
 	} else {
 		data, err = io.ReadAll(body)
 	}
@@ -747,6 +755,9 @@ type restDecoder struct {
 
 	rec    int // absolute index of the next record, across pages
 	tuples pairs
+	// pageBytes is the raw size of the last page fetched for this
+	// decoder, 0 before the first: fetchPage's guess at the next one's.
+	pageBytes int64
 }
 
 // decoder returns the decoder projecting c's records onto the extent of

@@ -192,7 +192,7 @@ func snapshotDocuments(tb testing.TB) [][]byte {
 	if err := json.Unmarshal(data, &session); err != nil || len(session.Sources) == 0 {
 		tb.Fatalf("golden session: %v, %d sources", err, len(session.Sources))
 	}
-	for _, name := range []string{"golden_wrapper_sql.json", "golden_wrapper_rest.json"} {
+	for _, name := range []string{"golden_wrapper_sql.json", "golden_wrapper_sql_untyped.json", "golden_wrapper_rest.json"} {
 		data, err := os.ReadFile(filepath.Join(golden, name))
 		if err != nil {
 			tb.Fatal(err)

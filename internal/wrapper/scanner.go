@@ -43,6 +43,18 @@ type ScanSourcer interface {
 	ExtentScanner(ctx context.Context, parts []string) (Scanner, error)
 }
 
+// CountSourcer is the counting extension of a wrapper whose backend has
+// a query language of its own: ExtentCounter prepares the count of the
+// rows of parts' extent that sel keeps, to be taken by the backend in
+// place of the rows crossing over to be counted. Preparing asks nothing
+// of the backend; the returned function does, once, under the context
+// it is given. ok=false declines: the wrapper cannot promise the number
+// the evaluator would reach by scanning — a shape or a column type it
+// does not answer for — and the caller scans as if it had not asked.
+type CountSourcer interface {
+	ExtentCounter(parts []string, sel iql.Selection) (count func(ctx context.Context) (int64, error), ok bool)
+}
+
 // sliceScanner serves a materialised extent as its single page.
 type sliceScanner struct {
 	items  []iql.Value

@@ -108,11 +108,17 @@ type SQLSnapshot struct {
 	Extents   []ExtentSnapshot   `json:"extents,omitempty"`
 }
 
-// SQLTableSnapshot is one introspected table shape.
+// SQLTableSnapshot is one introspected table shape. Types is parallel to
+// Columns: the kind the catalog's declared type gives each column ("int"
+// or "other"), which a restored wrapper needs to go on answering counts
+// at the source. A snapshot written before it existed has none: it
+// loads, and no comparison is sent to its source until the source is
+// registered (and so introspected) again.
 type SQLTableSnapshot struct {
 	Name       string   `json:"name"`
 	PrimaryKey string   `json:"primary_key"`
 	Columns    []string `json:"columns"`
+	Types      []string `json:"types,omitempty"`
 }
 
 // RESTSnapshot is the durable form of a REST wrapper: the endpoint
@@ -211,6 +217,7 @@ func (w *SQL) Snapshot() (*Snapshot, error) {
 			Name:       t.name,
 			PrimaryKey: t.pk,
 			Columns:    append([]string(nil), t.cols...),
+			Types:      append([]string(nil), t.kinds...),
 		})
 	}
 	for _, o := range w.schema.Objects() {
@@ -472,7 +479,12 @@ func restoreSQL(snap *Snapshot) (Wrapper, error) {
 	w := &SQL{name: snap.Name, cfg: cfg}
 	tables := make([]sqlTable, 0, len(s.Tables))
 	for _, ts := range s.Tables {
-		tables = append(tables, sqlTable{name: ts.Name, pk: ts.PrimaryKey, cols: append([]string(nil), ts.Columns...)})
+		if len(ts.Types) != 0 && len(ts.Types) != len(ts.Columns) {
+			return nil, fmt.Errorf("wrapper: source %q: sql snapshot table %q has %d columns and %d types",
+				snap.Name, ts.Name, len(ts.Columns), len(ts.Types))
+		}
+		tables = append(tables, sqlTable{name: ts.Name, pk: ts.PrimaryKey,
+			cols: append([]string(nil), ts.Columns...), kinds: append([]string(nil), ts.Types...)})
 	}
 	if err := w.buildSchema(tables); err != nil {
 		return nil, err

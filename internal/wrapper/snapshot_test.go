@@ -8,6 +8,7 @@ import (
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
 	"github.com/dataspace/automed/internal/rel"
+	"github.com/dataspace/automed/internal/sqlmem"
 )
 
 func snapshotDB(t *testing.T) *rel.DB {
@@ -161,5 +162,68 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		if _, err := Restore(snap); err == nil {
 			t.Errorf("case %d: corrupt snapshot accepted", i)
 		}
+	}
+}
+
+// TestSQLSnapshotTypesBindNeitherSide: a table snapshot's "types" travel
+// with it, so a restored wrapper still knows its integer columns and
+// goes on having them compared at the source — and they bind neither
+// reader nor writer. The decoder of the release before them — the same
+// json.Unmarshal, into a table shape with no such member — reads today's
+// document and ignores it; a document without them restores (the
+// load-only golden file in internal/core says what it then answers); one
+// whose types and columns disagree in number is corrupt.
+func TestSQLSnapshotTypesBindNeitherSide(t *testing.T) {
+	const dsn = "snapshot-types"
+	sqlmem.Register(dsn, snapshotDB(t))
+	t.Cleanup(func() { sqlmem.Unregister(dsn) })
+	w, err := NewSQL("Lib", SQLConfig{Driver: sqlmem.DriverName, DSN: dsn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := Encode(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(doc, []byte(`"types":["int","other","other","other"]`)) {
+		t.Fatalf("document lacks the books table's types: %s", doc)
+	}
+
+	var parent struct {
+		Kind string `json:"kind"`
+		SQL  *struct {
+			Tables []struct {
+				Name       string   `json:"name"`
+				PrimaryKey string   `json:"primary_key"`
+				Columns    []string `json:"columns"`
+			} `json:"tables"`
+		} `json:"sql"`
+	}
+	if err := json.Unmarshal(doc, &parent); err != nil {
+		t.Fatalf("the previous release's decoder rejects today's document: %v", err)
+	}
+	if parent.Kind != "sql" || len(parent.SQL.Tables) != 2 || len(parent.SQL.Tables[0].Columns) != 4 {
+		t.Errorf("the previous release's decoder read %+v", parent)
+	}
+
+	keyAboveOne := iql.Selection{Conds: []iql.Cond{{Op: ">", Lit: 1}}}
+	restored, err := Decode(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := restored.(CountSourcer).ExtentCounter([]string{"books"}, keyAboveOne); !ok {
+		t.Error("the restored wrapper no longer knows the key for an integer column")
+	}
+	if _, ok := restored.(CountSourcer).ExtentCounter([]string{"loans"}, keyAboveOne); ok {
+		t.Error("the restored wrapper takes the string key of loans for an integer column")
+	}
+
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.SQL.Tables[0].Types = snap.SQL.Tables[0].Types[:2]
+	if _, err := Restore(snap); err == nil {
+		t.Error("a table with four columns and two types restored")
 	}
 }

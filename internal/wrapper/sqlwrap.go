@@ -4,7 +4,10 @@ import (
 	"context"
 	"database/sql"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"github.com/dataspace/automed/internal/hdm"
@@ -42,11 +45,30 @@ const defaultSQLTimeout = 30 * time.Second
 // SQLConfig.FetchPageRows is unset.
 const DefaultFetchPageRows = 4096
 
-// sqlTable is the introspected shape of one table.
+// sqlTable is the introspected shape of one table. kinds is parallel to
+// cols: what the catalog's declared type says a column holds, reduced
+// to what a counted read needs to know (sqlKindInt or sqlKindOther). A
+// table restored from a snapshot written before kinds were kept has
+// none, and no column of it is then known to be an integer.
 type sqlTable struct {
-	name string
-	pk   string
-	cols []string
+	name  string
+	pk    string
+	cols  []string
+	kinds []string
+}
+
+// The column kinds. Only an integer column is compared at the source:
+// there the backend orders int against int exactly as the evaluator
+// does, where strings go by collation and floats by their own rules.
+const (
+	sqlKindInt   = "int"
+	sqlKindOther = "other"
+)
+
+// isInt reports whether the catalog types col as an integer.
+func (t sqlTable) isInt(col string) bool {
+	i := slices.Index(t.cols, col)
+	return i >= 0 && i < len(t.kinds) && t.kinds[i] == sqlKindInt
 }
 
 // SQL wraps a live relational database reached through database/sql:
@@ -317,6 +339,100 @@ func (s *sqlScanner) Close() error {
 	return nil
 }
 
+// ExtentCounter implements CountSourcer: how many rows of one object's
+// extent sel keeps is one statement at the backend,
+//
+//	SELECT COUNT(*) FROM "items" WHERE "id" IS NOT NULL AND "val" IS NOT NULL AND "val" < 300
+//
+// in place of every row paged across to be counted here. The wrapper
+// answers only where that number is the one the evaluator would reach
+// (countStmt) and only while it pages: an offline wrapper, or one whose
+// scans are unpaged, is read whole and cached, and counting a cached
+// extent costs no round trip.
+func (w *SQL) ExtentCounter(parts []string, sel iql.Selection) (func(context.Context) (int64, error), bool) {
+	if !w.StreamingScans() {
+		return nil, false
+	}
+	obj, err := w.schema.Resolve(parts)
+	if err != nil {
+		return nil, false
+	}
+	sc := obj.Scheme
+	stmt, ok := w.countStmt(sc, sel)
+	if !ok {
+		return nil, false
+	}
+	return func(ctx context.Context) (int64, error) {
+		ctx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
+		defer cancel()
+		sp, ctx := obs.StartSpan(ctx, "sql", stmt)
+		var n int64
+		err := w.db.QueryRowContext(ctx, stmt).Scan(&n)
+		sp.End(err)
+		if err != nil {
+			return 0, fmt.Errorf("wrapper: sql: source %q: counting %s: %w", w.name, sc, err)
+		}
+		return n, nil
+	}, true
+}
+
+// countStmt renders sel over one object's extent as a COUNT statement,
+// or declines. The pattern must have the shape of the object's
+// elements: a bare variable over either kind of object, or a pair over
+// a link object <<t, c>>, whose components are the key and the column
+// (a pair over a nodal object binds nothing, and the evaluator answers
+// 0 without help). A compared component must be a column the catalog
+// types as an integer — the key, for a bare variable over a nodal
+// object; a bare variable over a link object is a tuple and compares
+// with nothing. IS NOT NULL on key and column is the extent's own NULL
+// skipping (selectItems). Identifiers are quoted, operators come from a
+// fixed set and literals are int64 digits, so there is nothing to bind
+// and nothing of the query's text in the statement.
+func (w *SQL) countStmt(sc hdm.Scheme, sel iql.Selection) (string, bool) {
+	t, ok := w.tables[sc.Part(0)]
+	if !ok {
+		return "", false
+	}
+	var comps []string // the column behind each comparable component
+	switch {
+	case sc.Arity() == 1 && sel.Arity == 0:
+		comps = []string{t.pk}
+	case sc.Arity() == 2 && sel.Arity == 0:
+	case sc.Arity() == 2 && sel.Arity == 2:
+		comps = []string{t.pk, sc.Part(1)}
+	default:
+		return "", false
+	}
+	stmt := make([]byte, 0, 128)
+	stmt = append(stmt, "SELECT COUNT(*) FROM "...)
+	stmt = append(stmt, quoteIdent(t.name)...)
+	stmt = append(stmt, " WHERE "...)
+	stmt = append(stmt, quoteIdent(t.pk)...)
+	stmt = append(stmt, " IS NOT NULL"...)
+	if sc.Arity() == 2 && sc.Part(1) != t.pk {
+		stmt = append(stmt, " AND "...)
+		stmt = append(stmt, quoteIdent(sc.Part(1))...)
+		stmt = append(stmt, " IS NOT NULL"...)
+	}
+	for _, c := range sel.Conds {
+		if c.Comp < 0 || c.Comp >= len(comps) || !t.isInt(comps[c.Comp]) {
+			return "", false
+		}
+		switch c.Op {
+		case "=", "<", "<=", ">", ">=":
+		default:
+			return "", false
+		}
+		stmt = append(stmt, " AND "...)
+		stmt = append(stmt, quoteIdent(comps[c.Comp])...)
+		stmt = append(stmt, ' ')
+		stmt = append(stmt, c.Op...)
+		stmt = append(stmt, ' ')
+		stmt = strconv.AppendInt(stmt, c.Lit, 10)
+	}
+	return string(stmt), true
+}
+
 // extentStmt builds the SELECT serving one object's extent (without
 // any paging clause).
 func (w *SQL) extentStmt(sc hdm.Scheme) (string, error) {
@@ -518,6 +634,9 @@ func (sqliteDialect) tables(ctx context.Context, db *sql.DB) ([]sqlTable, error)
 				return nil, fmt.Errorf("table %q: %w", n, err)
 			}
 			t.cols = append(t.cols, col)
+			// SQLite's affinity rule: a declared type containing "INT"
+			// is an integer column.
+			t.kinds = append(t.kinds, sqlKind(strings.Contains(strings.ToUpper(typ), "INT")))
 			if pk > 0 && t.pk == "" {
 				t.pk = col
 			}
@@ -549,7 +668,7 @@ func (infoSchemaDialect) name() string { return DialectInformationSchema }
 func (infoSchemaDialect) tables(ctx context.Context, db *sql.DB) ([]sqlTable, error) {
 	return infoSchemaTables(ctx, db,
 		`SELECT table_name FROM information_schema.tables WHERE table_type = 'BASE TABLE' AND table_schema = DATABASE() ORDER BY table_name`,
-		`SELECT column_name FROM information_schema.columns WHERE table_schema = DATABASE() AND table_name = ? ORDER BY ordinal_position`,
+		`SELECT column_name, data_type FROM information_schema.columns WHERE table_schema = DATABASE() AND table_name = ? ORDER BY ordinal_position`,
 		`SELECT kcu.column_name FROM information_schema.table_constraints tc
 		 JOIN information_schema.key_column_usage kcu
 		   ON kcu.constraint_name = tc.constraint_name
@@ -570,7 +689,7 @@ func (postgresDialect) name() string { return DialectPostgres }
 func (postgresDialect) tables(ctx context.Context, db *sql.DB) ([]sqlTable, error) {
 	return infoSchemaTables(ctx, db,
 		`SELECT table_name FROM information_schema.tables WHERE table_type = 'BASE TABLE' AND table_schema = current_schema() ORDER BY table_name`,
-		`SELECT column_name FROM information_schema.columns WHERE table_schema = current_schema() AND table_name = $1 ORDER BY ordinal_position`,
+		`SELECT column_name, data_type FROM information_schema.columns WHERE table_schema = current_schema() AND table_name = $1 ORDER BY ordinal_position`,
 		`SELECT kcu.column_name FROM information_schema.table_constraints tc
 		 JOIN information_schema.key_column_usage kcu
 		   ON kcu.constraint_name = tc.constraint_name
@@ -590,7 +709,7 @@ func infoSchemaTables(ctx context.Context, db *sql.DB, tablesQ, colsQ, pkQ strin
 	}
 	out := make([]sqlTable, 0, len(names))
 	for _, n := range names {
-		cols, err := stringColumn(ctx, db, colsQ, n)
+		cols, err := stringRows(ctx, db, 2, colsQ, n)
 		if err != nil {
 			return nil, fmt.Errorf("table %q: %w", n, err)
 		}
@@ -598,7 +717,11 @@ func infoSchemaTables(ctx context.Context, db *sql.DB, tablesQ, colsQ, pkQ strin
 		if err != nil {
 			return nil, fmt.Errorf("table %q: %w", n, err)
 		}
-		t := sqlTable{name: n, cols: cols}
+		t := sqlTable{name: n}
+		for _, c := range cols {
+			t.cols = append(t.cols, c[0])
+			t.kinds = append(t.kinds, sqlKind(integerDataTypes[strings.ToLower(c[1])]))
+		}
 		if len(pks) > 0 {
 			t.pk = pks[0]
 		}
@@ -607,20 +730,47 @@ func infoSchemaTables(ctx context.Context, db *sql.DB, tablesQ, colsQ, pkQ strin
 	return out, nil
 }
 
+// integerDataTypes is the integer family of information_schema's
+// data_type, across MySQL and PostgreSQL.
+var integerDataTypes = map[string]bool{
+	"tinyint": true, "smallint": true, "mediumint": true, "int": true, "integer": true, "bigint": true,
+}
+
+func sqlKind(isInt bool) string {
+	if isInt {
+		return sqlKindInt
+	}
+	return sqlKindOther
+}
+
 // stringColumn runs a query expected to yield one string column.
 func stringColumn(ctx context.Context, db *sql.DB, q string, args ...any) ([]string, error) {
+	rows, err := stringRows(ctx, db, 1, q, args...)
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r[0]
+	}
+	return out, err
+}
+
+// stringRows runs a query expected to yield width string columns.
+func stringRows(ctx context.Context, db *sql.DB, width int, q string, args ...any) ([][]string, error) {
 	rows, err := db.QueryContext(ctx, q, args...)
 	if err != nil {
 		return nil, err
 	}
 	defer rows.Close()
-	var out []string
+	var out [][]string
 	for rows.Next() {
-		var s string
-		if err := rows.Scan(&s); err != nil {
+		row := make([]string, width)
+		dest := make([]any, width)
+		for i := range row {
+			dest[i] = &row[i]
+		}
+		if err := rows.Scan(dest...); err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		out = append(out, row)
 	}
 	return out, rows.Err()
 }
