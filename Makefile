@@ -84,7 +84,9 @@ profile:
 
 # fuzz-seeds runs every committed fuzz seed (malformed repo snapshots,
 # malformed REST payloads, the answer encoder's edge scalars, the floats
-# where a layout of the shortest digits changes shape, session files
+# where a layout of the shortest digits changes shape, query texts —
+# Table 1's, the encoded evaluation's differential cases, the lexer's
+# edge tokens — evaluated into the encoder and to a value, session files
 # whole, truncated and with trailing bytes, the statements the in-process
 # SQL driver must take or refuse) as plain tests — the CI-safe
 # equivalent of a -fuzztime run. A subset of `race`, which ci runs: this

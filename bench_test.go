@@ -557,13 +557,17 @@ func (w *discardResponse) WriteHeader(status int)      { w.status = status }
 func (w *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkServerTable1 is the in-`go test` twin of the benchmark's
-// table1_warm workload (bench/README.md): each Table 1 query posted to
-// the daemon's handler in process, result cache bypassed, extents and
-// plan cache warm — evaluation, canonical ordering, encoding and the
-// response write, without a socket. `make profile` profiles it, so a
+// table1_warm workload (bench/README.md), at that workload's sizes: each
+// Table 1 query posted to the daemon's handler in process, result cache
+// bypassed, extents and plan cache warm — evaluation into the encoder,
+// canonical ordering and the response write, without a socket. The
+// workload deals the seven texts evenly, so B/op summed over Q1–Q7 and
+// divided by seven is its alloc_kb_per_op less the benchmark client's
+// ≈ 6 KiB: a claim on that metric can be read here in half a minute
+// before ten pairs are spent on it. `make profile` profiles it, so a
 // performance issue starts from where the time and the bytes go.
 func BenchmarkServerTable1(b *testing.B) {
-	h := caseServer(b, ispider.BenchConfig(), "default", ispider.IntersectionPlan()).Handler()
+	h := caseServer(b, ispider.Table1WarmConfig(), "default", ispider.IntersectionPlan()).Handler()
 	for _, q := range ispider.Table1Queries() {
 		body := queryBody(b, "default", q.IQL)
 		servePost(b, h, "/query", body) // warm the extent memos, join indexes and plan cache

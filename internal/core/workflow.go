@@ -223,14 +223,47 @@ func (ig *Integrator) QueryAt(ctx context.Context, version int, src string) (Res
 func (ig *Integrator) QueryExprAt(ctx context.Context, version int, e iql.Expr) (Result, error) {
 	ig.mu.RLock()
 	defer ig.mu.RUnlock()
+	canon, res, err := ig.canonicalLocked(version, e)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Value, res.Warnings, res.Deps, err = ig.proc.EvalContext(ctx, canon)
+	if err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
+// QueryEncodedAt is QueryExprAt with the answer written to dst instead
+// of built (see iql.Evaluator.EvalEncoded): the Result it returns says
+// everything about the answer but its Value.
+func (ig *Integrator) QueryEncodedAt(ctx context.Context, version int, e iql.Expr, dst *iql.Encoding) (Result, error) {
+	ig.mu.RLock()
+	defer ig.mu.RUnlock()
+	canon, res, err := ig.canonicalLocked(version, e)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Warnings, res.Deps, err = ig.proc.EvalEncoded(ctx, canon, dst)
+	if err != nil {
+		return Result{}, err
+	}
+	return res, nil
+}
+
+// canonicalLocked picks the global schema version a query is answered
+// against and canonicalises the query's scheme references in it; the
+// Result names that version. The caller holds the read lock, and keeps
+// it while it evaluates.
+func (ig *Integrator) canonicalLocked(version int, e iql.Expr) (iql.Expr, Result, error) {
 	if ig.global == nil {
-		return Result{}, fmt.Errorf("core: no global schema; call Federate first")
+		return nil, Result{}, fmt.Errorf("core: no global schema; call Federate first")
 	}
 	target, ver := ig.global, ig.globalVersion
 	if version != CurrentVersion {
 		s, ok := ig.schemaAtLocked(version)
 		if !ok {
-			return Result{}, fmt.Errorf("core: no global schema version %d (have 0..%d)", version, ig.globalVersion)
+			return nil, Result{}, fmt.Errorf("core: no global schema version %d (have 0..%d)", version, ig.globalVersion)
 		}
 		target, ver = s, version
 	}
@@ -246,13 +279,9 @@ func (ig *Integrator) QueryExprAt(ctx context.Context, version int, e iql.Expr) 
 		return iql.Ref(obj.Scheme.Parts()...), true
 	})
 	if resolveErr != nil {
-		return Result{}, resolveErr
+		return nil, Result{}, resolveErr
 	}
-	v, warns, deps, err := ig.proc.EvalContext(ctx, canon)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Value: v, Warnings: warns, Deps: deps, Version: ver, Schema: target.Name()}, nil
+	return canon, Result{Version: ver, Schema: target.Name()}, nil
 }
 
 // Extent returns the extent of one global schema object.

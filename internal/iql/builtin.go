@@ -21,17 +21,24 @@ func (ev *Evaluator) evalCall(n *Call, env *Env) (Value, error) {
 			return ev.countComp(c, env)
 		}
 	}
-	args := make([]Value, len(n.Args))
-	for i, a := range n.Args {
+	// The arguments of every builtin fit an array on the stack; a call
+	// with more is on its way to an arity error.
+	var few [4]Value
+	args := few[:0]
+	if len(n.Args) > len(few) {
+		args = make([]Value, 0, len(n.Args))
+	}
+	for _, a := range n.Args {
 		v, err := ev.eval(a, env)
 		if err != nil {
 			return Value{}, err
 		}
-		args[i] = v
+		args = append(args, v)
 	}
+	nargs := len(args)
 	want := func(k int) error {
-		if len(args) != k {
-			return fmt.Errorf("iql: %s expects %d argument(s), got %d", n.Fn, k, len(args))
+		if nargs != k {
+			return fmt.Errorf("iql: %s expects %d argument(s), got %d", n.Fn, k, nargs)
 		}
 		return nil
 	}

@@ -91,7 +91,11 @@ func BagOrder(v Value) ([]int, error) {
 		return nil, err
 	}
 	e := encoder{want: wantKey}
-	_, s, _ := e.elements(nil, els) // only JSON fails
+	s := e.open(len(els))
+	for _, el := range els {
+		_, _ = e.add(nil, s, el) // only JSON fails
+	}
+	e.close(s, true)
 	order := slices.Clone(s.order)
 	sortedPool.Put(s)
 	return order, nil
@@ -333,34 +337,54 @@ func (d *decimal) appendFixed(dst []byte) []byte {
 // bag encodes a bag: the text in bag order as the elements are met, key
 // and JSON gathered from the elements' arenas in canonical order.
 func (e *encoder) bag(dst []byte, items []Value) ([]byte, error) {
-	if e.want&wantText != 0 {
-		dst = append(dst, '[')
-	}
 	if e.want&(wantKey|wantJSON) == 0 {
+		dst = append(dst, '[')
 		for i, it := range items {
 			if i > 0 {
 				dst = append(dst, ", "...)
 			}
 			dst, _ = e.value(dst, it) // only JSON fails
 		}
-	} else {
-		var s *sortedElems
-		var err error
-		if dst, s, err = e.elements(dst, items); err != nil {
-			return dst, err
+		return append(dst, ']'), nil
+	}
+	dst, s := e.beginBag(dst, len(items))
+	var err error
+	for _, it := range items {
+		if dst, err = e.add(dst, s, it); err != nil {
+			break
 		}
+	}
+	return e.endBag(dst, s, err == nil), err
+}
+
+// beginBag opens a bag whose elements arrive one add at a time — from a
+// slice (bag) or from a comprehension as it evaluates (sink) — and endBag
+// closes it: the text is bracketed as it goes, key and JSON are gathered
+// onto the outputs the encoder was writing when the bag began. An
+// encoding that failed (ok false) gathers nothing; its outputs are left
+// as far as they got, for the caller to drop.
+func (e *encoder) beginBag(dst []byte, hint int) ([]byte, *sortedElems) {
+	if e.want&wantText != 0 {
+		dst = append(dst, '[')
+	}
+	return dst, e.open(hint)
+}
+
+func (e *encoder) endBag(dst []byte, s *sortedElems, ok bool) []byte {
+	e.close(s, ok)
+	if ok {
 		if e.want&wantKey != 0 {
 			e.key = append(s.gather(append(e.key, "B["...), keyArena), ']')
 		}
 		if e.want&wantJSON != 0 {
 			e.json = append(s.gather(append(e.json, `{"bag":[`...), jsonArena), "]}"...)
 		}
-		sortedPool.Put(s)
+		if e.want&wantText != 0 {
+			dst = append(dst, ']')
+		}
 	}
-	if e.want&wantText != 0 {
-		dst = append(dst, ']')
-	}
-	return dst, nil
+	sortedPool.Put(s)
+	return dst
 }
 
 // sortedElems holds the canonical keys of a run of elements, and their
@@ -375,6 +399,11 @@ type sortedElems struct {
 	arena [2][]byte // keyArena, jsonArena
 	off   [][2]int  // element i's piece of arena[a] is arena[a][off[i][a]:off[i+1][a]]
 	order []int
+
+	// While the run is open: what the encoder was writing before it, and
+	// how many elements are expected (0 when nobody knows).
+	outer encoder
+	hint  int
 }
 
 const (
@@ -390,36 +419,48 @@ var sortedPool = sync.Pool{New: func() any { return new(sortedElems) }}
 // about once, at about its final size.
 const arenaSample = 16
 
-// elements encodes every element — key and JSON into arenas of their
-// own, text onto dst, comma-separated in bag order — and sorts them.
-// The caller returns the result to sortedPool when it has read it.
-func (e *encoder) elements(dst []byte, els []Value) ([]byte, *sortedElems, error) {
-	n := len(els)
+// open starts a run of elements: until close, the encoder writes keys —
+// wanted or not, the order is theirs — and JSON into the arenas of a
+// pooled sortedElems. hint is the number of elements to come, 0 when it
+// is not known. The caller returns the run to sortedPool when it has
+// read it.
+func (e *encoder) open(hint int) *sortedElems {
 	s := sortedPool.Get().(*sortedElems)
-	s.off = slices.Grow(s.off[:0], n+1)[:n+1]
-	s.off[0] = [2]int{}
-	s.order = slices.Grow(s.order[:0], n)[:n]
-	outer := *e
+	s.off = append(slices.Grow(s.off[:0], hint+1), [2]int{})
+	s.order = slices.Grow(s.order[:0], hint)
+	s.outer, s.hint = *e, hint
 	e.key, e.json, e.want = s.arena[keyArena][:0], s.arena[jsonArena][:0], e.want|wantKey
-	var err error
-	for i, el := range els {
-		if i == arenaSample {
-			e.key = slices.Grow(e.key, len(e.key)/arenaSample*(n-i)*9/8)
-			e.json = slices.Grow(e.json, len(e.json)/arenaSample*(n-i)*9/8)
-		}
-		if i > 0 && e.want&wantText != 0 {
-			dst = append(dst, ", "...)
-		}
-		if dst, err = e.value(dst, el); err != nil {
-			break
-		}
-		s.order[i], s.off[i+1] = i, [2]int{len(e.key), len(e.json)}
+	return s
+}
+
+// add encodes one more element of an open run: key and JSON into the
+// arenas, text onto dst, comma-separated in the order of the adds.
+func (e *encoder) add(dst []byte, s *sortedElems, el Value) ([]byte, error) {
+	i := len(s.order)
+	if i == arenaSample && s.hint > i {
+		e.key = slices.Grow(e.key, len(e.key)/arenaSample*(s.hint-i)*9/8)
+		e.json = slices.Grow(e.json, len(e.json)/arenaSample*(s.hint-i)*9/8)
 	}
-	s.arena = [2][]byte{e.key, e.json}
-	*e = outer
+	if i > 0 && e.want&wantText != 0 {
+		dst = append(dst, ", "...)
+	}
+	dst, err := e.value(dst, el)
 	if err != nil {
-		sortedPool.Put(s)
-		return dst, nil, err
+		return dst, err
+	}
+	s.order = append(s.order, i)
+	s.off = append(s.off, [2]int{len(e.key), len(e.json)})
+	return dst, nil
+}
+
+// close ends the run: the encoder goes back to what it was writing, and
+// the elements — unless their encoding failed and nobody will read them
+// — are sorted.
+func (e *encoder) close(s *sortedElems, ok bool) {
+	s.arena = [2][]byte{e.key, e.json}
+	*e, s.outer = s.outer, encoder{}
+	if !ok {
+		return
 	}
 	keys := s.arena[keyArena]
 	slices.SortFunc(s.order, func(a, b int) int {
@@ -428,7 +469,6 @@ func (e *encoder) elements(dst []byte, els []Value) ([]byte, *sortedElems, error
 		}
 		return cmp.Compare(a, b)
 	})
-	return dst, s, nil
 }
 
 // gather appends the elements' pieces of an arena in canonical order,

@@ -163,6 +163,18 @@ func NewEvaluator(ext Extents) *Evaluator {
 
 // Eval evaluates an expression in an environment (nil for empty).
 func (ev *Evaluator) Eval(e Expr, env *Env) (Value, error) {
+	env, err := ev.begin(env)
+	if err != nil {
+		return Value{}, err
+	}
+	v, err := ev.eval(e, env)
+	ev.end()
+	return v, err
+}
+
+// begin is what every evaluation starts with: the step count at zero,
+// the budget to enforce worked out, the context asked once.
+func (ev *Evaluator) begin(env *Env) (*Env, error) {
 	if env == nil {
 		env = NewEnv()
 	}
@@ -177,14 +189,144 @@ func (ev *Evaluator) Eval(e Expr, env *Env) (Value, error) {
 	}
 	if ev.Ctx != nil {
 		if err := ev.Ctx.Err(); err != nil {
-			return Value{}, fmt.Errorf("iql: evaluation cancelled: %w", err)
+			return nil, fmt.Errorf("iql: evaluation cancelled: %w", err)
 		}
 	}
-	v, err := ev.eval(e, env)
+	return env, nil
+}
+
+// end is what every evaluation that began ends with, failed or not: the
+// steps it only counted are added to the budget it shares.
+func (ev *Evaluator) end() {
 	if ev.Budget != nil && ev.enforced == nil {
 		ev.Budget.used.Add(int64(ev.steps))
 	}
-	return v, err
+}
+
+// Encoding is where an encoded evaluation writes its value: as JSON onto
+// JSON and in IQL source syntax onto Text, both appended to, and how
+// many rows the value has in Rows — a bag's elements, 1 for anything
+// else.
+type Encoding struct {
+	JSON, Text []byte
+	Rows       int
+}
+
+// EncodingError is an encoded evaluation's failure to write a value that
+// evaluated: a NaN or infinite float somewhere in it, which JSON cannot
+// carry. Err is encoding/json's UnsupportedValueError.
+type EncodingError struct{ Err error }
+
+func (e *EncodingError) Error() string { return "iql: encoding value: " + e.Err.Error() }
+func (e *EncodingError) Unwrap() error { return e.Err }
+
+// EvalEncoded evaluates e as Eval does — the same steps, the same limits
+// and polls of the context at the same steps, the same errors — and
+// appends the value to dst as AppendJSONAndText would, without building
+// it where it is large: the elements of a comprehension, or of each
+// comprehension in a tuple of them, are encoded as evaluation reaches
+// them, and neither a row nor the bag of them is allocated. Every other
+// expression is evaluated to its value and that is encoded.
+//
+// A value that evaluates but cannot be encoded is an *EncodingError, as
+// encoding it after Eval would have found: an evaluation error further
+// on in the scan comes first. After any error dst holds whatever had
+// been appended by then, for the caller to cut off.
+func (ev *Evaluator) EvalEncoded(dst *Encoding, e Expr, env *Env) error {
+	env, err := ev.begin(env)
+	if err != nil {
+		return err
+	}
+	a := answer{e: encoder{want: wantJSON | wantText, json: dst.JSON}, text: dst.Text}
+	dst.Rows, err = ev.evalInto(&a, e, env)
+	ev.end()
+	dst.JSON, dst.Text = a.e.json, a.text
+	if err == nil && a.err != nil {
+		err = &EncodingError{a.err}
+	}
+	return err
+}
+
+// answer is the value of one encoded evaluation as far as it has been
+// written. Encoding stops at its first error and evaluation goes on
+// without it: whether that error is the evaluation's is known only when
+// evaluation has come to its end without one of its own.
+type answer struct {
+	e    encoder // JSON and text wanted; json is the destination
+	text []byte
+	err  error
+}
+
+// lit appends fixed JSON and text, as punctuation around values.
+func (a *answer) lit(json, text string) {
+	if a.err == nil {
+		a.text = a.e.lit(a.text, "", json, text)
+	}
+}
+
+func (a *answer) value(v Value) {
+	if a.err == nil {
+		a.text, a.err = a.e.value(a.text, v)
+	}
+}
+
+// add encodes v as the next element of the open bag.
+func (a *answer) add(bag *sortedElems, v Value) {
+	if a.err == nil {
+		a.text, a.err = a.e.add(a.text, bag, v)
+	}
+}
+
+// evalInto evaluates e into the answer and returns the value's rows. It
+// recurses where an answer is large — a comprehension, a tuple
+// expression around them — charging the step eval charges for each such
+// node, and leaves every other expression to eval.
+func (ev *Evaluator) evalInto(a *answer, e Expr, env *Env) (int, error) {
+	switch n := e.(type) {
+	case *Comp:
+		if err := ev.step(); err != nil {
+			return 0, err
+		}
+		return ev.compInto(a, n, env)
+	case *TupleExpr:
+		if err := ev.step(); err != nil {
+			return 0, err
+		}
+		a.lit(`{"tuple":[`, "{")
+		for i, x := range n.Elems {
+			if i > 0 {
+				a.lit(",", ", ")
+			}
+			if _, err := ev.evalInto(a, x, env); err != nil {
+				return 0, err
+			}
+		}
+		a.lit("]}", "}")
+		return 1, nil
+	}
+	v, err := ev.eval(e, env)
+	if err != nil {
+		return 0, err
+	}
+	a.value(v)
+	if v.Kind == KindBag {
+		return v.n, nil
+	}
+	return 1, nil
+}
+
+// compInto runs a comprehension into a sink that encodes its head
+// values as elements of a bag opened in the answer; when evaluation
+// ends, the bag is closed: sorted, and its JSON gathered in canonical
+// order. (In an answer that has already failed to encode, the bag stays
+// empty and is dropped.)
+func (ev *Evaluator) compInto(a *answer, c *Comp, env *Env) (int, error) {
+	out := sink{into: a}
+	a.text, out.bag = a.e.beginBag(a.text, 0)
+	err := ev.runComp(c, env, &out)
+	rows := len(out.bag.order)
+	a.text = a.e.endBag(a.text, out.bag, err == nil && a.err == nil)
+	return rows, err
 }
 
 // EvalString parses and evaluates IQL source text.

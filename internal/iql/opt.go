@@ -41,6 +41,13 @@ type compCtx struct {
 	// key, so one buffer serves every probe of the invocation.
 	probeScratch []Value
 
+	// headTuple is the head when it is a tuple expression, and headScratch
+	// the row a sink that keeps no value is handed: the components are
+	// evaluated into it one row after another (see head), so a row that is
+	// encoded or counted is never allocated.
+	headTuple   *TupleExpr
+	headScratch []Value
+
 	// active guards the cached ctx against re-entrant use; a Comp node
 	// cannot syntactically contain itself, so re-entry is impossible
 	// today, but a fresh ctx is used if that ever changes.
@@ -192,6 +199,7 @@ func newCompCtx(ev *Evaluator, c *Comp) *compCtx {
 		comp:  c,
 		quals: make([]qualState, len(c.Quals)),
 	}
+	ctx.headTuple, _ = c.Head.(*TupleExpr)
 	ctx.analyze()
 	return ctx
 }
@@ -208,9 +216,10 @@ func (ctx *compCtx) reset() {
 }
 
 // release returns the ctx to its plan cache slot, emptying the
-// generators' scopes so that a cached plan pins neither extent rows nor
-// the environment it last ran under.
+// generators' scopes and the head's scratch row so that a cached plan
+// pins neither extent rows nor the environment it last ran under.
 func (ctx *compCtx) release() {
+	clear(ctx.headScratch)
 	for i := range ctx.quals {
 		if sc := ctx.quals[i].scope; sc != nil {
 			clear(sc.vals)
@@ -631,22 +640,60 @@ func (ctx *compCtx) probeKey(i int, env *Env) (Value, error) {
 }
 
 // sink receives a comprehension's head values, one per complete
-// binding: collected into vals, or — under count(comprehension) — only
+// binding: collected into vals; or — under count(comprehension) — only
 // counted, so a bag that would be built to take its length is never
-// built. The head is evaluated either way: its steps, errors and
-// warnings are the query's.
+// built; or — when the comprehension is the answer of an encoded
+// evaluation — encoded as they come into the answer's open bag, so the
+// answer is never built either. The head is evaluated whichever it is:
+// its steps, errors and warnings are the query's.
 type sink struct {
 	vals  []Value
 	n     int64
 	count bool
+	// into, when set, is the answer the values are encoded into, as
+	// elements of the open bag. An encoding sink is fed by one goroutine.
+	into *answer
+	bag  *sortedElems
 }
 
 func (s *sink) add(v Value) {
-	if s.count {
+	switch {
+	case s.into != nil:
+		s.into.add(s.bag, v)
+	case s.count:
 		s.n++
-		return
+	default:
+		s.vals = append(s.vals, v)
 	}
-	s.vals = append(s.vals, v)
+}
+
+// keeps reports whether the sink holds on to the values it is handed.
+func (s *sink) keeps() bool { return !s.count && s.into == nil }
+
+// head evaluates the comprehension's head under a complete binding. A
+// sink that keeps what it is handed gets a value of its own. Any other
+// gets a tuple head in the plan's scratch row, which the next binding
+// overwrites: the steps are the ones eval charges — one for the tuple
+// node, then each component's — and nothing is allocated.
+func (ctx *compCtx) head(env *Env, out *sink) (Value, error) {
+	ev, t := ctx.ev, ctx.headTuple
+	if t == nil || out.keeps() {
+		return ev.eval(ctx.comp.Head, env)
+	}
+	if err := ev.step(); err != nil {
+		return Value{}, err
+	}
+	if ctx.headScratch == nil {
+		ctx.headScratch = make([]Value, len(t.Elems))
+	}
+	for i, x := range t.Elems {
+		v, err := ev.eval(x, env)
+		if err != nil {
+			return Value{}, err
+		}
+		ctx.headScratch[i] = v
+	}
+	return Tuple(ctx.headScratch...), nil
 }
 
 // outPrealloc caps how far a generator source's length is trusted as a
@@ -658,7 +705,7 @@ const outPrealloc = 1024
 func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 	ev := ctx.ev
 	if i == len(ctx.comp.Quals) {
-		v, err := ev.eval(ctx.comp.Head, env)
+		v, err := ctx.head(env, out)
 		if err != nil {
 			return err
 		}
@@ -708,14 +755,14 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 			joinedFirst, joined = first, true
 			els = rest
 		}
-		if !joined && ctx.shardable(len(els)) {
+		if !joined && ctx.shardable(len(els), out) {
 			// Large top-level scan: fan the elements across a worker
 			// pool in contiguous shards, merged back in shard order
 			// (see parallel.go). Results are byte-identical to the
 			// serial loop below.
 			return ctx.runSharded(i, els, next, env, out)
 		}
-		if !out.count && cap(out.vals) == 0 && len(els) > 0 {
+		if out.keeps() && cap(out.vals) == 0 && len(els) > 0 {
 			// First growth: trust the generator's cardinality as a size
 			// hint so comprehension outputs don't grow append-by-append.
 			out.vals = make([]Value, 0, min(len(els), outPrealloc))

@@ -142,11 +142,13 @@ type sharedSource struct {
 // shardable reports whether the current generator scan qualifies for
 // the sharded path: parallelism enabled, no enclosing generator loop
 // on this evaluator (a nested comprehension re-entered per element
-// must not spin up a pool per element), and enough rows for at least
-// two minimum-size shards.
-func (ctx *compCtx) shardable(rows int) bool {
+// must not spin up a pool per element), a sink that several workers'
+// outputs can be merged into (a bag or a count; an answer being encoded
+// is written by one goroutine, in evaluation order), and enough rows
+// for at least two minimum-size shards.
+func (ctx *compCtx) shardable(rows int, out *sink) bool {
 	ev := ctx.ev
-	if ev.Parallel <= 1 || ev.genDepth != 0 {
+	if ev.Parallel <= 1 || ev.genDepth != 0 || out.into != nil {
 		return false
 	}
 	min := ev.MinShardRows

@@ -118,3 +118,26 @@ func TestJoinAllocatesNothingPerGeneratorEntry(t *testing.T) {
 			"something is allocated per generator entry", grew, 1000*perRow+slack)
 	}
 }
+
+// TestBuiltinFilterAllocatesNothingPerElement pins where a builtin
+// call's arguments live: a filter calling a two-argument builtin once
+// per element — Table 1's Q2 is contains(d, keyword) over every protein
+// — may cost what the evaluation costs however many elements there are,
+// and nothing per call.
+func TestBuiltinFilterAllocatesNothingPerElement(t *testing.T) {
+	expr := iql.MustParse("count([k | {s, k, d} <- <<rows>>; contains(d, 'P0004')])")
+	allocsAt := func(n int) float64 {
+		extent := rows(n)
+		ext := iql.ExtentsFunc(func([]string) (iql.Value, error) { return extent, nil })
+		return testing.AllocsPerRun(5, func() {
+			if v, err := iql.NewEvaluator(ext).Eval(expr, nil); err != nil || v.I() == 0 || v.I() == int64(n) {
+				t.Fatalf("%d rows: counted %s, err %v", n, v, err)
+			}
+		})
+	}
+	const slack = 4
+	if grew := allocsAt(2000) - allocsAt(1000); grew > slack {
+		t.Errorf("1000 more elements cost %.0f more allocations, want at most %d: "+
+			"something is allocated per builtin call", grew, slack)
+	}
+}

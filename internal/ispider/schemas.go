@@ -49,6 +49,15 @@ func BenchConfig() Config {
 	return Config{Seed: 1, Proteins: 120, Searches: 5, HitsPerSearch: 20, PeptidesPerHit: 3}
 }
 
+// Table1WarmConfig returns the case study at the size the benchmark's
+// table1_warm workload runs it at (bench/fixtures.go), for
+// BenchmarkServerTable1 alone: its B/op summed over Q1–Q7 and divided by
+// seven is then that workload's alloc_kb_per_op, less the benchmark's
+// own client.
+func Table1WarmConfig() Config {
+	return Config{Seed: 1, Proteins: 480, Searches: 20, HitsPerSearch: 20, PeptidesPerHit: 3}
+}
+
 // Shared workload constants: every source contains the designated
 // accession, peptide sequence, organism and description keyword, so the
 // seven priority queries have non-empty cross-source answers.

@@ -97,6 +97,14 @@ func (s *session) deps() []string {
 	return out
 }
 
+// report returns what a finished evaluation raised and touched: its
+// distinct warnings and its dependency set, both sorted.
+func (s *session) report() (warns, deps []string) {
+	warns = cache.Dedup(s.warnLog)
+	sort.Strings(warns)
+	return warns, s.deps()
+}
+
 // warn records a warning in the session: warnings are reported per
 // evaluation, and the ordered log also feeds the extent memo cache.
 func (s *session) warn(msg string) {
@@ -229,16 +237,23 @@ func (s *session) unfold(r resolution, name string) (iql.Value, error) {
 	return out, nil
 }
 
-// eval is the one body behind Eval, EvalScoped and EvalContext: warm
-// the source extents the expression enumerates concurrently, then walk
-// it serially in a fresh session, which comes back so EvalContext can
-// report what the evaluation raised and touched.
-func (p *Processor) eval(ctx context.Context, e iql.Expr, scope string) (iql.Value, *session, error) {
+// eval is the one body behind Eval, EvalScoped, EvalContext and
+// EvalEncoded: warm the source extents the expression enumerates
+// concurrently, then walk it serially in a fresh session — into dst when
+// there is one, to a value when there is not — which comes back so the
+// caller can report what the evaluation raised and touched.
+func (p *Processor) eval(ctx context.Context, e iql.Expr, scope string, dst *iql.Encoding) (iql.Value, *session, error) {
 	warmErr := p.prefetch(ctx, e, scope)
 	sp, ctx := obs.StartSpan(ctx, obs.StageEval, "")
 	s := p.newSession(ctx, scope)
 	s.warmErr = warmErr
-	v, err := s.evaluator().Eval(e, nil)
+	var v iql.Value
+	var err error
+	if dst != nil {
+		err = s.evaluator().EvalEncoded(dst, e, nil)
+	} else {
+		v, err = s.evaluator().Eval(e, nil)
+	}
 	p.noteEval(s.stats, sp)
 	sp.End(err)
 	return v, s, err
@@ -252,7 +267,7 @@ func (p *Processor) Eval(e iql.Expr) (iql.Value, error) {
 // EvalScoped evaluates an expression whose unqualified references
 // resolve against the named source schema first.
 func (p *Processor) EvalScoped(e iql.Expr, scope string) (iql.Value, error) {
-	v, _, err := p.eval(context.Background(), e, scope)
+	v, _, err := p.eval(context.Background(), e, scope, nil)
 	return v, err
 }
 
@@ -264,13 +279,24 @@ func (p *Processor) EvalScoped(e iql.Expr, scope string) (iql.Value, error) {
 // collects its own warnings, so concurrent queries do not see each
 // other's.
 func (p *Processor) EvalContext(ctx context.Context, e iql.Expr) (iql.Value, []string, []string, error) {
-	v, s, err := p.eval(ctx, e, "")
+	v, s, err := p.eval(ctx, e, "", nil)
 	if err != nil {
 		return iql.Value{}, nil, nil, err
 	}
-	warns := cache.Dedup(s.warnLog)
-	sort.Strings(warns)
-	return v, warns, s.deps(), nil
+	warns, deps := s.report()
+	return v, warns, deps, nil
+}
+
+// EvalEncoded is EvalContext with the value written to dst instead of
+// built (see iql.Evaluator.EvalEncoded): the same warnings, the same
+// dependency set, the same steps and errors.
+func (p *Processor) EvalEncoded(ctx context.Context, e iql.Expr, dst *iql.Encoding) ([]string, []string, error) {
+	_, s, err := p.eval(ctx, e, "", dst)
+	if err != nil {
+		return nil, nil, err
+	}
+	warns, deps := s.report()
+	return warns, deps, nil
 }
 
 // Query parses and evaluates IQL source text.

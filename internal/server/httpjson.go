@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,11 +33,20 @@ func requestID(r *http.Request) string {
 	return rid
 }
 
+// respBuf is a response body being built: bytes appended to directly
+// or, as an io.Writer, by encoding/json.
+type respBuf struct{ b []byte }
+
+func (r *respBuf) Write(p []byte) (int, error) {
+	r.b = append(r.b, p...)
+	return len(p), nil
+}
+
 // respBufPool recycles response-encoding buffers across requests.
-var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var respBufPool = sync.Pool{New: func() any { return new(respBuf) }}
 
 // encodeJSON appends v and a newline to buf, HTML escaping off.
-func encodeJSON(buf *bytes.Buffer, v any) error {
+func encodeJSON(buf *respBuf, v any) error {
 	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
 	return enc.Encode(v)
@@ -54,8 +62,8 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	// Encode before committing the status so an unencodable value
 	// becomes a 500, not a 200 with a truncated body.
-	buf := respBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+	buf := respBufPool.Get().(*respBuf)
+	buf.b = buf.b[:0]
 	defer respBufPool.Put(buf)
 	if err := encodeJSON(buf, v); err != nil {
 		if _, isErr := v.(apiError); !isErr {
@@ -66,7 +74,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, `{"error":"server: encoding response failed"}`, http.StatusInternalServerError)
 		return
 	}
-	writeBody(w, status, buf.Bytes())
+	writeBody(w, status, buf.b)
 }
 
 func writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {

@@ -1,14 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/dataspace/automed/internal/cache"
@@ -39,9 +37,9 @@ type queryReq struct {
 }
 
 // queryResp holds the members of a query response that follow
-// "session", "value" and "rendered". Those three open the object and
-// are written by writeAnswer: the session name, then the answer's
-// fragment as Session.Query encoded it.
+// "session", "value" and "rendered". Those three open the object:
+// openAnswer writes the session name, Session.Query appends the
+// answer's fragment.
 type queryResp struct {
 	Warnings     []string `json:"warnings,omitempty"`
 	Version      int      `json:"version"`
@@ -114,8 +112,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// The response is built where it is written from: the answer goes
+	// straight into this buffer, and an answer that fails, or is refused
+	// below, leaves it to be dropped — writeErr writes from one of its own.
+	buf := respBufPool.Get().(*respBuf)
+	defer respBufPool.Put(buf)
+	openAnswer(buf, sess.Name())
+
 	start := time.Now()
-	res, outcome, err := sess.Query(ctx, s.plans, req.Query, version, req.NoCache)
+	res, outcome, err := sess.Query(ctx, buf, s.plans, req.Query, version, req.NoCache)
 	elapsed := time.Since(start)
 	s.metrics.Query(elapsed, err, errors.Is(err, context.DeadlineExceeded))
 
@@ -164,29 +169,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Explain {
 		resp.Explain = s.explain(sess, req.Query, res.Version)
 	}
-	writeAnswer(w, r, sess.Name(), res, resp)
+	writeAnswer(w, r, buf, resp)
 }
 
-// writeAnswer writes a query response: the session name, the answer's
-// pre-encoded fragment copied as it is, and the remaining members
-// through the envelope's own encoder.
-func writeAnswer(w http.ResponseWriter, r *http.Request, session string, ans Answer, rest queryResp) {
-	buf := respBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer respBufPool.Put(buf)
-	buf.WriteString(`{"session":`)
-	buf.Write(jsontext.AppendString(buf.AvailableBuffer(), session))
-	buf.WriteByte(',')
-	buf.Write(ans.fragment)
+// openAnswer starts a query response in buf, whatever buf held: the
+// object's brace and the session name. The answer's fragment comes next
+// (Session.Query), then writeAnswer.
+func openAnswer(buf *respBuf, session string) {
+	buf.b = append(buf.b[:0], `{"session":`...)
+	buf.b = append(jsontext.AppendString(buf.b, session), ',')
+}
+
+// writeAnswer ends a query response begun by openAnswer and an answer's
+// fragment with the remaining members, through the envelope's own
+// encoder, and writes it.
+func writeAnswer(w http.ResponseWriter, r *http.Request, buf *respBuf, rest queryResp) {
 	// The encoder opens rest's object with a brace; in place, that byte
 	// is the comma after the fragment.
-	comma := buf.Len()
+	comma := len(buf.b)
 	if err := encodeJSON(buf, rest); err != nil {
 		writeErr(w, r, http.StatusInternalServerError, &encodingError{err})
 		return
 	}
-	buf.Bytes()[comma] = ','
-	writeBody(w, http.StatusOK, buf.Bytes())
+	buf.b[comma] = ','
+	writeBody(w, http.StatusOK, buf.b)
 }
 
 // explain renders the derivation tree (provenance) of every schema
@@ -229,16 +235,26 @@ type QueryOutcome struct {
 	ResultCached bool
 }
 
-// Answer pairs a query result with its encoded response fragment. The
-// fragment is produced once, when the answer is first evaluated, and
-// cached with it, so a result-cache hit skips the canonical ordering
-// of bags and the encoding as well as the re-evaluation: answering it
-// is a copy of the fragment into the response.
+// Answer is what a query's answer is besides its bytes, which
+// Session.Query has appended to the response by the time it returns
+// one: the warnings, the schema version it was answered against and the
+// dependency set of its evaluation. An answer held in the result cache
+// also keeps the bytes, so a hit skips the canonical ordering of bags
+// and the encoding as well as the evaluation: answering it is a copy of
+// the fragment into the response. No answer holds a value.
 type Answer struct {
-	core.Result
-	// fragment is the answer's part of the response object, as bytes:
+	Warnings []string
+	// Deps lists the distinct scheme keys the evaluation touched, sorted
+	// (core.Result.Deps).
+	Deps []string
+	// Version is the global schema version the query was resolved
+	// against, Schema that version's name.
+	Version int
+	Schema  string
+	// fragment is the answer's part of the response object, as bytes, at
+	// its exact length; nil on an answer that was not cached:
 	//
-	//	"value":<Result.Value as JSON>,"rendered":<Result.Value in IQL source syntax, as a JSON string>
+	//	"value":<the value as JSON>,"rendered":<the value in IQL source syntax, as a JSON string>
 	fragment []byte
 }
 
@@ -250,38 +266,11 @@ type encodingError struct{ err error }
 func (e *encodingError) Error() string { return "server: encoding response: " + e.err.Error() }
 func (e *encodingError) Unwrap() error { return e.err }
 
-// fragmentScratch recycles the buffers answers are encoded in. A
-// fragment grows append by append to a length nobody knows beforehand;
-// grown in a recycled buffer and copied out at its exact length, it
-// costs its own size once rather than every size it passed through.
-var fragmentScratch = sync.Pool{New: func() any { return new(fragmentBufs) }}
-
-// fragmentBufs are the two outputs of the one walk over an answer: the
-// fragment, which is the value's JSON until the walk ends, and the
-// value in IQL source syntax, which the fragment ends with.
-type fragmentBufs struct{ frag, text []byte }
-
-// render encodes the answer's response fragment from its result: one
-// walk writes the JSON and the rendering, the rendering is escaped onto
-// the JSON as a JSON string, and the whole is kept at its exact length.
-func (a *Answer) render() error {
-	s := fragmentScratch.Get().(*fragmentBufs)
-	defer fragmentScratch.Put(s)
-	var err error
-	s.frag, s.text, err = iql.AppendJSONAndText(append(s.frag[:0], `"value":`...), s.text[:0], a.Value)
-	if err != nil {
-		return &encodingError{err}
-	}
-	s.frag = jsontext.AppendEscaped(append(s.frag, `,"rendered":"`...), s.text)
-	s.frag = append(s.frag, '"')
-	a.fragment = append(make([]byte, 0, len(s.frag)), s.frag...)
-	return nil
-}
-
 // Query answers an IQL query against the requested schema version
 // (core.CurrentVersion for the latest), consulting the plan cache and
-// — unless noCache — the result cache.
-func (s *Session) Query(ctx context.Context, plans *cache.Store[plan], src string, version int, noCache bool) (Answer, QueryOutcome, error) {
+// — unless noCache — the result cache, and appends the answer's
+// fragment to buf; with an error, buf holds what it held.
+func (s *Session) Query(ctx context.Context, buf *respBuf, plans *cache.Store[plan], src string, version int, noCache bool) (Answer, QueryOutcome, error) {
 	ig, err := s.integrator()
 	if err != nil {
 		return Answer{}, QueryOutcome{}, err
@@ -317,6 +306,7 @@ func (s *Session) Query(ctx context.Context, plans *cache.Store[plan], src strin
 				sp.SetCache(obs.CacheHit)
 				sp.End(nil)
 			}
+			buf.b = append(buf.b, ans.fragment...)
 			return ans, out, nil
 		}
 		if sp, _ := obs.StartSpan(ctx, obs.StageResultCache, ""); sp != nil {
@@ -331,33 +321,58 @@ func (s *Session) Query(ctx context.Context, plans *cache.Store[plan], src strin
 	// the result — it was computed from pre-iteration derivations and
 	// caching it would dodge the invalidation that covered it.
 	gen := s.results.Generation()
-	res, err := ig.QueryExprAt(ctx, version, pl.expr)
-	if err != nil {
-		return Answer{}, out, err
-	}
-	ans := Answer{Result: res}
-	rsp, _ := obs.StartSpan(ctx, obs.StageRender, "")
-	err = ans.render()
-	rsp.End(err)
+
+	// Evaluation writes the value's JSON onto buf as it goes and the
+	// rendering into a buffer beside it — it follows the JSON in the
+	// response, so it cannot be written in place; what is left when
+	// evaluation returns is to escape the one after the other.
+	mark := len(buf.b)
+	text := respBufPool.Get().(*respBuf)
+	defer respBufPool.Put(text)
+	enc := iql.Encoding{JSON: append(buf.b, `"value":`...), Text: text.b[:0]}
+	res, err := ig.QueryEncodedAt(ctx, version, pl.expr, &enc)
+	buf.b, text.b = enc.JSON, enc.Text
 	if err != nil {
 		// Not cached: every hit would fail the same way.
+		buf.b = buf.b[:mark]
+		var unencodable *iql.EncodingError
+		if errors.As(err, &unencodable) {
+			err = &encodingError{unencodable.Err}
+		}
 		return Answer{}, out, err
 	}
+	rsp, _ := obs.StartSpan(ctx, obs.StageRender, "")
+	buf.b = appendRendered(buf.b, enc.Text)
+	fragment := buf.b[mark:]
+	rsp.SetRows(int64(enc.Rows))
+	rsp.SetBytes(int64(len(fragment)))
+	rsp.End(nil)
+
+	ans := Answer{Warnings: res.Warnings, Deps: res.Deps, Version: res.Version, Schema: res.Schema}
 	if !noCache && res.Version == ver {
 		// res.Version can differ from ver only if an iteration raced
 		// between GlobalVersion and evaluation; skip caching then
-		// rather than file the result under the wrong version.
+		// rather than file the result under the wrong version. Only here
+		// is the fragment copied: buf is the response's, and goes back
+		// to its pool when the response is written.
+		ans.fragment = append(make([]byte, 0, len(fragment)), fragment...)
 		s.results.PutAt(gen, key, ans, resultCost(ans), res.Deps)
 	}
 	return ans, out, nil
 }
 
+// appendRendered ends an answer's fragment: after the value's JSON, the
+// rendering as a JSON string.
+func appendRendered(dst, text []byte) []byte {
+	dst = jsontext.AppendEscaped(append(dst, `,"rendered":"`...), text)
+	return append(dst, '"')
+}
+
 // resultCost is a cached answer's in-memory size for the result cache's
-// byte budget: the value's estimated footprint, the encoded fragment's
-// exact length, and the strings beside them.
+// byte budget: the encoded fragment's exact length and the strings
+// beside it.
 func resultCost(a Answer) int64 {
-	n := a.Value.Footprint() + int64(len(a.Schema)) + 64
-	n += int64(len(a.fragment))
+	n := int64(len(a.fragment)) + int64(len(a.Schema)) + 64
 	for _, w := range a.Warnings {
 		n += int64(len(w)) + 16
 	}

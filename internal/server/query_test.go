@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/dataspace/automed/internal/cache"
@@ -104,27 +107,51 @@ func refFragment(v iql.Value) ([]byte, error) {
 	return []byte(`"value":` + string(val) + `,"rendered":` + string(rendered)), nil
 }
 
+// fragmentOf is the "value" and "rendered" members as the server writes
+// them for an answer that evaluates to v: e evaluated into the encoder,
+// the rendering escaped after the JSON, an unencodable value the
+// server's encodingError.
+func fragmentOf(e iql.Expr) ([]byte, error) {
+	enc := iql.Encoding{JSON: []byte(`"value":`)}
+	if err := new(iql.Evaluator).EvalEncoded(&enc, e, nil); err != nil {
+		var unencodable *iql.EncodingError
+		if errors.As(err, &unencodable) {
+			err = &encodingError{unencodable.Err}
+		}
+		return nil, err
+	}
+	return appendRendered(enc.JSON, enc.Text), nil
+}
+
 // checkFragment encodes v both ways and fails on any difference, in
-// bytes or in whether and how encoding fails.
+// bytes or in whether and how encoding fails. A bag is encoded a third
+// way, which must not differ from the second: as the elements of a
+// comprehension over it, one at a time through the encoding sink.
 func checkFragment(t *testing.T, v iql.Value) {
 	t.Helper()
 	want, wantErr := refFragment(v)
-	ans := Answer{Result: core.Result{Value: v}}
-	err := ans.render()
-	switch {
-	case wantErr != nil && err == nil:
-		t.Fatalf("%s: encoded to %s, the reference fails: %v", v, ans.fragment, wantErr)
-	case wantErr != nil:
-		if want := "server: encoding response: " + wantErr.Error(); err.Error() != want {
-			t.Fatalf("%s: error %q, want %q", v, err, want)
+	exprs := []iql.Expr{&iql.Lit{Val: v}}
+	if v.Kind == iql.KindBag {
+		exprs = append(exprs, &iql.Comp{Head: &iql.Var{Name: "x"},
+			Quals: []iql.Qual{&iql.Generator{Pat: &iql.VarPat{Name: "x"}, Src: exprs[0]}}})
+	}
+	for _, e := range exprs {
+		got, err := fragmentOf(e)
+		switch {
+		case wantErr != nil && err == nil:
+			t.Fatalf("%s: encoded to %s, the reference fails: %v", e, got, wantErr)
+		case wantErr != nil:
+			if want := "server: encoding response: " + wantErr.Error(); err.Error() != want {
+				t.Fatalf("%s: error %q, want %q", e, err, want)
+			}
+			if errStatus(err) != http.StatusInternalServerError {
+				t.Fatalf("%s: %v maps to status %d, want 500", e, err, errStatus(err))
+			}
+		case err != nil:
+			t.Fatalf("%s: %v, the reference encodes it", e, err)
+		case !bytes.Equal(got, want):
+			t.Fatalf("%s:\n got %s\nwant %s", e, got, want)
 		}
-		if errStatus(err) != http.StatusInternalServerError {
-			t.Fatalf("%s: %v maps to status %d, want 500", v, err, errStatus(err))
-		}
-	case err != nil:
-		t.Fatalf("%s: %v, the reference encodes it", v, err)
-	case !bytes.Equal(ans.fragment, want):
-		t.Fatalf("%s:\n got %s\nwant %s", v, ans.fragment, want)
 	}
 }
 
@@ -220,68 +247,166 @@ func caseStudySession(t *testing.T, srv *Server, cfg ispider.Config) *Session {
 	return sess
 }
 
-// TestQueryResponseBytesMatchReference answers Table 1's Q7 at the
-// benchmark's size over HTTP, cold and then from the result cache, and
-// holds each whole response body to the reference encoding of the same
-// result: member order, omitted members, escaping and the trailing
-// newline included.
-func TestQueryResponseBytesMatchReference(t *testing.T) {
-	srv, c := newTestClient(t, DefaultConfig())
-	sess := caseStudySession(t, srv, ispider.BenchConfig())
-	var q7 string
-	for _, q := range ispider.Table1Queries() {
-		if q.ID == "Q7" {
-			q7 = q.IQL
-		}
+// refBody is the whole response body as the reference writes it for
+// res, the members only the serving of it knows — plan_cached,
+// result_cached, elapsed_us — read back from the response it is held
+// against.
+func refBody(res core.Result, got []byte) ([]byte, error) {
+	var meta struct {
+		PlanCached   bool  `json:"plan_cached"`
+		ResultCached bool  `json:"result_cached"`
+		ElapsedUs    int64 `json:"elapsed_us"`
 	}
+	if err := json.Unmarshal(got, &meta); err != nil {
+		return nil, err
+	}
+	want, err := refEncode(refQueryResp{
+		Session:      "default",
+		Value:        refValueJSON(res.Value),
+		Rendered:     res.Value.String(),
+		Warnings:     res.Warnings,
+		Version:      res.Version,
+		Schema:       res.Schema,
+		PlanCached:   meta.PlanCached,
+		ResultCached: meta.ResultCached,
+		ElapsedUs:    meta.ElapsedUs,
+	})
+	return append(want, '\n'), err
+}
+
+// diffBodies describes where got leaves want, "" when it does not.
+func diffBodies(got, want []byte) string {
+	if bytes.Equal(got, want) {
+		return ""
+	}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	return fmt.Sprintf("%d bytes, reference %d; first difference at byte %d:\n got …%s\nwant …%s",
+		len(got), len(want), i, got[i:min(i+80, len(got))], want[i:min(i+80, len(want))])
+}
+
+// table1References evaluates Table 1 by the materialising path, the
+// reference of every response below.
+func table1References(t *testing.T, sess *Session) map[string]core.Result {
+	t.Helper()
 	ig, err := sess.integrator()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ig.QueryExprAt(context.Background(), core.CurrentVersion, iql.MustParse(q7))
-	if err != nil {
-		t.Fatal(err)
+	refs := map[string]core.Result{}
+	for _, q := range ispider.Table1Queries() {
+		res, err := ig.QueryExprAt(context.Background(), core.CurrentVersion, iql.MustParse(q.IQL))
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		refs[q.IQL] = res
 	}
-	if res.Value.Len() < 100 {
-		t.Fatalf("Q7 has %d rows; the comparison wants a large answer", res.Value.Len())
+	return refs
+}
+
+// TestQueryResponseBytesMatchReference answers Table 1 at the
+// benchmark's size over HTTP and holds each whole response body to the
+// reference encoding of the materialised result: member order, omitted
+// members, escaping and the trailing newline included. One text goes
+// uncached, then into the result cache, then out of it; and different
+// answers — the largest (Q7), a tuple of two bags (Q4), small ones —
+// follow each other through the same pooled buffers and arenas.
+func TestQueryResponseBytesMatchReference(t *testing.T) {
+	srv, c := newTestClient(t, DefaultConfig())
+	sess := caseStudySession(t, srv, ispider.BenchConfig())
+	refs := table1References(t, sess)
+	text := map[string]string{}
+	for _, q := range ispider.Table1Queries() {
+		text[q.ID] = q.IQL
+	}
+	if rows := refs[text["Q7"]].Value.Len(); rows < 100 {
+		t.Fatalf("Q7 has %d rows; the comparison wants a large answer", rows)
 	}
 
-	for _, resultCached := range []bool{false, true} {
-		status, got := c.post(map[string]any{"query": q7})
+	for n, step := range []struct {
+		id           string
+		noCache      bool
+		resultCached bool
+	}{
+		{"Q7", true, false}, {"Q7", false, false}, {"Q7", false, true},
+		{"Q4", true, false}, {"Q2", true, false}, {"Q7", true, false}, {"Q1", true, false},
+		{"Q4", false, false}, {"Q7", false, true}, {"Q4", false, true},
+		{"Q3", true, false}, {"Q5", true, false}, {"Q6", true, false},
+	} {
+		status, got := c.post(map[string]any{"query": text[step.id], "no_cache": step.noCache})
 		if status != http.StatusOK {
-			t.Fatalf("status %d: %s", status, got)
+			t.Fatalf("step %d, %s: status %d: %s", n, step.id, status, got)
 		}
-		var meta struct {
-			PlanCached bool  `json:"plan_cached"`
-			ElapsedUs  int64 `json:"elapsed_us"`
-		}
-		if err := json.Unmarshal(got, &meta); err != nil {
-			t.Fatal(err)
-		}
-		want, err := refEncode(refQueryResp{
-			Session:      "default",
-			Value:        refValueJSON(res.Value),
-			Rendered:     res.Value.String(),
-			Warnings:     res.Warnings,
-			Version:      res.Version,
-			Schema:       res.Schema,
-			PlanCached:   meta.PlanCached,
-			ResultCached: resultCached,
-			ElapsedUs:    meta.ElapsedUs,
-		})
+		want, err := refBody(refs[text[step.id]], got)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, '\n')
-		if !bytes.Equal(got, want) {
-			i := 0
-			for i < len(got) && i < len(want) && got[i] == want[i] {
-				i++
-			}
-			t.Fatalf("result_cached=%v: %d bytes, reference %d; first difference at byte %d:\n got …%s\nwant …%s",
-				resultCached, len(got), len(want), i, got[i:min(i+80, len(got))], want[i:min(i+80, len(want))])
+		if d := diffBodies(got, want); d != "" {
+			t.Fatalf("step %d, %s no_cache=%v: %s", n, step.id, step.noCache, d)
+		}
+		if cached := bytes.Contains(got, []byte(`"result_cached":true`)); cached != step.resultCached {
+			t.Fatalf("step %d, %s no_cache=%v: result_cached=%v, want %v", n, step.id, step.noCache, cached, step.resultCached)
 		}
 	}
+}
+
+// TestConcurrentAnswersMatchReference posts eight different texts from
+// eight goroutines, round after round, every other one past the result
+// cache, and holds every response to its own reference: the response
+// buffers, rendering buffers and element arenas are pooled, and an
+// answer that reached the client through another's, or was written from
+// a buffer already handed back, shows here (and under -race).
+func TestConcurrentAnswersMatchReference(t *testing.T) {
+	srv, c := newTestClient(t, DefaultConfig())
+	sess := caseStudySession(t, srv, ispider.DefaultConfig())
+	refs := table1References(t, sess)
+	texts := make([]string, 0, 8)
+	for _, q := range ispider.Table1Queries() {
+		texts = append(texts, q.IQL)
+	}
+	ig, _ := sess.integrator()
+	extra := "[{k, a} | {s, k, a} <- <<UProtein, accession_num>>]"
+	res, err := ig.QueryExprAt(context.Background(), core.CurrentVersion, iql.MustParse(extra))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs[extra] = res
+	texts = append(texts, extra)
+
+	const rounds = 200
+	var wg sync.WaitGroup
+	for g, q := range texts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				body, _ := json.Marshal(map[string]any{"query": q, "no_cache": (n+g)%2 == 0})
+				resp, err := c.srv.Client().Post(c.srv.URL+"/query", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("%s, round %d: status %d, err %v: %s", q, n, resp.StatusCode, err, got)
+					return
+				}
+				want, err := refBody(refs[q], got)
+				if err != nil {
+					t.Errorf("%s, round %d: %v in %s", q, n, err, got)
+					return
+				}
+				if d := diffBodies(got, want); d != "" {
+					t.Errorf("%s, round %d: %s", q, n, d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestUnencodableAnswerIsNotCached: a source holding NaN and +Inf makes
@@ -332,28 +457,57 @@ func TestUnencodableAnswerIsNotCached(t *testing.T) {
 	}
 }
 
-// TestResultCostCountsTheFragment: the result cache is charged what an
-// answer holds — its value's footprint and its fragment's exact length.
+// TestResultCostCountsTheFragment: the result cache is charged what a
+// cached answer holds — its fragment at its exact length and the strings
+// beside it; there is no value to charge — and what it holds is the
+// exact-length copy, not the response buffer the fragment was written
+// in.
 func TestResultCostCountsTheFragment(t *testing.T) {
-	small := Answer{Result: core.Result{Value: iql.Bag(iql.Str("x"))}}
+	small := Answer{Schema: "F", fragment: []byte(`"value":1,"rendered":"1"`)}
 	large := small
-	if err := small.render(); err != nil {
-		t.Fatal(err)
-	}
 	large.fragment = append(append([]byte(nil), small.fragment...), make([]byte, 1000)...)
 	if got := resultCost(large) - resultCost(small); got != 1000 {
 		t.Errorf("1000 more fragment bytes cost %d", got)
 	}
-	if len(small.fragment) != cap(small.fragment) {
-		t.Errorf("fragment holds %d bytes in %d: the slack is cached but not charged", len(small.fragment), cap(small.fragment))
+
+	srv := New(DefaultConfig())
+	sess := caseStudySession(t, srv, ispider.DefaultConfig())
+	plans := cache.New[plan](cache.Options{MaxEntries: 16})
+	q := ispider.Table1Queries()[1].IQL
+	first := &respBuf{b: make([]byte, 0, 1<<16)}
+	if _, _, err := sess.Query(context.Background(), first, plans, q, core.CurrentVersion, false); err != nil {
+		t.Fatal(err)
+	}
+	hit, outcome, err := sess.Query(context.Background(), new(respBuf), plans, q, core.CurrentVersion, false)
+	if err != nil || !outcome.ResultCached {
+		t.Fatalf("second ask: cached %v, err %v", outcome.ResultCached, err)
+	}
+	if !bytes.Equal(hit.fragment, first.b) {
+		t.Errorf("cached fragment\n %s\nis not what the miss wrote:\n %s", hit.fragment, first.b)
+	}
+	if len(hit.fragment) != cap(hit.fragment) {
+		t.Errorf("fragment holds %d bytes in %d: the slack is cached but not charged", len(hit.fragment), cap(hit.fragment))
+	}
+	if len(first.b) > 0 && len(hit.fragment) > 0 && &first.b[0] == &hit.fragment[0] {
+		t.Error("the cached fragment is the response buffer")
 	}
 }
 
-type discardResponse struct{ header http.Header }
+// discardResponse is a response nobody reads: it keeps the status, the
+// length of the body, and how many tuples — rows, in the answers below —
+// the body holds.
+type discardResponse struct {
+	header             http.Header
+	status, size, rows int
+}
 
-func (w discardResponse) Header() http.Header       { return w.header }
-func (discardResponse) WriteHeader(int)             {}
-func (discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardResponse) Header() http.Header { return w.header }
+func (w *discardResponse) WriteHeader(s int)   { w.status = s }
+func (w *discardResponse) Write(p []byte) (int, error) {
+	w.size += len(p)
+	w.rows += bytes.Count(p, []byte(`{"tuple":`))
+	return len(p), nil
+}
 
 // TestCachedHitAllocatesAConstant pins a result-cache hit, tracing off,
 // from Session.Query to the response written: the same few allocations
@@ -383,21 +537,28 @@ func TestCachedHitAllocatesAConstant(t *testing.T) {
 	}
 	plans := cache.New[plan](cache.Options{MaxEntries: 16})
 	req := httptest.NewRequest(http.MethodPost, "/query", nil)
-	w := discardResponse{header: make(http.Header)}
+	w := &discardResponse{header: make(http.Header)}
 
 	allocsAt := func(n int) float64 {
 		q := fmt.Sprintf("<<probe_t%d, v>>", n)
 		hit := func() {
-			ans, outcome, err := sess.Query(context.Background(), plans, q, core.CurrentVersion, false)
-			if err != nil || ans.Value.Len() != n {
-				t.Fatalf("%s: %d rows, err %v", q, ans.Value.Len(), err)
+			buf := respBufPool.Get().(*respBuf)
+			defer respBufPool.Put(buf)
+			openAnswer(buf, sess.Name())
+			ans, outcome, err := sess.Query(context.Background(), buf, plans, q, core.CurrentVersion, false)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
 			}
-			writeAnswer(w, req, sess.Name(), ans, queryResp{Version: ans.Version, Schema: ans.Schema,
+			w.rows = 0
+			writeAnswer(w, req, buf, queryResp{Version: ans.Version, Schema: ans.Schema,
 				PlanCached: outcome.PlanCached, ResultCached: outcome.ResultCached})
+			if w.rows != n {
+				t.Fatalf("%s: %d rows written, want %d", q, w.rows, n)
+			}
 		}
 		hit() // evaluate, encode and cache
 		allocs := testing.AllocsPerRun(20, hit)
-		if _, outcome, _ := sess.Query(context.Background(), plans, q, core.CurrentVersion, false); !outcome.ResultCached {
+		if _, outcome, _ := sess.Query(context.Background(), new(respBuf), plans, q, core.CurrentVersion, false); !outcome.ResultCached {
 			t.Fatalf("%s: not answered from the result cache", q)
 		}
 		return allocs
@@ -412,11 +573,13 @@ func TestCachedHitAllocatesAConstant(t *testing.T) {
 
 // TestAnswerBytesPerRow pins what a row of a Q7-shaped answer — a
 // four-way join on the key, two floats in every row — allocates from
-// Session.Query to the encoded fragment, result cache bypassed: the head
-// tuple, the row's places in its shard's bag and in the answer, and its
-// share of the fragment. The element arenas of the encoder are
-// recycled; a row cost twice this when a Value was 72 bytes and the
-// answer was walked three times.
+// handleQuery to the written response. Result cache bypassed, nothing:
+// the head is evaluated into the plan's scratch row, encoded into
+// recycled arenas and gathered onto the recycled response buffer, so a
+// row is never a tuple, never has a place in a bag, and its bytes exist
+// once. On its way into the result cache, its share of the one copy the
+// cache keeps. (A row cost 400 bytes when the answer was materialised,
+// walked and copied out.)
 func TestAnswerBytesPerRow(t *testing.T) {
 	srv := New(DefaultConfig())
 	sess, err := srv.Sessions().Get("default", true)
@@ -446,29 +609,55 @@ func TestAnswerBytesPerRow(t *testing.T) {
 	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
 		t.Fatal(err)
 	}
-	plans := cache.New[plan](cache.Options{MaxEntries: 16})
-	bytesAt := func(n int) float64 {
+	h := srv.Handler()
+	// measure returns the least bytes one POST of the n-row query
+	// allocates, and the length of its response.
+	measure := func(n int, noCache bool) (float64, int) {
 		q := fmt.Sprintf("[{h, t, mz, i} | {k, h} <- <<ions_ion%[1]d, hit>>; {k2, t} <- <<ions_ion%[1]d, type>>; k2 = k; "+
 			"{k3, mz} <- <<ions_ion%[1]d, mz>>; k3 = k; {k4, i} <- <<ions_ion%[1]d, intensity>>; k4 = k]", n)
-		// The least of ten runs, not their mean: the arenas come from a
-		// sync.Pool, the race detector makes a pool drop a quarter of
-		// what it is given, and a run that finds it empty pays for
-		// arenas, not for rows.
+		body, err := json.Marshal(map[string]any{"query": q, "no_cache": noCache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &discardResponse{header: make(http.Header)}
+		// The least of thirty runs, not their mean: buffers and arenas
+		// come from sync.Pools, a collection empties them (so there is
+		// none meanwhile), the race detector makes a pool drop a quarter
+		// of what it is given, and a run that finds one empty pays for
+		// buffers, not for rows.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		least := math.Inf(1)
-		for i := 0; i < 10; i++ {
+		for i := 0; i < 30; i++ {
 			least = min(least, iqltest.AllocBytesPerRun(1, func() {
-				ans, _, err := sess.Query(context.Background(), plans, q, core.CurrentVersion, true)
-				if err != nil || ans.Value.Len() != n {
-					t.Fatalf("%s: %d rows, err %v", q, ans.Value.Len(), err)
+				// Every run of the cacheable case is a miss that caches.
+				sess.results.Purge()
+				r, err := http.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				*w = discardResponse{header: w.header}
+				h.ServeHTTP(w, r)
+				if w.status != http.StatusOK || w.rows != n {
+					t.Fatalf("%d-row query: status %d, %d rows in the response", n, w.status, w.rows)
 				}
 			}))
 		}
-		return least
+		return least, w.size
 	}
-	small, large := bytesAt(sizes[0]), bytesAt(sizes[1])
-	perRow := (large - small) / float64(sizes[1]-sizes[0])
-	t.Logf("a %d-row answer allocates %.0f bytes, a %d-row one %.0f: %.1f a row", sizes[0], small, sizes[1], large, perRow)
-	if perRow > 400 {
-		t.Errorf("a row of a Q7-shaped answer allocates %.1f bytes, want at most 400", perRow)
+	perRow := func(noCache bool) (alloc, resp float64) {
+		small, smallLen := measure(sizes[0], noCache)
+		large, largeLen := measure(sizes[1], noCache)
+		rows := float64(sizes[1] - sizes[0])
+		t.Logf("no_cache=%v: a %d-row answer allocates %.0f bytes, a %d-row one %.0f: %.1f a row of %.1f response bytes",
+			noCache, sizes[0], small, sizes[1], large, (large-small)/rows, float64(largeLen-smallLen)/rows)
+		return (large - small) / rows, float64(largeLen-smallLen) / rows
+	}
+	const slack = 16
+	if alloc, _ := perRow(true); alloc > slack {
+		t.Errorf("result cache bypassed, a row of a Q7-shaped answer allocates %.1f bytes, want at most %d", alloc, slack)
+	}
+	if alloc, resp := perRow(false); alloc > resp+slack {
+		t.Errorf("on its way into the result cache, a row of a Q7-shaped answer allocates %.1f bytes, "+
+			"want at most its %.1f bytes of fragment and %d", alloc, resp, slack)
 	}
 }

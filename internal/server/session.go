@@ -28,8 +28,8 @@ type Session struct {
 	// results caches query answers keyed by (version, normalised
 	// query); every entry is tagged with the dependency closure of its
 	// evaluation (core.Result.Deps), so integration iterations evict
-	// only the entries whose schemes they touched. Entries carry their
-	// response renderings, so a hit skips re-rendering too.
+	// only the entries whose schemes they touched. An entry is its
+	// response fragment and its metadata, never a value.
 	results *cache.Store[Answer]
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -127,6 +128,17 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 			t.Errorf("cold trace lacks a %q span: %v", stage, spans)
 		}
 	}
+	// The render span says what it finished, as a fetch span says what it
+	// read: the answer's rows — one, for a scalar — and its fragment's
+	// bytes.
+	wantRendered := func(spans []map[string]any, rows, bytes int) {
+		t.Helper()
+		r := spansWhere(spans, "render", "")
+		if len(r) != 1 || r[0]["rows"] != float64(rows) || r[0]["bytes"] != float64(bytes) {
+			t.Errorf("render spans %v, want one of %d rows and %d bytes", r, rows, bytes)
+		}
+	}
+	wantRendered(spans, 1, len(`"value":5,"rendered":"5"`))
 	misses := spansWhere(spans, "fetch", "miss")
 	if len(misses) != 2 {
 		t.Fatalf("cold trace has %d cache-miss fetch spans, want 2: %v", len(misses), spans)
@@ -228,6 +240,13 @@ func TestQueryTraceEndToEnd(t *testing.T) {
 	if shopM["kind"] != "rest" || shopM["fetches"].(float64) != 1 || shopM["bytes"].(float64) <= 0 {
 		t.Errorf("Shop source metrics = %v, want kind rest, 1 fetch, bytes > 0", shopM)
 	}
+
+	// A bag answer, over the extent already fetched: its rows are its
+	// elements.
+	resp, _ = tracedQuery(c, map[string]any{"query": "[k | k <- <<library_books>>]"})
+	books := resp["value"].(map[string]any)["bag"].([]any)
+	val, _ := json.Marshal(resp["value"])
+	wantRendered(traceSpans(t, resp), len(books), len(`"value":`)+len(val)+len(`,"rendered":`)+len(strconv.Quote(resp["rendered"].(string))))
 }
 
 // TestUntracedQueryHasNoTrace: without the header the response carries
