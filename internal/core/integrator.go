@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 
@@ -160,9 +161,6 @@ func (ig *Integrator) SourceNames() []string {
 	}
 	return out
 }
-
-// Prefix returns the federation prefix of a source schema.
-func (ig *Integrator) Prefix(source string) string { return ig.prefix[source] }
 
 // fedSection is one source's federated contribution: prefixed objects,
 // rename pathway, derivation batch.
@@ -563,9 +561,20 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 	in.Schema = iSchema
 	in.Targets = append([]hdm.Scheme(nil), targetOrder...)
 
-	// Build one pathway per contributing source: ES_src → I_src.
-	for _, src := range contributing {
+	// Build and check one pathway per contributing source, ES_src →
+	// I_src, and everything else that can refuse the mappings table,
+	// before anything is registered: a rejected iteration leaves the
+	// repository and the processor as they were.
+	if _, taken := ig.repo.Schema(name); taken {
+		return nil, fmt.Errorf("core: intersection %q: a schema of that name is already stored", name)
+	}
+	images := make([]string, len(contributing))
+	for i, src := range contributing {
 		imageName := name + "~" + ig.prefix[src]
+		if _, taken := ig.repo.Schema(imageName); taken {
+			return nil, fmt.Errorf("core: intersection %q: image schema %q is already stored", name, imageName)
+		}
+		images[i] = imageName
 		pw := transform.NewPathway(src, imageName)
 		deleted := make(map[string]bool)
 
@@ -659,7 +668,23 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 			return nil, fmt.Errorf("core: intersection %q: %w", name, err)
 		}
 		in.PathwayBySource[src] = pw
-		if err := ig.repo.AddSchema(iSchema.Clone(imageName)); err != nil {
+	}
+	// Every image is a copy of I, so one list of id steps relates any
+	// two of them, and the first of them to I; each pathway gets its own.
+	idSteps, err := transform.IdentSteps(iSchema, iSchema)
+	if err != nil {
+		return nil, fmt.Errorf("core: intersection %q: %w", name, err)
+	}
+	ident := func(from, to string) error {
+		return ig.addPathway(transform.NewPathway(from, to, slices.Clone(idSteps)...))
+	}
+
+	// Register: the images with their pathways, ident steps between
+	// consecutive union-compatible images, and the designation of the
+	// first image as the intersection schema I.
+	for i, src := range contributing {
+		pw := in.PathwayBySource[src]
+		if err := ig.repo.AddSchema(iSchema.Clone(images[i])); err != nil {
 			return nil, err
 		}
 		if err := ig.addPathway(pw); err != nil {
@@ -669,38 +694,17 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 			return nil, err
 		}
 	}
-
-	// Ident steps between consecutive union-compatible images, and the
-	// designation of the first image as the intersection schema I.
 	if err := ig.repo.AddSchema(iSchema); err != nil {
 		return nil, err
 	}
-	images := make([]string, len(contributing))
-	for i, src := range contributing {
-		images[i] = name + "~" + ig.prefix[src]
-	}
 	for i := 0; i+1 < len(images); i++ {
-		a, _ := ig.repo.Schema(images[i])
-		b, _ := ig.repo.Schema(images[i+1])
-		steps, err := transform.IdentSteps(a, b)
-		if err != nil {
-			return nil, fmt.Errorf("core: intersection %q: %w", name, err)
-		}
-		idp := transform.NewPathway(images[i], images[i+1], steps...)
-		if err := ig.addPathway(idp); err != nil {
+		if err := ident(images[i], images[i+1]); err != nil {
 			return nil, err
 		}
-		in.Counts.AutoIDs += len(steps)
+		in.Counts.AutoIDs += len(idSteps)
 	}
-	if len(images) > 0 {
-		first, _ := ig.repo.Schema(images[0])
-		steps, err := transform.IdentSteps(first, iSchema)
-		if err != nil {
-			return nil, err
-		}
-		if err := ig.addPathway(transform.NewPathway(images[0], name, steps...)); err != nil {
-			return nil, err
-		}
+	if err := ident(images[0], name); err != nil {
+		return nil, err
 	}
 
 	// Derived concepts (empty Source): defined over the integrated

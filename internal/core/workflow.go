@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
@@ -30,16 +29,20 @@ func (ig *Integrator) Refine(name string, m Mapping, enables ...string) error {
 	if len(m.Forward) == 0 {
 		return fmt.Errorf("core: refinement %q has no forward queries", name)
 	}
-	var counts StepCounts
-	for _, f := range m.Forward {
-		e, err := iql.Parse(f.Query)
-		if err != nil {
+	// Every entry is parsed and checked before the first is defined: a
+	// rejected refinement leaves the processor as it was.
+	exprs := make([]iql.Expr, len(m.Forward))
+	for i, f := range m.Forward {
+		if exprs[i], err = iql.Parse(f.Query); err != nil {
 			return fmt.Errorf("core: refinement %q: %w", name, err)
 		}
 		if f.Source != "" && !ig.hasSource(f.Source) {
 			return fmt.Errorf("core: refinement %q: unknown source %q", name, f.Source)
 		}
-		ig.proc.Define(tsc, e, "refine:"+name, f.Source)
+	}
+	var counts StepCounts
+	for i, f := range m.Forward {
+		ig.proc.Define(tsc, exprs[i], "refine:"+name, f.Source)
 		counts.ManualAdds++
 	}
 	// The refinement's touch-set is its single target; each Define
@@ -307,25 +310,6 @@ func (ig *Integrator) Report() Report {
 	ig.mu.RLock()
 	defer ig.mu.RUnlock()
 	return Report{Iterations: append([]Iteration(nil), ig.iterations...)}
-}
-
-// RedundantObjects lists, per source, the objects made redundant by the
-// intersections created so far (candidates for the − operator), sorted.
-func (ig *Integrator) RedundantObjects() map[string][]hdm.Scheme {
-	ig.mu.RLock()
-	defer ig.mu.RUnlock()
-	out := make(map[string][]hdm.Scheme)
-	for _, in := range ig.intersections {
-		for src, objs := range in.DeletedBySource {
-			out[src] = append(out[src], objs...)
-		}
-	}
-	for src := range out {
-		sort.Slice(out[src], func(i, j int) bool {
-			return hdm.CompareSchemes(out[src][i], out[src][j]) < 0
-		})
-	}
-	return out
 }
 
 // ReverseProcessor demonstrates the BAV bidirectionality the technique

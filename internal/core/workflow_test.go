@@ -115,25 +115,24 @@ func TestAutoDropRebuildsDropping(t *testing.T) {
 	}
 }
 
+// TestRedundantObjectsListing: an intersection records, per source, the
+// objects its delete steps made redundant — what autoDrop then drops.
 func TestRedundantObjectsListing(t *testing.T) {
 	ig := newIntegrator(t)
 	if _, err := ig.Federate("F"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ig.Intersect("I1", bookMappings()); err != nil {
+	in, err := ig.Intersect("I1", bookMappings())
+	if err != nil {
 		t.Fatal(err)
 	}
-	red := ig.RedundantObjects()
-	if len(red["Library"]) != 3 || len(red["Shop"]) != 3 {
+	if red := in.DeletedBySource; len(red["Library"]) != 3 || len(red["Shop"]) != 3 {
 		t.Errorf("redundant = %v", red)
 	}
 }
 
 func TestPrefixAndSourceNames(t *testing.T) {
 	ig := newIntegrator(t)
-	if got := ig.Prefix("Library"); got != "library" {
-		t.Errorf("Prefix = %q", got)
-	}
 	names := ig.SourceNames()
 	if len(names) != 3 || names[0] != "Library" {
 		t.Errorf("SourceNames = %v", names)
@@ -226,20 +225,20 @@ func TestRepoRecordsPathwaysAndSchemas(t *testing.T) {
 		t.Error("intersection schema not stored")
 	}
 	for _, src := range in.Sources {
-		img := "I1~" + ig.Prefix(src)
+		img := "I1~" + ig.prefix[src]
 		if _, ok := r.Schema(img); !ok {
 			t.Errorf("image schema %s not stored", img)
 		}
 	}
-	// Pathways findable: Library → I1 via image + ident.
-	p, err := r.FindPath("Library", "I1")
-	if err != nil {
-		t.Fatal(err)
+	// Library → I1 is stored as Library → I1~library plus an ident.
+	if findPathway(r, "I1~library", "I1") == nil {
+		t.Error("no ident pathway I1~library→I1 stored")
 	}
-	if p.Len() == 0 {
-		t.Error("empty pathway Library→I1")
+	p := findPathway(r, "Library", "I1~library")
+	if p == nil || p.Len() == 0 {
+		t.Fatalf("no pathway Library→I1~library stored: %v", p)
 	}
-	// Applying the found pathway reproduces the intersection objects.
+	// Applying the stored pathway reproduces the intersection objects.
 	src, _ := r.Schema("Library")
 	derived, err := transform.ApplyPathway(src, p, false)
 	if err != nil {

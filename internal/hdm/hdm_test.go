@@ -3,7 +3,6 @@ package hdm
 import (
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -240,58 +239,6 @@ func TestIdenticalAndDiff(t *testing.T) {
 	onlyA, onlyB := Diff(a, b)
 	if len(onlyA) != 0 || len(onlyB) != 1 || !onlyB[0].Equal(MustScheme("<<y>>")) {
 		t.Errorf("Diff = %v %v", onlyA, onlyB)
-	}
-}
-
-func TestGraphOperations(t *testing.T) {
-	g := NewGraph()
-	if err := g.AddNode("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddNode("a"); err == nil {
-		t.Error("duplicate node succeeded")
-	}
-	if err := g.AddNode("b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge("e1", "a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge("e2", "a", "missing"); err == nil {
-		t.Error("edge to missing node succeeded")
-	}
-	if err := g.AddEdge("e3", "a"); err == nil {
-		t.Error("unary edge succeeded")
-	}
-	// Edges can reference edges (hypergraph).
-	if err := g.AddEdge("e4", "e1", "b"); err != nil {
-		t.Errorf("edge over edge failed: %v", err)
-	}
-	if err := g.AddConstraint("c1", "a subset b"); err != nil {
-		t.Fatal(err)
-	}
-	// Referential removal protection.
-	if err := g.RemoveNode("a"); err == nil {
-		t.Error("removing referenced node succeeded")
-	}
-	if err := g.RemoveEdge("e1"); err == nil {
-		t.Error("removing referenced edge succeeded")
-	}
-	if err := g.RemoveEdge("e4"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.RemoveEdge("e1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.RemoveNode("a"); err != nil {
-		t.Fatal(err)
-	}
-	n, e, c := g.Size()
-	if n != 1 || e != 0 || c != 1 {
-		t.Errorf("Size = %d %d %d", n, e, c)
-	}
-	if !strings.Contains(g.String(), "constraint c1") {
-		t.Error("String missing constraint")
 	}
 }
 

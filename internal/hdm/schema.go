@@ -26,9 +26,6 @@ func NewSchema(name string) *Schema {
 // Name returns the schema's name.
 func (s *Schema) Name() string { return s.name }
 
-// SetName renames the schema itself (not its objects).
-func (s *Schema) SetName(name string) { s.name = name }
-
 // Len returns the number of objects.
 func (s *Schema) Len() int { return len(s.order) }
 

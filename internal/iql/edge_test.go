@@ -1,7 +1,6 @@
 package iql
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -66,23 +65,6 @@ func TestFloatLexing(t *testing.T) {
 	// "2e" is an identifier error, not a float.
 	if _, err := Parse("2e"); err == nil {
 		t.Error("2e parsed")
-	}
-}
-
-func TestParseAll(t *testing.T) {
-	src := "1 + 1\n-- a comment\n\n[k | k <- <<t>>]\n"
-	es, err := ParseAll(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(es) != 2 {
-		t.Fatalf("ParseAll = %d exprs", len(es))
-	}
-	if _, err := ParseAll("ok\n[broken"); err == nil {
-		t.Error("ParseAll accepted broken line")
-	}
-	if err != nil && !strings.Contains(err.Error(), "line") {
-		t.Errorf("error lacks line number: %v", err)
 	}
 }
 

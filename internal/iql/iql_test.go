@@ -304,24 +304,6 @@ func TestSubstitution(t *testing.T) {
 	}
 }
 
-func TestIsSimpleRef(t *testing.T) {
-	cases := map[string]bool{
-		"<<protein>>":                           true,
-		"[k | k <- <<protein>>]":                true,
-		"[{k, x} | {k, x} <- <<protein, acc>>]": true,
-		"[{x, k} | {k, x} <- <<protein, acc>>]": false,
-		"[{'S', k} | k <- <<protein>>]":         false,
-		"[k | k <- <<protein>>; k > 1]":         false,
-		"1 + 2":                                 false,
-	}
-	for src, want := range cases {
-		_, got := IsSimpleRef(MustParse(src))
-		if got != want {
-			t.Errorf("IsSimpleRef(%q) = %v, want %v", src, got, want)
-		}
-	}
-}
-
 func TestFreeVars(t *testing.T) {
 	e := MustParse("[{k, v} | k <- <<t>>; v <- outer; k = bound]")
 	fv := FreeVars(e)

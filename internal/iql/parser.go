@@ -3,7 +3,6 @@ package iql
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Parse parses IQL source text into an expression.
@@ -479,22 +478,4 @@ func FormatQuery(src string) (string, error) {
 		return "", err
 	}
 	return e.String(), nil
-}
-
-// ParseAll parses a ";"-free list of newline-separated queries, skipping
-// blank lines and comment-only lines. Used by the IQL shell and specs.
-func ParseAll(src string) ([]Expr, error) {
-	var out []Expr
-	for ln, line := range strings.Split(src, "\n") {
-		s := strings.TrimSpace(line)
-		if s == "" || strings.HasPrefix(s, "--") {
-			continue
-		}
-		e, err := Parse(s)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", ln+1, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }

@@ -271,55 +271,3 @@ func Equal(a, b Expr) bool {
 	}
 	return a.String() == b.String()
 }
-
-// IsSimpleRef reports whether the expression is exactly one scheme
-// reference, optionally wrapped in a single-generator identity
-// comprehension. The Intersection Schema Tool auto-derives reverse
-// (delete) queries for such "simple" forward mappings (paper §2.4).
-func IsSimpleRef(e Expr) ([]string, bool) {
-	switch n := e.(type) {
-	case *SchemeRef:
-		return n.Parts, true
-	case *Comp:
-		if len(n.Quals) != 1 {
-			return nil, false
-		}
-		g, ok := n.Quals[0].(*Generator)
-		if !ok {
-			return nil, false
-		}
-		src, ok := g.Src.(*SchemeRef)
-		if !ok {
-			return nil, false
-		}
-		// Identity head: the head is exactly the pattern variable (or
-		// tuple of pattern variables).
-		vp, ok := g.Pat.(*VarPat)
-		if ok {
-			if hv, ok := n.Head.(*Var); ok && hv.Name == vp.Name {
-				return src.Parts, true
-			}
-			return nil, false
-		}
-		tp, ok := g.Pat.(*TuplePat)
-		if !ok {
-			return nil, false
-		}
-		ht, ok := n.Head.(*TupleExpr)
-		if !ok || len(ht.Elems) != len(tp.Elems) {
-			return nil, false
-		}
-		for i, pe := range tp.Elems {
-			pv, ok := pe.(*VarPat)
-			if !ok {
-				return nil, false
-			}
-			hv, ok := ht.Elems[i].(*Var)
-			if !ok || hv.Name != pv.Name {
-				return nil, false
-			}
-		}
-		return src.Parts, true
-	}
-	return nil, false
-}

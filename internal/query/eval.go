@@ -317,12 +317,6 @@ func (p *Processor) Extent(parts []string) (iql.Value, error) {
 	return s.Extent(parts)
 }
 
-// ScopedExtent resolves parts as if referenced from within the given
-// source scope (used by tools displaying per-source extents).
-func (p *Processor) ScopedExtent(scope string, parts []string) (iql.Value, error) {
-	return p.newSession(context.Background(), scope).Extent(parts)
-}
-
 // Materialize computes the extent of every object in a schema,
 // returning a map from scheme key to extent. Used to snapshot an
 // integrated resource (e.g. to answer source queries in the reverse
@@ -394,52 +388,4 @@ func (p *Processor) noteEval(st *iql.EvalStats, sp *obs.Span) {
 		sp.SetDetail(fmt.Sprintf("sharded scans=%d shards=%d workers=%d shard_max=%s",
 			len(sh), shards, workers, slowest.Round(time.Microsecond)))
 	}
-}
-
-// Unfold returns the fully unfolded form of a query: every virtual
-// scheme reference is syntactically replaced by the bag union of its
-// derivations until only source-resident references remain. This is the
-// classical GAV query-unfolding view of what Eval computes; it is
-// exposed for inspection and testing. Scoping information is lost in
-// the textual form, so Unfold is only exact when object names are
-// globally unambiguous. Ident-induced cycles make the rewriting
-// non-terminating in general, so unfolding stops after maxDepth rounds
-// and reports an error if virtual references remain.
-func (p *Processor) Unfold(e iql.Expr, maxDepth int) (iql.Expr, error) {
-	cur := e
-	for depth := 0; depth < maxDepth; depth++ {
-		replaced := false
-		cur = iql.SubstituteSchemes(cur, func(parts []string) (iql.Expr, bool) {
-			r := p.resolve("", parts)
-			if r.kind != refVirtual {
-				return nil, false
-			}
-			replaced = true
-			var out iql.Expr
-			for _, d := range r.derivs {
-				q := d.Query
-				if lo, _, isRange := iql.IsRange(q); isRange {
-					q = lo
-				}
-				if out == nil {
-					out = q
-				} else {
-					out = &iql.Binary{Op: "++", L: out, R: q}
-				}
-			}
-			if out == nil {
-				out = &iql.BagExpr{}
-			}
-			return out, true
-		})
-		if !replaced {
-			return cur, nil
-		}
-	}
-	for _, parts := range iql.UniqueSchemeRefs(cur) {
-		if p.resolve("", parts).kind == refVirtual {
-			return nil, fmt.Errorf("query: unfolding did not terminate within %d rounds (cyclic idents?)", maxDepth)
-		}
-	}
-	return cur, nil
 }

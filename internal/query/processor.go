@@ -353,14 +353,6 @@ func (p *Processor) DefineAll(defs []ObjectDef) {
 	p.InvalidateSchemes(keys...)
 }
 
-// Derivations returns the registered derivations for an object (for
-// provenance display).
-func (p *Processor) Derivations(sc hdm.Scheme) []Derivation {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]Derivation(nil), p.defs[sc.Key()]...)
-}
-
 // HasDefinition reports whether the object has at least one derivation.
 func (p *Processor) HasDefinition(sc hdm.Scheme) bool {
 	p.mu.Lock()
@@ -400,18 +392,6 @@ func (p *Processor) AllDerivations() []ObjectDerivations {
 	for _, k := range keys {
 		out = append(out, ObjectDerivations{Key: k, Derivs: append([]Derivation(nil), p.defs[k]...)})
 	}
-	return out
-}
-
-// DefinedObjects returns the scheme keys of all virtual objects, sorted.
-func (p *Processor) DefinedObjects() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.defs))
-	for k := range p.defs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

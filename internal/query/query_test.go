@@ -57,14 +57,6 @@ func TestAmbiguousAcrossSources(t *testing.T) {
 	if _, err := p.Extent([]string{"t"}); err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("ambiguity not detected: %v", err)
 	}
-	// Scoped resolution disambiguates.
-	v, err := p.ScopedExtent("B", []string{"t"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Equal(iql.Bag(iql.Int(2))) {
-		t.Errorf("scoped extent = %s", v)
-	}
 }
 
 func TestScopedDerivations(t *testing.T) {
@@ -169,8 +161,8 @@ func TestSelfIDRegistersNothing(t *testing.T) {
 	if err := p.RegisterPathway(pw, ""); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.DefinedObjects()) != 0 {
-		t.Errorf("self-id created definitions: %v", p.DefinedObjects())
+	if ds := p.AllDerivations(); len(ds) != 0 {
+		t.Errorf("self-id created definitions: %v", ds)
 	}
 }
 
@@ -255,43 +247,19 @@ func TestMaterialize(t *testing.T) {
 	}
 }
 
-func TestUnfoldSyntactic(t *testing.T) {
-	p := New()
-	p.Define(hdm.MustScheme("<<u>>"), iql.MustParse("[k | k <- <<t>>]"), "t", "")
-	p.Define(hdm.MustScheme("<<v>>"), iql.MustParse("[k | k <- <<u>>; k > 1]"), "t", "")
-	e, err := p.Unfold(iql.MustParse("count(<<v>>)"), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := e.String()
-	if strings.Contains(s, "<<v>>") || strings.Contains(s, "<<u>>") {
-		t.Errorf("unfolding incomplete: %s", s)
-	}
-	if !strings.Contains(s, "<<t>>") {
-		t.Errorf("source reference lost: %s", s)
-	}
-	// Cyclic definitions are reported.
-	p2 := New()
-	p2.Define(hdm.MustScheme("<<a>>"), iql.MustParse("<<b>>"), "t", "")
-	p2.Define(hdm.MustScheme("<<b>>"), iql.MustParse("<<a>>"), "t", "")
-	if _, err := p2.Unfold(iql.MustParse("<<a>>"), 5); err == nil {
-		t.Error("cyclic unfolding not detected")
-	}
-}
-
 func TestDerivationsAndDefinedObjects(t *testing.T) {
 	p := New()
 	p.Define(hdm.MustScheme("<<u>>"), iql.MustParse("<<t>>"), "via1", "S")
 	p.Define(hdm.MustScheme("<<u>>"), iql.MustParse("<<t2>>"), "via2", "S2")
-	ds := p.Derivations(hdm.MustScheme("<<u>>"))
-	if len(ds) != 2 || ds[0].Via != "via1" || ds[1].Scope != "S2" {
-		t.Errorf("Derivations = %+v", ds)
+	all := p.AllDerivations()
+	if len(all) != 1 || all[0].Key != "u" {
+		t.Fatalf("AllDerivations = %+v", all)
+	}
+	if ds := all[0].Derivs; len(ds) != 2 || ds[0].Via != "via1" || ds[1].Scope != "S2" {
+		t.Errorf("derivations of <<u>> = %+v", ds)
 	}
 	if !p.HasDefinition(hdm.MustScheme("<<u>>")) || p.HasDefinition(hdm.MustScheme("<<z>>")) {
 		t.Error("HasDefinition wrong")
-	}
-	if got := p.DefinedObjects(); len(got) != 1 || got[0] != "u" {
-		t.Errorf("DefinedObjects = %v", got)
 	}
 }
 

@@ -115,11 +115,6 @@ func LoadCSVDir(name, dir string) (*DB, error) {
 	return db, nil
 }
 
-// ReadCSV reads one table in the typed-header format.
-func ReadCSV(db *DB, table string, r io.Reader) error {
-	return loadCSVInto(db, table, r)
-}
-
 func loadCSVInto(db *DB, table string, r io.Reader) error {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1

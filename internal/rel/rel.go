@@ -277,38 +277,6 @@ func (t *Table) ColumnPairs(col string) ([][2]any, error) {
 	return out, nil
 }
 
-// Select returns the rows satisfying pred.
-func (t *Table) Select(pred func(row []any) bool) [][]any {
-	var out [][]any
-	for _, r := range t.rows {
-		if pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Project returns the named columns of every row.
-func (t *Table) Project(cols ...string) ([][]any, error) {
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		j, ok := t.colIdx[c]
-		if !ok {
-			return nil, fmt.Errorf("rel: table %q has no column %q", t.name, c)
-		}
-		idx[i] = j
-	}
-	out := make([][]any, len(t.rows))
-	for i, r := range t.rows {
-		row := make([]any, len(idx))
-		for j, k := range idx {
-			row[j] = r[k]
-		}
-		out[i] = row
-	}
-	return out, nil
-}
-
 // ColIndex exposes the index of a column within rows, for join helpers.
 func (t *Table) ColIndex(name string) (int, bool) {
 	i, ok := t.colIdx[name]

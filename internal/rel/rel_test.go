@@ -100,24 +100,6 @@ func TestNullableCells(t *testing.T) {
 	}
 }
 
-func TestSelectProject(t *testing.T) {
-	tbl := sampleTable(t)
-	sel := tbl.Select(func(row []any) bool { return row[3] == true })
-	if len(sel) != 2 {
-		t.Errorf("Select = %d rows", len(sel))
-	}
-	proj, err := tbl.Project("acc", "mass")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(proj) != 3 || proj[0][0] != "P1" || proj[0][1] != 100.5 {
-		t.Errorf("Project = %v", proj)
-	}
-	if _, err := tbl.Project("nope"); err == nil {
-		t.Error("Project of missing column succeeded")
-	}
-}
-
 func TestJoin(t *testing.T) {
 	db := NewDB("test")
 	a := db.MustCreateTable("a", []Column{{Name: "id", Type: Int}, {Name: "ref", Type: Int}}, "id")
@@ -266,7 +248,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 			return false
 		}
 		back := NewDB("q")
-		if err := ReadCSV(back, "t", &buf); err != nil {
+		if err := loadCSVInto(back, "t", &buf); err != nil {
 			return false
 		}
 		bt, _ := back.Table("t")

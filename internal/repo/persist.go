@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
-	"github.com/dataspace/automed/internal/fsatomic"
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
 	"github.com/dataspace/automed/internal/transform"
@@ -17,8 +15,8 @@ import (
 // textual form and queries to IQL source, so saved repositories are
 // human-readable and diffable. There is one document and two layouts of
 // it: MarshalJSON writes it without whitespace, which is what a session
-// snapshot embeds (verbatim — it is encoded once per save); Save and
-// SaveFile indent it, for the standalone file people read. Load reads
+// snapshot embeds (verbatim — it is encoded once per save); Save
+// indents it, for the standalone document people read. Load reads
 // either.
 
 type objectDTO struct {
@@ -203,24 +201,4 @@ func decodeStep(sd stepDTO) (transform.Transformation, error) {
 	t.Construct = sd.Construct
 	t.Auto = sd.Auto
 	return t, t.Validate()
-}
-
-// SaveFile writes the repository to a file path atomically (temp file
-// + fsync + rename), so a crash mid-write can never truncate an
-// existing snapshot.
-func (r *Repository) SaveFile(path string) error {
-	if err := fsatomic.WriteFile(path, r.Save); err != nil {
-		return fmt.Errorf("repo: %w", err)
-	}
-	return nil
-}
-
-// LoadFile reads a repository from a file path.
-func LoadFile(path string) (*Repository, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("repo: %w", err)
-	}
-	defer f.Close()
-	return Load(f)
 }

@@ -1,7 +1,6 @@
 // Package repo implements the Schemas & Transformations Repository
 // (STR): the store of all source, intermediate and integrated schemas
-// and the pathways between them (paper §2.1), together with the Model
-// Definitions Repository it is paired with.
+// and the pathways between them (paper §2.1).
 package repo
 
 import (
@@ -10,7 +9,6 @@ import (
 	"sync"
 
 	"github.com/dataspace/automed/internal/hdm"
-	"github.com/dataspace/automed/internal/model"
 	"github.com/dataspace/automed/internal/transform"
 )
 
@@ -20,19 +18,12 @@ type Repository struct {
 	mu       sync.RWMutex
 	schemas  map[string]*hdm.Schema
 	pathways []*transform.Pathway
-	models   *model.Registry
 }
 
-// New returns an empty repository with the built-in model registry.
+// New returns an empty repository.
 func New() *Repository {
-	return &Repository{
-		schemas: make(map[string]*hdm.Schema),
-		models:  model.NewRegistry(),
-	}
+	return &Repository{schemas: make(map[string]*hdm.Schema)}
 }
-
-// Models returns the repository's model definitions registry.
-func (r *Repository) Models() *model.Registry { return r.models }
 
 // AddSchema stores a schema; duplicate names are an error.
 func (r *Repository) AddSchema(s *hdm.Schema) error {
@@ -48,36 +39,6 @@ func (r *Repository) AddSchema(s *hdm.Schema) error {
 		return fmt.Errorf("repo: schema %q already stored", s.Name())
 	}
 	r.schemas[s.Name()] = s
-	return nil
-}
-
-// ReplaceSchema stores a schema, overwriting any previous schema of the
-// same name (used when a global schema is rebuilt each iteration).
-func (r *Repository) ReplaceSchema(s *hdm.Schema) error {
-	if s == nil || s.Name() == "" {
-		return fmt.Errorf("repo: invalid schema")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.schemas[s.Name()] = s
-	return nil
-}
-
-// RemoveSchema deletes a schema; pathways touching it are also removed.
-func (r *Repository) RemoveSchema(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.schemas[name]; !ok {
-		return fmt.Errorf("repo: no schema %q", name)
-	}
-	delete(r.schemas, name)
-	kept := r.pathways[:0]
-	for _, p := range r.pathways {
-		if p.Source != name && p.Target != name {
-			kept = append(kept, p)
-		}
-	}
-	r.pathways = kept
 	return nil
 }
 
@@ -151,82 +112,6 @@ func (r *Repository) PathwaysFrom(name string) []*transform.Pathway {
 		}
 	}
 	return out
-}
-
-// PathwaysInto returns pathways whose target is the named schema.
-func (r *Repository) PathwaysInto(name string) []*transform.Pathway {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []*transform.Pathway
-	for _, p := range r.pathways {
-		if p.Target == name {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// FindPath searches for a pathway from one schema to another, composing
-// stored pathways and their automatic reverses (BAV reversibility) via
-// breadth-first search. The composed pathway is returned.
-func (r *Repository) FindPath(from, to string) (*transform.Pathway, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if _, ok := r.schemas[from]; !ok {
-		return nil, fmt.Errorf("repo: no schema %q", from)
-	}
-	if _, ok := r.schemas[to]; !ok {
-		return nil, fmt.Errorf("repo: no schema %q", to)
-	}
-	if from == to {
-		return transform.NewPathway(from, to), nil
-	}
-	type hop struct {
-		prev *hop
-		pw   *transform.Pathway // oriented from prev's schema
-		at   string
-	}
-	visited := map[string]bool{from: true}
-	queue := []*hop{{at: from}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, p := range r.pathways {
-			var next string
-			var oriented *transform.Pathway
-			switch cur.at {
-			case p.Source:
-				next, oriented = p.Target, p
-			case p.Target:
-				next, oriented = p.Source, p.Reverse()
-			default:
-				continue
-			}
-			if visited[next] {
-				continue
-			}
-			visited[next] = true
-			h := &hop{prev: cur, pw: oriented, at: next}
-			if next == to {
-				// Rebuild the chain and concatenate.
-				var chain []*transform.Pathway
-				for x := h; x.pw != nil; x = x.prev {
-					chain = append([]*transform.Pathway{x.pw}, chain...)
-				}
-				out := chain[0]
-				for _, seg := range chain[1:] {
-					var err error
-					out, err = out.Concat(seg)
-					if err != nil {
-						return nil, err
-					}
-				}
-				return out, nil
-			}
-			queue = append(queue, h)
-		}
-	}
-	return nil, fmt.Errorf("repo: no pathway between %q and %q", from, to)
 }
 
 // Stats summarises the repository contents.

@@ -145,30 +145,91 @@ func TestRemoteSourcesCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestRemoteSourcesOutageFallback: after a snapshot, a session whose
-// backends vanished restores and still answers from the materialised
-// snapshot extents.
-func TestRemoteSourcesOutageFallback(t *testing.T) {
+// TestRestoredDeadBackendIsDegraded: a session restored after both its
+// backends vanished still answers from the snapshot's extents — through
+// the one stale route, so the answer says it is stale, is counted, is
+// seen by the breakers, and is refused to a caller that wants fresh
+// data. The wrappers do not pass a snapshot extent off as a fetch.
+func TestRestoredDeadBackendIsDegraded(t *testing.T) {
 	const dsn = "server-outage-library"
 	remoteSQLDB(dsn)
 	shop := remoteRESTBackend(t)
 	dir := t.TempDir()
+	query := map[string]any{"query": "count(<<library_books>>) + count(<<shop_items>>)"}
 
 	_, c1 := newDurableClient(t, dir)
 	registerRemoteSources(c1, dsn, shop.URL)
 	c1.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
-	want := canonicalAnswer(t, c1.must("POST", "/query",
-		map[string]any{"query": "count(<<library_books>>) + count(<<shop_items>>)"}, http.StatusOK))
+	want := c1.must("POST", "/query", query, http.StatusOK)
+	if want["degraded"] == true || want["warnings"] != nil {
+		t.Fatalf("answer before the outage is already degraded: %v", want)
+	}
 
 	// Both backends die before the restart.
 	sqlmem.Unregister(dsn)
 	shop.Close()
-
 	_, c2 := newDurableClient(t, dir)
-	got := canonicalAnswer(t, c2.must("POST", "/query",
-		map[string]any{"query": "count(<<library_books>>) + count(<<shop_items>>)"}, http.StatusOK))
-	if got != want {
-		t.Errorf("fallback answer differs:\nbefore outage %s\nafter restore %s", want, got)
+
+	// assertStale: the pre-outage value, flagged, one warning a source.
+	assertStale := func(got map[string]any, cached bool) {
+		t.Helper()
+		if got["value"] != want["value"] || got["rendered"] != want["rendered"] {
+			t.Errorf("stale answer = %v (%v), want the pre-outage %v", got["value"], got["rendered"], want["value"])
+		}
+		if got["degraded"] != true || got["result_cached"] != cached {
+			t.Errorf("degraded = %v, result_cached = %v; want true, %v", got["degraded"], got["result_cached"], cached)
+		}
+		warns, _ := got["warnings"].([]any)
+		if len(warns) != 2 {
+			t.Fatalf("warnings = %v, want one per source", warns)
+		}
+		for i, source := range []string{"Library", "Shop"} {
+			if w := warns[i].(string); !strings.Contains(w, "source "+source) || !strings.Contains(w, "age unknown") {
+				t.Errorf("warning %d = %q, want %s's stale extent of unknown age", i, w, source)
+			}
+		}
+	}
+	assertStale(c2.must("POST", "/query", query, http.StatusOK), false)
+
+	// The breakers saw the failed fetches, and the fallbacks are counted.
+	h := c2.must("GET", "/healthz", nil, http.StatusOK)
+	sources := h["source_health"].([]any)[0].(map[string]any)["sources"].([]any)
+	if len(sources) != 2 {
+		t.Fatalf("source_health = %v, want Library and Shop", sources)
+	}
+	for _, e := range sources {
+		m := e.(map[string]any)
+		if m["consecutive_failures"].(float64) != 1 || m["fallbacks_total"].(float64) != 1 {
+			t.Errorf("%v: consecutive_failures = %v, fallbacks_total = %v; want 1 and 1",
+				m["source"], m["consecutive_failures"], m["fallbacks_total"])
+		}
+	}
+
+	// A result-cache hit is as stale as the answer it repeats.
+	assertStale(c2.must("POST", "/query", query, http.StatusOK), true)
+
+	// Strict callers are refused, evaluated or cached, by body or header.
+	status, out := c2.do("POST", "/query", map[string]any{"query": query["query"], "require_fresh": true, "no_cache": true})
+	if status != http.StatusServiceUnavailable {
+		t.Errorf("require_fresh = %d, want 503 (%v)", status, out)
+	}
+	req, err := http.NewRequest("POST", c2.srv.URL+"/query", strings.NewReader(`{"query": "count(<<library_books>>) + count(<<shop_items>>)"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Require-Fresh", "1")
+	resp, err := c2.srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("X-Require-Fresh = %d, want 503", resp.StatusCode)
+	}
+
+	// Two stale answers and two refusals.
+	if body, _ := scrape(t, c2, "/metrics", ""); !strings.Contains(string(body), "automed_degraded_queries_total 4\n") {
+		t.Errorf("exposition lacks automed_degraded_queries_total 4:\n%s", body)
 	}
 }
 

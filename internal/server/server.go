@@ -348,7 +348,3 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Sessions exposes the session registry (for embedding and tests).
 func (s *Server) Sessions() *Registry { return s.reg }
-
-// PurgePlans empties the shared plan cache (used by benchmarks to
-// measure cold-plan query cost).
-func (s *Server) PurgePlans() { s.plans.Purge() }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
 	"testing"
 )
 
@@ -168,6 +169,28 @@ func TestStepEndpoints(t *testing.T) {
 		if state, err := s.Store().Load("default"); err != nil || !row.saved(state) {
 			t.Errorf("%s: autosaved snapshot does not show the step: %+v (%v)", row.path, state, err)
 		}
+	}
+
+	// A rejected step leaves nothing behind: an intersection refused at
+	// its second source is a 400, and the snapshot taken after it is the
+	// file the last good step wrote.
+	saved, err := os.ReadFile(s.Store().Path("default"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, _ := postRaw(t, c, "/intersect", map[string]any{"name": "I2", "mappings": []map[string]any{{
+		"target": "<<UItem>>",
+		"forward": []map[string]any{
+			{"source": "Library", "query": "[{'LIB', k} | k <- <<books>>]"},
+			{"source": "Shop", "query": "[{'SHOP', k} | k <- <<no_such_table>>]"},
+		},
+	}}})
+	if status != http.StatusBadRequest {
+		t.Fatalf("/intersect naming a missing object = %d, want 400", status)
+	}
+	c.must("POST", "/sessions/default/snapshot", nil, http.StatusOK)
+	if after, err := os.ReadFile(s.Store().Path("default")); err != nil || !bytes.Equal(after, saved) {
+		t.Errorf("the snapshot after a rejected /intersect differs from the last good step's (%v):\n got %s\nwant %s", err, after, saved)
 	}
 
 	s.BeginDrain()

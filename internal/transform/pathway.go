@@ -40,19 +40,6 @@ func (p *Pathway) Reverse() *Pathway {
 	return rev
 }
 
-// Concat joins this pathway with another whose source is this pathway's
-// target, yielding Source → q.Target.
-func (p *Pathway) Concat(q *Pathway) (*Pathway, error) {
-	if p.Target != q.Source {
-		return nil, fmt.Errorf("transform: cannot concatenate %s→%s with %s→%s",
-			p.Source, p.Target, q.Source, q.Target)
-	}
-	steps := make([]Transformation, 0, len(p.Steps)+len(q.Steps))
-	steps = append(steps, p.Steps...)
-	steps = append(steps, q.Steps...)
-	return &Pathway{Source: p.Source, Target: q.Target, Steps: steps}, nil
-}
-
 // ManualCount returns the number of integrator-written steps.
 func (p *Pathway) ManualCount() int {
 	n := 0

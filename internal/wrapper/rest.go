@@ -162,7 +162,7 @@ func (w *REST) declared(ctx context.Context, specs []RESTCollection) ([]restColl
 			}
 			c.fields = d.fields()
 		}
-		if !contains(c.fields, c.key) {
+		if !slices.Contains(c.fields, c.key) {
 			c.fields = append(c.fields, c.key)
 			sort.Strings(c.fields)
 		}
@@ -196,7 +196,7 @@ func (w *REST) discover(ctx context.Context) ([]restColl, error) {
 		}
 		fields := d.fields()
 		key := "id"
-		if !contains(fields, key) {
+		if !slices.Contains(fields, key) {
 			if len(fields) == 0 {
 				return nil, fmt.Errorf("wrapper: rest: source %q: collection %q has no records to infer a key from", w.name, n)
 			}
@@ -256,8 +256,9 @@ func (w *REST) Extent(parts []string) (iql.Value, error) {
 
 // ExtentContext is Extent under a caller-supplied context: the fetch
 // aborts as soon as ctx is cancelled (the per-wrapper Timeout still
-// applies on top). Restored wrappers fall back to their materialised
-// snapshot extents when the live fetch fails.
+// applies on top). A fetch that fails is an error, also from a restored
+// wrapper: the extent it holds is served by FallbackExtent, to a caller
+// that says so.
 func (w *REST) ExtentContext(ctx context.Context, parts []string) (iql.Value, error) {
 	obj, err := w.schema.Resolve(parts)
 	if err != nil {
@@ -273,9 +274,6 @@ func (w *REST) ExtentContext(ctx context.Context, parts []string) (iql.Value, er
 		var ke *restKeyError
 		if errors.As(err, &ke) {
 			return iql.Value{}, ke
-		}
-		if fb, ok := w.fallback[sc.Key()]; ok && ctx.Err() == nil {
-			return fb, nil
 		}
 		return iql.Value{}, fmt.Errorf("wrapper: rest: source %q: fetching %s: %w", w.name, sc, err)
 	}

@@ -242,13 +242,7 @@ func TestRESTRestoreFallsBackWhenEndpointDies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := restored.Extent([]string{"books", "title"})
-	if err != nil {
-		t.Fatalf("restored wrapper with dead endpoint: %v", err)
-	}
-	if !got.Equal(want) {
-		t.Errorf("fallback extent = %s, want %s", got, want)
-	}
+	assertHeldNotServed(t, restored, snap, want, srv.URL)
 	// The original wrapper has no fallback; the outage surfaces.
 	if _, err := w.Extent([]string{"books", "title"}); err == nil {
 		t.Error("live wrapper with a dead endpoint succeeded")

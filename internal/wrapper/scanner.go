@@ -3,6 +3,7 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"github.com/dataspace/automed/internal/iql"
 )
@@ -64,8 +65,7 @@ type sliceScanner struct {
 
 // NewSliceScanner returns a Scanner over an already-materialised row
 // slice. Local wrappers (relational, static, XML) use it to satisfy
-// ScanSourcer; it is also the degraded path of remote wrappers serving
-// snapshot-fallback extents.
+// ScanSourcer, and remote ones when they do not page.
 func NewSliceScanner(items []iql.Value) Scanner {
 	return &sliceScanner{items: items}
 }
@@ -137,20 +137,9 @@ func materialisedScanner(w Wrapper, ctx context.Context, parts []string) (Scanne
 	els, err := v.Elements()
 	if err != nil {
 		return nil, fmt.Errorf("wrapper: %s: extent of <<%s>> is not a collection: %w",
-			w.SchemaName(), joinParts(parts), err)
+			w.SchemaName(), strings.Join(parts, ", "), err)
 	}
 	return NewSliceScanner(els), nil
-}
-
-func joinParts(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ", "
-		}
-		out += p
-	}
-	return out
 }
 
 // ExtentScanner implements ScanSourcer over the in-memory database.

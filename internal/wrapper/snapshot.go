@@ -202,8 +202,8 @@ func (w *XML) Snapshot() (*Snapshot, error) {
 // Snapshot implements Snapshotter for SQL sources: the connection
 // configuration plus the introspected schema, with every extent
 // materialised through the live backend as the restore-time fallback
-// (an already-offline wrapper re-emits its existing fallback, so
-// snapshots stay stable across backend outages).
+// (liveOrHeldExtents: an unreachable backend's held extents are
+// re-emitted).
 func (w *SQL) Snapshot() (*Snapshot, error) {
 	sqlSnap := &SQLSnapshot{
 		Driver:    w.cfg.Driver,
@@ -220,23 +220,39 @@ func (w *SQL) Snapshot() (*Snapshot, error) {
 			Types:      append([]string(nil), t.kinds...),
 		})
 	}
-	for _, o := range w.schema.Objects() {
-		ext, err := w.Extent(o.Scheme.Parts())
-		if err != nil {
-			return nil, fmt.Errorf("wrapper: sql: source %q: materialising %s: %w", w.name, o.Scheme, err)
-		}
-		sqlSnap.Extents = append(sqlSnap.Extents, ExtentSnapshot{
-			Scheme: o.Scheme.String(),
-			Extent: iql.EncodeValue(ext),
-		})
+	var err error
+	if sqlSnap.Extents, err = liveOrHeldExtents("sql", w); err != nil {
+		return nil, err
 	}
 	return &Snapshot{Kind: "sql", Name: w.name, SQL: sqlSnap}, nil
 }
 
+// liveOrHeldExtents materialises every object of a remote source for
+// its snapshot. An object the backend does not serve re-emits the extent
+// the wrapper was restored with, so snapshots stay stable across
+// outages; with none held, the fetch's error stands.
+func liveOrHeldExtents(kind string, w interface {
+	Wrapper
+	FallbackExtent(parts []string) (iql.Value, bool)
+}) ([]ExtentSnapshot, error) {
+	var out []ExtentSnapshot
+	for _, o := range w.Schema().Objects() {
+		ext, err := w.Extent(o.Scheme.Parts())
+		if err != nil {
+			held, ok := w.FallbackExtent(o.Scheme.Parts())
+			if !ok {
+				return nil, fmt.Errorf("wrapper: %s: source %q: materialising %s: %w", kind, w.SchemaName(), o.Scheme, err)
+			}
+			ext = held
+		}
+		out = append(out, ExtentSnapshot{Scheme: o.Scheme.String(), Extent: iql.EncodeValue(ext)})
+	}
+	return out, nil
+}
+
 // Snapshot implements Snapshotter for REST sources, mirroring the SQL
 // strategy: endpoint configuration, collection shapes, and live-
-// materialised fallback extents (or the existing fallback when the
-// endpoint is unreachable).
+// materialised fallback extents (liveOrHeldExtents).
 func (w *REST) Snapshot() (*Snapshot, error) {
 	restSnap := &RESTSnapshot{
 		Endpoint:  w.cfg.Endpoint,
@@ -252,15 +268,9 @@ func (w *REST) Snapshot() (*Snapshot, error) {
 			Fields: append([]string(nil), c.fields...),
 		})
 	}
-	for _, o := range w.schema.Objects() {
-		ext, err := w.Extent(o.Scheme.Parts())
-		if err != nil {
-			return nil, fmt.Errorf("wrapper: rest: source %q: materialising %s: %w", w.name, o.Scheme, err)
-		}
-		restSnap.Extents = append(restSnap.Extents, ExtentSnapshot{
-			Scheme: o.Scheme.String(),
-			Extent: iql.EncodeValue(ext),
-		})
+	var err error
+	if restSnap.Extents, err = liveOrHeldExtents("rest", w); err != nil {
+		return nil, err
 	}
 	return &Snapshot{Kind: "rest", Name: w.name, REST: restSnap}, nil
 }
@@ -459,8 +469,9 @@ func decodeFallback(sourceName string, schema *hdm.Schema, exts []ExtentSnapshot
 // restoreSQL rebuilds a SQL wrapper without touching the backend: the
 // schema comes from the snapshot's table metadata and connections stay
 // lazy, so restore succeeds even while the database is down. If the
-// driver is not compiled into this binary the wrapper starts offline
-// and serves the snapshot's materialised extents.
+// driver is not compiled into this binary the wrapper starts offline:
+// every fetch fails, and FallbackExtent serves the snapshot's
+// materialised extents.
 func restoreSQL(snap *Snapshot) (Wrapper, error) {
 	s := snap.SQL
 	if s == nil {
@@ -495,7 +506,7 @@ func restoreSQL(snap *Snapshot) (Wrapper, error) {
 	}
 	w.fallback = fb
 	// sql.Open fails only for unregistered drivers; that leaves the
-	// wrapper in offline (fallback-only) mode rather than failing the
+	// wrapper offline (FallbackExtent only) rather than failing the
 	// whole session restore.
 	if db, err := sql.Open(cfg.Driver, cfg.DSN); err == nil {
 		w.db = db
@@ -505,8 +516,8 @@ func restoreSQL(snap *Snapshot) (Wrapper, error) {
 
 // restoreREST rebuilds a REST wrapper without touching the endpoint:
 // the schema comes from the snapshot's collection metadata, live
-// fetches resume lazily, and the snapshot's materialised extents serve
-// as the fallback while the endpoint is unreachable.
+// fetches resume lazily, and FallbackExtent serves the snapshot's
+// materialised extents while the endpoint is unreachable.
 func restoreREST(snap *Snapshot) (Wrapper, error) {
 	r := snap.REST
 	if r == nil {

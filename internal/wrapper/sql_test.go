@@ -1,7 +1,9 @@
 package wrapper_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -102,8 +104,16 @@ func TestSQLContextCancellationMidQuery(t *testing.T) {
 	}
 }
 
+// TestSQLOfflineRestoreServesFallback: a restored wrapper whose backend
+// is gone does not pass its snapshot extent off as a fetch — Extent is
+// the fetch's error — and holds it for the caller that asks for a stale
+// one (FallbackExtent) and for the next snapshot.
 func TestSQLOfflineRestoreServesFallback(t *testing.T) {
 	w, dsn := newSQLFixture(t, wrapper.DialectSQLite)
+	want, err := w.Extent([]string{"books", "title"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	snap, err := w.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -114,17 +124,49 @@ func TestSQLOfflineRestoreServesFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := restored.Extent([]string{"books", "title"})
-	if err != nil {
-		t.Fatalf("fallback extent: %v", err)
+	assertHeldNotServed(t, restored, snap, want, dsn)
+	// So does a binary that lacks the driver: the wrapper restores, and
+	// every fetch says why it cannot be made.
+	snap.SQL.Driver = "no-such-driver"
+	if restored, err = wrapper.Restore(snap); err != nil {
+		t.Fatal(err)
 	}
-	if v.Len() != 2 {
-		t.Errorf("fallback title extent = %s", v)
-	}
+	assertHeldNotServed(t, restored, snap, want, "no-such-driver")
 	// The original wrapper has no fallback: losing the backend is an
-	// error for it, not silent staleness.
+	// error for it too, and so is its snapshot.
 	if _, err := w.Extent([]string{"books", "title"}); err == nil {
 		t.Error("live wrapper with a vanished backend succeeded")
+	}
+	if _, err := w.Snapshot(); err == nil {
+		t.Error("snapshot of a live wrapper with a vanished backend succeeded")
+	}
+}
+
+// assertHeldNotServed checks a wrapper restored from snap while its
+// backend (named by backend in the fetch's error) is unreachable: Extent
+// fails, FallbackExtent serves want, the <<books, title>> extent snap
+// was taken with, and Snapshot re-emits snap.
+func assertHeldNotServed(t *testing.T, restored wrapper.Wrapper, snap *wrapper.Snapshot, want iql.Value, backend string) {
+	t.Helper()
+	parts := []string{"books", "title"}
+	if v, err := restored.Extent(parts); err == nil {
+		t.Errorf("Extent of a restored wrapper with its backend gone = %s, want the fetch's error", v)
+	} else if !strings.Contains(err.Error(), backend) {
+		t.Errorf("Extent error %q does not name the backend %q", err, backend)
+	}
+	held, ok := restored.(interface {
+		FallbackExtent([]string) (iql.Value, bool)
+	}).FallbackExtent(parts)
+	if !ok || !held.Equal(want) {
+		t.Errorf("FallbackExtent = %s, %v; want the snapshot's %s", held, ok, want)
+	}
+	again, err := restored.(wrapper.Snapshotter).Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot during the outage: %v", err)
+	}
+	wantDoc, _ := json.Marshal(snap)
+	if got, _ := json.Marshal(again); !bytes.Equal(got, wantDoc) {
+		t.Errorf("snapshot during the outage differs from the one restored from:\n got %s\nwant %s", got, wantDoc)
 	}
 }
 

@@ -75,8 +75,8 @@ func (t sqlTable) isInt(col string) bool {
 // the schema is introspected from the catalog at construction, and
 // extents are streamed from the backend on every fetch, so the wrapper
 // always reflects the current contents. A wrapper restored from a
-// snapshot additionally carries the snapshot's materialised extents
-// and degrades to them when the backend is unreachable.
+// snapshot additionally carries the snapshot's materialised extents,
+// which FallbackExtent serves while the backend is unreachable.
 type SQL struct {
 	name     string
 	cfg      SQLConfig
@@ -146,7 +146,7 @@ func (w *SQL) buildSchema(tables []sqlTable) error {
 		if t.pk == "" {
 			t.pk = t.cols[0]
 		}
-		if !contains(t.cols, t.pk) {
+		if !slices.Contains(t.cols, t.pk) {
 			return fmt.Errorf("wrapper: sql: source %q table %q: primary key %q is not a column",
 				w.name, t.name, t.pk)
 		}
@@ -163,15 +163,6 @@ func (w *SQL) buildSchema(tables []sqlTable) error {
 	w.schema = s
 	w.tables = byName
 	return nil
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // SchemaName implements Wrapper.
@@ -217,28 +208,18 @@ func (w *SQL) Extent(parts []string) (iql.Value, error) {
 
 // ExtentContext is Extent under a caller-supplied context: the fetch is
 // abandoned as soon as ctx is cancelled (the per-wrapper Timeout still
-// applies on top). Restored wrappers fall back to their materialised
-// snapshot extents when the live fetch fails.
+// applies on top). A fetch that fails is an error, also from a restored
+// wrapper: the extent it holds is served by FallbackExtent, to a caller
+// that says so.
 func (w *SQL) ExtentContext(ctx context.Context, parts []string) (iql.Value, error) {
 	obj, err := w.schema.Resolve(parts)
 	if err != nil {
 		return iql.Value{}, err
 	}
-	sc := obj.Scheme
 	if w.db == nil {
-		if v, ok := w.fallback[sc.Key()]; ok {
-			return v, nil
-		}
-		return iql.Value{}, fmt.Errorf("wrapper: sql: source %q is offline and has no materialised extent for %s", w.name, sc)
+		return iql.Value{}, fmt.Errorf("wrapper: sql: source %q is offline: driver %q is not registered", w.name, w.cfg.Driver)
 	}
-	v, err := w.fetch(ctx, sc)
-	if err != nil {
-		if fb, ok := w.fallback[sc.Key()]; ok && ctx.Err() == nil {
-			return fb, nil
-		}
-		return iql.Value{}, err
-	}
-	return v, nil
+	return w.fetch(ctx, obj.Scheme)
 }
 
 // pageRows resolves the configured scanner page size: 0 means
@@ -262,8 +243,8 @@ func (w *SQL) StreamingScans() bool { return w.db != nil && w.pageRows() > 0 }
 
 // ExtentScanner implements ScanSourcer: it pages the extent SELECT
 // through LIMIT/OFFSET so only one page of rows is resident at a time.
-// Offline wrappers (and paging disabled via FetchPageRows < 0) degrade
-// to scanning the materialised extent.
+// With paging disabled (FetchPageRows < 0) it scans the materialised
+// extent; an offline wrapper's scan fails as its fetch does.
 func (w *SQL) ExtentScanner(ctx context.Context, parts []string) (Scanner, error) {
 	if !w.StreamingScans() {
 		return materialisedScanner(w, ctx, parts)
@@ -444,7 +425,7 @@ func (w *SQL) extentStmt(sc hdm.Scheme) (string, error) {
 	case 1:
 		return fmt.Sprintf("SELECT %s FROM %s", quoteIdent(t.pk), quoteIdent(t.name)), nil
 	case 2:
-		if !contains(t.cols, sc.Part(1)) {
+		if !slices.Contains(t.cols, sc.Part(1)) {
 			return "", fmt.Errorf("wrapper: sql: source %q table %q: no column %q", w.name, t.name, sc.Part(1))
 		}
 		return fmt.Sprintf("SELECT %s, %s FROM %s", quoteIdent(t.pk), quoteIdent(sc.Part(1)), quoteIdent(t.name)), nil
@@ -515,38 +496,15 @@ func (w *SQL) selectItems(ctx context.Context, stmt string, sc hdm.Scheme, limit
 		case key == nil || (pair && val == nil):
 			// NULL: absent from the extent.
 		case pair:
-			items = append(items, tuples.tuple(sqlCell(key), sqlCell(val)))
+			items = append(items, tuples.tuple(CellValue(key), CellValue(val)))
 		default:
-			items = append(items, sqlCell(key))
+			items = append(items, CellValue(key))
 		}
 	}
 	if err := rows.Err(); err != nil {
 		return nil, scanned, fmt.Errorf("wrapper: sql: source %q: streaming %s: %w", w.name, sc, err)
 	}
 	return items, scanned, nil
-}
-
-// sqlCell maps a scanned database cell to an IQL value without losing
-// precision: int64 and float64 stay exact, []byte columns become
-// strings, timestamps render as RFC 3339.
-func sqlCell(v any) iql.Value {
-	switch x := v.(type) {
-	case nil:
-		return iql.Null()
-	case int64:
-		return iql.Int(x)
-	case float64:
-		return iql.Float(x)
-	case bool:
-		return iql.Bool(x)
-	case string:
-		return iql.Str(x)
-	case []byte:
-		return iql.Str(string(x))
-	case time.Time:
-		return iql.Str(x.Format(time.RFC3339Nano))
-	}
-	return iql.Str(fmt.Sprintf("%v", v))
 }
 
 func quoteIdent(s string) string {

@@ -10,6 +10,7 @@ package wrapper
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
@@ -107,20 +108,26 @@ func (w *Relational) Extent(parts []string) (iql.Value, error) {
 	return iql.Value{}, fmt.Errorf("wrapper: %s: unsupported scheme %s", w.name, sc)
 }
 
-// CellValue converts a relational cell (int64, float64, string, bool or
-// nil) to an IQL value.
+// CellValue converts a relational cell — an in-memory table's or one
+// scanned from a database — to an IQL value without losing precision:
+// int64 and float64 stay exact, []byte columns become strings,
+// timestamps render as RFC 3339.
 func CellValue(v any) iql.Value {
 	switch x := v.(type) {
 	case nil:
 		return iql.Null()
-	case string:
-		return iql.Str(x)
 	case int64:
 		return iql.Int(x)
 	case float64:
 		return iql.Float(x)
 	case bool:
 		return iql.Bool(x)
+	case string:
+		return iql.Str(x)
+	case []byte:
+		return iql.Str(string(x))
+	case time.Time:
+		return iql.Str(x.Format(time.RFC3339Nano))
 	}
 	return iql.Str(fmt.Sprintf("%v", v))
 }

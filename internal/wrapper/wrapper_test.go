@@ -3,6 +3,7 @@ package wrapper
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
@@ -85,6 +86,9 @@ func TestCellValue(t *testing.T) {
 		{int64(3), iql.Int(3)},
 		{2.5, iql.Float(2.5)},
 		{true, iql.Bool(true)},
+		{[]byte("raw"), iql.Str("raw")},
+		{time.Date(2014, 3, 24, 9, 30, 0, 5, time.UTC), iql.Str("2014-03-24T09:30:00.000000005Z")},
+		{int32(7), iql.Str("7")},
 	}
 	for _, c := range cases {
 		if got := CellValue(c.in); !got.Equal(c.want) && !(got.IsNull() && c.want.IsNull()) {
