@@ -65,11 +65,14 @@ bench-check:
 # payg_mixed: restore, five steps with autosave, the queries between —
 # where Server.persist and restoreSession show — as one session and as
 # two side by side), each for 3 s a sub-benchmark under the CPU, the
-# allocation and the mutex profiler, then the cumulative top of the
-# first two and, for BenchmarkServerPayg, the top of where goroutines
-# waited for a lock: what one session's persistence costs another shows
-# there before it shows anywhere else. Test binary and profiles go to
-# the git-ignored .bench_build/.
+# allocation and the mutex profiler, then the cumulative CPU top and the
+# cumulative allocation top of each of the three (the latter without the
+# frames of the harness, which are all of one size and would fill the
+# top before an allocator is reached) and, for BenchmarkServerPayg, the
+# top of where goroutines waited for a lock:
+# what one session's persistence costs another shows there before it
+# shows anywhere else. Test binary and profiles go to the git-ignored
+# .bench_build/.
 profile:
 	mkdir -p .bench_build
 	for b in ServerTable1 ServerScan ServerPayg; do \
@@ -78,7 +81,7 @@ profile:
 			-cpuprofile .bench_build/cpu.$$b.prof -memprofile .bench_build/mem.$$b.prof \
 			-mutexprofile .bench_build/mutex.$$b.prof . && \
 		$(GO) tool pprof -top -cum -nodecount 30 .bench_build/automed.test .bench_build/cpu.$$b.prof && \
-		$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 30 .bench_build/automed.test .bench_build/mem.$$b.prof || exit 1; \
+		$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 30 -hide 'testing\.|net/http\.|automed\.(Benchmark|bench|postStatus|servePost)' .bench_build/automed.test .bench_build/mem.$$b.prof || exit 1; \
 	done
 	$(GO) tool pprof -top -cum -nodecount 20 .bench_build/automed.test .bench_build/mutex.ServerPayg.prof
 

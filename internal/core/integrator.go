@@ -88,6 +88,9 @@ type Integrator struct {
 	// part of the durable snapshot: a restored session re-federates from
 	// its full source list.
 	skipped []string
+	// queryText is the source text of each derivation's query (iql.Expr →
+	// string), which Export renders once per derivation.
+	queryText sync.Map
 }
 
 // SetAutoDrop controls whether the global schemas automatically rebuilt

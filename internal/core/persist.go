@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"github.com/dataspace/automed/internal/hdm"
@@ -109,12 +110,24 @@ func (ig *Integrator) Export() (*Snapshot, error) {
 		return nil, fmt.Errorf("core: snapshotting repository: %w", err)
 	}
 
-	for _, od := range ig.proc.AllDerivations() {
+	defs := ig.proc.AllDerivations()
+	n := 0
+	for _, od := range defs {
+		n += len(od.Derivs)
+	}
+	snap.Definitions = slices.Grow(snap.Definitions, n)
+	for _, od := range defs {
 		obj := hdm.NewScheme(strings.Split(od.Key, "|")...).String()
 		for _, d := range od.Derivs {
+			// An expression is never edited once built, so its text is
+			// rendered for the first snapshot that holds it and kept.
+			text, ok := ig.queryText.Load(d.Query)
+			if !ok {
+				text, _ = ig.queryText.LoadOrStore(d.Query, d.Query.String())
+			}
 			snap.Definitions = append(snap.Definitions, DerivationSnapshot{
 				Object: obj,
-				Query:  d.Query.String(),
+				Query:  text.(string),
 				Lower:  d.Lower,
 				Via:    d.Via,
 				Scope:  d.Scope,

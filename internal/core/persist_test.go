@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
@@ -261,4 +262,62 @@ func TestImportRejectsCorruptSnapshots(t *testing.T) {
 			t.Errorf("%s: corrupt snapshot imported without error", name)
 		}
 	}
+}
+
+// TestSecondExportSharesTheFirst: a save costs what the step before it
+// added. Every schema and pathway the first Export encoded stands byte
+// for byte in the repository document of the Export after a Refine, every
+// definition the first held is in the second with the very same query
+// text (one string, rendered once), and an Export with nothing new to
+// encode allocates a document and the snapshot's own small members.
+func TestSecondExportSharesTheFirst(t *testing.T) {
+	ig := multiIterationIntegrator(t)
+	first, err := ig.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ig.Refine("titles", Attribute("<<UBook, heading>>",
+		From("Library", "[{'LIB', k, x} | {k, x} <- <<books, title>>]")), "Q5"); err != nil {
+		t.Fatal(err)
+	}
+	second, err := ig.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Schemas, Pathways []json.RawMessage }
+	if err := json.Unmarshal(first.Repo, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Schemas) == 0 || len(doc.Pathways) == 0 || len(second.Repo) <= len(first.Repo) {
+		t.Fatalf("%d schemas, %d pathways, documents of %d then %d bytes", len(doc.Schemas), len(doc.Pathways), len(first.Repo), len(second.Repo))
+	}
+	for _, frag := range append(doc.Schemas, doc.Pathways...) {
+		if !bytes.Contains(second.Repo, frag) {
+			t.Errorf("the second document lacks %s", frag)
+		}
+	}
+	texts := map[*byte]bool{}
+	for _, d := range second.Definitions {
+		texts[unsafe.StringData(d.Query)] = true
+	}
+	if len(second.Definitions) <= len(first.Definitions) {
+		t.Fatalf("%d definitions, then %d", len(first.Definitions), len(second.Definitions))
+	}
+	for _, d := range first.Definitions {
+		if !texts[unsafe.StringData(d.Query)] {
+			t.Errorf("the query of %s was rendered again: %s", d.Object, d.Query)
+		}
+	}
+	var third *Snapshot
+	allocs := testing.AllocsPerRun(5, func() { third, err = ig.Export() })
+	if err != nil || !bytes.Equal(third.Repo, second.Repo) || !reflect.DeepEqual(third.Definitions, second.Definitions) {
+		t.Fatalf("a repeated Export differs (%v)", err)
+	}
+	// One document and three slices of fragments and names in MarshalJSON;
+	// a handful per definition, intersection, version and iteration (170
+	// here, where encoding the repository again made it 1,005).
+	if bound := float64(100 + 6*len(third.Definitions)); allocs > bound {
+		t.Errorf("an Export with nothing new to encode is %.0f allocations, want at most %.0f", allocs, bound)
+	}
+	t.Logf("%d schemas, %d pathways, %d definitions, %d B: %.0f allocations", len(doc.Schemas), len(doc.Pathways), len(third.Definitions), len(third.Repo), allocs)
 }

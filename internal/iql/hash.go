@@ -174,108 +174,130 @@ func (s *ValueSet) Contains(v Value) bool {
 // Len returns the number of distinct values in the set.
 func (s *ValueSet) Len() int { return len(s.entries) }
 
-// indexEntry is one distinct key of a ValueIndex. The first row is
-// stored inline — joins on near-unique keys (the common case) then
-// build the whole index without one rows-slice allocation per key —
-// and further rows spill into rest. next chains entries whose hashes
-// collide (-1 ends the chain).
-type indexEntry struct {
-	key   Value
-	first Value
-	rest  []Value
-	next  int32
+// JoinIndex is the hash-join index of the comprehension evaluator: the
+// rows of one extent filed under a key made of one or more of their
+// components. It holds no key and no row. A slot of an open-addressed
+// table (linear probing, at most half full) carries the upper half of a
+// key's hash and the first row that has the key; next chains the rows
+// that share it, in extent order. A key is read from the row it belongs
+// to, and a composite key is hashed and compared component by component,
+// so no tuple is built for it on either side. Value.hash and Value.Equal
+// are the only definition of key equality. An index is immutable once
+// built: evaluations share one through the JoinIndexCache.
+type JoinIndex struct {
+	els   []Value
+	slots []joinSlot
+	// comps and next are one array: the key's component positions
+	// (wholeElement is the row itself), then for every row the row after
+	// it in its chain, -1 at the end.
+	comps, next []int32
 }
 
-// ValueIndex maps IQL values to the rows filed under them, bucketing by
-// structural hash and confirming candidate keys with Equal — the
-// hash-join index of the comprehension evaluator. Entries live in one
-// flat slice chained through a scalar-valued map (cheap to build, cheap
-// for the garbage collector to trace). Add retains key; Probe/Get only
-// read it, so probe keys may live in reused scratch buffers. Not safe
-// for concurrent use.
-type ValueIndex struct {
-	slots   map[uint64]int32
-	entries []indexEntry
+// joinSlot is one distinct key: head is its first row plus one, so that
+// the zero slot is an empty one.
+type joinSlot struct {
+	tag  uint32
+	head int32
 }
 
-// NewValueIndex returns an empty index sized for about sizeHint rows.
-func NewValueIndex(sizeHint int) *ValueIndex {
-	if sizeHint < 0 {
-		sizeHint = 0
+// NewJoinIndex indexes els on the components at the positions comps, -1
+// standing for the row itself. A row whose shape has no such component
+// is filed nowhere (the generator's pattern would not bind it either).
+// Rows are filed last to first, each at the head of its chain, which is
+// what puts a chain in extent order. Three allocations, whatever the row
+// count or the arity.
+func NewJoinIndex(els []Value, comps []int) *JoinIndex {
+	size := 2
+	for size < 2*len(els) {
+		size <<= 1
 	}
-	return &ValueIndex{
-		slots:   make(map[uint64]int32, sizeHint),
-		entries: make([]indexEntry, 0, sizeHint),
+	links := make([]int32, len(comps)+len(els))
+	for n, c := range comps {
+		links[n] = int32(c)
 	}
+	ix := &JoinIndex{els: els, slots: make([]joinSlot, size), comps: links[:len(comps):len(comps)], next: links[len(comps):]}
+	mask := uint64(size - 1)
+rows:
+	for r := len(els) - 1; r >= 0; r-- {
+		el := els[r]
+		h := hashSeed
+		for _, c := range ix.comps {
+			k := el
+			if c != wholeElement {
+				if el.Kind != KindTuple || int(c) >= el.n {
+					continue rows
+				}
+				k = el.Items()[c]
+			}
+			h = k.hash(h)
+		}
+		tag, i := uint32(h>>32), h&mask
+		for s := ix.slots[i]; s.head != 0 && (s.tag != tag || !ix.sameKey(els[s.head-1], el)); s = ix.slots[i] {
+			i = (i + 1) & mask
+		}
+		// The slot of el's key, or an empty one: el goes before the rows
+		// filed there so far.
+		ix.next[r] = ix.slots[i].head - 1
+		ix.slots[i] = joinSlot{tag: tag, head: int32(r) + 1}
+	}
+	return ix
 }
 
-// Add files row under key. The index retains key, so it must not be
-// mutated afterwards.
-func (ix *ValueIndex) Add(key, row Value) {
-	h := key.Hash()
-	head, ok := ix.slots[h]
-	if ok {
-		for i := head; i >= 0; i = ix.entries[i].next {
-			if ix.entries[i].key.Equal(key) {
-				ix.entries[i].rest = append(ix.entries[i].rest, row)
-				return
+// component returns key component c of a filed row.
+func component(el Value, c int32) Value {
+	if c == wholeElement {
+		return el
+	}
+	return el.Items()[c]
+}
+
+// sameKey reports whether two filed rows have Equal keys.
+func (ix *JoinIndex) sameKey(a, b Value) bool {
+	for _, c := range ix.comps {
+		if !component(a, c).Equal(component(b, c)) {
+			return false
+		}
+	}
+	return true
+}
+
+// Probe returns the first row (an index into the extent) whose key
+// components Equal key's, one value per component, or -1 when no row
+// has; Next continues from there. key is only read.
+func (ix *JoinIndex) Probe(key []Value) int32 {
+	h := hashSeed
+	for _, k := range key {
+		h = k.hash(h)
+	}
+	tag := uint32(h >> 32)
+	mask := uint64(len(ix.slots) - 1)
+slots:
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := ix.slots[i]
+		if s.head == 0 {
+			return -1
+		}
+		if s.tag != tag {
+			continue
+		}
+		el := ix.els[s.head-1]
+		for n, c := range ix.comps {
+			if !component(el, c).Equal(key[n]) {
+				continue slots
 			}
 		}
-	} else {
-		head = -1
+		return s.head - 1
 	}
-	ix.entries = append(ix.entries, indexEntry{key: key, first: row, next: head})
-	ix.slots[h] = int32(len(ix.entries) - 1)
 }
 
-// Probe returns the rows filed under an Equal key without allocating:
-// the first row inline and any further rows as a slice; ok reports
-// whether the key is present. The key is only read, never retained.
-func (ix *ValueIndex) Probe(key Value) (first Value, rest []Value, ok bool) {
-	head, found := ix.slots[key.Hash()]
-	if !found {
-		return Value{}, nil, false
-	}
-	for i := head; i >= 0; i = ix.entries[i].next {
-		if ix.entries[i].key.Equal(key) {
-			return ix.entries[i].first, ix.entries[i].rest, true
-		}
-	}
-	return Value{}, nil, false
-}
+// Next returns the row after r in its chain, -1 after the last.
+func (ix *JoinIndex) Next(r int32) int32 { return ix.next[r] }
 
-// Get returns all rows filed under an Equal key (nil when absent). It
-// allocates the combined slice; the evaluator hot path uses Probe.
-func (ix *ValueIndex) Get(key Value) []Value {
-	first, rest, ok := ix.Probe(key)
-	if !ok {
-		return nil
-	}
-	out := make([]Value, 0, 1+len(rest))
-	out = append(out, first)
-	return append(out, rest...)
-}
-
-// Len returns the number of distinct keys in the index.
-func (ix *ValueIndex) Len() int { return len(ix.entries) }
-
-// indexSlotBytes is what one row of the size hint costs in slots. Go
-// 1.24's map keeps a uint64 → int32 pair in 16 bytes beside one control
-// byte, in tables of a power-of-two number of slots at most 7/8 full: a
-// map made for n keys holds between 8/7 n and 16/7 n slots of 17 bytes,
-// 1.9 n in the middle. TestValueIndexFootprint is what flags it when the
-// map's layout moves.
-const indexSlotBytes = 32
-
-// Footprint estimates the heap the index itself holds — the entry array
-// and the slots, both allocated for the size hint, and the spill slices
-// of keys with several rows — not the keys and rows it points into.
-func (ix *ValueIndex) Footprint() int64 {
-	n := int64(cap(ix.entries)) * (int64(unsafe.Sizeof(indexEntry{})) + indexSlotBytes)
-	for i := range ix.entries {
-		n += int64(cap(ix.entries[i].rest)) * valueOverhead
-	}
-	return n
+// Footprint is the heap the index itself holds — the slots and the
+// chain links — not the rows it points into.
+func (ix *JoinIndex) Footprint() int64 {
+	return int64(unsafe.Sizeof(*ix)) +
+		int64(cap(ix.slots))*int64(unsafe.Sizeof(joinSlot{})) + int64(len(ix.comps)+cap(ix.next))*4
 }
 
 // bagEqual reports multiset equality of two bags' element slices: every

@@ -74,12 +74,35 @@ func BenchmarkJoinIndexBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx := NewValueIndex(len(rows))
-		for _, r := range rows {
-			idx.Add(r.Items()[1], r)
+		idx := NewJoinIndex(rows, []int{1})
+		if r := idx.Probe([]Value{Int(16)}); r != 16 {
+			b.Fatalf("key 16 first at row %d", r)
 		}
-		if idx.Len() != 17 {
-			b.Fatalf("index has %d keys", idx.Len())
-		}
+	}
+}
+
+// BenchmarkJoinIndexProbe walks the chain of every key of a built index,
+// single and composite: what a join pays per outer binding.
+func BenchmarkJoinIndexProbe(b *testing.B) {
+	rows := benchRows(1000)
+	for _, comps := range [][]int{{1}, {1, 2}} {
+		b.Run(fmt.Sprintf("%dcomp", len(comps)), func(b *testing.B) {
+			idx := NewJoinIndex(rows, comps)
+			key := make([]Value, len(comps))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				row, n := rows[i%len(rows)].Items(), 0
+				for k, c := range comps {
+					key[k] = row[c]
+				}
+				for r := idx.Probe(key); r >= 0; r = idx.Next(r) {
+					n++
+				}
+				if n == 0 {
+					b.Fatal("a row's own key found no row")
+				}
+			}
+		})
 	}
 }

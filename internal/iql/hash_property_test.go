@@ -264,36 +264,6 @@ func TestValueSetMatchesEqual(t *testing.T) {
 	}
 }
 
-// TestValueIndexMatchesEqual cross-checks ValueIndex probe results
-// against linear Equal scans.
-func TestValueIndexMatchesEqual(t *testing.T) {
-	f := func(rows []genVal, probe genVal) bool {
-		ix := NewValueIndex(len(rows))
-		for i, g := range rows {
-			ix.Add(g.v, Int(int64(i)))
-		}
-		var want []Value
-		for i, g := range rows {
-			if g.v.Equal(probe.v) {
-				want = append(want, Int(int64(i)))
-			}
-		}
-		got := ix.Get(probe.v)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 800}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestBagEqualMatchesKeyReferenceProperty cross-checks the multiset
 // bag equality against the canonical-key reference (sorted key
 // comparison), including on permuted copies.

@@ -25,7 +25,7 @@ import (
 // caches extents tells the cache when it lets one go (DropExtent), and
 // the indexes keyed on that element array go with it, so a retired
 // extent version is not pinned by its indexes and an index over a
-// surviving extent is the same *ValueIndex before and after an
+// surviving extent is the same *JoinIndex before and after an
 // unrelated invalidation. An index over an array nobody caches — an
 // intermediate bag, an extent a racing evaluation memoised second — is
 // never hit again and is pushed out by the entry cap or the byte budget.
@@ -51,7 +51,7 @@ type JoinIndexCache struct {
 
 // joinIndexEntry pairs a cached index with its approximate byte cost.
 type joinIndexEntry struct {
-	idx  *ValueIndex
+	idx  *JoinIndex
 	cost int64
 }
 
@@ -88,7 +88,7 @@ func (c *JoinIndexCache) SetMaxBytes(budget int64) {
 }
 
 // get returns the cached index for the keyed extent and spec.
-func (c *JoinIndexCache) get(key joinIndexKey) (*ValueIndex, bool) {
+func (c *JoinIndexCache) get(key joinIndexKey) (*JoinIndex, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	en, ok := c.entries[key]
@@ -104,7 +104,7 @@ func (c *JoinIndexCache) get(key joinIndexKey) (*ValueIndex, bool) {
 // entries while either bound is exceeded (entries are cheap to
 // rebuild; map iteration order supplies the victims). An index whose
 // cost alone exceeds the byte budget is not cached.
-func (c *JoinIndexCache) put(key joinIndexKey, idx *ValueIndex, cost int64) {
+func (c *JoinIndexCache) put(key joinIndexKey, idx *JoinIndex, cost int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.maxBytes > 0 && cost > c.maxBytes {

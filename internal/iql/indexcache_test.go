@@ -18,13 +18,7 @@ func TestJoinIndexCacheByteBudget(t *testing.T) {
 		}
 		return rows
 	}
-	mkIdx := func(rows []Value) *ValueIndex {
-		ix := NewValueIndex(len(rows))
-		for _, r := range rows {
-			ix.Add(r.Items()[1], r)
-		}
-		return ix
-	}
+	mkIdx := func(rows []Value) *JoinIndex { return NewJoinIndex(rows, []int{1}) }
 
 	c := NewJoinIndexCache(8)
 	a, b := mkRows(10), mkRows(10)
@@ -73,7 +67,7 @@ func TestJoinIndexCacheEntryCap(t *testing.T) {
 	keep := make([][]Value, 3)
 	for i := range keep {
 		keep[i] = []Value{Int(int64(i))}
-		c.put(cacheKeyFor(keep[i], "0"), NewValueIndex(1), 1)
+		c.put(cacheKeyFor(keep[i], "0"), NewJoinIndex(keep[i], []int{wholeElement}), 1)
 	}
 	if c.Len() > 2 {
 		t.Fatalf("cap exceeded: %d", c.Len())
@@ -97,7 +91,7 @@ func TestJoinIndexCacheDropExtent(t *testing.T) {
 		if _, ok := c.get(k); ok {
 			t.Fatal("hit in an empty cache")
 		}
-		c.put(k, NewValueIndex(0), 10)
+		c.put(k, NewJoinIndex(nil, nil), 10)
 	}
 	kept, _ := c.get(cacheKeyFor(b, "0"))
 
@@ -121,7 +115,7 @@ func TestJoinIndexCacheDropExtent(t *testing.T) {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 	c.SetMaxBytes(5)
-	c.put(cacheKeyFor(a, "0"), NewValueIndex(0), 6)
+	c.put(cacheKeyFor(a, "0"), NewJoinIndex(nil, nil), 6)
 	c.Purge()
 	st = c.Stats()
 	if st.Evictions != 1 || st.Oversize != 1 || st.Purges != 1 || st.Len != 0 || st.Bytes != 0 || st.MaxBytes != 5 {

@@ -2,8 +2,9 @@
 // implementation against another (an encoder against its reference, a
 // sort against the order it replaced): random nested values whose
 // scalars are drawn from the edges where such pairs come apart. It also
-// holds the byte-counting twin of testing.AllocsPerRun, for the tests
-// that pin what a row or an answer costs.
+// holds the byte-counting twin of testing.AllocsPerRun and the least of
+// several measurements, for the tests that pin what a row or an answer
+// costs.
 package iqltest
 
 import (
@@ -134,4 +135,17 @@ func AllocBytesPerRun(runs int, f func()) float64 {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// Least returns the least of tries measurements. It is what a pin on
+// code that takes its buffers from a sync.Pool compares, measuring one
+// run at a time: a collection empties a pool and the race detector's
+// build makes Put drop a quarter of what it is handed, so some runs pay
+// for buffers, not for what the pin is about, and a mean carries them.
+func Least(tries int, measure func() float64) float64 {
+	least := math.Inf(1)
+	for i := 0; i < tries; i++ {
+		least = min(least, measure())
+	}
+	return least
 }

@@ -36,9 +36,9 @@ type compCtx struct {
 	// per-invocation state together, in one allocation.
 	quals []qualState
 
-	// probeScratch holds the composite probe key components between a
-	// probe's evaluation and its index lookup; Probe never retains the
-	// key, so one buffer serves every probe of the invocation.
+	// probeScratch holds the probe key's components between a probe's
+	// evaluation and its index lookup; Probe never retains the key, so
+	// one buffer serves every probe of the invocation.
 	probeScratch []Value
 
 	// headTuple is the head when it is a tuple expression, and headScratch
@@ -80,7 +80,7 @@ type qualState struct {
 	// Per-invocation state, cleared by reset().
 	srcSet bool
 	srcVal Value // memoised source value (valid when srcSet)
-	index  *ValueIndex
+	index  *JoinIndex
 
 	// scope is the generator's child scope. It belongs to the plan, not
 	// to an entry of the generator: allocated the first time the
@@ -281,7 +281,7 @@ func (ctx *compCtx) analyze() {
 
 // joinableFilter recognises "v = e" / "e = v" following generator g,
 // with v bound by g's pattern and e's free variables all bound before
-// g.
+// g and not again by it.
 func joinableFilter(g *Generator, next Qual, boundBefore map[string]bool) (joinCond, bool) {
 	f, isFilter := next.(*Filter)
 	if !isFilter {
@@ -291,24 +291,23 @@ func joinableFilter(g *Generator, next Qual, boundBefore map[string]bool) (joinC
 	if !isEq || eq.Op != "=" {
 		return joinCond{}, false
 	}
-	// Which variables does the generator bind, and where?
-	comp := func(name string) (int, bool) {
-		if name == "_" {
-			return 0, false
-		}
+	// Which component does the generator bind the variable to? A name
+	// the pattern repeats is bound to its last occurrence (slotPat.bind),
+	// and that must be a component of the element itself: one inside a
+	// nested pattern is no key of the index.
+	comp := func(name string) (ci int, ok bool) {
 		switch pat := g.Pat.(type) {
 		case *VarPat:
-			if pat.Name == name {
-				return wholeElement, true
-			}
+			return wholeElement, patternBinds(pat, name)
 		case *TuplePat:
 			for i, pe := range pat.Elems {
-				if vp, ok := pe.(*VarPat); ok && vp.Name == name {
-					return i, true
+				if patternBinds(pe, name) {
+					_, isVar := pe.(*VarPat)
+					ci, ok = i, isVar
 				}
 			}
 		}
-		return 0, false
+		return ci, ok
 	}
 	try := func(varSide, exprSide Expr) (joinCond, bool) {
 		v, isVar := varSide.(*Var)
@@ -320,7 +319,8 @@ func joinableFilter(g *Generator, next Qual, boundBefore map[string]bool) (joinC
 			return joinCond{}, false
 		}
 		for _, fv := range FreeVars(exprSide) {
-			if !boundBefore[fv] {
+			// A name g binds again is g's in the filter, not the earlier one.
+			if !boundBefore[fv] || patternBinds(g.Pat, fv) {
 				return joinCond{}, false
 			}
 		}
@@ -523,104 +523,57 @@ func (ctx *compCtx) source(i int, g *Generator, env *Env) ([]Value, error) {
 	return v.Elements()
 }
 
-// joinComponent extracts one composite-key component of an element;
-// ok=false when the element's shape cannot satisfy the pattern.
-func joinComponent(jc joinCond, el Value) (Value, bool) {
-	if jc.comp == wholeElement {
-		return el, true
-	}
-	if el.Kind != KindTuple || jc.comp >= el.n {
-		return Value{}, false
-	}
-	return el.Items()[jc.comp], true
-}
-
 // joinIndexCacheMin is the source size below which indexes are rebuilt
 // rather than cached across evaluations (tiny builds are cheaper than
 // occupying a cache slot).
 const joinIndexCacheMin = 32
 
 // buildIndex returns the hash index of the generator's elements on the
-// composite join key, consulting the evaluator's cross-evaluation
-// index cache for large memoised sources: the element array's identity
-// plus the component spec fully determine the index, so an unchanged
-// extent is indexed once, not once per evaluation.
-func (ctx *compCtx) buildIndex(i int, els []Value) *ValueIndex {
+// join key, consulting the evaluator's cross-evaluation index cache for
+// large memoised sources: the element array's identity plus the
+// component spec fully determine the index, so an unchanged extent is
+// indexed once, not once per evaluation.
+func (ctx *compCtx) buildIndex(i int, els []Value) *JoinIndex {
 	qs := &ctx.quals[i]
 	if qs.index != nil {
 		return qs.index
 	}
-	if c := ctx.ev.Indexes; c != nil && len(els) >= joinIndexCacheMin {
-		key := joinIndexKey{data: &els[0], n: len(els), spec: qs.joinSpec}
-		if idx, ok := c.get(key); ok {
-			qs.index = idx
-			return idx
-		}
-		idx := ctx.buildIndexRaw(i, els)
-		// The index (and its identity key) keeps the extent rows alive,
-		// so charge the cache their footprint beside the index's own and,
-		// for a composite key, the array the key tuples are carved from.
+	c := ctx.ev.Indexes
+	if c == nil || len(els) < joinIndexCacheMin {
+		qs.index = qs.newIndex(els)
+		return qs.index
+	}
+	key := joinIndexKey{data: &els[0], n: len(els), spec: qs.joinSpec}
+	idx, ok := c.get(key)
+	if !ok {
+		idx = qs.newIndex(els)
+		// The index (and its identity key) keeps the extent rows alive, so
+		// charge the cache their footprint beside the index's own.
 		cost := idx.Footprint()
-		if n := len(qs.joins); n > 1 {
-			cost += int64(n*len(els)) * valueOverhead
-		}
 		for _, el := range els {
 			cost += el.Footprint()
 		}
 		c.put(key, idx, cost)
-		return idx
-	}
-	return ctx.buildIndexRaw(i, els)
-}
-
-// buildIndexRaw hashes the generator's elements on the composite join
-// key. A single-condition key is the component value itself;
-// multi-condition keys are tuples whose Items slices are carved out of
-// one shared backing array, so the build costs O(1) allocations beyond
-// the index.
-func (ctx *compCtx) buildIndexRaw(i int, els []Value) *ValueIndex {
-	qs := &ctx.quals[i]
-	jcs := qs.joins
-	idx := NewValueIndex(len(els))
-	var backing []Value
-	if len(jcs) > 1 {
-		backing = make([]Value, 0, len(jcs)*len(els))
-	}
-	for _, el := range els {
-		var key Value
-		if len(jcs) == 1 {
-			k, ok := joinComponent(jcs[0], el)
-			if !ok {
-				continue // shape mismatch: pattern would not bind anyway
-			}
-			key = k
-		} else {
-			start := len(backing)
-			ok := true
-			for _, jc := range jcs {
-				c, okc := joinComponent(jc, el)
-				if !okc {
-					ok = false
-					break
-				}
-				backing = append(backing, c)
-			}
-			if !ok {
-				backing = backing[:start]
-				continue
-			}
-			key = Tuple(backing[start:]...)
-		}
-		idx.Add(key, el)
 	}
 	qs.index = idx
 	return idx
 }
 
+// newIndex indexes els on the generator's join key. The index copies the
+// positions it is keyed on, so they are gathered where a build allocates
+// nothing for them.
+func (qs *qualState) newIndex(els []Value) *JoinIndex {
+	var buf [8]int
+	comps := buf[:0]
+	for _, jc := range qs.joins {
+		comps = append(comps, jc.comp)
+	}
+	return NewJoinIndex(els, comps)
+}
+
 // probeKey evaluates generator i's probe expressions into the shared
-// scratch buffer and returns the composite probe key. The key aliases
-// the scratch, which is safe because ValueIndex.Probe never retains it.
-func (ctx *compCtx) probeKey(i int, env *Env) (Value, error) {
+// scratch buffer, one component of the probe key each, and returns it.
+func (ctx *compCtx) probeKey(i int, env *Env) ([]Value, error) {
 	jcs := ctx.quals[i].joins
 	if cap(ctx.probeScratch) < len(jcs) {
 		ctx.probeScratch = make([]Value, len(jcs))
@@ -629,14 +582,11 @@ func (ctx *compCtx) probeKey(i int, env *Env) (Value, error) {
 	for n, jc := range jcs {
 		v, err := ctx.ev.eval(jc.probe, env)
 		if err != nil {
-			return Value{}, err
+			return nil, err
 		}
 		scratch[n] = v
 	}
-	if len(jcs) == 1 {
-		return scratch[0], nil
-	}
-	return Tuple(scratch...), nil
+	return scratch, nil
 }
 
 // sink receives a comprehension's head values, one per complete
@@ -736,10 +686,7 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 		if err != nil {
 			return err
 		}
-		next := i + 1
-		var joinedFirst Value
-		joined := false
-		if len(ctx.quals[i].joins) > 0 {
+		if qs := &ctx.quals[i]; len(qs.joins) > 0 {
 			// Indexed equi-join: probe instead of scan; the consumed
 			// filters are subsumed by the index lookup.
 			idx := ctx.buildIndex(i, els)
@@ -747,20 +694,28 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 			if err != nil {
 				return err
 			}
-			next = i + 1 + ctx.quals[i].consumed
-			first, rest, ok := idx.Probe(key)
-			if !ok {
+			r := idx.Probe(key)
+			if r < 0 {
 				return nil
 			}
-			joinedFirst, joined = first, true
-			els = rest
+			next := i + 1 + qs.consumed
+			child := ctx.enter(i, env)
+			ev.genDepth++
+			for ; r >= 0; r = idx.Next(r) {
+				if err := ctx.runElement(i, els[r], next, child, out); err != nil {
+					ev.genDepth--
+					return err
+				}
+			}
+			ev.genDepth--
+			return nil
 		}
-		if !joined && ctx.shardable(len(els), out) {
+		if ctx.shardable(len(els), out) {
 			// Large top-level scan: fan the elements across a worker
 			// pool in contiguous shards, merged back in shard order
 			// (see parallel.go). Results are byte-identical to the
 			// serial loop below.
-			return ctx.runSharded(i, els, next, env, out)
+			return ctx.runSharded(i, els, i+1, env, out)
 		}
 		if out.keeps() && cap(out.vals) == 0 && len(els) > 0 {
 			// First growth: trust the generator's cardinality as a size
@@ -769,14 +724,8 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 		}
 		child := ctx.enter(i, env)
 		ev.genDepth++
-		if joined {
-			if err := ctx.runElement(i, joinedFirst, next, child, out); err != nil {
-				ev.genDepth--
-				return err
-			}
-		}
 		for _, el := range els {
-			if err := ctx.runElement(i, el, next, child, out); err != nil {
+			if err := ctx.runElement(i, el, i+1, child, out); err != nil {
 				ev.genDepth--
 				return err
 			}

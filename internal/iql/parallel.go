@@ -42,8 +42,8 @@ import (
 //     serial loop's whatever the number of workers that ran. Nested
 //     comprehensions keep their per-invocation memo.
 //   - Join indexes are shared read-only through the evaluator's
-//     JoinIndexCache, which is concurrency-safe; ValueIndex.Probe
-//     never mutates the index. Workers that miss race to build
+//     JoinIndexCache, which is concurrency-safe; a JoinIndex is
+//     never written once built. Workers that miss race to build
 //     benignly (last insert wins, both indexes are correct).
 //   - The StepBudget is atomic. When a step limit is enforced, every
 //     worker takes from the budget the scan's evaluator takes from,

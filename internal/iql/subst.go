@@ -217,6 +217,21 @@ func bindPatternVars(p Pattern, bound map[string]bool) {
 	}
 }
 
+// patternBinds reports whether p binds name; "_" is bound by nothing.
+func patternBinds(p Pattern, name string) bool {
+	switch pp := p.(type) {
+	case *VarPat:
+		return pp.Name == name && name != "_"
+	case *TuplePat:
+		for _, e := range pp.Elems {
+			if patternBinds(e, name) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // walk visits every expression node top-down.
 func walk(e Expr, f func(Expr)) {
 	if e == nil {

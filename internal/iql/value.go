@@ -29,7 +29,7 @@
 // no spare capacity, because tuples are carved next to each other out
 // of shared arrays and an append must copy rather than land on a
 // neighbour. Value is not comparable with ==; Equal, Hash, ValueSet and
-// ValueIndex are how values are compared and keyed.
+// JoinIndex are how values are compared and keyed.
 //
 // A string header and a slice header cannot share two words in safe Go,
 // so value.go — and no other file — uses package unsafe to take them
@@ -104,7 +104,7 @@ func (k Kind) String() string {
 //
 // The zero-size array of funcs makes Value non-comparable: v == w and
 // map[Value] would otherwise compile and compare strings and items by
-// pointer. Use Equal, Hash, ValueSet and ValueIndex.
+// pointer. Use Equal, Hash, ValueSet and JoinIndex.
 type Value struct {
 	_    [0]func()
 	ptr  unsafe.Pointer // string bytes, or the first item

@@ -2,6 +2,7 @@ package repo
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -41,8 +42,9 @@ func fuzzSeedRepo() *Repository {
 
 // FuzzRepoLoad asserts repo.Load never panics on malformed snapshots —
 // it must either error or produce a repository that round-trips
-// through Save again. The seed corpus covers the malformed-JSON
-// classes a corrupted or hand-edited snapshot file exhibits.
+// through Save again, to a document that encodes to itself. The seed
+// corpus covers the malformed-JSON classes a corrupted or hand-edited
+// snapshot file exhibits.
 func FuzzRepoLoad(f *testing.F) {
 	var valid bytes.Buffer
 	if err := fuzzSeedRepo().Save(&valid); err != nil {
@@ -83,8 +85,19 @@ func FuzzRepoLoad(f *testing.F) {
 		if err := r.Save(&out); err != nil {
 			t.Fatalf("loaded repository does not re-save: %v", err)
 		}
-		if _, err := Load(&out); err != nil {
+		saved := append([]byte(nil), out.Bytes()...)
+		again, err := Load(&out)
+		if err != nil {
 			t.Fatalf("re-saved repository does not re-load: %v", err)
+		}
+		// A document this code wrote is the canonical one: loading it and
+		// encoding what was loaded gives its own tokens back.
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, saved); err != nil {
+			t.Fatal(err)
+		}
+		if doc, err := again.MarshalJSON(); err != nil || !bytes.Equal(doc, compact.Bytes()) {
+			t.Fatalf("a saved document does not encode to itself (%v):\nsaved %s\n again %s", err, compact.Bytes(), doc)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -56,61 +57,142 @@ type repoDTO struct {
 
 const persistVersion = 1
 
-// Save writes the repository as indented JSON.
+// Save writes the repository as indented JSON: the document MarshalJSON
+// returns, indented as encoding/json indents what it has encoded.
 func (r *Repository) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.dto())
+	doc, err := r.MarshalJSON()
+	if err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, doc, "", "  "); err != nil {
+		return err
+	}
+	buf.WriteByte('\n')
+	_, err = buf.WriteTo(w)
+	return err
 }
 
-// MarshalJSON encodes the repository as one unindented JSON document.
+// fragment is one stored schema or pathway as it stands in the
+// document, with the stamp it was encoded at: a schema's mutation
+// count, a pathway's number of steps (a pathway changes only by Append,
+// and however else a step is added to the exported slice it moves that
+// too). Another stamp means the fragment is stale.
+type fragment struct {
+	doc   []byte
+	stamp uint64
+}
+
+// MarshalJSON encodes the repository as one unindented JSON document:
+// schemas by name, pathways in the order they were added, byte for byte
+// what encoding/json makes of a repoDTO. A schema or pathway is encoded
+// when it is first saved and again only after it has changed, so a save
+// costs what was added since the last one and one copy of the document.
 func (r *Repository) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.dto())
-}
-
-// dto captures the repository in its serialised shape: schemas by name,
-// pathways in the order they were added.
-func (r *Repository) dto() repoDTO {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	dto := repoDTO{Version: persistVersion}
-	for _, name := range r.schemaNamesLocked() {
+	r.memoMu.Lock()
+	defer r.memoMu.Unlock()
+	var err error
+	schemas := make([][]byte, len(r.schemas))
+	for i, name := range r.schemaNamesLocked() {
 		s := r.schemas[name]
-		sd := schemaDTO{Name: s.Name()}
-		for _, o := range s.Objects() {
-			sd.Objects = append(sd.Objects, objectDTO{
-				Scheme:    o.Scheme.String(),
-				Kind:      o.Kind.String(),
-				Model:     o.Model,
-				Construct: o.Construct,
-			})
+		if schemas[i], err = memoised(r.schemaDocs, s, s.Mutations(), schemaDoc); err != nil {
+			return nil, err
 		}
-		dto.Schemas = append(dto.Schemas, sd)
 	}
-	for _, p := range r.pathways {
-		pd := pathwayDTO{Source: p.Source, Target: p.Target}
-		for _, t := range p.Steps {
-			sd := stepDTO{
-				Kind:   t.Kind.String(),
-				Object: t.Object.String(),
-				Auto:   t.Auto,
-			}
-			if t.Query != nil {
-				sd.Query = t.Query.String()
-			}
-			if !t.To.IsZero() {
-				sd.To = t.To.String()
-			}
-			if t.Kind == transform.Add || t.Kind == transform.Extend {
-				sd.ObjKind = t.ObjKind.String()
-				sd.Model = t.Model
-				sd.Construct = t.Construct
-			}
-			pd.Steps = append(pd.Steps, sd)
+	pathways := make([][]byte, len(r.pathways))
+	for i, p := range r.pathways {
+		if pathways[i], err = memoised(r.pathwayDocs, p, uint64(len(p.Steps)), pathwayDoc); err != nil {
+			return nil, err
 		}
-		dto.Pathways = append(dto.Pathways, pd)
 	}
-	return dto
+	const head, mid = `{"version":1,"schemas":`, `,"pathways":`
+	doc := make([]byte, 0, len(head)+arrayLen(schemas)+len(mid)+arrayLen(pathways)+1)
+	doc = appendArray(append(doc, head...), schemas)
+	doc = appendArray(append(doc, mid...), pathways)
+	return append(doc, '}'), nil
+}
+
+// memoised returns k's fragment from memo, encoding k afresh (as
+// encoding/json encodes dto(k)) when there is none at this stamp.
+func memoised[K comparable, D any](memo map[K]fragment, k K, stamp uint64, dto func(K) D) ([]byte, error) {
+	f, ok := memo[k]
+	if !ok || f.stamp != stamp {
+		doc, err := json.Marshal(dto(k))
+		if err != nil {
+			return nil, err
+		}
+		f = fragment{doc: doc, stamp: stamp}
+		memo[k] = f
+	}
+	return f.doc, nil
+}
+
+// arrayLen is the length of what appendArray appends.
+func arrayLen(elems [][]byte) int {
+	if len(elems) == 0 {
+		return len("null")
+	}
+	n := len("[]") + len(elems) - 1
+	for _, e := range elems {
+		n += len(e)
+	}
+	return n
+}
+
+// appendArray appends the JSON array of the encoded elems — null for
+// none, which is what encoding/json writes for a slice nothing was
+// appended to.
+func appendArray(dst []byte, elems [][]byte) []byte {
+	if len(elems) == 0 {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, e := range elems {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, e...)
+	}
+	return append(dst, ']')
+}
+
+func schemaDoc(s *hdm.Schema) schemaDTO {
+	sd := schemaDTO{Name: s.Name()}
+	for _, o := range s.Objects() {
+		sd.Objects = append(sd.Objects, objectDTO{
+			Scheme:    o.Scheme.String(),
+			Kind:      o.Kind.String(),
+			Model:     o.Model,
+			Construct: o.Construct,
+		})
+	}
+	return sd
+}
+
+func pathwayDoc(p *transform.Pathway) pathwayDTO {
+	pd := pathwayDTO{Source: p.Source, Target: p.Target}
+	for _, t := range p.Steps {
+		sd := stepDTO{
+			Kind:   t.Kind.String(),
+			Object: t.Object.String(),
+			Auto:   t.Auto,
+		}
+		if t.Query != nil {
+			sd.Query = t.Query.String()
+		}
+		if !t.To.IsZero() {
+			sd.To = t.To.String()
+		}
+		if t.Kind == transform.Add || t.Kind == transform.Extend {
+			sd.ObjKind = t.ObjKind.String()
+			sd.Model = t.Model
+			sd.Construct = t.Construct
+		}
+		pd.Steps = append(pd.Steps, sd)
+	}
+	return pd
 }
 
 func (r *Repository) schemaNamesLocked() []string {

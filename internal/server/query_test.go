@@ -557,7 +557,7 @@ func TestCachedHitAllocatesAConstant(t *testing.T) {
 			}
 		}
 		hit() // evaluate, encode and cache
-		allocs := testing.AllocsPerRun(20, hit)
+		allocs := iqltest.Least(10, func() float64 { return testing.AllocsPerRun(2, hit) })
 		if _, outcome, _ := sess.Query(context.Background(), new(respBuf), plans, q, core.CurrentVersion, false); !outcome.ResultCached {
 			t.Fatalf("%s: not answered from the result cache", q)
 		}
@@ -626,9 +626,8 @@ func TestAnswerBytesPerRow(t *testing.T) {
 		// of what it is given, and a run that finds one empty pays for
 		// buffers, not for rows.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		least := math.Inf(1)
-		for i := 0; i < 30; i++ {
-			least = min(least, iqltest.AllocBytesPerRun(1, func() {
+		least := iqltest.Least(30, func() float64 {
+			return iqltest.AllocBytesPerRun(1, func() {
 				// Every run of the cacheable case is a miss that caches.
 				sess.results.Purge()
 				r, err := http.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
@@ -640,8 +639,8 @@ func TestAnswerBytesPerRow(t *testing.T) {
 				if w.status != http.StatusOK || w.rows != n {
 					t.Fatalf("%d-row query: status %d, %d rows in the response", n, w.status, w.rows)
 				}
-			}))
-		}
+			})
+		})
 		return least, w.size
 	}
 	perRow := func(noCache bool) (alloc, resp float64) {
