@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race flake bench-smoke bench-check profile run fuzz-seeds golden test-wrappers
+.PHONY: ci fmt vet build test race flake bench-smoke bench-check profile run fuzz-seeds golden test-wrappers loc
 
 # ci is the full local gate, every step of it deterministic: formatting,
 # static checks (go vet), build, every test under the race detector, a
@@ -110,6 +110,14 @@ golden:
 # for running by hand.
 test-wrappers:
 	$(GO) test -race ./internal/wrapper/... ./internal/sqlmem
+
+# loc prints the three line counts the ROADMAP keeps and a simplicity PR
+# states its reduction in: non-test Go outside bench/, Go tests outside
+# bench/, and bench/'s Go.
+loc:
+	@printf '%7d non-test Go lines outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)
+	@printf '%7d test lines outside bench/\n' $$(find . -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)
+	@printf '%7d bench/ lines\n' $$(find bench -name '*.go' -exec cat {} + | wc -l)
 
 # run starts the dataspace daemon on :8080.
 run:

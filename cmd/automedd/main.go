@@ -261,12 +261,15 @@ func parseFaultSpec(v string) (name string, cfg wrapper.FaultConfig, err error) 
 // demoFaultSource builds the inline demo table a -fault-source wraps:
 // enough rows to make degraded answers visibly non-empty.
 func demoFaultSource(name string) (wrapper.Wrapper, error) {
-	rows := make([][]any, 8)
-	for i := range rows {
-		rows[i] = []any{int64(i + 1), fmt.Sprintf("item-%d", i+1)}
+	rows := []byte("[")
+	for i := 1; i <= 8; i++ {
+		if i > 1 {
+			rows = append(rows, ',')
+		}
+		rows = fmt.Appendf(rows, `[%d,"item-%d"]`, i, i)
 	}
 	return wrapper.Restore(&wrapper.Snapshot{Kind: "relational", Name: name, Tables: []wrapper.TableSnapshot{{
-		Name: "items", Columns: []string{"id:int", "label:string"}, PrimaryKey: "id", Rows: rows,
+		Name: "items", Columns: []string{"id:int", "label:string"}, PrimaryKey: "id", Rows: append(rows, ']'),
 	}}})
 }
 

@@ -197,10 +197,9 @@ func (ig *Integrator) fedSections(name string, sources []wrapper.Wrapper) []fedS
 				sec.pw.Append(transform.NewRename(o.Scheme, fsc).WithAuto())
 				// The prefixed name is defined by the unprefixed
 				// object, scoped to its source.
-				sec.defs = append(sec.defs, query.ObjectDef{
-					Scheme: fsc, Query: iql.Ref(o.Scheme.Parts()...),
-					Via: "federate:" + src, Scope: src,
-				})
+				sec.defs = append(sec.defs, query.ObjectDef{Scheme: fsc, Derivation: query.Derivation{
+					Query: iql.Ref(o.Scheme.Parts()...), Via: "federate:" + src, Scope: src,
+				}})
 			}
 			sections[i] = sec
 		}(i, w)

@@ -258,6 +258,7 @@ func Import(snap *Snapshot) (*Integrator, error) {
 		ig.global = ig.versions[n-1].Schema
 	}
 
+	defs := make([]query.ObjectDef, 0, len(snap.Definitions))
 	for _, ds := range snap.Definitions {
 		sc, err := hdm.ParseScheme(ds.Object)
 		if err != nil {
@@ -267,8 +268,9 @@ func Import(snap *Snapshot) (*Integrator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: restoring definition of %s: %w", sc, err)
 		}
-		ig.proc.DefineDerivation(sc, query.Derivation{Query: q, Lower: ds.Lower, Via: ds.Via, Scope: ds.Scope})
+		defs = append(defs, query.ObjectDef{Scheme: sc, Derivation: query.Derivation{Query: q, Lower: ds.Lower, Via: ds.Via, Scope: ds.Scope}})
 	}
+	ig.proc.DefineAll(defs)
 
 	for _, is := range snap.Intersections {
 		in := &Intersection{

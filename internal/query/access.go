@@ -267,7 +267,7 @@ func (p *Processor) count(ctx context.Context, src source, sc hdm.Scheme, ck str
 // scan is the paging arm: a spill probe collects pages until their rows
 // exceed the scan buffer or the scanner ends. An extent that ends
 // within the probe is cached and settled exactly like a whole-extent
-// fetch; a larger one is handed over as a pumped sourceStream, which
+// fetch; a larger one is handed over as a pulled sourceStream, which
 // settles the same guard when it terminates or is closed. A scan that
 // fails before the hand-over is dropped without a verdict: the
 // readWhole that follows asks again and its outcome counts. The
@@ -286,16 +286,7 @@ func (p *Processor) scan(ctx context.Context, src source, sc hdm.Scheme, ck stri
 			rows += len(scn.Page())
 		}
 		if rows > buf {
-			st := &sourceStream{
-				prefix: probe,
-				ch:     make(chan []iql.Value, 1),
-				done:   make(chan struct{}),
-				cancel: cancel,
-				scn:    scn,
-				g:      g,
-			}
-			go st.pump(sctx)
-			return extent{rows: st}, nil
+			return extent{rows: &sourceStream{prefix: probe, ctx: sctx, cancel: cancel, scn: scn, g: g}}, nil
 		}
 		err = scn.Err()
 		scn.Close()
@@ -339,7 +330,7 @@ func (p *Processor) noteGood(ck string, v iql.Value) {
 // from the last-known-good extent (or the wrapper's snapshot fallback),
 // with the degraded warning the evaluation must carry. A failure stays
 // a failure while breakers are off or once the asker has gone; with no
-// fallback, or fallback disabled, the unavailability is the error.
+// fallback the unavailability is the error.
 func (p *Processor) stale(ctx context.Context, src source, sc hdm.Scheme, br *breaker, err error) (extent, error) {
 	if err != nil && (br == nil || ctx.Err() != nil) {
 		return extent{}, err
@@ -348,26 +339,24 @@ func (p *Processor) stale(ctx context.Context, src source, sc hdm.Scheme, br *br
 	if err == nil {
 		cause = "breaker open: " + br.lastError()
 	}
-	if !br.cfg.DisableFallback {
-		p.lgMu.Lock()
-		lg, ok := p.lastGood[src.name+"\x00"+sc.Key()]
-		p.lgMu.Unlock()
-		age := time.Duration(-1)
-		if ok {
-			age = time.Since(lg.at)
-		} else if src.fb != nil {
-			// No retained copy (e.g. the daemon restarted while the
-			// source was down): fall back to the wrapper's snapshot
-			// extent, whose age is unknown.
-			if v, found := src.fb.FallbackExtent(sc.Parts()); found {
-				lg, ok = lastGoodEntry{val: v}, true
-			}
+	p.lgMu.Lock()
+	lg, ok := p.lastGood[src.name+"\x00"+sc.Key()]
+	p.lgMu.Unlock()
+	age := time.Duration(-1)
+	if ok {
+		age = time.Since(lg.at)
+	} else if src.fb != nil {
+		// No retained copy (e.g. the daemon restarted while the
+		// source was down): fall back to the wrapper's snapshot
+		// extent, whose age is unknown.
+		if v, found := src.fb.FallbackExtent(sc.Parts()); found {
+			lg, ok = lastGoodEntry{val: v}, true
 		}
-		if ok {
-			br.noteFallback()
-			mark(ctx, obs.StageFallback, src.name, sc.Key(), obs.CacheHit, bagLen(lg.val), nil)
-			return extent{val: lg.val, degraded: degradedWarning(src.name, sc, age, cause)}, nil
-		}
+	}
+	if ok {
+		br.noteFallback()
+		mark(ctx, obs.StageFallback, src.name, sc.Key(), obs.CacheHit, bagLen(lg.val), nil)
+		return extent{val: lg.val, degraded: degradedWarning(src.name, sc, age, cause)}, nil
 	}
 	return extent{}, fmt.Errorf("query: source %s unavailable for <<%s>> (%s; no fallback extent)",
 		src.name, strings.Join(sc.Parts(), ", "), cause)

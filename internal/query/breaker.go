@@ -49,9 +49,6 @@ type BreakerConfig struct {
 	// fetch runs under min(request deadline, SourceTimeout), so one
 	// slow backend cannot eat a whole query's context (0 = none).
 	SourceTimeout time.Duration
-	// DisableFallback turns off stale-extent fallback: breaker-open and
-	// failed fetches then error instead of serving last-known-good data.
-	DisableFallback bool
 }
 
 // The failure-rate threshold and the probe jitter are not settings:

@@ -224,21 +224,6 @@ func TestStaleFallbackServesLastKnownGood(t *testing.T) {
 	}
 }
 
-func TestDisableFallbackFailsClosed(t *testing.T) {
-	src := newFlakySource(t, "S")
-	cfg := testBreakerConfig()
-	cfg.DisableFallback = true
-	p := newBreakerProc(t, src, cfg)
-
-	if _, _, err := evalCount(t, p); err != nil {
-		t.Fatal(err)
-	}
-	src.setFailing(true)
-	if _, _, err := evalCount(t, p); err == nil {
-		t.Fatal("DisableFallback still served a stale answer")
-	}
-}
-
 func TestWrapperFallbackWhenNeverFetched(t *testing.T) {
 	// The source fails from the very first fetch, so there is no
 	// last-known-good copy; the wrapper's own snapshot fallback answers.

@@ -44,7 +44,7 @@ func TestEncodedMatchesEvalContext(t *testing.T) {
 	}
 	p.Define(hdm.MustScheme("<<UAcc>>"), iql.MustParse("[{'S', k, a} | {k, a} <- <<protein, acc>>]"), "test", "Steady")
 	p.Define(hdm.MustScheme("<<UAcc>>"), iql.MustParse("[{'F', k, a} | {k, a} <- <<hit, acc>>]"), "test", "Flaky")
-	p.DefineDerivation(hdm.MustScheme("<<Lower>>"), Derivation{Query: iql.MustParse("[k | k <- <<protein>>]"), Via: "test", Scope: "Steady", Lower: true})
+	p.DefineAll([]ObjectDef{{Scheme: hdm.MustScheme("<<Lower>>"), Derivation: Derivation{Query: iql.MustParse("[k | k <- <<protein>>]"), Via: "test", Scope: "Steady", Lower: true}}})
 
 	texts := []string{
 		"[{s, k} | {s, k, a} <- <<UAcc>>; a = 'P2']",

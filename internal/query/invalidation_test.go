@@ -164,9 +164,9 @@ func TestDefineInvalidatesDependents(t *testing.T) {
 // invalidation does not duplicate or lose them.
 func TestWarningsReplayAcrossInvalidation(t *testing.T) {
 	p2, _ := countingProcessor(t)
-	p2.DefineDerivation(hdm.MustScheme("<<lower>>"), Derivation{
+	p2.DefineAll([]ObjectDef{{Scheme: hdm.MustScheme("<<lower>>"), Derivation: Derivation{
 		Query: iql.MustParse("[k | k <- <<t>>]"), Lower: true, Via: "pw", Scope: "S",
-	})
+	}}})
 	for i := 0; i < 2; i++ {
 		_, warns, _, err := p2.EvalContext(context.Background(), iql.MustParse("count(<<lower>>)"))
 		if err != nil {

@@ -283,20 +283,16 @@ func (p *Processor) SourceNames() []string {
 // defines n by o; id(a,b) defines each of a, b by the other (cycles are
 // cut during evaluation, yielding the union across an ident chain
 // exactly once; self-ids register nothing). delete and contract steps
-// induce no forward definitions. Cached extents depending on the newly
-// defined objects are selectively invalidated; unrelated entries stay
-// live.
+// induce no forward definitions. They are registered through DefineAll.
 func (p *Processor) RegisterPathway(pw *transform.Pathway, scope string) error {
 	if pw == nil {
 		return fmt.Errorf("query: nil pathway")
 	}
 	via := pw.Source + "->" + pw.Target
-	var defined []string
+	var defs []ObjectDef
 	def := func(o hdm.Scheme, q iql.Expr, lower bool) {
-		p.defs[o.Key()] = append(p.defs[o.Key()], Derivation{Query: q, Lower: lower, Via: via, Scope: scope})
-		defined = append(defined, o.Key())
+		defs = append(defs, ObjectDef{Scheme: o, Derivation: Derivation{Query: q, Lower: lower, Via: via, Scope: scope}})
 	}
-	p.mu.Lock()
 	for _, t := range pw.Steps {
 		switch t.Kind {
 		case transform.Add:
@@ -315,29 +311,28 @@ func (p *Processor) RegisterPathway(pw *transform.Pathway, scope string) error {
 			// No forward definition.
 		}
 	}
-	p.mu.Unlock()
-	p.InvalidateSchemes(defined...)
+	p.DefineAll(defs)
 	return nil
 }
 
-// Define installs a single ad-hoc derivation for a virtual object,
-// selectively invalidating cached extents that depend on it.
+// Define installs a single ad-hoc derivation for a virtual object: a
+// DefineAll of one.
 func (p *Processor) Define(sc hdm.Scheme, q iql.Expr, via, scope string) {
-	p.DefineDerivation(sc, Derivation{Query: q, Via: via, Scope: scope})
+	p.DefineAll([]ObjectDef{{Scheme: sc, Derivation: Derivation{Query: q, Via: via, Scope: scope}}})
 }
 
-// ObjectDef is one derivation in a DefineAll batch.
+// ObjectDef is one derivation in a DefineAll batch: the object and how
+// it is derived.
 type ObjectDef struct {
 	Scheme hdm.Scheme
-	Query  iql.Expr
-	Via    string
-	Scope  string
+	Derivation
 }
 
-// DefineAll installs a batch of ad-hoc derivations under a single lock
-// acquisition and one selective invalidation pass. Registering n
-// objects through Define costs n invalidation sweeps; a federation-sized
-// batch through DefineAll costs one.
+// DefineAll installs a batch of derivations — each appended to its
+// object's, in order — under a single lock acquisition and one
+// selective invalidation pass: cached extents depending on the newly
+// defined objects are evicted, unrelated entries stay live. It is the
+// one way a derivation is registered.
 func (p *Processor) DefineAll(defs []ObjectDef) {
 	if len(defs) == 0 {
 		return
@@ -346,7 +341,7 @@ func (p *Processor) DefineAll(defs []ObjectDef) {
 	p.mu.Lock()
 	for _, d := range defs {
 		k := d.Scheme.Key()
-		p.defs[k] = append(p.defs[k], Derivation{Query: d.Query, Via: d.Via, Scope: d.Scope})
+		p.defs[k] = append(p.defs[k], d.Derivation)
 		keys = append(keys, k)
 	}
 	p.mu.Unlock()
@@ -358,16 +353,6 @@ func (p *Processor) HasDefinition(sc hdm.Scheme) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.defs[sc.Key()]) > 0
-}
-
-// DefineDerivation installs a fully-specified derivation, preserving
-// its Lower/Via/Scope metadata. It is the restore-side counterpart of
-// AllDerivations, used when rebuilding a processor from a snapshot.
-func (p *Processor) DefineDerivation(sc hdm.Scheme, d Derivation) {
-	p.mu.Lock()
-	p.defs[sc.Key()] = append(p.defs[sc.Key()], d)
-	p.mu.Unlock()
-	p.InvalidateSchemes(sc.Key())
 }
 
 // ObjectDerivations pairs a virtual object's scheme key with its

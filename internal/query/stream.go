@@ -12,8 +12,8 @@ import (
 // provider, the session asks read for it in readStream mode and hands
 // the evaluator the RowStream it gets back. What moves from the backend
 // to the evaluator is the backend's page, never a row at a time, and a
-// scan over an N-row extent holds at most the scan buffer plus three
-// backend pages, whatever N is (see sourceStream).
+// scan over an N-row extent holds at most the scan buffer plus one
+// backend page, whatever N is (see sourceStream).
 //
 // A count of a comprehension over such an object need not move rows at
 // all: when the comprehension is an iql.Selection and the provider can
@@ -98,26 +98,19 @@ func (s *session) ExtentCount(parts []string, sel iql.Selection) (int64, bool, e
 }
 
 // sourceStream is the iql.RowStream the evaluator consumes: the spill
-// probe's pages first, then pages handed over from the scanner by a
-// prefetch goroutine. Each page is dropped once the evaluator has moved
-// past it. The most is resident when the evaluator starts: the probe —
-// rows up to the scan buffer and the page that crossed it — one page
-// waiting in the channel and one in the pump's hands (being fetched, or
-// fetched and waiting to be sent). Past the probe it is those two and
-// the page the evaluator is walking.
+// probe's pages first, then the scanner's, each asked for under the
+// scan's context when the evaluator moves past the page before it and
+// dropped once the evaluator has moved past it in turn. The most is
+// resident when the evaluator starts: the probe — rows up to the scan
+// buffer and the page that crossed it. Past the probe it is one page:
+// the one the evaluator is walking, or the one the scanner is fetching
+// while the evaluator waits. No goroutine is started: a page's round
+// trip is the evaluator's.
 type sourceStream struct {
 	prefix [][]iql.Value
-	// ch holds one page so the backend's next round trip overlaps the
-	// evaluator's walk of this one; more would only add residency.
-	ch  chan []iql.Value
-	cur []iql.Value
+	cur    []iql.Value
 
-	// ferr is the pump's terminal error; it is written before ch is
-	// closed, and the consumer reads it only after observing the close,
-	// so the channel provides the happens-before edge.
-	ferr error
-	done chan struct{}
-
+	ctx    context.Context // the scan's: the guard's, cut by cancel
 	cancel context.CancelFunc
 	scn    wrapper.Scanner
 	g      guard // opened by read around the scan; settled on termination or Close
@@ -127,27 +120,6 @@ type sourceStream struct {
 	closed bool
 }
 
-// pump hands the scanner's pages over until the scanner ends or the
-// stream is cancelled.
-func (st *sourceStream) pump(ctx context.Context) {
-	var ferr error
-loop:
-	for st.scn.Next(ctx) {
-		select {
-		case st.ch <- st.scn.Page():
-		case <-ctx.Done():
-			ferr = ctx.Err()
-			break loop
-		}
-	}
-	if ferr == nil {
-		ferr = st.scn.Err()
-	}
-	st.ferr = ferr
-	close(st.ch)
-	close(st.done)
-}
-
 func (st *sourceStream) Next() bool {
 	if st.closed || st.err != nil {
 		return false
@@ -155,14 +127,14 @@ func (st *sourceStream) Next() bool {
 	if len(st.prefix) > 0 {
 		st.cur, st.prefix[0] = st.prefix[0], nil
 		st.prefix = st.prefix[1:]
-	} else if page, ok := <-st.ch; ok {
-		st.cur = page
+	} else if st.cur = nil; st.scn.Next(st.ctx) {
+		st.cur = st.scn.Page()
 	} else {
-		// The pump has exited: release the scanner, settle the outcome.
-		st.cur, st.err = nil, st.ferr
+		// The scanner has ended: release it, settle the outcome.
+		st.err = st.scn.Err()
 		st.cancel()
 		st.scn.Close()
-		st.g.settle(nil, st.rows, st.ferr, false)
+		st.g.settle(nil, st.rows, st.err, false)
 		return false
 	}
 	st.rows += int64(len(st.cur))
@@ -174,18 +146,16 @@ func (st *sourceStream) Page() []iql.Value { return st.cur }
 func (st *sourceStream) Err() error { return st.err }
 
 // Close releases the stream at any point; it is idempotent and safe
-// after exhaustion. Closing early cancels the pump, waits for it to
-// exit, releases the scanner and settles the guard as walked away from:
-// an abandoned scan says nothing about the source. (cancel, the
-// scanner's Close and settle are idempotent, so after exhaustion this
-// is a no-op.)
+// after exhaustion. Closing early releases the scanner and settles the
+// guard as walked away from: an abandoned scan says nothing about the
+// source. (cancel, the scanner's Close and settle are idempotent, so
+// after exhaustion this is a no-op.)
 func (st *sourceStream) Close() error {
 	if st.closed {
 		return nil
 	}
 	st.closed = true
 	st.cancel()
-	<-st.done
 	st.scn.Close()
 	st.g.settle(nil, st.rows, nil, true)
 	st.prefix, st.cur = nil, nil

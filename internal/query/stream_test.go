@@ -244,6 +244,9 @@ type pagedSource struct {
 	// handed out, for tests that ask what became of them.
 	slack  int
 	served [][]iql.Value
+	// goroutines is the most goroutines there were when a scanner was
+	// asked for a page or closed.
+	goroutines int
 }
 
 func newPagedSource(rows, pageRows int, failAfter error) *pagedSource {
@@ -281,6 +284,7 @@ type pagedScanner struct {
 }
 
 func (c *pagedScanner) Next(ctx context.Context) bool {
+	c.s.goroutines = max(c.s.goroutines, runtime.NumGoroutine())
 	c.page = nil
 	if c.done || c.err != nil {
 		return false
@@ -304,7 +308,11 @@ func (c *pagedScanner) Next(ctx context.Context) bool {
 
 func (c *pagedScanner) Page() []iql.Value { return c.page }
 func (c *pagedScanner) Err() error        { return c.err }
-func (c *pagedScanner) Close() error      { c.done = true; return nil }
+func (c *pagedScanner) Close() error {
+	c.s.goroutines = max(c.s.goroutines, runtime.NumGoroutine())
+	c.done = true
+	return nil
+}
 
 // fetchSpan returns the trace's fetch span of source P.
 func fetchSpan(t *testing.T, tr *obs.Trace) obs.SpanJSON {
@@ -319,27 +327,40 @@ func fetchSpan(t *testing.T, tr *obs.Trace) obs.SpanJSON {
 }
 
 // TestStreamClosedAfterFirstPage: an evaluation that gives up on the
-// first row closes a stream of which the evaluator took one page. The
-// pump — by then holding a page nobody will take — must be gone when
-// Close returns, and the abandoned scan is no verdict on the source.
+// first row closes a stream of which the evaluator took one page, and
+// the abandoned scan is no verdict on the source. The stream is pulled:
+// no goroutine is added while the evaluator holds it — walking all of
+// it, or closing it after the first page — and none is left when Close
+// returns.
 func TestStreamClosedAfterFirstPage(t *testing.T) {
+	before := runtime.NumGoroutine()
+	walked := newPagedSource(1000, 100, nil)
 	p := New()
 	p.ScanBuffer = 64
-	p.SetBreaker(BreakerConfig{Enabled: true})
-	if err := p.AddSource(newPagedSource(1000, 100, nil)); err != nil {
+	if err := p.AddSource(walked); err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
+	if v, err := p.Query(`count([x | {x, v} <- <<items, v>>])`); err != nil || v.I() != 1000 {
+		t.Fatalf("count = %s, %v; want 1000", v, err)
+	}
+
+	p = New()
+	p.ScanBuffer = 64
+	p.SetBreaker(BreakerConfig{Enabled: true})
+	src := newPagedSource(1000, 100, nil)
+	if err := p.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
 	tr := obs.NewTrace("t", "", "")
 	ctx := obs.WithTrace(context.Background(), tr)
 	_, _, _, err := p.EvalContext(ctx, iql.MustParse(`[x / 0 | {x, v} <- <<items, v>>]`))
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("error = %v, want the head's division by zero", err)
 	}
-	// The pump's exit is ordered before Close's return, the goroutine's
-	// own end only just after it: give the scheduler a few turns.
-	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
-		runtime.Gosched()
+	for _, s := range []*pagedSource{walked, src} {
+		if s.goroutines > before {
+			t.Errorf("%d goroutines while the scanner was used, %d before the query", s.goroutines, before)
+		}
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after the stream was closed, %d before the query", n, before)
@@ -358,7 +379,7 @@ func TestStreamClosedAfterFirstPage(t *testing.T) {
 func TestStreamSecondPageFails(t *testing.T) {
 	p := New()
 	p.ScanBuffer = 64
-	p.SetBreaker(BreakerConfig{Enabled: true, DisableFallback: true})
+	p.SetBreaker(BreakerConfig{Enabled: true})
 	if err := p.AddSource(newPagedSource(200, 100, errors.New("backend went away"))); err != nil {
 		t.Fatal(err)
 	}

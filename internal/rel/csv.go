@@ -12,9 +12,9 @@ import (
 )
 
 // CSV import/export. A database maps to a directory of <table>.csv
-// files. The header row encodes column names and types as "name:type";
-// the first header cell may carry a "!pk" suffix marker when the primary
-// key is not the first column.
+// files. The header row encodes column names and types as "name:type"
+// (ParseColumn); a header cell carries a "!pk" suffix marker when the
+// primary key is not the first column.
 
 // WriteCSVDir writes every table of db into dir (created if needed) as
 // <table>.csv.
@@ -125,19 +125,13 @@ func loadCSVInto(db *DB, table string, r io.Reader) error {
 	cols := make([]Column, len(header))
 	pk := ""
 	for i, h := range header {
-		isPK := strings.HasSuffix(h, "!pk")
-		h = strings.TrimSuffix(h, "!pk")
-		name, typ := h, "string"
-		if j := strings.LastIndex(h, ":"); j >= 0 {
-			name, typ = h[:j], h[j+1:]
-		}
-		ty, err := ParseType(typ)
+		col, isPK, err := ParseColumn(h)
 		if err != nil {
-			return fmt.Errorf("column %q: %w", h, err)
+			return fmt.Errorf("column %q: %w", strings.TrimSuffix(h, "!pk"), err)
 		}
-		cols[i] = Column{Name: name, Type: ty}
+		cols[i] = col
 		if isPK {
-			pk = name
+			pk = col.Name
 		}
 	}
 	t, err := db.CreateTable(table, cols, pk)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Type is a column type.
@@ -55,6 +56,24 @@ func ParseType(s string) (Type, error) {
 		return Bool, nil
 	}
 	return 0, fmt.Errorf("rel: unknown type %q", s)
+}
+
+// ParseColumn reads a column spec, name:type[!pk] — as in CSV headers,
+// relational snapshots and the daemon's inline tables: the type follows
+// the last colon, so a name may hold colons of its own; with no colon
+// at all the spec is a name and the type is string; a "!pk" suffix
+// marks the primary key.
+func ParseColumn(spec string) (col Column, pk bool, err error) {
+	spec, pk = strings.CutSuffix(spec, "!pk")
+	name, typ := spec, "string"
+	if j := strings.LastIndexByte(spec, ':'); j >= 0 {
+		name, typ = spec[:j], spec[j+1:]
+	}
+	ty, err := ParseType(typ)
+	if err != nil {
+		return Column{}, false, err
+	}
+	return Column{Name: name, Type: ty}, pk, nil
 }
 
 // Column describes a table column.

@@ -2,9 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"github.com/dataspace/automed/internal/hdm"
@@ -16,10 +16,10 @@ import (
 type tableSpec struct {
 	Name string `json:"name"`
 	// Columns are "name:type" specs (type one of string, int, float,
-	// bool, default string); the first column is the primary key
-	// unless one carries a "!pk" suffix.
+	// bool, default string; the type follows the last colon); the first
+	// column is the primary key unless one carries a "!pk" suffix.
 	Columns     []string             `json:"columns"`
-	Rows        [][]any              `json:"rows"`
+	Rows        json.RawMessage      `json:"rows"`
 	ForeignKeys []wrapper.FKSnapshot `json:"foreign_keys,omitempty"`
 }
 
@@ -136,29 +136,14 @@ func (req *sourcesReq) build(ctx context.Context) (err error) {
 	return err
 }
 
-// inlineSource builds a relational source from inline table specs by
-// translating them into the relational snapshot form and restoring
-// that, so inline registration and a restored snapshot decode columns,
-// cells and foreign keys with the same code and the same errors. The
-// translation resolves what only the request shape has: the "!pk"
-// suffix and the default string type (an empty primary key already
-// means the first column to rel.NewTable).
+// inlineSource builds a relational source from inline tables by
+// restoring the relational snapshot they are, so inline registration
+// and a restored snapshot read column specs, rows (as the text they
+// arrived in) and foreign keys with the same code and the same errors.
 func inlineSource(name string, tables []tableSpec) (wrapper.Wrapper, error) {
 	snap := &wrapper.Snapshot{Kind: "relational", Name: name}
 	for _, ts := range tables {
-		out := wrapper.TableSnapshot{Name: ts.Name, Rows: ts.Rows, ForeignKeys: ts.ForeignKeys}
-		for _, spec := range ts.Columns {
-			col, isPK := strings.CutSuffix(spec, "!pk")
-			cname, _, typed := strings.Cut(col, ":")
-			if !typed {
-				col += ":string"
-			}
-			if isPK {
-				out.PrimaryKey = cname
-			}
-			out.Columns = append(out.Columns, col)
-		}
-		snap.Tables = append(snap.Tables, out)
+		snap.Tables = append(snap.Tables, wrapper.TableSnapshot{Name: ts.Name, Columns: ts.Columns, Rows: ts.Rows, ForeignKeys: ts.ForeignKeys})
 	}
 	return wrapper.Restore(snap)
 }

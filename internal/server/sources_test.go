@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -161,5 +162,87 @@ func TestInlineIntCellsAreExact(t *testing.T) {
 		if status != http.StatusOK || !strings.Contains(string(body), want) {
 			t.Errorf("%s: status %d, body %s\nwant %s", tc.when, status, body, want)
 		}
+	}
+}
+
+// TestInlineRowsAreSessionFileRows: inline rows and a session file's are
+// read by one walk, so the same rows of an int column are accepted or
+// refused alike — in the same words — and accepted ones become the same
+// cells with the same Go types.
+func TestInlineRowsAreSessionFileRows(t *testing.T) {
+	s, c := newTestClient(t, DefaultConfig())
+	for i, tc := range []struct {
+		rows     string
+		accepted bool
+	}{
+		{`[[1, 1.0]]`, true},
+		{`[[1, 1e3]]`, true},
+		{`[[1, 9007199254740993]]`, true},
+		{`[[1, null]]`, true},
+		{`[[1, "x"]]`, false},
+		{`[[1, [1]]]`, false},
+		{`[[1, 2], [2]]`, false},
+		{`[[1, 2], [2, 3, 4]]`, false},
+	} {
+		restored, refused := wrapper.Decode([]byte(`{"kind": "relational", "name": "S", "tables": [
+			{"name": "t", "columns": ["id:int", "n:int"], "primary_key": "id", "rows": ` + tc.rows + `}]}`))
+		if (refused == nil) != tc.accepted {
+			t.Fatalf("rows %s: the session file's are accepted %v (%v), want %v", tc.rows, refused == nil, refused, tc.accepted)
+		}
+		session := "rows" + strconv.Itoa(i)
+		status, body := c.do("POST", "/sources", json.RawMessage(`{"session": "`+session+`", "name": "S", "tables": [
+			{"name": "t", "columns": ["id:int", "n:int"], "rows": `+tc.rows+`}]}`))
+		if refused != nil {
+			if status != http.StatusBadRequest || body["error"] != refused.Error() {
+				t.Errorf("inline rows %s = %d %q, want 400 %q", tc.rows, status, body["error"], refused)
+			}
+			continue
+		}
+		if status != http.StatusCreated {
+			t.Fatalf("inline rows %s = %d %v, want 201", tc.rows, status, body)
+		}
+		sess, err := s.Sessions().Get(session, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inline, _ := sess.Wrapper("S")
+		got, _ := inline.(*wrapper.Relational).DB().Table("t")
+		want, _ := restored.(*wrapper.Relational).DB().Table("t")
+		// DeepEqual tells int64(1000) from float64(1000).
+		if !reflect.DeepEqual(got.Rows(), want.Rows()) {
+			t.Errorf("inline rows %s became %#v, the session file's %#v", tc.rows, got.Rows(), want.Rows())
+		}
+	}
+}
+
+// TestColumnNameWithColonsSavesAndRestores: a column spec's type follows
+// its last colon wherever a spec is read, so a column named with colons
+// is accepted inline, saved with its session and brought back by
+// RestoreSessions — which a daemon started on the directory runs, and
+// which fails on any file it cannot load.
+func TestColumnNameWithColonsSavesAndRestores(t *testing.T) {
+	dir := t.TempDir()
+	s, c := newDurableClient(t, dir)
+	c.must("POST", "/sources", json.RawMessage(`{"name": "Rates", "tables": [
+		{"name": "t", "columns": ["id:int", "rate:per:hour:float", "unit:of:string"], "rows": [[1, 2.5, "h"], [2, null, "m"]]}]}`), http.StatusCreated)
+	source := func(s *Server) wrapper.Wrapper {
+		t.Helper()
+		sess, err := s.Sessions().Get("", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, ok := sess.Wrapper("Rates")
+		if !ok {
+			t.Fatal("no source Rates")
+		}
+		return w
+	}
+	saved := extents(t, source(s))
+	if !strings.Contains(saved, "<<t, rate:per:hour>>") || !strings.Contains(saved, "<<t, unit:of>>") {
+		t.Fatalf("the inline columns are not rate:per:hour and unit:of:\n%s", saved)
+	}
+	s2, _ := newDurableClient(t, dir)
+	if got := extents(t, source(s2)); got != saved {
+		t.Errorf("restored source differs from the saved one:\n restored:\n%s saved:\n%s", got, saved)
 	}
 }

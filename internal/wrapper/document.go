@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/dataspace/automed/internal/jsontext"
+	"github.com/dataspace/automed/internal/rel"
 )
 
 // A source's snapshot document is its Snapshot encoded as JSON: what a
@@ -58,17 +58,17 @@ func EncodeAll(ws []Wrapper) ([]json.RawMessage, error) {
 
 // Decode rebuilds a wrapper from its snapshot document (exactly one
 // JSON value; integers keep their full int64 precision). encoding/json
-// decides whether doc is JSON and decodes everything in it but the rows
-// of relational tables, which stay text until Restore walks them by
-// column type (rows.go). An in-memory wrapper keeps the document as its
-// memo, so saving a restored session encodes no source until one
-// changes. Decode takes ownership of doc.
+// decides whether doc is JSON and decodes everything in it; the rows of
+// relational tables are text in a Snapshot, which Restore walks by
+// column type (rows.go) without validating them again. An in-memory
+// wrapper keeps the document as its memo, so saving a restored session
+// encodes no source until one changes. Decode takes ownership of doc.
 func Decode(doc json.RawMessage) (Wrapper, error) {
-	var d document
-	if err := json.Unmarshal(doc, &d); err != nil {
+	var snap Snapshot
+	if err := json.Unmarshal(doc, &snap); err != nil {
 		return nil, fmt.Errorf("wrapper: decoding snapshot document: %w", err)
 	}
-	w, err := Restore(d.snapshot())
+	w, err := restore(&snap, true)
 	if err != nil {
 		return nil, err
 	}
@@ -80,45 +80,6 @@ func Decode(doc json.RawMessage) (Wrapper, error) {
 		memo.set(stamp, doc)
 	}
 	return w, nil
-}
-
-// document is a Snapshot as Decode has encoding/json read it: the
-// members Snapshot has under the names it gives them, except that a
-// table's rows are kept as they are written — the shallower Tables and
-// Fault take those two members from the embedded Snapshot's.
-type document struct {
-	Snapshot
-	Tables []tableDocument `json:"tables"`
-	Fault  *faultDocument  `json:"fault"`
-}
-
-type tableDocument struct {
-	TableSnapshot
-	Rows json.RawMessage `json:"rows"`
-}
-
-type faultDocument struct {
-	FaultSnapshot
-	Inner *document `json:"inner"`
-}
-
-// snapshot returns the Snapshot d stands for, its tables' rows as text.
-func (d *document) snapshot() *Snapshot {
-	if d == nil {
-		return nil
-	}
-	snap := &d.Snapshot
-	for _, t := range d.Tables {
-		ts := t.TableSnapshot
-		if ts.text = t.Rows; ts.text == nil {
-			ts.text = []byte("null") // no "rows" member at all
-		}
-		snap.Tables = append(snap.Tables, ts)
-	}
-	if d.Fault != nil {
-		snap.Fault = &FaultSnapshot{Config: d.Fault.Config, Inner: d.Fault.Inner.snapshot()}
-	}
-	return snap
 }
 
 func encode(sn Snapshotter) (json.RawMessage, error) {
@@ -173,11 +134,14 @@ func (w *Static) docMemo() (*docMemo, uint64) { return &w.memo, uint64(len(w.ext
 func (w *XML) docMemo() (*docMemo, uint64) { return &w.memo, 0 }
 
 // MarshalJSON writes the document: the members encoding/json would
-// write, in its order and with its tokens, but relational rows are
-// written directly — one row per line, no reflection, no copy — and a
-// cell JSON cannot carry is an error naming where it is.
+// write, in its order and with its tokens, but relational rows, already
+// text, are spliced in as they are.
 func (s *Snapshot) MarshalJSON() ([]byte, error) {
-	dst := append(make([]byte, 0, 1024), `{"kind":`...)
+	size := 1024
+	for i := range s.Tables {
+		size += len(s.Tables[i].Rows)
+	}
+	dst := append(make([]byte, 0, size), `{"kind":`...)
 	dst = jsontext.AppendStringHTML(dst, s.Kind)
 	dst = append(dst, `,"name":`...)
 	dst = jsontext.AppendStringHTML(dst, s.Name)
@@ -187,10 +151,20 @@ func (s *Snapshot) MarshalJSON() ([]byte, error) {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = append(dst, '\n')
-			var err error
-			if dst, err = s.Tables[i].appendJSON(dst, s.Name); err != nil {
+			// The description through encoding/json, its rows left nil:
+			// rows is the last member, so the rows go where its null was.
+			head := s.Tables[i]
+			head.Rows = nil
+			b, err := json.Marshal(&head)
+			if err != nil {
 				return nil, err
+			}
+			dst = append(dst, '\n')
+			if rows := s.Tables[i].Rows; rows != nil {
+				dst = append(append(dst, bytes.TrimSuffix(b, []byte("null}"))...), rows...)
+				dst = append(dst, '}')
+			} else {
+				dst = append(dst, b...)
 			}
 		}
 		dst = append(dst, "\n]"...)
@@ -210,25 +184,16 @@ func (s *Snapshot) MarshalJSON() ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// appendJSON appends the table: its description through encoding/json
-// (rows is the last member, so the rows go where its null was), then
-// one line per row.
-func (ts *TableSnapshot) appendJSON(dst []byte, source string) ([]byte, error) {
-	head := *ts
-	head.Rows = nil
-	b, err := json.Marshal(&head)
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, bytes.TrimSuffix(b, []byte("null}"))...)
-	switch {
-	case ts.Rows == nil:
-		return append(dst, "null}"...), nil
-	case len(ts.Rows) == 0:
-		return append(dst, "[]}"...), nil
+// appendRows appends t's rows as Relational.Snapshot writes them: one
+// row per line, no reflection, and a cell JSON cannot carry is an error
+// naming where it is. An empty table is [].
+func appendRows(dst []byte, source string, t *rel.Table) ([]byte, error) {
+	rows := t.Rows()
+	if len(rows) == 0 {
+		return append(dst, "[]"...), nil
 	}
 	dst = append(dst, '[')
-	for rn, row := range ts.Rows {
+	for rn, row := range rows {
 		if rn > 0 {
 			dst = append(dst, ',')
 		}
@@ -237,21 +202,17 @@ func (ts *TableSnapshot) appendJSON(dst []byte, source string) ([]byte, error) {
 			if cn > 0 {
 				dst = append(dst, ',')
 			}
+			var err error
 			if dst, err = appendCell(dst, cell); err != nil {
-				col := strconv.Itoa(cn)
-				if cn < len(ts.Columns) {
-					col, _, _ = strings.Cut(ts.Columns[cn], ":")
-				}
-				return dst, fmt.Errorf("wrapper: source %q table %q row %d column %q: %w", source, ts.Name, rn, col, err)
+				return dst, fmt.Errorf("wrapper: source %q table %q row %d column %q: %w", source, t.Name(), rn, t.Columns()[cn].Name, err)
 			}
 		}
 		dst = append(dst, ']')
 	}
-	return append(dst, "\n]}"...), nil
+	return append(dst, "\n]"...), nil
 }
 
-// appendCell appends one row cell: the types rel holds and the ones a
-// decoded snapshot holds directly, anything else through encoding/json.
+// appendCell appends one row cell, of one of the types rel holds.
 func appendCell(dst []byte, cell any) ([]byte, error) {
 	switch x := cell.(type) {
 	case nil:
@@ -265,6 +226,5 @@ func appendCell(dst []byte, cell any) ([]byte, error) {
 	case bool:
 		return strconv.AppendBool(dst, x), nil
 	}
-	b, err := json.Marshal(cell)
-	return append(dst, b...), err
+	return dst, fmt.Errorf("a cell of type %T", cell)
 }

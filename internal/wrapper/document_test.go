@@ -65,8 +65,8 @@ func edgeDB(t *testing.T) *rel.DB {
 }
 
 // TestDocumentMatchesReference: for every in-memory kind, and for a
-// snapshot as a decoder leaves it (json.Number cells, nil rows), the
-// document is token for token what encoding/json wrote before.
+// snapshot as a decoder leaves it (rows as text, or none), the document
+// is token for token what encoding/json writes.
 func TestDocumentMatchesReference(t *testing.T) {
 	relW, err := NewRelational("Edge<&>", edgeDB(t))
 	if err != nil {
@@ -100,7 +100,7 @@ func TestDocumentMatchesReference(t *testing.T) {
 
 	decoded := &Snapshot{Kind: "relational", Name: "D", Tables: []TableSnapshot{
 		{Name: "t", Columns: []string{"a:int", "b:float"}, PrimaryKey: "a",
-			Rows: [][]any{{json.Number("9223372036854775807"), json.Number("1e21")}, {1, float32(2)}}},
+			Rows: json.RawMessage("[\n[9223372036854775807,1e21],\n[1,2]\n]")},
 		{Name: "nil rows"},
 	}}
 	doc, err := decoded.MarshalJSON()

@@ -224,12 +224,12 @@ func (w *Fault) Snapshot() (*Snapshot, error) {
 
 // restoreFault rebuilds a Fault wrapper around its restored inner
 // source.
-func restoreFault(snap *Snapshot) (Wrapper, error) {
+func restoreFault(snap *Snapshot, decoded bool) (Wrapper, error) {
 	f := snap.Fault
 	if f == nil {
 		return nil, fmt.Errorf("wrapper: source %q: fault snapshot has no fault payload", snap.Name)
 	}
-	inner, err := Restore(f.Inner)
+	inner, err := restore(f.Inner, decoded)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper: source %q: restoring faulted inner source: %w", snap.Name, err)
 	}

@@ -60,11 +60,20 @@ type RESTConfig struct {
 	Client *http.Client
 }
 
-const (
-	defaultRESTTimeout  = 10 * time.Second
-	defaultRESTMaxBytes = 8 << 20
-	defaultRESTBackoff  = 100 * time.Millisecond
-)
+// withDefaults gives the settings left at zero their defaults: a
+// constructed wrapper's and a restored one's alike.
+func (c RESTConfig) withDefaults() RESTConfig {
+	if c.Timeout <= 0 {
+		c.Timeout = 10 * time.Second
+	}
+	if c.MaxBytes <= 0 {
+		c.MaxBytes = 8 << 20
+	}
+	if c.RetryBackoff <= 0 {
+		c.RetryBackoff = 100 * time.Millisecond
+	}
+	return c
+}
 
 // restColl is the resolved shape of one collection.
 type restColl struct {
@@ -112,15 +121,7 @@ func NewRESTContext(ctx context.Context, name string, cfg RESTConfig) (*REST, er
 	if cfg.Endpoint == "" {
 		return nil, fmt.Errorf("wrapper: rest: source %q: endpoint is required", name)
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = defaultRESTTimeout
-	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = defaultRESTMaxBytes
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = defaultRESTBackoff
-	}
+	cfg = cfg.withDefaults()
 	w := &REST{name: name, cfg: cfg, client: cfg.Client, colls: make(map[string]restColl)}
 	if w.client == nil {
 		w.client = &http.Client{}
@@ -157,7 +158,7 @@ func (w *REST) declared(ctx context.Context, specs []RESTCollection) ([]restColl
 		}
 		if len(c.fields) == 0 {
 			d := restDecoder{names: make(map[string]bool)}
-			if _, err := w.fetchRows(ctx, c, &d); err != nil {
+			if _, err := w.chain(c, &d).collect(ctx, nil); err != nil {
 				return nil, fmt.Errorf("wrapper: rest: source %q: inferring fields of %q: %w", w.name, c.name, err)
 			}
 			c.fields = d.fields()
@@ -175,12 +176,12 @@ func (w *REST) declared(ctx context.Context, specs []RESTCollection) ([]restColl
 // must return an object mapping collection names to arrays of flat
 // records; keys default to "id" when present, else the first field.
 func (w *REST) discover(ctx context.Context) ([]restColl, error) {
-	body, err := w.get(ctx, "")
+	data, _, err := w.getPage(ctx, w.url(""), "", 0)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper: rest: source %q: discovering collections: %w", w.name, err)
 	}
 	var root map[string]json.RawMessage
-	if err := decodeStrict(body, w.cfg.MaxBytes, &root); err != nil {
+	if err := json.Unmarshal(data, &root); err != nil {
 		return nil, fmt.Errorf("wrapper: rest: source %q: discovering collections: endpoint root is not a JSON object: %w", w.name, err)
 	}
 	names := make([]string, 0, len(root))
@@ -258,24 +259,17 @@ func (w *REST) Extent(parts []string) (iql.Value, error) {
 // aborts as soon as ctx is cancelled (the per-wrapper Timeout still
 // applies on top). A fetch that fails is an error, also from a restored
 // wrapper: the extent it holds is served by FallbackExtent, to a caller
-// that says so.
+// that says so. The extent is the concatenation of exactly the pages
+// ExtentScanner would stream; unpaginated endpoints (no Link header)
+// cost one GET.
 func (w *REST) ExtentContext(ctx context.Context, parts []string) (iql.Value, error) {
-	obj, err := w.schema.Resolve(parts)
+	s, err := w.scanner(parts)
 	if err != nil {
 		return iql.Value{}, err
 	}
-	sc := obj.Scheme
-	c, ok := w.colls[sc.Part(0)]
-	if !ok {
-		return iql.Value{}, fmt.Errorf("wrapper: rest: source %q: no collection %q", w.name, sc.Part(0))
-	}
-	items, err := w.fetchRows(ctx, c, c.decoder(sc))
+	items, err := s.collect(ctx, nil)
 	if err != nil {
-		var ke *restKeyError
-		if errors.As(err, &ke) {
-			return iql.Value{}, ke
-		}
-		return iql.Value{}, fmt.Errorf("wrapper: rest: source %q: fetching %s: %w", w.name, sc, err)
+		return iql.Value{}, s.fetchErr(err)
 	}
 	return iql.BagOf(items), nil
 }
@@ -284,36 +278,10 @@ func (w *REST) ExtentContext(ctx context.Context, parts []string) (iql.Value, er
 // pagination chain this long is a misbehaving (or cyclic) endpoint.
 const restMaxPages = 10000
 
-// collURL resolves a collection's absolute first-page URL.
-func (w *REST) collURL(c restColl) string {
-	return strings.TrimSuffix(w.cfg.Endpoint, "/") + c.path
-}
-
-// fetchRows GETs a collection and decodes it through d, following
-// rel="next" Link headers page by page until the chain ends, so the
-// materialised extent is the concatenation of exactly the pages a
-// scanner would stream. Unpaginated endpoints (no Link header) cost one
-// GET.
-func (w *REST) fetchRows(ctx context.Context, c restColl, d *restDecoder) ([]iql.Value, error) {
-	url := w.collURL(c)
-	items, next, err := w.fetchPage(ctx, url, c.path, d, nil)
-	if err != nil {
-		return nil, err
-	}
-	for pages := 1; next != ""; pages++ {
-		if pages >= restMaxPages {
-			return nil, fmt.Errorf("GET %s: pagination exceeds %d pages", w.collURL(c), restMaxPages)
-		}
-		if next == url {
-			return nil, fmt.Errorf("GET %s: next link points at itself", url)
-		}
-		url = next
-		items, next, err = w.fetchPage(ctx, url, url, d, items)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return items, nil
+// url resolves an endpoint-relative path, such as a collection's, to
+// an absolute URL.
+func (w *REST) url(path string) string {
+	return strings.TrimSuffix(w.cfg.Endpoint, "/") + path
 }
 
 // StreamingScans reports that ExtentScanner pages records from the
@@ -325,6 +293,11 @@ func (w *REST) StreamingScans() bool { return true }
 // Endpoints that don't paginate stream their single response, which
 // still spares the caller the materialised extent copy.
 func (w *REST) ExtentScanner(ctx context.Context, parts []string) (Scanner, error) {
+	return w.scanner(parts)
+}
+
+// scanner returns the chain of the object parts names, not yet fetched.
+func (w *REST) scanner(parts []string) (*restScanner, error) {
 	obj, err := w.schema.Resolve(parts)
 	if err != nil {
 		return nil, err
@@ -334,15 +307,23 @@ func (w *REST) ExtentScanner(ctx context.Context, parts []string) (Scanner, erro
 	if !ok {
 		return nil, fmt.Errorf("wrapper: rest: source %q: no collection %q", w.name, sc.Part(0))
 	}
-	return &restScanner{w: w, sc: sc, c: c, d: c.decoder(sc), next: w.collURL(c), detail: c.path}, nil
+	s := w.chain(c, c.decoder(sc))
+	s.sc = sc
+	return s, nil
 }
 
-// restScanner pages one collection's extent through its pagination
-// chain. Each page is one bounded GET (with the wrapper's usual retry
-// policy); between pages no connection is held.
+// chain returns c's pagination chain, its records decoded through d.
+func (w *REST) chain(c restColl, d *restDecoder) *restScanner {
+	return &restScanner{w: w, c: c, d: d, next: w.url(c.path), detail: c.path}
+}
+
+// restScanner follows one collection's pagination chain — rel="next"
+// Link headers — page by page: as a Scanner, and for a whole extent or
+// field inference (collect). Each page is one bounded GET (with the
+// wrapper's usual retry policy); between pages no connection is held.
 type restScanner struct {
 	w      *REST
-	sc     hdm.Scheme
+	sc     hdm.Scheme // the object scanned, for errors; zero for inference
 	c      restColl
 	d      *restDecoder
 	next   string // next page URL; "" once the chain ends or the scanner is closed
@@ -357,7 +338,8 @@ type restScanner struct {
 
 func (s *restScanner) Next(ctx context.Context) bool {
 	// NULL-field skipping can empty a page, so keep following the
-	// chain until rows arrive or it ends.
+	// chain until rows arrive or it ends. Pages of one chain are mostly
+	// of one size, so each is allocated at the length of the one before.
 	for s.page = nil; len(s.page) == 0; {
 		if s.next == "" || s.err != nil {
 			return false
@@ -365,36 +347,53 @@ func (s *restScanner) Next(ctx context.Context) bool {
 		if s.err = ctx.Err(); s.err != nil {
 			return false
 		}
-		s.err = s.fetchNext(ctx)
+		if s.page, s.err = s.fetchNext(ctx, make([]iql.Value, 0, s.hint)); s.err != nil {
+			s.err = s.fetchErr(s.err)
+		}
+		s.hint = len(s.page)
 	}
 	return true
 }
 
-// fetchNext fetches the next page of the chain and projects its
-// records. Pages of one chain are mostly of one size, so each is
-// allocated at the length of the one before.
-func (s *restScanner) fetchNext(ctx context.Context) error {
+// collect follows the rest of the chain, appending every page's records
+// to items.
+func (s *restScanner) collect(ctx context.Context, items []iql.Value) ([]iql.Value, error) {
+	var err error
+	for s.next != "" {
+		if items, err = s.fetchNext(ctx, items); err != nil {
+			return nil, err
+		}
+	}
+	return items, nil
+}
+
+// fetchNext fetches the next page of the chain and appends its records
+// to items.
+func (s *restScanner) fetchNext(ctx context.Context, items []iql.Value) ([]iql.Value, error) {
 	if s.pages >= restMaxPages {
-		return fmt.Errorf("wrapper: rest: source %q: fetching %s: GET %s: pagination exceeds %d pages",
-			s.w.name, s.sc, s.w.collURL(s.c), restMaxPages)
+		return nil, fmt.Errorf("GET %s: pagination exceeds %d pages", s.w.url(s.c.path), restMaxPages)
 	}
 	if s.next == s.prev {
-		return fmt.Errorf("wrapper: rest: source %q: fetching %s: GET %s: next link points at itself",
-			s.w.name, s.sc, s.prev)
+		return nil, fmt.Errorf("GET %s: next link points at itself", s.prev)
 	}
 	url := s.next
-	items, next, err := s.w.fetchPage(ctx, url, s.detail, s.d, make([]iql.Value, 0, s.hint))
+	items, next, err := s.w.fetchPage(ctx, url, s.detail, s.d, items)
 	if err != nil {
-		var ke *restKeyError
-		if errors.As(err, &ke) {
-			return ke
-		}
-		return fmt.Errorf("wrapper: rest: source %q: fetching %s: %w", s.w.name, s.sc, err)
+		return nil, err
 	}
 	s.prev, s.next, s.detail = url, next, next
 	s.pages++
-	s.page, s.hint = items, len(items)
-	return nil
+	return items, nil
+}
+
+// fetchErr says which object a failed fetch was for; a record without
+// its key is the collection's fault and says so itself.
+func (s *restScanner) fetchErr(err error) error {
+	var ke *restKeyError
+	if errors.As(err, &ke) {
+		return ke
+	}
+	return fmt.Errorf("wrapper: rest: source %q: fetching %s: %w", s.w.name, s.sc, err)
 }
 
 func (s *restScanner) Page() []iql.Value { return s.page }
@@ -449,9 +448,6 @@ func (w *REST) fetchPage(ctx context.Context, url, detail string, d *restDecoder
 // backoff span on the context's trace.
 func (w *REST) backoff(ctx context.Context, cause error) error {
 	d := w.cfg.RetryBackoff
-	if d <= 0 {
-		d = defaultRESTBackoff
-	}
 	// Jitter in [0.5d, 1.5d): synchronized clients that failed together
 	// must not retry together.
 	d = d/2 + time.Duration(rand.Int64N(int64(d)))
@@ -505,17 +501,6 @@ func parseRetryAfter(h string) time.Duration {
 		}
 	}
 	return 0
-}
-
-// get performs one bounded GET of an endpoint-relative path and
-// returns the response body reader (already within the byte budget).
-// The caller owns decoding; pagination headers are ignored.
-func (w *REST) get(ctx context.Context, path string) (io.Reader, error) {
-	data, _, err := w.getPage(ctx, strings.TrimSuffix(w.cfg.Endpoint, "/")+path, path, 0)
-	if err != nil {
-		return nil, err
-	}
-	return bytes.NewReader(data), nil
 }
 
 // getPage performs one bounded GET of an absolute URL, returning the
@@ -660,7 +645,7 @@ func (w *REST) Ping(ctx context.Context) error {
 	if len(w.order) > 0 {
 		path = w.colls[w.order[0]].path
 	}
-	_, err := w.get(ctx, path)
+	_, _, err := w.getPage(ctx, w.url(path), path, 0)
 	return err
 }
 
@@ -674,59 +659,6 @@ func (w *REST) FallbackExtent(parts []string) (iql.Value, bool) {
 	}
 	v, ok := w.fallback[obj.Scheme.Key()]
 	return v, ok
-}
-
-// decodeStrict decodes exactly one JSON document within the byte
-// budget, rejecting trailing garbage. The budget counts raw bytes
-// consumed from r — the same accounting as getBody — so a document of
-// maxBytes decodes and one of maxBytes+1 fails on every path.
-func decodeStrict(r io.Reader, maxBytes int64, v any) error {
-	// The reader is allowed one sentinel byte past the budget: the
-	// Decoder buffers ahead, so a mid-read error could reject documents
-	// that fit. Overflow is instead checked on consumed bytes after the
-	// fact — json.Decoder defers read errors it has buffered past, so
-	// the error return alone cannot be relied on.
-	br := &budgetReader{r: r, left: maxBytes + 1, max: maxBytes}
-	dec := json.NewDecoder(br)
-	dec.UseNumber()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if br.overflowed() {
-		return fmt.Errorf("response exceeds the %d-byte budget", maxBytes)
-	}
-	// Only the end of input may follow (More would let a stray closing
-	// bracket pass).
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("trailing data after JSON document")
-	}
-	if br.overflowed() {
-		return fmt.Errorf("response exceeds the %d-byte budget", maxBytes)
-	}
-	return nil
-}
-
-// budgetReader fails reads that would exceed the byte budget.
-type budgetReader struct {
-	r    io.Reader
-	left int64
-	max  int64
-}
-
-// overflowed reports whether more than max bytes were consumed (the
-// reader was seeded with one extra sentinel byte).
-func (b *budgetReader) overflowed() bool { return b.left <= 0 }
-
-func (b *budgetReader) Read(p []byte) (int, error) {
-	if b.left <= 0 {
-		return 0, fmt.Errorf("response exceeds the %d-byte budget", b.max)
-	}
-	if int64(len(p)) > b.left {
-		p = p[:b.left]
-	}
-	n, err := b.r.Read(p)
-	b.left -= int64(n)
-	return n, err
 }
 
 // restDecoder decodes the pages of one collection: a JSON array of flat

@@ -15,9 +15,10 @@ import (
 )
 
 // TestDecodeStrictBudgetBoundary pins the byte-budget boundary: a
-// document of exactly maxBytes decodes, one byte more fails — the same
-// accounting as getBody's body budget, so the two paths can never
-// disagree about a payload at the limit.
+// document of exactly maxBytes decodes, one byte more fails — in the
+// reference decoder (rest_reference_test.go) as in the page decoder,
+// and as in getBody's body budget, so no two of them disagree about a
+// payload at the limit.
 func TestDecodeStrictBudgetBoundary(t *testing.T) {
 	const budget = 64
 	within := budgetDoc(budget)

@@ -111,3 +111,56 @@ func refInferFields(rows []map[string]iql.Value) []string {
 	sort.Strings(out)
 	return out
 }
+
+// decodeStrict decodes exactly one JSON document within the byte
+// budget, rejecting trailing garbage, as the reference decoder did. The budget counts raw bytes
+// consumed from r — the same accounting as getBody — so a document of
+// maxBytes decodes and one of maxBytes+1 fails on every path.
+func decodeStrict(r io.Reader, maxBytes int64, v any) error {
+	// The reader is allowed one sentinel byte past the budget: the
+	// Decoder buffers ahead, so a mid-read error could reject documents
+	// that fit. Overflow is instead checked on consumed bytes after the
+	// fact — json.Decoder defers read errors it has buffered past, so
+	// the error return alone cannot be relied on.
+	br := &budgetReader{r: r, left: maxBytes + 1, max: maxBytes}
+	dec := json.NewDecoder(br)
+	dec.UseNumber()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if br.overflowed() {
+		return fmt.Errorf("response exceeds the %d-byte budget", maxBytes)
+	}
+	// Only the end of input may follow (More would let a stray closing
+	// bracket pass).
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("trailing data after JSON document")
+	}
+	if br.overflowed() {
+		return fmt.Errorf("response exceeds the %d-byte budget", maxBytes)
+	}
+	return nil
+}
+
+// budgetReader fails reads that would exceed the byte budget.
+type budgetReader struct {
+	r    io.Reader
+	left int64
+	max  int64
+}
+
+// overflowed reports whether more than max bytes were consumed (the
+// reader was seeded with one extra sentinel byte).
+func (b *budgetReader) overflowed() bool { return b.left <= 0 }
+
+func (b *budgetReader) Read(p []byte) (int, error) {
+	if b.left <= 0 {
+		return 0, fmt.Errorf("response exceeds the %d-byte budget", b.max)
+	}
+	if int64(len(p)) > b.left {
+		p = p[:b.left]
+	}
+	n, err := b.r.Read(p)
+	b.left -= int64(n)
+	return n, err
+}

@@ -1,11 +1,15 @@
 package wrapper_test
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -365,5 +369,90 @@ func TestRESTErrorResponsesReuseConnection(t *testing.T) {
 	}
 	if got := conns.Load(); got != 1 {
 		t.Errorf("4 failing fetches used %d connections, want 1 (error bodies not drained?)", got)
+	}
+}
+
+// TestRESTExtentAndScannerWalkOneChain: a whole extent and a drained
+// scanner follow a pagination chain the same way — the same GETs in the
+// same order, the same rows and the same error text — over three pages
+// of which the middle one has no value for the projected field, over a
+// chain whose second page links to itself, and over one whose second
+// page is a 404.
+func TestRESTExtentAndScannerWalkOneChain(t *testing.T) {
+	var mu sync.Mutex
+	var gets []string
+	var last int            // the page that ends the chain
+	self, missing := -1, -1 // the page that links to itself, the page that is a 404
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		gets = append(gets, r.URL.RequestURI())
+		mu.Unlock()
+		p, _ := strconv.Atoi(r.URL.Query().Get("page"))
+		switch {
+		case p == missing:
+			http.NotFound(w, r)
+			return
+		case p == self:
+			w.Header().Set("Link", `</events?page=`+strconv.Itoa(p)+`>; rel="next"`)
+		case p < last:
+			w.Header().Set("Link", `</events?page=`+strconv.Itoa(p+1)+`>; rel="next"`)
+		}
+		if p == 1 {
+			fmt.Fprint(w, `[{"id": 10, "val": null}, {"id": 11}]`) // no val: no rows
+			return
+		}
+		fmt.Fprintf(w, `[{"id": %d, "val": "a%d"}, {"id": %d, "val": "b%d"}]`, 10*p, p, 10*p+1, p)
+	}))
+	defer srv.Close()
+	w, err := wrapper.NewREST("R", wrapper.RESTConfig{Endpoint: srv.URL,
+		Collections: []wrapper.RESTCollection{{Name: "events", Fields: []string{"val"}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk := func(f func() (iql.Value, error)) (rows iql.Value, errText string, urls []string) {
+		mu.Lock()
+		gets = nil
+		mu.Unlock()
+		rows, err := f()
+		if err != nil {
+			errText = err.Error()
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return rows, errText, gets
+	}
+	parts := []string{"events", "val"}
+	for _, tc := range []struct {
+		name                string
+		last, self, missing int
+		wantGets            int
+		wantErr             string
+	}{
+		{"three pages", 2, -1, -1, 3, ""},
+		{"a self-link", 2, 1, -1, 2, "next link points at itself"},
+		{"a 404 on page 2", 2, -1, 1, 2, "unexpected status 404"},
+	} {
+		last, self, missing = tc.last, tc.self, tc.missing
+		extent, extentErr, extentGets := walk(func() (iql.Value, error) { return w.Extent(parts) })
+		scanned, scanErr, scanGets := walk(func() (iql.Value, error) {
+			scn, err := w.ExtentScanner(context.Background(), parts)
+			if err != nil {
+				return iql.Value{}, err
+			}
+			var rows []iql.Value
+			for scn.Next(context.Background()) {
+				rows = append(rows, scn.Page()...)
+			}
+			return iql.BagOf(rows), scn.Err()
+		})
+		if !slices.Equal(extentGets, scanGets) || len(extentGets) != tc.wantGets {
+			t.Errorf("%s: Extent sent %v, the scanner %v; want %d GETs each", tc.name, extentGets, scanGets, tc.wantGets)
+		}
+		if extentErr != scanErr || !strings.Contains(extentErr, tc.wantErr) || (tc.wantErr == "") != (extentErr == "") {
+			t.Errorf("%s: Extent failed with %q, the scanner with %q; want %q", tc.name, extentErr, scanErr, tc.wantErr)
+		}
+		if tc.wantErr == "" && (!extent.Equal(scanned) || extent.Len() != 4) {
+			t.Errorf("%s: Extent read %s, the scanner %s; want the 4 rows of pages 0 and 2", tc.name, extent, scanned)
+		}
 	}
 }

@@ -7,18 +7,18 @@ import (
 	"github.com/dataspace/automed/internal/rel"
 )
 
-// A table's rows reach restoreRelational in one of two forms: as
-// [][]any, from a Snapshot built in Go or decoded by encoding/json, or
-// as the JSON text they arrived in, which is what Decode leaves them as.
-// The text is walked here once, each cell read by its column's type
+// A table's rows reach restoreRelational in one form: the JSON text of
+// TableSnapshot.Rows, whether Decode read it from a session file, the
+// daemon took it from a request or Relational.Snapshot wrote it. The
+// text is walked here once, each cell read by its column's type
 // straight into the row rel.Table.Insert takes — no []any per row, no
 // json.Number and interface per cell — and what the walk accepts,
 // refuses and says is what decoding the same text with UseNumber and
-// converting cell by cell through decodeCell accepts, refuses and says
+// converting cell by cell accepted, refused and said
 // (rows_reference_test.go holds it to that).
 
-// rowInserter is what both forms share: the table being filled, and the
-// words an unusable row is refused in.
+// rowInserter is the table being filled, and the words an unusable row
+// is refused in.
 type rowInserter struct {
 	source string
 	table  *rel.Table
@@ -42,32 +42,9 @@ func (in *rowInserter) insert(rn int, vals []any) error {
 	return nil
 }
 
-// insertRows inserts rows held as [][]any.
-func (in *rowInserter) insertRows(rows [][]any) error {
-	vals := make([]any, len(in.cols))
-	for rn, row := range rows {
-		if len(row) != len(in.cols) {
-			return in.widthErr(rn, len(row))
-		}
-		for cn, cell := range row {
-			v, err := decodeCell(cell, in.cols[cn].Type)
-			if err != nil {
-				return in.cellErr(rn, cn, err)
-			}
-			vals[cn] = v
-		}
-		if err := in.insert(rn, vals); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// insertText inserts rows held as JSON text: the value of a "rows"
-// member of a document encoding/json has found valid. A row is checked
-// in the order insertRows checks it — its width, then its cells left to
-// right, then what the table says — so the first thing wrong with a
-// document is the same thing either way.
+// insertText inserts rows held as JSON text that encoding/json has
+// found valid. A row is checked for its width, then its cells left to
+// right, then for what the table says.
 func (in *rowInserter) insertText(text []byte) error {
 	i := skipSpace(text, 0)
 	if text[i] == 'n' {

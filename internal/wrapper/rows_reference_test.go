@@ -18,25 +18,42 @@ import (
 
 // The reference the row walk (rows.go) is tested against: Decode as it
 // stood before the walk replaced it. encoding/json, with UseNumber,
-// decodes the whole document into a Snapshot — a []any per row, a
-// json.Number or string boxed per cell — and Restore converts every cell
-// again through decodeCell. It is what made a restore cost what it did,
-// which is why it is gone from Decode, and it is exactly the semantics
-// the walk must keep: what it accepts, what it refuses, and the words it
-// refuses a row in.
+// decodes the whole document — a []any per row, a json.Number or string
+// boxed per cell — and every cell is converted again through decodeCell.
+// It is what made a restore cost what it did, which is why it is gone
+// from Decode, and it is exactly the semantics the walk must keep: what
+// it accepts, what it refuses, and the words it refuses a row in.
+
+// refSnapshot is a Snapshot as the reference decodes it: a table's rows
+// as [][]any, at any depth of fault wrapping.
+type refSnapshot struct {
+	Snapshot
+	Tables []refTable `json:"tables"`
+	Fault  *refFault  `json:"fault"`
+}
+
+type refTable struct {
+	TableSnapshot
+	Rows [][]any `json:"rows"`
+}
+
+type refFault struct {
+	FaultSnapshot
+	Inner *refSnapshot `json:"inner"`
+}
 
 // refDecode is the replaced Decode, memo and all.
 func refDecode(doc json.RawMessage) (Wrapper, error) {
 	dec := json.NewDecoder(bytes.NewReader(doc))
 	dec.UseNumber()
-	var snap Snapshot
+	var snap refSnapshot
 	if err := dec.Decode(&snap); err != nil {
 		return nil, fmt.Errorf("wrapper: decoding snapshot document: %w", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("wrapper: snapshot document of source %q has trailing data", snap.Name)
 	}
-	w, err := Restore(&snap)
+	w, err := refRestore(&snap)
 	if err != nil {
 		return nil, err
 	}
@@ -45,6 +62,99 @@ func refDecode(doc json.RawMessage) (Wrapper, error) {
 		memo.set(stamp, doc)
 	}
 	return w, nil
+}
+
+// refRestore is Restore of a refSnapshot: the relational and fault kinds
+// as they were restored from rows held as [][]any, the others by Restore.
+func refRestore(s *refSnapshot) (Wrapper, error) {
+	if s == nil {
+		return Restore(nil)
+	}
+	if s.Name == "" || (s.Kind != "relational" && s.Kind != "fault") || (s.Kind == "fault" && s.Fault == nil) {
+		return Restore(&s.Snapshot)
+	}
+	if s.Kind == "fault" {
+		inner, err := refRestore(s.Fault.Inner)
+		if err != nil {
+			return nil, fmt.Errorf("wrapper: source %q: restoring faulted inner source: %w", s.Name, err)
+		}
+		return NewFault(inner, s.Fault.Config)
+	}
+	db := rel.NewDB(s.Name)
+	for _, ts := range s.Tables {
+		cols := make([]rel.Column, len(ts.Columns))
+		pk := ts.PrimaryKey
+		for i, spec := range ts.Columns {
+			col, isPK, err := rel.ParseColumn(spec)
+			if err != nil {
+				return nil, fmt.Errorf("wrapper: source %q table %q: %w", s.Name, ts.Name, err)
+			}
+			if cols[i] = col; isPK {
+				pk = col.Name
+			}
+		}
+		t, err := db.CreateTable(ts.Name, cols, pk)
+		if err != nil {
+			return nil, fmt.Errorf("wrapper: source %q: %w", s.Name, err)
+		}
+		in := rowInserter{source: s.Name, table: t, cols: cols}
+		vals := make([]any, len(cols))
+		for rn, row := range ts.Rows {
+			if len(row) != len(cols) {
+				return nil, in.widthErr(rn, len(row))
+			}
+			for cn, cell := range row {
+				if vals[cn], err = decodeCell(cell, cols[cn].Type); err != nil {
+					return nil, in.cellErr(rn, cn, err)
+				}
+			}
+			if err := in.insert(rn, vals); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, ts := range s.Tables {
+		for _, fk := range ts.ForeignKeys {
+			if err := db.AddForeignKey(ts.Name, fk.Column, fk.RefTable); err != nil {
+				return nil, fmt.Errorf("wrapper: source %q: %w", s.Name, err)
+			}
+		}
+	}
+	return NewRelational(s.Name, db)
+}
+
+// decodeCell maps a row cell decoded with json.Decoder.UseNumber back to
+// the relational cell type: an int64 cell stays exact however the
+// integer is spelt (1, 1.0, 1e3). textCell (rows.go) is the same mapping
+// from JSON text.
+func decodeCell(cell any, ty rel.Type) (any, error) {
+	if cell == nil {
+		return nil, nil
+	}
+	n, isNum := cell.(json.Number)
+	switch ty {
+	case rel.Int:
+		if isNum {
+			i, ok := exactInt64(n.String())
+			if !ok {
+				return nil, intRangeErr(n.String())
+			}
+			return i, nil
+		}
+	case rel.Float:
+		if isNum {
+			return n.Float64()
+		}
+	case rel.Bool:
+		if b, ok := cell.(bool); ok {
+			return b, nil
+		}
+	default:
+		if s, ok := cell.(string); ok {
+			return s, nil
+		}
+	}
+	return nil, cellTypeErr(ty, fmt.Sprintf("%T", cell))
 }
 
 // refusedByJSON reports whether the reference's error is encoding/json's

@@ -4,7 +4,6 @@ import (
 	"database/sql"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -60,15 +59,15 @@ type FaultSnapshot struct {
 // TableSnapshot serialises one relational table.
 type TableSnapshot struct {
 	Name string `json:"name"`
-	// Columns are "name:type" specs, as in CSV headers and the server's
-	// inline table API.
+	// Columns are "name:type" specs (rel.ParseColumn), as in CSV headers
+	// and the server's inline table API.
 	Columns     []string     `json:"columns"`
 	PrimaryKey  string       `json:"primary_key"`
 	ForeignKeys []FKSnapshot `json:"foreign_keys,omitempty"`
-	Rows        [][]any      `json:"rows"`
-	// text, which only Decode sets, holds the rows as the JSON text of
-	// the document's "rows" member in place of Rows (see rows.go).
-	text []byte
+	// Rows is the rows' JSON text, an array of rows of cells in column
+	// order: Relational.Snapshot writes one row per line, MarshalJSON
+	// writes it as it is and Restore walks it by column type (rows.go).
+	Rows json.RawMessage `json:"rows"`
 }
 
 // FKSnapshot serialises a foreign-key declaration.
@@ -141,8 +140,7 @@ type RESTCollectionSnapshot struct {
 }
 
 // Snapshot implements Snapshotter for relational sources: tables in
-// creation order, rows in insertion order. The rows are the tables' own
-// (rel.Table.Rows), not copies: a snapshot is read, never written.
+// creation order, rows in insertion order, written as text (appendRows).
 func (w *Relational) Snapshot() (*Snapshot, error) {
 	snap := &Snapshot{Kind: "relational", Name: w.name}
 	for _, t := range w.db.Tables() {
@@ -153,8 +151,9 @@ func (w *Relational) Snapshot() (*Snapshot, error) {
 		for _, fk := range t.ForeignKeys() {
 			ts.ForeignKeys = append(ts.ForeignKeys, FKSnapshot{Column: fk.Column, RefTable: fk.RefTable})
 		}
-		if ts.Rows = t.Rows(); ts.Rows == nil {
-			ts.Rows = [][]any{} // an empty table is "rows": [], as it has always been
+		var err error
+		if ts.Rows, err = appendRows(nil, w.name, t); err != nil {
+			return nil, err
 		}
 		snap.Tables = append(snap.Tables, ts)
 	}
@@ -277,8 +276,9 @@ func (w *REST) Snapshot() (*Snapshot, error) {
 
 // restorers maps each snapshot kind to its restore function; the keys
 // double as the authoritative list of supported kinds for error
-// reporting.
-var restorers = map[string]func(*Snapshot) (Wrapper, error){
+// reporting. decoded says the snapshot is Decode's, whose rows
+// encoding/json has already found to be JSON.
+var restorers = map[string]func(snap *Snapshot, decoded bool) (Wrapper, error){
 	"relational": restoreRelational,
 	"static":     restoreStatic,
 	"sql":        restoreSQL,
@@ -286,7 +286,7 @@ var restorers = map[string]func(*Snapshot) (Wrapper, error){
 }
 
 // The fault kind registers in init: restoreFault recursively calls
-// Restore for the wrapped source, which a map-literal entry would turn
+// restore for the wrapped source, which a map-literal entry would turn
 // into an initialization cycle.
 func init() { restorers["fault"] = restoreFault }
 
@@ -303,7 +303,9 @@ func RestoreKinds() []string {
 // Restore rebuilds a wrapper from its snapshot. It is the inverse of
 // Snapshot for every supported kind and validates as it goes, so a
 // corrupted snapshot yields an error, never a panic.
-func Restore(snap *Snapshot) (Wrapper, error) {
+func Restore(snap *Snapshot) (Wrapper, error) { return restore(snap, false) }
+
+func restore(snap *Snapshot, decoded bool) (Wrapper, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("wrapper: nil snapshot")
 	}
@@ -315,36 +317,37 @@ func Restore(snap *Snapshot) (Wrapper, error) {
 		return nil, fmt.Errorf("wrapper: unknown snapshot kind %q (registered kinds: %s)",
 			snap.Kind, strings.Join(RestoreKinds(), ", "))
 	}
-	return fn(snap)
+	return fn(snap, decoded)
 }
 
-func restoreRelational(snap *Snapshot) (Wrapper, error) {
+// restoreRelational rebuilds a relational source. A column spec's "!pk"
+// names the primary key in place of the table's own.
+func restoreRelational(snap *Snapshot, decoded bool) (Wrapper, error) {
 	db := rel.NewDB(snap.Name)
 	for _, ts := range snap.Tables {
 		cols := make([]rel.Column, len(ts.Columns))
+		pk := ts.PrimaryKey
 		for i, spec := range ts.Columns {
-			name, tyName, ok := strings.Cut(spec, ":")
-			if !ok {
-				return nil, fmt.Errorf("wrapper: source %q table %q: column spec %q is not name:type",
-					snap.Name, ts.Name, spec)
-			}
-			ty, err := rel.ParseType(tyName)
+			col, isPK, err := rel.ParseColumn(spec)
 			if err != nil {
 				return nil, fmt.Errorf("wrapper: source %q table %q: %w", snap.Name, ts.Name, err)
 			}
-			cols[i] = rel.Column{Name: name, Type: ty}
+			if cols[i] = col; isPK {
+				pk = col.Name
+			}
 		}
-		t, err := db.CreateTable(ts.Name, cols, ts.PrimaryKey)
+		t, err := db.CreateTable(ts.Name, cols, pk)
 		if err != nil {
 			return nil, fmt.Errorf("wrapper: source %q: %w", snap.Name, err)
 		}
-		in := rowInserter{source: snap.Name, table: t, cols: cols}
-		if ts.text != nil {
-			err = in.insertText(ts.text)
-		} else {
-			err = in.insertRows(ts.Rows)
+		if len(ts.Rows) == 0 {
+			continue // no "rows" member: no rows, as with null
 		}
-		if err != nil {
+		if !decoded && !json.Valid(ts.Rows) {
+			return nil, fmt.Errorf("wrapper: source %q table %q: rows are not JSON", snap.Name, ts.Name)
+		}
+		in := rowInserter{source: snap.Name, table: t, cols: cols}
+		if err := in.insertText(ts.Rows); err != nil {
 			return nil, err
 		}
 	}
@@ -357,53 +360,6 @@ func restoreRelational(snap *Snapshot) (Wrapper, error) {
 		}
 	}
 	return NewRelational(snap.Name, db)
-}
-
-// decodeCell maps a JSON-decoded row cell back to the relational cell
-// type. Snapshots and requests decoded with json.Decoder.UseNumber keep
-// int64 cells exact, however the integer is spelt (1, 1.0, 1e3); plain
-// decoding delivers float64, accepted when integral. textCell (rows.go)
-// is the same mapping from JSON text.
-func decodeCell(cell any, ty rel.Type) (any, error) {
-	if cell == nil {
-		return nil, nil
-	}
-	switch ty {
-	case rel.Int:
-		switch x := cell.(type) {
-		case json.Number:
-			i, ok := exactInt64(x.String())
-			if !ok {
-				return nil, intRangeErr(x.String())
-			}
-			return i, nil
-		case float64:
-			if x != math.Trunc(x) {
-				return nil, fmt.Errorf("expected integer, got %v", x)
-			}
-			return int64(x), nil
-		case int64:
-			return x, nil
-		}
-	case rel.Float:
-		switch x := cell.(type) {
-		case json.Number:
-			return x.Float64()
-		case float64:
-			return x, nil
-		case int64:
-			return float64(x), nil
-		}
-	case rel.Bool:
-		if b, ok := cell.(bool); ok {
-			return b, nil
-		}
-	default:
-		if s, ok := cell.(string); ok {
-			return s, nil
-		}
-	}
-	return nil, cellTypeErr(ty, fmt.Sprintf("%T", cell))
 }
 
 // exactInt64 returns the int64 a JSON number denotes, however it is
@@ -472,7 +428,7 @@ func decodeFallback(sourceName string, schema *hdm.Schema, exts []ExtentSnapshot
 // driver is not compiled into this binary the wrapper starts offline:
 // every fetch fails, and FallbackExtent serves the snapshot's
 // materialised extents.
-func restoreSQL(snap *Snapshot) (Wrapper, error) {
+func restoreSQL(snap *Snapshot, _ bool) (Wrapper, error) {
 	s := snap.SQL
 	if s == nil {
 		return nil, fmt.Errorf("wrapper: source %q: sql snapshot has no sql payload", snap.Name)
@@ -483,10 +439,7 @@ func restoreSQL(snap *Snapshot) (Wrapper, error) {
 	if _, err := sqlDialectFor(s.Dialect); err != nil {
 		return nil, fmt.Errorf("wrapper: source %q: %w", snap.Name, err)
 	}
-	cfg := SQLConfig{Driver: s.Driver, DSN: s.DSN, Dialect: s.Dialect, Timeout: time.Duration(s.TimeoutMs) * time.Millisecond, FetchPageRows: s.PageRows}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = defaultSQLTimeout
-	}
+	cfg := SQLConfig{Driver: s.Driver, DSN: s.DSN, Dialect: s.Dialect, Timeout: time.Duration(s.TimeoutMs) * time.Millisecond, FetchPageRows: s.PageRows}.withDefaults()
 	w := &SQL{name: snap.Name, cfg: cfg}
 	tables := make([]sqlTable, 0, len(s.Tables))
 	for _, ts := range s.Tables {
@@ -518,7 +471,7 @@ func restoreSQL(snap *Snapshot) (Wrapper, error) {
 // the schema comes from the snapshot's collection metadata, live
 // fetches resume lazily, and FallbackExtent serves the snapshot's
 // materialised extents while the endpoint is unreachable.
-func restoreREST(snap *Snapshot) (Wrapper, error) {
+func restoreREST(snap *Snapshot, _ bool) (Wrapper, error) {
 	r := snap.REST
 	if r == nil {
 		return nil, fmt.Errorf("wrapper: source %q: rest snapshot has no rest payload", snap.Name)
@@ -526,13 +479,7 @@ func restoreREST(snap *Snapshot) (Wrapper, error) {
 	if r.Endpoint == "" {
 		return nil, fmt.Errorf("wrapper: source %q: rest snapshot needs an endpoint", snap.Name)
 	}
-	cfg := RESTConfig{Endpoint: r.Endpoint, Timeout: time.Duration(r.TimeoutMs) * time.Millisecond, MaxBytes: r.MaxBytes}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = defaultRESTTimeout
-	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = defaultRESTMaxBytes
-	}
+	cfg := RESTConfig{Endpoint: r.Endpoint, Timeout: time.Duration(r.TimeoutMs) * time.Millisecond, MaxBytes: r.MaxBytes}.withDefaults()
 	w := &REST{name: snap.Name, cfg: cfg, client: &http.Client{}, colls: make(map[string]restColl)}
 	colls := make([]restColl, 0, len(r.Collections))
 	for _, cs := range r.Collections {
@@ -552,7 +499,7 @@ func restoreREST(snap *Snapshot) (Wrapper, error) {
 	return w, nil
 }
 
-func restoreStatic(snap *Snapshot) (Wrapper, error) {
+func restoreStatic(snap *Snapshot, _ bool) (Wrapper, error) {
 	st := NewStatic(snap.Name)
 	for _, os := range snap.Objects {
 		sc, err := hdm.ParseScheme(os.Scheme)

@@ -3,6 +3,9 @@ package wrapper
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/dataspace/automed/internal/hdm"
@@ -87,7 +90,8 @@ func TestRelationalSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestRelationalSnapshotPlainDecode checks a snapshot decoded without
-// UseNumber (cells as float64) still restores when values are integral.
+// UseNumber restores: its rows stay text, whatever a decoder does with
+// numbers.
 func TestRelationalSnapshotPlainDecode(t *testing.T) {
 	db := rel.NewDB("S")
 	tb := db.MustCreateTable("t", []rel.Column{{Name: "id", Type: rel.Int}}, "")
@@ -151,9 +155,12 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		nil,
 		{Kind: "relational"},
 		{Kind: "alien", Name: "x"},
-		{Kind: "relational", Name: "x", Tables: []TableSnapshot{{Name: "t", Columns: []string{"noType"}}}},
-		{Kind: "relational", Name: "x", Tables: []TableSnapshot{{Name: "t", Columns: []string{"c:int"}, Rows: [][]any{{"notInt"}}}}},
-		{Kind: "relational", Name: "x", Tables: []TableSnapshot{{Name: "t", Columns: []string{"c:int"}, Rows: [][]any{{1.0, 2.0}}}}},
+		{Kind: "relational", Name: "x", Tables: []TableSnapshot{{Name: "t", Columns: []string{"c:integer"}}}},
+		{Kind: "relational", Name: "x", Tables: []TableSnapshot{{Name: "t", Columns: []string{"c:int"}, Rows: json.RawMessage(`[["notInt"]]`)}}},
+		{Kind: "relational", Name: "x", Tables: []TableSnapshot{{Name: "t", Columns: []string{"c:int"}, Rows: json.RawMessage(`[[1.0, 2.0]]`)}}},
+		{Kind: "relational", Name: "x", Tables: []TableSnapshot{{Name: "t", Columns: []string{"c:int"}, Rows: json.RawMessage(`[[1]`)}}},
+		{Kind: "fault", Name: "x", Fault: &FaultSnapshot{Inner: &Snapshot{Kind: "relational", Name: "x",
+			Tables: []TableSnapshot{{Name: "t", Columns: []string{"c:int"}, Rows: json.RawMessage(`[[1]]]`)}}}}},
 		{Kind: "static", Name: "x", Objects: []ObjectSnapshot{{Scheme: "<<", Kind: "nodal"}}},
 		{Kind: "static", Name: "x", Objects: []ObjectSnapshot{{Scheme: "<<a>>", Kind: "banana"}}},
 		{Kind: "static", Name: "x", Objects: []ObjectSnapshot{{Scheme: "<<a>>", Kind: "nodal", Extent: iql.ValueDTO{Kind: "?"}}}},
@@ -225,5 +232,36 @@ func TestSQLSnapshotTypesBindNeitherSide(t *testing.T) {
 	snap.SQL.Tables[0].Types = snap.SQL.Tables[0].Types[:2]
 	if _, err := Restore(snap); err == nil {
 		t.Error("a table with four columns and two types restored")
+	}
+}
+
+// TestCSVColumnNameWithColonsRoundTrips: a CSV header's type follows its
+// last colon, and so does a snapshot's, so a source with a column named
+// with colons encodes and decodes to the same schema and rows.
+func TestCSVColumnNameWithColonsRoundTrips(t *testing.T) {
+	dir := t.TempDir()
+	csv := "id:int!pk,rate:per:hour:float,note\n1,2.5,a:b\n2,,\n"
+	if err := os.WriteFile(filepath.Join(dir, "rates.csv"), []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewCSVDir("Rates", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := Encode(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(bytes.Clone(doc))
+	if err != nil {
+		t.Fatalf("a source's own document does not decode: %v\n%s", err, doc)
+	}
+	if !hdm.Identical(back.Schema(), w.Schema()) || !w.Schema().Has(hdm.NewScheme("rates", "rate:per:hour")) {
+		t.Errorf("schemas differ:\n got %s\nwant %s", back.Schema().Describe(), w.Schema().Describe())
+	}
+	got, _ := back.(*Relational).DB().Table("rates")
+	want, _ := w.DB().Table("rates")
+	if !reflect.DeepEqual(got.Columns(), want.Columns()) || !reflect.DeepEqual(got.Rows(), want.Rows()) {
+		t.Errorf("table is %v %v, want %v %v", got.Columns(), got.Rows(), want.Columns(), want.Rows())
 	}
 }

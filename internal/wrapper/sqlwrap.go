@@ -39,7 +39,14 @@ type SQLConfig struct {
 	FetchPageRows int
 }
 
-const defaultSQLTimeout = 30 * time.Second
+// withDefaults gives the settings left at zero their defaults: a
+// constructed wrapper's and a restored one's alike.
+func (c SQLConfig) withDefaults() SQLConfig {
+	if c.Timeout <= 0 {
+		c.Timeout = 30 * time.Second
+	}
+	return c
+}
 
 // DefaultFetchPageRows is the scanner page size when
 // SQLConfig.FetchPageRows is unset.
@@ -107,9 +114,7 @@ func NewSQLContext(ctx context.Context, name string, cfg SQLConfig) (*SQL, error
 	if cfg.Driver == "" || cfg.DSN == "" {
 		return nil, fmt.Errorf("wrapper: sql: source %q: driver and dsn are required", name)
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = defaultSQLTimeout
-	}
+	cfg = cfg.withDefaults()
 	d, err := sqlDialectFor(cfg.Dialect)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper: sql: source %q: %w", name, err)

@@ -2,7 +2,6 @@ package automed
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/dataspace/automed/internal/rel"
 	"github.com/dataspace/automed/internal/wrapper"
@@ -10,8 +9,9 @@ import (
 
 // SourceBuilder assembles an in-memory relational data source for use
 // with New. Column specifications are "name:type" strings with type one
-// of string, int, float, bool (defaulting to string); the first column
-// is the primary key unless one carries a "!pk" suffix.
+// of string, int, float, bool (defaulting to string; the type follows
+// the last colon); the first column is the primary key unless one
+// carries a "!pk" suffix.
 //
 //	b := automed.NewSource("Library")
 //	b.Table("books", "id:int", "isbn", "title")
@@ -36,20 +36,14 @@ func (b *SourceBuilder) Table(name string, colSpecs ...string) *SourceBuilder {
 	cols := make([]rel.Column, len(colSpecs))
 	pk := ""
 	for i, spec := range colSpecs {
-		isPK := strings.HasSuffix(spec, "!pk")
-		spec = strings.TrimSuffix(spec, "!pk")
-		cname, ctype := spec, "string"
-		if j := strings.LastIndex(spec, ":"); j >= 0 {
-			cname, ctype = spec[:j], spec[j+1:]
-		}
-		ty, err := rel.ParseType(ctype)
+		col, isPK, err := rel.ParseColumn(spec)
 		if err != nil {
 			b.err = fmt.Errorf("automed: table %q: %w", name, err)
 			return b
 		}
-		cols[i] = rel.Column{Name: cname, Type: ty}
+		cols[i] = col
 		if isPK {
-			pk = cname
+			pk = col.Name
 		}
 	}
 	if _, err := b.db.CreateTable(name, cols, pk); err != nil {
