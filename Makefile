@@ -37,12 +37,15 @@ race:
 # flake repeats the sharded-evaluation tests (step and Extent-call
 # accounting, serial equivalence, cancellation) thirty times: they
 # depend on which workers happen to pick up shards, so one green run
-# proves little. So do the per-session persistence tests (a save parked
+# proves little. So does the oracle, which runs every mode — sharded
+# among them — against the reference evaluator and must be as
+# deterministic. So do the per-session persistence tests (a save parked
 # in one session while another session, a restore, RestoreSessions,
 # Drain or OpenStore runs beside it), under the race detector: which
 # goroutine reaches a lock first is the scheduler's choice.
 flake:
-	$(GO) test -count=30 -run 'TestParallel' ./internal/iql .
+	$(GO) test -count=30 -run 'TestParallel' ./internal/iql
+	$(GO) test -count=30 -run 'TestOracle' ./internal/query
 	$(GO) test -race -count=30 -run 'TestPersist' ./internal/server
 
 # bench-smoke is the ci benchmark gate: one iteration of everything,
@@ -88,14 +91,15 @@ profile:
 # fuzz-seeds runs every committed fuzz seed (malformed repo snapshots,
 # malformed REST payloads, the answer encoder's edge scalars, the floats
 # where a layout of the shortest digits changes shape, query texts —
-# Table 1's, the encoded evaluation's differential cases, the lexer's
-# edge tokens — evaluated into the encoder and to a value, session files
-# whole, truncated and with trailing bytes, the statements the in-process
-# SQL driver must take or refuse) as plain tests — the CI-safe
-# equivalent of a -fuzztime run. A subset of `race`, which ci runs: this
-# target is for running the one guard by hand.
+# Table 1's, the reference evaluator's corpus, the lexer's edge tokens —
+# evaluated into the encoder and to a value, printed and parsed back, and
+# through every mode of the query processor against the reference
+# evaluator, session files whole, truncated and with trailing bytes, the
+# statements the in-process SQL driver must take or refuse) as plain
+# tests — the CI-safe equivalent of a -fuzztime run. A subset of `race`,
+# which ci runs: this target is for running the one guard by hand.
 fuzz-seeds:
-	$(GO) test -run '^Fuzz' ./internal/repo ./internal/wrapper ./internal/server ./internal/iql ./internal/sqlmem
+	$(GO) test -run '^Fuzz' ./internal/repo ./internal/wrapper ./internal/server ./internal/iql ./internal/query ./internal/sqlmem
 
 # golden checks the committed snapshots (full session, and the sql/rest
 # wrapper kinds) still match a fresh export byte for byte and still

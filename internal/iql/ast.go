@@ -177,14 +177,24 @@ func (e *Comp) String() string {
 }
 
 func (e *Binary) String() string {
-	return "(" + e.L.String() + " " + e.Op + " " + e.R.String() + ")"
+	return "(" + operand(e.L) + " " + e.Op + " " + operand(e.R) + ")"
 }
 
 func (e *Unary) String() string {
 	if e.Op == "not" {
-		return "(not " + e.X.String() + ")"
+		return "(not " + operand(e.X) + ")"
 	}
-	return "(" + e.Op + e.X.String() + ")"
+	return "(" + e.Op + operand(e.X) + ")"
+}
+
+// operand parenthesises the forms that only begin an expression, so that
+// as an operand they re-parse as themselves.
+func operand(e Expr) string {
+	switch e.(type) {
+	case *IfExpr, *LetExpr, *RangeExpr:
+		return "(" + e.String() + ")"
+	}
+	return e.String()
 }
 
 func (e *Call) String() string {

@@ -2,6 +2,8 @@ package iql
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -216,26 +218,35 @@ func aggregate(fn string, coll Value) (Value, error) {
 		}
 	}
 	switch fn {
-	case "sum":
-		if allInt {
+	case "sum", "avg":
+		if allInt && fn == "sum" {
 			var s int64
 			for _, e := range els {
 				s += e.I()
 			}
 			return Int(s), nil
 		}
+		// Smallest first, so that how the sum rounds does not depend on
+		// the order of the bag.
+		fs := make([]float64, len(els))
+		for i, e := range els {
+			fs[i] = e.AsFloat()
+		}
+		slices.Sort(fs)
 		var s float64
-		for _, e := range els {
-			s += e.AsFloat()
+		for _, f := range fs {
+			s += f
+		}
+		if fn == "avg" {
+			s /= float64(len(els))
 		}
 		return Float(s), nil
-	case "avg":
-		var s float64
-		for _, e := range els {
-			s += e.AsFloat()
-		}
-		return Float(s / float64(len(els))), nil
 	case "max", "min":
+		for _, e := range els {
+			if math.IsNaN(e.F()) {
+				return e, nil
+			}
+		}
 		best := els[0]
 		for _, e := range els[1:] {
 			c, err := e.Compare(best)
@@ -253,7 +264,7 @@ func aggregate(fn string, coll Value) (Value, error) {
 
 func aggregateStrings(fn string, els []Value) (Value, error) {
 	best := els[0]
-	for _, e := range els[1:] {
+	for _, e := range els {
 		if e.Kind != KindString {
 			return Value{}, fmt.Errorf("iql: %s over mixed string/non-string elements", fn)
 		}

@@ -150,8 +150,23 @@ func TestAggregateEdgeCases(t *testing.T) {
 	if _, err := ev.EvalString("sum(['a', 1])"); err == nil {
 		t.Error("sum over mixed kinds succeeded")
 	}
-	if _, err := ev.EvalString("max(['a', 1])"); err == nil {
-		t.Error("max over mixed kinds succeeded")
+	for _, src := range []string{"max(['a', 1])", "max([1, 'a'])", "min(['a', 1])", "min([1, 'a'])", "max([1, 'a', 2])"} {
+		if v, err := ev.EvalString(src); err == nil {
+			t.Errorf("%s = %s over mixed kinds, want an error", src, v)
+		}
+	}
+	// NaN is unordered: an ordered comparison with it is False, as '='
+	// is, and max or min of a bag holding it is NaN, in any order.
+	for src, want := range map[string]string{
+		"let n = 1e308 * 10.0 - 1e308 * 10.0 in {n >= 1, n <= 1, n < 1, n > 1, n = 1, n <> 1}": "{False, False, False, False, False, True}",
+		"let n = 1e308 * 10.0 - 1e308 * 10.0 in [x | x <- [n, 1, 2]; x >= 1]":                  "[1, 2]",
+		"let n = 1e308 * 10.0 - 1e308 * 10.0 in {max([n, 1]), max([1, n]), min([1, n, 0])}":    "{NaN.0, NaN.0, NaN.0}",
+		"sum([0.1, 0.2, 0.3]) = sum([0.3, 0.2, 0.1])":                                          "True",
+		"avg([9007199254740993, 1, 1.0]) = avg([1.0, 1, 9007199254740993])":                    "True",
+	} {
+		if v, err := ev.EvalString(src); err != nil || v.String() != want {
+			t.Errorf("%s = %s, %v, want %s", src, v, err, want)
+		}
 	}
 }
 

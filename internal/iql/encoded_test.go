@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -23,105 +21,6 @@ import (
 // trip at the same count with the same words, a context asked at the
 // same steps, and — when a value evaluates that JSON cannot carry — the
 // same precedence of an evaluation error over the encoding error.
-
-// edgeExtents are small extents made of the values where an encoder and
-// its reference come apart: NULLs, ints beside the floats they tie with
-// under the canonical key (5 and 5.0), the integers either side of ±2⁵³,
-// duplicates, strings that need escaping, nested tuples and bags, an
-// empty bag, and one extent JSON cannot carry.
-func edgeExtents() iql.Extents {
-	r := rand.New(rand.NewSource(21))
-	mixed := make([]iql.Value, 40)
-	for i := range mixed {
-		mixed[i] = iqltest.Value(r, 2)
-	}
-	var pairs []iql.Value
-	vals := []iql.Value{iql.Null(), iql.Int(5), iql.Float(5), iql.Float(5.5), iql.Int(1 << 53), iql.Int(1<<53 + 1),
-		iql.Float(1 << 53), iql.Int(-(1 << 53) - 1), iql.Str("it's"), iql.Str(`say "hi"`), iql.Str("kinase 7"),
-		iql.Float(1e21), iql.Float(1e-7), iql.Bool(true), iql.Int(5)}
-	for i, v := range vals {
-		pairs = append(pairs, iql.Tuple(iql.Int(int64(i%6)), v))
-	}
-	pairs = append(pairs, pairs[3], iql.Tuple(iql.Null(), iql.Null()), iql.Int(9), iql.Tuple(iql.Int(1)))
-	nums := []iql.Value{iql.Int(5), iql.Float(5), iql.Int(-1), iql.Float(2.5), iql.Int(1<<53 - 1), iql.Int(1 << 53),
-		iql.Int(1<<53 + 1), iql.Int(-(1 << 53)), iql.Int(-(1 << 53) + 1), iql.Float(5), iql.Int(5), iql.Int(10), iql.Int(9)}
-	bad := []iql.Value{iql.Tuple(iql.Int(1), iql.Float(0.5)), iql.Tuple(iql.Int(2), iql.Float(math.NaN())),
-		iql.Tuple(iql.Int(3), iql.Float(math.Inf(1))), iql.Tuple(iql.Int(4), iql.Str("four"))}
-	// Zeros tie under the canonical key and differ in JSON (0, -0): the
-	// one place the tie-break of the canonical order shows in an answer.
-	// Enough of them that the sort is not an insertion sort, which is
-	// stable whether it means to be or not.
-	zeros := make([]iql.Value, 96)
-	for i := range zeros {
-		zeros[i] = []iql.Value{iql.Int(0), iql.Float(math.Copysign(0, -1)), iql.Float(0), iql.Int(1)}[(i*7)%4]
-	}
-	ext := map[string]iql.Value{
-		"mixed": iql.BagOf(mixed), "pairs": iql.BagOf(pairs), "nums": iql.BagOf(nums), "zeros": iql.BagOf(zeros),
-		"empty": iql.Bag(), "bad": iql.BagOf(bad), "scalar": iql.Int(7),
-	}
-	return iql.ExtentsFunc(func(parts []string) (iql.Value, error) {
-		if v, ok := ext[strings.Join(parts, ", ")]; ok {
-			return v, nil
-		}
-		return iql.NoExtents.Extent(parts)
-	})
-}
-
-// encodedCases are the expressions the differential runs over
-// edgeExtents, and the fuzzer's seeds: every shape of head, both arms of
-// the encoded entry point, and the errors of each side in both orders.
-var encodedCases = []string{
-	// The sink's arm: a comprehension at the top.
-	"[x | x <- <<mixed>>]",
-	"[{k, v} | {k, v} <- <<pairs>>]",
-	"[{v, k, [k, v], {k}} | {k, v} <- <<pairs>>]",
-	"[1 | x <- <<mixed>>]",
-	`['it\'s' | x <- <<nums>>]`,
-	"[{} | x <- <<nums>>]",
-	"[{c, k} | {k, v} <- <<pairs>>]", // c is bound by the environment, as an outer let binds it
-	"[x | x <- <<empty>>]",
-	"[x | x <- <<nums>>; x >= 5]",
-	"[x | x <- <<zeros>>]",
-	"[{x, 'z'} | x <- <<zeros>>; x < 1]",
-	"[{x, y} | x <- <<nums>>; y <- <<nums>>; y = x]",
-	"[{a, b} | {k, a} <- <<pairs>>; {k2, b} <- <<pairs>>; k2 = k]",
-	"[{k, [w | {j, w} <- <<pairs>>; j = k]} | {k, v} <- <<pairs>>]",
-	"[{k, count([w | {j, w} <- <<pairs>>; j = k])} | {k, v} <- <<pairs>>]",
-	"[[y | y <- <<nums>>; y = x] | x <- <<nums>>]",
-	"[if x > 5 then {x, 'big'} else {x} | x <- <<nums>>]",
-	"[d | {k, d} <- <<pairs>>; k = 4; contains(d, 'kinase')]",
-	"[x | x <- [3, 1, 2, 1, 3.0]]",
-	"[x | x <- Void]",
-	// A tuple expression of them, and around other things.
-	"{[k | {k, v} <- <<pairs>>], [v | {k, v} <- <<pairs>>; k > 2]}",
-	"{[k | {k, v} <- <<pairs>>], count(<<mixed>>), 'x', {[x | x <- <<nums>>]}}",
-	"{}",
-	// Everything else is evaluated and then encoded.
-	"count([x | x <- <<mixed>>])",
-	"<<mixed>>",
-	"<<scalar>>",
-	"[x | x <- <<mixed>>] ++ [y | y <- <<nums>>]",
-	"distinct([k | {k, v} <- <<pairs>>])",
-	"sort(<<nums>>)",
-	"let c = 7 in [{c, k} | {k, v} <- <<pairs>>]",
-	"if count(<<empty>>) = 0 then [x | x <- <<nums>>] else <<empty>>",
-	"[1, 2.0, 'three', {4, [5]}, Void, Any]",
-	"Range [x | x <- <<nums>>] Any",
-	"1e308 * 10.0",
-	// Evaluation errors, encoding errors, and one before the other.
-	"[v + 1 | {k, v} <- <<pairs>>]",
-	"[x | x <- <<scalar>>]",
-	"[x | x <- <<nowhere>>]",
-	"[y | x <- <<nums>>; x]",
-	"[undefined | x <- <<nums>>]",
-	"[{k, x} | {k, x} <- <<bad>>]",
-	"[{k, x} | {k, x} <- <<bad>>; x < 1.0]",
-	"[{k, x * 2.0} | {k, x} <- <<bad>>]",
-	"{[x | {k, x} <- <<bad>>], [x | x <- <<nums>>]}",
-	"{[x | {k, x} <- <<bad>>], [x + 1 | {k, x} <- <<pairs>>]}",
-	"{1e308 * 10.0, [x | x <- <<nums>>], [1 / (x - x) | x <- <<nums>>]}",
-	"<<bad>>",
-}
 
 // outcome is everything an evaluation can be observed to have done.
 type outcome struct {
@@ -234,12 +133,21 @@ func checkEncoded(t *testing.T, ext iql.Extents, e iql.Expr, env *iql.Env) {
 	}
 }
 
-func TestEncodedMatchesMaterialisedOnEdgeValues(t *testing.T) {
-	ext := edgeExtents()
+// edgeEnv binds iqltest.EdgeVars.
+func edgeEnv() *iql.Env {
 	env := iql.NewEnv()
-	env.Bind("c", iql.Str("outer"))
-	for _, src := range encodedCases {
-		checkEncoded(t, ext, iql.MustParse(src), env)
+	for name, v := range iqltest.EdgeVars {
+		env.Bind(name, v)
+	}
+	return env
+}
+
+func TestEncodedMatchesMaterialisedOnEdgeValues(t *testing.T) {
+	ext, env := iqltest.EdgeWorld().Extents(), edgeEnv()
+	for _, src := range iqltest.Corpus {
+		if e, err := iql.Parse(src); err == nil {
+			checkEncoded(t, ext, e, env)
+		}
 	}
 }
 
@@ -248,7 +156,7 @@ func TestEncodedMatchesMaterialisedOnEdgeValues(t *testing.T) {
 // with the same sort — the elements' Key() strings, stably sorted: "value"
 // in canonical key order, ties in element order.
 func TestEncodedBagIsInStableKeyOrder(t *testing.T) {
-	ext := edgeExtents()
+	ext := iqltest.EdgeWorld().Extents()
 	for _, src := range []string{"[x | x <- <<zeros>>]", "[{x, 'z'} | x <- <<zeros>>; x < 1]", "[x | x <- <<nums>>]", "[{v, k} | {k, v} <- <<pairs>>]"} {
 		e := iql.MustParse(src)
 		v, err := iql.NewEvaluator(ext).Eval(e, nil)
@@ -355,37 +263,21 @@ func TestEncodedComprehensionAllocatesNothingPerRow(t *testing.T) {
 }
 
 // FuzzEvalEncoded takes a query text: whatever parses is evaluated over
-// edgeExtents both ways under a step limit, and the two must agree on
-// everything checkEncoded compares — fail alike or succeed alike, equal
-// bytes, equal steps — without a panic. The seeds are Table 1's texts
-// (whose references edgeExtents does not know: both sides must fail
-// alike), the differential's cases and the lexer's edge tokens; `go test
-// -run '^Fuzz'` (make fuzz-seeds) runs them as plain tests.
+// the edge extents both ways under a step limit, and the two must agree
+// on everything checkEncoded compares — fail alike or succeed alike,
+// equal bytes, equal steps — without a panic; a value the limit lets
+// through must be the reference evaluator's. The seeds are Table 1's
+// texts (whose references the edge extents do not know: every way must
+// fail alike) and iqltest.Corpus; `go test -run '^Fuzz'` (make
+// fuzz-seeds) runs them as plain tests.
 func FuzzEvalEncoded(f *testing.F) {
 	for _, q := range ispider.Table1Queries() {
 		f.Add(q.IQL)
 	}
-	for _, src := range encodedCases {
+	for _, src := range iqltest.Corpus {
 		f.Add(src)
 	}
-	for _, src := range []string{
-		"", " ", "-- a comment\n[x | x <- <<nums>>] -- and another",
-		"<<nums >>", "<< pairs , x>>", "<<>>", "<<a, >>", "<<a>b>>", "<<nums",
-		"[x|x<-<<nums>>;x<>5;x<=9;x>=-1;x<10;x>0]", "[x | x <- <<nums>>; not (x = 5) and x < 9 or x = 10]",
-		"'it\\'s'", "'back\\\\slash'", "'unterminated", "'\\x'", "'日本語' + '😀'",
-		"1e5", "1E+5", "1e", "1.e5", "1.5e-3", "007", "9223372036854775807", "9223372036854775808", "1e999",
-		"--5", "- -5", "5 - -5", "5--5", "1 / 0", "7 / 2", "6 / 3", "[1, 2] ++ [3]", "1 ++ 2",
-		"{1, {2, {3}}}", "[[], [[]], {}]", "Void", "Any", "Range Void Any", "True and not False", "null",
-		"count(1, 2)", "nosuch(1)", "max(<<nums>>)", "avg([x | x <- <<nums>>])", "first(<<empty>>)",
-		"tostring(<<pairs>>)", "member(<<nums>>, 5.0)", "flatten([<<nums>>, <<empty>>])",
-		"let x = <<nums>> in [{y, count(x)} | y <- x]", "[x | {x, x} <- <<pairs>>]", "[_ | _ <- <<nums>>]",
-		"[x | {5, x} <- <<pairs>>]", "[x | x <- <<nums>>; y <- [x, x]; y > 4]", "@", "[x |", "[x | x <- ]",
-	} {
-		f.Add(src)
-	}
-	ext := edgeExtents()
-	env := iql.NewEnv()
-	env.Bind("c", iql.Str("outer"))
+	ext, env := iqltest.EdgeWorld().Extents(), edgeEnv()
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 256 {
 			return // a few dozen nested 'let x = x + x' would double a string past memory
@@ -397,6 +289,14 @@ func FuzzEvalEncoded(f *testing.F) {
 		const maxSteps = 20_000
 		ref := materialised(ext, e, env, maxSteps, nil)
 		if d := encoded(t, ext, e, env, maxSteps, nil).diff(ref); d != "" {
+			t.Errorf("%q: %s", src, d)
+		}
+		if strings.Contains(ref.err, "exceeded") {
+			return
+		}
+		got, gotErr := iql.NewEvaluator(ext).Eval(e, env)
+		want, wantErr := iqltest.Eval(e, ext, iqltest.EdgeVars)
+		if d := iqltest.Mismatch(got, gotErr, want, wantErr); d != "" {
 			t.Errorf("%q: %s", src, d)
 		}
 	})

@@ -3,6 +3,7 @@ package iql
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 )
@@ -570,6 +571,9 @@ func (ev *Evaluator) evalBinary(n *Binary, env *Env) (Value, error) {
 		c, err := l.Compare(r)
 		if err != nil {
 			return Value{}, err
+		}
+		if math.IsNaN(l.F()) || math.IsNaN(r.F()) {
+			return Bool(false), nil // unordered, as '=' already says
 		}
 		switch n.Op {
 		case "<":

@@ -66,9 +66,9 @@ func (v Value) hash(h uint64) uint64 {
 	case KindBool:
 		return hashWord(hashWord(h, hashTagBool), v.word)
 	case KindInt, KindFloat:
-		// All numbers hash through their float64 image because Equal
-		// compares int and float cross-kind via AsFloat. Ints beyond
-		// 2^53 collide with their float neighbours, which Equal then
+		// All numbers hash through their float64 image because an int
+		// Equals the float of exactly its value. Ints beyond 2^53
+		// collide with their float neighbours, which Equal then
 		// resolves; -0.0 is normalised to 0.0 so it matches Int(0).
 		f := v.AsFloat()
 		if f == 0 {

@@ -15,38 +15,44 @@ func mustEval(t *testing.T, src string, ext Extents) Value {
 	return v
 }
 
+// RoundTripTexts print as text that parses back to what they parse to;
+// FuzzParsePrint starts from them too.
+var RoundTripTexts = []string{
+	"42",
+	"3.5",
+	"'hello'",
+	"True",
+	"False",
+	"Void",
+	"Any",
+	"x",
+	"<<protein>>",
+	"<<protein, accession_num>>",
+	"{1, 2, 3}",
+	"[1, 2, 3]",
+	"[]",
+	"[x | x <- <<protein>>]",
+	"[{k, x} | {k, x} <- <<protein, accession_num>>; x = 'P1']",
+	"[{'PEDRO', k} | k <- <<protein>>]",
+	"(1 + 2)",
+	"((1 + 2) * 3)",
+	"(a ++ b)",
+	"count(<<protein>>)",
+	"distinct([1, 1, 2])",
+	"Range Void Any",
+	"Range [1, 2] Any",
+	"if (x = 1) then 'one' else 'other'",
+	"let y = 5 in (y + 1)",
+	"(not True)",
+	"(-x)",
+	"[{k1, k2} | {k1, x} <- <<a, b>>; {k2, y} <- <<c, d>>; x = y]",
+	"((if True then 1 else 2) + 1)",
+	"(1 = (let x = 1 in x))",
+	"(-(Range 1 Void))",
+}
+
 func TestParseRoundTrip(t *testing.T) {
-	cases := []string{
-		"42",
-		"3.5",
-		"'hello'",
-		"True",
-		"False",
-		"Void",
-		"Any",
-		"x",
-		"<<protein>>",
-		"<<protein, accession_num>>",
-		"{1, 2, 3}",
-		"[1, 2, 3]",
-		"[]",
-		"[x | x <- <<protein>>]",
-		"[{k, x} | {k, x} <- <<protein, accession_num>>; x = 'P1']",
-		"[{'PEDRO', k} | k <- <<protein>>]",
-		"(1 + 2)",
-		"((1 + 2) * 3)",
-		"(a ++ b)",
-		"count(<<protein>>)",
-		"distinct([1, 1, 2])",
-		"Range Void Any",
-		"Range [1, 2] Any",
-		"if (x = 1) then 'one' else 'other'",
-		"let y = 5 in (y + 1)",
-		"(not True)",
-		"(-x)",
-		"[{k1, k2} | {k1, x} <- <<a, b>>; {k2, y} <- <<c, d>>; x = y]",
-	}
-	for _, src := range cases {
+	for _, src := range RoundTripTexts {
 		e1, err := Parse(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)

@@ -1,10 +1,11 @@
-// Package iqltest generates IQL values for tests that hold one
-// implementation against another (an encoder against its reference, a
-// sort against the order it replaced): random nested values whose
-// scalars are drawn from the edges where such pairs come apart. It also
-// holds the byte-counting twin of testing.AllocsPerRun and the least of
-// several measurements, for the tests that pin what a row or an answer
-// costs.
+// Package iqltest is what tests hold IQL evaluation to: Eval, the
+// reference evaluator, and Builtins, the table it takes its builtins
+// from (docs/iql.md prints it); worlds of extents and the queries over
+// them to generate (NewWorld, EdgeWorld, Corpus); and random nested
+// values whose scalars are drawn from the edges where an implementation
+// and its reference come apart. It also holds the byte-counting twin of
+// testing.AllocsPerRun and the least of several measurements, for the
+// tests that pin what a row or an answer costs.
 package iqltest
 
 import (

@@ -692,7 +692,7 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 			idx := ctx.buildIndex(i, els)
 			key, err := ctx.probeKey(i, env)
 			if err != nil {
-				return err
+				return ctx.scan(i, els, env, out)
 			}
 			r := idx.Probe(key)
 			if r < 0 {
@@ -734,6 +734,21 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 		return nil
 	}
 	return fmt.Errorf("iql: unknown qualifier %T", ctx.comp.Quals[i])
+}
+
+// scan runs generator i as a plain scan, as it does when its join probe
+// fails: the probe's filter fails the evaluation only where a scan
+// reaches the filter, so the scan says whether and where it does.
+func (ctx *compCtx) scan(i int, els []Value, env *Env, out *sink) error {
+	child := ctx.enter(i, env)
+	ctx.ev.genDepth++
+	defer func() { ctx.ev.genDepth-- }()
+	for _, el := range els {
+		if err := ctx.runElement(i, el, i+1, child, out); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // stream decides whether generator i can pull its source as a

@@ -286,6 +286,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return &Lit{Val: Any()}, nil
 		case "null":
 			return &Lit{Val: Null()}, nil
+		case "Range", "if", "let":
+			p.backup()
+			return nil, p.errorf("unexpected %s", t) // an expression's keyword, not a name
 		}
 		// Function call or plain variable.
 		if p.peek().kind == tokLParen {

@@ -245,13 +245,12 @@ func selectionExtents(r *rand.Rand) map[string][]iql.Value {
 	return ext
 }
 
-// TestSelectionCountMatchesPlainEvaluation is the differential: over
-// generated extents and generated countable comprehensions, an
-// evaluator whose extents decline every count and one whose extents
-// answer where a typed backend could give the plain evaluator's answer,
-// error included — and the declining one takes the plain evaluator's
-// steps, while an answered count takes three: the call, the
-// comprehension and the reference.
+// TestSelectionCountMatchesPlainEvaluation: over generated extents and
+// generated countable comprehensions, an evaluator whose extents decline
+// every count and one whose extents answer where a typed backend could
+// give the reference evaluator's answer, or fail where it fails — and
+// the declining one takes the plain evaluator's steps, while an answered
+// count takes three: the call, the comprehension and the reference.
 func TestSelectionCountMatchesPlainEvaluation(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	ops := []string{"=", "<", "<=", ">", ">="}
@@ -289,13 +288,14 @@ func TestSelectionCountMatchesPlainEvaluation(t *testing.T) {
 		query += "])"
 
 		plain := iql.NewEvaluator(iql.ExtentsFunc((&countingExtents{ext: ext}).Extent))
-		want, wantErr := plain.EvalString(query)
+		_, _ = plain.EvalString(query) // its steps are the ones to take
+		want, wantErr := iqltest.Eval(iql.MustParse(query), iql.ExtentsFunc((&countingExtents{ext: ext}).Extent), nil)
 		for _, answers := range []bool{false, true} {
 			ce := &countingExtents{ext: ext, answers: answers}
 			ev := iql.NewEvaluator(ce)
 			got, err := ev.EvalString(query)
-			if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err == nil && !got.Equal(want)) {
-				t.Fatalf("%s, extents answering %v: %s, %v; the plain evaluator: %s, %v", query, answers, got, err, want, wantErr)
+			if d := iqltest.Mismatch(got, err, want, wantErr); d != "" {
+				t.Fatalf("%s, extents answering %v: %s", query, answers, d)
 			}
 			if len(ce.asked) != 1 {
 				t.Fatalf("%s: the extents were asked %d times, want once", query, len(ce.asked))

@@ -264,7 +264,8 @@ func (v Value) Len() int {
 }
 
 // Equal reports whether two values are equal; bags compare as multisets,
-// and integral floats equal same-valued ints. Scalar and tuple
+// and an int equals a float of exactly its value (see Compare), so that
+// equality is transitive at any magnitude. Scalar and tuple
 // comparisons take allocation-free fast paths; bags are compared as
 // hash-bucketed multisets (see bagEqual) — no canonical key strings are
 // built anywhere.
@@ -283,7 +284,8 @@ func (v Value) Equal(w Value) bool {
 	case v.Kind == KindBool && w.Kind == KindBool:
 		return v.word == w.word
 	case (v.Kind == KindInt || v.Kind == KindFloat) && (w.Kind == KindInt || w.Kind == KindFloat):
-		return v.AsFloat() == w.AsFloat()
+		c, ordered := compareNumbers(v, w)
+		return ordered && c == 0
 	case v.Kind == KindTuple && w.Kind == KindTuple:
 		vs, ws := v.Items(), w.Items()
 		if len(vs) != len(ws) {
@@ -311,25 +313,19 @@ func (v Value) Equal(w Value) bool {
 }
 
 // Compare orders two scalar values. It returns an error for incomparable
-// kinds. Two ints compare as ints, exactly over the whole int64 range —
+// kinds. Numbers compare exactly by value over the whole int64 range —
 // what a SQL source does with an integer column, which is what lets a
-// comparison be answered there (Selection). An int beside a float
-// compares numerically through float64, so an int beyond ±2⁵³ ties with
-// its neighbours there, as it does under Equal.
+// comparison be answered there (Selection): an integral float within
+// int64 range compares as that int64, any other float by its value. A
+// NaN is unordered: Compare returns 0 for it, and the comparison
+// operators, which check, are False.
 func (v Value) Compare(w Value) (int, error) {
 	if v.Kind == KindInt && w.Kind == KindInt {
-		return cmp.Compare(int64(v.word), int64(w.word)), nil
+		return cmp.Compare(v.I(), w.I()), nil
 	}
 	if (v.Kind == KindInt || v.Kind == KindFloat) && (w.Kind == KindInt || w.Kind == KindFloat) {
-		a, b := v.AsFloat(), w.AsFloat()
-		switch {
-		case a < b:
-			return -1, nil
-		case a > b:
-			return 1, nil
-		default:
-			return 0, nil
-		}
+		c, _ := compareNumbers(v, w)
+		return c, nil
 	}
 	if v.Kind == KindString && w.Kind == KindString {
 		return strings.Compare(v.S(), w.S()), nil
@@ -338,6 +334,29 @@ func (v Value) Compare(w Value) (int, error) {
 		return int(v.word) - int(w.word), nil
 	}
 	return 0, fmt.Errorf("iql: cannot compare %s with %s", v.Kind, w.Kind)
+}
+
+// compareNumbers orders two numbers, not both ints, exactly; ordered is
+// false when either is NaN.
+func compareNumbers(v, w Value) (c int, ordered bool) {
+	switch {
+	case math.IsNaN(v.F()) || math.IsNaN(w.F()):
+		return 0, false
+	case v.Kind == KindInt:
+		return compareIntFloat(v.I(), w.F()), true
+	case w.Kind == KindInt:
+		return -compareIntFloat(w.I(), v.F()), true
+	}
+	return cmp.Compare(v.F(), w.F()), true
+}
+
+// compareIntFloat orders i against f without rounding i: where i's
+// nearest float is f, f is 2⁶³ or an integer within int64 range.
+func compareIntFloat(i int64, f float64) int {
+	if c := cmp.Compare(float64(i), f); c != 0 || f == 0x1p63 {
+		return cmp.Or(c, -1)
+	}
+	return cmp.Compare(i, int64(f))
 }
 
 // AsFloat converts a numeric value to float64 (0 otherwise).

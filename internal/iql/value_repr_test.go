@@ -143,7 +143,7 @@ func TestItemsAreClipped(t *testing.T) {
 // range — exactly one of <, = and > holds of any pair, also either side
 // of ±2⁵³ where float64 ties neighbours, and the order is the one sort
 // (and a SQL source's integer column) gives them. An int beside a float
-// still compares numerically through float64.
+// compares exactly too.
 func TestCompareIntsExactly(t *testing.T) {
 	holds := func(a int64, op string, b int64) bool {
 		t.Helper()
@@ -199,7 +199,26 @@ func TestCompareIntsExactly(t *testing.T) {
 		}
 	}
 
-	if c, err := iql.Int(1<<53 + 1).Compare(iql.Float(1 << 53)); err != nil || c != 0 {
-		t.Errorf("2^53+1 against the float 2^53 = %d, %v: a mixed comparison goes through float64, where they tie", c, err)
+	if c, err := iql.Int(1<<53 + 1).Compare(iql.Float(1 << 53)); err != nil || c != 1 {
+		t.Errorf("2^53+1 against the float 2^53 = %d, %v: an int beside a float compares exactly", c, err)
+	}
+
+	// Equality is transitive where float64 ties neighbours, so what is
+	// built on it answers alike in every element order.
+	for src, want := range map[string]string{
+		"[9007199254740992, 9007199254740993] = [9007199254740992.0, 9007199254740992.0]": "False",
+		"[9007199254740992.0, 9007199254740992.0] = [9007199254740992, 9007199254740993]": "False",
+		"count(distinct([9007199254740992, 9007199254740993, 9007199254740992.0]))":       "2",
+		"count(distinct([9007199254740992, 9007199254740992.0, 9007199254740993]))":       "2",
+		"count(distinct([9007199254740993, 9007199254740992.0, 9007199254740992]))":       "2",
+		"member([9007199254740993], 9007199254740992.0)":                                  "False",
+		"member([9007199254740992], 9007199254740992.0)":                                  "True",
+		"9223372036854775807 < 9223372036854775808.0":                                     "True",
+		"-9223372036854775807 - 1 = -9223372036854775808.0":                               "True",
+		"2 < 2.5 and -2 > -2.5 and 3 = 3.0":                                               "True",
+	} {
+		if v, err := iql.NewEvaluator(nil).EvalString(src); err != nil || v.String() != want {
+			t.Errorf("%s = %s, %v, want %s", src, v, err, want)
+		}
 	}
 }

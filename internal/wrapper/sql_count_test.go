@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/iql/iqltest"
 	"github.com/dataspace/automed/internal/obs"
 	"github.com/dataspace/automed/internal/rel"
 	"github.com/dataspace/automed/internal/sqlmem"
@@ -17,8 +18,9 @@ import (
 
 // A count taken at the SQL source must be the number the evaluator
 // reaches by scanning the extent, or not be taken. These tests hold
-// wrapper.SQL's ExtentCounter to count(…) evaluated by iql over the rows
-// ExtentContext returns, across the dialects, on tables that hold what
+// wrapper.SQL's ExtentCounter to count(…) as the reference evaluator,
+// iqltest.Eval, reads it over the rows ExtentContext returns, across
+// the dialects, on tables that hold what
 // separates the two when the statement is wrong: NULL values, NULL keys,
 // negative and extreme integers, duplicates, no rows at all, and float
 // and string columns, which must decline.
@@ -147,11 +149,11 @@ func TestSQLCountMatchesLocalCount(t *testing.T) {
 					}
 					query += "])"
 
-					local, localErr := iql.NewEvaluator(iql.ExtentsFunc(w.Extent)).EvalString(query)
+					local, localErr := iqltest.Eval(iql.MustParse(query), iql.ExtentsFunc(w.Extent), nil)
 					ce := &countedExtents{w: w, ctx: context.Background()}
 					got, err := iql.NewEvaluator(ce).EvalString(query)
-					if fmt.Sprint(err) != fmt.Sprint(localErr) || (err == nil && !got.Equal(local)) {
-						t.Fatalf("%s: counted at the source %s, %v; counted here %s, %v", query, got, err, local, localErr)
+					if d := iqltest.Mismatch(got, err, local, localErr); d != "" {
+						t.Fatalf("%s: counted at the source %s", query, d)
 					}
 					if (ce.answered == 1) != want {
 						t.Fatalf("%s: the source answered %d times, want an answer: %v", query, ce.answered, want)
