@@ -3,7 +3,6 @@ package iql
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 )
 
@@ -218,37 +217,31 @@ func aggregate(fn string, coll Value) (Value, error) {
 		}
 	}
 	switch fn {
-	case "sum", "avg":
-		if allInt && fn == "sum" {
+	case "sum":
+		if allInt {
 			var s int64
 			for _, e := range els {
 				s += e.I()
 			}
 			return Int(s), nil
 		}
-		// Smallest first, so that how the sum rounds does not depend on
-		// the order of the bag.
-		fs := make([]float64, len(els))
-		for i, e := range els {
-			fs[i] = e.AsFloat()
-		}
-		slices.Sort(fs)
 		var s float64
-		for _, f := range fs {
-			s += f
-		}
-		if fn == "avg" {
-			s /= float64(len(els))
+		for _, e := range els {
+			s += e.AsFloat()
 		}
 		return Float(s), nil
+	case "avg":
+		var s float64
+		for _, e := range els {
+			s += e.AsFloat()
+		}
+		return Float(s / float64(len(els))), nil
 	case "max", "min":
+		best := els[0]
 		for _, e := range els {
 			if math.IsNaN(e.F()) {
 				return e, nil
 			}
-		}
-		best := els[0]
-		for _, e := range els[1:] {
 			c, err := e.Compare(best)
 			if err != nil {
 				return Value{}, fmt.Errorf("iql: %s: %w", fn, err)

@@ -11,10 +11,8 @@ import (
 )
 
 // count(comprehension) runs the comprehension into a counting sink
-// instead of building its bag. These tests hold it to the evaluation it
-// replaces: the comprehension evaluated on its own, whose bag has the
-// count as its length and which takes exactly one step less (the one
-// charged for the call).
+// instead of building its bag: its value is the bag's length, and it
+// takes one step more than the comprehension (the call's).
 
 // countExtents serves <<s>> of mixed values off the iqltest generator,
 // about half of them pairs; <<t>>, a shuffled tenth of them; <<pairs>>
@@ -55,28 +53,6 @@ func countExtents(rows int) iql.Extents {
 	})
 }
 
-// pagedExtents serves every extent as a stream of seven-row pages.
-type pagedExtents struct{ iql.Extents }
-
-func (p pagedExtents) ExtentStream(parts []string) (iql.RowStream, bool, error) {
-	v, err := p.Extent(parts)
-	if err != nil {
-		return nil, false, err
-	}
-	return &pagedStream{rest: v.Items()}, true, nil
-}
-
-type pagedStream struct{ page, rest []iql.Value }
-
-func (s *pagedStream) Next() bool {
-	n := min(7, len(s.rest))
-	s.page, s.rest = s.rest[:n], s.rest[n:]
-	return n > 0
-}
-func (s *pagedStream) Page() []iql.Value { return s.page }
-func (s *pagedStream) Err() error        { return nil }
-func (s *pagedStream) Close() error      { s.rest = nil; return nil }
-
 // countComps are comprehensions whose count is worth taking: a plain
 // scan, a pattern that skips what it does not match, filters (one that
 // fails), a head that does work, a join, a nested comprehension under
@@ -93,41 +69,12 @@ var countComps = []string{
 	"[x + 1 | x <- <<nums>>]",
 }
 
-// countModes are the ways a generator is walked.
-var countModes = []struct {
-	name string
-	ev   func(ext iql.Extents) *iql.Evaluator
-}{
-	{"serial", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(ext) }},
-	{"sharded", func(ext iql.Extents) *iql.Evaluator {
-		ev := iql.NewEvaluator(ext)
-		ev.Parallel, ev.MinShardRows = 4, 8
-		return ev
-	}},
-	{"streamed", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(pagedExtents{ext}) }},
-}
-
+// TestCountOfComprehensionMatchesMaterialised holds countComps, and
+// their counts, to the reference in every mode.
 func TestCountOfComprehensionMatchesMaterialised(t *testing.T) {
 	ext := countExtents(400)
-	for _, mode := range countModes {
-		for _, comp := range countComps {
-			bagEv := mode.ev(ext)
-			bag, bagErr := bagEv.EvalString(comp)
-			countEv := mode.ev(ext)
-			n, err := countEv.EvalString("count(" + comp + ")")
-			if fmt.Sprint(err) != fmt.Sprint(bagErr) {
-				t.Errorf("%s %s: count fails with %v, the comprehension with %v", mode.name, comp, err, bagErr)
-				continue
-			}
-			// Sharded workers stop on an error wherever they are; the
-			// other two stop at the same step.
-			if got, want := countEv.Steps(), bagEv.Steps()+1; got != want && (err == nil || mode.name != "sharded") {
-				t.Errorf("%s %s: count took %d steps, the comprehension and the call %d", mode.name, comp, got, want)
-			}
-			if err == nil && (n.Kind != iql.KindInt || n.I() != int64(bag.Len())) {
-				t.Errorf("%s %s: count = %s, the comprehension has %d elements", mode.name, comp, n, bag.Len())
-			}
-		}
+	for _, comp := range countComps {
+		agree(t, ext, nil, comp)
 	}
 }
 
@@ -143,7 +90,7 @@ func TestCountStepBudgetRunsOutAtTheSameStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := free.Steps()
-	for _, mode := range countModes {
+	for _, mode := range modes {
 		for _, limit := range []int{2, 3, total / 2, total - 1, total} {
 			bagEv := mode.ev(ext)
 			bagEv.MaxSteps = limit - 1

@@ -161,8 +161,6 @@ func TestAggregateEdgeCases(t *testing.T) {
 		"let n = 1e308 * 10.0 - 1e308 * 10.0 in {n >= 1, n <= 1, n < 1, n > 1, n = 1, n <> 1}": "{False, False, False, False, False, True}",
 		"let n = 1e308 * 10.0 - 1e308 * 10.0 in [x | x <- [n, 1, 2]; x >= 1]":                  "[1, 2]",
 		"let n = 1e308 * 10.0 - 1e308 * 10.0 in {max([n, 1]), max([1, n]), min([1, n, 0])}":    "{NaN.0, NaN.0, NaN.0}",
-		"sum([0.1, 0.2, 0.3]) = sum([0.3, 0.2, 0.1])":                                          "True",
-		"avg([9007199254740993, 1, 1.0]) = avg([1.0, 1, 9007199254740993])":                    "True",
 	} {
 		if v, err := ev.EvalString(src); err != nil || v.String() != want {
 			t.Errorf("%s = %s, %v, want %s", src, v, err, want)

@@ -2,8 +2,7 @@ package iql_test
 
 import (
 	"bytes"
-	"context"
-	"errors"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -15,139 +14,41 @@ import (
 )
 
 // An encoded evaluation (Evaluator.EvalEncoded) writes an answer as it
-// evaluates it; the materialising one (Eval, then AppendJSONAndText)
-// builds the answer and then walks it. These tests hold the first to the
-// second: the same bytes, the same rows, the same steps, limits that
-// trip at the same count with the same words, a context asked at the
-// same steps, and — when a value evaluates that JSON cannot carry — the
-// same precedence of an evaluation error over the encoding error.
+// evaluates it; agree holds its bytes to AppendJSONAndText of the built
+// answer, its steps to the built one's, and its value to the reference.
 
-// outcome is everything an evaluation can be observed to have done.
-type outcome struct {
-	json, text []byte
-	rows       int
-	err        string
-	encoding   bool // err is the failure to encode a value that evaluated
-	steps      int
-}
-
-func evaluator(ext iql.Extents, budget *iql.StepBudget, ctx context.Context) *iql.Evaluator {
-	ev := iql.NewEvaluator(ext)
-	ev.Budget, ev.Ctx = budget, ctx
-	return ev
-}
-
-// materialised is the reference: Eval, then one walk of the value.
-func materialised(ext iql.Extents, e iql.Expr, env *iql.Env, maxSteps int, ctx context.Context) outcome {
-	budget := &iql.StepBudget{Max: maxSteps}
-	v, err := evaluator(ext, budget, ctx).Eval(e, env)
-	o := outcome{steps: budget.Used()}
-	if err != nil {
-		o.err = err.Error()
-		return o
-	}
-	o.rows = 1
-	if v.Kind == iql.KindBag {
-		o.rows = v.Len()
-	}
-	if o.json, o.text, err = iql.AppendJSONAndText(nil, nil, v); err != nil {
-		o = outcome{steps: o.steps, err: err.Error(), encoding: true}
-	}
-	return o
-}
-
-// encoded is the evaluation under test. It appends after a prefix, as
-// the server does after "value":, which must come back untouched.
-func encoded(t *testing.T, ext iql.Extents, e iql.Expr, env *iql.Env, maxSteps int, ctx context.Context) outcome {
-	t.Helper()
-	budget := &iql.StepBudget{Max: maxSteps}
-	enc := iql.Encoding{JSON: []byte("json:"), Text: []byte("text:")}
-	err := evaluator(ext, budget, ctx).EvalEncoded(&enc, e, env)
-	o := outcome{steps: budget.Used()}
-	if err != nil {
-		var unencodable *iql.EncodingError
-		if o.encoding = errors.As(err, &unencodable); o.encoding {
-			err = unencodable.Err
-		}
-		o.err = err.Error()
-		return o
-	}
-	var okJSON, okText bool
-	if o.json, okJSON = bytes.CutPrefix(enc.JSON, []byte("json:")); !okJSON {
-		t.Errorf("%s: the JSON destination's prefix is gone: %s", e, enc.JSON)
-	}
-	if o.text, okText = bytes.CutPrefix(enc.Text, []byte("text:")); !okText {
-		t.Errorf("%s: the text destination's prefix is gone: %s", e, enc.Text)
-	}
-	o.rows = enc.Rows
-	return o
-}
-
-func (o outcome) diff(ref outcome) string {
-	switch {
-	case o.err != ref.err || o.encoding != ref.encoding:
-		return "error " + o.describeErr() + ", the reference's " + ref.describeErr()
-	case !bytes.Equal(o.json, ref.json):
-		return "JSON\n " + string(o.json) + "\nthe reference's\n " + string(ref.json)
-	case !bytes.Equal(o.text, ref.text):
-		return "text\n " + string(o.text) + "\nthe reference's\n " + string(ref.text)
-	case o.rows != ref.rows:
-		return "rows differ"
-	case o.steps != ref.steps:
-		return "steps differ"
-	}
-	return ""
-}
-
-func (o outcome) describeErr() string {
-	switch {
-	case o.err == "":
-		return "none"
-	case o.encoding:
-		return "encoding: " + o.err
-	}
-	return o.err
-}
-
-// checkEncoded holds one expression's encoded evaluation to the
-// materialising one: unlimited, then at the step limit that just lets
-// the reference through and at the one that just does not.
-func checkEncoded(t *testing.T, ext iql.Extents, e iql.Expr, env *iql.Env) {
-	t.Helper()
-	ref := materialised(ext, e, env, 0, nil)
-	if d := encoded(t, ext, e, env, 0, nil).diff(ref); d != "" {
-		t.Errorf("%s: %s (steps %d)", e, d, ref.steps)
-		return
-	}
-	for _, limit := range []int{ref.steps, ref.steps - 1} {
-		if limit <= 0 {
-			continue
-		}
-		want := materialised(ext, e, env, limit, nil)
-		if limit < ref.steps && !strings.Contains(want.err, "exceeded") {
-			t.Fatalf("%s: the reference takes %d steps and passes a limit of %d: %+v", e, ref.steps, limit, want)
-		}
-		if d := encoded(t, ext, e, env, limit, nil).diff(want); d != "" {
-			t.Errorf("%s under a limit of %d steps: %s", e, limit, d)
-		}
-	}
-}
-
-// edgeEnv binds iqltest.EdgeVars.
-func edgeEnv() *iql.Env {
-	env := iql.NewEnv()
-	for name, v := range iqltest.EdgeVars {
-		env.Bind(name, v)
-	}
-	return env
-}
-
+// TestEncodedMatchesMaterialisedOnEdgeValues: generated queries over the
+// edge world.
 func TestEncodedMatchesMaterialisedOnEdgeValues(t *testing.T) {
-	ext, env := iqltest.EdgeWorld().Extents(), edgeEnv()
-	for _, src := range iqltest.Corpus {
-		if e, err := iql.Parse(src); err == nil {
-			checkEncoded(t, ext, e, env)
+	r := rand.New(rand.NewSource(21))
+	w := iqltest.EdgeWorld()
+	ext := w.Extents()
+	for range 200 {
+		agree(t, ext, iqltest.EdgeVars, w.Query(r))
+	}
+}
+
+// TestEncodedMatchesMaterialisedOnTable1: the paper's seven queries over
+// the case study's extents.
+func TestEncodedMatchesMaterialisedOnTable1(t *testing.T) {
+	ig, err := ispider.RunIntersection(ispider.BenchConfig(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extents := map[string]iql.Value{}
+	ext := iql.ExtentsFunc(func(parts []string) (iql.Value, error) {
+		key := strings.Join(parts, ", ")
+		if v, ok := extents[key]; ok {
+			return v, nil
 		}
+		v, err := ig.Extent("<<" + key + ">>")
+		if err == nil {
+			extents[key] = v
+		}
+		return v, err
+	})
+	for _, q := range ispider.Table1Queries() {
+		agree(t, ext, nil, q.IQL)
 	}
 }
 
@@ -175,62 +76,9 @@ func TestEncodedBagIsInStableKeyOrder(t *testing.T) {
 			}
 		}
 		want = append(want, "]}"...)
-		if got := encoded(t, ext, e, nil, 0, nil); !bytes.Equal(got.json, want) {
-			t.Errorf("%s:\n got %s\nwant %s", src, got.json, want)
-		}
-	}
-}
-
-// countingContext counts how often it is asked whether it is done.
-type countingContext struct {
-	context.Context
-	asked *int
-}
-
-func (c countingContext) Err() error {
-	*c.asked++
-	return c.Context.Err()
-}
-
-// TestEncodedMatchesMaterialisedOnTable1 runs the paper's seven queries
-// over the case study's extents, and asks of the largest that the
-// context is polled as often either way.
-func TestEncodedMatchesMaterialisedOnTable1(t *testing.T) {
-	ig, err := ispider.RunIntersection(ispider.BenchConfig(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	extents := map[string]iql.Value{}
-	ext := iql.ExtentsFunc(func(parts []string) (iql.Value, error) {
-		key := strings.Join(parts, ", ")
-		if v, ok := extents[key]; ok {
-			return v, nil
-		}
-		v, err := ig.Extent("<<" + key + ">>")
-		if err == nil {
-			extents[key] = v
-		}
-		return v, err
-	})
-	for _, q := range ispider.Table1Queries() {
-		e := iql.MustParse(q.IQL)
-		checkEncoded(t, ext, e, nil)
-		if q.ID != "Q7" {
-			continue
-		}
-		var refAsked, gotAsked int
-		ref := materialised(ext, e, nil, 0, countingContext{context.Background(), &refAsked})
-		got := encoded(t, ext, e, nil, 0, countingContext{context.Background(), &gotAsked})
-		if ref.steps < 2048 || refAsked < 3 {
-			t.Fatalf("Q7 takes %d steps and asks its context %d times: too few to compare", ref.steps, refAsked)
-		}
-		if d := got.diff(ref); d != "" || gotAsked != refAsked {
-			t.Errorf("Q7 under a context: %s; context asked %d times, the reference's %d", d, gotAsked, refAsked)
-		}
-		cancelled, cancel := context.WithCancel(context.Background())
-		cancel()
-		if d := encoded(t, ext, e, nil, 0, cancelled).diff(materialised(ext, e, nil, 0, cancelled)); d != "" {
-			t.Errorf("Q7 under a cancelled context: %s", d)
+		var got iql.Encoding
+		if err := iql.NewEvaluator(ext).EvalEncoded(&got, e, nil); err != nil || !bytes.Equal(got.JSON, want) {
+			t.Errorf("%s:\n got %s, %v\nwant %s", src, got.JSON, err, want)
 		}
 	}
 }
@@ -262,14 +110,11 @@ func TestEncodedComprehensionAllocatesNothingPerRow(t *testing.T) {
 	}
 }
 
-// FuzzEvalEncoded takes a query text: whatever parses is evaluated over
-// the edge extents both ways under a step limit, and the two must agree
-// on everything checkEncoded compares — fail alike or succeed alike,
-// equal bytes, equal steps — without a panic; a value the limit lets
-// through must be the reference evaluator's. The seeds are Table 1's
-// texts (whose references the edge extents do not know: every way must
-// fail alike) and iqltest.Corpus; `go test -run '^Fuzz'` (make
-// fuzz-seeds) runs them as plain tests.
+// FuzzEvalEncoded holds whatever parses to the reference over the edge
+// world, as agree does, when the serial evaluator answers it within
+// 20,000 steps. The seeds are Table 1's texts (whose references the edge
+// world does not know: every way must fail alike) and iqltest.Corpus;
+// `go test -run '^Fuzz'` (make fuzz-seeds) runs them as plain tests.
 func FuzzEvalEncoded(f *testing.F) {
 	for _, q := range ispider.Table1Queries() {
 		f.Add(q.IQL)
@@ -277,27 +122,16 @@ func FuzzEvalEncoded(f *testing.F) {
 	for _, src := range iqltest.Corpus {
 		f.Add(src)
 	}
-	ext, env := iqltest.EdgeWorld().Extents(), edgeEnv()
+	ext := iqltest.EdgeWorld().Extents()
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 256 {
 			return // a few dozen nested 'let x = x + x' would double a string past memory
 		}
-		e, err := iql.Parse(src)
-		if err != nil {
+		ev := iql.NewEvaluator(ext)
+		ev.MaxSteps = 20_000
+		if _, err := ev.EvalString(src); err != nil && strings.Contains(err.Error(), "exceeded") {
 			return
 		}
-		const maxSteps = 20_000
-		ref := materialised(ext, e, env, maxSteps, nil)
-		if d := encoded(t, ext, e, env, maxSteps, nil).diff(ref); d != "" {
-			t.Errorf("%q: %s", src, d)
-		}
-		if strings.Contains(ref.err, "exceeded") {
-			return
-		}
-		got, gotErr := iql.NewEvaluator(ext).Eval(e, env)
-		want, wantErr := iqltest.Eval(e, ext, iqltest.EdgeVars)
-		if d := iqltest.Mismatch(got, gotErr, want, wantErr); d != "" {
-			t.Errorf("%q: %s", src, d)
-		}
+		agree(t, ext, iqltest.EdgeVars, src)
 	})
 }

@@ -572,8 +572,8 @@ func (ev *Evaluator) evalBinary(n *Binary, env *Env) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		if math.IsNaN(l.F()) || math.IsNaN(r.F()) {
-			return Bool(false), nil // unordered, as '=' already says
+		if c == 0 && (math.IsNaN(l.F()) || math.IsNaN(r.F())) {
+			return Bool(false), nil // unordered (Compare's 0), as '=' already says
 		}
 		switch n.Op {
 		case "<":

@@ -3,16 +3,14 @@ package iql
 import (
 	"math"
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
 
 // Property tests for the hash-based value runtime: hash–equality
-// consistency, and equivalence of the hash-bucketed Distinct / SortBag
-// / member implementations with the old canonical-key-string reference
-// implementations they replaced.
+// consistency. (The hash-bucketed Distinct, SortBag, member and bag
+// equality are held to the reference evaluator's builtins in
+// oracle_test.go.)
 
 // permuteBags returns a deep copy of v with every bag's element order
 // shuffled: a multiset-equal but structurally reordered value.
@@ -97,135 +95,6 @@ func TestNaNNeverEqual(t *testing.T) {
 	}
 }
 
-// keyDistinct is the old canonical-key-string Distinct, kept as the
-// reference implementation.
-func keyDistinct(els []Value) []Value {
-	seen := make(map[string]bool, len(els))
-	out := make([]Value, 0, len(els))
-	for _, e := range els {
-		k := e.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// keyMember is the old canonical-key-string member scan.
-func keyMember(els []Value, v Value) bool {
-	k := v.Key()
-	for _, e := range els {
-		if e.Key() == k {
-			return true
-		}
-	}
-	return false
-}
-
-// asBag coerces a random value to a collection.
-func asBag(g genVal) Value {
-	if g.v.Kind == KindBag || g.v.Kind == KindVoid {
-		return g.v
-	}
-	return Bag(g.v)
-}
-
-func TestDistinctMatchesKeyReferenceProperty(t *testing.T) {
-	f := func(a genVal, dup genVal, seed int64) bool {
-		bag := asBag(a)
-		els, _ := bag.Elements()
-		// Salt with duplicates so dedup actually fires.
-		r := rand.New(rand.NewSource(seed))
-		salted := append([]Value(nil), els...)
-		for i := 0; i < 3 && len(els) > 0; i++ {
-			salted = append(salted, permuteBags(r, els[r.Intn(len(els))]))
-		}
-		salted = append(salted, dup.v, dup.v)
-		got, err := Distinct(BagOf(salted))
-		if err != nil {
-			return false
-		}
-		want := keyDistinct(salted)
-		if len(got.Items()) != len(want) {
-			t.Logf("distinct: got %s want %s", got, BagOf(want))
-			return false
-		}
-		for i := range want {
-			if got.Items()[i].String() != want[i].String() {
-				t.Logf("distinct order: got %s want %s", got, BagOf(want))
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMemberMatchesKeyReferenceProperty(t *testing.T) {
-	f := func(a genVal, probe genVal, hit bool) bool {
-		bag := asBag(a)
-		els, _ := bag.Elements()
-		v := probe.v
-		if hit && len(els) > 0 {
-			v = els[len(els)/2] // force a present element half the time
-		}
-		got := false
-		for _, e := range els {
-			if e.Equal(v) {
-				got = true
-				break
-			}
-		}
-		return got == keyMember(els, v)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSortBagMatchesKeyReferenceProperty(t *testing.T) {
-	// SortBag must order by canonical key exactly as the reference
-	// decorate-stable-sort does, byte for byte (ties keep bag order).
-	f := func(a genVal, seed int64) bool {
-		bag := asBag(a)
-		els, _ := bag.Elements()
-		r := rand.New(rand.NewSource(seed))
-		salted := append([]Value(nil), els...)
-		if len(els) > 0 {
-			salted = append(salted, els[r.Intn(len(els))])
-		}
-		got, err := SortBag(BagOf(salted))
-		if err != nil {
-			return false
-		}
-		type kv struct {
-			k string
-			v Value
-		}
-		dec := make([]kv, len(salted))
-		for i, e := range salted {
-			dec[i] = kv{k: e.Key(), v: e}
-		}
-		sort.SliceStable(dec, func(i, j int) bool { return dec[i].k < dec[j].k })
-		if len(got.Items()) != len(dec) {
-			return false
-		}
-		for i := range dec {
-			if got.Items()[i].String() != dec[i].v.String() {
-				t.Logf("sort: got %s", got)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestValueSetMatchesEqual cross-checks ValueSet against quadratic
 // Equal scans on random values.
 func TestValueSetMatchesEqual(t *testing.T) {
@@ -260,49 +129,6 @@ func TestValueSetMatchesEqual(t *testing.T) {
 		return set.Contains(probe.v) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 800}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestBagEqualMatchesKeyReferenceProperty cross-checks the multiset
-// bag equality against the canonical-key reference (sorted key
-// comparison), including on permuted copies.
-func TestBagEqualMatchesKeyReferenceProperty(t *testing.T) {
-	keyOf := func(v Value) string { return v.Key() }
-	ref := func(a, b Value) bool {
-		ae, _ := a.Elements()
-		be, _ := b.Elements()
-		if len(ae) != len(be) {
-			return false
-		}
-		ka := make([]string, len(ae))
-		kb := make([]string, len(be))
-		for i := range ae {
-			ka[i] = keyOf(ae[i])
-		}
-		for i := range be {
-			kb[i] = keyOf(be[i])
-		}
-		sort.Strings(ka)
-		sort.Strings(kb)
-		return reflect.DeepEqual(ka, kb)
-	}
-	f := func(a, b genVal, seed int64) bool {
-		x, y := asBag(a), asBag(b)
-		if x.Kind != KindBag {
-			x = Bag()
-		}
-		if y.Kind != KindBag {
-			y = Bag()
-		}
-		if x.Equal(y) != ref(x, y) {
-			t.Logf("bag equal mismatch: %s vs %s", x, y)
-			return false
-		}
-		perm := permuteBags(rand.New(rand.NewSource(seed)), x)
-		return x.Equal(perm)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -30,7 +30,7 @@ var Builtins = []Builtin{
 	{"abs", 1, "number", "a number of its kind",
 		"an int wraps: abs(-9223372036854775808) is itself; a float keeps -0.0 and NaN", false, abs},
 	{"avg", 1, "collection of numbers", "float",
-		"empty: null; summed smallest first; any other element fails", false, avg},
+		"empty: null; summed in the bag's order, so rounding may depend on it; any other element fails", true, avg},
 	{"contains", 2, "string, string", "bool", "anything but two strings fails", false, strs(strings.Contains)},
 	{"count", 1, "collection", "int", "Void: 0; Any and non-collections fail", false, count},
 	{"distinct", 1, "collection", "bag",
@@ -47,7 +47,7 @@ var Builtins = []Builtin{
 	{"sort", 1, "collection", "bag", "canonical key order; elements whose keys tie, as 5 and 5.0 do, keep their order", false, sortBag},
 	{"startswith", 2, "string, string", "bool", "anything but two strings fails", false, strs(strings.HasPrefix)},
 	{"sum", 1, "collection of numbers", "int, or float when a float is among them",
-		"empty: 0; ints wrap on overflow; floats summed smallest first; any other element fails", false, sum},
+		"empty: 0; ints wrap on overflow; floats summed in the bag's order, so rounding may depend on it; any other element fails", true, sum},
 	{"tofloat", 1, "number", "float", "an int beyond ±2⁵³ rounds to the nearest float", false, tofloat},
 	{"tostring", 1, "any", "string", "a string stays; anything else is its IQL text, a bag's in its order", true, tostring},
 	{"upper", 1, "string", "string", "anything but a string fails", false, str(strings.ToUpper)},
@@ -74,16 +74,10 @@ func numeric(v iql.Value) (els []iql.Value, ints bool, err error) {
 	return els, ints, nil
 }
 
-// floatSum adds the numbers as floats, smallest first.
-func floatSum(els []iql.Value) float64 {
-	fs := make([]float64, len(els))
-	for i, e := range els {
-		fs[i] = e.AsFloat()
-	}
-	sort.Float64s(fs)
-	var s float64
-	for _, f := range fs {
-		s += f
+// floatSum adds the numbers as floats, in order.
+func floatSum(els []iql.Value) (s float64) {
+	for _, e := range els {
+		s += e.AsFloat()
 	}
 	return s
 }

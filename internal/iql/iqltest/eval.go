@@ -262,82 +262,59 @@ func arith(op string, l, r iql.Value) (iql.Value, error) {
 		return iql.Value{}, fmt.Errorf("%s on %s and %s", op, l.Kind, r.Kind)
 	}
 	ints := l.Kind == iql.KindInt && r.Kind == iql.KindInt
-	a, b := l.AsFloat(), r.AsFloat()
-	switch op {
-	case "+":
-		if ints {
-			return iql.Int(l.I() + r.I()), nil
-		}
-		return iql.Float(a + b), nil
-	case "-":
-		if ints {
-			return iql.Int(l.I() - r.I()), nil
-		}
-		return iql.Float(a - b), nil
-	case "*":
-		if ints {
-			return iql.Int(l.I() * r.I()), nil
-		}
-		return iql.Float(a * b), nil
-	case "/":
-		if b == 0 {
-			return iql.Value{}, fmt.Errorf("division by zero")
-		}
-		if ints && l.I()%r.I() == 0 {
-			return iql.Int(l.I() / r.I()), nil
-		}
+	i, j, a, b := l.I(), r.I(), l.AsFloat(), r.AsFloat()
+	switch {
+	case op == "/" && b == 0:
+		return iql.Value{}, fmt.Errorf("division by zero")
+	case op == "/" && ints && i%j == 0:
+		return iql.Int(i / j), nil
+	case op == "/":
 		return iql.Float(a / b), nil
+	case ints:
+		return iql.Int(map[string]int64{"+": i + j, "-": i - j, "*": i * j}[op]), nil
 	}
-	return iql.Value{}, fmt.Errorf("no operator %s", op)
+	return iql.Float(map[string]float64{"+": a + b, "-": a - b, "*": a * b}[op]), nil
 }
 
 // equal is the '=' of IQL: scalars by Equal (an int equals a float of
 // exactly its value, NaN nothing), tuples by component, bags as
 // multisets.
-func equal(a, b iql.Value) bool { return same(a, b, iql.Value.Equal) }
+func equal(a, b iql.Value) bool { return same(a, b, false, iql.Value.Equal) }
 
-// same compares a and b structurally, scalars by eq, bags as multisets:
-// each element of a takes the first unused element of b it matches.
-func same(a, b iql.Value, eq func(x, y iql.Value) bool) bool {
+// same compares a and b structurally, scalars by eq; bags element by
+// element when ordered, else as multisets: each element of a takes the
+// first unused element of b it matches.
+func same(a, b iql.Value, ordered bool, eq func(x, y iql.Value) bool) bool {
 	if a.Kind != b.Kind && (a.Kind == iql.KindTuple || a.Kind == iql.KindBag || b.Kind == iql.KindTuple || b.Kind == iql.KindBag) {
 		return false
 	}
-	switch a.Kind {
-	case iql.KindTuple:
-		if a.Len() != b.Len() {
-			return false
-		}
-		for i, x := range a.Items() {
-			if !same(x, b.Items()[i], eq) {
-				return false
-			}
-		}
-		return true
-	case iql.KindBag:
-		if a.Len() != b.Len() {
-			return false
-		}
-		used := make([]bool, b.Len())
-	next:
-		for _, x := range a.Items() {
-			for j, y := range b.Items() {
-				if !used[j] && same(x, y, eq) {
-					used[j] = true
-					continue next
-				}
-			}
-			return false
-		}
-		return true
+	if a.Kind != iql.KindTuple && a.Kind != iql.KindBag {
+		return eq(a, b)
 	}
-	return eq(a, b)
+	if a.Len() != b.Len() {
+		return false
+	}
+	used := make([]bool, b.Len())
+next:
+	for i, x := range a.Items() {
+		for j, y := range b.Items() {
+			if (a.Kind == iql.KindBag && !ordered || i == j) && !used[j] && same(x, y, ordered, eq) {
+				used[j] = true
+				continue next
+			}
+		}
+		return false
+	}
+	return true
 }
 
-// Same reports whether two answers are one value: bags as multisets, and
-// scalars of one kind with one value — a float's bits, any NaN alike.
-// It is how an evaluation is held to Eval.
+// Same reports whether two answers are one value: of one shape, their
+// bags' elements in the same order, and scalars of one kind with one
+// value — a float's bits, any NaN alike. It is how an evaluation is held
+// to Eval, whose order is the nested loops' and what first and tostring
+// show.
 func Same(a, b iql.Value) bool {
-	return same(a, b, func(x, y iql.Value) bool {
+	return same(a, b, true, func(x, y iql.Value) bool {
 		if x.Kind != y.Kind {
 			return false
 		}
@@ -348,12 +325,12 @@ func Same(a, b iql.Value) bool {
 	})
 }
 
-// Alike is Same up to what the order of a bag's elements may change: of
-// an int and a float of its value, distinct keeps the first, and max
-// the first of the two. It is how an answer over permuted extents is
-// held to the answer over the extents as they were.
+// Alike is Same up to what the order of a bag's elements may change: the
+// order itself, and of an int and a float of its value, which distinct
+// keeps and which max answers. It is how an answer over permuted extents
+// is held to the answer over the extents as they were.
 func Alike(a, b iql.Value) bool {
-	return same(a, b, func(x, y iql.Value) bool { return x.Equal(y) || isNaN(x) && isNaN(y) })
+	return same(a, b, false, func(x, y iql.Value) bool { return x.Equal(y) || isNaN(x) && isNaN(y) })
 }
 
 func elements(v iql.Value) ([]iql.Value, error) {

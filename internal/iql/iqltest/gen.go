@@ -148,16 +148,6 @@ func EdgeWorld() *World {
 	return w
 }
 
-// byKey serves extents by scheme key.
-func byKey(ext map[string]iql.Value) iql.ExtentsFunc {
-	return func(parts []string) (iql.Value, error) {
-		if v, ok := ext[strings.Join(parts, ", ")]; ok {
-			return v, nil
-		}
-		return iql.Value{}, fmt.Errorf("no object <<%s>>", strings.Join(parts, ", "))
-	}
-}
-
 // A World is a generated dataspace: objects whose extents hold anything,
 // a relational table, a collection a JSON source could serve, and a
 // virtual object over the two. Values are drawn from few enough scalars
@@ -166,8 +156,8 @@ func byKey(ext map[string]iql.Value) iql.ExtentsFunc {
 type World struct {
 	// Objects are <<mixed>>, scalars with the odd tuple or bag; <<pairs>>,
 	// {key, value} pairs with a duplicate, the values mostly numbers and
-	// strings; <<nums>>, numbers about 2⁵³; <<big>>, bigRows pairs; and
-	// <<empty>>.
+	// strings; <<nums>>, numbers about 2⁵³; <<big>>, 130 pairs, above
+	// twice the smallest scan the evaluator shards; and <<empty>>.
 	Objects map[string]iql.Value
 	// Table <<t>> holds NULLs, NaN and any string; Collection <<r>> only
 	// what JSON carries.
@@ -179,24 +169,18 @@ type World struct {
 	Lower bool
 }
 
-// Table is a relational table: distinct int keys, and typed columns
-// whose cells are Null where the table holds NULL.
+// Table is a relational table keyed by a distinct int, its rows the key
+// and then a cell of each of Columns, Null where the table holds NULL.
 type Table struct {
 	Name string
-	Keys []int64
-	Cols []Column
+	Rows [][]iql.Value
 }
 
-// Column is one typed column, of Kind KindInt, KindFloat or KindString.
-type Column struct {
-	Name  string
-	Kind  iql.Kind
-	Cells []iql.Value
-}
-
-// bigRows is the size of a World's <<big>>: above twice the smallest
-// scan the evaluator shards.
-const bigRows = 130
+// Columns are every Table's columns after its key.
+var Columns = []struct {
+	Name string
+	Kind iql.Kind
+}{{"n", iql.KindInt}, {"f", iql.KindFloat}, {"s", iql.KindString}}
 
 // NewWorld generates a world.
 func NewWorld(r *rand.Rand) *World {
@@ -226,7 +210,7 @@ func NewWorld(r *rand.Rand) *World {
 		}
 		return iql.Tuple(key(r), v)
 	}
-	big := make([]iql.Value, bigRows)
+	big := make([]iql.Value, 130)
 	for i := range big {
 		big[i] = iql.Tuple(iql.Int(int64(i)), key(r))
 	}
@@ -268,19 +252,16 @@ var scalars = []iql.Value{
 
 func scalar(r *rand.Rand) iql.Value { return scalars[r.Intn(len(scalars))] }
 
-// table generates a table with an integer, a float and a string column;
-// json keeps to what a JSON document carries exactly.
+// table generates a table of two to ten rows; json keeps its cells to
+// what a JSON document carries exactly.
 func table(r *rand.Rand, name string, json bool) Table {
-	t := Table{Name: name, Keys: make([]int64, 2+r.Intn(9))}
-	for i, k := range r.Perm(len(Ints))[:len(t.Keys)] {
-		t.Keys[i] = Ints[k]
-	}
-	for _, c := range []Column{{Name: "n", Kind: iql.KindInt}, {Name: "f", Kind: iql.KindFloat}, {Name: "s", Kind: iql.KindString}} {
-		c.Cells = make([]iql.Value, len(t.Keys))
-		for i := range c.Cells {
-			c.Cells[i] = cell(r, c.Kind, json)
+	t := Table{Name: name}
+	for _, k := range r.Perm(len(Ints))[:2+r.Intn(9)] {
+		row := []iql.Value{iql.Int(Ints[k])}
+		for _, c := range Columns {
+			row = append(row, cell(r, c.Kind, json))
 		}
-		t.Cols = append(t.Cols, c)
+		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
@@ -309,19 +290,19 @@ func cell(r *rand.Rand, kind iql.Kind, json bool) iql.Value {
 func (w *World) Base() map[string]iql.Value {
 	ext := maps.Clone(w.Objects)
 	for _, t := range []Table{w.Table, w.Collection} {
-		keys := make([]iql.Value, len(t.Keys))
-		for i, k := range t.Keys {
-			keys[i] = iql.Int(k)
-		}
-		ext[t.Name] = iql.BagOf(keys)
-		for _, c := range t.Cols {
-			var pairs []iql.Value
-			for i, v := range c.Cells {
+		var keys []iql.Value
+		pairs := make([][]iql.Value, len(Columns))
+		for _, row := range t.Rows {
+			keys = append(keys, row[0])
+			for c, v := range row[1:] {
 				if !v.IsNull() {
-					pairs = append(pairs, iql.Tuple(keys[i], v))
+					pairs[c] = append(pairs[c], iql.Tuple(row[0], v))
 				}
 			}
-			ext[t.Name+", "+c.Name] = iql.BagOf(pairs)
+		}
+		ext[t.Name] = iql.BagOf(keys)
+		for c, col := range Columns {
+			ext[t.Name+", "+col.Name] = iql.BagOf(pairs[c])
 		}
 	}
 	return ext
@@ -330,21 +311,26 @@ func (w *World) Base() map[string]iql.Value {
 // Extents serves the world as Eval sees it: Base, and <<U>> as its
 // derivations evaluated by Eval, one after the other.
 func (w *World) Extents() iql.Extents {
-	base := byKey(w.Base())
-	return iql.ExtentsFunc(func(parts []string) (iql.Value, error) {
-		if len(parts) != 1 || parts[0] != "U" {
-			return base(parts)
+	base := w.Base()
+	var ext iql.ExtentsFunc
+	ext = func(parts []string) (iql.Value, error) {
+		key := strings.Join(parts, ", ")
+		if v, ok := base[key]; ok {
+			return v, nil
+		} else if key != "U" {
+			return iql.Value{}, fmt.Errorf("no object <<%s>>", key)
 		}
 		var all []iql.Value
 		for _, d := range w.View {
-			v, err := Eval(iql.MustParse(d), base, nil)
+			v, err := Eval(iql.MustParse(d), ext, nil)
 			if err != nil {
 				return iql.Value{}, err
 			}
 			all = append(all, v.Items()...)
 		}
 		return iql.BagOf(all), nil
-	})
+	}
+	return ext
 }
 
 // Permuted returns the world with the elements of every extent in the
@@ -352,34 +338,22 @@ func (w *World) Extents() iql.Extents {
 // table and the collection.
 func (w *World) Permuted(order func(n int) []int) *World {
 	p := *w
-	p.Objects = map[string]iql.Value{}
+	p.Objects = maps.Clone(w.Objects)
 	for name, v := range w.Objects {
-		if v.Kind != iql.KindBag {
-			p.Objects[name] = v
-			continue
+		if v.Kind == iql.KindBag {
+			p.Objects[name] = iql.BagOf(permute(v.Items(), order))
 		}
-		els := make([]iql.Value, v.Len())
-		for i, o := range order(len(els)) {
-			els[i] = v.Items()[o]
-		}
-		p.Objects[name] = iql.BagOf(els)
 	}
-	rows := func(t Table) Table {
-		order := order(len(t.Keys))
-		out := Table{Name: t.Name, Keys: make([]int64, len(order)), Cols: slices.Clone(t.Cols)}
-		for i, o := range order {
-			out.Keys[i] = t.Keys[o]
-		}
-		for c := range out.Cols {
-			out.Cols[c].Cells = make([]iql.Value, len(order))
-			for i, o := range order {
-				out.Cols[c].Cells[i] = t.Cols[c].Cells[o]
-			}
-		}
-		return out
-	}
-	p.Table, p.Collection = rows(w.Table), rows(w.Collection)
+	p.Table.Rows, p.Collection.Rows = permute(w.Table.Rows, order), permute(w.Collection.Rows, order)
 	return &p
+}
+
+func permute[T any](s []T, order func(n int) []int) []T {
+	out := make([]T, len(s))
+	for i, o := range order(len(s)) {
+		out[i] = s[o]
+	}
+	return out
 }
 
 // Ordered reports whether e calls a builtin whose answer may depend on
@@ -404,7 +378,7 @@ func (w *World) Query(r *rand.Rand) string {
 	case 4:
 		return g.comp(0) + " = " + g.comp(0)
 	case 5, 6, 7:
-		return g.selection()
+		return g.selection(w.Table)
 	case 8, 9:
 		return g.join()
 	case 10, 11, 12, 13:
@@ -478,8 +452,9 @@ func (g *queryGen) join() string {
 
 // selection writes a comprehension of the shape whose count a SQL source
 // can take: one generator over a table's object, a bare name or a flat
-// tuple of distinct names, filters comparing one of them with an int.
-func (g *queryGen) selection() string {
+// tuple of distinct names, filters comparing one of them with an int —
+// often one of t's, where an operator and its neighbour part.
+func (g *queryGen) selection(t Table) string {
 	src := g.pick([]string{"<<t>>", "<<t, n>>", "<<t, n>>", "<<t, f>>", "<<t, s>>", "<<r, n>>"})
 	pat, vars := "x", []string{"x"}
 	if src != "<<t>>" && g.r.Intn(4) > 0 {
@@ -488,6 +463,9 @@ func (g *queryGen) selection() string {
 	quals := []string{pat + " <- " + src}
 	for f := g.r.Intn(4); f > 0; f-- {
 		v, lit, op := g.pick(vars), g.pick(lits[:7]), g.pick(ops[1:6])
+		if n := t.Rows[g.r.Intn(len(t.Rows))][1]; n.Kind == iql.KindInt && g.r.Intn(2) == 0 {
+			lit = fmt.Sprint(n.I())
+		}
 		if g.r.Intn(2) == 0 {
 			quals = append(quals, lit+" "+op+" "+v)
 		} else {

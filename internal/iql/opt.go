@@ -722,32 +722,23 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 			// hint so comprehension outputs don't grow append-by-append.
 			out.vals = make([]Value, 0, min(len(els), outPrealloc))
 		}
-		child := ctx.enter(i, env)
-		ev.genDepth++
-		for _, el := range els {
-			if err := ctx.runElement(i, el, i+1, child, out); err != nil {
-				ev.genDepth--
-				return err
-			}
-		}
-		ev.genDepth--
-		return nil
+		return ctx.scan(i, els, env, out)
 	}
 	return fmt.Errorf("iql: unknown qualifier %T", ctx.comp.Quals[i])
 }
 
-// scan runs generator i as a plain scan, as it does when its join probe
-// fails: the probe's filter fails the evaluation only where a scan
-// reaches the filter, so the scan says whether and where it does.
+// scan runs generator i over els serially; so does a join whose probe
+// key fails, as that filter fails only where an element reaches it.
 func (ctx *compCtx) scan(i int, els []Value, env *Env, out *sink) error {
 	child := ctx.enter(i, env)
 	ctx.ev.genDepth++
-	defer func() { ctx.ev.genDepth-- }()
 	for _, el := range els {
 		if err := ctx.runElement(i, el, i+1, child, out); err != nil {
+			ctx.ev.genDepth--
 			return err
 		}
 	}
+	ctx.ev.genDepth--
 	return nil
 }
 

@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// parallelExtents builds extents large enough to shard: n proteins
+// ParallelExtents builds extents large enough to shard: n proteins
 // with accession tuples and a hit relation joining back to proteins.
-func parallelExtents(n int) Extents {
+func ParallelExtents(n int) Extents {
 	prot := make([]Value, 0, n)
 	acc := make([]Value, 0, n)
 	hits := make([]Value, 0, n)
@@ -34,10 +34,11 @@ func parallelExtents(n int) Extents {
 	})
 }
 
-// parallelQueries is the shard-sensitive suite: plain scans, filters,
+// ParallelQueries is the shard-sensitive suite: plain scans, filters,
 // projections, equi-joins (index probe path), nested comprehensions,
-// aggregates and distinct over sharded inner comps.
-var parallelQueries = []string{
+// aggregates and distinct over sharded inner comps. TestParallelMatchesSerial
+// holds them to the reference evaluator.
+var ParallelQueries = []string{
 	"[k | k <- <<protein>>]",
 	"[k | k <- <<protein>>; k > 100]",
 	"[{k, k * 2} | k <- <<protein>>]",
@@ -47,32 +48,6 @@ var parallelQueries = []string{
 	"distinct([x | {k, x} <- <<protein, acc>>])",
 	"[count([j | j <- <<protein>>; j < k]) | k <- <<protein>>; k < 70]",
 	"sort([x | {k, x} <- <<protein, acc>>; k > 50])",
-}
-
-// TestParallelMatchesSerial asserts the sharded path returns byte-
-// identical results (element order included) to serial evaluation.
-func TestParallelMatchesSerial(t *testing.T) {
-	ext := parallelExtents(500)
-	for _, src := range parallelQueries {
-		serial := NewEvaluator(ext)
-		want, err := serial.EvalString(src)
-		if err != nil {
-			t.Fatalf("serial %q: %v", src, err)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			par := NewEvaluator(ext)
-			par.Parallel = workers
-			par.MinShardRows = 16 // force sharding on test-sized extents
-			got, err := par.EvalString(src)
-			if err != nil {
-				t.Fatalf("parallel(%d) %q: %v", workers, src, err)
-			}
-			if got.String() != want.String() {
-				t.Errorf("parallel(%d) %q diverged:\n  serial   %s\n  parallel %s",
-					workers, src, want, got)
-			}
-		}
-	}
 }
 
 // countingExtents counts Extent calls; sharded workers reach it only
@@ -94,8 +69,8 @@ func (c *countingExtents) Extent(parts []string) (Value, error) {
 // serial loop (a constant tail source is evaluated once per scan, not
 // once per worker that ran).
 func TestParallelStepAccounting(t *testing.T) {
-	ext := parallelExtents(300)
-	for _, src := range parallelQueries {
+	ext := ParallelExtents(300)
+	for _, src := range ParallelQueries {
 		serialExt := &countingExtents{ext: ext}
 		serial := NewEvaluator(serialExt)
 		if _, err := serial.EvalString(src); err != nil {
@@ -145,7 +120,7 @@ func TestParallelStepAccounting(t *testing.T) {
 // with the same error text as serial, via MaxSteps and via a shared
 // budget.
 func TestParallelStepLimit(t *testing.T) {
-	ext := parallelExtents(400)
+	ext := ParallelExtents(400)
 	src := "[k | k <- <<protein>>]"
 
 	serial := &Evaluator{Ext: ext, MaxSteps: 50}
@@ -237,7 +212,7 @@ func assertNoGoroutineLeak(t *testing.T, base int) {
 // surfaces and halts the pool.
 func TestParallelErrorPropagation(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ext := parallelExtents(400)
+	ext := ParallelExtents(400)
 	ev := NewEvaluator(ext)
 	ev.Parallel = 4
 	ev.MinShardRows = 16
@@ -252,7 +227,7 @@ func TestParallelErrorPropagation(t *testing.T) {
 // TestParallelSerialFallback asserts small scans and nested generator
 // loops stay serial (no pool-per-element blowup).
 func TestParallelSerialFallback(t *testing.T) {
-	ev := NewEvaluator(parallelExtents(500))
+	ev := NewEvaluator(ParallelExtents(500))
 	ev.Parallel = 4
 	ev.MinShardRows = 16
 	ev.Stats = &EvalStats{}
@@ -270,7 +245,7 @@ func TestParallelSerialFallback(t *testing.T) {
 		t.Fatal("outer scan did not shard")
 	}
 
-	small := NewEvaluator(parallelExtents(10))
+	small := NewEvaluator(ParallelExtents(10))
 	small.Parallel = 4
 	small.MinShardRows = 16
 	small.Stats = &EvalStats{}
@@ -362,11 +337,11 @@ func (c *countingCtx) Err() error {
 // or sharded, nested evaluators included; and the context is polled
 // once on entry and once every ctxCheckInterval steps of an evaluator.
 func TestParallelStepsAndUsedAgree(t *testing.T) {
-	base := parallelExtents(300)
+	base := ParallelExtents(300)
 	queries := append([]string{
 		"[{k, x} | {k, x} <- <<view>>; x = 'P3']",
 		"[{h, x} | {h, p} <- <<hit, protein>>; {k, x} <- <<view>>; p = k]",
-	}, parallelQueries...)
+	}, ParallelQueries...)
 	for _, src := range queries {
 		ref := &nestedExtents{base: base}
 		serial := &Evaluator{Ext: ref}

@@ -321,7 +321,7 @@ func (v Value) Equal(w Value) bool {
 // operators, which check, are False.
 func (v Value) Compare(w Value) (int, error) {
 	if v.Kind == KindInt && w.Kind == KindInt {
-		return cmp.Compare(v.I(), w.I()), nil
+		return cmp.Compare(int64(v.word), int64(w.word)), nil
 	}
 	if (v.Kind == KindInt || v.Kind == KindFloat) && (w.Kind == KindInt || w.Kind == KindFloat) {
 		c, _ := compareNumbers(v, w)
@@ -337,26 +337,19 @@ func (v Value) Compare(w Value) (int, error) {
 }
 
 // compareNumbers orders two numbers, not both ints, exactly; ordered is
-// false when either is NaN.
+// false when either is NaN. Where an int's nearest float ties with a
+// float, that float is 2⁶³, above every int, or an integer int64 holds.
 func compareNumbers(v, w Value) (c int, ordered bool) {
+	a, b := v.AsFloat(), w.AsFloat()
 	switch {
-	case math.IsNaN(v.F()) || math.IsNaN(w.F()):
+	case math.IsNaN(a) || math.IsNaN(b):
 		return 0, false
-	case v.Kind == KindInt:
-		return compareIntFloat(v.I(), w.F()), true
-	case w.Kind == KindInt:
-		return -compareIntFloat(w.I(), v.F()), true
+	case a != b || v.Kind == w.Kind:
+		return cmp.Compare(a, b), true
+	case a == 0x1p63:
+		return cmp.Compare(v.Kind, w.Kind), true // the int is below it: KindInt < KindFloat
 	}
-	return cmp.Compare(v.F(), w.F()), true
-}
-
-// compareIntFloat orders i against f without rounding i: where i's
-// nearest float is f, f is 2⁶³ or an integer within int64 range.
-func compareIntFloat(i int64, f float64) int {
-	if c := cmp.Compare(float64(i), f); c != 0 || f == 0x1p63 {
-		return cmp.Or(c, -1)
-	}
-	return cmp.Compare(i, int64(f))
+	return cmp.Compare(v.I()+int64(v.F()), w.I()+int64(w.F())), true // I and F are 0 for the other kind
 }
 
 // AsFloat converts a numeric value to float64 (0 otherwise).

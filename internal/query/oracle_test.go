@@ -46,15 +46,32 @@ import (
 //   - an encoded answer's bytes are AppendJSONAndText of the same mode's
 //     built answer, and an answer JSON cannot carry an *iql.EncodingError.
 
-// TestOracle runs the oracle over generated queries.
+// TestOracle runs the oracle over generated queries, and asserts that
+// the modes ran as named: the sharded ones sharded some evaluation and
+// the serial ones none, and the paged ones stream <<t>> past the cache,
+// which the materialised ones fill.
 func TestOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
+	var sharded uint64
 	for range 20 {
 		w := iqltest.NewWorld(r)
 		o := newOracle(t, w, r)
 		for range 25 {
 			o.check(t, w.Query(r))
 		}
+		for _, m := range o.direct {
+			n := m.p.ParallelStats().ParallelEvals
+			if sharded += n; m.p.Parallel == 1 && n > 0 {
+				t.Errorf("%s: %d evaluations sharded", m.name, n)
+			}
+			eval(m.p, iql.MustParse("[x | x <- <<t>>]"), false, true)
+			if streamed := !m.p.srcExt.Peek("T\x00t"); streamed == strings.HasSuffix(m.name, "materialised") {
+				t.Errorf("%s: <<t>> of %d rows streamed %v", m.name, len(w.Table.Rows), streamed)
+			}
+		}
+	}
+	if sharded == 0 {
+		t.Error("no evaluation sharded")
 	}
 }
 
@@ -199,25 +216,16 @@ func staticObjects(tb testing.TB, name string, objects map[string]iql.Value) *wr
 func sqlTable(t iqltest.Table) *rel.DB {
 	db := rel.NewDB("T")
 	cols := []rel.Column{{Name: "id", Type: rel.Int}}
-	for _, c := range t.Cols {
+	for _, c := range iqltest.Columns {
 		cols = append(cols, rel.Column{Name: c.Name, Type: map[iql.Kind]rel.Type{iql.KindInt: rel.Int, iql.KindFloat: rel.Float, iql.KindString: rel.String}[c.Kind]})
 	}
 	tb := db.MustCreateTable(t.Name, cols, "id")
-	for i, k := range t.Keys {
-		row := []any{k}
-		for _, c := range t.Cols {
-			switch v := c.Cells[i]; v.Kind {
-			case iql.KindInt:
-				row = append(row, v.I())
-			case iql.KindFloat:
-				row = append(row, v.F())
-			case iql.KindString:
-				row = append(row, v.S())
-			default:
-				row = append(row, nil)
-			}
+	for _, row := range t.Rows {
+		cells := make([]any, len(row))
+		for i, v := range row {
+			cells[i] = map[iql.Kind]any{iql.KindInt: v.I(), iql.KindFloat: v.F(), iql.KindString: v.S()}[v.Kind]
 		}
-		tb.MustInsert(row...)
+		tb.MustInsert(cells...)
 	}
 	return db
 }
@@ -225,12 +233,12 @@ func sqlTable(t iqltest.Table) *rel.DB {
 // restCollection serves a table's rows as JSON records, paged by the
 // first path segment (/1/r, /7/r) through rel="next" links.
 func restCollection(tb testing.TB, t iqltest.Table) *httptest.Server {
-	records := make([]string, len(t.Keys))
-	for i, k := range t.Keys {
-		fields := []string{`"id":` + strconv.FormatInt(k, 10)}
-		for _, c := range t.Cols {
-			var text string
-			switch v := c.Cells[i]; v.Kind {
+	records := make([]string, len(t.Rows))
+	for i, row := range t.Rows {
+		fields := []string{`"id":` + strconv.FormatInt(row[0].I(), 10)}
+		for c, v := range row[1:] {
+			text := "null"
+			switch v.Kind {
 			case iql.KindInt:
 				text = strconv.FormatInt(v.I(), 10)
 			case iql.KindFloat:
@@ -238,10 +246,8 @@ func restCollection(tb testing.TB, t iqltest.Table) *httptest.Server {
 			case iql.KindString:
 				b, _ := json.Marshal(v.S()) // a string of the collection is valid UTF-8
 				text = string(b)
-			default:
-				text = "null"
 			}
-			fields = append(fields, strconv.Quote(c.Name)+":"+text)
+			fields = append(fields, strconv.Quote(iqltest.Columns[c].Name)+":"+text)
 		}
 		records[i] = "{" + strings.Join(fields, ",") + "}"
 	}
