@@ -1,6 +1,7 @@
 package iqltest
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -159,8 +160,8 @@ type World struct {
 	// strings; <<nums>>, numbers about 2⁵³; <<big>>, 130 pairs, above
 	// twice the smallest scan the evaluator shards; and <<empty>>.
 	Objects map[string]iql.Value
-	// Table <<t>> holds NULLs, NaN and any string; Collection <<r>> only
-	// what JSON carries.
+	// Table <<t>> holds NULLs, NaN and any string, its rows in key order
+	// as a SQL source reads them; Collection <<r>> only what JSON carries.
 	Table, Collection Table
 	// View <<U>> is the bag union of tagged copies of <<t, n>> and
 	// <<r, n>>, in that order; when Lower, the second is a lower bound,
@@ -214,7 +215,7 @@ func NewWorld(r *rand.Rand) *World {
 	for i := range big {
 		big[i] = iql.Tuple(iql.Int(int64(i)), key(r))
 	}
-	return &World{
+	w := &World{
 		Objects: map[string]iql.Value{
 			"mixed": draw(3+r.Intn(8), mixed), "pairs": draw(3+r.Intn(9), pair),
 			"nums": draw(3+r.Intn(6), func() iql.Value { return numbers[r.Intn(len(numbers))] }),
@@ -225,6 +226,9 @@ func NewWorld(r *rand.Rand) *World {
 		View:       [2]string{"[{'T', k, v} | {k, v} <- <<t, n>>]", "[{'R', k, v} | {k, v} <- <<r, n>>]"},
 		Lower:      r.Intn(2) == 0,
 	}
+	// A SQL source reads a table in key order.
+	slices.SortFunc(w.Table.Rows, func(a, b []iql.Value) int { return cmp.Compare(a[0].I(), b[0].I()) })
+	return w
 }
 
 // key draws a join key: few values, one of them a float beside the int

@@ -1,21 +1,25 @@
 package sqlmem
 
 import (
+	"cmp"
 	"context"
 	"database/sql/driver"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/obs"
 	"github.com/dataspace/automed/internal/rel"
 	"github.com/dataspace/automed/internal/wrapper"
 )
 
 // fuzzDB is testDB with an integer column that holds NULLs, duplicates
-// and the ends of the range, and a table whose names need quoting.
+// and the ends of the range, a table whose names need quoting, and one
+// whose name holds a space and whose rows were inserted out of key order.
 func fuzzDB() *rel.DB {
 	db := rel.NewDB("F")
 	tb := db.MustCreateTable("t", []rel.Column{
@@ -25,6 +29,10 @@ func fuzzDB() *rel.DB {
 	}
 	weird := db.MustCreateTable(`we"ird AND`, []rel.Column{{Name: "AND", Type: rel.Int}}, "AND")
 	weird.MustInsert(int64(1))
+	shuffled := db.MustCreateTable("out of order", []rel.Column{{Name: "k", Type: rel.Int}, {Name: "v", Type: rel.String}}, "k")
+	for i, k := range []int64{5, -2, 1<<63 - 1, 0, 9, -1 << 63, 3, 7} {
+		shuffled.MustInsert(k, []any{"a", nil, "b"}[i%3])
+	}
 	return db
 }
 
@@ -33,7 +41,10 @@ func fuzzDB() *rel.DB {
 // panic, and its rows can be read to the end. And it accepts what it
 // exists to serve: every COUNT statement wrapper.SQL renders for a
 // selection over the table — the fuzzer's component, operator and
-// literal — comes back as the number a walk over the rows gives.
+// literal — comes back as the number a walk over the rows gives, and
+// every keyset page it renders — the fuzzer's literal the cursor, a page
+// size and a dialect from its component byte, a table from its operator
+// byte — comes back as the rows a walk over the table sorted by key gives.
 func FuzzSelect(f *testing.F) {
 	dir := filepath.Join("testdata", "select")
 	entries, err := os.ReadDir(dir)
@@ -53,20 +64,82 @@ func FuzzSelect(f *testing.F) {
 	db := fuzzDB()
 	const dsn = "fuzz-select"
 	Register(dsn, db)
+	e, err := lookup(dsn)
+	if err != nil {
+		f.Fatal(err)
+	}
 	w, err := wrapper.NewSQL("F", wrapper.SQLConfig{Driver: DriverName, DSN: dsn})
 	if err != nil {
 		f.Fatal(err)
 	}
+	// The keyset pages: the statement of a scan's second page, read off its
+	// trace, by page size, dialect and table.
+	dialects, tables := []string{wrapper.DialectSQLite, wrapper.DialectPostgres}, [][]string{{"t", "n"}, {"out of order", "v"}}
+	pages := map[[3]int]string{}
+	for size := 1; size <= 7; size++ {
+		for d, dialect := range dialects {
+			pw, err := wrapper.NewSQL("F", wrapper.SQLConfig{Driver: DriverName, DSN: dsn, Dialect: dialect, FetchPageRows: size})
+			if err != nil {
+				f.Fatal(err)
+			}
+			for tn, parts := range tables {
+				tr := obs.NewTrace("f", "", "")
+				ctx := obs.WithTrace(context.Background(), tr)
+				scn, err := pw.ExtentScanner(ctx, parts)
+				if err != nil {
+					f.Fatal(err)
+				}
+				for scn.Next(ctx) {
+				}
+				var stmts []string
+				for _, sp := range tr.Snapshot().Spans {
+					if sp.Stage == "sql" {
+						stmts = append(stmts, sp.Name)
+					}
+				}
+				if scn.Err() != nil || len(stmts) < 2 {
+					f.Fatalf("scan of %v in pages of %d: %v, statements %q", parts, size, scn.Err(), stmts)
+				}
+				pages[[3]int{size, d, tn}] = stmts[1]
+			}
+		}
+	}
 	tb, _ := db.Table("t")
 	ops := []string{"=", "<", "<=", ">", ">="}
 	f.Fuzz(func(t *testing.T, stmt string, comp, op uint8, lit int64) {
-		if rows, err := dispatch(db, stmt, nil, nil); err == nil {
-			dest := make([]driver.Value, len(rows.Columns()))
-			for err = rows.Next(dest); err == nil; err = rows.Next(dest) {
+		read := func(stmt string) ([][]driver.Value, error) {
+			rows, err := dispatch(e, stmt, []driver.Value{lit})
+			if err != nil {
+				return nil, err
 			}
-			if err != io.EOF {
-				t.Fatalf("%q: reading the rows: %v", stmt, err)
+			var all [][]driver.Value
+			for {
+				dest := make([]driver.Value, len(rows.Columns()))
+				if err := rows.Next(dest); err == io.EOF {
+					return all, nil
+				} else if err != nil {
+					t.Fatalf("%q: reading the rows: %v", stmt, err)
+				}
+				all = append(all, dest)
 			}
+		}
+		read(stmt)
+
+		size, tn := 1+int(comp>>1)%7, int(op>>3)%2
+		page := pages[[3]int{size, int(comp>>4) % 2, tn}]
+		paged, err := read(page)
+		if err != nil {
+			t.Fatalf("%s after %d: the driver refused the wrapper's page: %v", page, lit, err)
+		}
+		pt, _ := db.Table(tables[tn][0])
+		var walked [][]driver.Value
+		for _, row := range slices.SortedFunc(slices.Values(pt.Rows()), func(a, b []any) int { return cmp.Compare(a[0].(int64), b[0].(int64)) }) {
+			if row[0].(int64) > lit && len(walked) < size {
+				walked = append(walked, []driver.Value{row[0], row[1]})
+			}
+		}
+		if !slices.EqualFunc(paged, walked, slices.Equal) {
+			t.Errorf("%s after %d: the driver read %v, a walk over the rows by key %v", page, lit, paged, walked)
 		}
 
 		cond := iql.Cond{Comp: int(comp % 2), Op: ops[int(op)%len(ops)], Lit: lit}

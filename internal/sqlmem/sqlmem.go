@@ -8,8 +8,9 @@
 // The driver is deliberately not a SQL engine. It understands exactly
 // the statement shapes the wrapper's dialects emit — the sqlite_master
 // / PRAGMA table_info introspection queries, their information_schema
-// equivalents, simple column projections with an optional LIMIT/OFFSET
-// window, and the one aggregate `SELECT COUNT(*) FROM t WHERE …` over a
+// equivalents, column projections of a whole table or of one page of it
+// in primary-key order (`… WHERE k > ? ORDER BY k LIMIT n`, with ? or
+// $1), and the one aggregate `SELECT COUNT(*) FROM t WHERE …` over a
 // conjunction of `col IS NOT NULL` and `col <op> <integer>` terms — and
 // rejects everything else. Registered databases are read-only through
 // this driver.
@@ -26,6 +27,7 @@ import (
 	"database/sql/driver"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,13 +53,16 @@ type entry struct {
 	db    *rel.DB
 	delay time.Duration
 	noPK  map[string]bool
+	// byKey holds each table's rows in key order as keyOrder last read
+	// them; it is shared by the entry's copies and guarded by mu.
+	byKey map[*rel.Table][][]any
 }
 
 // Register installs (or replaces) the database served for a DSN.
 func Register(dsn string, db *rel.DB) {
 	mu.Lock()
 	defer mu.Unlock()
-	sources[dsn] = &entry{db: db}
+	sources[dsn] = &entry{db: db, byKey: make(map[*rel.Table][][]any)}
 }
 
 // SetDelay makes every query against the DSN block for d first
@@ -98,16 +103,16 @@ func Unregister(dsn string) {
 	delete(sources, dsn)
 }
 
-func lookup(dsn string) (*rel.DB, time.Duration, map[string]bool, error) {
+// lookup returns a copy of the DSN's entry, safe to read outside the
+// lock: e.noPK is replaced wholesale by SetNoPK, never mutated.
+func lookup(dsn string) (entry, error) {
 	mu.Lock()
 	defer mu.Unlock()
 	e, ok := sources[dsn]
 	if !ok {
-		return nil, 0, nil, fmt.Errorf("sqlmem: no database registered for DSN %q", dsn)
+		return entry{}, fmt.Errorf("sqlmem: no database registered for DSN %q", dsn)
 	}
-	// e.noPK is replaced wholesale by SetNoPK, never mutated, so the
-	// reference is safe to use outside the lock.
-	return e.db, e.delay, e.noPK, nil
+	return *e, nil
 }
 
 type drv struct{}
@@ -115,7 +120,7 @@ type drv struct{}
 // Open implements driver.Driver. The DSN is resolved per query, so a
 // database registered (or replaced) after sql.Open is still picked up.
 func (drv) Open(dsn string) (driver.Conn, error) {
-	if _, _, _, err := lookup(dsn); err != nil {
+	if _, err := lookup(dsn); err != nil {
 		return nil, err
 	}
 	return &conn{dsn: dsn}, nil
@@ -155,13 +160,13 @@ func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
 }
 
 func (c *conn) query(ctx context.Context, q string, args []driver.Value) (driver.Rows, error) {
-	db, delay, noPK, err := lookup(c.dsn)
+	e, err := lookup(c.dsn)
 	if err != nil {
 		return nil, err
 	}
-	if delay > 0 {
+	if e.delay > 0 {
 		select {
-		case <-time.After(delay):
+		case <-time.After(e.delay):
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -169,11 +174,14 @@ func (c *conn) query(ctx context.Context, q string, args []driver.Value) (driver
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return dispatch(db, q, args, noPK)
+	return dispatch(e, q, args)
 }
 
 // normalize collapses runs of whitespace so statement matching is
-// insensitive to the formatting of the emitting dialect.
+// insensitive to the formatting of the emitting dialect. Only the
+// introspection statements are matched so: one that names a table in
+// its text — PRAGMA table_info and the data statements — is read as it
+// came, for "a  b" is a name of its own.
 func normalize(q string) string {
 	return strings.Join(strings.Fields(strings.TrimSpace(q)), " ")
 }
@@ -192,7 +200,8 @@ const (
 	qPGPK         = `SELECT kcu.column_name FROM information_schema.table_constraints tc JOIN information_schema.key_column_usage kcu ON kcu.constraint_name = tc.constraint_name AND kcu.table_schema = tc.table_schema AND kcu.table_name = tc.table_name WHERE tc.constraint_type = 'PRIMARY KEY' AND tc.table_schema = current_schema() AND tc.table_name = $1 ORDER BY kcu.ordinal_position`
 )
 
-func dispatch(db *rel.DB, rawQ string, args []driver.Value, noPK map[string]bool) (driver.Rows, error) {
+func dispatch(e entry, rawQ string, args []driver.Value) (driver.Rows, error) {
+	db, noPK := e.db, e.noPK
 	q := normalize(rawQ)
 	switch q {
 	case qSQLiteTables, qInfoTables, qPGTables:
@@ -224,7 +233,7 @@ func dispatch(db *rel.DB, rawQ string, args []driver.Value, noPK map[string]bool
 		}
 		return &memRows{cols: []string{"column_name"}, data: data}, nil
 	}
-	if name, ok := strings.CutPrefix(q, "PRAGMA table_info("); ok {
+	if name, ok := strings.CutPrefix(strings.TrimSpace(rawQ), "PRAGMA table_info("); ok {
 		name = strings.TrimSuffix(name, ")")
 		t, ok := db.Table(unquoteIdent(name))
 		if !ok {
@@ -245,10 +254,7 @@ func dispatch(db *rel.DB, rawQ string, args []driver.Value, noPK map[string]bool
 			data: rows,
 		}, nil
 	}
-	if rest, ok := strings.CutPrefix(q, "SELECT COUNT(*) FROM "); ok {
-		return countRows(db, q, rest)
-	}
-	return selectRows(db, q)
+	return selectRows(e, rawQ, args)
 }
 
 func argTable(db *rel.DB, args []driver.Value) (*rel.Table, error) {
@@ -266,43 +272,66 @@ func argTable(db *rel.DB, args []driver.Value) (*rel.Table, error) {
 	return t, nil
 }
 
-// selectRows serves `SELECT <idents> FROM <table>` projections with an
-// optional trailing `LIMIT n OFFSET m`, the only data statements the
-// wrapper emits. Identifiers may be double-quoted. The window is
-// sliced off the table's row slice before any driver values are
-// materialised, so a paged scan over a large table stays O(page), not
-// O(table), per round trip.
-func selectRows(db *rel.DB, q string) (driver.Rows, error) {
-	rest, ok := strings.CutPrefix(q, "SELECT ")
-	if !ok {
-		return nil, fmt.Errorf("sqlmem: unsupported statement %q", q)
+// selectRows serves the data statements, read word by word (sqlTokens):
+//
+//	SELECT COUNT(*) FROM t WHERE term [AND term]…
+//	SELECT c[, c]… FROM t [WHERE term [AND term]…] [ORDER BY k LIMIT n]
+//
+// A term is `col IS NOT NULL` or `col <op> <lit>` with op one of = < <=
+// > >=, and lit an integer, compared only with an integer column, or a
+// placeholder (? or $1: the first argument), compared only with a column
+// of its type; a NULL cell satisfies no term, as in SQL. ORDER BY names
+// the primary key, and rows come in its order: a term `k > x` or
+// `k >= x` starts them by binary search, so a keyset page over a table
+// already in key order costs its own rows, not the table's (keyOrder).
+func selectRows(e entry, q string, args []driver.Value) (driver.Rows, error) {
+	unsupported := fmt.Errorf("sqlmem: unsupported statement %q", q)
+	toks, ok := sqlTokens(q)
+	w := words(toks)
+	if !ok || !w.take("SELECT") {
+		return nil, unsupported
 	}
-	colPart, table, ok := strings.Cut(rest, " FROM ")
-	if !ok {
-		return nil, fmt.Errorf("sqlmem: unsupported statement %q", q)
+	var cols []string // nil: COUNT(*)
+	if !w.take("COUNT(*)") {
+		for cols = []string{unquoteIdent(w.next())}; w.take(","); {
+			cols = append(cols, unquoteIdent(w.next()))
+		}
 	}
-	limit, offset := -1, 0
-	if name, clause, paged := strings.Cut(table, " "); paged {
-		f := strings.Fields(clause)
-		if len(f) != 4 || f[0] != "LIMIT" || f[2] != "OFFSET" {
-			return nil, fmt.Errorf("sqlmem: unsupported statement %q", q)
-		}
-		var err error
-		if limit, err = strconv.Atoi(f[1]); err != nil || limit < 0 {
-			return nil, fmt.Errorf("sqlmem: unsupported statement %q", q)
-		}
-		if offset, err = strconv.Atoi(f[3]); err != nil || offset < 0 {
-			return nil, fmt.Errorf("sqlmem: unsupported statement %q", q)
-		}
-		table = name
+	if !w.take("FROM") {
+		return nil, unsupported
 	}
-	t, found := db.Table(unquoteIdent(table))
+	name := w.next()
+	t, found := e.db.Table(unquoteIdent(name))
 	if !found {
-		return nil, fmt.Errorf("sqlmem: no such table: %s", table)
+		return nil, fmt.Errorf("sqlmem: no such table: %s", name)
 	}
-	var cols []string
-	for _, c := range strings.Split(colPart, ",") {
-		cols = append(cols, unquoteIdent(strings.TrimSpace(c)))
+	var terms []term
+	for more := w.take("WHERE"); more; more = w.take("AND") {
+		tm, err := parseTerm(t, &w, args, unsupported)
+		if err != nil {
+			return nil, err
+		}
+		terms = append(terms, tm)
+	}
+	rows, limit := t.Rows(), -1
+	if w.take("ORDER", "BY") {
+		var err error
+		if unquoteIdent(w.next()) != t.PrimaryKey() || !w.take("LIMIT") {
+			return nil, unsupported
+		}
+		if limit, err = strconv.Atoi(w.next()); err != nil || limit < 0 {
+			return nil, unsupported
+		}
+		rows = e.keyOrder(t)
+		pk, _ := t.ColIndex(t.PrimaryKey())
+		for _, tm := range terms {
+			if tm.col == pk && (tm.op == ">" || tm.op == ">=") {
+				rows = rows[sort.Search(len(rows), func(i int) bool { return tm.holds(rows[i]) }):]
+			}
+		}
+	}
+	if len(w) > 0 || cols == nil && (terms == nil || limit >= 0) {
+		return nil, unsupported
 	}
 	idx := make([]int, len(cols))
 	for i, c := range cols {
@@ -312,149 +341,187 @@ func selectRows(db *rel.DB, q string) (driver.Rows, error) {
 		}
 		idx[i] = j
 	}
-	rows := t.Rows()
-	if limit >= 0 {
-		if offset > len(rows) {
-			offset = len(rows)
+	if limit < 0 || limit > len(rows) {
+		limit = len(rows)
+	}
+	var data [][]driver.Value
+	if cols != nil {
+		data = make([][]driver.Value, 0, limit)
+	}
+	n := 0
+scan:
+	for _, row := range rows {
+		if n == limit {
+			break
 		}
-		rows = rows[offset:]
-		if limit < len(rows) {
-			rows = rows[:limit]
+		for _, tm := range terms {
+			if !tm.holds(row) {
+				continue scan
+			}
+		}
+		if n++; cols != nil {
+			out := make([]driver.Value, len(idx))
+			for i, j := range idx {
+				out[i] = row[j] // rel cells are int64/float64/string/bool/nil: all driver.Values
+			}
+			data = append(data, out)
 		}
 	}
-	data := make([][]driver.Value, len(rows))
-	for rn, row := range rows {
-		out := make([]driver.Value, len(idx))
-		for i, j := range idx {
-			out[i] = row[j] // rel cells are int64/float64/string/bool/nil: all driver.Values
-		}
-		data[rn] = out
+	if cols == nil {
+		return &memRows{cols: []string{"COUNT(*)"}, data: [][]driver.Value{{int64(n)}}}, nil
 	}
 	return &memRows{cols: cols, data: data}, nil
 }
 
-// countRows serves `SELECT COUNT(*) FROM <table> WHERE <term> [AND
-// <term>]…`, rest being what follows FROM: a term is `<col> IS NOT NULL`
-// or `<col> <op> <integer>` with op one of = < <= > >=, and a comparison
-// is only taken on an integer column (a NULL cell satisfies none, as in
-// SQL).
-func countRows(db *rel.DB, q, rest string) (driver.Rows, error) {
-	unsupported := fmt.Errorf("sqlmem: unsupported statement %q", q)
-	toks, ok := sqlTokens(rest)
-	if !ok || len(toks) < 2 || toks[1] != "WHERE" {
-		return nil, unsupported
+// words reads a statement's tokens front to back.
+type words []string
+
+// next takes the next word, "" at the end.
+func (w *words) next() string {
+	if len(*w) == 0 {
+		return ""
 	}
-	t, found := db.Table(unquoteIdent(toks[0]))
-	if !found {
-		return nil, fmt.Errorf("sqlmem: no such table: %s", toks[0])
-	}
-	type term struct {
-		col int
-		op  string // "" for IS NOT NULL
-		lit int64
-	}
-	var terms []term
-	for toks = toks[2:]; ; toks = toks[1:] {
-		if len(toks) < 3 {
-			return nil, unsupported
-		}
-		col := unquoteIdent(toks[0])
-		j, found := t.ColIndex(col)
-		if !found {
-			return nil, fmt.Errorf("sqlmem: table %q has no column %q", t.Name(), col)
-		}
-		tm := term{col: j}
-		if len(toks) >= 4 && toks[1] == "IS" && toks[2] == "NOT" && toks[3] == "NULL" {
-			toks = toks[4:]
-		} else {
-			switch tm.op = toks[1]; tm.op {
-			case "=", "<", "<=", ">", ">=":
-			default:
-				return nil, unsupported
-			}
-			var err error
-			if tm.lit, err = strconv.ParseInt(toks[2], 10, 64); err != nil {
-				return nil, unsupported
-			}
-			if typ, _ := t.ColumnType(col); typ != rel.Int {
-				return nil, fmt.Errorf("sqlmem: column %q of table %q is not an integer column", col, t.Name())
-			}
-			toks = toks[3:]
-		}
-		terms = append(terms, tm)
-		if len(toks) == 0 {
-			break
-		}
-		if toks[0] != "AND" {
-			return nil, unsupported
-		}
-	}
-	var n int64
-rows:
-	for _, row := range t.Rows() {
-		for _, tm := range terms {
-			cell := row[tm.col]
-			if cell == nil {
-				continue rows
-			}
-			if tm.op == "" {
-				continue
-			}
-			c := cmp.Compare(cell.(int64), tm.lit)
-			var holds bool
-			switch tm.op {
-			case "=":
-				holds = c == 0
-			case "<":
-				holds = c < 0
-			case "<=":
-				holds = c <= 0
-			case ">":
-				holds = c > 0
-			case ">=":
-				holds = c >= 0
-			}
-			if !holds {
-				continue rows
-			}
-		}
-		n++
-	}
-	return &memRows{cols: []string{"COUNT(*)"}, data: [][]driver.Value{{n}}}, nil
+	t := (*w)[0]
+	*w = (*w)[1:]
+	return t
 }
 
-// sqlTokens splits a normalized statement tail at its single spaces,
-// keeping a double-quoted identifier (a doubled quote inside stands for
-// one) whole and quoted, so that "AND" is a column and AND a keyword.
-func sqlTokens(s string) ([]string, bool) {
-	var toks []string
-	for {
-		end := strings.IndexByte(s, ' ')
-		if strings.HasPrefix(s, `"`) {
-			end = 1
-			for ; end < len(s); end++ {
-				if s[end] != '"' {
-					continue
-				}
-				if end+1 == len(s) || s[end+1] != '"' {
-					break
-				}
-				end++
-			}
-			if end == len(s) {
-				return nil, false // no closing quote
-			}
-			end++
-		}
-		if end < 0 || end == len(s) {
-			return append(toks, s), s != ""
-		}
-		if end == 0 || s[end] != ' ' {
-			return nil, false
-		}
-		toks = append(toks, s[:end])
-		s = s[end+1:]
+// take takes the words ws if they come next.
+func (w *words) take(ws ...string) bool {
+	if len(*w) < len(ws) || !slices.Equal((*w)[:len(ws)], ws) {
+		return false
 	}
+	*w = (*w)[len(ws):]
+	return true
+}
+
+// term is one conjunct of a WHERE clause over a row's cell col: IS NOT
+// NULL when op is "", else a comparison with lit.
+type term struct {
+	col int
+	op  string
+	lit any
+}
+
+// parseTerm reads one term over t's columns.
+func parseTerm(t *rel.Table, w *words, args []driver.Value, unsupported error) (term, error) {
+	col := unquoteIdent(w.next())
+	j, found := t.ColIndex(col)
+	if !found {
+		return term{}, fmt.Errorf("sqlmem: table %q has no column %q", t.Name(), col)
+	}
+	tm := term{col: j}
+	if w.take("IS", "NOT", "NULL") {
+		return tm, nil
+	}
+	switch tm.op = w.next(); tm.op {
+	case "=", "<", "<=", ">", ">=":
+	default:
+		return term{}, unsupported
+	}
+	switch lit := w.next(); lit {
+	case "?", "$1":
+		if len(args) == 0 {
+			return term{}, fmt.Errorf("sqlmem: %s has no argument", lit)
+		}
+		tm.lit = args[0]
+	default:
+		n, err := strconv.ParseInt(lit, 10, 64)
+		if err != nil {
+			return term{}, unsupported
+		}
+		tm.lit = n
+	}
+	if typ, _ := t.ColumnType(col); goTypes[typ] != fmt.Sprintf("%T", tm.lit) {
+		return term{}, fmt.Errorf("sqlmem: column %q of table %q cannot be compared with %T", col, t.Name(), tm.lit)
+	}
+	return tm, nil
+}
+
+// goTypes names the Go type rel keeps each column type's cells in.
+var goTypes = map[rel.Type]string{rel.Int: "int64", rel.Float: "float64", rel.String: "string", rel.Bool: "bool"}
+
+func (tm term) holds(row []any) bool {
+	cell := row[tm.col]
+	if cell == nil || tm.op == "" {
+		return cell != nil
+	}
+	c := compareCells(cell, tm.lit)
+	switch tm.op {
+	case "=":
+		return c == 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	}
+	return c >= 0
+}
+
+// compareCells orders two non-NULL cells of one column: rel holds a
+// column's cells to one Go type.
+func compareCells(a, b any) int {
+	switch x := a.(type) {
+	case int64:
+		return cmp.Compare(x, b.(int64))
+	case float64:
+		return cmp.Compare(x, b.(float64))
+	case string:
+		return strings.Compare(x, b.(string))
+	}
+	return strings.Compare(fmt.Sprint(a), fmt.Sprint(b)) // bools: false, then true
+}
+
+// keyOrder returns t's rows in primary-key order: the table's own when it
+// holds them so, as every table built in key order does, else a sorted
+// copy. rel tables only grow, so what was read at one row count holds
+// until the count changes, and only the first statement after a change
+// walks the table.
+func (e entry) keyOrder(t *rel.Table) [][]any {
+	mu.Lock()
+	defer mu.Unlock()
+	rows := t.Rows()
+	if held, ok := e.byKey[t]; ok && len(held) == len(rows) {
+		return held
+	}
+	pk, _ := t.ColIndex(t.PrimaryKey())
+	byKey := func(a, b []any) int { return compareCells(a[pk], b[pk]) }
+	if !slices.IsSortedFunc(rows, byKey) {
+		rows = slices.SortedFunc(slices.Values(rows), byKey)
+	}
+	e.byKey[t] = rows
+	return rows
+}
+
+// sqlTokens splits a statement into its words at whitespace: a comma is
+// a word of its own, and a double-quoted identifier (a doubled quote
+// inside stands for one) is kept whole and quoted, so that "AND" is a
+// column and AND a keyword, and "my  table" is one name.
+func sqlTokens(s string) ([]string, bool) {
+	const space = " \t\n\r"
+	var toks []string
+	for s = strings.TrimLeft(s, space); s != ""; s = strings.TrimLeft(s, space) {
+		end := strings.IndexAny(s, space+",")
+		switch {
+		case s[0] == ',':
+			end = 1
+		case s[0] == '"':
+			for end = 1; end < len(s) && (s[end] != '"' || strings.HasPrefix(s[end:], `""`)); end++ {
+				if s[end] == '"' {
+					end++ // a doubled quote
+				}
+			}
+			if end++; end > len(s) || end < len(s) && !strings.ContainsAny(s[end:end+1], space+",") {
+				return nil, false // no closing quote, or a word run on after it
+			}
+		case end < 0:
+			end = len(s)
+		}
+		toks, s = append(toks, s[:end]), s[end:]
+	}
+	return toks, len(toks) > 0
 }
 
 func unquoteIdent(s string) string {

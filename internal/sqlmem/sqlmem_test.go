@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dataspace/automed/internal/iql"
 	"github.com/dataspace/automed/internal/rel"
+	"github.com/dataspace/automed/internal/wrapper"
 )
 
 func testDB(t *testing.T) *rel.DB {
@@ -124,6 +126,45 @@ func TestDriverCount(t *testing.T) {
 		case tc.want >= 0 && (err != nil || n != tc.want):
 			t.Errorf("%s = %d, %v, want %d", tc.stmt, n, err, tc.want)
 		}
+	}
+}
+
+// TestDriverServesQuotedNames: a table whose name holds a space, or two
+// in a row, is served through the SQL wrapper like any other — its own
+// rows, not its neighbour's.
+func TestDriverServesQuotedNames(t *testing.T) {
+	db := rel.NewDB("Q")
+	names, cols := []string{"my table", "my  table"}, []string{"the v", "the  w"}
+	for i, name := range names {
+		tb := db.MustCreateTable(name, []rel.Column{{Name: "id", Type: rel.Int}, {Name: cols[i], Type: rel.String}}, "id")
+		tb.MustInsert(int64(1), name)
+	}
+	Register("drv-quoted", db)
+	t.Cleanup(func() { Unregister("drv-quoted") })
+	w, err := wrapper.NewSQL("Q", wrapper.SQLConfig{Driver: DriverName, DSN: "drv-quoted"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		v, err := w.Extent([]string{name, cols[i]})
+		if want := iql.Bag(iql.Tuple(iql.Int(1), iql.Str(name))); err != nil || !v.Equal(want) {
+			t.Errorf("<<%s, %s>> = %s, %v; want %s", name, cols[i], v, err, want)
+		}
+	}
+}
+
+// TestDriverRefusesOffset: a page is read by key; the LIMIT … OFFSET
+// window is no statement the wrapper sends, and the driver serves none.
+func TestDriverRefusesOffset(t *testing.T) {
+	Register("drv-offset", testDB(t))
+	t.Cleanup(func() { Unregister("drv-offset") })
+	db, err := sql.Open(DriverName, "drv-offset")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Query(`SELECT "id" FROM "t" ORDER BY "id" LIMIT 1 OFFSET 1`); err == nil {
+		t.Error("an OFFSET window accepted")
 	}
 }
 

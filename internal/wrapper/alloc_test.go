@@ -69,7 +69,7 @@ func TestSQLPageAllocations(t *testing.T) {
 		var k, v any
 		dest := []any{&k, &v}
 		driverBytes = iqltest.AllocBytesPerRun(5, func() {
-			rows, err := conn.Query(fmt.Sprintf(`SELECT "id", "v" FROM "items" LIMIT %d OFFSET 0`, n+1))
+			rows, err := conn.Query(fmt.Sprintf(`SELECT "id", "v" FROM "items" WHERE "id" IS NOT NULL ORDER BY "id" LIMIT %d`, n+1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -109,7 +109,7 @@ func TestWrapperConformanceSQL(t *testing.T) {
 }
 
 // TestWrapperConformanceSQLPaged runs the suite with a page size
-// smaller than every table, so extents and scans cross LIMIT/OFFSET
+// smaller than every table, so extents and scans cross keyset
 // page boundaries (including a NULL-bearing row mid-page).
 func TestWrapperConformanceSQLPaged(t *testing.T) {
 	dsn := fmt.Sprintf("conformance-%d", conformanceDSN.Add(1))

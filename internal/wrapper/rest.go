@@ -94,13 +94,11 @@ type restColl struct {
 // materialised extents and degrades to them when the endpoint is
 // unreachable.
 type REST struct {
-	name     string
-	cfg      RESTConfig
-	client   *http.Client
-	schema   *hdm.Schema
-	colls    map[string]restColl
-	order    []string
-	fallback map[string]iql.Value // scheme key → materialised extent
+	remote
+	cfg    RESTConfig
+	client *http.Client
+	colls  map[string]restColl
+	order  []string
 }
 
 // NewREST builds a REST wrapper, fetching the endpoint as needed to
@@ -122,7 +120,7 @@ func NewRESTContext(ctx context.Context, name string, cfg RESTConfig) (*REST, er
 		return nil, fmt.Errorf("wrapper: rest: source %q: endpoint is required", name)
 	}
 	cfg = cfg.withDefaults()
-	w := &REST{name: name, cfg: cfg, client: cfg.Client, colls: make(map[string]restColl)}
+	w := &REST{remote: remote{name: name}, cfg: cfg, client: cfg.Client, colls: make(map[string]restColl)}
 	if w.client == nil {
 		w.client = &http.Client{}
 	}
@@ -158,8 +156,10 @@ func (w *REST) declared(ctx context.Context, specs []RESTCollection) ([]restColl
 		}
 		if len(c.fields) == 0 {
 			d := restDecoder{names: make(map[string]bool)}
-			if _, err := w.chain(c, &d).collect(ctx, nil); err != nil {
-				return nil, fmt.Errorf("wrapper: rest: source %q: inferring fields of %q: %w", w.name, c.name, err)
+			if _, err := w.chain(c, &d, func(err error) error {
+				return fmt.Errorf("wrapper: rest: source %q: inferring fields of %q: %w", w.name, c.name, err)
+			}).collect(ctx); err != nil {
+				return nil, err
 			}
 			c.fields = d.fields()
 		}
@@ -176,7 +176,7 @@ func (w *REST) declared(ctx context.Context, specs []RESTCollection) ([]restColl
 // must return an object mapping collection names to arrays of flat
 // records; keys default to "id" when present, else the first field.
 func (w *REST) discover(ctx context.Context) ([]restColl, error) {
-	data, _, err := w.getPage(ctx, w.url(""), "", 0)
+	data, _, err := w.getPage(ctx, w.url(""), 0)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper: rest: source %q: discovering collections: %w", w.name, err)
 	}
@@ -238,12 +238,6 @@ func (w *REST) buildSchema(colls []restColl) error {
 	return nil
 }
 
-// SchemaName implements Wrapper.
-func (w *REST) SchemaName() string { return w.name }
-
-// Schema implements Wrapper.
-func (w *REST) Schema() *hdm.Schema { return w.schema }
-
 // Kind labels the wrapper flavour in metrics and traces.
 func (w *REST) Kind() string { return "rest" }
 
@@ -267,16 +261,8 @@ func (w *REST) ExtentContext(ctx context.Context, parts []string) (iql.Value, er
 	if err != nil {
 		return iql.Value{}, err
 	}
-	items, err := s.collect(ctx, nil)
-	if err != nil {
-		return iql.Value{}, s.fetchErr(err)
-	}
-	return iql.BagOf(items), nil
+	return s.collect(ctx)
 }
-
-// restMaxPages bounds how many pages one extent fetch follows; a
-// pagination chain this long is a misbehaving (or cyclic) endpoint.
-const restMaxPages = 10000
 
 // url resolves an endpoint-relative path, such as a collection's, to
 // an absolute URL.
@@ -297,111 +283,38 @@ func (w *REST) ExtentScanner(ctx context.Context, parts []string) (Scanner, erro
 }
 
 // scanner returns the chain of the object parts names, not yet fetched.
-func (w *REST) scanner(parts []string) (*restScanner, error) {
+// Its errors say which object a failed fetch was for; a record without
+// its key is the collection's fault and says so itself.
+func (w *REST) scanner(parts []string) (*pagedScanner, error) {
 	obj, err := w.schema.Resolve(parts)
 	if err != nil {
 		return nil, err
 	}
 	sc := obj.Scheme
-	c, ok := w.colls[sc.Part(0)]
-	if !ok {
-		return nil, fmt.Errorf("wrapper: rest: source %q: no collection %q", w.name, sc.Part(0))
-	}
-	s := w.chain(c, c.decoder(sc))
-	s.sc = sc
-	return s, nil
-}
-
-// chain returns c's pagination chain, its records decoded through d.
-func (w *REST) chain(c restColl, d *restDecoder) *restScanner {
-	return &restScanner{w: w, c: c, d: d, next: w.url(c.path), detail: c.path}
-}
-
-// restScanner follows one collection's pagination chain — rel="next"
-// Link headers — page by page: as a Scanner, and for a whole extent or
-// field inference (collect). Each page is one bounded GET (with the
-// wrapper's usual retry policy); between pages no connection is held.
-type restScanner struct {
-	w      *REST
-	sc     hdm.Scheme // the object scanned, for errors; zero for inference
-	c      restColl
-	d      *restDecoder
-	next   string // next page URL; "" once the chain ends or the scanner is closed
-	detail string // trace-span label for the next fetch
-	prev   string // last fetched URL, for the self-link guard
-	pages  int
-	hint   int // rows of the last page
-
-	page []iql.Value
-	err  error
-}
-
-func (s *restScanner) Next(ctx context.Context) bool {
-	// NULL-field skipping can empty a page, so keep following the
-	// chain until rows arrive or it ends. Pages of one chain are mostly
-	// of one size, so each is allocated at the length of the one before.
-	for s.page = nil; len(s.page) == 0; {
-		if s.next == "" || s.err != nil {
-			return false
+	c := w.colls[sc.Part(0)]
+	return w.chain(c, c.decoder(sc), func(err error) error {
+		var ke *restKeyError
+		if errors.As(err, &ke) {
+			return ke
 		}
-		if s.err = ctx.Err(); s.err != nil {
-			return false
+		return fmt.Errorf("wrapper: rest: source %q: fetching %s: %w", w.name, sc, err)
+	}), nil
+}
+
+// chain returns c's pagination chain — rel="next" Link headers, so the
+// cursor is the next page's URL — its records decoded through d. Each
+// page is one bounded GET (with the wrapper's usual retry policy);
+// between pages no connection is held. Pages of one chain are mostly of
+// one size, so each is allocated at the length of the one before.
+func (w *REST) chain(c restColl, d *restDecoder, wrap func(error) error) *pagedScanner {
+	page := func(ctx context.Context, cursor any, items []iql.Value) ([]iql.Value, any, bool, error) {
+		if items == nil {
+			items = make([]iql.Value, 0, d.pageRows)
 		}
-		if s.page, s.err = s.fetchNext(ctx, make([]iql.Value, 0, s.hint)); s.err != nil {
-			s.err = s.fetchErr(s.err)
-		}
-		s.hint = len(s.page)
+		items, next, err := w.fetchPage(ctx, cursor.(string), d, items)
+		return items, next, next == "", err
 	}
-	return true
-}
-
-// collect follows the rest of the chain, appending every page's records
-// to items.
-func (s *restScanner) collect(ctx context.Context, items []iql.Value) ([]iql.Value, error) {
-	var err error
-	for s.next != "" {
-		if items, err = s.fetchNext(ctx, items); err != nil {
-			return nil, err
-		}
-	}
-	return items, nil
-}
-
-// fetchNext fetches the next page of the chain and appends its records
-// to items.
-func (s *restScanner) fetchNext(ctx context.Context, items []iql.Value) ([]iql.Value, error) {
-	if s.pages >= restMaxPages {
-		return nil, fmt.Errorf("GET %s: pagination exceeds %d pages", s.w.url(s.c.path), restMaxPages)
-	}
-	if s.next == s.prev {
-		return nil, fmt.Errorf("GET %s: next link points at itself", s.prev)
-	}
-	url := s.next
-	items, next, err := s.w.fetchPage(ctx, url, s.detail, s.d, items)
-	if err != nil {
-		return nil, err
-	}
-	s.prev, s.next, s.detail = url, next, next
-	s.pages++
-	return items, nil
-}
-
-// fetchErr says which object a failed fetch was for; a record without
-// its key is the collection's fault and says so itself.
-func (s *restScanner) fetchErr(err error) error {
-	var ke *restKeyError
-	if errors.As(err, &ke) {
-		return ke
-	}
-	return fmt.Errorf("wrapper: rest: source %q: fetching %s: %w", s.w.name, s.sc, err)
-}
-
-func (s *restScanner) Page() []iql.Value { return s.page }
-func (s *restScanner) Err() error        { return s.err }
-
-func (s *restScanner) Close() error {
-	s.next, s.page = "", nil
-	return nil
+	return &pagedScanner{page: page, wrap: wrap, cursor: w.url(c.path)}
 }
 
 // fetchPage GETs one page and appends its records, decoded through d,
@@ -413,7 +326,7 @@ func (s *restScanner) Close() error {
 // transient, so it is not downloaded again. next is the URL of the
 // following page per the response's Link header, empty on the last
 // page.
-func (w *REST) fetchPage(ctx context.Context, url, detail string, d *restDecoder, items []iql.Value) (_ []iql.Value, next string, err error) {
+func (w *REST) fetchPage(ctx context.Context, url string, d *restDecoder, items []iql.Value) (_ []iql.Value, next string, err error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -425,7 +338,7 @@ func (w *REST) fetchPage(ctx context.Context, url, detail string, d *restDecoder
 			}
 			obs.AddFetchRetry(ctx)
 		}
-		data, next, err := w.getPage(ctx, url, detail, d.pageBytes)
+		data, next, err := w.getPage(ctx, url, d.pageBytes)
 		if err != nil {
 			lastErr = err
 			var re *restStatusError
@@ -435,8 +348,12 @@ func (w *REST) fetchPage(ctx context.Context, url, detail string, d *restDecoder
 			continue
 		}
 		d.pageBytes = int64(len(data))
-		items, err = d.page(data, w.cfg.MaxBytes, items)
-		return items, next, err
+		n := len(items)
+		if items, err = d.page(data, w.cfg.MaxBytes, items); err != nil {
+			return nil, "", err
+		}
+		d.pageRows = len(items) - n
+		return items, next, nil
 	}
 	return nil, "", fmt.Errorf("after retry: %w", lastErr)
 }
@@ -505,11 +422,11 @@ func parseRetryAfter(h string) time.Duration {
 
 // getPage performs one bounded GET of an absolute URL, returning the
 // body and the next-page URL from the response's Link header (empty
-// when there is none). detail labels the fetch's trace span; sizeHint is
-// what a body of undeclared length is expected to measure, 0 for no
+// when there is none). The URL labels the fetch's trace span; sizeHint
+// is what a body of undeclared length is expected to measure, 0 for no
 // idea (see getBody).
-func (w *REST) getPage(ctx context.Context, url, detail string, sizeHint int64) ([]byte, string, error) {
-	sp, ctx := obs.StartSpan(ctx, "http", detail)
+func (w *REST) getPage(ctx context.Context, url string, sizeHint int64) ([]byte, string, error) {
+	sp, ctx := obs.StartSpan(ctx, "http", url)
 	ctx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
 	defer cancel()
 	data, next, err := w.getBody(ctx, url, sizeHint)
@@ -645,20 +562,8 @@ func (w *REST) Ping(ctx context.Context) error {
 	if len(w.order) > 0 {
 		path = w.colls[w.order[0]].path
 	}
-	_, _, err := w.getPage(ctx, w.url(path), path, 0)
+	_, _, err := w.getPage(ctx, w.url(path), 0)
 	return err
-}
-
-// FallbackExtent serves the snapshot-materialised extent of one object,
-// if this wrapper carries one (restored wrappers do). It implements the
-// processor's stale-fallback extension (query.FallbackSourcer).
-func (w *REST) FallbackExtent(parts []string) (iql.Value, bool) {
-	obj, err := w.schema.Resolve(parts)
-	if err != nil {
-		return iql.Value{}, false
-	}
-	v, ok := w.fallback[obj.Scheme.Key()]
-	return v, ok
 }
 
 // restDecoder decodes the pages of one collection: a JSON array of flat
@@ -685,9 +590,11 @@ type restDecoder struct {
 
 	rec    int // absolute index of the next record, across pages
 	tuples pairs
-	// pageBytes is the raw size of the last page fetched for this
-	// decoder, 0 before the first: fetchPage's guess at the next one's.
+	// pageBytes and pageRows are the raw size and the rows of the last
+	// page fetched for this decoder, 0 before the first: the guesses at
+	// the next one's.
 	pageBytes int64
+	pageRows  int
 }
 
 // decoder returns the decoder projecting c's records onto the extent of
@@ -747,11 +654,11 @@ func (d *restDecoder) page(data []byte, maxBytes int64, items []iql.Value) ([]iq
 	if data[i] == ']' {
 		return items, nil
 	}
-	for n := 0; ; n++ {
+	for {
 		if data[i] != '{' {
-			return nil, fmt.Errorf("record %d is %s, not an object", n, jsonKind(data[i]))
+			return nil, fmt.Errorf("record %d is %s, not an object", d.rec, jsonKind(data[i]))
 		}
-		item, ok, end, err := d.record(data, i, n)
+		item, ok, end, err := d.record(data, i)
 		if err != nil {
 			return nil, err
 		}
@@ -766,12 +673,12 @@ func (d *restDecoder) page(data []byte, maxBytes int64, items []iql.Value) ([]iq
 	}
 }
 
-// record walks the object opening at data[i], record n of its page,
-// and returns its projection and the index after its closing brace.
-// ok=false means the record has no value for the projected field. The
-// last of duplicate members wins, for the projection and for the
+// record walks the object opening at data[i], record d.rec of the
+// collection, and returns its projection and the index after its closing
+// brace. ok=false means the record has no value for the projected field.
+// The last of duplicate members wins, for the projection and for the
 // checks alike, as it does in encoding/json.
-func (d *restDecoder) record(data []byte, i, n int) (item iql.Value, ok bool, end int, err error) {
+func (d *restDecoder) record(data []byte, i int) (item iql.Value, ok bool, end int, err error) {
 	var k, v iql.Value
 	// bad holds the members whose value a flat record cannot have,
 	// until the record ends without a later duplicate replacing them.
@@ -829,7 +736,7 @@ func (d *restDecoder) record(data []byte, i, n int) (item iql.Value, ok bool, en
 	}
 	end = i + 1
 	if len(bad) > 0 {
-		return iql.Value{}, false, end, fmt.Errorf("record %d field %q: %w", n, bad[0].name, bad[0].err)
+		return iql.Value{}, false, end, fmt.Errorf("record %d field %q: %w", d.rec, bad[0].name, bad[0].err)
 	}
 	switch {
 	case d.names != nil:

@@ -250,6 +250,25 @@ func FuzzRESTProject(f *testing.F) {
 	f.Fuzz(checkAgainstReference)
 }
 
+// TestRESTDecodeErrorsNameTheRecordInTheCollection: a record of a later
+// page that cannot be decoded is named by its place in the collection,
+// as a record without its key is — not by its place in its page.
+func TestRESTDecodeErrorsNameTheRecordInTheCollection(t *testing.T) {
+	for _, tc := range []struct{ second, want string }{
+		{`[{"id": 4, "val": 4}, {"id": 5, "val": [1]}]`, `record 4 field "val": unsupported JSON an array`},
+		{`[{"id": 4, "val": 4}, 5]`, `record 4 is a number, not an object`},
+		{`[{"id": 4, "val": 4}, {"val": 5}]`, `record 4 has no key field "id"`},
+	} {
+		d := restDecoder{coll: "c", key: "id", pair: true, field: "val"}
+		if _, err := d.page([]byte(`[{"id": 1, "val": 1}, {"id": 2, "val": 2}, {"id": 3, "val": 3}]`), 1<<20, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.page([]byte(tc.second), 1<<20, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("second page %s: error %v, want %q", tc.second, err, tc.want)
+		}
+	}
+}
+
 // TestRESTPageAllocations: the fields a scan does not project are
 // checked where they lie and cost no allocation, so a page of records
 // with twelve of them decodes in exactly as many allocations as one

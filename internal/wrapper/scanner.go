@@ -3,6 +3,7 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 
 	"github.com/dataspace/automed/internal/iql"
@@ -56,36 +57,84 @@ type CountSourcer interface {
 	ExtentCounter(parts []string, sel iql.Selection) (count func(ctx context.Context) (int64, error), ok bool)
 }
 
-// sliceScanner serves a materialised extent as its single page.
-type sliceScanner struct {
-	items  []iql.Value
-	served bool
+// pageFunc reads the page of an extent that starts at cursor — nil for
+// the first — and appends its rows to items, allocating them when items
+// is nil; a page may decode to no rows. next is where the page after it
+// starts; done says there is none.
+type pageFunc func(ctx context.Context, cursor any, items []iql.Value) (_ []iql.Value, next any, done bool, err error)
+
+// maxPages bounds how many pages one scan reads; a chain this long is a
+// misbehaving (or cyclic) backend.
+const maxPages = 10000
+
+// pagedScanner is the one page loop of the wrappers, over the page
+// function each supplies: REST's cursor is the next page's URL, SQL's
+// the key of the last row scanned, and a materialised extent is one
+// page. As a Scanner it hands out one non-empty page at a time; collect
+// reads a whole extent. Either way it checks the context before each
+// page, stops at maxPages, and fails when a page does not advance the
+// cursor — a next link to itself, a backend that ignores the key it was
+// sent — or sends it back to the start, where it would otherwise loop.
+// Every error goes through wrap, which says what was being read.
+type pagedScanner struct {
+	page   pageFunc
+	wrap   func(error) error
+	cursor any
+	pages  int
+	done   bool
+	rows   []iql.Value
 	err    error
 }
 
-// NewSliceScanner returns a Scanner over an already-materialised row
-// slice. Local wrappers (relational, static, XML) use it to satisfy
-// ScanSourcer, and remote ones when they do not page.
-func NewSliceScanner(items []iql.Value) Scanner {
-	return &sliceScanner{items: items}
+// fetch reads the next page, appending its rows to items.
+func (s *pagedScanner) fetch(ctx context.Context, items []iql.Value) ([]iql.Value, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, s.wrap(err)
+	}
+	if s.pages == maxPages {
+		return nil, s.wrap(fmt.Errorf("pagination exceeds %d pages", maxPages))
+	}
+	items, next, done, err := s.page(ctx, s.cursor, items)
+	if err != nil {
+		return nil, s.wrap(err)
+	}
+	s.pages++
+	// A driver's []byte key is no operand of ==; a nil one is the start.
+	if !done && (next == nil || reflect.DeepEqual(next, s.cursor)) {
+		return nil, s.wrap(fmt.Errorf("page %d did not advance the cursor %v: its next link points at itself, the backend ignores the cursor, or a key is NULL", s.pages, next))
+	}
+	s.cursor, s.done = next, done
+	return items, nil
 }
 
-func (s *sliceScanner) Next(ctx context.Context) bool {
-	if s.served || s.err != nil || len(s.items) == 0 {
-		return false
+func (s *pagedScanner) Next(ctx context.Context) bool {
+	for s.rows = nil; len(s.rows) == 0; {
+		if s.done || s.err != nil {
+			return false
+		}
+		s.rows, s.err = s.fetch(ctx, nil)
 	}
-	if s.err = ctx.Err(); s.err != nil {
-		return false
-	}
-	s.served = true
 	return true
 }
 
-func (s *sliceScanner) Page() []iql.Value { return s.items }
-func (s *sliceScanner) Err() error        { return s.err }
-func (s *sliceScanner) Close() error {
-	s.served, s.items = true, nil
+func (s *pagedScanner) Page() []iql.Value { return s.rows }
+func (s *pagedScanner) Err() error        { return s.err }
+
+func (s *pagedScanner) Close() error {
+	s.done, s.rows = true, nil
 	return nil
+}
+
+// collect reads the rest of the extent as one bag.
+func (s *pagedScanner) collect(ctx context.Context) (iql.Value, error) {
+	var items []iql.Value
+	for !s.done {
+		var err error
+		if items, err = s.fetch(ctx, items); err != nil {
+			return iql.Value{}, err
+		}
+	}
+	return iql.BagOf(items), nil
 }
 
 // pairChunkRows bounds how many {key, value} tuples share one backing
@@ -118,19 +167,11 @@ func (p *pairs) tuple(k, v iql.Value) iql.Value {
 }
 
 // materialisedScanner serves a wrapper's extent through the Scanner
-// interface by fetching it whole first. It is how wrappers whose
-// backends cannot page (in-memory tables, parsed documents) satisfy
-// ScanSourcer.
-func materialisedScanner(w Wrapper, ctx context.Context, parts []string) (Scanner, error) {
-	var v iql.Value
-	var err error
-	if cw, ok := w.(interface {
-		ExtentContext(ctx context.Context, parts []string) (iql.Value, error)
-	}); ok {
-		v, err = cw.ExtentContext(ctx, parts)
-	} else {
-		v, err = w.Extent(parts)
-	}
+// interface by fetching it whole first, as the one page of its chain. It
+// is how wrappers whose backends cannot page (in-memory tables, parsed
+// documents) satisfy ScanSourcer.
+func materialisedScanner(w Wrapper, parts []string) (Scanner, error) {
+	v, err := w.Extent(parts)
 	if err != nil {
 		return nil, err
 	}
@@ -139,15 +180,18 @@ func materialisedScanner(w Wrapper, ctx context.Context, parts []string) (Scanne
 		return nil, fmt.Errorf("wrapper: %s: extent of <<%s>> is not a collection: %w",
 			w.SchemaName(), strings.Join(parts, ", "), err)
 	}
-	return NewSliceScanner(els), nil
+	return &pagedScanner{
+		page: func(context.Context, any, []iql.Value) ([]iql.Value, any, bool, error) { return els, nil, true, nil },
+		wrap: func(err error) error { return err },
+	}, nil
 }
 
 // ExtentScanner implements ScanSourcer over the in-memory database.
 func (w *Relational) ExtentScanner(ctx context.Context, parts []string) (Scanner, error) {
-	return materialisedScanner(w, ctx, parts)
+	return materialisedScanner(w, parts)
 }
 
 // ExtentScanner implements ScanSourcer over the fixed extents.
 func (w *Static) ExtentScanner(ctx context.Context, parts []string) (Scanner, error) {
-	return materialisedScanner(w, ctx, parts)
+	return materialisedScanner(w, parts)
 }

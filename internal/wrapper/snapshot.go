@@ -226,6 +226,34 @@ func (w *SQL) Snapshot() (*Snapshot, error) {
 	return &Snapshot{Kind: "sql", Name: w.name, SQL: sqlSnap}, nil
 }
 
+// remote is the part of the SQL and REST wrappers that needs no
+// backend: the source's name, its schema, and the extents materialised
+// in the snapshot it was restored from (none for a wrapper opened
+// against its backend).
+type remote struct {
+	name     string
+	schema   *hdm.Schema
+	fallback map[string]iql.Value // scheme key → materialised extent
+}
+
+// SchemaName implements Wrapper.
+func (r *remote) SchemaName() string { return r.name }
+
+// Schema implements Wrapper.
+func (r *remote) Schema() *hdm.Schema { return r.schema }
+
+// FallbackExtent serves the snapshot-materialised extent of one object,
+// if this wrapper carries one (restored wrappers do). It implements the
+// processor's stale-fallback extension (query.FallbackSourcer).
+func (r *remote) FallbackExtent(parts []string) (iql.Value, bool) {
+	obj, err := r.schema.Resolve(parts)
+	if err != nil {
+		return iql.Value{}, false
+	}
+	v, ok := r.fallback[obj.Scheme.Key()]
+	return v, ok
+}
+
 // liveOrHeldExtents materialises every object of a remote source for
 // its snapshot. An object the backend does not serve re-emits the extent
 // the wrapper was restored with, so snapshots stay stable across
@@ -436,11 +464,12 @@ func restoreSQL(snap *Snapshot, _ bool) (Wrapper, error) {
 	if s.Driver == "" || s.DSN == "" {
 		return nil, fmt.Errorf("wrapper: source %q: sql snapshot needs driver and dsn", snap.Name)
 	}
-	if _, err := sqlDialectFor(s.Dialect); err != nil {
+	d, err := sqlDialectFor(s.Dialect)
+	if err != nil {
 		return nil, fmt.Errorf("wrapper: source %q: %w", snap.Name, err)
 	}
 	cfg := SQLConfig{Driver: s.Driver, DSN: s.DSN, Dialect: s.Dialect, Timeout: time.Duration(s.TimeoutMs) * time.Millisecond, FetchPageRows: s.PageRows}.withDefaults()
-	w := &SQL{name: snap.Name, cfg: cfg}
+	w := &SQL{remote: remote{name: snap.Name}, cfg: cfg, dialect: d}
 	tables := make([]sqlTable, 0, len(s.Tables))
 	for _, ts := range s.Tables {
 		if len(ts.Types) != 0 && len(ts.Types) != len(ts.Columns) {
@@ -480,7 +509,7 @@ func restoreREST(snap *Snapshot, _ bool) (Wrapper, error) {
 		return nil, fmt.Errorf("wrapper: source %q: rest snapshot needs an endpoint", snap.Name)
 	}
 	cfg := RESTConfig{Endpoint: r.Endpoint, Timeout: time.Duration(r.TimeoutMs) * time.Millisecond, MaxBytes: r.MaxBytes}.withDefaults()
-	w := &REST{name: snap.Name, cfg: cfg, client: &http.Client{}, colls: make(map[string]restColl)}
+	w := &REST{remote: remote{name: snap.Name}, cfg: cfg, client: &http.Client{}, colls: make(map[string]restColl)}
 	colls := make([]restColl, 0, len(r.Collections))
 	for _, cs := range r.Collections {
 		if cs.Name == "" || cs.Key == "" {

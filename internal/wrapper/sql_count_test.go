@@ -214,21 +214,10 @@ func TestSQLCountStatements(t *testing.T) {
 	}
 }
 
-// TestSQLCountOnlyWhilePaging: a wrapper that does not page — offline,
-// or paging switched off — is read whole and cached, and counts nothing
-// at its source.
+// TestSQLCountOnlyWhilePaging: an offline wrapper is read whole from
+// what it holds, and counts nothing at its source.
 func TestSQLCountOnlyWhilePaging(t *testing.T) {
 	db := countDB(rand.New(rand.NewSource(1)))
-	dsn := fmt.Sprintf("sqlcount-%d", sqlTestDSN.Add(1))
-	sqlmem.Register(dsn, db)
-	t.Cleanup(func() { sqlmem.Unregister(dsn) })
-	unpaged, err := wrapper.NewSQL("C", wrapper.SQLConfig{Driver: sqlmem.DriverName, DSN: dsn, FetchPageRows: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := unpaged.ExtentCounter([]string{"t"}, iql.Selection{}); ok {
-		t.Error("a wrapper with paging switched off offers to count at its source")
-	}
 	snap, err := newCountSQL(t, wrapper.DialectSQLite, db).Snapshot()
 	if err != nil {
 		t.Fatal(err)

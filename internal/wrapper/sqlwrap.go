@@ -31,11 +31,10 @@ type SQLConfig struct {
 	// combines with (never extends) the caller's context. Defaults to
 	// 30s.
 	Timeout time.Duration
-	// FetchPageRows bounds how many rows each paged scanner SELECT
-	// fetches per round trip (LIMIT/OFFSET). 0 uses
-	// DefaultFetchPageRows; negative disables paging, so scanners
-	// degrade to one unbounded SELECT adapted to the Scanner interface.
-	// Materialised Extent fetches are never paged.
+	// FetchPageRows bounds how many rows each page of a keyed table —
+	// one SELECT … ORDER BY key LIMIT n, of a scan and of an Extent
+	// alike — fetches per round trip. 0 or less uses
+	// DefaultFetchPageRows.
 	FetchPageRows int
 }
 
@@ -52,16 +51,27 @@ func (c SQLConfig) withDefaults() SQLConfig {
 // SQLConfig.FetchPageRows is unset.
 const DefaultFetchPageRows = 4096
 
-// sqlTable is the introspected shape of one table. kinds is parallel to
-// cols: what the catalog's declared type says a column holds, reduced
-// to what a counted read needs to know (sqlKindInt or sqlKindOther). A
-// table restored from a snapshot written before kinds were kept has
-// none, and no column of it is then known to be an integer.
+// sqlTable is the introspected shape of one table. pk is the catalog's
+// primary key when that is one column, "" for a table without one or
+// with a key of several columns, which is keyed on its first column
+// (key). kinds is parallel to cols: what the catalog's declared
+// type says a column holds, reduced to what a counted read needs to know
+// (sqlKindInt or sqlKindOther). A table restored from a snapshot written
+// before kinds were kept has none, and no column of it is then known to
+// be an integer.
 type sqlTable struct {
 	name  string
 	pk    string
 	cols  []string
 	kinds []string
+}
+
+// key is the column whose values are the table's extent.
+func (t sqlTable) key() string {
+	if t.pk == "" {
+		return t.cols[0]
+	}
+	return t.pk
 }
 
 // The column kinds. Only an integer column is compared at the source:
@@ -85,12 +95,11 @@ func (t sqlTable) isInt(col string) bool {
 // snapshot additionally carries the snapshot's materialised extents,
 // which FallbackExtent serves while the backend is unreachable.
 type SQL struct {
-	name     string
-	cfg      SQLConfig
-	db       *sql.DB // nil when restored without a usable driver
-	schema   *hdm.Schema
-	tables   map[string]sqlTable
-	fallback map[string]iql.Value // scheme key → materialised extent
+	remote
+	cfg     SQLConfig
+	dialect sqlDialect
+	db      *sql.DB // nil when restored without a usable driver
+	tables  map[string]sqlTable
 }
 
 // NewSQL opens the configured database, introspects its tables and
@@ -131,7 +140,7 @@ func NewSQLContext(ctx context.Context, name string, cfg SQLConfig) (*SQL, error
 		db.Close()
 		return nil, fmt.Errorf("wrapper: sql: source %q: introspecting schema: %w", name, err)
 	}
-	w := &SQL{name: name, cfg: cfg, db: db}
+	w := &SQL{remote: remote{name: name}, cfg: cfg, dialect: d, db: db}
 	if err := w.buildSchema(tables); err != nil {
 		db.Close()
 		return nil, err
@@ -148,10 +157,7 @@ func (w *SQL) buildSchema(tables []sqlTable) error {
 		if t.name == "" || len(t.cols) == 0 {
 			return fmt.Errorf("wrapper: sql: source %q: introspected table %q has no columns", w.name, t.name)
 		}
-		if t.pk == "" {
-			t.pk = t.cols[0]
-		}
-		if !slices.Contains(t.cols, t.pk) {
+		if !slices.Contains(t.cols, t.key()) {
 			return fmt.Errorf("wrapper: sql: source %q table %q: primary key %q is not a column",
 				w.name, t.name, t.pk)
 		}
@@ -169,12 +175,6 @@ func (w *SQL) buildSchema(tables []sqlTable) error {
 	w.tables = byName
 	return nil
 }
-
-// SchemaName implements Wrapper.
-func (w *SQL) SchemaName() string { return w.name }
-
-// Schema implements Wrapper.
-func (w *SQL) Schema() *hdm.Schema { return w.schema }
 
 // Config returns the wrapper's connection configuration.
 func (w *SQL) Config() SQLConfig { return w.cfg }
@@ -194,18 +194,6 @@ func (w *SQL) Ping(ctx context.Context) error {
 	return w.db.PingContext(ctx)
 }
 
-// FallbackExtent serves the snapshot-materialised extent of one object,
-// if this wrapper carries one (restored wrappers do). It implements the
-// processor's stale-fallback extension (query.FallbackSourcer).
-func (w *SQL) FallbackExtent(parts []string) (iql.Value, bool) {
-	obj, err := w.schema.Resolve(parts)
-	if err != nil {
-		return iql.Value{}, false
-	}
-	v, ok := w.fallback[obj.Scheme.Key()]
-	return v, ok
-}
-
 // Extent implements Wrapper.
 func (w *SQL) Extent(parts []string) (iql.Value, error) {
 	return w.ExtentContext(context.Background(), parts)
@@ -213,116 +201,140 @@ func (w *SQL) Extent(parts []string) (iql.Value, error) {
 
 // ExtentContext is Extent under a caller-supplied context: the fetch is
 // abandoned as soon as ctx is cancelled (the per-wrapper Timeout still
-// applies on top). A fetch that fails is an error, also from a restored
-// wrapper: the extent it holds is served by FallbackExtent, to a caller
-// that says so.
+// applies to each page). A fetch that fails is an error, also from a
+// restored wrapper: the extent it holds is served by FallbackExtent, to a
+// caller that says so. The extent is the concatenation of exactly the
+// pages ExtentScanner would stream.
 func (w *SQL) ExtentContext(ctx context.Context, parts []string) (iql.Value, error) {
-	obj, err := w.schema.Resolve(parts)
+	s, err := w.scanner(parts)
 	if err != nil {
 		return iql.Value{}, err
 	}
-	if w.db == nil {
-		return iql.Value{}, fmt.Errorf("wrapper: sql: source %q is offline: driver %q is not registered", w.name, w.cfg.Driver)
-	}
-	return w.fetch(ctx, obj.Scheme)
-}
-
-// pageRows resolves the configured scanner page size: 0 means
-// DefaultFetchPageRows, negative disables paging. The config itself is
-// never normalised, so snapshots round-trip the user's setting.
-func (w *SQL) pageRows() int {
-	switch {
-	case w.cfg.FetchPageRows > 0:
-		return w.cfg.FetchPageRows
-	case w.cfg.FetchPageRows < 0:
-		return 0
-	}
-	return DefaultFetchPageRows
+	return s.collect(ctx)
 }
 
 // StreamingScans reports whether ExtentScanner pages rows incrementally
-// from the backend rather than adapting a materialised extent. The
-// query pipeline streams only such sources — local wrappers gain
-// nothing from the streaming path and would lose parallel sharding.
-func (w *SQL) StreamingScans() bool { return w.db != nil && w.pageRows() > 0 }
+// from the backend: whether the wrapper is online. The query pipeline
+// streams only such sources — local wrappers gain nothing from the
+// streaming path and would lose parallel sharding.
+func (w *SQL) StreamingScans() bool { return w.db != nil }
 
-// ExtentScanner implements ScanSourcer: it pages the extent SELECT
-// through LIMIT/OFFSET so only one page of rows is resident at a time.
-// With paging disabled (FetchPageRows < 0) it scans the materialised
-// extent; an offline wrapper's scan fails as its fetch does.
+// ExtentScanner implements ScanSourcer: it reads the extent a page at a
+// time, so only one page of rows is resident at once. An offline
+// wrapper's scan fails as its fetch does.
 func (w *SQL) ExtentScanner(ctx context.Context, parts []string) (Scanner, error) {
-	if !w.StreamingScans() {
-		return materialisedScanner(w, ctx, parts)
-	}
+	return w.scanner(parts)
+}
+
+// scanner returns the pages of the object parts names, not yet read. A
+// keyed table is read in key order, each page starting after the key of
+// the last row the page before it scanned — a row of <<t, c>> dropped
+// for its NULL value included —
+//
+//	SELECT "id", "val" FROM "items" WHERE "id" IS NOT NULL ORDER BY "id" LIMIT 4096
+//	SELECT "id", "val" FROM "items" WHERE "id" > ? ORDER BY "id" LIMIT 4096
+//
+// with the key bound to the dialect's placeholder ($1 for postgres). A
+// NULL key is no row of the extent, and never a cursor: SQLite lets a
+// key that is not an INTEGER PRIMARY KEY hold NULLs, and sorts them
+// first. The key of a table without a one-column catalog key, its first
+// column, may repeat or hold NULLs and orders nothing, so such a table is
+// read as one page of one unordered SELECT.
+func (w *SQL) scanner(parts []string) (*pagedScanner, error) {
 	obj, err := w.schema.Resolve(parts)
 	if err != nil {
 		return nil, err
 	}
-	stmt, err := w.extentStmt(obj.Scheme)
-	if err != nil {
-		return nil, err
+	if w.db == nil {
+		return nil, fmt.Errorf("wrapper: sql: source %q is offline: driver %q is not registered", w.name, w.cfg.Driver)
 	}
-	return &sqlScanner{w: w, sc: obj.Scheme, stmt: stmt, pageRows: w.pageRows()}, nil
-}
-
-// sqlScanner pages one extent SELECT through LIMIT/OFFSET. Each page
-// is one bounded round trip under the wrapper's Timeout; between pages
-// no backend resources are held. Paging carries no ORDER BY, matching
-// the unordered SELECT of the materialised path — backends whose
-// unordered scans are stable across statements (sqlmem, single-writer
-// SQLite) therefore yield byte-identical rows; concurrently mutated
-// backends can tear across page boundaries just as two materialised
-// fetches can differ.
-type sqlScanner struct {
-	w        *SQL
-	sc       hdm.Scheme
-	stmt     string
-	pageRows int
-
-	offset int         // raw rows consumed so far (NULL-skipped rows included)
-	page   []iql.Value // current page, NULL rows already dropped
-	err    error
-	done   bool // closed, or the backend returned a short page: no more rows
-}
-
-func (s *sqlScanner) Next(ctx context.Context) bool {
-	// NULL skipping can empty a page, so keep fetching until rows
-	// arrive or the backend reports a short (final) page.
-	for s.page = nil; len(s.page) == 0; {
-		if s.done || s.err != nil {
-			return false
-		}
-		if s.err = ctx.Err(); s.err != nil {
-			return false
-		}
-		s.err = s.fetchPage(ctx)
+	sc := obj.Scheme
+	t := w.tables[sc.Part(0)]
+	key := quoteIdent(t.key())
+	p := sqlPages{w: w, pair: sc.Arity() == 2, first: "SELECT " + key}
+	if p.pair {
+		p.first += ", " + quoteIdent(sc.Part(1))
 	}
-	return true
+	p.first += " FROM " + quoteIdent(t.name)
+	if t.pk != "" {
+		p.limit = w.cfg.FetchPageRows
+		if p.limit <= 0 {
+			p.limit = DefaultFetchPageRows
+		}
+		order := " ORDER BY " + key + " LIMIT " + strconv.Itoa(p.limit)
+		p.first, p.after = p.first+" WHERE "+key+" IS NOT NULL"+order, p.first+" WHERE "+key+" > "+w.dialect.placeholder()+order
+	}
+	return &pagedScanner{page: p.page, wrap: func(err error) error {
+		return fmt.Errorf("wrapper: sql: source %q: fetching %s: %w", w.name, sc, err)
+	}}, nil
 }
 
-// fetchPage runs one LIMIT/OFFSET round trip.
-func (s *sqlScanner) fetchPage(ctx context.Context) error {
-	stmt := fmt.Sprintf("%s LIMIT %d OFFSET %d", s.stmt, s.pageRows, s.offset)
-	ctx, cancel := context.WithTimeout(ctx, s.w.cfg.Timeout)
+// sqlPages are the statements of one object's pages: first, and after
+// with the cursor bound, for a table paged by key; first alone, with no
+// LIMIT (limit 0), for one read unpaged.
+type sqlPages struct {
+	w            *SQL
+	pair         bool // <<t, c>>: {key, value} rows
+	first, after string
+	limit        int
+}
+
+// page runs one page's SELECT under the wrapper's Timeout and appends
+// its rows, mapped onto extent items, to items. Rows with NULL keys are
+// absent from both arities (a table's extent is the bag of its key
+// values, and NULL is not a key), and NULL values are absent from column
+// extents — both matching the relational wrapper, which never yields
+// them. The page is allocated once at its LIMIT (a short one keeps the
+// spare capacity; whoever caches it cuts it to its length, see
+// Processor.scan); an unbounded SELECT grows by append. A page of fewer
+// rows than its LIMIT is the last.
+func (p sqlPages) page(ctx context.Context, cursor any, items []iql.Value) (_ []iql.Value, next any, done bool, err error) {
+	stmt, args := p.first, []any(nil)
+	if cursor != nil {
+		stmt, args = p.after, []any{cursor}
+	}
+	ctx, cancel := context.WithTimeout(ctx, p.w.cfg.Timeout)
 	defer cancel()
 	sp, ctx := obs.StartSpan(ctx, "sql", stmt)
-	items, scanned, err := s.w.selectItems(ctx, stmt, s.sc, s.pageRows)
-	sp.End(err)
-	if err != nil {
-		return err
+	if sp != nil && cursor != nil {
+		sp.SetDetail(fmt.Sprint(cursor))
 	}
-	s.offset += scanned
-	s.page = items
-	s.done = scanned < s.pageRows
-	return nil
-}
-
-func (s *sqlScanner) Page() []iql.Value { return s.page }
-func (s *sqlScanner) Err() error        { return s.err }
-
-func (s *sqlScanner) Close() error {
-	s.done, s.page = true, nil
-	return nil
+	defer func() { sp.End(err) }()
+	rows, err := p.w.db.QueryContext(ctx, stmt, args...)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	defer rows.Close()
+	// The destinations escape through Scan's interface arguments:
+	// declared per row they would cost two allocations a row.
+	var key, val any
+	dest := []any{&key}
+	if p.pair {
+		dest = append(dest, &val)
+	}
+	var tuples pairs
+	if items == nil && p.limit > 0 {
+		items = make([]iql.Value, 0, p.limit)
+	}
+	scanned := 0
+	for rows.Next() {
+		scanned++
+		if err = rows.Scan(dest...); err != nil {
+			return nil, nil, false, fmt.Errorf("scanning: %w", err)
+		}
+		switch {
+		case key == nil || (p.pair && val == nil):
+			// NULL: absent from the extent.
+		case p.pair:
+			items = append(items, tuples.tuple(CellValue(key), CellValue(val)))
+		default:
+			items = append(items, CellValue(key))
+		}
+	}
+	if err = rows.Err(); err != nil {
+		return nil, nil, false, err
+	}
+	return items, key, p.limit == 0 || scanned < p.limit, nil
 }
 
 // ExtentCounter implements CountSourcer: how many rows of one object's
@@ -332,11 +344,10 @@ func (s *sqlScanner) Close() error {
 //
 // in place of every row paged across to be counted here. The wrapper
 // answers only where that number is the one the evaluator would reach
-// (countStmt) and only while it pages: an offline wrapper, or one whose
-// scans are unpaged, is read whole and cached, and counting a cached
-// extent costs no round trip.
+// (countStmt) and only while it is online: an offline wrapper has
+// nothing to ask.
 func (w *SQL) ExtentCounter(parts []string, sel iql.Selection) (func(context.Context) (int64, error), bool) {
-	if !w.StreamingScans() {
+	if w.db == nil {
 		return nil, false
 	}
 	obj, err := w.schema.Resolve(parts)
@@ -371,21 +382,19 @@ func (w *SQL) ExtentCounter(parts []string, sel iql.Selection) (func(context.Con
 // types as an integer — the key, for a bare variable over a nodal
 // object; a bare variable over a link object is a tuple and compares
 // with nothing. IS NOT NULL on key and column is the extent's own NULL
-// skipping (selectItems). Identifiers are quoted, operators come from a
+// skipping (sqlPages.page). Identifiers are quoted, operators come from a
 // fixed set and literals are int64 digits, so there is nothing to bind
 // and nothing of the query's text in the statement.
 func (w *SQL) countStmt(sc hdm.Scheme, sel iql.Selection) (string, bool) {
-	t, ok := w.tables[sc.Part(0)]
-	if !ok {
-		return "", false
-	}
+	t := w.tables[sc.Part(0)]
+	key := t.key()
 	var comps []string // the column behind each comparable component
 	switch {
 	case sc.Arity() == 1 && sel.Arity == 0:
-		comps = []string{t.pk}
+		comps = []string{key}
 	case sc.Arity() == 2 && sel.Arity == 0:
 	case sc.Arity() == 2 && sel.Arity == 2:
-		comps = []string{t.pk, sc.Part(1)}
+		comps = []string{key, sc.Part(1)}
 	default:
 		return "", false
 	}
@@ -393,9 +402,9 @@ func (w *SQL) countStmt(sc hdm.Scheme, sel iql.Selection) (string, bool) {
 	stmt = append(stmt, "SELECT COUNT(*) FROM "...)
 	stmt = append(stmt, quoteIdent(t.name)...)
 	stmt = append(stmt, " WHERE "...)
-	stmt = append(stmt, quoteIdent(t.pk)...)
+	stmt = append(stmt, quoteIdent(key)...)
 	stmt = append(stmt, " IS NOT NULL"...)
-	if sc.Arity() == 2 && sc.Part(1) != t.pk {
+	if sc.Arity() == 2 && sc.Part(1) != key {
 		stmt = append(stmt, " AND "...)
 		stmt = append(stmt, quoteIdent(sc.Part(1))...)
 		stmt = append(stmt, " IS NOT NULL"...)
@@ -417,99 +426,6 @@ func (w *SQL) countStmt(sc hdm.Scheme, sel iql.Selection) (string, bool) {
 		stmt = strconv.AppendInt(stmt, c.Lit, 10)
 	}
 	return string(stmt), true
-}
-
-// extentStmt builds the SELECT serving one object's extent (without
-// any paging clause).
-func (w *SQL) extentStmt(sc hdm.Scheme) (string, error) {
-	t, ok := w.tables[sc.Part(0)]
-	if !ok {
-		return "", fmt.Errorf("wrapper: sql: source %q: no table %q", w.name, sc.Part(0))
-	}
-	switch sc.Arity() {
-	case 1:
-		return fmt.Sprintf("SELECT %s FROM %s", quoteIdent(t.pk), quoteIdent(t.name)), nil
-	case 2:
-		if !slices.Contains(t.cols, sc.Part(1)) {
-			return "", fmt.Errorf("wrapper: sql: source %q table %q: no column %q", w.name, t.name, sc.Part(1))
-		}
-		return fmt.Sprintf("SELECT %s, %s FROM %s", quoteIdent(t.pk), quoteIdent(sc.Part(1)), quoteIdent(t.name)), nil
-	}
-	return "", fmt.Errorf("wrapper: sql: source %q: unsupported scheme %s", w.name, sc)
-}
-
-// fetch streams one object's extent from the backend.
-func (w *SQL) fetch(ctx context.Context, sc hdm.Scheme) (iql.Value, error) {
-	stmt, err := w.extentStmt(sc)
-	if err != nil {
-		return iql.Value{}, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
-	defer cancel()
-	sp, ctx := obs.StartSpan(ctx, "sql", stmt)
-	v, err := w.query(ctx, stmt, sc)
-	sp.End(err)
-	return v, err
-}
-
-// query runs one extent SELECT and scans its rows.
-func (w *SQL) query(ctx context.Context, stmt string, sc hdm.Scheme) (iql.Value, error) {
-	items, _, err := w.selectItems(ctx, stmt, sc, 0)
-	if err != nil {
-		return iql.Value{}, err
-	}
-	return iql.BagOf(items), nil
-}
-
-// selectItems runs one SELECT and maps its rows onto extent items.
-// Rows with NULL keys are absent from both arities (a table's extent is
-// the bag of its key values, and NULL is not a key), and NULL values
-// are absent from column extents — both matching the relational
-// wrapper, which never yields them. The materialised and scanner paths
-// share this mapping, so scanner rows are byte-identical to extent
-// rows. scanned is the raw row count before NULL skipping, which paged
-// fetches use to detect the final page.
-//
-// limit is the statement's LIMIT, 0 when it has none: a page is
-// allocated once at that size (a short one keeps the spare capacity;
-// whoever caches it cuts it to its length, see Processor.scan). An
-// unbounded SELECT does not know its row count and grows by append.
-func (w *SQL) selectItems(ctx context.Context, stmt string, sc hdm.Scheme, limit int) (items []iql.Value, scanned int, err error) {
-	rows, err := w.db.QueryContext(ctx, stmt)
-	if err != nil {
-		return nil, 0, fmt.Errorf("wrapper: sql: source %q: fetching %s: %w", w.name, sc, err)
-	}
-	defer rows.Close()
-	// The destinations escape through Scan's interface arguments:
-	// declared per row they would cost two allocations a row.
-	var key, val any
-	pair := sc.Arity() == 2
-	dest := []any{&key}
-	if pair {
-		dest = append(dest, &val)
-	}
-	var tuples pairs
-	if limit > 0 {
-		items = make([]iql.Value, 0, limit)
-	}
-	for rows.Next() {
-		scanned++
-		if err = rows.Scan(dest...); err != nil {
-			return nil, scanned, fmt.Errorf("wrapper: sql: source %q: scanning %s: %w", w.name, sc, err)
-		}
-		switch {
-		case key == nil || (pair && val == nil):
-			// NULL: absent from the extent.
-		case pair:
-			items = append(items, tuples.tuple(CellValue(key), CellValue(val)))
-		default:
-			items = append(items, CellValue(key))
-		}
-	}
-	if err := rows.Err(); err != nil {
-		return nil, scanned, fmt.Errorf("wrapper: sql: source %q: streaming %s: %w", w.name, sc, err)
-	}
-	return items, scanned, nil
 }
 
 func quoteIdent(s string) string {
@@ -541,9 +457,11 @@ func (w *SQL) sortedTables() []sqlTable {
 // ---- Introspection dialects ----
 
 // sqlDialect lists a database's tables (name, primary key, ordered
-// columns) through catalog queries.
+// columns) through catalog queries, and names the placeholder a
+// statement's one argument is bound to.
 type sqlDialect interface {
 	name() string
+	placeholder() string
 	tables(ctx context.Context, db *sql.DB) ([]sqlTable, error)
 }
 
@@ -572,7 +490,8 @@ func sqlDialectFor(name string) (sqlDialect, error) {
 // table_info, as SQLite (and this module's sqlmem test driver) serve.
 type sqliteDialect struct{}
 
-func (sqliteDialect) name() string { return DialectSQLite }
+func (sqliteDialect) name() string        { return DialectSQLite }
+func (sqliteDialect) placeholder() string { return "?" }
 
 func (sqliteDialect) tables(ctx context.Context, db *sql.DB) ([]sqlTable, error) {
 	names, err := stringColumn(ctx, db, `SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name`)
@@ -586,6 +505,7 @@ func (sqliteDialect) tables(ctx context.Context, db *sql.DB) ([]sqlTable, error)
 			return nil, fmt.Errorf("table %q: %w", n, err)
 		}
 		t := sqlTable{name: n}
+		var keys []string
 		for rows.Next() {
 			var (
 				cid, notnull, pk int64
@@ -600,8 +520,8 @@ func (sqliteDialect) tables(ctx context.Context, db *sql.DB) ([]sqlTable, error)
 			// SQLite's affinity rule: a declared type containing "INT"
 			// is an integer column.
 			t.kinds = append(t.kinds, sqlKind(strings.Contains(strings.ToUpper(typ), "INT")))
-			if pk > 0 && t.pk == "" {
-				t.pk = col
+			if pk > 0 {
+				keys = append(keys, col)
 			}
 		}
 		if err := rows.Close(); err != nil {
@@ -610,6 +530,7 @@ func (sqliteDialect) tables(ctx context.Context, db *sql.DB) ([]sqlTable, error)
 		if err := rows.Err(); err != nil {
 			return nil, fmt.Errorf("table %q: %w", n, err)
 		}
+		t.pk = oneKey(keys)
 		out = append(out, t)
 	}
 	return out, nil
@@ -626,7 +547,8 @@ func (sqliteDialect) tables(ctx context.Context, db *sql.DB) ([]sqlTable, error)
 // every table's key columns).
 type infoSchemaDialect struct{}
 
-func (infoSchemaDialect) name() string { return DialectInformationSchema }
+func (infoSchemaDialect) name() string        { return DialectInformationSchema }
+func (infoSchemaDialect) placeholder() string { return "?" }
 
 func (infoSchemaDialect) tables(ctx context.Context, db *sql.DB) ([]sqlTable, error) {
 	return infoSchemaTables(ctx, db,
@@ -647,7 +569,8 @@ func (infoSchemaDialect) tables(ctx context.Context, db *sql.DB) ([]sqlTable, er
 // per database).
 type postgresDialect struct{}
 
-func (postgresDialect) name() string { return DialectPostgres }
+func (postgresDialect) name() string        { return DialectPostgres }
+func (postgresDialect) placeholder() string { return "$1" }
 
 func (postgresDialect) tables(ctx context.Context, db *sql.DB) ([]sqlTable, error) {
 	return infoSchemaTables(ctx, db,
@@ -685,12 +608,20 @@ func infoSchemaTables(ctx context.Context, db *sql.DB, tablesQ, colsQ, pkQ strin
 			t.cols = append(t.cols, c[0])
 			t.kinds = append(t.kinds, sqlKind(integerDataTypes[strings.ToLower(c[1])]))
 		}
-		if len(pks) > 0 {
-			t.pk = pks[0]
-		}
+		t.pk = oneKey(pks)
 		out = append(out, t)
 	}
 	return out, nil
+}
+
+// oneKey is the primary key a table is paged by: its one key column, or
+// "" when the catalog names none or several. A column of a composite key
+// repeats, so the table is then read whole, keyed on its first column.
+func oneKey(keys []string) string {
+	if len(keys) != 1 {
+		return ""
+	}
+	return keys[0]
 }
 
 // integerDataTypes is the integer family of information_schema's

@@ -166,5 +166,5 @@ func (w *XML) Extent(parts []string) (iql.Value, error) {
 
 // ExtentScanner implements ScanSourcer over the parsed document.
 func (w *XML) ExtentScanner(ctx context.Context, parts []string) (Scanner, error) {
-	return materialisedScanner(w, ctx, parts)
+	return materialisedScanner(w, parts)
 }
