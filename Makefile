@@ -42,11 +42,13 @@ race:
 # deterministic. So do the per-session persistence tests (a save parked
 # in one session while another session, a restore, RestoreSessions,
 # Drain or OpenStore runs beside it), under the race detector: which
-# goroutine reaches a lock first is the scheduler's choice.
+# goroutine reaches a lock first is the scheduler's choice. So does one
+# cached plan evaluated by eight goroutines in two sessions, whose
+# comprehensions' analysis and parked evaluation state they share.
 flake:
 	$(GO) test -count=30 -run 'TestParallel' ./internal/iql
 	$(GO) test -count=30 -run 'TestOracle' ./internal/query
-	$(GO) test -race -count=30 -run 'TestPersist' ./internal/server
+	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions' ./internal/server
 
 # bench-smoke is the ci benchmark gate: one iteration of everything,
 # with allocation accounting compiled in.

@@ -270,6 +270,9 @@ func (ig *Integrator) canonicalLocked(version int, e iql.Expr) (iql.Expr, Result
 		}
 		target, ver = s, version
 	}
+	// A reference that already names its object is left as it is, so a
+	// query written in canonical references — every Table 1 query — is
+	// evaluated as parsed, and a cached plan keeps its analysis.
 	var resolveErr error
 	canon := iql.SubstituteSchemes(e, func(parts []string) (iql.Expr, bool) {
 		obj, err := target.Resolve(parts)
@@ -277,6 +280,9 @@ func (ig *Integrator) canonicalLocked(version int, e iql.Expr) (iql.Expr, Result
 			if resolveErr == nil {
 				resolveErr = fmt.Errorf("core: query over %s: %w", target.Name(), err)
 			}
+			return nil, false
+		}
+		if obj.Scheme.Is(parts) {
 			return nil, false
 		}
 		return iql.Ref(obj.Scheme.Parts()...), true

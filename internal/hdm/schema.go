@@ -150,10 +150,20 @@ func (s *Schema) SortedSchemes() []Scheme {
 // unambiguous. This implements the paper's convention that the modelling
 // language and construct kind may be omitted from schemes.
 func (s *Schema) Resolve(parts []string) (*Object, error) {
-	ref := NewScheme(parts...)
-	if o, ok := s.objects[ref.Key()]; ok {
+	// The exact match is looked up under a key built on the stack: a
+	// query's references are resolved on every ask, and most are exact.
+	var buf [128]byte
+	key := buf[:0]
+	for i, p := range parts {
+		if i > 0 {
+			key = append(key, '|')
+		}
+		key = append(key, strings.TrimSpace(p)...)
+	}
+	if o, ok := s.objects[string(key)]; ok {
 		return o, nil
 	}
+	ref := NewScheme(parts...)
 	var found *Object
 	for _, k := range s.order {
 		o := s.objects[k]

@@ -11,6 +11,7 @@ package hdm
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -148,6 +149,9 @@ func (s Scheme) Equal(t Scheme) bool {
 	}
 	return true
 }
+
+// Is reports whether the scheme's parts are exactly parts.
+func (s Scheme) Is(parts []string) bool { return slices.Equal(s.parts, parts) }
 
 // WithPrefix returns a copy of the scheme whose first part carries the
 // given provenance prefix, e.g. <<protein,acc>>.WithPrefix("pedro") is

@@ -2,10 +2,12 @@ package iql
 
 import (
 	"strings"
+	"sync/atomic"
 )
 
-// Expr is an IQL expression. Expressions are immutable once built; the
-// rewriting helpers in subst.go return fresh trees.
+// Expr is an IQL expression. Expressions are immutable once built, and
+// may be evaluated by any number of goroutines at once; the rewriting
+// helpers in subst.go return fresh trees.
 type Expr interface {
 	// String renders the expression in parseable IQL source syntax.
 	String() string
@@ -43,6 +45,10 @@ type BagExpr struct {
 type Comp struct {
 	Head  Expr
 	Quals []Qual
+
+	// plan is the node's analysis, published by the first evaluation to
+	// need it and shared by every later one (see planOf in opt.go).
+	plan atomic.Pointer[compPlan]
 }
 
 // Binary is a binary operation. Op is one of

@@ -33,9 +33,9 @@ var NoExtents Extents = ExtentsFunc(func(parts []string) (Value, error) {
 // linear scan. NewEnv, Child and Bind serve 'let', the top-level
 // environment and callers outside the package. A generator's scope is
 // not built through them: its names are fixed by the pattern when the
-// comprehension is analysed, it is allocated once per plan, and
-// elements are stored into vals by position (see compCtx.enter and
-// slotPat in opt.go).
+// comprehension is analysed, it is allocated once per evaluation
+// context and kept with it, and elements are stored into vals by
+// position (see compCtx.enter and slotPat in opt.go).
 type Env struct {
 	names  []string
 	vals   []Value
@@ -149,10 +149,6 @@ type Evaluator struct {
 	// comprehension re-entered once per element of an enclosing
 	// generator must not pay a worker-pool spin-up per element.
 	genDepth int
-	// plans caches per-Comp static analysis and reusable evaluation
-	// state (see compCtxFor); keyed by AST node identity, so it stays
-	// valid for as long as the expression trees it has seen do.
-	plans map[*Comp]*compCtx
 }
 
 // NewEvaluator returns an evaluator over the given extent source, with
@@ -489,9 +485,10 @@ func (ev *Evaluator) eval(e Expr, env *Env) (Value, error) {
 
 // evalComp evaluates a comprehension through a context that memoises
 // constant generator sources and hash-indexes equi-join filters (see
-// opt.go), keeping multi-generator joins near-linear. Contexts are
-// cached per Comp node, so a nested comprehension re-entered once per
-// enclosing binding pays its analysis and allocations once.
+// opt.go), keeping multi-generator joins near-linear. The analysis is
+// kept on the Comp node and a context parked beside it, so neither a
+// nested comprehension re-entered once per enclosing binding nor a
+// query evaluated again pays for them again.
 func (ev *Evaluator) evalComp(c *Comp, env *Env) (Value, error) {
 	var out sink
 	if err := ev.runComp(c, env, &out); err != nil {

@@ -2,8 +2,11 @@ package iql
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
+	"sync/atomic"
+	"unsafe"
 )
 
 // Comprehension evaluation with light query optimisation, in the spirit
@@ -23,17 +26,53 @@ import (
 //     '=' operator's semantics — so results are identical.
 //
 // The static analysis (which sources are constant, which filter runs
-// are joinable) depends only on the AST, so it is computed once per
-// *Comp node and cached on the Evaluator; nested comprehensions
-// re-entered once per enclosing binding reuse their compCtx — including
-// its qualifier-state slice, its generators' scopes and its probe
-// scratch buffer — instead of re-analysing and re-allocating every time.
+// are joinable, how each pattern binds, whether count can be asked of
+// the source) depends only on the AST, so it is worked out once per
+// *Comp node, by the first evaluation to meet it, and published on the
+// node as its compPlan: every later evaluation of the node shares it, so
+// a cached query is analysed once for every session that asks it and a
+// derivation once for every query that unfolds it. What one evaluation
+// of the node writes — memoised sources, join indexes, the generators'
+// scopes, scratch rows — is a compCtx. One is parked on the plan between
+// evaluations, emptied, and taken by the next, so a warm query, and a
+// nested comprehension re-entered once per enclosing binding, allocate
+// neither; an evaluation that finds none parked (re-entry, the workers
+// of a sharded scan, concurrent queries) makes its own.
+type compPlan struct {
+	comp  *Comp
+	quals []qualPlan
+
+	// headTuple is the head when it is a tuple expression, which a sink
+	// that keeps no value is handed in a scratch row (see head).
+	headTuple *TupleExpr
+
+	// sel is what the comprehension keeps of its generator's extent when
+	// that can be said as a Selection (see selectionOf), nil otherwise:
+	// what count asks its extents for before it scans anything.
+	sel *Selection
+
+	// idle is the evaluation state the last evaluation left, emptied, for
+	// the next one to take.
+	idle atomic.Pointer[compCtx]
+}
+
+// qualPlan is one qualifier's analysis.
+type qualPlan struct {
+	constSrc bool       // source has no free variables
+	joins    []joinCond // indexed equi-join conditions (empty = scan)
+	consumed int        // following filters subsumed by the index
+	joinSpec string     // join-key component positions (index cache key)
+	vars     []string   // the variables the pattern binds, in slot order
+	pat      slotPat    // the pattern with its variables resolved to slots
+}
+
+// compCtx is one evaluation of a comprehension: its plan and the state
+// the evaluation writes.
 type compCtx struct {
 	ev   *Evaluator
-	comp *Comp
+	plan *compPlan
 
-	// quals holds per-qualifier state, static analysis and
-	// per-invocation state together, in one allocation.
+	// quals holds per-qualifier evaluation state, in one allocation.
 	quals []qualState
 
 	// probeScratch holds the probe key's components between a probe's
@@ -41,25 +80,10 @@ type compCtx struct {
 	// one buffer serves every probe of the invocation.
 	probeScratch []Value
 
-	// headTuple is the head when it is a tuple expression, and headScratch
-	// the row a sink that keeps no value is handed: the components are
-	// evaluated into it one row after another (see head), so a row that is
-	// encoded or counted is never allocated.
-	headTuple   *TupleExpr
+	// headScratch is the row a sink that keeps no value is handed: a tuple
+	// head's components are evaluated into it one row after another (see
+	// head), so a row that is encoded or counted is never allocated.
 	headScratch []Value
-
-	// active guards the cached ctx against re-entrant use; a Comp node
-	// cannot syntactically contain itself, so re-entry is impossible
-	// today, but a fresh ctx is used if that ever changes.
-	active bool
-
-	// sel is what the comprehension keeps of its generator's extent when
-	// that can be said as a Selection (see selectionOf), nil otherwise:
-	// what count asks its extents for before it scans anything. Like the
-	// rest of the analysis it is worked out once per Comp node, but only
-	// when a count first asks (selKnown): no other evaluation reads it.
-	sel      *Selection
-	selKnown bool
 
 	// shared, set on the worker contexts of one sharded scan, holds the
 	// comprehension's constant sources evaluated once for all of the
@@ -67,25 +91,16 @@ type compCtx struct {
 	shared []sharedSource
 }
 
-// qualState is one qualifier's analysis results and evaluation state.
+// qualState is one qualifier's evaluation state, emptied by release.
 type qualState struct {
-	// Static analysis, computed once per Comp node.
-	constSrc bool       // source has no free variables
-	joins    []joinCond // indexed equi-join conditions (empty = scan)
-	consumed int        // following filters subsumed by the index
-	joinSpec string     // join-key component positions (index cache key)
-	vars     []string   // the variables the pattern binds, in slot order
-	pat      slotPat    // the pattern with its variables resolved to slots
-
-	// Per-invocation state, cleared by reset().
 	srcSet bool
 	srcVal Value // memoised source value (valid when srcSet)
 	index  *JoinIndex
 
-	// scope is the generator's child scope. It belongs to the plan, not
-	// to an entry of the generator: allocated the first time the
-	// generator is entered, re-parented on every entry (see enter), kept
-	// by reset() and emptied by release().
+	// scope is the generator's child scope. It belongs to the context,
+	// not to an entry of the generator: allocated the first time the
+	// generator is entered, re-parented on every entry (see enter) and
+	// emptied by release.
 	scope *Env
 }
 
@@ -173,110 +188,162 @@ type joinCond struct {
 
 const wholeElement = -1
 
-// compCtxFor returns the (cached) evaluation context for a Comp node,
-// analysing it on first sight and resetting per-invocation state on
-// reuse.
+// planOf returns c's analysis, working it out if no evaluation has
+// yet. Two evaluations that meet c first at once both analyse it, and
+// both use the plan published first.
+func planOf(c *Comp) *compPlan {
+	if p := c.plan.Load(); p != nil {
+		return p
+	}
+	c.plan.CompareAndSwap(nil, analyze(c))
+	return c.plan.Load()
+}
+
+// compCtxFor returns an evaluation context for c on ev: the one parked
+// on c's plan, if there is one, else a new one.
 func (ev *Evaluator) compCtxFor(c *Comp) *compCtx {
-	if ctx, ok := ev.plans[c]; ok && !ctx.active {
-		ctx.reset()
-		ctx.active = true
-		return ctx
+	p := planOf(c)
+	ctx := p.idle.Swap(nil)
+	if ctx == nil {
+		ctx = &compCtx{plan: p, quals: make([]qualState, len(p.quals))}
 	}
-	ctx := newCompCtx(ev, c)
-	ctx.active = true
-	if _, ok := ev.plans[c]; !ok {
-		if ev.plans == nil {
-			ev.plans = make(map[*Comp]*compCtx)
-		}
-		ev.plans[c] = ctx
-	}
+	ctx.ev = ev
 	return ctx
 }
 
-func newCompCtx(ev *Evaluator, c *Comp) *compCtx {
-	ctx := &compCtx{
-		ev:    ev,
-		comp:  c,
-		quals: make([]qualState, len(c.Quals)),
-	}
-	ctx.headTuple, _ = c.Head.(*TupleExpr)
-	ctx.analyze()
-	return ctx
-}
-
-// reset clears per-invocation state (memoised sources and join
-// indexes), keeping the static analysis, the allocated slices and the
-// generators' scopes.
-func (ctx *compCtx) reset() {
-	for i := range ctx.quals {
-		ctx.quals[i].srcSet = false
-		ctx.quals[i].srcVal = Value{}
-		ctx.quals[i].index = nil
-	}
-}
-
-// release returns the ctx to its plan cache slot, emptying the
-// generators' scopes and the head's scratch row so that a cached plan
-// pins neither extent rows nor the environment it last ran under.
+// release empties the context — memoised sources, join indexes, the
+// generators' scopes, the scratch rows, the evaluator and the shared
+// sources — and parks it on its plan, so a plan pins neither extent
+// rows nor the environment or evaluation it last ran under.
 func (ctx *compCtx) release() {
-	clear(ctx.headScratch)
 	for i := range ctx.quals {
-		if sc := ctx.quals[i].scope; sc != nil {
-			clear(sc.vals)
-			sc.parent = nil
+		qs := &ctx.quals[i]
+		qs.srcSet, qs.srcVal, qs.index = false, Value{}, nil
+		if qs.scope != nil {
+			clear(qs.scope.vals)
+			qs.scope.parent = nil
 		}
 	}
-	ctx.active = false
+	clear(ctx.probeScratch)
+	clear(ctx.headScratch)
+	ctx.ev, ctx.shared = nil, nil
+	ctx.plan.idle.Store(ctx)
 }
 
 // enter returns generator i's scope nested in env. One scope serves
 // every entry of the generator and every element of each entry: an
-// entry ends before the next begins, the active guard keeps a ctx from
-// being live twice, and nothing retains a scope once run returns (IQL
-// has no closures) — so a join's inner generator, entered once per
-// outer binding, allocates nothing per entry.
+// entry ends before the next begins, no two evaluations hold one
+// context, and nothing retains a scope once run returns (IQL has no
+// closures) — so a join's inner generator, entered once per outer
+// binding, allocates nothing per entry. The scope's names are the
+// plan's, clipped, so a Bind appends to a copy of them.
 func (ctx *compCtx) enter(i int, env *Env) *Env {
 	qs := &ctx.quals[i]
 	if qs.scope == nil {
-		qs.scope = &Env{names: qs.vars, vals: make([]Value, len(qs.vars))}
+		vars := ctx.plan.quals[i].vars
+		qs.scope = &Env{names: slices.Clip(vars), vals: make([]Value, len(vars))}
 	}
 	qs.scope.parent = env
 	return qs.scope
 }
 
-// analyze marks constant sources and joinable generator/filter runs.
-func (ctx *compCtx) analyze() {
+// analyze works out c's plan: how each pattern binds, which sources are
+// constant and which generator/filter runs are joinable, and c as a
+// Selection.
+func analyze(c *Comp) *compPlan {
+	p := &compPlan{comp: c, quals: make([]qualPlan, len(c.Quals)), sel: selectionOf(c)}
+	p.headTuple, _ = c.Head.(*TupleExpr)
 	bound := map[string]bool{}
-	for i, q := range ctx.comp.Quals {
+	for i, q := range c.Quals {
 		g, isGen := q.(*Generator)
 		if !isGen {
 			continue
 		}
-		qs := &ctx.quals[i]
-		qs.pat = compilePattern(g.Pat, &qs.vars)
-		qs.constSrc = len(FreeVars(g.Src)) == 0
-		if qs.constSrc {
-			for j := i + 1; j < len(ctx.comp.Quals); j++ {
-				cond, ok := joinableFilter(g, ctx.comp.Quals[j], bound)
+		qp := &p.quals[i]
+		qp.pat = compilePattern(g.Pat, &qp.vars)
+		qp.constSrc = len(FreeVars(g.Src)) == 0
+		if qp.constSrc {
+			for j := i + 1; j < len(c.Quals); j++ {
+				cond, ok := joinableFilter(g, c.Quals[j], bound)
 				if !ok {
 					break
 				}
-				qs.joins = append(qs.joins, cond)
-				qs.consumed++
+				qp.joins = append(qp.joins, cond)
+				qp.consumed++
 			}
-			if len(qs.joins) > 0 {
+			if len(qp.joins) > 0 {
 				var spec []byte
-				for n, jc := range qs.joins {
+				for n, jc := range qp.joins {
 					if n > 0 {
 						spec = append(spec, ',')
 					}
 					spec = strconv.AppendInt(spec, int64(jc.comp), 10)
 				}
-				qs.joinSpec = string(spec)
+				qp.joinSpec = string(spec)
 			}
 		}
 		bindPatternVars(g.Pat, bound)
 	}
+	return p
+}
+
+// PlanFootprint is what evaluating e pins on its comprehension nodes, in
+// bytes: each one's plan and the evaluation state parked beside it,
+// emptied. A cache that keeps parsed queries charges it beside their
+// text. It analyses the comprehensions no evaluation has, which their
+// first evaluation would otherwise do.
+func PlanFootprint(e Expr) int64 {
+	var n int
+	walk(e, func(x Expr) {
+		if c, ok := x.(*Comp); ok {
+			n += planOf(c).footprint()
+		}
+	})
+	return int64(n)
+}
+
+// footprint is the bytes of the plan and of a context parked on it, each
+// allocation at its size rounded up to a power of two, which no size
+// class of the allocator exceeds.
+func (p *compPlan) footprint() int {
+	const value = int(unsafe.Sizeof(Value{}))
+	n := class(int(unsafe.Sizeof(compPlan{}))) + class(cap(p.quals)*int(unsafe.Sizeof(qualPlan{}))) +
+		class(int(unsafe.Sizeof(compCtx{}))) + class(len(p.quals)*int(unsafe.Sizeof(qualState{})))
+	if p.sel != nil {
+		n += class(int(unsafe.Sizeof(Selection{}))) + class(cap(p.sel.Conds)*int(unsafe.Sizeof(Cond{})))
+	}
+	if p.headTuple != nil {
+		n += class(len(p.headTuple.Elems) * value) // the head's scratch row
+	}
+	probe := 0
+	for i, q := range p.comp.Quals {
+		if _, ok := q.(*Generator); !ok {
+			continue
+		}
+		qp := &p.quals[i]
+		n += qp.pat.footprint() + class(cap(qp.vars)*int(unsafe.Sizeof(""))) +
+			class(cap(qp.joins)*int(unsafe.Sizeof(joinCond{}))) + class(len(qp.joinSpec))
+		n += class(int(unsafe.Sizeof(Env{}))) + class(len(qp.vars)*value) // the scope
+		probe = max(probe, len(qp.joins))
+	}
+	return n + class(probe*value) // the probe key's scratch
+}
+
+// footprint is the bytes of the pattern's component slots.
+func (p *slotPat) footprint() int {
+	n := class(len(p.elems) * int(unsafe.Sizeof(slotPat{})))
+	for i := range p.elems {
+		n += p.elems[i].footprint()
+	}
+	return n
+}
+
+// class rounds an allocation of n bytes up to a power of two.
+func class(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return 1 << bits.Len(uint(n-1))
 }
 
 // joinableFilter recognises "v = e" / "e = v" following generator g,
@@ -472,14 +539,12 @@ func (ctx *compCtx) countAtSource() (n int64, ok bool, err error) {
 	if !ok || ev.genDepth != 0 {
 		return 0, false, nil
 	}
-	if !ctx.selKnown {
-		ctx.sel, ctx.selKnown = selectionOf(ctx.comp), true
-	}
-	if ctx.sel == nil {
+	sel := ctx.plan.sel
+	if sel == nil {
 		return 0, false, nil
 	}
-	ref := ctx.comp.Quals[0].(*Generator).Src.(*SchemeRef)
-	n, ok, err = ce.ExtentCount(ref.Parts, *ctx.sel)
+	ref := ctx.plan.comp.Quals[0].(*Generator).Src.(*SchemeRef)
+	n, ok, err = ce.ExtentCount(ref.Parts, *sel)
 	if err != nil || !ok {
 		return 0, false, err
 	}
@@ -494,13 +559,13 @@ func (ctx *compCtx) countAtSource() (n int64, ok bool, err error) {
 // source returns the generator's elements, memoised for constant
 // sources.
 func (ctx *compCtx) source(i int, g *Generator, env *Env) ([]Value, error) {
-	qs := &ctx.quals[i]
-	if qs.constSrc && qs.srcSet {
+	qs, constSrc := &ctx.quals[i], ctx.plan.quals[i].constSrc
+	if constSrc && qs.srcSet {
 		return qs.srcVal.Elements()
 	}
 	var v Value
 	var err error
-	if qs.constSrc && ctx.shared != nil {
+	if constSrc && ctx.shared != nil {
 		// A constant source is the same for every worker of a sharded
 		// scan: the first to need it evaluates it (and is charged its
 		// steps), as the serial loop would once.
@@ -516,7 +581,7 @@ func (ctx *compCtx) source(i int, g *Generator, env *Env) ([]Value, error) {
 	if _, err := v.Elements(); err != nil {
 		return nil, fmt.Errorf("iql: generator source %s: %w", g.Src, err)
 	}
-	if qs.constSrc {
+	if constSrc {
 		qs.srcVal = v
 		qs.srcSet = true
 	}
@@ -534,19 +599,19 @@ const joinIndexCacheMin = 32
 // component spec fully determine the index, so an unchanged extent is
 // indexed once, not once per evaluation.
 func (ctx *compCtx) buildIndex(i int, els []Value) *JoinIndex {
-	qs := &ctx.quals[i]
+	qs, qp := &ctx.quals[i], &ctx.plan.quals[i]
 	if qs.index != nil {
 		return qs.index
 	}
 	c := ctx.ev.Indexes
 	if c == nil || len(els) < joinIndexCacheMin {
-		qs.index = qs.newIndex(els)
+		qs.index = qp.newIndex(els)
 		return qs.index
 	}
-	key := joinIndexKey{data: &els[0], n: len(els), spec: qs.joinSpec}
+	key := joinIndexKey{data: &els[0], n: len(els), spec: qp.joinSpec}
 	idx, ok := c.get(key)
 	if !ok {
-		idx = qs.newIndex(els)
+		idx = qp.newIndex(els)
 		// The index (and its identity key) keeps the extent rows alive, so
 		// charge the cache their footprint beside the index's own.
 		cost := idx.Footprint()
@@ -562,10 +627,10 @@ func (ctx *compCtx) buildIndex(i int, els []Value) *JoinIndex {
 // newIndex indexes els on the generator's join key. The index copies the
 // positions it is keyed on, so they are gathered where a build allocates
 // nothing for them.
-func (qs *qualState) newIndex(els []Value) *JoinIndex {
+func (qp *qualPlan) newIndex(els []Value) *JoinIndex {
 	var buf [8]int
 	comps := buf[:0]
-	for _, jc := range qs.joins {
+	for _, jc := range qp.joins {
 		comps = append(comps, jc.comp)
 	}
 	return NewJoinIndex(els, comps)
@@ -574,7 +639,7 @@ func (qs *qualState) newIndex(els []Value) *JoinIndex {
 // probeKey evaluates generator i's probe expressions into the shared
 // scratch buffer, one component of the probe key each, and returns it.
 func (ctx *compCtx) probeKey(i int, env *Env) ([]Value, error) {
-	jcs := ctx.quals[i].joins
+	jcs := ctx.plan.quals[i].joins
 	if cap(ctx.probeScratch) < len(jcs) {
 		ctx.probeScratch = make([]Value, len(jcs))
 	}
@@ -622,13 +687,13 @@ func (s *sink) keeps() bool { return !s.count && s.into == nil }
 
 // head evaluates the comprehension's head under a complete binding. A
 // sink that keeps what it is handed gets a value of its own. Any other
-// gets a tuple head in the plan's scratch row, which the next binding
+// gets a tuple head in the context's scratch row, which the next binding
 // overwrites: the steps are the ones eval charges — one for the tuple
 // node, then each component's — and nothing is allocated.
 func (ctx *compCtx) head(env *Env, out *sink) (Value, error) {
-	ev, t := ctx.ev, ctx.headTuple
+	ev, t := ctx.ev, ctx.plan.headTuple
 	if t == nil || out.keeps() {
-		return ev.eval(ctx.comp.Head, env)
+		return ev.eval(ctx.plan.comp.Head, env)
 	}
 	if err := ev.step(); err != nil {
 		return Value{}, err
@@ -653,8 +718,8 @@ const outPrealloc = 1024
 // run evaluates qualifiers from position i under env, handing the sink
 // the head value of every complete binding.
 func (ctx *compCtx) run(i int, env *Env, out *sink) error {
-	ev := ctx.ev
-	if i == len(ctx.comp.Quals) {
+	ev, quals := ctx.ev, ctx.plan.comp.Quals
+	if i == len(quals) {
 		v, err := ctx.head(env, out)
 		if err != nil {
 			return err
@@ -662,7 +727,7 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 		out.add(v)
 		return nil
 	}
-	switch q := ctx.comp.Quals[i].(type) {
+	switch q := quals[i].(type) {
 	case *Filter:
 		c, err := ev.eval(q.Cond, env)
 		if err != nil {
@@ -686,7 +751,7 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 		if err != nil {
 			return err
 		}
-		if qs := &ctx.quals[i]; len(qs.joins) > 0 {
+		if qp := &ctx.plan.quals[i]; len(qp.joins) > 0 {
 			// Indexed equi-join: probe instead of scan; the consumed
 			// filters are subsumed by the index lookup.
 			idx := ctx.buildIndex(i, els)
@@ -698,7 +763,7 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 			if r < 0 {
 				return nil
 			}
-			next := i + 1 + qs.consumed
+			next := i + 1 + qp.consumed
 			child := ctx.enter(i, env)
 			ev.genDepth++
 			for ; r >= 0; r = idx.Next(r) {
@@ -724,7 +789,7 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 		}
 		return ctx.scan(i, els, env, out)
 	}
-	return fmt.Errorf("iql: unknown qualifier %T", ctx.comp.Quals[i])
+	return fmt.Errorf("iql: unknown qualifier %T", quals[i])
 }
 
 // scan runs generator i over els serially; so does a join whose probe
@@ -751,8 +816,7 @@ func (ctx *compCtx) scan(i int, els []Value, env *Env, out *sink) error {
 // provider has the final say via ExtentStream's ok result.
 func (ctx *compCtx) stream(i int, g *Generator) (RowStream, bool, error) {
 	ev := ctx.ev
-	qs := &ctx.quals[i]
-	if ev.genDepth != 0 || len(qs.joins) > 0 || qs.srcSet {
+	if ev.genDepth != 0 || len(ctx.plan.quals[i].joins) > 0 || ctx.quals[i].srcSet {
 		return nil, false, nil
 	}
 	ref, ok := g.Src.(*SchemeRef)
@@ -813,7 +877,7 @@ func (ctx *compCtx) runElement(i int, el Value, next int, child *Env, out *sink)
 	if err := ctx.ev.step(); err != nil {
 		return err
 	}
-	if !ctx.quals[i].pat.bind(el, child.vals) {
+	if !ctx.plan.quals[i].pat.bind(el, child.vals) {
 		return nil // non-matching elements are skipped
 	}
 	return ctx.run(next, child, out)

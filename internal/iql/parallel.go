@@ -24,10 +24,10 @@ import (
 // Isolation model (share-nothing where mutation happens, shared where
 // immutable):
 //
-//   - Each worker runs its own Evaluator, so the per-*Comp plan cache
-//     (Evaluator.plans), the compCtx qualifier state, the probe
-//     scratch, and the generators' Env scopes are all worker-private.
-//     No locking on the per-element hot path.
+//   - Each worker runs its own Evaluator and takes its own compCtx, so
+//     the qualifier state, the probe scratch and the generators' Env
+//     scopes are all worker-private; the compPlan they share is never
+//     written once published. No locking on the per-element hot path.
 //   - The enclosing Env chain is shared read-only: the evaluator that
 //     owns it is parked in runSharded until the merge, and IQL has no
 //     assignment, so workers only Lookup.
@@ -200,7 +200,7 @@ func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *sink
 	}
 	locked := &lockedExtents{ext: ext}
 
-	sources := make([]sharedSource, len(ctx.comp.Quals))
+	sources := make([]sharedSource, len(ctx.quals))
 	results := make([]sink, shards)
 	errs := make([]error, shards)
 	shardDur := make([]time.Duration, shards)
@@ -228,7 +228,7 @@ func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *sink
 			// memoised constant sources, built join indexes and
 			// generator scopes carry across shards, exactly as one
 			// serial invocation would.
-			wctx := wev.compCtxFor(ctx.comp)
+			wctx := wev.compCtxFor(ctx.plan.comp)
 			wctx.shared = sources
 			defer wctx.release()
 			defer func() { workerSteps.Add(int64(wev.steps)) }()

@@ -89,19 +89,36 @@ func clonePattern(p Pattern) Pattern {
 }
 
 // SubstituteSchemes replaces scheme references for which fn returns a
-// replacement expression. The replacement is cloned so shared subtrees
-// stay independent.
+// replacement expression, calling fn once per reference. When fn
+// replaces none, e itself is returned — with the analysis its
+// comprehensions have been given, which a copy would have to work out
+// again. Otherwise the result is a fresh tree, as Rewrite builds, with
+// every replacement cloned so shared subtrees stay independent.
 func SubstituteSchemes(e Expr, fn func(parts []string) (Expr, bool)) Expr {
+	var repl map[*SchemeRef]Expr
+	walk(e, func(x Expr) {
+		if ref, ok := x.(*SchemeRef); ok {
+			if r, ok := fn(ref.Parts); ok {
+				if repl == nil {
+					repl = make(map[*SchemeRef]Expr)
+				}
+				repl[ref] = r
+			}
+		}
+	})
+	if repl == nil {
+		return e
+	}
 	return Rewrite(e, func(x Expr) (Expr, bool) {
 		ref, ok := x.(*SchemeRef)
 		if !ok {
 			return nil, false
 		}
-		repl, ok := fn(ref.Parts)
+		r, ok := repl[ref]
 		if !ok {
 			return nil, false
 		}
-		return Clone(repl), true
+		return Clone(r), true
 	})
 }
 

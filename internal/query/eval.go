@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -39,8 +38,11 @@ type session struct {
 	// touched (source and virtual); each virtual extent caches the
 	// slice it contributed as its dependency set, and memo-cache hits
 	// replay the reused computation's dependencies, so the log is
-	// always the transitive touch-set of the evaluation so far.
+	// always the transitive touch-set of the evaluation so far. It
+	// starts on depBuf, so an evaluation that logs at most sixteen keys,
+	// its memo hits' replays included, never grows it.
 	depLog []string
+	depBuf [16]string
 	// warmErr holds, by source-extent cache key, the errors this query's
 	// prefetch met. Evaluation does not ask such a source a second time:
 	// a failing source gets one provider call per query.
@@ -73,7 +75,7 @@ func (s *session) evaluator() *iql.Evaluator {
 // newSession builds an evaluation session with a fresh per-query step
 // budget.
 func (p *Processor) newSession(ctx context.Context, scopes ...string) *session {
-	return &session{
+	s := &session{
 		p:       p,
 		onStack: make(map[string]bool),
 		scopes:  scopes,
@@ -81,6 +83,8 @@ func (p *Processor) newSession(ctx context.Context, scopes ...string) *session {
 		budget:  &iql.StepBudget{Max: p.MaxSteps},
 		stats:   &iql.EvalStats{},
 	}
+	s.depLog = s.depBuf[:0]
+	return s
 }
 
 func (s *session) scope() string {
@@ -90,19 +94,26 @@ func (s *session) scope() string {
 	return s.scopes[len(s.scopes)-1]
 }
 
-// deps returns the distinct scheme keys this session touched, sorted.
+// deps returns the distinct scheme keys this session touched, sorted,
+// in a slice of their own. The log is sorted and compacted where it
+// stands: a session that reports has finished evaluating.
 func (s *session) deps() []string {
-	out := cache.Dedup(s.depLog)
-	sort.Strings(out)
-	return out
+	s.depLog = sortedSet(s.depLog)
+	return slices.Clone(s.depLog)
 }
 
 // report returns what a finished evaluation raised and touched: its
 // distinct warnings and its dependency set, both sorted.
 func (s *session) report() (warns, deps []string) {
-	warns = cache.Dedup(s.warnLog)
-	sort.Strings(warns)
-	return warns, s.deps()
+	s.warnLog = sortedSet(s.warnLog)
+	return s.warnLog, s.deps()
+}
+
+// sortedSet sorts log and drops its repeats in place, and returns what
+// is left at its exact length, so an append to it never writes into log.
+func sortedSet(log []string) []string {
+	slices.Sort(log)
+	return slices.Clip(slices.Compact(log))
 }
 
 // warn records a warning in the session: warnings are reported per
@@ -148,17 +159,17 @@ func (s *session) source(src source, sc hdm.Scheme) (iql.Value, error) {
 // derivations under an extent span so the fetch (and nested extent)
 // spans of the computation appear as its children.
 func (s *session) virtual(r resolution, parts []string) (iql.Value, error) {
-	name := strings.Join(parts, ", ")
 	if ce, ok := s.p.memo.Get(r.key); ok {
 		// Replay the reused computation's warnings and dependency
 		// set so the enclosing evaluation inherits both.
-		for _, w := range ce.warns {
-			s.warn(w)
-		}
+		s.warnLog = append(s.warnLog, ce.warns...)
 		s.depLog = append(s.depLog, ce.deps...)
-		mark(s.ctx, obs.StageExtent, name, "", obs.CacheHit, bagLen(ce.val), nil)
+		if obs.TraceFrom(s.ctx) != nil {
+			mark(s.ctx, obs.StageExtent, strings.Join(parts, ", "), "", obs.CacheHit, bagLen(ce.val), nil)
+		}
 		return ce.val, nil
 	}
+	name := strings.Join(parts, ", ")
 	sp, ctx := obs.StartSpan(s.ctx, obs.StageExtent, name)
 	sp.SetCache(obs.CacheMiss)
 	saved := s.ctx

@@ -33,7 +33,10 @@ import (
 // fresh, or degraded (every source failing after a good read, through
 // wrapper.Fault, and served stale); a bag answer, its count folded here,
 // or its count taken at the SQL source; built, or written by
-// EvalEncoded. Of each it asserts that
+// EvalEncoded. One more way shares a plan: a tree parsed afresh is
+// analysed by a cold evaluation on one processor and evaluated as that
+// left it, warm, by another's session and evaluators, as a cached plan
+// is by every session of the server. Of each it asserts that
 //
 //   - the value is Eval's (iqltest.Same), or both fail;
 //   - over permuted extents the answer is alike (iqltest.Alike), or both
@@ -322,11 +325,16 @@ func eval(p *Processor, e iql.Expr, encoded, cold bool) run {
 // it is a comprehension, to the reference.
 func (o *oracle) check(t *testing.T, src string) {
 	t.Helper()
-	e := iql.MustParse(src)
-	forms := []iql.Expr{e}
-	if c, ok := e.(*iql.Comp); ok {
-		forms = append(forms, &iql.Call{Fn: "count", Args: []iql.Expr{c}})
+	// formsOf is a parse of src, and its count when it is a comprehension.
+	formsOf := func() []iql.Expr {
+		e := iql.MustParse(src)
+		if c, ok := e.(*iql.Comp); ok {
+			return []iql.Expr{e, &iql.Call{Fn: "count", Args: []iql.Expr{c}}}
+		}
+		return []iql.Expr{e}
 	}
+	forms := formsOf()
+	e := forms[0]
 	// The reference answers, and the reference runs of each form in each
 	// state: the first, serial, materialised and built, of the state.
 	wants := make([]iql.Value, len(forms))
@@ -401,6 +409,18 @@ func (o *oracle) check(t *testing.T, src string) {
 				}
 			}
 		}
+	}
+
+	// A shared plan: serial and materialised, then sharded and in pages.
+	cold, warm := o.direct[0], o.direct[len(o.direct)-1]
+	for form, f := range formsOf() {
+		same(cold.name+", cold, a fresh plan", form, 0, eval(cold.p, f, false, true))
+		where := warm.name + ", warm, the plan of " + cold.name
+		built := eval(warm.p, f, false, false)
+		same(where, form, 1, built)
+		enc := eval(warm.p, f, true, false)
+		same(where+", encoded", form, 1, enc)
+		encodes(where, form, built, enc)
 	}
 
 	// Degraded: a good read of every source, then every source failing.

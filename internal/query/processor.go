@@ -117,12 +117,20 @@ func (ce cachedExtent) cost() int64 {
 	return n
 }
 
+// virtualObject is a virtual object's derivations, in registration
+// order, and its scheme key: the string a resolution carries, so
+// resolving a reference to it allocates none.
+type virtualObject struct {
+	key    string
+	derivs []Derivation
+}
+
 // Processor answers IQL queries over virtual schemas backed by data
 // source wrappers. It is safe for concurrent use.
 type Processor struct {
 	mu      sync.Mutex
 	sources []source
-	defs    map[string][]Derivation
+	defs    map[string]virtualObject
 	memo    *cache.Store[cachedExtent]
 	srcExt  *cache.Store[iql.Value]
 	// joinIdx caches built hash-join indexes across every evaluator the
@@ -175,7 +183,7 @@ type Processor struct {
 func New() *Processor {
 	idx := iql.NewJoinIndexCache(0)
 	return &Processor{
-		defs:     make(map[string][]Derivation),
+		defs:     make(map[string]virtualObject),
 		memo:     cache.NewWithDrop(cache.Options{}, func(ce cachedExtent) { idx.DropExtent(ce.val) }),
 		srcExt:   cache.NewWithDrop(cache.Options{}, idx.DropExtent),
 		joinIdx:  idx,
@@ -341,7 +349,7 @@ func (p *Processor) DefineAll(defs []ObjectDef) {
 	p.mu.Lock()
 	for _, d := range defs {
 		k := d.Scheme.Key()
-		p.defs[k] = append(p.defs[k], d.Derivation)
+		p.defs[k] = virtualObject{key: k, derivs: append(p.defs[k].derivs, d.Derivation)}
 		keys = append(keys, k)
 	}
 	p.mu.Unlock()
@@ -352,7 +360,7 @@ func (p *Processor) DefineAll(defs []ObjectDef) {
 func (p *Processor) HasDefinition(sc hdm.Scheme) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.defs[sc.Key()]) > 0
+	return len(p.defs[sc.Key()].derivs) > 0
 }
 
 // ObjectDerivations pairs a virtual object's scheme key with its
@@ -375,7 +383,7 @@ func (p *Processor) AllDerivations() []ObjectDerivations {
 	sort.Strings(keys)
 	out := make([]ObjectDerivations, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, ObjectDerivations{Key: k, Derivs: append([]Derivation(nil), p.defs[k]...)})
+		out = append(out, ObjectDerivations{Key: k, Derivs: append([]Derivation(nil), p.defs[k].derivs...)})
 	}
 	return out
 }

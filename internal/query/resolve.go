@@ -1,8 +1,6 @@
 package query
 
 import (
-	"strings"
-
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
 )
@@ -68,14 +66,23 @@ func (p *Processor) resolve(scope string, parts []string) resolution {
 			break
 		}
 	}
-	r := resolution{key: strings.Join(parts, "|")}
+	// The key is built on the stack: a virtual object's is the one its
+	// definitions are kept under, so only a source object's is copied.
+	var buf [128]byte
+	key := buf[:0]
+	for i, part := range parts {
+		if i > 0 {
+			key = append(key, '|')
+		}
+		key = append(key, part...)
+	}
 	p.mu.Lock()
-	derivs, virtual := p.defs[r.key]
+	def, virtual := p.defs[string(key)]
 	p.mu.Unlock()
 	if virtual {
-		r.kind, r.derivs = refVirtual, derivs
-		return r
+		return resolution{kind: refVirtual, key: def.key, derivs: def.derivs}
 	}
+	r := resolution{key: string(key)}
 	for i := range srcs {
 		obj, err := srcs[i].schema.Resolve(parts)
 		if err != nil {

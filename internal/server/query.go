@@ -222,7 +222,9 @@ func (s *Server) explain(sess *Session, src string, version int) map[string]stri
 }
 
 // plan is a parsed, normalised IQL query; sharing one across
-// evaluations is safe because evaluation never mutates the AST.
+// evaluations, sessions included, is safe because evaluation never
+// mutates the AST: it publishes each comprehension's analysis on it
+// once, and parks emptied evaluation state beside that.
 type plan struct {
 	expr iql.Expr
 	norm string // canonical rendering, the result-cache key component
@@ -383,7 +385,10 @@ func resultCost(a Answer) int64 {
 }
 
 // planCost estimates a cached plan's size: the source text it is keyed
-// by plus its normalised rendering (the AST is of the same order).
+// by, its normalised rendering and the AST (of the same order), and what
+// evaluating the AST pins on its comprehension nodes — their analysis
+// and the evaluation state parked beside it, shared by every session
+// that evaluates the plan (iql.PlanFootprint).
 func planCost(src string, pl plan) int64 {
-	return int64(len(src) + 2*len(pl.norm) + 64)
+	return int64(len(src)+2*len(pl.norm)+64) + iql.PlanFootprint(pl.expr)
 }

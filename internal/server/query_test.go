@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -568,6 +569,196 @@ func TestCachedHitAllocatesAConstant(t *testing.T) {
 	const limit = 12
 	if small, large := allocsAt(10), allocsAt(2000); small > limit || large > limit {
 		t.Errorf("a cached hit allocates %.0f times for 10 rows and %.0f for 2000; want at most %d for either", small, large, limit)
+	}
+}
+
+// joinSession is a session over one static source of six two-column
+// objects <<t1, v>> … <<t6, v>>, each rows rows {k, "row k"} keyed 0 up,
+// federated — so its objects are virtual, memoised once read — and the
+// extents by the federated names, the reference's.
+func joinSession(t *testing.T, srv *Server, name string, rows int) (*Session, iql.Extents) {
+	t.Helper()
+	sess, err := srv.Sessions().Get(name, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := wrapper.NewStatic("Probe")
+	els := make([]iql.Value, rows)
+	for i := range els {
+		els[i] = iql.Tuple(iql.Int(int64(i)), iql.Str(fmt.Sprintf("row %d", i)))
+	}
+	extents := map[string]iql.Value{}
+	for n := 1; n <= 6; n++ {
+		if err := src.Add(hdm.MustScheme(fmt.Sprintf("<<t%d, v>>", n)), hdm.Link, "", "", iql.BagOf(els)); err != nil {
+			t.Fatal(err)
+		}
+		extents[fmt.Sprintf("probe_t%d, v", n)] = iql.BagOf(els)
+	}
+	if err := sess.AddSource(src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
+		t.Fatal(err)
+	}
+	return sess, iql.ExtentsFunc(func(parts []string) (iql.Value, error) {
+		if v, ok := extents[strings.Join(parts, ", ")]; ok {
+			return v, nil
+		}
+		return iql.Value{}, fmt.Errorf("no extent <<%s>>", strings.Join(parts, ", "))
+	})
+}
+
+// joinQuery is an equi-join of the first gens of joinSession's objects
+// on their key, whatever gens its answer is <<t1, v>>'s rows.
+func joinQuery(gens int) string {
+	q := "[{k, a} | {k, a} <- <<probe_t1, v>>"
+	for n := 2; n <= gens; n++ {
+		q += fmt.Sprintf("; {k%[1]d, x%[1]d} <- <<probe_t%[1]d, v>>; k%[1]d = k", n)
+	}
+	return q + "]"
+}
+
+// TestWarmPlanAllocatesNoAnalysis pins a plan-cache hit, result cache
+// bypassed, tracing off, over memoised extents: a two-generator and a
+// six-generator equi-join with the same answer allocate the same number
+// of times. A warm query evaluates the AST the plan cache holds — no
+// canonical copy — through the analysis and the evaluation state parked
+// on its comprehension, and reads a memoised extent without building its
+// span's name: nothing it allocates grows with the generators.
+func TestWarmPlanAllocatesNoAnalysis(t *testing.T) {
+	srv := New(DefaultConfig())
+	// At least joinIndexCacheMin rows, so the join indexes are cached.
+	sess, _ := joinSession(t, srv, "default", 40)
+	plans := cache.New[plan](cache.Options{MaxEntries: 16})
+	buf := new(respBuf)
+	allocsAt := func(gens int) float64 {
+		q := joinQuery(gens)
+		ask := func() QueryOutcome {
+			buf.b = buf.b[:0]
+			_, outcome, err := sess.Query(context.Background(), buf, plans, q, core.CurrentVersion, true)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			return outcome
+		}
+		ask() // parse, analyse, read and memoise the extents, build the indexes
+		// The least of many single runs: under the race detector a
+		// sync.Pool drops what it is given at random, and a run that finds
+		// one empty pays for a buffer.
+		allocs := iqltest.Least(50, func() float64 { return testing.AllocsPerRun(1, func() { ask() }) })
+		if outcome := ask(); !outcome.PlanCached || outcome.ResultCached {
+			t.Fatalf("%s: %+v, want a plan-cache hit past the result cache", q, outcome)
+		}
+		return allocs
+	}
+	two, six := allocsAt(2), allocsAt(6)
+	t.Logf("a warm plan allocates %.0f times for a two-generator join, %.0f for a six-generator one", two, six)
+	if two != six {
+		t.Errorf("a warm plan allocates %.0f times for a two-generator join and %.0f for a six-generator one; want the same", two, six)
+	}
+}
+
+// TestPlanCostChargesTheAnalysis holds what the plan cache is charged
+// for a Table 1 plan beyond its text — iql.PlanFootprint — to what
+// evaluating the plan leaves on its AST, measured: the heap a hundred
+// fresh parses of the query hold once each has been evaluated over warm
+// extents, less what they held before. The charge must cover it, and
+// not by more than twice over.
+func TestPlanCostChargesTheAnalysis(t *testing.T) {
+	srv := New(DefaultConfig())
+	sess := caseStudySession(t, srv, ispider.DefaultConfig())
+	ig, err := sess.integrator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the first only moves what sync.Pools hold aside
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	for _, q := range ispider.Table1Queries() {
+		if _, err := ig.QueryExprAt(context.Background(), core.CurrentVersion, iql.MustParse(q.IQL)); err != nil {
+			t.Fatalf("%s: %v", q.ID, err) // warms the extents and join indexes
+		}
+		trees := make([]iql.Expr, 100)
+		for i := range trees {
+			trees[i] = iql.MustParse(q.IQL)
+		}
+		before := heap()
+		for _, e := range trees {
+			if _, err := ig.QueryExprAt(context.Background(), core.CurrentVersion, e); err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+		}
+		pinned := float64(heap()-before) / float64(len(trees))
+		charged := float64(iql.PlanFootprint(trees[0]))
+		t.Logf("%s: evaluation pins %.0f bytes on the AST, the plan cache is charged %.0f", q.ID, pinned, charged)
+		if charged < pinned || charged > 2*pinned {
+			t.Errorf("%s: evaluation pins %.0f bytes on the AST, the plan cache is charged %.0f for them", q.ID, pinned, charged)
+		}
+		runtime.KeepAlive(trees)
+	}
+}
+
+// TestSharedPlanAcrossSessions evaluates one cached plan from eight
+// goroutines, four in each of two sessions, result cache bypassed, and
+// holds every answer to the reference's bytes. The sessions share the
+// AST, so its comprehensions' analysis, and every evaluation takes the
+// state parked on a comprehension or makes its own: the sharded count
+// has its workers enter the nested comprehension at once. make flake
+// runs it thirty times under -race.
+func TestSharedPlanAcrossSessions(t *testing.T) {
+	srv := New(DefaultConfig())
+	// At least twice DefaultMinShardRows, so the count's scan shards.
+	const rows = 2*iql.DefaultMinShardRows + 10
+	var ext iql.Extents
+	sessions := make([]*Session, 2)
+	for i, name := range []string{"a", "b"} {
+		sessions[i], ext = joinSession(t, srv, name, rows)
+	}
+	q := "{" + joinQuery(3) + ", count([k | {k, a} <- <<probe_t2, v>>; count([j | {j, b} <- <<probe_t3, v>>; j < k]) > 50])}"
+	v, err := iqltest.Eval(iql.MustParse(q), ext, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refFragment(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := cache.New[plan](cache.Options{MaxEntries: 16})
+	var wg sync.WaitGroup
+	for g := range 8 {
+		sess := sessions[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := range 5 {
+				buf := new(respBuf)
+				if _, _, err := sess.Query(context.Background(), buf, plans, q, core.CurrentVersion, true); err != nil {
+					t.Errorf("session %s, round %d: %v", sess.Name(), n, err)
+					return
+				}
+				if d := diffBodies(buf.b, want); d != "" {
+					t.Errorf("session %s, round %d: %s", sess.Name(), n, d)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := plans.Stats(); st.Len != 1 {
+		t.Errorf("%d plans cached, want the one all evaluations shared", st.Len)
+	}
+	for _, sess := range sessions {
+		ig, err := sess.integrator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := ig.Processor().ParallelStats(); st.Width > 1 && st.ParallelEvals == 0 {
+			t.Errorf("session %s: no evaluation sharded", sess.Name())
+		}
 	}
 }
 
