@@ -41,8 +41,10 @@ race:
 # among them — against the reference evaluator and must be as
 # deterministic. So do the per-session persistence tests (a save parked
 # in one session while another session, a restore, RestoreSessions,
-# Drain or OpenStore runs beside it), under the race detector: which
-# goroutine reaches a lock first is the scheduler's choice. So does one
+# Drain or OpenStore runs beside it; and TestPersistRestoreKeepsHeldSources,
+# a query on a session while restores hand its sources to the next),
+# under the race detector: which goroutine reaches a lock first is the
+# scheduler's choice. So does one
 # cached plan evaluated by eight goroutines in two sessions, whose
 # comprehensions' analysis and parked evaluation state they share.
 flake:
@@ -91,7 +93,7 @@ profile:
 	$(GO) tool pprof -top -cum -nodecount 20 .bench_build/automed.test .bench_build/mutex.ServerPayg.prof
 
 # fuzz-seeds runs every committed fuzz seed (malformed repo snapshots,
-# malformed REST payloads, the answer encoder's edge scalars, the floats
+# repository documents with trailing bytes, malformed REST payloads, the answer encoder's edge scalars, the floats
 # where a layout of the shortest digits changes shape, query texts —
 # Table 1's, the reference evaluator's corpus, the lexer's edge tokens —
 # evaluated into the encoder and to a value, printed and parsed back, and

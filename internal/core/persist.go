@@ -34,16 +34,19 @@ import (
 // The two large members are held encoded: Sources as each source's
 // snapshot document (wrapper.Encode — memoised by the in-memory kinds,
 // so an unchanged source costs an Export nothing) and Repo as the
-// repository's unindented document. json.Marshal of a Snapshot gives
-// the logical JSON; WriteJSON gives the same tokens without passing the
-// large members through encoding/json again.
+// repository's document (repo.Document — an exported one is the
+// repository's memoised fragments, so an unchanged schema or pathway
+// costs an Export nothing either; a decoded one is the bytes it was read
+// from). json.Marshal of a Snapshot gives the logical JSON; WriteJSON
+// gives the same tokens without passing the large members through
+// encoding/json again or joining them.
 type Snapshot struct {
 	Format        int                  `json:"format"`
 	AutoDrop      bool                 `json:"auto_drop,omitempty"`
 	FedName       string               `json:"federated_schema,omitempty"`
 	GlobalVersion int                  `json:"global_version"`
 	Sources       []json.RawMessage    `json:"sources"`
-	Repo          json.RawMessage      `json:"repo"`
+	Repo          repo.Document        `json:"repo"`
 	Definitions   []DerivationSnapshot `json:"definitions,omitempty"`
 	Intersections []IntersectionSnap   `json:"intersections,omitempty"`
 	Derived       []ObjectSnap         `json:"derived,omitempty"`
@@ -106,7 +109,7 @@ func (ig *Integrator) Export() (*Snapshot, error) {
 	if snap.Sources, err = wrapper.EncodeAll(ig.sources); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if snap.Repo, err = ig.repo.MarshalJSON(); err != nil {
+	if snap.Repo, err = ig.repo.Document(); err != nil {
 		return nil, fmt.Errorf("core: snapshotting repository: %w", err)
 	}
 
@@ -170,10 +173,11 @@ func (ig *Integrator) Export() (*Snapshot, error) {
 
 // WriteJSON writes the snapshot as one JSON object: the small members
 // through encoding/json, and between them the source documents and the
-// repository verbatim, each on a line of its own.
+// repository's fragments verbatim, each source and the repository on a
+// line of its own.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	small := *s
-	small.Sources, small.Repo = nil, nil
+	small.Sources, small.Repo = nil, repo.Document{}
 	b, err := json.Marshal(&small)
 	if err != nil {
 		return err
@@ -182,8 +186,8 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	// are: a quote inside an earlier string would be escaped.
 	const hole = `"sources":null,"repo":null`
 	at := bytes.Index(b, []byte(hole))
-	if at < 0 || s.Sources == nil || s.Repo == nil {
-		return fmt.Errorf("core: snapshot without sources or repository")
+	if at < 0 || s.Sources == nil {
+		return fmt.Errorf("core: snapshot without sources")
 	}
 	bw := bufio.NewWriter(w)
 	bw.Write(b[:at])
@@ -196,7 +200,9 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 		bw.Write(doc)
 	}
 	bw.WriteString("\n],\"repo\":\n")
-	bw.Write(s.Repo)
+	if _, err := s.Repo.WriteTo(bw); err != nil {
+		return err
+	}
 	bw.WriteByte('\n')
 	bw.Write(b[at+len(hole):])
 	return bw.Flush()
@@ -205,7 +211,10 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 // Import rebuilds an integrator from a snapshot. The restored
 // integrator serves every published schema version exactly as the
 // exporting one did, and accepts further Intersect/Refine iterations.
-func Import(snap *Snapshot) (*Integrator, error) {
+// held are sources the caller already has — the session the snapshot
+// replaces — which wrapper.Decode takes as they are wherever their
+// documents equal the snapshot's.
+func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
 	}
@@ -216,7 +225,11 @@ func Import(snap *Snapshot) (*Integrator, error) {
 		return nil, fmt.Errorf("core: snapshot has no sources")
 	}
 
-	r, err := repo.Load(bytes.NewReader(snap.Repo))
+	doc, err := snap.Repo.MarshalJSON()
+	if err != nil {
+		return nil, fmt.Errorf("core: restoring repository: %w", err)
+	}
+	r, err := repo.Decode(doc)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring repository: %w", err)
 	}
@@ -227,7 +240,7 @@ func Import(snap *Snapshot) (*Integrator, error) {
 		autoDrop: snap.AutoDrop,
 	}
 	for _, doc := range snap.Sources {
-		w, err := wrapper.Decode(doc)
+		w, err := wrapper.Decode(doc, held...)
 		if err != nil {
 			return nil, fmt.Errorf("core: restoring source: %w", err)
 		}

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -242,7 +245,9 @@ func TestImportRejectsCorruptSnapshots(t *testing.T) {
 		"bad format": mutate(func(s *Snapshot) { s.Format = 99 }),
 		"no sources": mutate(func(s *Snapshot) { s.Sources = nil }),
 		"bad repo": mutate(func(s *Snapshot) {
-			s.Repo = json.RawMessage(`{"version":1,"schemas":[{"name":"X","objects":[{"scheme":"<<","kind":"nodal"}]}]}`)
+			if err := json.Unmarshal([]byte(`{"version":1,"schemas":[{"name":"X","objects":[{"scheme":"<<","kind":"nodal"}]}]}`), &s.Repo); err != nil {
+				t.Fatal(err)
+			}
 		}),
 		"missing fed":    mutate(func(s *Snapshot) { s.FedName = "Elsewhere" }),
 		"bad definition": mutate(func(s *Snapshot) { s.Definitions[0].Query = "[ <-" }),
@@ -269,13 +274,15 @@ func TestImportRejectsCorruptSnapshots(t *testing.T) {
 // for byte in the repository document of the Export after a Refine, every
 // definition the first held is in the second with the very same query
 // text (one string, rendered once), and an Export with nothing new to
-// encode allocates a document and the snapshot's own small members.
+// encode allocates the snapshot's own small members and no copy of the
+// document: its bytes do not grow with the repository's.
 func TestSecondExportSharesTheFirst(t *testing.T) {
 	ig := multiIterationIntegrator(t)
 	first, err := ig.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
+	firstRepo := repoBytes(t, first)
 	if err := ig.Refine("titles", Attribute("<<UBook, heading>>",
 		From("Library", "[{'LIB', k, x} | {k, x} <- <<books, title>>]")), "Q5"); err != nil {
 		t.Fatal(err)
@@ -285,14 +292,15 @@ func TestSecondExportSharesTheFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct{ Schemas, Pathways []json.RawMessage }
-	if err := json.Unmarshal(first.Repo, &doc); err != nil {
+	if err := json.Unmarshal(firstRepo, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Schemas) == 0 || len(doc.Pathways) == 0 || len(second.Repo) <= len(first.Repo) {
-		t.Fatalf("%d schemas, %d pathways, documents of %d then %d bytes", len(doc.Schemas), len(doc.Pathways), len(first.Repo), len(second.Repo))
+	secondRepo := repoBytes(t, second)
+	if len(doc.Schemas) == 0 || len(doc.Pathways) == 0 || len(secondRepo) <= len(firstRepo) {
+		t.Fatalf("%d schemas, %d pathways, documents of %d then %d bytes", len(doc.Schemas), len(doc.Pathways), len(firstRepo), len(secondRepo))
 	}
 	for _, frag := range append(doc.Schemas, doc.Pathways...) {
-		if !bytes.Contains(second.Repo, frag) {
+		if !bytes.Contains(secondRepo, frag) {
 			t.Errorf("the second document lacks %s", frag)
 		}
 	}
@@ -310,14 +318,71 @@ func TestSecondExportSharesTheFirst(t *testing.T) {
 	}
 	var third *Snapshot
 	allocs := testing.AllocsPerRun(5, func() { third, err = ig.Export() })
-	if err != nil || !bytes.Equal(third.Repo, second.Repo) || !reflect.DeepEqual(third.Definitions, second.Definitions) {
+	if err != nil || !bytes.Equal(repoBytes(t, third), secondRepo) || !reflect.DeepEqual(third.Definitions, second.Definitions) {
 		t.Fatalf("a repeated Export differs (%v)", err)
 	}
-	// One document and three slices of fragments and names in MarshalJSON;
-	// a handful per definition, intersection, version and iteration (170
-	// here, where encoding the repository again made it 1,005).
+	// Three slices of fragments and names in Document; a handful per
+	// definition, intersection, version and iteration (170 here, where
+	// encoding the repository again made it 1,005).
 	if bound := float64(100 + 6*len(third.Definitions)); allocs > bound {
 		t.Errorf("an Export with nothing new to encode is %.0f allocations, want at most %.0f", allocs, bound)
 	}
-	t.Logf("%d schemas, %d pathways, %d definitions, %d B: %.0f allocations", len(doc.Schemas), len(doc.Pathways), len(third.Definitions), len(third.Repo), allocs)
+	t.Logf("%d schemas, %d pathways, %d definitions, %d B: %.0f allocations", len(doc.Schemas), len(doc.Pathways), len(third.Definitions), len(secondRepo), allocs)
+
+	// The bytes of such an Export, against those of one over a repository
+	// four times the size (schemas stored beside the plan's, so the
+	// snapshot's other members stay as they were): a save holds no copy
+	// of the document, so what grows is a slice header and a name a
+	// schema.
+	small, smallDoc := exportBytes(t, ig), len(secondRepo)
+	for i := 0; len(repoBytes(t, mustExport(t, ig))) < 4*smallDoc; i++ {
+		extra := hdm.NewSchema(fmt.Sprintf("Extra%d", i))
+		for j := range 50 {
+			extra.MustAdd(hdm.NewObject(hdm.MustScheme(fmt.Sprintf("<<extra%d, column%d>>", i, j)), hdm.Link, "sql", "column"))
+		}
+		if err := ig.Repo().AddSchema(extra); err != nil {
+			t.Fatal(err)
+		}
+	}
+	large, largeDoc := exportBytes(t, ig), len(repoBytes(t, mustExport(t, ig)))
+	if large > small+uint64(largeDoc-smallDoc)/16 {
+		t.Errorf("an Export with nothing new to encode allocates %d B over a %d B document and %d B over a %d B one: it grows with the document", small, smallDoc, large, largeDoc)
+	}
+	t.Logf("an Export with nothing new to encode: %d B over a %d B document, %d B over a %d B one", small, smallDoc, large, largeDoc)
+}
+
+// mustExport is ig.Export or the end of the test.
+func mustExport(t *testing.T, ig *Integrator) *Snapshot {
+	t.Helper()
+	snap, err := ig.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// repoBytes is the repository document of snap, joined.
+func repoBytes(t *testing.T, snap *Snapshot) []byte {
+	t.Helper()
+	doc, err := snap.Repo.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// exportBytes is what an Export of ig allocates, in bytes, once its
+// memo is warm: the least of several runs.
+func exportBytes(t *testing.T, ig *Integrator) uint64 {
+	t.Helper()
+	mustExport(t, ig)
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 5 {
+		runtime.ReadMemStats(&before)
+		mustExport(t, ig)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }

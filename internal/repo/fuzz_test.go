@@ -44,7 +44,7 @@ func fuzzSeedRepo() *Repository {
 // it must either error or produce a repository that round-trips
 // through Save again, to a document that encodes to itself. The seed
 // corpus covers the malformed-JSON classes a corrupted or hand-edited
-// snapshot file exhibits.
+// snapshot file exhibits, and a document followed by trailing bytes.
 func FuzzRepoLoad(f *testing.F) {
 	var valid bytes.Buffer
 	if err := fuzzSeedRepo().Save(&valid); err != nil {
@@ -71,6 +71,8 @@ func FuzzRepoLoad(f *testing.F) {
 		`{"version":1,"schemas":` + strings.Repeat("[", 1000) + strings.Repeat("]", 1000) + `}`,
 		"\x00\x01\x02",
 		`{"version":1e309}`,
+		`{"version":1,"schemas":null,"pathways":null} {"oops"`,
+		valid.String() + "{}",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

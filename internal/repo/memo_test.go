@@ -57,7 +57,8 @@ func refMarshal(t *testing.T, r *Repository) []byte {
 // document assembled from memoised fragments is byte for byte the one
 // encoded from scratch — the nulls encoding/json writes for an empty
 // repository, an object-less placeholder schema and a step-less pathway
-// included — and Save is that document indented.
+// included — that Document writes and encodes it as those bytes, and
+// that Save is that document indented.
 func TestMarshalMatchesFreshEncoding(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -97,6 +98,19 @@ func TestMarshalMatchesFreshEncoding(t *testing.T) {
 			}
 			if cap(got) != len(got) {
 				t.Errorf("seed %d after %s: document of %d bytes in a buffer of %d", seed, op, len(got), cap(got))
+			}
+			// A save writes the same document fragment by fragment, and
+			// encoding/json encodes it to the same tokens.
+			doc, err := r.Document()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var written bytes.Buffer
+			if n, err := doc.WriteTo(&written); err != nil || n != int64(len(want)) || !bytes.Equal(written.Bytes(), want) {
+				t.Fatalf("seed %d after %s: WriteTo wrote %d bytes (%v):\n%s", seed, op, n, err, written.Bytes())
+			}
+			if enc, err := json.Marshal(doc); err != nil || !bytes.Equal(enc, want) {
+				t.Fatalf("seed %d after %s: json.Marshal of the Document (%v):\n%s", seed, op, err, enc)
 			}
 			var saved, indented bytes.Buffer
 			if err := r.Save(&saved); err != nil {

@@ -2,6 +2,7 @@ package repo
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"github.com/dataspace/automed/internal/hdm"
@@ -152,6 +153,13 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte(
 		`{"version":1,"schemas":[{"name":"A","objects":[{"scheme":"<<>>","kind":"nodal"}]}]}`))); err == nil {
 		t.Error("bad scheme accepted")
+	}
+	// One document, then nothing but white space — as a session file.
+	if _, err := Load(strings.NewReader(`{"version":1,"schemas":null,"pathways":null} {"oops"`)); err == nil {
+		t.Error("trailing bytes accepted")
+	}
+	if _, err := Load(strings.NewReader("{\"version\":1,\"schemas\":null,\"pathways\":null}\n\t ")); err != nil {
+		t.Errorf("trailing white space refused: %v", err)
 	}
 }
 

@@ -181,7 +181,7 @@ func (st *Store) loadFile(path string) (*sessionState, error) {
 
 // decodeState decodes a session file: exactly one JSON document, then
 // nothing but white space. The source documents and the repository are
-// only skipped over here; wrapper.Decode and repo.Load decode them.
+// only skipped over here; wrapper.Decode and repo.Decode decode them.
 func decodeState(data []byte, file string) (*sessionState, error) {
 	var state sessionState
 	if err := json.Unmarshal(data, &state); err != nil {
@@ -220,11 +220,7 @@ func (st *Store) files() ([]string, error) {
 // sources (wrappers without a Snapshot hook) make the session
 // non-exportable and are reported by name.
 func (s *Session) Export() (*sessionState, error) {
-	s.mu.RLock()
-	ig := s.ig
-	ws := append([]wrapper.Wrapper(nil), s.wrappers...)
-	s.mu.RUnlock()
-
+	ig, ws := s.sources()
 	state := &sessionState{Format: storeFormat, Name: s.name}
 	if ig != nil {
 		snap, err := ig.Export()
@@ -242,15 +238,27 @@ func (s *Session) Export() (*sessionState, error) {
 	return state, nil
 }
 
-// sessionFromState rebuilds a session from its durable state. The
-// restored session starts cold: every cache layer (results, extent
-// memo, source extents) is empty and warms on demand, so restore never
+// sources returns the session's integrator (nil before Federate) and a
+// copy of its sources.
+func (s *Session) sources() (*core.Integrator, []wrapper.Wrapper) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.ig, append([]wrapper.Wrapper(nil), s.wrappers...)
+}
+
+// sessionFromState rebuilds a session from its durable state. held are
+// the sources of the session it replaces, if any: one whose document
+// the state holds byte for byte is the restored session's source as it
+// is (wrapper.Decode), every other is decoded. The restored session
+// starts cold all the same — a wrapper holds its data, not a cache: every
+// cache layer (results, extent memo, source extents, join indexes) is
+// the new session's own, empty, and warms on demand, so restore never
 // replays stale derived state — the snapshot holds definitions, not
 // materialisations.
-func sessionFromState(state *sessionState, cfg Config) (*Session, error) {
+func sessionFromState(state *sessionState, cfg Config, held ...wrapper.Wrapper) (*Session, error) {
 	sess := newSession(state.Name, cfg)
 	if state.Integrator != nil {
-		ig, err := core.Import(state.Integrator)
+		ig, err := core.Import(state.Integrator, held...)
 		if err != nil {
 			return nil, fmt.Errorf("server: restoring session %q: %w", state.Name, err)
 		}
@@ -260,7 +268,7 @@ func sessionFromState(state *sessionState, cfg Config) (*Session, error) {
 		return sess, nil
 	}
 	for _, doc := range state.Sources {
-		w, err := wrapper.Decode(doc)
+		w, err := wrapper.Decode(doc, held...)
 		if err != nil {
 			return nil, fmt.Errorf("server: restoring session %q: %w", state.Name, err)
 		}
@@ -348,7 +356,10 @@ func (s *Server) RestoreSessions() (int, error) {
 // loadSession loads one snapshot file and rebuilds its session, for the
 // caller to put in the registry; the time that took is what the restore
 // histogram records. A non-empty name is the session the file must be
-// for.
+// for. The caller holds the session's persistence lock, so the session
+// the file's name stands for now is the one the rebuilt session
+// replaces, and its unchanged sources are taken over rather than
+// decoded again.
 func (s *Server) loadSession(st *Store, path, name string) (*Session, error) {
 	start := time.Now()
 	state, err := st.loadFile(path)
@@ -358,7 +369,11 @@ func (s *Server) loadSession(st *Store, path, name string) (*Session, error) {
 	if name != "" && state.Name != name {
 		return nil, fmt.Errorf("%w: %s is for session %q, not %q", errBadSnapshot, filepath.Base(path), state.Name, name)
 	}
-	sess, err := sessionFromState(state, s.cfg)
+	var held []wrapper.Wrapper
+	if cur, err := s.reg.Get(state.Name, false); err == nil {
+		_, held = cur.sources()
+	}
+	sess, err := sessionFromState(state, s.cfg, held...)
 	if err != nil {
 		return nil, err
 	}

@@ -63,7 +63,20 @@ func EncodeAll(ws []Wrapper) ([]json.RawMessage, error) {
 // column type (rows.go) without validating them again. An in-memory
 // wrapper keeps the document as its memo, so saving a restored session
 // encodes no source until one changes. Decode takes ownership of doc.
-func Decode(doc json.RawMessage) (Wrapper, error) {
+//
+// held are wrappers the caller already has. An in-memory one whose
+// memoised document, at its current mutation stamp, is doc byte for
+// byte is returned as it is, decoding nothing: Decode(Encode(w)) is
+// equivalent to w, and a wrapper changed since it was encoded has moved
+// its stamp. A live kind (SQL, REST, fault) is never taken from held.
+func Decode(doc json.RawMessage, held ...Wrapper) (Wrapper, error) {
+	for _, w := range held {
+		if m, ok := w.(memoised); ok {
+			if memo, stamp := m.docMemo(); memo.holds(stamp, doc) {
+				return w, nil
+			}
+		}
+	}
 	var snap Snapshot
 	if err := json.Unmarshal(doc, &snap); err != nil {
 		return nil, fmt.Errorf("wrapper: decoding snapshot document: %w", err)
@@ -117,6 +130,13 @@ func (m *docMemo) get(stamp uint64, sn Snapshotter) (json.RawMessage, error) {
 		m.doc, m.stamp = doc, stamp
 	}
 	return m.doc, nil
+}
+
+// holds reports whether the memo is doc, encoded at stamp.
+func (m *docMemo) holds(stamp uint64, doc json.RawMessage) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.doc != nil && m.stamp == stamp && bytes.Equal(m.doc, doc)
 }
 
 func (m *docMemo) set(stamp uint64, doc json.RawMessage) {

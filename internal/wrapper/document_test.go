@@ -235,6 +235,67 @@ func TestDecodeKeepsDocument(t *testing.T) {
 	}
 }
 
+// TestDecodeTakesHeldWrapper: Decode returns a held in-memory wrapper —
+// relational, static, XML — as it is when its memoised document is the
+// one decoded, whichever place it holds among the held; and decodes
+// afresh a document held by no one, a held wrapper changed since it was
+// encoded, and a fault wrapper, which is live.
+func TestDecodeTakesHeldWrapper(t *testing.T) {
+	rw, err := NewRelational("Lib", snapshotDB(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStatic("Curated")
+	if err := st.Add(hdm.MustScheme("<<a>>"), hdm.Nodal, "", "", iql.Bag(iql.Int(1))); err != nil {
+		t.Fatal(err)
+	}
+	xw, err := NewXML("Doc", strings.NewReader(`<lib><book id="b1"><title>T</title></book></lib>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := NewFault(rw, FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := []Wrapper{fw, rw, st, xw}
+	docs := map[Wrapper]json.RawMessage{}
+	for _, w := range held {
+		doc, err := Encode(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[w] = bytes.Clone(doc)
+	}
+	for _, w := range []Wrapper{rw, st, xw} {
+		if got, err := Decode(bytes.Clone(docs[w]), held...); err != nil || got != w {
+			t.Errorf("%s: Decode of its own document = %p (%v), want the held %p", w.SchemaName(), got, err, w)
+		}
+		if got, err := Decode(bytes.Clone(docs[w])); err != nil || got == w {
+			t.Errorf("%s: Decode with nothing held = %p (%v), want a new wrapper", w.SchemaName(), got, err)
+		}
+	}
+	if got, err := Decode(bytes.Clone(docs[fw]), held...); err != nil || got == fw {
+		t.Errorf("a fault wrapper was taken from the held (%v)", err)
+	}
+	edited := bytes.Replace(docs[rw], []byte(`"L1"`), []byte(`"L9"`), 1)
+	if bytes.Equal(edited, docs[rw]) {
+		t.Fatal("the document has no loan L1 to edit")
+	}
+	if got, err := Decode(edited, held...); err != nil || got == rw {
+		t.Errorf("an edited document was answered with the held wrapper (%v)", err)
+	}
+	if err := st.Add(hdm.MustScheme("<<b>>"), hdm.Nodal, "", "", iql.Bag(iql.Int(2))); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(bytes.Clone(docs[st]), held...)
+	if err != nil || got == st {
+		t.Fatalf("a static source changed since it was encoded was taken from the held (%v)", err)
+	}
+	if _, err := got.Extent([]string{"b"}); err == nil {
+		t.Error("the decoded static source has the object added after its document was encoded")
+	}
+}
+
 // TestDocumentNonFiniteCell: a NaN or infinite float cell (CSV parses
 // them) is an error that says where the cell is.
 func TestDocumentNonFiniteCell(t *testing.T) {
