@@ -39,11 +39,14 @@ race:
 # depend on which workers happen to pick up shards, so one green run
 # proves little. So does the oracle, which runs every mode — sharded
 # among them — against the reference evaluator and must be as
-# deterministic. So do the per-session persistence tests (a save parked
-# in one session while another session, a restore, RestoreSessions,
-# Drain or OpenStore runs beside it; and TestPersistRestoreKeepsHeldSources,
-# a query on a session while restores hand its sources to the next),
-# under the race detector: which goroutine reaches a lock first is the
+# deterministic. So do the per-session persistence tests (a checkpoint
+# parked in one session while another session, a restore,
+# RestoreSessions, Drain or OpenStore runs beside it;
+# TestPersistRestoreKeepsHeldSources, a query on a session while
+# restores hand its sources to the next; and
+# TestPersistStepsJournalInOrder, steps from eight clients on one
+# session journaled in the order the integrator took them), under the
+# race detector: which goroutine reaches a lock first is the
 # scheduler's choice. So does one
 # cached plan evaluated by eight goroutines in two sessions, whose
 # comprehensions' analysis and parked evaluation state they share.
@@ -98,7 +101,8 @@ profile:
 # Table 1's, the reference evaluator's corpus, the lexer's edge tokens —
 # evaluated into the encoder and to a value, printed and parsed back, and
 # through every mode of the query processor against the reference
-# evaluator, session files whole, truncated and with trailing bytes, the
+# evaluator, session files whole, truncated, with trailing bytes and with
+# step records whole, torn and unreplayable, the
 # statements the in-process SQL driver must take or refuse) as plain
 # tests — the CI-safe equivalent of a -fuzztime run. A subset of `race`,
 # which ci runs: this target is for running the one guard by hand.

@@ -167,15 +167,8 @@ func BenchmarkPayAsYouGoCurve(b *testing.B) {
 		}
 		answerable := 0
 		for _, step := range ispider.IntersectionPlan() {
-			switch step.Kind {
-			case "intersect":
-				if _, err := ig.Intersect(step.Name, step.Mappings); err != nil {
-					b.Fatal(err)
-				}
-			case "refine":
-				if err := ig.Refine(step.Name, step.Refinement); err != nil {
-					b.Fatal(err)
-				}
+			if err := ig.Apply(step.Step()); err != nil {
+				b.Fatal(err)
 			}
 			for _, q := range ispider.Table1Queries() {
 				if _, err := ig.Query(q.IQL); err == nil {

@@ -163,15 +163,8 @@ func curve(cfg ispider.Config, drop bool) error {
 	})
 	cum := 0
 	for _, step := range ispider.IntersectionPlan() {
-		switch step.Kind {
-		case "intersect":
-			if _, err := ig.Intersect(step.Name, step.Mappings, step.Enables...); err != nil {
-				return err
-			}
-		case "refine":
-			if err := ig.Refine(step.Name, step.Refinement, step.Enables...); err != nil {
-				return err
-			}
+		if err := ig.Apply(step.Step()); err != nil {
+			return err
 		}
 		cum = ig.Report().Totals().Manual()
 		points = append(points, render.CurvePoint{

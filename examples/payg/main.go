@@ -41,15 +41,8 @@ func main() {
 
 	probe("F", 0)
 	for _, step := range ispider.IntersectionPlan() {
-		switch step.Kind {
-		case "intersect":
-			if _, err := ig.Intersect(step.Name, step.Mappings, step.Enables...); err != nil {
-				log.Fatalf("step %s: %v", step.Name, err)
-			}
-		case "refine":
-			if err := ig.Refine(step.Name, step.Refinement, step.Enables...); err != nil {
-				log.Fatalf("step %s: %v", step.Name, err)
-			}
+		if err := ig.Apply(step.Step()); err != nil {
+			log.Fatalf("step %s: %v", step.Name, err)
 		}
 		probe(step.Name, ig.Report().Totals().Manual())
 	}

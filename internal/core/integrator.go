@@ -88,9 +88,11 @@ type Integrator struct {
 	// part of the durable snapshot: a restored session re-federates from
 	// its full source list.
 	skipped []string
-	// queryText is the source text of each derivation's query (iql.Expr →
-	// string), which Export renders once per derivation.
-	queryText sync.Map
+	// steps are the Intersect and Refine steps taken, in order, with a
+	// zero Step in the place of every other change (steps.go); barrier is
+	// the length of the list at the latest such change.
+	steps   []Step
+	barrier int
 }
 
 // SetAutoDrop controls whether the global schemas automatically rebuilt
@@ -100,6 +102,7 @@ func (ig *Integrator) SetAutoDrop(drop bool) {
 	ig.mu.Lock()
 	defer ig.mu.Unlock()
 	ig.autoDrop = drop
+	ig.unjournaled()
 }
 
 type objMeta struct {
@@ -290,6 +293,7 @@ func (ig *Integrator) federateLocked(name string, sources []wrapper.Wrapper, ski
 	if name == "" {
 		name = "F"
 	}
+	ig.unjournaled()
 	fed := hdm.NewSchema(name)
 	var counts StepCounts
 	sections := ig.fedSections(name, sources)
@@ -356,6 +360,7 @@ func (ig *Integrator) Backfill(ctx context.Context) ([]string, error) {
 			return recovered, fmt.Errorf("core: backfilling source %q: %w", name, err)
 		}
 		recovered = append(recovered, name)
+		ig.unjournaled()
 	}
 	ig.skipped = still
 	return recovered, nil
@@ -746,12 +751,14 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 	// Workflow step 5: the tool automatically creates a new global
 	// schema from the intersection and the extensional schemas.
 	if _, err := ig.rebuildGlobal(ig.autoDrop); err != nil {
+		ig.unjournaled()
 		return nil, err
 	}
 	ig.iterations = append(ig.iterations, Iteration{
 		Name: name, Kind: "intersection", Counts: in.Counts,
 		Enables: enables, GlobalSchema: ig.globalName(),
 	})
+	ig.record(Step{Kind: StepIntersect, Name: name, Mappings: mappings, Enables: enables})
 	return in, nil
 }
 

@@ -34,24 +34,29 @@ import (
 // The two large members are held encoded: Sources as each source's
 // snapshot document (wrapper.Encode — memoised by the in-memory kinds,
 // so an unchanged source costs an Export nothing) and Repo as the
-// repository's document (repo.Document — an exported one is the
-// repository's memoised fragments, so an unchanged schema or pathway
-// costs an Export nothing either; a decoded one is the bytes it was read
-// from). json.Marshal of a Snapshot gives the logical JSON; WriteJSON
-// gives the same tokens without passing the large members through
-// encoding/json again or joining them.
+// repository's document (Repository.MarshalJSON). json.Marshal of a
+// Snapshot gives the logical JSON; WriteJSON gives the same tokens
+// without passing the large members through encoding/json again.
+//
+// A snapshot is a checkpoint: what a session file starts with. The
+// steps taken after it are recorded as they were taken (Step), and
+// Steps says where in the exporting integrator's list of them the
+// snapshot stands.
 type Snapshot struct {
 	Format        int                  `json:"format"`
 	AutoDrop      bool                 `json:"auto_drop,omitempty"`
 	FedName       string               `json:"federated_schema,omitempty"`
 	GlobalVersion int                  `json:"global_version"`
 	Sources       []json.RawMessage    `json:"sources"`
-	Repo          repo.Document        `json:"repo"`
+	Repo          json.RawMessage      `json:"repo"`
 	Definitions   []DerivationSnapshot `json:"definitions,omitempty"`
 	Intersections []IntersectionSnap   `json:"intersections,omitempty"`
 	Derived       []ObjectSnap         `json:"derived,omitempty"`
 	Versions      []VersionSnap        `json:"versions,omitempty"`
 	Iterations    []Iteration          `json:"iterations,omitempty"`
+	// Steps is how many of the exporting integrator's steps (StepsSince)
+	// the snapshot holds; it is not part of the document.
+	Steps int `json:"-"`
 }
 
 // SnapshotFormat is the current snapshot format version.
@@ -104,12 +109,13 @@ func (ig *Integrator) Export() (*Snapshot, error) {
 		AutoDrop:      ig.autoDrop,
 		FedName:       ig.fedName,
 		GlobalVersion: ig.globalVersion,
+		Steps:         len(ig.steps),
 	}
 	var err error
 	if snap.Sources, err = wrapper.EncodeAll(ig.sources); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if snap.Repo, err = ig.repo.Document(); err != nil {
+	if snap.Repo, err = ig.repo.MarshalJSON(); err != nil {
 		return nil, fmt.Errorf("core: snapshotting repository: %w", err)
 	}
 
@@ -122,15 +128,9 @@ func (ig *Integrator) Export() (*Snapshot, error) {
 	for _, od := range defs {
 		obj := hdm.NewScheme(strings.Split(od.Key, "|")...).String()
 		for _, d := range od.Derivs {
-			// An expression is never edited once built, so its text is
-			// rendered for the first snapshot that holds it and kept.
-			text, ok := ig.queryText.Load(d.Query)
-			if !ok {
-				text, _ = ig.queryText.LoadOrStore(d.Query, d.Query.String())
-			}
 			snap.Definitions = append(snap.Definitions, DerivationSnapshot{
 				Object: obj,
-				Query:  text.(string),
+				Query:  d.Query.String(),
 				Lower:  d.Lower,
 				Via:    d.Via,
 				Scope:  d.Scope,
@@ -173,11 +173,11 @@ func (ig *Integrator) Export() (*Snapshot, error) {
 
 // WriteJSON writes the snapshot as one JSON object: the small members
 // through encoding/json, and between them the source documents and the
-// repository's fragments verbatim, each source and the repository on a
+// repository's document verbatim, each source and the repository on a
 // line of its own.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	small := *s
-	small.Sources, small.Repo = nil, repo.Document{}
+	small.Sources, small.Repo = nil, nil
 	b, err := json.Marshal(&small)
 	if err != nil {
 		return err
@@ -200,9 +200,10 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 		bw.Write(doc)
 	}
 	bw.WriteString("\n],\"repo\":\n")
-	if _, err := s.Repo.WriteTo(bw); err != nil {
-		return err
+	if s.Repo == nil {
+		bw.WriteString("null")
 	}
+	bw.Write(s.Repo)
 	bw.WriteByte('\n')
 	bw.Write(b[at+len(hole):])
 	return bw.Flush()
@@ -225,11 +226,7 @@ func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 		return nil, fmt.Errorf("core: snapshot has no sources")
 	}
 
-	doc, err := snap.Repo.MarshalJSON()
-	if err != nil {
-		return nil, fmt.Errorf("core: restoring repository: %w", err)
-	}
-	r, err := repo.Decode(doc)
+	r, err := repo.Decode(snap.Repo)
 	if err != nil {
 		return nil, fmt.Errorf("core: restoring repository: %w", err)
 	}

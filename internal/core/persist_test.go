@@ -5,14 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
-	"unsafe"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
@@ -28,26 +24,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden snapshot files")
 // a static source alongside the relational ones.
 func multiIterationIntegrator(t *testing.T) *Integrator {
 	t.Helper()
-	wl, err := wrapper.NewRelational("Library", libraryDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := wrapper.NewRelational("Shop", shopDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := wrapper.NewStatic("Curated")
-	if err := st.Add(hdm.MustScheme("<<picks>>"), hdm.Nodal, "sql", "table",
-		iql.Bag(iql.Str("978-2"), iql.Str("978-9"))); err != nil {
-		t.Fatal(err)
-	}
-	ig, err := New(wl, ws, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ig.Federate("F"); err != nil {
-		t.Fatal(err)
-	}
+	ig := federatedLibrary(t)
 	if _, err := ig.Intersect("I1", bookMappings(), "Q1", "Q2"); err != nil {
 		t.Fatal(err)
 	}
@@ -269,86 +246,138 @@ func TestImportRejectsCorruptSnapshots(t *testing.T) {
 	}
 }
 
-// TestSecondExportSharesTheFirst: a save costs what the step before it
-// added. Every schema and pathway the first Export encoded stands byte
-// for byte in the repository document of the Export after a Refine, every
-// definition the first held is in the second with the very same query
-// text (one string, rendered once), and an Export with nothing new to
-// encode allocates the snapshot's own small members and no copy of the
-// document: its bytes do not grow with the repository's.
-func TestSecondExportSharesTheFirst(t *testing.T) {
-	ig := multiIterationIntegrator(t)
-	first, err := ig.Export()
+// TestStepsReplayToTheLiveSnapshot: a checkpoint taken after
+// federation, with the steps taken since — each through its JSON form, as
+// a session file journals it — applied to its import, exports byte for
+// byte what the live integrator exports, answers alike and reports
+// alike. A change no step records (SetAutoDrop, BuildGlobal) leaves
+// StepsSince false for every checkpoint taken before it, and a
+// checkpoint taken after it journals on from there.
+func TestStepsReplayToTheLiveSnapshot(t *testing.T) {
+	live := multiIterationIntegrator(t)
+	all, ok := live.StepsSince(0)
+	if ok {
+		t.Fatal("StepsSince(0) holds a federation, which no step records")
+	}
+	snap := mustExport(t, live)
+	if all, ok = live.StepsSince(snap.Steps); !ok || len(all) != 0 {
+		t.Fatalf("StepsSince(the latest checkpoint) = %d steps, %v; want none, true", len(all), ok)
+	}
+	// The same session again, checkpointed after federation.
+	ig := federatedLibrary(t)
+	cp := mustExport(t, ig)
+	steps := replaySteps(t, ig, live)
+	if len(steps) != 3 {
+		t.Fatalf("%d steps recorded after federation, want 3", len(steps))
+	}
+	restored, err := Import(decodeSnapshot(t, exportJSONOf(t, cp)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstRepo := repoBytes(t, first)
-	if err := ig.Refine("titles", Attribute("<<UBook, heading>>",
-		From("Library", "[{'LIB', k, x} | {k, x} <- <<books, title>>]")), "Q5"); err != nil {
-		t.Fatal(err)
-	}
-	second, err := ig.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct{ Schemas, Pathways []json.RawMessage }
-	if err := json.Unmarshal(firstRepo, &doc); err != nil {
-		t.Fatal(err)
-	}
-	secondRepo := repoBytes(t, second)
-	if len(doc.Schemas) == 0 || len(doc.Pathways) == 0 || len(secondRepo) <= len(firstRepo) {
-		t.Fatalf("%d schemas, %d pathways, documents of %d then %d bytes", len(doc.Schemas), len(doc.Pathways), len(firstRepo), len(secondRepo))
-	}
-	for _, frag := range append(doc.Schemas, doc.Pathways...) {
-		if !bytes.Contains(secondRepo, frag) {
-			t.Errorf("the second document lacks %s", frag)
+	for _, st := range steps {
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again Step
+		if err := json.Unmarshal(b, &again); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Apply(again); err != nil {
+			t.Fatalf("replaying %s: %v", b, err)
 		}
 	}
-	texts := map[*byte]bool{}
-	for _, d := range second.Definitions {
-		texts[unsafe.StringData(d.Query)] = true
+	if got, want := exportJSON(t, restored), exportJSON(t, ig); !bytes.Equal(got, want) {
+		t.Fatalf("the checkpoint and its steps differ from the live session:\n got %.600s\nwant %.600s", got, want)
 	}
-	if len(second.Definitions) <= len(first.Definitions) {
-		t.Fatalf("%d definitions, then %d", len(first.Definitions), len(second.Definitions))
+	if got, want := versionedAnswers(t, restored), versionedAnswers(t, ig); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed answers differ:\ngot  %v\nwant %v", got, want)
 	}
-	for _, d := range first.Definitions {
-		if !texts[unsafe.StringData(d.Query)] {
-			t.Errorf("the query of %s was rendered again: %s", d.Object, d.Query)
-		}
+	if got, want := restored.Report(), ig.Report(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed report differs:\ngot  %+v\nwant %+v", got, want)
 	}
-	var third *Snapshot
-	allocs := testing.AllocsPerRun(5, func() { third, err = ig.Export() })
-	if err != nil || !bytes.Equal(repoBytes(t, third), secondRepo) || !reflect.DeepEqual(third.Definitions, second.Definitions) {
-		t.Fatalf("a repeated Export differs (%v)", err)
-	}
-	// Three slices of fragments and names in Document; a handful per
-	// definition, intersection, version and iteration (170 here, where
-	// encoding the repository again made it 1,005).
-	if bound := float64(100 + 6*len(third.Definitions)); allocs > bound {
-		t.Errorf("an Export with nothing new to encode is %.0f allocations, want at most %.0f", allocs, bound)
-	}
-	t.Logf("%d schemas, %d pathways, %d definitions, %d B: %.0f allocations", len(doc.Schemas), len(doc.Pathways), len(third.Definitions), len(secondRepo), allocs)
 
-	// The bytes of such an Export, against those of one over a repository
-	// four times the size (schemas stored beside the plan's, so the
-	// snapshot's other members stay as they were): a save holds no copy
-	// of the document, so what grows is a slice header and a name a
-	// schema.
-	small, smallDoc := exportBytes(t, ig), len(secondRepo)
-	for i := 0; len(repoBytes(t, mustExport(t, ig))) < 4*smallDoc; i++ {
-		extra := hdm.NewSchema(fmt.Sprintf("Extra%d", i))
-		for j := range 50 {
-			extra.MustAdd(hdm.NewObject(hdm.MustScheme(fmt.Sprintf("<<extra%d, column%d>>", i, j)), hdm.Link, "sql", "column"))
+	before := mustExport(t, ig)
+	ig.SetAutoDrop(true)
+	if _, ok := ig.StepsSince(before.Steps); ok {
+		t.Error("StepsSince is true across SetAutoDrop")
+	}
+	after := mustExport(t, ig)
+	if err := ig.Refine("late", Attribute("<<UBook, late>>",
+		From("Library", "[{'LIB', k, x} | {k, x} <- <<books, title>>]"))); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := ig.StepsSince(after.Steps); !ok || len(got) != 1 || got[0].Name != "late" {
+		t.Errorf("StepsSince(a checkpoint after SetAutoDrop) = %+v, %v; want the one refinement", got, ok)
+	}
+	if _, err := ig.BuildGlobal(true); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ig.StepsSince(after.Steps); ok {
+		t.Error("StepsSince is true across BuildGlobal")
+	}
+	if err := ig.Apply(Step{Kind: "merge", Name: "x"}); err == nil {
+		t.Error("a step of an unknown kind was applied")
+	}
+	if err := ig.Apply(Step{Kind: StepRefine, Name: "x"}); err == nil {
+		t.Error("a refine step without its mapping was applied")
+	}
+}
+
+// federatedLibrary is multiIterationIntegrator's sources, federated.
+func federatedLibrary(t *testing.T) *Integrator {
+	t.Helper()
+	wl, err := wrapper.NewRelational("Library", libraryDB(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := wrapper.NewRelational("Shop", shopDB(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := wrapper.NewStatic("Curated")
+	if err := st.Add(hdm.MustScheme("<<picks>>"), hdm.Nodal, "sql", "table",
+		iql.Bag(iql.Str("978-2"), iql.Str("978-9"))); err != nil {
+		t.Fatal(err)
+	}
+	ig, err := New(wl, ws, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ig.Federate("F"); err != nil {
+		t.Fatal(err)
+	}
+	return ig
+}
+
+// replaySteps applies to ig, in order, the steps live took after its
+// federation, and returns the steps ig recorded for them.
+func replaySteps(t *testing.T, ig, live *Integrator) []Step {
+	t.Helper()
+	from := len(ig.steps)
+	for _, st := range live.steps {
+		if st.Kind == "" {
+			continue // the federation
 		}
-		if err := ig.Repo().AddSchema(extra); err != nil {
+		if err := ig.Apply(st); err != nil {
 			t.Fatal(err)
 		}
 	}
-	large, largeDoc := exportBytes(t, ig), len(repoBytes(t, mustExport(t, ig)))
-	if large > small+uint64(largeDoc-smallDoc)/16 {
-		t.Errorf("an Export with nothing new to encode allocates %d B over a %d B document and %d B over a %d B one: it grows with the document", small, smallDoc, large, largeDoc)
+	steps, ok := ig.StepsSince(from)
+	if !ok {
+		t.Fatal("StepsSince is false across steps alone")
 	}
-	t.Logf("an Export with nothing new to encode: %d B over a %d B document, %d B over a %d B one", small, smallDoc, large, largeDoc)
+	return steps
+}
+
+// exportJSONOf is a snapshot as a session file holds it.
+func exportJSONOf(t *testing.T, snap *Snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := snap.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // mustExport is ig.Export or the end of the test.
@@ -359,30 +388,4 @@ func mustExport(t *testing.T, ig *Integrator) *Snapshot {
 		t.Fatal(err)
 	}
 	return snap
-}
-
-// repoBytes is the repository document of snap, joined.
-func repoBytes(t *testing.T, snap *Snapshot) []byte {
-	t.Helper()
-	doc, err := snap.Repo.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return doc
-}
-
-// exportBytes is what an Export of ig allocates, in bytes, once its
-// memo is warm: the least of several runs.
-func exportBytes(t *testing.T, ig *Integrator) uint64 {
-	t.Helper()
-	mustExport(t, ig)
-	least := uint64(math.MaxUint64)
-	var before, after runtime.MemStats
-	for range 5 {
-		runtime.ReadMemStats(&before)
-		mustExport(t, ig)
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
-	return least
 }

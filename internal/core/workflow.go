@@ -50,12 +50,14 @@ func (ig *Integrator) Refine(name string, m Mapping, enables ...string) error {
 	// every other warm answer stays live across the new version.
 	ig.derivedObjs = append(ig.derivedObjs, objMeta{scheme: tsc, kind: kind})
 	if _, err := ig.rebuildGlobal(ig.autoDrop); err != nil {
+		ig.unjournaled()
 		return err
 	}
 	ig.iterations = append(ig.iterations, Iteration{
 		Name: name, Kind: "refinement", Counts: counts,
 		Enables: enables, GlobalSchema: ig.globalName(),
 	})
+	ig.record(Step{Kind: StepRefine, Name: name, Mapping: &m, Enables: enables})
 	return nil
 }
 
@@ -72,6 +74,7 @@ func (ig *Integrator) Refine(name string, m Mapping, enables ...string) error {
 func (ig *Integrator) BuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 	ig.mu.Lock()
 	defer ig.mu.Unlock()
+	ig.unjournaled()
 	g, err := ig.rebuildGlobal(dropRedundant)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,6 @@ type Schema struct {
 	name    string
 	objects map[string]*Object
 	order   []string
-	muts    uint64
 }
 
 // NewSchema returns an empty schema with the given name.
@@ -30,12 +29,6 @@ func (s *Schema) Name() string { return s.name }
 // Len returns the number of objects.
 func (s *Schema) Len() int { return len(s.order) }
 
-// Mutations counts the changes made to the schema's objects: Add,
-// Remove and Rename each move it, so anything derived from the objects
-// and kept (the repository's encoding of the schema) is current exactly
-// while the count it was made at stands.
-func (s *Schema) Mutations() uint64 { return s.muts }
-
 // Add inserts an object; it is an error if an object with the same
 // scheme already exists.
 func (s *Schema) Add(o *Object) error {
@@ -51,7 +44,6 @@ func (s *Schema) Add(o *Object) error {
 	}
 	s.objects[k] = o
 	s.order = append(s.order, k)
-	s.muts++
 	return nil
 }
 
@@ -70,7 +62,6 @@ func (s *Schema) Remove(sc Scheme) error {
 		return fmt.Errorf("hdm: schema %q does not contain %s", s.name, sc)
 	}
 	delete(s.objects, k)
-	s.muts++
 	for i, ok := range s.order {
 		if ok == k {
 			s.order = append(s.order[:i], s.order[i+1:]...)
@@ -96,7 +87,6 @@ func (s *Schema) Rename(from, to Scheme) error {
 		return fmt.Errorf("hdm: schema %q already contains %s", s.name, to)
 	}
 	delete(s.objects, fk)
-	s.muts++
 	s.objects[tk] = o.WithScheme(to)
 	for i, k := range s.order {
 		if k == fk {

@@ -219,15 +219,8 @@ func TestPayAsYouGoAnswerability(t *testing.T) {
 	}
 	probe("F")
 	for _, step := range IntersectionPlan() {
-		switch step.Kind {
-		case "intersect":
-			if _, err := ig.Intersect(step.Name, step.Mappings, step.Enables...); err != nil {
-				t.Fatalf("step %s: %v", step.Name, err)
-			}
-		case "refine":
-			if err := ig.Refine(step.Name, step.Refinement, step.Enables...); err != nil {
-				t.Fatalf("step %s: %v", step.Name, err)
-			}
+		if err := ig.Apply(step.Step()); err != nil {
+			t.Fatalf("step %s: %v", step.Name, err)
 		}
 		probe(step.Name)
 	}

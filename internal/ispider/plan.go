@@ -23,6 +23,17 @@ type PlanStep struct {
 	ManualExpected int
 }
 
+// Step is the plan step as the integrator takes it.
+func (s PlanStep) Step() core.Step {
+	st := core.Step{Kind: s.Kind, Name: s.Name, Enables: s.Enables}
+	if s.Kind == core.StepRefine {
+		st.Mapping = &s.Refinement
+	} else {
+		st.Mappings = s.Mappings
+	}
+	return st
+}
+
 // IntersectionPlan returns the paper's five-iteration, query-driven
 // integration plan (§3). The transformations are verbatim from the
 // paper with two documented adjustments: the pepSeeker accession
@@ -152,17 +163,8 @@ func RunIntersection(cfg Config, dropRedundant bool) (*core.Integrator, error) {
 func ReplayPlan(ig *core.Integrator, plan []PlanStep) error {
 	for _, step := range plan {
 		before := ig.Report().Totals().Manual()
-		switch step.Kind {
-		case "intersect":
-			if _, err := ig.Intersect(step.Name, step.Mappings, step.Enables...); err != nil {
-				return fmt.Errorf("ispider: step %s: %w", step.Name, err)
-			}
-		case "refine":
-			if err := ig.Refine(step.Name, step.Refinement, step.Enables...); err != nil {
-				return fmt.Errorf("ispider: step %s: %w", step.Name, err)
-			}
-		default:
-			return fmt.Errorf("ispider: step %s: unknown kind %q", step.Name, step.Kind)
+		if err := ig.Apply(step.Step()); err != nil {
+			return fmt.Errorf("ispider: step %s: %w", step.Name, err)
 		}
 		manual := ig.Report().Totals().Manual() - before
 		if manual != step.ManualExpected {

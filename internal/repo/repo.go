@@ -18,21 +18,11 @@ type Repository struct {
 	mu       sync.RWMutex
 	schemas  map[string]*hdm.Schema
 	pathways []*transform.Pathway
-
-	// What MarshalJSON last encoded each stored schema and pathway to
-	// (persist.go): filled by saving, never by loading.
-	memoMu      sync.Mutex
-	schemaDocs  map[*hdm.Schema]fragment
-	pathwayDocs map[*transform.Pathway]fragment
 }
 
 // New returns an empty repository.
 func New() *Repository {
-	return &Repository{
-		schemas:     make(map[string]*hdm.Schema),
-		schemaDocs:  make(map[*hdm.Schema]fragment),
-		pathwayDocs: make(map[*transform.Pathway]fragment),
-	}
+	return &Repository{schemas: make(map[string]*hdm.Schema)}
 }
 
 // AddSchema stores a schema; duplicate names are an error.

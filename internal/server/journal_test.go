@@ -1,0 +1,366 @@
+package server
+
+import (
+	"bytes"
+	"fmt"
+	"log/slog"
+	"math"
+	"math/rand"
+	"net/http"
+	"os"
+	"strings"
+	"sync"
+	"testing"
+
+	"github.com/dataspace/automed/internal/core"
+	"github.com/dataspace/automed/internal/ispider"
+	"github.com/dataspace/automed/internal/wrapper"
+)
+
+// Tests of the session journal: a step's autosave appends the step's
+// record to the file the session last wrote or read; any other change,
+// and a file that is no longer that one, writes a checkpoint instead;
+// and a restore takes the recorded steps again, dropping a torn last
+// record.
+
+// stepBody is a recorded step as its endpoint's request.
+func stepBody(session string, st core.Step) map[string]any {
+	body := map[string]any{"session": session, "name": st.Name, "enables": st.Enables}
+	if st.Kind == core.StepIntersect {
+		body["mappings"] = st.Mappings
+	} else {
+		body["mapping"] = st.Mapping
+	}
+	return body
+}
+
+// checkpointOf is the checkpoint a session of s would write now.
+func checkpointOf(t *testing.T, s *Server, name string) []byte {
+	t.Helper()
+	sess, err := s.Sessions().Get(name, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := sess.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := renderState(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// saves reads the save counters of s.
+func saves(s *Server) (all, checkpoints uint64) {
+	m := s.metricsSnapshot()
+	return m.Snapshots, m.Checkpoints
+}
+
+// TestJournalHistories is the journal's oracle: random histories
+// over the case study — plan steps, rejected steps, restores, restarts,
+// forced checkpoints, a crash that tears an append, a source changed
+// in memory — after each of which a server that restores the data
+// directory from nothing holds the session the live server holds,
+// checkpoint for checkpoint (sources, repository, definitions, versions,
+// report). A step's autosave is one record appended, unless the file
+// cannot be continued: after a torn append or a changed source it is a
+// checkpoint.
+func TestJournalHistories(t *testing.T) {
+	plan := ispider.IntersectionPlan()
+	for seed := int64(1); seed <= 8; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		dir := t.TempDir()
+		s, c := newDurableClient(t, dir)
+		newSessionOver(t, s, "h", caseSources(t))
+		c.must("POST", "/federate", map[string]any{"session": "h", "name": "F"}, http.StatusCreated)
+		next, inserted := 0, 0
+		// A step's save is a checkpoint while the file ends in a torn
+		// record, or a source changed beside the session since its file
+		// was written or read; until the latter is saved, the file does
+		// not hold the session.
+		torn, mutated := false, false
+		var history []string
+		for len(history) < 14 {
+			op := []string{"step", "step", "step", "rejected", "restore", "restart", "checkpoint", "torn", "mutate"}[rnd.Intn(9)]
+			all, cps := saves(s)
+			switch op {
+			case "step":
+				if next == len(plan) {
+					continue
+				}
+				c.must("POST", "/"+plan[next].Kind, stepBody("h", plan[next].Step()), http.StatusCreated)
+				op += " " + plan[next].Name
+				next++
+				if a, k := saves(s); a != all+1 || (k != cps) != (torn || mutated) {
+					t.Fatalf("seed %d after %v: %s wrote %d saves, %d of them checkpoints; want one, a checkpoint: %v",
+						seed, history, op, a-all, k-cps, torn || mutated)
+				}
+				torn, mutated = false, false
+			case "rejected":
+				c.must("POST", "/intersect", map[string]any{"session": "h", "name": "bad", "mappings": []map[string]any{{
+					"target": "<<UBad>>", "forward": []map[string]any{
+						{"source": "Pedro", "query": "[{'P', k} | k <- <<protein>>]"},
+						{"source": "gpmDB", "query": "[{'G', k} | k <- <<no_such_table>>]"},
+					},
+				}}}, http.StatusBadRequest)
+			case "restore":
+				c.must("POST", "/sessions/h/restore", nil, http.StatusOK)
+				mutated = false
+			case "restart":
+				s, c = newDurableClient(t, dir)
+				mutated = false
+			case "checkpoint":
+				c.must("POST", "/sessions/h/snapshot", nil, http.StatusOK)
+				torn, mutated = false, false
+			case "torn":
+				// An append the process died in: half a record, no line
+				// feed. No append follows a torn one: the file is then
+				// longer than the session knows it, so its next save is a
+				// checkpoint.
+				if torn {
+					continue
+				}
+				f, err := os.OpenFile(s.Store().Path("h"), os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteString("\x1e{\"step\":\"refine\",\"na"); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+				torn = true
+			case "mutate":
+				sess, err := s.Sessions().Get("h", false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, ws := sess.sources()
+				tb := ws[rnd.Intn(len(ws))].(*wrapper.Relational).DB().Tables()[0]
+				row := append([]any(nil), tb.Row(0)...)
+				pk, _ := tb.ColIndex(tb.PrimaryKey())
+				inserted++
+				switch row[pk].(type) {
+				case int64:
+					row[pk] = int64(math.MaxInt64 - inserted)
+				case string:
+					row[pk] = fmt.Sprintf("inserted-%d", inserted)
+				}
+				tb.MustInsert(row...)
+				mutated = true
+			}
+			history = append(history, op)
+			if mutated {
+				continue // a change made beside the session is saved with its next step
+			}
+			s2, _ := newDurableClient(t, dir)
+			if got, want := checkpointOf(t, s2, "h"), checkpointOf(t, s, "h"); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d after %v: the restarted session differs from the live one:\n got %.800s\nwant %.800s", seed, history, got, want)
+			}
+		}
+		t.Logf("seed %d: %v", seed, history)
+	}
+}
+
+// TestJournalRecords: the bytes a step's autosave writes are its
+// record — a fraction of the file — and the file is the federation's
+// checkpoint and one record per step after it; a restart answers every
+// published version as the live session did. A torn last record is
+// dropped with a warning, the step before it answering; a record that
+// is not the last and does not decode fails the restore, and so does
+// one that does not replay.
+func TestJournalRecords(t *testing.T) {
+	dir := t.TempDir()
+	s, c := newDurableClient(t, dir)
+	registerBookstore(c, "", 40)
+	c.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
+	cpAll, cpCheckpoints := saves(s)
+	checkpoint, err := os.ReadFile(s.Store().Path("default"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesBefore := s.metricsSnapshot().SnapshotBytes
+	c.must("POST", "/intersect", map[string]any{"name": "I1", "mappings": ubookMappings}, http.StatusCreated)
+	c.must("POST", "/intersect", map[string]any{"name": "I2", "mappings": upricedMappings}, http.StatusCreated)
+	all, checkpoints := saves(s)
+	written := s.metricsSnapshot().SnapshotBytes - bytesBefore
+	if all != cpAll+2 || checkpoints != cpCheckpoints || written*4 > uint64(len(checkpoint)) {
+		t.Fatalf("two steps wrote %d saves, %d checkpoints, %d bytes over a %d-byte checkpoint; want 2 appends of a few hundred bytes",
+			all-cpAll, checkpoints-cpCheckpoints, written, len(checkpoint))
+	}
+	file, err := os.ReadFile(s.Store().Path("default"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, ok := bytes.CutPrefix(file, checkpoint)
+	if !ok || bytes.Count(records, []byte{recordSep}) != 2 || int64(len(records)) != int64(written) {
+		t.Fatalf("the file is not the checkpoint and two records:\n%s", file[min(len(file), len(checkpoint)):])
+	}
+	before := make([]string, len(versionedWorkload))
+	for i, q := range versionedWorkload {
+		before[i] = canonicalAnswer(t, c.must("POST", "/query", q, http.StatusOK))
+	}
+	_, c2 := newDurableClient(t, dir)
+	for i, q := range versionedWorkload {
+		if got := canonicalAnswer(t, c2.must("POST", "/query", q, http.StatusOK)); got != before[i] {
+			t.Errorf("query %v after a restart:\n got %s\nwant %s", q, got, before[i])
+		}
+	}
+
+	// A source changed beside the session since its checkpoint: the next
+	// step's save is a checkpoint, which holds the change.
+	sess, err := s.Sessions().Get("default", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ws := sess.sources()
+	books, _ := ws[0].(*wrapper.Relational).DB().Table("books")
+	books.MustInsert(int64(1000), "978-1000", "Inserted")
+	_, cps := saves(s)
+	c.must("POST", "/refine", map[string]any{"name": "titles", "mapping": map[string]any{
+		"target":  "<<UBook, title>>",
+		"forward": []map[string]any{{"source": "Library", "query": "[{'LIB', k, x} | {k, x} <- <<books, title>>]"}},
+	}}, http.StatusCreated)
+	if _, k := saves(s); k != cps+1 {
+		t.Errorf("a step after a source changed wrote %d checkpoints, want 1", k-cps)
+	}
+	_, c4 := newDurableClient(t, dir)
+	if n := c4.must("POST", "/query", map[string]any{"query": "count(<<library_books>>)"}, http.StatusOK)["value"]; n != float64(41) {
+		t.Errorf("after a restart the changed source has %v books, want 41", n)
+	}
+
+	// Torn: the last record cut short, at every length it could have
+	// reached before the crash.
+	last := bytes.LastIndexByte(file, recordSep)
+	for _, cut := range []int{last + 1, last + 9, len(file) - 1} {
+		path := s.Store().Path("torn")
+		if err := os.WriteFile(path, bytes.Replace(file[:cut], []byte(`"name":"default"`), []byte(`"name":"torn"`), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var logs syncBuffer
+		cfg := DefaultConfig()
+		cfg.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+		s3, c3 := newTestClient(t, cfg)
+		if err := s3.OpenStore(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s3.RestoreSessions(); err != nil {
+			t.Fatalf("a torn record at %d of %d failed the start: %v", cut, len(file), err)
+		}
+		if v := c3.must("POST", "/sessions/torn/restore", nil, http.StatusOK)["version"]; v != float64(1) {
+			t.Errorf("torn at %d: restored at version %v, want 1", cut, v)
+		}
+		if !strings.Contains(logs.String(), "torn step record") {
+			t.Errorf("torn at %d: no warning logged:\n%s", cut, logs.String())
+		}
+		// The torn session's next save is a checkpoint, so the file loads
+		// clean again.
+		c3.must("POST", "/intersect", map[string]any{"session": "torn", "name": "I2", "mappings": upricedMappings}, http.StatusCreated)
+		if state, err := s3.Store().Load("torn"); err != nil || state.torn != 0 || len(state.steps) != 0 || state.Integrator.GlobalVersion != 2 {
+			t.Fatalf("torn at %d: after the next step the file is %+v (%v), want a checkpoint at version 2", cut, state, err)
+		}
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Not torn: a record before the last that does not decode, and one
+	// that decodes but names what the session does not have.
+	for name, bad := range map[string][]byte{
+		"garbled":    bytes.Replace(file, []byte(`"step":"intersect","name":"I1"`), []byte(`"step":"intersect""name":"I1"`), 1),
+		"unreplayed": bytes.Replace(file, []byte(`"step":"intersect","name":"I1"`), []byte(`"step":"merge","name":"I1"`), 1),
+	} {
+		bad = bytes.Replace(bad, []byte(`"name":"default"`), []byte(`"name":"`+name+`"`), 1)
+		if err := os.WriteFile(s.Store().Path(name), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if status, body := c.do("POST", "/sessions/"+name+"/restore", nil); status != http.StatusBadRequest || !strings.Contains(fmt.Sprint(body), "step record 1") {
+			t.Errorf("restore of a file whose first record is %s = %d %v, want 400 naming step record 1", name, status, body)
+		}
+	}
+}
+
+// syncBuffer is a bytes.Buffer a logger may write from any goroutine.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestJournalCompacts: once the records after a checkpoint would
+// outgrow it, the step's autosave writes a checkpoint instead, and the
+// journal starts again after it.
+func TestJournalCompacts(t *testing.T) {
+	s, c := newDurableClient(t, t.TempDir())
+	registerBookstore(c, "", 1)
+	c.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
+	_, before := saves(s)
+	for i := 0; ; i++ {
+		if i == 50 {
+			t.Fatal("50 steps and no checkpoint")
+		}
+		c.must("POST", "/refine", map[string]any{"name": fmt.Sprintf("r%d", i), "mapping": map[string]any{
+			"target":  fmt.Sprintf("<<UBook, copy%d>>", i),
+			"forward": []map[string]any{{"source": "Library", "query": "[{'LIB', k, x} | {k, x} <- <<books, title>>]"}},
+		}}, http.StatusCreated)
+		if _, cps := saves(s); cps > before {
+			state, err := s.Store().Load("default")
+			if err != nil || len(state.steps) != 0 || state.Integrator.GlobalVersion != i+1 {
+				t.Fatalf("after the compacting step: %+v (%v), want a checkpoint at version %d", state, err, i+1)
+			}
+			if i < 2 {
+				t.Fatalf("a checkpoint after %d steps: the journal was not kept", i+1)
+			}
+			return
+		}
+		info, err := os.Stat(s.Store().Path("default"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state, err := s.Store().Load("default"); err != nil || info.Size() > 2*state.checkpoint {
+			t.Fatalf("step %d: a %d-byte file over a %d-byte checkpoint (%v)", i, info.Size(), state.checkpoint, err)
+		}
+	}
+}
+
+// TestPersistStepsJournalInOrder: steps on one session from many
+// clients at once are journaled in the order the integrator took them,
+// whichever autosave runs first — a restart publishes the same versions
+// of the same steps as the live session. Under -race in make flake.
+func TestPersistStepsJournalInOrder(t *testing.T) {
+	dir := t.TempDir()
+	s, c := newDurableClient(t, dir)
+	registerBookstore(c, "", 3)
+	c.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, body := c.do("POST", "/refine", map[string]any{"name": fmt.Sprintf("r%d", i), "mapping": map[string]any{
+				"target":  fmt.Sprintf("<<UBook, copy%d>>", i),
+				"forward": []map[string]any{{"source": "Library", "query": "[{'LIB', k, x} | {k, x} <- <<books, title>>]"}},
+			}})
+			if status != http.StatusCreated {
+				t.Errorf("refine r%d = %d %v", i, status, body)
+			}
+		}()
+	}
+	wg.Wait()
+	s2, _ := newDurableClient(t, dir)
+	if got, want := checkpointOf(t, s2, "default"), checkpointOf(t, s, "default"); !bytes.Equal(got, want) {
+		t.Fatalf("the restarted session differs from the live one:\n got %.800s\nwant %.800s", got, want)
+	}
+}

@@ -23,7 +23,8 @@ type Metrics struct {
 	queryTimeouts atomic.Uint64
 	iterations    atomic.Uint64 // integration steps served (federate/intersect/refine)
 
-	snapshots       atomic.Uint64 // session snapshots written (autosave + explicit)
+	snapshots       atomic.Uint64 // session saves that wrote (autosave + explicit)
+	checkpoints     atomic.Uint64 // of which wrote a whole checkpoint
 	snapshotBytes   atomic.Uint64 // bytes of session files written
 	snapshotErrors  atomic.Uint64 // failed snapshot writes
 	sessionRestores atomic.Uint64 // sessions restored from the store
@@ -37,7 +38,7 @@ type Metrics struct {
 
 	lat         *obs.Histogram
 	queueWait   *obs.Histogram // time spent parked in the admission queue
-	snapshotLat *obs.Histogram // export + encode + write + fsync + rename of one session
+	snapshotLat *obs.Histogram // one save: an append + fsync, or export + encode + write + fsync + rename
 	restoreLat  *obs.Histogram // read + decode + rebuild of one session
 	sources     *obs.Sources
 }
@@ -71,10 +72,14 @@ func (m *Metrics) Request() { m.requestsTotal.Add(1) }
 // Iteration counts one served integration step.
 func (m *Metrics) Iteration() { m.iterations.Add(1) }
 
-// SnapshotWritten counts one session snapshot written to the store:
-// the size of its file and how long export through rename took.
-func (m *Metrics) SnapshotWritten(bytes int64, d time.Duration) {
+// SnapshotWritten counts one session save written to the store: the
+// bytes it wrote, how long it took, and whether it was a checkpoint
+// (the whole file) rather than step records appended.
+func (m *Metrics) SnapshotWritten(bytes int64, d time.Duration, checkpoint bool) {
 	m.snapshots.Add(1)
+	if checkpoint {
+		m.checkpoints.Add(1)
+	}
 	m.snapshotBytes.Add(uint64(bytes))
 	m.snapshotLat.Observe(d)
 }
@@ -174,6 +179,7 @@ type MetricsSnapshot struct {
 	QueryTimeouts uint64          `json:"query_timeouts"`
 	Iterations    uint64          `json:"integration_iterations"`
 	Snapshots     uint64          `json:"snapshots_total"`
+	Checkpoints   uint64          `json:"checkpoints_total"`
 	SnapshotBytes uint64          `json:"snapshot_bytes_total"`
 	SnapshotErrs  uint64          `json:"snapshot_errors"`
 	Restores      uint64          `json:"sessions_restored"`
@@ -282,6 +288,7 @@ func (m *Metrics) Snapshot(plan, result, extent, src, index CacheStats, queue Qu
 		QueryTimeouts:      m.queryTimeouts.Load(),
 		Iterations:         m.iterations.Load(),
 		Snapshots:          m.snapshots.Load(),
+		Checkpoints:        m.checkpoints.Load(),
 		SnapshotBytes:      m.snapshotBytes.Load(),
 		SnapshotErrs:       m.snapshotErrors.Load(),
 		Restores:           m.sessionRestores.Load(),

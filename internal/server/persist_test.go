@@ -17,10 +17,10 @@ import (
 // The invariants of per-session persistence (lockSession): two sessions
 // never wait for each other, one session's saves and restores still
 // happen one at a time, and the store pointer is safely published. The
-// tests park a save where it is slowest to reach otherwise — inside a
-// source's Snapshot, under the session's persistence lock — and wait on
-// events, never on the clock; the one timeout is how a deadlock fails
-// the test instead of hanging it.
+// tests park a checkpoint where it is slowest to reach otherwise —
+// inside a source's Snapshot, under the session's persistence lock —
+// and wait on events, never on the clock; the one timeout is how a
+// deadlock fails the test instead of hanging it.
 
 // gatedSource is a source whose next Snapshot after it is armed parks
 // until the test releases it. It is not one of the wrapper package's memoised
@@ -41,9 +41,10 @@ func (g *gatedSource) Snapshot() (*wrapper.Snapshot, error) {
 }
 
 // parkedSave is a durable server on which session "A" has acknowledged
-// nothing past its federation (version 0 on disk) and is in the middle
-// of the autosave of its first step: the step's request is parked in
-// its source's Snapshot, holding A's persistence lock.
+// nothing past the registration of its sources (an unfederated file)
+// and is in the middle of the autosave of its federation — a
+// checkpoint: the federation's request is parked in its source's
+// Snapshot, holding A's persistence lock.
 type parkedSave struct {
 	s    *Server
 	c    *testClient
@@ -65,12 +66,11 @@ func parkSave(t *testing.T) *parkedSave {
 	gate.Wrapper = sess.wrappers[0]
 	sess.wrappers[0] = gate
 	sess.mu.Unlock()
-	c.must("POST", "/federate", map[string]any{"session": "A", "name": "F"}, http.StatusCreated)
 
 	p := &parkedSave{s: s, c: c, gate: gate, step: make(chan int, 1)}
 	gate.armed.Store(true)
 	go func() {
-		status, _ := c.do("POST", "/intersect", map[string]any{"session": "A", "name": "I1", "mappings": ubookMappings})
+		status, _ := c.do("POST", "/federate", map[string]any{"session": "A", "name": "F"})
 		p.step <- status
 	}()
 	t.Cleanup(p.releaseSave) // never leave the handler parked, whatever failed
@@ -111,17 +111,19 @@ func (p *parkedSave) within(t *testing.T, what string, f func()) {
 	f()
 }
 
-// diskVersion is the global schema version in a session's file.
+// diskVersion is the global schema version a session's file restores
+// to: its checkpoint's, with the steps recorded after it taken.
 func diskVersion(t *testing.T, s *Server, name string) int {
 	t.Helper()
 	state, err := s.Store().Load(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if state.Integrator == nil {
-		return -1
+	sess, err := sessionFromState(state, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return state.Integrator.GlobalVersion
+	return sess.version()
 }
 
 // otherSession returns a session name whose persistence lock is (or is
@@ -158,12 +160,12 @@ func TestPersistSessionsIndependently(t *testing.T) {
 			t.Errorf("B restored at version %v, want 1", res["version"])
 		}
 	})
-	if v := diskVersion(t, p.s, "A"); v != 0 {
-		t.Errorf("A's file is at version %d while its step is unacknowledged, want 0", v)
+	if v := diskVersion(t, p.s, "A"); v != -1 {
+		t.Errorf("A's file is at version %d while its federation is unacknowledged, want -1", v)
 	}
 	p.finishStep(t)
-	if v := diskVersion(t, p.s, "A"); v != 1 {
-		t.Errorf("A's file is at version %d after its step was acknowledged, want 1", v)
+	if v := diskVersion(t, p.s, "A"); v != 0 {
+		t.Errorf("A's file is at version %d after its federation was acknowledged, want 0", v)
 	}
 	if m := p.s.metricsSnapshot(); m.SnapshotErrs != 0 {
 		t.Errorf("snapshot errors: %d", m.SnapshotErrs)
@@ -195,7 +197,7 @@ func TestPersistSharedStripe(t *testing.T) {
 // TestPersistOneSessionSerialised: a restore of A issued while A's save is
 // parked completes only after it, reads the file that save wrote, and
 // leaves registry and disk agreeing; the file is never older than the
-// last acknowledged step.
+// last acknowledged step, checkpoint or step record.
 func TestPersistOneSessionSerialised(t *testing.T) {
 	p := parkSave(t)
 	before := p.s.metrics.requestsTotal.Load()
@@ -211,25 +213,26 @@ func TestPersistOneSessionSerialised(t *testing.T) {
 	default:
 	}
 	p.finishStep(t)
-	if v := diskVersion(t, p.s, "A"); v != 1 {
-		t.Fatalf("A's file is at version %d after its step was acknowledged, want 1", v)
+	if v := diskVersion(t, p.s, "A"); v != 0 {
+		t.Fatalf("A's file is at version %d after its federation was acknowledged, want 0", v)
 	}
 	p.within(t, "A's restore", func() {
-		if res := <-restored; res["version"] != float64(1) {
-			t.Errorf("A restored as %v, want version 1: the restore read the file before the save it waited for wrote it", res)
+		if res := <-restored; res["version"] != float64(0) {
+			t.Errorf("A restored as %v, want version 0: the restore read the file before the save it waited for wrote it", res)
 		}
 	})
 	sess, err := p.s.Sessions().Get("A", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mem, disk := sess.version(), diskVersion(t, p.s, "A"); mem != 1 || disk != 1 {
-		t.Errorf("registry at version %d, disk at %d, want 1 and 1", mem, disk)
+	if mem, disk := sess.version(), diskVersion(t, p.s, "A"); mem != 0 || disk != 0 {
+		t.Errorf("registry at version %d, disk at %d, want 0 and 0", mem, disk)
 	}
-	// The restored session steps and autosaves like any other.
-	p.c.must("POST", "/intersect", map[string]any{"session": "A", "name": "I2", "mappings": upricedMappings}, http.StatusCreated)
-	if v := diskVersion(t, p.s, "A"); v != 2 {
-		t.Errorf("A's file is at version %d after the restored session's step, want 2", v)
+	// The restored session steps and autosaves like any other: a step
+	// record appended to the file it was restored from.
+	p.c.must("POST", "/intersect", map[string]any{"session": "A", "name": "I1", "mappings": ubookMappings}, http.StatusCreated)
+	if v := diskVersion(t, p.s, "A"); v != 1 {
+		t.Errorf("A's file is at version %d after the restored session's step, want 1", v)
 	}
 }
 
@@ -272,8 +275,8 @@ func TestPersistRestoreSessionsWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mem, disk := sess.version(), diskVersion(t, p.s, "A"); mem != 1 || disk != 1 {
-		t.Errorf("registry at version %d, disk at %d, want 1 and 1", mem, disk)
+	if mem, disk := sess.version(), diskVersion(t, p.s, "A"); mem != 0 || disk != 0 {
+		t.Errorf("registry at version %d, disk at %d, want 0 and 0", mem, disk)
 	}
 }
 
@@ -302,8 +305,8 @@ func TestPersistDrainWaits(t *testing.T) {
 			t.Errorf("Drain: %v", err)
 		}
 	})
-	if v := diskVersion(t, p.s, "A"); v != 1 {
-		t.Errorf("A's file is at version %d after the drain, want 1", v)
+	if v := diskVersion(t, p.s, "A"); v != 0 {
+		t.Errorf("A's file is at version %d after the drain, want 0", v)
 	}
 	if v := diskVersion(t, p.s, b); v != -1 {
 		t.Errorf("the drain did not flush B: version %d", v)

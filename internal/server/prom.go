@@ -17,12 +17,13 @@ func (m *Metrics) Prometheus(plan, result, extent, src, index CacheStats, queue 
 	w.Counter("automed_query_errors_total", "Queries that failed.", float64(snap.QueryErrors))
 	w.Counter("automed_query_timeouts_total", "Queries cancelled by the per-query timeout.", float64(snap.QueryTimeouts))
 	w.Counter("automed_integration_iterations_total", "Integration steps served (federate/intersect/refine).", float64(snap.Iterations))
-	w.Counter("automed_session_snapshots_total", "Session snapshots written to the store.", float64(snap.Snapshots))
+	w.Counter("automed_session_snapshots_total", "Session saves written to the store: step records appended, or checkpoints.", float64(snap.Snapshots))
+	w.Counter("automed_session_checkpoints_total", "Session saves that wrote a whole checkpoint.", float64(snap.Checkpoints))
 	w.Counter("automed_session_snapshot_errors_total", "Failed session snapshot writes.", float64(snap.SnapshotErrs))
 	w.Counter("automed_sessions_restored_total", "Sessions restored from the store.", float64(snap.Restores))
-	w.Counter("automed_snapshot_bytes_total", "Bytes of session snapshot files written.", float64(snap.SnapshotBytes))
-	w.Histogram("automed_snapshot_duration_seconds", "Time to export, encode and durably write one session snapshot.", m.snapshotLat.Snapshot())
-	w.Histogram("automed_restore_duration_seconds", "Time to read, decode and rebuild one session from its snapshot.", m.restoreLat.Snapshot())
+	w.Counter("automed_snapshot_bytes_total", "Bytes written to session files: checkpoints and appended step records.", float64(snap.SnapshotBytes))
+	w.Histogram("automed_snapshot_duration_seconds", "Time to durably write one session save: append step records, or export, encode and write a checkpoint.", m.snapshotLat.Snapshot())
+	w.Histogram("automed_restore_duration_seconds", "Time to read, decode and rebuild one session from its file, its step records replayed.", m.restoreLat.Snapshot())
 	w.Gauge("automed_sessions", "Live sessions.", float64(snap.Sessions))
 
 	w.Histogram("automed_query_duration_seconds", "End-to-end query latency.", m.lat.Snapshot())

@@ -115,6 +115,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		`automed_source_rows_total{source="Catalogue",kind="sql"} 1`,
 		`automed_source_counted_reads_total{source="Library",kind="relational"} 0`,
 		"automed_session_snapshots_total 4\n",
+		// Registrations and the federation are checkpoints, each.
+		"automed_session_checkpoints_total 4\n",
 		"automed_snapshot_duration_seconds_count 4\n",
 		"automed_restore_duration_seconds_count 1\n",
 	} {
@@ -310,13 +312,7 @@ func TestJoinIndexLayerAcrossSteps(t *testing.T) {
 	}
 	step := func(st ispider.PlanStep) {
 		t.Helper()
-		body := map[string]any{"session": "case", "name": st.Name, "enables": st.Enables}
-		if st.Kind == "intersect" {
-			body["mappings"] = st.Mappings
-		} else {
-			body["mapping"] = st.Refinement
-		}
-		c.must("POST", "/"+st.Kind, body, http.StatusCreated)
+		c.must("POST", "/"+st.Kind, stepBody("case", st.Step()), http.StatusCreated)
 	}
 	ask := func() {
 		t.Helper()

@@ -31,6 +31,11 @@ type Session struct {
 	// only the entries whose schemes they touched. An entry is its
 	// response fragment and its metadata, never a value.
 	results *cache.Store[Answer]
+
+	// file is what the session knows of its file in the store; nil when
+	// its next save must be a checkpoint. Guarded by the session name's
+	// persistence lock (Server.lockSession), not by mu.
+	file *sessionFile
 }
 
 func newSession(name string, cfg Config) *Session {

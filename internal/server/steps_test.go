@@ -56,7 +56,7 @@ var stepRows = []stepRow{
 		body:     map[string]any{"name": "I1", "mappings": ubookMappings},
 		status:   http.StatusCreated,
 		iterates: true,
-		saved:    func(st *sessionState) bool { return st.Integrator != nil && st.Integrator.GlobalVersion == 1 },
+		saved:    func(st *sessionState) bool { return journaled(st, "I1") },
 	},
 	{
 		path: "/refine",
@@ -68,8 +68,22 @@ var stepRows = []stepRow{
 		}},
 		status:   http.StatusCreated,
 		iterates: true,
-		saved:    func(st *sessionState) bool { return st.Integrator != nil && st.Integrator.GlobalVersion == 2 },
+		saved:    func(st *sessionState) bool { return journaled(st, "I1", "prices") },
 	},
+}
+
+// journaled reports whether a session file is the federation's
+// checkpoint followed by the records of the named steps.
+func journaled(st *sessionState, steps ...string) bool {
+	if st.Integrator == nil || st.Integrator.GlobalVersion != 0 || len(st.steps) != len(steps) {
+		return false
+	}
+	for i, name := range steps {
+		if st.steps[i].Name != name {
+			return false
+		}
+	}
+	return true
 }
 
 // postRaw posts a JSON body and returns the status and headers; the
@@ -172,8 +186,9 @@ func TestStepEndpoints(t *testing.T) {
 	}
 
 	// A rejected step leaves nothing behind: an intersection refused at
-	// its second source is a 400, and the snapshot taken after it is the
-	// file the last good step wrote.
+	// its second source is a 400 that writes nothing, and the checkpoint
+	// taken after it is the one taken before.
+	c.must("POST", "/sessions/default/snapshot", nil, http.StatusOK)
 	saved, err := os.ReadFile(s.Store().Path("default"))
 	if err != nil {
 		t.Fatal(err)
@@ -188,9 +203,12 @@ func TestStepEndpoints(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("/intersect naming a missing object = %d, want 400", status)
 	}
+	if after, err := os.ReadFile(s.Store().Path("default")); err != nil || !bytes.Equal(after, saved) {
+		t.Errorf("a rejected /intersect wrote to the session file (%v)", err)
+	}
 	c.must("POST", "/sessions/default/snapshot", nil, http.StatusOK)
 	if after, err := os.ReadFile(s.Store().Path("default")); err != nil || !bytes.Equal(after, saved) {
-		t.Errorf("the snapshot after a rejected /intersect differs from the last good step's (%v):\n got %s\nwant %s", err, after, saved)
+		t.Errorf("the checkpoint after a rejected /intersect differs from the one before it (%v):\n got %s\nwant %s", err, after, saved)
 	}
 
 	s.BeginDrain()

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/maphash"
 	"io"
+	"io/fs"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -20,10 +22,10 @@ import (
 	"github.com/dataspace/automed/internal/wrapper"
 )
 
-// sessionState is the durable form of one server session: either a
-// pre-federation source list or — once federated — the integrator's
-// full snapshot (which carries the sources itself). One JSON file per
-// session.
+// sessionState is the durable form of one server session: a checkpoint
+// — either a pre-federation source list or, once federated, the
+// integrator's full snapshot (which carries the sources itself) — and
+// the steps the session took after it. One file per session.
 type sessionState struct {
 	Format int    `json:"format"`
 	Name   string `json:"name"`
@@ -33,6 +35,33 @@ type sessionState struct {
 	Sources []json.RawMessage `json:"sources,omitempty"`
 	// Integrator is the full core snapshot; nil before Federate.
 	Integrator *core.Snapshot `json:"integrator,omitempty"`
+
+	// Not part of the checkpoint document. An exported state names the
+	// integrator it was exported from; a loaded one carries the step
+	// records after its checkpoint, the checkpoint's length, the length
+	// of the file those records end at, and how many bytes of a torn
+	// final record were dropped after them.
+	ig               *core.Integrator
+	steps            []core.Step
+	checkpoint, size int64
+	torn             int
+}
+
+// sessionFile is what a session knows of its file, as the session last
+// wrote or read it: the file may be continued with the session's later
+// steps only while it is still that file, of that length, in that store,
+// and the session has changed by steps alone since (Session.appendSteps).
+// It is read and written under the session name's persistence lock.
+type sessionFile struct {
+	st *Store
+	// ig is the integrator whose steps the file journals (nil before
+	// federation), and steps how many of them it holds
+	// (core.Integrator.StepsSince).
+	ig    *core.Integrator
+	steps int
+	// docs are the checkpoint's source documents, in source order.
+	docs             []json.RawMessage
+	checkpoint, size int64
 }
 
 // storeFormat is the session-file format version.
@@ -43,22 +72,30 @@ const storeFormat = 1
 // a client/operational condition, distinct from I/O failures.
 var errBadSnapshot = errors.New("server: unusable session snapshot")
 
-// Store persists sessions as one JSON file per session in a directory.
+// Store persists sessions as one file per session in a directory.
 //
-// Layout: a file is one format-1 JSON document. Save streams it in one
-// pass — the small members through encoding/json, each source's
-// snapshot document and the repository verbatim (a source document is
-// one table row per line) — so whitespace is wherever that leaves it
-// and is not part of the format; Load reads any layout, including the
-// indented files earlier releases wrote.
+// Layout: a file is a checkpoint followed by step records. The
+// checkpoint is one format-1 JSON document. Save streams it in one pass
+// — the small members through encoding/json, each source's snapshot
+// document and the repository verbatim (a source document is one table
+// row per line) — so whitespace is wherever that leaves it and is not
+// part of the format; Load reads any layout, including the indented
+// files earlier releases wrote. A step record is one accepted
+// intersect or refine (core.Step) as an RFC 7464 JSON text: the record
+// separator 0x1E, one JSON object, a line feed. No JSON document holds
+// a 0x1E, so the first one in a file ends its checkpoint, and a file
+// without records is exactly the document earlier releases wrote.
 //
-// Durability contract: each save writes a temporary file in the same
-// directory, fsyncs it, and renames it over the destination. A crash
-// mid-write therefore never truncates or corrupts an existing snapshot
-// — the worst case is serving the previous one, and a temporary file
-// left behind, which the next NewStore on the directory removes. The
-// directory entry itself is not fsync'd, so an operating-system crash
-// (as opposed to a process crash) may lose the very latest rename.
+// Durability contract: a checkpoint is written to a temporary file in
+// the same directory, fsynced, and renamed over the destination. A
+// crash mid-write therefore never truncates or corrupts an existing
+// file — the worst case is serving the previous one, and a temporary
+// file left behind, which the next NewStore on the directory removes.
+// The directory entry itself is not fsync'd, so an operating-system
+// crash (as opposed to a process crash) may lose the very latest
+// rename. Step records are appended and fsynced before the step is
+// acknowledged; a crash mid-append leaves a torn final record, which a
+// load drops with a warning — it never fails a start.
 type Store struct {
 	dir string
 }
@@ -100,8 +137,8 @@ func (st *Store) Path(session string) string {
 	return filepath.Join(st.dir, fileName(session))
 }
 
-// Save atomically writes one session's state and returns the size of
-// the file.
+// Save atomically writes one session's checkpoint and returns the size
+// of the file.
 func (st *Store) Save(state *sessionState) (int64, error) {
 	if state == nil || state.Name == "" {
 		return 0, fmt.Errorf("server: invalid session state")
@@ -166,6 +203,57 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// errStale says a session's file is not the one the session last wrote
+// or read, so it cannot be continued: a checkpoint is due.
+var errStale = errors.New("server: the session file changed")
+
+// recordSep begins every step record (RFC 7464's record separator).
+const recordSep = 0x1e
+
+// Append appends step records to a session's file, which must be size
+// bytes long (errStale otherwise, with nothing written), and fsyncs
+// them.
+func (st *Store) Append(session string, size int64, records []byte) error {
+	f, err := os.OpenFile(st.Path(session), os.O_WRONLY|os.O_APPEND, 0)
+	if errors.Is(err, fs.ErrNotExist) {
+		return errStale
+	}
+	if err != nil {
+		return fmt.Errorf("server: appending to session %q: %w", session, err)
+	}
+	info, err := f.Stat()
+	if err == nil && info.Size() != size {
+		err = errStale
+	}
+	if err == nil {
+		_, err = f.Write(records)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil && !errors.Is(err, errStale) {
+		return fmt.Errorf("server: appending to session %q: %w", session, err)
+	}
+	return err
+}
+
+// encodeSteps renders steps as step records.
+func encodeSteps(steps []core.Step) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false) // IQL is full of <<, <- and &
+	for _, step := range steps {
+		buf.WriteByte(recordSep)
+		if err := enc.Encode(step); err != nil { // ends it with '\n'
+			return nil, err
+		}
+	}
+	return buf.Bytes(), nil
+}
+
 // Load reads one session's state by name.
 func (st *Store) Load(session string) (*sessionState, error) {
 	return st.loadFile(st.Path(session))
@@ -179,13 +267,38 @@ func (st *Store) loadFile(path string) (*sessionState, error) {
 	return decodeState(data, filepath.Base(path))
 }
 
-// decodeState decodes a session file: exactly one JSON document, then
-// nothing but white space. The source documents and the repository are
-// only skipped over here; wrapper.Decode and repo.Decode decode them.
+// decodeState decodes a session file: its checkpoint — exactly one JSON
+// document, then nothing but white space — and the step records after
+// it. The source documents and the repository are only skipped over
+// here; wrapper.Decode and repo.Decode decode them. A final record that
+// is torn (no line feed, or not one JSON object) is dropped and counted
+// in torn; any other is an error.
 func decodeState(data []byte, file string) (*sessionState, error) {
+	checkpoint := data
+	if i := bytes.IndexByte(data, recordSep); i >= 0 {
+		checkpoint = data[:i]
+	}
 	var state sessionState
-	if err := json.Unmarshal(data, &state); err != nil {
+	if err := json.Unmarshal(checkpoint, &state); err != nil {
 		return nil, fmt.Errorf("%w: decoding %s: %v", errBadSnapshot, file, err)
+	}
+	state.checkpoint, state.size = int64(len(checkpoint)), int64(len(data))
+	for rest := data[len(checkpoint):]; len(rest) > 0; {
+		end := len(rest)
+		if i := bytes.IndexByte(rest[1:], recordSep); i >= 0 {
+			end = 1 + i
+		}
+		var step core.Step
+		if rec := rest[1:end]; !bytes.HasSuffix(rec, []byte("\n")) || json.Unmarshal(rec, &step) != nil {
+			if end < len(rest) {
+				return nil, fmt.Errorf("%w: %s: step record %d is not one JSON object and a line feed", errBadSnapshot, file, len(state.steps)+1)
+			}
+			state.torn = len(rest)
+			state.size -= int64(len(rest))
+			break
+		}
+		state.steps = append(state.steps, step)
+		rest = rest[end:]
 	}
 	if state.Format != storeFormat {
 		return nil, fmt.Errorf("%w: %s has format %d (want %d)",
@@ -221,7 +334,7 @@ func (st *Store) files() ([]string, error) {
 // non-exportable and are reported by name.
 func (s *Session) Export() (*sessionState, error) {
 	ig, ws := s.sources()
-	state := &sessionState{Format: storeFormat, Name: s.name}
+	state := &sessionState{Format: storeFormat, Name: s.name, ig: ig}
 	if ig != nil {
 		snap, err := ig.Export()
 		if err != nil {
@@ -246,15 +359,16 @@ func (s *Session) sources() (*core.Integrator, []wrapper.Wrapper) {
 	return s.ig, append([]wrapper.Wrapper(nil), s.wrappers...)
 }
 
-// sessionFromState rebuilds a session from its durable state. held are
-// the sources of the session it replaces, if any: one whose document
-// the state holds byte for byte is the restored session's source as it
-// is (wrapper.Decode), every other is decoded. The restored session
-// starts cold all the same — a wrapper holds its data, not a cache: every
+// sessionFromState rebuilds a session from its durable state: the
+// checkpoint, then every step recorded after it, taken again in order
+// (core.Integrator.Apply). held are the sources of the session it
+// replaces, if any: one whose document the checkpoint holds byte for
+// byte is the restored session's source as it is (wrapper.Decode), every
+// other is decoded. Whatever the restored session took over, every
 // cache layer (results, extent memo, source extents, join indexes) is
-// the new session's own, empty, and warms on demand, so restore never
-// replays stale derived state — the snapshot holds definitions, not
-// materialisations.
+// its own, empty, and warms on demand — a wrapper holds its data, not a
+// cache — so restore never replays stale derived state: the file holds
+// definitions and steps, not materialisations.
 func sessionFromState(state *sessionState, cfg Config, held ...wrapper.Wrapper) (*Session, error) {
 	sess := newSession(state.Name, cfg)
 	if state.Integrator != nil {
@@ -265,14 +379,23 @@ func sessionFromState(state *sessionState, cfg Config, held ...wrapper.Wrapper) 
 		cfg.configure(ig.Processor())
 		sess.ig = ig
 		sess.wrappers = ig.Sources()
-		return sess, nil
-	}
-	for _, doc := range state.Sources {
-		w, err := wrapper.Decode(doc, held...)
-		if err != nil {
-			return nil, fmt.Errorf("server: restoring session %q: %w", state.Name, err)
+	} else {
+		for _, doc := range state.Sources {
+			w, err := wrapper.Decode(doc, held...)
+			if err != nil {
+				return nil, fmt.Errorf("server: restoring session %q: %w", state.Name, err)
+			}
+			sess.wrappers = append(sess.wrappers, w)
 		}
-		sess.wrappers = append(sess.wrappers, w)
+	}
+	for i, step := range state.steps {
+		err := fmt.Errorf("server: session %q is not federated", state.Name)
+		if sess.ig != nil {
+			err = sess.ig.Apply(step)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: restoring session %q: step record %d (%s %q): %v", errBadSnapshot, state.Name, i+1, step.Kind, step.Name, err)
+		}
 	}
 	return sess, nil
 }
@@ -377,31 +500,118 @@ func (s *Server) loadSession(st *Store, path, name string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	if state.torn > 0 {
+		s.log.Warn("dropped a torn step record at the end of a session file",
+			"session", state.Name, "file", filepath.Base(path), "bytes", state.torn)
+	}
+	sess.file = &sessionFile{st: st, ig: sess.ig, steps: len(state.steps), docs: state.docs(),
+		checkpoint: state.checkpoint, size: state.size}
 	s.metrics.SessionRestore(time.Since(start))
 	return sess, nil
 }
 
-// save exports one session and writes it to st, counting the outcome.
-// The caller holds the session's persistence lock.
-func (s *Server) save(st *Store, sess *Session) error {
+// docs are the checkpoint's source documents.
+func (state *sessionState) docs() []json.RawMessage {
+	if state.Integrator != nil {
+		return state.Integrator.Sources
+	}
+	return state.Sources
+}
+
+// save writes one session to st, counting the outcome: the steps the
+// session took since its file was last written or read, appended to it,
+// or — when the file cannot be continued that way, or checkpoint is set
+// — a new checkpoint. A save with nothing new writes nothing. The caller
+// holds the session's persistence lock.
+func (s *Server) save(st *Store, sess *Session, checkpoint bool) error {
 	start := time.Now()
-	state, err := sess.Export()
 	var size int64
-	if err == nil {
-		size, err = st.Save(state)
+	appended := false
+	var err error
+	if !checkpoint {
+		size, appended, err = sess.appendSteps(st)
+	}
+	if err == nil && !appended {
+		size, err = sess.writeCheckpoint(st)
 	}
 	if err != nil {
 		s.metrics.SnapshotError()
 		return err
 	}
-	s.metrics.SnapshotWritten(size, time.Since(start))
+	if size > 0 {
+		s.metrics.SnapshotWritten(size, time.Since(start), !appended)
+	}
 	return nil
 }
 
-// SnapshotSession forces a durable snapshot of one named session,
-// counting the outcome in metrics and returning the session it
-// exported. It is the programmatic form of POST
-// /sessions/{name}/snapshot.
+// appendSteps appends to the session's file the steps it took since the
+// file was last written or read, and reports whether that was the whole
+// save. It is not — nothing is written, and a checkpoint is due — when
+// the session holds no such file (it was never saved or restored here,
+// the store was reopened, the file was changed behind it), when it has
+// changed by something other than steps since (federation, a backfill,
+// an in-memory source whose data changed), or when the records would
+// make the journal longer than its checkpoint.
+func (sess *Session) appendSteps(st *Store) (int64, bool, error) {
+	f := sess.file
+	ig, ws := sess.sources()
+	if f == nil || f.st != st || ig == nil || f.ig != ig || len(ws) != len(f.docs) {
+		return 0, false, nil
+	}
+	steps, ok := ig.StepsSince(f.steps)
+	if !ok {
+		return 0, false, nil
+	}
+	if len(steps) == 0 {
+		return 0, true, nil
+	}
+	for i, w := range ws {
+		if wrapper.Changed(w, f.docs[i]) {
+			return 0, false, nil
+		}
+	}
+	records, err := encodeSteps(steps)
+	if err != nil {
+		return 0, false, fmt.Errorf("server: saving session %q: %w", sess.name, err)
+	}
+	n := int64(len(records))
+	if f.size-f.checkpoint+n > f.checkpoint {
+		return 0, false, nil
+	}
+	if err := st.Append(sess.name, f.size, records); err != nil {
+		if errors.Is(err, errStale) {
+			return 0, false, nil
+		}
+		sess.file = nil // the file may end in a torn record now
+		return 0, false, err
+	}
+	f.steps += len(steps)
+	f.size += n
+	return n, true, nil
+}
+
+// writeCheckpoint exports the session and writes it to st as a new file.
+func (sess *Session) writeCheckpoint(st *Store) (int64, error) {
+	sess.file = nil
+	state, err := sess.Export()
+	if err != nil {
+		return 0, err
+	}
+	size, err := st.Save(state)
+	if err != nil {
+		return 0, err
+	}
+	f := &sessionFile{st: st, ig: state.ig, docs: state.docs(), checkpoint: size, size: size}
+	if state.Integrator != nil {
+		f.steps = state.Integrator.Steps
+	}
+	sess.file = f
+	return size, nil
+}
+
+// SnapshotSession forces a checkpoint of one named session, counting
+// the outcome in metrics and returning the session it exported. It is
+// the programmatic form of POST /sessions/{name}/snapshot.
 func (s *Server) SnapshotSession(name string) (*Session, error) {
 	name, unlock := s.lockSession(name)
 	defer unlock()
@@ -413,7 +623,7 @@ func (s *Server) SnapshotSession(name string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sess, s.save(st, sess)
+	return sess, s.save(st, sess, true)
 }
 
 // restoreSession loads one session from the store and installs it in
@@ -438,11 +648,13 @@ func (s *Server) restoreSession(name string) (*Session, error) {
 // store failures across the snapshot/restore paths.
 var errStoreClosed = fmt.Errorf("server: persistence is not enabled (start with -data-dir)")
 
-// persist autosaves one session if a store is open. The in-memory
-// mutation has already succeeded by the time persist runs, so failures
-// are not surfaced to the client; they are logged and counted in
-// metrics (snapshot_errors), and the previous on-disk snapshot stays
-// intact thanks to the atomic rename.
+// persist autosaves one session if a store is open: the steps it took
+// since its last save, appended to its file, or a checkpoint when that
+// file cannot be continued (save). The in-memory mutation has already
+// succeeded by the time persist runs, so failures are not surfaced to
+// the client; they are logged and counted in metrics (snapshot_errors),
+// and the file stays as it was — a checkpoint is renamed into place
+// whole, and a torn append is dropped when the file is next read.
 func (s *Server) persist(sess *Session) {
 	_, unlock := s.lockSession(sess.Name())
 	defer unlock()
@@ -456,7 +668,7 @@ func (s *Server) persist(sess *Session) {
 	if cur, err := s.reg.Get(sess.Name(), false); err != nil || cur != sess {
 		return
 	}
-	if err := s.save(st, sess); err != nil {
+	if err := s.save(st, sess, false); err != nil {
 		s.log.Error("autosave failed", "session", sess.Name(), "error", err)
 	}
 }

@@ -683,10 +683,11 @@ func renderState(state *sessionState) ([]byte, error) {
 }
 
 // FuzzStoreLoad feeds the loader arbitrary bytes. It must never panic;
-// and an input it accepts — decoded, rebuilt into a session — re-saves
-// to a fixpoint: the file written from it loads, and saves as itself.
-// The seeds (the golden session, truncations of it, trailing bytes) run
-// as plain tests under `make fuzz-seeds`.
+// and an input it accepts — decoded, its step records replayed, rebuilt
+// into a session — re-saves to a fixpoint: the checkpoint written from
+// it loads, and saves as itself. The seeds (the golden session,
+// truncations of it, trailing bytes, step records whole, torn and
+// unreplayable) run as plain tests under `make fuzz-seeds`.
 func FuzzStoreLoad(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden_session.json"))
 	if err != nil {
@@ -701,6 +702,10 @@ func FuzzStoreLoad(f *testing.F) {
 	f.Add(append(append([]byte(nil), file...), `{"format":1,"name":"second"}`...))
 	f.Add([]byte(`{"format":1,"name":"pre","sources":[{"kind":"relational","name":"L","tables":[{"name":"t","columns":["id:int","v:float"],"primary_key":"id","rows":[[1,1.0],[2,null]]}]}]}`))
 	f.Add([]byte(`{"format":1,"name":"bare"}`))
+	record := "\x1e" + `{"step":"refine","name":"t2","mapping":{"target":"<<UBook, t2>>","forward":[{"source":"Library","query":"[{'LIB', k, x} | {k, x} <- <<books, title>>]"}]}}` + "\n"
+	f.Add(append(append([]byte(nil), file...), record...))
+	f.Add(append(append([]byte(nil), file...), record[:len(record)/2]...))
+	f.Add(append(append([]byte(nil), file...), record+"\x1e{}\n"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		load := func(data []byte) (*Session, error) {

@@ -95,6 +95,19 @@ func Decode(doc json.RawMessage, held ...Wrapper) (Wrapper, error) {
 	return w, nil
 }
 
+// Changed reports whether w is an in-memory source that no longer holds
+// doc: one changed since doc was its document (encoded or restored). A
+// live kind (SQL, REST, fault) is never reported changed — its document
+// is whatever its backend serves when it is next encoded.
+func Changed(w Wrapper, doc json.RawMessage) bool {
+	m, ok := w.(memoised)
+	if !ok {
+		return false
+	}
+	memo, stamp := m.docMemo()
+	return !memo.holds(stamp, doc)
+}
+
 func encode(sn Snapshotter) (json.RawMessage, error) {
 	snap, err := sn.Snapshot()
 	if err != nil {
