@@ -49,7 +49,8 @@ race:
 # race detector: which goroutine reaches a lock first is the
 # scheduler's choice. So does one
 # cached plan evaluated by eight goroutines in two sessions, whose
-# comprehensions' analysis and parked evaluation state they share.
+# comprehensions' analysis and parked evaluation state they share, and
+# whose recorded join run each session's four goroutines replay at once.
 flake:
 	$(GO) test -count=30 -run 'TestParallel' ./internal/iql
 	$(GO) test -count=30 -run 'TestOracle' ./internal/query

@@ -57,6 +57,10 @@ type Stats struct {
 	// exceeded the whole byte budget.
 	Oversize uint64 `json:"oversize"`
 	Purges   uint64 `json:"purges"`
+	// Replays counts lookups answered from a record of earlier work
+	// instead of an entry: the join-index layer's replayed join runs.
+	// The stores of this package have none.
+	Replays uint64 `json:"replays"`
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.

@@ -149,6 +149,9 @@ type Evaluator struct {
 	// comprehension re-entered once per element of an enclosing
 	// generator must not pay a worker-pool spin-up per element.
 	genDepth int
+	// worker marks the evaluator of a sharded scan's worker, which
+	// records and replays no join run (see joinrun.go).
+	worker bool
 }
 
 // NewEvaluator returns an evaluator over the given extent source, with
@@ -353,6 +356,22 @@ func (ev *Evaluator) step() error {
 		return nil
 	}
 	return ev.checkStep()
+}
+
+// charge charges n steps, as n calls of step would: a replayed join run
+// charges the steps its walk charged. Without a limit, n steps that
+// reach no context poll are one addition.
+func (ev *Evaluator) charge(n int) error {
+	if ev.enforced == nil && ev.steps&(ctxCheckInterval-1)+n < ctxCheckInterval {
+		ev.steps += n
+		return nil
+	}
+	for range n {
+		if err := ev.step(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // checkStep takes the step from the enforced budget, if there is one,

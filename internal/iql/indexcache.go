@@ -2,6 +2,8 @@ package iql
 
 import (
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"github.com/dataspace/automed/internal/cache"
 )
@@ -30,8 +32,18 @@ import (
 // intermediate bag, an extent a racing evaluation memoised second — is
 // never hit again and is pushed out by the entry cap or the byte budget.
 //
+// The cache keeps join runs' records too (see joinrun.go), keyed by the
+// run and its first member's element array, and holding the arrays of
+// the other members the recorded walk reached. A run's entry leaves with
+// any of those extents (whatever its size), counts against the entry
+// cap, and is charged its record's bytes against the byte budget: the
+// arrays it keeps alive are the extent caches' own, and an entry that
+// only remembers which arrays a walk went over — before there is a
+// record — is charged nothing.
+//
 // The cache is safe for concurrent use; concurrent builders of the same
-// index race benignly (last insert wins, both indexes are correct).
+// index, or recorders of the same run, race benignly (last insert wins,
+// both are correct).
 //
 // Because an index (and its retained identity key) keeps the indexed
 // extent alive, the cache participates in the system's memory budget:
@@ -45,8 +57,11 @@ type JoinIndexCache struct {
 	maxBytes int64
 	bytes    int64
 	entries  map[joinIndexKey]joinIndexEntry
+	runs     map[runKey]runEntry
 
 	hits, misses, evicted, dropped, oversize, purges uint64
+	// replays counts join runs evaluated from their records.
+	replays atomic.Uint64
 }
 
 // joinIndexEntry pairs a cached index with its approximate byte cost.
@@ -61,6 +76,39 @@ type joinIndexKey struct {
 	data *Value
 	n    int
 	spec string
+}
+
+// extentID is an element array's identity: its first element's
+// address, which keeps the array alive, and its length. Every empty
+// array is the zero extentID.
+type extentID struct {
+	data *Value
+	n    int
+}
+
+func idOf(els []Value) extentID {
+	if len(els) == 0 {
+		return extentID{}
+	}
+	return extentID{&els[0], len(els)}
+}
+
+// runKey identifies a join run's entry: the run and its first member's
+// elements.
+type runKey struct {
+	run   *joinRun
+	first extentID
+}
+
+// runEntry is a join run's entry: the arrays of the members the last
+// walk reached, the first member's first, and its record — nil when it
+// was not recorded, and never to be when unrecordable (the record
+// outgrew maxRunRecord or the byte budget).
+type runEntry struct {
+	members      []extentID
+	rec          *runRecord
+	unrecordable bool
+	cost         int64
 }
 
 // defaultJoinIndexCap bounds a cache to roughly this many indexes; an
@@ -122,54 +170,122 @@ func (c *JoinIndexCache) put(key joinIndexKey, idx *JoinIndex, cost int64) {
 	c.evictLocked()
 }
 
+// getRun returns the entry of join run rp whose first member's elements
+// are els.
+func (c *JoinIndexCache) getRun(rp *joinRun, els []Value) (runEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	en, ok := c.runs[runKey{rp, idOf(els)}]
+	return en, ok
+}
+
+// putRun leaves join run rp's entry for a walk that reached the arrays
+// members, with its record when it was recorded.
+func (c *JoinIndexCache) putRun(rp *joinRun, members []extentID, rec *runRecord, unrecordable bool) {
+	en := runEntry{members: members, rec: rec, unrecordable: unrecordable}
+	if rec != nil {
+		en.cost = rec.footprint() + int64(cap(members))*int64(unsafe.Sizeof(extentID{}))
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.maxBytes > 0 && en.cost > c.maxBytes {
+		c.oversize++
+		en = runEntry{members: members, unrecordable: true}
+	}
+	if c.runs == nil {
+		c.runs = make(map[runKey]runEntry)
+	}
+	key := runKey{rp, members[0]}
+	if old, ok := c.runs[key]; ok {
+		c.bytes -= old.cost
+	}
+	c.runs[key] = en
+	c.bytes += en.cost
+	c.evictLocked()
+}
+
 // evictLocked drops arbitrary entries until the cache respects its
-// entry cap and byte budget. Deleting while ranging is safe, and the
-// arbitrary iteration order supplies the victims.
+// entry cap and byte budget: first the runs that have no record — an
+// evaluation of a plan that is parsed afresh every time leaves one that
+// nothing will find — then indexes, then records. Deleting while ranging
+// is safe, and the arbitrary iteration order supplies the victims.
 func (c *JoinIndexCache) evictLocked() {
+	over := func() bool {
+		return len(c.entries)+len(c.runs) > c.max || (c.maxBytes > 0 && c.bytes > c.maxBytes)
+	}
+	for k, en := range c.runs {
+		if len(c.entries)+len(c.runs) <= c.max {
+			break // what is left over is bytes, which a run without a record has none of
+		}
+		if en.rec == nil {
+			delete(c.runs, k)
+			c.evicted++
+		}
+	}
 	for k, en := range c.entries {
-		if len(c.entries) <= c.max && (c.maxBytes <= 0 || c.bytes <= c.maxBytes) {
-			break
+		if !over() {
+			return
 		}
 		delete(c.entries, k)
+		c.bytes -= en.cost
+		c.evicted++
+	}
+	for k, en := range c.runs {
+		if !over() {
+			return
+		}
+		delete(c.runs, k)
 		c.bytes -= en.cost
 		c.evicted++
 	}
 }
 
 // DropExtent discards the indexes built over extent's element array,
-// whatever their spec: the call an extent cache makes for every extent
-// it lets go of. Anything but a collection, and a collection too small
-// to have had its indexes cached, is ignored.
+// whatever their spec, and the join runs with a member over it: the call
+// an extent cache makes for every extent it lets go of. Anything but a
+// non-empty collection is ignored.
 func (c *JoinIndexCache) DropExtent(extent Value) {
-	if extent.Kind != KindBag || extent.n < joinIndexCacheMin {
+	if extent.Kind != KindBag || extent.n == 0 {
 		return
 	}
 	data := &extent.Items()[0]
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, en := range c.entries {
-		if k.data == data {
-			delete(c.entries, k)
-			c.bytes -= en.cost
-			c.dropped++
+	if extent.n >= joinIndexCacheMin {
+		for k, en := range c.entries {
+			if k.data == data {
+				delete(c.entries, k)
+				c.bytes -= en.cost
+				c.dropped++
+			}
+		}
+	}
+	for k, en := range c.runs {
+		for _, m := range en.members {
+			if m.data == data {
+				delete(c.runs, k)
+				c.bytes -= en.cost
+				c.dropped++
+				break
+			}
 		}
 	}
 }
 
-// Purge discards every cached index.
+// Purge discards every cached index and join run.
 func (c *JoinIndexCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = nil
+	c.entries, c.runs = nil, nil
 	c.bytes = 0
 	c.purges++
 }
 
-// Len returns the number of cached indexes.
+// Len returns the number of cached indexes and join runs.
 func (c *JoinIndexCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return len(c.entries) + len(c.runs)
 }
 
 // Bytes returns the summed cost of cached indexes.
@@ -181,15 +297,16 @@ func (c *JoinIndexCache) Bytes() int64 {
 
 // Stats snapshots the cache in the shape of the other cache layers: a
 // hit is an evaluation that found its index built and a miss one that
-// built it, an invalidation an index that went with its extent
-// (DropExtent), an eviction one dropped for the entry cap or the byte
-// budget, an oversize one never cached because it alone exceeded the
-// budget.
+// built it, a replay a join run evaluated from its record (which looks
+// up no index), an invalidation an index or a run that went with its
+// extent (DropExtent), an eviction one dropped for the entry cap or the
+// byte budget, an oversize one never cached — or a run never recorded —
+// because it alone exceeded the budget.
 func (c *JoinIndexCache) Stats() cache.Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return cache.Stats{
-		Len:           len(c.entries),
+		Len:           len(c.entries) + len(c.runs),
 		Capacity:      c.max,
 		Bytes:         c.bytes,
 		MaxBytes:      c.maxBytes,
@@ -199,5 +316,6 @@ func (c *JoinIndexCache) Stats() cache.Stats {
 		Invalidations: c.dropped,
 		Oversize:      c.oversize,
 		Purges:        c.purges,
+		Replays:       c.replays.Load(),
 	}
 }

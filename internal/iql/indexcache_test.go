@@ -122,3 +122,44 @@ func TestJoinIndexCacheDropExtent(t *testing.T) {
 		t.Errorf("stats = %+v, want one eviction, one oversize, one purge, empty", st)
 	}
 }
+
+// TestJoinIndexCacheRuns: a join run's entry counts against the entry
+// cap, and one with no record is the first to go for it; a record is
+// charged its bytes, and one over the budget leaves the run unrecordable;
+// an entry leaves with any member's extent, however small.
+func TestJoinIndexCacheRuns(t *testing.T) {
+	rows := func(n int) []Value {
+		out := make([]Value, n)
+		for i := range out {
+			out[i] = Int(int64(i))
+		}
+		return out
+	}
+	a, b, small := rows(joinIndexCacheMin), rows(joinIndexCacheMin), rows(1)
+	walked, recorded := &joinRun{}, &joinRun{}
+	rec := &runRecord{rows: make([]int32, 8), steps: make([]int32, 5)}
+	c := NewJoinIndexCache(2)
+	c.put(cacheKeyFor(a, "0"), NewJoinIndex(nil, nil), 10)
+	c.putRun(recorded, []extentID{idOf(b), idOf(small)}, rec, false)
+	c.putRun(walked, []extentID{idOf(a)}, nil, false)
+	if _, ok := c.getRun(walked, a); ok || c.Len() != 2 {
+		t.Fatalf("over the cap, the run without a record stayed: %d entries", c.Len())
+	}
+	if en, ok := c.getRun(recorded, b); !ok || en.rec != rec || c.Bytes() != 10+en.cost || en.cost < rec.footprint() {
+		t.Fatalf("the recorded run: %+v, %v; cache bytes %d", en, ok, c.Bytes())
+	}
+
+	c.DropExtent(BagOf(small))
+	if _, ok := c.getRun(recorded, b); ok || c.Bytes() != 10 {
+		t.Fatalf("a run outlived its one-row member's extent: %d bytes left", c.Bytes())
+	}
+
+	c.SetMaxBytes(20)
+	c.putRun(recorded, []extentID{idOf(b)}, rec, false)
+	if en, ok := c.getRun(recorded, b); !ok || en.rec != nil || !en.unrecordable || en.cost != 0 {
+		t.Errorf("a record over the budget: %+v, %v; want an unrecordable entry charged nothing", en, ok)
+	}
+	if st := c.Stats(); st.Oversize != 1 || st.Invalidations != 1 || st.Evictions != 1 {
+		t.Errorf("stats = %+v, want one oversize, one invalidation, one eviction", st)
+	}
+}

@@ -11,7 +11,7 @@ import (
 
 // Comprehension evaluation with light query optimisation, in the spirit
 // of the AutoMed query processor's optimisation phase (Jasper et al.).
-// Two rewrites are applied, both strictly semantics-preserving:
+// Three rewrites are applied, all strictly semantics-preserving:
 //
 //  1. Constant-source memoisation: a generator whose source expression
 //     has no free variables (e.g. a scheme reference) is evaluated once
@@ -24,6 +24,13 @@ import (
 //     of the v components instead of scanning and filtering. The index
 //     buckets by structural Hash and confirms with Equal — exactly the
 //     '=' operator's semantics — so results are identical.
+//
+//  3. Join-run replay: a run of joined generators whose matches depend
+//     only on the extents they draw (see joinRun in joinrun.go) records
+//     the rows of its matches, and the steps the walk charged for each,
+//     the second time it is walked over the same element arrays; every
+//     later evaluation over them binds the recorded rows instead of
+//     probing, and charges the recorded steps.
 //
 // The static analysis (which sources are constant, which filter runs
 // are joinable, how each pattern binds, whether count can be asked of
@@ -64,6 +71,10 @@ type qualPlan struct {
 	joinSpec string     // join-key component positions (index cache key)
 	vars     []string   // the variables the pattern binds, in slot order
 	pat      slotPat    // the pattern with its variables resolved to slots
+
+	// run is the join run this generator is the first member of, and
+	// ends the one it is the last member of (nil when it is neither).
+	run, ends *joinRun
 }
 
 // compCtx is one evaluation of a comprehension: its plan and the state
@@ -89,6 +100,10 @@ type compCtx struct {
 	// comprehension's constant sources evaluated once for all of the
 	// scan's workers (see parallel.go); nil everywhere else.
 	shared []sharedSource
+
+	// srcSteps counts the steps evaluating the generators' sources has
+	// charged, which a join run's record leaves out (see joinrun.go).
+	srcSteps int
 }
 
 // qualState is one qualifier's evaluation state, emptied by release.
@@ -102,6 +117,16 @@ type qualState struct {
 	// generator is entered, re-parented on every entry (see enter) and
 	// emptied by release.
 	scope *Env
+
+	// row is the position in the source of the element the generator
+	// last bound by scanning or probing it.
+	row int
+
+	// A join run's state, on its first member's qualifier: the record
+	// this context replays, once its arrays are known to be the
+	// record's, and the recorder of a walk being recorded.
+	replay   *runRecord
+	recorder *runRecorder
 }
 
 // slotPat is a generator pattern compiled against the layout of the
@@ -218,7 +243,7 @@ func (ev *Evaluator) compCtxFor(c *Comp) *compCtx {
 func (ctx *compCtx) release() {
 	for i := range ctx.quals {
 		qs := &ctx.quals[i]
-		qs.srcSet, qs.srcVal, qs.index = false, Value{}, nil
+		qs.srcSet, qs.srcVal, qs.index, qs.row, qs.replay = false, Value{}, nil, 0, nil
 		if qs.scope != nil {
 			clear(qs.scope.vals)
 			qs.scope.parent = nil
@@ -226,7 +251,7 @@ func (ctx *compCtx) release() {
 	}
 	clear(ctx.probeScratch)
 	clear(ctx.headScratch)
-	ctx.ev, ctx.shared = nil, nil
+	ctx.ev, ctx.shared, ctx.srcSteps = nil, nil, 0
 	ctx.plan.idle.Store(ctx)
 }
 
@@ -248,8 +273,8 @@ func (ctx *compCtx) enter(i int, env *Env) *Env {
 }
 
 // analyze works out c's plan: how each pattern binds, which sources are
-// constant and which generator/filter runs are joinable, and c as a
-// Selection.
+// constant, which generator/filter runs are joinable, which generators
+// form join runs, and c as a Selection.
 func analyze(c *Comp) *compPlan {
 	p := &compPlan{comp: c, quals: make([]qualPlan, len(c.Quals)), sel: selectionOf(c)}
 	p.headTuple, _ = c.Head.(*TupleExpr)
@@ -284,6 +309,7 @@ func analyze(c *Comp) *compPlan {
 		}
 		bindPatternVars(g.Pat, bound)
 	}
+	p.markRuns()
 	return p
 }
 
@@ -325,6 +351,9 @@ func (p *compPlan) footprint() int {
 			class(cap(qp.joins)*int(unsafe.Sizeof(joinCond{}))) + class(len(qp.joinSpec))
 		n += class(int(unsafe.Sizeof(Env{}))) + class(len(qp.vars)*value) // the scope
 		probe = max(probe, len(qp.joins))
+		if qp.run != nil {
+			n += class(int(unsafe.Sizeof(joinRun{}))) + class(cap(qp.run.members)*int(unsafe.Sizeof(0)))
+		}
 	}
 	return n + class(probe*value) // the probe key's scratch
 }
@@ -573,7 +602,9 @@ func (ctx *compCtx) source(i int, g *Generator, env *Env) ([]Value, error) {
 		sh.once.Do(func() { sh.val, sh.err = ctx.ev.eval(g.Src, env) })
 		v, err = sh.val, sh.err
 	} else {
+		before := ctx.ev.steps
 		v, err = ctx.ev.eval(g.Src, env)
+		ctx.srcSteps += ctx.ev.steps - before
 	}
 	if err != nil {
 		return nil, err
@@ -614,14 +645,33 @@ func (ctx *compCtx) buildIndex(i int, els []Value) *JoinIndex {
 		idx = qp.newIndex(els)
 		// The index (and its identity key) keeps the extent rows alive, so
 		// charge the cache their footprint beside the index's own.
-		cost := idx.Footprint()
-		for _, el := range els {
-			cost += el.Footprint()
-		}
-		c.put(key, idx, cost)
+		c.put(key, idx, idx.Footprint()+ctx.rowsFootprint(els))
 	}
 	qs.index = idx
 	return idx
+}
+
+// SizedExtents is an Extents that can tell the footprint of an extent it
+// returned (Value.Footprint of the bag of els) without walking it,
+// because it walked it when it filled it: a join index built over the
+// extent is charged its rows' footprint from there.
+type SizedExtents interface {
+	Footprint(els []Value) (int64, bool)
+}
+
+// rowsFootprint is the summed footprint of els: what the extents tell,
+// less the bag's own Value, or else a walk.
+func (ctx *compCtx) rowsFootprint(els []Value) int64 {
+	if se, ok := ctx.ev.Ext.(SizedExtents); ok {
+		if n, ok := se.Footprint(els); ok {
+			return n - valueOverhead
+		}
+	}
+	var n int64
+	for _, el := range els {
+		n += el.Footprint()
+	}
+	return n
 }
 
 // newIndex indexes els on the generator's join key. The index copies the
@@ -751,53 +801,67 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 		if err != nil {
 			return err
 		}
-		if qp := &ctx.plan.quals[i]; len(qp.joins) > 0 {
-			// Indexed equi-join: probe instead of scan; the consumed
-			// filters are subsumed by the index lookup.
-			idx := ctx.buildIndex(i, els)
-			key, err := ctx.probeKey(i, env)
-			if err != nil {
-				return ctx.scan(i, els, env, out)
-			}
-			r := idx.Probe(key)
-			if r < 0 {
-				return nil
-			}
-			next := i + 1 + qp.consumed
-			child := ctx.enter(i, env)
-			ev.genDepth++
-			for ; r >= 0; r = idx.Next(r) {
-				if err := ctx.runElement(i, els[r], next, child, out); err != nil {
-					ev.genDepth--
-					return err
-				}
-			}
-			ev.genDepth--
-			return nil
+		if ctx.plan.quals[i].run != nil && ctx.replays(i, els, out) {
+			return ctx.runJoined(i, els, env, out)
 		}
-		if ctx.shardable(len(els), out) {
-			// Large top-level scan: fan the elements across a worker
-			// pool in contiguous shards, merged back in shard order
-			// (see parallel.go). Results are byte-identical to the
-			// serial loop below.
-			return ctx.runSharded(i, els, i+1, env, out)
-		}
-		if out.keeps() && cap(out.vals) == 0 && len(els) > 0 {
-			// First growth: trust the generator's cardinality as a size
-			// hint so comprehension outputs don't grow append-by-append.
-			out.vals = make([]Value, 0, min(len(els), outPrealloc))
-		}
-		return ctx.scan(i, els, env, out)
+		return ctx.walk(i, els, env, out)
 	}
 	return fmt.Errorf("iql: unknown qualifier %T", quals[i])
+}
+
+// walk runs generator i over its source's elements els: by probing its
+// join index, sharded, or by a serial scan.
+func (ctx *compCtx) walk(i int, els []Value, env *Env, out *sink) error {
+	ev := ctx.ev
+	if qp := &ctx.plan.quals[i]; len(qp.joins) > 0 {
+		// Indexed equi-join: probe instead of scan; the consumed
+		// filters are subsumed by the index lookup.
+		idx := ctx.buildIndex(i, els)
+		key, err := ctx.probeKey(i, env)
+		if err != nil {
+			return ctx.scan(i, els, env, out)
+		}
+		r := idx.Probe(key)
+		if r < 0 {
+			return nil
+		}
+		next := i + 1 + qp.consumed
+		child := ctx.enter(i, env)
+		qs := &ctx.quals[i]
+		ev.genDepth++
+		for ; r >= 0; r = idx.Next(r) {
+			qs.row = int(r)
+			if err := ctx.runElement(i, els[r], next, child, out); err != nil {
+				ev.genDepth--
+				return err
+			}
+		}
+		ev.genDepth--
+		return nil
+	}
+	if ctx.shardable(len(els), out) {
+		// Large top-level scan: fan the elements across a worker
+		// pool in contiguous shards, merged back in shard order
+		// (see parallel.go). Results are byte-identical to the
+		// serial loop below.
+		return ctx.runSharded(i, els, i+1, env, out)
+	}
+	if out.keeps() && cap(out.vals) == 0 && len(els) > 0 {
+		// First growth: trust the generator's cardinality as a size
+		// hint so comprehension outputs don't grow append-by-append.
+		out.vals = make([]Value, 0, min(len(els), outPrealloc))
+	}
+	return ctx.scan(i, els, env, out)
 }
 
 // scan runs generator i over els serially; so does a join whose probe
 // key fails, as that filter fails only where an element reaches it.
 func (ctx *compCtx) scan(i int, els []Value, env *Env, out *sink) error {
 	child := ctx.enter(i, env)
+	qs := &ctx.quals[i]
 	ctx.ev.genDepth++
-	for _, el := range els {
+	for r, el := range els {
+		qs.row = r
 		if err := ctx.runElement(i, el, i+1, child, out); err != nil {
 			ctx.ev.genDepth--
 			return err
@@ -872,13 +936,20 @@ func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, env *Env, out *
 }
 
 // runElement binds one element of generator i into the generator's
-// scope and continues evaluation from qualifier next.
+// scope and continues evaluation from qualifier next. The last member of
+// a join run whose walk is being recorded records the match first.
 func (ctx *compCtx) runElement(i int, el Value, next int, child *Env, out *sink) error {
 	if err := ctx.ev.step(); err != nil {
 		return err
 	}
-	if !ctx.plan.quals[i].pat.bind(el, child.vals) {
+	qp := &ctx.plan.quals[i]
+	if !qp.pat.bind(el, child.vals) {
 		return nil // non-matching elements are skipped
+	}
+	if qp.ends != nil {
+		if r := ctx.quals[qp.ends.members[0]].recorder; r != nil {
+			return ctx.recordMatch(r, next, child, out)
+		}
 	}
 	return ctx.run(next, child, out)
 }

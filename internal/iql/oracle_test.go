@@ -3,6 +3,7 @@ package iql_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync/atomic"
@@ -19,19 +20,26 @@ import (
 // TestOracle.)
 
 // modes are the ways the evaluator walks a generator: serially, sharded
-// four ways, and pulling its extents in pages of seven rows.
+// four ways, pulling its extents in pages of seven rows, and replayed:
+// one evaluator, and so one JoinIndexCache, evaluates the form three
+// times — a join run's walk, its recorded walk, and its replay.
 var modes = []struct {
-	name string
-	ev   func(ext iql.Extents) *iql.Evaluator
+	name   string
+	ev     func(ext iql.Extents) *iql.Evaluator
+	rounds int
 }{
-	{"serial", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(ext) }},
+	{"serial", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(ext) }, 1},
 	{"sharded", func(ext iql.Extents) *iql.Evaluator {
 		ev := iql.NewEvaluator(ext)
 		ev.Parallel, ev.MinShardRows = 4, 8
 		return ev
-	}},
-	{"streamed", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(pagedExtents{ext}) }},
+	}, 1},
+	{"streamed", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(pagedExtents{ext}) }, 1},
+	{"replayed", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(ext) }, 3},
 }
+
+// runsReplayed counts the join runs the replayed mode replayed.
+var runsReplayed atomic.Uint64
 
 // pagedExtents serves every bag extent as a stream of seven-row pages;
 // pagesServed counts the pages any of them served.
@@ -78,7 +86,9 @@ func envOf(vars map[string]iql.Value) *iql.Env {
 //     evaluation error stays one, and an answer JSON cannot carry is an
 //     *iql.EncodingError;
 //   - every mode, encoded or not, takes the serial steps, and a count
-//     one more than its comprehension: the call's.
+//     one more than its comprehension: the call's;
+//
+// and so of each of the replayed mode's three rounds.
 //
 // A text that does not parse is skipped.
 func agree(t *testing.T, ext iql.Extents, vars map[string]iql.Value, src string) {
@@ -98,34 +108,20 @@ func agree(t *testing.T, ext iql.Extents, vars map[string]iql.Value, src string)
 		steps := 0
 		for i, m := range modes {
 			ev, enc := m.ev(ext), m.ev(ext)
-			got, err := ev.Eval(f, env)
-			if d := iqltest.Mismatch(got, err, want, wantErr); d != "" {
-				t.Errorf("%s, %s: %s", f, m.name, d)
-				continue
-			}
-			// Encoded after a prefix, as the server writes after "value":.
-			dst := iql.Encoding{JSON: []byte("json:"), Text: []byte("text:")}
-			encErr := enc.EvalEncoded(&dst, f, env)
-			json, text, jsonErr := iql.AppendJSONAndText([]byte("json:"), []byte("text:"), got)
-			rows := 1
-			if got.Kind == iql.KindBag {
-				rows = got.Len()
-			}
-			var unencodable *iql.EncodingError
-			switch {
-			case err != nil || jsonErr != nil:
-				if encErr == nil || errors.As(encErr, &unencodable) != (err == nil) {
-					t.Errorf("%s, %s: encoded, the error %v; built, %v and %v", f, m.name, encErr, err, jsonErr)
+			for round := range m.rounds {
+				name := m.name
+				if m.rounds > 1 {
+					name = fmt.Sprintf("%s, round %d", m.name, round+1)
 				}
-			case encErr != nil || !bytes.Equal(dst.JSON, json) || !bytes.Equal(dst.Text, text) || dst.Rows != rows:
-				t.Errorf("%s, %s: encoded %s (%d rows), %v; built %s", f, m.name, dst.JSON, dst.Rows, encErr, json)
-			case enc.Steps() != ev.Steps():
-				t.Errorf("%s, %s: %d steps encoded, %d built", f, m.name, enc.Steps(), ev.Steps())
+				if got, err := ev.Eval(f, env); i == 0 {
+					steps = ev.Steps()
+					agreeOnce(t, f, name, got, err, want, wantErr, ev, enc, env, -1)
+				} else {
+					agreeOnce(t, f, name, got, err, want, wantErr, ev, enc, env, steps)
+				}
 			}
-			if i == 0 {
-				steps = ev.Steps()
-			} else if err == nil && ev.Steps() != steps {
-				t.Errorf("%s, %s: %d steps; serially %d", f, m.name, ev.Steps(), steps)
+			if m.rounds > 1 {
+				runsReplayed.Add(ev.Indexes.Stats().Replays)
 			}
 		}
 		if form == 0 {
@@ -136,12 +132,48 @@ func agree(t *testing.T, ext iql.Extents, vars map[string]iql.Value, src string)
 	}
 }
 
+// agreeOnce holds one evaluation of f in one mode — ev's, which answered
+// got and err, and enc's, which is to answer it encoded — to the
+// reference's want and wantErr, and, unless steps is negative, to the
+// serial steps.
+func agreeOnce(t *testing.T, f iql.Expr, name string, got iql.Value, err error, want iql.Value, wantErr error,
+	ev, enc *iql.Evaluator, env *iql.Env, steps int) {
+	t.Helper()
+	if d := iqltest.Mismatch(got, err, want, wantErr); d != "" {
+		t.Errorf("%s, %s: %s", f, name, d)
+		return
+	}
+	// Encoded after a prefix, as the server writes after "value":.
+	dst := iql.Encoding{JSON: []byte("json:"), Text: []byte("text:")}
+	encErr := enc.EvalEncoded(&dst, f, env)
+	json, text, jsonErr := iql.AppendJSONAndText([]byte("json:"), []byte("text:"), got)
+	rows := 1
+	if got.Kind == iql.KindBag {
+		rows = got.Len()
+	}
+	var unencodable *iql.EncodingError
+	switch {
+	case err != nil || jsonErr != nil:
+		if encErr == nil || errors.As(encErr, &unencodable) != (err == nil) {
+			t.Errorf("%s, %s: encoded, the error %v; built, %v and %v", f, name, encErr, err, jsonErr)
+		}
+	case encErr != nil || !bytes.Equal(dst.JSON, json) || !bytes.Equal(dst.Text, text) || dst.Rows != rows:
+		t.Errorf("%s, %s: encoded %s (%d rows), %v; built %s", f, name, dst.JSON, dst.Rows, encErr, json)
+	case enc.Steps() != ev.Steps():
+		t.Errorf("%s, %s: %d steps encoded, %d built", f, name, enc.Steps(), ev.Steps())
+	}
+	if steps >= 0 && err == nil && ev.Steps() != steps {
+		t.Errorf("%s, %s: %d steps; serially %d", f, name, ev.Steps(), steps)
+	}
+}
+
 // TestOptimizerEquivalenceProperty holds the evaluator — memoised
-// sources, slot-bound patterns, hash joins, the count fold, sharded and
-// streamed scans, the encoding sink — to the reference on generated
-// queries over generated worlds, and asserts that the modes ran as named.
+// sources, slot-bound patterns, hash joins, replayed join runs, the
+// count fold, sharded and streamed scans, the encoding sink — to the
+// reference on generated queries over generated worlds, and asserts
+// that the modes ran as named.
 func TestOptimizerEquivalenceProperty(t *testing.T) {
-	pages := pagesServed.Load()
+	pages, replayed := pagesServed.Load(), runsReplayed.Load()
 	r := rand.New(rand.NewSource(27))
 	for range 40 {
 		w := iqltest.NewWorld(r)
@@ -152,6 +184,9 @@ func TestOptimizerEquivalenceProperty(t *testing.T) {
 	}
 	if pagesServed.Load() == pages {
 		t.Error("the streamed mode read no page")
+	}
+	if runsReplayed.Load() == replayed {
+		t.Error("the replayed mode replayed no join run")
 	}
 }
 

@@ -130,6 +130,17 @@ func (l *lockedExtents) Extent(parts []string) (Value, error) {
 	return l.ext.Extent(parts)
 }
 
+// Footprint implements SizedExtents when the underlying Extents does.
+func (l *lockedExtents) Footprint(els []Value) (int64, bool) {
+	se, ok := l.ext.(SizedExtents)
+	if !ok {
+		return 0, false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return se.Footprint(els)
+}
+
 // sharedSource is one constant generator source of a sharded
 // comprehension, evaluated by the first worker that reaches it and read
 // by the rest.
@@ -223,6 +234,7 @@ func (ctx *compCtx) runSharded(i int, els []Value, next int, env *Env, out *sink
 				// Workers are entered below Eval, which is where an
 				// evaluator works out what it enforces.
 				enforced: ev.enforced,
+				worker:   true,
 			}
 			// One compCtx serves all of this worker's shards: its
 			// memoised constant sources, built join indexes and

@@ -46,10 +46,12 @@ var errNoRead = errors.New("query: no read")
 
 // extent is what a read returns: the whole value, or rows when a paging
 // provider's extent outgrew the scan buffer, or — to readCount — only n,
-// how many rows the selection keeps. degraded is the warning to raise
-// when val is a stale copy.
+// how many rows the selection keeps. size is val's footprint when the
+// source-extent cache has it, 0 when not; degraded is the warning to
+// raise when val is a stale copy.
 type extent struct {
 	val      iql.Value
+	size     int64
 	rows     iql.RowStream
 	n        int64
 	degraded string
@@ -115,14 +117,16 @@ func (p *Processor) read(ctx context.Context, src source, sc hdm.Scheme, mode re
 		return extent{val: v}, err
 	}
 	fetched := false
-	fetch := func() (iql.Value, int64, error) {
+	fetch := func() (sizedExtent, int64, error) {
 		fetched = true
-		return p.fetch(ctx, src, sc, ck, br)
+		v, size, err := p.fetch(ctx, src, sc, ck, br)
+		return sizedExtent{v, size}, size, err
 	}
-	v, shared, err := p.srcExt.GetOrCompute(ck, []string{key}, fetch)
+	se, shared, err := p.srcExt.GetOrCompute(ck, []string{key}, fetch)
 	if err != nil && shared && isCancellation(err) && ctx.Err() == nil {
-		v, _, err = p.srcExt.GetOrCompute(ck, []string{key}, fetch)
+		se, _, err = p.srcExt.GetOrCompute(ck, []string{key}, fetch)
 	}
+	v := se.val
 	if mode != readWhole {
 		return extent{val: v}, err
 	}
@@ -134,7 +138,7 @@ func (p *Processor) read(ctx context.Context, src source, sc hdm.Scheme, mode re
 	if err != nil {
 		return p.stale(ctx, src, sc, br, err)
 	}
-	return extent{val: v}, nil
+	return extent{val: v, size: se.size}, nil
 }
 
 // guard is the bookkeeping around one provider call: the fetch span
@@ -308,8 +312,9 @@ func (p *Processor) scan(ctx context.Context, src source, sc hdm.Scheme, ck stri
 		}
 	}
 	v := iql.BagOf(all)
-	p.srcExt.Put(ck, v, g.settle(&v, 0, nil, false), []string{sc.Key()})
-	return extent{val: v}, nil
+	size := g.settle(&v, 0, nil, false)
+	p.srcExt.Put(ck, sizedExtent{v, size}, size, []string{sc.Key()})
+	return extent{val: v, size: size}, nil
 }
 
 // lastGoodEntry is one retained last-known-good source extent.

@@ -54,6 +54,10 @@ type session struct {
 	// stats collects sharding telemetry across every evaluator this
 	// session spawns (it is concurrency-safe).
 	stats *iql.EvalStats
+	// last is the extent Extent returned last, with its footprint when
+	// that is known without a walk (size 0 when not): what a memo entry
+	// or a join index over the same array is charged (see Footprint).
+	last sizedExtent
 }
 
 // evaluator builds an IQL evaluator wired to this session: shared step
@@ -152,7 +156,19 @@ func (s *session) source(src source, sc hdm.Scheme) (iql.Value, error) {
 	if x.degraded != "" {
 		s.warn(x.degraded)
 	}
+	s.last = sizedExtent{x.val, x.size}
 	return x.val, err
+}
+
+// Footprint implements iql.SizedExtents: the footprint of the extent
+// this session's Extent returned last, when els are its elements and
+// its footprint is known — a cached extent's, or one just filled.
+func (s *session) Footprint(els []iql.Value) (int64, bool) {
+	v := s.last.val
+	if s.last.size == 0 || len(els) == 0 || v.Kind != iql.KindBag || v.Len() != len(els) || &v.Items()[0] != &els[0] {
+		return 0, false
+	}
+	return s.last.size, true
 }
 
 // virtual answers a virtual object from the memo, or by unfolding its
@@ -164,6 +180,7 @@ func (s *session) virtual(r resolution, parts []string) (iql.Value, error) {
 		// set so the enclosing evaluation inherits both.
 		s.warnLog = append(s.warnLog, ce.warns...)
 		s.depLog = append(s.depLog, ce.deps...)
+		s.last = sizedExtent{ce.val, ce.size}
 		if obs.TraceFrom(s.ctx) != nil {
 			mark(s.ctx, obs.StageExtent, strings.Join(parts, ", "), "", obs.CacheHit, bagLen(ce.val), nil)
 		}
@@ -238,11 +255,18 @@ func (s *session) unfold(r resolution, name string) (iql.Value, error) {
 	}
 	out := iql.BagOf(acc)
 	if !s.cut {
-		ce := cachedExtent{val: out, deps: cache.Dedup(s.depLog[depMark:])}
+		// A federated object's extent is its source's array, whose
+		// footprint its read has just told.
+		size, ok := s.Footprint(acc)
+		if !ok {
+			size = out.Footprint()
+		}
+		ce := cachedExtent{val: out, size: size, deps: cache.Dedup(s.depLog[depMark:])}
 		if n := len(s.warnLog) - warnMark; n > 0 {
 			ce.warns = append([]string(nil), s.warnLog[warnMark:]...)
 		}
 		s.p.memo.Put(r.key, ce, ce.cost(), ce.deps)
+		s.last = sizedExtent{out, size}
 	}
 	s.cut = s.cut || savedCut
 	return out, nil

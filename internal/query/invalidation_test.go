@@ -3,13 +3,16 @@ package query
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"weak"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/iql/iqltest"
 )
 
 // countingExtents wraps static extents and counts fetches per scheme
@@ -283,11 +286,14 @@ func TestSharedStepBudget(t *testing.T) {
 	}
 }
 
-// TestJoinIndexesFollowTheirExtents: a join index stays cached for as
-// long as the extent it was built over does — across an invalidation
-// that drops other extents it is hit, not rebuilt — and leaves with that
-// extent, whichever store held it; InvalidateCache still empties
-// everything.
+// TestJoinIndexesFollowTheirExtents: a join index, and a join run's
+// entry, stays cached for as long as the extents it was built over do —
+// across an invalidation that drops other extents a warm join is
+// replayed, and builds nothing — and leaves with any of those extents,
+// whichever store held it; InvalidateCache still empties everything.
+// Each join below is a run of two generators: its first evaluation
+// builds the index it probes and leaves the run's entry, its second
+// probes that index and records the run, and every later one replays it.
 func TestJoinIndexesFollowTheirExtents(t *testing.T) {
 	const n = 64
 	pairs := func(off int) iql.Value {
@@ -320,54 +326,60 @@ func TestJoinIndexesFollowTheirExtents(t *testing.T) {
 			t.Fatalf("%s = %v, %v; want %d", e, v, err, n)
 		}
 	}
-	// step evaluates both joins and returns how many indexes that found
-	// built, how many it built, and how many left with their extent.
+	// step evaluates both joins and returns how they went: how many
+	// indexes they found built, how many they built, how many runs they
+	// replayed, and how many indexes and runs left with their extent
+	// since the step before.
+	type outcome struct{ hits, builds, replays, dropped uint64 }
 	last := p.JoinIndexStats()
-	step := func() (hits, builds, dropped uint64) {
+	step := func() outcome {
 		t.Helper()
 		eval(overUB)
 		eval(overUA)
 		st := p.JoinIndexStats()
-		hits, builds, dropped = st.Hits-last.Hits, st.Misses-last.Misses, st.Invalidations-last.Invalidations
+		o := outcome{st.Hits - last.Hits, st.Misses - last.Misses, st.Replays - last.Replays, st.Invalidations - last.Invalidations}
 		last = st
-		return
+		return o
 	}
-	if hits, builds, _ := step(); hits != 0 || builds != 2 {
-		t.Fatalf("cold: %d hits, %d builds, want 0 and 2", hits, builds)
+	expect := func(when string, want outcome) {
+		t.Helper()
+		if got := step(); got != want {
+			t.Fatalf("%s: %+v, want %+v", when, got, want)
+		}
 	}
-	if hits, builds, _ := step(); hits != 2 || builds != 0 {
-		t.Fatalf("warm: %d hits, %d builds, want 2 and 0", hits, builds)
+	expect("cold", outcome{builds: 2})
+	if st := p.JoinIndexStats(); st.Len != 4 || st.Bytes <= 0 {
+		t.Fatalf("stats = %+v, want 2 indexes with a cost and 2 runs", st)
 	}
-	if st := p.JoinIndexStats(); st.Len != 2 || st.Bytes <= 0 {
-		t.Fatalf("stats = %+v, want 2 indexes with a cost", st)
-	}
+	expect("warm, recorded", outcome{hits: 2})
+	expect("warm", outcome{replays: 2})
+	warm := p.JoinIndexStats()
 
-	// A step that touches nothing cached drops no index.
+	// A step that touches nothing cached drops no index and no run.
 	if n := p.InvalidateSchemes("elsewhere"); n != 0 {
 		t.Fatalf("invalidating an unknown scheme dropped %d extents", n)
 	}
-	if hits, builds, dropped := step(); hits != 2 || builds != 0 || dropped != 0 {
-		t.Fatalf("after an unrelated step: %d hits, %d builds, %d dropped, want 2, 0, 0", hits, builds, dropped)
+	expect("after an unrelated step", outcome{replays: 2})
+	if st := p.JoinIndexStats(); st.Len != warm.Len || st.Bytes != warm.Bytes {
+		t.Fatalf("after an unrelated step: %d entries of %d bytes, want %d of %d", st.Len, st.Bytes, warm.Len, warm.Bytes)
 	}
 
 	// Invalidating <<a, x>> retires its source extent and ua's memo
-	// entry: the index over ua's array goes, the one over ub's stays.
+	// entry: the index over ua's array goes, and both runs, which have a
+	// member over it; the index over ub's stays.
 	if n := p.InvalidateSchemes("a|x"); n != 2 {
 		t.Fatalf("InvalidateSchemes(a|x) dropped %d extents, want 2", n)
 	}
 	if st := p.JoinIndexStats(); st.Len != 1 {
-		t.Fatalf("%d indexes after ua was retired, want 1 (over ub)", st.Len)
+		t.Fatalf("%d entries after ua was retired, want 1 (the index over ub)", st.Len)
 	}
-	if hits, builds, dropped := step(); hits != 1 || builds != 1 || dropped != 1 {
-		t.Fatalf("after retiring ua: %d hits, %d builds, %d dropped, want 1, 1, 1", hits, builds, dropped)
-	}
+	expect("after retiring ua", outcome{hits: 1, builds: 1, dropped: 3})
 
 	// A derivation added to ub refreshes nothing in place — its memo
-	// entry is invalidated — and again only its own index goes.
+	// entry is invalidated — and again only its own index goes, with
+	// the runs over it.
 	p.Define(hdm.MustScheme("<<ub>>"), iql.MustParse("[{k, y} | {k, y} <- <<b, y>>; y < 0]"), "test", "S")
-	if hits, builds, dropped := step(); hits != 1 || builds != 1 || dropped != 1 {
-		t.Fatalf("after redefining ub: %d hits, %d builds, %d dropped, want 1, 1, 1", hits, builds, dropped)
-	}
+	expect("after redefining ub", outcome{hits: 1, builds: 1, dropped: 3})
 
 	// A byte budget the extents do not fit evicts them, and their
 	// indexes with them, whatever the index cache's own budget decides.
@@ -380,5 +392,102 @@ func TestJoinIndexesFollowTheirExtents(t *testing.T) {
 	p.InvalidateCache()
 	if st := p.JoinIndexStats(); st.Len != 0 || st.Bytes != 0 || st.Purges == 0 {
 		t.Fatalf("InvalidateCache left indexes behind: %+v", st)
+	}
+}
+
+// warmJoinAllocs is what TestWarmPlanAllocatesNoAnalysis measured a warm
+// join through the server to allocate before join runs were replayed,
+// whatever its generators: 11 times.
+const warmJoinAllocs = 11
+
+// TestJoinRunsFollowTheirExtents: a join run's entry leaves with any of
+// its members' extents — one of fewer rows than an index is cached for
+// included — and keeps none of them reachable once it is gone; and a
+// replayed warm join allocates no more than a warm join did before runs
+// were replayed.
+func TestJoinRunsFollowTheirExtents(t *testing.T) {
+	keyed := func(n, off int) iql.Value {
+		rows := make([]iql.Value, n)
+		for i := range rows {
+			rows[i] = iql.Tuple(iql.Int(int64(i)), iql.Int(int64(i+off)))
+		}
+		return iql.BagOf(rows)
+	}
+	ext := &countingExtents{
+		data:  map[string]iql.Value{"<<a, x>>": keyed(64, 100), "<<b, y>>": keyed(64, 200), "<<c, z>>": keyed(8, 300)},
+		calls: make(map[string]int),
+	}
+	sch := hdm.NewSchema("S")
+	for _, o := range []string{"<<a, x>>", "<<b, y>>", "<<c, z>>"} {
+		sch.MustAdd(hdm.NewObject(hdm.MustScheme(o), hdm.Link, "", ""))
+	}
+	p := New()
+	if err := p.AddExtents("S", sch, ext); err != nil {
+		t.Fatal(err)
+	}
+	// Computed, so each is a memo entry's array and nothing else's.
+	p.Define(hdm.MustScheme("<<ua>>"), iql.MustParse("[{k, x} | {k, x} <- <<a, x>>; x > 0]"), "test", "S")
+	p.Define(hdm.MustScheme("<<ub>>"), iql.MustParse("[{k, y} | {k, y} <- <<b, y>>; y > 0]"), "test", "S")
+	p.Define(hdm.MustScheme("<<uc>>"), iql.MustParse("[{k, z} | {k, z} <- <<c, z>>; z > 0]"), "test", "S")
+	q := iql.MustParse("[{x, y, z} | {k, x} <- <<ua>>; {k2, y} <- <<ub>>; k2 = k; {k3, z} <- <<uc>>; k3 = k2]")
+	ctx := context.Background()
+	var dst iql.Encoding
+	ask := func() {
+		dst = iql.Encoding{JSON: dst.JSON[:0], Text: dst.Text[:0]}
+		if _, _, err := p.EvalEncoded(ctx, q, &dst); err != nil || dst.Rows != 8 {
+			t.Fatalf("%s: %d rows, %v; want 8", q, dst.Rows, err)
+		}
+	}
+	replays := func() uint64 { return p.JoinIndexStats().Replays }
+	warm := func(when string) {
+		t.Helper()
+		ask() // the walk that leaves the run's entry
+		ask() // the walk that records it
+		before := replays()
+		ask()
+		if replays() != before+1 {
+			t.Fatalf("%s: the third evaluation replayed %d runs, want 1", when, replays()-before)
+		}
+	}
+
+	// Each member's extent takes the run's entry with it: the next
+	// evaluation walks, and replays only the evaluation after the next.
+	for _, member := range []string{"a|x", "b|y", "c|z"} {
+		warm("before retiring " + member)
+		dropped := p.JoinIndexStats().Invalidations
+		if n := p.InvalidateSchemes(member); n != 2 {
+			t.Fatalf("InvalidateSchemes(%s) dropped %d extents, want 2", member, n)
+		}
+		if st := p.JoinIndexStats(); st.Invalidations == dropped {
+			t.Fatalf("retiring %s dropped nothing of the join-index cache: %+v", member, st)
+		}
+		before := replays()
+		ask()
+		if replays() != before {
+			t.Fatalf("after retiring %s, the run was replayed over its old extent", member)
+		}
+	}
+
+	// Once its entry is gone, nothing keeps a retired extent alive.
+	warm("before retiring ua")
+	ua, err := p.Extent([]string{"ua"})
+	if err != nil || ua.Len() != 64 {
+		t.Fatalf("<<ua>> = %s, %v", ua, err)
+	}
+	gone := weak.Make(&ua.Items()[0])
+	ua = iql.Value{}
+	p.InvalidateSchemes("a|x")
+	runtime.GC()
+	runtime.GC()
+	if gone.Value() != nil {
+		t.Error("<<ua>>'s retired extent is still reachable")
+	}
+
+	// A replayed warm join allocates what a warm join did.
+	warm("warm")
+	allocs := iqltest.Least(20, func() float64 { return testing.AllocsPerRun(1, ask) })
+	t.Logf("a replayed warm join allocates %.0f times", allocs)
+	if allocs > warmJoinAllocs {
+		t.Errorf("a replayed warm join allocates %.0f times, want at most %d", allocs, warmJoinAllocs)
 	}
 }

@@ -36,7 +36,9 @@ import (
 // EvalEncoded. One more way shares a plan: a tree parsed afresh is
 // analysed by a cold evaluation on one processor and evaluated as that
 // left it, warm, by another's session and evaluators, as a cached plan
-// is by every session of the server. Of each it asserts that
+// is by every session of the server. And one replays: the same tree
+// evaluated cold, then warm twice, on one processor, so that a join
+// run is walked, recorded and replayed. Of each it asserts that
 //
 //   - the value is Eval's (iqltest.Same), or both fail;
 //   - over permuted extents the answer is alike (iqltest.Alike), or both
@@ -51,17 +53,18 @@ import (
 
 // TestOracle runs the oracle over generated queries, and asserts that
 // the modes ran as named: the sharded ones sharded some evaluation and
-// the serial ones none, and the paged ones stream <<t>> past the cache,
-// which the materialised ones fill.
+// the serial ones none, the paged ones stream <<t>> past the cache,
+// which the materialised ones fill, and the replayed one replayed.
 func TestOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
-	var sharded uint64
+	var sharded, replayed uint64
 	for range 20 {
 		w := iqltest.NewWorld(r)
 		o := newOracle(t, w, r)
 		for range 25 {
 			o.check(t, w.Query(r))
 		}
+		replayed += o.replayed
 		for _, m := range o.direct {
 			n := m.p.ParallelStats().ParallelEvals
 			if sharded += n; m.p.Parallel == 1 && n > 0 {
@@ -75,6 +78,9 @@ func TestOracle(t *testing.T) {
 	}
 	if sharded == 0 {
 		t.Error("no evaluation sharded")
+	}
+	if replayed == 0 {
+		t.Error("the replayed mode replayed no join run")
 	}
 }
 
@@ -124,6 +130,8 @@ type oracle struct {
 	// no last good extent), serial or sharded.
 	faulted  func(parallel int) *Processor
 	permuted []permutation
+	// replayed counts the join runs the replayed mode replayed.
+	replayed uint64
 }
 
 type mode struct {
@@ -422,6 +430,23 @@ func (o *oracle) check(t *testing.T, src string) {
 		same(where+", encoded", form, 1, enc)
 		encodes(where, form, built, enc)
 	}
+
+	// Replayed: one processor, one plan, three evaluations of each form —
+	// a cold walk that leaves each join run's entry, a warm one that
+	// records it, a warm one that replays it — built and encoded.
+	rep := o.direct[0]
+	replays := rep.p.JoinIndexStats().Replays
+	for form, f := range forms {
+		for round := range 3 {
+			where := fmt.Sprintf("%s, replayed, round %d", rep.name, round+1)
+			built := eval(rep.p, f, false, round == 0)
+			same(where, form, min(round, 1), built)
+			enc := eval(rep.p, f, true, round == 0)
+			same(where+", encoded", form, min(round, 1), enc)
+			encodes(where, form, built, enc)
+		}
+	}
+	o.replayed += rep.p.JoinIndexStats().Replays - replays
 
 	// Degraded: a good read of every source, then every source failing.
 	faulted := []*Processor{o.faulted(1), o.faulted(8)}

@@ -101,13 +101,23 @@ type source struct {
 // session so enclosing computations inherit it).
 type cachedExtent struct {
 	val   iql.Value
+	size  int64 // val's footprint
 	warns []string
 	deps  []string
 }
 
+// sizedExtent is an extent with its footprint (iql.Value.Footprint),
+// walked once when the extent is filled and carried with it: the
+// source-extent cache's entries, and what a session read last (see
+// session.Footprint).
+type sizedExtent struct {
+	val  iql.Value
+	size int64
+}
+
 // cost estimates the entry's in-memory size for the byte budget.
 func (ce cachedExtent) cost() int64 {
-	n := ce.val.Footprint()
+	n := ce.size
 	for _, w := range ce.warns {
 		n += int64(len(w)) + 16
 	}
@@ -132,7 +142,7 @@ type Processor struct {
 	sources []source
 	defs    map[string]virtualObject
 	memo    *cache.Store[cachedExtent]
-	srcExt  *cache.Store[iql.Value]
+	srcExt  *cache.Store[sizedExtent]
 	// joinIdx caches built hash-join indexes across every evaluator the
 	// processor spawns, keyed by extent identity (see iql.JoinIndexCache):
 	// a large memoised extent joined by many queries is indexed once per
@@ -185,7 +195,7 @@ func New() *Processor {
 	return &Processor{
 		defs:     make(map[string]virtualObject),
 		memo:     cache.NewWithDrop(cache.Options{}, func(ce cachedExtent) { idx.DropExtent(ce.val) }),
-		srcExt:   cache.NewWithDrop(cache.Options{}, idx.DropExtent),
+		srcExt:   cache.NewWithDrop(cache.Options{}, func(se sizedExtent) { idx.DropExtent(se.val) }),
 		joinIdx:  idx,
 		breakers: make(map[string]*breaker),
 		lastGood: make(map[string]lastGoodEntry),

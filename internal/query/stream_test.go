@@ -340,7 +340,8 @@ func TestStreamSmallExtentCachedAtItsLength(t *testing.T) {
 		if v, err := p.Query(localCount); err != nil || v.I() != 10 {
 			t.Fatalf("%s: count = %s, %v", name, v, err)
 		}
-		cached, ok := p.srcExt.Get(ck)
+		se, ok := p.srcExt.Get(ck)
+		cached := se.val
 		if !ok {
 			t.Fatalf("%s: small extent was not materialised into the source-extent cache", name)
 		}

@@ -136,4 +136,5 @@ func addStats(dst *CacheStats, st CacheStats) {
 	dst.Invalidations += st.Invalidations
 	dst.Oversize += st.Oversize
 	dst.Purges += st.Purges
+	dst.Replays += st.Replays
 }

@@ -68,6 +68,8 @@ func (m *Metrics) Prometheus(plan, result, extent, src, index CacheStats, queue 
 		w.Counter("automed_cache_evictions_total", "Cache evictions per layer.", float64(l.s.Evictions), lbl...)
 		w.Counter("automed_cache_invalidations_total", "Cache invalidations per layer.", float64(l.s.Invalidations), lbl...)
 	}
+	w.Counter("automed_cache_replays_total", "Join runs evaluated from their records, looking up no index.",
+		float64(index.Replays), "layer", "join_index")
 
 	for _, s := range m.sources.Snapshot() {
 		lbl := []string{"source", s.Source, "kind", s.Kind}

@@ -282,10 +282,13 @@ func BenchmarkMetricsQueryParallel(b *testing.B) {
 
 // TestJoinIndexLayerAcrossSteps: the join-index cache is reported as a
 // cache layer of its own, and what it reports is the pay-as-you-go
-// property: restore → step → Q7 → step → Q7, and the second Q7 —
-// evaluated again, at the schema version the second step published —
-// finds every index it joins through built (hits, no misses), because
-// the step retired none of the extents they were built over.
+// property: restore → step → Q7 → step → Q7 → step → Q7, each Q7
+// evaluated again at the schema version the step before it published.
+// The first builds the indexes Q7 joins through and leaves its join
+// run's entry; the second finds every index built (hits, no misses) and
+// records the run; the third replays the record (a replay, no lookup of
+// any index) — because no step retired an extent they were built over,
+// and every warm entry is still there.
 func TestJoinIndexLayerAcrossSteps(t *testing.T) {
 	s, c := newDurableClient(t, t.TempDir())
 	pedro, gpmdb, pepseeker, err := ispider.Wrappers(ispider.BenchConfig())
@@ -305,10 +308,11 @@ func TestJoinIndexLayerAcrossSteps(t *testing.T) {
 			q7 = q.IQL
 		}
 	}
-	layer := func() (hits, misses, entries float64) {
+	type layerStats struct{ hits, misses, replays, entries, invalidations float64 }
+	layer := func() layerStats {
 		t.Helper()
 		l := c.must("GET", "/metrics", nil, http.StatusOK)["join_index_cache"].(map[string]any)
-		return l["hits"].(float64), l["misses"].(float64), l["len"].(float64)
+		return layerStats{l["hits"].(float64), l["misses"].(float64), l["replays"].(float64), l["len"].(float64), l["invalidations"].(float64)}
 	}
 	step := func(st ispider.PlanStep) {
 		t.Helper()
@@ -323,23 +327,28 @@ func TestJoinIndexLayerAcrossSteps(t *testing.T) {
 	plan := ispider.IntersectionPlan()
 
 	c.must("POST", "/sessions/case/restore", nil, http.StatusOK)
-	if hits, misses, entries := layer(); hits != 0 || misses != 0 || entries != 0 {
-		t.Fatalf("a restored session starts with %v hits, %v misses, %v indexes", hits, misses, entries)
+	if l := layer(); l != (layerStats{}) {
+		t.Fatalf("a restored session starts with %+v", l)
 	}
 	step(plan[0])
 	ask()
-	_, built, entries := layer()
-	if built == 0 || entries == 0 {
-		t.Fatalf("Q7 built %v indexes and left %v cached; it joins", built, entries)
+	walked := layer()
+	if walked.misses == 0 || walked.entries == 0 || walked.replays != 0 {
+		t.Fatalf("Q7 left %+v; it joins, and has not been evaluated before", walked)
 	}
 	step(plan[1])
-	hitsBefore, _, _ := layer()
 	ask()
-	hits, misses, after := layer()
-	if misses != built || hits == hitsBefore || after != entries {
-		t.Errorf("second Q7: misses %v → %v, hits %v → %v, indexes %v → %v; want no index built, every one hit",
-			built, misses, hitsBefore, hits, entries, after)
+	recorded := layer()
+	if recorded.misses != walked.misses || recorded.hits == walked.hits || recorded.entries != walked.entries || recorded.replays != 0 {
+		t.Errorf("second Q7: %+v after %+v; want no index built, every one hit, no entry more or less", recorded, walked)
 	}
+	step(plan[2])
+	ask()
+	replayed := layer()
+	if replayed != (layerStats{recorded.hits, recorded.misses, 1, recorded.entries, 0}) {
+		t.Errorf("third Q7: %+v after %+v; want its run replayed, no index looked up or built, every entry kept", replayed, recorded)
+	}
+	hits, misses, entries := replayed.hits, replayed.misses, replayed.entries
 
 	body, _ := scrape(t, c, "/metrics", "")
 	for _, want := range []string{
@@ -347,6 +356,7 @@ func TestJoinIndexLayerAcrossSteps(t *testing.T) {
 		`automed_cache_hits_total{layer="join_index"} ` + strconv.Itoa(int(hits)),
 		`automed_cache_misses_total{layer="join_index"} ` + strconv.Itoa(int(misses)),
 		`automed_cache_invalidations_total{layer="join_index"} 0`,
+		`automed_cache_replays_total{layer="join_index"} 1`,
 		`automed_cache_bytes{layer="join_index"}`,
 	} {
 		if !strings.Contains(string(body), want) {

@@ -702,13 +702,43 @@ func TestPlanCostChargesTheAnalysis(t *testing.T) {
 	}
 }
 
+// TestTable1CacheCharges holds what Table 1 charges the extent caches
+// and the join-index cache — Q1 to Q7 evaluated once each, in order, at
+// ispider.DefaultConfig — to the bytes they were charged when a freshly
+// filled extent was walked for its size up to three times: by the
+// source read, by the memo entry over it, and by each join index built
+// over it. It is walked once now (a fill carries its footprint), and a
+// join run's entry is charged nothing until it is recorded.
+func TestTable1CacheCharges(t *testing.T) {
+	srv := New(DefaultConfig())
+	sess := caseStudySession(t, srv, ispider.DefaultConfig())
+	ig, err := sess.integrator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range ispider.Table1Queries() {
+		if _, err := ig.QueryExprAt(context.Background(), core.CurrentVersion, iql.MustParse(q.IQL)); err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+	}
+	memo, src := ig.Processor().CacheStats()
+	idx := ig.Processor().JoinIndexStats()
+	if memo.Bytes != 234979 || src.Bytes != 144360 || idx.Bytes != 343568 {
+		t.Errorf("Table 1 charged the memo %d bytes, the source extents %d and the join indexes %d; want 234979, 144360 and 343568",
+			memo.Bytes, src.Bytes, idx.Bytes)
+	}
+}
+
 // TestSharedPlanAcrossSessions evaluates one cached plan from eight
 // goroutines, four in each of two sessions, result cache bypassed, and
 // holds every answer to the reference's bytes. The sessions share the
 // AST, so its comprehensions' analysis, and every evaluation takes the
 // state parked on a comprehension or makes its own: the sharded count
-// has its workers enter the nested comprehension at once. make flake
-// runs it thirty times under -race.
+// has its workers enter the nested comprehension at once. The plan's
+// three-generator join is a join run each session has walked and
+// recorded before the goroutines start, so all four of a session's
+// goroutines replay the one record at once, every time. make flake runs
+// it thirty times under -race.
 func TestSharedPlanAcrossSessions(t *testing.T) {
 	srv := New(DefaultConfig())
 	// At least twice DefaultMinShardRows, so the count's scan shards.
@@ -728,6 +758,15 @@ func TestSharedPlanAcrossSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	plans := cache.New[plan](cache.Options{MaxEntries: 16})
+	replays := make([]uint64, len(sessions))
+	for i, sess := range sessions {
+		for range 2 { // the walk that leaves the run's entry, the one that records it
+			if _, _, err := sess.Query(context.Background(), new(respBuf), plans, q, core.CurrentVersion, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replays[i] = sess.JoinIndexCacheStats().Replays
+	}
 	var wg sync.WaitGroup
 	for g := range 8 {
 		sess := sessions[g%2]
@@ -751,13 +790,16 @@ func TestSharedPlanAcrossSessions(t *testing.T) {
 	if st := plans.Stats(); st.Len != 1 {
 		t.Errorf("%d plans cached, want the one all evaluations shared", st.Len)
 	}
-	for _, sess := range sessions {
+	for i, sess := range sessions {
 		ig, err := sess.integrator()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st := ig.Processor().ParallelStats(); st.Width > 1 && st.ParallelEvals == 0 {
 			t.Errorf("session %s: no evaluation sharded", sess.Name())
+		}
+		if n := sess.JoinIndexCacheStats().Replays - replays[i]; n != 20 {
+			t.Errorf("session %s: %d join runs replayed, want 20: one in each of its goroutines' five queries", sess.Name(), n)
 		}
 	}
 }
