@@ -43,7 +43,10 @@ race:
 # parked in one session while another session, a restore,
 # RestoreSessions, Drain or OpenStore runs beside it;
 # TestPersistRestoreKeepsHeldSources, a query on a session while
-# restores hand its sources to the next; and
+# restores hand its sources to the next;
+# TestPersistRestoreReusesCheckpoint, a query on whichever session a
+# name stands for while restores share one decoded checkpoint and its
+# repository image; and
 # TestPersistStepsJournalInOrder, steps from eight clients on one
 # session journaled in the order the integrator took them), under the
 # race detector: which goroutine reaches a lock first is the

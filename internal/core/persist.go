@@ -8,6 +8,7 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"sync"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
@@ -57,6 +58,61 @@ type Snapshot struct {
 	// Steps is how many of the exporting integrator's steps (StepsSince)
 	// the snapshot holds; it is not part of the document.
 	Steps int `json:"-"`
+
+	// image is what the first Import of the snapshot decoded, for every
+	// later one to share (decoded). A pointer, so that copying a
+	// Snapshot copies no lock.
+	image *snapshotImage
+}
+
+// snapshotImage is the part of an import that depends on the snapshot
+// alone: its repository, decoded, and its definitions, parsed. It is
+// made once and never changed after: an Import clones the repository
+// and shares the definitions' syntax trees, which no evaluation changes.
+type snapshotImage struct {
+	once sync.Once
+	repo *repo.Repository
+	defs []query.ObjectDef
+	err  error
+}
+
+// imageMu guards the image field of every Snapshot.
+var imageMu sync.Mutex
+
+// decoded returns the snapshot's image, made by the first call. Import
+// reads a snapshot and never changes it, so a snapshot once imported
+// must not be changed either: its later imports would not see it.
+func (s *Snapshot) decoded() (*snapshotImage, error) {
+	imageMu.Lock()
+	img := s.image
+	if img == nil {
+		img = new(snapshotImage)
+		s.image = img
+	}
+	imageMu.Unlock()
+	img.once.Do(func() { img.repo, img.defs, img.err = s.decode() })
+	return img, img.err
+}
+
+// decode decodes the snapshot's repository and parses its definitions.
+func (s *Snapshot) decode() (*repo.Repository, []query.ObjectDef, error) {
+	r, err := repo.Decode(s.Repo)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: restoring repository: %w", err)
+	}
+	defs := make([]query.ObjectDef, 0, len(s.Definitions))
+	for _, ds := range s.Definitions {
+		sc, err := hdm.ParseScheme(ds.Object)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: restoring definition: %w", err)
+		}
+		q, err := iql.Parse(ds.Query)
+		if err != nil {
+			return nil, nil, fmt.Errorf("core: restoring definition of %s: %w", sc, err)
+		}
+		defs = append(defs, query.ObjectDef{Scheme: sc, Derivation: query.Derivation{Query: q, Lower: ds.Lower, Via: ds.Via, Scope: ds.Scope}})
+	}
+	return r, defs, nil
 }
 
 // SnapshotFormat is the current snapshot format version.
@@ -215,6 +271,14 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 // held are sources the caller already has — the session the snapshot
 // replaces — which wrapper.Decode takes as they are wherever their
 // documents equal the snapshot's.
+//
+// The repository and the definitions are decoded by a snapshot's first
+// import only (decoded): each import clones that repository and shares
+// the parsed definitions. The clone shares the stored schemas and
+// pathways, which no later step changes in place: a step adds schemas
+// and pathways, and the one change in place, Backfill extending the
+// federated schema, has nothing to do in an imported integrator, which
+// skipped no source.
 func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
@@ -226,10 +290,11 @@ func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 		return nil, fmt.Errorf("core: snapshot has no sources")
 	}
 
-	r, err := repo.Decode(snap.Repo)
+	img, err := snap.decoded()
 	if err != nil {
-		return nil, fmt.Errorf("core: restoring repository: %w", err)
+		return nil, err
 	}
+	r := img.repo.Clone()
 	ig := &Integrator{
 		repo:     r,
 		proc:     query.New(),
@@ -268,19 +333,7 @@ func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 		ig.global = ig.versions[n-1].Schema
 	}
 
-	defs := make([]query.ObjectDef, 0, len(snap.Definitions))
-	for _, ds := range snap.Definitions {
-		sc, err := hdm.ParseScheme(ds.Object)
-		if err != nil {
-			return nil, fmt.Errorf("core: restoring definition: %w", err)
-		}
-		q, err := iql.Parse(ds.Query)
-		if err != nil {
-			return nil, fmt.Errorf("core: restoring definition of %s: %w", sc, err)
-		}
-		defs = append(defs, query.ObjectDef{Scheme: sc, Derivation: query.Derivation{Query: q, Lower: ds.Lower, Via: ds.Via, Scope: ds.Scope}})
-	}
-	ig.proc.DefineAll(defs)
+	ig.proc.DefineAll(img.defs)
 
 	for _, is := range snap.Intersections {
 		in := &Intersection{

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/dataspace/automed/internal/hdm"
@@ -388,4 +389,58 @@ func mustExport(t *testing.T, ig *Integrator) *Snapshot {
 		t.Fatal(err)
 	}
 	return snap
+}
+
+// TestImportsShareOneImage: every import of one snapshot shares the
+// repository and definitions its first import decoded — first imports
+// running at once included — each over a repository of its own: steps
+// taken on one import, and a second import's own steps, leave the image
+// encoding as the snapshot's repository and every later import
+// answering as the first did.
+func TestImportsShareOneImage(t *testing.T) {
+	snap := decodeSnapshot(t, exportJSONOf(t, mustExport(t, federatedLibrary(t))))
+	firsts := make([]*Integrator, 4)
+	var wg sync.WaitGroup
+	for i := range firsts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ig, err := Import(snap)
+			if err != nil {
+				t.Error(err)
+			}
+			firsts[i] = ig
+		}()
+	}
+	wg.Wait()
+	first, img := firsts[0], snap.image
+	if first == nil || img == nil {
+		t.Fatal("the first imports failed")
+	}
+	want := versionedAnswers(t, first)
+	for i := range 2 {
+		ig, err := Import(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.image != img {
+			t.Fatal("a second import made a second image")
+		}
+		if ig.Repo() == img.repo || ig.Repo() == first.Repo() {
+			t.Fatal("an import shares its repository")
+		}
+		if got := versionedAnswers(t, ig); !reflect.DeepEqual(got, want) {
+			t.Fatalf("import %d answers differently from the first:\ngot  %v\nwant %v", i+2, got, want)
+		}
+		if _, err := ig.Intersect("I1", bookMappings(), "Q1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := ig.Refine("shelves", Attribute("<<UBook, shelf>>",
+			From("Library", "[{'LIB', k, x} | {k, x} <- <<books, shelf>>]")), "Q3"); err != nil {
+			t.Fatal(err)
+		}
+		if doc, err := img.repo.MarshalJSON(); err != nil || !bytes.Equal(doc, snap.Repo) {
+			t.Fatalf("after steps on import %d, the image encodes differently from the snapshot's repository (%v)", i+2, err)
+		}
+	}
 }

@@ -212,8 +212,10 @@ func (pf *prefetcher) visitExpr(e iql.Expr, scope string, depth int) {
 		// and only when the plan has no joins. Joins need a second
 		// generator, so a sole generator is the statically-certain
 		// stream position; multi-generator comprehensions are warmed as
-		// before (their equi-joins materialise every source anyway, and
-		// skipping the warm would serialise overlappable fetches).
+		// before. A join indexes, so materialises, every generator after
+		// the first; the first is only walked, yet it is read whole too,
+		// because the evaluator streams no generator of a join; and
+		// skipping the warm would serialise overlappable fetches.
 		gens := 0
 		for _, q := range n.Quals {
 			if _, ok := q.(*iql.Generator); ok {

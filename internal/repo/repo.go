@@ -5,6 +5,8 @@ package repo
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -112,6 +114,16 @@ func (r *Repository) PathwaysFrom(name string) []*transform.Pathway {
 		}
 	}
 	return out
+}
+
+// Clone returns a repository holding r's schemas and pathways, which
+// can be added to without changing r. The schemas and pathways
+// themselves are shared, not copied: the two stay apart only while no
+// stored schema or pathway is changed in place.
+func (r *Repository) Clone() *Repository {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return &Repository{schemas: maps.Clone(r.schemas), pathways: slices.Clone(r.pathways)}
 }
 
 // Stats summarises the repository contents.

@@ -2,6 +2,7 @@ package repo
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -168,5 +169,38 @@ func TestStats(t *testing.T) {
 	r.AddSchema(schemaWith("A", "<<x>>"))
 	if got := r.Stats(); got != "1 schemas, 0 pathways, 0 transformation steps" {
 		t.Errorf("Stats = %q", got)
+	}
+}
+
+// TestCloneIsAddedToAlone: what is added to a clone is not in the
+// repository it was cloned from, and the reverse.
+func TestCloneIsAddedToAlone(t *testing.T) {
+	r := New()
+	for _, name := range []string{"A", "B"} {
+		if err := r.AddSchema(hdm.NewSchema(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.AddPathway(transform.NewPathway("A", "B"), false); err != nil {
+		t.Fatal(err)
+	}
+	c := r.Clone()
+	if err := c.AddSchema(hdm.NewSchema("C")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddPathway(transform.NewPathway("B", "C"), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddSchema(hdm.NewSchema("D")); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.SchemaNames(); !slices.Equal(got, []string{"A", "B", "D"}) {
+		t.Errorf("the original holds %v", got)
+	}
+	if got := c.SchemaNames(); !slices.Equal(got, []string{"A", "B", "C"}) {
+		t.Errorf("the clone holds %v", got)
+	}
+	if len(r.Pathways()) != 1 || len(c.Pathways()) != 2 {
+		t.Errorf("the original holds %d pathways, the clone %d: want 1 and 2", len(r.Pathways()), len(c.Pathways()))
 	}
 }

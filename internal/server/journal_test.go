@@ -257,7 +257,7 @@ func TestJournalRecords(t *testing.T) {
 		// The torn session's next save is a checkpoint, so the file loads
 		// clean again.
 		c3.must("POST", "/intersect", map[string]any{"session": "torn", "name": "I2", "mappings": upricedMappings}, http.StatusCreated)
-		if state, err := s3.Store().Load("torn"); err != nil || state.torn != 0 || len(state.steps) != 0 || state.Integrator.GlobalVersion != 2 {
+		if state, err := loadState(s3.Store(), "torn"); err != nil || state.torn != 0 || len(state.steps) != 0 || state.Integrator.GlobalVersion != 2 {
 			t.Fatalf("torn at %d: after the next step the file is %+v (%v), want a checkpoint at version 2", cut, state, err)
 		}
 		if err := os.Remove(path); err != nil {
@@ -316,7 +316,7 @@ func TestJournalCompacts(t *testing.T) {
 			"forward": []map[string]any{{"source": "Library", "query": "[{'LIB', k, x} | {k, x} <- <<books, title>>]"}},
 		}}, http.StatusCreated)
 		if _, cps := saves(s); cps > before {
-			state, err := s.Store().Load("default")
+			state, err := loadState(s.Store(), "default")
 			if err != nil || len(state.steps) != 0 || state.Integrator.GlobalVersion != i+1 {
 				t.Fatalf("after the compacting step: %+v (%v), want a checkpoint at version %d", state, err, i+1)
 			}
@@ -329,7 +329,7 @@ func TestJournalCompacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if state, err := s.Store().Load("default"); err != nil || info.Size() > 2*state.checkpoint {
+		if state, err := loadState(s.Store(), "default"); err != nil || info.Size() > 2*state.checkpoint {
 			t.Fatalf("step %d: a %d-byte file over a %d-byte checkpoint (%v)", i, info.Size(), state.checkpoint, err)
 		}
 	}

@@ -115,7 +115,7 @@ func (p *parkedSave) within(t *testing.T, what string, f func()) {
 // to: its checkpoint's, with the steps recorded after it taken.
 func diskVersion(t *testing.T, s *Server, name string) int {
 	t.Helper()
-	state, err := s.Store().Load(name)
+	state, err := loadState(s.Store(), name)
 	if err != nil {
 		t.Fatal(err)
 	}

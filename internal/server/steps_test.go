@@ -180,7 +180,7 @@ func TestStepEndpoints(t *testing.T) {
 		if snapAfter-snapBefore != 1 {
 			t.Errorf("%s wrote %v snapshots, want 1", row.path, snapAfter-snapBefore)
 		}
-		if state, err := s.Store().Load("default"); err != nil || !row.saved(state) {
+		if state, err := loadState(s.Store(), "default"); err != nil || !row.saved(state) {
 			t.Errorf("%s: autosaved snapshot does not show the step: %+v (%v)", row.path, state, err)
 		}
 	}

@@ -37,14 +37,24 @@ type sessionState struct {
 	Integrator *core.Snapshot `json:"integrator,omitempty"`
 
 	// Not part of the checkpoint document. An exported state names the
-	// integrator it was exported from; a loaded one carries the step
-	// records after its checkpoint, the checkpoint's length, the length
-	// of the file those records end at, and how many bytes of a torn
-	// final record were dropped after them.
+	// integrator it was exported from; a loaded one carries its
+	// checkpoint as read, the step records after it, the checkpoint's
+	// length, the length of the file those records end at, and how many
+	// bytes of a torn final record were dropped after them.
 	ig               *core.Integrator
+	read             *readCheckpoint
 	steps            []core.Step
 	checkpoint, size int64
 	torn             int
+}
+
+// readCheckpoint is a checkpoint as a session read it: its bytes, and
+// the state they decode to (the checkpoint's members alone). Neither is
+// changed once made, so every session restored from those bytes shares
+// it — and, through its core.Snapshot, one decoded repository.
+type readCheckpoint struct {
+	data  []byte
+	state sessionState
 }
 
 // sessionFile is what a session knows of its file, as the session last
@@ -62,6 +72,10 @@ type sessionFile struct {
 	// docs are the checkpoint's source documents, in source order.
 	docs             []json.RawMessage
 	checkpoint, size int64
+	// read is the checkpoint the file starts with, decoded, when the
+	// session read the file rather than wrote it: a restore of a file
+	// that starts with those bytes decodes nothing of them again.
+	read *readCheckpoint
 }
 
 // storeFormat is the session-file format version.
@@ -254,34 +268,39 @@ func encodeSteps(steps []core.Step) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Load reads one session's state by name.
-func (st *Store) Load(session string) (*sessionState, error) {
-	return st.loadFile(st.Path(session))
-}
-
-func (st *Store) loadFile(path string) (*sessionState, error) {
+// readState reads and decodes a session file (decodeState).
+func readState(path string, held *readCheckpoint) (*sessionState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("server: loading session snapshot: %w", err)
 	}
-	return decodeState(data, filepath.Base(path))
+	return decodeState(data, filepath.Base(path), held)
 }
 
 // decodeState decodes a session file: its checkpoint — exactly one JSON
 // document, then nothing but white space — and the step records after
 // it. The source documents and the repository are only skipped over
-// here; wrapper.Decode and repo.Decode decode them. A final record that
+// here; wrapper.Decode and core.Import decode them. A final record that
 // is torn (no line feed, or not one JSON object) is dropped and counted
-// in torn; any other is an error.
-func decodeState(data []byte, file string) (*sessionState, error) {
+// in torn; any other is an error. held is a checkpoint read before, or
+// nil: a checkpoint that is its bytes, byte for byte, is not decoded
+// again, and the state is held's; the step records are decoded either
+// way.
+func decodeState(data []byte, file string, held *readCheckpoint) (*sessionState, error) {
 	checkpoint := data
 	if i := bytes.IndexByte(data, recordSep); i >= 0 {
 		checkpoint = data[:i]
 	}
 	var state sessionState
-	if err := json.Unmarshal(checkpoint, &state); err != nil {
-		return nil, fmt.Errorf("%w: decoding %s: %v", errBadSnapshot, file, err)
+	if held != nil && bytes.Equal(held.data, checkpoint) {
+		state = held.state
+	} else {
+		if err := json.Unmarshal(checkpoint, &state); err != nil {
+			return nil, fmt.Errorf("%w: decoding %s: %v", errBadSnapshot, file, err)
+		}
+		held = &readCheckpoint{data: checkpoint, state: state}
 	}
+	state.read = held
 	state.checkpoint, state.size = int64(len(checkpoint)), int64(len(data))
 	for rest := data[len(checkpoint):]; len(rest) > 0; {
 		end := len(rest)
@@ -481,11 +500,19 @@ func (s *Server) RestoreSessions() (int, error) {
 // histogram records. A non-empty name is the session the file must be
 // for. The caller holds the session's persistence lock, so the session
 // the file's name stands for now is the one the rebuilt session
-// replaces, and its unchanged sources are taken over rather than
-// decoded again.
+// replaces: its unchanged sources are taken over rather than decoded
+// again, and when name is given and the file starts with the checkpoint
+// that session read, byte for byte, the checkpoint is not decoded again
+// either (decodeState, core.Import).
 func (s *Server) loadSession(st *Store, path, name string) (*Session, error) {
 	start := time.Now()
-	state, err := st.loadFile(path)
+	var read *readCheckpoint
+	if name != "" {
+		if cur, err := s.reg.Get(name, false); err == nil && cur.file != nil {
+			read = cur.file.read
+		}
+	}
+	state, err := readState(path, read)
 	if err != nil {
 		return nil, err
 	}
@@ -505,7 +532,7 @@ func (s *Server) loadSession(st *Store, path, name string) (*Session, error) {
 			"session", state.Name, "file", filepath.Base(path), "bytes", state.torn)
 	}
 	sess.file = &sessionFile{st: st, ig: sess.ig, steps: len(state.steps), docs: state.docs(),
-		checkpoint: state.checkpoint, size: state.size}
+		checkpoint: state.checkpoint, size: state.size, read: state.read}
 	s.metrics.SessionRestore(time.Since(start))
 	return sess, nil
 }

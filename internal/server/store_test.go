@@ -26,6 +26,12 @@ func newDurableClient(t *testing.T, dir string) (*Server, *testClient) {
 	return s, c
 }
 
+// loadState reads one session's file from a store as a restore reads
+// it, with no checkpoint held.
+func loadState(st *Store, session string) (*sessionState, error) {
+	return readState(st.Path(session), nil)
+}
+
 // upricedMappings is a second intersection iteration: both sources
 // contribute the entity but only Shop prices it, so Library's image
 // extends <<UPriced, price>> with Range Void Any and queries over it
@@ -316,7 +322,7 @@ func TestOrphanedSessionDoesNotAutosave(t *testing.T) {
 	if _, err := s.restoreSession("default"); err != nil {
 		t.Fatal(err)
 	}
-	stateBefore, err := s.Store().Load("default")
+	stateBefore, err := loadState(s.Store(), "default")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +336,7 @@ func TestOrphanedSessionDoesNotAutosave(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.persist(orphan)
-	stateAfter, err := s.Store().Load("default")
+	stateAfter, err := loadState(s.Store(), "default")
 	if err != nil {
 		t.Fatal(err)
 	}

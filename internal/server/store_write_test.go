@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -232,9 +233,12 @@ func TestStoreFileMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRestoreStepRestore: restore → step → restore. The step's autosave
-// writes the restored sources from the documents they were read from,
-// and the second restore answers as the stepped session did.
+// TestRestoreStepRestore: restore → step → restore → step → restore.
+// The step's autosave writes the restored sources from the documents
+// they were read from, and the second restore answers as the stepped
+// session did. The last restore reads the checkpoint the second one
+// read, which it does not decode again, and the step journaled after
+// it, which it does.
 func TestRestoreStepRestore(t *testing.T) {
 	dir := t.TempDir()
 	s, c := newDurableClient(t, dir)
@@ -252,6 +256,15 @@ func TestRestoreStepRestore(t *testing.T) {
 	}
 	if got := canonicalAnswer(t, c.must("POST", "/query", map[string]any{"query": "[x | {k, x} <- <<UBook, isbn>>]"}, http.StatusOK)); got != want {
 		t.Errorf("after restore → step → restore:\n got %s\nwant %s", got, want)
+	}
+
+	c.must("POST", "/intersect", map[string]any{"name": "I2", "mappings": upricedMappings}, http.StatusCreated)
+	want = canonicalAnswer(t, c.must("POST", "/query", map[string]any{"query": "[x | {k, x} <- <<UPriced, price>>]"}, http.StatusOK))
+	if res := c.must("POST", "/sessions/default/restore", nil, http.StatusOK); res["version"].(float64) != 2 {
+		t.Fatalf("third restore is at version %v, want 2", res["version"])
+	}
+	if got := canonicalAnswer(t, c.must("POST", "/query", map[string]any{"query": "[x | {k, x} <- <<UPriced, price>>]"}, http.StatusOK)); got != want {
+		t.Errorf("after a step journaled past the checkpoint read before:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -683,9 +696,12 @@ func renderState(state *sessionState) ([]byte, error) {
 }
 
 // FuzzStoreLoad feeds the loader arbitrary bytes. It must never panic;
-// and an input it accepts — decoded, its step records replayed, rebuilt
-// into a session — re-saves to a fixpoint: the checkpoint written from
-// it loads, and saves as itself. The seeds (the golden session,
+// an input decodes alike — the same state or the same error — whatever
+// checkpoint is held: none, the input's own checkpoint decoded before, or
+// another seed's, so a held decode is taken for its bytes alone; and an
+// input it accepts — decoded, its step records replayed, rebuilt into a
+// session — re-saves to a fixpoint: the checkpoint written from it
+// loads, and saves as itself. The seeds (the golden session,
 // truncations of it, trailing bytes, step records whole, torn and
 // unreplayable) run as plain tests under `make fuzz-seeds`.
 func FuzzStoreLoad(f *testing.F) {
@@ -700,16 +716,42 @@ func FuzzStoreLoad(f *testing.F) {
 	}
 	f.Add(append(append([]byte(nil), file...), "garbage"...))
 	f.Add(append(append([]byte(nil), file...), `{"format":1,"name":"second"}`...))
-	f.Add([]byte(`{"format":1,"name":"pre","sources":[{"kind":"relational","name":"L","tables":[{"name":"t","columns":["id:int","v:float"],"primary_key":"id","rows":[[1,1.0],[2,null]]}]}]}`))
+	pre := []byte(`{"format":1,"name":"pre","sources":[{"kind":"relational","name":"L","tables":[{"name":"t","columns":["id:int","v:float"],"primary_key":"id","rows":[[1,1.0],[2,null]]}]}]}`)
+	f.Add(pre)
 	f.Add([]byte(`{"format":1,"name":"bare"}`))
 	record := "\x1e" + `{"step":"refine","name":"t2","mapping":{"target":"<<UBook, t2>>","forward":[{"source":"Library","query":"[{'LIB', k, x} | {k, x} <- <<books, title>>]"}]}}` + "\n"
 	f.Add(append(append([]byte(nil), file...), record...))
 	f.Add(append(append([]byte(nil), file...), record[:len(record)/2]...))
 	f.Add(append(append([]byte(nil), file...), record+"\x1e{}\n"...))
 
+	var seeds []*readCheckpoint
+	for _, seed := range [][]byte{file, pre} {
+		state, err := decodeState(seed, "seed", nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, state.read)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		plain, plainErr := decodeState(data, "fuzz", nil)
+		helds := seeds
+		checkpoint := data
+		if i := bytes.IndexByte(data, recordSep); i >= 0 {
+			checkpoint = data[:i]
+		}
+		if own, err := decodeState(checkpoint, "fuzz", nil); err == nil {
+			helds = append(helds[:len(helds):len(helds)], own.read)
+		}
+		for _, held := range helds {
+			got, err := decodeState(data, "fuzz", held)
+			if fmt.Sprint(err) != fmt.Sprint(plainErr) || !reflect.DeepEqual(got, plain) {
+				t.Fatalf("decoded with a held checkpoint (%.60q), the input gives %+v, %v; decoded alone %+v, %v", held.data, got, err, plain, plainErr)
+			}
+		}
+
 		load := func(data []byte) (*Session, error) {
-			state, err := decodeState(data, "fuzz")
+			state, err := decodeState(data, "fuzz", nil)
 			if err != nil {
 				return nil, err
 			}
