@@ -41,12 +41,7 @@ race:
 # among them — against the reference evaluator and must be as
 # deterministic. So do the per-session persistence tests (a checkpoint
 # parked in one session while another session, a restore,
-# RestoreSessions, Drain or OpenStore runs beside it;
-# TestPersistRestoreKeepsHeldSources, a query on a session while
-# restores hand its sources to the next;
-# TestPersistRestoreReusesCheckpoint, a query on whichever session a
-# name stands for while restores share one decoded checkpoint and its
-# repository image; and
+# RestoreSessions, Drain or OpenStore runs beside it; and
 # TestPersistStepsJournalInOrder, steps from eight clients on one
 # session journaled in the order the integrator took them), under the
 # race detector: which goroutine reaches a lock first is the
@@ -54,10 +49,15 @@ race:
 # cached plan evaluated by eight goroutines in two sessions, whose
 # comprehensions' analysis and parked evaluation state they share, and
 # whose recorded join run each session's four goroutines replay at once.
+# The session oracle, TestSessionOracle, runs three times under the race
+# detector (2.5 min on a 2-core box): its reader queries whichever
+# session the name stands for while restores hand sources and one
+# decoded checkpoint to the next.
 flake:
 	$(GO) test -count=30 -run 'TestParallel' ./internal/iql
 	$(GO) test -count=30 -run 'TestOracle' ./internal/query
 	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions' ./internal/server
+	$(GO) test -race -count=3 -run 'TestSessionOracle' ./internal/server
 
 # bench-smoke is the ci benchmark gate: one iteration of everything,
 # with allocation accounting compiled in.

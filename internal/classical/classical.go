@@ -336,12 +336,3 @@ func (b *Builder) EffortBreakdown() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Stages returns the stage names in order.
-func (b *Builder) Stages() []string {
-	out := make([]string, len(b.stages))
-	for i, s := range b.stages {
-		out[i] = s.Name
-	}
-	return out
-}

@@ -172,8 +172,8 @@ func TestMultiStage(t *testing.T) {
 	if _, err := b.Merge("GS"); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Stages(); len(got) != 2 || got[1] != "GS2" {
-		t.Errorf("Stages = %v", got)
+	if len(b.stages) != 2 || b.stages[1].Name != "GS2" {
+		t.Errorf("stages = %v", b.stages)
 	}
 	v, err := b.Query("count(<<items, barcode>>)")
 	if err != nil {

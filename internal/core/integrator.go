@@ -78,6 +78,8 @@ type Integrator struct {
 	intersections []*Intersection
 	derivedObjs   []objMeta // refinement + derived concepts, global-level
 	global        *hdm.Schema
+	// globalVersion counts rebuilds, a failed one too: it names the next
+	// global schema. The current version is the last one published.
 	globalVersion int
 	versions      []SchemaVersion
 	iterations    []Iteration
@@ -398,16 +400,21 @@ func (ig *Integrator) Global() *hdm.Schema {
 }
 
 // GlobalVersion returns the current global schema's version number:
-// 0 for the federated schema, incremented by every rebuild. It is -1
-// before Federate.
+// 0 for the federated schema, then that of the last rebuild that
+// published one — a rebuild that failed half-way uses its number up and
+// publishes nothing. It is -1 before Federate.
 func (ig *Integrator) GlobalVersion() int {
 	ig.mu.RLock()
 	defer ig.mu.RUnlock()
 	if ig.global == nil {
 		return -1
 	}
-	return ig.globalVersion
+	return ig.currentLocked()
 }
+
+// currentLocked is the last published version. The caller holds the
+// lock, and the integrator is federated.
+func (ig *Integrator) currentLocked() int { return ig.versions[len(ig.versions)-1].Version }
 
 // Versions lists every published global schema version, oldest first.
 // All versions remain queryable via QueryAt.

@@ -76,7 +76,7 @@ func TestGlobalExtentIsUnionOfSourceDerivations(t *testing.T) {
 			continue
 		}
 		ev := iql.NewEvaluator(iql.ExtentsFunc(w.Extent))
-		v, err := ev.EvalString(q)
+		v, err := ev.Eval(iql.MustParse(q), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -265,11 +265,11 @@ func (ig *Integrator) canonicalLocked(version int, e iql.Expr) (iql.Expr, Result
 	if ig.global == nil {
 		return nil, Result{}, fmt.Errorf("core: no global schema; call Federate first")
 	}
-	target, ver := ig.global, ig.globalVersion
+	target, ver := ig.global, ig.currentLocked()
 	if version != CurrentVersion {
 		s, ok := ig.schemaAtLocked(version)
 		if !ok {
-			return nil, Result{}, fmt.Errorf("core: no global schema version %d (have 0..%d)", version, ig.globalVersion)
+			return nil, Result{}, fmt.Errorf("core: no global schema version %d (have 0..%d)", version, ig.currentLocked())
 		}
 		target, ver = s, version
 	}

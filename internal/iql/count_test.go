@@ -86,7 +86,7 @@ func TestCountStepBudgetRunsOutAtTheSameStep(t *testing.T) {
 	ext := countExtents(100)
 	comp := "[k | {k, v} <- <<pairs>>; v < 5]"
 	free := iql.NewEvaluator(ext)
-	if _, err := free.EvalString("count(" + comp + ")"); err != nil {
+	if _, err := free.Eval(iql.MustParse("count("+comp+")"), nil); err != nil {
 		t.Fatal(err)
 	}
 	total := free.Steps()
@@ -94,10 +94,10 @@ func TestCountStepBudgetRunsOutAtTheSameStep(t *testing.T) {
 		for _, limit := range []int{2, 3, total / 2, total - 1, total} {
 			bagEv := mode.ev(ext)
 			bagEv.MaxSteps = limit - 1
-			_, bagErr := bagEv.EvalString(comp)
+			_, bagErr := bagEv.Eval(iql.MustParse(comp), nil)
 			countEv := mode.ev(ext)
 			countEv.MaxSteps = limit
-			_, err := countEv.EvalString("count(" + comp + ")")
+			_, err := countEv.Eval(iql.MustParse("count("+comp+")"), nil)
 			if (err == nil) != (limit >= total) {
 				t.Errorf("%s: limit %d of %d steps: count error = %v", mode.name, limit, total, err)
 			}

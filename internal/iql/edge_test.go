@@ -147,11 +147,11 @@ func TestAggregateEdgeCases(t *testing.T) {
 	}
 	// Mixed-kind aggregates error.
 	ev := NewEvaluator(NoExtents)
-	if _, err := ev.EvalString("sum(['a', 1])"); err == nil {
+	if _, err := ev.Eval(MustParse("sum(['a', 1])"), nil); err == nil {
 		t.Error("sum over mixed kinds succeeded")
 	}
 	for _, src := range []string{"max(['a', 1])", "max([1, 'a'])", "min(['a', 1])", "min([1, 'a'])", "max([1, 'a', 2])"} {
-		if v, err := ev.EvalString(src); err == nil {
+		if v, err := ev.Eval(MustParse(src), nil); err == nil {
 			t.Errorf("%s = %s over mixed kinds, want an error", src, v)
 		}
 	}
@@ -162,7 +162,7 @@ func TestAggregateEdgeCases(t *testing.T) {
 		"let n = 1e308 * 10.0 - 1e308 * 10.0 in [x | x <- [n, 1, 2]; x >= 1]":                  "[1, 2]",
 		"let n = 1e308 * 10.0 - 1e308 * 10.0 in {max([n, 1]), max([1, n]), min([1, n, 0])}":    "{NaN.0, NaN.0, NaN.0}",
 	} {
-		if v, err := ev.EvalString(src); err != nil || v.String() != want {
+		if v, err := ev.Eval(MustParse(src), nil); err != nil || v.String() != want {
 			t.Errorf("%s = %s, %v, want %s", src, v, err, want)
 		}
 	}

@@ -129,7 +129,11 @@ func FuzzEvalEncoded(f *testing.F) {
 		}
 		ev := iql.NewEvaluator(ext)
 		ev.MaxSteps = 20_000
-		if _, err := ev.EvalString(src); err != nil && strings.Contains(err.Error(), "exceeded") {
+		e, err := iql.Parse(src)
+		if err == nil {
+			_, err = ev.Eval(e, nil)
+		}
+		if err != nil && strings.Contains(err.Error(), "exceeded") {
 			return
 		}
 		agree(t, ext, iqltest.EdgeVars, src)

@@ -329,15 +329,6 @@ func (ev *Evaluator) compInto(a *answer, c *Comp, env *Env) (int, error) {
 	return rows, err
 }
 
-// EvalString parses and evaluates IQL source text.
-func (ev *Evaluator) EvalString(src string) (Value, error) {
-	e, err := Parse(src)
-	if err != nil {
-		return Value{}, err
-	}
-	return ev.Eval(e, nil)
-}
-
 // Steps returns the evaluation steps this evaluator charged in the most
 // recent Eval, including steps run by its sharded workers. Steps of
 // other evaluators on the same Budget (the extents it resolved, unfolded

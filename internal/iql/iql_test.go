@@ -8,7 +8,7 @@ import (
 func mustEval(t *testing.T, src string, ext Extents) Value {
 	t.Helper()
 	ev := NewEvaluator(ext)
-	v, err := ev.EvalString(src)
+	v, err := ev.Eval(MustParse(src), nil)
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}
@@ -138,7 +138,7 @@ func TestEvalErrors(t *testing.T) {
 	}
 	for _, src := range cases {
 		ev := NewEvaluator(NoExtents)
-		if _, err := ev.EvalString(src); err == nil {
+		if _, err := ev.Eval(MustParse(src), nil); err == nil {
 			t.Errorf("eval %q succeeded, want error", src)
 		}
 	}
@@ -279,7 +279,7 @@ func TestStringBuiltins(t *testing.T) {
 
 func TestMaxStepsGuard(t *testing.T) {
 	ev := &Evaluator{Ext: testExtents(), MaxSteps: 5}
-	_, err := ev.EvalString("[{a, b, c} | a <- <<protein>>; b <- <<protein>>; c <- <<protein>>]")
+	_, err := ev.Eval(MustParse("[{a, b, c} | a <- <<protein>>; b <- <<protein>>; c <- <<protein>>]"), nil)
 	if err == nil {
 		t.Fatal("expected step-limit error")
 	}

@@ -200,7 +200,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	ev := modes[1].ev(ext)
 	ev.Stats = new(iql.EvalStats)
-	if _, err := ev.EvalString(iql.ParallelQueries[0]); err != nil || len(ev.Stats.Sharded()) == 0 {
+	if _, err := ev.Eval(iql.MustParse(iql.ParallelQueries[0]), nil); err != nil || len(ev.Stats.Sharded()) == 0 {
 		t.Errorf("the sharded mode ran %s serially: %v", iql.ParallelQueries[0], err)
 	}
 }

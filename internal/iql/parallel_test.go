@@ -73,7 +73,7 @@ func TestParallelStepAccounting(t *testing.T) {
 	for _, src := range ParallelQueries {
 		serialExt := &countingExtents{ext: ext}
 		serial := NewEvaluator(serialExt)
-		if _, err := serial.EvalString(src); err != nil {
+		if _, err := serial.Eval(MustParse(src), nil); err != nil {
 			t.Fatalf("serial %q: %v", src, err)
 		}
 		wantSteps := serial.Steps()
@@ -82,7 +82,7 @@ func TestParallelStepAccounting(t *testing.T) {
 		wide := NewEvaluator(wideExt)
 		wide.Parallel = 8
 		wide.MinShardRows = 16
-		if _, err := wide.EvalString(src); err != nil {
+		if _, err := wide.Eval(MustParse(src), nil); err != nil {
 			t.Fatalf("parallel(8) %q: %v", src, err)
 		}
 		if got := wide.Steps(); got != wantSteps {
@@ -95,7 +95,7 @@ func TestParallelStepAccounting(t *testing.T) {
 		par := NewEvaluator(ext)
 		par.Parallel = 4
 		par.MinShardRows = 16
-		if _, err := par.EvalString(src); err != nil {
+		if _, err := par.Eval(MustParse(src), nil); err != nil {
 			t.Fatalf("parallel %q: %v", src, err)
 		}
 		if got := par.Steps(); got != wantSteps {
@@ -107,7 +107,7 @@ func TestParallelStepAccounting(t *testing.T) {
 		withBudget.Parallel = 4
 		withBudget.MinShardRows = 16
 		withBudget.Budget = budget
-		if _, err := withBudget.EvalString(src); err != nil {
+		if _, err := withBudget.Eval(MustParse(src), nil); err != nil {
 			t.Fatalf("budget parallel %q: %v", src, err)
 		}
 		if got := budget.Used(); got != wantSteps {
@@ -124,19 +124,19 @@ func TestParallelStepLimit(t *testing.T) {
 	src := "[k | k <- <<protein>>]"
 
 	serial := &Evaluator{Ext: ext, MaxSteps: 50}
-	_, serialErr := serial.EvalString(src)
+	_, serialErr := serial.Eval(MustParse(src), nil)
 	if serialErr == nil {
 		t.Fatal("serial under MaxSteps=50 succeeded, want step-limit error")
 	}
 
 	par := &Evaluator{Ext: ext, MaxSteps: 50, Parallel: 4, MinShardRows: 16}
-	_, err := par.EvalString(src)
+	_, err := par.Eval(MustParse(src), nil)
 	if err == nil || err.Error() != serialErr.Error() {
 		t.Fatalf("parallel MaxSteps error = %v, want %v", err, serialErr)
 	}
 
 	par = &Evaluator{Ext: ext, Budget: &StepBudget{Max: 50}, Parallel: 4, MinShardRows: 16}
-	if _, err := par.EvalString(src); err == nil || !strings.Contains(err.Error(), "exceeded 50 steps") {
+	if _, err := par.Eval(MustParse(src), nil); err == nil || !strings.Contains(err.Error(), "exceeded 50 steps") {
 		t.Fatalf("parallel Budget error = %v, want step-limit error", err)
 	}
 }
@@ -173,7 +173,7 @@ func TestParallelCancelMidShard(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := ev.EvalString("[count([j | j <- <<protein>>; j < k]) | k <- <<protein>>]")
+	_, err := ev.Eval(MustParse("[count([j | j <- <<protein>>; j < k]) | k <- <<protein>>]"), nil)
 	if err == nil {
 		// The query may legitimately finish before the cancel lands on
 		// fast machines; only a hung or silent run is a failure.
@@ -217,7 +217,7 @@ func TestParallelErrorPropagation(t *testing.T) {
 	ev.Parallel = 4
 	ev.MinShardRows = 16
 	// Adding an int to a string fails for every element.
-	_, err := ev.EvalString("[k + 'x' | k <- <<protein>>]")
+	_, err := ev.Eval(MustParse("[k + 'x' | k <- <<protein>>]"), nil)
 	if err == nil {
 		t.Fatal("want type error from sharded evaluation")
 	}
@@ -233,7 +233,7 @@ func TestParallelSerialFallback(t *testing.T) {
 	ev.Stats = &EvalStats{}
 	// Outer scan shards; the nested comprehension runs inside worker
 	// generator loops and must not shard again.
-	if _, err := ev.EvalString("[count([j | j <- <<protein>>; j = k]) | k <- <<protein>>]"); err != nil {
+	if _, err := ev.Eval(MustParse("[count([j | j <- <<protein>>; j = k]) | k <- <<protein>>]"), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range ev.Stats.Sharded() {
@@ -249,7 +249,7 @@ func TestParallelSerialFallback(t *testing.T) {
 	small.Parallel = 4
 	small.MinShardRows = 16
 	small.Stats = &EvalStats{}
-	if _, err := small.EvalString("[k | k <- <<protein>>]"); err != nil {
+	if _, err := small.Eval(MustParse("[k | k <- <<protein>>]"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(small.Stats.Sharded()); n != 0 {
@@ -314,7 +314,7 @@ func (n *nestedExtents) Extent(parts []string) (Value, error) {
 		return n.base.Extent(parts)
 	}
 	ev := &Evaluator{Ext: n, Budget: n.budget, Parallel: n.parallel, MinShardRows: 16}
-	v, err := ev.EvalString("[{k, x} | {k, x} <- <<protein, acc>>; k > 3]")
+	v, err := ev.Eval(MustParse("[{k, x} | {k, x} <- <<protein, acc>>; k > 3]"), nil)
 	n.steps.Add(int64(ev.Steps()))
 	return v, err
 }
@@ -345,7 +345,7 @@ func TestParallelStepsAndUsedAgree(t *testing.T) {
 	for _, src := range queries {
 		ref := &nestedExtents{base: base}
 		serial := &Evaluator{Ext: ref}
-		if _, err := serial.EvalString(src); err != nil {
+		if _, err := serial.Eval(MustParse(src), nil); err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
 		wantSteps, wantUsed := serial.Steps(), serial.Steps()+int(ref.steps.Load())
@@ -357,7 +357,7 @@ func TestParallelStepsAndUsedAgree(t *testing.T) {
 				ctx := &countingCtx{Context: context.Background()}
 				ext := &nestedExtents{base: base, budget: budget, parallel: parallel}
 				ev := &Evaluator{Ext: ext, Budget: budget, Ctx: ctx, Parallel: parallel, MinShardRows: 16}
-				if _, err := ev.EvalString(src); err != nil {
+				if _, err := ev.Eval(MustParse(src), nil); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if got := ev.Steps(); got != wantSteps {
@@ -381,11 +381,11 @@ func TestParallelStepsAndUsedAgree(t *testing.T) {
 		// MaxSteps alone, no budget: the same count, the same limit.
 		for _, parallel := range []int{1, 4} {
 			ev := &Evaluator{Ext: &nestedExtents{base: base}, MaxSteps: wantSteps, Parallel: parallel, MinShardRows: 16}
-			if _, err := ev.EvalString(src); err != nil || ev.Steps() != wantSteps {
+			if _, err := ev.Eval(MustParse(src), nil); err != nil || ev.Steps() != wantSteps {
 				t.Errorf("%q parallel=%d MaxSteps=%d: Steps() = %d, err %v", src, parallel, wantSteps, ev.Steps(), err)
 			}
 			ev.MaxSteps = wantSteps - 1
-			if _, err := ev.EvalString(src); err == nil || err.Error() != fmt.Sprintf("iql: evaluation exceeded %d steps", wantSteps-1) {
+			if _, err := ev.Eval(MustParse(src), nil); err == nil || err.Error() != fmt.Sprintf("iql: evaluation exceeded %d steps", wantSteps-1) {
 				t.Errorf("%q parallel=%d MaxSteps=%d: err %v, want the limit's", src, parallel, wantSteps-1, err)
 			}
 		}

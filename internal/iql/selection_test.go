@@ -192,7 +192,7 @@ func TestSelectionAskedAtTheTopLevelOnly(t *testing.T) {
 		{"let n = count([k | k <- <<t>>; k < 4]) in if n = 2 then count([k | k <- <<u>>]) else 0", "2", 2},
 	} {
 		ext.asked = nil
-		v, err := iql.NewEvaluator(ext).EvalString(tc.query)
+		v, err := iql.NewEvaluator(ext).Eval(iql.MustParse(tc.query), nil)
 		if err != nil || v.String() != tc.want {
 			t.Errorf("%s = %s, %v, want %s", tc.query, v, err, tc.want)
 		}
@@ -229,12 +229,12 @@ func TestSelectionCountMatchesPlainEvaluation(t *testing.T) {
 		"count([{v, k} | {k, v} <- <<t, shapes>>; v >= 1])", "count([x | x <- <<empty>>; x = 1])",
 	} {
 		plain := iql.NewEvaluator(iql.ExtentsFunc((&countingExtents{ext: ext}).Extent))
-		_, _ = plain.EvalString(query) // its steps are the ones to take
+		_, _ = plain.Eval(iql.MustParse(query), nil) // its steps are the ones to take
 		want, wantErr := iqltest.Eval(iql.MustParse(query), plain.Ext, nil)
 		for _, answers := range []bool{false, true} {
 			ce := &countingExtents{ext: ext, answers: answers}
 			ev := iql.NewEvaluator(ce)
-			got, err := ev.EvalString(query)
+			got, err := ev.Eval(iql.MustParse(query), nil)
 			if d := iqltest.Mismatch(got, err, want, wantErr); d != "" {
 				t.Errorf("%s, extents answering %v: %s", query, answers, d)
 			}
@@ -266,7 +266,7 @@ func TestSelectionCountUnderAStepLimit(t *testing.T) {
 	for _, answers := range []bool{true, false} {
 		ev := iql.NewEvaluator(&countingExtents{ext: map[string][]iql.Value{"t": els}, answers: answers})
 		ev.MaxSteps = 3
-		v, err := ev.EvalString(query)
+		v, err := ev.Eval(iql.MustParse(query), nil)
 		if answers && (err != nil || !v.Equal(iql.Int(40))) {
 			t.Errorf("answered at the source under a 3-step limit: %s, %v, want 40", v, err)
 		}

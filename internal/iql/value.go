@@ -131,17 +131,13 @@ func Int(i int64) Value { return Value{Kind: KindInt, word: uint64(i)} }
 // Float returns a floating-point value.
 func Float(f float64) Value { return Value{Kind: KindFloat, word: math.Float64bits(f)} }
 
-// String_ returns a string value. (Named with a trailing underscore to
-// avoid colliding with the conventional String method.)
-func String_(s string) Value {
+// Str returns a string value.
+func Str(s string) Value {
 	if s == "" {
 		return Value{Kind: KindString}
 	}
 	return Value{Kind: KindString, ptr: unsafe.Pointer(unsafe.StringData(s)), n: len(s)}
 }
-
-// Str is shorthand for String_.
-func Str(s string) Value { return String_(s) }
 
 // Tuple returns a tuple value of the given components.
 func Tuple(items ...Value) Value { return collection(KindTuple, items) }

@@ -71,7 +71,7 @@ func TestConstructorAccessorRoundTrips(t *testing.T) {
 	}
 	for _, s := range iqltest.Strings {
 		readsAs(t, iql.Str(s), false, 0, 0, s, nil)
-		readsAs(t, iql.String_(s), false, 0, 0, s, nil)
+		readsAs(t, iql.Str(s), false, 0, 0, s, nil)
 	}
 
 	// A bag of no elements has nil items unless it was given an empty
@@ -217,7 +217,7 @@ func TestCompareIntsExactly(t *testing.T) {
 		"-9223372036854775807 - 1 = -9223372036854775808.0":                               "True",
 		"2 < 2.5 and -2 > -2.5 and 3 = 3.0":                                               "True",
 	} {
-		if v, err := iql.NewEvaluator(nil).EvalString(src); err != nil || v.String() != want {
+		if v, err := iql.NewEvaluator(nil).Eval(iql.MustParse(src), nil); err != nil || v.String() != want {
 			t.Errorf("%s = %s, %v, want %s", src, v, err, want)
 		}
 	}

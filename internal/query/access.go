@@ -223,10 +223,13 @@ func bagLen(v iql.Value) int64 {
 }
 
 // sourceDeadline puts one bounded provider call under the per-source
-// deadline, when there is one.
-func sourceDeadline(ctx context.Context, br *breaker) (context.Context, context.CancelFunc) {
-	if br != nil && br.cfg.SourceTimeout > 0 {
-		return context.WithTimeout(ctx, br.cfg.SourceTimeout)
+// deadline, when there is one, whether breakers are on or off.
+func (p *Processor) sourceDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	p.mu.Lock()
+	timeout := p.brCfg.SourceTimeout
+	p.mu.Unlock()
+	if timeout > 0 {
+		return context.WithTimeout(ctx, timeout)
 	}
 	return ctx, func() {}
 }
@@ -235,7 +238,7 @@ func sourceDeadline(ctx context.Context, br *breaker) (context.Context, context.
 // providers observe cancellation and the per-source deadline.
 func (p *Processor) fetch(ctx context.Context, src source, sc hdm.Scheme, ck string, br *breaker) (iql.Value, int64, error) {
 	g, fctx := p.open(ctx, src, sc.Key(), ck, br)
-	fctx, cancel := sourceDeadline(fctx, br)
+	fctx, cancel := p.sourceDeadline(fctx)
 	var v iql.Value
 	var err error
 	if src.extCtx != nil {
@@ -256,7 +259,7 @@ func (p *Processor) fetch(ctx context.Context, src source, sc hdm.Scheme, ck str
 // the stale route.
 func (p *Processor) count(ctx context.Context, src source, sc hdm.Scheme, ck string, br *breaker, counter func(context.Context) (int64, error)) (extent, error) {
 	g, cctx := p.open(ctx, src, sc.Key()+" count", ck, br)
-	cctx, cancel := sourceDeadline(cctx, br)
+	cctx, cancel := p.sourceDeadline(cctx)
 	n, err := counter(cctx)
 	cancel()
 	if err != nil {

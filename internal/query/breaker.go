@@ -37,9 +37,6 @@ type BreakerConfig struct {
 	// Enabled turns the fault-tolerance layer on. Off, fetches behave
 	// exactly as without breakers: failures propagate to the query.
 	Enabled bool
-	// Consecutive opens the breaker immediately after this many
-	// consecutive fetch errors (default 3).
-	Consecutive int
 	// OpenFor is the base interval an open breaker waits before
 	// admitting a half-open probe; the actual wait is jittered in
 	// [0.5·OpenFor, 1.5·OpenFor) so probes across sources do not
@@ -47,16 +44,18 @@ type BreakerConfig struct {
 	OpenFor time.Duration
 	// SourceTimeout is the per-fetch deadline budget: each wrapper
 	// fetch runs under min(request deadline, SourceTimeout), so one
-	// slow backend cannot eat a whole query's context (0 = none).
+	// slow backend cannot eat a whole query's context (0 = none). It
+	// applies whether the breakers are enabled or not.
 	SourceTimeout time.Duration
 }
 
-// The failure-rate threshold and the probe jitter are not settings:
-// besides a run of Consecutive errors, a breaker opens when its rolling
+// The thresholds and the probe jitter are not settings: a breaker opens
+// after breakerConsecutive consecutive fetch errors, or when its rolling
 // window of the last breakerWindow fetch outcomes holds at least
 // breakerMinSamples and the failing fraction reaches
 // breakerFailureRate; breakerSeed seeds the deterministic jitter stream.
 const (
+	breakerConsecutive = 3
 	breakerWindow      = 16
 	breakerFailureRate = 0.5
 	breakerMinSamples  = 4
@@ -65,9 +64,6 @@ const (
 
 // withDefaults resolves zero thresholds to the documented defaults.
 func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Consecutive <= 0 {
-		c.Consecutive = 3
-	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = 2 * time.Second
 	}
@@ -190,7 +186,7 @@ func (b *breaker) record(ok bool, err error) {
 	case breakerHalfOpen:
 		b.open()
 	case breakerClosed:
-		if b.consec >= b.cfg.Consecutive ||
+		if b.consec >= breakerConsecutive ||
 			(b.wlen >= breakerMinSamples && float64(b.fails) >= breakerFailureRate*float64(b.wlen)) {
 			b.open()
 		}

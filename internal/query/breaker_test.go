@@ -85,7 +85,7 @@ func (f *flakySource) FallbackExtent(parts []string) (iql.Value, bool) {
 // testBreakerConfig keeps probe intervals long so tests control
 // half-open transitions explicitly.
 func testBreakerConfig() BreakerConfig {
-	return BreakerConfig{Enabled: true, Consecutive: 3, OpenFor: time.Hour}
+	return BreakerConfig{Enabled: true, OpenFor: time.Hour}
 }
 
 func newBreakerProc(t *testing.T, src *flakySource, cfg BreakerConfig) *Processor {
@@ -108,7 +108,7 @@ func evalCount(t *testing.T, p *Processor) (iql.Value, []string, error) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	cfg := BreakerConfig{Enabled: true, Consecutive: 2, OpenFor: time.Minute}.withDefaults()
+	cfg := BreakerConfig{Enabled: true, OpenFor: time.Minute}.withDefaults()
 	b := newBreaker(cfg)
 	now := time.Unix(1000, 0)
 	b.now = func() time.Time { return now }
@@ -116,13 +116,15 @@ func TestBreakerStateMachine(t *testing.T) {
 	if proceed, probe := b.allow(); !proceed || probe {
 		t.Fatalf("closed breaker: allow = (%v, %v), want (true, false)", proceed, probe)
 	}
-	b.record(false, errors.New("boom"))
-	if st := b.health().State; st != "closed" {
-		t.Fatalf("after 1 failure state = %s, want closed", st)
+	for i := 1; i < breakerConsecutive; i++ {
+		b.record(false, errors.New("boom"))
+		if st := b.health().State; st != "closed" {
+			t.Fatalf("after %d failures state = %s, want closed", i, st)
+		}
 	}
 	b.record(false, errors.New("boom"))
 	if st := b.health().State; st != "open" {
-		t.Fatalf("after %d consecutive failures state = %s, want open", cfg.Consecutive, st)
+		t.Fatalf("after %d consecutive failures state = %s, want open", breakerConsecutive, st)
 	}
 	if proceed, _ := b.allow(); proceed {
 		t.Fatal("open breaker admitted a fetch before the probe interval")
@@ -162,8 +164,7 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerOpensOnFailureRate(t *testing.T) {
-	cfg := BreakerConfig{Enabled: true, Consecutive: 100, OpenFor: time.Hour}.withDefaults()
-	b := newBreaker(cfg)
+	b := newBreaker(BreakerConfig{Enabled: true, OpenFor: time.Hour}.withDefaults())
 	// Alternate success/failure: consecutive never accumulates, but the
 	// windowed rate reaches 0.5 once MinSamples outcomes are in.
 	outcomes := []bool{true, false, true, false}

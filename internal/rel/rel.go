@@ -238,9 +238,6 @@ func (t *Table) MustInsert(vals ...any) {
 	}
 }
 
-// Row returns the i-th row (shared slice; callers must not mutate).
-func (t *Table) Row(i int) []any { return t.rows[i] }
-
 // Rows returns all rows (shared; callers must not mutate).
 func (t *Table) Rows() [][]any { return t.rows }
 

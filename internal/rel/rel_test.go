@@ -193,8 +193,8 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Errorf("pk lost: %q", bt.PrimaryKey())
 	}
 	for i := range tbl.Rows() {
-		if !reflect.DeepEqual(tbl.Row(i), bt.Row(i)) {
-			t.Errorf("row %d: %v != %v", i, tbl.Row(i), bt.Row(i))
+		if !reflect.DeepEqual(tbl.Rows()[i], bt.Rows()[i]) {
+			t.Errorf("row %d: %v != %v", i, tbl.Rows()[i], bt.Rows()[i])
 		}
 	}
 	// Types preserved.
@@ -256,7 +256,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for j := range tbl.Rows() {
-			if !reflect.DeepEqual(tbl.Row(j), bt.Row(j)) {
+			if !reflect.DeepEqual(tbl.Rows()[j], bt.Rows()[j]) {
 				return false
 			}
 		}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"log/slog"
-	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"strings"
@@ -13,7 +11,6 @@ import (
 	"testing"
 
 	"github.com/dataspace/automed/internal/core"
-	"github.com/dataspace/automed/internal/ispider"
 	"github.com/dataspace/automed/internal/wrapper"
 )
 
@@ -56,111 +53,6 @@ func checkpointOf(t *testing.T, s *Server, name string) []byte {
 func saves(s *Server) (all, checkpoints uint64) {
 	m := s.metricsSnapshot()
 	return m.Snapshots, m.Checkpoints
-}
-
-// TestJournalHistories is the journal's oracle: random histories
-// over the case study — plan steps, rejected steps, restores, restarts,
-// forced checkpoints, a crash that tears an append, a source changed
-// in memory — after each of which a server that restores the data
-// directory from nothing holds the session the live server holds,
-// checkpoint for checkpoint (sources, repository, definitions, versions,
-// report). A step's autosave is one record appended, unless the file
-// cannot be continued: after a torn append or a changed source it is a
-// checkpoint.
-func TestJournalHistories(t *testing.T) {
-	plan := ispider.IntersectionPlan()
-	for seed := int64(1); seed <= 8; seed++ {
-		rnd := rand.New(rand.NewSource(seed))
-		dir := t.TempDir()
-		s, c := newDurableClient(t, dir)
-		newSessionOver(t, s, "h", caseSources(t))
-		c.must("POST", "/federate", map[string]any{"session": "h", "name": "F"}, http.StatusCreated)
-		next, inserted := 0, 0
-		// A step's save is a checkpoint while the file ends in a torn
-		// record, or a source changed beside the session since its file
-		// was written or read; until the latter is saved, the file does
-		// not hold the session.
-		torn, mutated := false, false
-		var history []string
-		for len(history) < 14 {
-			op := []string{"step", "step", "step", "rejected", "restore", "restart", "checkpoint", "torn", "mutate"}[rnd.Intn(9)]
-			all, cps := saves(s)
-			switch op {
-			case "step":
-				if next == len(plan) {
-					continue
-				}
-				c.must("POST", "/"+plan[next].Kind, stepBody("h", plan[next].Step()), http.StatusCreated)
-				op += " " + plan[next].Name
-				next++
-				if a, k := saves(s); a != all+1 || (k != cps) != (torn || mutated) {
-					t.Fatalf("seed %d after %v: %s wrote %d saves, %d of them checkpoints; want one, a checkpoint: %v",
-						seed, history, op, a-all, k-cps, torn || mutated)
-				}
-				torn, mutated = false, false
-			case "rejected":
-				c.must("POST", "/intersect", map[string]any{"session": "h", "name": "bad", "mappings": []map[string]any{{
-					"target": "<<UBad>>", "forward": []map[string]any{
-						{"source": "Pedro", "query": "[{'P', k} | k <- <<protein>>]"},
-						{"source": "gpmDB", "query": "[{'G', k} | k <- <<no_such_table>>]"},
-					},
-				}}}, http.StatusBadRequest)
-			case "restore":
-				c.must("POST", "/sessions/h/restore", nil, http.StatusOK)
-				mutated = false
-			case "restart":
-				s, c = newDurableClient(t, dir)
-				mutated = false
-			case "checkpoint":
-				c.must("POST", "/sessions/h/snapshot", nil, http.StatusOK)
-				torn, mutated = false, false
-			case "torn":
-				// An append the process died in: half a record, no line
-				// feed. No append follows a torn one: the file is then
-				// longer than the session knows it, so its next save is a
-				// checkpoint.
-				if torn {
-					continue
-				}
-				f, err := os.OpenFile(s.Store().Path("h"), os.O_WRONLY|os.O_APPEND, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.WriteString("\x1e{\"step\":\"refine\",\"na"); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-				torn = true
-			case "mutate":
-				sess, err := s.Sessions().Get("h", false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, ws := sess.sources()
-				tb := ws[rnd.Intn(len(ws))].(*wrapper.Relational).DB().Tables()[0]
-				row := append([]any(nil), tb.Row(0)...)
-				pk, _ := tb.ColIndex(tb.PrimaryKey())
-				inserted++
-				switch row[pk].(type) {
-				case int64:
-					row[pk] = int64(math.MaxInt64 - inserted)
-				case string:
-					row[pk] = fmt.Sprintf("inserted-%d", inserted)
-				}
-				tb.MustInsert(row...)
-				mutated = true
-			}
-			history = append(history, op)
-			if mutated {
-				continue // a change made beside the session is saved with its next step
-			}
-			s2, _ := newDurableClient(t, dir)
-			if got, want := checkpointOf(t, s2, "h"), checkpointOf(t, s, "h"); !bytes.Equal(got, want) {
-				t.Fatalf("seed %d after %v: the restarted session differs from the live one:\n got %.800s\nwant %.800s", seed, history, got, want)
-			}
-		}
-		t.Logf("seed %d: %v", seed, history)
-	}
 }
 
 // TestJournalRecords: the bytes a step's autosave writes are its

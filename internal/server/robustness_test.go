@@ -14,13 +14,12 @@ import (
 )
 
 // robustCfg is a breaker-enabled config with deterministic knobs: the
-// breaker opens on the first failure and stays open (no timed retry),
-// and background probes never fire on their own.
+// breaker, once open, stays open (no timed retry), and background probes
+// never fire on their own.
 func robustCfg() Config {
 	cfg := DefaultConfig()
 	cfg.Breaker = query.BreakerConfig{
 		Enabled:       true,
-		Consecutive:   1,
 		OpenFor:       time.Hour,
 		SourceTimeout: 5 * time.Second,
 	}
@@ -109,8 +108,15 @@ func TestPanicRecovery(t *testing.T) {
 func TestStaleFallbackAndStrictMode(t *testing.T) {
 	_, c := setupDegraded(t, robustCfg())
 
-	// Degraded answer: stale value, warning names the source.
-	q := c.must("POST", "/query", map[string]any{"query": "count(<<flaky_items>>)"}, http.StatusOK)
+	// Degraded answer: stale value, warning names the source. Three
+	// fetches fail in a row, the third opening the breaker.
+	var q map[string]any
+	for i := range 3 {
+		if i > 0 {
+			c.must("POST", "/sessions/default/invalidate", nil, http.StatusOK)
+		}
+		q = c.must("POST", "/query", map[string]any{"query": "count(<<flaky_items>>)"}, http.StatusOK)
+	}
 	if q["value"].(float64) != 2 {
 		t.Fatalf("degraded count = %v, want stale 2", q["value"])
 	}
@@ -185,7 +191,7 @@ func TestStaleFallbackAndStrictMode(t *testing.T) {
 
 	// A degraded server's exposition stays well-formed and carries the
 	// breaker and degraded families, sample by sample: one opening, and
-	// three degraded answers (the stale one and the two refused).
+	// five degraded answers (the three stale ones and the two refused).
 	body, _ := scrape(t, c, "/metrics", "")
 	if err := obs.ValidateExposition(body); err != nil {
 		t.Fatalf("invalid exposition while degraded: %v\n%s", err, body)
@@ -194,7 +200,7 @@ func TestStaleFallbackAndStrictMode(t *testing.T) {
 		`automed_source_breaker_open{session="default",source="Flaky"} 1`,
 		`automed_source_breaker_opens_total{session="default",source="Flaky"} 1`,
 		`automed_source_fallbacks_total{session="default",source="Flaky"}`,
-		"automed_degraded_queries_total 3\n",
+		"automed_degraded_queries_total 5\n",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition lacks %q:\n%s", want, body)
@@ -322,5 +328,31 @@ func TestDrainWaitsForProbe(t *testing.T) {
 	wg.Wait()
 	if !s.Draining() {
 		t.Fatal("server not draining after Drain")
+	}
+}
+
+// TestSourceTimeoutWithoutBreakers: the per-source deadline bounds a
+// fetch with the breakers off too, so a hanging source fails its query
+// at the source deadline rather than the query's.
+func TestSourceTimeoutWithoutBreakers(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Breaker = query.BreakerConfig{SourceTimeout: 50 * time.Millisecond}
+	cfg.QueryTimeout = 30 * time.Second
+	_, c := newTestClient(t, cfg)
+	c.must("POST", "/sources", map[string]any{
+		"name": "Hung",
+		"fault": map[string]any{
+			"tables": []map[string]any{{"name": "items", "columns": []string{"id:int"}, "rows": [][]any{{0}}}},
+			"config": map[string]any{"hang": true},
+		},
+	}, http.StatusCreated)
+	c.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
+	start := time.Now()
+	status, out := c.do("POST", "/query", map[string]any{"query": "count(<<hung_items>>)"})
+	if elapsed := time.Since(start); status == http.StatusOK || elapsed > 10*time.Second {
+		t.Fatalf("a query over a hanging source = %d %v after %s; want it failed at the 50ms source deadline", status, out, elapsed)
+	}
+	if msg, _ := out["error"].(string); !strings.Contains(msg, "deadline") {
+		t.Errorf("error = %q, want the source deadline", msg)
 	}
 }

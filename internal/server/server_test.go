@@ -30,6 +30,18 @@ func newTestClient(t *testing.T, cfg Config) (*Server, *testClient) {
 
 func (c *testClient) do(method, path string, body any) (int, map[string]any) {
 	c.t.Helper()
+	status, raw := c.send(method, path, body)
+	var out map[string]any
+	if err := json.Unmarshal(raw, &out); err != nil && len(bytes.TrimSpace(raw)) > 0 {
+		c.t.Fatalf("%s %s: decoding response: %v", method, path, err)
+	}
+	return status, out
+}
+
+// send sends a request with body as JSON and returns the status and
+// the response's bytes.
+func (c *testClient) send(method, path string, body any) (int, []byte) {
+	c.t.Helper()
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
@@ -49,9 +61,9 @@ func (c *testClient) do(method, path string, body any) (int, map[string]any) {
 		c.t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil && err != io.EOF {
-		c.t.Fatalf("%s %s: decoding response: %v", method, path, err)
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		c.t.Fatalf("%s %s: reading response: %v", method, path, err)
 	}
 	return resp.StatusCode, out
 }

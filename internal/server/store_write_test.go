@@ -23,7 +23,6 @@ import (
 	"github.com/dataspace/automed/internal/iql/iqltest"
 	"github.com/dataspace/automed/internal/ispider"
 	"github.com/dataspace/automed/internal/rel"
-	"github.com/dataspace/automed/internal/sqlmem"
 	"github.com/dataspace/automed/internal/wrapper"
 )
 
@@ -233,218 +232,6 @@ func TestStoreFileMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRestoreStepRestore: restore → step → restore → step → restore.
-// The step's autosave writes the restored sources from the documents
-// they were read from, and the second restore answers as the stepped
-// session did. The last restore reads the checkpoint the second one
-// read, which it does not decode again, and the step journaled after
-// it, which it does.
-func TestRestoreStepRestore(t *testing.T) {
-	dir := t.TempDir()
-	s, c := newDurableClient(t, dir)
-	registerBookstore(c, "", 3)
-	c.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
-
-	c.must("POST", "/sessions/default/restore", nil, http.StatusOK)
-	c.must("POST", "/intersect", map[string]any{"name": "I1", "mappings": ubookMappings}, http.StatusCreated)
-	want := canonicalAnswer(t, c.must("POST", "/query", map[string]any{"query": "[x | {k, x} <- <<UBook, isbn>>]"}, http.StatusOK))
-	checkFileMatchesReference(t, s, "default", "restored, then stepped")
-
-	res := c.must("POST", "/sessions/default/restore", nil, http.StatusOK)
-	if res["version"].(float64) != 1 {
-		t.Fatalf("second restore is at version %v, want 1", res["version"])
-	}
-	if got := canonicalAnswer(t, c.must("POST", "/query", map[string]any{"query": "[x | {k, x} <- <<UBook, isbn>>]"}, http.StatusOK)); got != want {
-		t.Errorf("after restore → step → restore:\n got %s\nwant %s", got, want)
-	}
-
-	c.must("POST", "/intersect", map[string]any{"name": "I2", "mappings": upricedMappings}, http.StatusCreated)
-	want = canonicalAnswer(t, c.must("POST", "/query", map[string]any{"query": "[x | {k, x} <- <<UPriced, price>>]"}, http.StatusOK))
-	if res := c.must("POST", "/sessions/default/restore", nil, http.StatusOK); res["version"].(float64) != 2 {
-		t.Fatalf("third restore is at version %v, want 2", res["version"])
-	}
-	if got := canonicalAnswer(t, c.must("POST", "/query", map[string]any{"query": "[x | {k, x} <- <<UPriced, price>>]"}, http.StatusOK)); got != want {
-		t.Errorf("after a step journaled past the checkpoint read before:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestPersistRestoreKeepsHeldSources: a restore takes over every
-// in-memory source of the session it replaces whose document the file
-// holds byte for byte — the very wrapper, nothing decoded — and decodes
-// every other: a source whose document in the file had a cell edited,
-// one changed since it was encoded, every source of a file in the
-// indented layout, and a SQL source always. The restored session answers
-// Table 1 as a server that restored the same file from nothing does, and
-// a query on the replaced session runs beside the restores: under
-// -race, the check that taking a source over shares nothing
-// unsynchronised.
-func TestPersistRestoreKeepsHeldSources(t *testing.T) {
-	const dsn = "server-held-shelf"
-	shelf := rel.NewDB("Shelf")
-	shelf.MustCreateTable("slots", []rel.Column{{Name: "id", Type: rel.Int}, {Name: "label", Type: rel.String}}, "id").
-		MustInsert(int64(1), "top")
-	sqlmem.Register(dsn, shelf)
-	t.Cleanup(func() { sqlmem.Unregister(dsn) })
-	notesDB := rel.NewDB("Notes")
-	notesDB.MustCreateTable("notes", []rel.Column{{Name: "id", Type: rel.Int}, {Name: "text", Type: rel.String}}, "id").
-		MustInsert(int64(1), "held-note")
-	notes, err := wrapper.NewRelational("Notes", notesDB)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	s, c := newDurableClient(t, dir)
-	sess := newSessionOver(t, s, "held", append(caseSources(t), notes))
-	c.must("POST", "/sources", map[string]any{"session": "held", "name": "Shelf",
-		"sql": map[string]any{"driver": sqlmem.DriverName, "dsn": dsn}}, http.StatusCreated)
-	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
-		t.Fatal(err)
-	}
-	plan := ispider.IntersectionPlan()
-	for _, st := range plan {
-		applyStep(t, sess, st)
-	}
-	if _, err := s.SnapshotSession("held"); err != nil {
-		t.Fatal(err)
-	}
-	path := s.Store().Path("held")
-	sources := func() map[string]wrapper.Wrapper {
-		cur, err := s.Sessions().Get("held", false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, ws := cur.sources()
-		out := make(map[string]wrapper.Wrapper, len(ws))
-		for _, w := range ws {
-			out[w.SchemaName()] = w
-		}
-		return out
-	}
-	// restore restores the session and checks which of its sources the
-	// restored session took over from the one it replaced.
-	restore := func(stage string, kept map[string]bool) {
-		t.Helper()
-		before := sources()
-		c.must("POST", "/sessions/held/restore", nil, http.StatusOK)
-		after := sources()
-		if len(after) != len(before) {
-			t.Fatalf("%s: %d sources restored, want %d", stage, len(after), len(before))
-		}
-		for name, w := range after {
-			if got := w == before[name]; got != kept[name] {
-				t.Errorf("%s: source %s taken over = %v, want %v", stage, name, got, kept[name])
-			}
-		}
-	}
-	notesRows := func(stage string, want ...string) {
-		t.Helper()
-		tb, _ := sources()["Notes"].(*wrapper.Relational).DB().Table("notes")
-		var got []string
-		for i := range tb.Len() {
-			got = append(got, tb.Row(i)[1].(string))
-		}
-		if !slices.Equal(got, want) {
-			t.Errorf("%s: the restored notes are %q, want %q", stage, got, want)
-		}
-	}
-	all := map[string]bool{"Pedro": true, "gpmDB": true, "PepSeeker": true, "Notes": true}
-
-	// Unchanged, with a query on the replaced session running throughout.
-	old, err := s.Sessions().Get("held", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldIG, err := old.integrator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := ispider.Table1Queries()[0].IQL
-	stop, asked := make(chan struct{}), make(chan struct{}, 1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			oldIG.Processor().InvalidateCache() // so every ask reads the sources
-			if _, err := oldIG.Query(q); err != nil {
-				t.Error(err)
-				return
-			}
-			select {
-			case asked <- struct{}{}:
-			default:
-			}
-		}
-	}()
-	<-asked
-	for i := range 3 {
-		restore(fmt.Sprintf("unchanged, restore %d", i+1), all)
-	}
-	close(stop)
-	wg.Wait()
-	want := table1Answers(t, c, "held", plan)
-	s2, c2 := newTestClient(t, DefaultConfig())
-	if err := s2.OpenStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.RestoreSessions(); err != nil {
-		t.Fatal(err)
-	}
-	if got := table1Answers(t, c2, "held", plan); !slices.Equal(got, want) {
-		t.Errorf("a session restored over held sources answers Table 1 differently from one restored from nothing:\n got %v\nwant %v", got, want)
-	}
-
-	// One cell of one source edited in the file.
-	file, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Count(file, []byte(`"held-note"`)) != 1 {
-		t.Fatalf("the file holds the note %d times, want once", bytes.Count(file, []byte(`"held-note"`)))
-	}
-	if err := os.WriteFile(path, bytes.Replace(file, []byte(`"held-note"`), []byte(`"held-nope"`), 1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	restore("a cell edited in the file", map[string]bool{"Pedro": true, "gpmDB": true, "PepSeeker": true})
-	notesRows("a cell edited in the file", "held-nope")
-
-	// A held source changed since it was encoded: the file's rows are
-	// what is restored.
-	tb, _ := sources()["Notes"].(*wrapper.Relational).DB().Table("notes")
-	tb.MustInsert(int64(2), "inserted-since")
-	restore("a held source changed", map[string]bool{"Pedro": true, "gpmDB": true, "PepSeeker": true})
-	notesRows("a held source changed", "held-nope")
-
-	// A file in the indented layout: no document in it is one held.
-	if file, err = os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, file, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	restore("an indented file", nil)
-
-	// Saved again, the file is compact and every in-memory source is
-	// taken over once more.
-	if _, err := s.SnapshotSession("held"); err != nil {
-		t.Fatal(err)
-	}
-	restore("saved again", all)
-	if got := table1Answers(t, c, "held", plan); !slices.Equal(got, want) {
-		t.Errorf("after the edits and restores, Table 1 is answered differently:\n got %v\nwant %v", got, want)
-	}
-}
-
 // TestUnchangedRestoreAllocatesNoRow: restoring a session whose sources
 // the session it replaces holds unchanged decodes none of them, so what
 // it allocates does not follow the rows: as many allocations over tables
@@ -484,36 +271,6 @@ func TestUnchangedRestoreAllocatesNoRow(t *testing.T) {
 	t.Logf("an unchanged restore: %.0f allocations over tables of 100 rows, %.0f over tables of 1,000", small, large)
 	if small != large {
 		t.Errorf("an unchanged restore allocates %.0f times over tables of 100 rows and %.0f over tables of 1,000: it decodes rows", small, large)
-	}
-}
-
-// TestMutatedSourceShowsInNextSave: rows inserted through a source's
-// database after a save are in the next one — the memo is validated,
-// not trusted.
-func TestMutatedSourceShowsInNextSave(t *testing.T) {
-	s, _ := newDurableClient(t, t.TempDir())
-	ws := caseSources(t)
-	sess := newSessionOver(t, s, "m", ws)
-	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
-		t.Fatal(err)
-	}
-	checkFileMatchesReference(t, s, "m", "before the insert")
-	before, _ := os.ReadFile(s.Store().Path("m"))
-
-	db := ws[0].(*wrapper.Relational).DB()
-	tb := db.Tables()[0]
-	row := append([]any(nil), tb.Row(0)...)
-	pk, _ := tb.ColIndex(tb.PrimaryKey())
-	switch row[pk].(type) {
-	case int64:
-		row[pk] = int64(math.MaxInt64)
-	case string:
-		row[pk] = "inserted-after-the-first-save"
-	}
-	tb.MustInsert(row...)
-	checkFileMatchesReference(t, s, "m", "after the insert")
-	if after, _ := os.ReadFile(s.Store().Path("m")); bytes.Equal(before, after) {
-		t.Error("a row inserted after a save is missing from the next")
 	}
 }
 

@@ -131,7 +131,7 @@ func TestSQLCountMatchesLocalCount(t *testing.T) {
 					query := "count([v | " + o.pat + " <- <<" + o.ref + ">>; " + cond + "])"
 					want, wantErr := iqltest.Eval(iql.MustParse(query), iql.ExtentsFunc(w.Extent), nil)
 					ce := &countedExtents{w: w, ctx: context.Background()}
-					got, err := iql.NewEvaluator(ce).EvalString(query)
+					got, err := iql.NewEvaluator(ce).Eval(iql.MustParse(query), nil)
 					if d := iqltest.Mismatch(got, err, want, wantErr); d != "" {
 						t.Errorf("%s: counted at the source %s", query, d)
 					}

@@ -207,8 +207,8 @@ func TestXMLQueryThroughIQL(t *testing.T) {
 	}
 	ev := iql.NewEvaluator(iql.ExtentsFunc(w.Extent))
 	// Titles of books published with an isbn attribute starting 978.
-	v, err := ev.EvalString(
-		"[t | {tid, t} <- <<title, text>>; {tid2, b} <- <<title, book>>; tid2 = tid; {b2, i} <- <<book, @isbn>>; b2 = b; startswith(i, '978')]")
+	v, err := ev.Eval(iql.MustParse(
+		"[t | {tid, t} <- <<title, text>>; {tid2, b} <- <<title, book>>; tid2 = tid; {b2, i} <- <<book, @isbn>>; b2 = b; startswith(i, '978')]"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
