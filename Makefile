@@ -49,6 +49,10 @@ race:
 # cached plan evaluated by eight goroutines in two sessions, whose
 # comprehensions' analysis and parked evaluation state they share, and
 # whose recorded join run each session's four goroutines replay at once.
+# So do the result cache's two: eight clients asking Table 1 at the
+# latest version while the plan's steps land, each answer the one a
+# cacheless session gives at the version it names, and a step taken on
+# the integrator directly, after which the latest query is evaluated.
 # The session oracle, TestSessionOracle, runs three times under the race
 # detector (2.5 min on a 2-core box): its reader queries whichever
 # session the name stands for while restores hand sources and one
@@ -56,7 +60,7 @@ race:
 flake:
 	$(GO) test -count=30 -run 'TestParallel' ./internal/iql
 	$(GO) test -count=30 -run 'TestOracle' ./internal/query
-	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions' ./internal/server
+	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions|TestLatestAnswersWhileStepsLand|TestStepThroughTheIntegratorRetiresAnswers' ./internal/server
 	$(GO) test -race -count=3 -run 'TestSessionOracle' ./internal/server
 
 # bench-smoke is the ci benchmark gate: one iteration of everything,

@@ -858,15 +858,17 @@ func benchServerPost(b *testing.B, ts *httptest.Server, path string, body map[st
 // BenchmarkIterationWarmCache measures the payoff of dependency-tracked
 // invalidation: after an integration iteration that touches an
 // unrelated scheme (<<UScan>> from Archive), a warm repeated query over
-// <<UBook, isbn>> is still answered from cache — pinned queries straight
-// from the result cache, current-version queries from warm extent memos
-// — instead of being re-unfolded from the sources as the old
-// purge-everything path forced.
+// <<UBook, isbn>> is still answered from cache — pinned and latest
+// queries straight from the result cache (it is keyed by the resolved
+// query, not the version), and evaluations that bypass it from warm
+// extent memos — instead of being re-unfolded from the sources as the
+// old purge-everything path forced.
 func BenchmarkIterationWarmCache(b *testing.B) {
 	const q = "count([{k, x} | {k, x} <- <<UBook, isbn>>])"
 	ts := benchServerSetup(b) // federate (v0) + intersect I1 (v1)
 
-	// Warm the result cache at the published version 1.
+	// Warm the result cache at the published version 1: the answer
+	// serves every version that resolves q alike.
 	pinned := map[string]any{"query": q, "version": 1}
 	benchServerPost(b, ts, "/query", pinned)
 
@@ -891,13 +893,22 @@ func BenchmarkIterationWarmCache(b *testing.B) {
 		}
 	})
 
+	b.Run("latest-result-cached", func(b *testing.B) {
+		latest := map[string]any{"query": q}
+		for i := 0; i < b.N; i++ {
+			out := benchServerPost(b, ts, "/query", latest)
+			if !out["result_cached"].(bool) || out["version"].(float64) != 2 {
+				b.Fatalf("warm latest query after an unrelated iteration = %v; want it from the result cache at version 2", out)
+			}
+		}
+	})
+
 	b.Run("current-extents-warm", func(b *testing.B) {
 		sess, err := benchSrv.Sessions().Get("default", false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cur := map[string]any{"query": q}
-		benchServerPost(b, ts, "/query", cur) // warm at the new version
+		benchServerPost(b, ts, "/query", map[string]any{"query": q, "no_cache": true}) // warm at the new version
 		memo0, src0 := sess.ExtentCacheStats()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/dataspace/automed/internal/cache"
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
 	"github.com/dataspace/automed/internal/query"
@@ -40,12 +39,6 @@ type Intersection struct {
 	// by delete (not contract) steps: these become redundant in the
 	// global schema (the − operator's operands).
 	DeletedBySource map[string][]hdm.Scheme
-	// Touched lists the distinct scheme keys whose derivations this
-	// iteration added or changed (targets, tool-generated parents and
-	// derived concepts) — the touch-set that selective cache
-	// invalidation evicts by. It is transient workflow state, not part
-	// of the durable snapshot.
-	Touched []string
 	// Counts tallies the steps generated for this intersection.
 	Counts StepCounts
 }
@@ -536,6 +529,11 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 		return nil, fmt.Errorf("core: intersection %q: %w", name, err)
 	}
 	fwds = append(fwds, autoParents...)
+	for _, f := range fwds {
+		if err := ig.notFederated(f.target); err != nil {
+			return nil, fmt.Errorf("core: intersection %q: %w", name, err)
+		}
+	}
 
 	// Explicit reverse queries, indexed source → object key.
 	explicitRev := make(map[string]iql.Expr)
@@ -737,22 +735,9 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 			ig.derivedObjs = append(ig.derivedObjs, objMeta{scheme: f.target, kind: f.kind})
 		}
 	}
-
-	// The iteration's touch-set: every object this intersection gave a
-	// new derivation. RegisterPathway/Define invalidate per call; this
-	// union is recorded for the serving layer's result caches and
-	// re-applied here so one iteration is one invalidation event.
-	var touched []string
-	for _, tsc := range in.Targets {
-		touched = append(touched, tsc.Key())
-	}
-	for _, f := range fwds {
-		if f.source == "" {
-			touched = append(touched, f.target.Key())
-		}
-	}
-	in.Touched = cache.Dedup(touched)
-	ig.proc.InvalidateSchemes(in.Touched...)
+	// Each RegisterPathway and Define above invalidated what depends on
+	// the objects it derived — cached extents, and the answers of a
+	// serving layer that follows the processor — under the write lock.
 
 	ig.intersections = append(ig.intersections, in)
 	// Workflow step 5: the tool automatically creates a new global
@@ -832,6 +817,16 @@ func (ig *Integrator) planAutoParents(fwds []parsedFwd, explicit map[string]bool
 		}
 	}
 	return out, nil
+}
+
+// notFederated refuses a step's target that names an object of the
+// federated schema: the next global schema could not hold both, and the
+// step is refused before it defines anything.
+func (ig *Integrator) notFederated(target hdm.Scheme) error {
+	if ig.fed.Has(target) {
+		return fmt.Errorf("target %s is already an object of the federated schema %s", target, ig.fed.Name())
+	}
+	return nil
 }
 
 func (ig *Integrator) hasSource(name string) bool {

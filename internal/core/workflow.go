@@ -26,6 +26,9 @@ func (ig *Integrator) Refine(name string, m Mapping, enables ...string) error {
 	if err != nil {
 		return err
 	}
+	if err := ig.notFederated(tsc); err != nil {
+		return fmt.Errorf("core: refinement %q: %w", name, err)
+	}
 	if len(m.Forward) == 0 {
 		return fmt.Errorf("core: refinement %q has no forward queries", name)
 	}
@@ -46,8 +49,8 @@ func (ig *Integrator) Refine(name string, m Mapping, enables ...string) error {
 		counts.ManualAdds++
 	}
 	// The refinement's touch-set is its single target; each Define
-	// above already evicted the cached extents depending on it, so
-	// every other warm answer stays live across the new version.
+	// above already evicted the cached extents and answers depending on
+	// it, so every other warm answer stays live across the new version.
 	ig.derivedObjs = append(ig.derivedObjs, objMeta{scheme: tsc, kind: kind})
 	if _, err := ig.rebuildGlobal(ig.autoDrop); err != nil {
 		ig.unjournaled()
@@ -157,11 +160,12 @@ func (ig *Integrator) rebuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 		return nil, err
 	}
 	// Derived minus-pathways ES → (ES − I), per the paper's
-	// operational rule, recorded for BAV bookkeeping.
+	// operational rule, recorded for BAV bookkeeping, in the order the
+	// sources contribute (a checkpoint lists them as they were added).
 	if dropRedundant {
 		for _, in := range ig.intersections {
-			for src, pw := range in.PathwayBySource {
-				mp, err := transform.MinusPathway(pw, name+":"+ig.prefix[src]+"-minus")
+			for _, src := range in.Sources {
+				mp, err := transform.MinusPathway(in.PathwayBySource[src], name+":"+ig.prefix[src]+"-minus")
 				if err != nil {
 					return nil, err
 				}
@@ -229,55 +233,88 @@ func (ig *Integrator) QueryAt(ctx context.Context, version int, src string) (Res
 func (ig *Integrator) QueryExprAt(ctx context.Context, version int, e iql.Expr) (Result, error) {
 	ig.mu.RLock()
 	defer ig.mu.RUnlock()
-	canon, res, err := ig.canonicalLocked(version, e)
+	r, err := ig.canonicalLocked(version, e, nil)
 	if err != nil {
 		return Result{}, err
 	}
-	res.Value, res.Warnings, res.Deps, err = ig.proc.EvalContext(ctx, canon)
+	res := Result{Version: r.Version, Schema: r.Schema}
+	res.Value, res.Warnings, res.Deps, err = ig.proc.EvalContext(ctx, r.Expr)
 	if err != nil {
 		return Result{}, err
 	}
 	return res, nil
 }
 
-// QueryEncodedAt is QueryExprAt with the answer written to dst instead
-// of built (see iql.Evaluator.EvalEncoded): the Result it returns says
-// everything about the answer but its Value.
-func (ig *Integrator) QueryEncodedAt(ctx context.Context, version int, e iql.Expr, dst *iql.Encoding) (Result, error) {
+// Resolution is a query resolved against one global schema version.
+// Evaluation depends on the version only through it: derivations are
+// shared by every version, so two resolutions with the same Expr have
+// the same answer.
+type Resolution struct {
+	// Expr is the query with every scheme reference naming its object:
+	// the parsed expression itself when each already did, else a
+	// rewritten copy (Rewritten).
+	Expr      iql.Expr
+	Rewritten bool
+	// Version is the global schema version resolved against, Schema
+	// that version's name.
+	Version int
+	Schema  string
+}
+
+// Resolve resolves a parsed query against a global schema version
+// (CurrentVersion for the latest) and calls use with the resolution,
+// holding the read lock throughout: no step lands between the
+// resolution and what use does with it, such as evaluating its Expr
+// (Processor().EvalEncoded). refs are e's distinct scheme references
+// (iql.UniqueSchemeRefs), collected once by whoever keeps e: a query
+// whose references already name their objects is resolved without a
+// walk of its AST and without an allocation.
+func (ig *Integrator) Resolve(version int, e iql.Expr, refs [][]string, use func(Resolution) error) error {
 	ig.mu.RLock()
 	defer ig.mu.RUnlock()
-	canon, res, err := ig.canonicalLocked(version, e)
+	r, err := ig.canonicalLocked(version, e, refs)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	res.Warnings, res.Deps, err = ig.proc.EvalEncoded(ctx, canon, dst)
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return use(r)
 }
 
 // canonicalLocked picks the global schema version a query is answered
-// against and canonicalises the query's scheme references in it; the
-// Result names that version. The caller holds the read lock, and keeps
-// it while it evaluates.
-func (ig *Integrator) canonicalLocked(version int, e iql.Expr) (iql.Expr, Result, error) {
+// against and canonicalises the query's scheme references in it. refs,
+// when the caller has them, are e's distinct references; without them
+// e is walked. The caller holds the read lock, and keeps it while it
+// evaluates.
+func (ig *Integrator) canonicalLocked(version int, e iql.Expr, refs [][]string) (Resolution, error) {
 	if ig.global == nil {
-		return nil, Result{}, fmt.Errorf("core: no global schema; call Federate first")
+		return Resolution{}, fmt.Errorf("core: no global schema; call Federate first")
 	}
 	target, ver := ig.global, ig.currentLocked()
 	if version != CurrentVersion {
 		s, ok := ig.schemaAtLocked(version)
 		if !ok {
-			return nil, Result{}, fmt.Errorf("core: no global schema version %d (have 0..%d)", version, ig.currentLocked())
+			return Resolution{}, fmt.Errorf("core: no global schema version %d (have 0..%d)", version, ig.currentLocked())
 		}
 		target, ver = s, version
 	}
+	r := Resolution{Expr: e, Version: ver, Schema: target.Name()}
 	// A reference that already names its object is left as it is, so a
 	// query written in canonical references — every Table 1 query — is
 	// evaluated as parsed, and a cached plan keeps its analysis.
+	if refs != nil {
+		canonical := true
+		for _, parts := range refs {
+			obj, err := target.Resolve(parts)
+			if err != nil {
+				return Resolution{}, fmt.Errorf("core: query over %s: %w", target.Name(), err)
+			}
+			canonical = canonical && obj.Scheme.Is(parts)
+		}
+		if canonical {
+			return r, nil
+		}
+	}
 	var resolveErr error
-	canon := iql.SubstituteSchemes(e, func(parts []string) (iql.Expr, bool) {
+	r.Expr = iql.SubstituteSchemes(e, func(parts []string) (iql.Expr, bool) {
 		obj, err := target.Resolve(parts)
 		if err != nil {
 			if resolveErr == nil {
@@ -288,12 +325,13 @@ func (ig *Integrator) canonicalLocked(version int, e iql.Expr) (iql.Expr, Result
 		if obj.Scheme.Is(parts) {
 			return nil, false
 		}
+		r.Rewritten = true
 		return iql.Ref(obj.Scheme.Parts()...), true
 	})
 	if resolveErr != nil {
-		return nil, Result{}, resolveErr
+		return Resolution{}, resolveErr
 	}
-	return canon, Result{Version: ver, Schema: target.Name()}, nil
+	return r, nil
 }
 
 // Extent returns the extent of one global schema object.
@@ -349,8 +387,8 @@ func (ig *Integrator) ReverseProcessor() (*query.Processor, error) {
 		return nil, err
 	}
 	for _, in := range ig.intersections {
-		for _, pw := range in.PathwayBySource {
-			if err := rp.RegisterPathway(pw.Reverse(), ""); err != nil {
+		for _, src := range in.Sources {
+			if err := rp.RegisterPathway(in.PathwayBySource[src].Reverse(), ""); err != nil {
 				return nil, err
 			}
 		}

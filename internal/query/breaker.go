@@ -351,8 +351,9 @@ func (p *Processor) ProbeOpen(ctx context.Context) int {
 			continue
 		}
 		// The source is back: evict everything computed while it was
-		// down (memoised virtual extents carrying degraded warnings), so
-		// the next queries recompute over fresh data.
+		// down (memoised virtual extents carrying degraded warnings, and
+		// the follower's answers over them), so the next queries
+		// recompute over fresh data.
 		keys := make([]string, 0, src.schema.Len())
 		for _, o := range src.schema.Objects() {
 			keys = append(keys, o.Scheme.Key())

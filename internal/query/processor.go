@@ -38,6 +38,8 @@
 // all cached work. The join-index cache follows them: whatever way an
 // extent leaves either store, the indexes built over it leave with it,
 // and no index leaves for any other reason but the cache's own bounds.
+// So does a serving layer's answer cache, once it follows the processor
+// (Follow): every invalidation of the extent caches is applied to it too.
 //
 // This file is the registry: sources, derivations, caches.
 package query
@@ -182,6 +184,10 @@ type Processor struct {
 	// fallback copy a broken source will be served from.
 	lgMu     sync.Mutex
 	lastGood map[string]lastGoodEntry
+
+	// follower is the answer cache that follows the extent caches'
+	// invalidations (Follow); nil when none does.
+	follower Follower
 
 	statParallelEvals atomic.Uint64
 	statSerialEvals   atomic.Uint64
@@ -398,9 +404,27 @@ func (p *Processor) AllDerivations() []ObjectDerivations {
 	return out
 }
 
-// InvalidateCache clears every memoised extent wholesale. It remains
-// for source-data changes of unknown extent; integration iterations use
-// the selective InvalidateSchemes instead.
+// Follower is a cache of answers computed by the processor, tagged as
+// its extent caches are with the scheme keys each computation touched
+// (cache.Store is one).
+type Follower interface {
+	InvalidateDeps(keys ...string) int
+	Purge()
+}
+
+// Follow makes f follow the processor's invalidations: InvalidateSchemes
+// invalidates f's entries under the same keys, and InvalidateCache
+// purges f. Every derivation change (DefineAll), breaker recovery
+// (ProbeOpen) and source-data change reaches the processor through
+// those two, and a step makes its changes under the integrator's write
+// lock, so no answer a change retired outlives it in f. It is called
+// once, before the processor is shared.
+func (p *Processor) Follow(f Follower) { p.follower = f }
+
+// InvalidateCache clears every memoised extent wholesale, and the
+// follower's answers with them. It remains for source-data changes of
+// unknown extent; integration iterations use the selective
+// InvalidateSchemes instead.
 func (p *Processor) InvalidateCache() {
 	p.memo.Purge()
 	p.srcExt.Purge()
@@ -408,6 +432,9 @@ func (p *Processor) InvalidateCache() {
 	// is left was built over arrays nobody caches, and a full purge is
 	// the moment to drop that memory too.
 	p.joinIdx.Purge()
+	if p.follower != nil {
+		p.follower.Purge()
+	}
 }
 
 // InvalidateSchemes evicts exactly the cached extents whose dependency
@@ -419,10 +446,17 @@ func (p *Processor) InvalidateCache() {
 // over it, while the indexes of a dropped extent go with it (the two
 // stores report their drops to the index cache), so an iteration leaves
 // no index of a retired extent version pinned and rebuilds none over an
-// extent it did not touch.
+// extent it did not touch. The follower's answers under keys go too,
+// after the extents and uncounted: an answer whose evaluation began
+// before then is refused by the follower's generation (cache.PutAt), one
+// that began after read the fresh extents.
 func (p *Processor) InvalidateSchemes(keys ...string) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	return p.memo.InvalidateDeps(keys...) + p.srcExt.InvalidateDeps(keys...)
+	n := p.memo.InvalidateDeps(keys...) + p.srcExt.InvalidateDeps(keys...)
+	if p.follower != nil {
+		p.follower.InvalidateDeps(keys...)
+	}
+	return n
 }

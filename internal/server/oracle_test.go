@@ -128,8 +128,9 @@ var oracleExtras = []core.Step{
 }
 
 // oracleRejected are steps refused part-way — an intersection at its
-// second source, a refinement at its second entry — under the names of
-// the extras, so a later extra is the corrected call.
+// second source, a refinement at its second entry — or at once, a
+// refinement whose target is an object of the federated schema, under
+// the names of the extras, so a later extra is the corrected call.
 var oracleRejected = []core.Step{
 	{Kind: core.StepIntersect, Name: "X1", Mappings: []core.Mapping{core.Entity("<<UShelf>>",
 		core.From("Shelf", "[{'SHELF', k} | k <- <<slots>>]"),
@@ -137,11 +138,17 @@ var oracleRejected = []core.Step{
 	{Kind: core.StepRefine, Name: "X2", Mapping: &core.Mapping{Target: "<<UShelf, label>>", Forward: []core.SourceQuery{
 		core.From("Notes", "[{'NOTE', k, x} | {k, x} <- <<notes, text>>]"),
 		core.From("Shelf", "[{'SHELF', k, x} | {k, x} <- ")}}},
+	{Kind: core.StepRefine, Name: "X2", Mapping: &core.Mapping{Target: "<<shelf_slots>>", Forward: []core.SourceQuery{
+		core.From("Notes", "[k | k <- <<notes>>]")}}},
 }
 
 // oracleProbes are asked at every published version besides Table 1.
+// <<label>> resolves by suffix: to <<shelf_slots, label>> before X1, and
+// after it to <<UShelf, label>> when X1 dropped the Shelf object it
+// subsumes, else to nothing (it is ambiguous).
 var oracleProbes = []string{
 	"count(<<UShelf>>)", "[x | {s, k, x} <- <<UShelf, label>>]", "<<notes_notes, text>>", "count(<<shelf_slots>>)",
+	"count(<<label>>)",
 }
 
 // oracleWorld is what one history runs against: the SQL backend's rows
@@ -191,7 +198,8 @@ func ask(c *testClient, method, path string, body any) (int, string) {
 }
 
 // view is everything a client sees of the session — /schemas, /report,
-// Table 1 and the probes at every published version — and, from s when
+// Table 1 and the probes at every published version and then at the
+// latest, the version omitted — and, from s when
 // it is not nil, the checkpoint the session would write. A live
 // session's is not asked for: exporting it would refresh the documents
 // its sources keep, which a restore and an append must validate.
@@ -211,9 +219,12 @@ func (w *oracleWorld) view(s *Server, c *testClient) []string {
 	for _, q := range ispider.Table1Queries() {
 		queries = append(queries, q.IQL)
 	}
-	for v := -1; v <= current; v++ {
-		if v < 0 && current >= 0 {
-			continue // versions are pinned once there are any
+	// The latest comes last: a query it resolves as a pinned one did is
+	// answered from the cache, stamped with the latest version.
+	for i := 0; i <= current+1; i++ {
+		v := i
+		if i > current {
+			v = -1
 		}
 		for _, q := range append(queries, oracleProbes...) {
 			body := map[string]any{"session": "h", "query": q}
@@ -276,7 +287,9 @@ type oracleMode struct{ cached, breakers, restoreEvery bool }
 //     the session read.
 //
 // The modes cover result cache and extent memo on and off, breakers on
-// and off, and a restore after every step or none at all; a reader
+// and off, and a restore after every step or none at all; seeds 3 and 6
+// federate with auto_drop, so a global schema drops what X1 subsumes and
+// a reference by suffix names another object after it; a reader
 // queries the session throughout, so under -race (make flake) this is
 // also the check that what restores share is only read.
 func TestSessionOracle(t *testing.T) {
@@ -484,7 +497,7 @@ func runOracle(t *testing.T, w *oracleWorld, seed int64, mode oracleMode) {
 		passes := 1
 		switch ev {
 		case "federate":
-			saving("/federate", map[string]any{"session": "h", "name": "F"}, nil)
+			saving("/federate", map[string]any{"session": "h", "name": "F", "auto_drop": seed%3 == 0}, nil)
 		case "step":
 			if len(steps) == 0 {
 				continue

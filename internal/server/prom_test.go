@@ -283,7 +283,9 @@ func BenchmarkMetricsQueryParallel(b *testing.B) {
 // TestJoinIndexLayerAcrossSteps: the join-index cache is reported as a
 // cache layer of its own, and what it reports is the pay-as-you-go
 // property: restore → step → Q7 → step → Q7 → step → Q7, each Q7
-// evaluated again at the schema version the step before it published.
+// evaluated again at the schema version the step before it published
+// (with no_cache: no step touches what Q7 reads, so the result cache
+// would answer it).
 // The first builds the indexes Q7 joins through and leaves its join
 // run's entry; the second finds every index built (hits, no misses) and
 // records the run; the third replays the record (a replay, no lookup of
@@ -320,7 +322,7 @@ func TestJoinIndexLayerAcrossSteps(t *testing.T) {
 	}
 	ask := func() {
 		t.Helper()
-		if resp := c.must("POST", "/query", map[string]any{"session": "case", "query": q7}, http.StatusOK); resp["result_cached"] == true {
+		if resp := c.must("POST", "/query", map[string]any{"session": "case", "query": q7, "no_cache": true}, http.StatusOK); resp["result_cached"] == true {
 			t.Fatal("Q7 was answered from the result cache; the walk needs it evaluated")
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -227,7 +226,12 @@ func (s *Server) explain(sess *Session, src string, version int) map[string]stri
 // once, and parks emptied evaluation state beside that.
 type plan struct {
 	expr iql.Expr
-	norm string // canonical rendering, the result-cache key component
+	// norm is expr's canonical rendering: the result-cache key of every
+	// resolution that leaves expr as it is (core.Resolution).
+	norm string
+	// refs are expr's distinct scheme references, which a resolution
+	// checks instead of walking expr.
+	refs [][]string
 }
 
 // QueryOutcome reports how a query was answered, for response metadata
@@ -239,7 +243,7 @@ type QueryOutcome struct {
 
 // Answer is what a query's answer is besides its bytes, which
 // Session.Query has appended to the response by the time it returns
-// one: the warnings, the schema version it was answered against and the
+// one: the warnings, the schema version it was resolved against and the
 // dependency set of its evaluation. An answer held in the result cache
 // also keeps the bytes, so a hit skips the canonical ordering of bags
 // and the encoding as well as the evaluation: answering it is a copy of
@@ -250,7 +254,8 @@ type Answer struct {
 	// (core.Result.Deps).
 	Deps []string
 	// Version is the global schema version the query was resolved
-	// against, Schema that version's name.
+	// against, Schema that version's name: a hit carries the request's
+	// own, whatever version the answer was evaluated at.
 	Version int
 	Schema  string
 	// fragment is the answer's part of the response object, as bytes, at
@@ -272,6 +277,14 @@ func (e *encodingError) Unwrap() error { return e.err }
 // (core.CurrentVersion for the latest), consulting the plan cache and
 // — unless noCache — the result cache, and appends the answer's
 // fragment to buf; with an error, buf holds what it held.
+//
+// The query is resolved against the version before the result cache is
+// consulted, and the cache is keyed by the resolution: evaluation
+// depends on the version only through it (derivations are shared by
+// every version), so one answer serves every version that resolves the
+// query alike until what it was computed from is invalidated. The
+// resolution holds the integrator's read lock until the answer is
+// found or evaluated, so no step lands in between.
 func (s *Session) Query(ctx context.Context, buf *respBuf, plans *cache.Store[plan], src string, version int, noCache bool) (Answer, QueryOutcome, error) {
 	ig, err := s.integrator()
 	if err != nil {
@@ -292,37 +305,56 @@ func (s *Session) Query(ctx context.Context, buf *respBuf, plans *cache.Store[pl
 		if err != nil {
 			return Answer{}, out, err
 		}
-		pl = plan{expr: e, norm: e.String()}
+		pl = plan{expr: e, norm: e.String(), refs: iql.UniqueSchemeRefs(e)}
 		plans.Put(src, pl, planCost(src, pl), nil)
 	}
 
-	ver := version
-	if ver == core.CurrentVersion {
-		ver = ig.GlobalVersion()
-	}
-	key := strconv.Itoa(ver) + "\x00" + pl.norm
-	if !noCache {
-		if ans, ok := s.results.Get(key); ok {
-			out.ResultCached = true
-			if sp, _ := obs.StartSpan(ctx, obs.StageResultCache, ""); sp != nil {
+	var ans Answer
+	err = ig.Resolve(version, pl.expr, pl.refs, func(r core.Resolution) (err error) {
+		key := ""
+		if !noCache {
+			key = pl.norm
+			if r.Rewritten {
+				key = r.Expr.String()
+			}
+			hit, ok := s.results.Get(key)
+			sp, _ := obs.StartSpan(ctx, obs.StageResultCache, "")
+			if ok {
 				sp.SetCache(obs.CacheHit)
 				sp.End(nil)
+				out.ResultCached = true
+				ans = hit
+				ans.Version, ans.Schema = r.Version, r.Schema
+				return nil
 			}
-			buf.b = append(buf.b, ans.fragment...)
-			return ans, out, nil
-		}
-		if sp, _ := obs.StartSpan(ctx, obs.StageResultCache, ""); sp != nil {
 			sp.SetCache(obs.CacheMiss)
 			sp.End(nil)
 		}
+		ans, err = s.evaluate(ctx, buf, ig, r, key)
+		return err
+	})
+	if err != nil {
+		return Answer{}, out, err
 	}
+	if out.ResultCached {
+		buf.b = append(buf.b, ans.fragment...)
+	}
+	return ans, out, nil
+}
 
+// evaluate answers a resolved query under the read lock Query's
+// resolution holds, appends the fragment to buf, and caches the answer
+// under key unless key is empty (no_cache).
+func (s *Session) evaluate(ctx context.Context, buf *respBuf, ig *core.Integrator, r core.Resolution, key string) (Answer, error) {
 	// Snapshot the invalidation generation before evaluating: if an
-	// iteration's InvalidateDeps lands between our evaluation (under
-	// the integrator's read lock) and the insert below, PutAt discards
-	// the result — it was computed from pre-iteration derivations and
-	// caching it would dodge the invalidation that covered it.
-	gen := s.results.Generation()
+	// invalidation lands between our evaluation and the insert below — a
+	// breaker's recovery or /invalidate, which take no integrator lock —
+	// PutAt discards the result: it was computed from extents the
+	// invalidation retired.
+	var gen uint64
+	if key != "" {
+		gen = s.results.Generation()
+	}
 
 	// Evaluation writes the value's JSON onto buf as it goes and the
 	// rendering into a buffer beside it — it follows the JSON in the
@@ -332,7 +364,7 @@ func (s *Session) Query(ctx context.Context, buf *respBuf, plans *cache.Store[pl
 	text := respBufPool.Get().(*respBuf)
 	defer respBufPool.Put(text)
 	enc := iql.Encoding{JSON: append(buf.b, `"value":`...), Text: text.b[:0]}
-	res, err := ig.QueryEncodedAt(ctx, version, pl.expr, &enc)
+	warns, deps, err := ig.Processor().EvalEncoded(ctx, r.Expr, &enc)
 	buf.b, text.b = enc.JSON, enc.Text
 	if err != nil {
 		// Not cached: every hit would fail the same way.
@@ -341,7 +373,7 @@ func (s *Session) Query(ctx context.Context, buf *respBuf, plans *cache.Store[pl
 		if errors.As(err, &unencodable) {
 			err = &encodingError{unencodable.Err}
 		}
-		return Answer{}, out, err
+		return Answer{}, err
 	}
 	rsp, _ := obs.StartSpan(ctx, obs.StageRender, "")
 	buf.b = appendRendered(buf.b, enc.Text)
@@ -350,17 +382,14 @@ func (s *Session) Query(ctx context.Context, buf *respBuf, plans *cache.Store[pl
 	rsp.SetBytes(int64(len(fragment)))
 	rsp.End(nil)
 
-	ans := Answer{Warnings: res.Warnings, Deps: res.Deps, Version: res.Version, Schema: res.Schema}
-	if !noCache && res.Version == ver {
-		// res.Version can differ from ver only if an iteration raced
-		// between GlobalVersion and evaluation; skip caching then
-		// rather than file the result under the wrong version. Only here
-		// is the fragment copied: buf is the response's, and goes back
-		// to its pool when the response is written.
+	ans := Answer{Warnings: warns, Deps: deps, Version: r.Version, Schema: r.Schema}
+	if key != "" {
+		// Only here is the fragment copied: buf is the response's, and
+		// goes back to its pool when the response is written.
 		ans.fragment = append(make([]byte, 0, len(fragment)), fragment...)
-		s.results.PutAt(gen, key, ans, resultCost(ans), res.Deps)
+		s.results.PutAt(gen, key, ans, resultCost(ans), deps)
 	}
-	return ans, out, nil
+	return ans, nil
 }
 
 // appendRendered ends an answer's fragment: after the value's JSON, the
@@ -385,10 +414,14 @@ func resultCost(a Answer) int64 {
 }
 
 // planCost estimates a cached plan's size: the source text it is keyed
-// by, its normalised rendering and the AST (of the same order), and what
-// evaluating the AST pins on its comprehension nodes — their analysis
-// and the evaluation state parked beside it, shared by every session
-// that evaluates the plan (iql.PlanFootprint).
+// by, its normalised rendering and the AST (of the same order), its
+// references, and what evaluating the AST pins on its comprehension
+// nodes — their analysis and the evaluation state parked beside it,
+// shared by every session that evaluates the plan (iql.PlanFootprint).
 func planCost(src string, pl plan) int64 {
-	return int64(len(src)+2*len(pl.norm)+64) + iql.PlanFootprint(pl.expr)
+	n := int64(len(src)+2*len(pl.norm)+64) + iql.PlanFootprint(pl.expr)
+	for _, parts := range pl.refs {
+		n += 24 + 16*int64(len(parts)) // the part strings are the AST's
+	}
+	return n
 }

@@ -20,11 +20,12 @@
 //     Retry-After; a draining server answers 503, finishes what it
 //     admitted and flushes every session.
 //   - Caches (query.go): a shared plan cache, and per session a result
-//     cache keyed by (schema version, normalised query) whose entries
-//     carry the dependency closure of their evaluation. An iteration
-//     evicts only the answers whose schemes it touched; a probe that
-//     backfills a skipped source, and POST /sessions/{name}/invalidate,
-//     purge it.
+//     cache keyed by the resolved query whose entries carry the
+//     dependency closure of their evaluation. It follows the session's
+//     query processor: an iteration or a recovering source evicts only
+//     the answers over what it touched, POST
+//     /sessions/{name}/invalidate purges it, and so does a probe that
+//     backfills a skipped source.
 //   - Persistence (store.go): with a store open every mutating step
 //     autosaves its session as one atomically replaced JSON file;
 //     restored sessions start with cold caches. Saves and restores are
@@ -111,14 +112,16 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// configure applies the settings to a session's query processor; it is
-// the only place one is configured (federation and both restore paths
-// call it). Sharded-evaluation width, streaming window and SQL page
-// size are not settings: query and wrapper choose them themselves.
-func (cfg Config) configure(p *query.Processor) {
+// configure applies the settings to a session's query processor and
+// makes the session's result cache follow it; it is the only place one
+// is configured (federation and restore call it). Sharded-evaluation
+// width, streaming window and SQL page size are not settings: query and
+// wrapper choose them themselves.
+func (cfg Config) configure(p *query.Processor, results *cache.Store[Answer]) {
 	p.MaxSteps = cfg.MaxSteps
 	p.SetCacheBytes(cfg.CacheBytes)
 	p.SetBreaker(cfg.Breaker)
+	p.Follow(results)
 }
 
 // defaultProbeInterval rate-limits health-check-triggered recovery

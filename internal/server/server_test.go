@@ -227,18 +227,19 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationOnIteration verifies the tentpole cache
-// contract: repeated queries hit the result cache, and a new
-// integration iteration invalidates it so clients see the new global
-// schema's answers, not stale ones.
+// TestCacheInvalidationOnIteration verifies the result cache's
+// contract across iterations: repeated queries hit the result cache,
+// and a new integration iteration evicts exactly the answers over what
+// it touched. An untouched answer is served at the new version, stamped
+// with it; a touched one is evaluated again with the new derivations.
 func TestCacheInvalidationOnIteration(t *testing.T) {
 	_, c := newTestClient(t, DefaultConfig())
 	registerBookstore(c, "", 3)
 	c.must("POST", "/federate", map[string]any{}, http.StatusCreated)
 	c.must("POST", "/intersect", map[string]any{"name": "I1", "mappings": ubookMappings}, http.StatusCreated)
 
-	const query = "count(<<UBook, isbn>>)"
-	first := c.must("POST", "/query", map[string]any{"query": query}, http.StatusOK)
+	const isbn, entity = "count(<<UBook, isbn>>)", "count(<<UBook>>)"
+	first := c.must("POST", "/query", map[string]any{"query": isbn}, http.StatusOK)
 	if first["result_cached"].(bool) {
 		t.Fatal("first query unexpectedly result-cached")
 	}
@@ -246,31 +247,41 @@ func TestCacheInvalidationOnIteration(t *testing.T) {
 		t.Fatalf("first answer = %v, want 6", first["value"])
 	}
 
-	second := c.must("POST", "/query", map[string]any{"query": query}, http.StatusOK)
+	second := c.must("POST", "/query", map[string]any{"query": isbn}, http.StatusOK)
 	if !second["result_cached"].(bool) {
 		t.Fatal("repeat query missed the result cache")
 	}
 	if !second["plan_cached"].(bool) {
 		t.Fatal("repeat query missed the plan cache")
 	}
-	// A new iteration (Shop-only price refinement) publishes
-	// version 2 and must invalidate the cache.
+	c.must("POST", "/query", map[string]any{"query": entity}, http.StatusOK)
+
+	// A new iteration (a Library-side derivation for <<UBook>>)
+	// publishes version 2. It touches <<UBook>>, not <<UBook, isbn>>.
 	c.must("POST", "/refine", map[string]any{
-		"name": "prices",
+		"name": "ubook2",
 		"mapping": map[string]any{
-			"target": "<<UBook, price>>",
+			"target": "<<UBook>>",
 			"forward": []map[string]any{
-				{"source": "Shop", "query": "[{'SHOP', k, x} | {k, x} <- <<items, price>>]"},
+				{"source": "Library", "query": "[{'LIB2', k} | k <- <<books>>]"},
 			},
 		},
 	}, http.StatusCreated)
 
-	third := c.must("POST", "/query", map[string]any{"query": query}, http.StatusOK)
-	if third["result_cached"].(bool) {
-		t.Fatal("query after new iteration still served from the result cache")
+	third := c.must("POST", "/query", map[string]any{"query": isbn}, http.StatusOK)
+	if !third["result_cached"].(bool) {
+		t.Fatal("untouched answer evaluated again after an iteration that did not touch it")
 	}
-	if third["version"].(float64) != 2 {
-		t.Fatalf("post-iteration version = %v, want 2", third["version"])
+	if third["version"].(float64) != 2 || third["schema"] != "GS2" || third["value"].(float64) != 6 {
+		t.Fatalf("untouched answer after the iteration = version %v schema %v value %v, want 2 GS2 6",
+			third["version"], third["schema"], third["value"])
+	}
+	touched := c.must("POST", "/query", map[string]any{"query": entity}, http.StatusOK)
+	if touched["result_cached"].(bool) {
+		t.Fatal("answer over the touched scheme still served from the result cache")
+	}
+	if touched["version"].(float64) != 2 || touched["value"].(float64) != 9 {
+		t.Fatalf("touched answer after the iteration = version %v value %v, want 2 9", touched["version"], touched["value"])
 	}
 	// The same canonical query under whitespace variation hits the
 	// result cache thanks to normalisation.

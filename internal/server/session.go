@@ -25,10 +25,13 @@ type Session struct {
 	wrappers []wrapper.Wrapper
 	ig       *core.Integrator
 
-	// results caches query answers keyed by (version, normalised
-	// query); every entry is tagged with the dependency closure of its
-	// evaluation (core.Result.Deps), so integration iterations evict
-	// only the entries whose schemes they touched. An entry is its
+	// results caches query answers keyed by the resolved query (see
+	// Session.Query): an answer is valid at every version that resolves
+	// the query alike. Every entry is tagged with the dependency closure
+	// of its evaluation (core.Result.Deps), and the store follows the
+	// integrator's processor (query.Processor.Follow), so whatever
+	// retires an extent — a step, a breaker's recovery, /invalidate —
+	// evicts exactly the answers computed from it. An entry is its
 	// response fragment and its metadata, never a value.
 	results *cache.Store[Answer]
 
@@ -119,7 +122,7 @@ func (s *Session) Federate(ctx context.Context, name string, autoDrop bool) (*co
 		return nil, err
 	}
 	ig.SetAutoDrop(autoDrop)
-	s.cfg.configure(ig.Processor())
+	s.cfg.configure(ig.Processor(), s.results)
 	if min := s.cfg.MinFederatedSources; min > 0 {
 		if _, _, err := ig.FederateReachable(ctx, name, min); err != nil {
 			return nil, err
@@ -179,12 +182,11 @@ func (s *Session) Probe(ctx context.Context) int {
 // InvalidateExtents drops every cached extent and answer, forcing the
 // next queries to re-fetch from the sources. This is the ops lever for
 // fault drills: cached extents otherwise shield a downed source from
-// queries indefinitely.
+// queries indefinitely. Before federation there is nothing cached.
 func (s *Session) InvalidateExtents() {
 	if ig, err := s.integrator(); err == nil {
 		ig.Processor().InvalidateCache()
 	}
-	s.results.Purge()
 }
 
 // version returns the session's current global schema version, or -1
@@ -208,41 +210,26 @@ func (s *Session) integrator() (*core.Integrator, error) {
 	return s.ig, nil
 }
 
-// Intersect runs one integration iteration and selectively invalidates
-// the result cache: only cached answers whose dependency closure
-// intersects the iteration's touch-set are evicted; warm answers for
-// untouched schemes stay live across the new schema version.
+// Intersect runs one integration iteration. The cached answers whose
+// dependency closure meets the objects it derived are evicted as it
+// defines them; warm answers for untouched schemes stay live across the
+// new schema version.
 func (s *Session) Intersect(name string, mappings []core.Mapping, enables ...string) (*core.Intersection, error) {
 	ig, err := s.integrator()
 	if err != nil {
 		return nil, err
 	}
-	in, err := ig.Intersect(name, mappings, enables...)
-	if err != nil {
-		return nil, err
-	}
-	s.results.InvalidateDeps(in.Touched...)
-	return in, nil
+	return ig.Intersect(name, mappings, enables...)
 }
 
-// Refine applies an ad-hoc single-schema transformation and evicts the
-// cached answers that depend on its target.
+// Refine applies an ad-hoc single-schema transformation, evicting the
+// cached answers that depend on its target as it defines it.
 func (s *Session) Refine(name string, m core.Mapping, enables ...string) error {
 	ig, err := s.integrator()
 	if err != nil {
 		return err
 	}
-	if err := ig.Refine(name, m, enables...); err != nil {
-		return err
-	}
-	if tsc, err := m.TargetScheme(); err == nil {
-		s.results.InvalidateDeps(tsc.Key())
-	} else {
-		// Unreachable after a successful Refine; purge defensively so
-		// an unparseable target can never leave stale answers live.
-		s.results.Purge()
-	}
-	return nil
+	return ig.Refine(name, m, enables...)
 }
 
 // ResultCacheStats snapshots the session's result cache.

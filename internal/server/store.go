@@ -395,7 +395,7 @@ func sessionFromState(state *sessionState, cfg Config, held ...wrapper.Wrapper) 
 		if err != nil {
 			return nil, fmt.Errorf("server: restoring session %q: %w", state.Name, err)
 		}
-		cfg.configure(ig.Processor())
+		cfg.configure(ig.Processor(), sess.results)
 		sess.ig = ig
 		sess.wrappers = ig.Sources()
 	} else {
