@@ -54,9 +54,10 @@ race:
 # cacheless session gives at the version it names, and a step taken on
 # the integrator directly, after which the latest query is evaluated.
 # The session oracle, TestSessionOracle, runs three times under the race
-# detector (2.5 min on a 2-core box): its reader queries whichever
+# detector (about 1 min on a 2-core box): its reader queries whichever
 # session the name stands for while restores hand sources and one
-# decoded checkpoint to the next.
+# decoded checkpoint to the next, and while /invalidate lands on a fetch
+# in flight.
 flake:
 	$(GO) test -count=30 -run 'TestParallel' ./internal/iql
 	$(GO) test -count=30 -run 'TestOracle' ./internal/query
@@ -110,8 +111,11 @@ profile:
 # evaluated into the encoder and to a value, printed and parsed back, and
 # through every mode of the query processor against the reference
 # evaluator, session files whole, truncated, with trailing bytes and with
-# step records whole, torn and unreplayable, the
-# statements the in-process SQL driver must take or refuse) as plain
+# step records whole, torn and unreplayable, the session oracle's
+# histories — FuzzSessionOracle's corpus: one that restarts, federates
+# past a source that is down, backfills it and restores, one that
+# queries — the statements the in-process SQL driver must take or
+# refuse) as plain
 # tests — the CI-safe equivalent of a -fuzztime run. A subset of `race`,
 # which ci runs: this target is for running the one guard by hand.
 fuzz-seeds:

@@ -120,7 +120,7 @@ func registerFlags(fs *flag.FlagSet, cfg *server.Config) *options {
 	opt := new(options)
 	fs.IntVar(&cfg.PlanCacheSize, "plan-cache", cfg.PlanCacheSize, "max cached parsed IQL plans (0 disables)")
 	fs.IntVar(&cfg.ResultCacheSize, "result-cache", cfg.ResultCacheSize, "max cached query results per session (0 disables)")
-	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "byte budget per cache layer per session: results, extent memo, source extents (0 = unbounded)")
+	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "byte budget per cache: each session's results, extent memo, source extents and join indexes, and the process-wide plan cache (0 = unbounded)")
 	fs.DurationVar(&cfg.QueryTimeout, "query-timeout", cfg.QueryTimeout, "default per-query evaluation deadline (0 = none)")
 	fs.IntVar(&cfg.MaxSteps, "max-steps", cfg.MaxSteps, "IQL evaluation step bound per query (0 = unlimited)")
 	fs.DurationVar(&cfg.SlowQuery, "slow-query", cfg.SlowQuery, "trace queries at or above this duration into /debug/traces (0 = only explicitly requested traces)")

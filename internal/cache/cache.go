@@ -236,9 +236,10 @@ func (c *Store[V]) putLocked(key string, val V, cost int64, deps []string) {
 // once across concurrent callers: the first miss runs compute while
 // later misses of the same key wait for and share its outcome
 // (including errors; errors are never cached). compute returns the
-// value and its byte cost. The hit result reports whether the value
-// came from cache or a coalesced in-flight computation rather than this
-// caller's own compute.
+// value and its byte cost. A value whose computation an InvalidateDeps
+// or Purge overlapped is returned but not cached, as PutAt would not.
+// The hit result reports whether the value came from cache or a
+// coalesced in-flight computation rather than this caller's own compute.
 func (c *Store[V]) GetOrCompute(key string, deps []string, compute func() (V, int64, error)) (V, bool, error) {
 	c.mu.Lock()
 	if !c.disabled {
@@ -259,6 +260,7 @@ func (c *Store[V]) GetOrCompute(key string, deps []string, compute func() (V, in
 	f := &flight[V]{done: make(chan struct{})}
 	c.flight[key] = f
 	c.misses++
+	gen := c.gen
 	c.mu.Unlock()
 
 	var (
@@ -286,7 +288,7 @@ func (c *Store[V]) GetOrCompute(key string, deps []string, compute func() (V, in
 	c.mu.Lock()
 	f.val, f.err = val, err
 	delete(c.flight, key)
-	if err == nil {
+	if err == nil && c.gen == gen {
 		c.putLocked(key, val, cost, deps)
 	}
 	c.unlock()

@@ -243,6 +243,36 @@ func TestPutAtGenerationGuard(t *testing.T) {
 	}
 }
 
+// TestGetOrComputeAcrossInvalidation: a value whose computation an
+// invalidation overlapped is handed to its caller and not cached — it
+// may hold what the invalidation retired.
+func TestGetOrComputeAcrossInvalidation(t *testing.T) {
+	for name, invalidate := range map[string]func(*Store[int]){
+		"InvalidateDeps": func(c *Store[int]) { c.InvalidateDeps("d") },
+		"Purge":          func(c *Store[int]) { c.Purge() },
+	} {
+		c := New[int](Options{})
+		started, release, got := make(chan struct{}), make(chan struct{}), make(chan int)
+		go func() {
+			v, _, _ := c.GetOrCompute("k", []string{"d"}, func() (int, int64, error) {
+				close(started)
+				<-release
+				return 1, 1, nil
+			})
+			got <- v
+		}()
+		<-started
+		invalidate(c)
+		close(release)
+		if v := <-got; v != 1 {
+			t.Fatalf("%s: the caller received %d, want 1", name, v)
+		}
+		if v, ok := c.Get("k"); ok {
+			t.Errorf("%s during the computation: its value %d was cached", name, v)
+		}
+	}
+}
+
 func TestDisabled(t *testing.T) {
 	c := New[int](Options{Disabled: true})
 	c.Put("a", 1, 1, nil)

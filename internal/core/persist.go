@@ -47,6 +47,7 @@ type Snapshot struct {
 	Format        int                  `json:"format"`
 	AutoDrop      bool                 `json:"auto_drop,omitempty"`
 	FedName       string               `json:"federated_schema,omitempty"`
+	Skipped       []string             `json:"skipped,omitempty"` // sources federation skipped, not yet backfilled
 	GlobalVersion int                  `json:"global_version"`
 	Sources       []json.RawMessage    `json:"sources"`
 	Repo          json.RawMessage      `json:"repo"`
@@ -164,6 +165,7 @@ func (ig *Integrator) Export() (*Snapshot, error) {
 		Format:        SnapshotFormat,
 		AutoDrop:      ig.autoDrop,
 		FedName:       ig.fedName,
+		Skipped:       slices.Clone(ig.skipped),
 		GlobalVersion: ig.globalVersion,
 		Steps:         len(ig.steps),
 	}
@@ -276,9 +278,9 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 // import only (decoded): each import clones that repository and shares
 // the parsed definitions. The clone shares the stored schemas and
 // pathways, which no later step changes in place: a step adds schemas
-// and pathways, and the one change in place, Backfill extending the
-// federated schema, has nothing to do in an imported integrator, which
-// skipped no source.
+// and pathways. The one change in place, Backfill extending the
+// federated schema, is open only to an integrator whose federation
+// skipped a source, which decodes a repository of its own.
 func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
@@ -295,11 +297,17 @@ func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 		return nil, err
 	}
 	r := img.repo.Clone()
+	if len(snap.Skipped) > 0 {
+		if r, err = repo.Decode(snap.Repo); err != nil {
+			return nil, fmt.Errorf("core: restoring repository: %w", err)
+		}
+	}
 	ig := &Integrator{
 		repo:     r,
 		proc:     query.New(),
 		prefix:   make(map[string]string),
 		autoDrop: snap.AutoDrop,
+		skipped:  slices.Clone(snap.Skipped),
 	}
 	for _, doc := range snap.Sources {
 		w, err := wrapper.Decode(doc, held...)

@@ -113,6 +113,28 @@ func TestAutoDropRebuildsDropping(t *testing.T) {
 	if _, err := ig.Query("count(<<library_books>>)"); err == nil {
 		t.Error("query over dropped object succeeded")
 	}
+	// Neither SetAutoDrop nor BuildGlobal is a step: the steps since a
+	// checkpoint taken before either do not continue it, and those since
+	// one taken after do.
+	before := mustExport(t, ig).Steps
+	ig.SetAutoDrop(false)
+	if _, ok := ig.StepsSince(before); ok {
+		t.Error("StepsSince is true across SetAutoDrop")
+	}
+	after := mustExport(t, ig).Steps
+	if err := ig.Refine("late", Attribute("<<UBook, late>>",
+		From("Library", "[{'LIB', k, x} | {k, x} <- <<books, title>>]"))); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := ig.StepsSince(after); !ok || len(got) != 1 || got[0].Name != "late" {
+		t.Errorf("StepsSince(a checkpoint after SetAutoDrop) = %+v, %v; want the one refinement", got, ok)
+	}
+	if _, err := ig.BuildGlobal(true); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ig.StepsSince(after); ok {
+		t.Error("StepsSince is true across BuildGlobal")
+	}
 }
 
 // TestRedundantObjectsListing: an intersection records, per source, the

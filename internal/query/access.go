@@ -282,6 +282,7 @@ func (p *Processor) count(ctx context.Context, src source, sc hdm.Scheme, ck str
 // wrapper's own timeout instead.
 func (p *Processor) scan(ctx context.Context, src source, sc hdm.Scheme, ck string, br *breaker) (extent, error) {
 	buf := p.effectiveScanBuffer()
+	gen := p.srcExt.Generation() // before the first row is read
 	g, sctx := p.open(ctx, src, sc.Key(), ck, br)
 	sctx, cancel := context.WithCancel(sctx)
 	scn, err := src.scan.ExtentScanner(sctx, sc.Parts())
@@ -316,7 +317,7 @@ func (p *Processor) scan(ctx context.Context, src source, sc hdm.Scheme, ck stri
 	}
 	v := iql.BagOf(all)
 	size := g.settle(&v, 0, nil, false)
-	p.srcExt.Put(ck, sizedExtent{v, size}, size, []string{sc.Key()})
+	p.srcExt.PutAt(gen, ck, sizedExtent{v, size}, size, []string{sc.Key()})
 	return extent{val: v, size: size}, nil
 }
 

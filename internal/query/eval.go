@@ -58,6 +58,9 @@ type session struct {
 	// that is known without a walk (size 0 when not): what a memo entry
 	// or a join index over the same array is charged (see Footprint).
 	last sizedExtent
+	// memoGen is the memo's generation before this evaluation read
+	// anything: an extent an invalidation overlapped is not memoised.
+	memoGen uint64
 }
 
 // evaluator builds an IQL evaluator wired to this session: shared step
@@ -86,6 +89,7 @@ func (p *Processor) newSession(ctx context.Context, scopes ...string) *session {
 		ctx:     ctx,
 		budget:  &iql.StepBudget{Max: p.MaxSteps},
 		stats:   &iql.EvalStats{},
+		memoGen: p.memo.Generation(),
 	}
 	s.depLog = s.depBuf[:0]
 	return s
@@ -265,7 +269,7 @@ func (s *session) unfold(r resolution, name string) (iql.Value, error) {
 		if n := len(s.warnLog) - warnMark; n > 0 {
 			ce.warns = append([]string(nil), s.warnLog[warnMark:]...)
 		}
-		s.p.memo.Put(r.key, ce, ce.cost(), ce.deps)
+		s.p.memo.PutAt(s.memoGen, r.key, ce, ce.cost(), ce.deps)
 		s.last = sizedExtent{out, size}
 	}
 	s.cut = s.cut || savedCut
@@ -278,10 +282,10 @@ func (s *session) unfold(r resolution, name string) (iql.Value, error) {
 // there is one, to a value when there is not — which comes back so the
 // caller can report what the evaluation raised and touched.
 func (p *Processor) eval(ctx context.Context, e iql.Expr, scope string, dst *iql.Encoding) (iql.Value, *session, error) {
-	warmErr := p.prefetch(ctx, e, scope)
+	s := p.newSession(ctx, scope) // before the prefetch reads anything
+	s.warmErr = p.prefetch(ctx, e, scope)
 	sp, ctx := obs.StartSpan(ctx, obs.StageEval, "")
-	s := p.newSession(ctx, scope)
-	s.warmErr = warmErr
+	s.ctx = ctx
 	var v iql.Value
 	var err error
 	if dst != nil {

@@ -116,6 +116,58 @@ func TestSelectiveInvalidation(t *testing.T) {
 	}
 }
 
+// stallingExtents is one table <<t>> whose first read takes its rows
+// and then waits for release.
+type stallingExtents struct {
+	mu      sync.Mutex
+	rows    []iql.Value
+	read    sync.Once
+	fetched chan struct{} // closed once the first read has its rows
+	release chan struct{}
+}
+
+func (s *stallingExtents) Extent(parts []string) (iql.Value, error) {
+	s.mu.Lock()
+	v := iql.Bag(s.rows...)
+	s.mu.Unlock()
+	s.read.Do(func() { close(s.fetched) })
+	<-s.release
+	return v, nil
+}
+
+// TestInvalidationDuringFetchIsKept: an invalidation that lands while a
+// fetch is in flight reaches the rows after it — neither the source
+// extent nor the unfolded one the fetch fed is kept.
+func TestInvalidationDuringFetchIsKept(t *testing.T) {
+	src := &stallingExtents{rows: []iql.Value{iql.Int(1)}, fetched: make(chan struct{}), release: make(chan struct{})}
+	sch := hdm.NewSchema("S")
+	sch.MustAdd(hdm.NewObject(hdm.MustScheme("<<t>>"), hdm.Nodal, "", ""))
+	p := New()
+	if err := p.AddExtents("S", sch, src); err != nil {
+		t.Fatal(err)
+	}
+	p.Define(hdm.MustScheme("<<v>>"), iql.MustParse("[x | x <- <<t>>]"), "test", "S")
+	done := make(chan error)
+	go func() {
+		_, err := p.Eval(iql.MustParse("count(<<v>>)"))
+		done <- err
+	}()
+	<-src.fetched
+	src.mu.Lock()
+	src.rows = append(src.rows, iql.Int(2))
+	src.mu.Unlock()
+	p.InvalidateCache()
+	close(src.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"count(<<t>>)", "count(<<v>>)"} {
+		if v, err := p.Eval(iql.MustParse(q)); err != nil || !v.Equal(iql.Int(2)) {
+			t.Errorf("%s = %v (%v) after the invalidation, want 2", q, v, err)
+		}
+	}
+}
+
 // TestDefineInvalidatesDependents verifies that registering a new
 // derivation for an object evicts the memoised extents of everything
 // that referenced it — including references that previously resolved

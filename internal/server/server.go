@@ -67,9 +67,10 @@ type Config struct {
 	// ResultCacheSize bounds each session's query-result cache;
 	// <= 0 disables result caching.
 	ResultCacheSize int
-	// CacheBytes is the byte budget applied to each size-aware cache
-	// layer per session (query results, extent memo, source extents);
-	// LRU entries are evicted beyond it. <= 0 means unbounded.
+	// CacheBytes is the byte budget applied to each size-aware cache:
+	// per session the query results, extent memo, source extents and
+	// join indexes, and the process-wide plan cache; LRU entries are
+	// evicted beyond it. <= 0 means unbounded.
 	CacheBytes int64
 	// QueryTimeout is the default per-query evaluation deadline;
 	// requests may shorten it via timeout_ms. 0 means no deadline.

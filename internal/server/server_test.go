@@ -38,9 +38,8 @@ func (c *testClient) do(method, path string, body any) (int, map[string]any) {
 	return status, out
 }
 
-// send sends a request with body as JSON and returns the status and
-// the response's bytes.
-func (c *testClient) send(method, path string, body any) (int, []byte) {
+// request is a request with body as JSON.
+func (c *testClient) request(method, path string, body any) *http.Request {
 	c.t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -56,7 +55,14 @@ func (c *testClient) send(method, path string, body any) (int, []byte) {
 	}
 	// The helpers decode JSON; /metrics content-negotiates on Accept.
 	req.Header.Set("Accept", "application/json")
-	resp, err := c.srv.Client().Do(req)
+	return req
+}
+
+// send sends a request with body as JSON and returns the status and
+// the response's bytes.
+func (c *testClient) send(method, path string, body any) (int, []byte) {
+	c.t.Helper()
+	resp, err := c.srv.Client().Do(c.request(method, path, body))
 	if err != nil {
 		c.t.Fatal(err)
 	}

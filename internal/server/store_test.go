@@ -52,18 +52,6 @@ var upricedMappings = []map[string]any{
 	},
 }
 
-// versionedWorkload pins one query per published schema version plus
-// the warning-raising one.
-var versionedWorkload = []map[string]any{
-	{"query": "count(<<library_books>>)", "version": 0},
-	{"query": "[x | {k, x} <- <<shop_items, barcode>>]", "version": 0},
-	{"query": "count(<<UBook>>)", "version": 1},
-	{"query": "[x | {k, x} <- <<UBook, isbn>>]", "version": 1},
-	{"query": "count(<<UPriced>>)", "version": 2},
-	{"query": "[x | {k, x} <- <<UPriced, price>>]", "version": 2},
-	{"query": "count(<<UBook>>)"}, // latest
-}
-
 // canonicalAnswer strips the volatile response fields (timing and
 // cache outcomes legitimately differ across runs) and re-marshals;
 // encoding/json sorts map keys, so equal answers yield equal bytes.
@@ -77,91 +65,6 @@ func canonicalAnswer(t *testing.T, resp map[string]any) string {
 		t.Fatal(err)
 	}
 	return string(buf)
-}
-
-// TestCrashRecovery is the acceptance test: drive federate + two
-// intersect iterations with autosave on, kill the server, rebuild a
-// fresh one from the data dir alone, and require byte-identical /query
-// answers (values, versions, schema names, warnings) for every
-// previously published schema version — including warning replay
-// through the result cache.
-func TestCrashRecovery(t *testing.T) {
-	dir := t.TempDir()
-
-	s1, c1 := newDurableClient(t, dir)
-	registerBookstore(c1, "", 3)
-	c1.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
-	c1.must("POST", "/intersect", map[string]any{"name": "I1", "mappings": ubookMappings}, http.StatusCreated)
-	c1.must("POST", "/intersect", map[string]any{"name": "I2", "mappings": upricedMappings}, http.StatusCreated)
-
-	before := make([]string, len(versionedWorkload))
-	for i, q := range versionedWorkload {
-		before[i] = canonicalAnswer(t, c1.must("POST", "/query", q, http.StatusOK))
-	}
-	if m := c1.must("GET", "/metrics", nil, http.StatusOK); m["snapshots_total"].(float64) < 5 {
-		t.Fatalf("snapshots_total = %v, want >= 5 (autosave after every mutation)", m["snapshots_total"])
-	}
-
-	// "Crash": the old server is simply abandoned; nothing is flushed.
-	// A new server rebuilds exclusively from the data dir.
-	s2, c2 := newDurableClient(t, dir)
-	if n := s2.Sessions().Len(); n != 1 {
-		t.Fatalf("restored %d sessions, want 1", n)
-	}
-	_ = s1
-
-	for i, q := range versionedWorkload {
-		after := canonicalAnswer(t, c2.must("POST", "/query", q, http.StatusOK))
-		if after != before[i] {
-			t.Errorf("query %v differs after crash recovery:\nbefore %s\nafter  %s", q, before[i], after)
-		}
-	}
-
-	// Cached-warning replay: the warning-raising query answered twice,
-	// the second time from the result cache, keeps its warnings.
-	warnQ := map[string]any{"query": "[x | {k, x} <- <<UPriced, price>>]", "version": 2}
-	first := c2.must("POST", "/query", warnQ, http.StatusOK)
-	if w, ok := first["warnings"].([]any); !ok || len(w) == 0 {
-		t.Fatalf("restored warning query lost its warnings: %v", first)
-	}
-	second := c2.must("POST", "/query", warnQ, http.StatusOK)
-	if !second["result_cached"].(bool) {
-		t.Fatal("repeat warning query missed the result cache")
-	}
-	if canonicalAnswer(t, first) != canonicalAnswer(t, second) {
-		t.Fatal("result-cache hit changed the answer or dropped warnings")
-	}
-
-	// The restored session keeps integrating, and the new iteration
-	// autosaves over the snapshot.
-	c2.must("POST", "/refine", map[string]any{
-		"name": "titles",
-		"mapping": map[string]any{
-			"target": "<<UBook, title2>>",
-			"forward": []map[string]any{
-				{"source": "Library", "query": "[{'LIB', k, x} | {k, x} <- <<books, title>>]"},
-			},
-		},
-	}, http.StatusCreated)
-	q := c2.must("POST", "/query", map[string]any{"query": "count(<<UBook, title2>>)"}, http.StatusOK)
-	if q["version"].(float64) != 3 {
-		t.Fatalf("post-recovery refine published version %v, want 3", q["version"])
-	}
-}
-
-// TestCrashRecoveryPreFederation: a session that only registered
-// sources survives a restart too (the pre-integrator shape).
-func TestCrashRecoveryPreFederation(t *testing.T) {
-	dir := t.TempDir()
-	_, c1 := newDurableClient(t, dir)
-	registerBookstore(c1, "staging", 2)
-
-	_, c2 := newDurableClient(t, dir)
-	c2.must("POST", "/federate", map[string]any{"session": "staging"}, http.StatusCreated)
-	q := c2.must("POST", "/query", map[string]any{"session": "staging", "query": "count(<<library_books>>)"}, http.StatusOK)
-	if q["value"].(float64) != 2 {
-		t.Fatalf("restored pre-federation session answered %v, want 2", q["value"])
-	}
 }
 
 // TestSnapshotRestoreEndpoints exercises the explicit endpoints: a
