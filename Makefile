@@ -137,11 +137,13 @@ test-wrappers:
 
 # loc prints the three line counts the ROADMAP keeps and a simplicity PR
 # states its reduction in: non-test Go outside bench/, Go tests outside
-# bench/, and bench/'s Go.
+# bench/, and bench/'s Go; and the daemon's flag count, the flags
+# `automedd -h` lists.
 loc:
 	@printf '%7d non-test Go lines outside bench/\n' $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)
 	@printf '%7d test lines outside bench/\n' $$(find . -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)
 	@printf '%7d bench/ lines\n' $$(find bench -name '*.go' -exec cat {} + | wc -l)
+	@printf '%7d daemon flags (automedd -h)\n' $$($(GO) run ./cmd/automedd -h 2>&1 | grep -c '^  -')
 
 # run starts the dataspace daemon on :8080.
 run:

@@ -24,13 +24,13 @@
 // Settings. Every tunable flag is registered from server.DefaultConfig()
 // and parses straight into the server.Config the server is built from,
 // so `automedd -h` prints the configuration the daemon ships and the
-// benchmark measures. The caches (-plan-cache, -result-cache,
-// -cache-bytes), the per-query bounds (-query-timeout, -max-steps),
-// admission control (-max-inflight requests run, -max-queue park in a
-// per-session fair queue, the rest get 429 + Retry-After), fault
-// tolerance (-breaker, -source-timeout, -breaker-open-for,
-// -require-fresh, -min-federated-sources, -probe-interval) and
-// -slow-query tracing are such settings. Sharded-evaluation width
+// benchmark measures. The caches' byte budget (-cache-bytes), the
+// per-query bounds (-query-timeout, -max-steps), admission control
+// (-max-inflight requests run, -max-queue park in a per-session fair
+// queue, the rest get 429 + Retry-After), fault tolerance (-breaker,
+// -source-timeout, -breaker-open-for, -require-fresh,
+// -min-federated-sources, -probe-interval) and -slow-query tracing are
+// such settings. Sharded-evaluation width
 // (GOMAXPROCS), streamed or materialised scans, and the SQL page size
 // are not: the evaluator and the wrappers choose them from what they
 // observe.
@@ -118,9 +118,7 @@ type options struct {
 // and parsing writes straight into the config the server is built from.
 func registerFlags(fs *flag.FlagSet, cfg *server.Config) *options {
 	opt := new(options)
-	fs.IntVar(&cfg.PlanCacheSize, "plan-cache", cfg.PlanCacheSize, "max cached parsed IQL plans (0 disables)")
-	fs.IntVar(&cfg.ResultCacheSize, "result-cache", cfg.ResultCacheSize, "max cached query results per session (0 disables)")
-	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "byte budget per cache: each session's results, extent memo, source extents and join indexes, and the process-wide plan cache (0 = unbounded)")
+	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "byte budget of each cache, least recently used evicted first: each session's results, extent memo, source extents, and join indexes and runs, and the process-wide plan cache; the caches' only bound but the join-index layer's fixed entry cap (0 = unbounded)")
 	fs.DurationVar(&cfg.QueryTimeout, "query-timeout", cfg.QueryTimeout, "default per-query evaluation deadline (0 = none)")
 	fs.IntVar(&cfg.MaxSteps, "max-steps", cfg.MaxSteps, "IQL evaluation step bound per query (0 = unlimited)")
 	fs.DurationVar(&cfg.SlowQuery, "slow-query", cfg.SlowQuery, "trace queries at or above this duration into /debug/traces (0 = only explicitly requested traces)")

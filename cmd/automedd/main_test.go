@@ -16,8 +16,6 @@ import (
 func TestFlagsComeFromDefaultConfig(t *testing.T) {
 	def := server.DefaultConfig()
 	tunables := map[string]any{
-		"plan-cache":            def.PlanCacheSize,
-		"result-cache":          def.ResultCacheSize,
 		"cache-bytes":           def.CacheBytes,
 		"query-timeout":         def.QueryTimeout,
 		"max-steps":             def.MaxSteps,
@@ -46,8 +44,8 @@ func TestFlagsComeFromDefaultConfig(t *testing.T) {
 	}
 	total := 0
 	fs.VisitAll(func(*flag.Flag) { total++ })
-	if total != 23 {
-		t.Errorf("%d flags registered, want 23", total)
+	if total != 21 {
+		t.Errorf("%d flags registered, want 21", total)
 	}
 
 	if err := fs.Parse([]string{"-max-inflight", "7", "-breaker-open-for", "3s"}); err != nil {
@@ -59,9 +57,10 @@ func TestFlagsComeFromDefaultConfig(t *testing.T) {
 }
 
 // TestRemovedFlagsAreRejected: the width, streaming-window, page-size
-// and trace-ring options are gone, not silently ignored.
+// and trace-ring options, and the plan and result caches' entry counts,
+// are gone, not silently ignored.
 func TestRemovedFlagsAreRejected(t *testing.T) {
-	for _, name := range []string{"eval-parallelism", "scan-buffer", "fetch-page-rows", "trace-ring"} {
+	for _, name := range []string{"eval-parallelism", "scan-buffer", "fetch-page-rows", "trace-ring", "plan-cache", "result-cache"} {
 		cfg := server.DefaultConfig()
 		fs := flag.NewFlagSet("automedd", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

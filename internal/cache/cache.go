@@ -1,13 +1,16 @@
 // Package cache provides the unified cache substrate of the dataspace:
 // a generic, size-aware, dependency-tagged store with LRU eviction.
 //
-// Every entry carries a cost in bytes and a set of scheme-key
-// dependencies. The store enforces two independent bounds — a maximum
-// entry count and a byte budget — by evicting least-recently-used
-// entries, and supports selective invalidation: InvalidateDeps(keys...)
-// evicts exactly the entries whose dependency set intersects the given
-// scheme keys, which is how an integration iteration drops the derived
-// state it touched while keeping every other warm answer live.
+// Every entry carries a cost in bytes and a set of dependency tags. The
+// store enforces two independent bounds — a maximum entry count and a
+// byte budget — by evicting least-recently-used entries, and supports
+// selective invalidation: InvalidateDeps(tags...) evicts exactly the
+// entries whose dependency set intersects the given tags, which is how
+// an integration iteration drops the derived state it touched while
+// keeping every other warm answer live.
+//
+// A Map is keyed and tagged by any comparable types; a Store, keyed and
+// tagged by strings (scheme keys), is the common case.
 //
 // GetOrCompute adds singleflight-style coalescing: concurrent misses of
 // the same key share one computation instead of racing to recompute it
@@ -20,8 +23,9 @@
 // the join indexes built over a dropped extent).
 //
 // The store backs all cache layers of the system: the query processor's
-// virtual-extent memo and source-extent cache, and the server's parsed
-// IQL plan cache and per-session result cache.
+// virtual-extent memo, source-extent cache and join indexes (a Map keyed
+// by element-array identity), and the server's parsed IQL plan cache and
+// per-session result cache.
 package cache
 
 import (
@@ -36,9 +40,6 @@ type Options struct {
 	MaxEntries int
 	// MaxBytes bounds the summed entry costs; <= 0 means unbounded.
 	MaxBytes int64
-	// Disabled turns the store off: every Get misses and Put is a
-	// no-op (GetOrCompute still computes, without caching).
-	Disabled bool
 }
 
 // Stats is a point-in-time snapshot of one store's counters.
@@ -59,7 +60,7 @@ type Stats struct {
 	Purges   uint64 `json:"purges"`
 	// Replays counts lookups answered from a record of earlier work
 	// instead of an entry: the join-index layer's replayed join runs.
-	// The stores of this package have none.
+	// The maps of this package have none.
 	Replays uint64 `json:"replays"`
 }
 
@@ -73,11 +74,11 @@ func (s Stats) HitRate() float64 {
 }
 
 // entry is one cache slot.
-type entry[V any] struct {
-	key  string
+type entry[K, D comparable, V any] struct {
+	key  K
 	val  V
 	cost int64
-	deps []string
+	deps []D
 }
 
 // flight is one in-progress GetOrCompute computation; waiters block on
@@ -88,20 +89,19 @@ type flight[V any] struct {
 	err  error
 }
 
-// Store is a bounded, mutex-guarded, dependency-tagged LRU cache. It is
-// safe for concurrent use.
-type Store[V any] struct {
+// Map is a bounded, mutex-guarded LRU cache whose entries are keyed by
+// K and tagged by D. It is safe for concurrent use.
+type Map[K, D comparable, V any] struct {
 	mu         sync.Mutex
 	maxEntries int
 	maxBytes   int64
-	disabled   bool
 
 	ll    *list.List
-	items map[string]*list.Element
-	// byDep indexes entry keys by dependency key, so InvalidateDeps is
+	items map[K]*list.Element
+	// byDep indexes entry keys by dependency tag, so InvalidateDeps is
 	// proportional to the touched entries, not the cache size.
-	byDep  map[string]map[string]struct{}
-	flight map[string]*flight[V]
+	byDep  map[D]map[K]struct{}
+	flight map[K]*flight[V]
 	bytes  int64
 
 	// gen counts invalidation events (InvalidateDeps and Purge calls);
@@ -122,16 +122,23 @@ type Store[V any] struct {
 	dropped []V
 }
 
+// Store is a Map keyed and tagged by strings.
+type Store[V any] = Map[string, string, V]
+
 // New returns an empty store.
 func New[V any](opts Options) *Store[V] {
-	return &Store[V]{
+	return NewMap[string, string, V](opts)
+}
+
+// NewMap returns an empty map.
+func NewMap[K, D comparable, V any](opts Options) *Map[K, D, V] {
+	return &Map[K, D, V]{
 		maxEntries: opts.MaxEntries,
 		maxBytes:   opts.MaxBytes,
-		disabled:   opts.Disabled,
 		ll:         list.New(),
-		items:      make(map[string]*list.Element),
-		byDep:      make(map[string]map[string]struct{}),
-		flight:     make(map[string]*flight[V]),
+		items:      make(map[K]*list.Element),
+		byDep:      make(map[D]map[K]struct{}),
+		flight:     make(map[K]*flight[V]),
 	}
 }
 
@@ -150,14 +157,14 @@ func NewWithDrop[V any](opts Options, onDrop func(V)) *Store[V] {
 
 // noteDropLocked records a value that has left the store, for unlock to
 // report.
-func (c *Store[V]) noteDropLocked(v V) {
+func (c *Map[K, D, V]) noteDropLocked(v V) {
 	if c.onDrop != nil {
 		c.dropped = append(c.dropped, v)
 	}
 }
 
 // unlock releases mu and then reports what was dropped under it.
-func (c *Store[V]) unlock() {
+func (c *Map[K, D, V]) unlock() {
 	dropped := c.dropped
 	c.dropped = nil
 	c.mu.Unlock()
@@ -167,13 +174,13 @@ func (c *Store[V]) unlock() {
 }
 
 // Get returns the cached value and marks it most recently used.
-func (c *Store[V]) Get(key string) (V, bool) {
+func (c *Map[K, D, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		return el.Value.(*entry[V]).val, true
+		return el.Value.(*entry[K, D, V]).val, true
 	}
 	c.misses++
 	var zero V
@@ -181,19 +188,16 @@ func (c *Store[V]) Get(key string) (V, bool) {
 }
 
 // Put inserts or refreshes a value with its byte cost and dependency
-// keys, evicting least-recently-used entries while either bound is
-// exceeded. An entry whose cost alone exceeds the byte budget is not
-// cached.
-func (c *Store[V]) Put(key string, val V, cost int64, deps []string) {
+// tags, evicting least-recently-used entries while either bound is
+// exceeded, and reports whether the value was cached: an entry whose
+// cost alone exceeds the byte budget is not.
+func (c *Map[K, D, V]) Put(key K, val V, cost int64, deps []D) bool {
 	c.mu.Lock()
 	defer c.unlock()
-	c.putLocked(key, val, cost, deps)
+	return c.putLocked(key, val, cost, deps)
 }
 
-func (c *Store[V]) putLocked(key string, val V, cost int64, deps []string) {
-	if c.disabled {
-		return
-	}
+func (c *Map[K, D, V]) putLocked(key K, val V, cost int64, deps []D) bool {
 	if cost < 0 {
 		cost = 0
 	}
@@ -203,11 +207,11 @@ func (c *Store[V]) putLocked(key string, val V, cost int64, deps []string) {
 		if el, ok := c.items[key]; ok {
 			c.removeLocked(el)
 		}
-		return
+		return false
 	}
 	if el, ok := c.items[key]; ok {
 		// Refresh in place: re-index dependencies and re-count cost.
-		en := el.Value.(*entry[V])
+		en := el.Value.(*entry[K, D, V])
 		c.unindexLocked(en)
 		c.bytes -= en.cost
 		c.noteDropLocked(en.val)
@@ -216,7 +220,7 @@ func (c *Store[V]) putLocked(key string, val V, cost int64, deps []string) {
 		c.indexLocked(en)
 		c.ll.MoveToFront(el)
 	} else {
-		en := &entry[V]{key: key, val: val, cost: cost, deps: deps}
+		en := &entry[K, D, V]{key: key, val: val, cost: cost, deps: deps}
 		c.items[key] = c.ll.PushFront(en)
 		c.bytes += cost
 		c.indexLocked(en)
@@ -230,6 +234,7 @@ func (c *Store[V]) putLocked(key string, val V, cost int64, deps []string) {
 		c.removeLocked(oldest)
 		c.evictions++
 	}
+	return true
 }
 
 // GetOrCompute returns the cached value for key, or computes it exactly
@@ -240,16 +245,14 @@ func (c *Store[V]) putLocked(key string, val V, cost int64, deps []string) {
 // or Purge overlapped is returned but not cached, as PutAt would not.
 // The hit result reports whether the value came from cache or a
 // coalesced in-flight computation rather than this caller's own compute.
-func (c *Store[V]) GetOrCompute(key string, deps []string, compute func() (V, int64, error)) (V, bool, error) {
+func (c *Map[K, D, V]) GetOrCompute(key K, deps []D, compute func() (V, int64, error)) (V, bool, error) {
 	c.mu.Lock()
-	if !c.disabled {
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
-			c.hits++
-			v := el.Value.(*entry[V]).val
-			c.mu.Unlock()
-			return v, true, nil
-		}
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		c.hits++
+		v := el.Value.(*entry[K, D, V]).val
+		c.mu.Unlock()
+		return v, true, nil
 	}
 	if f, ok := c.flight[key]; ok {
 		c.hits++ // coalesced: this caller pays no computation
@@ -276,7 +279,7 @@ func (c *Store[V]) GetOrCompute(key string, deps []string, compute func() (V, in
 		// compute panicked: unregister the flight and fail the waiters
 		// instead of wedging every future lookup of this key, then let
 		// the panic continue unwinding.
-		f.err = fmt.Errorf("cache: computation for %q panicked", key)
+		f.err = fmt.Errorf("cache: computation for %v panicked", key)
 		c.mu.Lock()
 		delete(c.flight, key)
 		c.mu.Unlock()
@@ -299,7 +302,7 @@ func (c *Store[V]) GetOrCompute(key string, deps []string, compute func() (V, in
 // Peek reports whether key is cached, without bumping its LRU position
 // or the hit/miss counters. Prefetchers use it to decide what is worth
 // warming; real lookups should use Get so the stats stay honest.
-func (c *Store[V]) Peek(key string) bool {
+func (c *Map[K, D, V]) Peek(key K) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	_, ok := c.items[key]
@@ -309,7 +312,7 @@ func (c *Store[V]) Peek(key string) bool {
 // Generation returns the store's invalidation-event counter. Snapshot
 // it before computing a value and hand it to PutAt so that a value
 // whose computation raced with an invalidation is never cached stale.
-func (c *Store[V]) Generation() uint64 {
+func (c *Map[K, D, V]) Generation() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.gen
@@ -318,7 +321,7 @@ func (c *Store[V]) Generation() uint64 {
 // PutAt is Put, but only if no InvalidateDeps or Purge happened since
 // gen was observed via Generation; otherwise the value is discarded —
 // it may have been computed from state the invalidation retired.
-func (c *Store[V]) PutAt(gen uint64, key string, val V, cost int64, deps []string) {
+func (c *Map[K, D, V]) PutAt(gen uint64, key K, val V, cost int64, deps []D) {
 	c.mu.Lock()
 	defer c.unlock()
 	if c.gen != gen {
@@ -329,7 +332,7 @@ func (c *Store[V]) PutAt(gen uint64, key string, val V, cost int64, deps []strin
 
 // InvalidateDeps evicts every entry whose dependency set intersects
 // keys and returns how many entries were dropped.
-func (c *Store[V]) InvalidateDeps(keys ...string) int {
+func (c *Map[K, D, V]) InvalidateDeps(keys ...D) int {
 	c.mu.Lock()
 	defer c.unlock()
 	c.gen++
@@ -347,23 +350,23 @@ func (c *Store[V]) InvalidateDeps(keys ...string) int {
 }
 
 // Purge discards every entry (counters are kept).
-func (c *Store[V]) Purge() {
+func (c *Map[K, D, V]) Purge() {
 	c.mu.Lock()
 	defer c.unlock()
 	c.gen++
 	for el := c.ll.Front(); el != nil && c.onDrop != nil; el = el.Next() {
-		c.noteDropLocked(el.Value.(*entry[V]).val)
+		c.noteDropLocked(el.Value.(*entry[K, D, V]).val)
 	}
 	c.ll.Init()
-	c.items = make(map[string]*list.Element)
-	c.byDep = make(map[string]map[string]struct{})
+	c.items = make(map[K]*list.Element)
+	c.byDep = make(map[D]map[K]struct{})
 	c.bytes = 0
 	c.purges++
 }
 
 // SetMaxBytes adjusts the byte budget, evicting LRU entries if the new
 // budget is already exceeded. budget <= 0 removes the bound.
-func (c *Store[V]) SetMaxBytes(budget int64) {
+func (c *Map[K, D, V]) SetMaxBytes(budget int64) {
 	c.mu.Lock()
 	defer c.unlock()
 	c.maxBytes = budget
@@ -378,21 +381,21 @@ func (c *Store[V]) SetMaxBytes(budget int64) {
 }
 
 // Len returns the number of cached entries.
-func (c *Store[V]) Len() int {
+func (c *Map[K, D, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
 }
 
 // Bytes returns the summed cost of all cached entries.
-func (c *Store[V]) Bytes() int64 {
+func (c *Map[K, D, V]) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
 }
 
 // Stats snapshots the store's counters.
-func (c *Store[V]) Stats() Stats {
+func (c *Map[K, D, V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
@@ -409,8 +412,8 @@ func (c *Store[V]) Stats() Stats {
 	}
 }
 
-func (c *Store[V]) removeLocked(el *list.Element) {
-	en := el.Value.(*entry[V])
+func (c *Map[K, D, V]) removeLocked(el *list.Element) {
+	en := el.Value.(*entry[K, D, V])
 	c.ll.Remove(el)
 	delete(c.items, en.key)
 	c.bytes -= en.cost
@@ -418,18 +421,18 @@ func (c *Store[V]) removeLocked(el *list.Element) {
 	c.noteDropLocked(en.val)
 }
 
-func (c *Store[V]) indexLocked(en *entry[V]) {
+func (c *Map[K, D, V]) indexLocked(en *entry[K, D, V]) {
 	for _, d := range en.deps {
 		set := c.byDep[d]
 		if set == nil {
-			set = make(map[string]struct{})
+			set = make(map[K]struct{})
 			c.byDep[d] = set
 		}
 		set[en.key] = struct{}{}
 	}
 }
 
-func (c *Store[V]) unindexLocked(en *entry[V]) {
+func (c *Map[K, D, V]) unindexLocked(en *entry[K, D, V]) {
 	for _, d := range en.deps {
 		if set := c.byDep[d]; set != nil {
 			delete(set, en.key)

@@ -117,6 +117,47 @@ func TestInvalidateDeps(t *testing.T) {
 	}
 }
 
+// TestMapStructKeys: a Map keyed by a struct and tagged by a pointer —
+// the join-index layer's shape — hits, evicts the least recently used
+// entry, drops exactly the entries a tag names, and says whether a Put
+// cached its value.
+func TestMapStructKeys(t *testing.T) {
+	type key struct {
+		id   *int
+		spec string
+	}
+	x, y := new(int), new(int)
+	c := NewMap[key, *int, string](Options{MaxEntries: 3, MaxBytes: 100})
+	for _, k := range []key{{x, "0"}, {x, "1"}, {y, "0"}} {
+		if !c.Put(k, k.spec, 10, []*int{k.id}) {
+			t.Fatalf("Put(%v) was refused", k)
+		}
+	}
+	if v, ok := c.Get(key{x, "0"}); !ok || v != "0" {
+		t.Fatalf("Get(x, 0) = %q, %v", v, ok)
+	}
+	if _, ok := c.Get(key{y, "1"}); ok {
+		t.Fatal("a key differing in one field hit")
+	}
+	// {x, 1} is now the least recently used.
+	c.Put(key{y, "1"}, "1", 10, []*int{y})
+	if _, ok := c.Get(key{x, "1"}); ok {
+		t.Fatal("the least recently used entry survived eviction")
+	}
+	if n := c.InvalidateDeps(y); n != 2 {
+		t.Fatalf("InvalidateDeps(y) dropped %d entries, want 2", n)
+	}
+	if _, ok := c.Get(key{x, "0"}); !ok {
+		t.Fatal("an entry tagged x went with y")
+	}
+	if c.Put(key{y, "2"}, "2", 101, []*int{y}) {
+		t.Fatal("Put of an entry over the byte budget reports it cached")
+	}
+	if st := c.Stats(); st.Len != 1 || st.Evictions != 1 || st.Invalidations != 2 || st.Oversize != 1 {
+		t.Fatalf("stats = %+v, want 1 entry, 1 eviction, 2 invalidations, 1 oversize", st)
+	}
+}
+
 func TestGetOrComputeCoalesces(t *testing.T) {
 	c := New[int](Options{})
 	var computes atomic.Int64
@@ -270,21 +311,6 @@ func TestGetOrComputeAcrossInvalidation(t *testing.T) {
 		if v, ok := c.Get("k"); ok {
 			t.Errorf("%s during the computation: its value %d was cached", name, v)
 		}
-	}
-}
-
-func TestDisabled(t *testing.T) {
-	c := New[int](Options{Disabled: true})
-	c.Put("a", 1, 1, nil)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("disabled cache returned a value")
-	}
-	v, hit, err := c.GetOrCompute("a", nil, func() (int, int64, error) { return 7, 1, nil })
-	if err != nil || hit || v != 7 {
-		t.Fatalf("GetOrCompute on disabled cache = %v, %v, %v", v, hit, err)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("disabled cache holds %d entries", c.Len())
 	}
 }
 

@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/rel"
 	"github.com/dataspace/automed/internal/wrapper"
 )
 
@@ -122,5 +124,47 @@ func TestBackfillRecoversHealedSource(t *testing.T) {
 	}
 	if !res.Value.Equal(iql.Int(2)) {
 		t.Errorf("count(<<shop_items>>) after backfill = %s, want 2", res.Value)
+	}
+}
+
+// TestFederationRefusesCollidingPrefixedNames: Lab's <<x_y>> and Lab_X's
+// <<y>> are both <<lab_x_y>> once prefixed. Federation, strict or over
+// the reachable sources, refuses them up front, naming the object and
+// both sources, and leaves nothing behind — Lab_X counts while it is
+// down, so it is never half backfilled later.
+func TestFederationRefusesCollidingPrefixedNames(t *testing.T) {
+	lab := rel.NewDB("Lab")
+	lab.MustCreateTable("x_y", []rel.Column{{Name: "id", Type: rel.Int}}, "id").MustInsert(int64(1))
+	labX := rel.NewDB("Lab_X")
+	labX.MustCreateTable("a", []rel.Column{{Name: "id", Type: rel.Int}}, "id").MustInsert(int64(2))
+	labX.MustCreateTable("y", []rel.Column{{Name: "id", Type: rel.Int}}, "id").MustInsert(int64(3))
+	for _, degraded := range []bool{false, true} {
+		wl, err := wrapper.NewRelational("Lab", lab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wx, err := wrapper.NewRelational("Lab_X", labX)
+		if err != nil {
+			t.Fatal(err)
+		}
+		down, err := wrapper.NewFault(wx, wrapper.FaultConfig{ErrorRate: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ig, err := New(wl, down)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if degraded {
+			_, _, err = ig.FederateReachable(context.Background(), "F", 1)
+		} else {
+			_, err = ig.Federate("F")
+		}
+		if err == nil || !strings.Contains(err.Error(), "<<lab_x_y>>") || !strings.Contains(err.Error(), `"Lab"`) || !strings.Contains(err.Error(), `"Lab_X"`) {
+			t.Fatalf("degraded %v: federation = %v; want it refused, naming <<lab_x_y>>, Lab and Lab_X", degraded, err)
+		}
+		if _, ok := ig.Repo().Schema("F"); ok || ig.Federated() != nil || len(ig.Skipped()) != 0 {
+			t.Errorf("degraded %v: the refused federation left schema F or skipped sources %v behind", degraded, ig.Skipped())
+		}
 	}
 }

@@ -288,6 +288,9 @@ func (ig *Integrator) federateLocked(name string, sources []wrapper.Wrapper, ski
 	if name == "" {
 		name = "F"
 	}
+	if err := ig.checkPrefixedNames(); err != nil {
+		return nil, err
+	}
 	ig.unjournaled()
 	fed := hdm.NewSchema(name)
 	var counts StepCounts
@@ -309,6 +312,26 @@ func (ig *Integrator) federateLocked(name string, sources []wrapper.Wrapper, ski
 		Name: name, Kind: "federate", Counts: counts, GlobalSchema: name,
 	})
 	return fed, nil
+}
+
+// checkPrefixedNames refuses a source set in which two sources' objects
+// take the same name under their provenance prefixes (source Lab's
+// <<x_y>> and source Lab_X's <<y>> are both <<lab_x_y>>). Every source
+// counts, skipped ones too: Backfill folds those in later, and a
+// collision found there would leave half a source federated.
+func (ig *Integrator) checkPrefixedNames() error {
+	owner := make(map[string]string)
+	for _, w := range ig.sources {
+		src := w.SchemaName()
+		for _, o := range w.Schema().Objects() {
+			fsc := o.Scheme.WithPrefix(ig.prefix[src])
+			if other, ok := owner[fsc.Key()]; ok {
+				return fmt.Errorf("core: federate: sources %q and %q both name %s", other, src, fsc)
+			}
+			owner[fsc.Key()] = src
+		}
+	}
+	return nil
 }
 
 // Skipped lists the sources left out of the federated schema by

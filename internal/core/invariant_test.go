@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"github.com/dataspace/automed/internal/iql"
@@ -166,95 +164,4 @@ func TestKAryIntersection(t *testing.T) {
 	if !res.Value.Equal(iql.Bag(iql.Str("LIB"), iql.Str("DEPOT"))) {
 		t.Errorf("978-1 owners = %s", res.Value)
 	}
-}
-
-// TestRejectedIterationLeavesNothing: a mappings table is written by
-// hand per iteration, so a rejected one is the normal case — and it must
-// be harmless. An Intersect refused at its second source and a Refine
-// refused at its second forward entry leave repository, derivations,
-// versions, report and answers as they were, and the corrected call
-// under the same name then succeeds with nothing counted twice.
-func TestRejectedIterationLeavesNothing(t *testing.T) {
-	answer := func(t *testing.T, ig *Integrator, q string) string {
-		t.Helper()
-		res, err := ig.Query(q)
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		return res.Value.String()
-	}
-	state := func(t *testing.T, ig *Integrator, probe string) string {
-		t.Helper()
-		var b strings.Builder
-		fmt.Fprintln(&b, ig.Repo().Stats(), ig.Repo().SchemaNames())
-		for _, od := range ig.Processor().AllDerivations() {
-			for _, d := range od.Derivs {
-				fmt.Fprintln(&b, od.Key, d.Query, d.Lower, d.Via, d.Scope)
-			}
-		}
-		for _, v := range ig.Versions() {
-			fmt.Fprintln(&b, v.Version, v.Schema.Name(), v.Schema.Len())
-		}
-		fmt.Fprintf(&b, "%+v\n%s = %s\n", ig.Report(), probe, answer(t, ig, probe))
-		return b.String()
-	}
-	// Shop contributes two items and Archive one scan.
-	ubook := func(scans string) []Mapping {
-		return []Mapping{Entity("<<UBook>>",
-			From("Shop", "[{'SHOP', k} | k <- <<items>>]"),
-			From("Archive", "[{'ARC', k} | k <- <<"+scans+">>]"),
-		)}
-	}
-
-	t.Run("Intersect", func(t *testing.T) {
-		ig := newIntegrator(t)
-		if _, err := ig.Federate("F"); err != nil {
-			t.Fatal(err)
-		}
-		const probe = "count(<<shop_items>>) + count(<<archive_scans>>)"
-		before := state(t, ig, probe)
-		// Archive's entry names an object it does not have.
-		if _, err := ig.Intersect("I1", ubook("scanz")); err == nil {
-			t.Fatal("an intersection whose second source names a missing object succeeded")
-		}
-		if after := state(t, ig, probe); after != before {
-			t.Errorf("the rejected intersection left residue:\nbefore:\n%s\nafter:\n%s", before, after)
-		}
-		if _, err := ig.Intersect("I1", ubook("scans")); err != nil {
-			t.Fatalf("the corrected intersection under the same name: %v", err)
-		}
-		if got := answer(t, ig, "count(<<UBook>>)"); got != "3" {
-			t.Errorf("count(<<UBook>>) = %s, want 3: Shop's two and Archive's one, each once", got)
-		}
-	})
-
-	t.Run("Refine", func(t *testing.T) {
-		ig := newIntegrator(t)
-		if _, err := ig.Federate("F"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ig.Intersect("I1", ubook("scans")); err != nil {
-			t.Fatal(err)
-		}
-		format := func(second string) Mapping {
-			return Attribute("<<UBook, format>>",
-				From("Archive", "[{'ARC', k, x} | {k, x} <- <<scans, format>>]"),
-				From("Shop", second),
-			)
-		}
-		const probe = "count(<<UBook>>)"
-		before := state(t, ig, probe)
-		if err := ig.Refine("formats", format("[{'SHOP', k, x} | {k, x} <- ")); err == nil {
-			t.Fatal("a refinement whose second entry does not parse succeeded")
-		}
-		if after := state(t, ig, probe); after != before {
-			t.Errorf("the rejected refinement left residue:\nbefore:\n%s\nafter:\n%s", before, after)
-		}
-		if err := ig.Refine("formats", format("[{'SHOP', k, 'print'} | k <- <<items>>]")); err != nil {
-			t.Fatalf("the corrected refinement under the same name: %v", err)
-		}
-		if got := answer(t, ig, "count(<<UBook, format>>)"); got != "3" {
-			t.Errorf("count(<<UBook, format>>) = %s, want 3: Archive's one and Shop's two, each once", got)
-		}
-	})
 }

@@ -1,7 +1,6 @@
 package iql
 
 import (
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -23,59 +22,54 @@ import (
 // never be recycled for a different extent while its entry is live:
 // identity collisions are impossible.
 //
-// An index lives as long as the extent it was built over: whoever
-// caches extents tells the cache when it lets one go (DropExtent), and
-// the indexes keyed on that element array go with it, so a retired
-// extent version is not pinned by its indexes and an index over a
-// surviving extent is the same *JoinIndex before and after an
-// unrelated invalidation. An index over an array nobody caches — an
-// intermediate bag, an extent a racing evaluation memoised second — is
-// never hit again and is pushed out by the entry cap or the byte budget.
-//
-// The cache keeps join runs' records too (see joinrun.go), keyed by the
+// The cache keeps join runs' entries too (see joinrun.go), keyed by the
 // run and its first member's element array, and holding the arrays of
-// the other members the recorded walk reached. A run's entry leaves with
-// any of those extents (whatever its size), counts against the entry
-// cap, and is charged its record's bytes against the byte budget: the
-// arrays it keeps alive are the extent caches' own, and an entry that
-// only remembers which arrays a walk went over — before there is a
-// record — is charged nothing.
+// the other members the recorded walk reached. A run's entry is charged
+// its record's bytes: the arrays it keeps alive are the extent caches'
+// own, and an entry that only remembers which arrays a walk went over —
+// before there is a record — is charged nothing, so the entry cap is
+// what bounds those.
+//
+// Indexes and runs are entries of one cache.Map, with one entry cap and
+// one byte budget (SetMaxBytes), evicted least recently used first. Each
+// entry is tagged with the first element's address of every array it
+// was built over, and an entry lives as long as those extents: whoever
+// caches extents tells the cache when it lets one go (DropExtent), and
+// the entries tagged with that array go with it, so a retired extent
+// version is not pinned by its indexes and an index over a surviving
+// extent is the same *JoinIndex before and after an unrelated
+// invalidation. An index over an array nobody caches — an intermediate
+// bag, an extent a racing evaluation memoised second — is never hit
+// again and is pushed out by the entry cap or the byte budget.
 //
 // The cache is safe for concurrent use; concurrent builders of the same
 // index, or recorders of the same run, race benignly (last insert wins,
 // both are correct).
-//
-// Because an index (and its retained identity key) keeps the indexed
-// extent alive, the cache participates in the system's memory budget:
-// SetMaxBytes bounds the summed cost of cached indexes, evicting
-// entries beyond it, so byte-budgeted deployments stay bounded even
-// when the extent caches themselves have already evicted the source
-// data.
 type JoinIndexCache struct {
-	mu       sync.Mutex
-	max      int
-	maxBytes int64
-	bytes    int64
-	entries  map[joinIndexKey]joinIndexEntry
-	runs     map[runKey]runEntry
-
-	hits, misses, evicted, dropped, oversize, purges uint64
+	entries *cache.Map[joinKey, *Value, joinEntry]
+	// hits and misses count index lookups (a run's lookup is neither);
 	// replays counts join runs evaluated from their records.
-	replays atomic.Uint64
+	hits, misses, replays atomic.Uint64
 }
 
-// joinIndexEntry pairs a cached index with its approximate byte cost.
-type joinIndexEntry struct {
-	idx  *JoinIndex
-	cost int64
-}
-
-// joinIndexKey identifies a source extent (by retained element-array
-// identity and length) and a join-key component spec.
-type joinIndexKey struct {
-	data *Value
-	n    int
+// joinKey identifies an entry: an index by the array it was built over
+// and its join-key spec, a join run's by the run and its first member's
+// array.
+type joinKey struct {
+	id   extentID
 	spec string
+	run  *joinRun
+}
+
+// joinEntry is an index, or a join run's entry: the arrays of the
+// members the last walk reached, the first member's first, and its
+// record — nil when it was not recorded, and never to be when
+// unrecordable (the record outgrew maxRunRecord or the byte budget).
+type joinEntry struct {
+	idx          *JoinIndex
+	members      []extentID
+	rec          *runRecord
+	unrecordable bool
 }
 
 // extentID is an element array's identity: its first element's
@@ -93,150 +87,66 @@ func idOf(els []Value) extentID {
 	return extentID{&els[0], len(els)}
 }
 
-// runKey identifies a join run's entry: the run and its first member's
-// elements.
-type runKey struct {
-	run   *joinRun
-	first extentID
-}
-
-// runEntry is a join run's entry: the arrays of the members the last
-// walk reached, the first member's first, and its record — nil when it
-// was not recorded, and never to be when unrecordable (the record
-// outgrew maxRunRecord or the byte budget).
-type runEntry struct {
-	members      []extentID
-	rec          *runRecord
-	unrecordable bool
-	cost         int64
-}
-
-// defaultJoinIndexCap bounds a cache to roughly this many indexes; an
+// defaultJoinIndexCap bounds a cache to roughly this many entries; an
 // index retains its rows, so the cap also bounds retained extents.
 const defaultJoinIndexCap = 128
 
-// NewJoinIndexCache returns a cache holding at most max indexes
-// (<= 0 uses a default cap). The entry map is allocated on first
-// insert, so an idle cache costs one struct.
+// NewJoinIndexCache returns a cache holding at most max indexes and
+// join runs (<= 0 uses a default cap).
 func NewJoinIndexCache(max int) *JoinIndexCache {
 	if max <= 0 {
 		max = defaultJoinIndexCap
 	}
-	return &JoinIndexCache{max: max}
+	return &JoinIndexCache{entries: cache.NewMap[joinKey, *Value, joinEntry](cache.Options{MaxEntries: max})}
 }
 
 // SetMaxBytes bounds the summed cost of cached indexes (an index's
-// cost is its own footprint plus that of the rows it retains), evicting
-// entries while over budget; budget <= 0 removes the bound.
-func (c *JoinIndexCache) SetMaxBytes(budget int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxBytes = budget
-	c.evictLocked()
-}
+// cost is its own footprint plus that of the rows it retains) and run
+// records, evicting entries while over budget; budget <= 0 removes the
+// bound.
+func (c *JoinIndexCache) SetMaxBytes(budget int64) { c.entries.SetMaxBytes(budget) }
 
-// get returns the cached index for the keyed extent and spec.
-func (c *JoinIndexCache) get(key joinIndexKey) (*JoinIndex, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	en, ok := c.entries[key]
+// index returns the cached index over els on the join-key spec.
+func (c *JoinIndexCache) index(els []Value, spec string) (*JoinIndex, bool) {
+	en, ok := c.entries.Get(joinKey{id: idOf(els), spec: spec})
 	if ok {
-		c.hits++
+		c.hits.Add(1)
 	} else {
-		c.misses++
+		c.misses.Add(1)
 	}
 	return en.idx, ok
 }
 
-// put inserts a built index with its byte cost, evicting arbitrary
-// entries while either bound is exceeded (entries are cheap to
-// rebuild; map iteration order supplies the victims). An index whose
-// cost alone exceeds the byte budget is not cached.
-func (c *JoinIndexCache) put(key joinIndexKey, idx *JoinIndex, cost int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.maxBytes > 0 && cost > c.maxBytes {
-		c.oversize++
-		return
-	}
-	if c.entries == nil {
-		c.entries = make(map[joinIndexKey]joinIndexEntry)
-	}
-	if old, ok := c.entries[key]; ok {
-		c.bytes -= old.cost
-	}
-	c.entries[key] = joinIndexEntry{idx: idx, cost: cost}
-	c.bytes += cost
-	c.evictLocked()
+// putIndex caches an index built over the non-empty els on the join-key
+// spec, with its byte cost. An index whose cost alone exceeds the byte
+// budget is not cached.
+func (c *JoinIndexCache) putIndex(els []Value, spec string, idx *JoinIndex, cost int64) {
+	c.entries.Put(joinKey{id: idOf(els), spec: spec}, joinEntry{idx: idx}, cost, []*Value{&els[0]})
 }
 
-// getRun returns the entry of join run rp whose first member's elements
+// run returns the entry of join run rp whose first member's elements
 // are els.
-func (c *JoinIndexCache) getRun(rp *joinRun, els []Value) (runEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	en, ok := c.runs[runKey{rp, idOf(els)}]
-	return en, ok
+func (c *JoinIndexCache) run(rp *joinRun, els []Value) (joinEntry, bool) {
+	return c.entries.Get(joinKey{id: idOf(els), run: rp})
 }
 
 // putRun leaves join run rp's entry for a walk that reached the arrays
-// members, with its record when it was recorded.
+// members, with its record when it was recorded. A record whose cost
+// alone exceeds the byte budget leaves the run unrecordable instead.
 func (c *JoinIndexCache) putRun(rp *joinRun, members []extentID, rec *runRecord, unrecordable bool) {
-	en := runEntry{members: members, rec: rec, unrecordable: unrecordable}
+	key := joinKey{id: members[0], run: rp}
+	deps := make([]*Value, 0, len(members))
+	for _, m := range members {
+		if m.data != nil {
+			deps = append(deps, m.data)
+		}
+	}
+	var cost int64
 	if rec != nil {
-		en.cost = rec.footprint() + int64(cap(members))*int64(unsafe.Sizeof(extentID{}))
+		cost = rec.footprint() + int64(cap(members))*int64(unsafe.Sizeof(extentID{}))
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.maxBytes > 0 && en.cost > c.maxBytes {
-		c.oversize++
-		en = runEntry{members: members, unrecordable: true}
-	}
-	if c.runs == nil {
-		c.runs = make(map[runKey]runEntry)
-	}
-	key := runKey{rp, members[0]}
-	if old, ok := c.runs[key]; ok {
-		c.bytes -= old.cost
-	}
-	c.runs[key] = en
-	c.bytes += en.cost
-	c.evictLocked()
-}
-
-// evictLocked drops arbitrary entries until the cache respects its
-// entry cap and byte budget: first the runs that have no record — an
-// evaluation of a plan that is parsed afresh every time leaves one that
-// nothing will find — then indexes, then records. Deleting while ranging
-// is safe, and the arbitrary iteration order supplies the victims.
-func (c *JoinIndexCache) evictLocked() {
-	over := func() bool {
-		return len(c.entries)+len(c.runs) > c.max || (c.maxBytes > 0 && c.bytes > c.maxBytes)
-	}
-	for k, en := range c.runs {
-		if len(c.entries)+len(c.runs) <= c.max {
-			break // what is left over is bytes, which a run without a record has none of
-		}
-		if en.rec == nil {
-			delete(c.runs, k)
-			c.evicted++
-		}
-	}
-	for k, en := range c.entries {
-		if !over() {
-			return
-		}
-		delete(c.entries, k)
-		c.bytes -= en.cost
-		c.evicted++
-	}
-	for k, en := range c.runs {
-		if !over() {
-			return
-		}
-		delete(c.runs, k)
-		c.bytes -= en.cost
-		c.evicted++
+	if !c.entries.Put(key, joinEntry{members: members, rec: rec, unrecordable: unrecordable}, cost, deps) {
+		c.entries.Put(key, joinEntry{members: members, unrecordable: true}, 0, deps)
 	}
 }
 
@@ -248,52 +158,11 @@ func (c *JoinIndexCache) DropExtent(extent Value) {
 	if extent.Kind != KindBag || extent.n == 0 {
 		return
 	}
-	data := &extent.Items()[0]
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if extent.n >= joinIndexCacheMin {
-		for k, en := range c.entries {
-			if k.data == data {
-				delete(c.entries, k)
-				c.bytes -= en.cost
-				c.dropped++
-			}
-		}
-	}
-	for k, en := range c.runs {
-		for _, m := range en.members {
-			if m.data == data {
-				delete(c.runs, k)
-				c.bytes -= en.cost
-				c.dropped++
-				break
-			}
-		}
-	}
+	c.entries.InvalidateDeps(&extent.Items()[0])
 }
 
 // Purge discards every cached index and join run.
-func (c *JoinIndexCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries, c.runs = nil, nil
-	c.bytes = 0
-	c.purges++
-}
-
-// Len returns the number of cached indexes and join runs.
-func (c *JoinIndexCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries) + len(c.runs)
-}
-
-// Bytes returns the summed cost of cached indexes.
-func (c *JoinIndexCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
+func (c *JoinIndexCache) Purge() { c.entries.Purge() }
 
 // Stats snapshots the cache in the shape of the other cache layers: a
 // hit is an evaluation that found its index built and a miss one that
@@ -303,19 +172,7 @@ func (c *JoinIndexCache) Bytes() int64 {
 // byte budget, an oversize one never cached — or a run never recorded —
 // because it alone exceeded the budget.
 func (c *JoinIndexCache) Stats() cache.Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return cache.Stats{
-		Len:           len(c.entries) + len(c.runs),
-		Capacity:      c.max,
-		Bytes:         c.bytes,
-		MaxBytes:      c.maxBytes,
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evicted,
-		Invalidations: c.dropped,
-		Oversize:      c.oversize,
-		Purges:        c.purges,
-		Replays:       c.replays.Load(),
-	}
+	st := c.entries.Stats()
+	st.Hits, st.Misses, st.Replays = c.hits.Load(), c.misses.Load(), c.replays.Load()
+	return st
 }

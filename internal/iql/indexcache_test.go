@@ -2,13 +2,10 @@ package iql
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/dataspace/automed/internal/cache"
 )
-
-func cacheKeyFor(rows []Value, spec string) joinIndexKey {
-	return joinIndexKey{data: &rows[0], n: len(rows), spec: spec}
-}
 
 func TestJoinIndexCacheByteBudget(t *testing.T) {
 	mkRows := func(n int) []Value {
@@ -22,43 +19,43 @@ func TestJoinIndexCacheByteBudget(t *testing.T) {
 
 	c := NewJoinIndexCache(8)
 	a, b := mkRows(10), mkRows(10)
-	c.put(cacheKeyFor(a, "1"), mkIdx(a), 1000)
-	c.put(cacheKeyFor(b, "1"), mkIdx(b), 1000)
-	if c.Len() != 2 || c.Bytes() != 2000 {
-		t.Fatalf("len=%d bytes=%d, want 2/2000", c.Len(), c.Bytes())
+	c.putIndex(a, "1", mkIdx(a), 1000)
+	c.putIndex(b, "1", mkIdx(b), 1000)
+	if st := c.Stats(); st.Len != 2 || st.Bytes != 2000 {
+		t.Fatalf("len=%d bytes=%d, want 2/2000", st.Len, st.Bytes)
 	}
-	if _, ok := c.get(cacheKeyFor(a, "1")); !ok {
+	if _, ok := c.index(a, "1"); !ok {
 		t.Fatal("entry a missing")
 	}
-	if _, ok := c.get(cacheKeyFor(a, "2")); ok {
+	if _, ok := c.index(a, "2"); ok {
 		t.Fatal("spec is not part of the key")
 	}
 
 	// Shrinking the budget evicts down to it.
 	c.SetMaxBytes(1500)
-	if c.Len() != 1 || c.Bytes() > 1500 {
-		t.Fatalf("after budget shrink: len=%d bytes=%d", c.Len(), c.Bytes())
+	if st := c.Stats(); st.Len != 1 || st.Bytes > 1500 {
+		t.Fatalf("after budget shrink: len=%d bytes=%d", st.Len, st.Bytes)
 	}
 
 	// An index whose cost alone exceeds the budget is not cached.
 	big := mkRows(10)
-	c.put(cacheKeyFor(big, "1"), mkIdx(big), 5000)
-	if _, ok := c.get(cacheKeyFor(big, "1")); ok {
+	c.putIndex(big, "1", mkIdx(big), 5000)
+	if _, ok := c.index(big, "1"); ok {
 		t.Fatal("oversize index was cached")
 	}
 
 	// Refreshing a key replaces its cost instead of double-counting.
 	c.SetMaxBytes(0)
 	rows := mkRows(10)
-	c.put(cacheKeyFor(rows, "1"), mkIdx(rows), 100)
-	c.put(cacheKeyFor(rows, "1"), mkIdx(rows), 300)
-	want := c.Bytes()
+	c.putIndex(rows, "1", mkIdx(rows), 100)
+	c.putIndex(rows, "1", mkIdx(rows), 300)
+	want := c.Stats().Bytes
 	c.Purge()
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("purge left len=%d bytes=%d", c.Len(), c.Bytes())
+	if st := c.Stats(); st.Len != 0 || st.Bytes != 0 {
+		t.Fatalf("purge left len=%d bytes=%d", st.Len, st.Bytes)
 	}
-	if want < 300 {
-		t.Fatalf("refresh undercounted: %d", want)
+	if want < 300 || want > 1300 {
+		t.Fatalf("refresh miscounted: %d", want)
 	}
 }
 
@@ -67,10 +64,44 @@ func TestJoinIndexCacheEntryCap(t *testing.T) {
 	keep := make([][]Value, 3)
 	for i := range keep {
 		keep[i] = []Value{Int(int64(i))}
-		c.put(cacheKeyFor(keep[i], "0"), NewJoinIndex(keep[i], []int{wholeElement}), 1)
+		c.putIndex(keep[i], "0", NewJoinIndex(keep[i], []int{wholeElement}), 1)
 	}
-	if c.Len() > 2 {
-		t.Fatalf("cap exceeded: %d", c.Len())
+	if n := c.Stats().Len; n > 2 {
+		t.Fatalf("cap exceeded: %d", n)
+	}
+}
+
+// TestJoinIndexCacheEvictsLeastRecentlyUsed: over the entry cap, the
+// entry to go is the one least recently looked up or stored, whether
+// an index or a join run's entry.
+func TestJoinIndexCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	rows := func() []Value { return []Value{Int(1), Int(2)} }
+	a, b, c, d := rows(), rows(), rows(), rows()
+	r := &joinRun{}
+	ic := NewJoinIndexCache(3)
+	ic.putIndex(a, "0", NewJoinIndex(nil, nil), 1)
+	ic.putIndex(b, "0", NewJoinIndex(nil, nil), 1)
+	ic.putRun(r, []extentID{idOf(c)}, nil, false)
+	if _, ok := ic.index(a, "0"); !ok {
+		t.Fatal("index over a missing")
+	}
+	if _, ok := ic.run(r, c); !ok {
+		t.Fatal("run over c missing")
+	}
+	ic.putIndex(d, "0", NewJoinIndex(nil, nil), 1)
+	if _, ok := ic.index(b, "0"); ok {
+		t.Error("the least recently used index, over b, survived")
+	}
+	if _, ok := ic.run(r, c); !ok {
+		t.Error("the run's entry was evicted before the least recently used index")
+	}
+	for _, els := range [][]Value{a, d} {
+		if _, ok := ic.index(els, "0"); !ok {
+			t.Error("a recently used index was evicted")
+		}
+	}
+	if st := ic.Stats(); st.Evictions != 1 || st.Len != 3 {
+		t.Errorf("stats = %+v, want one eviction, three entries", st)
 	}
 }
 
@@ -87,26 +118,29 @@ func TestJoinIndexCacheDropExtent(t *testing.T) {
 	}
 	a, b, small := rows(joinIndexCacheMin), rows(joinIndexCacheMin), rows(joinIndexCacheMin-1)
 	c := NewJoinIndexCache(0)
-	for _, k := range []joinIndexKey{cacheKeyFor(a, "0"), cacheKeyFor(a, "1"), cacheKeyFor(b, "0")} {
-		if _, ok := c.get(k); ok {
+	for _, k := range []struct {
+		els  []Value
+		spec string
+	}{{a, "0"}, {a, "1"}, {b, "0"}} {
+		if _, ok := c.index(k.els, k.spec); ok {
 			t.Fatal("hit in an empty cache")
 		}
-		c.put(k, NewJoinIndex(nil, nil), 10)
+		c.putIndex(k.els, k.spec, NewJoinIndex(nil, nil), 10)
 	}
-	kept, _ := c.get(cacheKeyFor(b, "0"))
+	kept, _ := c.index(b, "0")
 
 	c.DropExtent(Int(7))
 	c.DropExtent(Bag())
 	c.DropExtent(BagOf(small))
 	c.DropExtent(BagOf(rows(joinIndexCacheMin))) // equal elements, another array
-	if c.Len() != 3 {
-		t.Fatalf("unrelated drops left %d indexes, want 3", c.Len())
+	if n := c.Stats().Len; n != 3 {
+		t.Fatalf("unrelated drops left %d indexes, want 3", n)
 	}
 	c.DropExtent(BagOf(a))
-	if _, ok := c.get(cacheKeyFor(a, "0")); ok {
+	if _, ok := c.index(a, "0"); ok {
 		t.Error("index over a dropped extent survived")
 	}
-	if again, ok := c.get(cacheKeyFor(b, "0")); !ok || again != kept {
+	if again, ok := c.index(b, "0"); !ok || again != kept {
 		t.Error("index over a surviving extent was dropped or rebuilt")
 	}
 	st := c.Stats()
@@ -115,7 +149,7 @@ func TestJoinIndexCacheDropExtent(t *testing.T) {
 		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 	c.SetMaxBytes(5)
-	c.put(cacheKeyFor(a, "0"), NewJoinIndex(nil, nil), 6)
+	c.putIndex(a, "0", NewJoinIndex(nil, nil), 6)
 	c.Purge()
 	st = c.Stats()
 	if st.Evictions != 1 || st.Oversize != 1 || st.Purges != 1 || st.Len != 0 || st.Bytes != 0 || st.MaxBytes != 5 {
@@ -124,9 +158,9 @@ func TestJoinIndexCacheDropExtent(t *testing.T) {
 }
 
 // TestJoinIndexCacheRuns: a join run's entry counts against the entry
-// cap, and one with no record is the first to go for it; a record is
-// charged its bytes, and one over the budget leaves the run unrecordable;
-// an entry leaves with any member's extent, however small.
+// cap like an index; a record is charged its bytes, and one over the
+// budget leaves the run unrecordable; an entry leaves with any member's
+// extent, however small.
 func TestJoinIndexCacheRuns(t *testing.T) {
 	rows := func(n int) []Value {
 		out := make([]Value, n)
@@ -138,25 +172,30 @@ func TestJoinIndexCacheRuns(t *testing.T) {
 	a, b, small := rows(joinIndexCacheMin), rows(joinIndexCacheMin), rows(1)
 	walked, recorded := &joinRun{}, &joinRun{}
 	rec := &runRecord{rows: make([]int32, 8), steps: make([]int32, 5)}
+	members := []extentID{idOf(b), idOf(small)}
 	c := NewJoinIndexCache(2)
-	c.put(cacheKeyFor(a, "0"), NewJoinIndex(nil, nil), 10)
-	c.putRun(recorded, []extentID{idOf(b), idOf(small)}, rec, false)
+	c.putIndex(a, "0", NewJoinIndex(nil, nil), 10)
+	c.putRun(recorded, members, rec, false)
 	c.putRun(walked, []extentID{idOf(a)}, nil, false)
-	if _, ok := c.getRun(walked, a); ok || c.Len() != 2 {
-		t.Fatalf("over the cap, the run without a record stayed: %d entries", c.Len())
+	if _, ok := c.index(a, "0"); ok || c.Stats().Len != 2 {
+		t.Fatalf("over the cap, the index stored first stayed: %d entries", c.Stats().Len)
 	}
-	if en, ok := c.getRun(recorded, b); !ok || en.rec != rec || c.Bytes() != 10+en.cost || en.cost < rec.footprint() {
-		t.Fatalf("the recorded run: %+v, %v; cache bytes %d", en, ok, c.Bytes())
+	cost := rec.footprint() + int64(cap(members))*int64(unsafe.Sizeof(extentID{}))
+	if en, ok := c.run(recorded, b); !ok || en.rec != rec || c.Stats().Bytes != cost {
+		t.Fatalf("the recorded run: %+v, %v; cache bytes %d, want %d", en, ok, c.Stats().Bytes, cost)
+	}
+	if en, ok := c.run(walked, a); !ok || en.rec != nil || en.unrecordable {
+		t.Fatalf("the walked run: %+v, %v; want an entry with no record", en, ok)
 	}
 
 	c.DropExtent(BagOf(small))
-	if _, ok := c.getRun(recorded, b); ok || c.Bytes() != 10 {
-		t.Fatalf("a run outlived its one-row member's extent: %d bytes left", c.Bytes())
+	if _, ok := c.run(recorded, b); ok || c.Stats().Bytes != 0 {
+		t.Fatalf("a run outlived its one-row member's extent: %d bytes left", c.Stats().Bytes)
 	}
 
 	c.SetMaxBytes(20)
 	c.putRun(recorded, []extentID{idOf(b)}, rec, false)
-	if en, ok := c.getRun(recorded, b); !ok || en.rec != nil || !en.unrecordable || en.cost != 0 {
+	if en, ok := c.run(recorded, b); !ok || en.rec != nil || !en.unrecordable || c.Stats().Bytes != 0 {
 		t.Errorf("a record over the budget: %+v, %v; want an unrecordable entry charged nothing", en, ok)
 	}
 	if st := c.Stats(); st.Oversize != 1 || st.Invalidations != 1 || st.Evictions != 1 {

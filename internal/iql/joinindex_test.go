@@ -137,7 +137,7 @@ func TestValueIndexFootprint(t *testing.T) {
 			if v, err := ev.Eval(iql.MustParse(q.text), nil); err != nil || v.I() < 1 {
 				t.Fatalf("%s = %v, %v", q.text, v, err)
 			}
-			charged := float64(ev.Indexes.Bytes() - rowBytes)
+			charged := float64(ev.Indexes.Stats().Bytes - rowBytes)
 			if charged != float64(ix.Footprint()) || charged < 0.75*measured || charged > 1.25*measured {
 				t.Errorf("%d rows keyed on %v: charged %.0f B beyond the rows, Footprint %d B, building it allocated %.0f B",
 					n, q.comps, charged, ix.Footprint(), measured)

@@ -149,7 +149,7 @@ func (ctx *compCtx) replays(i int, els []Value, out *sink) bool {
 func (ctx *compCtx) runJoined(i int, els []Value, env *Env, out *sink) error {
 	qs, rp, c := &ctx.quals[i], ctx.plan.quals[i].run, ctx.ev.Indexes
 	if qs.replay == nil {
-		en, found := c.getRun(rp, els)
+		en, found := c.run(rp, els)
 		if found {
 			var err error
 			if found, err = ctx.reach(rp, en.members, env); err != nil {

@@ -639,13 +639,12 @@ func (ctx *compCtx) buildIndex(i int, els []Value) *JoinIndex {
 		qs.index = qp.newIndex(els)
 		return qs.index
 	}
-	key := joinIndexKey{data: &els[0], n: len(els), spec: qp.joinSpec}
-	idx, ok := c.get(key)
+	idx, ok := c.index(els, qp.joinSpec)
 	if !ok {
 		idx = qp.newIndex(els)
 		// The index (and its identity key) keeps the extent rows alive, so
 		// charge the cache their footprint beside the index's own.
-		c.put(key, idx, idx.Footprint()+ctx.rowsFootprint(els))
+		c.putIndex(els, qp.joinSpec, idx, idx.Footprint()+ctx.rowsFootprint(els))
 	}
 	qs.index = idx
 	return idx

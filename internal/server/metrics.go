@@ -191,9 +191,10 @@ type MetricsSnapshot struct {
 	ExtentCache   CacheSnapshot   `json:"extent_cache"`
 	SourceCache   CacheSnapshot   `json:"source_extent_cache"`
 	// JoinIndexCache is the fifth layer: hash-join indexes kept per
-	// extent. A miss is an index built, an invalidation one dropped
-	// with its extent; its bytes re-count the rows an index retains, so
-	// it stays out of the aggregates below.
+	// extent, and join runs' entries. A miss is an index built, an
+	// invalidation an index or a run dropped with its extent; its bytes
+	// re-count the rows an index retains, so it stays out of the
+	// aggregates below.
 	JoinIndexCache CacheSnapshot `json:"join_index_cache"`
 	// CacheBytes / CacheEvictions / CacheInvalidations aggregate the
 	// first four cache layers above.

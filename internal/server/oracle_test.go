@@ -459,7 +459,7 @@ func FuzzSessionOracle(f *testing.F) {
 func runOracle(t *testing.T, w *oracleWorld, ch *oracleChoices, mode oracleMode) []string {
 	cfg := DefaultConfig()
 	if !mode.cached {
-		cfg.ResultCacheSize, cfg.CacheBytes = 0, 1
+		cfg.CacheBytes = 1
 	}
 	cfg.Breaker.Enabled = mode.breakers
 	cfg.MinFederatedSources = w.minFed

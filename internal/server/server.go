@@ -61,16 +61,11 @@ import (
 // in between the daemon's flag and the component it tunes. The registry
 // and every session hold a copy; there is no per-session projection.
 type Config struct {
-	// PlanCacheSize bounds the shared cache of parsed IQL plans;
-	// <= 0 disables plan caching.
-	PlanCacheSize int
-	// ResultCacheSize bounds each session's query-result cache;
-	// <= 0 disables result caching.
-	ResultCacheSize int
-	// CacheBytes is the byte budget applied to each size-aware cache:
-	// per session the query results, extent memo, source extents and
-	// join indexes, and the process-wide plan cache; LRU entries are
-	// evicted beyond it. <= 0 means unbounded.
+	// CacheBytes is the byte budget of each cache — per session the
+	// query results, extent memo, source extents and join indexes, and
+	// the process-wide plan cache — beyond which the least recently used
+	// entries are evicted; <= 0 means unbounded. It is the caches' only
+	// bound but the join-index layer's fixed entry cap.
 	CacheBytes int64
 	// QueryTimeout is the default per-query evaluation deadline;
 	// requests may shorten it via timeout_ms. 0 means no deadline.
@@ -137,12 +132,10 @@ const traceRingSize = 256
 // and nowhere else.
 func DefaultConfig() Config {
 	return Config{
-		PlanCacheSize:   512,
-		ResultCacheSize: 4096,
-		CacheBytes:      256 << 20,
-		QueryTimeout:    30 * time.Second,
-		MaxInflight:     256,
-		MaxQueue:        1024,
+		CacheBytes:   256 << 20,
+		QueryTimeout: 30 * time.Second,
+		MaxInflight:  256,
+		MaxQueue:     1024,
 		Breaker: query.BreakerConfig{
 			Enabled:       true,
 			SourceTimeout: 10 * time.Second,
@@ -196,13 +189,9 @@ func New(cfg Config) *Server {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{
-		cfg: cfg,
-		reg: NewRegistry(cfg),
-		plans: cache.New[plan](cache.Options{
-			MaxEntries: cfg.PlanCacheSize,
-			MaxBytes:   cfg.CacheBytes,
-			Disabled:   cfg.PlanCacheSize <= 0,
-		}),
+		cfg:     cfg,
+		reg:     NewRegistry(cfg),
+		plans:   cache.New[plan](cache.Options{MaxBytes: cfg.CacheBytes}),
 		metrics: NewMetrics(),
 		traces:  obs.NewRing(traceRingSize),
 		adm:     newAdmission(cfg.MaxInflight, cfg.MaxQueue),

@@ -43,13 +43,9 @@ type Session struct {
 
 func newSession(name string, cfg Config) *Session {
 	return &Session{
-		name: name,
-		cfg:  cfg,
-		results: cache.New[Answer](cache.Options{
-			MaxEntries: cfg.ResultCacheSize,
-			MaxBytes:   cfg.CacheBytes,
-			Disabled:   cfg.ResultCacheSize <= 0,
-		}),
+		name:    name,
+		cfg:     cfg,
+		results: cache.New[Answer](cache.Options{MaxBytes: cfg.CacheBytes}),
 	}
 }
 
