@@ -53,6 +53,10 @@ race:
 # latest version while the plan's steps land, each answer the one a
 # cacheless session gives at the version it names, and a step taken on
 # the integrator directly, after which the latest query is evaluated.
+# So does the daemon's one set of caches under two sessions over the
+# same sources: one takes the plan's steps while four clients ask the
+# other, already past them, for Table 1, each answer the one it gave
+# before; the first then answers as the second, fetching nothing.
 # The session oracle, TestSessionOracle, runs three times under the race
 # detector (about 1 min on a 2-core box): its reader queries whichever
 # session the name stands for while restores hand sources and one
@@ -61,7 +65,7 @@ race:
 flake:
 	$(GO) test -count=30 -run 'TestParallel' ./internal/iql
 	$(GO) test -count=30 -run 'TestOracle' ./internal/query
-	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions|TestLatestAnswersWhileStepsLand|TestStepThroughTheIntegratorRetiresAnswers' ./internal/server
+	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions|TestLatestAnswersWhileStepsLand|TestStepThroughTheIntegratorRetiresAnswers|TestSessionsShareAddressedCaches' ./internal/server
 	$(GO) test -race -count=3 -run 'TestSessionOracle' ./internal/server
 
 # bench-smoke is the ci benchmark gate: one iteration of everything,

@@ -16,7 +16,7 @@
 //	GET  /sessions   live integration sessions
 //	POST /sessions/{name}/snapshot   force a durable snapshot
 //	POST /sessions/{name}/restore    reload a session from disk
-//	POST /sessions/{name}/invalidate drop cached extents and answers
+//	POST /sessions/{name}/invalidate retire cached extents and answers
 //	GET  /healthz    liveness, breaker states, skipped sources
 //	GET  /metrics    Prometheus text exposition (JSON via Accept/format)
 //	GET  /debug/traces  recent query traces (requested + slow queries)
@@ -118,7 +118,7 @@ type options struct {
 // and parsing writes straight into the config the server is built from.
 func registerFlags(fs *flag.FlagSet, cfg *server.Config) *options {
 	opt := new(options)
-	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "byte budget of each cache, least recently used evicted first: each session's results, extent memo, source extents, and join indexes and runs, and the process-wide plan cache; the caches' only bound but the join-index layer's fixed entry cap (0 = unbounded)")
+	fs.Int64Var(&cfg.CacheBytes, "cache-bytes", cfg.CacheBytes, "byte budget of each of the daemon's caches, least recently used evicted first: plans, results, extent memo, source extents, and join indexes and runs, each one per daemon and shared by every session; the caches' only bound but the join-index layer's fixed entry cap (0 = unbounded)")
 	fs.DurationVar(&cfg.QueryTimeout, "query-timeout", cfg.QueryTimeout, "default per-query evaluation deadline (0 = none)")
 	fs.IntVar(&cfg.MaxSteps, "max-steps", cfg.MaxSteps, "IQL evaluation step bound per query (0 = unlimited)")
 	fs.DurationVar(&cfg.SlowQuery, "slow-query", cfg.SlowQuery, "trace queries at or above this duration into /debug/traces (0 = only explicitly requested traces)")

@@ -5,12 +5,15 @@
 // store enforces two independent bounds — a maximum entry count and a
 // byte budget — by evicting least-recently-used entries, and supports
 // selective invalidation: InvalidateDeps(tags...) evicts exactly the
-// entries whose dependency set intersects the given tags, which is how
-// an integration iteration drops the derived state it touched while
-// keeping every other warm answer live.
+// entries whose dependency set intersects the given tags (the join-index
+// layer drops what was built over an extent this way), and Delete drops
+// one entry by its key.
 //
 // A Map is keyed and tagged by any comparable types; a Store, keyed and
-// tagged by strings (scheme keys), is the common case.
+// tagged by strings, is the common case. The extent and answer layers
+// key their entries by a fingerprint of what derives them, so an entry
+// never goes stale: a change gives what it touched new keys, and the
+// old entries are unreachable until the LRU lets them go.
 //
 // GetOrCompute adds singleflight-style coalescing: concurrent misses of
 // the same key share one computation instead of racing to recompute it
@@ -18,14 +21,14 @@
 // once).
 //
 // A store built by NewWithDrop reports every value it lets go of —
-// invalidated, evicted, replaced by a refresh or purged — so its owner
-// can release what it derived from the value (the query processor drops
-// the join indexes built over a dropped extent).
+// invalidated, deleted, evicted, replaced by a refresh or purged — so
+// its owner can release what it derived from the value (the query
+// processor drops the join indexes built over a dropped extent).
 //
 // The store backs all cache layers of the system: the query processor's
 // virtual-extent memo, source-extent cache and join indexes (a Map keyed
 // by element-array identity), and the server's parsed IQL plan cache and
-// per-session result cache.
+// result cache.
 package cache
 
 import (
@@ -52,7 +55,7 @@ type Stats struct {
 	Misses   uint64 `json:"misses"`
 	// Evictions counts entries dropped to honour MaxEntries/MaxBytes.
 	Evictions uint64 `json:"evictions"`
-	// Invalidations counts entries dropped by InvalidateDeps.
+	// Invalidations counts entries dropped by InvalidateDeps and Delete.
 	Invalidations uint64 `json:"invalidations"`
 	// Oversize counts inserts rejected because a single entry's cost
 	// exceeded the whole byte budget.
@@ -104,11 +107,6 @@ type Map[K, D comparable, V any] struct {
 	flight map[K]*flight[V]
 	bytes  int64
 
-	// gen counts invalidation events (InvalidateDeps and Purge calls);
-	// Generation/PutAt use it to reject values computed before an
-	// invalidation that should have covered them.
-	gen uint64
-
 	hits          uint64
 	misses        uint64
 	evictions     uint64
@@ -142,15 +140,15 @@ func NewMap[K, D comparable, V any](opts Options) *Map[K, D, V] {
 	}
 }
 
-// NewWithDrop is New for a store whose owner holds state derived from
+// NewWithDrop is NewMap for a map whose owner holds state derived from
 // the cached values: onDrop is called once for every value that leaves
-// the store for any reason — InvalidateDeps, LRU or byte eviction, a Put
-// that replaces it (or rejects its oversize replacement), Purge — after
-// the operation that dropped it has released the store's lock, so onDrop
-// may take locks of its own but must not expect the drop and its report
-// to be one atomic step.
-func NewWithDrop[V any](opts Options, onDrop func(V)) *Store[V] {
-	c := New[V](opts)
+// the map for any reason — InvalidateDeps, Delete, LRU or byte eviction,
+// a Put that replaces it (or rejects its oversize replacement), Purge —
+// after the operation that dropped it has released the map's lock, so
+// onDrop may take locks of its own but must not expect the drop and its
+// report to be one atomic step.
+func NewWithDrop[K, D comparable, V any](opts Options, onDrop func(V)) *Map[K, D, V] {
+	c := NewMap[K, D, V](opts)
 	c.onDrop = onDrop
 	return c
 }
@@ -241,9 +239,7 @@ func (c *Map[K, D, V]) putLocked(key K, val V, cost int64, deps []D) bool {
 // once across concurrent callers: the first miss runs compute while
 // later misses of the same key wait for and share its outcome
 // (including errors; errors are never cached). compute returns the
-// value and its byte cost. A value whose computation an InvalidateDeps
-// or Purge overlapped is returned but not cached, as PutAt would not.
-// The hit result reports whether the value came from cache or a
+// value and its byte cost. The hit result reports whether the value came from cache or a
 // coalesced in-flight computation rather than this caller's own compute.
 func (c *Map[K, D, V]) GetOrCompute(key K, deps []D, compute func() (V, int64, error)) (V, bool, error) {
 	c.mu.Lock()
@@ -263,7 +259,6 @@ func (c *Map[K, D, V]) GetOrCompute(key K, deps []D, compute func() (V, int64, e
 	f := &flight[V]{done: make(chan struct{})}
 	c.flight[key] = f
 	c.misses++
-	gen := c.gen
 	c.mu.Unlock()
 
 	var (
@@ -291,7 +286,7 @@ func (c *Map[K, D, V]) GetOrCompute(key K, deps []D, compute func() (V, int64, e
 	c.mu.Lock()
 	f.val, f.err = val, err
 	delete(c.flight, key)
-	if err == nil && c.gen == gen {
+	if err == nil {
 		c.putLocked(key, val, cost, deps)
 	}
 	c.unlock()
@@ -309,25 +304,18 @@ func (c *Map[K, D, V]) Peek(key K) bool {
 	return ok
 }
 
-// Generation returns the store's invalidation-event counter. Snapshot
-// it before computing a value and hand it to PutAt so that a value
-// whose computation raced with an invalidation is never cached stale.
-func (c *Map[K, D, V]) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
-// PutAt is Put, but only if no InvalidateDeps or Purge happened since
-// gen was observed via Generation; otherwise the value is discarded —
-// it may have been computed from state the invalidation retired.
-func (c *Map[K, D, V]) PutAt(gen uint64, key K, val V, cost int64, deps []D) {
+// Delete drops key's entry, when it has one that match accepts (nil
+// accepts any), and reports whether it did.
+func (c *Map[K, D, V]) Delete(key K, match func(V) bool) bool {
 	c.mu.Lock()
 	defer c.unlock()
-	if c.gen != gen {
-		return
+	el, ok := c.items[key]
+	if !ok || (match != nil && !match(el.Value.(*entry[K, D, V]).val)) {
+		return false
 	}
-	c.putLocked(key, val, cost, deps)
+	c.removeLocked(el)
+	c.invalidations++
+	return true
 }
 
 // InvalidateDeps evicts every entry whose dependency set intersects
@@ -335,7 +323,6 @@ func (c *Map[K, D, V]) PutAt(gen uint64, key K, val V, cost int64, deps []D) {
 func (c *Map[K, D, V]) InvalidateDeps(keys ...D) int {
 	c.mu.Lock()
 	defer c.unlock()
-	c.gen++
 	dropped := 0
 	for _, k := range keys {
 		for ek := range c.byDep[k] {
@@ -353,7 +340,6 @@ func (c *Map[K, D, V]) InvalidateDeps(keys ...D) int {
 func (c *Map[K, D, V]) Purge() {
 	c.mu.Lock()
 	defer c.unlock()
-	c.gen++
 	for el := c.ll.Front(); el != nil && c.onDrop != nil; el = el.Next() {
 		c.noteDropLocked(el.Value.(*entry[K, D, V]).val)
 	}

@@ -262,58 +262,6 @@ func TestGetOrComputePanicUnblocksWaiters(t *testing.T) {
 	}
 }
 
-// TestPutAtGenerationGuard: a value computed before an invalidation
-// must not enter the cache afterwards.
-func TestPutAtGenerationGuard(t *testing.T) {
-	c := New[int](Options{})
-	gen := c.Generation()
-	c.InvalidateDeps("anything")
-	c.PutAt(gen, "k", 1, 1, nil)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("stale value cached past an intervening invalidation")
-	}
-	c.PutAt(c.Generation(), "k", 2, 1, nil)
-	if v, ok := c.Get("k"); !ok || v != 2 {
-		t.Fatalf("current-generation PutAt rejected: %v, %v", v, ok)
-	}
-	gen = c.Generation()
-	c.Purge()
-	c.PutAt(gen, "k2", 3, 1, nil)
-	if _, ok := c.Get("k2"); ok {
-		t.Fatal("stale value cached past an intervening purge")
-	}
-}
-
-// TestGetOrComputeAcrossInvalidation: a value whose computation an
-// invalidation overlapped is handed to its caller and not cached — it
-// may hold what the invalidation retired.
-func TestGetOrComputeAcrossInvalidation(t *testing.T) {
-	for name, invalidate := range map[string]func(*Store[int]){
-		"InvalidateDeps": func(c *Store[int]) { c.InvalidateDeps("d") },
-		"Purge":          func(c *Store[int]) { c.Purge() },
-	} {
-		c := New[int](Options{})
-		started, release, got := make(chan struct{}), make(chan struct{}), make(chan int)
-		go func() {
-			v, _, _ := c.GetOrCompute("k", []string{"d"}, func() (int, int64, error) {
-				close(started)
-				<-release
-				return 1, 1, nil
-			})
-			got <- v
-		}()
-		<-started
-		invalidate(c)
-		close(release)
-		if v := <-got; v != 1 {
-			t.Fatalf("%s: the caller received %d, want 1", name, v)
-		}
-		if v, ok := c.Get("k"); ok {
-			t.Errorf("%s during the computation: its value %d was cached", name, v)
-		}
-	}
-}
-
 func TestPurge(t *testing.T) {
 	c := New[int](Options{MaxEntries: 8})
 	for i := 0; i < 5; i++ {
@@ -400,7 +348,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 func TestDropsAreReported(t *testing.T) {
 	var c *Store[string]
 	var got []string
-	c = NewWithDrop(Options{MaxEntries: 3, MaxBytes: 100}, func(v string) {
+	c = NewWithDrop[string, string](Options{MaxEntries: 3, MaxBytes: 100}, func(v string) {
 		_ = c.Len() // deadlocks if the hook ran under the store's lock
 		got = append(got, v)
 	})
@@ -433,6 +381,14 @@ func TestDropsAreReported(t *testing.T) {
 		t.Fatalf("InvalidateDeps dropped %d entries, want 1", n)
 	}
 	expect("invalidation", "F")
+	if c.Delete("g", func(v string) bool { return v != "G" }) {
+		t.Fatal("Delete dropped an entry its match refused")
+	}
+	if !c.Delete("g", nil) || c.Delete("g", nil) {
+		t.Fatal("Delete of a cached key: want true once, then false")
+	}
+	expect("deletion", "G")
+	c.Put("g", "G", 10, []string{"s3"})
 	c.SetMaxBytes(5)
 	expect("shrunk budget", "B2", "G")
 
@@ -440,9 +396,8 @@ func TestDropsAreReported(t *testing.T) {
 	if _, _, err := c.GetOrCompute("h", nil, func() (string, int64, error) { return "H", 1, nil }); err != nil {
 		t.Fatal(err)
 	}
-	c.PutAt(c.Generation(), "i", "I", 1, nil)
-	c.PutAt(c.Generation()-1, "stale", "S", 1, nil)
-	expect("computed and generation-guarded inserts")
+	c.Put("i", "I", 1, nil)
+	expect("computed and plain inserts")
 	c.Purge()
 	if len(got) != 2 {
 		t.Errorf("purge dropped %v, want H and I", got)

@@ -1,146 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-	"testing"
-
-	"github.com/dataspace/automed/internal/iql"
-)
-
-// The property behind selective cache invalidation: after any workflow
-// iteration, an integrator that evicts only the touched schemes must
-// answer every probe — every object of every published schema version,
-// values and warnings — byte-identically to a reference integrator that
-// purges all cached work, while demonstrably keeping untouched memoised
-// extents live.
-
-// probe is one observed answer: the canonically sorted value rendering
-// plus the warnings, both deterministic.
-type probe struct {
-	value string
-	warns []string
-}
-
-// probeAll queries the extent of every object of every published
-// version, returning answers keyed by "version/scheme".
-func probeAll(t *testing.T, ig *Integrator) map[string]probe {
-	t.Helper()
-	out := make(map[string]probe)
-	for _, sv := range ig.Versions() {
-		for _, o := range sv.Schema.Objects() {
-			q := o.Scheme.String()
-			res, err := ig.QueryAt(context.Background(), sv.Version, q)
-			if err != nil {
-				t.Fatalf("version %d: probing %s: %v", sv.Version, q, err)
-			}
-			sorted, err := iql.SortBag(res.Value)
-			if err != nil {
-				sorted = res.Value
-			}
-			out[fmt.Sprintf("%d/%s", sv.Version, q)] = probe{
-				value: sorted.String(),
-				warns: res.Warnings,
-			}
-		}
-	}
-	return out
-}
-
-func diffProbes(t *testing.T, step string, sel, ref map[string]probe) {
-	t.Helper()
-	if len(sel) != len(ref) {
-		t.Fatalf("after %s: selective answered %d probes, reference %d", step, len(sel), len(ref))
-	}
-	for k, sp := range sel {
-		rp, ok := ref[k]
-		if !ok {
-			t.Fatalf("after %s: reference lacks probe %s", step, k)
-		}
-		if sp.value != rp.value {
-			t.Errorf("after %s: %s diverged:\n selective: %s\n reference: %s", step, k, sp.value, rp.value)
-		}
-		if len(sp.warns) != len(rp.warns) {
-			t.Errorf("after %s: %s warnings diverged: %v vs %v", step, k, sp.warns, rp.warns)
-			continue
-		}
-		for i := range sp.warns {
-			if sp.warns[i] != rp.warns[i] {
-				t.Errorf("after %s: %s warning %d diverged: %q vs %q", step, k, i, sp.warns[i], rp.warns[i])
-			}
-		}
-	}
-}
-
-// invalidationPlan is the workflow the equivalence test steps through;
-// it covers intersect (multi-source and single-source), refine of a new
-// object, refine adding a derivation to an existing object, and an
-// auto-extend (Range Void Any) target so warning replay is exercised.
-func invalidationPlan() []struct {
-	name string
-	run  func(*Integrator) error
-} {
-	i1 := append(bookMappings(),
-		// Library-only attribute inside a two-source intersection: the
-		// Shop pathway receives an auto extend Range Void Any, so
-		// queries over it raise (and must replay) warnings.
-		Attribute("<<UBook, shelf>>",
-			From("Library", "[{'LIB', k, x} | {k, x} <- <<books, shelf>>]")),
-	)
-	return []struct {
-		name string
-		run  func(*Integrator) error
-	}{
-		{"federate", func(ig *Integrator) error {
-			_, err := ig.Federate("F")
-			return err
-		}},
-		{"I1", func(ig *Integrator) error {
-			_, err := ig.Intersect("I1", i1)
-			return err
-		}},
-		{"refine-prices", func(ig *Integrator) error {
-			return ig.Refine("prices", Attribute("<<UBook, price>>",
-				From("Shop", "[{'SHOP', k, x} | {k, x} <- <<items, price>>]")))
-		}},
-		{"refine-title2", func(ig *Integrator) error {
-			// A second derivation for an already-integrated object:
-			// its cached extent is stale and must be recomputed.
-			return ig.Refine("title2", Attribute("<<UBook, title>>",
-				From("Library", "[{'LIB2', k, x} | {k, x} <- <<books, title>>]")))
-		}},
-		{"I2", func(ig *Integrator) error {
-			_, err := ig.Intersect("I2", []Mapping{
-				Entity("<<UScan>>",
-					From("Archive", "[{'ARC', k} | k <- <<scans>>]")),
-				Attribute("<<UScan, format>>",
-					From("Archive", "[{'ARC', k, x} | {k, x} <- <<scans, format>>]")),
-			})
-			return err
-		}},
-	}
-}
-
-func TestSelectiveInvalidationEquivalence(t *testing.T) {
-	sel := newIntegrator(t) // selective invalidation (the normal path)
-	ref := newIntegrator(t) // reference: full purge after every step
-
-	for _, step := range invalidationPlan() {
-		if err := step.run(sel); err != nil {
-			t.Fatalf("%s (selective): %v", step.name, err)
-		}
-		if err := step.run(ref); err != nil {
-			t.Fatalf("%s (reference): %v", step.name, err)
-		}
-		// The reference integrator recomputes everything from scratch.
-		ref.Processor().InvalidateCache()
-		// Probe twice: the first pass answers partly from caches warmed
-		// by earlier steps (the selective path under test), the second
-		// entirely from caches warmed by the first.
-		diffProbes(t, step.name, probeAll(t, sel), probeAll(t, ref))
-		diffProbes(t, step.name+" (warm)", probeAll(t, sel), probeAll(t, ref))
-	}
-}
+import "testing"
 
 // TestIterationKeepsUntouchedExtentsWarm pins the survival half of the
 // contract at the processor level: after an iteration, a memoised

@@ -223,8 +223,7 @@ func (ig *Integrator) mergeFedSections(fed *hdm.Schema, sections []fedSection) (
 		pathways = append(pathways, sec.pw)
 		defs = append(defs, sec.defs...)
 	}
-	// One batch registration: a single lock acquisition and a single
-	// selective invalidation instead of one sweep per object.
+	// One batch registration: a single lock acquisition.
 	ig.proc.DefineAll(defs)
 	for _, pw := range pathways {
 		if err := ig.addPathway(pw); err != nil {
@@ -758,9 +757,6 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 			ig.derivedObjs = append(ig.derivedObjs, objMeta{scheme: f.target, kind: f.kind})
 		}
 	}
-	// Each RegisterPathway and Define above invalidated what depends on
-	// the objects it derived — cached extents, and the answers of a
-	// serving layer that follows the processor — under the write lock.
 
 	ig.intersections = append(ig.intersections, in)
 	// Workflow step 5: the tool automatically creates a new global

@@ -80,14 +80,6 @@ func From(source, q string) SourceQuery { return SourceQuery{Source: source, Que
 // Derived builds a SourceQuery over already-integrated objects.
 func Derived(q string) SourceQuery { return SourceQuery{Query: q} }
 
-// TargetScheme parses the mapping's target object scheme. The serving
-// layer uses it to compute a refinement's touch-set for selective
-// result-cache invalidation.
-func (m Mapping) TargetScheme() (hdm.Scheme, error) {
-	sc, _, err := parseTarget(m.Target)
-	return sc, err
-}
-
 // parseTarget parses and classifies a mapping target: arity-1 schemes
 // are entities (nodal), deeper schemes attributes (links).
 func parseTarget(target string) (hdm.Scheme, hdm.ObjectKind, error) {

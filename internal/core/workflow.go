@@ -48,9 +48,9 @@ func (ig *Integrator) Refine(name string, m Mapping, enables ...string) error {
 		ig.proc.Define(tsc, exprs[i], "refine:"+name, f.Source)
 		counts.ManualAdds++
 	}
-	// The refinement's touch-set is its single target; each Define
-	// above already evicted the cached extents and answers depending on
-	// it, so every other warm answer stays live across the new version.
+	// The refinement's touch-set is its single target: the Defines above
+	// gave it, and every object over it, new addresses, so every other
+	// warm answer stays live across the new version.
 	ig.derivedObjs = append(ig.derivedObjs, objMeta{scheme: tsc, kind: kind})
 	if _, err := ig.rebuildGlobal(ig.autoDrop); err != nil {
 		ig.unjournaled()
@@ -187,10 +187,6 @@ func (ig *Integrator) rebuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 type Result struct {
 	Value    iql.Value
 	Warnings []string
-	// Deps lists the distinct scheme keys (source and virtual) the
-	// evaluation touched, sorted — the dependency closure a cached
-	// copy of this result must be invalidated under.
-	Deps []string
 	// Version is the global schema version the query was resolved
 	// against (0 = federated schema).
 	Version int
@@ -238,7 +234,7 @@ func (ig *Integrator) QueryExprAt(ctx context.Context, version int, e iql.Expr) 
 		return Result{}, err
 	}
 	res := Result{Version: r.Version, Schema: r.Schema}
-	res.Value, res.Warnings, res.Deps, err = ig.proc.EvalContext(ctx, r.Expr)
+	res.Value, res.Warnings, _, err = ig.proc.EvalContext(ctx, r.Expr)
 	if err != nil {
 		return Result{}, err
 	}

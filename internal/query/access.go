@@ -71,9 +71,9 @@ func (p *Processor) pages(src source) bool {
 // hits, feed the breaker.
 func (p *Processor) read(ctx context.Context, src source, sc hdm.Scheme, mode readMode, sel *iql.Selection) (extent, error) {
 	key := sc.Key()
-	ck := src.name + "\x00" + key
+	a := src.addr(key)
 	// A cached extent is scanned, and counted, for free.
-	if (mode == readStream || mode == readCount) && (!p.pages(src) || p.srcExt.Peek(ck)) {
+	if (mode == readStream || mode == readCount) && (!p.pages(src) || p.st.srcExt.Peek(a)) {
 		return extent{}, errNoRead
 	}
 	var counter func(context.Context) (int64, error)
@@ -107,28 +107,31 @@ func (p *Processor) read(ctx context.Context, src source, sc hdm.Scheme, mode re
 		}
 	}
 	if mode == readStream {
-		return p.scan(ctx, src, sc, ck, br)
+		return p.scan(ctx, src, sc, a, br)
 	}
 	if mode == readCount {
-		return p.count(ctx, src, sc, ck, br, counter)
+		return p.count(ctx, src, sc, br, counter)
 	}
 	if mode == readProbe {
-		v, _, err := p.fetch(ctx, src, sc, ck, br)
+		v, _, err := p.fetch(ctx, src, sc, br)
 		return extent{val: v}, err
 	}
 	fetched := false
 	fetch := func() (sizedExtent, int64, error) {
 		fetched = true
-		v, size, err := p.fetch(ctx, src, sc, ck, br)
+		v, size, err := p.fetch(ctx, src, sc, br)
 		return sizedExtent{v, size}, size, err
 	}
-	se, shared, err := p.srcExt.GetOrCompute(ck, []string{key}, fetch)
+	se, shared, err := p.st.srcExt.GetOrCompute(a, nil, fetch)
 	if err != nil && shared && isCancellation(err) && ctx.Err() == nil {
-		se, _, err = p.srcExt.GetOrCompute(ck, []string{key}, fetch)
+		se, _, err = p.st.srcExt.GetOrCompute(a, nil, fetch)
+	}
+	if fetched && err == nil {
+		p.landed(src, a)
 	}
 	v := se.val
 	if mode != readWhole {
-		return extent{val: v}, err
+		return extent{val: v, size: se.size}, err
 	}
 	// Cache hits (and waits coalesced onto another request's fetch) show
 	// in traces too; misses were recorded by the guard around the call.
@@ -147,7 +150,7 @@ func (p *Processor) read(ctx context.Context, src source, sc hdm.Scheme, mode re
 type guard struct {
 	p   *Processor
 	src source
-	ck  string
+	key string
 	br  *breaker
 	// asker is the reading side's own context: its cancellation says
 	// nothing about the source and is never a breaker outcome.
@@ -160,10 +163,10 @@ type guard struct {
 
 // open starts the guard and returns the context the provider call runs
 // under.
-func (p *Processor) open(ctx context.Context, src source, key, ck string, br *breaker) (guard, context.Context) {
-	g := guard{p: p, src: src, ck: ck, br: br, asker: ctx, start: time.Now()}
+func (p *Processor) open(ctx context.Context, src source, key, detail string, br *breaker) (guard, context.Context) {
+	g := guard{p: p, src: src, key: key, br: br, asker: ctx, start: time.Now()}
 	g.sp, ctx = obs.StartSpan(ctx, obs.StageFetch, src.name)
-	g.sp.SetDetail(key)
+	g.sp.SetDetail(detail)
 	g.sp.SetCache(obs.CacheMiss)
 	ctx, g.fs = obs.BeginFetch(ctx)
 	return g, ctx
@@ -185,7 +188,9 @@ func mark(ctx context.Context, stage, name, detail, disposition string, rows int
 // is then also retained as last-known-good (rows counts what a stream
 // delivered instead). walkedAway: the reading side gave up — early
 // Close, a scan dropped before it was committed to — which like an
-// asker's cancellation is no verdict on the source.
+// asker's cancellation is no verdict on the source. The first good read
+// after a stale copy was served moves the source to a fresh epoch,
+// retiring what was derived from the copy.
 func (g *guard) settle(whole *iql.Value, rows int64, err error, walkedAway bool) int64 {
 	if g.settled {
 		return 0
@@ -194,13 +199,13 @@ func (g *guard) settle(whole *iql.Value, rows int64, err error, walkedAway bool)
 	if g.br != nil {
 		if walkedAway || (err != nil && g.asker.Err() != nil) {
 			g.br.cancelProbe()
-		} else {
-			g.br.record(err == nil, err)
+		} else if g.br.record(err == nil, err) {
+			g.src.inst.Bump()
 		}
 	}
 	var footprint int64
 	if err == nil && whole != nil {
-		g.p.noteGood(g.ck, *whole)
+		g.p.noteGood(g.src.object(g.key), *whole)
 		rows, footprint = bagLen(*whole), whole.Footprint()
 	}
 	bytes := g.fs.Bytes()
@@ -236,8 +241,8 @@ func (p *Processor) sourceDeadline(ctx context.Context) (context.Context, contex
 
 // fetch is the whole-extent arm of the guarded call. Context-aware
 // providers observe cancellation and the per-source deadline.
-func (p *Processor) fetch(ctx context.Context, src source, sc hdm.Scheme, ck string, br *breaker) (iql.Value, int64, error) {
-	g, fctx := p.open(ctx, src, sc.Key(), ck, br)
+func (p *Processor) fetch(ctx context.Context, src source, sc hdm.Scheme, br *breaker) (iql.Value, int64, error) {
+	g, fctx := p.open(ctx, src, sc.Key(), sc.Key(), br)
 	fctx, cancel := p.sourceDeadline(fctx)
 	var v iql.Value
 	var err error
@@ -257,8 +262,8 @@ func (p *Processor) fetch(ctx context.Context, src source, sc hdm.Scheme, ck str
 // is dropped without a verdict, as a failed spill probe is: the
 // readWhole that follows asks again, its outcome counts, and it owns
 // the stale route.
-func (p *Processor) count(ctx context.Context, src source, sc hdm.Scheme, ck string, br *breaker, counter func(context.Context) (int64, error)) (extent, error) {
-	g, cctx := p.open(ctx, src, sc.Key()+" count", ck, br)
+func (p *Processor) count(ctx context.Context, src source, sc hdm.Scheme, br *breaker, counter func(context.Context) (int64, error)) (extent, error) {
+	g, cctx := p.open(ctx, src, sc.Key(), sc.Key()+" count", br)
 	cctx, cancel := p.sourceDeadline(cctx)
 	n, err := counter(cctx)
 	cancel()
@@ -279,11 +284,11 @@ func (p *Processor) count(ctx context.Context, src source, sc hdm.Scheme, ck str
 // fails before the hand-over is dropped without a verdict: the
 // readWhole that follows asks again and its outcome counts. The
 // per-source deadline would cut a long scan, so pages run under the
-// wrapper's own timeout instead.
-func (p *Processor) scan(ctx context.Context, src source, sc hdm.Scheme, ck string, br *breaker) (extent, error) {
+// wrapper's own timeout instead. An extent the probe collects is cached
+// at a, its address before the first row was read.
+func (p *Processor) scan(ctx context.Context, src source, sc hdm.Scheme, a extentAddr, br *breaker) (extent, error) {
 	buf := p.effectiveScanBuffer()
-	gen := p.srcExt.Generation() // before the first row is read
-	g, sctx := p.open(ctx, src, sc.Key(), ck, br)
+	g, sctx := p.open(ctx, src, sc.Key(), sc.Key(), br)
 	sctx, cancel := context.WithCancel(sctx)
 	scn, err := src.scan.ExtentScanner(sctx, sc.Parts())
 	var probe [][]iql.Value
@@ -317,8 +322,18 @@ func (p *Processor) scan(ctx context.Context, src source, sc hdm.Scheme, ck stri
 	}
 	v := iql.BagOf(all)
 	size := g.settle(&v, 0, nil, false)
-	p.srcExt.PutAt(gen, ck, sizedExtent{v, size}, size, []string{sc.Key()})
+	p.st.srcExt.Put(a, sizedExtent{v, size}, size, nil)
+	p.landed(src, a)
 	return extent{val: v, size: size}, nil
+}
+
+// landed deletes the extent a fill has just cached at a if a change
+// retired a while it was read: retire deleted what a held before, and
+// no read asks for it again.
+func (p *Processor) landed(src source, a extentAddr) {
+	if src.inst.Epoch() != a.epoch {
+		p.st.srcExt.Delete(a, nil)
+	}
 }
 
 // lastGoodEntry is one retained last-known-good source extent.
@@ -327,10 +342,11 @@ type lastGoodEntry struct {
 	at  time.Time
 }
 
-// noteGood retains a successful read for stale-extent fallback.
-func (p *Processor) noteGood(ck string, v iql.Value) {
+// noteGood retains a successful read of a source object for
+// stale-extent fallback.
+func (p *Processor) noteGood(obj extentAddr, v iql.Value) {
 	p.lgMu.Lock()
-	p.lastGood[ck] = lastGoodEntry{val: v, at: time.Now()}
+	p.lastGood[obj] = lastGoodEntry{val: v, at: time.Now()}
 	p.lgMu.Unlock()
 }
 
@@ -349,7 +365,7 @@ func (p *Processor) stale(ctx context.Context, src source, sc hdm.Scheme, br *br
 		cause = "breaker open: " + br.lastError()
 	}
 	p.lgMu.Lock()
-	lg, ok := p.lastGood[src.name+"\x00"+sc.Key()]
+	lg, ok := p.lastGood[src.object(sc.Key())]
 	p.lgMu.Unlock()
 	age := time.Duration(-1)
 	if ok {

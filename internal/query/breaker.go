@@ -105,6 +105,7 @@ type breaker struct {
 	openedAt  time.Time
 	retryAt   time.Time
 	probing   bool // a half-open probe fetch is in flight
+	stale     bool // a stale copy was served since the last success
 	opens     uint64
 	probes    uint64
 	fallbacks uint64
@@ -148,14 +149,14 @@ func (b *breaker) allow() (proceed, probe bool) {
 	}
 }
 
-// probeAllow admits a fetch only when the breaker needs probing: open
-// with the interval elapsed, or half-open with no probe in flight.
-// Closed breakers are left alone.
+// probeAllow admits a fetch only when the source needs probing: open
+// with the interval elapsed, half-open with no probe in flight, or
+// closed but stale. Other closed breakers are left alone.
 func (b *breaker) probeAllow() bool {
 	b.mu.Lock()
-	closed := b.state == breakerClosed
+	idle := b.state == breakerClosed && !b.stale
 	b.mu.Unlock()
-	if closed {
+	if idle {
 		return false
 	}
 	proceed, _ := b.allow()
@@ -163,13 +164,15 @@ func (b *breaker) probeAllow() bool {
 }
 
 // record folds one fetch outcome into the breaker. A success closes a
-// half-open breaker (and resets the window); a failure re-opens it, or
-// opens a closed breaker once a threshold trips.
-func (b *breaker) record(ok bool, err error) {
+// half-open breaker (and resets the window), and reports whether a stale
+// copy was served since the last one; a failure re-opens it, or opens a
+// closed breaker once a threshold trips.
+func (b *breaker) record(ok bool, err error) (recovered bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
 	if ok {
+		recovered, b.stale = b.stale, false
 		b.push(false)
 		b.consec = 0
 		b.lastErr = ""
@@ -177,7 +180,7 @@ func (b *breaker) record(ok bool, err error) {
 			b.state = breakerClosed
 			b.reset()
 		}
-		return
+		return recovered
 	}
 	b.push(true)
 	b.consec++
@@ -191,6 +194,7 @@ func (b *breaker) record(ok bool, err error) {
 			b.open()
 		}
 	}
+	return false
 }
 
 // cancelProbe releases a half-open probe slot without recording an
@@ -241,6 +245,7 @@ func (b *breaker) reset() {
 func (b *breaker) noteFallback() {
 	b.mu.Lock()
 	b.fallbacks++
+	b.stale = true
 	b.mu.Unlock()
 }
 
@@ -326,8 +331,10 @@ func (p *Processor) SourceHealth() []SourceHealth {
 
 // ProbeOpen reads one extent, in readProbe mode, from every source that
 // has a breaker. read admits the probe only through an open (or stuck
-// half-open) breaker whose probe interval has elapsed, so recovered
-// sources close their breakers without waiting for query traffic and
+// half-open) breaker whose probe interval has elapsed, or a closed one
+// that served a stale copy since its last success, so recovered sources
+// close their breakers and retire what was computed while they were
+// down (see guard.settle) without waiting for query traffic, and
 // healthy ones are not touched. It returns how many recovered.
 func (p *Processor) ProbeOpen(ctx context.Context) int {
 	var due []source
@@ -350,15 +357,6 @@ func (p *Processor) ProbeOpen(ctx context.Context) int {
 			}
 			continue
 		}
-		// The source is back: evict everything computed while it was
-		// down (memoised virtual extents carrying degraded warnings, and
-		// the follower's answers over them), so the next queries
-		// recompute over fresh data.
-		keys := make([]string, 0, src.schema.Len())
-		for _, o := range src.schema.Objects() {
-			keys = append(keys, o.Scheme.Key())
-		}
-		p.InvalidateSchemes(keys...)
 		recovered++
 	}
 	return recovered

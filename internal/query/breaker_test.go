@@ -466,3 +466,44 @@ func TestBreakerOpensForSourceOnlyPrefetchReaches(t *testing.T) {
 		t.Error("the enumerated source was never read")
 	}
 }
+
+// TestStaleCopyRetiredByFirstGoodRead: a source that served a stale copy
+// once, its breaker still closed (one failure of the three that open
+// it), is due a probe; and its first good read — the probe's, or a
+// query's — retires what was computed over the copy.
+func TestStaleCopyRetiredByFirstGoodRead(t *testing.T) {
+	ctx := context.Background()
+	for _, by := range []string{"probe", "query"} {
+		src := newFlakySource(t, "S")
+		p := newBreakerProc(t, src, testBreakerConfig())
+		p.Define(hdm.MustScheme("<<v>>"), iql.MustParse("[x | x <- <<t>>]"), "test", "S")
+		count := func(q string) (iql.Value, []string) {
+			t.Helper()
+			v, warns, _, err := p.EvalContext(ctx, iql.MustParse(q))
+			if err != nil {
+				t.Fatalf("%s: %s: %v", by, q, err)
+			}
+			return v, warns
+		}
+		count("count(<<v>>)")
+		p.InvalidateCache()
+		src.setFailing(true)
+		if _, warns := count("count(<<v>>)"); len(warns) != 1 || !IsDegraded(warns[0]) {
+			t.Fatalf("%s: warnings while S fails = %v, want one degraded", by, warns)
+		}
+		if h := p.SourceHealth()[0]; h.State != "closed" {
+			t.Fatalf("%s: breaker %s after one failure, want closed", by, h.State)
+		}
+		src.setFailing(false)
+		if by == "probe" {
+			if n := p.ProbeOpen(ctx); n != 1 {
+				t.Errorf("probe: ProbeOpen recovered %d sources, want 1", n)
+			}
+		} else if _, warns := count("count(<<t>>)"); len(warns) != 0 {
+			t.Fatalf("query: a direct read of the healed S warns %v", warns)
+		}
+		if v, warns := count("count(<<v>>)"); len(warns) != 0 || !v.Equal(iql.Int(3)) {
+			t.Errorf("%s: count(<<v>>) after S healed = %s with %v, want 3 and no warning", by, v, warns)
+		}
+	}
+}

@@ -49,7 +49,19 @@ func fetchesOf(srcs *obs.Sources) obs.SourceSnapshot {
 	return obs.SourceSnapshot{}
 }
 
-const countCK = "S\x00items|v"
+// countCached reports whether the one source's <<items, v>> is in the
+// source-extent cache.
+func countCached(p *Processor) bool { return p.st.srcExt.Peek(addrOf(p, "S", "items|v")) }
+
+// addrOf is the current address of the object key of p's source name.
+func addrOf(p *Processor, name, key string) extentAddr {
+	for _, src := range p.sourceList() {
+		if src.name == name {
+			return src.addr(key)
+		}
+	}
+	panic("no source " + name)
+}
 
 // TestCountedReadIsOneGuardedFetch: a count the source takes is one
 // provider call under one fetch span naming the object and "count",
@@ -94,7 +106,7 @@ func TestCountedReadIsOneGuardedFetch(t *testing.T) {
 	p.lgMu.Lock()
 	kept := len(p.lastGood)
 	p.lgMu.Unlock()
-	if memo, src := p.CacheStats(); p.srcExt.Peek(countCK) || src.Len != 0 || memo.Len != 0 || kept != 0 {
+	if memo, src := p.CacheStats(); countCached(p) || src.Len != 0 || memo.Len != 0 || kept != 0 {
 		t.Errorf("a counted read left %d source extents, %d memo entries and %d last-known-good copies, want none", src.Len, memo.Len, kept)
 	}
 
@@ -150,7 +162,7 @@ func TestCountOfCachedExtentAsksNobody(t *testing.T) {
 	if v, _, _, err := p.EvalContext(ctx, iql.MustParse(localCount)); err != nil || !v.Equal(iql.Int(100)) {
 		t.Fatalf("%s = %s, %v", localCount, v, err)
 	}
-	if !p.srcExt.Peek(countCK) {
+	if !countCached(p) {
 		t.Fatal("the small extent was not cached by the scan")
 	}
 	before := fetchesOf(srcs)

@@ -43,14 +43,15 @@ type session struct {
 	// its memo hits' replays included, never grows it.
 	depLog []string
 	depBuf [16]string
-	// warmErr holds, by source-extent cache key, the errors this query's
-	// prefetch met. Evaluation does not ask such a source a second time:
-	// a failing source gets one provider call per query.
-	warmErr map[string]error
-	// countFailed holds, by source-extent cache key, the source objects
-	// whose count at the source failed in this query: their stream
-	// position goes straight to the whole-extent read (see ExtentCount).
-	countFailed map[string]bool
+	// warm holds, by source object, what this query's prefetch read.
+	// Evaluation does not ask such a source a second time: a failing
+	// source gets one provider call per query, and a read extent is the
+	// query's whatever happens to the cache meanwhile.
+	warm map[extentAddr]warmed
+	// countFailed holds the source objects whose count at the source
+	// failed in this query: their stream position goes straight to the
+	// whole-extent read (see ExtentCount).
+	countFailed map[extentAddr]bool
 	// stats collects sharding telemetry across every evaluator this
 	// session spawns (it is concurrency-safe).
 	stats *iql.EvalStats
@@ -58,9 +59,10 @@ type session struct {
 	// that is known without a walk (size 0 when not): what a memo entry
 	// or a join index over the same array is charged (see Footprint).
 	last sizedExtent
-	// memoGen is the memo's generation before this evaluation read
-	// anything: an extent an invalidation overlapped is not memoised.
-	memoGen uint64
+	// addr is the table the evaluation resolves against and fills the
+	// memo under, taken before it read anything: what a change
+	// overlapped lands under an address the change retired.
+	addr *addresses
 }
 
 // evaluator builds an IQL evaluator wired to this session: shared step
@@ -73,7 +75,7 @@ func (s *session) evaluator() *iql.Evaluator {
 		Ext:      s,
 		Budget:   s.budget,
 		Ctx:      s.ctx,
-		Indexes:  s.p.joinIdx,
+		Indexes:  s.p.st.joinIdx,
 		Parallel: s.p.evalParallel(),
 		Stats:    s.stats,
 	}
@@ -89,7 +91,7 @@ func (p *Processor) newSession(ctx context.Context, scopes ...string) *session {
 		ctx:     ctx,
 		budget:  &iql.StepBudget{Max: p.MaxSteps},
 		stats:   &iql.EvalStats{},
-		memoGen: p.memo.Generation(),
+		addr:    p.addresses(),
 	}
 	s.depLog = s.depBuf[:0]
 	return s
@@ -134,7 +136,7 @@ func (s *session) warn(msg string) {
 // source objects are read from their provider, virtual objects unfold
 // their derivations.
 func (s *session) Extent(parts []string) (iql.Value, error) {
-	r := s.p.resolve(s.scope(), parts)
+	r := s.addr.resolve(s.scope(), parts)
 	switch r.kind {
 	case refScoped, refGlobal:
 		s.depLog = r.appendDeps(s.depLog)
@@ -151,11 +153,15 @@ func (s *session) Extent(parts []string) (iql.Value, error) {
 // source reads one source object's whole extent for this evaluation,
 // raising the degraded warning when the answer is a stale copy.
 func (s *session) source(src source, sc hdm.Scheme) (iql.Value, error) {
-	x, err := extent{}, s.warmErr[src.name+"\x00"+sc.Key()]
-	if err != nil {
-		x, err = s.p.stale(s.ctx, src, sc, s.p.breakerFor(src.name), err)
-	} else {
+	w, warm := s.warm[src.object(sc.Key())]
+	x, err := w.x, w.err
+	switch {
+	case !warm:
 		x, err = s.p.read(s.ctx, src, sc, readWhole, nil)
+	case err != nil:
+		x, err = s.p.stale(s.ctx, src, sc, s.p.breakerFor(src.name), err)
+	default:
+		mark(s.ctx, obs.StageFetch, src.name, sc.Key(), obs.CacheHit, bagLen(x.val), nil)
 	}
 	if x.degraded != "" {
 		s.warn(x.degraded)
@@ -179,7 +185,7 @@ func (s *session) Footprint(els []iql.Value) (int64, bool) {
 // derivations under an extent span so the fetch (and nested extent)
 // spans of the computation appear as its children.
 func (s *session) virtual(r resolution, parts []string) (iql.Value, error) {
-	if ce, ok := s.p.memo.Get(r.key); ok {
+	if ce, ok := s.p.st.memo.Get(r.fp); ok {
 		// Replay the reused computation's warnings and dependency
 		// set so the enclosing evaluation inherits both.
 		s.warnLog = append(s.warnLog, ce.warns...)
@@ -215,9 +221,8 @@ func (s *session) unfold(r resolution, name string) (iql.Value, error) {
 	s.cut = false
 	warnMark := len(s.warnLog)
 	depMark := len(s.depLog)
-	// The object's own key heads its dependency set: invalidating it
-	// (e.g. a new derivation registered for it) must evict this memo
-	// entry and everything computed on top of it.
+	// The object's own key heads its dependency set, which the
+	// evaluation reports (EvalContext).
 	s.depLog = r.appendDeps(s.depLog)
 	parts := make([][]iql.Value, 0, len(r.derivs))
 	var evalErr error
@@ -269,7 +274,10 @@ func (s *session) unfold(r resolution, name string) (iql.Value, error) {
 		if n := len(s.warnLog) - warnMark; n > 0 {
 			ce.warns = append([]string(nil), s.warnLog[warnMark:]...)
 		}
-		s.p.memo.PutAt(s.memoGen, r.key, ce, ce.cost(), ce.deps)
+		s.p.st.memo.Put(r.fp, ce, ce.cost(), nil)
+		if !s.addr.current(s.p.gen.Load()) {
+			s.p.st.memo.Delete(r.fp, nil) // retired while it was computed
+		}
 		s.last = sizedExtent{out, size}
 	}
 	s.cut = s.cut || savedCut
@@ -283,7 +291,7 @@ func (s *session) unfold(r resolution, name string) (iql.Value, error) {
 // caller can report what the evaluation raised and touched.
 func (p *Processor) eval(ctx context.Context, e iql.Expr, scope string, dst *iql.Encoding) (iql.Value, *session, error) {
 	s := p.newSession(ctx, scope) // before the prefetch reads anything
-	s.warmErr = p.prefetch(ctx, e, scope)
+	s.warm = p.prefetch(ctx, s.addr, e, scope)
 	sp, ctx := obs.StartSpan(ctx, obs.StageEval, "")
 	s.ctx = ctx
 	var v iql.Value
@@ -313,8 +321,8 @@ func (p *Processor) EvalScoped(e iql.Expr, scope string) (iql.Value, error) {
 // EvalContext evaluates a parsed IQL expression under a context (for
 // per-request timeouts and cancellation) and returns, alongside the
 // value, the incompleteness warnings raised by this evaluation alone
-// and the distinct scheme keys it touched (its dependency set, for
-// selective result-cache invalidation), both sorted. Each evaluation
+// and the distinct scheme keys it touched (its dependency set), both
+// sorted. Each evaluation
 // collects its own warnings, so concurrent queries do not see each
 // other's.
 func (p *Processor) EvalContext(ctx context.Context, e iql.Expr) (iql.Value, []string, []string, error) {
@@ -352,7 +360,7 @@ func (p *Processor) Query(src string) (iql.Value, error) {
 // concurrently first), source objects from their wrapper.
 func (p *Processor) Extent(parts []string) (iql.Value, error) {
 	s := p.newSession(context.Background())
-	s.warmErr = p.prefetch(s.ctx, iql.Ref(parts...), "")
+	s.warm = p.prefetch(s.ctx, s.addr, iql.Ref(parts...), "")
 	return s.Extent(parts)
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,36 @@ import (
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
 	"github.com/dataspace/automed/internal/iql/iqltest"
+	"github.com/dataspace/automed/internal/wrapper"
 )
+
+// InvalidateSchemes drops, by address, the cached extents the current
+// state derives from keys — each source object's named by one, and each
+// memoised virtual extent whose computation touched one — and returns
+// how many it dropped: how these tests retire one extent at a time.
+func (p *Processor) InvalidateSchemes(keys ...string) int {
+	n := 0
+	for _, src := range p.sourceList() {
+		for _, k := range keys {
+			if p.st.srcExt.Delete(src.addr(k), nil) {
+				n++
+			}
+		}
+	}
+	touched := func(ce cachedExtent) bool {
+		return slices.ContainsFunc(ce.deps, func(d string) bool { return slices.Contains(keys, d) })
+	}
+	for _, vo := range p.addresses().defs {
+		if p.st.memo.Delete(vo.fp, touched) {
+			n++
+		}
+	}
+	return n
+}
+
+// SetCacheBytes bounds each layer of the processor's stores to budget
+// bytes; budget <= 0 removes the bound.
+func (p *Processor) SetCacheBytes(budget int64) { p.st.setMaxBytes(budget) }
 
 // countingExtents wraps static extents and counts fetches per scheme
 // key, for asserting which extents were recomputed.
@@ -541,5 +571,54 @@ func TestJoinRunsFollowTheirExtents(t *testing.T) {
 	t.Logf("a replayed warm join allocates %.0f times", allocs)
 	if allocs > warmJoinAllocs {
 		t.Errorf("a replayed warm join allocates %.0f times, want at most %d", allocs, warmJoinAllocs)
+	}
+}
+
+// identifiedExtents is a countingExtents that carries its instance, so
+// processors sharing stores share what is read from it.
+type identifiedExtents struct {
+	*countingExtents
+	inst wrapper.Instance
+}
+
+func (e *identifiedExtents) Instance() *wrapper.Instance { return &e.inst }
+
+// TestSharedStoresAddressEveryDerivationField: processors that share
+// stores over one source instance share a memoised extent exactly when
+// every field of its derivations agrees — Via too, which the answer's
+// warning names.
+func TestSharedStoresAddressEveryDerivationField(t *testing.T) {
+	ext := &identifiedExtents{countingExtents: &countingExtents{
+		data:  map[string]iql.Value{"<<t>>": iql.Bag(iql.Int(1), iql.Int(2))},
+		calls: make(map[string]int),
+	}}
+	sch := hdm.NewSchema("S")
+	sch.MustAdd(hdm.NewObject(hdm.MustScheme("<<t>>"), hdm.Nodal, "", ""))
+	st := NewStores(0)
+	warning := func(via string) string {
+		t.Helper()
+		p := New()
+		p.UseStores(st)
+		if err := p.AddExtents("S", sch, ext); err != nil {
+			t.Fatal(err)
+		}
+		p.DefineAll([]ObjectDef{{Scheme: hdm.MustScheme("<<v>>"), Derivation: Derivation{
+			Query: iql.MustParse("[k | k <- <<t>>]"), Lower: true, Via: via, Scope: "S"}}})
+		_, warns, _, err := p.EvalContext(context.Background(), iql.MustParse("count(<<v>>)"))
+		if err != nil || len(warns) != 1 {
+			t.Fatalf("via %s: warnings %v, %v", via, warns, err)
+		}
+		return warns[0]
+	}
+	for _, via := range []string{"A", "B", "A"} {
+		if w := warning(via); !strings.Contains(w, "(via "+via+")") {
+			t.Errorf("a processor deriving <<v>> via %s warns %q", via, w)
+		}
+	}
+	if memo, _ := (&Processor{st: st}).CacheStats(); memo.Hits != 1 || memo.Misses != 2 {
+		t.Errorf("memo hits %d, misses %d: want <<v>> computed via A and via B, and found via A again", memo.Hits, memo.Misses)
+	}
+	if n := ext.count("t"); n != 1 {
+		t.Errorf("<<t>> fetched %d times by processors sharing its instance, want 1", n)
 	}
 }

@@ -71,7 +71,7 @@ func TestOracle(t *testing.T) {
 				t.Errorf("%s: %d evaluations sharded", m.name, n)
 			}
 			eval(m.p, iql.MustParse("[x | x <- <<t>>]"), false, true)
-			if streamed := !m.p.srcExt.Peek("T\x00t"); streamed == strings.HasSuffix(m.name, "materialised") {
+			if streamed := !m.p.st.srcExt.Peek(addrOf(m.p, "T", "t")); streamed == strings.HasSuffix(m.name, "materialised") {
 				t.Errorf("%s: <<t>> of %d rows streamed %v", m.name, len(w.Table.Rows), streamed)
 			}
 		}
@@ -154,8 +154,11 @@ func newOracle(tb testing.TB, w *iqltest.World, r *rand.Rand) *oracle {
 	sqlmem.Register(dsn, sqlTable(w.Table))
 	tb.Cleanup(func() { sqlmem.Unregister(dsn) })
 	srv := restCollection(tb, w.Collection)
-	sources := map[int][]Sourcer{}
-	for _, rows := range []int{1, 7} {
+	// sources opens the world's sources, pages of rows rows. Each mode
+	// has wrappers of its own: a wrapper instance carries the epoch its
+	// cached extents are addressed by, so a cold run of one mode would
+	// otherwise make every mode over the same instances cold.
+	sources := func(rows int) []Sourcer {
 		sq, err := wrapper.NewSQL("T", wrapper.SQLConfig{Driver: sqlmem.DriverName, DSN: dsn, FetchPageRows: rows})
 		if err != nil {
 			tb.Fatal(err)
@@ -165,7 +168,7 @@ func newOracle(tb testing.TB, w *iqltest.World, r *rand.Rand) *oracle {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		sources[rows] = []Sourcer{static, sq, rest}
+		return []Sourcer{static, sq, rest}
 	}
 	processor := func(parallel, scanBuffer int, srcs ...Sourcer) *Processor {
 		p := New()
@@ -180,12 +183,12 @@ func newOracle(tb testing.TB, w *iqltest.World, r *rand.Rand) *oracle {
 	}
 	for _, parallel := range []int{1, 8} {
 		o.direct = append(o.direct,
-			mode{fmt.Sprintf("parallel %d, materialised", parallel), processor(parallel, -1, sources[7]...)},
-			mode{fmt.Sprintf("parallel %d, pages of 1", parallel), processor(parallel, 1, sources[1]...)},
-			mode{fmt.Sprintf("parallel %d, pages of 7", parallel), processor(parallel, 1, sources[7]...)})
+			mode{fmt.Sprintf("parallel %d, materialised", parallel), processor(parallel, -1, sources(7)...)},
+			mode{fmt.Sprintf("parallel %d, pages of 1", parallel), processor(parallel, 1, sources(1)...)},
+			mode{fmt.Sprintf("parallel %d, pages of 7", parallel), processor(parallel, 1, sources(7)...)})
 	}
 	var faulty []Sourcer
-	for _, s := range sources[7] {
+	for _, s := range sources(7) {
 		f, err := wrapper.NewFault(s.(wrapper.Wrapper), wrapper.FaultConfig{})
 		if err != nil {
 			tb.Fatal(err)

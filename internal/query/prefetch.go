@@ -42,24 +42,24 @@ const (
 	prefetchMaxDepth = 4
 )
 
-// prefetchTask names one source object to warm; ck is its source-extent
-// cache key.
+// prefetchTask names one source object to warm.
 type prefetchTask struct {
 	src source
 	sc  hdm.Scheme
-	ck  string
 }
 
 // prefetch reads the distinct, not yet cached source extents the
 // expression will enumerate, concurrently. It blocks until those reads
-// finish (so the serial evaluation that follows hits the cache) and
-// returns the errors of the ones that failed, by source-extent cache
-// key.
-func (p *Processor) prefetch(ctx context.Context, e iql.Expr, scope string) map[string]error {
+// finish and returns what each read, by source object: the serial
+// evaluation that follows takes them from there, so a change that
+// retires them from the cache meanwhile — another session's
+// /invalidate over the same sources — costs it no second fetch.
+// Virtual objects memoised at their address in t are not expanded.
+func (p *Processor) prefetch(ctx context.Context, t *addresses, e iql.Expr, scope string) map[extentAddr]warmed {
 	if ctx.Err() != nil {
 		return nil
 	}
-	pf := prefetcher{p: p}
+	pf := prefetcher{p: p, addr: t}
 	pf.visitExpr(e, scope, 0)
 	if len(pf.tasks) < 2 {
 		return nil // a single read gains nothing from concurrency
@@ -72,8 +72,8 @@ func (p *Processor) prefetch(ctx context.Context, e iql.Expr, scope string) map[
 	// The reads report back over a channel sized to the number of
 	// sends, so a worker abandoned below never blocks on it.
 	type outcome struct {
-		ck  string
-		err error
+		obj extentAddr
+		warmed
 	}
 	results := make(chan outcome, len(pf.tasks))
 	started := 0
@@ -89,28 +89,34 @@ schedule:
 		started++
 		go func(t prefetchTask) {
 			defer func() { <-sem }()
-			_, err := p.read(sctx, t.src, t.sc, readWarm, nil)
-			results <- outcome{t.ck, err}
+			x, err := p.read(sctx, t.src, t.sc, readWarm, nil)
+			results <- outcome{t.src.object(t.sc.Key()), warmed{x, err}}
 		}(t)
 	}
 	// Wait for the scheduled reads, but give up as soon as the request
 	// is cancelled: abandoned workers only touch the cache, whose
 	// singleflight makes their completion safe to ignore.
-	var failed map[string]error
+	var read map[extentAddr]warmed
 	for ; started > 0; started-- {
 		select {
 		case o := <-results:
-			if o.err != nil && o.err != errNoRead {
-				if failed == nil {
-					failed = make(map[string]error)
+			if o.err != errNoRead {
+				if read == nil {
+					read = make(map[extentAddr]warmed, len(pf.tasks))
 				}
-				failed[o.ck] = o.err
+				read[o.obj] = o.warmed
 			}
 		case <-sctx.Done():
 			return nil
 		}
 	}
-	return failed
+	return read
+}
+
+// warmed is what a prefetch read of one source object returned.
+type warmed struct {
+	x   extent
+	err error
 }
 
 // prefetcher collects the distinct, not yet cached source extents an
@@ -120,8 +126,9 @@ schedule:
 // lazily so a fully warm walk allocates nothing beyond the walk itself.
 type prefetcher struct {
 	p           *Processor
+	addr        *addresses
 	tasks       []prefetchTask
-	seenTask    map[string]bool
+	seenTask    map[extentAddr]bool
 	seenVirtual map[string]bool
 	// streamPos marks the next reference visited as a comprehension's
 	// first generator source — the position the evaluator streams when
@@ -137,15 +144,15 @@ func (pf *prefetcher) addSource(src source, sc hdm.Scheme, streamPos bool) {
 		// turns out small.
 		return
 	}
-	ck := src.name + "\x00" + sc.Key()
-	if pf.seenTask[ck] || pf.p.srcExt.Peek(ck) {
+	a := src.addr(sc.Key())
+	if pf.seenTask[a] || pf.p.st.srcExt.Peek(a) {
 		return
 	}
 	if pf.seenTask == nil {
-		pf.seenTask = make(map[string]bool, 8)
+		pf.seenTask = make(map[extentAddr]bool, 8)
 	}
-	pf.seenTask[ck] = true
-	pf.tasks = append(pf.tasks, prefetchTask{src, sc, ck})
+	pf.seenTask[a] = true
+	pf.tasks = append(pf.tasks, prefetchTask{src, sc})
 }
 
 func (pf *prefetcher) visitRef(parts []string, scope string, depth int) {
@@ -157,13 +164,13 @@ func (pf *prefetcher) visitRef(parts []string, scope string, depth int) {
 	if depth > prefetchMaxDepth || len(pf.tasks) >= prefetchMaxTasks {
 		return
 	}
-	r := pf.p.resolve(scope, parts)
+	r := pf.addr.resolve(scope, parts)
 	switch r.kind {
 	case refScoped, refGlobal:
 		pf.addSource(r.src, r.sc, streamPos)
 	case refVirtual:
 		// Expand the derivations unless the extent is already memoised.
-		if pf.seenVirtual[r.key] || pf.p.memo.Peek(r.key) {
+		if pf.seenVirtual[r.key] || pf.p.st.memo.Peek(r.fp) {
 			return
 		}
 		if pf.seenVirtual == nil {

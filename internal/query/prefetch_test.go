@@ -90,7 +90,7 @@ func TestPrefetchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2, _, _ := multiSourceJoin(t, 0)
-	p2.prefetch(context.Background(), iql.MustParse(joinQuery), "")
+	p2.prefetch(context.Background(), p2.addresses(), iql.MustParse(joinQuery), "")
 	warm, err := p2.Query(joinQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestPrefetchHonoursCancelledContext(t *testing.T) {
 	p, a, b := multiSourceJoin(t, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p.prefetch(ctx, iql.MustParse(joinQuery), "")
+	p.prefetch(ctx, p.addresses(), iql.MustParse(joinQuery), "")
 	if a.calls != 0 || b.calls != 0 {
 		t.Fatalf("cancelled prefetch still fetched: a=%d b=%d", a.calls, b.calls)
 	}
@@ -169,7 +169,7 @@ func TestPrefetchSkipsWarmExtents(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Everything is cached now: a second prefetch schedules nothing.
-	p.prefetch(context.Background(), iql.MustParse(joinQuery), "")
+	p.prefetch(context.Background(), p.addresses(), iql.MustParse(joinQuery), "")
 	if a.calls != 1 || b.calls != 1 {
 		t.Fatalf("warm prefetch re-fetched: a=%d b=%d", a.calls, b.calls)
 	}

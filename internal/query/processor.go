@@ -30,16 +30,17 @@
 // (stream.go), the prefetch plan (prefetch.go), the recovery probe
 // (breaker.go) and Explain are thin callers of the two.
 //
-// Both extent caches — the virtual-extent memo and the source-extent
-// cache — are dependency-tagged cache.Stores: every memoised extent
-// records the transitive set of scheme keys its computation touched, so
-// that registering new derivations (an integration iteration) evicts
-// exactly the affected entries via InvalidateSchemes instead of purging
-// all cached work. The join-index cache follows them: whatever way an
-// extent leaves either store, the indexes built over it leave with it,
-// and no index leaves for any other reason but the cache's own bounds.
-// So does a serving layer's answer cache, once it follows the processor
-// (Follow): every invalidation of the extent caches is applied to it too.
+// Every cached extent is addressed by what derives it (address.go): a
+// source object's by its source instance's identity and epoch and its
+// scheme key, a virtual object's by a fingerprint of its derivations,
+// of what each of their references resolves to, and of the addresses of
+// those. An entry cannot go stale; a change — a definition (DefineAll),
+// a source's recovery, InvalidateCache — only gives what it touched new
+// addresses, so nothing is swept, and the old entries wait for the LRU.
+// One set of stores (Stores) can therefore serve every processor over
+// the same source instances. The join-index cache follows the extent
+// stores: whatever way an extent leaves either, the indexes built over
+// it leave with it.
 //
 // This file is the registry: sources, derivations, caches.
 package query
@@ -81,6 +82,10 @@ type source struct {
 	name   string
 	schema *hdm.Schema
 	ext    iql.Extents
+	// inst is the provider's instance, or one of its own for a provider
+	// that has none (it then shares nothing); id is its identity.
+	inst   *wrapper.Instance
+	id     uint64
 	extCtx ContextSourcer
 	// fb is the provider's stale-fallback path (snapshot extents held
 	// for offline use), nil when it offers none.
@@ -130,11 +135,15 @@ func (ce cachedExtent) cost() int64 {
 }
 
 // virtualObject is a virtual object's derivations, in registration
-// order, and its scheme key: the string a resolution carries, so
-// resolving a reference to it allocates none.
+// order, what each contributes to its fingerprint on its own, and its
+// scheme key: the string a resolution carries, so resolving a reference
+// to it allocates none. In an addresses table it carries its
+// fingerprint too.
 type virtualObject struct {
 	key    string
 	derivs []Derivation
+	sums   []derivSum
+	fp     Fingerprint
 }
 
 // Processor answers IQL queries over virtual schemas backed by data
@@ -143,17 +152,15 @@ type Processor struct {
 	mu      sync.Mutex
 	sources []source
 	defs    map[string]virtualObject
-	memo    *cache.Store[cachedExtent]
-	srcExt  *cache.Store[sizedExtent]
-	// joinIdx caches built hash-join indexes across every evaluator the
-	// processor spawns, keyed by extent identity (see iql.JoinIndexCache):
-	// a large memoised extent joined by many queries is indexed once per
-	// extent version. memo and srcExt report every extent they drop to
-	// it, so an index is dropped when, and only when, its extent is. (An
-	// array both stores hold — a federated object's memo entry is its
-	// source's own array — loses its indexes when either lets it go: a
-	// rebuild on the next join, never a stale index.)
-	joinIdx *iql.JoinIndexCache
+	// gen counts registrations, of sources and of derivations (both
+	// under mu); addr is the fingerprint table of the latest, built when
+	// a query first needs it (see addresses).
+	gen  atomic.Uint64
+	addr atomic.Pointer[addresses]
+	// st are the stores the processor's extents are cached in: its own,
+	// or ones it shares (UseStores, which sets shared).
+	st     *Stores
+	shared bool
 	// MaxSteps bounds IQL evaluation per query; 0 means unlimited. The
 	// budget is shared across every derivation a query unfolds, not per
 	// derivation.
@@ -178,56 +185,88 @@ type Processor struct {
 	brCfg    BreakerConfig
 	breakers map[string]*breaker
 	// lastGood retains the most recent successful fetch of every source
-	// extent for stale-extent fallback, keyed like srcExt entries. It is
-	// deliberately separate from srcExt: cache invalidation must evict
-	// cached extents (so queries refetch), but must not destroy the
-	// fallback copy a broken source will be served from.
+	// object, whatever its epoch (source.object), for stale-extent
+	// fallback. It is deliberately separate from srcExt: invalidation
+	// must retire cached extents (so queries refetch), but must not
+	// destroy the fallback copy a broken source will be served from.
 	lgMu     sync.Mutex
-	lastGood map[string]lastGoodEntry
-
-	// follower is the answer cache that follows the extent caches'
-	// invalidations (Follow); nil when none does.
-	follower Follower
+	lastGood map[extentAddr]lastGoodEntry
 
 	statParallelEvals atomic.Uint64
 	statSerialEvals   atomic.Uint64
 	statShards        atomic.Uint64
 }
 
-// New returns an empty processor. Its extent caches are unbounded until
-// SetCacheBytes installs a byte budget.
-func New() *Processor {
+// Stores are the extent caches processors fill: the virtual-extent
+// memo, the source extents, and the join indexes built over either.
+// Entries are addressed by what derives them, so processors over the
+// same source instances that share one set share what either computes.
+type Stores struct {
+	memo   *cache.Map[Fingerprint, struct{}, cachedExtent]
+	srcExt *cache.Map[extentAddr, struct{}, sizedExtent]
+	// joinIdx caches built hash-join indexes across every evaluator the
+	// stores' processors spawn, keyed by extent identity (see
+	// iql.JoinIndexCache): a large memoised extent joined by many queries
+	// is indexed once per extent version. memo and srcExt report every
+	// extent they drop to it, so an index is dropped when, and only when,
+	// its extent is. (An array both stores hold — a federated object's
+	// memo entry is its source's own array — loses its indexes when
+	// either lets it go: a rebuild on the next join, never a stale index.)
+	joinIdx *iql.JoinIndexCache
+}
+
+// NewStores returns empty stores, each layer bounded to budget bytes
+// (<= 0: unbounded). The join-index layer's entries retain the extents
+// they index.
+func NewStores(budget int64) *Stores {
 	idx := iql.NewJoinIndexCache(0)
+	st := &Stores{
+		memo:    cache.NewWithDrop[Fingerprint, struct{}](cache.Options{}, func(ce cachedExtent) { idx.DropExtent(ce.val) }),
+		srcExt:  cache.NewWithDrop[extentAddr, struct{}](cache.Options{}, func(se sizedExtent) { idx.DropExtent(se.val) }),
+		joinIdx: idx,
+	}
+	st.setMaxBytes(budget)
+	return st
+}
+
+// Stats snapshots the three layers: the virtual-extent memo, the source
+// extents and the join indexes (see Processor.JoinIndexStats).
+func (st *Stores) Stats() (memo, src, index cache.Stats) {
+	return st.memo.Stats(), st.srcExt.Stats(), st.joinIdx.Stats()
+}
+
+func (st *Stores) setMaxBytes(budget int64) {
+	st.memo.SetMaxBytes(budget)
+	st.srcExt.SetMaxBytes(budget)
+	st.joinIdx.SetMaxBytes(budget)
+}
+
+// New returns an empty processor with stores of its own, unbounded.
+func New() *Processor {
 	return &Processor{
 		defs:     make(map[string]virtualObject),
-		memo:     cache.NewWithDrop(cache.Options{}, func(ce cachedExtent) { idx.DropExtent(ce.val) }),
-		srcExt:   cache.NewWithDrop(cache.Options{}, func(se sizedExtent) { idx.DropExtent(se.val) }),
-		joinIdx:  idx,
+		st:       NewStores(0),
 		breakers: make(map[string]*breaker),
-		lastGood: make(map[string]lastGoodEntry),
+		lastGood: make(map[extentAddr]lastGoodEntry),
 	}
 }
 
-// SetCacheBytes bounds each extent cache layer (the virtual-extent
-// memo, the source-extent cache, and the join-index cache — whose
-// entries retain the extents they index) to budget bytes, evicting
-// entries beyond it; budget <= 0 removes the bound.
-func (p *Processor) SetCacheBytes(budget int64) {
-	p.memo.SetMaxBytes(budget)
-	p.srcExt.SetMaxBytes(budget)
-	p.joinIdx.SetMaxBytes(budget)
-}
+// UseStores makes the processor cache its extents in st, which other
+// processors may share. It is called once, before the processor is
+// shared.
+func (p *Processor) UseStores(st *Stores) { p.st, p.shared = st, true }
 
 // CacheStats snapshots the two extent cache layers: the virtual-extent
 // memo and the source-extent cache.
 func (p *Processor) CacheStats() (memo, src cache.Stats) {
-	return p.memo.Stats(), p.srcExt.Stats()
+	memo, src, _ = p.st.Stats()
+	return memo, src
 }
 
 // JoinIndexStats snapshots the join-index cache in the shape of the
 // other layers: a miss is an index built, an invalidation an index
 // dropped with its extent.
-func (p *Processor) JoinIndexStats() cache.Stats { return p.joinIdx.Stats() }
+func (p *Processor) JoinIndexStats() cache.Stats { return p.st.joinIdx.Stats() }
 
 // Sourcer is the subset of wrapper behaviour the processor needs; it is
 // satisfied by wrapper implementations. Extent must tolerate concurrent
@@ -274,7 +313,11 @@ func (p *Processor) AddExtents(name string, schema *hdm.Schema, ext iql.Extents)
 			return fmt.Errorf("query: source %q already registered", name)
 		}
 	}
-	src := source{name: name, schema: schema, ext: ext, kind: "local"}
+	src := source{name: name, schema: schema, ext: ext, kind: "local", inst: new(wrapper.Instance)}
+	if x, ok := ext.(interface{ Instance() *wrapper.Instance }); ok {
+		src.inst = x.Instance()
+	}
+	src.id = src.inst.ID()
 	src.extCtx, _ = ext.(ContextSourcer)
 	src.fb, _ = ext.(FallbackSourcer)
 	if k, ok := ext.(interface{ Kind() string }); ok {
@@ -287,7 +330,16 @@ func (p *Processor) AddExtents(name string, schema *hdm.Schema, ext iql.Extents)
 		}
 	}
 	p.sources = append(p.sources, src)
+	p.gen.Add(1)
 	return nil
+}
+
+// sourceList returns the registered sources. They are append-only, so
+// the slice header taken under the lock can be walked without it.
+func (p *Processor) sourceList() []source {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.sources[:len(p.sources):len(p.sources)]
 }
 
 // SourceNames returns registered source names in registration order.
@@ -353,23 +405,28 @@ type ObjectDef struct {
 }
 
 // DefineAll installs a batch of derivations — each appended to its
-// object's, in order — under a single lock acquisition and one
-// selective invalidation pass: cached extents depending on the newly
-// defined objects are evicted, unrelated entries stay live. It is the
-// one way a derivation is registered.
+// object's, in order — under a single lock acquisition. It is the one
+// way a derivation is registered. The objects it defines, and every
+// object over them, take new addresses. Shared stores leave what the
+// old ones address to the LRU: another processor may be, or come to
+// be, at that state. Stores of the processor's own cannot be asked for
+// it again — definitions only accumulate — so it is dropped at once.
 func (p *Processor) DefineAll(defs []ObjectDef) {
 	if len(defs) == 0 {
 		return
 	}
-	keys := make([]string, 0, len(defs))
+	old := p.addr.Load()
 	p.mu.Lock()
 	for _, d := range defs {
 		k := d.Scheme.Key()
-		p.defs[k] = virtualObject{key: k, derivs: append(p.defs[k].derivs, d.Derivation)}
-		keys = append(keys, k)
+		vo := p.defs[k]
+		p.defs[k] = virtualObject{key: k, derivs: append(vo.derivs, d.Derivation), sums: append(vo.sums, sumOf(d.Derivation))}
 	}
+	p.gen.Add(1)
 	p.mu.Unlock()
-	p.InvalidateSchemes(keys...)
+	if old != nil && !p.shared {
+		p.retire(old)
+	}
 }
 
 // HasDefinition reports whether the object has at least one derivation.
@@ -404,59 +461,38 @@ func (p *Processor) AllDerivations() []ObjectDerivations {
 	return out
 }
 
-// Follower is a cache of answers computed by the processor, tagged as
-// its extent caches are with the scheme keys each computation touched
-// (cache.Store is one).
-type Follower interface {
-	InvalidateDeps(keys ...string) int
-	Purge()
-}
-
-// Follow makes f follow the processor's invalidations: InvalidateSchemes
-// invalidates f's entries under the same keys, and InvalidateCache
-// purges f. Every derivation change (DefineAll), breaker recovery
-// (ProbeOpen) and source-data change reaches the processor through
-// those two, and a step makes its changes under the integrator's write
-// lock, so no answer a change retired outlives it in f. It is called
-// once, before the processor is shared.
-func (p *Processor) Follow(f Follower) { p.follower = f }
-
-// InvalidateCache clears every memoised extent wholesale, and the
-// follower's answers with them. It remains for source-data changes of
-// unknown extent; integration iterations use the selective
-// InvalidateSchemes instead.
+// InvalidateCache retires every extent read from the processor's
+// sources — for source-data changes of unknown extent. It moves each
+// source to a fresh epoch, so that what any processor over the same
+// source instances derived from them is unreachable; deletes what the
+// old addresses hold (retire); and purges the join-index cache, whose
+// entries over arrays nobody caches only a purge reaches.
 func (p *Processor) InvalidateCache() {
-	p.memo.Purge()
-	p.srcExt.Purge()
-	// The purges above dropped the indexes of every cached extent; what
-	// is left was built over arrays nobody caches, and a full purge is
-	// the moment to drop that memory too.
-	p.joinIdx.Purge()
-	if p.follower != nil {
-		p.follower.Purge()
+	old := p.addresses()
+	for _, src := range old.srcs {
+		src.inst.Bump()
 	}
+	p.retire(old)
+	p.st.joinIdx.Purge()
 }
 
-// InvalidateSchemes evicts exactly the cached extents whose dependency
-// set intersects keys — each memoised extent knows the transitive set
-// of source and virtual scheme keys its computation touched — and
-// returns how many entries were dropped. Unrelated cached extents
-// survive, which is what keeps warm answers live across integration
-// iterations — and with each surviving extent the join indexes built
-// over it, while the indexes of a dropped extent go with it (the two
-// stores report their drops to the index cache), so an iteration leaves
-// no index of a retired extent version pinned and rebuilds none over an
-// extent it did not touch. The follower's answers under keys go too,
-// after the extents and uncounted: an answer whose evaluation began
-// before then is refused by the follower's generation (cache.PutAt), one
-// that began after read the fresh extents.
-func (p *Processor) InvalidateSchemes(keys ...string) int {
-	if len(keys) == 0 {
-		return 0
+// retire deletes what the table old addressed and the current one does
+// not: the source extents of epochs that moved, and the memoised extents
+// whose fingerprint moved. A fill that lands under one of those
+// addresses later deletes itself (landed, and unfold for the memo).
+func (p *Processor) retire(old *addresses) {
+	t := p.addresses()
+	for i, src := range old.srcs {
+		if t.epochs[i] == old.epochs[i] {
+			continue
+		}
+		for _, o := range src.schema.Objects() {
+			p.st.srcExt.Delete(extentAddr{src.id, old.epochs[i], o.Scheme.Key()}, nil)
+		}
 	}
-	n := p.memo.InvalidateDeps(keys...) + p.srcExt.InvalidateDeps(keys...)
-	if p.follower != nil {
-		p.follower.InvalidateDeps(keys...)
+	for k, vo := range old.defs {
+		if t.defs[k].fp != vo.fp {
+			p.st.memo.Delete(vo.fp, nil)
+		}
 	}
-	return n
 }

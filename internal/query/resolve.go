@@ -1,6 +1,8 @@
 package query
 
 import (
+	"sync"
+
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
 )
@@ -25,6 +27,7 @@ type resolution struct {
 	src    source       // refScoped, refGlobal
 	sc     hdm.Scheme   // refScoped, refGlobal: the source object's full scheme
 	derivs []Derivation // refVirtual
+	fp     Fingerprint  // refVirtual, resolved against an addresses table
 	names  []string     // refGlobal, refAmbiguous: the sources the reference resolves in
 }
 
@@ -49,12 +52,15 @@ func (r resolution) appendDeps(log []string) []string {
 // virtual objects by exact scheme key, then every registered source,
 // where one hit is authoritative and several are ambiguous.
 func (p *Processor) resolve(scope string, parts []string) resolution {
-	// Sources are append-only, so the slice header taken under the lock
-	// can be walked without it: Resolve walks each schema, and holding
-	// p.mu across that would serialise every query's resolution.
-	p.mu.Lock()
-	srcs := p.sources[:len(p.sources):len(p.sources)]
-	p.mu.Unlock()
+	// Resolve walks each schema, and holding p.mu across that would
+	// serialise every query's resolution: only the definition lookup
+	// takes it.
+	return resolveIn(p.sourceList(), p.defs, &p.mu, scope, parts)
+}
+
+// resolveIn is resolve over the sources srcs and the definitions defs,
+// looked up under mu unless mu is nil (the caller holds it).
+func resolveIn(srcs []source, defs map[string]virtualObject, mu *sync.Mutex, scope string, parts []string) resolution {
 	if scope != "" {
 		for i := range srcs {
 			if srcs[i].name != scope {
@@ -69,18 +75,16 @@ func (p *Processor) resolve(scope string, parts []string) resolution {
 	// The key is built on the stack: a virtual object's is the one its
 	// definitions are kept under, so only a source object's is copied.
 	var buf [128]byte
-	key := buf[:0]
-	for i, part := range parts {
-		if i > 0 {
-			key = append(key, '|')
-		}
-		key = append(key, part...)
+	key := appendKey(buf[:0], parts)
+	if mu != nil {
+		mu.Lock()
 	}
-	p.mu.Lock()
-	def, virtual := p.defs[string(key)]
-	p.mu.Unlock()
+	vo, virtual := defs[string(key)]
+	if mu != nil {
+		mu.Unlock()
+	}
 	if virtual {
-		return resolution{kind: refVirtual, key: def.key, derivs: def.derivs}
+		return resolution{kind: refVirtual, key: vo.key, derivs: vo.derivs, fp: vo.fp}
 	}
 	r := resolution{key: string(key)}
 	for i := range srcs {
@@ -95,6 +99,17 @@ func (p *Processor) resolve(scope string, parts []string) resolution {
 		r.kind, r.src, r.sc = refGlobal, srcs[i], obj.Scheme
 	}
 	return r
+}
+
+// appendKey appends the scheme key of the reference parts.
+func appendKey(key []byte, parts []string) []byte {
+	for i, part := range parts {
+		if i > 0 {
+			key = append(key, '|')
+		}
+		key = append(key, part...)
+	}
+	return key
 }
 
 // maxRenameHops bounds the rename chase in chase; longer (or cyclic)
@@ -118,15 +133,15 @@ func bareRename(derivs []Derivation) (*iql.SchemeRef, bool) {
 // reports ok=false and is left to the materialised path, which owns
 // unfolding, memo replay and error reporting. log comes back extended
 // with the dependency keys that path would record for the same chain.
-func (p *Processor) chase(scope string, parts []string, log []string) (r resolution, deps []string, ok bool) {
+func (p *Processor) chase(t *addresses, scope string, parts []string, log []string) (r resolution, deps []string, ok bool) {
 	for hop := 0; hop <= maxRenameHops; hop++ {
-		r = p.resolve(scope, parts)
+		r = t.resolve(scope, parts)
 		log = r.appendDeps(log)
 		if r.kind == refScoped || r.kind == refGlobal {
 			return r, log, true
 		}
 		ref, bare := bareRename(r.derivs)
-		if !bare || p.memo.Peek(r.key) {
+		if !bare || p.st.memo.Peek(r.fp) {
 			break
 		}
 		parts, scope = ref.Parts, r.derivs[0].Scope

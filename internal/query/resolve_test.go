@@ -85,7 +85,7 @@ func TestResolutionConsumersAgree(t *testing.T) {
 
 			// Stream position.
 			p.InvalidateCache()
-			r, deps, ok := p.chase(tc.scope, parts, nil)
+			r, deps, ok := p.chase(p.addresses(), tc.scope, parts, nil)
 			if ok != tc.streams {
 				t.Fatalf("stream position follows the reference = %v, want %v", ok, tc.streams)
 			}
@@ -101,7 +101,7 @@ func TestResolutionConsumersAgree(t *testing.T) {
 			}
 
 			// Prefetch plan.
-			pf := prefetcher{p: p}
+			pf := prefetcher{p: p, addr: p.addresses()}
 			pf.visitRef(parts, tc.scope, 0)
 			switch {
 			case tc.src == "" && len(pf.tasks) != 0:

@@ -55,8 +55,8 @@ func (p *Processor) effectiveScanBuffer() int {
 // tells the evaluator to materialise through Extent instead, which owns
 // error reporting and the stale route for unreachable sources.
 func (s *session) ExtentStream(parts []string) (iql.RowStream, bool, error) {
-	r, deps, ok := s.p.chase(s.scope(), parts, s.depLog)
-	if !ok || s.countFailed[r.src.name+"\x00"+r.sc.Key()] {
+	r, deps, ok := s.p.chase(s.addr, s.scope(), parts, s.depLog)
+	if !ok || s.prefetched(r) || s.countFailed[r.src.object(r.sc.Key())] {
 		return nil, false, nil
 	}
 	x, err := s.p.read(s.ctx, r.src, r.sc, readStream, nil)
@@ -78,23 +78,31 @@ func (s *session) ExtentStream(parts []string) (iql.RowStream, bool, error) {
 // the whole-extent read, which owns the stale route and the breaker
 // verdict, is the second and last call the failing reference costs.
 func (s *session) ExtentCount(parts []string, sel iql.Selection) (int64, bool, error) {
-	r, deps, ok := s.p.chase(s.scope(), parts, s.depLog)
-	if !ok {
+	r, deps, ok := s.p.chase(s.addr, s.scope(), parts, s.depLog)
+	if !ok || s.prefetched(r) {
 		return 0, false, nil
 	}
 	x, err := s.p.read(s.ctx, r.src, r.sc, readCount, &sel)
 	if err != nil {
 		if err != errNoRead {
 			if s.countFailed == nil {
-				s.countFailed = make(map[string]bool)
+				s.countFailed = make(map[extentAddr]bool)
 			}
-			s.countFailed[r.src.name+"\x00"+r.sc.Key()] = true
+			s.countFailed[r.src.object(r.sc.Key())] = true
 		}
 		return 0, false, nil
 	}
 	// The dependency keys are the ones a stream of the same chain keeps.
 	s.depLog = deps
 	return x.n, true, nil
+}
+
+// prefetched reports whether the query's prefetch read r's source
+// object: the query counts and scans what it read, whatever the cache
+// holds now.
+func (s *session) prefetched(r resolution) bool {
+	_, ok := s.warm[r.src.object(r.sc.Key())]
+	return ok
 }
 
 // sourceStream is the iql.RowStream the evaluator consumes: the spill

@@ -68,7 +68,7 @@ func TestStreamSpillThresholdMaterialisesSmallExtents(t *testing.T) {
 		if v.Kind != iql.KindInt || v.I() != int64(rows) {
 			t.Fatalf("count = %s, want %d", v, rows)
 		}
-		if cached := p.srcExt.Peek("S\x00items|v"); cached != (rows <= p.ScanBuffer) {
+		if cached := p.st.srcExt.Peek(addrOf(p, "S", "items|v")); cached != (rows <= p.ScanBuffer) {
 			t.Errorf("%d rows under a scan buffer of %d: extent cached %v", rows, p.ScanBuffer, cached)
 		}
 	}
@@ -114,7 +114,7 @@ func TestStreamDisabledNeverScans(t *testing.T) {
 	if v.Kind != iql.KindInt || v.I() != 2000 {
 		t.Fatalf("count = %s, want 2000", v)
 	}
-	if !p.srcExt.Peek("S\x00items|v") {
+	if !p.st.srcExt.Peek(addrOf(p, "S", "items|v")) {
 		t.Error("with streaming disabled the extent should be fetched and cached whole")
 	}
 }
@@ -144,8 +144,7 @@ func TestStreamRenameChase(t *testing.T) {
 	if v.Len() != rows/10 {
 		t.Fatalf("renamed stream returned %d elements, want %d", v.Len(), rows/10)
 	}
-	const ck = "S\x00items|v"
-	if p.srcExt.Peek(ck) {
+	if p.st.srcExt.Peek(addrOf(p, "S", "items|v")) {
 		t.Error("rename chase cached the full extent; the chased stream should bypass the source-extent cache")
 	}
 
@@ -160,7 +159,7 @@ func TestStreamRenameChase(t *testing.T) {
 	if v.Len() != rows/10 {
 		t.Fatalf("computed virtual returned %d elements, want %d", v.Len(), rows/10)
 	}
-	if !p.memo.Peek("computed|v") {
+	if !p.st.memo.Peek(p.addresses().defs["computed|v"].fp) {
 		t.Error("computed virtual was not memoised; its unfolding should materialise as before")
 	}
 }
@@ -335,12 +334,13 @@ func TestStreamSecondPageFails(t *testing.T) {
 // must not pin the page's array behind an entry the cache charged as
 // ten rows — whether it arrived as one short page or as several.
 func TestStreamSmallExtentCachedAtItsLength(t *testing.T) {
-	check := func(name string, p *Processor, ck string) iql.Value {
+	check := func(name string, p *Processor, src string) iql.Value {
 		t.Helper()
 		if v, err := p.Query(localCount); err != nil || v.I() != 10 {
 			t.Fatalf("%s: count = %s, %v", name, v, err)
 		}
-		se, ok := p.srcExt.Get(ck)
+		a := addrOf(p, src, "items|v")
+		se, ok := p.st.srcExt.Get(a)
 		cached := se.val
 		if !ok {
 			t.Fatalf("%s: small extent was not materialised into the source-extent cache", name)
@@ -349,7 +349,7 @@ func TestStreamSmallExtentCachedAtItsLength(t *testing.T) {
 			t.Errorf("%s: cached extent has len %d cap %d, want 10 and 10", name, cached.Len(), cached.Cap())
 		}
 		p.lgMu.Lock()
-		kept := p.lastGood[ck].val
+		kept := p.lastGood[extentAddr{id: a.id, key: a.key}].val
 		p.lgMu.Unlock()
 		if kept.Cap() != 10 {
 			t.Errorf("%s: last-known-good extent has cap %d, want 10", name, kept.Cap())
@@ -362,7 +362,7 @@ func TestStreamSmallExtentCachedAtItsLength(t *testing.T) {
 		if err := p.AddSource(w); err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("sql, page size %d", pageRows), p, "S\x00items|v")
+		check(fmt.Sprintf("sql, page size %d", pageRows), p, "S")
 	}
 	// Over scripted pages, where the array ends up as well: a page with
 	// room to spare is copied into an array of its own, a page that is
@@ -382,7 +382,7 @@ func TestStreamSmallExtentCachedAtItsLength(t *testing.T) {
 		if err := p.AddSource(src); err != nil {
 			t.Fatal(err)
 		}
-		cached := check(tc.name, p, "P\x00items|v")
+		cached := check(tc.name, p, "P")
 		if kept := &cached.Items()[0] == &src.served[0][0]; kept != tc.wantPageKept {
 			t.Errorf("%s: the cached extent is the scanner's first page (%d rows in room for %d): %v, want %v",
 				tc.name, len(src.served[0]), cap(src.served[0]), kept, tc.wantPageKept)

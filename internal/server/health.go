@@ -64,7 +64,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // naming application/json.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	result, memo, src, index, eval := s.sessionStats()
-	plan, queue, n, health := s.plans.Stats(), s.QueueStats(), s.reg.Len(), s.sourceHealth()
+	plan, queue, n, health := s.reg.caches.plans.Stats(), s.QueueStats(), s.reg.Len(), s.sourceHealth()
 	if wantsJSONMetrics(r) {
 		writeJSON(w, http.StatusOK, s.metrics.Snapshot(plan, result, memo, src, index, queue, n, eval, health))
 		return
@@ -101,40 +101,22 @@ func (s *Server) sourceHealth() []SessionSourceHealth {
 	return out
 }
 
-// sessionStats sums, in one pass over the sessions, the result caches,
-// the query processors' extent-memo, source-extent and join-index
-// caches, and the sharded-evaluation counters, and attaches the
-// evaluation pool width.
+// sessionStats snapshots the daemon's result, extent-memo,
+// source-extent and join-index caches, sums the sessions'
+// sharded-evaluation counters, and attaches the evaluation pool width.
 // The width is not a setting — every processor derives it from
 // GOMAXPROCS — so an unconfigured one reports the width in effect even
 // before any session is federated.
 func (s *Server) sessionStats() (result, memo, src, index CacheStats, eval EvalSnapshot) {
 	var unconfigured query.Processor
 	eval.Parallelism = unconfigured.ParallelStats().Width
+	result = s.reg.caches.results.Stats()
+	memo, src, index = s.reg.caches.extents.Stats()
 	for _, sess := range s.reg.All() {
-		addStats(&result, sess.ResultCacheStats())
-		m, sc := sess.ExtentCacheStats()
-		addStats(&memo, m)
-		addStats(&src, sc)
-		addStats(&index, sess.JoinIndexCacheStats())
 		st := sess.ParallelStats()
 		eval.ParallelEvals += st.ParallelEvals
 		eval.SerialEvals += st.SerialEvals
 		eval.Shards += st.Shards
 	}
 	return result, memo, src, index, eval
-}
-
-func addStats(dst *CacheStats, st CacheStats) {
-	dst.Len += st.Len
-	dst.Capacity += st.Capacity
-	dst.Bytes += st.Bytes
-	dst.MaxBytes += st.MaxBytes
-	dst.Hits += st.Hits
-	dst.Misses += st.Misses
-	dst.Evictions += st.Evictions
-	dst.Invalidations += st.Invalidations
-	dst.Oversize += st.Oversize
-	dst.Purges += st.Purges
-	dst.Replays += st.Replays
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,88 +19,6 @@ import (
 	"github.com/dataspace/automed/internal/ispider"
 	"github.com/dataspace/automed/internal/wrapper"
 )
-
-// TestSelectiveResultInvalidation verifies the serving-layer half of
-// the cache tentpole: a warm answer for a scheme an iteration did not
-// touch stays live in the result cache across the new schema version,
-// while a warm answer for a touched scheme is evicted and recomputed
-// with the new derivations.
-func TestSelectiveResultInvalidation(t *testing.T) {
-	_, c := newTestClient(t, DefaultConfig())
-	registerBookstore(c, "", 3)
-	c.must("POST", "/federate", map[string]any{}, http.StatusCreated)
-	c.must("POST", "/intersect", map[string]any{"name": "I1", "mappings": ubookMappings}, http.StatusCreated)
-
-	// Both probes at the latest version: an answer is cached under the
-	// resolved query, which no iteration here changes.
-	isbn := map[string]any{"query": "count(<<UBook, isbn>>)"}
-	entity := map[string]any{"query": "count(<<UBook>>)"}
-
-	if r := c.must("POST", "/query", isbn, http.StatusOK); r["result_cached"].(bool) {
-		t.Fatal("first isbn query unexpectedly cached")
-	}
-	if r := c.must("POST", "/query", isbn, http.StatusOK); !r["result_cached"].(bool) {
-		t.Fatal("repeat isbn query missed the result cache")
-	}
-	first := c.must("POST", "/query", entity, http.StatusOK)
-	if first["value"].(float64) != 6 {
-		t.Fatalf("count(UBook) = %v, want 6", first["value"])
-	}
-	c.must("POST", "/query", entity, http.StatusOK)
-
-	// An iteration that touches only <<UBook>>: a new Library-side
-	// derivation for the entity. <<UBook, isbn>> is untouched.
-	c.must("POST", "/refine", map[string]any{
-		"name": "ubook2",
-		"mapping": map[string]any{
-			"target": "<<UBook>>",
-			"forward": []map[string]any{
-				{"source": "Library", "query": "[{'LIB2', k} | k <- <<books>>]"},
-			},
-		},
-	}, http.StatusCreated)
-
-	// Untouched scheme: the warm answer survived the iteration.
-	surv := c.must("POST", "/query", isbn, http.StatusOK)
-	if !surv["result_cached"].(bool) {
-		t.Fatal("warm answer for untouched scheme was evicted by an unrelated iteration")
-	}
-	// Touched scheme: the stale answer was evicted; the recomputation
-	// sees the new derivation (3 more books), and a query pinned to
-	// version 1 is answered alike from the cache (derivations are
-	// global; versions pin schema membership).
-	rec := c.must("POST", "/query", entity, http.StatusOK)
-	if rec["result_cached"].(bool) {
-		t.Fatal("stale answer for touched scheme served from the result cache")
-	}
-	if rec["value"].(float64) != 9 {
-		t.Fatalf("count(UBook) after refine = %v, want 9", rec["value"])
-	}
-	pinned := c.must("POST", "/query", map[string]any{"query": "count(<<UBook>>)", "version": 1}, http.StatusOK)
-	if !pinned["result_cached"].(bool) || pinned["version"].(float64) != 1 || pinned["value"].(float64) != 9 {
-		t.Fatalf("count(UBook) at version 1 = %v (cached %v, version %v), want 9 from the cache at version 1",
-			pinned["value"], pinned["result_cached"], pinned["version"])
-	}
-
-	// The metrics surface the new cache layers and invalidation work.
-	m := c.must("GET", "/metrics", nil, http.StatusOK)
-	rc := m["result_cache"].(map[string]any)
-	if rc["invalidations"].(float64) < 1 {
-		t.Fatalf("result cache invalidations = %v, want >= 1", rc["invalidations"])
-	}
-	for _, layer := range []string{"extent_cache", "source_extent_cache"} {
-		lc, ok := m[layer].(map[string]any)
-		if !ok {
-			t.Fatalf("/metrics lacks %s", layer)
-		}
-		if lc["bytes"].(float64) <= 0 {
-			t.Fatalf("%s bytes = %v, want > 0", layer, lc["bytes"])
-		}
-	}
-	if m["cache_bytes_total"].(float64) <= 0 {
-		t.Fatalf("cache_bytes_total = %v, want > 0", m["cache_bytes_total"])
-	}
-}
 
 // TestResultCacheByteBudget verifies the -cache-bytes budget reaches
 // the per-session result cache: a tiny budget forces evictions instead
@@ -131,11 +51,14 @@ func TestResultCacheByteBudget(t *testing.T) {
 	}
 }
 
-// TestStepThroughTheIntegratorRetiresAnswers: the result cache follows
-// the processor, not the session's step methods. A step taken on the
-// core.Integrator directly evicts the answers over what it derives, so
-// the latest query after it is evaluated again; an answer it did not
-// touch is still served, at the new version.
+// TestStepThroughTheIntegratorRetiresAnswers: answers are addressed by
+// what the processor derives them from, not by the session's step
+// methods. A step taken on the core.Integrator directly gives the
+// answers over what it derives new addresses, so the latest query after
+// it is evaluated again; an answer it did not touch is still served, at
+// the new version. So it goes for a refinement through the handler, and
+// a query pinned to an earlier version that resolves alike is answered
+// from the cache.
 func TestStepThroughTheIntegratorRetiresAnswers(t *testing.T) {
 	s, c := newTestClient(t, DefaultConfig())
 	registerBookstore(c, "", 3)
@@ -169,6 +92,165 @@ func TestStepThroughTheIntegratorRetiresAnswers(t *testing.T) {
 	if !got["result_cached"].(bool) || got["value"].(float64) != 6 || got["version"].(float64) != 2 {
 		t.Fatalf("count(<<UBook, isbn>>) after I2 = %v (cached %v, version %v), want 6 from the cache at version 2",
 			got["value"], got["result_cached"], got["version"])
+	}
+
+	c.must("POST", "/refine", map[string]any{"name": "ubook3", "mapping": map[string]any{
+		"target":  "<<UBook>>",
+		"forward": []map[string]any{{"source": "Library", "query": "[{'LIB3', k} | k <- <<books>>]"}},
+	}}, http.StatusCreated)
+	if got := c.must("POST", "/query", isbn, http.StatusOK); !got["result_cached"].(bool) {
+		t.Fatal("warm answer for untouched scheme was not served after an unrelated refinement")
+	}
+	got = c.must("POST", "/query", entity, http.StatusOK)
+	if got["result_cached"].(bool) || got["value"].(float64) != 12 {
+		t.Fatalf("count(<<UBook>>) after the refinement = %v (cached %v), want 12 evaluated", got["value"], got["result_cached"])
+	}
+	pinned := c.must("POST", "/query", map[string]any{"query": "count(<<UBook>>)", "version": 1}, http.StatusOK)
+	if !pinned["result_cached"].(bool) || pinned["version"].(float64) != 1 || pinned["value"].(float64) != 12 {
+		t.Fatalf("count(<<UBook>>) at version 1 = %v (cached %v, version %v), want 12 from the cache at version 1",
+			pinned["value"], pinned["result_cached"], pinned["version"])
+	}
+
+	m := c.must("GET", "/metrics", nil, http.StatusOK)
+	for _, layer := range []string{"extent_cache", "source_extent_cache"} {
+		lc, ok := m[layer].(map[string]any)
+		if !ok {
+			t.Fatalf("/metrics lacks %s", layer)
+		}
+		if lc["bytes"].(float64) <= 0 {
+			t.Fatalf("%s bytes = %v, want > 0", layer, lc["bytes"])
+		}
+	}
+	if m["cache_bytes_total"].(float64) <= 0 {
+		t.Fatalf("cache_bytes_total = %v, want > 0", m["cache_bytes_total"])
+	}
+}
+
+// fetches is how many provider calls the daemon's sources have taken.
+func fetches(s *Server) (n uint64) {
+	for _, src := range s.Metrics().Sources().Snapshot() {
+		n += src.Fetches
+	}
+	return n
+}
+
+// table1 asks a session every Table 1 query at the latest version and
+// returns the responses as the oracle compares them, the session's name
+// left out.
+func table1(c *testClient, session string) []string {
+	var out []string
+	for _, q := range ispider.Table1Queries() {
+		status, body := ask(c, "POST", "/query", map[string]any{"session": session, "query": q.IQL})
+		out = append(out, fmt.Sprintf("%d %s", status, strings.Replace(body, `"session":"`+session+`",`, "", 1)))
+	}
+	return out
+}
+
+// sharedSources are the case study's sources at the oracle's size, and
+// a server with two sessions over them, federated.
+func sharedSources(t *testing.T) (*Server, *testClient) {
+	s, c := newTestClient(t, DefaultConfig())
+	pedro, gpmdb, pepseeker, err := ispider.Wrappers(oracleCase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		newSessionOver(t, s, name, []wrapper.Wrapper{pedro, gpmdb, pepseeker})
+		c.must("POST", "/federate", map[string]any{"session": name, "name": "F"}, http.StatusCreated)
+	}
+	return s, c
+}
+
+// TestSessionsShareAddressedCaches: sessions over the same source
+// instances answer from one set of caches. While a takes the plan's
+// steps, b, already past them, answers as it did before them; once a is
+// past them too, its Table 1 answers are b's, byte for byte, and no
+// source is asked for anything. make flake runs it thirty times under
+// -race.
+func TestSessionsShareAddressedCaches(t *testing.T) {
+	s, c := sharedSources(t)
+	plan := ispider.IntersectionPlan()
+	for _, st := range plan {
+		c.must("POST", "/"+st.Kind, stepBody("b", st.Step()), http.StatusCreated)
+	}
+	want := table1(c, "b")
+	for i, answer := range want {
+		if !strings.HasPrefix(answer, "200 ") {
+			t.Fatalf("b's Q%d: %s", i+1, answer)
+		}
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				if got := table1(c, "b"); !slices.Equal(got, want) {
+					t.Errorf("b while a steps: %v, want %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	for _, st := range plan {
+		c.must("POST", "/"+st.Kind, stepBody("a", st.Step()), http.StatusCreated)
+	}
+	done.Store(true)
+	wg.Wait()
+	before := fetches(s)
+	if got := table1(c, "a"); !slices.Equal(got, want) {
+		t.Errorf("a past the plan: %v, want b's %v", got, want)
+	}
+	if n := fetches(s) - before; n != 0 {
+		t.Errorf("a's Table 1 took %d fetches, want none: b read every extent it needs", n)
+	}
+}
+
+// TestInvalidateReachesSharingSessions: /invalidate on one session makes
+// the next read of its sources a fetch, through any session over them,
+// whatever was cached over them: b's answer is evaluated again.
+func TestInvalidateReachesSharingSessions(t *testing.T) {
+	s, c := sharedSources(t)
+	q := func(session string) map[string]any {
+		return map[string]any{"session": session, "query": "count(<<pedro_protein>>)"}
+	}
+	c.must("POST", "/query", q("a"), http.StatusOK)
+	before := fetches(s)
+	if got := c.must("POST", "/query", q("b"), http.StatusOK); !got["result_cached"].(bool) || fetches(s) != before {
+		t.Fatalf("b's first query = %v, fetching %d: want a's answer, from the cache", got, fetches(s)-before)
+	}
+	c.must("POST", "/sessions/a/invalidate", nil, http.StatusOK)
+	if got := c.must("POST", "/query", q("b"), http.StatusOK); got["result_cached"].(bool) || fetches(s) == before {
+		t.Errorf("b's query after a's /invalidate = %v, fetching %d: want it evaluated over a fetch", got, fetches(s)-before)
+	}
+}
+
+// TestRestoreFindsTheCachesWarm: a session restored from its file over
+// the sources it took over answers its first query with no wrapper
+// fetch.
+func TestRestoreFindsTheCachesWarm(t *testing.T) {
+	s, c := newTestClient(t, DefaultConfig())
+	if err := s.OpenStore(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	pedro, gpmdb, pepseeker, err := ispider.Wrappers(oracleCase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newSessionOver(t, s, "h", []wrapper.Wrapper{pedro, gpmdb, pepseeker})
+	c.must("POST", "/federate", map[string]any{"session": "h", "name": "F"}, http.StatusCreated)
+	for _, st := range ispider.IntersectionPlan() {
+		c.must("POST", "/"+st.Kind, stepBody("h", st.Step()), http.StatusCreated)
+	}
+	want := table1(c, "h")
+	c.must("POST", "/sessions/h/restore", nil, http.StatusOK)
+	before := fetches(s)
+	if got := table1(c, "h")[0]; got != want[0] {
+		t.Errorf("the restored session answers %s, want %s", got, want[0])
+	}
+	if n := fetches(s) - before; n != 0 {
+		t.Errorf("the restored session's first query took %d fetches, want none", n)
 	}
 }
 

@@ -244,9 +244,9 @@ type QueueSnapshot struct {
 
 // CacheStats is the server-facing name for the unified cache
 // subsystem's stats snapshot; the server's cache layers (parsed plans,
-// per-session results, and — through the query processor — extent
-// memos and source extents) are backed by cache.Store, and the join-index
-// cache reports itself in the same shape.
+// results, and — through the query processors — extent memos and source
+// extents) are backed by cache.Map, and the join-index cache reports
+// itself in the same shape.
 type CacheStats = cache.Stats
 
 // CacheSnapshot extends CacheStats with the derived hit rate.
@@ -259,11 +259,10 @@ func snapshotCache(s CacheStats) CacheSnapshot {
 	return CacheSnapshot{CacheStats: s, HitRate: s.HitRate()}
 }
 
-// Snapshot gathers the current counter values; cache stats are summed
-// across the given per-session caches (plan = shared parsed plans,
-// result = per-session answers, extent = virtual-extent memos, src =
-// source extents, index = join indexes); queue is the admission
-// controller's current state.
+// Snapshot gathers the current counter values; cache stats are the
+// daemon's layers' (plan = parsed plans, result = answers, extent =
+// virtual-extent memo, src = source extents, index = join indexes);
+// queue is the admission controller's current state.
 func (m *Metrics) Snapshot(plan, result, extent, src, index CacheStats, queue QueueStats, sessions int, eval EvalSnapshot, health []SessionSourceHealth) MetricsSnapshot {
 	srcSnaps := m.sources.Snapshot()
 	sources := make([]SourceMetrics, 0, len(srcSnaps))

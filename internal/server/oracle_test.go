@@ -150,8 +150,10 @@ func edgeSources(t *testing.T) []wrapper.Wrapper {
 }
 
 // oracleExtras are steps over the other sources: an intersection of a
-// SQL, a REST and a static source, and a refinement that adds a second
-// derivation to an object the intersection made.
+// SQL, a REST and a static source, a refinement that adds a second
+// derivation to an object the intersection made, and one that defines
+// an object over a federated object, so that rows inserted into its
+// source change an object whose own derivations stay as they are.
 var oracleExtras = []core.Step{
 	{Kind: core.StepIntersect, Name: "X1", Mappings: []core.Mapping{
 		core.Entity("<<UShelf>>",
@@ -164,6 +166,8 @@ var oracleExtras = []core.Step{
 	}},
 	{Kind: core.StepRefine, Name: "X2", Mapping: &core.Mapping{Target: "<<UShelf, label>>", Forward: []core.SourceQuery{
 		core.From("Notes", "[{'NOTE', k, x} | {k, x} <- <<notes, text>>]")}}},
+	{Kind: core.StepRefine, Name: "X3", Mapping: &core.Mapping{Target: "<<UAccessions>>", Forward: []core.SourceQuery{
+		core.From("Curated", "[k | k <- <<pedro_protein>>]")}}},
 }
 
 // oracleRejected are steps refused part-way — an intersection at its
@@ -181,7 +185,8 @@ var oracleRejected = []core.Step{
 		core.From("Notes", "[k | k <- <<notes>>]")}}},
 }
 
-// oracleProbes are asked at every published version besides Table 1.
+// oracleProbes are asked at every published version besides Table 1,
+// and so is every object of the version (view).
 // <<label>> resolves by suffix: to <<shelf_slots, label>> before X1, and
 // after it to <<UShelf, label>> when X1 dropped the Shelf object it
 // subsumes, else to nothing (it is ambiguous).
@@ -285,17 +290,20 @@ func inProcess(c *testClient, method, path string, body any) (int, []byte) {
 }
 
 // view is everything a client sees of the session — /schemas, /report,
-// Table 1 and the probes at every published version and then at the
-// latest, the version omitted — and of its answers, how many carry
-// warnings and how many of those the result cache served.
+// Table 1, the probes and every object of the version at every
+// published version and then at the latest, the version omitted — and
+// of its answers, how many carry warnings and how many of those the
+// result cache served.
 func (w *oracleWorld) view(c *testClient) (out []string, warned, served int) {
 	_, schemas := ask(c, "GET", "/schemas?session=h", nil)
 	_, report := ask(c, "GET", "/report?session=h", nil)
 	out = []string{schemas, report}
 	current := -1
+	var versions []schemaVersionResp
 	if err := json.Unmarshal([]byte(schemas), &struct {
-		V *int `json:"current_version"`
-	}{&current}); err != nil {
+		V  *int                 `json:"current_version"`
+		Vs *[]schemaVersionResp `json:"versions"`
+	}{&current, &versions}); err != nil {
 		w.t.Fatal(err)
 	}
 	var queries []string
@@ -309,7 +317,13 @@ func (w *oracleWorld) view(c *testClient) (out []string, warned, served int) {
 		if i > current {
 			v = -1
 		}
-		for _, q := range append(queries, oracleProbes...) {
+		probes := slices.Concat(queries, oracleProbes)
+		for _, sv := range versions {
+			if sv.Version == min(i, current) {
+				probes = append(probes, sv.Objects...)
+			}
+		}
+		for _, q := range probes {
 			body := map[string]any{"session": "h", "query": q}
 			if v >= 0 {
 				body["version"] = v
@@ -670,8 +684,8 @@ func runOracle(t *testing.T, w *oracleWorld, ch *oracleChoices, mode oracleMode)
 	}
 
 	plan := ispider.IntersectionPlan()
-	// The plan in any order, X1 among it, and X2 once X1 is in.
-	steps := oracleExtras[:1:1]
+	// The plan in any order, X1 and X3 among it, and X2 once X1 is in.
+	steps := []core.Step{oracleExtras[0], oracleExtras[2]}
 	for _, st := range plan {
 		steps = append(steps, st.Step())
 	}

@@ -119,7 +119,7 @@ func diskVersion(t *testing.T, s *Server, name string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := sessionFromState(state, DefaultConfig())
+	sess, err := sessionFromState(state, DefaultConfig(), newCaches(0))
 	if err != nil {
 		t.Fatal(err)
 	}

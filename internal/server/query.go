@@ -119,7 +119,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	openAnswer(buf, sess.Name())
 
 	start := time.Now()
-	res, outcome, err := sess.Query(ctx, buf, s.plans, req.Query, version, req.NoCache)
+	res, outcome, err := sess.Query(ctx, buf, s.reg.caches.plans, req.Query, version, req.NoCache)
 	elapsed := time.Since(start)
 	s.metrics.Query(elapsed, err, errors.Is(err, context.DeadlineExceeded))
 
@@ -243,16 +243,13 @@ type QueryOutcome struct {
 
 // Answer is what a query's answer is besides its bytes, which
 // Session.Query has appended to the response by the time it returns
-// one: the warnings, the schema version it was resolved against and the
-// dependency set of its evaluation. An answer held in the result cache
-// also keeps the bytes, so a hit skips the canonical ordering of bags
-// and the encoding as well as the evaluation: answering it is a copy of
-// the fragment into the response. No answer holds a value.
+// one: the warnings and the schema version it was resolved against. An
+// answer held in the result cache also keeps the bytes, so a hit skips
+// the canonical ordering of bags and the encoding as well as the
+// evaluation: answering it is a copy of the fragment into the response.
+// No answer holds a value.
 type Answer struct {
 	Warnings []string
-	// Deps lists the distinct scheme keys the evaluation touched, sorted
-	// (core.Result.Deps).
-	Deps []string
 	// Version is the global schema version the query was resolved
 	// against, Schema that version's name: a hit carries the request's
 	// own, whatever version the answer was evaluated at.
@@ -263,6 +260,17 @@ type Answer struct {
 	//
 	//	"value":<the value as JSON>,"rendered":<the value in IQL source syntax, as a JSON string>
 	fragment []byte
+}
+
+// answerKey is an answer's address in the result cache: the resolved
+// query's text, and what its references derive from
+// (query.Processor.Address). An answer is valid at every version that
+// resolves the query alike, for every session whose references derive
+// from the same, and until what they derive from changes — which gives
+// the answer a new address.
+type answerKey struct {
+	text string
+	refs query.Fingerprint
 }
 
 // encodingError reports an answer that JSON cannot carry (a NaN or
@@ -279,12 +287,13 @@ func (e *encodingError) Unwrap() error { return e.err }
 // fragment to buf; with an error, buf holds what it held.
 //
 // The query is resolved against the version before the result cache is
-// consulted, and the cache is keyed by the resolution: evaluation
-// depends on the version only through it (derivations are shared by
-// every version), so one answer serves every version that resolves the
-// query alike until what it was computed from is invalidated. The
-// resolution holds the integrator's read lock until the answer is
-// found or evaluated, so no step lands in between.
+// consulted, and the cache is keyed by the resolution and what its
+// references derive from (answerKey): evaluation depends on the version
+// only through the resolution (derivations are shared by every
+// version), so one answer serves every version that resolves the query
+// alike, and every session whose references derive from the same. The
+// resolution holds the integrator's read lock until the answer is found
+// or evaluated, so no step lands in between.
 func (s *Session) Query(ctx context.Context, buf *respBuf, plans *cache.Store[plan], src string, version int, noCache bool) (Answer, QueryOutcome, error) {
 	ig, err := s.integrator()
 	if err != nil {
@@ -311,13 +320,15 @@ func (s *Session) Query(ctx context.Context, buf *respBuf, plans *cache.Store[pl
 
 	var ans Answer
 	err = ig.Resolve(version, pl.expr, pl.refs, func(r core.Resolution) (err error) {
-		key := ""
+		var key answerKey
 		if !noCache {
-			key = pl.norm
+			refs := pl.refs
+			key.text = pl.norm
 			if r.Rewritten {
-				key = r.Expr.String()
+				key.text, refs = r.Expr.String(), iql.UniqueSchemeRefs(r.Expr)
 			}
-			hit, ok := s.results.Get(key)
+			key.refs = ig.Processor().Address(refs)
+			hit, ok := s.caches.results.Get(key)
 			sp, _ := obs.StartSpan(ctx, obs.StageResultCache, "")
 			if ok {
 				sp.SetCache(obs.CacheHit)
@@ -344,18 +355,11 @@ func (s *Session) Query(ctx context.Context, buf *respBuf, plans *cache.Store[pl
 
 // evaluate answers a resolved query under the read lock Query's
 // resolution holds, appends the fragment to buf, and caches the answer
-// under key unless key is empty (no_cache).
-func (s *Session) evaluate(ctx context.Context, buf *respBuf, ig *core.Integrator, r core.Resolution, key string) (Answer, error) {
-	// Snapshot the invalidation generation before evaluating: if an
-	// invalidation lands between our evaluation and the insert below — a
-	// breaker's recovery or /invalidate, which take no integrator lock —
-	// PutAt discards the result: it was computed from extents the
-	// invalidation retired.
-	var gen uint64
-	if key != "" {
-		gen = s.results.Generation()
-	}
-
+// under key unless key is empty (no_cache). A change that lands
+// meanwhile — a breaker's recovery or /invalidate, which take no
+// integrator lock — has retired key: the answer lands where it is not
+// asked for again.
+func (s *Session) evaluate(ctx context.Context, buf *respBuf, ig *core.Integrator, r core.Resolution, key answerKey) (Answer, error) {
 	// Evaluation writes the value's JSON onto buf as it goes and the
 	// rendering into a buffer beside it — it follows the JSON in the
 	// response, so it cannot be written in place; what is left when
@@ -364,7 +368,7 @@ func (s *Session) evaluate(ctx context.Context, buf *respBuf, ig *core.Integrato
 	text := respBufPool.Get().(*respBuf)
 	defer respBufPool.Put(text)
 	enc := iql.Encoding{JSON: append(buf.b, `"value":`...), Text: text.b[:0]}
-	warns, deps, err := ig.Processor().EvalEncoded(ctx, r.Expr, &enc)
+	warns, _, err := ig.Processor().EvalEncoded(ctx, r.Expr, &enc)
 	buf.b, text.b = enc.JSON, enc.Text
 	if err != nil {
 		// Not cached: every hit would fail the same way.
@@ -382,12 +386,12 @@ func (s *Session) evaluate(ctx context.Context, buf *respBuf, ig *core.Integrato
 	rsp.SetBytes(int64(len(fragment)))
 	rsp.End(nil)
 
-	ans := Answer{Warnings: warns, Deps: deps, Version: r.Version, Schema: r.Schema}
-	if key != "" {
+	ans := Answer{Warnings: warns, Version: r.Version, Schema: r.Schema}
+	if key.text != "" {
 		// Only here is the fragment copied: buf is the response's, and
 		// goes back to its pool when the response is written.
 		ans.fragment = append(make([]byte, 0, len(fragment)), fragment...)
-		s.results.PutAt(gen, key, ans, resultCost(ans), deps)
+		s.caches.results.Put(key, ans, resultCost(ans), nil)
 	}
 	return ans, nil
 }
@@ -406,9 +410,6 @@ func resultCost(a Answer) int64 {
 	n := int64(len(a.fragment)) + int64(len(a.Schema)) + 64
 	for _, w := range a.Warnings {
 		n += int64(len(w)) + 16
-	}
-	for _, d := range a.Deps {
-		n += int64(len(d)) + 16
 	}
 	return n
 }

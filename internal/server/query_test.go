@@ -758,15 +758,19 @@ func TestSharedPlanAcrossSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	plans := cache.New[plan](cache.Options{MaxEntries: 16})
-	replays := make([]uint64, len(sessions))
-	for i, sess := range sessions {
+	for _, sess := range sessions {
 		for range 2 { // the walk that leaves the run's entry, the one that records it
 			if _, _, err := sess.Query(context.Background(), new(respBuf), plans, q, core.CurrentVersion, true); err != nil {
 				t.Fatal(err)
 			}
 		}
-		replays[i] = sess.JoinIndexCacheStats().Replays
 	}
+	// The join-index cache is the daemon's: both sessions' runs are in it.
+	replays := func() uint64 {
+		_, _, index := srv.reg.caches.extents.Stats()
+		return index.Replays
+	}
+	before := replays()
 	var wg sync.WaitGroup
 	for g := range 8 {
 		sess := sessions[g%2]
@@ -790,7 +794,7 @@ func TestSharedPlanAcrossSessions(t *testing.T) {
 	if st := plans.Stats(); st.Len != 1 {
 		t.Errorf("%d plans cached, want the one all evaluations shared", st.Len)
 	}
-	for i, sess := range sessions {
+	for _, sess := range sessions {
 		ig, err := sess.integrator()
 		if err != nil {
 			t.Fatal(err)
@@ -798,9 +802,9 @@ func TestSharedPlanAcrossSessions(t *testing.T) {
 		if st := ig.Processor().ParallelStats(); st.Width > 1 && st.ParallelEvals == 0 {
 			t.Errorf("session %s: no evaluation sharded", sess.Name())
 		}
-		if n := sess.JoinIndexCacheStats().Replays - replays[i]; n != 20 {
-			t.Errorf("session %s: %d join runs replayed, want 20: one in each of its goroutines' five queries", sess.Name(), n)
-		}
+	}
+	if n := replays() - before; n != 40 {
+		t.Errorf("%d join runs replayed, want 40: one in each of the eight goroutines' five queries", n)
 	}
 }
 
@@ -862,7 +866,7 @@ func TestAnswerBytesPerRow(t *testing.T) {
 		least := iqltest.Least(30, func() float64 {
 			return iqltest.AllocBytesPerRun(1, func() {
 				// Every run of the cacheable case is a miss that caches.
-				sess.results.Purge()
+				sess.caches.results.Purge()
 				r, err := http.NewRequest(http.MethodPost, "/query", bytes.NewReader(body))
 				if err != nil {
 					t.Fatal(err)

@@ -7,6 +7,8 @@
 // Settings live in one struct, Config. DefaultConfig is what the daemon
 // ships; the registry and every session hold a copy, and
 // Config.configure is the only place a query processor is configured.
+// The caches are not settings: the registry holds one of each layer,
+// and every session and its processor use those.
 //
 // A workflow step (POST /sources, /federate, /intersect, /refine,
 // /suggest) crosses one path, Server.step: decode the body, pass
@@ -19,17 +21,20 @@
 //     more park in a per-session fair queue, the rest get 429 +
 //     Retry-After; a draining server answers 503, finishes what it
 //     admitted and flushes every session.
-//   - Caches (query.go): a shared plan cache, and per session a result
-//     cache keyed by the resolved query whose entries carry the
-//     dependency closure of their evaluation. It follows the session's
-//     query processor: an iteration or a recovering source evicts only
-//     the answers over what it touched, POST
-//     /sessions/{name}/invalidate purges it, and so does a probe that
-//     backfills a skipped source.
+//   - Caches (query.go): one per layer per daemon — plans, answers,
+//     and the processors' extent memo, source extents and join indexes
+//     (query.Stores). An answer is addressed by the resolved query and
+//     what its references derive from, an extent by what derives it,
+//     so sessions over the same source instances share them, a step or
+//     a recovering source gives only what it touched new addresses, and
+//     nothing is ever evicted for being stale. POST
+//     /sessions/{name}/invalidate moves the session's sources to fresh
+//     epochs, which makes every session over them read them again.
 //   - Persistence (store.go): with a store open every mutating step
-//     autosaves its session as one atomically replaced JSON file;
-//     restored sessions start with cold caches. Saves and restores are
-//     serialised per session, never across sessions.
+//     autosaves its session as one atomically replaced JSON file; a
+//     restored session over the sources it took over finds the caches
+//     warm. Saves and restores are serialised per session, never across
+//     sessions.
 //   - Fault tolerance: sources sit behind internal/query's circuit
 //     breakers with stale-extent fallback; degraded answers are flagged
 //     or, on request, refused; /healthz reports breaker states and
@@ -61,11 +66,12 @@ import (
 // in between the daemon's flag and the component it tunes. The registry
 // and every session hold a copy; there is no per-session projection.
 type Config struct {
-	// CacheBytes is the byte budget of each cache — per session the
-	// query results, extent memo, source extents and join indexes, and
-	// the process-wide plan cache — beyond which the least recently used
-	// entries are evicted; <= 0 means unbounded. It is the caches' only
-	// bound but the join-index layer's fixed entry cap.
+	// CacheBytes is the byte budget of each of the daemon's cache
+	// layers — plans, query results, extent memo, source extents and join
+	// indexes, each one per daemon and shared by every session — beyond
+	// which the least recently used entries are evicted; <= 0 means
+	// unbounded. It is the caches' only bound but the join-index layer's
+	// fixed entry cap.
 	CacheBytes int64
 	// QueryTimeout is the default per-query evaluation deadline;
 	// requests may shorten it via timeout_ms. 0 means no deadline.
@@ -109,15 +115,30 @@ type Config struct {
 }
 
 // configure applies the settings to a session's query processor and
-// makes the session's result cache follow it; it is the only place one
-// is configured (federation and restore call it). Sharded-evaluation
+// has it cache its extents in the daemon's stores; it is the only place
+// one is configured (federation and restore call it). Sharded-evaluation
 // width, streaming window and SQL page size are not settings: query and
 // wrapper choose them themselves.
-func (cfg Config) configure(p *query.Processor, results *cache.Store[Answer]) {
+func (cfg Config) configure(p *query.Processor, extents *query.Stores) {
 	p.MaxSteps = cfg.MaxSteps
-	p.SetCacheBytes(cfg.CacheBytes)
 	p.SetBreaker(cfg.Breaker)
-	p.Follow(results)
+	p.UseStores(extents)
+}
+
+// caches are the daemon's cache layers, one of each, shared by every
+// session and bounded by Config.CacheBytes each.
+type caches struct {
+	plans   *cache.Store[plan]
+	results *cache.Map[answerKey, struct{}, Answer]
+	extents *query.Stores
+}
+
+func newCaches(budget int64) *caches {
+	return &caches{
+		plans:   cache.New[plan](cache.Options{MaxBytes: budget}),
+		results: cache.NewMap[answerKey, struct{}, Answer](cache.Options{MaxBytes: budget}),
+		extents: query.NewStores(budget),
+	}
 }
 
 // defaultProbeInterval rate-limits health-check-triggered recovery
@@ -146,12 +167,11 @@ func DefaultConfig() Config {
 }
 
 // Server is the HTTP/JSON dataspace service: a registry of integration
-// sessions, a shared plan cache, per-session result caches, and
-// metrics. Obtain the routed handler with Handler.
+// sessions, the caches they share, and metrics. Obtain the routed
+// handler with Handler.
 type Server struct {
 	cfg     Config
 	reg     *Registry
-	plans   *cache.Store[plan]
 	metrics *Metrics
 	traces  *obs.Ring
 	adm     *admission
@@ -191,7 +211,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		reg:     NewRegistry(cfg),
-		plans:   cache.New[plan](cache.Options{MaxBytes: cfg.CacheBytes}),
 		metrics: NewMetrics(),
 		traces:  obs.NewRing(traceRingSize),
 		adm:     newAdmission(cfg.MaxInflight, cfg.MaxQueue),

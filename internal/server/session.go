@@ -6,34 +6,28 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/dataspace/automed/internal/cache"
 	"github.com/dataspace/automed/internal/core"
 	"github.com/dataspace/automed/internal/query"
 	"github.com/dataspace/automed/internal/wrapper"
 )
 
 // Session is one live integration: registered sources, then — once
-// federated — an Integrator plus a result cache over its published
-// schema versions. A session's mutating workflow steps serialise with
-// its queries via mu; queries additionally hold the integrator's read
-// lock for their whole evaluation.
+// federated — an Integrator over its published schema versions. A
+// session holds no cache: its answers and its processor's extents are
+// kept in the daemon's (caches), addressed by what derives them, so a
+// session over the same source instances as another, or restored over
+// the sources it took over, answers from what the other computed. A
+// session's mutating workflow steps serialise with its queries via mu;
+// queries additionally hold the integrator's read lock for their whole
+// evaluation.
 type Session struct {
-	name string
-	cfg  Config
+	name   string
+	cfg    Config
+	caches *caches
 
 	mu       sync.RWMutex
 	wrappers []wrapper.Wrapper
 	ig       *core.Integrator
-
-	// results caches query answers keyed by the resolved query (see
-	// Session.Query): an answer is valid at every version that resolves
-	// the query alike. Every entry is tagged with the dependency closure
-	// of its evaluation (core.Result.Deps), and the store follows the
-	// integrator's processor (query.Processor.Follow), so whatever
-	// retires an extent — a step, a breaker's recovery, /invalidate —
-	// evicts exactly the answers computed from it. An entry is its
-	// response fragment and its metadata, never a value.
-	results *cache.Store[Answer]
 
 	// file is what the session knows of its file in the store; nil when
 	// its next save must be a checkpoint. Guarded by the session name's
@@ -41,12 +35,8 @@ type Session struct {
 	file *sessionFile
 }
 
-func newSession(name string, cfg Config) *Session {
-	return &Session{
-		name:    name,
-		cfg:     cfg,
-		results: cache.New[Answer](cache.Options{MaxBytes: cfg.CacheBytes}),
-	}
+func newSession(name string, cfg Config, c *caches) *Session {
+	return &Session{name: name, cfg: cfg, caches: c}
 }
 
 // Name returns the session name.
@@ -118,7 +108,7 @@ func (s *Session) Federate(ctx context.Context, name string, autoDrop bool) (*co
 		return nil, err
 	}
 	ig.SetAutoDrop(autoDrop)
-	s.cfg.configure(ig.Processor(), s.results)
+	s.cfg.configure(ig.Processor(), s.caches.extents)
 	if min := s.cfg.MinFederatedSources; min > 0 {
 		if _, _, err := ig.FederateReachable(ctx, name, min); err != nil {
 			return nil, err
@@ -126,8 +116,6 @@ func (s *Session) Federate(ctx context.Context, name string, autoDrop bool) (*co
 	} else if _, err := ig.Federate(name); err != nil {
 		return nil, err
 	}
-	// No result-cache purge: queries need a federated integrator, so
-	// the cache is necessarily empty here.
 	s.ig = ig
 	return ig, nil
 }
@@ -164,21 +152,22 @@ func (s *Session) Probe(ctx context.Context) int {
 	}
 	n := ig.Processor().ProbeOpen(ctx)
 	if len(ig.Skipped()) > 0 {
-		recovered, err := ig.Backfill(ctx)
+		// A backfill defines the sources' federated objects: answers
+		// over them are addressed anew. A probe reports how many
+		// recovered; a backfill that fails leaves its sources skipped.
+		recovered, _ := ig.Backfill(ctx)
 		n += len(recovered)
-		if err == nil && len(recovered) > 0 {
-			// Backfilled sources extend the federated schema; cached
-			// answers were computed without them.
-			s.results.Purge()
-		}
 	}
 	return n
 }
 
-// InvalidateExtents drops every cached extent and answer, forcing the
-// next queries to re-fetch from the sources. This is the ops lever for
-// fault drills: cached extents otherwise shield a downed source from
-// queries indefinitely. Before federation there is nothing cached.
+// InvalidateExtents retires every extent read from the session's
+// sources, and every answer over them (query.Processor.InvalidateCache),
+// forcing the next queries to re-fetch — in every session over the same
+// source instances. This is the ops lever for fault drills and for data
+// changed beside the daemon: cached extents otherwise shield a downed
+// source from queries indefinitely. Before federation there is nothing
+// cached.
 func (s *Session) InvalidateExtents() {
 	if ig, err := s.integrator(); err == nil {
 		ig.Processor().InvalidateCache()
@@ -206,10 +195,9 @@ func (s *Session) integrator() (*core.Integrator, error) {
 	return s.ig, nil
 }
 
-// Intersect runs one integration iteration. The cached answers whose
-// dependency closure meets the objects it derived are evicted as it
-// defines them; warm answers for untouched schemes stay live across the
-// new schema version.
+// Intersect runs one integration iteration. The answers over the
+// objects it derives are addressed anew; warm answers for untouched
+// schemes stay live across the new schema version.
 func (s *Session) Intersect(name string, mappings []core.Mapping, enables ...string) (*core.Intersection, error) {
 	ig, err := s.integrator()
 	if err != nil {
@@ -218,8 +206,8 @@ func (s *Session) Intersect(name string, mappings []core.Mapping, enables ...str
 	return ig.Intersect(name, mappings, enables...)
 }
 
-// Refine applies an ad-hoc single-schema transformation, evicting the
-// cached answers that depend on its target as it defines it.
+// Refine applies an ad-hoc single-schema transformation; the answers
+// over its target are addressed anew.
 func (s *Session) Refine(name string, m core.Mapping, enables ...string) error {
 	ig, err := s.integrator()
 	if err != nil {
@@ -228,28 +216,16 @@ func (s *Session) Refine(name string, m core.Mapping, enables ...string) error {
 	return ig.Refine(name, m, enables...)
 }
 
-// ResultCacheStats snapshots the session's result cache.
-func (s *Session) ResultCacheStats() CacheStats { return s.results.Stats() }
+// ResultCacheStats snapshots the result cache the session answers
+// from: the daemon's.
+func (s *Session) ResultCacheStats() CacheStats { return s.caches.results.Stats() }
 
-// ExtentCacheStats snapshots the session's query-processor cache
-// layers: the virtual-extent memo and the source-extent cache. Both are
-// zero before federation.
+// ExtentCacheStats snapshots the extent layers the session's processor
+// fills — the virtual-extent memo and the source-extent cache — which
+// are the daemon's.
 func (s *Session) ExtentCacheStats() (memo, src CacheStats) {
-	ig, err := s.integrator()
-	if err != nil {
-		return CacheStats{}, CacheStats{}
-	}
-	return ig.Processor().CacheStats()
-}
-
-// JoinIndexCacheStats snapshots the session processor's join-index
-// cache; zero before federation.
-func (s *Session) JoinIndexCacheStats() CacheStats {
-	ig, err := s.integrator()
-	if err != nil {
-		return CacheStats{}
-	}
-	return ig.Processor().JoinIndexStats()
+	memo, src, _ = s.caches.extents.Stats()
+	return memo, src
 }
 
 // ParallelStats snapshots the session processor's sharded-evaluation
@@ -262,17 +238,19 @@ func (s *Session) ParallelStats() query.ParallelStats {
 	return ig.Processor().ParallelStats()
 }
 
-// Registry is the named-session table.
+// Registry is the named-session table, and the caches its sessions
+// share.
 type Registry struct {
 	mu       sync.RWMutex
 	sessions map[string]*Session
 	cfg      Config
+	caches   *caches
 }
 
 // NewRegistry returns an empty registry; every session it creates is
-// configured from cfg.
+// configured from cfg, and shares caches bounded by cfg.CacheBytes.
 func NewRegistry(cfg Config) *Registry {
-	return &Registry{sessions: make(map[string]*Session), cfg: cfg}
+	return &Registry{sessions: make(map[string]*Session), cfg: cfg, caches: newCaches(cfg.CacheBytes)}
 }
 
 // canonicalName is the name a session is registered, stored and locked
@@ -301,7 +279,7 @@ func (r *Registry) Get(name string, create bool) (*Session, error) {
 	if s, ok := r.sessions[name]; ok {
 		return s, nil
 	}
-	s = newSession(name, r.cfg)
+	s = newSession(name, r.cfg, r.caches)
 	r.sessions[name] = s
 	return s, nil
 }

@@ -169,8 +169,9 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, restoreResp{Session: sess.Name(), Federated: v >= 0, Version: v, Sources: sess.SourceNames()})
 }
 
-// handleInvalidate drops one session's cached extents and answers, so
-// the next queries re-fetch from the sources. This is the ops lever for
+// handleInvalidate retires one session's cached extents and answers,
+// and those of every session over the same source instances, so the
+// next queries re-fetch from the sources. This is the ops lever for
 // fault drills and for forcing a freshness check: warm caches otherwise
 // shield a downed source from queries indefinitely.
 func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {

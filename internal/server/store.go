@@ -383,19 +383,19 @@ func (s *Session) sources() (*core.Integrator, []wrapper.Wrapper) {
 // (core.Integrator.Apply). held are the sources of the session it
 // replaces, if any: one whose document the checkpoint holds byte for
 // byte is the restored session's source as it is (wrapper.Decode), every
-// other is decoded. Whatever the restored session took over, every
-// cache layer (results, extent memo, source extents, join indexes) is
-// its own, empty, and warms on demand — a wrapper holds its data, not a
-// cache — so restore never replays stale derived state: the file holds
-// definitions and steps, not materialisations.
-func sessionFromState(state *sessionState, cfg Config, held ...wrapper.Wrapper) (*Session, error) {
-	sess := newSession(state.Name, cfg)
+// other is decoded. The session answers from c: what it took over was
+// cached under its instances' addresses, and is found warm; what it
+// decoded is a new instance, read afresh — a wrapper holds its data,
+// not a cache — so restore never replays stale derived state: the file
+// holds definitions and steps, not materialisations.
+func sessionFromState(state *sessionState, cfg Config, c *caches, held ...wrapper.Wrapper) (*Session, error) {
+	sess := newSession(state.Name, cfg, c)
 	if state.Integrator != nil {
 		ig, err := core.Import(state.Integrator, held...)
 		if err != nil {
 			return nil, fmt.Errorf("server: restoring session %q: %w", state.Name, err)
 		}
-		cfg.configure(ig.Processor(), sess.results)
+		cfg.configure(ig.Processor(), c.extents)
 		sess.ig = ig
 		sess.wrappers = ig.Sources()
 	} else {
@@ -523,7 +523,7 @@ func (s *Server) loadSession(st *Store, path, name string) (*Session, error) {
 	if cur, err := s.reg.Get(state.Name, false); err == nil {
 		_, held = cur.sources()
 	}
-	sess, err := sessionFromState(state, s.cfg, held...)
+	sess, err := sessionFromState(state, s.cfg, s.reg.caches, held...)
 	if err != nil {
 		return nil, err
 	}

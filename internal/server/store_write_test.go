@@ -409,7 +409,7 @@ func FuzzStoreLoad(f *testing.F) {
 			if err != nil {
 				return nil, err
 			}
-			return sessionFromState(state, DefaultConfig())
+			return sessionFromState(state, DefaultConfig(), newCaches(0))
 		}
 		sess, err := load(data)
 		if err != nil {

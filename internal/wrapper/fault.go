@@ -53,7 +53,12 @@ type Fault struct {
 	cfg   FaultConfig
 	rng   *rand.Rand
 	calls int
+	inst  Instance
 }
+
+// Instance returns what caches know the wrapper by: a fault wrapper is
+// a source of its own, whatever it wraps.
+func (w *Fault) Instance() *Instance { return &w.inst }
 
 // NewFault wraps inner with fault injection.
 func NewFault(inner Wrapper, cfg FaultConfig) (*Fault, error) {

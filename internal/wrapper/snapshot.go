@@ -234,7 +234,11 @@ type remote struct {
 	name     string
 	schema   *hdm.Schema
 	fallback map[string]iql.Value // scheme key → materialised extent
+	inst     Instance
 }
+
+// Instance returns what caches know the wrapper by.
+func (r *remote) Instance() *Instance { return &r.inst }
 
 // SchemaName implements Wrapper.
 func (r *remote) SchemaName() string { return r.name }

@@ -10,7 +10,9 @@ package wrapper
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
@@ -28,13 +30,44 @@ type Wrapper interface {
 	Extent(parts []string) (iql.Value, error)
 }
 
+// Instance is what caches know a source instance by: an identity,
+// unique within the process and never an address (a freed wrapper's
+// can be reused), and an epoch, which moves when what the instance
+// serves may have changed. An extent cached under both is shared by
+// every session over the instance and unreachable after a bump. The
+// zero value is ready: the identity is drawn on first use.
+type Instance struct{ id, epoch atomic.Uint64 }
+
+// clock is the one counter identities and epochs are drawn from, so
+// none is ever reused.
+var clock atomic.Uint64
+
+// ID returns the instance's identity.
+func (x *Instance) ID() uint64 {
+	if id := x.id.Load(); id != 0 {
+		return id
+	}
+	x.id.CompareAndSwap(0, clock.Add(1))
+	return x.id.Load()
+}
+
+// Epoch returns the instance's current epoch.
+func (x *Instance) Epoch() uint64 { return x.epoch.Load() }
+
+// Bump moves the instance to a fresh epoch.
+func (x *Instance) Bump() { x.epoch.Store(clock.Add(1)) }
+
 // Relational wraps an in-memory relational database.
 type Relational struct {
 	name   string
 	db     *rel.DB
 	schema *hdm.Schema
 	memo   docMemo
+	inst   Instance
 }
+
+// Instance returns what caches know the wrapper by.
+func (w *Relational) Instance() *Instance { return &w.inst }
 
 // NewRelational builds a wrapper and its data source schema: one
 // <<sql, table, t>>-style object per table (stored with the short
@@ -87,7 +120,7 @@ func (w *Relational) Extent(parts []string) (iql.Value, error) {
 		keys := t.Keys()
 		items := make([]iql.Value, len(keys))
 		for i, k := range keys {
-			items[i] = CellValue(k)
+			items[i] = documentCell(k)
 		}
 		return iql.BagOf(items), nil
 	case 2:
@@ -101,7 +134,7 @@ func (w *Relational) Extent(parts []string) (iql.Value, error) {
 		}
 		items := make([]iql.Value, len(pairs))
 		for i, p := range pairs {
-			items[i] = iql.Tuple(CellValue(p[0]), CellValue(p[1]))
+			items[i] = iql.Tuple(documentCell(p[0]), documentCell(p[1]))
 		}
 		return iql.BagOf(items), nil
 	}
@@ -130,6 +163,17 @@ func CellValue(v any) iql.Value {
 		return iql.Str(x.Format(time.RFC3339Nano))
 	}
 	return iql.Str(fmt.Sprintf("%v", v))
+}
+
+// documentCell is CellValue for an in-memory table, which a session
+// file carries: a string as the file holds it, each byte of invalid
+// UTF-8 a U+FFFD, so that the source reads alike before and after the
+// file is restored.
+func documentCell(v any) iql.Value {
+	if s, ok := v.(string); ok && !utf8.ValidString(s) {
+		v = string([]rune(s))
+	}
+	return CellValue(v)
 }
 
 // NewCSVDir loads a directory of typed-header CSV files (see package

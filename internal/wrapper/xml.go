@@ -23,7 +23,11 @@ type XML struct {
 	schema  *hdm.Schema
 	extents map[string][]iql.Value
 	memo    docMemo
+	inst    Instance
 }
+
+// Instance returns what caches know the wrapper by.
+func (w *XML) Instance() *Instance { return &w.inst }
 
 type xmlNode struct {
 	name     string
