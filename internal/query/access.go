@@ -93,7 +93,7 @@ func (p *Processor) read(ctx context.Context, src source, sc hdm.Scheme, mode re
 	if br != nil {
 		admitted := false
 		if mode == readProbe {
-			admitted = br.probeAllow()
+			admitted = br.probeAllow(src.inst.Stale())
 		} else {
 			admitted, _ = br.allow()
 		}
@@ -189,8 +189,8 @@ func mark(ctx context.Context, stage, name, detail, disposition string, rows int
 // delivered instead). walkedAway: the reading side gave up — early
 // Close, a scan dropped before it was committed to — which like an
 // asker's cancellation is no verdict on the source. The first good read
-// after a stale copy was served moves the source to a fresh epoch,
-// retiring what was derived from the copy.
+// of an instance that served a stale copy moves it to a fresh epoch,
+// retiring what any session derived from the copy.
 func (g *guard) settle(whole *iql.Value, rows int64, err error, walkedAway bool) int64 {
 	if g.settled {
 		return 0
@@ -199,9 +199,12 @@ func (g *guard) settle(whole *iql.Value, rows int64, err error, walkedAway bool)
 	if g.br != nil {
 		if walkedAway || (err != nil && g.asker.Err() != nil) {
 			g.br.cancelProbe()
-		} else if g.br.record(err == nil, err) {
-			g.src.inst.Bump()
+		} else {
+			g.br.record(err == nil, err)
 		}
+	}
+	if err == nil && !walkedAway {
+		g.src.inst.ReadWell()
 	}
 	var footprint int64
 	if err == nil && whole != nil {
@@ -380,6 +383,7 @@ func (p *Processor) stale(ctx context.Context, src source, sc hdm.Scheme, br *br
 	}
 	if ok {
 		br.noteFallback()
+		src.inst.MarkStale()
 		mark(ctx, obs.StageFallback, src.name, sc.Key(), obs.CacheHit, bagLen(lg.val), nil)
 		return extent{val: lg.val, degraded: degradedWarning(src.name, sc, age, cause)}, nil
 	}

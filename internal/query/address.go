@@ -60,17 +60,25 @@ type addresses struct {
 }
 
 // addresses returns the current table, rebuilt when a registration or
-// one of the processor's sources' epochs has moved since the last.
+// one of the processor's sources' epochs has moved since the last. A
+// source due a fresh epoch after its recovery takes it here, between
+// evaluations.
 func (p *Processor) addresses() *addresses {
-	if t := p.addr.Load(); t != nil && t.current(p.gen.Load()) {
-		return t
+	t := p.addr.Load()
+	if t != nil {
+		for _, s := range t.srcs {
+			s.inst.Settle()
+		}
+		if t.current(p.gen.Load()) {
+			return t
+		}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if t := p.addr.Load(); t != nil && t.current(p.gen.Load()) {
+	if t = p.addr.Load(); t != nil && t.current(p.gen.Load()) {
 		return t
 	}
-	t := p.fingerprintLocked()
+	t = p.fingerprintLocked()
 	p.addr.Store(t)
 	return t
 }
@@ -112,31 +120,28 @@ func sumOf(d Derivation) derivSum {
 // fingerprintLocked builds the table of the current state; p.mu is held.
 func (p *Processor) fingerprintLocked() *addresses {
 	t := &addresses{gen: p.gen.Load(), srcs: p.sources[:len(p.sources):len(p.sources)], defs: make(map[string]virtualObject, len(p.defs))}
-	for _, s := range p.sources {
+	for _, s := range t.srcs {
+		s.inst.Settle()
 		t.epochs = append(t.epochs, s.inst.Epoch())
 	}
-	// Each object's own part, at own[k] in b, and the virtual objects it
-	// names.
-	var b []byte
-	own := make(map[string][2]int, len(p.defs))
+	// Each object's own digest, and the virtual objects it names.
+	own := make(map[string]Fingerprint, len(p.defs))
 	names := make(map[string][]string, len(p.defs))
+	var b []byte
 	for k, vo := range p.defs {
-		start := len(b)
-		b = appendString(b, k)
+		b = appendString(b[:0], k)
 		for i, d := range vo.derivs {
 			b = append(b, vo.sums[i].fields[:]...)
 			for _, ref := range vo.sums[i].refs {
-				r := resolveIn(p.sources, p.defs, nil, d.Scope, ref)
+				r := resolveIn(t.srcs, p.defs, nil, d.Scope, ref)
 				if b = appendTarget(b, r); r.kind == refVirtual {
-					b = appendString(b, r.key)
 					names[k] = append(names[k], r.key)
 				}
 			}
 		}
-		own[k] = [2]int{start, len(b)}
+		own[k] = fingerprint(b)
 	}
 	var reach []string
-	var sum []byte
 	for k, vo := range p.defs {
 		reach = append(reach[:0], k)
 		for i := 0; i < len(reach); i++ {
@@ -147,20 +152,21 @@ func (p *Processor) fingerprintLocked() *addresses {
 			}
 		}
 		slices.Sort(reach[1:])
-		sum = sum[:0]
+		b = b[:0]
 		for _, o := range reach {
-			part := b[own[o][0]:own[o][1]]
-			sum = append(binary.LittleEndian.AppendUint64(sum, uint64(len(part))), part...)
+			fp := own[o]
+			b = append(b, fp[:]...)
 		}
-		vo.fp = fingerprint(sum)
+		vo.fp = fingerprint(b)
 		t.defs[k] = vo
 	}
 	return t
 }
 
 // appendTarget appends what r names: a source object's address, and the
-// name its warnings give the source; a virtual object's fingerprint; or
-// the sources an ambiguous reference is found in.
+// name its warnings give the source; a virtual object, and its
+// fingerprint if r was resolved against a table; or the sources an
+// ambiguous reference is found in.
 func appendTarget(b []byte, r resolution) []byte {
 	b = append(b, byte(r.kind))
 	switch r.kind {
@@ -169,7 +175,7 @@ func appendTarget(b []byte, r resolution) []byte {
 		b = binary.LittleEndian.AppendUint64(b, r.src.inst.Epoch())
 		b = appendString(appendString(b, r.src.name), r.sc.Key())
 	case refVirtual:
-		b = append(b, r.fp[:]...)
+		b = append(appendString(b, r.key), r.fp[:]...)
 	case refAmbiguous:
 		for _, n := range r.names {
 			b = appendString(b, n)

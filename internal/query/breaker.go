@@ -105,7 +105,6 @@ type breaker struct {
 	openedAt  time.Time
 	retryAt   time.Time
 	probing   bool // a half-open probe fetch is in flight
-	stale     bool // a stale copy was served since the last success
 	opens     uint64
 	probes    uint64
 	fallbacks uint64
@@ -151,10 +150,11 @@ func (b *breaker) allow() (proceed, probe bool) {
 
 // probeAllow admits a fetch only when the source needs probing: open
 // with the interval elapsed, half-open with no probe in flight, or
-// closed but stale. Other closed breakers are left alone.
-func (b *breaker) probeAllow() bool {
+// closed over an instance that served a stale copy. Other closed
+// breakers are left alone.
+func (b *breaker) probeAllow(stale bool) bool {
 	b.mu.Lock()
-	idle := b.state == breakerClosed && !b.stale
+	idle := b.state == breakerClosed && !stale
 	b.mu.Unlock()
 	if idle {
 		return false
@@ -164,15 +164,13 @@ func (b *breaker) probeAllow() bool {
 }
 
 // record folds one fetch outcome into the breaker. A success closes a
-// half-open breaker (and resets the window), and reports whether a stale
-// copy was served since the last one; a failure re-opens it, or opens a
-// closed breaker once a threshold trips.
-func (b *breaker) record(ok bool, err error) (recovered bool) {
+// half-open breaker (and resets the window); a failure re-opens it, or
+// opens a closed breaker once a threshold trips.
+func (b *breaker) record(ok bool, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
 	if ok {
-		recovered, b.stale = b.stale, false
 		b.push(false)
 		b.consec = 0
 		b.lastErr = ""
@@ -180,7 +178,7 @@ func (b *breaker) record(ok bool, err error) (recovered bool) {
 			b.state = breakerClosed
 			b.reset()
 		}
-		return recovered
+		return
 	}
 	b.push(true)
 	b.consec++
@@ -194,7 +192,6 @@ func (b *breaker) record(ok bool, err error) (recovered bool) {
 			b.open()
 		}
 	}
-	return false
 }
 
 // cancelProbe releases a half-open probe slot without recording an
@@ -245,7 +242,6 @@ func (b *breaker) reset() {
 func (b *breaker) noteFallback() {
 	b.mu.Lock()
 	b.fallbacks++
-	b.stale = true
 	b.mu.Unlock()
 }
 
@@ -330,17 +326,18 @@ func (p *Processor) SourceHealth() []SourceHealth {
 }
 
 // ProbeOpen reads one extent, in readProbe mode, from every source that
-// has a breaker. read admits the probe only through an open (or stuck
-// half-open) breaker whose probe interval has elapsed, or a closed one
-// that served a stale copy since its last success, so recovered sources
-// close their breakers and retire what was computed while they were
-// down (see guard.settle) without waiting for query traffic, and
-// healthy ones are not touched. It returns how many recovered.
+// has a breaker or whose instance served a stale copy — in this
+// processor or another over it. read admits the probe only through an
+// open (or stuck half-open) breaker whose probe interval has elapsed, or
+// over a stale instance, so recovered sources close their breakers and
+// retire what was computed while they were down (see guard.settle)
+// without waiting for query traffic, and healthy ones are not touched.
+// It returns how many recovered.
 func (p *Processor) ProbeOpen(ctx context.Context) int {
 	var due []source
 	p.mu.Lock()
 	for _, s := range p.sources {
-		if p.breakers[s.name] != nil {
+		if p.breakers[s.name] != nil || s.inst.Stale() {
 			due = append(due, s)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/wrapper"
 )
 
 // flakySource is a controllable Sourcer: failures are toggled at will,
@@ -504,6 +505,66 @@ func TestStaleCopyRetiredByFirstGoodRead(t *testing.T) {
 		}
 		if v, warns := count("count(<<v>>)"); len(warns) != 0 || !v.Equal(iql.Int(3)) {
 			t.Errorf("%s: count(<<v>>) after S healed = %s with %v, want 3 and no warning", by, v, warns)
+		}
+	}
+}
+
+// sharedFlaky is a flakySource that caches know by its instance, so
+// processors over it that share stores share what they derive from it.
+type sharedFlaky struct {
+	*flakySource
+	inst wrapper.Instance
+}
+
+func (f *sharedFlaky) Instance() *wrapper.Instance { return &f.inst }
+
+// TestStaleCopyRetiredForEverySession: a stale copy one processor served
+// is retired by the first good read of another over the same instance
+// and stores — a second session, or one restored over the sources it
+// took over — although that one's own breaker never saw the failure.
+// Until then the other would find the degraded extent at its address.
+func TestStaleCopyRetiredForEverySession(t *testing.T) {
+	ctx := context.Background()
+	for _, by := range []string{"probe", "query"} {
+		src := &sharedFlaky{flakySource: newFlakySource(t, "S")}
+		st := NewStores(0)
+		var a, b *Processor
+		for _, pp := range []**Processor{&a, &b} {
+			p := New()
+			p.SetBreaker(testBreakerConfig())
+			p.UseStores(st)
+			if err := p.AddSource(src); err != nil {
+				t.Fatal(err)
+			}
+			p.Define(hdm.MustScheme("<<v>>"), iql.MustParse("[x | x <- <<t>>]"), "test", "S")
+			*pp = p
+		}
+		count := func(p *Processor, q string) (iql.Value, []string) {
+			t.Helper()
+			v, warns, _, err := p.EvalContext(ctx, iql.MustParse(q))
+			if err != nil {
+				t.Fatalf("%s: %s: %v", by, q, err)
+			}
+			return v, warns
+		}
+		count(a, "count(<<v>>)")
+		a.InvalidateCache()
+		src.setFailing(true)
+		if _, warns := count(a, "count(<<v>>)"); len(warns) != 1 || !IsDegraded(warns[0]) {
+			t.Fatalf("%s: warnings while S fails = %v, want one degraded", by, warns)
+		}
+		src.setFailing(false)
+		if by == "probe" {
+			if n := b.ProbeOpen(ctx); n != 1 {
+				t.Errorf("probe: the other processor's ProbeOpen recovered %d sources, want 1", n)
+			}
+		} else if _, warns := count(b, "count(<<t>>)"); len(warns) != 0 {
+			t.Fatalf("query: a direct read of the healed S warns %v", warns)
+		}
+		for i, p := range []*Processor{b, a} {
+			if v, warns := count(p, "count(<<v>>)"); len(warns) != 0 || !v.Equal(iql.Int(3)) {
+				t.Errorf("%s: processor %d: count(<<v>>) after S healed = %s with %v, want 3 and no warning", by, 1-i, v, warns)
+			}
 		}
 	}
 }

@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf16"
+	"unicode/utf8"
 
 	"github.com/dataspace/automed/internal/obs"
 )
@@ -141,12 +145,168 @@ func errStatus(err error) int {
 // field — the cells of inline /sources rows, the only such field — stay
 // json.Number, so an int column takes every int64 exactly rather than
 // what survives a float64.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+func decode(r *http.Request, v any) error { return decodeFrom(r.Body, v) }
+
+func decodeFrom(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	dec.UseNumber()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("server: invalid request body: %w", err)
 	}
 	return nil
+}
+
+// decodeQuery is decode for a /query body. The body clients send — an
+// object of queryReq's string and boolean members, named as tagged — is
+// read in place, which spares the hottest request the decoder's
+// buffers; any other body is decode's to read or refuse.
+func decodeQuery(r *http.Request, req *queryReq) error {
+	buf := respBufPool.Get().(*respBuf)
+	defer respBufPool.Put(buf)
+	b := buf.b[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			return fmt.Errorf("server: invalid request body: %w", err)
+		}
+	}
+	buf.b = b
+	if readQuery(b, req) {
+		return nil
+	}
+	*req = queryReq{}
+	return decodeFrom(bytes.NewReader(b), req)
+}
+
+// readQuery reads b into req if b is a body decodeQuery reads in place.
+func readQuery(b []byte, req *queryReq) bool {
+	b, ok := skip(b, '{')
+	if !ok {
+		return false
+	}
+	for more := true; more; b, more = skip(b, ',') {
+		key, escaped, rest, ok := jsonString(b)
+		if !ok || escaped {
+			return false
+		}
+		b = rest
+		if b, ok = skip(b, ':'); !ok {
+			return false
+		}
+		var str *string
+		var flag *bool
+		switch string(key) {
+		case "session":
+			str = &req.Session
+		case "query":
+			str = &req.Query
+		case "explain":
+			flag = &req.Explain
+		case "no_cache":
+			flag = &req.NoCache
+		case "require_fresh":
+			flag = &req.RequireFresh
+		default:
+			return false
+		}
+		switch {
+		case str != nil:
+			raw, escaped, rest, ok := jsonString(b)
+			if !ok {
+				return false
+			}
+			if *str, b = string(raw), rest; escaped {
+				if *str, ok = unescape(raw); !ok {
+					return false
+				}
+			}
+		default:
+			if *flag = bytes.HasPrefix(b, []byte("true")); *flag {
+				b = b[4:]
+			} else if bytes.HasPrefix(b, []byte("false")) {
+				b = b[5:]
+			} else {
+				return false
+			}
+		}
+	}
+	b, ok = skip(b, '}')
+	return ok && len(bytes.TrimLeft(b, " \t\r\n")) == 0
+}
+
+// skip skips white space and then c, and reports whether c was there.
+func skip(b []byte, c byte) ([]byte, bool) {
+	b = bytes.TrimLeft(b, " \t\r\n")
+	if len(b) == 0 || b[0] != c {
+		return b, false
+	}
+	return b[1:], true
+}
+
+// jsonString reads a JSON string after white space: raw is what the
+// quotes enclose, escaped whether it holds an escape. One holding a
+// control character, invalid UTF-8 or an escape JSON does not know is
+// not read.
+func jsonString(b []byte) (raw []byte, escaped bool, rest []byte, ok bool) {
+	if b, ok = skip(b, '"'); !ok {
+		return nil, false, nil, false
+	}
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case c < 0x20:
+			return nil, false, nil, false
+		case c == '"':
+			return b[:i], escaped, b[i+1:], utf8.Valid(b[:i])
+		case c == '\\':
+			if i+1 == len(b) || !strings.ContainsRune(`"\\/bfnrtu`, rune(b[i+1])) {
+				return nil, false, nil, false
+			}
+			escaped = true
+			i++
+		}
+	}
+	return nil, false, nil, false
+}
+
+// unescape is the value of a JSON string whose escapes jsonString has
+// checked, unless it escapes a surrogate, which JSON pairs or replaces.
+func unescape(raw []byte) (string, bool) {
+	out := make([]byte, 0, len(raw))
+	for i := 0; i < len(raw); i++ {
+		if raw[i] != '\\' {
+			out = append(out, raw[i])
+			continue
+		}
+		i++
+		switch c := raw[i]; c {
+		case 'b', 'f', 'n', 'r', 't':
+			out = append(out, "\b\f\n\r\t"[strings.IndexByte("bfnrt", c)])
+		case 'u':
+			var r rune
+			for j := i + 1; j <= i+4; j++ {
+				d := -1
+				if j < len(raw) {
+					d = strings.IndexByte("0123456789abcdef", raw[j]|0x20)
+				}
+				if d < 0 {
+					return "", false
+				}
+				r = r<<4 | rune(d)
+			}
+			if utf16.IsSurrogate(r) {
+				return "", false
+			}
+			out, i = utf8.AppendRune(out, r), i+4
+		default: // a quotation mark, a reverse solidus or a solidus
+			out = append(out, c)
+		}
+	}
+	return string(out), true
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dataspace/automed/internal/cache"
@@ -58,7 +60,7 @@ type queryResp struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryReq
-	if err := decode(r, &req); err != nil {
+	if err := decodeQuery(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
@@ -85,9 +87,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
+		dl := &deadlineCtx{Context: ctx, at: time.Now().Add(timeout)}
+		defer dl.stop()
+		ctx = dl
 	}
 
 	// Trace when the client asked for one, and when a slow-query
@@ -169,6 +171,54 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Explain = s.explain(sess, req.Query, res.Version)
 	}
 	writeAnswer(w, r, buf, resp)
+}
+
+// deadlineCtx is a request's context under its query deadline, set only
+// once something waits on it or derives a context from it: a result-cache
+// hit does neither, which spares it a timer and its request a child.
+type deadlineCtx struct {
+	context.Context
+	at     time.Time
+	mu     sync.Mutex
+	set    atomic.Pointer[context.Context]
+	cancel context.CancelFunc
+}
+
+func (c *deadlineCtx) get() context.Context {
+	if p := c.set.Load(); p != nil {
+		return *p
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p := c.set.Load(); p != nil {
+		return *p
+	}
+	ctx, cancel := context.WithDeadline(c.Context, c.at)
+	c.cancel = cancel
+	c.set.Store(&ctx)
+	return ctx
+}
+
+func (c *deadlineCtx) Deadline() (time.Time, bool) { return c.get().Deadline() }
+func (c *deadlineCtx) Done() <-chan struct{}       { return c.get().Done() }
+func (c *deadlineCtx) Err() error                  { return c.get().Err() }
+
+// Value is the set context's once there is one, so that a context
+// derived from c finds the deadline's cancellation under it.
+func (c *deadlineCtx) Value(key any) any {
+	if p := c.set.Load(); p != nil {
+		return (*p).Value(key)
+	}
+	return c.Context.Value(key)
+}
+
+// stop releases the deadline's timer, if it was set.
+func (c *deadlineCtx) stop() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cancel != nil {
+		c.cancel()
+	}
 }
 
 // openAnswer starts a query response in buf, whatever buf held: the

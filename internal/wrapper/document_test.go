@@ -319,3 +319,37 @@ func TestDocumentNonFiniteCell(t *testing.T) {
 		}
 	}
 }
+
+// TestRelationalReadsAsItsDocument: an in-memory relational source reads
+// alike before and after its document restores it — a string with
+// invalid UTF-8 included, which JSON carries with each invalid byte a
+// U+FFFD — while the table itself keeps its bytes.
+func TestRelationalReadsAsItsDocument(t *testing.T) {
+	db := rel.NewDB("D")
+	tb := db.MustCreateTable("t", []rel.Column{{Name: "id", Type: rel.String}, {Name: "s", Type: rel.String}}, "id")
+	tb.MustInsert("k\xff", "bad\xfe\xffutf8")
+	live, err := NewRelational("D", db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := Encode(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Decode(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range [][]string{{"t"}, {"t", "s"}} {
+		want, err := restored.Extent(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := live.Extent(parts); err != nil || !got.Equal(want) {
+			t.Errorf("%v: live source reads %s (%v), restored %s", parts, got, err, want)
+		}
+	}
+	if v, _ := tb.Value("k\xff", "s"); v != "bad\xfe\xffutf8" {
+		t.Errorf("the table holds %q, not what was inserted", v)
+	}
+}

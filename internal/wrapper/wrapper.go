@@ -34,9 +34,15 @@ type Wrapper interface {
 // unique within the process and never an address (a freed wrapper's
 // can be reused), and an epoch, which moves when what the instance
 // serves may have changed. An extent cached under both is shared by
-// every session over the instance and unreachable after a bump. The
-// zero value is ready: the identity is drawn on first use.
-type Instance struct{ id, epoch atomic.Uint64 }
+// every session over the instance and unreachable after a bump. An
+// instance that served a stale copy in a source's place is marked, so
+// that whichever session next reads it well retires what was derived
+// from the copy. The zero value is ready: the identity is drawn on
+// first use.
+type Instance struct {
+	id, epoch  atomic.Uint64
+	stale, due atomic.Bool
+}
 
 // clock is the one counter identities and epochs are drawn from, so
 // none is ever reused.
@@ -56,6 +62,28 @@ func (x *Instance) Epoch() uint64 { return x.epoch.Load() }
 
 // Bump moves the instance to a fresh epoch.
 func (x *Instance) Bump() { x.epoch.Store(clock.Add(1)) }
+
+// MarkStale records that a stale copy was served in the instance's
+// place; Stale reports whether one was since its last good read.
+func (x *Instance) MarkStale()  { x.stale.Store(true) }
+func (x *Instance) Stale() bool { return x.stale.Load() }
+
+// ReadWell records a good read of the instance. The first after a stale
+// copy was served makes it due a fresh epoch, which it takes when the
+// next evaluation or answer lookup over it starts (Settle): one in
+// flight keeps the addresses it started at.
+func (x *Instance) ReadWell() {
+	if x.stale.CompareAndSwap(true, false) {
+		x.due.Store(true)
+	}
+}
+
+// Settle bumps the instance if it is due a fresh epoch.
+func (x *Instance) Settle() {
+	if x.due.Load() && x.due.CompareAndSwap(true, false) {
+		x.Bump()
+	}
+}
 
 // Relational wraps an in-memory relational database.
 type Relational struct {
@@ -168,7 +196,8 @@ func CellValue(v any) iql.Value {
 // documentCell is CellValue for an in-memory table, which a session
 // file carries: a string as the file holds it, each byte of invalid
 // UTF-8 a U+FFFD, so that the source reads alike before and after the
-// file is restored.
+// file is restored. The table keeps its own bytes: another reader of it
+// (a database served over it) sees them.
 func documentCell(v any) iql.Value {
 	if s, ok := v.(string); ok && !utf8.ValidString(s) {
 		v = string([]rune(s))
