@@ -99,7 +99,7 @@ func (t *addresses) current(gen uint64) bool {
 
 // resolve is Processor.resolve against the table.
 func (t *addresses) resolve(scope string, parts []string) resolution {
-	return resolveIn(t.srcs, t.defs, nil, scope, parts)
+	return resolveIn(t.srcs, t.defs, scope, parts)
 }
 
 // derivSum is what a derivation contributes to a fingerprint by itself:
@@ -133,7 +133,7 @@ func (p *Processor) fingerprintLocked() *addresses {
 		for i, d := range vo.derivs {
 			b = append(b, vo.sums[i].fields[:]...)
 			for _, ref := range vo.sums[i].refs {
-				r := resolveIn(t.srcs, p.defs, nil, d.Scope, ref)
+				r := resolveIn(t.srcs, p.defs, d.Scope, ref)
 				if b = appendTarget(b, r); r.kind == refVirtual {
 					names[k] = append(names[k], r.key)
 				}

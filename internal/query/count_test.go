@@ -55,7 +55,7 @@ func countCached(p *Processor) bool { return p.st.srcExt.Peek(addrOf(p, "S", "it
 
 // addrOf is the current address of the object key of p's source name.
 func addrOf(p *Processor, name, key string) extentAddr {
-	for _, src := range p.sourceList() {
+	for _, src := range p.addresses().srcs {
 		if src.name == name {
 			return src.addr(key)
 		}

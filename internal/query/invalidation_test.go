@@ -23,7 +23,7 @@ import (
 // how many it dropped: how these tests retire one extent at a time.
 func (p *Processor) InvalidateSchemes(keys ...string) int {
 	n := 0
-	for _, src := range p.sourceList() {
+	for _, src := range p.addresses().srcs {
 		for _, k := range keys {
 			if p.st.srcExt.Delete(src.addr(k), nil) {
 				n++

@@ -334,14 +334,6 @@ func (p *Processor) AddExtents(name string, schema *hdm.Schema, ext iql.Extents)
 	return nil
 }
 
-// sourceList returns the registered sources. They are append-only, so
-// the slice header taken under the lock can be walked without it.
-func (p *Processor) sourceList() []source {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sources[:len(p.sources):len(p.sources)]
-}
-
 // SourceNames returns registered source names in registration order.
 func (p *Processor) SourceNames() []string {
 	p.mu.Lock()

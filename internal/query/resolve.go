@@ -1,8 +1,6 @@
 package query
 
 import (
-	"sync"
-
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
 )
@@ -50,17 +48,14 @@ func (r resolution) appendDeps(log []string) []string {
 // resolve resolves a reference in the paper's order: the current
 // scope's source schema first (the per-pathway query context), then
 // virtual objects by exact scheme key, then every registered source,
-// where one hit is authoritative and several are ambiguous.
+// where one hit is authoritative and several are ambiguous. It resolves
+// against the current table of addresses (addresses.resolve).
 func (p *Processor) resolve(scope string, parts []string) resolution {
-	// Resolve walks each schema, and holding p.mu across that would
-	// serialise every query's resolution: only the definition lookup
-	// takes it.
-	return resolveIn(p.sourceList(), p.defs, &p.mu, scope, parts)
+	return p.addresses().resolve(scope, parts)
 }
 
-// resolveIn is resolve over the sources srcs and the definitions defs,
-// looked up under mu unless mu is nil (the caller holds it).
-func resolveIn(srcs []source, defs map[string]virtualObject, mu *sync.Mutex, scope string, parts []string) resolution {
+// resolveIn is resolve over the sources srcs and the definitions defs.
+func resolveIn(srcs []source, defs map[string]virtualObject, scope string, parts []string) resolution {
 	if scope != "" {
 		for i := range srcs {
 			if srcs[i].name != scope {
@@ -75,15 +70,14 @@ func resolveIn(srcs []source, defs map[string]virtualObject, mu *sync.Mutex, sco
 	// The key is built on the stack: a virtual object's is the one its
 	// definitions are kept under, so only a source object's is copied.
 	var buf [128]byte
-	key := appendKey(buf[:0], parts)
-	if mu != nil {
-		mu.Lock()
+	key := buf[:0]
+	for i, part := range parts {
+		if i > 0 {
+			key = append(key, '|')
+		}
+		key = append(key, part...)
 	}
-	vo, virtual := defs[string(key)]
-	if mu != nil {
-		mu.Unlock()
-	}
-	if virtual {
+	if vo, virtual := defs[string(key)]; virtual {
 		return resolution{kind: refVirtual, key: vo.key, derivs: vo.derivs, fp: vo.fp}
 	}
 	r := resolution{key: string(key)}
@@ -99,17 +93,6 @@ func resolveIn(srcs []source, defs map[string]virtualObject, mu *sync.Mutex, sco
 		r.kind, r.src, r.sc = refGlobal, srcs[i], obj.Scheme
 	}
 	return r
-}
-
-// appendKey appends the scheme key of the reference parts.
-func appendKey(key []byte, parts []string) []byte {
-	for i, part := range parts {
-		if i > 0 {
-			key = append(key, '|')
-		}
-		key = append(key, part...)
-	}
-	return key
 }
 
 // maxRenameHops bounds the rename chase in chase; longer (or cyclic)

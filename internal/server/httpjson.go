@@ -162,8 +162,8 @@ func decodeFrom(r io.Reader, v any) error {
 // read in place, which spares the hottest request the decoder's
 // buffers; any other body is decode's to read or refuse.
 func decodeQuery(r *http.Request, req *queryReq) error {
-	buf := respBufPool.Get().(*respBuf)
-	defer respBufPool.Put(buf)
+	buf := bodyPool.Get().(*respBuf)
+	defer bodyPool.Put(buf)
 	b := buf.b[:0]
 	for {
 		if len(b) == cap(b) {
@@ -184,6 +184,10 @@ func decodeQuery(r *http.Request, req *queryReq) error {
 	*req = queryReq{}
 	return decodeFrom(bytes.NewReader(b), req)
 }
+
+// bodyPool recycles request-body buffers, apart from the response
+// buffers, which are larger.
+var bodyPool = sync.Pool{New: func() any { return new(respBuf) }}
 
 // readQuery reads b into req if b is a body decodeQuery reads in place.
 func readQuery(b []byte, req *queryReq) bool {
