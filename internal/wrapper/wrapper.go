@@ -73,7 +73,7 @@ func (x *Instance) Stale() bool { return x.stale.Load() }
 // next evaluation or answer lookup over it starts (Settle): one in
 // flight keeps the addresses it started at.
 func (x *Instance) ReadWell() {
-	if x.stale.CompareAndSwap(true, false) {
+	if x.stale.Load() && x.stale.CompareAndSwap(true, false) {
 		x.due.Store(true)
 	}
 }
