@@ -91,7 +91,10 @@ bench-check:
 # allocation and the mutex profiler, then the cumulative CPU top and the
 # cumulative allocation top of each of the three (the latter without the
 # frames of the harness, which are all of one size and would fill the
-# top before an allocator is reached) and, for BenchmarkServerPayg, the
+# top before an allocator is reached), then the flat CPU top of
+# BenchmarkServerTable1 — the warm floor is in leaf functions (binding a
+# pattern, laying out digits, comparing keys) that the cumulative top
+# shows only behind their callers — and, for BenchmarkServerPayg, the
 # top of where goroutines waited for a lock:
 # what one session's persistence costs another shows there before it
 # shows anywhere else. Test binary and profiles go to the git-ignored
@@ -106,6 +109,7 @@ profile:
 		$(GO) tool pprof -top -cum -nodecount 30 .bench_build/automed.test .bench_build/cpu.$$b.prof && \
 		$(GO) tool pprof -sample_index=alloc_space -top -cum -nodecount 30 -hide 'testing\.|net/http\.|automed\.(Benchmark|bench|postStatus|servePost)' .bench_build/automed.test .bench_build/mem.$$b.prof || exit 1; \
 	done
+	$(GO) tool pprof -top -nodecount 30 .bench_build/automed.test .bench_build/cpu.ServerTable1.prof
 	$(GO) tool pprof -top -cum -nodecount 20 .bench_build/automed.test .bench_build/mutex.ServerPayg.prof
 
 # fuzz-seeds runs every committed fuzz seed (malformed repo snapshots,

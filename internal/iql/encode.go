@@ -29,9 +29,10 @@ import (
 //     so that the rendering is injective and parses back.
 //
 // Whatever is asked for, a node is visited once and the one expensive
-// scalar, a float, has its digits searched for once; Key, String,
-// BagOrder and an answer's response fragment are this walk with
-// different outputs switched on.
+// scalar, a float, has its digits searched for at most once — not at
+// all when it came from a source cell, which carries them (SourceFloat);
+// Key, String, BagOrder and an answer's response fragment are this walk
+// with different outputs switched on.
 //
 // The text is handed down the recursion and back as a value, the way an
 // append-style function passes its destination, while key and JSON sit
@@ -158,7 +159,7 @@ func (e *encoder) value(dst []byte, v Value) ([]byte, error) {
 		}
 		return dst, nil
 	case KindFloat:
-		return e.float(dst, math.Float64frombits(v.word))
+		return e.float(dst, v)
 	case KindString:
 		return e.string(dst, v.S()), nil
 	case KindTuple:
@@ -202,52 +203,51 @@ func (e *encoder) string(dst []byte, s string) []byte {
 	return dst
 }
 
-// float appends f to each wanted output from one search for its
-// shortest digits. The key is 'f' and strconv's %g — or, so that
-// numeric joins behave as users expect, the key of the int an integral
-// float is Equal to. The text is %g, with ".0" when that would read as
-// an int. JSON is encoding/json's number.
-func (e *encoder) float(dst []byte, f float64) ([]byte, error) {
+// float appends v to each wanted output from one decimal of its
+// shortest digits: unpacked from the length word when a source cell
+// carried them in (SourceFloat), else searched for here. The key is 'f'
+// and strconv's %g — or, so that numeric joins behave as users expect
+// and Equal values share a key, the key of the int an integral float is
+// Equal to. The text is %g, with ".0" when that would read as an int.
+// JSON is encoding/json's number.
+func (e *encoder) float(dst []byte, v Value) ([]byte, error) {
+	f := math.Float64frombits(v.word)
 	wantKey := e.want&wantKey != 0
-	if wantKey && f == math.Trunc(f) && math.Abs(f) < 1e15 {
+	if wantKey && f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
 		e.key = strconv.AppendInt(append(e.key, 'i'), int64(f), 10)
 		wantKey = false
 	}
-	if e.want&wantJSON == 0 {
-		// Key and text are both %g: strconv's search, strconv's layout.
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if e.want&wantJSON != 0 {
+			_, err := jsontext.AppendFloat(nil, f)
+			return dst, err
+		}
+		g := strconv.FormatFloat(f, 'g', -1, 64) // NaN, +Inf or -Inf
+		if wantKey {
+			e.key = append(append(e.key, 'f'), g...)
+		}
 		if e.want&wantText != 0 {
-			n := len(dst)
-			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
-			if wantKey {
-				e.key = append(append(e.key, 'f'), dst[n:]...)
-			}
-			if bytes.IndexByte(dst[n:], '.') < 0 && bytes.IndexByte(dst[n:], 'e') < 0 {
-				dst = append(dst, ".0"...) // or it would read as an int
-			}
-		} else if wantKey {
-			e.key = strconv.AppendFloat(append(e.key, 'f'), f, 'g', -1, 64)
+			dst = append(append(dst, g...), ".0"...)
 		}
 		return dst, nil
 	}
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		_, err := jsontext.AppendFloat(nil, f)
-		return dst, err
-	}
-	// With JSON there are two layouts: search once, lay out twice.
 	var d decimal
-	d.set(f)
+	if v.n != 0 {
+		d.unpack(v.word, v.n)
+	} else {
+		d.set(f)
+	}
 	if wantKey {
 		e.key = d.appendG(append(e.key, 'f'))
 	}
-	// encoding/json: ES6 number-to-string, %e outside [1e-6, 1e21) with a
-	// one-digit negative exponent unpadded.
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		e.json = append(e.json, d.e[:d.en]...)
-		if n := len(e.json); e.json[n-3] == '-' && e.json[n-2] == '0' {
-			e.json = append(e.json[:n-2], e.json[n-1])
+	// encoding/json: ES6 number-to-string, %e outside [1e-6, 1e21) with
+	// the exponent unpadded.
+	if e.want&wantJSON != 0 {
+		if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			e.json = d.appendExp(e.json, false)
+		} else {
+			e.json = d.appendFixed(e.json)
 		}
-	} else {
-		e.json = d.appendFixed(e.json)
 	}
 	if e.want&wantText != 0 {
 		dst = d.appendG(dst)
@@ -262,8 +262,6 @@ func (e *encoder) float(dst []byte, f float64) ([]byte, error) {
 // to it — the search that dominates formatting a float — found once
 // and laid out as each output wants them.
 type decimal struct {
-	e   [24]byte // strconv's 'e' form, [-]d[.ddd]e±dd[d]: -1.7976931348623157e+308 at the longest
-	en  int
 	neg bool
 	d   [17]byte // the digits; zero is the digit 0
 	nd  int
@@ -271,8 +269,8 @@ type decimal struct {
 }
 
 func (d *decimal) set(f float64) {
-	b := strconv.AppendFloat(d.e[:0], f, 'e', -1, 64)
-	d.en = len(b)
+	var buf [24]byte // -1.7976931348623157e+308 at the longest
+	b := strconv.AppendFloat(buf[:0], f, 'e', -1, 64)
 	// From the end: two exponent digits, or three.
 	n := len(b)
 	d.exp = int(b[n-2]-'0')*10 + int(b[n-1]-'0')
@@ -296,6 +294,37 @@ func (d *decimal) set(f float64) {
 	}
 }
 
+// packDigits returns what SourceFloat keeps in a float's length word:
+// its shortest digits read as an integer (at most 17 digits, so below
+// 2⁵⁷), shifted left past two bits that correct log10Pow2 of its binary
+// exponent to its decimal exponent — by 0, 1 or 2 for a normal float.
+// Zero, a subnormal, NaN and ±Inf carry nothing: 0.
+func packDigits(bits uint64) int {
+	e2 := int(bits >> 52 & 0x7ff)
+	if e2 == 0 || e2 == 0x7ff {
+		return 0
+	}
+	var d decimal
+	d.set(math.Float64frombits(bits))
+	var m uint64
+	for _, c := range d.d[:d.nd] {
+		m = m*10 + uint64(c-'0')
+	}
+	return int(m<<2 | uint64(d.exp-log10Pow2(e2-1023)))
+}
+
+// unpack sets d from a float's bits and the digits packDigits made of
+// them.
+func (d *decimal) unpack(bits uint64, n int) {
+	d.neg = bits>>63 != 0
+	d.nd = len(strconv.AppendUint(d.d[:0], uint64(n)>>2, 10))
+	d.exp = log10Pow2(int(bits>>52&0x7ff)-1023) + n&3
+}
+
+// log10Pow2 is ⌊log10 2^e⌋ for |e| ≤ 2620 (Dragonbox's multiply and
+// shift).
+func log10Pow2(e int) int { return e * 315653 >> 20 }
+
 // fixedG reports whether %g at the shortest precision is the %f form
 // (strconv: %e when the exponent is < -4 or >= 6).
 func (d *decimal) fixedG() bool { return d.exp >= -4 && d.exp < 6 }
@@ -306,7 +335,29 @@ func (d *decimal) appendG(dst []byte) []byte {
 	if d.fixedG() {
 		return d.appendFixed(dst)
 	}
-	return append(dst, d.e[:d.en]...)
+	return d.appendExp(dst, true)
+}
+
+// appendExp appends the digits as strconv's 'e' format at precision -1
+// does, [-]d[.ddd]e±dd[d] — or, unpadded, with a one-digit exponent as
+// encoding/json writes it.
+func (d *decimal) appendExp(dst []byte, padded bool) []byte {
+	if d.neg {
+		dst = append(dst, '-')
+	}
+	dst = append(dst, d.d[0])
+	if d.nd > 1 {
+		dst = append(append(dst, '.'), d.d[1:d.nd]...)
+	}
+	exp, sign := d.exp, byte('+')
+	if exp < 0 {
+		exp, sign = -exp, '-'
+	}
+	dst = append(dst, 'e', sign)
+	if padded && exp < 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(exp), 10)
 }
 
 // appendFixed appends the digits as strconv's 'f' format at precision

@@ -18,10 +18,12 @@
 // side (kind, bool, int, float, string, items), at most two of them
 // live, were 72. A scalar is bits in the word; a string's bytes, or a
 // tuple's or bag's items, are the pointer and the length (the word then
-// keeps the items' capacity, for Cap to report). Build values
-// with the constructors (Int, Str, Tuple, BagOf, …) and read them with
-// the accessors (I, S, Items, …), which return the zero value when the
-// kind is another.
+// keeps the items' capacity, for Cap to report). A float read from a
+// source (SourceFloat) keeps its shortest decimal digits in the length,
+// found once when the cell is read, for every answer to lay out. Build
+// values with the constructors (Int, Str, Tuple, BagOf, …) and read
+// them with the accessors (I, S, Items, …), which return the zero value
+// when the kind is another.
 //
 // Values are immutable. Constructors keep the string or the slice they
 // are given, without copying, and accessors hand the same memory back:
@@ -94,13 +96,14 @@ func (k Kind) String() string {
 // it holds. The zero Value is the null value. Values are immutable.
 //
 // Kind says which of the other three words are live. A bool, an int64
-// or a float64 lives as bits in word. A string's bytes, or a tuple's or
-// bag's items, are ptr and n — the data pointer and the length of the
-// string or slice the constructor was given, taken apart and put back
-// together with package unsafe in this file and nowhere else — and for
-// items word keeps the slice's capacity. Read them through B, I, F, S,
-// Items and Cap, which return the zero value on any other kind (word is
-// shared, so there is no field to read unchecked).
+// or a float64 lives as bits in word; a float's n is its packed digits
+// or 0 (SourceFloat), which only the encoder reads. A string's bytes,
+// or a tuple's or bag's items, are ptr and n — the data pointer and the
+// length of the string or slice the constructor was given, taken apart
+// and put back together with package unsafe in this file and nowhere
+// else — and for items word keeps the slice's capacity. Read them
+// through B, I, F, S, Items and Cap, which return the zero value on any
+// other kind (word is shared, so there is no field to read unchecked).
 //
 // The zero-size array of funcs makes Value non-comparable: v == w and
 // map[Value] would otherwise compile and compare strings and items by
@@ -108,7 +111,7 @@ func (k Kind) String() string {
 type Value struct {
 	_    [0]func()
 	ptr  unsafe.Pointer // string bytes, or the first item
-	n    int            // len of the string, or of the items
+	n    int            // len of the string or of the items, or a float's digits
 	word uint64         // bool, int64 or float64 bits, or cap of the items
 	Kind Kind
 }
@@ -130,6 +133,17 @@ func Int(i int64) Value { return Value{Kind: KindInt, word: uint64(i)} }
 
 // Float returns a floating-point value.
 func Float(f float64) Value { return Value{Kind: KindFloat, word: math.Float64bits(f)} }
+
+// SourceFloat returns Float(f) carrying f's shortest decimal digits, for
+// a cell read from a source: every answer the cell reaches lays them out
+// instead of searching for them again. They live in the length word,
+// which a float does not otherwise use, so the value reads, compares and
+// hashes as Float(f) does. Zero, subnormals, NaN and ±Inf carry none.
+func SourceFloat(f float64) Value {
+	v := Float(f)
+	v.n = packDigits(v.word)
+	return v
+}
 
 // Str returns a string value.
 func Str(s string) Value {

@@ -34,7 +34,7 @@ func refWriteKey(v Value, b *strings.Builder) {
 		b.WriteString("i")
 		b.WriteString(strconv.FormatInt(v.I(), 10))
 	case KindFloat:
-		if v.F() == math.Trunc(v.F()) && !math.IsInf(v.F(), 0) && math.Abs(v.F()) < 1e15 {
+		if f := v.F(); f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63 {
 			b.WriteString("i")
 			b.WriteString(strconv.FormatInt(int64(v.F()), 10))
 			return
@@ -157,4 +157,33 @@ func TestKeyAndStringUnchanged(t *testing.T) {
 	}
 	check(BagOf(edges))
 	check(Tuple(BagOf(edges), Bag(Int(5), Float(5), Int(5)), Tuple(edges...)))
+}
+
+// TestCarriedDigitsExponent: a carried float's decimal exponent is
+// log10Pow2 of its binary one plus a correction of two bits, so the
+// estimate must be ⌊log10 2^e⌋ at every normal exponent and the
+// correction 0, 1 or 2 — checked at each power of two and ten and the
+// floats one ulp either side, where the two exponents part.
+func TestCarriedDigitsExponent(t *testing.T) {
+	for e := -1022; e <= 1023; e++ {
+		if got, want := log10Pow2(e), int(math.Floor(float64(e)*math.Log10(2))); got != want {
+			t.Errorf("log10Pow2(%d) = %d, want %d", e, got, want)
+		}
+	}
+	var edges []float64
+	for e := -1022; e <= 1023; e++ {
+		edges = append(edges, math.Ldexp(1, e))
+	}
+	for e := -307; e <= 308; e++ {
+		p, _ := strconv.ParseFloat("1e"+strconv.Itoa(e), 64)
+		edges = append(edges, p)
+	}
+	for _, p := range edges {
+		for _, f := range []float64{p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)), -p} {
+			n := packDigits(math.Float64bits(f))
+			if normal := math.Abs(f) >= 0x1p-1022 && !math.IsInf(f, 0); (n != 0) != normal || n&3 > 2 {
+				t.Errorf("%g: packed %#x (normal %v)", f, n, normal)
+			}
+		}
+	}
 }

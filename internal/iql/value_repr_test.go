@@ -222,3 +222,63 @@ func TestCompareIntsExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestEqualValuesShareAKey: two values are Equal iff their keys are
+// identical, at every magnitude where an integral float is an int's
+// value, so Equal bags sort alike — and since the key orders a bag's
+// JSON, answer alike where their numbers print alike. 2⁶³ is no int's
+// value, so it keeps a float's key.
+func TestEqualValuesShareAKey(t *testing.T) {
+	for _, f := range []float64{1e15, -1e15, 1e15 + 2, 1 << 53, 1e18, -0x1p63, 0x1p63 - 1024} {
+		fv, iv := iql.Float(f), iql.Int(int64(f))
+		if !fv.Equal(iv) {
+			t.Fatalf("%s and %s are not Equal", fv, iv)
+		}
+		if fv.Key() != iv.Key() {
+			t.Errorf("%s keys %q, the Equal %s %q", fv, fv.Key(), iv, iv.Key())
+		}
+		a, b := iql.Bag(fv, iql.Int(0)), iql.Bag(iv, iql.Int(0))
+		sa, errA := iql.SortBag(a)
+		sb, errB := iql.SortBag(b)
+		if errA != nil || errB != nil || !sa.Items()[0].Equal(sb.Items()[0]) {
+			t.Errorf("the Equal bags %s and %s sort as %s and %s (%v, %v)", a, b, sa, sb, errA, errB)
+		}
+	}
+	a, b := iql.Bag(iql.Float(1e15), iql.Int(0)), iql.Bag(iql.Int(1e15), iql.Int(0))
+	ja, _, errA := iql.AppendJSONAndText(nil, nil, a)
+	jb, _, errB := iql.AppendJSONAndText(nil, nil, b)
+	if errA != nil || errB != nil || string(ja) != string(jb) {
+		t.Errorf("the Equal bags %s and %s answer %s and %s (%v, %v)", a, b, ja, jb, errA, errB)
+	}
+	if k := iql.Float(0x1p63).Key(); !strings.HasPrefix(k, "f") {
+		t.Errorf("2^63 keys %q, an int's key", k)
+	}
+}
+
+// TestSourceFloatReadsAsFloat: a source cell's float carries its digits
+// in a word no accessor of a float reads, so it reads, compares, hashes
+// and costs as the plain float does, and as nothing else.
+func TestSourceFloatReadsAsFloat(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	floats := append(append([]float64{800 + r.Float64()*2000, r.Float64(), 0x1p-1022, -0x1p-1074}, iqltest.Floats...), iqltest.NonFinite...)
+	for _, f := range floats {
+		src, plain := iql.SourceFloat(f), iql.Float(f)
+		readsAs(t, src, false, 0, f, "", nil)
+		if src.Len() != -1 || src.Footprint() != 32 {
+			t.Errorf("%s: Len() = %d, Footprint() = %d, want -1 and 32", src, src.Len(), src.Footprint())
+		}
+		if src.Hash() != plain.Hash() {
+			t.Errorf("%s hashes %x, the plain float %x", src, src.Hash(), plain.Hash())
+		}
+		for _, w := range []iql.Value{plain, iql.SourceFloat(f), iql.Int(int64(f)), iql.Float(f + 1), iql.SourceFloat(-f)} {
+			if src.Equal(w) != plain.Equal(w) || w.Equal(src) != w.Equal(plain) {
+				t.Errorf("%s = %s is %v, the plain float's %v", src, w, src.Equal(w), plain.Equal(w))
+			}
+			c, err := src.Compare(w)
+			cp, errp := plain.Compare(w)
+			if c != cp || (err == nil) != (errp == nil) {
+				t.Errorf("%s against %s compares %d, %v, the plain float %d, %v", src, w, c, err, cp, errp)
+			}
+		}
+	}
+}

@@ -49,7 +49,8 @@ import (
 //     folded here takes the bag's steps and one, the call's — a count
 //     taken at the source being the exception;
 //   - an encoded answer's bytes are AppendJSONAndText of the same mode's
-//     built answer, and an answer JSON cannot carry an *iql.EncodingError.
+//     built answer, its JSON byte for byte that of Eval's answer, and an
+//     answer JSON cannot carry an *iql.EncodingError.
 
 // TestOracle runs the oracle over generated queries, and asserts that
 // the modes ran as named: the sharded ones sharded some evaluation and
@@ -353,6 +354,16 @@ func (o *oracle) check(t *testing.T, src string) {
 	for form, f := range forms {
 		wants[form], wantErrs[form] = iqltest.Eval(f, o.ref, nil)
 	}
+	// The reference answers' JSON: their floats carry no digits, so an
+	// encoded answer whose source cells carried theirs (T's, R's) must
+	// lay them out as a search does. Only JSON: text is in the order of
+	// evaluation.
+	wantJSON := make([][]byte, len(forms))
+	for form := range forms {
+		if wantErrs[form] == nil {
+			wantJSON[form], _, _ = iql.AppendJSONAndText(nil, nil, wants[form])
+		}
+	}
 	type key struct{ form, state int }
 	refs := map[key]run{}
 	same := func(where string, form, state int, got run) {
@@ -394,6 +405,9 @@ func (o *oracle) check(t *testing.T, src string) {
 		json, text, err := iql.AppendJSONAndText(nil, nil, built.val)
 		if err != nil || !bytes.Equal(json, enc.json) || !bytes.Equal(text, enc.text) {
 			t.Errorf("%s, %s: encoded %s; built %s (%v)", forms[form], where, enc.json, json, err)
+		}
+		if !bytes.Equal(enc.json, wantJSON[form]) {
+			t.Errorf("%s, %s: encoded %s; the reference %s", forms[form], where, enc.json, wantJSON[form])
 		}
 	}
 	folds := func(where string, bag, count run) {

@@ -772,9 +772,10 @@ func noteMember(bad []restBadMember, name string, err error) []restBadMember {
 // numberValue maps a number literal onto an IQL scalar: an integral
 // literal keeps full int64 precision, everything else must fit a
 // float64 (ParseInt, then ParseFloat, as json.Number's Int64 and
-// Float64 would). When the value is not wanted only the check is made,
-// and a literal that cannot overflow a float64 — no exponent, fewer
-// digits than the largest float64 has — is not even parsed.
+// Float64 would), a float carrying its shortest digits as a relational
+// cell does (CellValue). When the value is not wanted only the check is
+// made, and a literal that cannot overflow a float64 — no exponent,
+// fewer digits than the largest float64 has — is not even parsed.
 func numberValue(lit []byte, wanted bool) (iql.Value, error) {
 	if !wanted && len(lit) < 300 && bytes.IndexAny(lit, "eE") < 0 {
 		return iql.Value{}, nil
@@ -788,5 +789,8 @@ func numberValue(lit []byte, wanted bool) (iql.Value, error) {
 	if err != nil {
 		return iql.Value{}, fmt.Errorf("number %q fits neither int64 nor float64", lit)
 	}
-	return iql.Float(f), nil
+	if !wanted {
+		return iql.Value{}, nil // checked: its digits are not worth a search
+	}
+	return iql.SourceFloat(f), nil
 }

@@ -172,7 +172,8 @@ func (w *Relational) Extent(parts []string) (iql.Value, error) {
 // CellValue converts a relational cell — an in-memory table's or one
 // scanned from a database — to an IQL value without losing precision:
 // int64 and float64 stay exact, []byte columns become strings,
-// timestamps render as RFC 3339.
+// timestamps render as RFC 3339. A float64 carries its shortest digits
+// (iql.SourceFloat), found here once for every answer it reaches.
 func CellValue(v any) iql.Value {
 	switch x := v.(type) {
 	case nil:
@@ -180,7 +181,7 @@ func CellValue(v any) iql.Value {
 	case int64:
 		return iql.Int(x)
 	case float64:
-		return iql.Float(x)
+		return iql.SourceFloat(x)
 	case bool:
 		return iql.Bool(x)
 	case string:
