@@ -56,7 +56,14 @@ func countExtents(rows int) iql.Extents {
 // countComps are comprehensions whose count is worth taking: a plain
 // scan, a pattern that skips what it does not match, filters (one that
 // fails), a head that does work, a join, a nested comprehension under
-// count, and a head that fails on the third row.
+// count, and a head that fails on the third row. And tuple heads of
+// variables, which a count copies from the generators' scopes by slot
+// where every component is bound by one of the comprehension's own
+// generators: one that names an outer comprehension's variable, which
+// has no slot; one that names a variable two generators bind, where the
+// later binding is the one seen; one over a pattern that repeats a name;
+// and one with a "_" component beside the variables, which nothing
+// binds, and a pattern with one.
 var countComps = []string{
 	"[x | x <- <<s>>]",
 	"[k | {k, v} <- <<s>>]",
@@ -67,29 +74,54 @@ var countComps = []string{
 	"[{x, y} | x <- <<s>>; y <- <<t>>; x = y]",
 	"[count([y | y <- <<t>>; y = x]) | x <- <<s>>]",
 	"[x + 1 | x <- <<nums>>]",
+	"[count([{x, y} | y <- <<t>>; y = x]) | x <- <<s>>]",
+	"[{x, k} | {k, x} <- <<pairs>>; x < 2; {x, y} <- <<pairs>>; y = k]",
+	"[{v, k, v} | {k, k, v} <- [{1, 2, 3}, {4, 5, 6}]; {v, w} <- <<pairs>>; w = k]",
+	"[{k, k} | {k, k} <- <<pairs>>]",
+	"[{k, _} | {k, v} <- <<pairs>>]",
+	"[{v, k} | {k, _, v} <- [{1, 2, 3}, {4, 5}, {6, 7, 8}]]",
 }
 
 // TestCountOfComprehensionMatchesMaterialised holds countComps, and
-// their counts, to the reference in every mode.
+// their counts, to the reference in every mode, and sweeps each under
+// step limits (see sweepStepLimits).
 func TestCountOfComprehensionMatchesMaterialised(t *testing.T) {
 	ext := countExtents(400)
 	for _, comp := range countComps {
 		agree(t, ext, nil, comp)
 	}
+	small := countExtents(100)
+	for _, comp := range countComps {
+		sweepStepLimits(t, small, comp, false)
+	}
 }
 
 // TestCountStepBudgetRunsOutAtTheSameStep: under every step limit from
 // none too few to just enough, count(comprehension) and the
-// comprehension (which gets one step less, the call's) agree on whether
-// the limit holds, with the same error when it does not.
+// comprehension agree on whether the limit holds, with the same error
+// when it does not.
 func TestCountStepBudgetRunsOutAtTheSameStep(t *testing.T) {
-	ext := countExtents(100)
-	comp := "[k | {k, v} <- <<pairs>>; v < 5]"
+	sweepStepLimits(t, countExtents(100), "[k | {k, v} <- <<pairs>>; v < 5]", true)
+}
+
+// sweepStepLimits evaluates count(comp) under step limits from none too
+// few to just enough, and comp under one step less (the call's), in
+// every mode: both fail, or neither; a limit fails as the limit it was
+// given, any other error alike (sharded, where the comprehension cannot
+// fail on its own); and, but sharded, the count gives up a
+// step after the comprehension — and, when exact, at the step after the
+// limit. (A join whose probe runs out of steps falls back to a scan,
+// whose first step is refused again.) A count's head goes to a counting sink,
+// a tuple head into a scratch row, from the generators' slots where it
+// can be, and the comprehension's to its bag by eval: this holds the one
+// to the other at every limit.
+func sweepStepLimits(t *testing.T, ext iql.Extents, comp string, exact bool) {
+	t.Helper()
+	count := "count(" + comp + ")"
 	free := iql.NewEvaluator(ext)
-	if _, err := free.Eval(iql.MustParse("count("+comp+")"), nil); err != nil {
-		t.Fatal(err)
-	}
+	_, freeErr := free.Eval(iql.MustParse(count), nil)
 	total := free.Steps()
+	exceeded := func(limit int) string { return fmt.Sprintf("iql: evaluation exceeded %d steps", limit) }
 	for _, mode := range modes {
 		for _, limit := range []int{2, 3, total / 2, total - 1, total} {
 			bagEv := mode.ev(ext)
@@ -97,18 +129,27 @@ func TestCountStepBudgetRunsOutAtTheSameStep(t *testing.T) {
 			_, bagErr := bagEv.Eval(iql.MustParse(comp), nil)
 			countEv := mode.ev(ext)
 			countEv.MaxSteps = limit
-			_, err := countEv.Eval(iql.MustParse("count("+comp+")"), nil)
-			if (err == nil) != (limit >= total) {
-				t.Errorf("%s: limit %d of %d steps: count error = %v", mode.name, limit, total, err)
+			_, err := countEv.Eval(iql.MustParse(count), nil)
+			if (err == nil) != (limit >= total && freeErr == nil) {
+				t.Errorf("%s, %s: limit %d of %d steps: count error = %v", comp, mode.name, limit, total, err)
 			}
 			if (err == nil) != (bagErr == nil) {
-				t.Errorf("%s: limit %d: count error = %v, the comprehension's under %d = %v", mode.name, limit, err, limit-1, bagErr)
+				t.Errorf("%s, %s: limit %d: count error = %v, the comprehension's under %d = %v", comp, mode.name, limit, err, limit-1, bagErr)
 			}
-			if err != nil && err.Error() != fmt.Sprintf("iql: evaluation exceeded %d steps", limit) {
-				t.Errorf("%s: limit %d: error = %v", mode.name, limit, err)
+			// Sharded, which worker's error comes first is the scheduler's
+			// choice where the comprehension fails on its own too.
+			if err == nil || bagErr == nil || mode.name == "sharded" && freeErr != nil {
+				continue
 			}
-			if err != nil && mode.name != "sharded" && countEv.Steps() != limit+1 {
-				t.Errorf("%s: limit %d: gave up at step %d", mode.name, limit, countEv.Steps())
+			if limit < total && (err.Error() != exceeded(limit) || bagErr.Error() != exceeded(limit-1)) ||
+				limit >= total && err.Error() != bagErr.Error() {
+				t.Errorf("%s, %s: limit %d: count error = %v, the comprehension's = %v", comp, mode.name, limit, err, bagErr)
+			}
+			if mode.name == "sharded" {
+				continue
+			}
+			if exact && limit < total && countEv.Steps() != limit+1 || countEv.Steps() != bagEv.Steps()+1 {
+				t.Errorf("%s, %s: limit %d: the count gave up at step %d, the comprehension at %d", comp, mode.name, limit, countEv.Steps(), bagEv.Steps())
 			}
 		}
 	}

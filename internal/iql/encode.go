@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/dataspace/automed/internal/jsontext"
@@ -26,7 +25,16 @@ import (
 //     its UnsupportedValueError for a NaN or infinite float;
 //   - IQL source text: strings single-quoted with backslashes and quotes
 //     escaped, tuples braced, bags bracketed in the order they are in,
-//     so that the rendering is injective and parses back.
+//     so that the rendering is injective and, where every float in the
+//     value is finite, parses back to an Equal value. A NaN or infinite
+//     float renders as NaN.0, +Inf.0 or -Inf.0, which is no IQL literal;
+//   - or that text escaped as the inside of a JSON string, as an
+//     answer's response carries it (EvalEncoded). Every byte of a
+//     rendering but a string's own is printable ASCII that JSON carries
+//     as it is, so only a string escapes, and only its own bytes, as
+//     they are written: a backslash in it becomes \\\\ (IQL's \\, then
+//     JSON's), a quote \\', and every other byte what encoding/json makes
+//     of it. The rendering is never scanned a second time.
 //
 // Whatever is asked for, a node is visited once and the one expensive
 // scalar, a float, has its digits searched for at most once — not at
@@ -52,6 +60,8 @@ const (
 	wantKey outputs = 1 << iota
 	wantJSON
 	wantText
+	// textEscaped writes the text as the inside of a JSON string.
+	textEscaped
 )
 
 // Key returns a canonical encoding of the value such that two values are
@@ -75,8 +85,9 @@ func (v Value) AppendString(dst []byte) []byte {
 }
 
 // AppendJSONAndText appends v as JSON to js and in IQL source syntax to
-// text, walking v once. A NaN or infinite float anywhere in v is
-// encoding/json's UnsupportedValueError.
+// text, walking v once: the text is String's, plain, and parses back to
+// a value Equal to v where every float in v is finite. A NaN or
+// infinite float anywhere in v is encoding/json's UnsupportedValueError.
 func AppendJSONAndText(js, text []byte, v Value) ([]byte, []byte, error) {
 	e := encoder{want: wantJSON | wantText, json: js}
 	text, err := e.value(text, v)
@@ -189,18 +200,52 @@ func (e *encoder) string(dst []byte, s string) []byte {
 		e.key = strconv.AppendInt(append(e.key, 's'), int64(len(s)), 10)
 		e.key = append(append(e.key, ':'), s...)
 	}
+	var js []byte // s as the inside of a JSON string, when JSON is wanted
 	if e.want&wantJSON != 0 {
+		n := len(e.json)
 		e.json = jsontext.AppendString(e.json, s)
+		js = e.json[n+1 : len(e.json)-1]
 	}
-	if e.want&wantText != 0 {
-		dst = append(dst, '\'')
-		for i := strings.IndexAny(s, `\'`); i >= 0; i = strings.IndexAny(s, `\'`) {
-			dst = append(append(dst, s[:i]...), '\\', s[i])
-			s = s[i+1:]
+	if e.want&wantText == 0 {
+		return dst
+	}
+	dst = append(dst, '\'')
+	i := quoted(s)
+	if i < 0 && js != nil && e.want&textEscaped != 0 {
+		// Nothing for IQL to escape: the escaped text is the JSON string.
+		return append(append(dst, js...), '\'')
+	}
+	// IQL escapes a backslash or a quote with a backslash, which is
+	// itself escaped in an escaped text.
+	esc := `\`
+	if e.want&textEscaped != 0 {
+		esc = `\\`
+	}
+	for ; i >= 0; i = quoted(s) {
+		dst = e.text(append(e.text(dst, s[:i]), esc...), s[i:i+1])
+		s = s[i+1:]
+	}
+	return append(e.text(dst, s), '\'')
+}
+
+// quoted is the index of the first byte of s that IQL escapes in a
+// string literal, a backslash or a quote, or -1.
+func quoted(s string) int {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' || s[i] == '\'' {
+			return i
 		}
-		dst = append(append(dst, s...), '\'')
 	}
-	return dst
+	return -1
+}
+
+// text appends the bytes of a string to the text: as they are, or
+// escaped as the inside of a JSON string.
+func (e *encoder) text(dst []byte, s string) []byte {
+	if e.want&textEscaped != 0 {
+		return jsontext.AppendEscaped(dst, s)
+	}
+	return append(dst, s...)
 }
 
 // float appends v to each wanted output from one decimal of its

@@ -14,8 +14,9 @@ import (
 )
 
 // An encoded evaluation (Evaluator.EvalEncoded) writes an answer as it
-// evaluates it; agree holds its bytes to AppendJSONAndText of the built
-// answer, its steps to the built one's, and its value to the reference.
+// evaluates it; agree holds its JSON to AppendJSONAndText of the built
+// answer, its text to the built one's rendering escaped for a JSON
+// string, its steps to the built one's, and its value to the reference.
 
 // TestEncodedMatchesMaterialisedOnEdgeValues: generated queries over the
 // edge world.

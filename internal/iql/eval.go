@@ -206,7 +206,9 @@ func (ev *Evaluator) end() {
 // Encoding is where an encoded evaluation writes its value: as JSON onto
 // JSON and in IQL source syntax onto Text, both appended to, and how
 // many rows the value has in Rows — a bag's elements, 1 for anything
-// else.
+// else. Text is written already escaped as the inside of a JSON string
+// (jsontext.AppendEscaped of String's rendering), each string's bytes as
+// they are written, so a response carries it by copying it.
 type Encoding struct {
 	JSON, Text []byte
 	Rows       int
@@ -226,7 +228,8 @@ func (e *EncodingError) Unwrap() error { return e.Err }
 // it where it is large: the elements of a comprehension, or of each
 // comprehension in a tuple of them, are encoded as evaluation reaches
 // them, and neither a row nor the bag of them is allocated. Every other
-// expression is evaluated to its value and that is encoded.
+// expression is evaluated to its value and that is encoded. The text is
+// escaped for a JSON string (see Encoding).
 //
 // A value that evaluates but cannot be encoded is an *EncodingError, as
 // encoding it after Eval would have found: an evaluation error further
@@ -237,7 +240,7 @@ func (ev *Evaluator) EvalEncoded(dst *Encoding, e Expr, env *Env) error {
 	if err != nil {
 		return err
 	}
-	a := answer{e: encoder{want: wantJSON | wantText, json: dst.JSON}, text: dst.Text}
+	a := answer{e: encoder{want: wantJSON | wantText | textEscaped, json: dst.JSON}, text: dst.Text}
 	dst.Rows, err = ev.evalInto(&a, e, env)
 	ev.end()
 	dst.JSON, dst.Text = a.e.json, a.text

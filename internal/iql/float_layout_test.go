@@ -138,3 +138,45 @@ func FuzzFloatLayouts(f *testing.F) {
 		checkFloatLayouts(t, math.Float64frombits(bits))
 	})
 }
+
+// TestFloatRenderingParsesBackWhenFinite pins what the text layout
+// promises: a finite float's rendering parses back to a value Equal to
+// it, and a NaN or infinite one, which IQL has no literal for, renders
+// as NaN.0, +Inf.0 or -Inf.0 — and does not parse back.
+func TestFloatRenderingParsesBackWhenFinite(t *testing.T) {
+	floats := layoutEdges()
+	r := rand.New(rand.NewSource(18))
+	for range 10_000 {
+		floats = append(floats, math.Float64frombits(r.Uint64()))
+	}
+	ev := iql.NewEvaluator(nil)
+	for _, f := range floats {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		for _, v := range []iql.Value{iql.Float(f), iql.SourceFloat(f)} {
+			text := v.String()
+			e, err := iql.Parse(text)
+			if err != nil {
+				t.Errorf("%x renders as %s, which does not parse: %v", math.Float64bits(f), text, err)
+				continue
+			}
+			if back, err := ev.Eval(e, nil); err != nil || !back.Equal(v) || back.Kind != iql.KindFloat {
+				t.Errorf("%x renders as %s, which evaluates to %s, %v", math.Float64bits(f), text, back, err)
+			}
+		}
+	}
+	for _, nf := range []struct {
+		f    float64
+		text string
+	}{{math.NaN(), "NaN.0"}, {math.Inf(1), "+Inf.0"}, {math.Inf(-1), "-Inf.0"}} {
+		if got := iql.Float(nf.f).String(); got != nf.text {
+			t.Errorf("%v renders as %s, want %s", nf.f, got, nf.text)
+		}
+		if e, err := iql.Parse(nf.text); err == nil {
+			if v, err := ev.Eval(e, nil); err == nil && v.Kind == iql.KindFloat {
+				t.Errorf("%s parses and evaluates to %s: the rendering's limit is out of date", nf.text, v)
+			}
+		}
+	}
+}

@@ -40,6 +40,7 @@ var Corpus = []string{
 	"[if x > 5 then {x, 'big'} else {x} | x <- <<nums>>]",
 	"[d | {k, d} <- <<pairs>>; k = 4; contains(d, 'kinase')]",
 	"[x | x <- [3, 1, 2, 1, 3.0]]",
+	"[{s, k} | {k, s} <- <<strings>>]",
 	"[x | x <- Void]",
 	// A tuple expression of them, and around other things.
 	"{[k | {k, v} <- <<pairs>>], [v | {k, v} <- <<pairs>>; k > 2]}",
@@ -49,6 +50,7 @@ var Corpus = []string{
 	"count([x | x <- <<mixed>>])",
 	"<<mixed>>",
 	"<<scalar>>",
+	"<<strings>>",
 	"[x | x <- <<mixed>>] ++ [y | y <- <<nums>>]",
 	"distinct([k | {k, v} <- <<pairs>>])",
 	"sort(<<nums>>)",
@@ -111,8 +113,9 @@ var EdgeVars = map[string]iql.Value{"c": iql.Str("outer")}
 // canonical key (5 and 5.0), the integers either side of ±2⁵³ and a
 // float beside them, duplicates, strings that need escaping, nested
 // tuples and bags, an empty bag, NaN — with <<bad>>, which JSON cannot
-// carry, <<scalar>>, which is no collection, and <<near>> and <<text>>,
-// where an answer that depended on element order would show it.
+// carry, <<scalar>>, which is no collection, <<near>> and <<text>>,
+// where an answer that depended on element order would show it, and
+// <<strings>>, every one of Strings keyed by its index.
 func EdgeWorld() *World {
 	r := rand.New(rand.NewSource(21))
 	w := NewWorld(r)
@@ -141,9 +144,13 @@ func EdgeWorld() *World {
 	for i := range zeros {
 		zeros[i] = []iql.Value{iql.Int(0), iql.Float(math.Copysign(0, -1)), iql.Float(0), iql.Int(1)}[(i*7)%4]
 	}
+	strs := make([]iql.Value, len(Strings))
+	for i, s := range Strings {
+		strs[i] = iql.Tuple(iql.Int(int64(i)), iql.Str(s))
+	}
 	maps.Copy(w.Objects, map[string]iql.Value{
 		"mixed": iql.BagOf(mixed), "pairs": iql.BagOf(pairs), "nums": iql.BagOf(nums), "floats": iql.BagOf(floats),
-		"zeros": iql.BagOf(zeros), "bad": iql.BagOf(bad), "scalar": iql.Int(7),
+		"zeros": iql.BagOf(zeros), "bad": iql.BagOf(bad), "scalar": iql.Int(7), "strings": iql.BagOf(strs),
 		"near": iql.Bag(iql.Int(1<<53), iql.Int(1<<53+1), iql.Float(1<<53)), "text": iql.Bag(iql.Int(1), iql.Str("a")),
 	})
 	return w

@@ -53,6 +53,11 @@ type compPlan struct {
 	// that keeps no value is handed in a scratch row (see head).
 	headTuple *TupleExpr
 
+	// headSlots, when every component of headTuple is a variable one of
+	// the comprehension's generators binds, is where each is bound: the
+	// scratch row is copied from the generators' scopes, nil otherwise.
+	headSlots []varSlot
+
 	// sel is what the comprehension keeps of its generator's extent when
 	// that can be said as a Selection (see selectionOf), nil otherwise:
 	// what count asks its extents for before it scans anything.
@@ -129,6 +134,10 @@ type qualState struct {
 	recorder *runRecorder
 }
 
+// varSlot is where a variable a comprehension's generators bind is
+// bound: the qualifier of the generator, and the position in its scope.
+type varSlot struct{ qual, slot int }
+
 // slotPat is a generator pattern compiled against the layout of the
 // generator's scope: a variable is the position of its binding, so
 // binding an element stores by position and neither compares names nor
@@ -138,6 +147,7 @@ type slotPat struct {
 	slot  int       // slotVar: index into the scope's bindings
 	lit   *LitPat   // slotLit: the literal to match
 	elems []slotPat // slotTuple: one per component
+	flat  []int     // slotFlat: each component's slot, or -1 for "_"
 }
 
 type slotPatKind uint8
@@ -147,6 +157,7 @@ const (
 	slotVar
 	slotLit
 	slotTuple
+	slotFlat // a tuple of variables and "_", bound without recursing
 )
 
 // compilePattern resolves p's variables to slots, appending each new
@@ -168,6 +179,16 @@ func compilePattern(p Pattern, vars *[]string) slotPat {
 	case *LitPat:
 		return slotPat{kind: slotLit, lit: pat}
 	case *TuplePat:
+		if !slices.ContainsFunc(pat.Elems, func(sub Pattern) bool { _, ok := sub.(*VarPat); return !ok }) {
+			slots := make([]int, len(pat.Elems))
+			for i, sub := range pat.Elems {
+				slots[i] = -1
+				if sp := compilePattern(sub, vars); sp.kind == slotVar {
+					slots[i] = sp.slot
+				}
+			}
+			return slotPat{kind: slotFlat, flat: slots}
+		}
 		elems := make([]slotPat, len(pat.Elems))
 		for i, sub := range pat.Elems {
 			elems[i] = compilePattern(sub, vars)
@@ -191,6 +212,17 @@ func (p *slotPat) bind(v Value, vals []Value) bool {
 		return true
 	case slotLit:
 		return p.lit.Val.Equal(v)
+	case slotFlat:
+		if v.Kind != KindTuple || v.n != len(p.flat) {
+			return false
+		}
+		items := v.Items()
+		for i, slot := range p.flat {
+			if slot >= 0 {
+				vals[slot] = items[i]
+			}
+		}
+		return true
 	}
 	if v.Kind != KindTuple || v.n != len(p.elems) {
 		return false
@@ -309,8 +341,36 @@ func analyze(c *Comp) *compPlan {
 		}
 		bindPatternVars(g.Pat, bound)
 	}
+	p.headSlots = p.slotsOf(p.headTuple)
 	p.markRuns()
 	return p
+}
+
+// slotsOf is where each component of the tuple head t is bound, when
+// every one is a variable the comprehension's generators bind, else nil.
+// The binding the head sees is the last generator's that binds the
+// name: the innermost scope.
+func (p *compPlan) slotsOf(t *TupleExpr) []varSlot {
+	if t == nil {
+		return nil
+	}
+	slots := make([]varSlot, len(t.Elems))
+	for i, x := range t.Elems {
+		v, ok := x.(*Var)
+		if !ok {
+			return nil
+		}
+		found := false
+		for q := len(p.quals) - 1; q >= 0 && !found; q-- {
+			if slot := slices.Index(p.quals[q].vars, v.Name); slot >= 0 {
+				slots[i], found = varSlot{qual: q, slot: slot}, true
+			}
+		}
+		if !found {
+			return nil
+		}
+	}
+	return slots
 }
 
 // PlanFootprint is what evaluating e pins on its comprehension nodes, in
@@ -341,6 +401,7 @@ func (p *compPlan) footprint() int {
 	if p.headTuple != nil {
 		n += class(len(p.headTuple.Elems) * value) // the head's scratch row
 	}
+	n += class(cap(p.headSlots) * int(unsafe.Sizeof(varSlot{})))
 	probe := 0
 	for i, q := range p.comp.Quals {
 		if _, ok := q.(*Generator); !ok {
@@ -360,7 +421,7 @@ func (p *compPlan) footprint() int {
 
 // footprint is the bytes of the pattern's component slots.
 func (p *slotPat) footprint() int {
-	n := class(len(p.elems) * int(unsafe.Sizeof(slotPat{})))
+	n := class(len(p.elems)*int(unsafe.Sizeof(slotPat{}))) + class(len(p.flat)*int(unsafe.Sizeof(0)))
 	for i := range p.elems {
 		n += p.elems[i].footprint()
 	}
@@ -738,17 +799,28 @@ func (s *sink) keeps() bool { return !s.count && s.into == nil }
 // sink that keeps what it is handed gets a value of its own. Any other
 // gets a tuple head in the context's scratch row, which the next binding
 // overwrites: the steps are the ones eval charges — one for the tuple
-// node, then each component's — and nothing is allocated.
+// node, then each component's — and nothing is allocated. A head of
+// variables the generators bind is copied from their scopes by slot,
+// charged the same steps, and no name is looked up.
 func (ctx *compCtx) head(env *Env, out *sink) (Value, error) {
 	ev, t := ctx.ev, ctx.plan.headTuple
 	if t == nil || out.keeps() {
 		return ev.eval(ctx.plan.comp.Head, env)
 	}
-	if err := ev.step(); err != nil {
-		return Value{}, err
-	}
 	if ctx.headScratch == nil {
 		ctx.headScratch = make([]Value, len(t.Elems))
+	}
+	if slots := ctx.plan.headSlots; slots != nil {
+		if err := ev.charge(1 + len(slots)); err != nil {
+			return Value{}, err
+		}
+		for i, s := range slots {
+			ctx.headScratch[i] = ctx.quals[s.qual].scope.vals[s.slot]
+		}
+		return Tuple(ctx.headScratch...), nil
+	}
+	if err := ev.step(); err != nil {
+		return Value{}, err
 	}
 	for i, x := range t.Elems {
 		v, err := ev.eval(x, env)

@@ -11,6 +11,7 @@ import (
 
 	"github.com/dataspace/automed/internal/iql"
 	"github.com/dataspace/automed/internal/iql/iqltest"
+	"github.com/dataspace/automed/internal/jsontext"
 )
 
 // The bare evaluator's oracle: agree holds every way an iql.Evaluator
@@ -81,10 +82,11 @@ func envOf(vars map[string]iql.Value) *iql.Env {
 // that
 //   - the value is iqltest.Eval's (iqltest.Same: its bags in the same
 //     order), or both fail;
-//   - an encoded answer is AppendJSONAndText of the built one, after
-//     what its destination held, and counts the built one's rows; an
-//     evaluation error stays one, and an answer JSON cannot carry is an
-//     *iql.EncodingError;
+//   - an encoded answer, after what its destination held, is the built
+//     one's JSON as AppendJSONAndText writes it and its rendering escaped
+//     for a JSON string, jsontext.AppendEscaped(String), byte for byte,
+//     and counts the built one's rows; an evaluation error stays one,
+//     and an answer JSON cannot carry is an *iql.EncodingError;
 //   - every mode, encoded or not, takes the serial steps, and a count
 //     one more than its comprehension: the call's;
 //
@@ -146,7 +148,8 @@ func agreeOnce(t *testing.T, f iql.Expr, name string, got iql.Value, err error, 
 	// Encoded after a prefix, as the server writes after "value":.
 	dst := iql.Encoding{JSON: []byte("json:"), Text: []byte("text:")}
 	encErr := enc.EvalEncoded(&dst, f, env)
-	json, text, jsonErr := iql.AppendJSONAndText([]byte("json:"), []byte("text:"), got)
+	json, _, jsonErr := iql.AppendJSONAndText([]byte("json:"), nil, got)
+	text := jsontext.AppendEscaped([]byte("text:"), got.String())
 	rows := 1
 	if got.Kind == iql.KindBag {
 		rows = got.Len()
@@ -157,8 +160,10 @@ func agreeOnce(t *testing.T, f iql.Expr, name string, got iql.Value, err error, 
 		if encErr == nil || errors.As(encErr, &unencodable) != (err == nil) {
 			t.Errorf("%s, %s: encoded, the error %v; built, %v and %v", f, name, encErr, err, jsonErr)
 		}
-	case encErr != nil || !bytes.Equal(dst.JSON, json) || !bytes.Equal(dst.Text, text) || dst.Rows != rows:
+	case encErr != nil || !bytes.Equal(dst.JSON, json) || dst.Rows != rows:
 		t.Errorf("%s, %s: encoded %s (%d rows), %v; built %s", f, name, dst.JSON, dst.Rows, encErr, json)
+	case !bytes.Equal(dst.Text, text):
+		t.Errorf("%s, %s: encoded the text %s; built, escaped, %s", f, name, dst.Text, text)
 	case enc.Steps() != ev.Steps():
 		t.Errorf("%s, %s: %d steps encoded, %d built", f, name, enc.Steps(), ev.Steps())
 	}

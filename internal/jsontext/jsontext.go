@@ -18,7 +18,7 @@ import (
 // SafePrefix returns the length of the longest prefix of src that a
 // JSON string carries as it is: no quote, backslash or control byte,
 // no invalid UTF-8, no U+2028 or U+2029.
-func SafePrefix[B []byte | string](src B) int {
+func SafePrefix(src string) int {
 	for i := 0; i < len(src); {
 		b := src[i]
 		if b < utf8.RuneSelf {
@@ -28,7 +28,7 @@ func SafePrefix[B []byte | string](src B) int {
 			i++
 			continue
 		}
-		c, size := utf8.DecodeRuneInString(string(src[i:min(i+utf8.UTFMax, len(src))]))
+		c, size := utf8.DecodeRuneInString(src[i:])
 		if (c == utf8.RuneError && size == 1) || c == '\u2028' || c == '\u2029' {
 			return i
 		}
@@ -38,7 +38,7 @@ func SafePrefix[B []byte | string](src B) int {
 }
 
 // AppendEscaped appends src as the inside of a JSON string.
-func AppendEscaped[B []byte | string](dst []byte, src B) []byte {
+func AppendEscaped(dst []byte, src string) []byte {
 	const hex = "0123456789abcdef"
 	for len(src) > 0 {
 		n := SafePrefix(src)
@@ -66,7 +66,7 @@ func AppendEscaped[B []byte | string](dst []byte, src B) []byte {
 			// SafePrefix stops at a multi-byte sequence only for
 			// invalid UTF-8 (one byte) or U+2028/U+2029 (three).
 			var c rune
-			c, size = utf8.DecodeRuneInString(string(src[:min(utf8.UTFMax, len(src))]))
+			c, size = utf8.DecodeRuneInString(src)
 			if c == utf8.RuneError {
 				dst = append(dst, `\ufffd`...)
 			} else {

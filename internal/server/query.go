@@ -411,9 +411,10 @@ func (s *Session) Query(ctx context.Context, buf *respBuf, plans *cache.Store[pl
 // asked for again.
 func (s *Session) evaluate(ctx context.Context, buf *respBuf, ig *core.Integrator, r core.Resolution, key answerKey) (Answer, error) {
 	// Evaluation writes the value's JSON onto buf as it goes and the
-	// rendering into a buffer beside it — it follows the JSON in the
-	// response, so it cannot be written in place; what is left when
-	// evaluation returns is to escape the one after the other.
+	// rendering, already escaped for a JSON string, into a buffer beside
+	// it — it follows the JSON in the response, so it cannot be written
+	// in place; what is left when evaluation returns is to copy the one
+	// after the other.
 	mark := len(buf.b)
 	text := respBufPool.Get().(*respBuf)
 	defer respBufPool.Put(text)
@@ -447,9 +448,9 @@ func (s *Session) evaluate(ctx context.Context, buf *respBuf, ig *core.Integrato
 }
 
 // appendRendered ends an answer's fragment: after the value's JSON, the
-// rendering as a JSON string.
+// rendering as a JSON string. text is iql.Encoding's, escaped already.
 func appendRendered(dst, text []byte) []byte {
-	dst = jsontext.AppendEscaped(append(dst, `,"rendered":"`...), text)
+	dst = append(append(dst, `,"rendered":"`...), text...)
 	return append(dst, '"')
 }
 

@@ -110,8 +110,8 @@ func refFragment(v iql.Value) ([]byte, error) {
 
 // fragmentOf is the "value" and "rendered" members as the server writes
 // them for an answer that evaluates to v: e evaluated into the encoder,
-// the rendering escaped after the JSON, an unencodable value the
-// server's encodingError.
+// the rendering, escaped as it was written, copied after the JSON, an
+// unencodable value the server's encodingError.
 func fragmentOf(e iql.Expr) ([]byte, error) {
 	enc := iql.Encoding{JSON: []byte(`"value":`)}
 	if err := new(iql.Evaluator).EvalEncoded(&enc, e, nil); err != nil {
