@@ -34,12 +34,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# flake repeats the sharded-evaluation tests (step and Extent-call
-# accounting, serial equivalence, cancellation) thirty times: they
-# depend on which workers happen to pick up shards, so one green run
-# proves little. So does the oracle, which runs every mode — sharded
-# among them — against the reference evaluator and must be as
-# deterministic. So do the per-session persistence tests (a checkpoint
+# flake repeats thirty times the tests whose interleaving the scheduler
+# chooses, so one green run proves little. The oracle, which runs every
+# mode against the reference evaluator, is one: before each evaluation
+# the prefetch pool reads the query's source extents several at once —
+# from a SQL source and an httptest REST server — and the order the
+# reads land in is the scheduler's. So are the per-session persistence
+# tests (a checkpoint
 # parked in one session while another session, a restore,
 # RestoreSessions, Drain or OpenStore runs beside it; and
 # TestPersistStepsJournalInOrder, steps from eight clients on one
@@ -63,7 +64,6 @@ race:
 # decoded checkpoint to the next, and while /invalidate lands on a fetch
 # in flight.
 flake:
-	$(GO) test -count=30 -run 'TestParallel' ./internal/iql
 	$(GO) test -count=30 -run 'TestOracle' ./internal/query
 	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions|TestLatestAnswersWhileStepsLand|TestStepThroughTheIntegratorRetiresAnswers|TestSessionsShareAddressedCaches' ./internal/server
 	$(GO) test -race -count=3 -run 'TestSessionOracle' ./internal/server

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -68,39 +67,6 @@ func BenchmarkTable1(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkTable1Parallel pairs the join-heavy Table 1 queries (Q4-Q7)
-// run with sharded evaluation forced serial against the same queries
-// with a worker pool as wide as GOMAXPROCS. Run with -cpu 1,8 (or
-// GOMAXPROCS set) to see the scaling; on one core the sharded path
-// degrades to the serial loop by design, so the pair stays near parity.
-func BenchmarkTable1Parallel(b *testing.B) {
-	ig := benchIntegrator(b)
-	proc := ig.Processor()
-	defer func(old int) { proc.Parallel = old }(proc.Parallel)
-	for _, id := range []string{"Q4", "Q5", "Q6", "Q7"} {
-		q, ok := ispider.QueryByID(id)
-		if !ok {
-			b.Fatalf("no query %s", id)
-		}
-		for _, mode := range []struct {
-			name  string
-			width int
-		}{
-			{"serial", 1},
-			{"sharded", runtime.GOMAXPROCS(0)},
-		} {
-			b.Run(id+"/"+mode.name, func(b *testing.B) {
-				proc.Parallel = mode.width
-				for i := 0; i < b.N; i++ {
-					if _, err := ig.Query(q.IQL); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 

@@ -30,8 +30,7 @@
 // queue, the rest get 429 + Retry-After), fault tolerance (-breaker,
 // -source-timeout, -breaker-open-for, -require-fresh,
 // -min-federated-sources, -probe-interval) and -slow-query tracing are
-// such settings. Sharded-evaluation width
-// (GOMAXPROCS), streamed or materialised scans, and the SQL page size
+// such settings. Streamed or materialised scans and the SQL page size
 // are not: the evaluator and the wrappers choose them from what they
 // observe.
 //

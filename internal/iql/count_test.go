@@ -1,6 +1,8 @@
 package iql_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -84,7 +86,9 @@ var countComps = []string{
 
 // TestCountOfComprehensionMatchesMaterialised holds countComps, and
 // their counts, to the reference in every mode, and sweeps each under
-// step limits (see sweepStepLimits).
+// step limits (see sweepStepLimits) — the join exactly: a probe key that
+// runs out of steps gives up at the step after the limit, as a scan
+// does, and is not retried as one.
 func TestCountOfComprehensionMatchesMaterialised(t *testing.T) {
 	ext := countExtents(400)
 	for _, comp := range countComps {
@@ -92,7 +96,7 @@ func TestCountOfComprehensionMatchesMaterialised(t *testing.T) {
 	}
 	small := countExtents(100)
 	for _, comp := range countComps {
-		sweepStepLimits(t, small, comp, false)
+		sweepStepLimits(t, small, comp, comp == "[{x, y} | x <- <<s>>; y <- <<t>>; x = y]")
 	}
 }
 
@@ -107,14 +111,11 @@ func TestCountStepBudgetRunsOutAtTheSameStep(t *testing.T) {
 // sweepStepLimits evaluates count(comp) under step limits from none too
 // few to just enough, and comp under one step less (the call's), in
 // every mode: both fail, or neither; a limit fails as the limit it was
-// given, any other error alike (sharded, where the comprehension cannot
-// fail on its own); and, but sharded, the count gives up a
-// step after the comprehension — and, when exact, at the step after the
-// limit. (A join whose probe runs out of steps falls back to a scan,
-// whose first step is refused again.) A count's head goes to a counting sink,
-// a tuple head into a scratch row, from the generators' slots where it
-// can be, and the comprehension's to its bag by eval: this holds the one
-// to the other at every limit.
+// given, any other error alike; and the count gives up a step after the
+// comprehension — and, when exact, at the step after the limit. A
+// count's head goes to a counting sink, a tuple head into a scratch row,
+// from the generators' slots where it can be, and the comprehension's to
+// its bag by eval: this holds the one to the other at every limit.
 func sweepStepLimits(t *testing.T, ext iql.Extents, comp string, exact bool) {
 	t.Helper()
 	count := "count(" + comp + ")"
@@ -136,17 +137,12 @@ func sweepStepLimits(t *testing.T, ext iql.Extents, comp string, exact bool) {
 			if (err == nil) != (bagErr == nil) {
 				t.Errorf("%s, %s: limit %d: count error = %v, the comprehension's under %d = %v", comp, mode.name, limit, err, limit-1, bagErr)
 			}
-			// Sharded, which worker's error comes first is the scheduler's
-			// choice where the comprehension fails on its own too.
-			if err == nil || bagErr == nil || mode.name == "sharded" && freeErr != nil {
+			if err == nil || bagErr == nil {
 				continue
 			}
 			if limit < total && (err.Error() != exceeded(limit) || bagErr.Error() != exceeded(limit-1)) ||
 				limit >= total && err.Error() != bagErr.Error() {
 				t.Errorf("%s, %s: limit %d: count error = %v, the comprehension's = %v", comp, mode.name, limit, err, bagErr)
-			}
-			if mode.name == "sharded" {
-				continue
 			}
 			if exact && limit < total && countEv.Steps() != limit+1 || countEv.Steps() != bagEv.Steps()+1 {
 				t.Errorf("%s, %s: limit %d: the count gave up at step %d, the comprehension at %d", comp, mode.name, limit, countEv.Steps(), bagEv.Steps())
@@ -176,5 +172,47 @@ func TestCountDoesNotBuildItsBag(t *testing.T) {
 	all := allocs("count([k | {k, v} <- <<s>>; v < 100])", 10000)
 	if none != all {
 		t.Errorf("counting 10000 rows allocates %.0f times when every row passes the filter, %.0f when none does", all, none)
+	}
+}
+
+// cancelledOnSecondPoll is a context that is live when evaluation begins
+// and cancelled at the next poll.
+type cancelledOnSecondPoll struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelledOnSecondPoll) Err() error {
+	if c.polls++; c.polls > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelledProbeIsNotScanned: a join whose probe key finds the
+// context cancelled returns the context's error at that step, in every
+// mode, and scans nothing. Were it taken for an error of the probe's
+// own, the scan that stands in for one would go on past the
+// cancellation: here, over an empty source, to an answer.
+func TestCancelledProbeIsNotScanned(t *testing.T) {
+	big := make([]iql.Value, 1000)
+	for i := range big {
+		big[i] = iql.Int(int64(i))
+	}
+	ext := iql.ExtentsFunc(func(parts []string) (iql.Value, error) {
+		if parts[0] == "big" {
+			return iql.BagOf(big), nil
+		}
+		return iql.BagOf(nil), nil
+	})
+	// The probe key walks <<big>>, some thousands of steps, so the
+	// evaluation's first poll after it began, at step 1024, is inside it.
+	q := iql.MustParse("[x | x <- <<none>>; x = count([z | z <- <<big>>; z >= 0])]")
+	for _, mode := range modes {
+		ev := mode.ev(ext)
+		ev.Ctx = &cancelledOnSecondPoll{Context: context.Background()}
+		if v, err := ev.Eval(q, nil); !errors.Is(err, context.Canceled) || ev.Steps() != 1024 {
+			t.Errorf("%s: %s, %v after %d steps; want the cancellation at step 1024", mode.name, v, err, ev.Steps())
+		}
 	}
 }

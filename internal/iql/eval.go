@@ -2,6 +2,7 @@ package iql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -76,12 +77,11 @@ func (e *Env) Lookup(name string) (Value, bool) {
 
 // StepBudget is an evaluation step counter shared by several
 // Evaluators, so that one logical query keeps a single budget across
-// every sub-evaluation it spawns (e.g. the query processor unfolding
-// each view definition with its own Evaluator, or the sharded
-// comprehension path fanning one evaluation across workers). The
-// counter is atomic, so one budget may be shared across the workers of
-// a parallel evaluation; one logical query still draws from a single
-// pool.
+// every sub-evaluation it spawns: the query processor's session
+// (internal/query) hands one to the evaluator of the query and to the
+// evaluator of each derivation the query unfolds. Those evaluators run
+// one inside another on the query's goroutine; the counter is atomic
+// all the same, so a budget is safe to share wherever an evaluator runs.
 //
 // With a limit, every step of every evaluator is taken from the budget
 // as it happens, so the limit trips at exactly Max+1. Without one there
@@ -125,19 +125,10 @@ type Evaluator struct {
 	// join over an unchanged (memoised) extent skips the index build.
 	// Share one cache across evaluators over the same extent store.
 	Indexes *JoinIndexCache
-	// Parallel, when > 1, enables sharded evaluation of large
-	// generator scans: the elements are split into contiguous shards
-	// evaluated by up to Parallel workers and merged back in shard
-	// order, so results are identical to serial evaluation. <= 1 keeps
-	// every comprehension on the calling goroutine.
+	// Parallel is ignored: evaluation runs on the calling goroutine.
+	// The benchmark module (bench/) still sets it; ROADMAP item 1(a)
+	// deletes it.
 	Parallel int
-	// MinShardRows is the smallest generator source that may be
-	// sharded; 0 uses DefaultMinShardRows. Smaller scans stay serial:
-	// worker handoff would cost more than it buys.
-	MinShardRows int
-	// Stats, when non-nil, collects sharding telemetry (one ShardStat
-	// per sharded generator scan) for tracing and metrics.
-	Stats *EvalStats
 
 	steps int
 	// enforced is the budget every step is taken from: Budget when it
@@ -145,13 +136,10 @@ type Evaluator struct {
 	// there is no limit and steps are only counted.
 	enforced *StepBudget
 	// genDepth counts the generator loops currently running on this
-	// evaluator. Sharding is only attempted at depth zero: a
-	// comprehension re-entered once per element of an enclosing
-	// generator must not pay a worker-pool spin-up per element.
+	// evaluator. Streaming and counting at the source happen only at
+	// depth zero: a comprehension re-entered once per element of an
+	// enclosing generator must not ask its source once per element.
 	genDepth int
-	// worker marks the evaluator of a sharded scan's worker, which
-	// records and replays no join run (see joinrun.go).
-	worker bool
 }
 
 // NewEvaluator returns an evaluator over the given extent source, with
@@ -333,9 +321,9 @@ func (ev *Evaluator) compInto(a *answer, c *Comp, env *Env) (int, error) {
 }
 
 // Steps returns the evaluation steps this evaluator charged in the most
-// recent Eval, including steps run by its sharded workers. Steps of
-// other evaluators on the same Budget (the extents it resolved, unfolded
-// by the query processor) are in the budget's Used count only.
+// recent Eval. Steps of other evaluators on the same Budget (the extents
+// it resolved, unfolded by the query processor) are in the budget's Used
+// count only.
 func (ev *Evaluator) Steps() int { return ev.steps }
 
 // ctxCheckInterval is how many evaluation steps pass between context
@@ -382,6 +370,17 @@ func (ev *Evaluator) checkStep() error {
 		}
 	}
 	return nil
+}
+
+// stopped reports whether err ends the evaluation wherever it stands —
+// the step budget is spent, or the context is done — rather than being
+// an error an expression raised.
+func (ev *Evaluator) stopped(err error) bool {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return true
+	}
+	b := ev.enforced
+	return b != nil && b.Used() > b.Max
 }
 
 func (ev *Evaluator) eval(e Expr, env *Env) (Value, error) {

@@ -1,6 +1,8 @@
 package iql
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -277,6 +279,75 @@ func TestStringBuiltins(t *testing.T) {
 	}
 }
 
+// StepExtents are n proteins, an accession tuple for each, and a hit
+// relation joining back to them.
+func StepExtents(n int) Extents {
+	prot := make([]Value, 0, n)
+	acc := make([]Value, 0, n)
+	hits := make([]Value, 0, n)
+	for i := 0; i < n; i++ {
+		prot = append(prot, Int(int64(i)))
+		acc = append(acc, Tuple(Int(int64(i)), Str(fmt.Sprintf("P%d", i%7))))
+		hits = append(hits, Tuple(Int(int64(i+1000)), Int(int64(i%n))))
+	}
+	return ExtentsFunc(func(parts []string) (Value, error) {
+		switch strings.Join(parts, ",") {
+		case "protein":
+			return BagOf(prot), nil
+		case "protein,acc":
+			return BagOf(acc), nil
+		case "hit,protein":
+			return BagOf(hits), nil
+		}
+		return Value{}, fmt.Errorf("no extent %v", parts)
+	})
+}
+
+// StepQueries are plain scans, filters, projections, equi-joins, nested
+// comprehensions, aggregates and distinct over StepExtents;
+// TestParallelMatchesSerial holds them to the reference too.
+var StepQueries = []string{
+	"[k | k <- <<protein>>]",
+	"[k | k <- <<protein>>; k > 100]",
+	"[{k, k * 2} | k <- <<protein>>]",
+	"[x | {k, x} <- <<protein, acc>>; x = 'P3']",
+	"[{h, x} | {h, p} <- <<hit, protein>>; {k, x} <- <<protein, acc>>; p = k]",
+	"count([k | k <- <<protein>>; k > 10])",
+	"distinct([x | {k, x} <- <<protein, acc>>])",
+	"[count([j | j <- <<protein>>; j < k]) | k <- <<protein>>; k < 70]",
+	"sort([x | {k, x} <- <<protein, acc>>; k > 50])",
+}
+
+// nestedExtents resolves <<view>> the way the query processor unfolds a
+// virtual object: with an evaluator of its own, on the budget of the
+// query that asked. It keeps the steps those evaluators report.
+type nestedExtents struct {
+	base   Extents
+	budget *StepBudget
+	steps  int
+}
+
+func (n *nestedExtents) Extent(parts []string) (Value, error) {
+	if parts[0] != "view" {
+		return n.base.Extent(parts)
+	}
+	ev := &Evaluator{Ext: n, Budget: n.budget}
+	v, err := ev.Eval(MustParse("[{k, x} | {k, x} <- <<protein, acc>>; k > 3]"), nil)
+	n.steps += ev.Steps()
+	return v, err
+}
+
+// countingCtx counts how often evaluation polls for cancellation.
+type countingCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *countingCtx) Err() error {
+	c.polls++
+	return c.Context.Err()
+}
+
 func TestMaxStepsGuard(t *testing.T) {
 	ev := &Evaluator{Ext: testExtents(), MaxSteps: 5}
 	_, err := ev.Eval(MustParse("[{a, b, c} | a <- <<protein>>; b <- <<protein>>; c <- <<protein>>]"), nil)
@@ -285,6 +356,144 @@ func TestMaxStepsGuard(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "steps") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// countingExtents counts Extent calls.
+type countingExtents struct {
+	ext   Extents
+	calls int
+}
+
+func (c *countingExtents) Extent(parts []string) (Value, error) {
+	c.calls++
+	return c.ext.Extent(parts)
+}
+
+// TestParallelStepAccounting: Evaluator.Parallel is inert. An evaluator
+// with a width wider than the machine takes exactly the steps of one
+// without, asks the extent provider exactly as often, and a shared
+// StepBudget's Used() is that step count.
+func TestParallelStepAccounting(t *testing.T) {
+	ext := StepExtents(300)
+	for _, src := range StepQueries {
+		plainExt := &countingExtents{ext: ext}
+		plain := NewEvaluator(plainExt)
+		if _, err := plain.Eval(MustParse(src), nil); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		wantSteps := plain.Steps()
+
+		wideExt := &countingExtents{ext: ext}
+		wide := NewEvaluator(wideExt)
+		wide.Parallel = 8
+		if _, err := wide.Eval(MustParse(src), nil); err != nil {
+			t.Fatalf("parallel(8) %q: %v", src, err)
+		}
+		if got := wide.Steps(); got != wantSteps {
+			t.Errorf("%q: parallel(8) used %d steps, plain %d", src, got, wantSteps)
+		}
+		if got, want := wideExt.calls, plainExt.calls; got != want {
+			t.Errorf("%q: parallel(8) made %d Extent calls, plain %d", src, got, want)
+		}
+
+		budget := &StepBudget{}
+		withBudget := NewEvaluator(ext)
+		withBudget.Parallel = 4
+		withBudget.Budget = budget
+		if _, err := withBudget.Eval(MustParse(src), nil); err != nil {
+			t.Fatalf("budget %q: %v", src, err)
+		}
+		if got := budget.Used(); got != wantSteps {
+			t.Errorf("%q: shared budget used %d steps, plain %d", src, got, wantSteps)
+		}
+	}
+}
+
+// TestParallelStepLimit: a step bound trips with the same error whether
+// or not a Parallel width is set, via MaxSteps and via a shared budget.
+func TestParallelStepLimit(t *testing.T) {
+	ext := StepExtents(400)
+	src := "[k | k <- <<protein>>]"
+
+	plain := &Evaluator{Ext: ext, MaxSteps: 50}
+	_, plainErr := plain.Eval(MustParse(src), nil)
+	if plainErr == nil || plainErr.Error() != "iql: evaluation exceeded 50 steps" {
+		t.Fatalf("MaxSteps=50 error = %v, want the limit's", plainErr)
+	}
+
+	wide := &Evaluator{Ext: ext, MaxSteps: 50, Parallel: 4}
+	if _, err := wide.Eval(MustParse(src), nil); err == nil || err.Error() != plainErr.Error() {
+		t.Fatalf("parallel MaxSteps error = %v, want %v", err, plainErr)
+	}
+
+	wide = &Evaluator{Ext: ext, Budget: &StepBudget{Max: 50}, Parallel: 4}
+	if _, err := wide.Eval(MustParse(src), nil); err == nil || err.Error() != plainErr.Error() {
+		t.Fatalf("parallel Budget error = %v, want %v", err, plainErr)
+	}
+}
+
+// TestParallelStepsAndUsedAgree: however a query's steps are counted —
+// taken one by one from a budget with a limit, or counted by each
+// evaluator and added when its Eval returns — Steps() is the
+// evaluator's own count and Used() the sum over every evaluator on the
+// budget, the nested ones that unfold <<view>> included; the context is
+// polled once on entry and once every ctxCheckInterval steps; and a
+// limit one step short, through a shared budget or MaxSteps, fails with
+// the limit's error. A Parallel width changes none of it.
+func TestParallelStepsAndUsedAgree(t *testing.T) {
+	exceeded := func(limit int) string { return fmt.Sprintf("iql: evaluation exceeded %d steps", limit) }
+	base := StepExtents(300)
+	for _, src := range append([]string{
+		"[{k, x} | {k, x} <- <<view>>; x = 'P3']",
+		"[{h, x} | {h, p} <- <<hit, protein>>; {k, x} <- <<view>>; p = k]",
+	}, StepQueries...) {
+		ref := &nestedExtents{base: base}
+		free := &Evaluator{Ext: ref}
+		if _, err := free.Eval(MustParse(src), nil); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		wantSteps, wantUsed := free.Steps(), free.Steps()+ref.steps
+
+		for _, limit := range []int{0, wantUsed, wantUsed + 1000, wantUsed - 1} {
+			name := fmt.Sprintf("%q limit=%d", src, limit)
+			budget := &StepBudget{Max: limit}
+			ctx := &countingCtx{Context: context.Background()}
+			ext := &nestedExtents{base: base, budget: budget}
+			ev := &Evaluator{Ext: ext, Budget: budget, Ctx: ctx, Parallel: 4}
+			_, err := ev.Eval(MustParse(src), nil)
+			if limit == wantUsed-1 {
+				if err == nil || err.Error() != exceeded(limit) {
+					t.Errorf("%s: err %v, want the limit's", name, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := ev.Steps(); got != wantSteps {
+				t.Errorf("%s: Steps() = %d, want %d", name, got, wantSteps)
+			}
+			if got := budget.Used(); got != wantUsed {
+				t.Errorf("%s: Used() = %d, want %d", name, got, wantUsed)
+			}
+			if got := ext.steps; got != wantUsed-wantSteps {
+				t.Errorf("%s: nested evaluators report %d steps, want %d", name, got, wantUsed-wantSteps)
+			}
+			if got, want := ctx.polls, 1+wantSteps/ctxCheckInterval; got != want {
+				t.Errorf("%s: context polled %d times over %d steps, want %d", name, got, wantSteps, want)
+			}
+		}
+
+		// MaxSteps alone, no budget: the same count, the same limit.
+		ev := &Evaluator{Ext: &nestedExtents{base: base}, MaxSteps: wantSteps}
+		if _, err := ev.Eval(MustParse(src), nil); err != nil || ev.Steps() != wantSteps {
+			t.Errorf("%q MaxSteps=%d: Steps() = %d, err %v", src, wantSteps, ev.Steps(), err)
+		}
+		ev.MaxSteps = wantSteps - 1
+		if _, err := ev.Eval(MustParse(src), nil); err == nil || err.Error() != exceeded(wantSteps-1) {
+			t.Errorf("%q MaxSteps=%d: err %v, want the limit's", src, wantSteps-1, err)
+		}
 	}
 }
 

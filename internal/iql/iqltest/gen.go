@@ -164,8 +164,8 @@ func EdgeWorld() *World {
 type World struct {
 	// Objects are <<mixed>>, scalars with the odd tuple or bag; <<pairs>>,
 	// {key, value} pairs with a duplicate, the values mostly numbers and
-	// strings; <<nums>>, numbers about 2⁵³; <<big>>, 130 pairs, above
-	// twice the smallest scan the evaluator shards; and <<empty>>.
+	// strings; <<nums>>, numbers about 2⁵³; <<big>>, 130 pairs, a scan
+	// of many pages and a join index worth caching; and <<empty>>.
 	Objects map[string]iql.Value
 	// Table <<t>> holds NULLs, NaN and any string, its rows in key order
 	// as a SQL source reads them; Collection <<r>> only what JSON carries.

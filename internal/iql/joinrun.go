@@ -37,8 +37,8 @@ import (
 // everything after the run sees the walk's bindings at the walk's step
 // counts, and no probe key is evaluated, no hash computed and no index
 // consulted. The cache drops an entry with any of its members' extents
-// (DropExtent). A sharded scan's workers, and a run whose first member
-// streams or shards, walk as they would without one.
+// (DropExtent). A run whose first member streams walks as it would
+// without one.
 
 // joinRun is one join run of a comprehension's plan.
 type joinRun struct {
@@ -128,17 +128,6 @@ type runRecorder struct {
 	// over: the record outgrew maxRunRecord, or a row or a step count
 	// the int32 it is kept in.
 	over bool
-}
-
-// replays reports whether the join run generator i starts is recorded
-// and replayed here, its first member drawing els: there is a cache to
-// keep the record in, this is no sharded scan's worker, the first member
-// has elements, and its walk would not shard — a sharded scan has no
-// serial order to record.
-func (ctx *compCtx) replays(i int, els []Value, out *sink) bool {
-	ev := ctx.ev
-	return ev.Indexes != nil && !ev.worker && len(els) > 0 &&
-		(len(ctx.plan.quals[i].joins) > 0 || !ctx.shardable(len(els), out))
 }
 
 // runJoined evaluates the join run generator i starts, its first

@@ -43,8 +43,8 @@ import (
 // scopes, scratch rows — is a compCtx. One is parked on the plan between
 // evaluations, emptied, and taken by the next, so a warm query, and a
 // nested comprehension re-entered once per enclosing binding, allocate
-// neither; an evaluation that finds none parked (re-entry, the workers
-// of a sharded scan, concurrent queries) makes its own.
+// neither; an evaluation that finds none parked (re-entry, concurrent
+// queries) makes its own.
 type compPlan struct {
 	comp  *Comp
 	quals []qualPlan
@@ -100,11 +100,6 @@ type compCtx struct {
 	// head's components are evaluated into it one row after another (see
 	// head), so a row that is encoded or counted is never allocated.
 	headScratch []Value
-
-	// shared, set on the worker contexts of one sharded scan, holds the
-	// comprehension's constant sources evaluated once for all of the
-	// scan's workers (see parallel.go); nil everywhere else.
-	shared []sharedSource
 
 	// srcSteps counts the steps evaluating the generators' sources has
 	// charged, which a join run's record leaves out (see joinrun.go).
@@ -269,9 +264,9 @@ func (ev *Evaluator) compCtxFor(c *Comp) *compCtx {
 }
 
 // release empties the context — memoised sources, join indexes, the
-// generators' scopes, the scratch rows, the evaluator and the shared
-// sources — and parks it on its plan, so a plan pins neither extent
-// rows nor the environment or evaluation it last ran under.
+// generators' scopes, the scratch rows and the evaluator — and parks it
+// on its plan, so a plan pins neither extent rows nor the environment
+// or evaluation it last ran under.
 func (ctx *compCtx) release() {
 	for i := range ctx.quals {
 		qs := &ctx.quals[i]
@@ -283,7 +278,7 @@ func (ctx *compCtx) release() {
 	}
 	clear(ctx.probeScratch)
 	clear(ctx.headScratch)
-	ctx.ev, ctx.shared, ctx.srcSteps = nil, nil, 0
+	ctx.ev, ctx.srcSteps = nil, 0
 	ctx.plan.idle.Store(ctx)
 }
 
@@ -653,20 +648,9 @@ func (ctx *compCtx) source(i int, g *Generator, env *Env) ([]Value, error) {
 	if constSrc && qs.srcSet {
 		return qs.srcVal.Elements()
 	}
-	var v Value
-	var err error
-	if constSrc && ctx.shared != nil {
-		// A constant source is the same for every worker of a sharded
-		// scan: the first to need it evaluates it (and is charged its
-		// steps), as the serial loop would once.
-		sh := &ctx.shared[i]
-		sh.once.Do(func() { sh.val, sh.err = ctx.ev.eval(g.Src, env) })
-		v, err = sh.val, sh.err
-	} else {
-		before := ctx.ev.steps
-		v, err = ctx.ev.eval(g.Src, env)
-		ctx.srcSteps += ctx.ev.steps - before
-	}
+	before := ctx.ev.steps
+	v, err := ctx.ev.eval(g.Src, env)
+	ctx.srcSteps += ctx.ev.steps - before
 	if err != nil {
 		return nil, err
 	}
@@ -872,7 +856,9 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 		if err != nil {
 			return err
 		}
-		if ctx.plan.quals[i].run != nil && ctx.replays(i, els, out) {
+		if ctx.plan.quals[i].run != nil && ev.Indexes != nil && len(els) > 0 {
+			// A join run is recorded and replayed where there is a cache
+			// to keep its record in.
 			return ctx.runJoined(i, els, env, out)
 		}
 		return ctx.walk(i, els, env, out)
@@ -881,7 +867,7 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 }
 
 // walk runs generator i over its source's elements els: by probing its
-// join index, sharded, or by a serial scan.
+// join index, or by a scan.
 func (ctx *compCtx) walk(i int, els []Value, env *Env, out *sink) error {
 	ev := ctx.ev
 	if qp := &ctx.plan.quals[i]; len(qp.joins) > 0 {
@@ -890,6 +876,9 @@ func (ctx *compCtx) walk(i int, els []Value, env *Env, out *sink) error {
 		idx := ctx.buildIndex(i, els)
 		key, err := ctx.probeKey(i, env)
 		if err != nil {
+			if ev.stopped(err) {
+				return err
+			}
 			return ctx.scan(i, els, env, out)
 		}
 		r := idx.Probe(key)
@@ -910,13 +899,6 @@ func (ctx *compCtx) walk(i int, els []Value, env *Env, out *sink) error {
 		ev.genDepth--
 		return nil
 	}
-	if ctx.shardable(len(els), out) {
-		// Large top-level scan: fan the elements across a worker
-		// pool in contiguous shards, merged back in shard order
-		// (see parallel.go). Results are byte-identical to the
-		// serial loop below.
-		return ctx.runSharded(i, els, i+1, env, out)
-	}
 	if out.keeps() && cap(out.vals) == 0 && len(els) > 0 {
 		// First growth: trust the generator's cardinality as a size
 		// hint so comprehension outputs don't grow append-by-append.
@@ -925,8 +907,9 @@ func (ctx *compCtx) walk(i int, els []Value, env *Env, out *sink) error {
 	return ctx.scan(i, els, env, out)
 }
 
-// scan runs generator i over els serially; so does a join whose probe
-// key fails, as that filter fails only where an element reaches it.
+// scan runs generator i over els; so does a join whose probe key fails
+// with an error of its own, as that filter fails only where an element
+// reaches it.
 func (ctx *compCtx) scan(i int, els []Value, env *Env, out *sink) error {
 	child := ctx.enter(i, env)
 	qs := &ctx.quals[i]
@@ -980,9 +963,8 @@ func (ctx *compCtx) stream(i int, g *Generator) (RowStream, bool, error) {
 
 // runStream drives one streamed generator: pages are pulled, and each
 // is walked exactly as the materialised loop in run walks its elements,
-// so results are byte-identical; only the residency differs. Sharding
-// never applies (the row count is unknown up front), and the stream is
-// always closed, including on early error returns.
+// so results are byte-identical; only the residency differs. The stream
+// is always closed, including on early error returns.
 func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, env *Env, out *sink) (err error) {
 	defer func() {
 		if cerr := rs.Close(); cerr != nil && err == nil {

@@ -20,21 +20,16 @@ import (
 // the query processor evaluates one is held to it by internal/query's
 // TestOracle.)
 
-// modes are the ways the evaluator walks a generator: serially, sharded
-// four ways, pulling its extents in pages of seven rows, and replayed:
-// one evaluator, and so one JoinIndexCache, evaluates the form three
-// times — a join run's walk, its recorded walk, and its replay.
+// modes are the ways the evaluator walks a generator: over a
+// materialised extent, pulling its extents in pages of seven rows, and
+// replayed: one evaluator, and so one JoinIndexCache, evaluates the form
+// three times — a join run's walk, its recorded walk, and its replay.
 var modes = []struct {
 	name   string
 	ev     func(ext iql.Extents) *iql.Evaluator
 	rounds int
 }{
 	{"serial", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(ext) }, 1},
-	{"sharded", func(ext iql.Extents) *iql.Evaluator {
-		ev := iql.NewEvaluator(ext)
-		ev.Parallel, ev.MinShardRows = 4, 8
-		return ev
-	}, 1},
 	{"streamed", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(pagedExtents{ext}) }, 1},
 	{"replayed", func(ext iql.Extents) *iql.Evaluator { return iql.NewEvaluator(ext) }, 3},
 }
@@ -174,9 +169,9 @@ func agreeOnce(t *testing.T, f iql.Expr, name string, got iql.Value, err error, 
 
 // TestOptimizerEquivalenceProperty holds the evaluator — memoised
 // sources, slot-bound patterns, hash joins, replayed join runs, the
-// count fold, sharded and streamed scans, the encoding sink — to the
-// reference on generated queries over generated worlds, and asserts
-// that the modes ran as named.
+// count fold, streamed scans, the encoding sink — to the reference on
+// generated queries over generated worlds, and asserts that the modes
+// ran as named.
 func TestOptimizerEquivalenceProperty(t *testing.T) {
 	pages, replayed := pagesServed.Load(), runsReplayed.Load()
 	r := rand.New(rand.NewSource(27))
@@ -195,18 +190,25 @@ func TestOptimizerEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSerial holds the shard-sensitive queries to the
-// reference over extents large enough to shard, and asserts that they
-// do.
+// TestParallelMatchesSerial holds iql.StepQueries over 500-row extents
+// to the reference in every mode, and asserts that Evaluator.Parallel is
+// inert: an evaluator with a width set answers each one as one without,
+// in as many steps.
 func TestParallelMatchesSerial(t *testing.T) {
-	ext := iql.ParallelExtents(500)
-	for _, src := range iql.ParallelQueries {
+	ext := iql.StepExtents(500)
+	for _, src := range iql.StepQueries {
 		agree(t, ext, nil, src)
-	}
-	ev := modes[1].ev(ext)
-	ev.Stats = new(iql.EvalStats)
-	if _, err := ev.Eval(iql.MustParse(iql.ParallelQueries[0]), nil); err != nil || len(ev.Stats.Sharded()) == 0 {
-		t.Errorf("the sharded mode ran %s serially: %v", iql.ParallelQueries[0], err)
+		plain := iql.NewEvaluator(ext)
+		want, wantErr := plain.Eval(iql.MustParse(src), nil)
+		wide := iql.NewEvaluator(ext)
+		wide.Parallel = 4
+		got, err := wide.Eval(iql.MustParse(src), nil)
+		if d := iqltest.Mismatch(got, err, want, wantErr); d != "" {
+			t.Errorf("%s, parallel(4): %s", src, d)
+		}
+		if wide.Steps() != plain.Steps() {
+			t.Errorf("%s: parallel(4) took %d steps, plain %d", src, wide.Steps(), plain.Steps())
+		}
 	}
 }
 

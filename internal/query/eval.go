@@ -3,10 +3,8 @@ package query
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
-	"time"
 
 	"github.com/dataspace/automed/internal/cache"
 	"github.com/dataspace/automed/internal/hdm"
@@ -52,9 +50,6 @@ type session struct {
 	// failed in this query: their stream position goes straight to the
 	// whole-extent read (see ExtentCount).
 	countFailed map[extentAddr]bool
-	// stats collects sharding telemetry across every evaluator this
-	// session spawns (it is concurrency-safe).
-	stats *iql.EvalStats
 	// last is the extent Extent returned last, with its footprint when
 	// that is known without a walk (size 0 when not): what a memo entry
 	// or a join index over the same array is charged (see Footprint).
@@ -66,18 +61,13 @@ type session struct {
 }
 
 // evaluator builds an IQL evaluator wired to this session: shared step
-// budget, request context, the processor-wide join-index cache, and
-// the sharded-evaluation settings. Sharded workers serialise their
-// session access internally (see iql/parallel.go), so handing the
-// session itself as the extent source stays correct under parallelism.
+// budget, request context and the processor-wide join-index cache.
 func (s *session) evaluator() *iql.Evaluator {
 	return &iql.Evaluator{
-		Ext:      s,
-		Budget:   s.budget,
-		Ctx:      s.ctx,
-		Indexes:  s.p.st.joinIdx,
-		Parallel: s.p.evalParallel(),
-		Stats:    s.stats,
+		Ext:     s,
+		Budget:  s.budget,
+		Ctx:     s.ctx,
+		Indexes: s.p.st.joinIdx,
 	}
 }
 
@@ -90,7 +80,6 @@ func (p *Processor) newSession(ctx context.Context, scopes ...string) *session {
 		scopes:  scopes,
 		ctx:     ctx,
 		budget:  &iql.StepBudget{Max: p.MaxSteps},
-		stats:   &iql.EvalStats{},
 		addr:    p.addresses(),
 	}
 	s.depLog = s.depBuf[:0]
@@ -301,7 +290,6 @@ func (p *Processor) eval(ctx context.Context, e iql.Expr, scope string, dst *iql
 	} else {
 		v, err = s.evaluator().Eval(e, nil)
 	}
-	p.noteEval(s.stats, sp)
 	sp.End(err)
 	return v, s, err
 }
@@ -380,59 +368,12 @@ func (p *Processor) Materialize(s *hdm.Schema) (map[string]iql.Value, error) {
 	return out, nil
 }
 
-// evalParallel resolves the effective sharded-evaluation width.
-func (p *Processor) evalParallel() int {
-	if p.Parallel > 0 {
-		return p.Parallel
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// ParallelStats is what Processor.ParallelStats returns: Width, always
+// 1. The benchmark module (bench/) still reads it; ROADMAP item 1(a)
+// deletes it.
+type ParallelStats struct{ Width int }
 
-// ParallelStats snapshots the processor's sharded-evaluation counters.
-type ParallelStats struct {
-	// ParallelEvals and SerialEvals split completed top-level
-	// evaluations by whether any generator scan sharded.
-	ParallelEvals uint64
-	SerialEvals   uint64
-	// Shards is the total number of shards executed.
-	Shards uint64
-	// Width is the effective worker-pool width for new evaluations.
-	Width int
-}
-
-// ParallelStats reports sharded-evaluation activity since startup.
-func (p *Processor) ParallelStats() ParallelStats {
-	return ParallelStats{
-		ParallelEvals: p.statParallelEvals.Load(),
-		SerialEvals:   p.statSerialEvals.Load(),
-		Shards:        p.statShards.Load(),
-		Width:         p.evalParallel(),
-	}
-}
-
-// noteEval folds one finished evaluation's sharding telemetry into the
-// processor counters and, when a span is recording, its detail field.
-func (p *Processor) noteEval(st *iql.EvalStats, sp *obs.Span) {
-	sh := st.Sharded()
-	if len(sh) == 0 {
-		p.statSerialEvals.Add(1)
-		return
-	}
-	p.statParallelEvals.Add(1)
-	shards, workers := 0, 0
-	var slowest time.Duration
-	for _, s := range sh {
-		shards += s.Shards
-		if s.Workers > workers {
-			workers = s.Workers
-		}
-		if s.ShardMax > slowest {
-			slowest = s.ShardMax
-		}
-	}
-	p.statShards.Add(uint64(shards))
-	if sp != nil {
-		sp.SetDetail(fmt.Sprintf("sharded scans=%d shards=%d workers=%d shard_max=%s",
-			len(sh), shards, workers, slowest.Round(time.Microsecond)))
-	}
-}
+// ParallelStats is inert: evaluation is serial, so it returns a Width of
+// 1 and nothing else. The benchmark module (bench/) still calls it;
+// ROADMAP item 1(a) deletes it.
+func (p *Processor) ParallelStats() ParallelStats { return ParallelStats{Width: 1} }

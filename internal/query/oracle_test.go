@@ -29,15 +29,14 @@ import (
 // reference evaluator, iqltest.Eval, over generated worlds laid out on
 // three providers — a static source (M), a SQL source over sqlmem (T)
 // and a paged REST source over httptest (R) — and a virtual object over
-// the last two. The ways are the product of: serial or sharded;
-// materialised, or streamed in pages of 1 and 7 rows; cold or memo-warm;
-// fresh, or degraded (every source failing after a good read, through
-// wrapper.Fault, and served stale); a bag answer, its count folded here,
-// or its count taken at the SQL source; built, or written by
-// EvalEncoded. One more way shares a plan: a tree parsed afresh is
-// analysed by a cold evaluation on one processor and evaluated as that
-// left it, warm, by another's session and evaluators, as a cached plan
-// is by every session of the server. And one replays: the same tree
+// the last two. The ways are the product of: materialised, or streamed
+// in pages of 1 and 7 rows; cold or memo-warm; fresh, or degraded (every
+// source failing after a good read, through wrapper.Fault, and served
+// stale); a bag answer, its count folded here, or its count taken at the
+// SQL source; built, or written by EvalEncoded. One more way shares a
+// plan: a tree parsed afresh is analysed by a cold evaluation on one
+// processor and evaluated as that left it, warm, by another's session
+// and evaluators, as a cached plan is by every session of the server. And one replays: the same tree
 // evaluated cold, then warm twice, on one processor, so that a join
 // run is walked, recorded and replayed. Of each it asserts that
 //
@@ -45,8 +44,8 @@ import (
 //   - over permuted extents the answer is alike (iqltest.Alike), or both
 //     fail, unless the query calls a builtin whose answer depends on
 //     element order;
-//   - warnings, dependency keys and steps are the serial, materialised,
-//     built run's in the same state (cold, warm or degraded), and a count
+//   - warnings, dependency keys and steps are the materialised, built
+//     run's in the same state (cold, warm or degraded), and a count
 //     folded here takes the bag's steps and one, the call's — a count
 //     taken at the source being the exception;
 //   - an encoded answer's JSON is AppendJSONAndText's of the same mode's
@@ -56,12 +55,11 @@ import (
 //     *iql.EncodingError.
 
 // TestOracle runs the oracle over generated queries, and asserts that
-// the modes ran as named: the sharded ones sharded some evaluation and
-// the serial ones none, the paged ones stream <<t>> past the cache,
-// which the materialised ones fill, and the replayed one replayed.
+// the modes ran as named: the paged ones stream <<t>> past the cache,
+// which the materialised one fills, and the replayed one replayed.
 func TestOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
-	var sharded, replayed uint64
+	var replayed uint64
 	for range 20 {
 		w := iqltest.NewWorld(r)
 		o := newOracle(t, w, r)
@@ -70,18 +68,11 @@ func TestOracle(t *testing.T) {
 		}
 		replayed += o.replayed
 		for _, m := range o.direct {
-			n := m.p.ParallelStats().ParallelEvals
-			if sharded += n; m.p.Parallel == 1 && n > 0 {
-				t.Errorf("%s: %d evaluations sharded", m.name, n)
-			}
 			eval(m.p, iql.MustParse("[x | x <- <<t>>]"), false, true)
 			if streamed := !m.p.st.srcExt.Peek(addrOf(m.p, "T", "t")); streamed == strings.HasSuffix(m.name, "materialised") {
 				t.Errorf("%s: <<t>> of %d rows streamed %v", m.name, len(w.Table.Rows), streamed)
 			}
 		}
-	}
-	if sharded == 0 {
-		t.Error("no evaluation sharded")
 	}
 	if replayed == 0 {
 		t.Error("the replayed mode replayed no join run")
@@ -131,8 +122,8 @@ type oracle struct {
 	direct []mode // the first is the reference of warnings, keys and steps
 	faults []*wrapper.Fault
 	// faulted builds a fresh processor over the faults (no breaker history,
-	// no last good extent), serial or sharded.
-	faulted  func(parallel int) *Processor
+	// no last good extent).
+	faulted  func() *Processor
 	permuted []permutation
 	// replayed counts the join runs the replayed mode replayed.
 	replayed uint64
@@ -174,9 +165,9 @@ func newOracle(tb testing.TB, w *iqltest.World, r *rand.Rand) *oracle {
 		}
 		return []Sourcer{static, sq, rest}
 	}
-	processor := func(parallel, scanBuffer int, srcs ...Sourcer) *Processor {
+	processor := func(scanBuffer int, srcs ...Sourcer) *Processor {
 		p := New()
-		p.Parallel, p.ScanBuffer = parallel, scanBuffer
+		p.ScanBuffer = scanBuffer
 		for _, s := range srcs {
 			if err := p.AddSource(s); err != nil {
 				tb.Fatal(err)
@@ -185,11 +176,10 @@ func newOracle(tb testing.TB, w *iqltest.World, r *rand.Rand) *oracle {
 		defineView(p, w)
 		return p
 	}
-	for _, parallel := range []int{1, 8} {
-		o.direct = append(o.direct,
-			mode{fmt.Sprintf("parallel %d, materialised", parallel), processor(parallel, -1, sources(7)...)},
-			mode{fmt.Sprintf("parallel %d, pages of 1", parallel), processor(parallel, 1, sources(1)...)},
-			mode{fmt.Sprintf("parallel %d, pages of 7", parallel), processor(parallel, 1, sources(7)...)})
+	o.direct = []mode{
+		{"materialised", processor(-1, sources(7)...)},
+		{"pages of 1", processor(1, sources(1)...)},
+		{"pages of 7", processor(1, sources(7)...)},
 	}
 	var faulty []Sourcer
 	for _, s := range sources(7) {
@@ -199,8 +189,8 @@ func newOracle(tb testing.TB, w *iqltest.World, r *rand.Rand) *oracle {
 		}
 		o.faults, faulty = append(o.faults, f), append(faulty, f)
 	}
-	o.faulted = func(parallel int) *Processor {
-		p := processor(parallel, -1, faulty...)
+	o.faulted = func() *Processor {
+		p := processor(-1, faulty...)
 		p.SetBreaker(BreakerConfig{Enabled: true})
 		return p
 	}
@@ -213,7 +203,7 @@ func newOracle(tb testing.TB, w *iqltest.World, r *rand.Rand) *oracle {
 	}
 	for _, order := range []func(int) []int{reversed, r.Perm} {
 		pw := w.Permuted(order)
-		o.permuted = append(o.permuted, permutation{pw.Extents(), processor(1, -1, staticObjects(tb, "P", pw.Base()))})
+		o.permuted = append(o.permuted, permutation{pw.Extents(), processor(-1, staticObjects(tb, "P", pw.Base()))})
 	}
 	return o
 }
@@ -442,7 +432,7 @@ func (o *oracle) check(t *testing.T, src string) {
 		}
 	}
 
-	// A shared plan: serial and materialised, then sharded and in pages.
+	// A shared plan: materialised, then in pages.
 	cold, warm := o.direct[0], o.direct[len(o.direct)-1]
 	for form, f := range formsOf() {
 		same(cold.name+", cold, a fresh plan", form, 0, eval(cold.p, f, false, true))
@@ -472,24 +462,19 @@ func (o *oracle) check(t *testing.T, src string) {
 	o.replayed += rep.p.JoinIndexStats().Replays - replays
 
 	// Degraded: a good read of every source, then every source failing.
-	faulted := []*Processor{o.faulted(1), o.faulted(8)}
+	faulted := o.faulted()
 	for form := range forms {
-		for _, p := range faulted {
-			same(fmt.Sprintf("parallel %d, fresh", p.Parallel), form, 2, eval(p, forms[form], false, true))
-		}
+		same("fresh", form, 2, eval(faulted, forms[form], false, true))
 	}
 	for _, f := range o.faults {
 		f.Set(wrapper.FaultConfig{ErrorRate: 1})
 	}
 	for form := range forms {
-		for _, p := range faulted {
-			where := fmt.Sprintf("parallel %d, degraded", p.Parallel)
-			built := eval(p, forms[form], false, true)
-			same(where, form, 3, built)
-			enc := eval(p, forms[form], true, true)
-			same(where+", encoded", form, 3, enc)
-			encodes(where, form, built, enc)
-		}
+		built := eval(faulted, forms[form], false, true)
+		same("degraded", form, 3, built)
+		enc := eval(faulted, forms[form], true, true)
+		same("degraded, encoded", form, 3, enc)
+		encodes("degraded", form, built, enc)
 	}
 	for _, f := range o.faults {
 		f.Set(wrapper.FaultConfig{})

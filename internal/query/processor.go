@@ -165,11 +165,8 @@ type Processor struct {
 	// budget is shared across every derivation a query unfolds, not per
 	// derivation.
 	MaxSteps int
-	// Parallel sets the worker count for data-parallel comprehension
-	// evaluation: 0 picks GOMAXPROCS, 1 forces serial evaluation, and
-	// larger values set the pool width explicitly. Sharded evaluation
-	// is byte-identical to serial, so this is purely a performance
-	// knob.
+	// Parallel is ignored: evaluation is serial. The benchmark module
+	// (bench/) still sets it; ROADMAP item 1(a) deletes it.
 	Parallel int
 	// ScanBuffer sets the streaming pipeline's row window (see
 	// stream.go): extents at or below it materialise and cache as
@@ -191,10 +188,6 @@ type Processor struct {
 	// destroy the fallback copy a broken source will be served from.
 	lgMu     sync.Mutex
 	lastGood map[extentAddr]lastGoodEntry
-
-	statParallelEvals atomic.Uint64
-	statSerialEvals   atomic.Uint64
-	statShards        atomic.Uint64
 }
 
 // Stores are the extent caches processors fill: the virtual-extent

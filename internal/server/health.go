@@ -63,13 +63,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // snapshot remains available via ?format=json or an Accept header
 // naming application/json.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	result, memo, src, index, eval := s.sessionStats()
-	plan, queue, n, health := s.reg.caches.plans.Stats(), s.QueueStats(), s.reg.Len(), s.sourceHealth()
+	plan, result := s.reg.caches.plans.Stats(), s.reg.caches.results.Stats()
+	memo, src, index := s.reg.caches.extents.Stats()
+	queue, n, health := s.QueueStats(), s.reg.Len(), s.sourceHealth()
 	if wantsJSONMetrics(r) {
-		writeJSON(w, http.StatusOK, s.metrics.Snapshot(plan, result, memo, src, index, queue, n, eval, health))
+		writeJSON(w, http.StatusOK, s.metrics.Snapshot(plan, result, memo, src, index, queue, n, health))
 		return
 	}
-	body := s.metrics.Prometheus(plan, result, memo, src, index, queue, n, eval, health)
+	body := s.metrics.Prometheus(plan, result, memo, src, index, queue, n, health)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
@@ -99,24 +100,4 @@ func (s *Server) sourceHealth() []SessionSourceHealth {
 		}
 	}
 	return out
-}
-
-// sessionStats snapshots the daemon's result, extent-memo,
-// source-extent and join-index caches, sums the sessions'
-// sharded-evaluation counters, and attaches the evaluation pool width.
-// The width is not a setting — every processor derives it from
-// GOMAXPROCS — so an unconfigured one reports the width in effect even
-// before any session is federated.
-func (s *Server) sessionStats() (result, memo, src, index CacheStats, eval EvalSnapshot) {
-	var unconfigured query.Processor
-	eval.Parallelism = unconfigured.ParallelStats().Width
-	result = s.reg.caches.results.Stats()
-	memo, src, index = s.reg.caches.extents.Stats()
-	for _, sess := range s.reg.All() {
-		st := sess.ParallelStats()
-		eval.ParallelEvals += st.ParallelEvals
-		eval.SerialEvals += st.SerialEvals
-		eval.Shards += st.Shards
-	}
-	return result, memo, src, index, eval
 }

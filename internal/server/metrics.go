@@ -205,11 +205,13 @@ type MetricsSnapshot struct {
 	Panics             uint64          `json:"panics_total"`
 	DegradedQueries    uint64          `json:"degraded_queries_total"`
 	Queue              QueueSnapshot   `json:"queue"`
-	Eval               EvalSnapshot    `json:"eval"`
 	Sources            []SourceMetrics `json:"sources"`
 	// SourceHealth is every session's per-source breaker state; empty
 	// when the fault-tolerance layer is disabled.
 	SourceHealth []SessionSourceHealth `json:"source_health,omitempty"`
+	// Eval is never filled and never encoded. The benchmark module
+	// (bench/) still reads it; ROADMAP item 1(a) deletes it.
+	Eval struct{ ParallelEvals, SerialEvals uint64 } `json:"-"`
 }
 
 // SessionSourceHealth is one source's breaker state qualified by its
@@ -217,19 +219,6 @@ type MetricsSnapshot struct {
 type SessionSourceHealth struct {
 	Session string `json:"session"`
 	query.SourceHealth
-}
-
-// EvalSnapshot is the JSON shape of data-parallel evaluation activity
-// (summed across sessions) plus the effective pool settings.
-type EvalSnapshot struct {
-	// ParallelEvals and SerialEvals split completed evaluations by
-	// whether any generator scan ran sharded.
-	ParallelEvals uint64 `json:"parallel_evals_total"`
-	SerialEvals   uint64 `json:"serial_evals_total"`
-	// Shards counts shards executed across all sharded scans.
-	Shards uint64 `json:"shards_total"`
-	// Parallelism is the effective sharded-evaluation pool width.
-	Parallelism int `json:"parallelism"`
 }
 
 // QueueSnapshot is the JSON shape of the admission controller's state
@@ -263,7 +252,7 @@ func snapshotCache(s CacheStats) CacheSnapshot {
 // daemon's layers' (plan = parsed plans, result = answers, extent =
 // virtual-extent memo, src = source extents, index = join indexes);
 // queue is the admission controller's current state.
-func (m *Metrics) Snapshot(plan, result, extent, src, index CacheStats, queue QueueStats, sessions int, eval EvalSnapshot, health []SessionSourceHealth) MetricsSnapshot {
+func (m *Metrics) Snapshot(plan, result, extent, src, index CacheStats, queue QueueStats, sessions int, health []SessionSourceHealth) MetricsSnapshot {
 	srcSnaps := m.sources.Snapshot()
 	sources := make([]SourceMetrics, 0, len(srcSnaps))
 	for _, s := range srcSnaps {
@@ -306,7 +295,6 @@ func (m *Metrics) Snapshot(plan, result, extent, src, index CacheStats, queue Qu
 		Sessions:           sessions,
 		Panics:             m.panics.Load(),
 		DegradedQueries:    m.degradedQueries.Load(),
-		Eval:               eval,
 		SourceHealth:       health,
 		Queue: QueueSnapshot{
 			QueueStats:    queue,

@@ -7,8 +7,8 @@ import (
 // Prometheus renders the metrics in text exposition format 0.0.4 — the
 // counterpart of Snapshot for scrape-based collection. Histogram
 // buckets follow the cumulative `le` convention with bounds in seconds.
-func (m *Metrics) Prometheus(plan, result, extent, src, index CacheStats, queue QueueStats, sessions int, eval EvalSnapshot, health []SessionSourceHealth) []byte {
-	snap := m.Snapshot(plan, result, extent, src, index, queue, sessions, eval, health)
+func (m *Metrics) Prometheus(plan, result, extent, src, index CacheStats, queue QueueStats, sessions int, health []SessionSourceHealth) []byte {
+	snap := m.Snapshot(plan, result, extent, src, index, queue, sessions, health)
 	w := obs.NewPromWriter()
 
 	w.Gauge("automed_uptime_seconds", "Seconds since the server started.", snap.UptimeSeconds)
@@ -27,11 +27,6 @@ func (m *Metrics) Prometheus(plan, result, extent, src, index CacheStats, queue 
 	w.Gauge("automed_sessions", "Live sessions.", float64(snap.Sessions))
 
 	w.Histogram("automed_query_duration_seconds", "End-to-end query latency.", m.lat.Snapshot())
-
-	w.Counter("automed_eval_parallel_total", "Evaluations in which at least one generator scan ran sharded.", float64(snap.Eval.ParallelEvals))
-	w.Counter("automed_eval_serial_total", "Evaluations that ran fully serial.", float64(snap.Eval.SerialEvals))
-	w.Counter("automed_eval_shards_total", "Shards executed by data-parallel evaluation.", float64(snap.Eval.Shards))
-	w.Gauge("automed_eval_parallelism", "Effective sharded-evaluation worker-pool width.", float64(snap.Eval.Parallelism))
 
 	drain := 0.0
 	if snap.Queue.Draining {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"regexp"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,9 +97,6 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"automed_http_requests_total",
 		"automed_integration_iterations_total 1",
 		"automed_sessions 1",
-		"# TYPE automed_eval_parallel_total counter",
-		"automed_eval_shards_total",
-		"automed_eval_parallelism",
 		`automed_cache_hits_total{layer="plan"} 2`,
 		`automed_cache_entries{layer="result"}`,
 		`automed_cache_misses_total{layer="source_extent"}`,
@@ -243,29 +239,30 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	}
 }
 
-// TestMetricsEvalBlock: the JSON snapshot's eval block reports the
-// effective evaluation-pool width, which is GOMAXPROCS — there is no
-// setting beside it — even before any session is federated. The
-// prefetch pool is two constants of the query package, so neither the
-// block nor the exposition reports it.
+// TestMetricsEvalBlock: evaluation is serial and has nothing to
+// report, so the JSON snapshot carries no eval block — the field the
+// benchmark still reads is never encoded — and the exposition no
+// automed_eval_ family. Nor does the snapshot report the prefetch pool,
+// which is two constants of the query package.
 func TestMetricsEvalBlock(t *testing.T) {
 	_, c := newTestClient(t, DefaultConfig())
-	eval := c.must("GET", "/metrics", nil, http.StatusOK)["eval"].(map[string]any)
-	if got := eval["parallelism"].(float64); got != float64(runtime.GOMAXPROCS(0)) {
-		t.Errorf("eval.parallelism = %v, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	for _, gone := range []string{"prefetch_workers", "prefetch_max_tasks"} {
-		if _, ok := eval[gone]; ok {
-			t.Errorf("eval.%s is still reported; the prefetch pool is not configurable", gone)
+	snap := c.must("GET", "/metrics", nil, http.StatusOK)
+	for _, gone := range []string{"eval", "prefetch_workers", "prefetch_max_tasks"} {
+		if _, ok := snap[gone]; ok {
+			t.Errorf("the JSON snapshot still reports %s", gone)
 		}
+	}
+	body, _ := scrape(t, c, "/metrics", "")
+	if text := string(body); strings.Contains(text, "automed_eval_") {
+		t.Errorf("the exposition still reports evaluation:\n%s", text)
 	}
 }
 
-// BenchmarkMetricsQueryParallel measures the query hot path's metric
+// BenchmarkMetricsQueryContended measures the query hot path's metric
 // recording under contention: every sample takes the same lock-free
 // route (atomic counters plus the atomic latency histogram) the server
 // takes per query.
-func BenchmarkMetricsQueryParallel(b *testing.B) {
+func BenchmarkMetricsQueryContended(b *testing.B) {
 	m := NewMetrics()
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {

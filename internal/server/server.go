@@ -116,9 +116,9 @@ type Config struct {
 
 // configure applies the settings to a session's query processor and
 // has it cache its extents in the daemon's stores; it is the only place
-// one is configured (federation and restore call it). Sharded-evaluation
-// width, streaming window and SQL page size are not settings: query and
-// wrapper choose them themselves.
+// one is configured (federation and restore call it). Streaming window
+// and SQL page size are not settings: query and wrapper choose them
+// themselves.
 func (cfg Config) configure(p *query.Processor, extents *query.Stores) {
 	p.MaxSteps = cfg.MaxSteps
 	p.SetBreaker(cfg.Breaker)

@@ -228,16 +228,6 @@ func (s *Session) ExtentCacheStats() (memo, src CacheStats) {
 	return memo, src
 }
 
-// ParallelStats snapshots the session processor's sharded-evaluation
-// counters; zero before federation.
-func (s *Session) ParallelStats() query.ParallelStats {
-	ig, err := s.integrator()
-	if err != nil {
-		return query.ParallelStats{}
-	}
-	return ig.Processor().ParallelStats()
-}
-
 // Registry is the named-session table, and the caches its sessions
 // share.
 type Registry struct {

@@ -216,7 +216,7 @@ func (w *SQL) ExtentContext(ctx context.Context, parts []string) (iql.Value, err
 // StreamingScans reports whether ExtentScanner pages rows incrementally
 // from the backend: whether the wrapper is online. The query pipeline
 // streams only such sources — local wrappers gain nothing from the
-// streaming path and would lose parallel sharding.
+// streaming path.
 func (w *SQL) StreamingScans() bool { return w.db != nil }
 
 // ExtentScanner implements ScanSourcer: it reads the extent a page at a
