@@ -62,9 +62,14 @@ race:
 # detector (about 1 min on a 2-core box): its reader queries whichever
 # session the name stands for while restores hand sources and one
 # decoded checkpoint to the next, and while /invalidate lands on a fetch
-# in flight.
+# in flight. The address table's concurrent fill runs thirty times under
+# the race detector: several goroutines ask one fresh table for every
+# virtual object at once, each in its own order, and which of them
+# computes a fingerprint and which finds it computed is the scheduler's
+# choice.
 flake:
 	$(GO) test -count=30 -run 'TestOracle' ./internal/query
+	$(GO) test -race -count=30 -run 'TestAddressTableConcurrentFill' ./internal/query
 	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions|TestLatestAnswersWhileStepsLand|TestStepThroughTheIntegratorRetiresAnswers|TestSessionsShareAddressedCaches' ./internal/server
 	$(GO) test -race -count=3 -run 'TestSessionOracle' ./internal/server
 
@@ -86,8 +91,12 @@ bench-check:
 # BenchmarkServerScan (the twin of scan_large: a count taken at the SQL
 # source, a paged REST scan, a cold join) and BenchmarkServerPayg (the twin of
 # payg_mixed: restore, five steps with autosave, the queries between —
-# where Server.persist and restoreSession show — as one session and as
-# two side by side), each for 3 s a sub-benchmark under the CPU, the
+# where Server.persist and restoreSession show, and the hops a step and
+# a restore pay for what they change through: the address table's fill
+# (addresses.fingerprint and addresses.sums, under Processor.Address
+# and session.Extent), readAfter under readState, and
+# Integrator.federatedObjects under rebuildGlobal — as one session and
+# as two side by side), each for 3 s a sub-benchmark under the CPU, the
 # allocation and the mutex profiler, then the cumulative CPU top and the
 # cumulative allocation top of each of the three (the latter without the
 # frames of the harness, which are all of one size and would fill the

@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/dataspace/automed/internal/classical"
 	"github.com/dataspace/automed/internal/core"
@@ -373,6 +375,83 @@ func BenchmarkFederationScaling(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkStepScaling measures what a pay-as-you-go step costs
+// against the session before it (ROADMAP item 7): k sources of 20
+// tables of three columns, federated, then 2k one-entity Intersect
+// steps, the j-th over table j mod 20 of sources j and j+1 (mod k).
+// Each iteration restores the checkpoint taken before the last step —
+// its JSON decoded and core.Import, outside the timer — and takes the
+// last step under it, after a collection, so ns/op and B/op are the
+// last step's; restore-ms
+// is the mean restore and checkpoint-bytes the checkpoint's size. b.N
+// is chosen by the timed step alone, so run it with -benchtime Nx
+// (k=64's restore takes seconds, and the process peaks near 0.7 GB).
+func BenchmarkStepScaling(b *testing.B) {
+	for _, k := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			var ws []Wrapper
+			for s := 0; s < k; s++ {
+				sb := NewSource(fmt.Sprintf("S%03d", s))
+				for t := 0; t < 20; t++ {
+					sb.Table(fmt.Sprintf("t%03d", t), "id:int", "a", "b")
+				}
+				w, err := sb.Wrap()
+				if err != nil {
+					b.Fatal(err)
+				}
+				ws = append(ws, w)
+			}
+			step := func(ig *core.Integrator, j int) {
+				from := func(s int) core.SourceQuery {
+					return core.From(fmt.Sprintf("S%03d", s%k), fmt.Sprintf("[{'S%d', x} | x <- <<t%03d>>]", s%k, j%20))
+				}
+				if _, err := ig.Intersect(fmt.Sprintf("I%03d", j), []core.Mapping{core.Entity(fmt.Sprintf("<<E%03d>>", j), from(j), from(j+1))}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ig, err := core.New(ws...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := ig.Federate("F"); err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < 2*k-1; j++ {
+				step(ig, j)
+			}
+			snap, err := ig.Export()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var checkpoint bytes.Buffer
+			if err := snap.WriteJSON(&checkpoint); err != nil {
+				b.Fatal(err)
+			}
+			var restore time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				start := time.Now()
+				var snap core.Snapshot
+				if err := json.Unmarshal(checkpoint.Bytes(), &snap); err != nil {
+					b.Fatal(err)
+				}
+				ig, err := core.Import(&snap)
+				if err != nil {
+					b.Fatal(err)
+				}
+				restore += time.Since(start)
+				runtime.GC() // the restore's garbage is not the step's
+				b.StartTimer()
+				step(ig, 2*k-1)
+			}
+			b.ReportMetric(float64(restore.Microseconds())/1e3/float64(b.N), "restore-ms")
+			b.ReportMetric(float64(checkpoint.Len()), "checkpoint-bytes")
 		})
 	}
 }

@@ -65,6 +65,10 @@ type Integrator struct {
 	proc    *query.Processor
 	sources []wrapper.Wrapper
 	prefix  map[string]string // source schema name → federation prefix
+	// federated holds each source's objects under its provenance prefix,
+	// in the source schema's order, as federation or backfill made them:
+	// every global schema version adds these, not copies.
+	federated map[string][]*hdm.Object
 
 	fedName       string
 	fed           *hdm.Schema
@@ -111,9 +115,10 @@ func New(sources ...wrapper.Wrapper) (*Integrator, error) {
 		return nil, fmt.Errorf("core: at least one source required")
 	}
 	ig := &Integrator{
-		repo:   repo.New(),
-		proc:   query.New(),
-		prefix: make(map[string]string),
+		repo:      repo.New(),
+		proc:      query.New(),
+		prefix:    make(map[string]string),
+		federated: make(map[string][]*hdm.Object),
 	}
 	for _, w := range sources {
 		if err := ig.proc.AddSource(w); err != nil {
@@ -166,6 +171,7 @@ func (ig *Integrator) SourceNames() []string {
 // fedSection is one source's federated contribution: prefixed objects,
 // rename pathway, derivation batch.
 type fedSection struct {
+	src  string
 	objs []*hdm.Object
 	pw   *transform.Pathway
 	defs []query.ObjectDef
@@ -188,8 +194,11 @@ func (ig *Integrator) fedSections(name string, sources []wrapper.Wrapper) []fedS
 			defer func() { <-sem }()
 			src := w.SchemaName()
 			pfx := ig.prefix[src]
-			sec := fedSection{pw: transform.NewPathway(src, name)}
-			for _, o := range w.Schema().Objects() {
+			objs := w.Schema().Objects()
+			sec := fedSection{src: src, objs: make([]*hdm.Object, 0, len(objs)), pw: transform.NewPathway(src, name),
+				defs: make([]query.ObjectDef, 0, len(objs))}
+			sec.pw.Steps = make([]transform.Transformation, 0, len(objs))
+			for _, o := range objs {
 				fsc := o.Scheme.WithPrefix(pfx)
 				sec.objs = append(sec.objs, o.WithScheme(fsc))
 				sec.pw.Append(transform.NewRename(o.Scheme, fsc).WithAuto())
@@ -220,6 +229,7 @@ func (ig *Integrator) mergeFedSections(fed *hdm.Schema, sections []fedSection) (
 			}
 			added++
 		}
+		ig.federated[sec.src] = sec.objs
 		pathways = append(pathways, sec.pw)
 		defs = append(defs, sec.defs...)
 	}
@@ -609,12 +619,24 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 			return nil, fmt.Errorf("core: intersection %q: image schema %q is already stored", name, imageName)
 		}
 		images[i] = imageName
-		pw := transform.NewPathway(src, imageName)
 		deleted := make(map[string]bool)
+		srcSchema := ig.sourceSchema(src)
+
+		// The pathway's steps are allocated once, at their number: this
+		// source's adds, an extend for each target it does not contribute
+		// to, and a delete or a contract for each of its objects.
+		adds, contributed := 0, make(map[string]bool)
+		for _, f := range fwds {
+			if f.source == src {
+				adds++
+				contributed[f.target.Key()] = true
+			}
+		}
+		pw := transform.NewPathway(src, imageName)
+		pw.Steps = make([]transform.Transformation, 0, adds+len(targetOrder)-len(contributed)+srcSchema.Len())
 
 		// Phase 1: adds (manual), auto parent adds, and extends for
 		// targets this source does not contribute to.
-		contributed := make(map[string]bool)
 		for _, f := range fwds {
 			if f.source != src {
 				continue
@@ -627,7 +649,6 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 				in.Counts.ManualAdds++
 			}
 			pw.Append(t)
-			contributed[f.target.Key()] = true
 		}
 		for _, tsc := range targetOrder {
 			if contributed[tsc.Key()] {
@@ -640,7 +661,6 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 
 		// Phase 2: deletes — explicit reverse queries first (manual),
 		// then tool-derived reverses for simple forward mappings.
-		srcSchema := ig.sourceSchema(src)
 		for _, f := range fwds {
 			if f.source != src || f.consume == nil {
 				continue

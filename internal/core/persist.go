@@ -303,11 +303,12 @@ func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 		}
 	}
 	ig := &Integrator{
-		repo:     r,
-		proc:     query.New(),
-		prefix:   make(map[string]string),
-		autoDrop: snap.AutoDrop,
-		skipped:  slices.Clone(snap.Skipped),
+		repo:      r,
+		proc:      query.New(),
+		prefix:    make(map[string]string),
+		federated: make(map[string][]*hdm.Object),
+		autoDrop:  snap.AutoDrop,
+		skipped:   slices.Clone(snap.Skipped),
 	}
 	for _, doc := range snap.Sources {
 		w, err := wrapper.Decode(doc, held...)

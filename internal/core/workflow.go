@@ -98,9 +98,18 @@ func (ig *Integrator) rebuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 	}
 	ig.globalVersion++
 	name := fmt.Sprintf("GS%d", ig.globalVersion)
-	g := hdm.NewSchema(name)
+	// Sized for every object it may add, so it grows by none.
+	size := len(ig.derivedObjs)
+	for _, in := range ig.intersections {
+		size += len(in.Targets)
+	}
+	for _, w := range ig.sources {
+		size += w.Schema().Len()
+	}
+	g := hdm.NewSchemaSized(name, size)
 
-	// Intersection objects first.
+	// Intersection objects first. Objects are not changed once in a
+	// schema, so every version adds the ones its predecessors added.
 	for _, in := range ig.intersections {
 		for _, tsc := range in.Targets {
 			if g.Has(tsc) {
@@ -110,7 +119,7 @@ func (ig *Integrator) rebuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 			if obj == nil {
 				obj = hdm.NewObject(tsc, hdm.Nodal, "", "")
 			}
-			if err := g.Add(obj.Clone()); err != nil {
+			if err := g.Add(obj); err != nil {
 				return nil, err
 			}
 		}
@@ -125,17 +134,14 @@ func (ig *Integrator) rebuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 		}
 	}
 
-	// Redundant source objects: deleted (semantically mapped) in some
-	// intersection pathway.
-	redundant := make(map[string]map[string]bool) // source → scheme key
+	// Redundant source objects, by their federated keys: deleted
+	// (semantically mapped) in some intersection pathway.
+	redundant := make(map[string]bool)
 	if dropRedundant {
 		for _, in := range ig.intersections {
 			for src, objs := range in.DeletedBySource {
-				if redundant[src] == nil {
-					redundant[src] = make(map[string]bool)
-				}
 				for _, sc := range objs {
-					redundant[src][sc.Key()] = true
+					redundant[sc.WithPrefix(ig.prefix[src]).Key()] = true
 				}
 			}
 		}
@@ -143,14 +149,11 @@ func (ig *Integrator) rebuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 
 	// Federated remainder per source.
 	for _, w := range ig.sources {
-		src := w.SchemaName()
-		pfx := ig.prefix[src]
-		for _, o := range w.Schema().Objects() {
-			if redundant[src] != nil && redundant[src][o.Scheme.Key()] {
+		for _, o := range ig.federatedObjects(w) {
+			if redundant[o.Scheme.Key()] {
 				continue
 			}
-			fsc := o.Scheme.WithPrefix(pfx)
-			if err := g.Add(o.WithScheme(fsc)); err != nil {
+			if err := g.Add(o); err != nil {
 				return nil, err
 			}
 		}
@@ -179,6 +182,24 @@ func (ig *Integrator) rebuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 	ig.global = g
 	ig.versions = append(ig.versions, SchemaVersion{Version: ig.globalVersion, Schema: g})
 	return g, nil
+}
+
+// federatedObjects returns source w's objects under its provenance
+// prefix: the ones federation or backfill made, or — for a source
+// neither has taken (skipped at federation, or restored from a
+// checkpoint) or whose schema has grown since — ones made now and kept.
+func (ig *Integrator) federatedObjects(w wrapper.Wrapper) []*hdm.Object {
+	src := w.SchemaName()
+	if objs, ok := ig.federated[src]; ok && len(objs) == w.Schema().Len() {
+		return objs
+	}
+	pfx := ig.prefix[src]
+	var objs []*hdm.Object
+	for _, o := range w.Schema().Objects() {
+		objs = append(objs, o.WithScheme(o.Scheme.WithPrefix(pfx)))
+	}
+	ig.federated[src] = objs
+	return objs
 }
 
 // Result carries a query answer plus any incompleteness warnings

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -329,4 +330,73 @@ func (w *failingWrapper) Schema() *hdm.Schema {
 }
 func (w *failingWrapper) Extent(parts []string) (iql.Value, error) {
 	return iql.Value{}, fmt.Errorf("synthetic failure reading %v", parts)
+}
+
+// TestGlobalVersionsShareFederatedObjects: every global schema version
+// adds the federated objects federation made, by pointer, and no step
+// writes to an object once it is in a schema — the values of every
+// object of every version are the ones it had when it was first seen.
+func TestGlobalVersionsShareFederatedObjects(t *testing.T) {
+	ig := newIntegrator(t)
+	fed, err := ig.Federate("F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[*hdm.Object]hdm.Object)
+	look := func() {
+		for _, v := range ig.Versions() {
+			for _, o := range v.Schema.Objects() {
+				if was, ok := seen[o]; !ok {
+					seen[o] = *o
+				} else if !reflect.DeepEqual(was, *o) {
+					t.Errorf("%s of %s changed in place: %+v, was %+v", o.Scheme, v.Schema.Name(), *o, was)
+				}
+			}
+		}
+	}
+	look()
+	if _, err := ig.Intersect("I1", bookMappings()); err != nil {
+		t.Fatal(err)
+	}
+	look()
+	if err := ig.Refine("r", Attribute("<<UBook, r>>", From("Library", "[{'LIB', k, x} | {k, x} <- <<books, shelf>>]"))); err != nil {
+		t.Fatal(err)
+	}
+	look()
+	if _, err := ig.BuildGlobal(true); err != nil {
+		t.Fatal(err)
+	}
+	look()
+	for _, v := range ig.Versions()[1:] {
+		shared := 0
+		for _, o := range v.Schema.Objects() {
+			if f, ok := fed.Object(o.Scheme); ok {
+				if f != o {
+					t.Errorf("%s adds a copy of the federated %s", v.Schema.Name(), o.Scheme)
+				}
+				shared++
+			}
+		}
+		if shared == 0 {
+			t.Errorf("%s adds no federated object", v.Schema.Name())
+		}
+	}
+}
+
+// TestIntersectSizesPathwaysOnce: each per-source pathway's steps are
+// allocated once, at their final number.
+func TestIntersectSizesPathwaysOnce(t *testing.T) {
+	ig := newIntegrator(t)
+	if _, err := ig.Federate("F"); err != nil {
+		t.Fatal(err)
+	}
+	in, err := ig.Intersect("I1", bookMappings())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src, pw := range in.PathwayBySource {
+		if cap(pw.Steps) != len(pw.Steps) {
+			t.Errorf("%s's pathway has %d steps in room for %d", src, len(pw.Steps), cap(pw.Steps))
+		}
+	}
 }

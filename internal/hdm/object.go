@@ -46,6 +46,11 @@ func ParseObjectKind(s string) (ObjectKind, error) {
 // Object is a schema object: a scheme plus its classification in the
 // modelling language it belongs to (as registered in the Model
 // Definitions Repository).
+//
+// An object is immutable once it is in a schema: schemas share objects
+// (every global schema version adds the federated objects federation
+// made, and the intersection objects of its intersection schemas), so a
+// change is a new object (WithScheme, Clone), never a write to a field.
 type Object struct {
 	// Scheme identifies the object within its schema.
 	Scheme Scheme

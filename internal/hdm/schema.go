@@ -23,6 +23,15 @@ func NewSchema(name string) *Schema {
 	}
 }
 
+// NewSchemaSized returns an empty schema with room for n objects.
+func NewSchemaSized(name string, n int) *Schema {
+	return &Schema{
+		name:    name,
+		objects: make(map[string]*Object, n),
+		order:   make([]string, 0, n),
+	}
+}
+
 // Name returns the schema's name.
 func (s *Schema) Name() string { return s.name }
 

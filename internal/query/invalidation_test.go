@@ -33,8 +33,9 @@ func (p *Processor) InvalidateSchemes(keys ...string) int {
 	touched := func(ce cachedExtent) bool {
 		return slices.ContainsFunc(ce.deps, func(d string) bool { return slices.Contains(keys, d) })
 	}
-	for _, vo := range p.addresses().defs {
-		if p.st.memo.Delete(vo.fp, touched) {
+	t := p.addresses()
+	for _, k := range t.keys() {
+		if p.st.memo.Delete(t.fingerprintOf(k), touched) {
 			n++
 		}
 	}

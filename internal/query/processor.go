@@ -40,7 +40,11 @@
 // One set of stores (Stores) can therefore serve every processor over
 // the same source instances. The join-index cache follows the extent
 // stores: whatever way an extent leaves either, the indexes built over
-// it leave with it.
+// it leave with it. Addresses cost what changed: a registration
+// publishes versions of the objects its batch names, an evaluation
+// takes a table (a generation, the sources' epochs) at the cost of the
+// sources, and a fingerprint is computed when a query first reaches its
+// object, once per table.
 //
 // This file is the registry: sources, derivations, caches.
 package query
@@ -48,7 +52,8 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -134,27 +139,16 @@ func (ce cachedExtent) cost() int64 {
 	return n
 }
 
-// virtualObject is a virtual object's derivations, in registration
-// order, what each contributes to its fingerprint on its own, and its
-// scheme key: the string a resolution carries, so resolving a reference
-// to it allocates none. In an addresses table it carries its
-// fingerprint too.
-type virtualObject struct {
-	key    string
-	derivs []Derivation
-	sums   []derivSum
-	fp     Fingerprint
-}
-
 // Processor answers IQL queries over virtual schemas backed by data
 // source wrappers. It is safe for concurrent use.
 type Processor struct {
 	mu      sync.Mutex
 	sources []source
-	defs    map[string]virtualObject
+	// defs holds every virtual object's versions (written under mu).
+	defs *defIndex
 	// gen counts registrations, of sources and of derivations (both
-	// under mu); addr is the fingerprint table of the latest, built when
-	// a query first needs it (see addresses).
+	// under mu); addr is the table of the latest, taken when a query
+	// first needs it (see addresses).
 	gen  atomic.Uint64
 	addr atomic.Pointer[addresses]
 	// st are the stores the processor's extents are cached in: its own,
@@ -237,7 +231,7 @@ func (st *Stores) setMaxBytes(budget int64) {
 // New returns an empty processor with stores of its own, unbounded.
 func New() *Processor {
 	return &Processor{
-		defs:     make(map[string]virtualObject),
+		defs:     newDefIndex(64),
 		st:       NewStores(0),
 		breakers: make(map[string]*breaker),
 		lastGood: make(map[extentAddr]lastGoodEntry),
@@ -391,23 +385,38 @@ type ObjectDef struct {
 
 // DefineAll installs a batch of derivations — each appended to its
 // object's, in order — under a single lock acquisition. It is the one
-// way a derivation is registered. The objects it defines, and every
-// object over them, take new addresses. Shared stores leave what the
-// old ones address to the LRU: another processor may be, or come to
-// be, at that state. Stores of the processor's own cannot be asked for
-// it again — definitions only accumulate — so it is dropped at once.
+// way a derivation is registered, and it costs its batch: each object
+// it names gets a new version, stamped with the registration's
+// generation, and no other is looked at. The objects it defines, and
+// every object over them, take new addresses. Shared stores leave what
+// the old ones address to the LRU: another processor may be, or come
+// to be, at that state. Stores of the processor's own cannot be asked
+// for it again — definitions only accumulate — so it is dropped at
+// once.
 func (p *Processor) DefineAll(defs []ObjectDef) {
 	if len(defs) == 0 {
 		return
 	}
 	old := p.addr.Load()
 	p.mu.Lock()
+	gen := p.gen.Load() + 1
 	for _, d := range defs {
-		k := d.Scheme.Key()
-		vo := p.defs[k]
-		p.defs[k] = virtualObject{key: k, derivs: append(vo.derivs, d.Derivation), sums: append(vo.sums, sumOf(d.Derivation))}
+		var s *defSlot
+		s, p.defs = p.defs.slot(d.Scheme.Key())
+		head := s.head.Load()
+		if head == nil || head.gen != gen {
+			// A version no table can reach yet is extended in place.
+			v := &defVersion{key: s.key, gen: gen, prev: head}
+			if head != nil {
+				v.derivs, v.sums = head.derivs, head.sums
+			}
+			head = v
+		}
+		head.derivs = append(head.derivs, d.Derivation)
+		head.sums = append(head.sums, sumOf(d.Derivation))
+		s.head.Store(head)
 	}
-	p.gen.Add(1)
+	p.gen.Store(gen)
 	p.mu.Unlock()
 	if old != nil && !p.shared {
 		p.retire(old)
@@ -418,7 +427,7 @@ func (p *Processor) DefineAll(defs []ObjectDef) {
 func (p *Processor) HasDefinition(sc hdm.Scheme) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.defs[sc.Key()].derivs) > 0
+	return p.defs.latest(sc.Key()) != nil
 }
 
 // ObjectDerivations pairs a virtual object's scheme key with its
@@ -434,15 +443,13 @@ type ObjectDerivations struct {
 func (p *Processor) AllDerivations() []ObjectDerivations {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	keys := make([]string, 0, len(p.defs))
-	for k := range p.defs {
-		keys = append(keys, k)
+	out := make([]ObjectDerivations, 0, p.defs.n)
+	for i := range p.defs.slots {
+		if s := p.defs.slots[i].Load(); s != nil {
+			out = append(out, ObjectDerivations{Key: s.key, Derivs: slices.Clone(s.head.Load().derivs)})
+		}
 	}
-	sort.Strings(keys)
-	out := make([]ObjectDerivations, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, ObjectDerivations{Key: k, Derivs: append([]Derivation(nil), p.defs[k].derivs...)})
-	}
+	slices.SortFunc(out, func(a, b ObjectDerivations) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
@@ -451,9 +458,13 @@ func (p *Processor) AllDerivations() []ObjectDerivations {
 // source to a fresh epoch, so that what any processor over the same
 // source instances derived from them is unreachable; deletes what the
 // old addresses hold (retire); and purges the join-index cache, whose
-// entries over arrays nobody caches only a purge reaches.
+// entries over arrays nobody caches only a purge reaches. What the old
+// addresses hold may have been filled by another processor sharing the
+// stores, whose table at the same state gave fingerprints this one's has
+// not, so the old table gives every object's first.
 func (p *Processor) InvalidateCache() {
 	old := p.addresses()
+	old.giveAll()
 	for _, src := range old.srcs {
 		src.inst.Bump()
 	}
@@ -463,8 +474,9 @@ func (p *Processor) InvalidateCache() {
 
 // retire deletes what the table old addressed and the current one does
 // not: the source extents of epochs that moved, and the memoised extents
-// whose fingerprint moved. A fill that lands under one of those
-// addresses later deletes itself (landed, and unfold for the memo).
+// whose fingerprint moved — of those old gave, the only ones it can
+// have addressed. A fill that lands under one of those addresses later
+// deletes itself (landed, and unfold for the memo).
 func (p *Processor) retire(old *addresses) {
 	t := p.addresses()
 	for i, src := range old.srcs {
@@ -475,9 +487,9 @@ func (p *Processor) retire(old *addresses) {
 			p.st.srcExt.Delete(extentAddr{src.id, old.epochs[i], o.Scheme.Key()}, nil)
 		}
 	}
-	for k, vo := range old.defs {
-		if t.defs[k].fp != vo.fp {
-			p.st.memo.Delete(vo.fp, nil)
+	for _, g := range old.given() {
+		if t.fingerprintOf(g.key) != g.fp {
+			p.st.memo.Delete(g.fp, nil)
 		}
 	}
 }

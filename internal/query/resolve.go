@@ -1,6 +1,8 @@
 package query
 
 import (
+	"hash/maphash"
+
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
 )
@@ -23,6 +25,7 @@ type resolution struct {
 	kind   refKind
 	key    string       // the reference's own scheme key (unset for refScoped)
 	src    source       // refScoped, refGlobal
+	epoch  uint64       // refScoped, refGlobal: src's epoch in the table resolved against
 	sc     hdm.Scheme   // refScoped, refGlobal: the source object's full scheme
 	derivs []Derivation // refVirtual
 	fp     Fingerprint  // refVirtual, resolved against an addresses table
@@ -54,21 +57,25 @@ func (p *Processor) resolve(scope string, parts []string) resolution {
 	return p.addresses().resolve(scope, parts)
 }
 
-// resolveIn is resolve over the sources srcs and the definitions defs.
-func resolveIn(srcs []source, defs map[string]virtualObject, scope string, parts []string) resolution {
+// find resolves a reference against the table into r, and returns the
+// version a virtual object resolves to: its resolution carries no
+// fingerprint (resolve adds it), a source object's the epoch the table
+// read.
+func (t *addresses) find(r *resolution, scope string, parts []string) *defVersion {
 	if scope != "" {
-		for i := range srcs {
-			if srcs[i].name != scope {
+		for i := range t.srcs {
+			if t.srcs[i].name != scope {
 				continue
 			}
-			if obj, err := srcs[i].schema.Resolve(parts); err == nil {
-				return resolution{kind: refScoped, src: srcs[i], sc: obj.Scheme}
+			if obj, err := t.srcs[i].schema.Resolve(parts); err == nil {
+				r.kind, r.src, r.epoch, r.sc = refScoped, t.srcs[i], t.epochs[i], obj.Scheme
+				return nil
 			}
 			break
 		}
 	}
 	// The key is built on the stack: a virtual object's is the one its
-	// definitions are kept under, so only a source object's is copied.
+	// versions are kept under, so only a source object's is copied.
 	var buf [128]byte
 	key := buf[:0]
 	for i, part := range parts {
@@ -77,22 +84,23 @@ func resolveIn(srcs []source, defs map[string]virtualObject, scope string, parts
 		}
 		key = append(key, part...)
 	}
-	if vo, virtual := defs[string(key)]; virtual {
-		return resolution{kind: refVirtual, key: vo.key, derivs: vo.derivs, fp: vo.fp}
+	if v := lookup(t, maphash.Bytes(seeds[0], key), key); v != nil {
+		r.kind, r.key, r.derivs = refVirtual, v.key, v.derivs
+		return v
 	}
-	r := resolution{key: string(key)}
-	for i := range srcs {
-		obj, err := srcs[i].schema.Resolve(parts)
+	r.key = string(key)
+	for i := range t.srcs {
+		obj, err := t.srcs[i].schema.Resolve(parts)
 		if err != nil {
 			continue
 		}
-		if r.names = append(r.names, srcs[i].name); len(r.names) > 1 {
+		if r.names = append(r.names, t.srcs[i].name); len(r.names) > 1 {
 			r.kind = refAmbiguous
 			continue
 		}
-		r.kind, r.src, r.sc = refGlobal, srcs[i], obj.Scheme
+		r.kind, r.src, r.epoch, r.sc = refGlobal, t.srcs[i], t.epochs[i], obj.Scheme
 	}
-	return r
+	return nil
 }
 
 // maxRenameHops bounds the rename chase in chase; longer (or cyclic)

@@ -159,7 +159,7 @@ func TestStreamRenameChase(t *testing.T) {
 	if v.Len() != rows/10 {
 		t.Fatalf("computed virtual returned %d elements, want %d", v.Len(), rows/10)
 	}
-	if !p.st.memo.Peek(p.addresses().defs["computed|v"].fp) {
+	if !p.st.memo.Peek(p.addresses().fingerprintOf("computed|v")) {
 		t.Error("computed virtual was not memoised; its unfolding should materialise as before")
 	}
 }

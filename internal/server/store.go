@@ -268,8 +268,21 @@ func encodeSteps(steps []core.Step) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// readState reads and decodes a session file (decodeState).
+// readState reads and decodes a session file (decodeState). When held
+// is given and the file starts with its checkpoint, byte for byte,
+// followed by nothing or a step record, the checkpoint is compared
+// through a pooled buffer of fixed size and only the step records after
+// it are read; any other file is read whole.
 func readState(path string, held *readCheckpoint) (*sessionState, error) {
+	if held != nil {
+		rest, ok, err := readAfter(path, held.data)
+		if err != nil {
+			return nil, fmt.Errorf("server: loading session snapshot: %w", err)
+		}
+		if ok {
+			return held.withRecords(rest, filepath.Base(path))
+		}
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("server: loading session snapshot: %w", err)
@@ -277,32 +290,82 @@ func readState(path string, held *readCheckpoint) (*sessionState, error) {
 	return decodeState(data, filepath.Base(path), held)
 }
 
+// compareBuffers are what readAfter compares a file through.
+var compareBuffers = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+// readAfter reports whether the file at path starts with prefix and,
+// when it does, returns what follows it, provided that is nothing or
+// begins with a record separator.
+func readAfter(path string, prefix []byte) ([]byte, bool, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, false, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil || info.Size() < int64(len(prefix)) {
+		return nil, false, err
+	}
+	bp := compareBuffers.Get().(*[]byte)
+	defer compareBuffers.Put(bp)
+	for off := 0; off < len(prefix); {
+		chunk := (*bp)[:min(len(*bp), len(prefix)-off)]
+		if _, err := io.ReadFull(f, chunk); err != nil {
+			return nil, false, ignoreEOF(err)
+		}
+		if !bytes.Equal(chunk, prefix[off:off+len(chunk)]) {
+			return nil, false, nil
+		}
+		off += len(chunk)
+	}
+	rest := make([]byte, info.Size()-int64(len(prefix)))
+	if _, err := io.ReadFull(f, rest); err != nil {
+		return nil, false, ignoreEOF(err)
+	}
+	return rest, len(rest) == 0 || rest[0] == recordSep, nil
+}
+
+// ignoreEOF is err, unless it says a file ended early: one that changed
+// since it was measured is read again whole.
+func ignoreEOF(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return err
+}
+
 // decodeState decodes a session file: its checkpoint — exactly one JSON
 // document, then nothing but white space — and the step records after
 // it. The source documents and the repository are only skipped over
-// here; wrapper.Decode and core.Import decode them. A final record that
-// is torn (no line feed, or not one JSON object) is dropped and counted
-// in torn; any other is an error. held is a checkpoint read before, or
-// nil: a checkpoint that is its bytes, byte for byte, is not decoded
-// again, and the state is held's; the step records are decoded either
-// way.
+// here; wrapper.Decode and core.Import decode them. held is a checkpoint
+// read before, or nil: a checkpoint that is its bytes, byte for byte, is
+// not decoded again, and the state is held's; the step records are
+// decoded either way (readCheckpoint.withRecords).
 func decodeState(data []byte, file string, held *readCheckpoint) (*sessionState, error) {
 	checkpoint := data
 	if i := bytes.IndexByte(data, recordSep); i >= 0 {
 		checkpoint = data[:i]
 	}
-	var state sessionState
-	if held != nil && bytes.Equal(held.data, checkpoint) {
-		state = held.state
-	} else {
+	if held == nil || !bytes.Equal(held.data, checkpoint) {
+		var state sessionState
 		if err := json.Unmarshal(checkpoint, &state); err != nil {
 			return nil, fmt.Errorf("%w: decoding %s: %v", errBadSnapshot, file, err)
 		}
 		held = &readCheckpoint{data: checkpoint, state: state}
 	}
+	return held.withRecords(data[len(checkpoint):], file)
+}
+
+// withRecords is the state of a file that is the checkpoint and then
+// rest, the step records after it. A final record that is torn (no line
+// feed, or not one JSON object) is dropped and counted in torn; any
+// other is an error.
+func (held *readCheckpoint) withRecords(rest []byte, file string) (*sessionState, error) {
+	state := held.state
 	state.read = held
-	state.checkpoint, state.size = int64(len(checkpoint)), int64(len(data))
-	for rest := data[len(checkpoint):]; len(rest) > 0; {
+	state.checkpoint = int64(len(held.data))
+	state.size = state.checkpoint + int64(len(rest))
+	for len(rest) > 0 {
 		end := len(rest)
 		if i := bytes.IndexByte(rest[1:], recordSep); i >= 0 {
 			end = 1 + i

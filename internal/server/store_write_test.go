@@ -352,7 +352,8 @@ func renderState(state *sessionState) ([]byte, error) {
 // FuzzStoreLoad feeds the loader arbitrary bytes. It must never panic;
 // an input decodes alike — the same state or the same error — whatever
 // checkpoint is held: none, the input's own checkpoint decoded before, or
-// another seed's, so a held decode is taken for its bytes alone; and an
+// another seed's, so a held decode is taken for its bytes alone — and
+// read from a file (readState) as decoded from memory; and an
 // input it accepts — decoded, its step records replayed, rebuilt into a
 // session — re-saves to a fixpoint: the checkpoint written from it
 // loads, and saves as itself. The seeds (the golden session,
@@ -397,10 +398,18 @@ func FuzzStoreLoad(f *testing.F) {
 		if own, err := decodeState(checkpoint, "fuzz", nil); err == nil {
 			helds = append(helds[:len(helds):len(helds)], own.read)
 		}
+		path := filepath.Join(t.TempDir(), "fuzz")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		for _, held := range helds {
 			got, err := decodeState(data, "fuzz", held)
 			if fmt.Sprint(err) != fmt.Sprint(plainErr) || !reflect.DeepEqual(got, plain) {
 				t.Fatalf("decoded with a held checkpoint (%.60q), the input gives %+v, %v; decoded alone %+v, %v", held.data, got, err, plain, plainErr)
+			}
+			got, err = readState(path, held)
+			if fmt.Sprint(err) != fmt.Sprint(plainErr) || !reflect.DeepEqual(got, plain) {
+				t.Fatalf("read from a file with a held checkpoint (%.60q), the input gives %+v, %v; decoded alone %+v, %v", held.data, got, err, plain, plainErr)
 			}
 		}
 
