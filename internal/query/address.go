@@ -29,12 +29,14 @@ import (
 // What a step or a query pays follows what changed, not the session
 // before it. A registration (DefineAll) publishes a new version of each
 // key its batch names, stamped with the registration's generation, and
-// leaves every other key as it was: it costs its batch. A table is a
-// generation, the sources' epochs, and the index of versions as it
-// stood: taking one costs the sources. A version's digests under a
-// table are computed when a query first reaches the object, once per
-// table, and kept on the version (tableSums), where the next lookup
-// under the same table finds them without a lock.
+// leaves every other key as it was: it costs its batch, and digests
+// nothing. A table is a generation, the sources' epochs, and the index
+// of versions as it stood: taking one costs the sources. Every digest
+// is computed when a query first reaches the object: a derivation's
+// own (derivSum), once, kept in a cell that every later version of the
+// key shares (lazySum); a version's under a table, once per table, kept
+// on the version (tableSums), where the next lookup under the same
+// table finds them without a lock.
 
 // Fingerprint is a 128-bit digest of what a cached value derives from:
 // two 64-bit hashes under independent seeds drawn when the process
@@ -62,19 +64,39 @@ func (s source) addr(key string) extentAddr { return extentAddr{s.id, s.inst.Epo
 func (s source) object(key string) extentAddr { return extentAddr{id: s.id, key: key} }
 
 // defVersion is a virtual object's definition as one registration left
-// it: its derivations in registration order, what each contributes to
-// its fingerprint on its own, the registration generation that made it,
-// and the version it replaced. The scheme key is the string a
-// resolution carries, so resolving a reference to it allocates none.
-// Nothing of a version changes once its generation is published but
-// sums, its digests under the last table that computed them.
+// it: its derivations in registration order, the cells that hold what
+// each contributes to its fingerprint on its own, the registration
+// generation that made it, and the version it replaced. The scheme key
+// is the string a resolution carries, so resolving a reference to it
+// allocates none. Nothing of a version changes once its generation is
+// published but what its cells and memo hold: the derivations' digests,
+// and its digests under the last table that computed them.
 type defVersion struct {
 	key    string
 	gen    uint64
 	derivs []Derivation
-	sums   []derivSum
+	sums   []*lazySum
 	prev   *defVersion
 	memo   atomic.Pointer[tableSums]
+}
+
+// lazySum holds one derivation's derivSum once a table has needed it.
+// Its version and every later version of the key share the cell, as
+// they share the derivation.
+type lazySum struct{ p atomic.Pointer[derivSum] }
+
+// of returns the digest of d, the derivation the cell is for, computing
+// it the first time. Goroutines that compute it at once compute the
+// same, and all of them return the one stored first.
+func (c *lazySum) of(d Derivation) *derivSum {
+	if s := c.p.Load(); s != nil {
+		return s
+	}
+	s := sumOf(d)
+	if c.p.CompareAndSwap(nil, &s) {
+		return &s
+	}
+	return c.p.Load()
 }
 
 // tableSums are a version's digests under one table: its own digest
@@ -305,8 +327,9 @@ func (t *addresses) sums(v *defVersion) *tableSums {
 	var buf [512]byte
 	b := appendString(buf[:0], v.key)
 	for i, d := range v.derivs {
-		b = append(b, v.sums[i].fields[:]...)
-		for _, ref := range v.sums[i].refs {
+		ds := v.sums[i].of(d)
+		b = append(b, ds.fields[:]...)
+		for _, ref := range ds.refs {
 			var r resolution
 			n := t.find(&r, d.Scope, ref)
 			if b = appendTarget(b, r); n != nil {

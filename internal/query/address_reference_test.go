@@ -5,7 +5,9 @@ import (
 	"hash/maphash"
 	"maps"
 	"math/rand/v2"
+	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -21,8 +23,9 @@ import (
 // gives it.
 
 // virtualObject is a virtual object's derivations, in registration
-// order, what each contributes to its fingerprint on its own, and its
-// scheme key; in a refAddresses table it carries its fingerprint too.
+// order, what each contributes to its fingerprint on its own — digested
+// here, eagerly, not read from the processor's cells — and its scheme
+// key; in a refAddresses table it carries its fingerprint too.
 type virtualObject struct {
 	key    string
 	derivs []Derivation
@@ -50,7 +53,11 @@ func (p *Processor) definitionsLocked() map[string]virtualObject {
 	for i := range p.defs.slots {
 		if s := p.defs.slots[i].Load(); s != nil {
 			v := s.head.Load()
-			defs[v.key] = virtualObject{key: v.key, derivs: v.derivs, sums: v.sums}
+			vo := virtualObject{key: v.key, derivs: v.derivs}
+			for _, d := range v.derivs {
+				vo.sums = append(vo.sums, sumOf(d))
+			}
+			defs[v.key] = vo
 		}
 	}
 	return defs
@@ -176,6 +183,7 @@ func (s *instanceSource) Instance() *wrapper.Instance { return &s.inst }
 // than the processor's first index of definitions holds.
 type history struct {
 	rng   *rand.Rand
+	srcs  []Sourcer
 	procs []*Processor
 	names []string
 }
@@ -192,23 +200,29 @@ func newHistory(t *testing.T, seed uint64, procs int) *history {
 	for i := range 40 {
 		h.names = append(h.names, fmt.Sprint("v", i))
 	}
-	var ws []Sourcer
 	for i, ext := range srcs {
-		ws = append(ws, &instanceSource{Static: staticSource(t, fmt.Sprintf("S%d", i), ext)})
+		h.srcs = append(h.srcs, &instanceSource{Static: staticSource(t, fmt.Sprintf("S%d", i), ext)})
 	}
-	for i := 0; i < procs; i++ {
-		p := New()
-		if i > 0 {
-			p.UseStores(h.procs[0].st)
-		}
-		for _, w := range ws {
-			if err := p.AddSource(w); err != nil {
-				t.Fatal(err)
-			}
-		}
-		h.procs = append(h.procs, p)
+	for range procs {
+		h.procs = append(h.procs, h.newProcessor(t))
 	}
 	return h
+}
+
+// newProcessor returns a processor over the history's sources, sharing
+// the first processor's stores if there is one.
+func (h *history) newProcessor(t *testing.T) *Processor {
+	t.Helper()
+	p := New()
+	if len(h.procs) > 0 {
+		p.UseStores(h.procs[0].st)
+	}
+	for _, w := range h.srcs {
+		if err := p.AddSource(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
 }
 
 // query returns a derivation body over one to three of the names.
@@ -349,22 +363,42 @@ func TestAddressTableMatchesReference(t *testing.T) {
 // TestAddressTableConcurrentFill has several goroutines ask one fresh
 // table for every object at once, each in its own order: every one gets
 // the reference's fingerprints, and the table gives each object one.
+// The processor is a restore's: every derivation of a history
+// registered in one batch, then a step that appends derivations to keys
+// it defined, so that no derivation has been digested and the two
+// versions of each appended key share the cells of the first's. Half
+// the goroutines ask the table taken before the step, half the one
+// after, so whichever reaches a shared derivation first digests it for
+// both; afterwards each cell holds its own derivation's digest.
 func TestAddressTableConcurrentFill(t *testing.T) {
 	h := newHistory(t, 7, 1)
 	for range 30 {
 		h.step()
 	}
-	p := h.procs[0]
-	p.Define(hdm.NewScheme("fresh"), iql.MustParse("<<v0>> ++ <<a>>"), "fill", "")
-	ref := p.reference()
-	tab := p.addresses()
-	keys := tab.keys()
+	p := h.newProcessor(t)
+	var defs []ObjectDef
+	for _, od := range h.procs[0].AllDerivations() {
+		for _, d := range od.Derivs {
+			defs = append(defs, ObjectDef{Scheme: hdm.NewScheme(strings.Split(od.Key, "|")...), Derivation: d})
+		}
+	}
+	p.DefineAll(defs)
+	before, beforeRef := p.addresses(), p.reference()
+	p.DefineAll([]ObjectDef{
+		{Scheme: defs[0].Scheme, Derivation: Derivation{Query: iql.MustParse("<<v0>> ++ <<a>>"), Via: "fill"}},
+		{Scheme: defs[len(defs)-1].Scheme, Derivation: Derivation{Query: iql.MustParse("<<b>>"), Via: "fill", Scope: "S1"}},
+		{Scheme: hdm.NewScheme("fresh"), Derivation: Derivation{Query: iql.MustParse("<<v0>> ++ <<a>>"), Via: "fill"}},
+	})
+	after, afterRef := p.addresses(), p.reference()
+	tabs := []*addresses{before, after}
+	refs := []*refAddresses{beforeRef, afterRef}
 	var wg sync.WaitGroup
 	for g := range 6 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			order := slices.Clone(keys)
+			tab, ref := tabs[g%2], refs[g%2]
+			order := tab.keys()
 			rand.New(rand.NewPCG(uint64(g), 1)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			for _, k := range order {
 				if got := tab.resolve("", []string{k}).fp; got != ref.defs[k].fp {
@@ -374,10 +408,30 @@ func TestAddressTableConcurrentFill(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	for _, k := range keys {
-		if got := tab.fingerprintOf(k); got != ref.defs[k].fp {
-			t.Errorf("<<%s>> fingerprint %x after the fill, reference %x", k, got, ref.defs[k].fp)
+	shared := 0
+	for i, tab := range tabs {
+		for _, k := range tab.keys() {
+			if got := tab.fingerprintOf(k); got != refs[i].defs[k].fp {
+				t.Errorf("<<%s>> fingerprint %x after the fill, reference %x", k, got, refs[i].defs[k].fp)
+			}
+			v := lookup(tab, maphash.String(seeds[0], k), k)
+			for j, d := range v.derivs {
+				if got := v.sums[j].p.Load(); got == nil || !reflect.DeepEqual(*got, sumOf(d)) {
+					t.Errorf("<<%s>> derivation %d: the fill left its cell %v, not its digest", k, j, got)
+				}
+			}
+			if i == 1 && v.prev != nil && v.prev == lookup(before, maphash.String(seeds[0], k), k) {
+				for j := range v.prev.sums {
+					if v.sums[j] != v.prev.sums[j] {
+						t.Errorf("<<%s>> derivation %d: the step's version has a cell of its own", k, j)
+					}
+				}
+				shared++
+			}
 		}
+	}
+	if shared != 2 {
+		t.Errorf("%d keys have a version on each side of the step, want 2", shared)
 	}
 }
 

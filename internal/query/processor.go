@@ -387,7 +387,10 @@ type ObjectDef struct {
 // object's, in order — under a single lock acquisition. It is the one
 // way a derivation is registered, and it costs its batch: each object
 // it names gets a new version, stamped with the registration's
-// generation, and no other is looked at. The objects it defines, and
+// generation, and no other is looked at. It digests nothing: a
+// derivation's digest is computed when a query first reaches its
+// object (address.go), so a restore that registers every definition
+// of its checkpoint pays for the ones its queries ask. The objects it defines, and
 // every object over them, take new addresses. Shared stores leave what
 // the old ones address to the LRU: another processor may be, or come
 // to be, at that state. Stores of the processor's own cannot be asked
@@ -400,7 +403,8 @@ func (p *Processor) DefineAll(defs []ObjectDef) {
 	old := p.addr.Load()
 	p.mu.Lock()
 	gen := p.gen.Load() + 1
-	for _, d := range defs {
+	cells := make([]lazySum, len(defs))
+	for i, d := range defs {
 		var s *defSlot
 		s, p.defs = p.defs.slot(d.Scheme.Key())
 		head := s.head.Load()
@@ -413,7 +417,7 @@ func (p *Processor) DefineAll(defs []ObjectDef) {
 			head = v
 		}
 		head.derivs = append(head.derivs, d.Derivation)
-		head.sums = append(head.sums, sumOf(d.Derivation))
+		head.sums = append(head.sums, &cells[i])
 		s.head.Store(head)
 	}
 	p.gen.Store(gen)
