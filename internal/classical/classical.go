@@ -172,8 +172,7 @@ func (b *Builder) AddStage(s Stage) error {
 			if covered[w.SchemaName()] {
 				continue
 			}
-			b.pathways[w.SchemaName()].Append(transform.NewExtend(
-				sc, &iql.Lit{Val: iql.Void()}, &iql.Lit{Val: iql.Any()}, kind, "", "").WithAuto())
+			b.pathways[w.SchemaName()].Append(transform.NewExtend(sc, nil, nil, kind, "", "").WithAuto())
 		}
 	}
 	b.stages = append(b.stages, s)

@@ -654,8 +654,7 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 			if contributed[tsc.Key()] {
 				continue
 			}
-			pw.Append(transform.NewExtend(tsc, &iql.Lit{Val: iql.Void()}, &iql.Lit{Val: iql.Any()},
-				targetSet[tsc.Key()], "", "").WithAuto())
+			pw.Append(transform.NewExtend(tsc, nil, nil, targetSet[tsc.Key()], "", "").WithAuto())
 			in.Counts.AutoExtends++
 		}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -398,5 +399,60 @@ func TestIntersectSizesPathwaysOnce(t *testing.T) {
 		if cap(pw.Steps) != len(pw.Steps) {
 			t.Errorf("%s's pathway has %d steps in room for %d", src, len(pw.Steps), cap(pw.Steps))
 		}
+	}
+}
+
+// TestSharedVoidAnyIsNeverWritten: the Range Void Any that every step
+// built without bounds shares reaches an intersection's extends and
+// contracts, their reverses, the minus pathways, a checkpoint and the
+// reverse processor's lower-bound derivations, and is left as it was.
+func TestSharedVoidAnyIsNeverWritten(t *testing.T) {
+	shared := transform.NewContract(hdm.MustScheme("<<x>>"), nil, nil).Query
+	ig := newIntegrator(t)
+	if _, err := ig.Federate("F"); err != nil {
+		t.Fatal(err)
+	}
+	in, err := ig.Intersect("I1", append(bookMappings(), Entity("<<UScan>>", From("Archive", "[{'ARC', k} | k <- <<scans>>]"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := make(map[transform.Kind]int)
+	for _, pw := range in.PathwayBySource {
+		for _, st := range pw.Reverse().Steps {
+			if st.Query == shared {
+				kinds[st.Kind]++
+			}
+		}
+		if _, err := transform.MinusPathway(pw, "minus"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if kinds[transform.Extend] == 0 || kinds[transform.Contract] == 0 {
+		t.Fatalf("the reversed pathways share Range Void Any in %v, want extends and contracts", kinds)
+	}
+	if _, err := ig.BuildGlobal(true); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Import(mustExport(t, ig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.Intersect("I2", []Mapping{Attribute("<<UBook, shelf>>",
+		From("Library", "[{'LIB', k, x} | {k, x} <- <<books, shelf>>]"))}); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Integrator{ig, restored} {
+		rp, err := g.ReverseProcessor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"[{k, x} | {k, x} <- <<books, shelf>>]", "count(<<items, price>>)", "<<UBook>>"} {
+			if _, _, _, err := rp.EvalContext(context.Background(), iql.MustParse(q)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := shared.String(); got != "Range Void Any" || !iql.IsVoidAnyRange(shared) {
+		t.Errorf("the shared bounds now read %q", got)
 	}
 }

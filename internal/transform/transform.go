@@ -112,10 +112,10 @@ func NewDelete(sc hdm.Scheme, q iql.Expr) Transformation {
 }
 
 // NewExtend builds an extend step creating object sc with extent known
-// only within bounds lo..hi.
+// only within bounds lo..hi; a nil bound is Void below, Any above.
 func NewExtend(sc hdm.Scheme, lo, hi iql.Expr, kind hdm.ObjectKind, model, construct string) Transformation {
 	return Transformation{
-		Kind: Extend, Object: sc, Query: &iql.RangeExpr{Lo: lo, Hi: hi},
+		Kind: Extend, Object: sc, Query: bounds(lo, hi),
 		ObjKind: kind, Model: model, Construct: construct,
 	}
 }
@@ -124,13 +124,28 @@ func NewExtend(sc hdm.Scheme, lo, hi iql.Expr, kind hdm.ObjectKind, model, const
 // not precisely derivable; bounds default to Range Void Any when lo and
 // hi are nil.
 func NewContract(sc hdm.Scheme, lo, hi iql.Expr) Transformation {
+	return Transformation{Kind: Contract, Object: sc, Query: bounds(lo, hi)}
+}
+
+// voidAny is the Range Void Any of every step built without bounds: an
+// intersection's extends and contracts are mostly these, one a source
+// object, and expressions are never changed once built, so they share
+// one.
+var voidAny = &iql.RangeExpr{Lo: &iql.Lit{Val: iql.Void()}, Hi: &iql.Lit{Val: iql.Any()}}
+
+// bounds returns Range lo hi, a nil lo standing for Void and a nil hi
+// for Any.
+func bounds(lo, hi iql.Expr) iql.Expr {
+	if lo == nil && hi == nil {
+		return voidAny
+	}
 	if lo == nil {
-		lo = &iql.Lit{Val: iql.Void()}
+		lo = voidAny.Lo
 	}
 	if hi == nil {
-		hi = &iql.Lit{Val: iql.Any()}
+		hi = voidAny.Hi
 	}
-	return Transformation{Kind: Contract, Object: sc, Query: &iql.RangeExpr{Lo: lo, Hi: hi}}
+	return &iql.RangeExpr{Lo: lo, Hi: hi}
 }
 
 // NewRename builds a rename step.
