@@ -66,8 +66,9 @@ type Integrator struct {
 	sources []wrapper.Wrapper
 	prefix  map[string]string // source schema name → federation prefix
 	// federated holds each source's objects under its provenance prefix,
-	// in the source schema's order, as federation or backfill made them:
-	// every global schema version adds these, not copies.
+	// in the source schema's order, as federation or backfill made them
+	// or a restore took them from its checkpoint's image: every global
+	// schema version adds these, not copies.
 	federated map[string][]*hdm.Object
 
 	fedName       string

@@ -67,14 +67,17 @@ type Snapshot struct {
 }
 
 // snapshotImage is the part of an import that depends on the snapshot
-// alone: its repository, decoded, and its definitions, parsed. It is
-// made once and never changed after: an Import clones the repository
-// and shares the definitions' syntax trees, which no evaluation changes.
+// alone: its repository, decoded, its definitions, parsed, and each
+// source's objects in the federated schema. It is made once and never
+// changed after: an Import clones the repository and shares the
+// definitions' syntax trees, which no evaluation changes, and the
+// federated objects, which no step changes.
 type snapshotImage struct {
-	once sync.Once
-	repo *repo.Repository
-	defs []query.ObjectDef
-	err  error
+	once      sync.Once
+	repo      *repo.Repository
+	defs      []query.ObjectDef
+	federated map[string][]*hdm.Object
+	err       error
 }
 
 // imageMu guards the image field of every Snapshot.
@@ -91,8 +94,37 @@ func (s *Snapshot) decoded() (*snapshotImage, error) {
 		s.image = img
 	}
 	imageMu.Unlock()
-	img.once.Do(func() { img.repo, img.defs, img.err = s.decode() })
+	img.once.Do(func() {
+		if img.repo, img.defs, img.err = s.decode(); img.err == nil {
+			img.federated = federatedIn(img.repo, s.FedName)
+		}
+	})
 	return img, img.err
+}
+
+// federatedIn returns each source's objects in the federated schema
+// fedName of r, in the order of the source's rename pathway to it: the
+// objects federation or backfill made of the source's.
+func federatedIn(r *repo.Repository, fedName string) map[string][]*hdm.Object {
+	fed, ok := r.Schema(fedName)
+	if !ok {
+		return nil
+	}
+	out := make(map[string][]*hdm.Object)
+pathways:
+	for _, pw := range r.Pathways() {
+		if pw.Target != fedName {
+			continue
+		}
+		objs := make([]*hdm.Object, len(pw.Steps))
+		for i, st := range pw.Steps {
+			if objs[i], ok = fed.Object(st.To); st.Kind != transform.Rename || !ok {
+				continue pathways
+			}
+		}
+		out[pw.Source] = objs
+	}
+	return out
 }
 
 // decode decodes the snapshot's repository and parses its definitions.
@@ -280,7 +312,10 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 // pathways, which no later step changes in place: a step adds schemas
 // and pathways. The one change in place, Backfill extending the
 // federated schema, is open only to an integrator whose federation
-// skipped a source, which decodes a repository of its own.
+// skipped a source, which decodes a repository of its own. Every other
+// import also takes each source's federated objects from the image,
+// where they are what prefixing the source's objects would make, so its
+// first global schema adds the image's objects and prefixes none.
 func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
@@ -319,7 +354,11 @@ func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 			return nil, err
 		}
 		ig.sources = append(ig.sources, w)
-		ig.prefix[w.SchemaName()] = sanitizePrefix(w.SchemaName())
+		src := w.SchemaName()
+		ig.prefix[src] = sanitizePrefix(src)
+		if objs, ok := img.federated[src]; ok && len(snap.Skipped) == 0 && prefixes(objs, w.Schema(), ig.prefix[src]) {
+			ig.federated[src] = objs
+		}
 	}
 
 	ig.fedName = snap.FedName

@@ -312,3 +312,114 @@ func TestImportsShareOneImage(t *testing.T) {
 		}
 	}
 }
+
+// objectsOf is the schema's objects by value, in order.
+func objectsOf(s *hdm.Schema) []hdm.Object {
+	var out []hdm.Object
+	for _, o := range s.All() {
+		out = append(out, *o)
+	}
+	return out
+}
+
+// TestImportsTakeFederatedObjectsFromTheImage: two imports of one
+// snapshot add the image's federated objects to their first global
+// schema, by pointer — the federated schema's own — and that schema
+// holds what the exporting integrator's holds after the same step.
+func TestImportsTakeFederatedObjectsFromTheImage(t *testing.T) {
+	ig := federatedLibrary(t)
+	snap := decodeSnapshot(t, exportJSONOf(t, mustExport(t, ig)))
+	step := func(g *Integrator) *hdm.Schema {
+		t.Helper()
+		if _, err := g.Intersect("I1", bookMappings()); err != nil {
+			t.Fatal(err)
+		}
+		return g.Global()
+	}
+	want := objectsOf(step(ig))
+	var firsts []map[string]*hdm.Object
+	for range 2 {
+		g, err := Import(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		global := step(g)
+		if got := objectsOf(global); !reflect.DeepEqual(got, want) {
+			t.Fatalf("an import's first global schema holds\n%v\nwant\n%v", got, want)
+		}
+		byKey := make(map[string]*hdm.Object)
+		for _, o := range global.All() {
+			if f, ok := g.Federated().Object(o.Scheme); ok {
+				if f != o {
+					t.Errorf("%s adds a copy of the federated %s", global.Name(), o.Scheme)
+				}
+				byKey[o.Scheme.Key()] = o
+			}
+		}
+		if len(byKey) == 0 {
+			t.Fatalf("%s adds no federated object", global.Name())
+		}
+		firsts = append(firsts, byKey)
+	}
+	for k, o := range firsts[0] {
+		if firsts[1][k] != o {
+			t.Errorf("the two imports add different objects for %s", k)
+		}
+	}
+}
+
+// TestImportWithASkippedSourceBackfillsAndPrefixes: a checkpoint taken
+// while federation had skipped a source is restored with a repository
+// of its own; once the source answers, Backfill folds it in, and the
+// next global schema holds every source's prefixed objects as the
+// exporting integrator's does after the same steps.
+func TestImportWithASkippedSourceBackfillsAndPrefixes(t *testing.T) {
+	wl, err := wrapper.NewRelational("Library", libraryDB(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := faultedShop(t, wrapper.FaultConfig{ErrorRate: 1})
+	ig, err := New(wl, down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ig.FederateReachable(context.Background(), "F", 1); err != nil {
+		t.Fatal(err)
+	}
+	snap := decodeSnapshot(t, exportJSONOf(t, mustExport(t, ig)))
+	if len(snap.Skipped) != 1 {
+		t.Fatalf("the snapshot skips %v, want [Shop]", snap.Skipped)
+	}
+	down.Set(wrapper.FaultConfig{})
+	steps := func(g *Integrator) []hdm.Object {
+		t.Helper()
+		if got, err := g.Backfill(context.Background()); err != nil || len(got) != 1 {
+			t.Fatalf("backfill recovered %v (%v), want [Shop]", got, err)
+		}
+		if _, err := g.Intersect("I1", bookMappings()); err != nil {
+			t.Fatal(err)
+		}
+		return objectsOf(g.Global())
+	}
+	want := steps(ig)
+	restored, err := Import(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if imageFed, _ := snap.image.repo.Schema("F"); restored.Federated() == imageFed || len(restored.federated) != 0 {
+		t.Fatal("an import with a skipped source shares the image's federated schema or objects")
+	}
+	for _, w := range restored.Sources() {
+		if f, ok := w.(*wrapper.Fault); ok {
+			f.Set(wrapper.FaultConfig{})
+		}
+	}
+	if got := steps(restored); !reflect.DeepEqual(got, want) {
+		t.Errorf("the restored integrator's global schema holds\n%v\nwant\n%v", got, want)
+	}
+	for _, sc := range []string{"<<library_books>>", "<<shop_items, price>>"} {
+		if !restored.Global().Has(hdm.MustScheme(sc)) {
+			t.Errorf("the global schema lacks %s", sc)
+		}
+	}
+}

@@ -185,21 +185,38 @@ func (ig *Integrator) rebuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 }
 
 // federatedObjects returns source w's objects under its provenance
-// prefix: the ones federation or backfill made, or — for a source
-// neither has taken (skipped at federation, or restored from a
-// checkpoint) or whose schema has grown since — ones made now and kept.
+// prefix: the ones federation or backfill made, or a restore took from
+// its checkpoint's image, or — for a source none has taken (skipped at
+// federation, or restored with a source federation skipped) or whose
+// schema has grown since — ones made now and kept.
 func (ig *Integrator) federatedObjects(w wrapper.Wrapper) []*hdm.Object {
 	src := w.SchemaName()
 	if objs, ok := ig.federated[src]; ok && len(objs) == w.Schema().Len() {
 		return objs
 	}
 	pfx := ig.prefix[src]
-	var objs []*hdm.Object
-	for _, o := range w.Schema().Objects() {
+	objs := make([]*hdm.Object, 0, w.Schema().Len())
+	for _, o := range w.Schema().All() {
 		objs = append(objs, o.WithScheme(o.Scheme.WithPrefix(pfx)))
 	}
 	ig.federated[src] = objs
 	return objs
+}
+
+// prefixes reports whether objs are what federatedObjects makes of the
+// objects of s under the prefix pfx: one for each, in order, alike but
+// for the prefixed scheme.
+func prefixes(objs []*hdm.Object, s *hdm.Schema, pfx string) bool {
+	if len(objs) != s.Len() {
+		return false
+	}
+	for i, o := range s.All() {
+		f := objs[i]
+		if !f.Scheme.IsPrefixed(o.Scheme, pfx) || f.Kind != o.Kind || f.Model != o.Model || f.Construct != o.Construct {
+			return false
+		}
+	}
+	return true
 }
 
 // Result carries a query answer plus any incompleteness warnings

@@ -2,6 +2,7 @@ package hdm
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 )
@@ -125,6 +126,18 @@ func (s *Schema) Objects() []*Object {
 		out = append(out, s.objects[k])
 	}
 	return out
+}
+
+// All yields the objects in insertion order with their positions,
+// without copying them out. The schema must not change while it does.
+func (s *Schema) All() iter.Seq2[int, *Object] {
+	return func(yield func(int, *Object) bool) {
+		for i, k := range s.order {
+			if !yield(i, s.objects[k]) {
+				return
+			}
+		}
+	}
 }
 
 // Schemes returns the schemes of all objects in insertion order.

@@ -166,6 +166,16 @@ func (s Scheme) WithPrefix(prefix string) Scheme {
 	return mkScheme(cp)
 }
 
+// IsPrefixed reports whether s is of.WithPrefix(prefix), without
+// making that scheme.
+func (s Scheme) IsPrefixed(of Scheme, prefix string) bool {
+	k, ok := s.Key(), of.Key()
+	if len(of.parts) == 0 || prefix == "" {
+		return k == ok
+	}
+	return len(k) == len(prefix)+1+len(ok) && k[:len(prefix)] == prefix && k[len(prefix)] == '_' && k[len(prefix)+1:] == ok
+}
+
 // HasPrefix reports whether the first part carries the given provenance
 // prefix (as applied by WithPrefix).
 func (s Scheme) HasPrefix(prefix string) bool {
