@@ -709,7 +709,7 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 		}
 
 		// Phase 3: contract everything else of the source schema.
-		for _, o := range srcSchema.Objects() {
+		for _, o := range srcSchema.All() {
 			if deleted[o.Scheme.Key()] {
 				continue
 			}
@@ -735,7 +735,8 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 
 	// Register: the images with their pathways, ident steps between
 	// consecutive union-compatible images, and the designation of the
-	// first image as the intersection schema I.
+	// first image as the intersection schema I. An image shares I's
+	// objects (Schema.Clone), which no pathway's Apply writes.
 	for i, src := range contributing {
 		pw := in.PathwayBySource[src]
 		if err := ig.repo.AddSchema(iSchema.Clone(images[i])); err != nil {

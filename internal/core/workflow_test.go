@@ -385,7 +385,8 @@ func TestGlobalVersionsShareFederatedObjects(t *testing.T) {
 }
 
 // TestIntersectSizesPathwaysOnce: each per-source pathway's steps are
-// allocated once, at their final number.
+// allocated once, at their final number, and each image schema adds the
+// intersection schema's objects, not copies.
 func TestIntersectSizesPathwaysOnce(t *testing.T) {
 	ig := newIntegrator(t)
 	if _, err := ig.Federate("F"); err != nil {
@@ -398,6 +399,15 @@ func TestIntersectSizesPathwaysOnce(t *testing.T) {
 	for src, pw := range in.PathwayBySource {
 		if cap(pw.Steps) != len(pw.Steps) {
 			t.Errorf("%s's pathway has %d steps in room for %d", src, len(pw.Steps), cap(pw.Steps))
+		}
+		image, ok := ig.Repo().Schema(pw.Target)
+		if !ok || image.Len() != in.Schema.Len() {
+			t.Fatalf("%s's image %s is missing or not a copy of %s", src, pw.Target, in.Name)
+		}
+		for _, o := range image.All() {
+			if io, _ := in.Schema.Object(o.Scheme); io != o {
+				t.Errorf("image %s holds a copy of %s's %s", pw.Target, in.Name, o.Scheme)
+			}
 		}
 	}
 }

@@ -140,7 +140,7 @@ func TestSchemaAddRemoveRename(t *testing.T) {
 	if err := s.Add(obj); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(obj.Clone()); err == nil {
+	if err := s.Add(obj.WithScheme(obj.Scheme)); err == nil {
 		t.Error("duplicate Add succeeded")
 	}
 	if s.Len() != 1 || !s.Has(MustScheme("<<t>>")) {
@@ -208,16 +208,31 @@ func TestSchemaResolve(t *testing.T) {
 	}
 }
 
+// TestSchemaCloneIndependence: a clone is added to, removed from and
+// renamed in apart from its original, and shares its objects.
 func TestSchemaCloneIndependence(t *testing.T) {
 	s := NewSchema("S")
 	s.MustAdd(NewObject(MustScheme("<<a>>"), Nodal, "", ""))
+	s.MustAdd(NewObject(MustScheme("<<z>>"), Nodal, "", ""))
 	c := s.Clone("C")
-	c.MustAdd(NewObject(MustScheme("<<b>>"), Nodal, "", ""))
-	if s.Len() != 1 || c.Len() != 2 {
-		t.Error("clone not independent")
+	if a, _ := s.Object(MustScheme("<<a>>")); c.objects["a"] != a {
+		t.Error("clone copied an object")
 	}
-	if c.Name() != "C" {
-		t.Error("clone name wrong")
+	c.MustAdd(NewObject(MustScheme("<<b>>"), Nodal, "", ""))
+	if err := c.Remove(MustScheme("<<z>>")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Rename(MustScheme("<<a>>"), MustScheme("<<y>>")); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Schemes(); len(got) != 2 || got[0].Key() != "a" || got[1].Key() != "z" {
+		t.Errorf("clone not independent: the original now holds %v", got)
+	}
+	if a, _ := s.Object(MustScheme("<<a>>")); a.Scheme.Key() != "a" {
+		t.Errorf("renaming in the clone renamed the original's object to %s", a.Scheme)
+	}
+	if c.Name() != "C" || c.Len() != 2 {
+		t.Error("clone name or size wrong")
 	}
 }
 

@@ -49,8 +49,9 @@ func ParseObjectKind(s string) (ObjectKind, error) {
 //
 // An object is immutable once it is in a schema: schemas share objects
 // (every global schema version adds the federated objects federation
-// made, and the intersection objects of its intersection schemas), so a
-// change is a new object (WithScheme, Clone), never a write to a field.
+// made, the intersection objects of its intersection schemas, and a
+// Schema.Clone the objects of its original), so a change is a new
+// object (WithScheme), never a write to a field.
 type Object struct {
 	// Scheme identifies the object within its schema.
 	Scheme Scheme
@@ -66,13 +67,6 @@ type Object struct {
 // NewObject builds an object.
 func NewObject(scheme Scheme, kind ObjectKind, model, construct string) *Object {
 	return &Object{Scheme: scheme, Kind: kind, Model: model, Construct: construct}
-}
-
-// Clone returns a copy of the object. Scheme values are immutable so a
-// shallow copy suffices.
-func (o *Object) Clone() *Object {
-	cp := *o
-	return &cp
 }
 
 // WithScheme returns a copy of the object carrying the given scheme;

@@ -3,6 +3,8 @@ package hdm
 import (
 	"fmt"
 	"iter"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -193,14 +195,11 @@ func (s *Schema) Resolve(parts []string) (*Object, error) {
 	return found, nil
 }
 
-// Clone returns a deep copy of the schema under a new name.
+// Clone returns a copy of the schema under a new name, which can be
+// added to, removed from and renamed in without changing s. The two
+// share their objects, which are never changed once in a schema.
 func (s *Schema) Clone(name string) *Schema {
-	c := NewSchema(name)
-	for _, k := range s.order {
-		c.objects[k] = s.objects[k].Clone()
-		c.order = append(c.order, k)
-	}
-	return c
+	return &Schema{name: name, objects: maps.Clone(s.objects), order: slices.Clone(s.order)}
 }
 
 // Identical reports whether two schemas contain exactly the same set of

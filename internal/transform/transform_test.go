@@ -324,3 +324,35 @@ func TestParseKindRoundTrip(t *testing.T) {
 		t.Error("ParseKind(bogus) succeeded")
 	}
 }
+
+// TestApplyWritesNoObject: applying a pathway of every kind of step to
+// a schema — whose clone shares its objects — changes no object of the
+// source: a rename makes a new object.
+func TestApplyWritesNoObject(t *testing.T) {
+	src := simpleSchema()
+	was := make(map[*hdm.Object]hdm.Object)
+	for _, o := range src.All() {
+		was[o] = *o
+	}
+	q := iql.MustParse("[k | k <- <<t>>]")
+	pw := NewPathway("S", "T",
+		NewAdd(sc("<<u>>"), q, hdm.Nodal, "sql", "table"),
+		NewExtend(sc("<<v>>"), nil, nil, hdm.Nodal, "", ""),
+		NewRename(sc("<<t, a>>"), sc("<<t, c>>")),
+		NewID(sc("<<t>>"), sc("<<t>>")),
+		NewContract(sc("<<t, b>>"), nil, nil),
+		NewDelete(sc("<<u>>"), q),
+	)
+	out, err := ApplyPathway(src, pw, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for o, v := range was {
+		if !reflect.DeepEqual(*o, v) {
+			t.Errorf("applying the pathway changed %s to %+v", v.Scheme, *o)
+		}
+	}
+	if c, ok := out.Object(sc("<<t, c>>")); !ok || c.Kind != hdm.Link || c.Construct != "column" {
+		t.Errorf("the renamed object is %+v", c)
+	}
+}
