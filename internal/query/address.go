@@ -372,7 +372,8 @@ type derivSum struct {
 }
 
 func sumOf(d Derivation) derivSum {
-	b := appendString(appendString(appendString(nil, d.Query.String()), d.Scope), d.Via)
+	var buf [512]byte
+	b := appendString(appendString(appendString(buf[:0], d.Query.String()), d.Scope), d.Via)
 	if d.Lower {
 		b = append(b, 1)
 	}
