@@ -64,12 +64,19 @@ race:
 # decoded checkpoint to the next, and while /invalidate lands on a fetch
 # in flight. The address table's concurrent fill runs thirty times under
 # the race detector: several goroutines ask one fresh table for every
-# virtual object at once, each in its own order, and which of them
-# computes a fingerprint and which finds it computed is the scheduler's
-# choice.
+# virtual object at once, each in its own order — half of them a table
+# taken before a step, half one after it, over a restore's derivations
+# that no table has digested yet — and which of them computes a
+# derivation's digest or a fingerprint and which finds it computed is
+# the scheduler's choice. So is which of several sessions restoring one
+# decoded checkpoint at once, and taking a step and asking queries in
+# each, reads the image's repository, definitions and federated objects
+# and the steps' shared Range Void Any first: thirty times under the
+# race detector, none of them may write what they share.
 flake:
 	$(GO) test -count=30 -run 'TestOracle' ./internal/query
 	$(GO) test -race -count=30 -run 'TestAddressTableConcurrentFill' ./internal/query
+	$(GO) test -race -count=30 -run 'TestImportsStepAtOnce' ./internal/core
 	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions|TestLatestAnswersWhileStepsLand|TestStepThroughTheIntegratorRetiresAnswers|TestSessionsShareAddressedCaches' ./internal/server
 	$(GO) test -race -count=3 -run 'TestSessionOracle' ./internal/server
 
@@ -94,10 +101,14 @@ bench-check:
 # where Server.persist and restoreSession show, and the hops a step and
 # a restore pay for what they change through: the address table's fill
 # (addresses.fingerprint and addresses.sums, under Processor.Address
-# and session.Extent), readAfter under readState, and
-# Integrator.federatedObjects under rebuildGlobal — as one session and
-# as two side by side), each for 3 s a sub-benchmark under the CPU, the
-# allocation and the mutex profiler, then the cumulative CPU top and the
+# and session.Extent, where each derivation's own digest, lazySum.of,
+# is computed the first time a query reaches its object — DefineAll
+# computes none), readAfter under readState, and
+# Integrator.federatedObjects under rebuildGlobal, which after a restore
+# adds the objects core.Import took from the checkpoint's image — as
+# one session and as two side by side), each for 3 s a sub-benchmark
+# under the CPU, the allocation and the mutex profiler, then the
+# cumulative CPU top and the
 # cumulative allocation top of each of the three (the latter without the
 # frames of the harness, which are all of one size and would fill the
 # top before an allocator is reached), then the flat CPU top of

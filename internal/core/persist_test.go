@@ -33,10 +33,18 @@ func multiIterationIntegrator(t *testing.T) *Integrator {
 		From("Library", "[{'LIB', k, x} | {k, x} <- <<books, shelf>>]")), "Q3"); err != nil {
 		t.Fatal(err)
 	}
-	// I2: Shop alone contributes prices, so Library's image extends
-	// <<UPriced, price>> with Range Void Any — the warning-raising path.
-	// UExpensive is a derived concept over the integrated namespace.
-	if _, err := ig.Intersect("I2", []Mapping{
+	if _, err := ig.Intersect("I2", pricedMappings(), "Q4"); err != nil {
+		t.Fatal(err)
+	}
+	return ig
+}
+
+// pricedMappings are multiIterationIntegrator's second intersection:
+// Shop alone contributes prices, so Library's image extends <<UPriced,
+// price>> with Range Void Any — the warning-raising path. UExpensive is
+// a derived concept over the integrated namespace.
+func pricedMappings() []Mapping {
+	return []Mapping{
 		Entity("<<UPriced>>",
 			From("Library", "[{'LIB', k} | k <- <<books>>]"),
 			From("Shop", "[{'SHOP', k} | k <- <<items>>]"),
@@ -47,10 +55,7 @@ func multiIterationIntegrator(t *testing.T) *Integrator {
 		Mapping{Target: "<<UExpensive>>", Forward: []SourceQuery{
 			Derived("[k | {k, x} <- <<UPriced, price>>; x > 35.0]"),
 		}},
-	}, "Q4"); err != nil {
-		t.Fatal(err)
 	}
-	return ig
 }
 
 // exportJSON marshals a snapshot with stable indentation.
@@ -420,6 +425,60 @@ func TestImportWithASkippedSourceBackfillsAndPrefixes(t *testing.T) {
 	for _, sc := range []string{"<<library_books>>", "<<shop_items, price>>"} {
 		if !restored.Global().Has(hdm.MustScheme(sc)) {
 			t.Errorf("the global schema lacks %s", sc)
+		}
+	}
+}
+
+// TestImportsStepAtOnce: several sessions restore one decoded
+// checkpoint at once, and each takes the plan's next steps and asks
+// queries while the others do. None of them writes what they share —
+// the image's repository, definitions and federated objects, and the
+// Range Void Any of the steps they build — and each answers every
+// version as the integrator that took the same steps without a
+// checkpoint. make flake runs it thirty times under the race detector.
+func TestImportsStepAtOnce(t *testing.T) {
+	ig := federatedLibrary(t)
+	if _, err := ig.Intersect("I1", bookMappings(), "Q1", "Q2"); err != nil {
+		t.Fatal(err)
+	}
+	snap := decodeSnapshot(t, exportJSONOf(t, mustExport(t, ig)))
+	if _, err := Import(snap); err != nil {
+		t.Fatal(err)
+	}
+	want := versionedAnswers(t, multiIterationIntegrator(t))
+	sessions := make([]*Integrator, 4)
+	var wg sync.WaitGroup
+	for i := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := Import(snap)
+			if err == nil {
+				err = g.Refine("shelves", Attribute("<<UBook, shelf>>",
+					From("Library", "[{'LIB', k, x} | {k, x} <- <<books, shelf>>]")), "Q3")
+			}
+			if err == nil {
+				_, err = g.Intersect("I2", pricedMappings(), "Q4")
+			}
+			for _, q := range []string{"count(<<UBook, shelf>>)", "[x | {k, x} <- <<UPriced, price>>]", "count(<<library_books>>)"} {
+				if err == nil {
+					_, err = g.Query(q)
+				}
+			}
+			if err != nil {
+				t.Errorf("session %d: %v", i, err)
+				return
+			}
+			sessions[i] = g
+		}()
+	}
+	wg.Wait()
+	for i, g := range sessions {
+		if g == nil {
+			continue
+		}
+		if got := versionedAnswers(t, g); !reflect.DeepEqual(got, want) {
+			t.Errorf("session %d answers\n%v\nwant\n%v", i, got, want)
 		}
 	}
 }
