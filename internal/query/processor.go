@@ -390,12 +390,12 @@ type ObjectDef struct {
 // generation, and no other is looked at. It digests nothing: a
 // derivation's digest is computed when a query first reaches its
 // object (address.go), so a restore that registers every definition
-// of its checkpoint pays for the ones its queries ask. The objects it defines, and
-// every object over them, take new addresses. Shared stores leave what
-// the old ones address to the LRU: another processor may be, or come
-// to be, at that state. Stores of the processor's own cannot be asked
-// for it again — definitions only accumulate — so it is dropped at
-// once.
+// of its checkpoint pays for the ones its queries ask. The objects it
+// defines, and every object over them, take new addresses. Shared
+// stores leave what the old ones address to the LRU: another processor
+// may be, or come to be, at that state. Stores of the processor's own
+// cannot be asked for it again — definitions only accumulate — so it is
+// dropped at once.
 func (p *Processor) DefineAll(defs []ObjectDef) {
 	if len(defs) == 0 {
 		return
