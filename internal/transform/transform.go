@@ -127,10 +127,10 @@ func NewContract(sc hdm.Scheme, lo, hi iql.Expr) Transformation {
 	return Transformation{Kind: Contract, Object: sc, Query: bounds(lo, hi)}
 }
 
-// voidAny is the Range Void Any of every step built without bounds: an
-// intersection's extends and contracts are mostly these, one a source
-// object, and expressions are never changed once built, so they share
-// one.
+// voidAny is the Range Void Any of every step built without bounds. An
+// intersection pathway has one for each source object it contracts and
+// each target its source does not contribute to; expressions are never
+// changed once built, so they all share this one.
 var voidAny = &iql.RangeExpr{Lo: &iql.Lit{Val: iql.Void()}, Hi: &iql.Lit{Val: iql.Any()}}
 
 // bounds returns Range lo hi, a nil lo standing for Void and a nil hi
