@@ -132,6 +132,8 @@ func (b *Builder) AddStage(s Stage) error {
 		if sc.Arity() == 1 {
 			kind = hdm.Nodal
 		}
+		// Every source's pathway adds the one object.
+		concept := hdm.NewObject(sc, kind, "", "")
 		covered := make(map[string]bool)
 		if c.Identity != "" {
 			w := b.source(c.Identity)
@@ -145,7 +147,7 @@ func (b *Builder) AddStage(s Stage) error {
 			// Identity adoption: add with the source object itself as
 			// the derivation. Counted as trivial effort per the paper.
 			b.pathways[c.Identity].Append(
-				transform.NewAdd(sc, iql.Ref(obj.Scheme.Parts()...), kind, "", "").WithAuto())
+				transform.NewAdd(concept, iql.Ref(obj.Scheme.Parts()...)).WithAuto())
 			if b.identity[c.Identity] == nil {
 				b.identity[c.Identity] = make(map[string]bool)
 			}
@@ -162,7 +164,7 @@ func (b *Builder) AddStage(s Stage) error {
 				return fmt.Errorf("classical: stage %q: derivation of %s from %s: %w",
 					s.Name, sc, m.Source, err)
 			}
-			b.pathways[m.Source].Append(transform.NewAdd(sc, q, kind, "", ""))
+			b.pathways[m.Source].Append(transform.NewAdd(concept, q))
 			if m.Counted {
 				b.perSource[s.Name][m.Source]++
 			}
@@ -172,7 +174,7 @@ func (b *Builder) AddStage(s Stage) error {
 			if covered[w.SchemaName()] {
 				continue
 			}
-			b.pathways[w.SchemaName()].Append(transform.NewExtend(sc, nil, nil, kind, "", "").WithAuto())
+			b.pathways[w.SchemaName()].Append(transform.NewExtend(concept, nil, nil).WithAuto())
 		}
 	}
 	b.stages = append(b.stages, s)
@@ -230,12 +232,10 @@ func (b *Builder) Merge(globalName string) (*hdm.Schema, error) {
 				// Adopted verbatim: the source object is consumed by
 				// its identity add; delete it with the identity
 				// reverse.
-				pw.Append(transform.NewDelete(o.Scheme, iql.Ref(o.Scheme.Parts()...)).WithAuto().
-					WithMeta(o.Kind, o.Model, o.Construct))
+				pw.Append(transform.NewDelete(o, iql.Ref(o.Scheme.Parts()...)).WithAuto())
 				continue
 			}
-			pw.Append(transform.NewContract(o.Scheme, nil, nil).WithAuto().
-				WithMeta(o.Kind, o.Model, o.Construct))
+			pw.Append(transform.NewContract(o, nil, nil).WithAuto())
 		}
 		us := g.Clone("US:" + name)
 		if err := b.repo.AddSchema(us); err != nil {

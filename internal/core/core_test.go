@@ -365,7 +365,7 @@ func TestDerivedConcept(t *testing.T) {
 	// union-compatible images.
 	for src, pw := range in.PathwayBySource {
 		for _, st := range pw.Steps {
-			if st.Object.Equal(hdm.NewScheme("UBookPair")) {
+			if st.Object.Scheme.Equal(hdm.NewScheme("UBookPair")) {
 				t.Errorf("derived concept leaked into pathway for %s", src)
 			}
 		}

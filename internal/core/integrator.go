@@ -201,8 +201,9 @@ func (ig *Integrator) fedSections(name string, sources []wrapper.Wrapper) []fedS
 			sec.pw.Steps = make([]transform.Transformation, 0, len(objs))
 			for _, o := range objs {
 				fsc := o.Scheme.WithPrefix(pfx)
-				sec.objs = append(sec.objs, o.WithScheme(fsc))
-				sec.pw.Append(transform.NewRename(o.Scheme, fsc).WithAuto())
+				fo := o.WithScheme(fsc)
+				sec.objs = append(sec.objs, fo)
+				sec.pw.Append(transform.NewRename(o, fo).WithAuto())
 				// The prefixed name is defined by the unprefixed
 				// object, scoped to its source.
 				sec.defs = append(sec.defs, query.ObjectDef{Scheme: fsc, Derivation: query.Derivation{
@@ -625,7 +626,9 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 
 		// The pathway's steps are allocated once, at their number: this
 		// source's adds, an extend for each target it does not contribute
-		// to, and a delete or a contract for each of its objects.
+		// to, and a delete or a contract for each of its objects. Each
+		// step points at its object: an add or an extend at I's target
+		// object, a delete or a contract at the source's own.
 		adds, contributed := 0, make(map[string]bool)
 		for _, f := range fwds {
 			if f.source == src {
@@ -642,7 +645,8 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 			if f.source != src {
 				continue
 			}
-			t := transform.NewAdd(f.target, f.expr, f.kind, "", "")
+			tobj, _ := iSchema.Object(f.target)
+			t := transform.NewAdd(tobj, f.expr)
 			if f.auto() {
 				t = t.WithAuto()
 				in.Counts.AutoAdds++
@@ -655,7 +659,8 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 			if contributed[tsc.Key()] {
 				continue
 			}
-			pw.Append(transform.NewExtend(tsc, nil, nil, targetSet[tsc.Key()], "", "").WithAuto())
+			tobj, _ := iSchema.Object(tsc)
+			pw.Append(transform.NewExtend(tobj, nil, nil).WithAuto())
 			in.Counts.AutoExtends++
 		}
 
@@ -675,12 +680,10 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 				continue
 			}
 			if rev, ok := explicitRev[src+"\x00"+key]; ok {
-				pw.Append(transform.NewDelete(obj.Scheme, rev).
-					WithMeta(obj.Kind, obj.Model, obj.Construct))
+				pw.Append(transform.NewDelete(obj, rev))
 				in.Counts.ManualDeletes++
 			} else {
-				pw.Append(transform.NewDelete(obj.Scheme, f.reverse).WithAuto().
-					WithMeta(obj.Kind, obj.Model, obj.Construct))
+				pw.Append(transform.NewDelete(obj, f.reverse).WithAuto())
 				in.Counts.AutoDeletes++
 			}
 			deleted[key] = true
@@ -700,8 +703,7 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 				if deleted[obj.Scheme.Key()] {
 					continue
 				}
-				pw.Append(transform.NewDelete(obj.Scheme, explicitRev[src+"\x00"+obj.Scheme.Key()]).
-					WithMeta(obj.Kind, obj.Model, obj.Construct))
+				pw.Append(transform.NewDelete(obj, explicitRev[src+"\x00"+obj.Scheme.Key()]))
 				in.Counts.ManualDeletes++
 				deleted[obj.Scheme.Key()] = true
 				in.DeletedBySource[src] = append(in.DeletedBySource[src], obj.Scheme)
@@ -713,8 +715,7 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 			if deleted[o.Scheme.Key()] {
 				continue
 			}
-			pw.Append(transform.NewContract(o.Scheme, nil, nil).WithAuto().
-				WithMeta(o.Kind, o.Model, o.Construct))
+			pw.Append(transform.NewContract(o, nil, nil).WithAuto())
 			in.Counts.AutoContracts++
 		}
 
@@ -724,13 +725,16 @@ func (ig *Integrator) Intersect(name string, mappings []Mapping, enables ...stri
 		in.PathwayBySource[src] = pw
 	}
 	// Every image is a copy of I, so one list of id steps relates any
-	// two of them, and the first of them to I; each pathway gets its own.
+	// two of them, and the first of them to I. The pathways share it:
+	// nothing writes a pathway's steps in place, and it is clipped, so an
+	// Append to one of them copies it first.
 	idSteps, err := transform.IdentSteps(iSchema, iSchema)
 	if err != nil {
 		return nil, fmt.Errorf("core: intersection %q: %w", name, err)
 	}
+	idSteps = slices.Clip(idSteps)
 	ident := func(from, to string) error {
-		return ig.addPathway(transform.NewPathway(from, to, slices.Clone(idSteps)...))
+		return ig.addPathway(transform.NewPathway(from, to, idSteps...))
 	}
 
 	// Register: the images with their pathways, ident steps between

@@ -118,7 +118,10 @@ pathways:
 		}
 		objs := make([]*hdm.Object, len(pw.Steps))
 		for i, st := range pw.Steps {
-			if objs[i], ok = fed.Object(st.To); st.Kind != transform.Rename || !ok {
+			if st.Kind != transform.Rename {
+				continue pathways
+			}
+			if objs[i], ok = fed.Object(st.To.Scheme); !ok {
 				continue pathways
 			}
 		}

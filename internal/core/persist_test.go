@@ -13,6 +13,7 @@ import (
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/transform"
 	"github.com/dataspace/automed/internal/wrapper"
 )
 
@@ -479,6 +480,40 @@ func TestImportsStepAtOnce(t *testing.T) {
 		}
 		if got := versionedAnswers(t, g); !reflect.DeepEqual(got, want) {
 			t.Errorf("session %d answers\n%v\nwant\n%v", i, got, want)
+		}
+	}
+}
+
+// TestRestoredPathwaysRecreateTheirSources: every intersection pathway
+// of a restored session, reversed and applied to its image, gives back
+// its source schema — objects, kinds, models and constructs — as the
+// exporting session's does. A delete or a contract step is restored with
+// the source object it removes, though the document records only its
+// scheme.
+func TestRestoredPathwaysRecreateTheirSources(t *testing.T) {
+	ig := multiIterationIntegrator(t)
+	restored, err := Import(decodeSnapshot(t, exportJSON(t, ig)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Integrator{ig, restored} {
+		for _, in := range g.Intersections() {
+			for _, src := range in.Sources {
+				pw := in.PathwayBySource[src]
+				image, ok := g.Repo().Schema(pw.Target)
+				if !ok {
+					t.Fatalf("no image %s", pw.Target)
+				}
+				back, err := transform.ApplyPathway(image, pw.Reverse(), false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := g.Repo().Schema(src)
+				if !hdm.Identical(back, want) {
+					t.Errorf("%s reversed onto %s does not recreate %s: got %v, want %v",
+						pw.Source+"->"+pw.Target, pw.Target, src, back.Describe(), want.Describe())
+				}
+			}
 		}
 	}
 }

@@ -417,7 +417,7 @@ func TestIntersectSizesPathwaysOnce(t *testing.T) {
 // contracts, their reverses, the minus pathways, a checkpoint and the
 // reverse processor's lower-bound derivations, and is left as it was.
 func TestSharedVoidAnyIsNeverWritten(t *testing.T) {
-	shared := transform.NewContract(hdm.MustScheme("<<x>>"), nil, nil).Query
+	shared := transform.NewContract(hdm.NewObject(hdm.MustScheme("<<x>>"), hdm.Nodal, "", ""), nil, nil).Query
 	ig := newIntegrator(t)
 	if _, err := ig.Federate("F"); err != nil {
 		t.Fatal(err)

@@ -351,17 +351,17 @@ func (p *Processor) RegisterPathway(pw *transform.Pathway, scope string) error {
 	for _, t := range pw.Steps {
 		switch t.Kind {
 		case transform.Add:
-			def(t.Object, t.Query, false)
+			def(t.Object.Scheme, t.Query, false)
 		case transform.Extend:
-			def(t.Object, t.Query, true)
+			def(t.Object.Scheme, t.Query, true)
 		case transform.Rename:
-			def(t.To, iql.Ref(t.Object.Parts()...), false)
+			def(t.To.Scheme, iql.Ref(t.Object.Scheme.Parts()...), false)
 		case transform.ID:
-			if t.Object.Key() == t.To.Key() {
+			if t.Object.Scheme.Key() == t.To.Scheme.Key() {
 				continue // self-id: no definitional content in one namespace
 			}
-			def(t.Object, iql.Ref(t.To.Parts()...), false)
-			def(t.To, iql.Ref(t.Object.Parts()...), false)
+			def(t.Object.Scheme, iql.Ref(t.To.Scheme.Parts()...), false)
+			def(t.To.Scheme, iql.Ref(t.Object.Scheme.Parts()...), false)
 		case transform.Delete, transform.Contract:
 			// No forward definition.
 		}

@@ -88,10 +88,10 @@ func TestRegisterPathwayKinds(t *testing.T) {
 		"<<t>>": iql.Bag(iql.Int(1), iql.Int(2)),
 	}))
 	pw := transform.NewPathway("S", "G",
-		transform.NewAdd(hdm.MustScheme("<<u>>"), iql.MustParse("[k | k <- <<t>>; k > 1]"), hdm.Nodal, "", ""),
-		transform.NewRename(hdm.MustScheme("<<u>>"), hdm.MustScheme("<<v>>")),
-		transform.NewExtend(hdm.MustScheme("<<w>>"),
-			iql.MustParse("[9]"), &iql.Lit{Val: iql.Any()}, hdm.Nodal, "", ""),
+		transform.NewAdd(hdm.NewObject(hdm.MustScheme("<<u>>"), hdm.Nodal, "", ""), iql.MustParse("[k | k <- <<t>>; k > 1]")),
+		transform.NewRename(hdm.NewObject(hdm.MustScheme("<<u>>"), hdm.Nodal, "", ""), hdm.NewObject(hdm.MustScheme("<<v>>"), hdm.Nodal, "", "")),
+		transform.NewExtend(hdm.NewObject(hdm.MustScheme("<<w>>"), hdm.Nodal, "", ""),
+			iql.MustParse("[9]"), &iql.Lit{Val: iql.Any()}),
 	)
 	if err := p.RegisterPathway(pw, "S"); err != nil {
 		t.Fatal(err)
@@ -134,9 +134,9 @@ func TestIdentChainUnionsExactlyOnce(t *testing.T) {
 	p.Define(hdm.MustScheme("<<us2, x>>"), iql.MustParse("<<b>>"), "t", "S2")
 	p.Define(hdm.MustScheme("<<us3, x>>"), iql.MustParse("<<c>>"), "t", "S3")
 	ident12 := transform.NewPathway("US1", "US2",
-		transform.NewID(hdm.MustScheme("<<us1, x>>"), hdm.MustScheme("<<us2, x>>")))
+		transform.NewID(hdm.NewObject(hdm.MustScheme("<<us1, x>>"), hdm.Nodal, "", ""), hdm.NewObject(hdm.MustScheme("<<us2, x>>"), hdm.Nodal, "", "")))
 	ident23 := transform.NewPathway("US2", "US3",
-		transform.NewID(hdm.MustScheme("<<us2, x>>"), hdm.MustScheme("<<us3, x>>")))
+		transform.NewID(hdm.NewObject(hdm.MustScheme("<<us2, x>>"), hdm.Nodal, "", ""), hdm.NewObject(hdm.MustScheme("<<us3, x>>"), hdm.Nodal, "", "")))
 	if err := p.RegisterPathway(ident12, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestIdentChainUnionsExactlyOnce(t *testing.T) {
 func TestSelfIDRegistersNothing(t *testing.T) {
 	p := New()
 	pw := transform.NewPathway("A", "B",
-		transform.NewID(hdm.MustScheme("<<x>>"), hdm.MustScheme("<<x>>")))
+		transform.NewID(hdm.NewObject(hdm.MustScheme("<<x>>"), hdm.Nodal, "", ""), hdm.NewObject(hdm.MustScheme("<<x>>"), hdm.Nodal, "", "")))
 	if err := p.RegisterPathway(pw, ""); err != nil {
 		t.Fatal(err)
 	}

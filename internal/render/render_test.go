@@ -49,8 +49,8 @@ func TestSchemaRendering(t *testing.T) {
 
 func TestPathwayRendering(t *testing.T) {
 	p := transform.NewPathway("A", "B",
-		transform.NewAdd(hdm.MustScheme("<<u>>"), iql.MustParse("<<t>>"), hdm.Nodal, "", ""),
-		transform.NewContract(hdm.MustScheme("<<t>>"), nil, nil).WithAuto(),
+		transform.NewAdd(hdm.NewObject(hdm.MustScheme("<<u>>"), hdm.Nodal, "", ""), iql.MustParse("<<t>>")),
+		transform.NewContract(hdm.NewObject(hdm.MustScheme("<<t>>"), hdm.Nodal, "", ""), nil, nil).WithAuto(),
 	)
 	out := Pathway(p)
 	for _, want := range []string{"A -> B", "1. add", "2. contract", "manual=1", "non-trivial=1"} {

@@ -28,11 +28,11 @@ func fuzzSeedRepo() *Repository {
 		panic(err)
 	}
 	p := transform.NewPathway("A", "B",
-		transform.NewAdd(hdm.MustScheme("<<y>>"), iql.MustParse("[k | k <- <<x>>]"), hdm.Nodal, "", "").WithAuto(),
-		transform.NewExtend(hdm.MustScheme("<<z>>"), iql.MustParse("Void"), iql.MustParse("Any"), hdm.Nodal, "", ""),
-		transform.NewRename(hdm.MustScheme("<<x, c>>"), hdm.MustScheme("<<x, c2>>")),
-		transform.NewDelete(hdm.MustScheme("<<x>>"), iql.MustParse("[k | k <- <<y>>]")),
-		transform.NewContract(hdm.MustScheme("<<x, c2>>"), nil, nil),
+		transform.NewAdd(hdm.NewObject(hdm.MustScheme("<<y>>"), hdm.Nodal, "", ""), iql.MustParse("[k | k <- <<x>>]")).WithAuto(),
+		transform.NewExtend(hdm.NewObject(hdm.MustScheme("<<z>>"), hdm.Nodal, "", ""), iql.MustParse("Void"), iql.MustParse("Any")),
+		transform.NewRename(hdm.NewObject(hdm.MustScheme("<<x, c>>"), hdm.Nodal, "", ""), hdm.NewObject(hdm.MustScheme("<<x, c2>>"), hdm.Nodal, "", "")),
+		transform.NewDelete(hdm.NewObject(hdm.MustScheme("<<x>>"), hdm.Nodal, "", ""), iql.MustParse("[k | k <- <<y>>]")),
+		transform.NewContract(hdm.NewObject(hdm.MustScheme("<<x, c2>>"), hdm.Nodal, "", ""), nil, nil),
 	)
 	if err := r.AddPathway(p, false); err != nil {
 		panic(err)

@@ -31,15 +31,15 @@ func refMarshal(t *testing.T, r *Repository) []byte {
 	for _, p := range r.Pathways() {
 		pd := pathwayDTO{Source: p.Source, Target: p.Target}
 		for _, st := range p.Steps {
-			sd := stepDTO{Kind: st.Kind.String(), Object: st.Object.String(), Auto: st.Auto}
+			sd := stepDTO{Kind: st.Kind.String(), Object: st.Object.Scheme.String(), Auto: st.Auto}
 			if st.Query != nil {
 				sd.Query = st.Query.String()
 			}
-			if !st.To.IsZero() {
-				sd.To = st.To.String()
+			if st.To != nil {
+				sd.To = st.To.Scheme.String()
 			}
 			if st.Kind == transform.Add || st.Kind == transform.Extend {
-				sd.ObjKind, sd.Model, sd.Construct = st.ObjKind.String(), st.Model, st.Construct
+				sd.ObjKind, sd.Model, sd.Construct = st.Object.Kind.String(), st.Object.Model, st.Object.Construct
 			}
 			pd.Steps = append(pd.Steps, sd)
 		}
@@ -75,15 +75,15 @@ func TestMarshalMatchesFreshEncoding(t *testing.T) {
 		step := func() transform.Transformation {
 			switch rnd.Intn(5) {
 			case 0:
-				return transform.NewAdd(scheme(), iql.MustParse("[k | k <- <<x>>; k < 3]"), hdm.Link, "sql", "column").WithAuto()
+				return transform.NewAdd(hdm.NewObject(scheme(), hdm.Link, "sql", "column"), iql.MustParse("[k | k <- <<x>>; k < 3]")).WithAuto()
 			case 1:
-				return transform.NewExtend(scheme(), iql.MustParse("Void"), iql.MustParse("Any"), hdm.Nodal, "", "")
+				return transform.NewExtend(hdm.NewObject(scheme(), hdm.Nodal, "", ""), iql.MustParse("Void"), iql.MustParse("Any"))
 			case 2:
-				return transform.NewRename(scheme(), scheme())
+				return transform.NewRename(hdm.NewObject(scheme(), hdm.Nodal, "", ""), hdm.NewObject(scheme(), hdm.Nodal, "", ""))
 			case 3:
-				return transform.NewDelete(scheme(), iql.MustParse("[{'S', k} | k <- <<y>>]"))
+				return transform.NewDelete(hdm.NewObject(scheme(), hdm.Nodal, "", ""), iql.MustParse("[{'S', k} | k <- <<y>>]"))
 			}
-			return transform.NewContract(scheme(), nil, nil)
+			return transform.NewContract(hdm.NewObject(scheme(), hdm.Nodal, "", ""), nil, nil)
 		}
 		check := func(op string) {
 			t.Helper()

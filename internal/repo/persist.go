@@ -106,19 +106,19 @@ func pathwayDoc(p *transform.Pathway) pathwayDTO {
 	for _, t := range p.Steps {
 		sd := stepDTO{
 			Kind:   t.Kind.String(),
-			Object: t.Object.String(),
+			Object: t.Object.Scheme.String(),
 			Auto:   t.Auto,
 		}
 		if t.Query != nil {
 			sd.Query = t.Query.String()
 		}
-		if !t.To.IsZero() {
-			sd.To = t.To.String()
+		if t.To != nil {
+			sd.To = t.To.Scheme.String()
 		}
 		if t.Kind == transform.Add || t.Kind == transform.Extend {
-			sd.ObjKind = t.ObjKind.String()
-			sd.Model = t.Model
-			sd.Construct = t.Construct
+			sd.ObjKind = t.Object.Kind.String()
+			sd.Model = t.Object.Model
+			sd.Construct = t.Object.Construct
 		}
 		pd.Steps = append(pd.Steps, sd)
 	}
@@ -176,8 +176,9 @@ func Decode(doc []byte) (*Repository, error) {
 	}
 	for _, pd := range dto.Pathways {
 		p := transform.NewPathway(pd.Source, pd.Target)
+		src, dst := r.schemas[pd.Source], r.schemas[pd.Target]
 		for i, sd := range pd.Steps {
-			t, err := decodeStep(sd)
+			t, err := decodeStep(sd, src, dst)
 			if err != nil {
 				return nil, fmt.Errorf("repo: pathway %s->%s step %d: %w", pd.Source, pd.Target, i+1, err)
 			}
@@ -190,16 +191,35 @@ func Decode(doc []byte) (*Repository, error) {
 	return r, nil
 }
 
-func decodeStep(sd stepDTO) (transform.Transformation, error) {
+// decodeStep decodes one step of a pathway from schema src to schema
+// dst (either may be nil). The object a delete, a contract, a rename or
+// an id starts from is src's object of that scheme, and the object a
+// rename makes or an id relates to is dst's — so a restored pathway,
+// reversed, recreates the source's objects as they were. The object an
+// add or an extend makes, and one the schema lacks, is as the document
+// describes it: a plain nodal object when it says nothing.
+func decodeStep(sd stepDTO, src, dst *hdm.Schema) (transform.Transformation, error) {
 	var t transform.Transformation
 	kind, err := transform.ParseKind(sd.Kind)
 	if err != nil {
 		return t, err
 	}
 	t.Kind = kind
-	t.Object, err = hdm.ParseScheme(sd.Object)
+	sc, err := hdm.ParseScheme(sd.Object)
 	if err != nil {
 		return t, err
+	}
+	if kind != transform.Add && kind != transform.Extend {
+		t.Object, _ = lookup(src, sc)
+	}
+	if t.Object == nil {
+		k := hdm.Nodal
+		if sd.ObjKind != "" {
+			if k, err = hdm.ParseObjectKind(sd.ObjKind); err != nil {
+				return t, err
+			}
+		}
+		t.Object = hdm.NewObject(sc, k, sd.Model, sd.Construct)
 	}
 	if sd.Query != "" {
 		t.Query, err = iql.Parse(sd.Query)
@@ -208,19 +228,26 @@ func decodeStep(sd stepDTO) (transform.Transformation, error) {
 		}
 	}
 	if sd.To != "" {
-		t.To, err = hdm.ParseScheme(sd.To)
+		to, err := hdm.ParseScheme(sd.To)
 		if err != nil {
 			return t, err
 		}
-	}
-	if sd.ObjKind != "" {
-		t.ObjKind, err = hdm.ParseObjectKind(sd.ObjKind)
-		if err != nil {
-			return t, err
+		if o, ok := lookup(dst, to); ok {
+			t.To = o
+		} else if kind == transform.Rename {
+			t.To = t.Object.WithScheme(to)
+		} else {
+			t.To = hdm.NewObject(to, hdm.Nodal, "", "")
 		}
 	}
-	t.Model = sd.Model
-	t.Construct = sd.Construct
 	t.Auto = sd.Auto
 	return t, t.Validate()
+}
+
+// lookup is s.Object for an s that may be nil.
+func lookup(s *hdm.Schema, sc hdm.Scheme) (*hdm.Object, bool) {
+	if s == nil {
+		return nil, false
+	}
+	return s.Object(sc)
 }

@@ -43,8 +43,8 @@ func TestAddSchema(t *testing.T) {
 
 func pathwayAB() *transform.Pathway {
 	return transform.NewPathway("A", "B",
-		transform.NewAdd(hdm.MustScheme("<<y>>"), iql.MustParse("[k | k <- <<x>>]"), hdm.Nodal, "sql", "table"),
-		transform.NewDelete(hdm.MustScheme("<<x>>"), iql.MustParse("[k | k <- <<y>>]")),
+		transform.NewAdd(hdm.NewObject(hdm.MustScheme("<<y>>"), hdm.Nodal, "sql", "table"), iql.MustParse("[k | k <- <<x>>]")),
+		transform.NewDelete(hdm.NewObject(hdm.MustScheme("<<x>>"), hdm.Nodal, "", ""), iql.MustParse("[k | k <- <<y>>]")),
 	)
 }
 
@@ -61,7 +61,7 @@ func TestAddPathwayChecked(t *testing.T) {
 	}
 	// A pathway that does not reproduce the stored target fails check.
 	bad := transform.NewPathway("A", "B",
-		transform.NewAdd(hdm.MustScheme("<<z>>"), iql.MustParse("<<x>>"), hdm.Nodal, "sql", "table"))
+		transform.NewAdd(hdm.NewObject(hdm.MustScheme("<<z>>"), hdm.Nodal, "sql", "table"), iql.MustParse("<<x>>")))
 	if err := r.AddPathway(bad, true); err == nil {
 		t.Error("wrong pathway passed check")
 	}
@@ -94,13 +94,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	link.MustAdd(hdm.NewObject(hdm.MustScheme("<<t, c>>"), hdm.Link, "sql", "column"))
 	r.AddSchema(link)
 	pw := transform.NewPathway("A", "B",
-		transform.NewAdd(hdm.MustScheme("<<y>>"),
-			iql.MustParse("[{'S', k} | k <- <<x>>]"), hdm.Nodal, "sql", "table"),
-		transform.NewExtend(hdm.MustScheme("<<w>>"),
-			&iql.Lit{Val: iql.Void()}, &iql.Lit{Val: iql.Any()}, hdm.Link, "", "").WithAuto(),
-		transform.NewRename(hdm.MustScheme("<<x>>"), hdm.MustScheme("<<x2>>")),
-		transform.NewID(hdm.MustScheme("<<y>>"), hdm.MustScheme("<<y>>")),
-		transform.NewContract(hdm.MustScheme("<<x2>>"), nil, nil).WithAuto(),
+		transform.NewAdd(hdm.NewObject(hdm.MustScheme("<<y>>"), hdm.Nodal, "sql", "table"),
+			iql.MustParse("[{'S', k} | k <- <<x>>]")),
+		transform.NewExtend(hdm.NewObject(hdm.MustScheme("<<w>>"), hdm.Link, "", ""),
+			&iql.Lit{Val: iql.Void()}, &iql.Lit{Val: iql.Any()}).WithAuto(),
+		transform.NewRename(hdm.NewObject(hdm.MustScheme("<<x>>"), hdm.Nodal, "", ""), hdm.NewObject(hdm.MustScheme("<<x2>>"), hdm.Nodal, "", "")),
+		transform.NewID(hdm.NewObject(hdm.MustScheme("<<y>>"), hdm.Nodal, "", ""), hdm.NewObject(hdm.MustScheme("<<y>>"), hdm.Nodal, "", "")),
+		transform.NewContract(hdm.NewObject(hdm.MustScheme("<<x2>>"), hdm.Nodal, "", ""), nil, nil).WithAuto(),
 	)
 	if err := r.AddPathway(pw, false); err != nil {
 		t.Fatal(err)

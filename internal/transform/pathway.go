@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/dataspace/automed/internal/hdm"
@@ -82,45 +83,46 @@ func (p *Pathway) String() string {
 	return b.String()
 }
 
-// Apply executes a single step against a schema, mutating it. The
-// query's scheme references are checked for resolvability when strict
-// is true.
+// Apply executes a single step against a schema, mutating it. An add or
+// an extend puts the step's own object into the schema. The query's
+// scheme references are checked for resolvability when strict is true.
 func Apply(s *hdm.Schema, t Transformation, strict bool) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
+	sc := t.Object.Scheme
 	switch t.Kind {
 	case Add, Extend:
-		if s.Has(t.Object) {
-			return fmt.Errorf("transform: %s: schema %q already has %s", t.Kind, s.Name(), t.Object)
+		if s.Has(sc) {
+			return fmt.Errorf("transform: %s: schema %q already has %s", t.Kind, s.Name(), sc)
 		}
 		if strict && t.Kind == Add {
 			if err := checkRefs(s, t.Query); err != nil {
-				return fmt.Errorf("transform: add %s: %w", t.Object, err)
+				return fmt.Errorf("transform: add %s: %w", sc, err)
 			}
 		}
-		return s.Add(hdm.NewObject(t.Object, t.ObjKind, t.Model, t.Construct))
+		return s.Add(t.Object)
 	case Delete, Contract:
-		if !s.Has(t.Object) {
-			return fmt.Errorf("transform: %s: schema %q has no %s", t.Kind, s.Name(), t.Object)
+		if !s.Has(sc) {
+			return fmt.Errorf("transform: %s: schema %q has no %s", t.Kind, s.Name(), sc)
 		}
-		if err := s.Remove(t.Object); err != nil {
+		if err := s.Remove(sc); err != nil {
 			return err
 		}
 		if strict && t.Kind == Delete {
 			// The recovery query must be expressible over what remains.
 			if err := checkRefs(s, t.Query); err != nil {
-				return fmt.Errorf("transform: delete %s: %w", t.Object, err)
+				return fmt.Errorf("transform: delete %s: %w", sc, err)
 			}
 		}
 		return nil
 	case Rename:
-		return s.Rename(t.Object, t.To)
+		return s.Rename(sc, t.To.Scheme)
 	case ID:
 		// id relates objects across two schemas; within a single
 		// schema application it requires the object to exist.
-		if !s.Has(t.Object) && !s.Has(t.To) {
-			return fmt.Errorf("transform: id: schema %q has neither %s nor %s", s.Name(), t.Object, t.To)
+		if !s.Has(sc) && !s.Has(t.To.Scheme) {
+			return fmt.Errorf("transform: id: schema %q has neither %s nor %s", s.Name(), sc, t.To.Scheme)
 		}
 		return nil
 	}
@@ -154,16 +156,20 @@ func ApplyPathway(src *hdm.Schema, p *Pathway, strict bool) (*hdm.Schema, error)
 
 // IdentSteps expands the ident operation between two syntactically
 // identical schemas into the sequence of id steps id(S:c, S':c) for
-// every object c (paper §2.1). The schemas must be identical.
+// every object c, in canonical order (paper §2.1), each relating a's
+// object to b's. The schemas must be identical.
 func IdentSteps(a, b *hdm.Schema) ([]Transformation, error) {
 	if !hdm.Identical(a, b) {
 		da, db := hdm.Diff(a, b)
 		return nil, fmt.Errorf("transform: ident requires identical schemas %q and %q (only in %s: %v; only in %s: %v)",
 			a.Name(), b.Name(), a.Name(), da, b.Name(), db)
 	}
-	var steps []Transformation
-	for _, sc := range a.SortedSchemes() {
-		steps = append(steps, NewID(sc, sc).WithAuto())
+	objs := a.Objects()
+	slices.SortFunc(objs, func(x, y *hdm.Object) int { return hdm.CompareSchemes(x.Scheme, y.Scheme) })
+	steps := make([]Transformation, len(objs))
+	for i, o := range objs {
+		ob, _ := b.Object(o.Scheme)
+		steps[i] = NewID(o, ob).WithAuto()
 	}
 	return steps, nil
 }

@@ -24,7 +24,7 @@ import (
 )
 
 // Kind enumerates the primitive transformation kinds.
-type Kind int
+type Kind uint8
 
 // The primitive transformation kinds.
 const (
@@ -74,57 +74,57 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("transform: unknown kind %q", s)
 }
 
-// Transformation is a single primitive step.
+// Transformation is a single primitive step. It points at the objects
+// it adds, removes or relates rather than copying them: objects are
+// never changed once made (hdm.Object), so a step shares the object of
+// the schema it was built from — a contract the source object it
+// removes, an add the target object it makes — and applying the step,
+// or its reverse, puts that very object into a schema. Nothing writes a
+// transformation once built, so pathways may share their steps.
 type Transformation struct {
-	// Kind is the primitive applied.
-	Kind Kind
-	// Object is the scheme of the object being added, deleted,
-	// extended, contracted or renamed; for id it is the object in the
-	// first schema.
-	Object hdm.Scheme
+	// Object is the object being added, deleted, extended, contracted
+	// or renamed; for id it is the object in the first schema. A delete
+	// or a contract carries the object it removes whole, so that the
+	// automatically derived reverse pathway (whose add and extend steps
+	// recreate it) restores it faithfully.
+	Object *hdm.Object
 	// Query is the IQL query accompanying add/delete (a view
 	// definition) or extend/contract (a Range of bounds). Nil for
 	// rename and id.
 	Query iql.Expr
-	// To is the new scheme for rename, or the counterpart object for
-	// id.
-	To hdm.Scheme
-	// ObjKind, Model and Construct describe the object created by an
-	// add or extend step (metadata for the new schema object).
-	ObjKind   hdm.ObjectKind
-	Model     string
-	Construct string
+	// To is the object a rename makes, or the counterpart object of an
+	// id. Nil for the other kinds.
+	To *hdm.Object
+	// Kind is the primitive applied.
+	Kind Kind
 	// Auto marks transformations generated automatically by the
 	// Intersection Schema Tool rather than written by the integrator;
 	// the paper's effort metric counts only manual steps.
 	Auto bool
 }
 
-// NewAdd builds an add step creating object sc with extent query q.
-func NewAdd(sc hdm.Scheme, q iql.Expr, kind hdm.ObjectKind, model, construct string) Transformation {
-	return Transformation{Kind: Add, Object: sc, Query: q, ObjKind: kind, Model: model, Construct: construct}
+// NewAdd builds an add step creating object o with extent query q.
+func NewAdd(o *hdm.Object, q iql.Expr) Transformation {
+	return Transformation{Kind: Add, Object: o, Query: q}
 }
 
-// NewDelete builds a delete step removing object sc, whose extent is
+// NewDelete builds a delete step removing object o, whose extent is
 // recoverable via query q over the remaining objects.
-func NewDelete(sc hdm.Scheme, q iql.Expr) Transformation {
-	return Transformation{Kind: Delete, Object: sc, Query: q}
+func NewDelete(o *hdm.Object, q iql.Expr) Transformation {
+	return Transformation{Kind: Delete, Object: o, Query: q}
 }
 
-// NewExtend builds an extend step creating object sc with extent known
+// NewExtend builds an extend step creating object o with extent known
 // only within bounds lo..hi; a nil bound is Void below, Any above.
-func NewExtend(sc hdm.Scheme, lo, hi iql.Expr, kind hdm.ObjectKind, model, construct string) Transformation {
-	return Transformation{
-		Kind: Extend, Object: sc, Query: bounds(lo, hi),
-		ObjKind: kind, Model: model, Construct: construct,
-	}
+func NewExtend(o *hdm.Object, lo, hi iql.Expr) Transformation {
+	return Transformation{Kind: Extend, Object: o, Query: bounds(lo, hi)}
 }
 
-// NewContract builds a contract step removing object sc whose extent is
+// NewContract builds a contract step removing object o whose extent is
 // not precisely derivable; bounds default to Range Void Any when lo and
 // hi are nil.
-func NewContract(sc hdm.Scheme, lo, hi iql.Expr) Transformation {
-	return Transformation{Kind: Contract, Object: sc, Query: bounds(lo, hi)}
+func NewContract(o *hdm.Object, lo, hi iql.Expr) Transformation {
+	return Transformation{Kind: Contract, Object: o, Query: bounds(lo, hi)}
 }
 
 // voidAny is the Range Void Any of every step built without bounds. An
@@ -148,31 +148,21 @@ func bounds(lo, hi iql.Expr) iql.Expr {
 	return &iql.RangeExpr{Lo: lo, Hi: hi}
 }
 
-// NewRename builds a rename step.
-func NewRename(from, to hdm.Scheme) Transformation {
+// NewRename builds a rename step from object from to the object to,
+// which carries the new scheme.
+func NewRename(from, to *hdm.Object) Transformation {
 	return Transformation{Kind: Rename, Object: from, To: to}
 }
 
 // NewID builds an id step asserting that object a in one schema and b in
 // a syntactically identical schema are the same object.
-func NewID(a, b hdm.Scheme) Transformation {
+func NewID(a, b *hdm.Object) Transformation {
 	return Transformation{Kind: ID, Object: a, To: b}
 }
 
 // WithAuto returns a copy marked as tool-generated.
 func (t Transformation) WithAuto() Transformation {
 	t.Auto = true
-	return t
-}
-
-// WithMeta returns a copy carrying the object's construct metadata.
-// Delete and contract steps should carry the metadata of the object
-// they remove so that the automatically derived reverse pathway (whose
-// add/extend steps recreate the object) restores it faithfully.
-func (t Transformation) WithMeta(kind hdm.ObjectKind, model, construct string) Transformation {
-	t.ObjKind = kind
-	t.Model = model
-	t.Construct = construct
 	return t
 }
 
@@ -219,11 +209,11 @@ func (t Transformation) String() string {
 	var b strings.Builder
 	b.WriteString(t.Kind.String())
 	b.WriteString(" ")
-	b.WriteString(t.Object.String())
+	b.WriteString(t.Object.Scheme.String())
 	switch t.Kind {
 	case Rename, ID:
 		b.WriteString(" ")
-		b.WriteString(t.To.String())
+		b.WriteString(t.To.Scheme.String())
 	default:
 		if t.Query != nil {
 			b.WriteString(" ")
@@ -239,23 +229,29 @@ func (t Transformation) String() string {
 // Validate checks internal consistency of the step itself (not against
 // any schema): schemes well formed, queries present where required.
 func (t Transformation) Validate() error {
-	if err := t.Object.Validate(); err != nil {
+	if t.Object == nil {
+		return fmt.Errorf("transform: %s without an object", t.Kind)
+	}
+	if err := t.Object.Scheme.Validate(); err != nil {
 		return fmt.Errorf("transform: %s: %w", t.Kind, err)
 	}
 	switch t.Kind {
 	case Add, Delete:
 		if t.Query == nil {
-			return fmt.Errorf("transform: %s %s requires a query", t.Kind, t.Object)
+			return fmt.Errorf("transform: %s %s requires a query", t.Kind, t.Object.Scheme)
 		}
 	case Extend, Contract:
 		if t.Query == nil {
-			return fmt.Errorf("transform: %s %s requires a Range query", t.Kind, t.Object)
+			return fmt.Errorf("transform: %s %s requires a Range query", t.Kind, t.Object.Scheme)
 		}
 		if _, _, ok := iql.IsRange(t.Query); !ok {
-			return fmt.Errorf("transform: %s %s query must be a Range, got %s", t.Kind, t.Object, t.Query)
+			return fmt.Errorf("transform: %s %s query must be a Range, got %s", t.Kind, t.Object.Scheme, t.Query)
 		}
 	case Rename, ID:
-		if err := t.To.Validate(); err != nil {
+		if t.To == nil {
+			return fmt.Errorf("transform: %s %s without a target", t.Kind, t.Object.Scheme)
+		}
+		if err := t.To.Scheme.Validate(); err != nil {
 			return fmt.Errorf("transform: %s: target: %w", t.Kind, err)
 		}
 	}

@@ -6,12 +6,25 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
 )
 
 func sc(s string) hdm.Scheme { return hdm.MustScheme(s) }
+
+// ob is a nodal object without metadata named by the scheme s.
+func ob(s string) *hdm.Object { return hdm.NewObject(sc(s), hdm.Nodal, "", "") }
+
+// objectOf is the object of s named by the scheme name.
+func objectOf(s *hdm.Schema, name string) *hdm.Object {
+	o, ok := s.Object(sc(name))
+	if !ok {
+		panic("no object " + name)
+	}
+	return o
+}
 
 func simpleSchema() *hdm.Schema {
 	s := hdm.NewSchema("S")
@@ -27,10 +40,10 @@ func TestReverseRules(t *testing.T) {
 		in   Transformation
 		want Kind
 	}{
-		{NewAdd(sc("<<x>>"), q, hdm.Nodal, "", ""), Delete},
-		{NewDelete(sc("<<x>>"), q), Add},
-		{NewExtend(sc("<<x>>"), &iql.Lit{Val: iql.Void()}, &iql.Lit{Val: iql.Any()}, hdm.Nodal, "", ""), Contract},
-		{NewContract(sc("<<x>>"), nil, nil), Extend},
+		{NewAdd(hdm.NewObject(sc("<<x>>"), hdm.Nodal, "", ""), q), Delete},
+		{NewDelete(ob("<<x>>"), q), Add},
+		{NewExtend(hdm.NewObject(sc("<<x>>"), hdm.Nodal, "", ""), &iql.Lit{Val: iql.Void()}, &iql.Lit{Val: iql.Any()}), Contract},
+		{NewContract(ob("<<x>>"), nil, nil), Extend},
 	}
 	for _, c := range cases {
 		got := c.in.Reverse()
@@ -38,17 +51,17 @@ func TestReverseRules(t *testing.T) {
 			t.Errorf("%s reversed to %s, want %s", c.in.Kind, got.Kind, c.want)
 		}
 		// Arguments preserved.
-		if !got.Object.Equal(c.in.Object) {
+		if got.Object != c.in.Object {
 			t.Errorf("%s reversal changed object", c.in.Kind)
 		}
 	}
 	// rename and id swap arguments.
-	r := NewRename(sc("<<a>>"), sc("<<b>>")).Reverse()
-	if !r.Object.Equal(sc("<<b>>")) || !r.To.Equal(sc("<<a>>")) {
+	r := NewRename(ob("<<a>>"), ob("<<b>>")).Reverse()
+	if !r.Object.Scheme.Equal(sc("<<b>>")) || !r.To.Scheme.Equal(sc("<<a>>")) {
 		t.Errorf("rename reversal = %s", r)
 	}
-	id := NewID(sc("<<a>>"), sc("<<b>>")).Reverse()
-	if !id.Object.Equal(sc("<<b>>")) || !id.To.Equal(sc("<<a>>")) {
+	id := NewID(ob("<<a>>"), ob("<<b>>")).Reverse()
+	if !id.Object.Scheme.Equal(sc("<<b>>")) || !id.To.Scheme.Equal(sc("<<a>>")) {
 		t.Errorf("id reversal = %s", id)
 	}
 }
@@ -59,17 +72,17 @@ type genStep struct{ t Transformation }
 
 func (genStep) Generate(r *rand.Rand, size int) reflect.Value {
 	names := []string{"<<a>>", "<<b>>", "<<c, d>>", "<<e, f>>"}
-	obj := sc(names[r.Intn(len(names))])
-	to := sc(names[r.Intn(len(names))])
+	obj := ob(names[r.Intn(len(names))])
+	to := ob(names[r.Intn(len(names))])
 	q := iql.MustParse("[k | k <- <<src>>]")
 	var tr Transformation
 	switch r.Intn(6) {
 	case 0:
-		tr = NewAdd(obj, q, hdm.Nodal, "sql", "table")
+		tr = NewAdd(obj, q)
 	case 1:
 		tr = NewDelete(obj, q)
 	case 2:
-		tr = NewExtend(obj, &iql.Lit{Val: iql.Void()}, &iql.Lit{Val: iql.Any()}, hdm.Link, "", "")
+		tr = NewExtend(obj, &iql.Lit{Val: iql.Void()}, &iql.Lit{Val: iql.Any()})
 	case 3:
 		tr = NewContract(obj, nil, nil)
 	case 4:
@@ -117,7 +130,7 @@ func TestPathwayReverseIsInvolutionProperty(t *testing.T) {
 
 func TestApplyAddDeleteRoundTrip(t *testing.T) {
 	s := simpleSchema()
-	add := NewAdd(sc("<<u>>"), iql.MustParse("[k | k <- <<t>>]"), hdm.Nodal, "", "")
+	add := NewAdd(hdm.NewObject(sc("<<u>>"), hdm.Nodal, "", ""), iql.MustParse("[k | k <- <<t>>]"))
 	if err := Apply(s, add, true); err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +149,10 @@ func TestApplyAddDeleteRoundTrip(t *testing.T) {
 func TestApplyPathwayThenReverseRestoresSchema(t *testing.T) {
 	src := simpleSchema()
 	p := NewPathway("S", "T",
-		NewAdd(sc("<<u>>"), iql.MustParse("[k | k <- <<t>>]"), hdm.Nodal, "", ""),
-		NewAdd(sc("<<u, a>>"), iql.MustParse("[{k, x} | {k, x} <- <<t, a>>]"), hdm.Link, "", ""),
-		NewDelete(sc("<<t, a>>"), iql.MustParse("[{k, x} | {k, x} <- <<u, a>>]")).
-			WithMeta(hdm.Link, "sql", "column"),
-		NewContract(sc("<<t, b>>"), nil, nil).WithMeta(hdm.Link, "sql", "column"),
+		NewAdd(hdm.NewObject(sc("<<u>>"), hdm.Nodal, "", ""), iql.MustParse("[k | k <- <<t>>]")),
+		NewAdd(hdm.NewObject(sc("<<u, a>>"), hdm.Link, "", ""), iql.MustParse("[{k, x} | {k, x} <- <<t, a>>]")),
+		NewDelete(objectOf(src, "<<t, a>>"), iql.MustParse("[{k, x} | {k, x} <- <<u, a>>]")),
+		NewContract(objectOf(src, "<<t, b>>"), nil, nil),
 	)
 	mid, err := ApplyPathway(src, p, true)
 	if err != nil {
@@ -159,39 +171,39 @@ func TestApplyPathwayThenReverseRestoresSchema(t *testing.T) {
 func TestApplyErrors(t *testing.T) {
 	s := simpleSchema()
 	// Add of existing object.
-	if err := Apply(s, NewAdd(sc("<<t>>"), iql.MustParse("<<t>>"), hdm.Nodal, "", ""), false); err == nil {
+	if err := Apply(s, NewAdd(hdm.NewObject(sc("<<t>>"), hdm.Nodal, "", ""), iql.MustParse("<<t>>")), false); err == nil {
 		t.Error("add of existing object succeeded")
 	}
 	// Delete of missing object.
-	if err := Apply(s, NewDelete(sc("<<zz>>"), iql.MustParse("<<t>>")), false); err == nil {
+	if err := Apply(s, NewDelete(ob("<<zz>>"), iql.MustParse("<<t>>")), false); err == nil {
 		t.Error("delete of missing object succeeded")
 	}
 	// Strict add referencing unknown object.
-	if err := Apply(s, NewAdd(sc("<<v>>"), iql.MustParse("[k | k <- <<nope>>]"), hdm.Nodal, "", ""), true); err == nil {
+	if err := Apply(s, NewAdd(hdm.NewObject(sc("<<v>>"), hdm.Nodal, "", ""), iql.MustParse("[k | k <- <<nope>>]")), true); err == nil {
 		t.Error("strict add with dangling reference succeeded")
 	}
 	// Rename clash.
-	if err := Apply(s, NewRename(sc("<<t, a>>"), sc("<<t, b>>")), false); err == nil {
+	if err := Apply(s, NewRename(ob("<<t, a>>"), ob("<<t, b>>")), false); err == nil {
 		t.Error("rename onto existing object succeeded")
 	}
 	// Extend must carry a Range.
-	bad := Transformation{Kind: Extend, Object: sc("<<w>>"), Query: iql.MustParse("[1]")}
+	bad := Transformation{Kind: Extend, Object: ob("<<w>>"), Query: iql.MustParse("[1]")}
 	if err := Apply(s, bad, false); err == nil {
 		t.Error("extend without Range succeeded")
 	}
 }
 
 func TestNonTrivial(t *testing.T) {
-	if NewContract(sc("<<x>>"), nil, nil).NonTrivial() {
+	if NewContract(ob("<<x>>"), nil, nil).NonTrivial() {
 		t.Error("Range Void Any contract counted non-trivial")
 	}
-	if !NewAdd(sc("<<x>>"), iql.MustParse("[k | k <- <<t>>]"), hdm.Nodal, "", "").NonTrivial() {
+	if !NewAdd(hdm.NewObject(sc("<<x>>"), hdm.Nodal, "", ""), iql.MustParse("[k | k <- <<t>>]")).NonTrivial() {
 		t.Error("add with real query counted trivial")
 	}
-	if NewRename(sc("<<a>>"), sc("<<b>>")).NonTrivial() {
+	if NewRename(ob("<<a>>"), ob("<<b>>")).NonTrivial() {
 		t.Error("rename counted non-trivial")
 	}
-	ext := NewExtend(sc("<<x>>"), iql.MustParse("[1]"), &iql.Lit{Val: iql.Any()}, hdm.Nodal, "", "")
+	ext := NewExtend(hdm.NewObject(sc("<<x>>"), hdm.Nodal, "", ""), iql.MustParse("[1]"), &iql.Lit{Val: iql.Any()})
 	if !ext.NonTrivial() {
 		t.Error("extend with informative lower bound counted trivial")
 	}
@@ -199,9 +211,9 @@ func TestNonTrivial(t *testing.T) {
 
 func TestPathwayCounts(t *testing.T) {
 	p := NewPathway("A", "B",
-		NewAdd(sc("<<x>>"), iql.MustParse("<<t>>"), hdm.Nodal, "", ""),
-		NewAdd(sc("<<y>>"), iql.MustParse("<<t>>"), hdm.Nodal, "", "").WithAuto(),
-		NewContract(sc("<<z>>"), nil, nil).WithAuto(),
+		NewAdd(hdm.NewObject(sc("<<x>>"), hdm.Nodal, "", ""), iql.MustParse("<<t>>")),
+		NewAdd(hdm.NewObject(sc("<<y>>"), hdm.Nodal, "", ""), iql.MustParse("<<t>>")).WithAuto(),
+		NewContract(ob("<<z>>"), nil, nil).WithAuto(),
 	)
 	if p.ManualCount() != 1 {
 		t.Errorf("ManualCount = %d", p.ManualCount())
@@ -238,31 +250,31 @@ func TestIdentSteps(t *testing.T) {
 func TestIntersectionFormValidation(t *testing.T) {
 	q := iql.MustParse("[k | k <- <<t>>]")
 	good := NewPathway("S", "I",
-		NewAdd(sc("<<u>>"), q, hdm.Nodal, "", ""),
-		NewExtend(sc("<<v>>"), &iql.Lit{Val: iql.Void()}, &iql.Lit{Val: iql.Any()}, hdm.Nodal, "", ""),
-		NewDelete(sc("<<t>>"), q),
-		NewContract(sc("<<t, a>>"), nil, nil),
-		NewID(sc("<<u>>"), sc("<<u>>")),
+		NewAdd(hdm.NewObject(sc("<<u>>"), hdm.Nodal, "", ""), q),
+		NewExtend(hdm.NewObject(sc("<<v>>"), hdm.Nodal, "", ""), &iql.Lit{Val: iql.Void()}, &iql.Lit{Val: iql.Any()}),
+		NewDelete(ob("<<t>>"), q),
+		NewContract(ob("<<t, a>>"), nil, nil),
+		NewID(ob("<<u>>"), ob("<<u>>")),
 	)
 	if err := good.IsIntersectionForm(); err != nil {
 		t.Errorf("canonical pathway rejected: %v", err)
 	}
 	// Add after contract violates the form.
 	bad := NewPathway("S", "I",
-		NewContract(sc("<<t, a>>"), nil, nil),
-		NewAdd(sc("<<u>>"), q, hdm.Nodal, "", ""),
+		NewContract(ob("<<t, a>>"), nil, nil),
+		NewAdd(hdm.NewObject(sc("<<u>>"), hdm.Nodal, "", ""), q),
 	)
 	if err := bad.IsIntersectionForm(); err == nil {
 		t.Error("add after contract accepted")
 	}
 	// Rename never allowed.
-	bad2 := NewPathway("S", "I", NewRename(sc("<<a>>"), sc("<<b>>")))
+	bad2 := NewPathway("S", "I", NewRename(ob("<<a>>"), ob("<<b>>")))
 	if err := bad2.IsIntersectionForm(); err == nil {
 		t.Error("rename accepted in intersection pathway")
 	}
 	// Informative extend not allowed (only Range Void Any placeholders).
 	bad3 := NewPathway("S", "I",
-		NewExtend(sc("<<v>>"), iql.MustParse("[1]"), &iql.Lit{Val: iql.Any()}, hdm.Nodal, "", ""))
+		NewExtend(hdm.NewObject(sc("<<v>>"), hdm.Nodal, "", ""), iql.MustParse("[1]"), &iql.Lit{Val: iql.Any()}))
 	if err := bad3.IsIntersectionForm(); err == nil {
 		t.Error("informative extend accepted")
 	}
@@ -271,10 +283,10 @@ func TestIntersectionFormValidation(t *testing.T) {
 func TestMinusPathway(t *testing.T) {
 	q := iql.MustParse("[k | k <- <<t>>]")
 	esToI := NewPathway("ES", "I",
-		NewAdd(sc("<<u>>"), q, hdm.Nodal, "", ""),
-		NewDelete(sc("<<t>>"), q),
-		NewDelete(sc("<<t, a>>"), q),
-		NewContract(sc("<<t, b>>"), nil, nil),
+		NewAdd(hdm.NewObject(sc("<<u>>"), hdm.Nodal, "", ""), q),
+		NewDelete(ob("<<t>>"), q),
+		NewDelete(ob("<<t, a>>"), q),
+		NewContract(ob("<<t, b>>"), nil, nil),
 	)
 	mp, err := MinusPathway(esToI, "ES-minus-I")
 	if err != nil {
@@ -303,12 +315,12 @@ func TestMinusPathway(t *testing.T) {
 }
 
 func TestTransformationString(t *testing.T) {
-	tr := NewAdd(sc("<<UProtein>>"), iql.MustParse("[{'PEDRO', k} | k <- <<protein>>]"), hdm.Nodal, "", "")
+	tr := NewAdd(hdm.NewObject(sc("<<UProtein>>"), hdm.Nodal, "", ""), iql.MustParse("[{'PEDRO', k} | k <- <<protein>>]"))
 	s := tr.String()
 	if !strings.HasPrefix(s, "add <<UProtein>> [") {
 		t.Errorf("String = %q", s)
 	}
-	if !strings.Contains(NewContract(sc("<<x>>"), nil, nil).WithAuto().String(), "-- auto") {
+	if !strings.Contains(NewContract(ob("<<x>>"), nil, nil).WithAuto().String(), "-- auto") {
 		t.Error("auto marker missing")
 	}
 }
@@ -336,12 +348,12 @@ func TestApplyWritesNoObject(t *testing.T) {
 	}
 	q := iql.MustParse("[k | k <- <<t>>]")
 	pw := NewPathway("S", "T",
-		NewAdd(sc("<<u>>"), q, hdm.Nodal, "sql", "table"),
-		NewExtend(sc("<<v>>"), nil, nil, hdm.Nodal, "", ""),
-		NewRename(sc("<<t, a>>"), sc("<<t, c>>")),
-		NewID(sc("<<t>>"), sc("<<t>>")),
-		NewContract(sc("<<t, b>>"), nil, nil),
-		NewDelete(sc("<<u>>"), q),
+		NewAdd(hdm.NewObject(sc("<<u>>"), hdm.Nodal, "sql", "table"), q),
+		NewExtend(hdm.NewObject(sc("<<v>>"), hdm.Nodal, "", ""), nil, nil),
+		NewRename(objectOf(src, "<<t, a>>"), objectOf(src, "<<t, a>>").WithScheme(sc("<<t, c>>"))),
+		NewID(objectOf(src, "<<t>>"), objectOf(src, "<<t>>")),
+		NewContract(objectOf(src, "<<t, b>>"), nil, nil),
+		NewDelete(ob("<<u>>"), q),
 	)
 	out, err := ApplyPathway(src, pw, false)
 	if err != nil {
@@ -354,5 +366,48 @@ func TestApplyWritesNoObject(t *testing.T) {
 	}
 	if c, ok := out.Object(sc("<<t, c>>")); !ok || c.Kind != hdm.Link || c.Construct != "column" {
 		t.Errorf("the renamed object is %+v", c)
+	}
+}
+
+// TestStepsPointAtTheirObjects pins what a step holds: a pointer to its
+// object, not a copy of it, in 40 bytes. Applying a contract and then
+// its reverse puts the source's own object back without allocating, and
+// a pathway applied and then reversed leaves every object of the source
+// as the very object it was.
+func TestStepsPointAtTheirObjects(t *testing.T) {
+	if n := unsafe.Sizeof(Transformation{}); n != 40 {
+		t.Errorf("a transformation is %d bytes, want 40", n)
+	}
+	src := simpleSchema()
+	s := src.Clone("T")
+	contract := NewContract(objectOf(src, "<<t, b>>"), nil, nil)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := Apply(s, contract, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := Apply(s, contract.Reverse(), false); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a contract and its reverse allocate %v times, want 0", allocs)
+	}
+	q := iql.MustParse("[k | k <- <<t>>]")
+	pw := NewPathway("S", "T",
+		NewAdd(ob("<<u>>"), q),
+		NewDelete(objectOf(src, "<<t, a>>"), q),
+		NewContract(objectOf(src, "<<t, b>>"), nil, nil),
+	)
+	mid, err := ApplyPathway(src, pw, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ApplyPathway(mid, pw.Reverse(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range src.All() {
+		if b, ok := back.Object(o.Scheme); !ok || b != o {
+			t.Errorf("the reversed pathway recreates %s as %+v, not as the source's object", o.Scheme, b)
+		}
 	}
 }
