@@ -76,6 +76,9 @@ type Integrator struct {
 	intersections []*Intersection
 	derivedObjs   []objMeta // refinement + derived concepts, global-level
 	global        *hdm.Schema
+	// comp is how global is made up, for the next version to extend
+	// (workflow.go); nil when the next is made from scratch.
+	comp *composition
 	// globalVersion counts rebuilds, a failed one too: it names the next
 	// global schema. The current version is the last one published.
 	globalVersion int
@@ -317,6 +320,7 @@ func (ig *Integrator) federateLocked(name string, sources []wrapper.Wrapper, ski
 	ig.fedName = name
 	ig.fed = fed
 	ig.global = fed
+	ig.comp = ig.unread(fed)
 	ig.skipped = append([]string(nil), skipped...)
 	ig.versions = append(ig.versions, SchemaVersion{Version: 0, Schema: fed})
 	ig.iterations = append(ig.iterations, Iteration{

@@ -445,6 +445,9 @@ func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 		ig.derivedObjs = append(ig.derivedObjs, objMeta{scheme: sc, kind: kind})
 	}
 	ig.iterations = append(ig.iterations, snap.Iterations...)
+	if ig.global != nil {
+		ig.comp = ig.unread(ig.global)
+	}
 	return ig, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
@@ -98,67 +99,19 @@ func (ig *Integrator) rebuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 	}
 	ig.globalVersion++
 	name := fmt.Sprintf("GS%d", ig.globalVersion)
-	// Sized for every object it may add, so it grows by none.
-	size := len(ig.derivedObjs)
-	for _, in := range ig.intersections {
-		size += len(in.Targets)
+	c := ig.composed(dropRedundant)
+	if c == nil {
+		c = ig.bare(dropRedundant)
 	}
-	for _, w := range ig.sources {
-		size += w.Schema().Len()
+	next, err := ig.extend(c, name, dropRedundant)
+	if err != nil {
+		return nil, err
 	}
-	g := hdm.NewSchemaSized(name, size)
-
-	// Intersection objects first. Objects are not changed once in a
-	// schema, so every version adds the ones its predecessors added.
-	for _, in := range ig.intersections {
-		for _, tsc := range in.Targets {
-			if g.Has(tsc) {
-				continue
-			}
-			obj, _ := in.Schema.Object(tsc)
-			if obj == nil {
-				obj = hdm.NewObject(tsc, hdm.Nodal, "", "")
-			}
-			if err := g.Add(obj); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Refinement and derived concepts.
-	for _, om := range ig.derivedObjs {
-		if g.Has(om.scheme) {
-			continue
-		}
-		if err := g.Add(hdm.NewObject(om.scheme, om.kind, "", "")); err != nil {
-			return nil, err
-		}
-	}
-
-	// Redundant source objects, by their federated keys: deleted
-	// (semantically mapped) in some intersection pathway.
-	redundant := make(map[string]bool)
-	if dropRedundant {
-		for _, in := range ig.intersections {
-			for src, objs := range in.DeletedBySource {
-				for _, sc := range objs {
-					redundant[sc.WithPrefix(ig.prefix[src]).Key()] = true
-				}
-			}
-		}
-	}
-
-	// Federated remainder per source.
-	for _, w := range ig.sources {
-		for _, o := range ig.federatedObjects(w) {
-			if redundant[o.Scheme.Key()] {
-				continue
-			}
-			if err := g.Add(o); err != nil {
-				return nil, err
-			}
-		}
-	}
-
+	// Until next is published the latest version has no composition: a
+	// version failing from here on may be stored, and its sections run
+	// past the end of c's, where extending c again would write.
+	ig.comp = nil
+	g := next.schema
 	if err := ig.repo.AddSchema(g); err != nil {
 		return nil, err
 	}
@@ -180,8 +133,274 @@ func (ig *Integrator) rebuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 	}
 
 	ig.global = g
+	ig.comp = next
 	ig.versions = append(ig.versions, SchemaVersion{Version: ig.globalVersion, Schema: g})
 	return g, nil
+}
+
+// composition is how a global schema is made up, in order: the targets
+// of the first ninters intersections, each once; then those of the
+// first nderived derived objects that no target or earlier derived
+// object names; then each source's federated objects, less — when drop
+// is set — the redundant ones, those some intersection's pathway
+// deletes. Every global version is one, made by extending the latest's
+// by what the step added (extend), and shares with it what they hold in
+// common: the sections, which are appended to past the end of the
+// latest's or copied, never written, and the index (hdm.NewVersion).
+type composition struct {
+	// schema is the global schema it makes up; nil for the bare one.
+	schema           *hdm.Schema
+	ninters          int
+	nderived         int
+	drop             bool
+	targets, derived []*hdm.Object
+	// fed holds each source's section, in registration order, and from
+	// the federatedObjects each was taken from.
+	fed, from [][]*hdm.Object
+	// unread marks the composition of a schema the integrator did not
+	// build — the federated schema, or a restore's latest version —
+	// whose sections are read from the schema on first use.
+	unread bool
+}
+
+// unread returns the composition of s, a global schema the integrator
+// did not build, over what the integrator holds now.
+func (ig *Integrator) unread(s *hdm.Schema) *composition {
+	return &composition{schema: s, ninters: len(ig.intersections), nderived: len(ig.derivedObjs), unread: true}
+}
+
+// composed returns the composition of the current global schema, for
+// the next version to extend under drop, or nil when it cannot: it is
+// not known, it drops otherwise, or a source's federated objects have
+// changed since (Backfill).
+func (ig *Integrator) composed(drop bool) *composition {
+	c := ig.comp
+	if c == nil || c.schema != ig.global {
+		return nil
+	}
+	if c.unread {
+		if c = ig.read(c.schema, c.ninters, c.nderived); c == nil {
+			ig.comp = nil
+			return nil
+		}
+		ig.comp = c
+	}
+	if c.drop != drop && deletes(ig.intersections[:c.ninters]) {
+		return nil
+	}
+	for i, w := range ig.sources {
+		if objs := ig.federatedObjects(w); !sameSlice(objs, c.from[i]) {
+			return nil
+		}
+	}
+	return c
+}
+
+// bare is the composition of nothing but the federated objects, which
+// extend makes any version of from scratch.
+func (ig *Integrator) bare(drop bool) *composition {
+	c := &composition{drop: drop, fed: make([][]*hdm.Object, len(ig.sources)), from: make([][]*hdm.Object, len(ig.sources))}
+	for i, w := range ig.sources {
+		c.from[i] = ig.federatedObjects(w)
+		c.fed[i] = c.from[i]
+	}
+	return c
+}
+
+// extend makes the global schema version name out of c and what the
+// integrator took since c: the targets of later intersections, later
+// derived objects, and — under drop — the federated objects later
+// intersections delete, dropped. A target an earlier derived object
+// names moves to the targets. c is not changed.
+func (ig *Integrator) extend(c *composition, name string, drop bool) (*composition, error) {
+	next := &composition{
+		ninters: len(ig.intersections), nderived: len(ig.derivedObjs), drop: drop,
+		targets: c.targets, derived: c.derived, fed: c.fed, from: c.from,
+	}
+	var added []*hdm.Object
+	var removed []string
+	for _, in := range ig.intersections[c.ninters:] {
+		for _, tsc := range in.Targets {
+			if indexOf(next.targets, tsc) >= 0 {
+				continue
+			}
+			if i := indexOf(next.derived, tsc); i >= 0 {
+				next.derived = slices.Delete(slices.Clone(next.derived), i, i+1)
+				removed = append(removed, tsc.Key())
+			}
+			obj, _ := in.Schema.Object(tsc)
+			if obj == nil {
+				obj = hdm.NewObject(tsc, hdm.Nodal, "", "")
+			}
+			next.targets = append(next.targets, obj)
+			added = append(added, obj)
+		}
+	}
+	for _, om := range ig.derivedObjs[c.nderived:] {
+		if indexOf(next.targets, om.scheme) >= 0 || indexOf(next.derived, om.scheme) >= 0 {
+			continue
+		}
+		obj := hdm.NewObject(om.scheme, om.kind, "", "")
+		next.derived = append(next.derived, obj)
+		added = append(added, obj)
+	}
+	for i, w := range ig.sources {
+		redundant := ig.redundant(ig.intersections[c.ninters:], w.SchemaName())
+		if !drop || !slices.ContainsFunc(next.fed[i], func(o *hdm.Object) bool { return redundant[o.Scheme.Key()] }) {
+			continue
+		}
+		kept := make([]*hdm.Object, 0, len(next.fed[i]))
+		for _, o := range next.fed[i] {
+			if redundant[o.Scheme.Key()] {
+				removed = append(removed, o.Scheme.Key())
+			} else {
+				kept = append(kept, o)
+			}
+		}
+		if sameSlice(next.fed, c.fed) {
+			next.fed = slices.Clone(next.fed)
+		}
+		next.fed[i] = kept
+	}
+	parts := make([][]*hdm.Object, 0, 2+len(next.fed))
+	parts = append(parts, slices.Clip(next.targets), slices.Clip(next.derived))
+	parts = append(parts, next.fed...)
+	var err error
+	if next.schema, err = hdm.NewVersion(name, c.schema, parts, added, removed); err != nil {
+		return nil, err
+	}
+	return next, nil
+}
+
+// read returns the composition of s as the global schema over the
+// first ninters intersections and nderived derived objects — its
+// sections the schema's own objects — or nil when s is not one: it
+// holds other objects, or in another order, or it lacks a federated
+// object no intersection of those deletes. The federated schema is not
+// read while a source federation skipped may still be folded into it.
+func (ig *Integrator) read(s *hdm.Schema, ninters, nderived int) *composition {
+	if s == ig.fed && len(ig.skipped) > 0 {
+		return nil
+	}
+	objs := s.Order()
+	c := &composition{schema: s, ninters: ninters, nderived: nderived,
+		fed: make([][]*hdm.Object, len(ig.sources)), from: make([][]*hdm.Object, len(ig.sources))}
+	at := 0
+	// next reports whether the object at the next position is o, alike,
+	// and takes it.
+	next := func(o *hdm.Object) bool {
+		if at == len(objs) || !alike(objs[at], o) {
+			return false
+		}
+		at++
+		return true
+	}
+	for _, in := range ig.intersections[:ninters] {
+		for _, tsc := range in.Targets {
+			if indexOf(objs[:at], tsc) >= 0 {
+				continue
+			}
+			obj, _ := in.Schema.Object(tsc)
+			if obj == nil {
+				obj = hdm.NewObject(tsc, hdm.Nodal, "", "")
+			}
+			if !next(obj) {
+				return nil
+			}
+		}
+	}
+	c.targets = objs[:at:at]
+	for _, om := range ig.derivedObjs[:nderived] {
+		if indexOf(objs[:at], om.scheme) >= 0 {
+			continue
+		}
+		if !next(&hdm.Object{Scheme: om.scheme, Kind: om.kind}) {
+			return nil
+		}
+	}
+	c.derived = objs[len(c.targets):at:at]
+	dropped := 0
+	for i, w := range ig.sources {
+		start := at
+		c.from[i] = ig.federatedObjects(w)
+		for _, o := range c.from[i] {
+			if !next(o) {
+				if s.Has(o.Scheme) {
+					return nil
+				}
+				dropped++
+			}
+		}
+		c.fed[i] = objs[start:at:at]
+	}
+	if at != len(objs) {
+		return nil
+	}
+	if dropped > 0 {
+		// Every object missing must be redundant, and every redundant
+		// object missing.
+		n := 0
+		for i, w := range ig.sources {
+			redundant := ig.redundant(ig.intersections[:ninters], w.SchemaName())
+			for _, o := range c.from[i] {
+				if redundant[o.Scheme.Key()] {
+					n++
+					if s.Has(o.Scheme) {
+						return nil
+					}
+				}
+			}
+		}
+		if n != dropped {
+			return nil
+		}
+		c.drop = true
+	}
+	return c
+}
+
+// redundant returns the federated keys of the objects of source src
+// that the pathways of ins delete (semantically map into an
+// intersection); nil when they delete none.
+func (ig *Integrator) redundant(ins []*Intersection, src string) map[string]bool {
+	var out map[string]bool
+	for _, in := range ins {
+		for _, sc := range in.DeletedBySource[src] {
+			if out == nil {
+				out = make(map[string]bool)
+			}
+			out[sc.WithPrefix(ig.prefix[src]).Key()] = true
+		}
+	}
+	return out
+}
+
+// deletes reports whether the pathways of ins delete any source object.
+func deletes(ins []*Intersection) bool {
+	for _, in := range ins {
+		for _, objs := range in.DeletedBySource {
+			if len(objs) > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// indexOf returns the position of the object named sc in objs, or -1.
+func indexOf(objs []*hdm.Object, sc hdm.Scheme) int {
+	k := sc.Key()
+	return slices.IndexFunc(objs, func(o *hdm.Object) bool { return o.Scheme.Key() == k })
+}
+
+// alike reports whether two objects are one object, or the same by value.
+func alike(a, b *hdm.Object) bool {
+	return a == b || a.Scheme.Key() == b.Scheme.Key() && a.Kind == b.Kind && a.Model == b.Model && a.Construct == b.Construct
+}
+
+// sameSlice reports whether a and b are one slice.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // federatedObjects returns source w's objects under its provenance
