@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -68,6 +69,39 @@ func TestParseRoundTrip(t *testing.T) {
 			t.Errorf("round trip unstable: %q -> %q -> %q", src, s1, e2.String())
 		}
 	}
+}
+
+// TestParsesShareNoTokens: Parse lexes into a token buffer the next
+// parse reuses, so an expression must hold nothing of it. Every round
+// trip text is parsed, then all the others after it — from four
+// goroutines at once, with failing parses between — and still prints
+// as it did when it was parsed.
+func TestParsesShareNoTokens(t *testing.T) {
+	want := make([]string, len(RoundTripTexts))
+	for i, src := range RoundTripTexts {
+		want[i] = MustParse(src).String()
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held []Expr
+			for i := range RoundTripTexts {
+				src := RoundTripTexts[(i+g)%len(RoundTripTexts)]
+				held = append(held, MustParse(src))
+				if _, err := Parse(src + " <<"); err == nil {
+					t.Errorf("%q parsed", src+" <<")
+				}
+			}
+			for i, e := range held {
+				if got := e.String(); got != want[(i+g)%len(RoundTripTexts)] {
+					t.Errorf("%q prints as %q after later parses, not %q", RoundTripTexts[(i+g)%len(RoundTripTexts)], got, want[(i+g)%len(RoundTripTexts)])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestParseErrors(t *testing.T) {

@@ -49,22 +49,21 @@ func (t token) String() string {
 
 // lexer tokenises IQL source text.
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
 }
 
-// lex scans the whole input, returning the token stream.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+// lexInto scans the whole input, appending the token stream to toks.
+func lexInto(toks []token, src string) ([]token, error) {
+	l := lexer{src: src}
 	for {
 		t, err := l.next()
 		if err != nil {
-			return nil, err
+			return toks, err
 		}
-		l.toks = append(l.toks, t)
+		toks = append(toks, t)
 		if t.kind == tokEOF {
-			return l.toks, nil
+			return toks, nil
 		}
 	}
 }

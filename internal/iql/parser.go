@@ -3,15 +3,33 @@ package iql
 import (
 	"fmt"
 	"strconv"
+	"sync"
 )
+
+// tokens holds token buffers for Parse to lex into. The expression a
+// parse returns holds none of its tokens — only their texts and scheme
+// parts — so the buffer is cleared and reused by the next parse.
+var tokens = sync.Pool{New: func() any { return new([]token) }}
+
+// maxPooledTokens bounds the buffers kept: one very long text does not
+// hold its buffer for good.
+const maxPooledTokens = 1 << 12
 
 // Parse parses IQL source text into an expression.
 func Parse(src string) (Expr, error) {
-	toks, err := lex(src)
+	buf := tokens.Get().(*[]token)
+	toks, err := lexInto((*buf)[:0], src)
+	defer func() {
+		clear(toks)
+		if cap(toks) <= maxPooledTokens {
+			*buf = toks[:0]
+			tokens.Put(buf)
+		}
+	}()
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{src: src, toks: toks}
+	p := parser{src: src, toks: toks}
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
