@@ -72,12 +72,17 @@ race:
 # decoded checkpoint at once, and taking a step and asking queries in
 # each, reads the image's repository, definitions and federated objects
 # and the steps' shared Range Void Any first: thirty times under the
-# race detector, none of them may write what they share.
+# race detector, none of them may write what they share. So is which
+# version four clients read while the plan's steps land — /schemas
+# listing every version's objects, and Table 1 asked with explain at
+# each, resolved in the version outside the integrator's lock: the
+# versions share their structure, and thirty times under the race
+# detector, publishing one may write nothing an older one reads.
 flake:
 	$(GO) test -count=30 -run 'TestOracle' ./internal/query
 	$(GO) test -race -count=30 -run 'TestAddressTableConcurrentFill' ./internal/query
 	$(GO) test -race -count=30 -run 'TestImportsStepAtOnce' ./internal/core
-	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions|TestLatestAnswersWhileStepsLand|TestStepThroughTheIntegratorRetiresAnswers|TestSessionsShareAddressedCaches' ./internal/server
+	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions|TestLatestAnswersWhileStepsLand|TestStepThroughTheIntegratorRetiresAnswers|TestSessionsShareAddressedCaches|TestOldVersionsReadWhileStepsLand' ./internal/server
 	$(GO) test -race -count=3 -run 'TestSessionOracle' ./internal/server
 
 # bench-smoke is the ci benchmark gate: one iteration of everything,

@@ -245,8 +245,11 @@ func (ig *Integrator) extend(c *composition, name string, drop bool) (*compositi
 		added = append(added, obj)
 	}
 	for i, w := range ig.sources {
-		redundant := ig.redundant(ig.intersections[c.ninters:], w.SchemaName())
-		if !drop || !slices.ContainsFunc(next.fed[i], func(o *hdm.Object) bool { return redundant[o.Scheme.Key()] }) {
+		var redundant map[string]bool
+		if drop {
+			redundant = ig.redundant(ig.intersections[c.ninters:], w.SchemaName())
+		}
+		if len(redundant) == 0 || !slices.ContainsFunc(next.fed[i], func(o *hdm.Object) bool { return redundant[o.Scheme.Key()] }) {
 			continue
 		}
 		kept := make([]*hdm.Object, 0, len(next.fed[i]))

@@ -236,6 +236,67 @@ func TestSchemaCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestVersionIsNeverChanged: a version refuses every change, and its
+// clone is a schema of its own that takes them; a version that would
+// hold one key twice, or whose parts disagree with the change it claims,
+// is refused.
+func TestVersionIsNeverChanged(t *testing.T) {
+	a, b := NewObject(MustScheme("<<a>>"), Nodal, "", ""), NewObject(MustScheme("<<b>>"), Nodal, "", "")
+	v1, err := NewVersion("V1", nil, [][]*Object{{a}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := NewVersion("V2", v1, [][]*Object{{a}, {b}}, []*Object{b}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v2.Add(NewObject(MustScheme("<<c>>"), Nodal, "", "")); err == nil {
+		t.Error("a version took an object")
+	}
+	if err := v2.Remove(MustScheme("<<a>>")); err == nil {
+		t.Error("a version lost an object")
+	}
+	if err := v2.Rename(MustScheme("<<a>>"), MustScheme("<<y>>")); err == nil {
+		t.Error("a version renamed an object")
+	}
+	if v1.Has(MustScheme("<<b>>")) || v1.Len() != 1 || v2.Len() != 2 {
+		t.Errorf("V1 holds %v and V2 %v", v1.Schemes(), v2.Schemes())
+	}
+	c := v2.Clone("C")
+	if err := c.Remove(MustScheme("<<a>>")); err != nil || !v2.Has(MustScheme("<<a>>")) {
+		t.Errorf("a version's clone is not its own (%v)", err)
+	}
+	if _, err := NewVersion("V3", v2, [][]*Object{{a}, {b, a}}, []*Object{a}, nil); err == nil {
+		t.Error("a version holds <<a>> twice")
+	}
+	if _, err := NewVersion("V3", v2, [][]*Object{{a}}, nil, nil); err == nil {
+		t.Error("a version lost <<b>> without removing it")
+	}
+}
+
+// TestResolveExactAllocatesNothing: an exact reference is resolved
+// without an allocation, in a schema and in a version over a base, its
+// key longer than any the runtime lays out on the stack.
+func TestResolveExactAllocatesNothing(t *testing.T) {
+	parts := []string{"a_source_prefixed_table_of_some_length", "and_one_of_its_columns"}
+	o := NewObject(NewScheme(parts...), Link, "sql", "column")
+	s := NewSchema("S")
+	s.MustAdd(o)
+	v, err := NewVersion("V", s, [][]*Object{{o}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sch := range []*Schema{s, v} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if got, err := sch.Resolve(parts); err != nil || got != o {
+				t.Fatalf("%s resolves %v to %v (%v)", sch.Name(), parts, got, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: an exact resolution allocates %v times", sch.Name(), allocs)
+		}
+	}
+}
+
 func TestIdenticalAndDiff(t *testing.T) {
 	a := NewSchema("A")
 	b := NewSchema("B")

@@ -55,18 +55,19 @@ func NewSchema(name string) *Schema {
 // about √(2n)/a versions: about √(2n) keys a version either way, where
 // indexing each afresh costs n.
 func NewVersion(name string, prev *Schema, parts [][]*Object, added []*Object, removed []string) (*Schema, error) {
+	if parts == nil {
+		parts = [][]*Object{} // a version's parts are never nil
+	}
 	v := &Schema{name: name, parts: parts}
 	for _, p := range parts {
 		v.n += len(p)
 	}
+	var over map[string]*Object
+	var gone map[string]struct{}
 	if prev != nil {
 		if want := prev.Len() + len(added) - len(removed); want != v.n {
 			return nil, fmt.Errorf("hdm: version %q has %d objects in its parts, not the %d its change leaves", name, v.n, want)
 		}
-	}
-	var over map[string]*Object
-	var gone map[string]struct{}
-	if prev != nil {
 		if prev.base != nil {
 			v.base, over, gone = prev.base, prev.objects, prev.gone
 		} else {
@@ -108,22 +109,24 @@ func NewVersion(name string, prev *Schema, parts [][]*Object, added []*Object, r
 // index adds o to the index of a version being made.
 func (s *Schema) index(o *Object) error {
 	k := o.Scheme.Key()
-	if _, dup := s.lookup(k); dup {
+	if _, dup := lookup(s, k); dup {
 		return fmt.Errorf("hdm: schema %q already contains %s", s.name, o.Scheme)
 	}
 	s.objects[k] = o
 	return nil
 }
 
-// lookup returns the object under the key k.
-func (s *Schema) lookup(k string) (*Object, bool) {
-	if o, ok := s.objects[k]; ok || s.base == nil {
+// lookup returns the object of s under the key k. A key laid out in
+// bytes is looked up without a copy: each map index converts it in
+// place.
+func lookup[K string | []byte](s *Schema, k K) (*Object, bool) {
+	if o, ok := s.objects[string(k)]; ok || s.base == nil {
 		return o, ok
 	}
-	if _, ok := s.gone[k]; ok {
+	if _, ok := s.gone[string(k)]; ok {
 		return nil, false
 	}
-	o, ok := s.base[k]
+	o, ok := s.base[string(k)]
 	return o, ok
 }
 
@@ -218,13 +221,13 @@ func (s *Schema) Rename(from, to Scheme) error {
 
 // Has reports whether an object with the given scheme exists.
 func (s *Schema) Has(sc Scheme) bool {
-	_, ok := s.lookup(sc.Key())
+	_, ok := lookup(s, sc.Key())
 	return ok
 }
 
 // Object returns the object with exactly the given scheme.
 func (s *Schema) Object(sc Scheme) (*Object, bool) {
-	return s.lookup(sc.Key())
+	return lookup(s, sc.Key())
 }
 
 // Objects returns the objects in insertion order.
@@ -302,7 +305,7 @@ func (s *Schema) Resolve(parts []string) (*Object, error) {
 		}
 		key = append(key, strings.TrimSpace(p)...)
 	}
-	if o, ok := s.lookup(string(key)); ok {
+	if o, ok := lookup(s, key); ok {
 		return o, nil
 	}
 	ref := NewScheme(parts...)
@@ -345,7 +348,7 @@ func Identical(a, b *Schema) bool {
 		return false
 	}
 	for _, oa := range a.All() {
-		ob, ok := b.lookup(oa.Scheme.Key())
+		ob, ok := lookup(b, oa.Scheme.Key())
 		if !ok || oa.Kind != ob.Kind || oa.Construct != ob.Construct || oa.Model != ob.Model {
 			return false
 		}

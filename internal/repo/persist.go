@@ -196,8 +196,9 @@ func Decode(doc []byte) (*Repository, error) {
 // an id starts from is src's object of that scheme, and the object a
 // rename makes or an id relates to is dst's — so a restored pathway,
 // reversed, recreates the source's objects as they were. The object an
-// add or an extend makes, and one the schema lacks, is as the document
-// describes it: a plain nodal object when it says nothing.
+// add or an extend makes, and one src lacks, is as the document
+// describes it: a plain nodal object when it says nothing; one dst
+// lacks is the first object under the other scheme.
 func decodeStep(sd stepDTO, src, dst *hdm.Schema) (transform.Transformation, error) {
 	var t transform.Transformation
 	kind, err := transform.ParseKind(sd.Kind)
@@ -232,12 +233,9 @@ func decodeStep(sd stepDTO, src, dst *hdm.Schema) (transform.Transformation, err
 		if err != nil {
 			return t, err
 		}
-		if o, ok := lookup(dst, to); ok {
-			t.To = o
-		} else if kind == transform.Rename {
+		var ok bool
+		if t.To, ok = lookup(dst, to); !ok {
 			t.To = t.Object.WithScheme(to)
-		} else {
-			t.To = hdm.NewObject(to, hdm.Nodal, "", "")
 		}
 	}
 	t.Auto = sd.Auto

@@ -430,3 +430,104 @@ func TestLatestAnswersWhileStepsLand(t *testing.T) {
 	done.Store(true)
 	wg.Wait()
 }
+
+// TestOldVersionsReadWhileStepsLand: four clients read every published
+// version — each version's objects from /schemas, and Table 1 asked at
+// the version with explain, which resolves the query's references in
+// that version — while the plan's steps land. Each reads the version
+// as a session that took the steps one by one does: a version's
+// objects byte for byte, an answer with its explanation one that
+// session gives at that version once it is published. Versions share
+// their structure and are read outside the integrator's lock, so under
+// -race (make flake) this is also the check that publishing a version
+// writes nothing an older one reads.
+func TestOldVersionsReadWhileStepsLand(t *testing.T) {
+	var queries []string
+	for _, q := range ispider.Table1Queries() {
+		queries = append(queries, q.IQL)
+	}
+	start := func() *testClient {
+		s, c := newTestClient(t, DefaultConfig())
+		pedro, gpmdb, pepseeker, err := ispider.Wrappers(oracleCase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newSessionOver(t, s, "h", []wrapper.Wrapper{pedro, gpmdb, pepseeker})
+		c.must("POST", "/federate", map[string]any{"session": "h", "name": "F"}, http.StatusCreated)
+		return c
+	}
+	type version = struct {
+		Version int      `json:"version"`
+		Name    string   `json:"name"`
+		Objects []string `json:"objects"`
+	}
+	versions := func(c *testClient) []version {
+		_, out := inProcess(c, "GET", "/schemas?session=h", nil)
+		var doc struct {
+			Versions []version `json:"versions"`
+		}
+		if err := json.Unmarshal(out, &doc); err != nil {
+			t.Error(err)
+		}
+		return doc.Versions
+	}
+	explained := func(c *testClient, v, j int) string {
+		status, answer := ask(c, "POST", "/query", map[string]any{"session": "h", "query": queries[j], "version": v, "explain": true})
+		return fmt.Sprintf("%d %s", status, answer)
+	}
+	plan := ispider.IntersectionPlan()
+
+	// The reference takes the steps one by one and reads every version
+	// after each.
+	objects := make(map[int]string)
+	answers := make(map[string]bool)
+	rc := start()
+	for i := 0; i <= len(plan); i++ {
+		if i > 0 {
+			rc.must("POST", "/"+plan[i-1].Kind, stepBody("h", plan[i-1].Step()), http.StatusCreated)
+		}
+		for _, v := range versions(rc) {
+			raw, _ := json.Marshal(v)
+			objects[v.Version] = string(raw)
+			for j := range queries {
+				answers[fmt.Sprintf("%d %d %s", v.Version, j, explained(rc, v.Version, j))] = true
+			}
+		}
+	}
+
+	c := start()
+	var passes atomic.Int64
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for last := false; !last; {
+				last = done.Load()
+				vs := versions(c)
+				for k, v := range vs {
+					if raw, _ := json.Marshal(v); string(raw) != objects[v.Version] {
+						t.Errorf("client %d: /schemas lists %s, the reference %s", g, raw, objects[v.Version])
+						return
+					}
+					j := (g + k + int(passes.Load())) % len(queries)
+					if got := explained(c, v.Version, j); !answers[fmt.Sprintf("%d %d %s", v.Version, j, got)] {
+						t.Errorf("client %d: %s at version %d = %.600s; the reference gives no such answer", g, queries[j], v.Version, got)
+						return
+					}
+				}
+				passes.Add(1)
+			}
+		}()
+	}
+	for _, st := range plan {
+		// Every client is reading while the step lands.
+		for seen := passes.Load(); passes.Load() < seen+4 && !t.Failed(); {
+			runtime.Gosched()
+		}
+		c.must("POST", "/"+st.Kind, stepBody("h", st.Step()), http.StatusCreated)
+	}
+	done.Store(true)
+	wg.Wait()
+}
