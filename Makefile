@@ -77,12 +77,16 @@ race:
 # listing every version's objects, and Table 1 asked with explain at
 # each, resolved in the version outside the integrator's lock: the
 # versions share their structure, and thirty times under the race
-# detector, publishing one may write nothing an older one reads.
+# detector, publishing one may write nothing an older one reads. So is
+# which version is read while a backfill publishes one — every version's
+# objects read on the integrator, and /schemas listed by four clients
+# while a probe backfills — thirty times under the race detector: the
+# backfill may write nothing a published version holds.
 flake:
 	$(GO) test -count=30 -run 'TestOracle' ./internal/query
 	$(GO) test -race -count=30 -run 'TestAddressTableConcurrentFill' ./internal/query
-	$(GO) test -race -count=30 -run 'TestImportsStepAtOnce' ./internal/core
-	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions|TestLatestAnswersWhileStepsLand|TestStepThroughTheIntegratorRetiresAnswers|TestSessionsShareAddressedCaches|TestOldVersionsReadWhileStepsLand' ./internal/server
+	$(GO) test -race -count=30 -run 'TestImportsStepAtOnce|TestVersionsReadWhileBackfillLands' ./internal/core
+	$(GO) test -race -count=30 -run 'TestPersist|TestSharedPlanAcrossSessions|TestLatestAnswersWhileStepsLand|TestStepThroughTheIntegratorRetiresAnswers|TestSessionsShareAddressedCaches|TestOldVersionsReadWhileStepsLand|TestSchemasReadWhileProbeBackfills' ./internal/server
 	$(GO) test -race -count=3 -run 'TestSessionOracle' ./internal/server
 
 # bench-smoke is the ci benchmark gate: one iteration of everything,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -159,25 +160,45 @@ func referenceSources(t *testing.T) []wrapper.Wrapper {
 // TestVersionsMatchTheReference takes random step histories —
 // intersections of entities and attributes, refinements from a source,
 // derived concepts (some later intersected), explicit rebuilds dropping
-// or not, auto-drop switched on and off, and restores from a checkpoint
-// part-way — and holds every published version to the reference built
-// at its step: its objects, their order, and every probe's resolution
-// (exact, by suffix, ambiguous, unknown); then, once the history is
-// done, every version again, which no later version may have changed.
+// or not, auto-drop switched on and off, restores from a checkpoint
+// part-way, and in every other history a federation that skips source C
+// and a backfill of it later — and holds every published version to the
+// reference built at its step: its objects, their order, and every
+// probe's resolution (exact, by suffix, ambiguous, unknown); then, once
+// the history is done, every version again, which no later version may
+// have changed.
 func TestVersionsMatchTheReference(t *testing.T) {
 	srcs := []string{"A", "B", "C"}
+	full, err := New(referenceSources(t)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := full.Federate("F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := probes(fed)
 	for seed := range uint64(40) {
 		r := rand.New(rand.NewPCG(seed, 45))
-		ig, err := New(referenceSources(t)...)
+		ws := referenceSources(t)
+		degraded := seed%2 == 1
+		if degraded {
+			if ws[2], err = wrapper.NewFault(ws[2], wrapper.FaultConfig{ErrorRate: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ig, err := New(ws...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ig.Federate("F"); err != nil {
+		if _, _, err := ig.FederateReachable(context.Background(), "F", 1); err != nil {
 			t.Fatal(err)
+		}
+		if (len(ig.Skipped()) == 1) != degraded {
+			t.Fatalf("seed %d: federation skipped %v", seed, ig.Skipped())
 		}
 		ig.SetAutoDrop(r.IntN(2) == 0)
 		want := map[int]versionView{}
-		ps := probes(ig.Global())
 		record := func(step string, drop bool) {
 			t.Helper()
 			g := ig.Global()
@@ -242,6 +263,14 @@ func TestVersionsMatchTheReference(t *testing.T) {
 			case op < 8:
 				ig.SetAutoDrop(!ig.autoDrop)
 				continue
+			case op == 8 && len(ig.Skipped()) > 0:
+				for _, w := range ig.Sources() {
+					if f, ok := w.(*wrapper.Fault); ok {
+						f.Set(wrapper.FaultConfig{})
+					}
+				}
+				desc, drop = fmt.Sprintf("step %d: backfill", step), ig.autoDrop
+				_, err = ig.Backfill(context.Background())
 			default:
 				snap, err := ig.Export()
 				if err != nil {

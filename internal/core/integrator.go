@@ -44,8 +44,9 @@ type Intersection struct {
 }
 
 // SchemaVersion pairs a global schema with its version number: version
-// 0 is the federated schema, and every Intersect/Refine/BuildGlobal
-// publishes the next version. All versions stay live for querying.
+// 0 is the federated schema, and every Intersect/Refine/BuildGlobal and
+// every Backfill that recovers a source publishes the next version,
+// which never changes after. All versions stay live for querying.
 type SchemaVersion struct {
 	Version int
 	Schema  *hdm.Schema
@@ -86,10 +87,9 @@ type Integrator struct {
 	iterations    []Iteration
 	autoDrop      bool
 	// skipped lists sources FederateReachable left out of the federated
-	// schema because they were down at federation time; Backfill folds
-	// them in once they answer a probe. Transient workflow state, not
-	// part of the durable snapshot: a restored session re-federates from
-	// its full source list.
+	// schema because they were down at federation time; their sections
+	// are empty until Backfill makes them, once they answer a probe. A
+	// checkpoint records them (Snapshot.Skipped).
 	skipped []string
 	// steps are the Intersect and Refine steps taken, in order, with a
 	// zero Step in the place of every other change (steps.go); barrier is
@@ -181,11 +181,11 @@ type fedSection struct {
 	defs []query.ObjectDef
 }
 
-// fedSections builds each listed source's federated section. Each
-// section depends only on that source's schema, so sections build
-// concurrently; callers merge them in registration order, keeping the
-// federated schema, pathway list and derivation order identical to a
-// serial build.
+// fedSections builds each listed source's federated section and records
+// its objects as the source's federated objects. Each section depends
+// only on that source's schema, so sections build concurrently; callers
+// merge them in registration order, keeping the pathway list and
+// derivation order identical to a serial build.
 func (ig *Integrator) fedSections(name string, sources []wrapper.Wrapper) []fedSection {
 	sections := make([]fedSection, len(sources))
 	var wg sync.WaitGroup
@@ -217,35 +217,27 @@ func (ig *Integrator) fedSections(name string, sources []wrapper.Wrapper) []fedS
 		}(i, w)
 	}
 	wg.Wait()
+	for _, sec := range sections {
+		ig.federated[sec.src] = sec.objs
+	}
 	return sections
 }
 
-// mergeFedSections folds sections into the federated schema in order,
-// registering derivations as one batch and storing each rename
-// pathway. It returns how many objects (auto renames) were added.
-func (ig *Integrator) mergeFedSections(fed *hdm.Schema, sections []fedSection) (int, error) {
-	var pathways []*transform.Pathway
+// mergeFedSections registers the sections' derivations as one batch and
+// stores each rename pathway.
+func (ig *Integrator) mergeFedSections(sections []fedSection) error {
 	var defs []query.ObjectDef
-	added := 0
 	for _, sec := range sections {
-		for _, o := range sec.objs {
-			if err := fed.Add(o); err != nil {
-				return 0, fmt.Errorf("core: federate: %w", err)
-			}
-			added++
-		}
-		ig.federated[sec.src] = sec.objs
-		pathways = append(pathways, sec.pw)
 		defs = append(defs, sec.defs...)
 	}
 	// One batch registration: a single lock acquisition.
 	ig.proc.DefineAll(defs)
-	for _, pw := range pathways {
-		if err := ig.addPathway(pw); err != nil {
-			return 0, err
+	for _, sec := range sections {
+		if err := ig.addPathway(sec.pw); err != nil {
+			return err
 		}
 	}
-	return added, nil
+	return nil
 }
 
 // Federate builds the federated schema F = S1 ∪ … ∪ Sn: every source
@@ -305,26 +297,30 @@ func (ig *Integrator) federateLocked(name string, sources []wrapper.Wrapper, ski
 	if err := ig.checkPrefixedNames(); err != nil {
 		return nil, err
 	}
+	if _, taken := ig.repo.Schema(name); taken {
+		return nil, fmt.Errorf("core: federate: a schema named %q is already stored", name)
+	}
 	ig.unjournaled()
-	fed := hdm.NewSchema(name)
-	var counts StepCounts
+	// Version 0 is made of the sections, a skipped source's empty, as
+	// every later version is (workflow.go).
+	ig.skipped = slices.Clone(skipped)
 	sections := ig.fedSections(name, sources)
+	c := ig.bare(false)
+	fed, err := hdm.NewVersion(name, nil, c.fed, nil, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: federate: %w", err)
+	}
 	if err := ig.repo.AddSchema(fed); err != nil {
 		return nil, err
 	}
-	added, err := ig.mergeFedSections(fed, sections)
-	if err != nil {
+	if err := ig.mergeFedSections(sections); err != nil {
 		return nil, err
 	}
-	counts.AutoRenames = added
-	ig.fedName = name
-	ig.fed = fed
-	ig.global = fed
-	ig.comp = ig.unread(fed)
-	ig.skipped = append([]string(nil), skipped...)
+	c.schema = fed
+	ig.fedName, ig.fed, ig.global, ig.comp = name, fed, fed, c
 	ig.versions = append(ig.versions, SchemaVersion{Version: 0, Schema: fed})
 	ig.iterations = append(ig.iterations, Iteration{
-		Name: name, Kind: "federate", Counts: counts, GlobalSchema: name,
+		Name: name, Kind: "federate", Counts: StepCounts{AutoRenames: fed.Len()}, GlobalSchema: name,
 	})
 	return fed, nil
 }
@@ -332,8 +328,8 @@ func (ig *Integrator) federateLocked(name string, sources []wrapper.Wrapper, ski
 // checkPrefixedNames refuses a source set in which two sources' objects
 // take the same name under their provenance prefixes (source Lab's
 // <<x_y>> and source Lab_X's <<y>> are both <<lab_x_y>>). Every source
-// counts, skipped ones too: Backfill folds those in later, and a
-// collision found there would leave half a source federated.
+// counts, skipped ones too: Backfill adds those later, and a collision
+// found there would leave half a source federated.
 func (ig *Integrator) checkPrefixedNames() error {
 	owner := make(map[string]string)
 	for _, w := range ig.sources {
@@ -358,44 +354,43 @@ func (ig *Integrator) Skipped() []string {
 }
 
 // Backfill retries every skipped source: each that now answers its
-// probe is folded into the federated schema exactly as Federate would
-// have (prefixed objects, rename pathway, scoped derivations), and
-// removed from the skipped set. It returns the names of the sources
-// recovered. Intersect is unaffected: intersections register only over
-// the sources their mappings name.
+// probe gets the federated section Federate would have made it
+// (prefixed objects, rename pathway, scoped derivations) and leaves the
+// skipped set. A backfill that recovers any publishes the next global
+// version, which adds their sections, and changes no version published
+// before it. It returns the names of the sources recovered. Intersect
+// is unaffected: intersections register only over the sources their
+// mappings name.
 func (ig *Integrator) Backfill(ctx context.Context) ([]string, error) {
 	ig.mu.Lock()
 	defer ig.mu.Unlock()
 	if ig.fed == nil || len(ig.skipped) == 0 {
 		return nil, nil
 	}
-	var recovered []string
-	var still []string
-	for _, name := range ig.skipped {
-		var w wrapper.Wrapper
-		for _, s := range ig.sources {
-			if s.SchemaName() == name {
-				w = s
-				break
-			}
+	var recovered, still []string
+	var ws []wrapper.Wrapper
+	for _, w := range ig.sources {
+		name := w.SchemaName()
+		if !slices.Contains(ig.skipped, name) {
+			continue
 		}
-		if w == nil {
-			continue // source vanished; nothing to backfill
+		if p, ok := w.(query.Pinger); ok && p.Ping(ctx) != nil {
+			still = append(still, name)
+			continue
 		}
-		if p, ok := w.(query.Pinger); ok {
-			if err := p.Ping(ctx); err != nil {
-				still = append(still, name)
-				continue
-			}
-		}
-		sections := ig.fedSections(ig.fedName, []wrapper.Wrapper{w})
-		if _, err := ig.mergeFedSections(ig.fed, sections); err != nil {
-			return recovered, fmt.Errorf("core: backfilling source %q: %w", name, err)
-		}
-		recovered = append(recovered, name)
-		ig.unjournaled()
+		recovered, ws = append(recovered, name), append(ws, w)
 	}
 	ig.skipped = still
+	if len(ws) == 0 {
+		return nil, nil
+	}
+	ig.unjournaled()
+	if err := ig.mergeFedSections(ig.fedSections(ig.fedName, ws)); err != nil {
+		return nil, fmt.Errorf("core: backfilling %s: %w", strings.Join(recovered, ", "), err)
+	}
+	if _, err := ig.rebuildGlobal(ig.autoDrop); err != nil {
+		return nil, err
+	}
 	return recovered, nil
 }
 
@@ -415,7 +410,9 @@ func (ig *Integrator) addPathway(pw *transform.Pathway) error {
 	return ig.repo.AddPathway(pw, false)
 }
 
-// Federated returns the federated schema (nil before Federate).
+// Federated returns the federated schema, global version 0 (nil before
+// Federate): the sources federation reached. A source backfilled later
+// is in the versions published since, never in this one.
 func (ig *Integrator) Federated() *hdm.Schema {
 	ig.mu.RLock()
 	defer ig.mu.RUnlock()
@@ -867,12 +864,16 @@ func (ig *Integrator) planAutoParents(fwds []parsedFwd, explicit map[string]bool
 	return out, nil
 }
 
-// notFederated refuses a step's target that names an object of the
-// federated schema: the next global schema could not hold both, and the
-// step is refused before it defines anything.
+// notFederated refuses a step's target that names a source's object
+// under its provenance prefix: the next global schema could not hold
+// both, and the step is refused before it defines anything. Every
+// source counts, skipped ones too, as in checkPrefixedNames: Backfill
+// adds those later.
 func (ig *Integrator) notFederated(target hdm.Scheme) error {
-	if ig.fed.Has(target) {
-		return fmt.Errorf("target %s is already an object of the federated schema %s", target, ig.fed.Name())
+	for _, w := range ig.sources {
+		if pfx := ig.prefix[w.SchemaName()]; target.HasPrefix(pfx) && w.Schema().Has(target.TrimPrefix(pfx)) {
+			return fmt.Errorf("target %s is already source %q's federated object", target, w.SchemaName())
+		}
 	}
 	return nil
 }

@@ -102,14 +102,11 @@ func (s *Snapshot) decoded() (*snapshotImage, error) {
 	return img, img.err
 }
 
-// federatedIn returns each source's objects in the federated schema
-// fedName of r, in the order of the source's rename pathway to it: the
-// objects federation or backfill made of the source's.
+// federatedIn returns each source's objects under its provenance prefix,
+// in the order of the source's rename pathway to the federated schema
+// fedName of r: the objects federation or backfill made of the
+// source's, which the federated schema holds for those federation made.
 func federatedIn(r *repo.Repository, fedName string) map[string][]*hdm.Object {
-	fed, ok := r.Schema(fedName)
-	if !ok {
-		return nil
-	}
 	out := make(map[string][]*hdm.Object)
 pathways:
 	for _, pw := range r.Pathways() {
@@ -121,9 +118,7 @@ pathways:
 			if st.Kind != transform.Rename {
 				continue pathways
 			}
-			if objs[i], ok = fed.Object(st.To.Scheme); !ok {
-				continue pathways
-			}
+			objs[i] = st.To
 		}
 		out[pw.Source] = objs
 	}
@@ -312,13 +307,11 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 // The repository and the definitions are decoded by a snapshot's first
 // import only (decoded): each import clones that repository and shares
 // the parsed definitions. The clone shares the stored schemas and
-// pathways, which no later step changes in place: a step adds schemas
-// and pathways. The one change in place, Backfill extending the
-// federated schema, is open only to an integrator whose federation
-// skipped a source, which decodes a repository of its own. Every other
-// import also takes each source's federated objects from the image,
-// where they are what prefixing the source's objects would make, so its
-// first global schema adds the image's objects and prefixes none.
+// pathways, which no later step, Backfill included, changes in place: a
+// step adds schemas and pathways. An import also takes each source's
+// federated objects from the image, where they are what prefixing the
+// source's objects would make, so its first global schema adds the
+// image's objects and prefixes none.
 func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
@@ -335,11 +328,6 @@ func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 		return nil, err
 	}
 	r := img.repo.Clone()
-	if len(snap.Skipped) > 0 {
-		if r, err = repo.Decode(snap.Repo); err != nil {
-			return nil, fmt.Errorf("core: restoring repository: %w", err)
-		}
-	}
 	ig := &Integrator{
 		repo:      r,
 		proc:      query.New(),
@@ -359,7 +347,7 @@ func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 		ig.sources = append(ig.sources, w)
 		src := w.SchemaName()
 		ig.prefix[src] = sanitizePrefix(src)
-		if objs, ok := img.federated[src]; ok && len(snap.Skipped) == 0 && prefixes(objs, w.Schema(), ig.prefix[src]) {
+		if objs, ok := img.federated[src]; ok && prefixes(objs, w.Schema(), ig.prefix[src]) {
 			ig.federated[src] = objs
 		}
 	}
@@ -446,7 +434,7 @@ func Import(snap *Snapshot, held ...wrapper.Wrapper) (*Integrator, error) {
 	}
 	ig.iterations = append(ig.iterations, snap.Iterations...)
 	if ig.global != nil {
-		ig.comp = ig.unread(ig.global)
+		ig.comp = &composition{schema: ig.global, ninters: len(ig.intersections), nderived: len(ig.derivedObjs), unread: true}
 	}
 	return ig, nil
 }

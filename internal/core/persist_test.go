@@ -375,23 +375,13 @@ func TestImportsTakeFederatedObjectsFromTheImage(t *testing.T) {
 }
 
 // TestImportWithASkippedSourceBackfillsAndPrefixes: a checkpoint taken
-// while federation had skipped a source is restored with a repository
-// of its own; once the source answers, Backfill folds it in, and the
-// next global schema holds every source's prefixed objects as the
-// exporting integrator's does after the same steps.
+// while federation had skipped a source is restored over the image's
+// federated schema; once the source answers, Backfill publishes a
+// version that adds it, leaving the image's federated schema as it was,
+// and the next global schema holds every source's prefixed objects as
+// the exporting integrator's does after the same steps.
 func TestImportWithASkippedSourceBackfillsAndPrefixes(t *testing.T) {
-	wl, err := wrapper.NewRelational("Library", libraryDB(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	down := faultedShop(t, wrapper.FaultConfig{ErrorRate: 1})
-	ig, err := New(wl, down)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ig.FederateReachable(context.Background(), "F", 1); err != nil {
-		t.Fatal(err)
-	}
+	ig, down := degradedLibrary(t, false)
 	snap := decodeSnapshot(t, exportJSONOf(t, mustExport(t, ig)))
 	if len(snap.Skipped) != 1 {
 		t.Fatalf("the snapshot skips %v, want [Shop]", snap.Skipped)
@@ -412,9 +402,11 @@ func TestImportWithASkippedSourceBackfillsAndPrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if imageFed, _ := snap.image.repo.Schema("F"); restored.Federated() == imageFed || len(restored.federated) != 0 {
-		t.Fatal("an import with a skipped source shares the image's federated schema or objects")
+	imageFed, _ := snap.image.repo.Schema("F")
+	if restored.Federated() != imageFed {
+		t.Fatal("an import with a skipped source does not share the image's federated schema")
 	}
+	fedObjects := objectsOf(imageFed)
 	for _, w := range restored.Sources() {
 		if f, ok := w.(*wrapper.Fault); ok {
 			f.Set(wrapper.FaultConfig{})
@@ -422,6 +414,9 @@ func TestImportWithASkippedSourceBackfillsAndPrefixes(t *testing.T) {
 	}
 	if got := steps(restored); !reflect.DeepEqual(got, want) {
 		t.Errorf("the restored integrator's global schema holds\n%v\nwant\n%v", got, want)
+	}
+	if got := objectsOf(imageFed); !reflect.DeepEqual(got, fedObjects) {
+		t.Errorf("the restored integrator's backfill changed the image's federated schema to\n%v\nfrom\n%v", got, fedObjects)
 	}
 	for _, sc := range []string{"<<library_books>>", "<<shop_items, price>>"} {
 		if !restored.Global().Has(hdm.MustScheme(sc)) {

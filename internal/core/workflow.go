@@ -117,11 +117,17 @@ func (ig *Integrator) rebuildGlobal(dropRedundant bool) (*hdm.Schema, error) {
 	}
 	// Derived minus-pathways ES → (ES − I), per the paper's
 	// operational rule, recorded for BAV bookkeeping, in the order the
-	// sources contribute (a checkpoint lists them as they were added).
+	// sources contribute (a checkpoint lists them as they were added):
+	// one for each intersection and source, stored by the first rebuild
+	// that drops.
 	if dropRedundant {
 		for _, in := range ig.intersections {
 			for _, src := range in.Sources {
-				mp, err := transform.MinusPathway(in.PathwayBySource[src], name+":"+ig.prefix[src]+"-minus")
+				minus := in.Name + ":" + ig.prefix[src] + "-minus"
+				if findPathway(ig.repo, src, minus) != nil {
+					continue
+				}
+				mp, err := transform.MinusPathway(in.PathwayBySource[src], minus)
 				if err != nil {
 					return nil, err
 				}
@@ -157,22 +163,15 @@ type composition struct {
 	// fed holds each source's section, in registration order, and from
 	// the federatedObjects each was taken from.
 	fed, from [][]*hdm.Object
-	// unread marks the composition of a schema the integrator did not
-	// build — the federated schema, or a restore's latest version —
-	// whose sections are read from the schema on first use.
+	// unread marks the composition of a restore's latest version, a
+	// schema the integrator did not build, whose sections are read from
+	// the schema on first use.
 	unread bool
 }
 
-// unread returns the composition of s, a global schema the integrator
-// did not build, over what the integrator holds now.
-func (ig *Integrator) unread(s *hdm.Schema) *composition {
-	return &composition{schema: s, ninters: len(ig.intersections), nderived: len(ig.derivedObjs), unread: true}
-}
-
 // composed returns the composition of the current global schema, for
-// the next version to extend under drop, or nil when it cannot: it is
-// not known, it drops otherwise, or a source's federated objects have
-// changed since (Backfill).
+// the next version to extend, or nil when it cannot: it is not known,
+// or it drops otherwise.
 func (ig *Integrator) composed(drop bool) *composition {
 	c := ig.comp
 	if c == nil || c.schema != ig.global {
@@ -187,11 +186,6 @@ func (ig *Integrator) composed(drop bool) *composition {
 	}
 	if c.drop != drop && deletes(ig.intersections[:c.ninters]) {
 		return nil
-	}
-	for i, w := range ig.sources {
-		if objs := ig.federatedObjects(w); !sameSlice(objs, c.from[i]) {
-			return nil
-		}
 	}
 	return c
 }
@@ -209,9 +203,10 @@ func (ig *Integrator) bare(drop bool) *composition {
 
 // extend makes the global schema version name out of c and what the
 // integrator took since c: the targets of later intersections, later
-// derived objects, and — under drop — the federated objects later
-// intersections delete, dropped. A target an earlier derived object
-// names moves to the targets. c is not changed.
+// derived objects, the section of each source whose federated objects
+// are not c's (Backfill) made anew from them, and — under drop — the
+// federated objects later intersections delete, dropped. A target an
+// earlier derived object names moves to the targets. c is not changed.
 func (ig *Integrator) extend(c *composition, name string, drop bool) (*composition, error) {
 	next := &composition{
 		ninters: len(ig.intersections), nderived: len(ig.derivedObjs), drop: drop,
@@ -245,25 +240,34 @@ func (ig *Integrator) extend(c *composition, name string, drop bool) (*compositi
 		added = append(added, obj)
 	}
 	for i, w := range ig.sources {
-		var redundant map[string]bool
-		if drop {
-			redundant = ig.redundant(ig.intersections[c.ninters:], w.SchemaName())
+		sec, from, ins := c.fed[i], ig.federatedObjects(w), ig.intersections[c.ninters:]
+		if !sameSlice(from, c.from[i]) {
+			sec, ins = from, ig.intersections
 		}
-		if len(redundant) == 0 || !slices.ContainsFunc(next.fed[i], func(o *hdm.Object) bool { return redundant[o.Scheme.Key()] }) {
+		if !drop {
+			ins = nil
+		}
+		redundant := ig.redundant(ins, w.SchemaName())
+		if isRedundant := func(o *hdm.Object) bool { return redundant[o.Scheme.Key()] }; len(redundant) > 0 && slices.ContainsFunc(sec, isRedundant) {
+			sec = slices.DeleteFunc(slices.Clone(sec), isRedundant)
+		}
+		if sameSlice(sec, c.fed[i]) && sameSlice(from, c.from[i]) {
 			continue
 		}
-		kept := make([]*hdm.Object, 0, len(next.fed[i]))
-		for _, o := range next.fed[i] {
-			if redundant[o.Scheme.Key()] {
+		for _, o := range sec {
+			if !slices.Contains(c.fed[i], o) {
+				added = append(added, o)
+			}
+		}
+		for _, o := range c.fed[i] {
+			if !slices.Contains(sec, o) {
 				removed = append(removed, o.Scheme.Key())
-			} else {
-				kept = append(kept, o)
 			}
 		}
 		if sameSlice(next.fed, c.fed) {
-			next.fed = slices.Clone(next.fed)
+			next.fed, next.from = slices.Clone(next.fed), slices.Clone(next.from)
 		}
-		next.fed[i] = kept
+		next.fed[i], next.from[i] = sec, from
 	}
 	parts := make([][]*hdm.Object, 0, 2+len(next.fed))
 	parts = append(parts, slices.Clip(next.targets), slices.Clip(next.derived))
@@ -279,12 +283,8 @@ func (ig *Integrator) extend(c *composition, name string, drop bool) (*compositi
 // first ninters intersections and nderived derived objects — its
 // sections the schema's own objects — or nil when s is not one: it
 // holds other objects, or in another order, or it lacks a federated
-// object no intersection of those deletes. The federated schema is not
-// read while a source federation skipped may still be folded into it.
+// object no intersection of those deletes.
 func (ig *Integrator) read(s *hdm.Schema, ninters, nderived int) *composition {
-	if s == ig.fed && len(ig.skipped) > 0 {
-		return nil
-	}
 	objs := s.Order()
 	c := &composition{schema: s, ninters: ninters, nderived: nderived,
 		fed: make([][]*hdm.Object, len(ig.sources)), from: make([][]*hdm.Object, len(ig.sources))}
@@ -407,12 +407,15 @@ func sameSlice[T any](a, b []T) bool {
 }
 
 // federatedObjects returns source w's objects under its provenance
-// prefix: the ones federation or backfill made, or a restore took from
-// its checkpoint's image, or — for a source none has taken (skipped at
-// federation, or restored with a source federation skipped) or whose
-// schema has grown since — ones made now and kept.
+// prefix: none while it is skipped, else the ones federation or
+// backfill made, or a restore took from its checkpoint's image, or — for
+// a source a restore could not take them for, or whose schema has grown
+// since — ones made now and kept.
 func (ig *Integrator) federatedObjects(w wrapper.Wrapper) []*hdm.Object {
 	src := w.SchemaName()
+	if slices.Contains(ig.skipped, src) {
+		return nil
+	}
 	if objs, ok := ig.federated[src]; ok && len(objs) == w.Schema().Len() {
 		return objs
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -302,6 +303,39 @@ func TestManyIterationsGlobalVersioning(t *testing.T) {
 		if _, ok := ig.Repo().Schema(v); !ok {
 			t.Errorf("version %s not stored", v)
 		}
+	}
+}
+
+// TestMinusPathwaysAreStoredOnce: the first rebuild that drops stores a
+// minus pathway for each intersection and source, and later rebuilds,
+// a restored integrator's too, find them stored and store none.
+func TestMinusPathwaysAreStoredOnce(t *testing.T) {
+	ig := multiIterationIntegrator(t)
+	rebuild := func(g *Integrator) []int {
+		t.Helper()
+		var counts []int
+		for range 5 {
+			if _, err := g.BuildGlobal(true); err != nil {
+				t.Fatal(err)
+			}
+			counts = append(counts, len(g.Repo().Pathways()))
+		}
+		return counts
+	}
+	want := len(ig.Repo().Pathways())
+	for _, in := range ig.Intersections() {
+		want += len(in.Sources)
+	}
+	other := func(n int) bool { return n != want }
+	if counts := rebuild(ig); slices.ContainsFunc(counts, other) {
+		t.Errorf("five rebuilds dropping leave the repository %v pathways; want %d each time", counts, want)
+	}
+	restored, err := Import(decodeSnapshot(t, exportJSONOf(t, mustExport(t, ig))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts := rebuild(restored); slices.ContainsFunc(counts, other) {
+		t.Errorf("after a restore, five rebuilds dropping leave the repository %v pathways; want %d each time", counts, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -40,6 +41,21 @@ func TestDecodeQueryIsDecode(t *testing.T) {
 		}
 		if wantErr == nil && !reflect.DeepEqual(got, want) {
 			t.Errorf("%q: read %+v, decode %+v", body, got, want)
+		}
+	}
+}
+
+// TestReadQueryCopiesAStringOnce: a query text read in place is copied
+// out of the body once, escaped or not.
+func TestReadQueryCopiesAStringOnce(t *testing.T) {
+	for _, body := range []string{`{"query":"count(<<UBook>>)"}`, `{"query":"count(<<UBook>>) \"a\\b\""}`} {
+		b := []byte(body)
+		var req queryReq
+		if allocs := testing.AllocsPerRun(10, func() { readQuery(b, &req) }); allocs != 1 {
+			t.Errorf("%s: reading it in place allocates %v times, want once", body, allocs)
+		}
+		if want := `count(<<UBook>>)`; !strings.HasPrefix(req.Query, want) {
+			t.Errorf("%s: read %q", body, req.Query)
 		}
 	}
 }

@@ -226,10 +226,10 @@ func readQuery(b []byte, req *queryReq) bool {
 			if !ok {
 				return false
 			}
-			if *str, b = string(raw), rest; escaped {
-				if *str, ok = unescape(raw); !ok {
-					return false
-				}
+			if b = rest; !escaped {
+				*str = string(raw)
+			} else if *str, ok = unescape(raw); !ok {
+				return false
 			}
 		default:
 			if *flag = bytes.HasPrefix(b, []byte("true")); *flag {
@@ -281,20 +281,26 @@ func jsonString(b []byte) (raw []byte, escaped bool, rest []byte, ok bool) {
 
 // unescape is the value of a JSON string whose escapes jsonString has
 // checked, unless it escapes a surrogate, which JSON pairs or replaces.
+// The value is built in one allocation, each run between escapes copied
+// at once.
 func unescape(raw []byte) (string, bool) {
-	out := make([]byte, 0, len(raw))
-	for i := 0; i < len(raw); i++ {
-		if raw[i] != '\\' {
-			out = append(out, raw[i])
-			continue
+	var out strings.Builder
+	out.Grow(len(raw))
+	for {
+		i := bytes.IndexByte(raw, '\\')
+		if i < 0 {
+			out.Write(raw)
+			return out.String(), true
 		}
-		i++
-		switch c := raw[i]; c {
+		c := raw[i+1]
+		out.Write(raw[:i])
+		raw = raw[i+2:]
+		switch c {
 		case 'b', 'f', 'n', 'r', 't':
-			out = append(out, "\b\f\n\r\t"[strings.IndexByte("bfnrt", c)])
+			out.WriteByte("\b\f\n\r\t"[strings.IndexByte("bfnrt", c)])
 		case 'u':
 			var r rune
-			for j := i + 1; j <= i+4; j++ {
+			for j := range 4 {
 				d := -1
 				if j < len(raw) {
 					d = strings.IndexByte("0123456789abcdef", raw[j]|0x20)
@@ -307,10 +313,10 @@ func unescape(raw []byte) (string, bool) {
 			if utf16.IsSurrogate(r) {
 				return "", false
 			}
-			out, i = utf8.AppendRune(out, r), i+4
+			out.WriteRune(r)
+			raw = raw[4:]
 		default: // a quotation mark, a reverse solidus or a solidus
-			out = append(out, c)
+			out.WriteByte(c)
 		}
 	}
-	return string(out), true
 }

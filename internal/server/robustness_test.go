@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -296,6 +299,73 @@ func TestDegradedFederationAndBackfill(t *testing.T) {
 	h = c.must("GET", "/healthz", nil, http.StatusOK)
 	if h["status"] != "ok" {
 		t.Fatalf("healthz status after backfill = %v, want ok", h["status"])
+	}
+}
+
+// TestSchemasReadWhileProbeBackfills: clients list /schemas while a
+// probe backfills the source federation skipped. The backfill publishes
+// a version and writes nothing the versions listed before it hold: each
+// listing's version 0 is the one federation published. make flake runs
+// it thirty times under the race detector.
+func TestSchemasReadWhileProbeBackfills(t *testing.T) {
+	cfg := robustCfg()
+	cfg.MinFederatedSources = 1
+	s, c := newTestClient(t, cfg)
+	c.must("POST", "/sources", map[string]any{
+		"name":   "Steady",
+		"tables": []map[string]any{{"name": "rows", "columns": []string{"id:int", "label"}, "rows": [][]any{{0, "a"}}}},
+	}, http.StatusCreated)
+	c.must("POST", "/sources", map[string]any{
+		"name": "Flaky",
+		"fault": map[string]any{
+			"tables": []map[string]any{{"name": "items", "columns": []string{"id:int", "label"}, "rows": [][]any{{0, "x"}}}},
+			"config": map[string]any{"error_rate": 1},
+		},
+	}, http.StatusCreated)
+	c.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
+	type version = struct {
+		Version int      `json:"version"`
+		Objects []string `json:"objects"`
+	}
+	versions := func() []version {
+		var doc struct {
+			Versions []version `json:"versions"`
+		}
+		if _, out := inProcess(c, "GET", "/schemas", nil); json.Unmarshal(out, &doc) != nil || len(doc.Versions) == 0 {
+			t.Errorf("/schemas = %s", out)
+		}
+		return doc.Versions
+	}
+	fed := versions()[0]
+	sess, err := s.reg.Get("default", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, _ := sess.Wrapper("Flaky")
+	fw.(*wrapper.Fault).Set(wrapper.FaultConfig{})
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for last := false; !last; {
+				last = done.Load()
+				if vs := versions(); len(vs) == 0 || !reflect.DeepEqual(vs[0], fed) {
+					t.Errorf("/schemas lists version 0 as %v, not %v", vs, fed)
+					return
+				}
+			}
+		}()
+	}
+	if n := sess.Probe(context.Background()); n != 1 {
+		t.Errorf("Probe recovered %d sources, want 1", n)
+	}
+	done.Store(true)
+	wg.Wait()
+	if vs := versions(); len(vs) != 2 || len(vs[1].Objects) != len(fed.Objects)+3 {
+		t.Errorf("after the backfill /schemas lists %v; want version 0 and one holding Flaky's three objects too", vs)
 	}
 }
 

@@ -142,9 +142,9 @@ func (s *Session) SourceHealth() []query.SourceHealth {
 
 // Probe drives the session's recovery paths once: open breakers get a
 // probe fetch (closing on success), and federation-skipped sources are
-// re-probed and backfilled into the federated schema. It returns the
-// number of sources that recovered. Safe to call concurrently with
-// queries; a no-op before federation.
+// re-probed and backfilled, which publishes a global schema version. It
+// returns the number of sources that recovered. Safe to call
+// concurrently with queries; a no-op before federation.
 func (s *Session) Probe(ctx context.Context) int {
 	ig, err := s.integrator()
 	if err != nil {
@@ -154,7 +154,7 @@ func (s *Session) Probe(ctx context.Context) int {
 	if len(ig.Skipped()) > 0 {
 		// A backfill defines the sources' federated objects: answers
 		// over them are addressed anew. A probe reports how many
-		// recovered; a backfill that fails leaves its sources skipped.
+		// recovered; one that fails to answer stays skipped.
 		recovered, _ := ig.Backfill(ctx)
 		n += len(recovered)
 	}
