@@ -28,27 +28,20 @@ var NoExtents Extents = ExtentsFunc(func(parts []string) (Value, error) {
 	return Value{}, fmt.Errorf("iql: no extent source for <<%s>>", strings.Join(parts, ", "))
 })
 
-// Env is a lexically scoped variable environment. Scopes bind very few
-// variables (a generator pattern's worth), so bindings live in parallel
-// inline slices: Bind never allocates a map and Lookup is a short
-// linear scan. NewEnv, Child and Bind serve 'let', the top-level
-// environment and callers outside the package. A generator's scope is
-// not built through them: its names are fixed by the pattern when the
-// comprehension is analysed, it is allocated once per evaluation
-// context and kept with it, and elements are stored into vals by
-// position (see compCtx.enter and slotPat in opt.go).
+// Env is a lexically scoped variable environment: a chain of scopes,
+// each holding the values of its bindings. Analysis resolves every
+// variable a comprehension mentions to a scope depth and a slot (see
+// slotRef in opt.go), so a comprehension reads its variables by
+// position: its own scope — one per evaluation, holding every variable
+// its generators bind — stores no names, and a let's name is read only
+// outside every comprehension. A caller binds its variables into a zero
+// Env (Bind); a name that nothing inside the evaluated expression binds
+// is the caller's, and is looked up by name (lookup), a short scan.
 type Env struct {
 	names  []string
 	vals   []Value
 	parent *Env
 }
-
-// NewEnv returns an empty top-level environment.
-func NewEnv() *Env { return &Env{} }
-
-// Child returns a new scope nested in e. Binding storage is allocated
-// lazily on first Bind, keeping non-binding scopes cheap.
-func (e *Env) Child() *Env { return &Env{parent: e} }
 
 // Bind sets a variable in the current scope, overwriting an existing
 // same-scope binding.
@@ -63,16 +56,16 @@ func (e *Env) Bind(name string, v Value) {
 	e.vals = append(e.vals, v)
 }
 
-// Lookup finds a variable in the current or any enclosing scope.
-func (e *Env) Lookup(name string) (Value, bool) {
+// lookup finds a variable by name in the current or any enclosing scope.
+func (e *Env) lookup(name string) (Value, error) {
 	for s := e; s != nil; s = s.parent {
 		for i, n := range s.names {
 			if n == name {
-				return s.vals[i], true
+				return s.vals[i], nil
 			}
 		}
 	}
-	return Value{}, false
+	return Value{}, fmt.Errorf("iql: unbound variable %q", name)
 }
 
 // StepBudget is an evaluation step counter shared by several
@@ -151,8 +144,7 @@ func NewEvaluator(ext Extents) *Evaluator {
 
 // Eval evaluates an expression in an environment (nil for empty).
 func (ev *Evaluator) Eval(e Expr, env *Env) (Value, error) {
-	env, err := ev.begin(env)
-	if err != nil {
+	if err := ev.begin(); err != nil {
 		return Value{}, err
 	}
 	v, err := ev.eval(e, env)
@@ -162,10 +154,7 @@ func (ev *Evaluator) Eval(e Expr, env *Env) (Value, error) {
 
 // begin is what every evaluation starts with: the step count at zero,
 // the budget to enforce worked out, the context asked once.
-func (ev *Evaluator) begin(env *Env) (*Env, error) {
-	if env == nil {
-		env = NewEnv()
-	}
+func (ev *Evaluator) begin() error {
 	ev.steps = 0
 	switch {
 	case ev.Budget != nil && ev.Budget.Max > 0:
@@ -177,10 +166,10 @@ func (ev *Evaluator) begin(env *Env) (*Env, error) {
 	}
 	if ev.Ctx != nil {
 		if err := ev.Ctx.Err(); err != nil {
-			return nil, fmt.Errorf("iql: evaluation cancelled: %w", err)
+			return fmt.Errorf("iql: evaluation cancelled: %w", err)
 		}
 	}
-	return env, nil
+	return nil
 }
 
 // end is what every evaluation that began ends with, failed or not: the
@@ -223,9 +212,8 @@ func (e *EncodingError) Unwrap() error { return e.Err }
 // encoding it after Eval would have found: an evaluation error further
 // on in the scan comes first. After any error dst holds whatever had
 // been appended by then, for the caller to cut off.
-func (ev *Evaluator) EvalEncoded(dst *Encoding, e Expr, env *Env) error {
-	env, err := ev.begin(env)
-	if err != nil {
+func (ev *Evaluator) EvalEncoded(dst *Encoding, e Expr, env *Env) (err error) {
+	if err = ev.begin(); err != nil {
 		return err
 	}
 	a := answer{e: encoder{want: wantJSON | wantText | textEscaped, json: dst.JSON}, text: dst.Text}
@@ -391,12 +379,17 @@ func (ev *Evaluator) eval(e Expr, env *Env) (Value, error) {
 	case *Lit:
 		return n.Val, nil
 
-	case *Var:
-		v, ok := env.Lookup(n.Name)
-		if !ok {
-			return Value{}, fmt.Errorf("iql: unbound variable %q", n.Name)
+	case *slotRef:
+		for range n.depth {
+			env = env.parent
 		}
-		return v, nil
+		if n.slot >= 0 {
+			return env.vals[n.slot], nil
+		}
+		return env.lookup(n.name)
+
+	case *Var:
+		return env.lookup(n.Name)
 
 	case *SchemeRef:
 		ext := ev.Ext
@@ -488,9 +481,7 @@ func (ev *Evaluator) eval(e Expr, env *Env) (Value, error) {
 		if err != nil {
 			return Value{}, err
 		}
-		child := env.Child()
-		child.Bind(n.Name, v)
-		return ev.eval(n.Body, child)
+		return ev.eval(n.Body, &Env{names: []string{n.Name}, vals: []Value{v}, parent: env})
 	}
 	return Value{}, fmt.Errorf("iql: cannot evaluate %T", e)
 }
@@ -518,22 +509,26 @@ func (ev *Evaluator) countComp(c *Comp, env *Env) (Value, error) {
 	if err := ev.step(); err != nil {
 		return Value{}, err
 	}
-	ctx := ev.compCtxFor(c)
-	defer ctx.release()
-	if n, ok, err := ctx.countAtSource(); err != nil || ok {
-		return Int(n), err
-	}
 	out := sink{count: true}
-	if err := ctx.run(0, env, &out); err != nil {
+	if err := ev.runComp(c, env, &out); err != nil {
 		return Value{}, err
 	}
 	return Int(out.n), nil
 }
 
-func (ev *Evaluator) runComp(c *Comp, env *Env, out *sink) error {
+// runComp evaluates c under env into out; a counting sink takes the
+// count from the source when it can.
+func (ev *Evaluator) runComp(c *Comp, env *Env, out *sink) (err error) {
 	ctx := ev.compCtxFor(c)
 	defer ctx.release()
-	return ctx.run(0, env, out)
+	if out.count {
+		var ok bool
+		if out.n, ok, err = ctx.countAtSource(); err != nil || ok {
+			return err
+		}
+	}
+	ctx.scope.parent = env
+	return ctx.run(0, out)
 }
 
 func (ev *Evaluator) evalBinary(n *Binary, env *Env) (Value, error) {

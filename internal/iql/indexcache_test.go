@@ -171,7 +171,7 @@ func TestJoinIndexCacheRuns(t *testing.T) {
 	}
 	a, b, small := rows(joinIndexCacheMin), rows(joinIndexCacheMin), rows(1)
 	walked, recorded := &joinRun{}, &joinRun{}
-	rec := &runRecord{rows: make([]int32, 8), steps: make([]int32, 5)}
+	rec := &runRecord{vals: make([]Value, 4), steps: make([]int32, 5)}
 	members := []extentID{idOf(b), idOf(small)}
 	c := NewJoinIndexCache(2)
 	c.putIndex(a, "0", NewJoinIndex(nil, nil), 10)

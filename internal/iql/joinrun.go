@@ -27,38 +27,48 @@ import (
 // environment, nor of anything evaluated after the run. The first walk
 // of a run over one set of arrays leaves their identity in the
 // evaluator's JoinIndexCache; the second is recorded: for each match,
-// the row of each member, and the steps the walk charged since the match
-// before; every later evaluation over the same arrays replays the
-// record. A replay evaluates each member source the walk would (the
-// walk reaches a member exactly when the arrays before it are the
-// record's), binds each member's pattern from its recorded row, charges
-// the recorded steps before each match, and continues at the qualifier
-// after the run as deep in generator loops as the walk was — so
-// everything after the run sees the walk's bindings at the walk's step
-// counts, and no probe key is evaluated, no hash computed and no index
-// consulted. The cache drops an entry with any of its members' extents
-// (DropExtent). A run whose first member streams walks as it would
-// without one.
+// the values it binds to the slots that anything after the run reads
+// (Q7's pk, t, mz and i, not its four keys), and the steps the walk
+// charged since the match before; every later evaluation over the same
+// arrays replays the record. A replay evaluates each member source the
+// walk would (the walk reaches a member exactly when the arrays before
+// it are the record's), writes each match's values into the
+// comprehension's scope, charges the recorded steps before each match,
+// and continues at the qualifier after the run as deep in generator
+// loops as the walk was — so everything after the run sees the walk's
+// bindings at the walk's step counts, and no pattern is matched, no
+// probe key evaluated, no hash computed and no index consulted. The
+// cache drops an entry with any of its members' extents (DropExtent). A
+// run whose first member streams walks as it would without one.
 
 // joinRun is one join run of a comprehension's plan.
 type joinRun struct {
 	members []int // the members' qualifier positions, in order
 	next    int   // the qualifier after the last member's consumed filters
+	keep    []int // the members' slots read at next or after, which a record keeps
 }
 
-// maxRunRecord bounds a record, in rows and step counts together (4
-// bytes each): a run with more matches is walked every time.
-const maxRunRecord = 1 << 22
+// maxRunRecord bounds a record's bytes (see runRecord.footprint): a run
+// with more matches is walked every time.
+const maxRunRecord = 16 << 20
 
-// markRuns finds the plan's join runs of two or more generators and
-// marks each on its first and its last member.
-func (p *compPlan) markRuns() {
+// markRuns finds the plan's join runs of two or more generators, marks
+// each on its first and its last member, and keeps in each the slots its
+// members bind that read says a qualifier after it, or the head, reads.
+func (p *compPlan) markRuns(read []int) {
 	for i := 0; i < len(p.quals); i++ {
 		members, next := p.runFrom(i)
 		if len(members) < 2 {
 			continue
 		}
 		r := &joinRun{members: slices.Clip(members), next: next}
+		for _, m := range members {
+			for s := p.quals[m].from; s < p.quals[m].to; s++ {
+				if read[s] >= next {
+					r.keep = append(r.keep, s)
+				}
+			}
+		}
 		p.quals[members[0]].run, p.quals[members[len(members)-1]].ends = r, r
 		i = next - 1
 	}
@@ -67,31 +77,29 @@ func (p *compPlan) markRuns() {
 // runFrom returns the members of the longest run that starts at
 // qualifier i, and the qualifier after it.
 func (p *compPlan) runFrom(i int) (members []int, next int) {
-	bound := map[string]bool{}
 	quals := p.comp.Quals
-	for next = i; next < len(quals); next += 1 + p.quals[next].consumed {
+	for next = i; next < len(quals); next += 1 + len(p.quals[next].joins) {
 		g, ok := quals[next].(*Generator)
-		if !ok || !p.joinsWithin(next, g, bound) || (len(members) > 0 && len(p.quals[next].joins) == 0) {
+		if !ok || !p.joinsWithin(next, g, p.quals[i].from) || (len(members) > 0 && len(p.quals[next].joins) == 0) {
 			break
 		}
 		members = append(members, next)
-		bindPatternVars(g.Pat, bound)
 	}
 	return members, next
 }
 
 // joinsWithin reports whether generator i, drawing g, may follow run
-// members that bind bound: its source is a scheme reference, and each of
-// its join's probes is a literal or a variable they bind.
-func (p *compPlan) joinsWithin(i int, g *Generator, bound map[string]bool) bool {
+// members that bind the slots from on: its source is a scheme reference,
+// and each of its join's probes is a literal or a variable they bind.
+func (p *compPlan) joinsWithin(i int, g *Generator, from int) bool {
 	if _, ok := g.Src.(*SchemeRef); !ok {
 		return false
 	}
 	for _, jc := range p.quals[i].joins {
 		switch e := jc.probe.(type) {
 		case *Lit:
-		case *Var:
-			if !bound[e.Name] {
+		case *slotRef:
+			if e.depth > 0 || e.slot < from {
 				return false
 			}
 		default:
@@ -102,20 +110,21 @@ func (p *compPlan) joinsWithin(i int, g *Generator, bound map[string]bool) bool 
 }
 
 // runRecord is a recorded walk of a join run: for each match, in the
-// walk's order, the row of each member's element that bound it (rows,
-// one per member a match) and the steps the walk charged since the match
+// walk's order, the value of each of the run's kept slots (vals, one per
+// kept slot a match) and the steps the walk charged since the match
 // before, or since it began (steps); and last in steps, those it charged
 // after its last match. Steps spent evaluating the members' sources are
 // left out: a replay evaluates them itself. A record is never written
 // once published.
 type runRecord struct {
-	rows  []int32
+	vals  []Value
 	steps []int32
 }
 
-// footprint is the bytes the record holds.
+// footprint is the bytes the record holds. The values' own bytes are
+// the members' extents', which the extent caches hold and charge.
 func (r *runRecord) footprint() int64 {
-	return int64(unsafe.Sizeof(runRecord{})) + 4*int64(cap(r.rows)+cap(r.steps))
+	return int64(unsafe.Sizeof(runRecord{})) + int64(cap(r.vals))*int64(unsafe.Sizeof(Value{})) + 4*int64(cap(r.steps))
 }
 
 // runRecorder records one walk of a join run.
@@ -125,8 +134,8 @@ type runRecorder struct {
 	// mark is ev.steps less the context's source steps when the walk
 	// began or the last match was recorded.
 	mark int
-	// over: the record outgrew maxRunRecord, or a row or a step count
-	// the int32 it is kept in.
+	// over: the record outgrew maxRunRecord, or a step count the int32
+	// it is kept in.
 	over bool
 }
 
@@ -135,42 +144,41 @@ type runRecorder struct {
 // members' arrays when there is one, and otherwise by walking it — a
 // walk recorded when the walk before it was over the same arrays,
 // leaving their identity for the next walk to find when not.
-func (ctx *compCtx) runJoined(i int, els []Value, env *Env, out *sink) error {
+func (ctx *compCtx) runJoined(i int, els []Value, out *sink) error {
 	qs, rp, c := &ctx.quals[i], ctx.plan.quals[i].run, ctx.ev.Indexes
 	if qs.replay == nil {
 		en, found := c.run(rp, els)
 		if found {
 			var err error
-			if found, err = ctx.reach(rp, en.members, env); err != nil {
+			if found, err = ctx.reach(rp, en.members); err != nil {
 				return err
 			}
 		}
 		switch {
 		case !found:
-			if err := ctx.walk(i, els, env, out); err != nil {
+			if err := ctx.walk(i, els, out); err != nil {
 				return err
 			}
 			c.putRun(rp, ctx.reached(rp), nil, false)
 			return nil
 		case en.rec == nil && en.unrecordable:
-			return ctx.walk(i, els, env, out)
+			return ctx.walk(i, els, out)
 		case en.rec == nil:
-			return ctx.record(i, els, env, out)
+			return ctx.record(i, els, out)
 		}
 		qs.replay = en.rec
 	}
 	c.replays.Add(1)
-	return ctx.replay(rp, qs.replay, env, out)
+	return ctx.replay(rp, qs.replay, out)
 }
 
 // reach evaluates the sources of the run's members after the first that
 // the walk an entry was left by reached, as a walk over the same arrays
 // would reach them — a member is reached when the arrays before it are
 // the entry's — and reports whether each is the array the entry has.
-func (ctx *compCtx) reach(rp *joinRun, members []extentID, env *Env) (bool, error) {
+func (ctx *compCtx) reach(rp *joinRun, members []extentID) (bool, error) {
 	for j := 1; j < len(members); j++ {
-		pos := rp.members[j]
-		els, err := ctx.source(pos, ctx.plan.comp.Quals[pos].(*Generator), env)
+		els, err := ctx.source(rp.members[j])
 		if err != nil {
 			return false, err
 		}
@@ -199,11 +207,11 @@ func (ctx *compCtx) reached(rp *joinRun) []extentID {
 // record walks the join run generator i starts, as walk would, and
 // leaves the run's entry with the walk's record; a walk that fails
 // leaves nothing, and one whose record is over leaves it unrecordable.
-func (ctx *compCtx) record(i int, els []Value, env *Env, out *sink) error {
+func (ctx *compCtx) record(i int, els []Value, out *sink) error {
 	qs, rp, ev := &ctx.quals[i], ctx.plan.quals[i].run, ctx.ev
 	r := &runRecorder{run: rp, mark: ev.steps - ctx.srcSteps}
 	qs.recorder = r
-	err := ctx.walk(i, els, env, out)
+	err := ctx.walk(i, els, out)
 	qs.recorder = nil
 	if err != nil {
 		return err
@@ -219,67 +227,46 @@ func (ctx *compCtx) record(i int, els []Value, env *Env, out *sink) error {
 
 // note appends a step count to the record, unless it is over.
 func (r *runRecorder) note(steps int) {
-	r.over = r.over || steps > math.MaxInt32 || len(r.rec.rows)+len(r.rec.steps) >= maxRunRecord
+	r.over = r.over || steps > math.MaxInt32 || r.rec.footprint() >= maxRunRecord
 	if !r.over {
 		r.rec.steps = append(r.rec.steps, int32(steps))
 	}
 }
 
 // recordMatch records a match of the run being recorded — the steps
-// since the last and its members' rows — and continues at qualifier
+// since the last and its kept slots' values — and continues at qualifier
 // next, whose steps are not the run's.
-func (ctx *compCtx) recordMatch(r *runRecorder, next int, child *Env, out *sink) error {
+func (ctx *compCtx) recordMatch(r *runRecorder, next int, out *sink) error {
 	ev := ctx.ev
 	if r.note(ev.steps - ctx.srcSteps - r.mark); !r.over {
-		for _, pos := range r.run.members {
-			row := ctx.quals[pos].row
-			r.over = r.over || row > math.MaxInt32
-			r.rec.rows = append(r.rec.rows, int32(row))
+		for _, s := range r.run.keep {
+			r.rec.vals = append(r.rec.vals, ctx.scope.vals[s])
 		}
 	}
-	err := ctx.run(next, child, out)
+	err := ctx.run(next, out)
 	r.mark = ev.steps - ctx.srcSteps
 	return err
 }
 
 // replay evaluates join run rp from its record, every member's source
 // evaluated: for each match it charges the steps the walk charged before
-// it, binds each member's pattern to its recorded row, and continues at
+// it, writes the match's values into the kept slots, and continues at
 // the qualifier after the run as many generator loops deep as the walk;
 // then it charges the steps the walk charged after its last match.
-func (ctx *compCtx) replay(rp *joinRun, rec *runRecord, env *Env, out *sink) error {
-	ev, m := ctx.ev, len(rp.members)
-	if matches := len(rec.steps) - 1; matches > 0 {
-		child := env
-		for _, pos := range rp.members {
-			child = ctx.enter(pos, child)
-		}
-		ev.genDepth += m
-		err := ctx.replayMatches(rp, rec, child, out)
-		ev.genDepth -= m
-		if err != nil {
-			return err
-		}
-	}
-	return ev.charge(int(rec.steps[len(rec.steps)-1]))
-}
-
-// replayMatches replays the record's matches; child is the last
-// member's scope.
-func (ctx *compCtx) replayMatches(rp *joinRun, rec *runRecord, child *Env, out *sink) error {
-	ev, m := ctx.ev, len(rp.members)
+func (ctx *compCtx) replay(rp *joinRun, rec *runRecord, out *sink) error {
+	ev, m, vals, keep := ctx.ev, len(rp.members), ctx.scope.vals, rp.keep
+	ev.genDepth += m
+	defer func() { ev.genDepth -= m }()
 	for k, steps := range rec.steps[:len(rec.steps)-1] {
 		if err := ev.charge(int(steps)); err != nil {
 			return err
 		}
-		rows := rec.rows[k*m : k*m+m]
-		for j, pos := range rp.members {
-			qs := &ctx.quals[pos]
-			ctx.plan.quals[pos].pat.bind(qs.srcVal.Items()[rows[j]], qs.scope.vals)
+		for j, s := range keep {
+			vals[s] = rec.vals[k*len(keep)+j]
 		}
-		if err := ctx.run(rp.next, child, out); err != nil {
+		if err := ctx.run(rp.next, out); err != nil {
 			return err
 		}
 	}
-	return nil
+	return ev.charge(int(rec.steps[len(rec.steps)-1]))
 }

@@ -76,27 +76,79 @@ func TestJoinRunsAgree(t *testing.T) {
 func TestJoinRunStepLimits(t *testing.T) {
 	ext := runExtents()
 	for _, src := range runQueries[:7] {
-		e := iql.MustParse(src)
-		full := iql.NewEvaluator(ext)
-		if _, err := full.Eval(e, nil); err != nil {
-			t.Fatalf("%s: %v", src, err)
-		}
-		for limit := 1; limit <= full.Steps()+1; limit += max(1, full.Steps()/40) {
-			walk := iql.NewEvaluator(ext)
-			walk.MaxSteps = limit
-			want, wantErr := walk.Eval(e, nil)
+		atStepLimits(t, ext, nil, src)
+	}
+}
+
+// scopeVars are the caller's variables the scoping shapes see: a, which
+// a generator shadows, and z, which none binds.
+var scopeVars = map[string]iql.Value{"a": iql.Int(100), "z": iql.Int(4)}
+
+// scopeQueries are the shapes of scoping, each around a join run where
+// one fits: a nested comprehension that rebinds an outer generator's
+// name; a let shadowing a generator's variable, and a generator a let's;
+// a pattern that repeats a name; a filter or a probe key naming an
+// outer comprehension's variable; a caller's variable shadowed by a
+// generator, and one read beside it; and a member's variable read only
+// by the filter right after its run.
+var scopeQueries = []string{
+	"[{k, [{k, b} | {k, b} <- <<q>>; k = a]} | {k, a} <- <<p>>; {k2, b} <- <<q>>; k2 = k; a < 3]",
+	"[[{a, b} | {k, a} <- <<p>>; {k2, b} <- <<q>>; k2 = k; a = x] | x <- <<xs>>; x < 20]",
+	"[let a = b + 1 in {a, k} | {k, a} <- <<p>>; {k2, b} <- <<q>>; k2 = k]",
+	"let k = 100 in [{k, a} | {k, a} <- <<p>>; {k2, b} <- <<q>>; k2 = k; k < 9]",
+	"[let y = a in [{y, b, k} | {k2, b} <- <<q>>; k2 = k; let k = b in k < y] | {k, a} <- <<p>>; a > 6]",
+	"[{x, b} | {x, x} <- <<pairs>>; {k2, b} <- <<q>>; k2 = x]",
+	"[{k, a} | {k, {a, a}} <- [{1, {2, 3}}, {2, {4, 5}}]; {k2, b} <- <<q>>; k2 = k]",
+	"[[b | {k2, b} <- <<q>>; k2 = k; b > a - 6] | {k, a} <- <<p>>]",
+	"[count([c | {j, c} <- <<p>>; {j2, d} <- <<q>>; j2 = j; j = k]) | {k, a} <- <<p>>; k < 5]",
+	"[{a, z, b} | {k, a} <- <<p>>; {k2, b} <- <<q>>; k2 = k; a < z]",
+	"[b | {k, a} <- <<p>>; {k2, b} <- <<q>>; k2 = k; a > 3]",
+}
+
+// TestScopesAgree holds the scoping shapes, with the caller's variables
+// bound, to the reference in every mode, and at every step limit each
+// round of a replaying evaluator to a walk under the same limit.
+func TestScopesAgree(t *testing.T) {
+	replayed := runsReplayed.Load()
+	ext := runExtents()
+	for _, src := range scopeQueries {
+		agree(t, ext, scopeVars, src)
+		atStepLimits(t, ext, scopeVars, src)
+	}
+	if runsReplayed.Load() == replayed {
+		t.Error("the replayed mode replayed no join run")
+	}
+}
+
+// atStepLimits evaluates src under step limits from 1 to one past its
+// steps, by a fresh evaluator (the walk) and by the first, second and
+// third round of one evaluator whose rounds before the limited one are
+// unlimited (the recorded and the replayed), and asserts that each
+// round fails, or answers, as the walk does.
+func atStepLimits(t *testing.T, ext iql.Extents, vars map[string]iql.Value, src string) {
+	t.Helper()
+	e, env := iql.MustParse(src), envOf(vars)
+	full := iql.NewEvaluator(ext)
+	if _, err := full.Eval(e, env); err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	for limit := 1; limit <= full.Steps()+1; limit += max(1, full.Steps()/100) {
+		walk := iql.NewEvaluator(ext)
+		walk.MaxSteps = limit
+		want, wantErr := walk.Eval(e, env)
+		for rounds := 1; rounds <= 3; rounds++ {
 			ev := iql.NewEvaluator(ext)
-			for round := range 3 {
-				ev.MaxSteps = full.Steps() + 1 // an unlimited walk, then a record, before the limited round
-				if round == 2 {
+			for round := range rounds {
+				ev.MaxSteps = full.Steps() + 1
+				if round == rounds-1 {
 					ev.MaxSteps = limit
 				}
-				got, err := ev.Eval(e, nil)
-				if round < 2 {
+				got, err := ev.Eval(e, env)
+				if round < rounds-1 {
 					continue
 				}
 				if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() || err == nil && !got.Equal(want) {
-					t.Errorf("%s, limit %d: replayed %s, %v; walked %s, %v", src, limit, got, err, want, wantErr)
+					t.Errorf("%s, limit %d, round %d: %s, %v; walked %s, %v", src, limit, rounds, got, err, want, wantErr)
 				}
 			}
 		}

@@ -26,37 +26,43 @@ import (
 //     '=' operator's semantics — so results are identical.
 //
 //  3. Join-run replay: a run of joined generators whose matches depend
-//     only on the extents they draw (see joinRun in joinrun.go) records
-//     the rows of its matches, and the steps the walk charged for each,
-//     the second time it is walked over the same element arrays; every
-//     later evaluation over them binds the recorded rows instead of
-//     probing, and charges the recorded steps.
+//     only on the extents they draw (see joinRun in joinrun.go) records,
+//     the second time it is walked over the same element arrays, the
+//     values each match binds that anything after the run reads, and the
+//     steps the walk charged for each; every later evaluation over them
+//     writes the recorded values into the comprehension's scope instead
+//     of probing, and charges the recorded steps.
 //
-// The static analysis (which sources are constant, which filter runs
-// are joinable, how each pattern binds, whether count can be asked of
-// the source) depends only on the AST, so it is worked out once per
-// *Comp node, by the first evaluation to meet it, and published on the
-// node as its compPlan: every later evaluation of the node shares it, so
-// a cached query is analysed once for every session that asks it and a
-// derivation once for every query that unfolds it. What one evaluation
-// of the node writes — memoised sources, join indexes, the generators'
-// scopes, scratch rows — is a compCtx. One is parked on the plan between
-// evaluations, emptied, and taken by the next, so a warm query, and a
-// nested comprehension re-entered once per enclosing binding, allocate
-// neither; an evaluation that finds none parked (re-entry, concurrent
-// queries) makes its own.
+// The static analysis (how each variable resolves, which sources are
+// constant, which filter runs are joinable, how each pattern binds,
+// whether count can be asked of the source) depends only on the AST, so
+// it is worked out once per *Comp node, by the first evaluation to meet
+// it, and published on the node as its compPlan: every later evaluation
+// of the node shares it, so a cached query is analysed once for every
+// session that asks it and a derivation once for every query that
+// unfolds it. A comprehension nested in another is analysed with it, on
+// a copy of its node that the outer plan holds, as every variable is
+// resolved where it stands (see resolver). What one evaluation of the
+// node writes — memoised sources, join indexes, its scope, scratch rows
+// — is a compCtx. One is parked on the plan between evaluations,
+// emptied, and taken by the next, so a warm query, and a nested
+// comprehension re-entered once per enclosing binding, allocate neither;
+// an evaluation that finds none parked (re-entry, concurrent queries)
+// makes its own.
 type compPlan struct {
 	comp  *Comp
 	quals []qualPlan
 
-	// headTuple is the head when it is a tuple expression, which a sink
-	// that keeps no value is handed in a scratch row (see head).
+	// head is the head, resolved; headTuple is it when it is a tuple
+	// expression, which a sink that keeps no value is handed in a scratch
+	// row (see head).
+	head      Expr
 	headTuple *TupleExpr
 
-	// headSlots, when every component of headTuple is a variable one of
-	// the comprehension's generators binds, is where each is bound: the
-	// scratch row is copied from the generators' scopes, nil otherwise.
-	headSlots []varSlot
+	// names are the variables the generators bind, by slot of the scope:
+	// each generator's pattern's in turn, a repeated name once for each
+	// occurrence. They are kept for errors and for explaining a plan.
+	names []string
 
 	// sel is what the comprehension keeps of its generator's extent when
 	// that can be said as a Selection (see selectionOf), nil otherwise:
@@ -70,11 +76,11 @@ type compPlan struct {
 
 // qualPlan is one qualifier's analysis.
 type qualPlan struct {
+	expr     Expr       // the generator's source or the filter's condition, resolved
 	constSrc bool       // source has no free variables
-	joins    []joinCond // indexed equi-join conditions (empty = scan)
-	consumed int        // following filters subsumed by the index
+	joins    []joinCond // indexed equi-join conditions, one per following filter it subsumes (empty = scan)
 	joinSpec string     // join-key component positions (index cache key)
-	vars     []string   // the variables the pattern binds, in slot order
+	from, to int        // the slots the pattern binds
 	pat      slotPat    // the pattern with its variables resolved to slots
 
 	// run is the join run this generator is the first member of, and
@@ -90,6 +96,11 @@ type compCtx struct {
 
 	// quals holds per-qualifier evaluation state, in one allocation.
 	quals []qualState
+
+	// scope is the comprehension's scope: every qualifier and the head are
+	// evaluated in it, and each generator binds its pattern into its slots.
+	// Its parent is the environment the evaluation was handed.
+	scope Env
 
 	// probeScratch holds the probe key's components between a probe's
 	// evaluation and its index lookup; Probe never retains the key, so
@@ -112,16 +123,6 @@ type qualState struct {
 	srcVal Value // memoised source value (valid when srcSet)
 	index  *JoinIndex
 
-	// scope is the generator's child scope. It belongs to the context,
-	// not to an entry of the generator: allocated the first time the
-	// generator is entered, re-parented on every entry (see enter) and
-	// emptied by release.
-	scope *Env
-
-	// row is the position in the source of the element the generator
-	// last bound by scanning or probing it.
-	row int
-
 	// A join run's state, on its first member's qualifier: the record
 	// this context replays, once its arrays are known to be the
 	// record's, and the recorder of a walk being recorded.
@@ -129,12 +130,8 @@ type qualState struct {
 	recorder *runRecorder
 }
 
-// varSlot is where a variable a comprehension's generators bind is
-// bound: the qualifier of the generator, and the position in its scope.
-type varSlot struct{ qual, slot int }
-
 // slotPat is a generator pattern compiled against the layout of the
-// generator's scope: a variable is the position of its binding, so
+// comprehension's scope: a variable is the position of its binding, so
 // binding an element stores by position and neither compares names nor
 // allocates.
 type slotPat struct {
@@ -155,19 +152,15 @@ const (
 	slotFlat // a tuple of variables and "_", bound without recursing
 )
 
-// compilePattern resolves p's variables to slots, appending each new
-// name to vars. A name repeated within the pattern shares one slot, so
-// the later occurrence wins, as successive Binds would have it.
+// compilePattern gives each of p's variables the next slot, appending
+// its name to vars. A name repeated within the pattern takes a slot each
+// time, and a variable resolves to the last (see resolver.ref), so the
+// later occurrence wins, as successive Binds would have it.
 func compilePattern(p Pattern, vars *[]string) slotPat {
 	switch pat := p.(type) {
 	case *VarPat:
 		if pat.Name == "_" {
 			return slotPat{kind: slotWild}
-		}
-		for slot, name := range *vars {
-			if name == pat.Name {
-				return slotPat{kind: slotVar, slot: slot}
-			}
 		}
 		*vars = append(*vars, pat.Name)
 		return slotPat{kind: slotVar, slot: len(*vars) - 1}
@@ -232,7 +225,8 @@ func (p *slotPat) bind(v Value, vals []Value) bool {
 }
 
 // joinCond pairs the tuple component of the generator-bound variable
-// (wholeElement for a bare-variable pattern) with the probe expression.
+// (wholeElement for a bare-variable pattern) with the probe expression,
+// resolved.
 type joinCond struct {
 	comp  int
 	probe Expr
@@ -257,130 +251,170 @@ func (ev *Evaluator) compCtxFor(c *Comp) *compCtx {
 	p := planOf(c)
 	ctx := p.idle.Swap(nil)
 	if ctx == nil {
-		ctx = &compCtx{plan: p, quals: make([]qualState, len(p.quals))}
+		ctx = &compCtx{plan: p, quals: make([]qualState, len(p.quals)), scope: Env{vals: make([]Value, len(p.names))}}
 	}
 	ctx.ev = ev
 	return ctx
 }
 
 // release empties the context — memoised sources, join indexes, the
-// generators' scopes, the scratch rows and the evaluator — and parks it
-// on its plan, so a plan pins neither extent rows nor the environment
-// or evaluation it last ran under.
+// scope, the scratch rows and the evaluator — and parks it on its plan,
+// so a plan pins neither extent rows nor the environment or evaluation
+// it last ran under.
 func (ctx *compCtx) release() {
-	for i := range ctx.quals {
-		qs := &ctx.quals[i]
-		qs.srcSet, qs.srcVal, qs.index, qs.row, qs.replay = false, Value{}, nil, 0, nil
-		if qs.scope != nil {
-			clear(qs.scope.vals)
-			qs.scope.parent = nil
-		}
-	}
+	clear(ctx.quals)
+	clear(ctx.scope.vals)
 	clear(ctx.probeScratch)
 	clear(ctx.headScratch)
-	ctx.ev, ctx.srcSteps = nil, 0
+	ctx.ev, ctx.srcSteps, ctx.scope.parent = nil, 0, nil
 	ctx.plan.idle.Store(ctx)
 }
 
-// enter returns generator i's scope nested in env. One scope serves
-// every entry of the generator and every element of each entry: an
-// entry ends before the next begins, no two evaluations hold one
-// context, and nothing retains a scope once run returns (IQL has no
-// closures) — so a join's inner generator, entered once per outer
-// binding, allocates nothing per entry. The scope's names are the
-// plan's, clipped, so a Bind appends to a copy of them.
-func (ctx *compCtx) enter(i int, env *Env) *Env {
-	qs := &ctx.quals[i]
-	if qs.scope == nil {
-		vars := ctx.plan.quals[i].vars
-		qs.scope = &Env{names: slices.Clip(vars), vals: make([]Value, len(vars))}
-	}
-	qs.scope.parent = env
-	return qs.scope
+// slotRef is a variable of a plan, resolved: the value at slot of the
+// scope depth scopes up from the one it is evaluated in. A name that no
+// comprehension or let around it binds (slot < 0) is the caller's, looked
+// up by name from the scope depth up: the environment the outermost
+// comprehension's evaluation was handed.
+type slotRef struct {
+	name        string
+	depth, slot int
 }
 
-// analyze works out c's plan: how each pattern binds, which sources are
-// constant, which generator/filter runs are joinable, which generators
-// form join runs, and c as a Selection.
-func analyze(c *Comp) *compPlan {
+func (r *slotRef) String() string { return r.name }
+func (*slotRef) isExpr()          {}
+
+// resolver resolves the variables of the expressions an analysis meets
+// against the scopes around them, innermost last: each comprehension's,
+// and each let's.
+type resolver struct{ scopes []*frame }
+
+// frame is a scope as analysis sees it: the names of its slots so far,
+// in slot order, the last qualifier that reads each (read, -1 for none)
+// and, for a comprehension's, the qualifier being resolved (at; the head
+// is len(quals)).
+type frame struct {
+	names []string
+	read  []int
+	at    int
+}
+
+// ref resolves a variable to the innermost slot that binds its name.
+func (r *resolver) ref(name string) *slotRef {
+	for d := len(r.scopes) - 1; d >= 0; d-- {
+		f := r.scopes[d]
+		for slot := len(f.names) - 1; slot >= 0; slot-- {
+			if f.names[slot] == name {
+				f.read[slot] = max(f.read[slot], f.at)
+				return &slotRef{name, len(r.scopes) - 1 - d, slot}
+			}
+		}
+	}
+	return &slotRef{name, len(r.scopes), -1}
+}
+
+// resolve returns e with every variable resolved and every comprehension
+// in it analysed where it stands: a copy, which shares e's literals and
+// scheme references.
+func (r *resolver) resolve(e Expr) Expr {
+	return Rewrite(e, func(x Expr) (Expr, bool) {
+		switch n := x.(type) {
+		case *Lit, *SchemeRef:
+			return x, true
+		case *Var:
+			return r.ref(n.Name), true
+		case *Comp:
+			c := &Comp{Head: n.Head, Quals: n.Quals}
+			c.plan.Store(r.analyze(c))
+			return c, true
+		case *LetExpr:
+			val := r.resolve(n.Val)
+			r.scopes = append(r.scopes, &frame{names: []string{n.Name}, read: []int{-1}})
+			body := r.resolve(n.Body)
+			r.scopes = r.scopes[:len(r.scopes)-1]
+			return &LetExpr{Name: n.Name, Val: val, Body: body}, true
+		}
+		return nil, false
+	})
+}
+
+func analyze(c *Comp) *compPlan { return new(resolver).analyze(c) }
+
+// analyze works out c's plan where the resolver stands: how each
+// variable resolves and each pattern binds, which sources are constant,
+// which generator/filter runs are joinable, which generators form join
+// runs, and c as a Selection.
+func (r *resolver) analyze(c *Comp) *compPlan {
 	p := &compPlan{comp: c, quals: make([]qualPlan, len(c.Quals)), sel: selectionOf(c)}
-	p.headTuple, _ = c.Head.(*TupleExpr)
-	bound := map[string]bool{}
+	f := &frame{}
+	r.scopes = append(r.scopes, f)
+	for i, q := range c.Quals {
+		qp := &p.quals[i]
+		f.at = i
+		switch q := q.(type) {
+		case *Filter:
+			qp.expr = r.resolve(q.Cond)
+		case *Generator:
+			qp.expr = r.resolve(q.Src)
+			qp.from = len(f.names)
+			qp.pat = compilePattern(q.Pat, &f.names)
+			qp.to = len(f.names)
+			f.read = append(f.read, slices.Repeat([]int{-1}, qp.to-qp.from)...)
+		}
+	}
+	f.at = len(c.Quals)
+	p.head = r.resolve(c.Head)
+	p.headTuple, _ = p.head.(*TupleExpr)
+	p.names = slices.Clip(f.names)
+	r.scopes = r.scopes[:len(r.scopes)-1]
 	for i, q := range c.Quals {
 		g, isGen := q.(*Generator)
-		if !isGen {
-			continue
-		}
 		qp := &p.quals[i]
-		qp.pat = compilePattern(g.Pat, &qp.vars)
-		qp.constSrc = len(FreeVars(g.Src)) == 0
-		if qp.constSrc {
+		if qp.constSrc = isGen && len(FreeVars(g.Src)) == 0; qp.constSrc {
 			for j := i + 1; j < len(c.Quals); j++ {
-				cond, ok := joinableFilter(g, c.Quals[j], bound)
+				cond, ok := joinableFilter(g, c.Quals[j], p.quals[j].expr, p.names[:qp.from])
 				if !ok {
 					break
 				}
 				qp.joins = append(qp.joins, cond)
-				qp.consumed++
-			}
-			if len(qp.joins) > 0 {
-				var spec []byte
-				for n, jc := range qp.joins {
-					if n > 0 {
-						spec = append(spec, ',')
-					}
-					spec = strconv.AppendInt(spec, int64(jc.comp), 10)
-				}
-				qp.joinSpec = string(spec)
+				qp.joinSpec += "," + strconv.Itoa(cond.comp)
 			}
 		}
-		bindPatternVars(g.Pat, bound)
 	}
-	p.headSlots = p.slotsOf(p.headTuple)
-	p.markRuns()
+	p.markRuns(f.read)
 	return p
 }
 
-// slotsOf is where each component of the tuple head t is bound, when
-// every one is a variable the comprehension's generators bind, else nil.
-// The binding the head sees is the last generator's that binds the
-// name: the innermost scope.
-func (p *compPlan) slotsOf(t *TupleExpr) []varSlot {
-	if t == nil {
-		return nil
-	}
-	slots := make([]varSlot, len(t.Elems))
-	for i, x := range t.Elems {
-		v, ok := x.(*Var)
-		if !ok {
-			return nil
-		}
-		found := false
-		for q := len(p.quals) - 1; q >= 0 && !found; q-- {
-			if slot := slices.Index(p.quals[q].vars, v.Name); slot >= 0 {
-				slots[i], found = varSlot{qual: q, slot: slot}, true
-			}
-		}
-		if !found {
-			return nil
-		}
-	}
-	return slots
-}
-
 // PlanFootprint is what evaluating e pins on its comprehension nodes, in
-// bytes: each one's plan and the evaluation state parked beside it,
-// emptied. A cache that keeps parsed queries charges it beside their
-// text. It analyses the comprehensions no evaluation has, which their
-// first evaluation would otherwise do.
-func PlanFootprint(e Expr) int64 {
-	var n int
-	walk(e, func(x Expr) {
-		if c, ok := x.(*Comp); ok {
-			n += planOf(c).footprint()
+// bytes: each one's plan, with the plans of the comprehensions nested in
+// it, and the evaluation state parked beside each, emptied. A cache that
+// keeps parsed queries charges it beside their text. It analyses the
+// comprehensions no evaluation has, which their first evaluation would
+// otherwise do.
+func PlanFootprint(e Expr) int64 { return int64(exprFootprint(e, false)) }
+
+// exprFootprint is the bytes of the plans of the comprehensions in e
+// and, when resolve built e, of its nodes: each at most a Comp's size,
+// and a tuple's, bag's or call's elements besides.
+func exprFootprint(e Expr, resolved bool) (n int) {
+	walk(e, func(x Expr) bool {
+		elems := 0
+		switch x := x.(type) {
+		case *Comp:
+			n += planOf(x).footprint()
+		case *TupleExpr:
+			elems = len(x.Elems)
+		case *BagExpr:
+			elems = len(x.Elems)
+		case *Call:
+			elems = len(x.Args)
 		}
+		if resolved {
+			n += class(int(unsafe.Sizeof(Comp{}))) + class(elems*int(unsafe.Sizeof(e)))
+		}
+		_, isComp := x.(*Comp)
+		return !isComp
 	})
-	return int64(n)
+	return n
 }
 
 // footprint is the bytes of the plan and of a context parked on it, each
@@ -389,26 +423,24 @@ func PlanFootprint(e Expr) int64 {
 func (p *compPlan) footprint() int {
 	const value = int(unsafe.Sizeof(Value{}))
 	n := class(int(unsafe.Sizeof(compPlan{}))) + class(cap(p.quals)*int(unsafe.Sizeof(qualPlan{}))) +
-		class(int(unsafe.Sizeof(compCtx{}))) + class(len(p.quals)*int(unsafe.Sizeof(qualState{})))
+		class(int(unsafe.Sizeof(compCtx{}))) + class(len(p.quals)*int(unsafe.Sizeof(qualState{}))) +
+		class(cap(p.names)*int(unsafe.Sizeof(""))) + class(len(p.names)*value) + // the scope
+		exprFootprint(p.head, true)
 	if p.sel != nil {
 		n += class(int(unsafe.Sizeof(Selection{}))) + class(cap(p.sel.Conds)*int(unsafe.Sizeof(Cond{})))
 	}
 	if p.headTuple != nil {
 		n += class(len(p.headTuple.Elems) * value) // the head's scratch row
 	}
-	n += class(cap(p.headSlots) * int(unsafe.Sizeof(varSlot{})))
 	probe := 0
-	for i, q := range p.comp.Quals {
-		if _, ok := q.(*Generator); !ok {
-			continue
-		}
+	for i := range p.quals {
 		qp := &p.quals[i]
-		n += qp.pat.footprint() + class(cap(qp.vars)*int(unsafe.Sizeof(""))) +
+		n += exprFootprint(qp.expr, true) + qp.pat.footprint() +
 			class(cap(qp.joins)*int(unsafe.Sizeof(joinCond{}))) + class(len(qp.joinSpec))
-		n += class(int(unsafe.Sizeof(Env{}))) + class(len(qp.vars)*value) // the scope
 		probe = max(probe, len(qp.joins))
 		if qp.run != nil {
-			n += class(int(unsafe.Sizeof(joinRun{}))) + class(cap(qp.run.members)*int(unsafe.Sizeof(0)))
+			n += class(int(unsafe.Sizeof(joinRun{}))) + class(cap(qp.run.members)*int(unsafe.Sizeof(0))) +
+				class(cap(qp.run.keep)*int(unsafe.Sizeof(0)))
 		}
 	}
 	return n + class(probe*value) // the probe key's scratch
@@ -432,9 +464,10 @@ func class(n int) int {
 }
 
 // joinableFilter recognises "v = e" / "e = v" following generator g,
-// with v bound by g's pattern and e's free variables all bound before
-// g and not again by it.
-func joinableFilter(g *Generator, next Qual, boundBefore map[string]bool) (joinCond, bool) {
+// with v bound by g's pattern and e's free variables all among the names
+// bound before g and not again by it; the probe is e's side of the
+// condition resolved.
+func joinableFilter(g *Generator, next Qual, resolved Expr, boundBefore []string) (joinCond, bool) {
 	f, isFilter := next.(*Filter)
 	if !isFilter {
 		return joinCond{}, false
@@ -461,7 +494,7 @@ func joinableFilter(g *Generator, next Qual, boundBefore map[string]bool) (joinC
 		}
 		return ci, ok
 	}
-	try := func(varSide, exprSide Expr) (joinCond, bool) {
+	try := func(varSide, exprSide, probe Expr) (joinCond, bool) {
 		v, isVar := varSide.(*Var)
 		if !isVar {
 			return joinCond{}, false
@@ -472,16 +505,17 @@ func joinableFilter(g *Generator, next Qual, boundBefore map[string]bool) (joinC
 		}
 		for _, fv := range FreeVars(exprSide) {
 			// A name g binds again is g's in the filter, not the earlier one.
-			if !boundBefore[fv] || patternBinds(g.Pat, fv) {
+			if !slices.Contains(boundBefore, fv) || patternBinds(g.Pat, fv) {
 				return joinCond{}, false
 			}
 		}
-		return joinCond{comp: ci, probe: exprSide}, true
+		return joinCond{comp: ci, probe: probe}, true
 	}
-	if c, ok := try(eq.L, eq.R); ok {
+	res := resolved.(*Binary)
+	if c, ok := try(eq.L, eq.R, res.R); ok {
 		return c, true
 	}
-	if c, ok := try(eq.R, eq.L); ok {
+	if c, ok := try(eq.R, eq.L, res.L); ok {
 		return c, true
 	}
 	return joinCond{}, false
@@ -641,25 +675,23 @@ func (ctx *compCtx) countAtSource() (n int64, ok bool, err error) {
 	return n, true, nil
 }
 
-// source returns the generator's elements, memoised for constant
-// sources.
-func (ctx *compCtx) source(i int, g *Generator, env *Env) ([]Value, error) {
-	qs, constSrc := &ctx.quals[i], ctx.plan.quals[i].constSrc
-	if constSrc && qs.srcSet {
+// source returns generator i's elements, memoised for constant sources.
+func (ctx *compCtx) source(i int) ([]Value, error) {
+	qs, qp := &ctx.quals[i], &ctx.plan.quals[i]
+	if qp.constSrc && qs.srcSet {
 		return qs.srcVal.Elements()
 	}
 	before := ctx.ev.steps
-	v, err := ctx.ev.eval(g.Src, env)
+	v, err := ctx.ev.eval(qp.expr, &ctx.scope)
 	ctx.srcSteps += ctx.ev.steps - before
 	if err != nil {
 		return nil, err
 	}
 	if _, err := v.Elements(); err != nil {
-		return nil, fmt.Errorf("iql: generator source %s: %w", g.Src, err)
+		return nil, fmt.Errorf("iql: generator source %s: %w", qp.expr, err)
 	}
-	if constSrc {
-		qs.srcVal = v
-		qs.srcSet = true
+	if qp.constSrc {
+		qs.srcVal, qs.srcSet = v, true
 	}
 	return v.Elements()
 }
@@ -732,14 +764,14 @@ func (qp *qualPlan) newIndex(els []Value) *JoinIndex {
 
 // probeKey evaluates generator i's probe expressions into the shared
 // scratch buffer, one component of the probe key each, and returns it.
-func (ctx *compCtx) probeKey(i int, env *Env) ([]Value, error) {
+func (ctx *compCtx) probeKey(i int) ([]Value, error) {
 	jcs := ctx.plan.quals[i].joins
 	if cap(ctx.probeScratch) < len(jcs) {
 		ctx.probeScratch = make([]Value, len(jcs))
 	}
 	scratch := ctx.probeScratch[:len(jcs)]
 	for n, jc := range jcs {
-		v, err := ctx.ev.eval(jc.probe, env)
+		v, err := ctx.ev.eval(jc.probe, &ctx.scope)
 		if err != nil {
 			return nil, err
 		}
@@ -780,38 +812,37 @@ func (s *sink) add(v Value) {
 func (s *sink) keeps() bool { return !s.count && s.into == nil }
 
 // head evaluates the comprehension's head under a complete binding. A
-// sink that keeps what it is handed gets a value of its own. Any other
-// gets a tuple head in the context's scratch row, which the next binding
-// overwrites: the steps are the ones eval charges — one for the tuple
-// node, then each component's — and nothing is allocated. A head of
-// variables the generators bind is copied from their scopes by slot,
-// charged the same steps, and no name is looked up.
-func (ctx *compCtx) head(env *Env, out *sink) (Value, error) {
-	ev, t := ctx.ev, ctx.plan.headTuple
-	if t == nil || out.keeps() {
-		return ev.eval(ctx.plan.comp.Head, env)
-	}
-	if ctx.headScratch == nil {
-		ctx.headScratch = make([]Value, len(t.Elems))
-	}
-	if slots := ctx.plan.headSlots; slots != nil {
-		if err := ev.charge(1 + len(slots)); err != nil {
-			return Value{}, err
-		}
-		for i, s := range slots {
-			ctx.headScratch[i] = ctx.quals[s.qual].scope.vals[s.slot]
-		}
-		return Tuple(ctx.headScratch...), nil
+// tuple head's components are evaluated into the context's scratch row,
+// charged the steps eval charges — one for the tuple node, then each
+// component's, a variable of its own read from its slot. A sink that
+// keeps what it is handed gets a row of its own; any other gets the
+// scratch row, which the next binding overwrites: nothing is allocated.
+func (ctx *compCtx) head(out *sink) (Value, error) {
+	ev, env, t := ctx.ev, &ctx.scope, ctx.plan.headTuple
+	if t == nil {
+		return ev.eval(ctx.plan.head, env)
 	}
 	if err := ev.step(); err != nil {
 		return Value{}, err
 	}
+	if ctx.headScratch == nil {
+		ctx.headScratch = make([]Value, len(t.Elems))
+	}
 	for i, x := range t.Elems {
-		v, err := ev.eval(x, env)
+		var v Value
+		var err error
+		if r, ok := x.(*slotRef); ok && r.depth == 0 {
+			v, err = env.vals[r.slot], ev.step()
+		} else {
+			v, err = ev.eval(x, env)
+		}
 		if err != nil {
 			return Value{}, err
 		}
 		ctx.headScratch[i] = v
+	}
+	if out.keeps() {
+		return Tuple(slices.Clone(ctx.headScratch)...), nil
 	}
 	return Tuple(ctx.headScratch...), nil
 }
@@ -820,12 +851,12 @@ func (ctx *compCtx) head(env *Env, out *sink) (Value, error) {
 // size hint for a collecting sink's slice.
 const outPrealloc = 1024
 
-// run evaluates qualifiers from position i under env, handing the sink
-// the head value of every complete binding.
-func (ctx *compCtx) run(i int, env *Env, out *sink) error {
+// run evaluates qualifiers from position i in the comprehension's scope,
+// handing the sink the head value of every complete binding.
+func (ctx *compCtx) run(i int, out *sink) error {
 	ev, quals := ctx.ev, ctx.plan.comp.Quals
 	if i == len(quals) {
-		v, err := ctx.head(env, out)
+		v, err := ctx.head(out)
 		if err != nil {
 			return err
 		}
@@ -834,7 +865,7 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 	}
 	switch q := quals[i].(type) {
 	case *Filter:
-		c, err := ev.eval(q.Cond, env)
+		c, err := ev.eval(ctx.plan.quals[i].expr, &ctx.scope)
 		if err != nil {
 			return err
 		}
@@ -844,84 +875,71 @@ func (ctx *compCtx) run(i int, env *Env, out *sink) error {
 		if !c.B() {
 			return nil
 		}
-		return ctx.run(i+1, env, out)
+		return ctx.run(i+1, out)
 
 	case *Generator:
 		if rs, ok, err := ctx.stream(i, q); err != nil {
 			return err
 		} else if ok {
-			return ctx.runStream(i, q, rs, env, out)
+			return ctx.runStream(i, q, rs, out)
 		}
-		els, err := ctx.source(i, q, env)
+		els, err := ctx.source(i)
 		if err != nil {
 			return err
 		}
 		if ctx.plan.quals[i].run != nil && ev.Indexes != nil && len(els) > 0 {
 			// A join run is recorded and replayed where there is a cache
 			// to keep its record in.
-			return ctx.runJoined(i, els, env, out)
+			return ctx.runJoined(i, els, out)
 		}
-		return ctx.walk(i, els, env, out)
+		return ctx.walk(i, els, out)
 	}
 	return fmt.Errorf("iql: unknown qualifier %T", quals[i])
 }
 
 // walk runs generator i over its source's elements els: by probing its
 // join index, or by a scan.
-func (ctx *compCtx) walk(i int, els []Value, env *Env, out *sink) error {
-	ev := ctx.ev
-	if qp := &ctx.plan.quals[i]; len(qp.joins) > 0 {
-		// Indexed equi-join: probe instead of scan; the consumed
-		// filters are subsumed by the index lookup.
-		idx := ctx.buildIndex(i, els)
-		key, err := ctx.probeKey(i, env)
-		if err != nil {
-			if ev.stopped(err) {
-				return err
-			}
-			return ctx.scan(i, els, env, out)
+func (ctx *compCtx) walk(i int, els []Value, out *sink) error {
+	ev, qp := ctx.ev, &ctx.plan.quals[i]
+	if len(qp.joins) == 0 {
+		if out.keeps() && cap(out.vals) == 0 && len(els) > 0 {
+			// First growth: trust the generator's cardinality as a size
+			// hint so comprehension outputs don't grow append-by-append.
+			out.vals = make([]Value, 0, min(len(els), outPrealloc))
 		}
-		r := idx.Probe(key)
-		if r < 0 {
-			return nil
-		}
-		next := i + 1 + qp.consumed
-		child := ctx.enter(i, env)
-		qs := &ctx.quals[i]
-		ev.genDepth++
-		for ; r >= 0; r = idx.Next(r) {
-			qs.row = int(r)
-			if err := ctx.runElement(i, els[r], next, child, out); err != nil {
-				ev.genDepth--
-				return err
-			}
-		}
-		ev.genDepth--
-		return nil
+		return ctx.scan(i, els, out)
 	}
-	if out.keeps() && cap(out.vals) == 0 && len(els) > 0 {
-		// First growth: trust the generator's cardinality as a size
-		// hint so comprehension outputs don't grow append-by-append.
-		out.vals = make([]Value, 0, min(len(els), outPrealloc))
+	// Indexed equi-join: probe instead of scan; the consumed filters are
+	// subsumed by the index lookup.
+	idx := ctx.buildIndex(i, els)
+	key, err := ctx.probeKey(i)
+	if err != nil {
+		if ev.stopped(err) {
+			return err
+		}
+		return ctx.scan(i, els, out)
 	}
-	return ctx.scan(i, els, env, out)
+	ev.genDepth++
+	defer func() { ev.genDepth-- }()
+	for r := idx.Probe(key); r >= 0; r = idx.Next(r) {
+		if err := ctx.runElement(i, els[r], i+1+len(qp.joins), out); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // scan runs generator i over els; so does a join whose probe key fails
 // with an error of its own, as that filter fails only where an element
 // reaches it.
-func (ctx *compCtx) scan(i int, els []Value, env *Env, out *sink) error {
-	child := ctx.enter(i, env)
-	qs := &ctx.quals[i]
+func (ctx *compCtx) scan(i int, els []Value, out *sink) error {
 	ctx.ev.genDepth++
-	for r, el := range els {
-		qs.row = r
-		if err := ctx.runElement(i, el, i+1, child, out); err != nil {
-			ctx.ev.genDepth--
+	defer func() { ctx.ev.genDepth-- }()
+	for _, el := range els {
+		if err := ctx.runElement(i, el, i+1, out); err != nil {
 			return err
 		}
 	}
-	ctx.ev.genDepth--
 	return nil
 }
 
@@ -965,19 +983,18 @@ func (ctx *compCtx) stream(i int, g *Generator) (RowStream, bool, error) {
 // is walked exactly as the materialised loop in run walks its elements,
 // so results are byte-identical; only the residency differs. The stream
 // is always closed, including on early error returns.
-func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, env *Env, out *sink) (err error) {
+func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, out *sink) (err error) {
 	defer func() {
 		if cerr := rs.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
 	ev := ctx.ev
-	child := ctx.enter(i, env)
 	ev.genDepth++
 	defer func() { ev.genDepth-- }()
 	for rs.Next() {
 		for _, el := range rs.Page() {
-			if err := ctx.runElement(i, el, i+1, child, out); err != nil {
+			if err := ctx.runElement(i, el, i+1, out); err != nil {
 				return err
 			}
 		}
@@ -988,21 +1005,21 @@ func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, env *Env, out *
 	return nil
 }
 
-// runElement binds one element of generator i into the generator's
+// runElement binds one element of generator i into the comprehension's
 // scope and continues evaluation from qualifier next. The last member of
 // a join run whose walk is being recorded records the match first.
-func (ctx *compCtx) runElement(i int, el Value, next int, child *Env, out *sink) error {
+func (ctx *compCtx) runElement(i int, el Value, next int, out *sink) error {
 	if err := ctx.ev.step(); err != nil {
 		return err
 	}
 	qp := &ctx.plan.quals[i]
-	if !qp.pat.bind(el, child.vals) {
+	if !qp.pat.bind(el, ctx.scope.vals) {
 		return nil // non-matching elements are skipped
 	}
 	if qp.ends != nil {
 		if r := ctx.quals[qp.ends.members[0]].recorder; r != nil {
-			return ctx.recordMatch(r, next, child, out)
+			return ctx.recordMatch(r, next, out)
 		}
 	}
-	return ctx.run(next, child, out)
+	return ctx.run(next, out)
 }

@@ -65,7 +65,7 @@ func (s *pagedStream) Close() error      { s.rest = nil; return nil }
 
 // envOf binds vars, as an enclosing let would.
 func envOf(vars map[string]iql.Value) *iql.Env {
-	env := iql.NewEnv()
+	env := &iql.Env{}
 	for name, v := range vars {
 		env.Bind(name, v)
 	}

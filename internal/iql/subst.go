@@ -96,7 +96,7 @@ func clonePattern(p Pattern) Pattern {
 // every replacement cloned so shared subtrees stay independent.
 func SubstituteSchemes(e Expr, fn func(parts []string) (Expr, bool)) Expr {
 	var repl map[*SchemeRef]Expr
-	walk(e, func(x Expr) {
+	walk(e, func(x Expr) bool {
 		if ref, ok := x.(*SchemeRef); ok {
 			if r, ok := fn(ref.Parts); ok {
 				if repl == nil {
@@ -105,6 +105,7 @@ func SubstituteSchemes(e Expr, fn func(parts []string) (Expr, bool)) Expr {
 				repl[ref] = r
 			}
 		}
+		return true
 	})
 	if repl == nil {
 		return e
@@ -126,10 +127,11 @@ func SubstituteSchemes(e Expr, fn func(parts []string) (Expr, bool)) Expr {
 // left-to-right order (with duplicates).
 func SchemeRefs(e Expr) [][]string {
 	var out [][]string
-	walk(e, func(x Expr) {
+	walk(e, func(x Expr) bool {
 		if ref, ok := x.(*SchemeRef); ok {
 			out = append(out, append([]string(nil), ref.Parts...))
 		}
+		return true
 	})
 	return out
 }
@@ -249,12 +251,12 @@ func patternBinds(p Pattern, name string) bool {
 	return false
 }
 
-// walk visits every expression node top-down.
-func walk(e Expr, f func(Expr)) {
-	if e == nil {
+// walk visits every expression node top-down, and the children of those
+// for which f reports true.
+func walk(e Expr, f func(Expr) bool) {
+	if e == nil || !f(e) {
 		return
 	}
-	f(e)
 	switch n := e.(type) {
 	case *TupleExpr:
 		for _, x := range n.Elems {

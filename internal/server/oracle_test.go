@@ -757,8 +757,24 @@ func runOracle(t *testing.T, w *oracleWorld, ch *oracleChoices, mode oracleMode)
 			ev += " " + name
 			st := core.Step{Kind: core.StepIntersect, Name: name, Mappings: []core.Mapping{core.Entity("<<U"+name+">>",
 				core.From("Shelf", "[{'SHELF', k} | k <- <<slots>>]"))}}
+			ig := func() *core.Integrator {
+				ig, err := current().integrator()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ig
+			}
+			_, taken := ig().Repo().Schema(name)
+			versions := len(ig().Versions())
 			if ok, _ := attempt(oracleReq{path: "/intersect", body: stepBody("h", st)}, true); ok {
 				t.Fatalf("%s: %s was accepted", stage(), ev)
+			}
+			// Both halves: the intersection's schema is stored now, and no
+			// global version is published. A step refused up front stores
+			// neither.
+			if _, stored := ig().Repo().Schema(name); taken || !stored || len(ig().Versions()) != versions {
+				t.Fatalf("%s: %s did not fail half-way: the name taken before %v, its schema stored %v, %d versions after %d",
+					stage(), ev, taken, stored, len(ig().Versions()), versions)
 			}
 			unjournaled = true
 		case "query":

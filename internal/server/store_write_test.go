@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/dataspace/automed/internal/core"
 	"github.com/dataspace/automed/internal/ispider"
@@ -168,6 +169,39 @@ func TestUnchangedRestoreAllocatesNoRow(t *testing.T) {
 	t.Logf("an unchanged restore: %.0f allocations over tables of 100 rows, %.0f over tables of 1,000", small, large)
 	if small != large {
 		t.Errorf("an unchanged restore allocates %.0f times over tables of 100 rows and %.0f over tables of 1,000: it decodes rows", small, large)
+	}
+}
+
+// TestRestoredDocumentsAreTheMemos: a session restored over itself takes
+// its unchanged sources over, and its file's documents are then the
+// very bytes those sources' memos hold, so a save finds each source
+// unchanged by the documents' address, not by comparing them.
+func TestRestoredDocumentsAreTheMemos(t *testing.T) {
+	s, _ := newDurableClient(t, t.TempDir())
+	ws := caseSources(t)
+	sess := newSessionOver(t, s, "docs", ws)
+	if _, err := sess.Federate(context.Background(), "F", false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SnapshotSession("docs"); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := s.restoreSession("docs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, held := restored.sources()
+	for i, w := range held {
+		if w != ws[i] {
+			t.Fatalf("the restore decoded %s again", w.SchemaName())
+		}
+		doc, err := wrapper.Encode(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unsafe.SliceData(doc) != unsafe.SliceData(restored.file.docs[i]) {
+			t.Errorf("%s: the file's document is a copy of the memo's %d bytes", w.SchemaName(), len(doc))
+		}
 	}
 }
 

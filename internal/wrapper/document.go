@@ -145,11 +145,19 @@ func (m *docMemo) get(stamp uint64, sn Snapshotter) (json.RawMessage, error) {
 	return m.doc, nil
 }
 
-// holds reports whether the memo is doc, encoded at stamp.
+// holds reports whether the memo is doc, encoded at stamp. When it is,
+// the memo keeps doc's array from then on: a restored session's file
+// holds the documents it read, and the next comparison of one of them
+// with its memo — each save's (Changed) — finds the very bytes and
+// compares no further.
 func (m *docMemo) holds(stamp uint64, doc json.RawMessage) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.doc != nil && m.stamp == stamp && bytes.Equal(m.doc, doc)
+	if m.doc == nil || m.stamp != stamp || !bytes.Equal(m.doc, doc) {
+		return false
+	}
+	m.doc = doc
+	return true
 }
 
 func (m *docMemo) set(stamp uint64, doc json.RawMessage) {
