@@ -553,15 +553,6 @@ func TestSubstitution(t *testing.T) {
 	}
 }
 
-func TestFreeVars(t *testing.T) {
-	e := MustParse("[{k, v} | k <- <<t>>; v <- outer; k = bound]")
-	fv := FreeVars(e)
-	want := map[string]bool{"outer": true, "bound": true}
-	if len(fv) != 2 || !want[fv[0]] || !want[fv[1]] {
-		t.Errorf("FreeVars = %v, want outer and bound", fv)
-	}
-}
-
 func TestValueKeySemantics(t *testing.T) {
 	// Bags compare as multisets regardless of order.
 	a := Bag(Int(1), Int(2), Int(2))

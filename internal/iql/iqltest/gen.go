@@ -93,6 +93,13 @@ var Corpus = []string{
 	"[k | y <- [2]; {k, {k, z}} <- [{1, {2, 3}}]; k = y]",
 	"[v | k <- [1]; {k, v} <- [{2, 2}, {1, 5}]; v = k]",
 	"[{} | {s} <- <<t>>; s = <<nowhere>>]", // a join's failing probe, reached by no element
+	// A probe naming an outer comprehension's variable, or a let of an
+	// earlier generator's, is keyed on an index; a source naming an outer
+	// variable is constant for one evaluation of its comprehension.
+	"[[w | {j, w} <- <<pairs>>; k = j] | {k, v} <- <<pairs>>]",
+	"[{a, b} | {k, a} <- <<pairs>>; {k2, b} <- <<pairs>>; k2 = (let z = k in z)]",
+	"[[x | x <- [k, v]] | {k, v} <- <<pairs>>]",
+	"count([x | {x, x} <- <<pairs>>; x = 4])",
 	// Where an int and a float of nearly its value part, and NaN.
 	"[x | x <- <<nums>>; x = 9007199254740992.0]",
 	"count(distinct(<<nums>>))",

@@ -79,8 +79,8 @@ func (p *compPlan) markRuns(read []int) {
 func (p *compPlan) runFrom(i int) (members []int, next int) {
 	quals := p.comp.Quals
 	for next = i; next < len(quals); next += 1 + len(p.quals[next].joins) {
-		g, ok := quals[next].(*Generator)
-		if !ok || !p.joinsWithin(next, g, p.quals[i].from) || (len(members) > 0 && len(p.quals[next].joins) == 0) {
+		_, isGen := quals[next].(*Generator)
+		if !isGen || !p.joinsWithin(next, p.quals[i].from) || (len(members) > 0 && len(p.quals[next].joins) == 0) {
 			break
 		}
 		members = append(members, next)
@@ -88,11 +88,11 @@ func (p *compPlan) runFrom(i int) (members []int, next int) {
 	return members, next
 }
 
-// joinsWithin reports whether generator i, drawing g, may follow run
-// members that bind the slots from on: its source is a scheme reference,
-// and each of its join's probes is a literal or a variable they bind.
-func (p *compPlan) joinsWithin(i int, g *Generator, from int) bool {
-	if _, ok := g.Src.(*SchemeRef); !ok {
+// joinsWithin reports whether generator i may follow run members that
+// bind the slots from on: its source is a scheme reference, and each of
+// its join's probes is a literal or a variable they bind.
+func (p *compPlan) joinsWithin(i, from int) bool {
+	if _, ok := p.quals[i].expr.(*SchemeRef); !ok {
 		return false
 	}
 	for _, jc := range p.quals[i].joins {

@@ -13,17 +13,21 @@ import (
 // of the AutoMed query processor's optimisation phase (Jasper et al.).
 // Three rewrites are applied, all strictly semantics-preserving:
 //
-//  1. Constant-source memoisation: a generator whose source expression
-//     has no free variables (e.g. a scheme reference) is evaluated once
-//     per comprehension invocation, not once per enclosing binding.
+//  1. Constant-source memoisation: a generator whose source, resolved,
+//     reads no slot of its own comprehension's scope (e.g. a scheme
+//     reference, or an expression of enclosing comprehensions' and the
+//     caller's variables only) is evaluated once per comprehension
+//     invocation, not once per binding of the generators before it.
 //
-//  2. Equi-join indexing: a generator followed by consecutive filters
-//     "v = e" (or "e = v"), where each v is bound by the generator's
-//     pattern and each e depends only on variables bound by *earlier*
-//     generators, is executed by probing a hash index on the composite
-//     of the v components instead of scanning and filtering. The index
-//     buckets by structural Hash and confirms with Equal — exactly the
-//     '=' operator's semantics — so results are identical.
+//  2. Equi-join indexing: a constant-source generator followed by
+//     consecutive filters "v = e" (or "e = v"), where each v is a slot
+//     the generator's pattern binds to a whole component of the element
+//     and each e reads no slot the generator or a later one binds, is
+//     executed by probing a hash index on the composite of the v
+//     components instead of scanning and filtering; e may read earlier
+//     generators' slots, enclosing scopes' and the caller's names. The
+//     index buckets by structural Hash and confirms with Equal — exactly
+//     the '=' operator's semantics — so results are identical.
 //
 //  3. Join-run replay: a run of joined generators whose matches depend
 //     only on the extents they draw (see joinRun in joinrun.go) records,
@@ -33,22 +37,23 @@ import (
 //     writes the recorded values into the comprehension's scope instead
 //     of probing, and charges the recorded steps.
 //
-// The static analysis (how each variable resolves, which sources are
-// constant, which filter runs are joinable, how each pattern binds,
-// whether count can be asked of the source) depends only on the AST, so
-// it is worked out once per *Comp node, by the first evaluation to meet
-// it, and published on the node as its compPlan: every later evaluation
-// of the node shares it, so a cached query is analysed once for every
-// session that asks it and a derivation once for every query that
-// unfolds it. A comprehension nested in another is analysed with it, on
-// a copy of its node that the outer plan holds, as every variable is
-// resolved where it stands (see resolver). What one evaluation of the
-// node writes — memoised sources, join indexes, its scope, scratch rows
-// — is a compCtx. One is parked on the plan between evaluations,
-// emptied, and taken by the next, so a warm query, and a nested
-// comprehension re-entered once per enclosing binding, allocate neither;
-// an evaluation that finds none parked (re-entry, concurrent queries)
-// makes its own.
+// The static analysis depends only on the AST. It resolves each variable
+// to a slot (see resolver) and each pattern to the slots it binds; every
+// decision after that — which sources are constant, which filter runs
+// are joinable, whether count can be asked of the source — reads those
+// slots, never a name. It is worked out once per *Comp node, by the
+// first evaluation to meet it, and published on the node as its
+// compPlan: every later evaluation of the node shares it, so a cached
+// query is analysed once for every session that asks it and a
+// derivation once for every query that unfolds it. A comprehension
+// nested in another is analysed with it, on a copy of its node that the
+// outer plan holds, as every variable is resolved where it stands. What
+// one evaluation of the node writes — memoised sources, join indexes,
+// its scope, scratch rows — is a compCtx. One is parked on the plan
+// between evaluations, emptied, and taken by the next, so a warm query,
+// and a nested comprehension re-entered once per enclosing binding,
+// allocate neither; an evaluation that finds none parked (re-entry,
+// concurrent queries) makes its own.
 type compPlan struct {
 	comp  *Comp
 	quals []qualPlan
@@ -60,8 +65,8 @@ type compPlan struct {
 	headTuple *TupleExpr
 
 	// names are the variables the generators bind, by slot of the scope:
-	// each generator's pattern's in turn, a repeated name once for each
-	// occurrence. They are kept for errors and for explaining a plan.
+	// each generator's pattern's in turn, a name the pattern repeats once.
+	// They are kept for errors and for explaining a plan.
 	names []string
 
 	// sel is what the comprehension keeps of its generator's extent when
@@ -77,7 +82,7 @@ type compPlan struct {
 // qualPlan is one qualifier's analysis.
 type qualPlan struct {
 	expr     Expr       // the generator's source or the filter's condition, resolved
-	constSrc bool       // source has no free variables
+	constSrc bool       // source reads no slot of the comprehension's scope
 	joins    []joinCond // indexed equi-join conditions, one per following filter it subsumes (empty = scan)
 	joinSpec string     // join-key component positions (index cache key)
 	from, to int        // the slots the pattern binds
@@ -152,18 +157,23 @@ const (
 	slotFlat // a tuple of variables and "_", bound without recursing
 )
 
-// compilePattern gives each of p's variables the next slot, appending
-// its name to vars. A name repeated within the pattern takes a slot each
-// time, and a variable resolves to the last (see resolver.ref), so the
-// later occurrence wins, as successive Binds would have it.
-func compilePattern(p Pattern, vars *[]string) slotPat {
+// compilePattern resolves p's variables to slots of the scope whose
+// names vars holds, the pattern's own from on: each variable takes the
+// next slot, appending its name to vars, but a name p repeats takes the
+// slot of its first occurrence, so bind stores its last occurrence's
+// component there, as successive Binds would.
+func compilePattern(p Pattern, vars *[]string, from int) slotPat {
 	switch pat := p.(type) {
 	case *VarPat:
 		if pat.Name == "_" {
 			return slotPat{kind: slotWild}
 		}
-		*vars = append(*vars, pat.Name)
-		return slotPat{kind: slotVar, slot: len(*vars) - 1}
+		slot := from + slices.Index((*vars)[from:], pat.Name)
+		if slot < from {
+			*vars = append(*vars, pat.Name)
+			slot = len(*vars) - 1
+		}
+		return slotPat{kind: slotVar, slot: slot}
 	case *LitPat:
 		return slotPat{kind: slotLit, lit: pat}
 	case *TuplePat:
@@ -171,7 +181,7 @@ func compilePattern(p Pattern, vars *[]string) slotPat {
 			slots := make([]int, len(pat.Elems))
 			for i, sub := range pat.Elems {
 				slots[i] = -1
-				if sp := compilePattern(sub, vars); sp.kind == slotVar {
+				if sp := compilePattern(sub, vars, from); sp.kind == slotVar {
 					slots[i] = sp.slot
 				}
 			}
@@ -179,11 +189,38 @@ func compilePattern(p Pattern, vars *[]string) slotPat {
 		}
 		elems := make([]slotPat, len(pat.Elems))
 		for i, sub := range pat.Elems {
-			elems[i] = compilePattern(sub, vars)
+			elems[i] = compilePattern(sub, vars, from)
 		}
 		return slotPat{kind: slotTuple, elems: elems}
 	}
 	panic(fmt.Sprintf("iql: unknown pattern %T", p))
+}
+
+// binds reports whether the pattern binds slot anywhere in it.
+func (p *slotPat) binds(slot int) bool {
+	return p.kind == slotVar && p.slot == slot || slices.Contains(p.flat, slot) ||
+		slices.ContainsFunc(p.elems, func(sub slotPat) bool { return sub.binds(slot) })
+}
+
+// key returns the component of the element (wholeElement for a bare
+// variable) that bind stores in slot last, and false when that is no
+// whole component — it lies inside a nested pattern, which no index is
+// keyed on — or the pattern binds no such slot.
+func (p *slotPat) key(slot int) (comp int, ok bool) {
+	if p.kind == slotVar {
+		return wholeElement, p.slot == slot
+	}
+	for i, s := range p.flat {
+		if s == slot {
+			comp, ok = i, true
+		}
+	}
+	for i := range p.elems {
+		if p.elems[i].binds(slot) {
+			comp, ok = i, p.elems[i].kind == slotVar
+		}
+	}
+	return comp, ok
 }
 
 // bind matches v against the pattern, storing variable components into
@@ -344,7 +381,7 @@ func analyze(c *Comp) *compPlan { return new(resolver).analyze(c) }
 // which generator/filter runs are joinable, which generators form join
 // runs, and c as a Selection.
 func (r *resolver) analyze(c *Comp) *compPlan {
-	p := &compPlan{comp: c, quals: make([]qualPlan, len(c.Quals)), sel: selectionOf(c)}
+	p := &compPlan{comp: c, quals: make([]qualPlan, len(c.Quals))}
 	f := &frame{}
 	r.scopes = append(r.scopes, f)
 	for i, q := range c.Quals {
@@ -356,7 +393,7 @@ func (r *resolver) analyze(c *Comp) *compPlan {
 		case *Generator:
 			qp.expr = r.resolve(q.Src)
 			qp.from = len(f.names)
-			qp.pat = compilePattern(q.Pat, &f.names)
+			qp.pat = compilePattern(q.Pat, &f.names, qp.from)
 			qp.to = len(f.names)
 			f.read = append(f.read, slices.Repeat([]int{-1}, qp.to-qp.from)...)
 		}
@@ -367,19 +404,21 @@ func (r *resolver) analyze(c *Comp) *compPlan {
 	p.names = slices.Clip(f.names)
 	r.scopes = r.scopes[:len(r.scopes)-1]
 	for i, q := range c.Quals {
-		g, isGen := q.(*Generator)
 		qp := &p.quals[i]
-		if qp.constSrc = isGen && len(FreeVars(g.Src)) == 0; qp.constSrc {
-			for j := i + 1; j < len(c.Quals); j++ {
-				cond, ok := joinableFilter(g, c.Quals[j], p.quals[j].expr, p.names[:qp.from])
-				if !ok {
-					break
-				}
-				qp.joins = append(qp.joins, cond)
-				qp.joinSpec += "," + strconv.Itoa(cond.comp)
+		if _, isGen := q.(*Generator); !isGen || reads(qp.expr, 0, 0) {
+			continue
+		}
+		qp.constSrc = true
+		for j := i + 1; j < len(c.Quals); j++ {
+			cond, ok := p.joinCond(i, j)
+			if !ok {
+				break
 			}
+			qp.joins = append(qp.joins, cond)
+			qp.joinSpec += "," + strconv.Itoa(cond.comp)
 		}
 	}
+	p.sel = selectionOf(p)
 	p.markRuns(f.read)
 	return p
 }
@@ -463,139 +502,118 @@ func class(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// joinableFilter recognises "v = e" / "e = v" following generator g,
-// with v bound by g's pattern and e's free variables all among the names
-// bound before g and not again by it; the probe is e's side of the
-// condition resolved.
-func joinableFilter(g *Generator, next Qual, resolved Expr, boundBefore []string) (joinCond, bool) {
-	f, isFilter := next.(*Filter)
-	if !isFilter {
+// joinCond recognises filter j as "v = e" or "e = v" that generator
+// i's index can take: v is a slot i's pattern binds to a whole component
+// of the element, and e reads no slot i or a generator after it binds —
+// the earlier generators', the enclosing scopes' and the caller's are
+// fixed while i runs. The probe is e.
+func (p *compPlan) joinCond(i, j int) (joinCond, bool) {
+	if _, ok := p.comp.Quals[j].(*Filter); !ok {
 		return joinCond{}, false
 	}
-	eq, isEq := f.Cond.(*Binary)
-	if !isEq || eq.Op != "=" {
+	eq, ok := p.quals[j].expr.(*Binary)
+	if !ok || eq.Op != "=" {
 		return joinCond{}, false
 	}
-	// Which component does the generator bind the variable to? A name
-	// the pattern repeats is bound to its last occurrence (slotPat.bind),
-	// and that must be a component of the element itself: one inside a
-	// nested pattern is no key of the index.
-	comp := func(name string) (ci int, ok bool) {
-		switch pat := g.Pat.(type) {
-		case *VarPat:
-			return wholeElement, patternBinds(pat, name)
-		case *TuplePat:
-			for i, pe := range pat.Elems {
-				if patternBinds(pe, name) {
-					_, isVar := pe.(*VarPat)
-					ci, ok = i, isVar
-				}
-			}
+	qp := &p.quals[i]
+	for _, sides := range [2][2]Expr{{eq.L, eq.R}, {eq.R, eq.L}} {
+		v, ok := sides[0].(*slotRef)
+		if !ok || v.depth != 0 || reads(sides[1], 0, qp.from) {
+			continue
 		}
-		return ci, ok
-	}
-	try := func(varSide, exprSide, probe Expr) (joinCond, bool) {
-		v, isVar := varSide.(*Var)
-		if !isVar {
-			return joinCond{}, false
+		if comp, ok := qp.pat.key(v.slot); ok {
+			return joinCond{comp: comp, probe: sides[1]}, true
 		}
-		ci, ok := comp(v.Name)
-		if !ok {
-			return joinCond{}, false
-		}
-		for _, fv := range FreeVars(exprSide) {
-			// A name g binds again is g's in the filter, not the earlier one.
-			if !slices.Contains(boundBefore, fv) || patternBinds(g.Pat, fv) {
-				return joinCond{}, false
-			}
-		}
-		return joinCond{comp: ci, probe: probe}, true
-	}
-	res := resolved.(*Binary)
-	if c, ok := try(eq.L, eq.R, res.R); ok {
-		return c, true
-	}
-	if c, ok := try(eq.R, eq.L, res.L); ok {
-		return c, true
 	}
 	return joinCond{}, false
 }
 
-// selectionOf states c as a Selection of its generator's extent, or
-// returns nil: count(c) is then the number of elements the Selection
-// keeps, and nothing else about c can be observed — no error, no
-// warning. That holds when qualifier 0 is c's only generator, drawing a
-// bare variable or a flat tuple of distinct variables and "_" from a
+// reads reports whether e, resolved, reads a slot from on of the scope
+// depth scopes up from e's. It steps into a let's body, and into a
+// nested comprehension's resolved qualifiers and head, a scope further
+// down.
+func reads(e Expr, depth, from int) bool {
+	found := false
+	walk(e, func(x Expr) bool {
+		switch n := x.(type) {
+		case *slotRef:
+			found = found || n.depth == depth && n.slot >= from
+		case *LetExpr:
+			found = found || reads(n.Val, depth, from) || reads(n.Body, depth+1, from)
+			return false
+		case *Comp:
+			p := n.plan.Load()
+			found = found || reads(p.head, depth+1, from)
+			for i := range p.quals {
+				found = found || reads(p.quals[i].expr, depth+1, from)
+			}
+			return false
+		}
+		return !found
+	})
+	return found
+}
+
+// selectionOf states p's comprehension as a Selection of its generator's
+// extent, or returns nil: count of it is then the number of elements the
+// Selection keeps, and nothing else about it can be observed — no error,
+// no warning. That holds when qualifier 0 is its only generator, drawing
+// a bare variable or a flat tuple of distinct variables and "_" from a
 // scheme reference; every other qualifier is a filter comparing one of
 // those variables with an integer literal, either way round, by one of
 // = < <= > >=; and the head is built of those variables, literals and
 // tuples of them, so evaluating it cannot fail.
-func selectionOf(c *Comp) *Selection {
-	if len(c.Quals) == 0 {
+func selectionOf(p *compPlan) *Selection {
+	if len(p.quals) == 0 {
 		return nil
 	}
-	g, ok := c.Quals[0].(*Generator)
-	if !ok {
+	if _, ok := p.comp.Quals[0].(*Generator); !ok {
 		return nil
 	}
-	if _, ok := g.Src.(*SchemeRef); !ok {
+	if _, ok := p.quals[0].expr.(*SchemeRef); !ok {
 		return nil
 	}
 	var sel Selection
-	var names []string // the variable each component binds; "_" binds none
-	switch pat := g.Pat.(type) {
-	case *VarPat:
-		names = []string{pat.Name}
-	case *TuplePat:
-		if len(pat.Elems) == 0 {
+	var slots []int // the slot each component binds; -1 for "_"
+	switch pat := &p.quals[0].pat; pat.kind {
+	case slotWild:
+		slots = []int{-1}
+	case slotVar:
+		slots = []int{pat.slot}
+	case slotFlat:
+		if len(pat.flat) == 0 {
 			return nil
 		}
-		sel.Arity = len(pat.Elems)
-		for _, pe := range pat.Elems {
-			vp, ok := pe.(*VarPat)
-			if !ok || (vp.Name != "_" && slices.Contains(names, vp.Name)) {
-				return nil
+		for i, s := range pat.flat {
+			if s >= 0 && slices.Contains(pat.flat[:i], s) {
+				return nil // a name the pattern repeats binds its slot twice
 			}
-			names = append(names, vp.Name)
 		}
+		sel.Arity, slots = len(pat.flat), pat.flat
 	default:
 		return nil
 	}
 	component := func(e Expr) (int, bool) {
-		v, ok := e.(*Var)
-		if !ok || v.Name == "_" {
+		r, ok := e.(*slotRef)
+		if !ok || r.depth != 0 || r.slot < 0 {
 			return 0, false
 		}
-		i := slices.Index(names, v.Name)
+		i := slices.Index(slots, r.slot)
 		return i, i >= 0
 	}
-	for _, q := range c.Quals[1:] {
-		f, ok := q.(*Filter)
-		if !ok {
+	for i := 1; i < len(p.quals); i++ {
+		if _, ok := p.comp.Quals[i].(*Filter); !ok {
 			return nil
 		}
-		b, ok := f.Cond.(*Binary)
-		if !ok {
+		b, ok := p.quals[i].expr.(*Binary)
+		if !ok || turned[b.Op] == "" {
 			return nil
 		}
-		op, flipped := b.Op, b.Op
-		switch b.Op {
-		case "=":
-		case "<":
-			flipped = ">"
-		case "<=":
-			flipped = ">="
-		case ">":
-			flipped = "<"
-		case ">=":
-			flipped = "<="
-		default:
-			return nil
-		}
+		op := b.Op
 		comp, isVar := component(b.L)
 		lit, isLit := intLiteral(b.R)
 		if !isVar || !isLit {
-			op = flipped
+			op = turned[b.Op]
 			comp, isVar = component(b.R)
 			lit, isLit = intLiteral(b.L)
 		}
@@ -609,24 +627,23 @@ func selectionOf(c *Comp) *Selection {
 		switch n := e.(type) {
 		case *Lit:
 			return true
-		case *Var:
+		case *slotRef:
 			_, ok := component(n)
 			return ok
 		case *TupleExpr:
-			for _, x := range n.Elems {
-				if !total(x) {
-					return false
-				}
-			}
-			return true
+			return !slices.ContainsFunc(n.Elems, func(x Expr) bool { return !total(x) })
 		}
 		return false
 	}
-	if !total(c.Head) {
+	if !total(p.head) {
 		return nil
 	}
 	return &sel
 }
+
+// turned is each comparison a Selection can take, turned round: l op r
+// is r turned[op] l.
+var turned = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 // intLiteral reads e as an integer literal: a literal int, or '-'
 // applied to one, which is how the parser reads a negative number.
@@ -662,7 +679,7 @@ func (ctx *compCtx) countAtSource() (n int64, ok bool, err error) {
 	if sel == nil {
 		return 0, false, nil
 	}
-	ref := ctx.plan.comp.Quals[0].(*Generator).Src.(*SchemeRef)
+	ref := ctx.plan.quals[0].expr.(*SchemeRef)
 	n, ok, err = ce.ExtentCount(ref.Parts, *sel)
 	if err != nil || !ok {
 		return 0, false, err
@@ -878,10 +895,10 @@ func (ctx *compCtx) run(i int, out *sink) error {
 		return ctx.run(i+1, out)
 
 	case *Generator:
-		if rs, ok, err := ctx.stream(i, q); err != nil {
+		if rs, ok, err := ctx.stream(i); err != nil {
 			return err
 		} else if ok {
-			return ctx.runStream(i, q, rs, out)
+			return ctx.runStream(i, rs, out)
 		}
 		els, err := ctx.source(i)
 		if err != nil {
@@ -950,12 +967,12 @@ func (ctx *compCtx) scan(i int, els []Value, out *sink) error {
 // materialised, and nested generators re-run per enclosing binding,
 // where re-streaming would multiply backend fetches. The extent
 // provider has the final say via ExtentStream's ok result.
-func (ctx *compCtx) stream(i int, g *Generator) (RowStream, bool, error) {
+func (ctx *compCtx) stream(i int) (RowStream, bool, error) {
 	ev := ctx.ev
 	if ev.genDepth != 0 || len(ctx.plan.quals[i].joins) > 0 || ctx.quals[i].srcSet {
 		return nil, false, nil
 	}
-	ref, ok := g.Src.(*SchemeRef)
+	ref, ok := ctx.plan.quals[i].expr.(*SchemeRef)
 	if !ok {
 		return nil, false, nil
 	}
@@ -983,7 +1000,7 @@ func (ctx *compCtx) stream(i int, g *Generator) (RowStream, bool, error) {
 // is walked exactly as the materialised loop in run walks its elements,
 // so results are byte-identical; only the residency differs. The stream
 // is always closed, including on early error returns.
-func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, out *sink) (err error) {
+func (ctx *compCtx) runStream(i int, rs RowStream, out *sink) (err error) {
 	defer func() {
 		if cerr := rs.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -1000,7 +1017,7 @@ func (ctx *compCtx) runStream(i int, q *Generator, rs RowStream, out *sink) (err
 		}
 	}
 	if serr := rs.Err(); serr != nil {
-		return fmt.Errorf("iql: generator source %s: %w", q.Src, serr)
+		return fmt.Errorf("iql: generator source %s: %w", ctx.plan.quals[i].expr, serr)
 	}
 	return nil
 }

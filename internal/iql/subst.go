@@ -151,106 +151,6 @@ func UniqueSchemeRefs(e Expr) [][]string {
 	return out
 }
 
-// FreeVars returns the variable names that occur free in the expression
-// (not bound by an enclosing generator pattern or let), in first-seen
-// order.
-func FreeVars(e Expr) []string {
-	var out []string
-	seen := make(map[string]bool)
-	freeVars(e, map[string]bool{}, seen, &out)
-	return out
-}
-
-func freeVars(e Expr, bound map[string]bool, seen map[string]bool, out *[]string) {
-	switch n := e.(type) {
-	case nil:
-		return
-	case *Var:
-		if !bound[n.Name] && !seen[n.Name] {
-			seen[n.Name] = true
-			*out = append(*out, n.Name)
-		}
-	case *Lit, *SchemeRef:
-	case *TupleExpr:
-		for _, x := range n.Elems {
-			freeVars(x, bound, seen, out)
-		}
-	case *BagExpr:
-		for _, x := range n.Elems {
-			freeVars(x, bound, seen, out)
-		}
-	case *Comp:
-		inner := copyBound(bound)
-		for _, q := range n.Quals {
-			switch qq := q.(type) {
-			case *Generator:
-				freeVars(qq.Src, inner, seen, out)
-				bindPatternVars(qq.Pat, inner)
-			case *Filter:
-				freeVars(qq.Cond, inner, seen, out)
-			}
-		}
-		freeVars(n.Head, inner, seen, out)
-	case *Binary:
-		freeVars(n.L, bound, seen, out)
-		freeVars(n.R, bound, seen, out)
-	case *Unary:
-		freeVars(n.X, bound, seen, out)
-	case *Call:
-		for _, a := range n.Args {
-			freeVars(a, bound, seen, out)
-		}
-	case *RangeExpr:
-		freeVars(n.Lo, bound, seen, out)
-		freeVars(n.Hi, bound, seen, out)
-	case *IfExpr:
-		freeVars(n.Cond, bound, seen, out)
-		freeVars(n.Then, bound, seen, out)
-		freeVars(n.Else, bound, seen, out)
-	case *LetExpr:
-		freeVars(n.Val, bound, seen, out)
-		inner := copyBound(bound)
-		inner[n.Name] = true
-		freeVars(n.Body, inner, seen, out)
-	}
-}
-
-func copyBound(m map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func bindPatternVars(p Pattern, bound map[string]bool) {
-	switch pp := p.(type) {
-	case *VarPat:
-		if pp.Name != "_" {
-			bound[pp.Name] = true
-		}
-	case *TuplePat:
-		for _, e := range pp.Elems {
-			bindPatternVars(e, bound)
-		}
-	}
-}
-
-// patternBinds reports whether p binds name; "_" is bound by nothing.
-func patternBinds(p Pattern, name string) bool {
-	switch pp := p.(type) {
-	case *VarPat:
-		return pp.Name == name && name != "_"
-	case *TuplePat:
-		for _, e := range pp.Elems {
-			if patternBinds(e, name) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // walk visits every expression node top-down, and the children of those
 // for which f reports true.
 func walk(e Expr, f func(Expr) bool) {
@@ -296,12 +196,4 @@ func walk(e Expr, f func(Expr) bool) {
 		walk(n.Val, f)
 		walk(n.Body, f)
 	}
-}
-
-// Equal reports whether two expressions are structurally identical.
-func Equal(a, b Expr) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.String() == b.String()
 }
