@@ -358,7 +358,8 @@ func (ig *Integrator) Skipped() []string {
 // (prefixed objects, rename pathway, scoped derivations) and leaves the
 // skipped set. A backfill that recovers any publishes the next global
 // version, which adds their sections, and changes no version published
-// before it. It returns the names of the sources recovered. Intersect
+// before it; the report lists that version as a "backfill" iteration,
+// counting the sections' objects as automatic renames, as Federate does. It returns the names of the sources recovered. Intersect
 // is unaffected: intersections register only over the sources their
 // mappings name.
 func (ig *Integrator) Backfill(ctx context.Context) ([]string, error) {
@@ -385,12 +386,19 @@ func (ig *Integrator) Backfill(ctx context.Context) ([]string, error) {
 		return nil, nil
 	}
 	ig.unjournaled()
-	if err := ig.mergeFedSections(ig.fedSections(ig.fedName, ws)); err != nil {
+	sections := ig.fedSections(ig.fedName, ws)
+	if err := ig.mergeFedSections(sections); err != nil {
 		return nil, fmt.Errorf("core: backfilling %s: %w", strings.Join(recovered, ", "), err)
 	}
-	if _, err := ig.rebuildGlobal(ig.autoDrop); err != nil {
+	g, err := ig.rebuildGlobal(ig.autoDrop)
+	if err != nil {
 		return nil, err
 	}
+	var counts StepCounts
+	for _, sec := range sections {
+		counts.AutoRenames += len(sec.objs)
+	}
+	ig.iterations = append(ig.iterations, Iteration{Name: g.Name(), Kind: "backfill", Counts: counts, GlobalSchema: g.Name()})
 	return recovered, nil
 }
 

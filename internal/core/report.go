@@ -66,7 +66,9 @@ func (c StepCounts) String() string {
 type Iteration struct {
 	// Name labels the iteration (e.g. "I1", "refine-description").
 	Name string `json:"name"`
-	// Kind is "federate", "intersection", "refinement" or "global".
+	// Kind is "federate", "intersection", "refinement", "global", or
+	// "backfill": the version published when sources that federation
+	// skipped were recovered (Backfill).
 	Kind string `json:"kind"`
 	// Counts tallies the transformations produced.
 	Counts StepCounts `json:"counts"`

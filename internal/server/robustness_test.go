@@ -302,6 +302,48 @@ func TestDegradedFederationAndBackfill(t *testing.T) {
 	}
 }
 
+// TestReportListsBackfilledVersion: the version a backfill publishes is
+// an iteration of /report, kind "backfill", counting the recovered
+// source's objects as automatic renames as federation counts the
+// others' — and still is once the session is saved and restored.
+func TestReportListsBackfilledVersion(t *testing.T) {
+	cfg := robustCfg()
+	cfg.MinFederatedSources = 1
+	s, c := newTestClient(t, cfg)
+	if err := s.OpenStore(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	c.must("POST", "/sources", map[string]any{"name": "Steady", "tables": []map[string]any{{
+		"name": "rows", "columns": []string{"id:int", "label"}, "rows": [][]any{{0, "a"}},
+	}}}, http.StatusCreated)
+	c.must("POST", "/sources", map[string]any{"name": "Flaky", "fault": map[string]any{
+		"tables": []map[string]any{{"name": "items", "columns": []string{"id:int", "label"}, "rows": [][]any{{0, "x"}}}},
+		"config": map[string]any{"error_rate": 1},
+	}}, http.StatusCreated)
+	c.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
+	sess, err := s.reg.Get("default", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, _ := sess.Wrapper("Flaky")
+	fw.(*wrapper.Fault).Set(wrapper.FaultConfig{})
+	if n := sess.Probe(context.Background()); n != 1 {
+		t.Fatalf("Probe recovered %d sources, want 1", n)
+	}
+	backfilled := func(stage string) {
+		t.Helper()
+		its := c.must("GET", "/report", nil, http.StatusOK)["iterations"].([]any)
+		fed, last := its[0].(map[string]any), its[len(its)-1].(map[string]any)
+		if len(its) != 2 || last["name"] != "GS1" || last["kind"] != "backfill" || last["global_schema"] != "GS1" || last["auto"] != fed["auto"] {
+			t.Fatalf("%s: /report lists %v, want federation and then GS1's backfill, as many objects as Steady's alike table", stage, its)
+		}
+	}
+	backfilled("backfilled")
+	c.must("POST", "/sessions/default/snapshot", nil, http.StatusOK)
+	c.must("POST", "/sessions/default/restore", nil, http.StatusOK)
+	backfilled("restored")
+}
+
 // TestSchemasReadWhileProbeBackfills: clients list /schemas while a
 // probe backfills the source federation skipped. The backfill publishes
 // a version and writes nothing the versions listed before it hold: each
