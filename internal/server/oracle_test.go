@@ -154,9 +154,11 @@ func edgeSources(t *testing.T) []wrapper.Wrapper {
 
 // oracleExtras are steps over the other sources: an intersection of a
 // SQL, a REST and a static source, a refinement that adds a second
-// derivation to an object the intersection made, and one that defines
-// an object over a federated object, so that rows inserted into its
-// source change an object whose own derivations stay as they are.
+// derivation to an object the intersection made, one that defines an
+// object over a federated object, so that rows inserted into its source
+// change an object whose own derivations stay as they are, and one that
+// defines an object over the SQL and the REST source, whose rows both
+// contribute.
 var oracleExtras = []core.Step{
 	{Kind: core.StepIntersect, Name: "X1", Mappings: []core.Mapping{
 		core.Entity("<<UShelf>>",
@@ -171,6 +173,9 @@ var oracleExtras = []core.Step{
 		core.From("Notes", "[{'NOTE', k, x} | {k, x} <- <<notes, text>>]")}}},
 	{Kind: core.StepRefine, Name: "X3", Mapping: &core.Mapping{Target: "<<UAccessions>>", Forward: []core.SourceQuery{
 		core.From("Curated", "[k | k <- <<pedro_protein>>]")}}},
+	{Kind: core.StepRefine, Name: "X4", Mapping: &core.Mapping{Target: "<<UCodes>>", Forward: []core.SourceQuery{
+		core.From("Shelf", "[x | {k, x} <- <<slots, label>>]"),
+		core.From("Shop", "[x | {k, x} <- <<items, barcode>>]")}}},
 }
 
 // oracleRejected are steps refused part-way — an intersection at its
@@ -428,7 +433,9 @@ func (ch *oracleChoices) more() bool { return ch.rnd != nil || len(ch.data) > 0 
 // or off, a restore after every step or none, auto_drop (3, 6), degraded
 // federation (2, 4, 8). Some seed restarts before federating, backfills
 // what federation skipped, and serves warnings from the cache; under
-// -race the reader checks that what restores share is only read.
+// -race the reader checks that what restores share is only read. A
+// scripted history beside them takes remote participants' path: it
+// restarts, then refines over the SQL and the REST source.
 func TestSessionOracle(t *testing.T) {
 	var histories [9][]string
 	t.Cleanup(func() {
@@ -436,9 +443,10 @@ func TestSessionOracle(t *testing.T) {
 			{"restart", "federate"},
 			{"federate (Shop down)", "probe (recovered)"},
 			{"federate", "query (warned, cached)"},
+			{"restart", "step X4\n"}, // accepted: a refinement over SQL and REST after a restart
 		} {
 			if !t.Failed() && !slices.ContainsFunc(histories[:], func(h []string) bool {
-				events := "\n" + strings.Join(h, "\n")
+				events := "\n" + strings.Join(h, "\n") + "\n"
 				first := strings.Index(events, "\n"+want[0])
 				return first >= 0 && strings.Index(events, "\n"+want[1]) > first
 			}) {
@@ -454,6 +462,28 @@ func TestSessionOracle(t *testing.T) {
 			histories[seed] = runOracle(t, newOracleWorld(t, fmt.Sprint(seed), mode), &oracleChoices{rnd: rand.New(rand.NewSource(int64(seed)))}, mode)
 		})
 	}
+	// One history is written out, whatever the seeds draw: remote
+	// participants' whole path, cached, a restore after every step. Each
+	// byte is one choice (oracleChoices): federation; X1, the intersection
+	// of the SQL, the REST and a static source; a restart from the file
+	// alone; X4, a refinement over the SQL and the REST source; a crash;
+	// and the view asked again.
+	t.Run("remote", func(t *testing.T) {
+		t.Parallel()
+		mode := modeOf(1 | 4)
+		script := []byte{
+			0, 1, // federate, and the roll that would put federation first
+			1, 0, // step, the first of [X1 X3 X4 …]
+			13,   // restart
+			1, 1, // step, the second of [X3 X4 …]
+			14, // crash
+			7,  // query: answered again, from the result cache
+		}
+		histories[0] = runOracle(t, newOracleWorld(t, "remote", mode), &oracleChoices{data: script}, mode)
+		if want := []string{"federate", "step X1", "restart", "step X4", "crash", "query (warned, cached)"}; !slices.Equal(histories[0], want) {
+			t.Errorf("the scripted history ran %v, want %v", histories[0], want)
+		}
+	})
 }
 
 // FuzzSessionOracle is TestSessionOracle's generator on a fuzz input:
@@ -689,8 +719,8 @@ func runOracle(t *testing.T, w *oracleWorld, ch *oracleChoices, mode oracleMode)
 	}
 
 	plan := ispider.IntersectionPlan()
-	// The plan in any order, X1 and X3 among it, and X2 once X1 is in.
-	steps := []core.Step{oracleExtras[0], oracleExtras[2]}
+	// The plan in any order, X1, X3 and X4 among it, and X2 once X1 is in.
+	steps := []core.Step{oracleExtras[0], oracleExtras[2], oracleExtras[3]}
 	for _, st := range plan {
 		steps = append(steps, st.Step())
 	}
@@ -735,6 +765,13 @@ func runOracle(t *testing.T, w *oracleWorld, ch *oracleChoices, mode oracleMode)
 			}
 			if steps[i].Name == "X1" {
 				steps = append(steps, oracleExtras[1])
+			}
+			if ig, err := current().integrator(); err == nil && steps[i].Name == "X4" && !slices.Contains(ig.Skipped(), "Shop") {
+				// Both backends' rows are in the object: Shelf's labels and
+				// Shop's barcodes.
+				if _, got := ask(c, "POST", "/query", map[string]any{"session": "h", "query": "<<UCodes>>"}); !strings.Contains(got, "bottom") || !strings.Contains(got, "B-1") {
+					t.Fatalf("%s: <<UCodes>> = %s, want Shelf's and Shop's rows", stage(), got)
+				}
 			}
 			steps = slices.Delete(steps, i, i+1)
 		case "rejected":

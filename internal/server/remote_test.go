@@ -63,88 +63,6 @@ func registerRemoteSources(c *testClient, dsn, endpoint string) {
 	}, http.StatusCreated)
 }
 
-var remoteUBookMappings = []map[string]any{
-	{
-		"target": "<<UBook>>",
-		"forward": []map[string]any{
-			{"source": "Library", "query": "[{'LIB', k} | k <- <<books>>]"},
-			{"source": "Shop", "query": "[{'SHOP', k} | k <- <<items>>]"},
-		},
-	},
-	{
-		"target": "<<UBook, ref>>",
-		"forward": []map[string]any{
-			{"source": "Library", "query": "[{'LIB', k, x} | {k, x} <- <<books, isbn>>]"},
-			{"source": "Shop", "query": "[{'SHOP', k, x} | {k, x} <- <<items, barcode>>]"},
-		},
-	},
-}
-
-var remoteWorkload = []map[string]any{
-	{"query": "count(<<library_books>>)", "version": 0},
-	{"query": "[x | {k, x} <- <<shop_items, price>>; x > 10.0]", "version": 0},
-	{"query": "count(<<UBook>>)", "version": 1},
-	{"query": "[x | {s, k, x} <- <<UBook, ref>>]", "version": 1},
-	{"query": "count(<<UBook>>)"}, // latest
-}
-
-// TestRemoteSourcesCrashRecovery is the acceptance path for remote
-// participants: a full pay-as-you-go session over one SQL source and
-// one REST source — register, federate, intersect, query — survives a
-// daemon crash, rebuilt from -data-dir alone, with byte-identical
-// answers for every published schema version (the backends stay up; a
-// restored session reattaches to them live).
-func TestRemoteSourcesCrashRecovery(t *testing.T) {
-	const dsn = "server-remote-library"
-	remoteSQLDB(dsn)
-	shop := remoteRESTBackend(t)
-	dir := t.TempDir()
-
-	s1, c1 := newDurableClient(t, dir)
-	registerRemoteSources(c1, dsn, shop.URL)
-	c1.must("POST", "/federate", map[string]any{"name": "F"}, http.StatusCreated)
-	c1.must("POST", "/intersect", map[string]any{"name": "I1", "mappings": remoteUBookMappings}, http.StatusCreated)
-
-	before := make([]string, len(remoteWorkload))
-	for i, q := range remoteWorkload {
-		before[i] = canonicalAnswer(t, c1.must("POST", "/query", q, http.StatusOK))
-	}
-	// Both backends actually contribute: the ref extent carries the
-	// SQL-only and the REST-only identifiers.
-	if !strings.Contains(before[3], "978-3") || !strings.Contains(before[3], "978-9") {
-		t.Fatalf("integrated ref extent is missing backend data: %s", before[3])
-	}
-
-	// Crash: abandon the first server; a new one rebuilds from disk and
-	// reattaches to the still-running backends.
-	s2, c2 := newDurableClient(t, dir)
-	if n := s2.Sessions().Len(); n != 1 {
-		t.Fatalf("restored %d sessions, want 1", n)
-	}
-	_ = s1
-	for i, q := range remoteWorkload {
-		after := canonicalAnswer(t, c2.must("POST", "/query", q, http.StatusOK))
-		if after != before[i] {
-			t.Errorf("query %v differs after crash recovery:\nbefore %s\nafter  %s", q, before[i], after)
-		}
-	}
-
-	// The restored session keeps integrating across both backends.
-	c2.must("POST", "/refine", map[string]any{
-		"name": "prices",
-		"mapping": map[string]any{
-			"target": "<<UBook, price>>",
-			"forward": []map[string]any{
-				{"source": "Shop", "query": "[{'SHOP', k, x} | {k, x} <- <<items, price>>]"},
-			},
-		},
-	}, http.StatusCreated)
-	q := c2.must("POST", "/query", map[string]any{"query": "count(<<UBook, price>>)"}, http.StatusOK)
-	if q["value"].(float64) != 3 {
-		t.Fatalf("post-recovery price count = %v, want 3", q["value"])
-	}
-}
-
 // TestRestoredDeadBackendIsDegraded: a session restored after both its
 // backends vanished still answers from the snapshot's extents — through
 // the one stale route, so the answer says it is stale, is counted, is
